@@ -260,6 +260,10 @@ type Engine struct {
 	cHedgeSuppressed *obs.Counter // aggtree_hedges_suppressed
 	cHedgeAcked      *obs.Counter // aggtree_hedge_acks
 	cHedgeReasserts  *obs.Counter // aggtree_hedge_reasserts
+
+	// backups is backupSet's reused scratch buffer (engines are
+	// single-threaded on their shard).
+	backups []pastry.NodeRef
 }
 
 // NewEngine creates an engine for the host.
@@ -546,11 +550,16 @@ func submitMsgSize(backups int) int {
 	return 3*ids.Bytes + 8 + agg.EncodedPartialSize + 8 + 4*backups
 }
 
-// replMsg replicates a vertex's state to its backups.
+// replMsg replicates a vertex's state to its backups: the whole children
+// table in Children (takeovers, membership changes), or — Children nil —
+// the one entry that changed, inline as (Child, C), on the common update
+// path. The wire size counts entries either way (replMsgSize).
 type replMsg struct {
 	QID       ids.ID
 	Vertex    ids.ID
 	Children  map[ids.ID]contribution
+	Child     ids.ID
+	C         contribution
 	UpVersion uint64
 	Injector  simnet.Endpoint
 	Query     *relq.Query
@@ -614,7 +623,7 @@ func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector si
 	c := &contribution{Version: version, Part: part, Contributors: 1}
 	e.submitted[qid] = c
 	e.cSubmits.Inc()
-	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindSubmit, Query: qid.Short(),
+	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindSubmit, Query: e.o.QueryTag(qid),
 		EP: int(e.host.PastryNode().Endpoint()), N: int64(version)})
 	e.sendSubmission(qid, *c, span)
 	e.armResubmit(qid, c.Version, 0, span)
@@ -654,7 +663,7 @@ func (e *Engine) armResubmit(qid ids.ID, version uint64, attempt int, span uint6
 			return
 		}
 		e.cResubmit.Inc()
-		next := e.o.EmitSpan(span, obs.Event{Kind: obs.KindAggResubmit, Query: qid.Short(),
+		next := e.o.EmitSpan(span, obs.Event{Kind: obs.KindAggResubmit, Query: e.o.QueryTag(qid),
 			EP: int(node.Endpoint()), N: int64(st.attempt + 1)})
 		e.sendSubmission(qid, *c, next)
 		e.armResubmit(qid, st.version, st.attempt+1, next)
@@ -743,7 +752,7 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 	case *replMsg:
 		e.applyRepl(m)
 	case *resultMsg:
-		span := e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindPartial, Query: m.QID.Short(),
+		span := e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindPartial, Query: e.o.QueryTag(m.QID),
 			EP: int(e.host.PastryNode().Endpoint()),
 			N:  m.Contributors, V: float64(m.Part.Count)})
 		e.host.ResultDelivered(m.QID, m.Part, m.Contributors, span)
@@ -825,7 +834,7 @@ func (e *Engine) applySubmit(m *submitMsg) {
 		// let the budget throttle wasted pulls only.
 		v.tokens = min(v.tokens+1, e.cfg.HedgeBurst)
 		if won := e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindHedgeWon,
-			Query: m.QID.Short(), EP: int(e.host.PastryNode().Endpoint()),
+			Query: e.o.QueryTag(m.QID), EP: int(e.host.PastryNode().Endpoint()),
 			N: int64(m.C.Version)}); won != 0 {
 			v.cause = won
 		}
@@ -852,14 +861,12 @@ func (e *Engine) applyRepl(m *replMsg) {
 		e.armRefresh(v)
 	}
 	changed := false
-	for child, c := range m.Children {
-		cur, exists := v.children[child]
-		if !exists || c.Version > cur.Version {
-			v.children[child] = c
-			if !exists || cur.Part != c.Part || cur.Contributors != c.Contributors {
+	if m.Children == nil {
+		changed = v.install(m.Child, m.C)
+	} else {
+		for child, c := range m.Children {
+			if v.install(child, c) {
 				changed = true
-				v.dirty = true
-				v.reassertN = 0
 			}
 		}
 	}
@@ -878,7 +885,7 @@ func (e *Engine) applyRepl(m *replMsg) {
 	if e.host.PastryNode().IsRootOf(m.Vertex) {
 		if !v.primary {
 			e.cTakeovers.Inc()
-			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: m.QID.Short(),
+			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: e.o.QueryTag(m.QID),
 				EP: int(e.host.PastryNode().Endpoint())})
 			// A takeover starts with a clean hedge slate: the response-time
 			// distributions the old primary accumulated (and whatever this
@@ -899,6 +906,23 @@ func (e *Engine) applyRepl(m *replMsg) {
 		e.clearHedge(v)
 		v.primary = false
 	}
+}
+
+// install records a replicated child entry unless the local one is at
+// least as new, and reports whether the vertex's aggregate changed (a
+// version advance with identical content is a refresh, not a change).
+func (v *vertexState) install(child ids.ID, c contribution) bool {
+	cur, exists := v.children[child]
+	if exists && c.Version <= cur.Version {
+		return false
+	}
+	v.children[child] = c
+	if exists && cur.Part == c.Part && cur.Contributors == c.Contributors {
+		return false
+	}
+	v.dirty = true
+	v.reassertN = 0
+	return true
 }
 
 // propagate replicates the vertex's full state to its backups and forwards
@@ -922,7 +946,7 @@ func (e *Engine) replicateDelta(v *vertexState, child ids.ID) {
 		return
 	}
 	msg := &replMsg{QID: v.key.qid, Vertex: v.key.vertex,
-		Children: map[ids.ID]contribution{child: c}, UpVersion: v.upVersion,
+		Child: child, C: c, UpVersion: v.upVersion,
 		Injector: info.injector, Query: info.query, Cause: v.cause}
 	size := replMsgSize(1)
 	for _, b := range e.backupSet(v.key.vertex) {
@@ -971,10 +995,12 @@ func (e *Engine) forwardUp(v *vertexState) {
 	}
 }
 
-// backupSet picks the m leafset members closest to the vertexId.
+// backupSet picks the m leafset members closest to the vertexId. The
+// result lives in the engine's scratch buffer: callers walk it at once
+// and keep nothing.
 func (e *Engine) backupSet(vertex ids.ID) []pastry.NodeRef {
-	node := e.host.PastryNode()
-	cands := node.Leafset()
+	cands := append(e.backups[:0], e.host.PastryNode().LeafsetView()...)
+	e.backups = cands
 	slices.SortFunc(cands, func(a, b pastry.NodeRef) int {
 		return vertex.AbsDistance(a.ID).Cmp(vertex.AbsDistance(b.ID))
 	})
@@ -1060,7 +1086,7 @@ func (e *Engine) HandleLeafsetChanged() {
 			e.clearHedge(v)
 			v.primary = true
 			e.cTakeovers.Inc()
-			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: v.key.qid.Short(),
+			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: e.o.QueryTag(v.key.qid),
 				EP: int(node.Endpoint())})
 			e.propagate(v)
 		case !isRoot:

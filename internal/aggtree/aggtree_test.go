@@ -414,3 +414,54 @@ func TestCancelPropagateReclaimsVertices(t *testing.T) {
 		t.Fatalf("straggler submission resurrected %d vertices", total)
 	}
 }
+
+// TestReplDeltaInlineMatchesTable checks that a delta carrying its one
+// child inline installs at a backup exactly what the one-entry table form
+// did: new entry, newer version, stale version, refresh with unchanged
+// content.
+func TestReplDeltaInlineMatchesTable(t *testing.T) {
+	c := newCluster(t, 16, 11, DefaultConfig())
+	c.sched.RunUntil(time.Second)
+	qid := ids.HashString("delta")
+	// Two backups: endsystems that are not the vertex's root.
+	var backups []*Engine
+	for _, h := range c.hosts {
+		if !h.node.IsRootOf(qid) {
+			backups = append(backups, h.engine)
+		}
+	}
+	inline, table := backups[0], backups[1]
+	child := ids.HashString("child")
+	var one, two agg.Partial
+	one.Observe(1)
+	two.Observe(2)
+	steps := []contribution{
+		{Version: 2, Part: one, Contributors: 1}, // new
+		{Version: 3, Part: two, Contributors: 1}, // newer, other content
+		{Version: 1, Part: one, Contributors: 1}, // stale
+		{Version: 4, Part: two, Contributors: 1}, // refresh
+	}
+	key := vertexKey{qid: qid, vertex: qid}
+	for i, s := range steps {
+		base := replMsg{QID: qid, Vertex: qid, UpVersion: uint64(i), Injector: 0, Query: testQuery}
+		d, m := base, base
+		d.Child, d.C = child, s
+		m.Children = map[ids.ID]contribution{child: s}
+		inline.applyRepl(&d)
+		table.applyRepl(&m)
+		a, b := inline.vertices[key], table.vertices[key]
+		if a == nil || b == nil {
+			t.Fatalf("step %d: vertex missing", i)
+		}
+		if a.children[child] != b.children[child] || len(a.children) != 1 || len(b.children) != 1 {
+			t.Fatalf("step %d: inline installed %+v, table %+v", i, a.children, b.children)
+		}
+		if a.dirty != b.dirty || a.upVersion != b.upVersion || a.primary != b.primary {
+			t.Fatalf("step %d: vertex state differs: inline dirty=%v up=%d primary=%v, table dirty=%v up=%d primary=%v",
+				i, a.dirty, a.upVersion, a.primary, b.dirty, b.upVersion, b.primary)
+		}
+	}
+	if got := inline.vertices[key].children[child].Version; got != 4 {
+		t.Fatalf("final version %d, want 4", got)
+	}
+}

@@ -260,7 +260,7 @@ func (e *Engine) hedgeFire(v *vertexState, child ids.ID, ch *childHedge, deadlin
 	v.issued++
 	e.cHedgeIssued.Inc()
 	span := e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindHedgeIssued,
-		Query: v.key.qid.Short(), EP: int(node.Endpoint()),
+		Query: e.o.QueryTag(v.key.qid), EP: int(node.Endpoint()),
 		N: v.issued, V: deadline.Seconds()})
 	msg := &hedgePullMsg{QID: v.key.qid, Vertex: child, Parent: v.key.vertex,
 		Have: v.children[child].Version, ReplyTo: node.Endpoint(), Cause: span}

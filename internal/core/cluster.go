@@ -387,7 +387,7 @@ func (c *Cluster) InjectQueryCause(from simnet.Endpoint, q *relq.Query, cause ui
 				// critical path.
 				h.Completed = true
 				o.Counter("queries_completed").Inc()
-				o.EmitSpan(h.lastSpan, obs.Event{Kind: obs.KindComplete, Query: h.QueryID.Short(),
+				o.EmitSpan(h.lastSpan, obs.Event{Kind: obs.KindComplete, Query: o.QueryTag(h.QueryID),
 					EP: int(from), N: int64(len(h.Results))})
 				h.finish()
 			}
@@ -403,7 +403,7 @@ func (c *Cluster) InjectQueryCause(from simnet.Endpoint, q *relq.Query, cause ui
 func (c *Cluster) CancelQuery(h *QueryHandle, from simnet.Endpoint) {
 	o := c.Obs()
 	o.Counter("queries_cancelled").Inc()
-	o.EmitSpan(h.lastSpan, obs.Event{Kind: obs.KindCancel, Query: h.QueryID.Short(),
+	o.EmitSpan(h.lastSpan, obs.Event{Kind: obs.KindCancel, Query: o.QueryTag(h.QueryID),
 		EP: int(from), N: int64(len(h.Results))})
 	h.Cancelled = true
 	h.finish()

@@ -203,7 +203,8 @@ func (n *Node) executeAndSubmit(qid ids.ID, q *relq.Query, injector simnet.Endpo
 			return
 		}
 	}
-	span := n.pn.Ring().Obs().EmitSpan(cause, obs.Event{Kind: kind, Query: qid.Short(),
+	o := n.pn.Ring().Obs()
+	span := o.EmitSpan(cause, obs.Event{Kind: kind, Query: o.QueryTag(qid),
 		EP: int(n.pn.Endpoint())})
 	if !n.runLocal(qid, q, injector, span) {
 		return

@@ -101,10 +101,24 @@ type Host interface {
 
 // Engine runs the dissemination protocol for one endsystem.
 type Engine struct {
-	cfg   Config
-	host  Host
-	rng   *rand.Rand
-	tasks map[taskKey]*task
+	cfg  Config
+	host Host
+	rng  *rand.Rand
+
+	// Per-query state (see DESIGN.md, "Per-query state lifecycle"). tasks
+	// holds this endsystem's range tasks: the unfinished ones, and each
+	// finished one for retention after it finished, so a reissued request
+	// gets the cached answer. awaited indexes every unanswered subrange of
+	// every unfinished task by (queryId, lo, hi) — a rangeResp carries
+	// exactly that key, so it finds its (task, subrange) in one lookup.
+	// retired and retiredTail are the ends of a queue (linked through
+	// task.next) of the finished tasks still in tasks, in finish order,
+	// which — retention being one constant — is expiry order.
+	tasks       map[taskKey]*task
+	awaited     map[taskKey]*subrange
+	retired     *task
+	retiredTail *task
+
 	// waiting holds injector-side callbacks keyed by queryId, with the
 	// injection instant for predictor-latency accounting.
 	waiting map[ids.ID]*pendingInject
@@ -159,6 +173,7 @@ func NewEngine(host Host, cfg Config) *Engine {
 		host:    host,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		tasks:   make(map[taskKey]*task),
+		awaited: make(map[taskKey]*subrange),
 		waiting: make(map[ids.ID]*pendingInject),
 		seen:    make(map[ids.ID]bool),
 
@@ -180,7 +195,11 @@ func (e *Engine) scoped(q *relq.Query) bool {
 }
 
 // Reset clears all per-query state (the endsystem restarted). Stale
-// retry timers recognize the replaced maps and fall through.
+// inject-retry timers recognize the replaced maps and fall through. A
+// task of the previous incarnation whose subrange timers are still armed
+// runs its retry ladder out as before, but it is in neither table any
+// more: no response can reach it, and every removal below is by identity,
+// so it cannot disturb a task the new incarnation created under its key.
 func (e *Engine) Reset() {
 	for _, p := range e.waiting {
 		if p.timer != nil {
@@ -188,6 +207,13 @@ func (e *Engine) Reset() {
 		}
 	}
 	e.tasks = make(map[taskKey]*task)
+	e.awaited = make(map[taskKey]*subrange)
+	for t := e.retired; t != nil; {
+		next := t.next
+		t.next = nil // as sweep does: no task keeps the queue alive
+		t = next
+	}
+	e.retired, e.retiredTail = nil, nil
 	e.waiting = make(map[ids.ID]*pendingInject)
 	e.seen = make(map[ids.ID]bool)
 	e.srtt, e.rttvar = 0, 0
@@ -222,7 +248,7 @@ func (e *Engine) Inject(q *relq.Query, cause uint64, onPredictor func(*predictor
 		// decision must see the same snapshot.
 		e.cfg.Coords.BeginScope(qid, node.Endpoint(), q.RTTScope)
 	}
-	p.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindInject, Query: qid.Short(), EP: int(node.Endpoint())})
+	p.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindInject, Query: e.o.QueryTag(qid), EP: int(node.Endpoint())})
 	msg := &startMsg{QueryID: qid, Query: q, Injector: node.Endpoint(), Cause: p.span}
 	node.Route(qid, msg, startMsgSize(q), simnet.ClassQuery)
 	e.armInjectRetry(qid, p)
@@ -240,7 +266,7 @@ func (e *Engine) armInjectRetry(qid ids.ID, p *pendingInject) {
 	node := e.host.PastryNode()
 	if p.attempts > 2*e.cfg.MaxRetries {
 		e.cGiveups.Inc()
-		e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemGiveup, Query: qid.Short(),
+		e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemGiveup, Query: e.o.QueryTag(qid),
 			EP: int(node.Endpoint()), N: int64(p.attempts), V: 1.0})
 		return
 	}
@@ -252,7 +278,7 @@ func (e *Engine) armInjectRetry(qid ids.ID, p *pendingInject) {
 		}
 		p.attempts++
 		e.cReissues.Inc()
-		p.span = e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemRetry, Query: qid.Short(),
+		p.span = e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemRetry, Query: e.o.QueryTag(qid),
 			EP: int(node.Endpoint()), N: int64(p.attempts)})
 		msg := &startMsg{QueryID: qid, Query: p.query, Injector: node.Endpoint(), Cause: p.span}
 		node.Route(qid, msg, startMsgSize(p.query), simnet.ClassQuery)
@@ -340,10 +366,18 @@ type taskKey struct {
 	lo, hi ids.ID
 }
 
+// retention is how long a finished task stays in the engine's table. A
+// request for the same range inside that window — a parent's reissue, or
+// a new parent after the old one died — is answered from the finished
+// task instead of disseminating the range a second time.
+const retention = 2 * time.Minute
+
+// subrange is one awaited part of an interior task's range.
 type subrange struct {
 	lo, hi      ids.ID
-	local       bool // handled by local recursion, not a network child
-	done        bool
+	task        *task // the task awaiting this subrange
+	local       bool  // handled by local recursion, not a network child
+	done        bool  // answered or abandoned: no longer in Engine.awaited
 	retries     int
 	sentAt      time.Duration // when the latest request went out
 	lastTimeout time.Duration // timeout armed for the latest request
@@ -351,15 +385,34 @@ type subrange struct {
 	cause       uint64 // span of the latest send/retry event for this subrange
 }
 
+// onTimeout is the subrange's response-timeout callback.
+func (s *subrange) onTimeout() { s.task.eng.subrangeTimeout(s) }
+
+// task aggregates the predictor of one range at this endsystem. A leaf
+// task (alone in its range) finishes the instant it is created; an
+// interior task finishes when its last subrange is answered or abandoned.
+// Every task ends in Engine.finish, and from then on acc is frozen:
+// responses and the final predictorMsg point at it rather than copy it.
+// The struct fills the allocator's 768-byte class exactly (the predictor
+// is 592 of it); one more word costs every task 128 bytes.
 type task struct {
+	eng      *Engine
 	key      taskKey
 	query    *relq.Query
 	injector simnet.Endpoint
-	parents  []simnet.Endpoint // usually one; reissues from a new parent add more
-	acc      predictor.Predictor
-	pending  []*subrange
-	open     int
+	// parent asked for the range first; more holds any further requesters
+	// (a reissue from a new parent after the old one died), deduplicated.
+	parent simnet.Endpoint
+	more   []simnet.Endpoint
+	acc    predictor.Predictor
+	// subs are the awaited subranges, by value: Engine.awaited and the
+	// response timers point into the array, which is sized once. Released
+	// when the task finishes.
+	subs     []subrange
+	open     int32 // subranges neither answered nor abandoned
 	finished bool
+	expires  time.Duration // finished tasks only: when the table lets go
+	next     *task         // the task finished next (Engine.retired); nil once swept
 	// span is this task's disseminate event; respCause is the span of the
 	// last contribution folded in — the child whose response completed the
 	// fan-in, i.e. the causal parent of the task's own response.
@@ -367,15 +420,17 @@ type task struct {
 	respCause uint64
 }
 
-// addParent registers a parent endpoint, deduplicated.
-func (t *task) addParent(ep simnet.Endpoint) bool {
-	for _, p := range t.parents {
+// addParent registers a further requester, deduplicated.
+func (t *task) addParent(ep simnet.Endpoint) {
+	if ep == t.parent {
+		return
+	}
+	for _, p := range t.more {
 		if p == ep {
-			return false
+			return
 		}
 	}
-	t.parents = append(t.parents, ep)
-	return true
+	t.more = append(t.more, ep)
 }
 
 // HandleMessage processes a dissemination message; it reports whether the
@@ -396,7 +451,7 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 			}
 			node := e.host.PastryNode()
 			e.hPredLat.ObserveDuration(node.Sched().Now() - p.at)
-			e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindPredict, Query: m.QueryID.Short(),
+			e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindPredict, Query: e.o.QueryTag(m.QueryID),
 				EP: int(node.Endpoint()), V: m.Pred.ExpectedTotal()})
 			if p.cb != nil {
 				p.cb(m.Pred)
@@ -422,6 +477,10 @@ func (e *Engine) handleRange(m *rangeMsg) {
 // cause is the span of the message (or local recursion) that requested
 // the range.
 func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, injector simnet.Endpoint, cause uint64) {
+	node := e.host.PastryNode()
+	// Expired tasks leave the table before it is consulted, so a hit below
+	// is always inside its retention window.
+	e.sweep(node.Sched().Now())
 	key := taskKey{qid: qid, lo: lo, hi: hi}
 	if t, ok := e.tasks[key]; ok {
 		// Duplicate request (a reissue, or a new parent after the old one
@@ -432,22 +491,18 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 		}
 		return
 	}
-	t := &task{key: key, query: q, parents: []simnet.Endpoint{parent}, injector: injector}
-	t.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindDisseminate, Query: qid.Short(),
-		EP: int(e.host.PastryNode().Endpoint())})
+	t := &task{eng: e, key: key, query: q, parent: parent, injector: injector}
+	t.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindDisseminate, Query: e.o.QueryTag(qid),
+		EP: int(node.Endpoint())})
 	t.respCause = t.span
 	e.tasks[key] = t
 	e.observe(qid, q, injector, t.span)
-
-	node := e.host.PastryNode()
-	self := node.ID()
 
 	if e.aloneInRange(lo, hi) || lo == hi {
 		// Leaf: contribute own rows (if in range) and predict on behalf of
 		// every unavailable endsystem in the range.
 		e.contributeLocal(t, lo, hi)
-		t.finished = true
-		e.respond(t)
+		e.finish(t)
 		return
 	}
 
@@ -458,24 +513,33 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 	// (the ball test is exact), and the completeness predictor never
 	// expects the pruned endsystems.
 	subs := splitRange(lo, hi, e.cfg.Arity)
-	scoped := e.scoped(q)
-	var selfSub *subrange
-	for _, s := range subs {
-		if scoped && !e.cfg.Coords.RangeInScope(qid, s.lo, s.hi) {
-			e.cPruned.Inc()
-			continue
+	if e.scoped(q) {
+		kept := subs[:0]
+		for _, s := range subs {
+			if !e.cfg.Coords.RangeInScope(qid, s.lo, s.hi) {
+				e.cPruned.Inc()
+				continue
+			}
+			kept = append(kept, s)
 		}
+		subs = kept
+	}
+	// subs stays put from here on: the index and the timers point into it.
+	t.subs, t.open = subs, int32(len(subs))
+	self := node.ID()
+	var selfSub *subrange
+	for i := range subs {
+		s := &subs[i]
+		s.task, s.cause = t, t.span
 		if self.InRange(s.lo, s.hi) {
 			s.local = true
 			selfSub = s
 		}
-		s.cause = t.span
-		t.pending = append(t.pending, s)
+		e.awaited[taskKey{qid: qid, lo: s.lo, hi: s.hi}] = s
 	}
-	t.open = len(t.pending)
-	for _, s := range t.pending {
-		if !s.local {
-			e.sendSubrange(t, s)
+	for i := range subs {
+		if s := &subs[i]; !s.local {
+			e.sendSubrange(s)
 		}
 	}
 	if selfSub != nil {
@@ -484,12 +548,11 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 		// through handleResp.
 		e.beginTask(qid, q, selfSub.lo, selfSub.hi, node.Endpoint(), injector, t.span)
 	}
-	if t.open == 0 {
-		// Degenerate: arity split produced nothing (cannot happen for
-		// lo < hi, but guard anyway).
+	if len(subs) == 0 {
+		// Degenerate: nothing to wait for (every subrange was pruned by
+		// the RTT scope; the split itself never comes back empty).
 		e.contributeLocal(t, lo, hi)
-		t.finished = true
-		e.respond(t)
+		e.finish(t)
 	}
 }
 
@@ -508,7 +571,7 @@ func (e *Engine) observe(qid ids.ID, q *relq.Query, injector simnet.Endpoint, ca
 // live neighbors on both sides lie outside the range, no other live node
 // can be inside it.
 func (e *Engine) aloneInRange(lo, hi ids.ID) bool {
-	for _, m := range e.host.PastryNode().Leafset() {
+	for _, m := range e.host.PastryNode().LeafsetView() {
 		if m.ID.InRange(lo, hi) {
 			return false
 		}
@@ -543,7 +606,7 @@ func (e *Engine) contributeLocal(t *task, lo, hi ids.ID) {
 		}
 		e.cOnBehalf.Inc()
 		if e.o.Detail() {
-			e.o.EmitSpanDetail(t.span, obs.Event{Kind: obs.KindOnBehalf, Query: t.key.qid.Short(),
+			e.o.EmitSpanDetail(t.span, obs.Event{Kind: obs.KindOnBehalf, Query: e.o.QueryTag(t.key.qid),
 				EP: int(node.Endpoint()), V: rows})
 		}
 		t.acc.AddModel(rec.Model, now, rec.DownSince, rows)
@@ -560,7 +623,8 @@ func (e *Engine) contributeLocal(t *task, lo, hi ids.ID) {
 // parent counts the first response only, and endsystems deduplicate query
 // execution — so route diversity costs at most some extra traffic on
 // already-failing paths.
-func (e *Engine) sendSubrange(t *task, s *subrange) {
+func (e *Engine) sendSubrange(s *subrange) {
+	t := s.task
 	node := e.host.PastryNode()
 	msg := &rangeMsg{QueryID: t.key.qid, Query: t.query, Lo: s.lo, Hi: s.hi,
 		Parent: node.Endpoint(), Injector: t.injector, Cause: s.cause}
@@ -572,9 +636,7 @@ func (e *Engine) sendSubrange(t *task, s *subrange) {
 	sched := node.Sched()
 	s.sentAt = sched.Now()
 	s.lastTimeout = e.attemptTimeout(s.retries, s.lastTimeout)
-	s.timer = sched.After(s.lastTimeout, func() {
-		e.subrangeTimeout(t, s)
-	})
+	s.timer = sched.After(s.lastTimeout, s.onTimeout)
 	// Initial delegate: the id midpoint by default; with coordinates
 	// attached, the lowest-predicted-RTT node this node already knows
 	// inside the subrange (still an id-valid delegate — routing to its id
@@ -703,115 +765,151 @@ func rangeFraction(lo, hi ids.ID) float64 {
 // the paper's "with high probability" caveat — and, worse, endsystems in
 // the subrange never observe the query; the giveup event makes that loss
 // visible and attributable).
-func (e *Engine) subrangeTimeout(t *task, s *subrange) {
-	if s.done || t.finished || !e.host.PastryNode().Alive() {
+func (e *Engine) subrangeTimeout(s *subrange) {
+	t := s.task
+	node := e.host.PastryNode()
+	if s.done || t.finished || !node.Alive() {
 		return
 	}
+	tag := e.o.QueryTag(t.key.qid)
 	if s.retries >= e.cfg.MaxRetries {
-		s.done = true
-		t.open--
+		e.settle(s)
 		e.cAbandoned.Inc()
-		s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemAbandon, Query: t.key.qid.Short(),
-			EP: int(e.host.PastryNode().Endpoint()), N: int64(s.retries)})
+		s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemAbandon, Query: tag,
+			EP: int(node.Endpoint()), N: int64(s.retries)})
 		e.cGiveups.Inc()
-		e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemGiveup, Query: t.key.qid.Short(),
-			EP: int(e.host.PastryNode().Endpoint()), N: int64(s.retries),
+		e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemGiveup, Query: tag,
+			EP: int(node.Endpoint()), N: int64(s.retries),
 			V: rangeFraction(s.lo, s.hi)})
-		e.maybeFinish(t)
+		if t.open == 0 {
+			e.finish(t)
+		}
 		return
 	}
 	s.retries++
 	e.cReissues.Inc()
-	s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemRetry, Query: t.key.qid.Short(),
-		EP: int(e.host.PastryNode().Endpoint()), N: int64(s.retries)})
-	e.sendSubrange(t, s)
+	s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemRetry, Query: tag,
+		EP: int(node.Endpoint()), N: int64(s.retries)})
+	e.sendSubrange(s)
+}
+
+// settle marks a subrange answered or abandoned and takes it out of the
+// index. The removal is by identity: a subrange of a task from before a
+// Reset must not unhook the same range awaited by a newer task.
+func (e *Engine) settle(s *subrange) {
+	s.done = true
+	s.task.open--
+	key := taskKey{qid: s.task.key.qid, lo: s.lo, hi: s.hi}
+	if e.awaited[key] == s {
+		delete(e.awaited, key)
+	}
 }
 
 // handleResp folds a child's aggregated predictor into the parent task.
-// Each subrange appears in exactly one task's pending list, and a done
-// flag makes duplicate responses (from reissued requests) count exactly
-// once.
+// The index holds a subrange only while it is unanswered and its task
+// unfinished, so a duplicate response (from a reissued request), a late
+// one (its subrange abandoned, its task finished) and one this incarnation
+// never asked for all miss it: each subrange counts exactly once.
 func (e *Engine) handleResp(m *rangeResp) {
-	for _, t := range e.tasks {
-		if t.key.qid != m.QueryID || t.finished {
-			continue
-		}
-		for _, s := range t.pending {
-			if s.lo == m.Lo && s.hi == m.Hi {
-				if s.done {
-					return // duplicate: counted exactly once
-				}
-				s.done = true
-				if s.timer != nil {
-					s.timer.Cancel()
-				}
-				if s.retries == 0 && !s.local {
-					// Karn's rule: only unretried responses are unambiguous
-					// latency samples.
-					e.observeRTT(e.host.PastryNode().Sched().Now() - s.sentAt)
-				}
-				t.acc.Merge(m.Pred)
-				t.open--
-				// The response that completes the fan-in is the task's
-				// critical child; its span becomes the causal parent of
-				// this task's own response.
-				if m.Cause != 0 {
-					t.respCause = m.Cause
-				}
-				e.maybeFinish(t)
-				return
-			}
-		}
-	}
-}
-
-// maybeFinish completes a task when every subrange has answered (or been
-// abandoned).
-func (e *Engine) maybeFinish(t *task) {
-	if t.finished || t.open > 0 {
+	s := e.awaited[taskKey{qid: m.QueryID, lo: m.Lo, hi: m.Hi}]
+	if s == nil {
 		return
 	}
-	t.finished = true
-	e.respond(t)
-	// Retain finished tasks briefly so reissued requests get the cached
-	// answer, then reclaim the memory.
-	sched := e.host.PastryNode().Sched()
-	sched.After(2*time.Minute, func() { delete(e.tasks, t.key) })
+	t := s.task
+	e.settle(s)
+	s.timer.Cancel()
+	if s.retries == 0 && !s.local {
+		// Karn's rule: only unretried responses are unambiguous latency
+		// samples.
+		e.observeRTT(e.host.PastryNode().Sched().Now() - s.sentAt)
+	}
+	t.acc.Merge(m.Pred)
+	// The response that completes the fan-in is the task's critical
+	// child; its span becomes the causal parent of this task's own
+	// response.
+	if m.Cause != 0 {
+		t.respCause = m.Cause
+	}
+	if t.open == 0 {
+		e.finish(t)
+	}
 }
 
-// respond sends the task's aggregated predictor to its parents: a
+// finish is the one way a task ends — leaf, interior or degenerate. It
+// freezes acc, answers every parent, and starts the retention window:
+// the task stays in the table, to re-answer reissued requests from the
+// frozen acc, until sweep lets it go. No timer is armed. A task of a
+// previous incarnation (see Reset) answers its parents and is otherwise
+// left alone: it is in no table.
+func (e *Engine) finish(t *task) {
+	t.finished = true
+	t.subs = nil // all settled; nothing points into the array any more
+	if e.tasks[t.key] == t {
+		t.expires = e.host.PastryNode().Sched().Now() + retention
+		if e.retiredTail == nil {
+			e.retired = t
+		} else {
+			e.retiredTail.next = t
+		}
+		e.retiredTail = t
+	}
+	e.respond(t)
+}
+
+// sweep drops the finished tasks whose retention has run out. beginTask
+// calls it before every lookup, so expiry needs no timer: an expired task
+// is never found, and the table is trimmed at the rate it is filled. The
+// delete is by identity, like every removal from the engine's tables.
+func (e *Engine) sweep(now time.Duration) {
+	for t := e.retired; t != nil && t.expires <= now; t = e.retired {
+		// Unlink fully: a response in flight may keep t alive through its
+		// predictor, and must not keep the rest of the queue with it.
+		e.retired, t.next = t.next, nil
+		if e.tasks[t.key] == t {
+			delete(e.tasks, t.key)
+		}
+	}
+	if e.retired == nil {
+		e.retiredTail = nil
+	}
+}
+
+// respond sends a finished task's aggregated predictor to its parents: a
 // rangeResp for interior tasks, or the final predictorMsg when the parent
 // is the injector (full-namespace task). Parents deduplicate per
 // subrange, so answering every registered parent preserves exactly-once
-// counting.
+// counting. The messages share the task's frozen acc; receivers only
+// read it.
 func (e *Engine) respond(t *task) {
+	e.respondTo(t, t.parent)
+	for _, parent := range t.more {
+		e.respondTo(t, parent)
+	}
+}
+
+func (e *Engine) respondTo(t *task, parent simnet.Endpoint) {
 	node := e.host.PastryNode()
-	pred := t.acc // copy
 	net := node.Ring().Network()
-	for _, parent := range t.parents {
-		switch {
-		case t.key.lo.IsZero() && t.key.hi == ids.MaxID:
-			// Root task: deliver the final predictor to the injector.
-			net.Send(node.Endpoint(), parent, ids.Bytes+predictor.EncodedSize,
-				simnet.ClassQuery, &predictorMsg{QueryID: t.key.qid, Pred: &pred, Cause: t.respCause})
-		case parent == node.Endpoint():
-			// Self-recursion: deliver locally without a network hop.
-			e.handleResp(&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: &pred, Cause: t.respCause})
-		default:
-			net.Send(node.Endpoint(), parent, rangeRespSize(), simnet.ClassQuery,
-				&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: &pred, Cause: t.respCause})
-		}
+	switch {
+	case t.key.lo.IsZero() && t.key.hi == ids.MaxID:
+		// Root task: deliver the final predictor to the injector.
+		net.Send(node.Endpoint(), parent, ids.Bytes+predictor.EncodedSize,
+			simnet.ClassQuery, &predictorMsg{QueryID: t.key.qid, Pred: &t.acc, Cause: t.respCause})
+	case parent == node.Endpoint():
+		// Self-recursion: deliver locally without a network hop.
+		e.handleResp(&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: &t.acc, Cause: t.respCause})
+	default:
+		net.Send(node.Endpoint(), parent, rangeRespSize(), simnet.ClassQuery,
+			&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: &t.acc, Cause: t.respCause})
 	}
 }
 
 // splitRange divides the inclusive range [lo, hi] into up to arity
 // contiguous, non-overlapping, equal-width inclusive subranges covering it
 // exactly.
-func splitRange(lo, hi ids.ID, arity int) []*subrange {
+func splitRange(lo, hi ids.ID, arity int) []subrange {
+	out := make([]subrange, 0, arity)
 	span := hi.Sub(lo)
-	var out []*subrange
-	// width = floor(span/arity) computed via repeated halving for powers
-	// of two, or long division in the general case.
 	width := divByUint(span, uint64(arity))
 	cur := lo
 	for i := 0; i < arity; i++ {
@@ -824,7 +922,7 @@ func splitRange(lo, hi ids.ID, arity int) []*subrange {
 		if end.Less(cur) { // overflow guard
 			end = hi
 		}
-		out = append(out, &subrange{lo: cur, hi: end})
+		out = append(out, subrange{lo: cur, hi: end})
 		if end == hi {
 			break
 		}

@@ -56,16 +56,21 @@ type cluster struct {
 	hosts []*testHost
 }
 
-func newCluster(t *testing.T, n int, seed int64, cfg Config) *cluster {
-	t.Helper()
-	c := &cluster{sched: simnet.NewScheduler()}
+// newRing returns an empty n-endpoint overlay on a uniform 10 ms topology.
+func newRing(n int, seed int64) (simnet.Scheduler, *pastry.Ring) {
+	sched := simnet.NewScheduler()
 	topo := simnet.UniformTopology(4, 10*time.Millisecond, time.Millisecond)
 	ncfg := simnet.DefaultNetworkConfig()
 	ncfg.Seed = seed
-	net := simnet.NewNetwork(c.sched, topo, n, ncfg)
 	pcfg := pastry.DefaultConfig()
 	pcfg.Seed = seed
-	c.ring = pastry.NewRing(net, pcfg)
+	return sched, pastry.NewRing(simnet.NewNetwork(sched, topo, n, ncfg), pcfg)
+}
+
+func newCluster(t *testing.T, n int, seed int64, cfg Config) *cluster {
+	t.Helper()
+	c := &cluster{}
+	c.sched, c.ring = newRing(n, seed)
 	rng := rand.New(rand.NewSource(seed))
 	idList := ids.RandomN(rng, n)
 	c.hosts = make([]*testHost, n)

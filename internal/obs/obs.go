@@ -39,6 +39,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/ids"
 )
 
 // Counter is a monotonically increasing event count. The nil counter is a
@@ -602,6 +604,18 @@ func (o *Obs) Tracing() bool { return o != nil && o.tr != nil }
 // the Event literal itself (query-ID formatting in particular) allocates,
 // and evaluating it on every routed message dominates untraced runs.
 func (o *Obs) Detail() bool { return o != nil && o.tr != nil && o.tr.Verbose }
+
+// QueryTag returns the label trace events carry for a query — the id's
+// first 8 hex digits — or "" when no tracer is attached. Formatting the id
+// allocates, so instrumentation sites build their Event with this rather
+// than with qid.Short(): with tracing off the Event is never recorded and
+// the label costs a nil check.
+func (o *Obs) QueryTag(qid ids.ID) string {
+	if o == nil || o.tr == nil {
+		return ""
+	}
+	return qid.Short()
+}
 
 // BindClock installs the virtual clock used to timestamp trace events.
 // Each simulation run binds its own scheduler; rebinding is allowed (a

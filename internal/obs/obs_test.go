@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/ids"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -185,6 +187,27 @@ func TestObsClockStampsEvents(t *testing.T) {
 	o.EmitDetail(Event{Kind: KindRouteDeliver})
 	if got := len(sink.Events()); got != 3 {
 		t.Fatalf("verbose detail not recorded, have %d events", got)
+	}
+}
+
+// TestQueryTagFreeWhenOff checks that the query label is built only for
+// a tracer to record: without one it is empty and costs no allocation.
+func TestQueryTagFreeWhenOff(t *testing.T) {
+	qid := ids.HashString("q")
+	var none *Obs
+	off := New()
+	if none.QueryTag(qid) != "" || off.QueryTag(qid) != "" {
+		t.Fatal("query tag built with no tracer attached")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		off.EmitSpan(0, Event{Kind: KindDisseminate, Query: off.QueryTag(qid), EP: 1})
+	}); n != 0 {
+		t.Fatalf("untraced EmitSpan allocates %v times", n)
+	}
+	on := New()
+	on.SetTracer(NewTracer(NewRingSink(1)))
+	if got := on.QueryTag(qid); got != qid.Short() {
+		t.Fatalf("traced query tag %q, want %q", got, qid.Short())
 	}
 }
 

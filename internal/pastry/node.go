@@ -76,12 +76,18 @@ func (n *Node) Ref() NodeRef { return NodeRef{ID: n.id, EP: n.ep} }
 // Alive reports whether the node is currently up.
 func (n *Node) Alive() bool { return n.alive }
 
-// Leafset returns the node's current leafset members.
+// Leafset returns a copy of the node's current leafset members, for
+// callers that sort, extend, keep or ship the slice.
 func (n *Node) Leafset() []NodeRef {
 	out := make([]NodeRef, len(n.leaf))
 	copy(out, n.leaf)
 	return out
 }
+
+// LeafsetView returns the node's current leafset members without copying.
+// The slice is the node's own: read-only, and good only until the node
+// next handles an event. It is for per-message paths that just iterate.
+func (n *Node) LeafsetView() []NodeRef { return n.leaf }
 
 // AppendKnownInRange appends the nodes this node's own routing state —
 // leafset plus already-materialized routing-table rows — knows inside the

@@ -2,6 +2,7 @@ package pastry
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,6 +57,9 @@ func TestBootstrapLeafsets(t *testing.T) {
 	_, ring, nodes, _ := testRing(t, 64, 1)
 	for _, n := range nodes {
 		ls := n.Leafset()
+		if !slices.Equal(ls, n.LeafsetView()) {
+			t.Fatal("LeafsetView differs from the Leafset copy")
+		}
 		if len(ls) != 2*ring.Config().LeafsetHalf {
 			t.Fatalf("node %v leafset size %d, want %d", n.ID().Short(), len(ls), 2*ring.Config().LeafsetHalf)
 		}
