@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench runner-bench cluster-bench cluster-bench-sharded shard-smoke bench-smoke relq-bench relq-smoke profile sweep-smoke chaos-smoke hedge-smoke hedge-bench coords-smoke coords-bench workload-smoke trace-smoke qserve-bench obs-bench check clean
+.PHONY: all build vet fmt test race bench runner-bench cluster-bench cluster-bench-sharded shard-smoke bench-smoke profile sweep-smoke chaos-smoke hedge-smoke hedge-bench coords-smoke coords-bench workload-smoke trace-smoke qserve-bench obs-bench check clean
 
 all: check
 
@@ -10,15 +10,19 @@ build:
 vet:
 	$(GO) vet ./...
 
+# fmt fails if gofmt would change any file, and lists them.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: build, vet, and the full test suite under the
-# race detector.
-check: build vet race
+# check is the CI gate: build, vet, gofmt, and the full test suite under
+# the race detector.
+check: build vet fmt race
 
 bench: runner-bench
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -54,20 +58,6 @@ shard-smoke:
 # benchmark. It fails on build errors and panics, never on timing.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkClusterSteadyState -benchtime=1x -benchmem .
-
-# relq-bench measures per-endsystem scan throughput: the vectorized
-# block-pruned executor vs the pinned row-at-a-time oracle, on a
-# zone-prunable time-window workload and an unprunable port-equality
-# workload (262k rows). Writes rows/s, allocs/op and speedups to
-# BENCH_relq.json. The benchmark fails if the two paths ever disagree.
-relq-bench:
-	$(GO) test -run '^$$' -bench BenchmarkRelqScan -benchtime=5x -benchmem .
-
-# relq-smoke is the CI gate for the scan benchmark: one iteration, which
-# still asserts vectorized/oracle agreement. Fails on build errors,
-# panics and result divergence — never on timing.
-relq-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkRelqScan -benchtime=1x -benchmem .
 
 # profile captures CPU and heap profiles of the engine benchmark.
 # Inspect with `go tool pprof cpu.pprof` (top, list, web). For profiling

@@ -192,26 +192,26 @@ type Injector struct {
 func NewInjector(net *simnet.Network, scenario Scenario, seed int64) *Injector {
 	o := net.Obs()
 	return &Injector{
-		sched:     net.Scheduler(),
-		net:       net,
-		topo:      net.Topology(),
-		scenario:  scenario,
-		rngGE:     rand.New(rand.NewSource(runner.SplitSeed(seed, streamGE))),
-		rngJitter: rand.New(rand.NewSource(runner.SplitSeed(seed, streamJitter))),
-		rngDup:    rand.New(rand.NewSource(runner.SplitSeed(seed, streamDup))),
+		sched:      net.Scheduler(),
+		net:        net,
+		topo:       net.Topology(),
+		scenario:   scenario,
+		rngGE:      rand.New(rand.NewSource(runner.SplitSeed(seed, streamGE))),
+		rngJitter:  rand.New(rand.NewSource(runner.SplitSeed(seed, streamJitter))),
+		rngDup:     rand.New(rand.NewSource(runner.SplitSeed(seed, streamDup))),
 		cut:        make(map[int]bool),
 		jitters:    make(map[int]time.Duration),
 		spikes:     make(map[int]time.Duration),
 		dups:       make(map[int]float64),
 		slows:      make(map[int]Injection),
 		slowRegion: make(map[int]time.Duration),
-		report:    Report{Scenario: scenario.Name, Seed: seed},
-		o:         o,
-		cDrops:    o.Counter("fault_drops"),
-		cDups:     o.Counter("fault_dup_msgs"),
-		cInject:   o.Counter("fault_injections"),
-		cHeals:    o.Counter("fault_heals"),
-		cCrashes:  o.Counter("fault_crashes"),
+		report:     Report{Scenario: scenario.Name, Seed: seed},
+		o:          o,
+		cDrops:     o.Counter("fault_drops"),
+		cDups:      o.Counter("fault_dup_msgs"),
+		cInject:    o.Counter("fault_injections"),
+		cHeals:     o.Counter("fault_heals"),
+		cCrashes:   o.Counter("fault_crashes"),
 	}
 }
 

@@ -3,6 +3,7 @@ package relq
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -25,7 +26,29 @@ const (
 	styleWide                      // uniform wide: mostly unprunable
 	styleConstant                  // one value: zoneAll / zoneNone blocks
 	styleNegative                  // includes negative values
+	styleHuge                      // int64 extremes and magnitudes past 2^53: inexact float sums
+	numStyles
 )
+
+// hugeVals are the values styleHuge draws from beside random ones: the
+// int64 extremes (MinInt64's magnitude overflows int64), both sides of
+// 2^53 where float64 stops holding every integer, and small values whose
+// addition to a large float sum rounds away.
+var hugeVals = []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1,
+	1 << 53, 1<<53 + 1, -(1 << 53), -(1<<53 + 1), 1 << 62, -(1 << 62), 0, 1, -1, 3}
+
+func genHuge(rng *rand.Rand) int64 {
+	switch rng.Intn(4) {
+	case 0:
+		return hugeVals[rng.Intn(len(hugeVals))]
+	case 1:
+		return int64(rng.Uint64()) // anywhere in int64
+	case 2:
+		return rng.Int63n(1<<54) - 1<<53 // around the exactness bound
+	default:
+		return rng.Int63n(1000) // small: keeps some blocks' sums exact
+	}
+}
 
 var diffVocab = []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
 
@@ -42,7 +65,7 @@ func genTable(rng *rand.Rand, rows int) (*Table, []colStyle) {
 			styles[c] = styleSmall
 			continue
 		}
-		styles[c] = colStyle(rng.Intn(5))
+		styles[c] = colStyle(rng.Intn(int(numStyles)))
 		schema.Columns = append(schema.Columns,
 			Column{Name: fmt.Sprintf("c%d", c), Type: TInt, Indexed: rng.Intn(2) == 0})
 	}
@@ -65,6 +88,8 @@ func genTable(rng *rand.Rand, rows int) (*Table, []colStyle) {
 				vals[c] = 77
 			case styleNegative:
 				vals[c] = -rng.Int63n(10_000)
+			case styleHuge:
+				vals[c] = genHuge(rng)
 			}
 		}
 		if err := t.InsertInts(vals...); err != nil {
@@ -77,7 +102,7 @@ func genTable(rng *rand.Rand, rows int) (*Table, []colStyle) {
 // genQuery emits a random query in the Seaweed SQL subset against the
 // table, through the real parser so the whole parse→bind→execute path is
 // exercised. nowSeconds is the clock NOW() will be bound against.
-func genQuery(rng *rand.Rand, t *Table, nowSeconds int64) *Query {
+func genQuery(rng *rand.Rand, t *Table, styles []colStyle, nowSeconds int64) *Query {
 	var sb strings.Builder
 	intCols := []int{}
 	for c, col := range t.schema.Columns {
@@ -135,8 +160,13 @@ func genQuery(rng *rand.Rand, t *Table, nowSeconds int64) *Query {
 			}
 		default: // near the range, not necessarily present
 			rhs = rng.Int63n(2_200_000) - 1_100_000
+			if styles[c] == styleHuge {
+				rhs = genHuge(rng)
+			}
 		}
-		if rng.Intn(3) == 0 {
+		// MinInt64 has no literal (the parser negates a positive number),
+		// but NOW() + off wraps to it.
+		if rng.Intn(3) == 0 || rhs == math.MinInt64 {
 			// NOW() arithmetic: offset chosen so NOW()+off == rhs.
 			off := rhs - nowSeconds
 			if off >= 0 {
@@ -176,7 +206,7 @@ func TestVectorizedMatchesOracleRandomized(t *testing.T) {
 	rowChoices := []int{0, 1, 100, BlockSize, BlockSize + 1, 3 * BlockSize, 4*BlockSize + 17}
 	for trial := 0; trial < 60; trial++ {
 		rows := rowChoices[rng.Intn(len(rowChoices))]
-		tbl, _ := genTable(rng, rows)
+		tbl, styles := genTable(rng, rows)
 		if rng.Intn(2) == 0 {
 			// A summary enables selectivity-ordered conjunct evaluation;
 			// runs without one cover the unordered path.
@@ -184,7 +214,7 @@ func TestVectorizedMatchesOracleRandomized(t *testing.T) {
 		}
 		nowSeconds := int64(1_000_000 + rng.Intn(100_000))
 		for qi := 0; qi < 12; qi++ {
-			q := genQuery(rng, tbl, nowSeconds)
+			q := genQuery(rng, tbl, styles, nowSeconds)
 			p, err := tbl.Bind(q)
 			if err != nil {
 				t.Fatalf("bind %q: %v", q.Raw, err)
@@ -216,15 +246,15 @@ func TestVectorizedEdgeCases(t *testing.T) {
 	tbl.BuildSummary()
 	now := int64(500_000)
 	for _, sql := range []string{
-		"SELECT COUNT(*) FROM T",                                // no preds, no scan
-		"SELECT SUM(v) FROM T",                                  // no preds, full-column kernel
-		"SELECT AVG(v) FROM T WHERE ts >= 999999999",            // all blocks pruned
-		"SELECT SUM(v) FROM T WHERE ts >= 0",                    // zoneAll everywhere: no kernel runs
-		"SELECT SUM(v) FROM T WHERE ts >= 2048 AND ts < 4096",   // exact block boundaries
-		"SELECT MIN(v) FROM T WHERE ts > 6000",                  // partial tail block only
-		"SELECT MAX(v) FROM T WHERE app = 'alpha'",              // hash-equality, unprunable
+		"SELECT COUNT(*) FROM T",                                                          // no preds, no scan
+		"SELECT SUM(v) FROM T",                                                            // no preds, full-column kernel
+		"SELECT AVG(v) FROM T WHERE ts >= 999999999",                                      // all blocks pruned
+		"SELECT SUM(v) FROM T WHERE ts >= 0",                                              // zoneAll everywhere: no kernel runs
+		"SELECT SUM(v) FROM T WHERE ts >= 2048 AND ts < 4096",                             // exact block boundaries
+		"SELECT MIN(v) FROM T WHERE ts > 6000",                                            // partial tail block only
+		"SELECT MAX(v) FROM T WHERE app = 'alpha'",                                        // hash-equality, unprunable
 		"SELECT COUNT(*) FROM T WHERE app <> 'alpha' AND v < 250 AND ts < NOW() - 497952", // 3-conjunct refine
-		"SELECT SUM(v) FROM T WHERE v > 5000",                   // kernels run, zero matches
+		"SELECT SUM(v) FROM T WHERE v > 5000",                                             // kernels run, zero matches
 	} {
 		p, err := tbl.Bind(MustParse(sql))
 		if err != nil {

@@ -2,7 +2,6 @@ package relq
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/agg"
@@ -68,19 +67,19 @@ type boundPred struct {
 }
 
 // execBuf holds the per-execution scratch state: the selection vector, the
-// resolved right-hand sides, the selectivity-ordered conjunct permutation,
-// and the per-block zone verdicts. Buffers are pooled so the steady-state
+// resolved right-hand sides, the selectivity-ordered conjunct permutation
+// and the steps it resolves to. Buffers are pooled so the steady-state
 // execution path allocates nothing.
 type execBuf struct {
 	sel   selVec
 	rhs   []int64
 	sels  []float64
 	order []int
-	skip  []bool
+	steps []step
 }
 
 var execBufPool = sync.Pool{New: func() any {
-	return &execBuf{sel: make(selVec, 0, BlockSize)}
+	return &execBuf{sel: make(selVec, BlockSize)}
 }}
 
 func getExecBuf(npreds int) *execBuf {
@@ -89,9 +88,8 @@ func getExecBuf(npreds int) *execBuf {
 		b.rhs = make([]int64, 0, npreds)
 		b.sels = make([]float64, 0, npreds)
 		b.order = make([]int, 0, npreds)
-		b.skip = make([]bool, npreds)
+		b.steps = make([]step, 0, npreds)
 	}
-	b.skip = b.skip[:npreds]
 	return b
 }
 
@@ -147,161 +145,147 @@ func (p *Plan) predOrder(rhs []int64, buf *execBuf) []int {
 	return order
 }
 
-// blockSel evaluates the plan's predicates over block b (rows [lo, hi))
-// and returns the selection vector of matching rows (block-relative,
-// ascending). pruned reports that a zone map proved no row can match;
-// allMatch that zone maps proved every row matches, so no kernel ran and
-// sel is meaningless.
-func (p *Plan) blockSel(b, lo, hi int, rhs []int64, order []int, buf *execBuf) (sel selVec, allMatch, pruned bool) {
-	t := p.table
-	partial := 0
-	if t.zonesOff {
-		for _, k := range order {
-			buf.skip[k] = false
-		}
-		partial = len(order)
-	} else {
-		for _, k := range order {
-			pr := &p.preds[k]
-			switch zoneTest(pr.op, rhs[k], t.zmin[pr.col][b], t.zmax[pr.col][b]) {
-			case zoneNone:
-				return nil, false, true
-			case zoneAll:
-				buf.skip[k] = true
-			default:
-				buf.skip[k] = false
-				partial++
-			}
-		}
-	}
-	if partial == 0 {
-		return nil, true, false
-	}
-	sel = buf.sel[:0]
-	first := true
-	for _, k := range order {
-		if buf.skip[k] {
-			continue
-		}
+// resolve binds the plan's conjuncts for one execution and returns the
+// steps to run, in predOrder. Ordered and equality conjuncts on one column
+// narrow one step, placed where the most selective of them stands.
+func (p *Plan) resolve(nowSeconds int64, buf *execBuf) []step {
+	rhs := p.resolveRHS(nowSeconds, buf)
+	steps := buf.steps[:0]
+	for _, k := range p.predOrder(rhs, buf) {
 		pr := &p.preds[k]
-		seg := t.cols[pr.col][lo:hi]
-		if first {
-			sel = selInit(pr.op, seg, rhs[k], sel)
-			first = false
+		if i := narrowable(steps, pr); i >= 0 {
+			steps[i].narrow(interval(pr.op, rhs[k]))
 		} else {
-			if len(sel) == 0 {
-				break
-			}
-			sel = selRefine(pr.op, seg, rhs[k], sel)
+			steps = append(steps, newStep(pr.col, pr.op, rhs[k]))
 		}
 	}
-	buf.sel = sel[:0]
-	return sel, false, false
+	buf.steps = steps
+	return steps
 }
 
-// Execute runs the plan over the whole table and returns the aggregate
-// partial. nowSeconds binds NOW().
+// narrowable returns the index of the step a conjunct can narrow — an
+// earlier ordered or equality step on its column — or -1.
+func narrowable(steps []step, pr *boundPred) int {
+	if pr.op != OpNe {
+		for i := range steps {
+			if steps[i].col == pr.col && !steps[i].ne {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// matchBlock evaluates the steps over block b (rows [lo, hi)). z is
+// zoneNone when a zone map proved no row can match, zoneAll when zone maps
+// proved every row matches (no kernel ran), and zonePartial when kernels
+// ran: n is then the number of matching rows and, unless countOnly, sel
+// their block-relative indices in ascending order. With countOnly the last
+// undecided step only counts, over the column or over the vector the
+// earlier steps left, and no vector is written for it.
+func (p *Plan) matchBlock(b, lo, hi int, steps []step, buf *execBuf, countOnly bool) (n int, sel selVec, z zoneResult) {
+	t := p.table
+	last := -1 // the last step no zone map decides
+	for i := range steps {
+		s := &steps[i]
+		s.skip = false
+		if !t.zonesOff {
+			switch s.zone(t.zmin[s.col][b], t.zmax[s.col][b]) {
+			case zoneNone:
+				return 0, nil, zoneNone
+			case zoneAll:
+				s.skip = true
+				continue
+			}
+		}
+		last = i
+	}
+	if last < 0 {
+		return hi - lo, nil, zoneAll
+	}
+	for i := range steps[:last+1] {
+		s := &steps[i]
+		if s.skip {
+			continue
+		}
+		seg := t.cols[s.col][lo:hi]
+		switch {
+		case s.empty: // reachable only with zone maps off
+			return 0, nil, zonePartial
+		case i == last && countOnly:
+			if sel == nil {
+				return countCol(seg, s.base, s.span), nil, zonePartial
+			}
+			return countSel(seg, s.base, s.span, sel), nil, zonePartial
+		case sel == nil:
+			sel = selInit(seg, s.base, s.span, buf.sel)
+		default:
+			sel = selRefine(seg, s.base, s.span, sel)
+		}
+		if len(sel) == 0 {
+			break
+		}
+	}
+	return len(sel), sel, zonePartial
+}
+
+// scan runs the plan over the whole table and returns the number of
+// matching rows, folding their aggCol values into f unless f is nil.
 //
 // Execution is batch-at-a-time: blocks whose zone maps prove no match are
-// skipped whole; surviving blocks build a selection vector through the
-// per-operator kernels (most selective conjunct first) and feed the batch
-// aggregate kernels. Rows are observed in ascending row order with the
-// exact operation sequence of the row-at-a-time oracle, so the returned
-// Partial is bit-identical to ExecuteOracle's — the property the
-// differential suite asserts and the simulation's determinism gates
-// depend on.
-func (p *Plan) Execute(nowSeconds int64) agg.Partial {
+// skipped whole; surviving blocks run the steps' kernels (most selective
+// first) and feed the aggregate fold.
+func (p *Plan) scan(nowSeconds int64, f *fold) int64 {
 	t := p.table
-	var out agg.Partial
-	if len(p.preds) == 0 {
-		if p.aggCol < 0 {
-			out.Count = int64(t.rows)
-		} else {
-			aggColAll(&out, t.cols[p.aggCol][:t.rows])
-		}
+	if len(p.preds) == 0 && f == nil {
 		t.stats.RowsMatched.Add(uint64(t.rows))
-		return out
+		return int64(t.rows)
 	}
 	buf := getExecBuf(len(p.preds))
 	defer putExecBuf(buf)
-	rhs := p.resolveRHS(nowSeconds, buf)
-	order := p.predOrder(rhs, buf)
+	steps := p.resolve(nowSeconds, buf)
 
 	var scanned, matched, prunedBlocks uint64
 	for b, nb := 0, t.NumBlocks(); b < nb; b++ {
 		lo := b * BlockSize
-		hi := lo + BlockSize
-		if hi > t.rows {
-			hi = t.rows
-		}
-		sel, all, pruned := p.blockSel(b, lo, hi, rhs, order, buf)
-		if pruned {
+		hi := min(lo+BlockSize, t.rows)
+		n, sel, z := p.matchBlock(b, lo, hi, steps, buf, f == nil)
+		switch z {
+		case zoneNone:
 			prunedBlocks++
 			continue
+		case zonePartial:
+			scanned += uint64(hi - lo)
 		}
-		if all {
-			matched += uint64(hi - lo)
-			if p.aggCol < 0 {
-				out.Count += int64(hi - lo)
-			} else {
-				aggColAll(&out, t.cols[p.aggCol][lo:hi])
-			}
-			continue
-		}
-		scanned += uint64(hi - lo)
-		matched += uint64(len(sel))
-		if len(sel) == 0 {
-			continue
-		}
-		if p.aggCol < 0 {
-			out.Count += int64(len(sel))
-		} else {
-			aggColSel(&out, t.cols[p.aggCol][lo:hi], sel)
+		matched += uint64(n)
+		if f != nil && n > 0 {
+			f.block(t.cols[p.aggCol][lo:hi], sel, t.zmin[p.aggCol][b], t.zmax[p.aggCol][b])
 		}
 	}
 	t.stats.RowsScanned.Add(scanned)
 	t.stats.RowsMatched.Add(matched)
 	t.stats.BlocksPruned.Add(prunedBlocks)
-	return out
+	return int64(matched)
+}
+
+// Execute runs the plan over the whole table and returns the aggregate
+// partial. nowSeconds binds NOW(). The Partial is bit-identical to
+// ExecuteOracle's (see fold) — the property the differential suite asserts
+// and the simulation's determinism gates depend on.
+func (p *Plan) Execute(nowSeconds int64) agg.Partial {
+	if p.aggCol < 0 {
+		return agg.Partial{Count: p.scan(nowSeconds, nil)}
+	}
+	f := newFold()
+	p.scan(nowSeconds, &f)
+	return f.partial()
 }
 
 // CountMatching returns the exact number of rows matching the plan's
 // predicates (the "rows relevant to the query" that completeness is
 // measured against). It shares Execute's block-pruned, vectorized path.
 func (p *Plan) CountMatching(nowSeconds int64) int64 {
-	t := p.table
-	if len(p.preds) == 0 {
-		t.stats.RowsMatched.Add(uint64(t.rows))
-		return int64(t.rows)
-	}
-	buf := getExecBuf(len(p.preds))
-	defer putExecBuf(buf)
-	rhs := p.resolveRHS(nowSeconds, buf)
-	order := p.predOrder(rhs, buf)
-
-	var n int64
-	var scanned, prunedBlocks uint64
-	for b, nb := 0, t.NumBlocks(); b < nb; b++ {
-		lo := b * BlockSize
-		hi := lo + BlockSize
-		if hi > t.rows {
-			hi = t.rows
-		}
-		sel, all, pruned := p.blockSel(b, lo, hi, rhs, order, buf)
-		switch {
-		case pruned:
-			prunedBlocks++
-		case all:
-			n += int64(hi - lo)
-		default:
-			scanned += uint64(hi - lo)
-			n += int64(len(sel))
-		}
-	}
-	t.stats.RowsScanned.Add(scanned)
-	t.stats.RowsMatched.Add(uint64(n))
-	t.stats.BlocksPruned.Add(prunedBlocks)
-	return n
+	return p.scan(nowSeconds, nil)
 }
 
 // ------------------------------------------------------ row-at-a-time oracle
@@ -331,8 +315,7 @@ func cmpMatch(op CmpOp, v, rhs int64) bool {
 // ExecuteOracle runs the plan with the original row-at-a-time loop: one
 // predicate check per row per conjunct, one Observe per matching row. It
 // is kept unconditionally compiled (no build tag) as the reference oracle
-// for differential testing and as the pinned baseline BenchmarkRelqScan
-// measures the vectorized path against.
+// for differential testing.
 func (p *Plan) ExecuteOracle(nowSeconds int64) agg.Partial {
 	rhs := make([]int64, len(p.preds))
 	for i, pr := range p.preds {
@@ -423,14 +406,12 @@ func predSelectivity(h interface {
 		match = h.EstimateEq(rhs)
 	case OpNe:
 		match = total - h.EstimateEq(rhs)
-	case OpLt:
-		match = h.EstimateRange(math.MinInt64, rhs-1)
-	case OpLe:
-		match = h.EstimateRange(math.MinInt64, rhs)
-	case OpGt:
-		match = h.EstimateRange(rhs+1, math.MaxInt64)
-	case OpGe:
-		match = h.EstimateRange(rhs, math.MaxInt64)
+	default:
+		// An unsatisfiable comparison (v < MinInt64) matches nothing;
+		// rhs-1 would wrap and estimate the full range instead.
+		if lo, hi, ok := interval(op, rhs); ok {
+			match = h.EstimateRange(lo, hi)
+		}
 	}
 	sel := match / total
 	if sel < 0 {
