@@ -234,10 +234,12 @@ func Generate(cfg Config, i int) *Dataset {
 	prof := profileFor(rng, i)
 
 	// The exact row count is known before the first insert, so the tables
-	// preallocate block-aligned column capacity up front: at N=100k+
-	// endsystems the append-regrowth copies otherwise dominate dataset
-	// construction. (The rng draw order is unchanged — profile, then
-	// volume, then rows — so generated data is byte-identical.)
+	// are told it: relq reserves the block directory, the zone maps and an
+	// open tail of at most one block for that many rows, and allocates
+	// each block at its encoded width when it fills — a 12-row table holds
+	// 12 rows of capacity, which is what lets a cluster keep one table per
+	// endsystem at N=100k+. (The rng draw order is unchanged — profile,
+	// then volume, then rows — so generated data is byte-identical.)
 	days := cfg.Horizon.Hours() / 24
 	total := int(float64(cfg.MeanFlowsPerDay) * days * (0.75 + rng.Float64()*0.5))
 	d := &Dataset{Flow: relq.NewTableWithCapacity(FlowSchema(), total)}

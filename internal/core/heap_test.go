@@ -1,0 +1,59 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/relq"
+)
+
+// heapPerEndsystemCeiling is about twice what TestHeapPerEndsystem measures
+// (33 KB on go1.24 linux/amd64). The quiet cluster's shape is the steady2k
+// benchmark's — 50 flows a day, a dozen rows a table — where rounding each
+// table's reservation up to a block held 180 KB per endsystem that no row
+// ever touched: the same test read 208 KB then.
+const heapPerEndsystemCeiling = 70 << 10
+
+// heapTestCluster keeps TestHeapPerEndsystem's cluster reachable after the
+// test returns: go test -memprofile collects before it writes, and that
+// profile is how the bytes under the ceiling are attributed to layers
+// (DESIGN.md, "Memory per endsystem").
+var heapTestCluster *Cluster
+
+// TestHeapPerEndsystem is the tier-1 memory budget: the live heap of a
+// quiet cluster after one query has run to completion, per endsystem. The
+// simulator holds every endsystem's state at once, so this number is what
+// decides how large a run fits.
+func TestHeapPerEndsystem(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations count toward HeapAlloc")
+	}
+	// What earlier tests left behind (pooled buffers outlive one
+	// collection) is not this cluster's: measure the growth.
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+
+	const n = 256
+	c := smallCluster(t, n, 6*time.Hour, 17)
+	c.RunUntil(time.Hour)
+	q := relq.MustParse("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80")
+	h := c.InjectQuery(findLiveInjector(t, c), q)
+	c.RunUntil(c.Sched.Now() + 30*time.Minute)
+	if last, ok := h.Latest(); !ok || last.Contributors == 0 {
+		t.Fatal("the query returned nothing")
+	}
+
+	per := int64(liveHeap()-before) / n
+	t.Logf("live heap %d KB per endsystem", per>>10)
+	if per > heapPerEndsystemCeiling {
+		t.Errorf("live heap is %d KB per endsystem, ceiling %d KB", per>>10, heapPerEndsystemCeiling>>10)
+	}
+	heapTestCluster = c
+}

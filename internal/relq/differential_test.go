@@ -13,22 +13,29 @@ import (
 // byte-identical to the row-at-a-time oracle — agg.Partial equality AND
 // encoded-bytes equality, so float accumulation order divergence in the
 // last ulp cannot hide — over randomized schemas, tables and queries,
-// with zone maps on and off, with and without a summary (which enables
-// selectivity-based conjunct reordering).
+// over blocks sealed at every width and the open tail, with zone maps on
+// and off, with and without a summary (which enables selectivity-based
+// conjunct reordering).
 
 // colStyle picks how one generated column's values are distributed, to
 // force every interesting zone-map shape.
 type colStyle int
 
 const (
-	styleClustered colStyle = iota // monotone-ish: blocks prunable
-	styleSmall                     // low cardinality: frequency histogram
-	styleWide                      // uniform wide: mostly unprunable
-	styleConstant                  // one value: zoneAll / zoneNone blocks
-	styleNegative                  // includes negative values
-	styleHuge                      // int64 extremes and magnitudes past 2^53: inexact float sums
+	styleClustered  colStyle = iota // monotone-ish: blocks prunable
+	styleSmall                      // low cardinality: frequency histogram
+	styleWide                       // uniform wide: mostly unprunable
+	styleConstant                   // one value: zoneAll / zoneNone blocks
+	styleNegative                   // includes negative values
+	styleHuge                       // int64 extremes and magnitudes past 2^53: inexact float sums
+	styleByte                       // 200 values from a large negative base: blocks seal at one byte
+	styleShort                      // 50,000 values below MaxInt64: two bytes, base near the top
+	styleMixedWidth                 // the spread grows with the block: 1, 2, 4 then 8 bytes
 	numStyles
 )
+
+// mixedSpread is styleMixedWidth's value spread in block b.
+var mixedSpread = []int64{100, 40_000, 3_000_000_000, math.MaxInt64}
 
 // hugeVals are the values styleHuge draws from beside random ones: the
 // int64 extremes (MinInt64's magnitude overflows int64), both sides of
@@ -90,6 +97,12 @@ func genTable(rng *rand.Rand, rows int) (*Table, []colStyle) {
 				vals[c] = -rng.Int63n(10_000)
 			case styleHuge:
 				vals[c] = genHuge(rng)
+			case styleByte:
+				vals[c] = -7_000_000_000 + rng.Int63n(200)
+			case styleShort:
+				vals[c] = math.MaxInt64 - rng.Int63n(50_000)
+			case styleMixedWidth:
+				vals[c] = -50 + rng.Int63n(mixedSpread[r/BlockSize%len(mixedSpread)])
 			}
 		}
 		if err := t.InsertInts(vals...); err != nil {
@@ -150,7 +163,7 @@ func genQuery(rng *rand.Rand, t *Table, styles []colStyle, nowSeconds int64) *Qu
 		switch rng.Intn(4) {
 		case 0: // in-data value
 			if t.rows > 0 {
-				rhs = t.cols[c][rng.Intn(t.rows)]
+				rhs = t.value(c, rng.Intn(t.rows))
 			}
 		case 1: // far below / far above everything
 			if rng.Intn(2) == 0 {
@@ -160,8 +173,13 @@ func genQuery(rng *rand.Rand, t *Table, styles []colStyle, nowSeconds int64) *Qu
 			}
 		default: // near the range, not necessarily present
 			rhs = rng.Int63n(2_200_000) - 1_100_000
-			if styles[c] == styleHuge {
+			switch styles[c] {
+			case styleHuge:
 				rhs = genHuge(rng)
+			case styleByte:
+				rhs = -7_000_000_000 + rng.Int63n(220) - 10
+			case styleShort:
+				rhs = math.MaxInt64 - rng.Int63n(55_000)
 			}
 		}
 		// MinInt64 has no literal (the parser negates a positive number),
@@ -201,12 +219,19 @@ func assertPlanMatchesOracle(t *testing.T, p *Plan, nowSeconds int64, label stri
 
 func TestVectorizedMatchesOracleRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
-	// Row counts hit: empty, single row, sub-block, exactly one block,
-	// block+1, and several multi-block sizes with a partial tail.
-	rowChoices := []int{0, 1, 100, BlockSize, BlockSize + 1, 3 * BlockSize, 4*BlockSize + 17}
-	for trial := 0; trial < 60; trial++ {
+	// Row counts hit: empty, single row, sub-block (tail only), exactly one
+	// block (sealed, empty tail), block+1, and several multi-block sizes
+	// with and without a partial tail.
+	rowChoices := []int{0, 1, 100, BlockSize, BlockSize + 1, 3 * BlockSize, 4*BlockSize + 17, 5*BlockSize + 1000}
+	sealedAt := map[int]int{} // width in bytes → sealed blocks the trials held
+	for trial := 0; trial < 80; trial++ {
 		rows := rowChoices[rng.Intn(len(rowChoices))]
 		tbl, styles := genTable(rng, rows)
+		for c := range tbl.cols {
+			for b := range tbl.cols[c].sealed {
+				sealedAt[tbl.cols[c].sealed[b].width()]++
+			}
+		}
 		if rng.Intn(2) == 0 {
 			// A summary enables selectivity-ordered conjunct evaluation;
 			// runs without one cover the unordered path.
@@ -224,6 +249,11 @@ func TestVectorizedMatchesOracleRandomized(t *testing.T) {
 			tbl.SetZoneMaps(false)
 			assertPlanMatchesOracle(t, p, nowSeconds, fmt.Sprintf("trial=%d q=%d zones=off", trial, qi))
 			tbl.SetZoneMaps(true)
+		}
+	}
+	for _, w := range []int{1, 2, 4, 8} {
+		if sealedAt[w] < 20 {
+			t.Errorf("the trials sealed only %d blocks at %d bytes: %v", sealedAt[w], w, sealedAt)
 		}
 	}
 }

@@ -176,21 +176,22 @@ func narrowable(steps []step, pr *boundPred) int {
 	return -1
 }
 
-// matchBlock evaluates the steps over block b (rows [lo, hi)). z is
+// matchBlock evaluates the steps over the rows of block b. z is
 // zoneNone when a zone map proved no row can match, zoneAll when zone maps
 // proved every row matches (no kernel ran), and zonePartial when kernels
 // ran: n is then the number of matching rows and, unless countOnly, sel
 // their block-relative indices in ascending order. With countOnly the last
 // undecided step only counts, over the column or over the vector the
 // earlier steps left, and no vector is written for it.
-func (p *Plan) matchBlock(b, lo, hi int, steps []step, buf *execBuf, countOnly bool) (n int, sel selVec, z zoneResult) {
+func (p *Plan) matchBlock(b, rows int, steps []step, buf *execBuf, countOnly bool) (n int, sel selVec, z zoneResult) {
 	t := p.table
 	last := -1 // the last step no zone map decides
 	for i := range steps {
 		s := &steps[i]
 		s.skip = false
 		if !t.zonesOff {
-			switch s.zone(t.zmin[s.col][b], t.zmax[s.col][b]) {
+			z := t.cols[s.col].zones[b]
+			switch s.zone(z.min, z.max) {
 			case zoneNone:
 				return 0, nil, zoneNone
 			case zoneAll:
@@ -201,32 +202,33 @@ func (p *Plan) matchBlock(b, lo, hi int, steps []step, buf *execBuf, countOnly b
 		last = i
 	}
 	if last < 0 {
-		return hi - lo, nil, zoneAll
+		return rows, nil, zoneAll
 	}
 	for i := range steps[:last+1] {
 		s := &steps[i]
 		if s.skip {
 			continue
 		}
-		seg := t.cols[s.col][lo:hi]
-		switch {
-		case s.empty: // reachable only with zone maps off
+		if s.empty { // reachable only with zone maps off
 			return 0, nil, zonePartial
-		case i == last && countOnly:
-			if sel == nil {
-				return countCol(seg, s.base, s.span), nil, zonePartial
-			}
-			return countSel(seg, s.base, s.span, sel), nil, zonePartial
-		case sel == nil:
-			sel = selInit(seg, s.base, s.span, buf.sel)
-		default:
-			sel = selRefine(seg, s.base, s.span, sel)
 		}
-		if len(sel) == 0 {
+		g := t.cols[s.col].block(b)
+		base, count := s.rebase(&g), i == last && countOnly
+		switch {
+		case g.u8 != nil:
+			n, sel = runStep(g.u8, base, s.span, sel, buf.sel, count)
+		case g.u16 != nil:
+			n, sel = runStep(g.u16, base, s.span, sel, buf.sel, count)
+		case g.u32 != nil:
+			n, sel = runStep(g.u32, base, s.span, sel, buf.sel, count)
+		default:
+			n, sel = runStep(g.i64, base, s.span, sel, buf.sel, count)
+		}
+		if n == 0 {
 			break
 		}
 	}
-	return len(sel), sel, zonePartial
+	return n, sel, zonePartial
 }
 
 // scan runs the plan over the whole table and returns the number of
@@ -247,19 +249,19 @@ func (p *Plan) scan(nowSeconds int64, f *fold) int64 {
 
 	var scanned, matched, prunedBlocks uint64
 	for b, nb := 0, t.NumBlocks(); b < nb; b++ {
-		lo := b * BlockSize
-		hi := min(lo+BlockSize, t.rows)
-		n, sel, z := p.matchBlock(b, lo, hi, steps, buf, f == nil)
+		rows := min(BlockSize, t.rows-b*BlockSize)
+		n, sel, z := p.matchBlock(b, rows, steps, buf, f == nil)
 		switch z {
 		case zoneNone:
 			prunedBlocks++
 			continue
 		case zonePartial:
-			scanned += uint64(hi - lo)
+			scanned += uint64(rows)
 		}
 		matched += uint64(n)
 		if f != nil && n > 0 {
-			f.block(t.cols[p.aggCol][lo:hi], sel, t.zmin[p.aggCol][b], t.zmax[p.aggCol][b])
+			c := &t.cols[p.aggCol]
+			f.block(c.block(b), sel, n, c.zones[b])
 		}
 	}
 	t.stats.RowsScanned.Add(scanned)
@@ -326,14 +328,14 @@ func (p *Plan) ExecuteOracle(nowSeconds int64) agg.Partial {
 rows:
 	for r := 0; r < t.rows; r++ {
 		for i, pr := range p.preds {
-			if !cmpMatch(pr.op, t.cols[pr.col][r], rhs[i]) {
+			if !cmpMatch(pr.op, t.value(pr.col, r), rhs[i]) {
 				continue rows
 			}
 		}
 		if p.aggCol < 0 {
 			out.ObserveRow()
 		} else {
-			out.Observe(float64(t.cols[p.aggCol][r]))
+			out.Observe(float64(t.value(p.aggCol, r)))
 		}
 	}
 	return out
@@ -350,7 +352,7 @@ func (p *Plan) CountMatchingOracle(nowSeconds int64) int64 {
 rows:
 	for r := 0; r < t.rows; r++ {
 		for i, pr := range p.preds {
-			if !cmpMatch(pr.op, t.cols[pr.col][r], rhs[i]) {
+			if !cmpMatch(pr.op, t.value(pr.col, r), rhs[i]) {
 				continue rows
 			}
 		}

@@ -9,10 +9,12 @@ import (
 // This file holds the batch-at-a-time execution kernels: the interval form
 // every comparison is resolved to, its zone-map block test, the selection
 // and counting kernels, and the aggregate fold. Each kernel is one tight
-// branch-free loop over a contiguous []int64 column segment: no per-row
-// function call, no per-row dispatch on the operator, and no conditional
-// jump that depends on the data — Anemone's columns are unordered, so such
-// a jump mispredicts on every other row at mid selectivities.
+// branch-free loop over a contiguous column segment, written once and
+// instantiated per element type (the narrower the block was sealed, the
+// fewer cache lines a pass touches): no per-row function call, no per-row
+// dispatch on the operator or the width, and no conditional jump that
+// depends on the data — Anemone's columns are unordered, so such a jump
+// mispredicts on every other row at mid selectivities.
 
 // selVec indexes rows within one block. int32 suffices (BlockSize < 2^31)
 // and halves the selection vector's cache footprint versus int.
@@ -27,6 +29,11 @@ type selVec = []int32
 // one column (Bytes >= a AND Bytes <= b is (a, b-a)), which therefore
 // costs one pass instead of two. What the form cannot say is "no value":
 // that is the empty flag.
+//
+// A segment stores o = v - g.base, so over it the test is
+// uint64(o) - rebase(g) <= span with the base moved once per (step,
+// block). The arithmetic is modulo 2^64 throughout, which is why the
+// wrapped interval of a <> needs no case of its own.
 type step struct {
 	col   int
 	base  int64
@@ -77,6 +84,9 @@ func (s *step) narrow(lo, hi int64, ok bool) {
 	s.base, s.span = lo, uint64(hi)-uint64(lo)
 }
 
+// rebase returns the step's base in the offset domain of segment g.
+func (s *step) rebase(g *segment) uint64 { return uint64(s.base) - uint64(g.base) }
+
 // zoneResult classifies a block against one step using its zone map.
 type zoneResult uint8
 
@@ -114,7 +124,8 @@ func (s *step) zone(zl, zh int64) zoneResult {
 
 // The kernels below are kept out of line: inlined into matchBlock they
 // compete with its locals for registers and the write cursor ends up on the
-// stack, a store-to-load round trip per row.
+// stack, a store-to-load round trip per row. col holds a segment's offsets
+// and base is the step's rebased to them.
 
 // selInit scans a full block segment and returns the indices of matching
 // rows, written into sel (len(sel) >= len(col)). The row index is stored
@@ -122,13 +133,13 @@ func (s *step) zone(zl, zh int64) zoneResult {
 // result, so the next matching row overwrites a non-matching one.
 //
 //go:noinline
-func selInit(col []int64, base int64, span uint64, sel selVec) selVec {
+func selInit[E elem](col []E, base, span uint64, sel selVec) selVec {
 	sel = sel[:len(col)]
 	n := 0
 	for i, v := range col {
 		sel[n] = int32(i)
 		m := 0
-		if uint64(v-base) <= span {
+		if uint64(v)-base <= span {
 			m = 1
 		}
 		n += m
@@ -142,12 +153,12 @@ func selInit(col []int64, base int64, span uint64, sel selVec) selVec {
 // aggregate fold relies on.
 //
 //go:noinline
-func selRefine(col []int64, base int64, span uint64, sel selVec) selVec {
+func selRefine[E elem](col []E, base, span uint64, sel selVec) selVec {
 	n := 0
 	for _, i := range sel {
 		sel[n] = i
 		m := 0
-		if uint64(col[i]-base) <= span {
+		if uint64(col[i])-base <= span {
 			m = 1
 		}
 		n += m
@@ -160,11 +171,11 @@ func selRefine(col []int64, base int64, span uint64, sel selVec) selVec {
 // is wanted.
 //
 //go:noinline
-func countCol(col []int64, base int64, span uint64) int {
+func countCol[E elem](col []E, base, span uint64) int {
 	n := 0
 	for _, v := range col {
 		m := 0
-		if uint64(v-base) <= span {
+		if uint64(v)-base <= span {
 			m = 1
 		}
 		n += m
@@ -175,16 +186,33 @@ func countCol(col []int64, base int64, span uint64) int {
 // countSel counts the rows of a selection vector that also match.
 //
 //go:noinline
-func countSel(col []int64, base int64, span uint64, sel selVec) int {
+func countSel[E elem](col []E, base, span uint64, sel selVec) int {
 	n := 0
 	for _, i := range sel {
 		m := 0
-		if uint64(col[i]-base) <= span {
+		if uint64(col[i])-base <= span {
 			m = 1
 		}
 		n += m
 	}
 	return n
+}
+
+// runStep runs one step over one block's column segment. It narrows sel
+// (nil: every row) to the rows that also match, writing a first vector
+// into out; with count set it only counts them and returns no vector.
+func runStep[E elem](col []E, base, span uint64, sel, out selVec, count bool) (int, selVec) {
+	switch {
+	case count && sel == nil:
+		return countCol(col, base, span), nil
+	case count:
+		return countSel(col, base, span, sel), nil
+	case sel == nil:
+		sel = selInit(col, base, span, out)
+	default:
+		sel = selRefine(col, base, span, sel)
+	}
+	return len(sel), sel
 }
 
 // maxExactSum is 2^53: every integer of magnitude up to it is a float64.
@@ -207,6 +235,11 @@ const maxExactSum = 1 << 53
 //     float accumulator over that block and every later one in ascending
 //     row order (float addition is not associative; anything else would
 //     diverge in the last ulp).
+//
+// A block's kernel folds the stored offsets; its n rows' share of the
+// segment's base is added once, n × base to the sum and base to each
+// extremum. Under the guard n × |base| ≤ 2^53 and an offset sum is below
+// BlockSize × 2^32, so nothing overflows while the sum is still read.
 type fold struct {
 	count    int64
 	sum      int64
@@ -229,35 +262,50 @@ func absU(v int64) uint64 {
 	return uint64(v)
 }
 
-// block folds the rows of one block's column segment — those sel selects,
-// or all of them when sel is nil — whose values lie in [zl, zh].
-func (f *fold) block(col []int64, sel selVec, zl, zh int64) {
-	n := len(sel)
-	if sel == nil {
-		n = len(col)
-	}
+// block folds n > 0 rows of one block's column segment — those sel
+// selects, or all n of them when sel is nil — whose values lie in z.
+func (f *fold) block(g segment, sel selVec, n int, z zone) {
 	if !f.inexact {
-		if m := max(absU(zl), absU(zh)); m == 0 || uint64(n) <= f.room/m {
+		if m := max(absU(z.min), absU(z.max)); m == 0 || uint64(n) <= f.room/m {
 			f.room -= uint64(n) * m
 		} else {
 			f.inexact, f.fsum = true, float64(f.sum)
 		}
 	}
 	f.count += int64(n)
+	switch {
+	case g.u8 != nil:
+		foldSeg(f, g.u8, g.base, sel, n)
+	case g.u16 != nil:
+		foldSeg(f, g.u16, g.base, sel, n)
+	case g.u32 != nil:
+		foldSeg(f, g.u32, g.base, sel, n)
+	default:
+		foldSeg(f, g.i64, g.base, sel, n)
+	}
+}
+
+// foldSeg is block for one element type.
+func foldSeg[E elem](f *fold, col []E, base int64, sel selVec, n int) {
+	var sum, mn, mx int64
 	if sel == nil {
-		f.sum, f.min, f.max = aggColAll(col, f.sum, f.min, f.max)
-		if f.inexact {
-			for _, v := range col {
-				f.fsum += float64(v)
-			}
+		sum, mn, mx = aggColAll(col)
+	} else {
+		sum, mn, mx = aggColSel(col, sel)
+	}
+	f.sum += sum + int64(n)*base
+	f.min, f.max = min(f.min, base+mn), max(f.max, base+mx)
+	if !f.inexact {
+		return
+	}
+	if sel == nil {
+		for _, o := range col {
+			f.fsum += float64(base + int64(o))
 		}
 		return
 	}
-	f.sum, f.min, f.max = aggColSel(col, sel, f.sum, f.min, f.max)
-	if f.inexact {
-		for _, i := range sel {
-			f.fsum += float64(col[i])
-		}
+	for _, i := range sel {
+		f.fsum += float64(base + int64(col[i]))
 	}
 }
 
@@ -273,16 +321,17 @@ func (f *fold) partial() agg.Partial {
 	return out
 }
 
-// aggColSel folds the selected rows of a column segment into the running
+// aggColSel folds the selected offsets of a column segment into their
 // integer sum and extrema (min and max compile to conditional moves).
 //
 //go:noinline
-func aggColSel(col []int64, sel selVec, sum, mn, mx int64) (int64, int64, int64) {
+func aggColSel[E elem](col []E, sel selVec) (sum, mn, mx int64) {
+	mn, mx = math.MaxInt64, math.MinInt64
 	for _, i := range sel {
-		v := col[i]
-		sum += v
-		mn = min(mn, v)
-		mx = max(mx, v)
+		o := int64(col[i])
+		sum += o
+		mn = min(mn, o)
+		mx = max(mx, o)
 	}
 	return sum, mn, mx
 }
@@ -291,11 +340,13 @@ func aggColSel(col []int64, sel selVec, sum, mn, mx int64) (int64, int64, int64)
 // zone maps proved all rows match (or predicate-free plans).
 //
 //go:noinline
-func aggColAll(col []int64, sum, mn, mx int64) (int64, int64, int64) {
+func aggColAll[E elem](col []E) (sum, mn, mx int64) {
+	mn, mx = math.MaxInt64, math.MinInt64
 	for _, v := range col {
-		sum += v
-		mn = min(mn, v)
-		mx = max(mx, v)
+		o := int64(v)
+		sum += o
+		mn = min(mn, o)
+		mx = max(mx, o)
 	}
 	return sum, mn, mx
 }

@@ -14,7 +14,9 @@ var allOps = []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
 
 // kernelSegments are the column segments every kernel is checked on:
 // lengths at the ends of a block and one short of it, values at the int64
-// extremes, negative, duplicated, and a plain random mix.
+// extremes, negative, duplicated, a plain random mix, and — for each
+// narrow width — offsets over the width's whole range from bases that are
+// negative, zero and at either end of int64.
 func kernelSegments() map[string][]int64 {
 	rng := rand.New(rand.NewSource(14))
 	segs := map[string][]int64{
@@ -33,13 +35,72 @@ func kernelSegments() map[string][]int64 {
 		segs[fmt.Sprintf("dups-%d", n)] = dups
 		segs[fmt.Sprintf("mixed-%d", n)] = mixed
 	}
+	for w, span := range []int64{1: 1<<8 - 1, 2: 1<<16 - 1, 4: 1<<32 - 1} {
+		if span == 0 {
+			continue
+		}
+		for _, at := range []struct {
+			name string
+			base int64
+		}{{"min", math.MinInt64}, {"neg", -span / 2}, {"zero", 0}, {"max", math.MaxInt64 - span}} {
+			col := make([]int64, BlockSize)
+			for i := range col {
+				col[i] = at.base + rng.Int63n(span+1)
+			}
+			col[3], col[BlockSize-5] = at.base, at.base+span // both ends of the width
+			segs[fmt.Sprintf("u%d-%s", 8*w, at.name)] = col
+		}
+	}
 	return segs
 }
 
-// kernelRHS are comparison points selecting none, all and some of every
-// segment above, for every operator.
+// kernelRHS are comparison points selecting none, all and some of the
+// segments above, for every operator; rhsFor adds the points around one
+// segment's own zone.
 var kernelRHS = []int64{math.MinInt64, math.MinInt64 + 1, -1000, -7, -1, 0, 5, 42, 1000,
 	math.MaxInt64 - 1, math.MaxInt64}
+
+func rhsFor(col []int64) []int64 {
+	if len(col) == 0 {
+		return kernelRHS
+	}
+	zl, zh := zoneOf(col)
+	// The -1/+1 wrap at the int64 extremes; any int64 is a fair rhs.
+	return append([]int64{zl - 1, zl, zl + 1, zl + (zh-zl)/2, zh - 1, zh, zh + 1}, kernelRHS...)
+}
+
+// segmentAs stores col at the given element width (which must hold its
+// span) the way seal does, so kernels can be checked at widths seal would
+// not have picked as well as at the one it would.
+func segmentAs(col []int64, width int) segment {
+	if width == 8 || len(col) == 0 {
+		return segment{i64: col}
+	}
+	zl, _ := zoneOf(col)
+	switch width {
+	case 1:
+		return segment{base: zl, u8: narrow[uint8](col, zl)}
+	case 2:
+		return segment{base: zl, u16: narrow[uint16](col, zl)}
+	}
+	return segment{base: zl, u32: narrow[uint32](col, zl)}
+}
+
+// widthsFor lists the element widths that can hold col.
+func widthsFor(col []int64) []int {
+	widths := []int{8}
+	if len(col) == 0 {
+		return widths
+	}
+	zl, zh := zoneOf(col)
+	span := uint64(zh) - uint64(zl)
+	for _, w := range []int{4, 2, 1} {
+		if span < 1<<(8*w) {
+			widths = append(widths, w)
+		}
+	}
+	return widths
+}
 
 // zoneRef is the per-operator zone-map truth table step.zone replaces.
 func zoneRef(op CmpOp, rhs, lo, hi int64) zoneResult {
@@ -107,8 +168,8 @@ func observe(col []int64, rows []int32) agg.Partial {
 	return p
 }
 
-// checkStep runs every kernel for one step over one segment against the
-// rows want says match.
+// checkStep runs every kernel for one step over one segment, stored at
+// every width that holds it, against the rows want says match.
 func checkStep(t *testing.T, label string, s step, col []int64, want func(v int64) bool) {
 	t.Helper()
 	var rows, odd, oddRows []int32 // matching rows; odd rows; matching odd rows
@@ -123,6 +184,43 @@ func checkStep(t *testing.T, label string, s step, col []int64, want func(v int6
 			}
 		}
 	}
+	if s.empty {
+		// No kernel can express an empty step; matchBlock answers for it.
+		if len(rows) != 0 {
+			t.Fatalf("%s: step is empty but %d rows match", label, len(rows))
+		}
+		if len(col) > 0 && s.zone(zoneOf(col)) != zoneNone {
+			t.Fatalf("%s: empty step's zone is not zoneNone", label)
+		}
+		return
+	}
+	if len(col) > 0 {
+		zl, zh := zoneOf(col)
+		switch z := s.zone(zl, zh); {
+		case z == zoneNone && len(rows) != 0, z == zoneAll && len(rows) != len(col):
+			t.Fatalf("%s: zone verdict %d with %d of %d rows matching", label, z, len(rows), len(col))
+		}
+	}
+	for _, w := range widthsFor(col) {
+		g := segmentAs(col, w)
+		label := fmt.Sprintf("%s at %d bytes", label, w)
+		switch {
+		case g.u8 != nil:
+			checkKernels(t, label, s, g, g.u8, col, rows, odd, oddRows)
+		case g.u16 != nil:
+			checkKernels(t, label, s, g, g.u16, col, rows, odd, oddRows)
+		case g.u32 != nil:
+			checkKernels(t, label, s, g, g.u32, col, rows, odd, oddRows)
+		default:
+			checkKernels(t, label, s, g, g.i64, col, rows, odd, oddRows)
+		}
+	}
+}
+
+// checkKernels is checkStep at one element type: enc is segment g's
+// offsets of the values col.
+func checkKernels[E elem](t *testing.T, label string, s step, g segment, enc []E, col []int64, rows, odd, oddRows []int32) {
+	t.Helper()
 	same := func(kernel string, got, want []int32) {
 		t.Helper()
 		if len(got) != len(want) {
@@ -134,45 +232,33 @@ func checkStep(t *testing.T, label string, s step, col []int64, want func(v int6
 			}
 		}
 	}
-	if s.empty {
-		// No kernel can express an empty step; matchBlock answers for it.
-		if len(rows) != 0 {
-			t.Fatalf("%s: step is empty but %d rows match", label, len(rows))
-		}
-		if len(col) > 0 && s.zone(zoneOf(col)) != zoneNone {
-			t.Fatalf("%s: empty step's zone is not zoneNone", label)
-		}
-		return
-	}
-	sel := selInit(col, s.base, s.span, make(selVec, BlockSize))
+	base := s.rebase(&g)
+	sel := selInit(enc, base, s.span, make(selVec, BlockSize))
 	same("selInit", sel, rows)
-	if n := countCol(col, s.base, s.span); n != len(rows) {
+	if n := countCol(enc, base, s.span); n != len(rows) {
 		t.Fatalf("%s: countCol = %d, want %d", label, n, len(rows))
 	}
-	if n := countSel(col, s.base, s.span, odd); n != len(oddRows) {
+	if n := countSel(enc, base, s.span, odd); n != len(oddRows) {
 		t.Fatalf("%s: countSel = %d, want %d", label, n, len(oddRows))
 	}
-	same("selRefine", selRefine(col, s.base, s.span, append(selVec(nil), odd...)), oddRows)
+	same("selRefine", selRefine(enc, base, s.span, append(selVec(nil), odd...)), oddRows)
 
 	if len(col) == 0 {
 		return
 	}
 	zl, zh := zoneOf(col)
-	switch z := s.zone(zl, zh); {
-	case z == zoneNone && len(rows) != 0, z == zoneAll && len(rows) != len(col):
-		t.Fatalf("%s: zone verdict %d with %d of %d rows matching", label, z, len(rows), len(col))
-	}
 	// Both folds, against the oracle's Observe sequence, to the byte.
 	for _, c := range []struct {
 		name string
 		sel  selVec
+		n    int
 		want agg.Partial
-	}{{"aggColSel", sel, observe(col, rows)}, {"aggColAll", nil, observe(col, allRows(len(col)))}} {
-		if c.sel != nil && len(c.sel) == 0 {
+	}{{"aggColSel", sel, len(sel), observe(col, rows)}, {"aggColAll", nil, len(col), observe(col, allRows(len(col)))}} {
+		if c.n == 0 {
 			continue // scan never folds an empty selection
 		}
 		f := newFold()
-		f.block(col, c.sel, zl, zh)
+		f.block(g, c.sel, c.n, zone{zl, zh})
 		if got := f.partial(); got != c.want || !bytes.Equal(got.Encode(nil), c.want.Encode(nil)) {
 			t.Fatalf("%s: %s fold %+v, oracle %+v", label, c.name, got, c.want)
 		}
@@ -187,12 +273,12 @@ func allRows(n int) []int32 {
 	return rows
 }
 
-// TestKernelsMatchScalar checks every kernel, for every operator, against
-// cmpMatch and Partial.Observe.
+// TestKernelsMatchScalar checks every kernel, for every operator and at
+// every element type, against cmpMatch and Partial.Observe.
 func TestKernelsMatchScalar(t *testing.T) {
 	for name, col := range kernelSegments() {
 		for _, op := range allOps {
-			for _, rhs := range kernelRHS {
+			for _, rhs := range rhsFor(col) {
 				s := newStep(0, op, rhs)
 				label := fmt.Sprintf("%s: v %s %d", name, op, rhs)
 				checkStep(t, label, s, col, func(v int64) bool { return cmpMatch(op, v, rhs) })
@@ -229,15 +315,22 @@ func TestZoneMatchesTruthTable(t *testing.T) {
 func TestRangeStep(t *testing.T) {
 	rangeRHS := []int64{math.MinInt64, -1000, -7, 0, 5, 1000, math.MaxInt64}
 	segs := kernelSegments()
-	for _, name := range []string{"one", "extremes-2047", "dups-2048", "mixed-2048"} {
-		col := segs[name]
+	for _, name := range []string{"one", "extremes-2047", "dups-2048", "mixed-2048", "u8-neg", "u16-max", "u32-min"} {
+		col, rhs := segs[name], rangeRHS
+		if name[0] == 'u' {
+			// A narrow segment sits far from rangeRHS: cut it at its own
+			// zone's quarters, and just outside both ends.
+			zl, zh := zoneOf(col)
+			q := (zh - zl) / 4
+			rhs = []int64{math.MinInt64, zl - 1, zl + q, zl + 2*q, zl + 3*q, zh + 1, math.MaxInt64}
+		}
 		for _, op1 := range allOps {
 			for _, op2 := range allOps {
 				if op1 == OpNe || op2 == OpNe {
 					continue
 				}
-				for _, a := range rangeRHS {
-					for _, b := range rangeRHS {
+				for _, a := range rhs {
+					for _, b := range rhs {
 						s := newStep(0, op1, a)
 						s.narrow(interval(op2, b))
 						label := fmt.Sprintf("%s: v %s %d AND v %s %d", name, op1, a, op2, b)
@@ -317,6 +410,28 @@ func TestSumExactnessGuard(t *testing.T) {
 	// float result depends on the order.
 	cases["large partial sums cancel"] = []int64{big, 1, 1, 1, -big, 1}
 
+	// The same crossings over blocks sealed narrow, where the fold sums
+	// offsets and adds rows x base: rows sits a fixed distance from a base
+	// of magnitude 3 x 2^40, so each block charges three eighths of the
+	// bound — two fit, the sum passes 2^53 two thirds into the third, and
+	// from there odd offsets round away. Spread picks the sealed width.
+	rows := func(n int, base int64, spread int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = base + (int64(i)*7919)%spread
+		}
+		return out
+	}
+	const base = 3 << 40
+	cases["1-byte offsets, crosses mid-block"] = rows(3*BlockSize+50, base, 200)
+	cases["2-byte offsets, crosses mid-block"] = rows(3*BlockSize+50, base, 60_000)
+	cases["4-byte offsets, negative base"] = rows(3*BlockSize+50, -base-(1<<31), 1<<31)
+	// Two sealed blocks of -2^41 are -2^53 exactly, all of it rows x base;
+	// the tail's ones are past the bound and round away.
+	cases["negative base, crosses between blocks"] = append(fill(2*BlockSize, -(1<<41)), -1, -1, -1)
+	// Stays exact: a huge base on few enough rows, all of it in rows x base.
+	cases["huge base, exact"] = rows(BlockSize+9, 1<<41, 100)
+
 	for name, vals := range cases {
 		tbl := guardTable(t, vals)
 		for _, zones := range []bool{true, false} {
@@ -346,6 +461,18 @@ func TestSumExactnessGuard(t *testing.T) {
 	p, _ := guardTable(t, mid).Bind(MustParse("SELECT SUM(v) FROM T"))
 	if got := p.ExecuteOracle(0).Sum; got == float64(isum) {
 		t.Fatalf("oracle sum %v equals the integer sum: the case does not round", got)
+	}
+	narrowed := guardTable(t, cases["1-byte offsets, crosses mid-block"])
+	if g := narrowed.cols[1].sealed[2]; g.u8 == nil || g.base < base {
+		t.Fatalf("the 1-byte case sealed as %+v", g)
+	}
+	isum = 0
+	for _, v := range cases["1-byte offsets, crosses mid-block"] {
+		isum += v
+	}
+	p, _ = narrowed.Bind(MustParse("SELECT SUM(v) FROM T"))
+	if got := p.ExecuteOracle(0).Sum; got == float64(isum) {
+		t.Fatalf("oracle sum %v equals the integer sum: the sealed case does not round", got)
 	}
 }
 
@@ -388,28 +515,44 @@ func TestSelectivityOfUnsatisfiableComparison(t *testing.T) {
 	}
 }
 
-// TestExecuteAllocs holds steady-state execution to zero allocations.
+// TestExecuteAllocs holds steady-state execution to zero allocations, on
+// the counters table and on one with sealed blocks of every width plus a
+// tail.
 func TestExecuteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	tbl, _ := statsTable(t)
 	tbl.BuildSummary()
-	for _, sql := range []string{
-		"SELECT SUM(v) FROM T WHERE v < 50",
-		"SELECT SUM(v) FROM T WHERE v < 50 AND ts >= 1000",
-		"SELECT MAX(v) FROM T WHERE v < 50 AND ts >= 1000 AND v <> 7",
-		"SELECT COUNT(*) FROM T WHERE v >= 10 AND v <= 50 AND ts <> 5",
-	} {
-		p, err := tbl.Bind(MustParse(sql))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(50, func() { p.Execute(0) }); n != 0 {
-			t.Errorf("Execute allocates %v times per run: %s", n, sql)
-		}
-		if n := testing.AllocsPerRun(50, func() { p.CountMatching(0) }); n != 0 {
-			t.Errorf("CountMatching allocates %v times per run: %s", n, sql)
+	w := newWidthsTable()
+	w.fill(t, 2*BlockSize+100)
+	sqls := map[*Table][]string{
+		tbl: {
+			"SELECT SUM(v) FROM T WHERE v < 50",
+			"SELECT SUM(v) FROM T WHERE v < 50 AND ts >= 1000",
+			"SELECT MAX(v) FROM T WHERE v < 50 AND ts >= 1000 AND v <> 7",
+			"SELECT COUNT(*) FROM T WHERE v >= 10 AND v <= 50 AND ts <> 5",
+		},
+		w.Table: {"SELECT COUNT(*) FROM T WHERE r >= 100 AND r < 4100"},
+	}
+	for i, c := range widthCases {
+		col, mid := w.schema.Columns[i+1].Name, int64(uint64(c.min)+c.span/2)
+		sqls[w.Table] = append(sqls[w.Table],
+			fmt.Sprintf("SELECT SUM(%s) FROM T WHERE %s <= %d AND r <> 9", col, col, mid),
+			fmt.Sprintf("SELECT MIN(r) FROM T WHERE r >= 100 AND %s > %d", col, mid))
+	}
+	for tbl, list := range sqls {
+		for _, sql := range list {
+			p, err := tbl.Bind(MustParse(sql))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(50, func() { p.Execute(0) }); n != 0 {
+				t.Errorf("Execute allocates %v times per run: %s", n, sql)
+			}
+			if n := testing.AllocsPerRun(50, func() { p.CountMatching(0) }); n != 0 {
+				t.Errorf("CountMatching allocates %v times per run: %s", n, sql)
+			}
 		}
 	}
 }

@@ -7,12 +7,14 @@
 // conjunctive comparison predicates, including NOW() arithmetic), exact
 // execution, and histogram-based row-count estimation.
 //
-// Storage is columnar and block-structured: each column is one contiguous
-// []int64, logically partitioned into fixed BlockSize-row blocks, and every
-// (column, block) pair carries a zone map — the min and max value in that
-// block, maintained incrementally on insert. Execution is batch-at-a-time
-// (see exec.go and kernels.go): zone maps skip whole blocks, and surviving
-// blocks are evaluated with per-operator selection-vector kernels.
+// Storage is columnar and block-structured: each column is a run of sealed
+// BlockSize-row blocks, each stored as offsets from the block's minimum in
+// the narrowest integer width that holds them, plus one open full-width
+// tail that rows are appended to. Every (column, block) pair carries a zone
+// map — the min and max value in that block, maintained incrementally on
+// insert. Execution is batch-at-a-time (see exec.go and kernels.go): zone
+// maps skip whole blocks, and surviving blocks are evaluated with
+// selection-vector kernels instantiated per element width.
 //
 // String values are stored hash-encoded: a string column holds the 63-bit
 // FNV hash of each value. Equality predicates hash their literal, so
@@ -24,6 +26,7 @@ package relq
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"repro/internal/histogram"
 )
@@ -73,24 +76,135 @@ func HashString(s string) int64 {
 // BlockSize is the number of rows per storage block. Each block carries a
 // per-column zone map (min/max) so predicate evaluation can skip it
 // entirely when the zone proves no row can match. 2048 rows keeps a block's
-// working set (one column segment, 16 kB) inside L1 while amortizing the
-// per-block dispatch overhead across thousands of rows.
+// working set (one column segment, at most 16 kB) inside L1 while
+// amortizing the per-block dispatch overhead across thousands of rows.
 const BlockSize = 2048
+
+// elem is the set of types a block's column segment is stored in.
+type elem interface {
+	uint8 | uint16 | uint32 | int64
+}
+
+// segment is one column's values over one block, stored as v - base.
+// Exactly one slice is set. A sealed block uses the narrowest unsigned
+// type that holds its zone's span with base = the zone's minimum; a span
+// of 2^32 or more keeps the values themselves (i64, base 0), as does the
+// open tail, so the int64 extremes need no offset arithmetic to stay
+// exact.
+type segment struct {
+	base int64
+	u8   []uint8
+	u16  []uint16
+	u32  []uint32
+	i64  []int64
+}
+
+// segmentBytes is the size of a segment in the block directory: the base
+// and four slice headers, on a 64-bit host.
+const segmentBytes = 8 + 4*24
+
+// zone bounds the values of one column in one block.
+type zone struct{ min, max int64 }
+
+// column is one column's storage: the sealed blocks, the rows past the
+// last of them, and the zone maps of both.
+type column struct {
+	sealed []segment
+	// tail holds the rows of the open block at full width. It grows to at
+	// most BlockSize rows, is encoded into sealed when it gets there, and
+	// is then reused for the next block.
+	tail []int64
+	// zones[b] bounds block b. Zones are maintained incrementally on
+	// insert — a fresh block's zone starts at its first row's value and
+	// widens as rows arrive — so the open block's zone is valid at all
+	// times and a sealed block's is what chose its width.
+	zones []zone
+}
+
+// block returns the segment of block b: a sealed one, or the tail.
+func (c *column) block(b int) segment {
+	if b < len(c.sealed) {
+		return c.sealed[b]
+	}
+	return segment{i64: c.tail}
+}
+
+// seal encodes a full tail into a sealed segment of the narrowest width
+// its zone allows and empties the tail for reuse.
+func (c *column) seal() {
+	var g segment
+	z := c.zones[len(c.zones)-1]
+	switch span := uint64(z.max) - uint64(z.min); {
+	case span < 1<<8:
+		g = segment{base: z.min, u8: narrow[uint8](c.tail, z.min)}
+	case span < 1<<16:
+		g = segment{base: z.min, u16: narrow[uint16](c.tail, z.min)}
+	case span < 1<<32:
+		g = segment{base: z.min, u32: narrow[uint32](c.tail, z.min)}
+	default:
+		g = segment{i64: slices.Clone(c.tail)}
+	}
+	c.sealed = append(c.sealed, g)
+	c.tail = c.tail[:0]
+}
+
+// narrow returns vals as offsets from base, which must all fit E.
+func narrow[E uint8 | uint16 | uint32](vals []int64, base int64) []E {
+	out := make([]E, len(vals))
+	for i, v := range vals {
+		out[i] = E(v - base)
+	}
+	return out
+}
+
+// at returns the value of row i of the segment.
+func (g *segment) at(i int) int64 {
+	switch {
+	case g.u8 != nil:
+		return g.base + int64(g.u8[i])
+	case g.u16 != nil:
+		return g.base + int64(g.u16[i])
+	case g.u32 != nil:
+		return g.base + int64(g.u32[i])
+	}
+	return g.i64[i]
+}
+
+// appendTo appends the segment's values to dst.
+func (g *segment) appendTo(dst []int64) []int64 {
+	switch {
+	case g.u8 != nil:
+		return appendWide(dst, g.u8, g.base)
+	case g.u16 != nil:
+		return appendWide(dst, g.u16, g.base)
+	case g.u32 != nil:
+		return appendWide(dst, g.u32, g.base)
+	}
+	return append(dst, g.i64...)
+}
+
+func appendWide[E uint8 | uint16 | uint32](dst []int64, col []E, base int64) []int64 {
+	for _, v := range col {
+		dst = append(dst, base+int64(v))
+	}
+	return dst
+}
+
+// bytes is the size of the segment's stored values.
+func (g *segment) bytes() int {
+	return len(g.u8) + 2*len(g.u16) + 4*len(g.u32) + 8*len(g.i64)
+}
 
 // Table is a columnar table holding one endsystem's horizontal partition of
 // a dataset. Tables are not safe for concurrent use; in the simulation each
 // table belongs to exactly one endsystem, which executes on one shard.
 type Table struct {
 	schema Schema
-	cols   [][]int64
+	cols   []column
 	rows   int
 
-	// Zone maps: zmin[c][b] / zmax[c][b] bound the values of column c in
-	// block b (rows [b*BlockSize, min((b+1)*BlockSize, rows))). They are
-	// maintained incrementally on insert — a fresh block's zone starts at
-	// its first row's value and widens as rows arrive — so a zone is valid
-	// at all times, including for the trailing partially-filled block.
-	zmin, zmax [][]int64
+	// row is Insert's scratch: the encoded form of the row being inserted.
+	row []int64
 
 	// zonesOff disables zone-map pruning at execution time (construction
 	// continues, so re-enabling needs no rebuild). Used by benchmarks and
@@ -116,27 +230,23 @@ func NewTable(schema Schema) *Table {
 	return NewTableWithCapacity(schema, 0)
 }
 
-// NewTableWithCapacity creates an empty table preallocating column storage
-// for rowCap rows (rounded up to whole blocks) and the matching zone-map
-// capacity. Bulk loaders that know their row count up front — anemone
-// generation in particular — use this to avoid append-regrowth churn,
-// which at N=100k+ endsystems otherwise re-copies every column
-// O(log rows) times.
+// NewTableWithCapacity creates an empty table that reserves what rowCap
+// rows will occupy before any of them is encoded: per column, a tail of
+// min(rowCap, BlockSize) rows and the block directory and zone maps of
+// rowCap rows. Sealed blocks are allocated at their encoded width when
+// they fill, so a table never holds capacity for rows it was not told
+// about — a 12-row table reserves 12 rows, not a block. Bulk loaders that
+// know their row count up front — anemone generation in particular — use
+// this to skip the tail's regrowth on the way to its first block.
 func NewTableWithCapacity(schema Schema, rowCap int) *Table {
-	t := &Table{
-		schema: schema,
-		cols:   make([][]int64, len(schema.Columns)),
-		zmin:   make([][]int64, len(schema.Columns)),
-		zmax:   make([][]int64, len(schema.Columns)),
-	}
+	t := &Table{schema: schema, cols: make([]column, len(schema.Columns))}
 	if rowCap > 0 {
-		// Block-align the capacity so the last reserved block is whole.
-		blocks := (rowCap + BlockSize - 1) / BlockSize
-		rowCap = blocks * BlockSize
 		for i := range t.cols {
-			t.cols[i] = make([]int64, 0, rowCap)
-			t.zmin[i] = make([]int64, 0, blocks)
-			t.zmax[i] = make([]int64, 0, blocks)
+			t.cols[i] = column{
+				sealed: make([]segment, 0, rowCap/BlockSize),
+				tail:   make([]int64, 0, min(rowCap, BlockSize)),
+				zones:  make([]zone, 0, (rowCap+BlockSize-1)/BlockSize),
+			}
 		}
 	}
 	return t
@@ -151,6 +261,22 @@ func (t *Table) NumRows() int { return t.rows }
 // NumBlocks returns the number of storage blocks (including the trailing
 // partial block, if any).
 func (t *Table) NumBlocks() int { return (t.rows + BlockSize - 1) / BlockSize }
+
+// StorageBytes returns the bytes the table's column storage occupies:
+// sealed blocks at their encoded width, the tail's capacity, the block
+// directory and the zone maps. Schema, plan cache and summary are not
+// column storage and are not counted.
+func (t *Table) StorageBytes() int {
+	n := 0
+	for i := range t.cols {
+		c := &t.cols[i]
+		for b := range c.sealed {
+			n += c.sealed[b].bytes()
+		}
+		n += cap(c.sealed)*segmentBytes + 8*cap(c.tail) + 16*cap(c.zones)
+	}
+	return n
+}
 
 // SetZoneMaps enables or disables zone-map block pruning at execution
 // time. Zone maps are still maintained on insert either way, so pruning
@@ -171,15 +297,17 @@ func (t *Table) Insert(values ...any) error {
 		return fmt.Errorf("relq: table %s: %d values for %d columns",
 			t.schema.Name, len(values), len(t.schema.Columns))
 	}
-	enc := make([]int64, len(values))
+	if t.row == nil {
+		t.row = make([]int64, len(values))
+	}
 	for i, v := range values {
 		e, err := encodeValue(t.schema.Columns[i], v)
 		if err != nil {
 			return err
 		}
-		enc[i] = e
+		t.row[i] = e
 	}
-	t.appendRow(enc)
+	t.appendRow(t.row)
 	return nil
 }
 
@@ -195,29 +323,56 @@ func (t *Table) InsertInts(values ...int64) error {
 	return nil
 }
 
-// appendRow appends one encoded row and folds it into the current block's
-// zone maps, opening a fresh block when the previous one is full.
+// minTailCap is the tail's first capacity when no hint reserved one.
+const minTailCap = 16
+
+// appendRow appends one encoded row to the tails and folds it into the
+// open block's zone maps, opening a fresh zone when the previous block was
+// sealed and sealing this one when the row fills it.
 func (t *Table) appendRow(values []int64) {
-	if t.rows%BlockSize == 0 {
-		// First row of a new block: its value is the zone on both ends.
-		for i, v := range values {
-			t.cols[i] = append(t.cols[i], v)
-			t.zmin[i] = append(t.zmin[i], v)
-			t.zmax[i] = append(t.zmax[i], v)
+	fresh := t.rows%BlockSize == 0
+	for i, v := range values {
+		c := &t.cols[i]
+		if fresh {
+			// First row of a new block: its value is the zone on both ends.
+			c.zones = append(c.zones, zone{v, v})
+		} else {
+			z := &c.zones[len(c.zones)-1]
+			z.min, z.max = min(z.min, v), max(z.max, v)
 		}
-	} else {
-		b := t.rows / BlockSize
-		for i, v := range values {
-			t.cols[i] = append(t.cols[i], v)
-			if v < t.zmin[i][b] {
-				t.zmin[i][b] = v
-			}
-			if v > t.zmax[i][b] {
-				t.zmax[i][b] = v
-			}
+		if len(c.tail) == cap(c.tail) {
+			// Double, but never past the block the tail is sealed at.
+			grown := make([]int64, len(c.tail), min(max(2*cap(c.tail), minTailCap), BlockSize))
+			copy(grown, c.tail)
+			c.tail = grown
 		}
+		c.tail = append(c.tail, v)
 	}
 	t.rows++
+	if t.rows%BlockSize == 0 {
+		for i := range t.cols {
+			t.cols[i].seal()
+		}
+	}
+}
+
+// value returns the value of one column in one row: the scalar read the
+// row-at-a-time oracle is built on.
+func (t *Table) value(col, row int) int64 {
+	c := &t.cols[col]
+	if b := row / BlockSize; b < len(c.sealed) {
+		return c.sealed[b].at(row % BlockSize)
+	}
+	return c.tail[row%BlockSize]
+}
+
+// appendColumn appends every value of column col, in row order, to dst.
+func (t *Table) appendColumn(dst []int64, col int) []int64 {
+	c := &t.cols[col]
+	for b := range c.sealed {
+		dst = c.sealed[b].appendTo(dst)
+	}
+	return append(dst, c.tail...)
 }
 
 func encodeValue(col Column, v any) (int64, error) {
@@ -244,18 +399,16 @@ func encodeValue(col Column, v any) (int64, error) {
 	}
 }
 
-// ColumnValues returns a copy of one column's stored int64 values (string
-// columns come back as their hash codes). It exists for statistics and
-// experiment code that builds alternative summaries over the same data;
-// callers own the copy and may reorder it freely.
+// ColumnValues returns one column's values decoded to int64, in row order
+// (string columns come back as their hash codes). It exists for statistics
+// and experiment code that builds alternative summaries over the same
+// data; callers own the slice and may reorder it freely.
 func (t *Table) ColumnValues(name string) []int64 {
 	i := t.schema.ColumnIndex(name)
 	if i < 0 {
 		return nil
 	}
-	out := make([]int64, len(t.cols[i]))
-	copy(out, t.cols[i])
-	return out
+	return t.appendColumn(make([]int64, 0, t.rows), i)
 }
 
 // HistogramBuckets is the default bucket budget for per-column histograms.
@@ -279,20 +432,19 @@ func (t *Table) BuildSummary() *TableSummary {
 		TotalRows: int64(t.rows),
 		Columns:   make(map[string]histogram.Histogram),
 	}
+	// One decoded copy serves every indexed column in turn: BuildEquiDepth
+	// sorts its input in place (and keeps none of it), so it needs a copy
+	// anyway, and the stored blocks are not []int64 to begin with.
+	vals := make([]int64, 0, t.rows)
 	for i, col := range t.schema.Columns {
 		if !col.Indexed {
 			continue
 		}
-		if h := histogram.BuildFrequency(t.cols[i], maxFrequencyDistinct); h != nil {
+		vals = t.appendColumn(vals[:0], i)
+		if h := histogram.BuildFrequency(vals, maxFrequencyDistinct); h != nil {
 			ts.Columns[col.Name] = h
 			continue
 		}
-		// Exactly one copy: BuildEquiDepth sorts its input in place, and
-		// sorting t.cols[i] itself would destroy row order and invalidate
-		// the zone maps, so the copy below is required — and sufficient
-		// (BuildEquiDepth does not copy again internally).
-		vals := make([]int64, len(t.cols[i]))
-		copy(vals, t.cols[i])
 		ts.Columns[col.Name] = histogram.BuildEquiDepth(vals, HistogramBuckets)
 	}
 	t.lastSummary = ts
