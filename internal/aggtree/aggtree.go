@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/agg"
@@ -153,7 +152,7 @@ type vertexKey struct {
 // vertexState is the O(1)-per-child state of one tree vertex.
 type vertexState struct {
 	key       vertexKey
-	children  map[ids.ID]contribution
+	children  childTable
 	upVersion uint64
 	refresh   *simnet.Timer
 	primary   bool
@@ -185,7 +184,8 @@ type vertexState struct {
 func (v *vertexState) aggregate() (agg.Partial, int64) {
 	var part agg.Partial
 	var contributors int64
-	for _, c := range v.children {
+	for i := range v.children {
+		c := &v.children[i].c
 		part = part.Merge(c.Part)
 		contributors += c.Contributors
 	}
@@ -386,12 +386,13 @@ func (e *Engine) Cancel(qid ids.ID) {
 // path. Propagation is best-effort: endsystems a cancel never reaches
 // (down, or partitioned) still reclaim via expiry.
 func (e *Engine) CancelPropagate(qid ids.ID) {
-	e.applyCancel(&cancelMsg{QID: qid})
+	m := &cancelMsg{QID: qid}
+	e.applyCancel(m)
 	node := e.host.PastryNode()
 	if !node.IsRootOf(qid) {
 		// Hand the broadcast to the root vertex's primary, which fans it
 		// down the whole tree.
-		node.Route(qid, &cancelMsg{QID: qid}, cancelMsgSize(), simnet.ClassQuery)
+		node.Route(qid, m, cancelMsgSize(), simnet.ClassQuery)
 	}
 }
 
@@ -403,7 +404,9 @@ func (e *Engine) CancelPropagate(qid ids.ID) {
 // backups. Fan-out keys off the vertex's primary flag, not off which
 // cancel arrived first: a node can be backup for one vertex and primary
 // for another in the same tree, and a backup-targeted cancel reaching it
-// first must still propagate the primary vertex's subtree.
+// first must still propagate the primary vertex's subtree. The fan-out
+// passes m itself on: a cancel says only which query, and receivers only
+// read it, so one message serves every child and backup down the tree.
 func (e *Engine) applyCancel(m *cancelMsg) {
 	info := e.queries[m.QID]
 	if info == nil {
@@ -425,7 +428,7 @@ func (e *Engine) applyCancel(m *cancelMsg) {
 	}
 	// Deterministic fan-out order: map iteration must not decide message
 	// order.
-	sort.Slice(keys, func(i, j int) bool { return keys[i].vertex.Less(keys[j].vertex) })
+	slices.SortFunc(keys, func(a, b vertexKey) int { return a.vertex.Cmp(b.vertex) })
 	node := e.host.PastryNode()
 	for _, key := range keys {
 		v := e.vertices[key]
@@ -442,20 +445,14 @@ func (e *Engine) applyCancel(m *cancelMsg) {
 		if !v.primary {
 			continue
 		}
-		children := make([]ids.ID, 0, len(v.children))
-		for child := range v.children {
-			children = append(children, child)
-		}
-		sort.Slice(children, func(i, j int) bool { return children[i].Less(children[j]) })
-		for _, child := range children {
-			node.Route(child, &cancelMsg{QID: m.QID},
-				cancelMsgSize(), simnet.ClassQuery)
+		for _, child := range v.children { // in id order
+			node.Route(child.id, m, cancelMsgSize(), simnet.ClassQuery)
 		}
 		// Backups mirror this vertex's state; they drop it on receipt and
 		// only propagate further for vertices they are primary of.
 		for _, b := range e.backupSet(key.vertex) {
 			node.Ring().Network().Send(node.Endpoint(), b.EP,
-				cancelMsgSize(), simnet.ClassQuery, &cancelMsg{QID: m.QID})
+				cancelMsgSize(), simnet.ClassQuery, m)
 		}
 	}
 }
@@ -550,14 +547,14 @@ func submitMsgSize(backups int) int {
 	return 3*ids.Bytes + 8 + agg.EncodedPartialSize + 8 + 4*backups
 }
 
-// replMsg replicates a vertex's state to its backups: the whole children
+// replMsg replicates a vertex's state to its backups: the whole child
 // table in Children (takeovers, membership changes), or — Children nil —
 // the one entry that changed, inline as (Child, C), on the common update
 // path. The wire size counts entries either way (replMsgSize).
 type replMsg struct {
 	QID       ids.ID
 	Vertex    ids.ID
-	Children  map[ids.ID]contribution
+	Children  childTable
 	Child     ids.ID
 	C         contribution
 	UpVersion uint64
@@ -785,7 +782,7 @@ func (e *Engine) applySubmit(m *submitMsg) {
 	key := vertexKey{qid: m.QID, vertex: m.Vertex}
 	v, ok := e.vertices[key]
 	if !ok {
-		v = &vertexState{key: key, children: make(map[ids.ID]contribution)}
+		v = &vertexState{key: key}
 		e.vertices[key] = v
 		e.armRefresh(v)
 	}
@@ -794,7 +791,7 @@ func (e *Engine) applySubmit(m *submitMsg) {
 	// evidence: feed the gap distribution, refill the hedge budget and
 	// restart the watch before dedup decides the contribution's fate.
 	e.observeChild(v, m)
-	cur, exists := v.children[m.Child]
+	cur, exists := v.children.get(m.Child)
 	if exists && cur.Version >= m.C.Version {
 		// Stale or duplicate: counted at most once. A hedged answer losing
 		// the race against the child's own (earlier) forward is the wasted
@@ -806,7 +803,7 @@ func (e *Engine) applySubmit(m *submitMsg) {
 		}
 		return
 	}
-	v.children[m.Child] = m.C
+	v.children.put(m.Child, m.C)
 	e.cMerged.Inc()
 	// A version advance with identical content is a refresh re-assertion:
 	// record it but do not cascade it any further up the tree.
@@ -856,7 +853,7 @@ func (e *Engine) applyRepl(m *replMsg) {
 	key := vertexKey{qid: m.QID, vertex: m.Vertex}
 	v, ok := e.vertices[key]
 	if !ok {
-		v = &vertexState{key: key, children: make(map[ids.ID]contribution)}
+		v = &vertexState{key: key}
 		e.vertices[key] = v
 		e.armRefresh(v)
 	}
@@ -864,8 +861,8 @@ func (e *Engine) applyRepl(m *replMsg) {
 	if m.Children == nil {
 		changed = v.install(m.Child, m.C)
 	} else {
-		for child, c := range m.Children {
-			if v.install(child, c) {
+		for _, child := range m.Children {
+			if v.install(child.id, child.c) {
 				changed = true
 			}
 		}
@@ -912,11 +909,11 @@ func (e *Engine) applyRepl(m *replMsg) {
 // least as new, and reports whether the vertex's aggregate changed (a
 // version advance with identical content is a refresh, not a change).
 func (v *vertexState) install(child ids.ID, c contribution) bool {
-	cur, exists := v.children[child]
+	cur, exists := v.children.get(child)
 	if exists && c.Version <= cur.Version {
 		return false
 	}
-	v.children[child] = c
+	v.children.put(child, c)
 	if exists && cur.Part == c.Part && cur.Contributors == c.Contributors {
 		return false
 	}
@@ -941,7 +938,7 @@ func (e *Engine) replicateDelta(v *vertexState, child ids.ID) {
 	if info == nil {
 		return
 	}
-	c, ok := v.children[child]
+	c, ok := v.children.get(child)
 	if !ok {
 		return
 	}
@@ -1123,7 +1120,7 @@ func (e *Engine) replicateToBackups(v *vertexState) {
 		return
 	}
 	msg := &replMsg{QID: v.key.qid, Vertex: v.key.vertex,
-		Children: cloneChildren(v.children), UpVersion: v.upVersion,
+		Children: v.children.clone(), UpVersion: v.upVersion,
 		Injector: info.injector, Query: info.query, Cause: v.cause}
 	size := replMsgSize(len(v.children))
 	for _, b := range e.backupSet(v.key.vertex) {
@@ -1140,7 +1137,7 @@ func (e *Engine) pushStateToRoot(v *vertexState) {
 		return
 	}
 	msg := &replMsg{QID: v.key.qid, Vertex: v.key.vertex,
-		Children: cloneChildren(v.children), UpVersion: v.upVersion,
+		Children: v.children.clone(), UpVersion: v.upVersion,
 		Injector: info.injector, Query: info.query, Cause: v.cause}
 	node.Route(v.key.vertex, msg, replMsgSize(len(v.children)), simnet.ClassQuery)
 }
@@ -1153,11 +1150,11 @@ func (e *Engine) sortedVertices() []*vertexState {
 	for _, v := range e.vertices {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.qid != out[j].key.qid {
-			return out[i].key.qid.Less(out[j].key.qid)
+	slices.SortFunc(out, func(a, b *vertexState) int {
+		if c := a.key.qid.Cmp(b.key.qid); c != 0 {
+			return c
 		}
-		return out[i].key.vertex.Less(out[j].key.vertex)
+		return a.key.vertex.Cmp(b.key.vertex)
 	})
 	return out
 }
@@ -1177,14 +1174,6 @@ func (e *Engine) OrphanVertices() int {
 		}
 	}
 	return n
-}
-
-func cloneChildren(m map[ids.ID]contribution) map[ids.ID]contribution {
-	out := make(map[ids.ID]contribution, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // DebugString summarizes this engine's vertex states for one query (test

@@ -446,14 +446,16 @@ func TestReplDeltaInlineMatchesTable(t *testing.T) {
 		base := replMsg{QID: qid, Vertex: qid, UpVersion: uint64(i), Injector: 0, Query: testQuery}
 		d, m := base, base
 		d.Child, d.C = child, s
-		m.Children = map[ids.ID]contribution{child: s}
+		m.Children.put(child, s)
 		inline.applyRepl(&d)
 		table.applyRepl(&m)
 		a, b := inline.vertices[key], table.vertices[key]
 		if a == nil || b == nil {
 			t.Fatalf("step %d: vertex missing", i)
 		}
-		if a.children[child] != b.children[child] || len(a.children) != 1 || len(b.children) != 1 {
+		ac, aok := a.children.get(child)
+		bc, bok := b.children.get(child)
+		if !aok || !bok || ac != bc || len(a.children) != 1 || len(b.children) != 1 {
 			t.Fatalf("step %d: inline installed %+v, table %+v", i, a.children, b.children)
 		}
 		if a.dirty != b.dirty || a.upVersion != b.upVersion || a.primary != b.primary {
@@ -461,7 +463,7 @@ func TestReplDeltaInlineMatchesTable(t *testing.T) {
 				i, a.dirty, a.upVersion, a.primary, b.dirty, b.upVersion, b.primary)
 		}
 	}
-	if got := inline.vertices[key].children[child].Version; got != 4 {
-		t.Fatalf("final version %d, want 4", got)
+	if got, _ := inline.vertices[key].children.get(child); got.Version != 4 {
+		t.Fatalf("final version %d, want 4", got.Version)
 	}
 }

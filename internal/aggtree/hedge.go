@@ -238,7 +238,8 @@ func (e *Engine) hedgeFire(v *vertexState, child ids.ID, ch *childHedge, deadlin
 	if !v.primary || e.expired(e.queries[v.key.qid]) {
 		return
 	}
-	if _, awaited := v.children[child]; !awaited {
+	held, awaited := v.children.get(child)
+	if !awaited {
 		return
 	}
 	// Refill on virtual time, not on child traffic: the bucket must be
@@ -263,7 +264,7 @@ func (e *Engine) hedgeFire(v *vertexState, child ids.ID, ch *childHedge, deadlin
 		Query: e.o.QueryTag(v.key.qid), EP: int(node.Endpoint()),
 		N: v.issued, V: deadline.Seconds()})
 	msg := &hedgePullMsg{QID: v.key.qid, Vertex: child, Parent: v.key.vertex,
-		Have: v.children[child].Version, ReplyTo: node.Endpoint(), Cause: span}
+		Have: held.Version, ReplyTo: node.Endpoint(), Cause: span}
 	if ch.strikes%2 == 1 {
 		// Odd strikes (the first pull included) go to the child's own
 		// primary. Burst loss is correlated: the forward that went missing
@@ -356,7 +357,7 @@ func (e *Engine) applyHedgeAck(m *hedgeAckMsg) {
 		return
 	}
 	ch := v.hedge[m.Vertex]
-	if ch == nil || v.children[m.Vertex].Version != m.Version {
+	if held, _ := v.children.get(m.Vertex); ch == nil || held.Version != m.Version {
 		return
 	}
 	ch.strikes = 0

@@ -180,13 +180,13 @@ func TestHedgeReplicaAnswerAndLateRace(t *testing.T) {
 	if parent == nil {
 		t.Fatal("no hedged interior vertex with a live child replica found")
 	}
-	orig, ok := v.children[child]
+	orig, ok := v.children.get(child)
 	if !ok {
 		t.Fatal("parent holds no contribution for the hedged child")
 	}
 	// Simulate a lost forward: the parent never received the child's
 	// contribution (so its Have is zero), and pulls a replica directly.
-	delete(v.children, child)
+	v.children.del(child)
 	wonBefore := c.counter("aggtree_hedges_won")
 	replica.handleHedgePull(&hedgePullMsg{QID: qid, Vertex: child, Parent: v.key.vertex,
 		Have: 0, ReplyTo: parent.node.Endpoint()})
@@ -195,7 +195,7 @@ func TestHedgeReplicaAnswerAndLateRace(t *testing.T) {
 	if c.counter("aggtree_hedges_won") != wonBefore+1 {
 		t.Fatalf("replica answer did not register as a hedge win")
 	}
-	rec, ok := v.children[child]
+	rec, ok := v.children.get(child)
 	if !ok {
 		t.Fatal("replica answer did not restore the child contribution")
 	}
@@ -238,8 +238,9 @@ func TestHedgeAckStandsDownWatch(t *testing.T) {
 	ch := v.hedge[child]
 	ch.strikes = 3
 	ackedBefore := c.counter("aggtree_hedge_acks")
+	held, _ := v.children.get(child)
 	childPrimary.handleHedgePull(&hedgePullMsg{QID: qid, Vertex: child, Parent: v.key.vertex,
-		Have: v.children[child].Version, ReplyTo: parent.node.Endpoint()})
+		Have: held.Version, ReplyTo: parent.node.Endpoint()})
 	// A tight window: long enough for the single-hop ack, short enough
 	// that no organic refresh traffic re-arms the watch behind the test.
 	c.sched.RunUntil(c.sched.Now() + time.Second)

@@ -9,11 +9,20 @@ import (
 )
 
 // heapPerEndsystemCeiling is about twice what TestHeapPerEndsystem measures
-// (33 KB on go1.24 linux/amd64). The quiet cluster's shape is the steady2k
+// (31 KB on go1.24 linux/amd64). The quiet cluster's shape is the steady2k
 // benchmark's — 50 flows a day, a dozen rows a table — where rounding each
 // table's reservation up to a block held 180 KB per endsystem that no row
 // ever touched: the same test read 208 KB then.
 const heapPerEndsystemCeiling = 70 << 10
+
+// allocPerQueryCeiling sits between what TestAllocPerQuery measures (8.9 KB
+// on go1.24 linux/amd64, 9.0 KB with GOEXPERIMENT=noswissmap; runs differ
+// by half a percent) and what it measured when every dissemination range
+// task carried its own 592-byte predictor, empty or not, and every
+// aggregation vertex kept its children in a map (11.4 and 11.5 KB). At
+// N=256 the tree has fewer empty ranges than at the benchmark's N=1000, so
+// the two are only 27% apart and the ceiling cannot have the usual slack.
+const allocPerQueryCeiling = 10 << 10
 
 // heapTestCluster keeps TestHeapPerEndsystem's cluster reachable after the
 // test returns: go test -memprofile collects before it writes, and that
@@ -56,4 +65,43 @@ func TestHeapPerEndsystem(t *testing.T) {
 		t.Errorf("live heap is %d KB per endsystem, ceiling %d KB", per>>10, heapPerEndsystemCeiling>>10)
 	}
 	heapTestCluster = c
+}
+
+// TestAllocPerQuery is the tier-1 allocation budget: what one query makes
+// the simulator allocate in its first ten virtual minutes — dissemination,
+// execution, the aggregation tree's build-up and first re-assertions — per
+// endsystem. It is runtime.MemStats.TotalAlloc over that span less the
+// same span of the same cluster with no query, so the maintenance traffic
+// both runs share cancels. Allocation in the window, not live heap, is
+// what sets how often the collector runs under a query stream.
+func TestAllocPerQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations count toward TotalAlloc")
+	}
+	const n = 256
+	span := func(withQuery bool) uint64 {
+		c := smallCluster(t, n, 6*time.Hour, 17)
+		c.RunUntil(time.Hour)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var h *QueryHandle
+		if withQuery {
+			q := relq.MustParse("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80")
+			h = c.InjectQuery(findLiveInjector(t, c), q)
+		}
+		c.RunUntil(c.Sched.Now() + 10*time.Minute)
+		runtime.ReadMemStats(&after)
+		if h != nil {
+			if last, ok := h.Latest(); !ok || last.Contributors == 0 {
+				t.Fatal("the query returned nothing")
+			}
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	quiet := span(false)
+	per := (int64(span(true)) - int64(quiet)) / n
+	t.Logf("one query allocates %d bytes per endsystem (the quiet span: %d)", per, int64(quiet)/n)
+	if per > allocPerQueryCeiling {
+		t.Errorf("one query allocates %d bytes per endsystem, ceiling %d", per, allocPerQueryCeiling)
+	}
 }

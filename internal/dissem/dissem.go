@@ -329,6 +329,8 @@ type rangeMsg struct {
 func rangeMsgSize(q *relq.Query) int { return 3*ids.Bytes + 8 + len(q.Raw) + scopeSize(q) }
 
 // rangeResp carries a subrange's aggregated predictor back to the parent.
+// Pred is nil when the subrange had nothing to report: the empty predictor,
+// which the wire size charges in full all the same.
 type rangeResp struct {
 	QueryID ids.ID
 	Lo, Hi  ids.ID
@@ -391,20 +393,30 @@ func (s *subrange) onTimeout() { s.task.eng.subrangeTimeout(s) }
 // task aggregates the predictor of one range at this endsystem. A leaf
 // task (alone in its range) finishes the instant it is created; an
 // interior task finishes when its last subrange is answered or abandoned.
-// Every task ends in Engine.finish, and from then on acc is frozen:
-// responses and the final predictorMsg point at it rather than copy it.
-// The struct fills the allocator's 768-byte class exactly (the predictor
-// is 592 of it); one more word costs every task 128 bytes.
+// Every task ends in Engine.finish, and from then on what acc points at is
+// frozen: responses and the final predictorMsg carry acc itself, not a
+// copy.
+//
+// A task comes in two shapes (newTask). Most are leaves with nothing to
+// report — an empty range handed to the nearest endsystem, an endsystem
+// whose histogram expects no matching row — and are this struct alone, acc
+// nil, which every reader takes for the empty predictor. A task that has or
+// may get something to report is the first field of a taskWithSum, acc
+// pointing at the predictor behind it: one object of 752 bytes (the
+// predictor is 592), which with the 8-byte header the allocator puts before
+// a pointer-holding object over 512 bytes is the last size that fits the
+// 768-byte class. Two more words here and each of those costs 896.
 type task struct {
 	eng      *Engine
 	key      taskKey
 	query    *relq.Query
 	injector simnet.Endpoint
-	// parent asked for the range first; more holds any further requesters
-	// (a reissue from a new parent after the old one died), deduplicated.
+	// parent asked for the range first; more lists any further requesters
+	// (a reissue from a new parent after the old one died) in the order
+	// they asked, deduplicated.
 	parent simnet.Endpoint
-	more   []simnet.Endpoint
-	acc    predictor.Predictor
+	more   *requester
+	acc    *predictor.Predictor
 	// subs are the awaited subranges, by value: Engine.awaited and the
 	// response timers point into the array, which is sized once. Released
 	// when the task finishes.
@@ -420,17 +432,53 @@ type task struct {
 	respCause uint64
 }
 
+// taskWithSum is a task allocated together with the predictor it
+// accumulates into.
+type taskWithSum struct {
+	task
+	sum predictor.Predictor
+}
+
+// newTask allocates the task for key — bare, or with its predictor behind
+// it — and enters it in the table. span is its disseminate event.
+func (e *Engine) newTask(key taskKey, q *relq.Query, parent, injector simnet.Endpoint, span uint64, withSum bool) *task {
+	var t *task
+	if withSum {
+		ts := &taskWithSum{}
+		t = &ts.task
+		t.acc = &ts.sum
+	} else {
+		t = &task{}
+	}
+	t.eng, t.key, t.query, t.parent, t.injector = e, key, q, parent, injector
+	t.span, t.respCause = span, span
+	e.tasks[key] = t
+	return t
+}
+
+// whole reports whether the key's range is the full namespace: the root
+// task, whose parent is the injector.
+func (k taskKey) whole() bool { return k.lo.IsZero() && k.hi == ids.MaxID }
+
+// requester is one further parent of a task. Few tasks ever have one, so
+// the task carries a list head rather than a slice header.
+type requester struct {
+	ep   simnet.Endpoint
+	next *requester
+}
+
 // addParent registers a further requester, deduplicated.
 func (t *task) addParent(ep simnet.Endpoint) {
 	if ep == t.parent {
 		return
 	}
-	for _, p := range t.more {
-		if p == ep {
+	at := &t.more
+	for ; *at != nil; at = &(*at).next {
+		if (*at).ep == ep {
 			return
 		}
 	}
-	t.more = append(t.more, ep)
+	*at = &requester{ep: ep}
 }
 
 // HandleMessage processes a dissemination message; it reports whether the
@@ -491,20 +539,26 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 		}
 		return
 	}
-	t := &task{eng: e, key: key, query: q, parent: parent, injector: injector}
-	t.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindDisseminate, Query: e.o.QueryTag(qid),
+	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindDisseminate, Query: e.o.QueryTag(qid),
 		EP: int(node.Endpoint())})
-	t.respCause = t.span
-	e.tasks[key] = t
-	e.observe(qid, q, injector, t.span)
+	e.observe(qid, q, injector, span)
 
-	if e.aloneInRange(lo, hi) || lo == hi {
+	if lo == hi || e.aloneInRange(lo, hi) {
 		// Leaf: contribute own rows (if in range) and predict on behalf of
-		// every unavailable endsystem in the range.
-		e.contributeLocal(t, lo, hi)
+		// every unavailable endsystem in the range — into a predictor on the
+		// stack, so that a leaf with nothing to report allocates none. The
+		// root task always gets one: the injector is handed a predictor,
+		// never nil.
+		var sum predictor.Predictor
+		e.contributeLocal(&sum, qid, q, span, lo, hi)
+		t := e.newTask(key, q, parent, injector, span, key.whole() || sum != predictor.Predictor{})
+		if t.acc != nil {
+			*t.acc = sum
+		}
 		e.finish(t)
 		return
 	}
+	t := e.newTask(key, q, parent, injector, span, true)
 
 	// Split into arity equal subranges. The one containing self recurses
 	// locally (no message); the rest are routed toward their midpoints.
@@ -551,7 +605,7 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 	if len(subs) == 0 {
 		// Degenerate: nothing to wait for (every subrange was pruned by
 		// the RTT scope; the split itself never comes back empty).
-		e.contributeLocal(t, lo, hi)
+		e.contributeLocal(t.acc, qid, q, span, lo, hi)
 		e.finish(t)
 	}
 }
@@ -579,25 +633,27 @@ func (e *Engine) aloneInRange(lo, hi ids.ID) bool {
 	return true
 }
 
-// contributeLocal adds this node's own predictor (when in range) and the
-// metadata-derived predictors of unavailable endsystems in the range.
-func (e *Engine) contributeLocal(t *task, lo, hi ids.ID) {
+// contributeLocal adds to acc this node's own predictor (when in range)
+// and the metadata-derived predictors of unavailable endsystems in the
+// range. span is the range task's disseminate event. acc must not escape:
+// a leaf passes a predictor on its stack.
+func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Query, span uint64, lo, hi ids.ID) {
 	node := e.host.PastryNode()
 	now := node.Sched().Now()
-	scoped := e.scoped(t.query)
+	scoped := e.scoped(q)
 	if node.ID().InRange(lo, hi) &&
-		(!scoped || e.cfg.Coords.InScope(t.key.qid, node.Endpoint())) {
-		t.acc.AddImmediate(e.host.EstimateOwnRows(t.query))
+		(!scoped || e.cfg.Coords.InScope(qid, node.Endpoint())) {
+		acc.AddImmediate(e.host.EstimateOwnRows(q))
 	}
 	nowSecs := int64(now / time.Second)
 	for _, rec := range e.host.UnavailableInRange(lo, hi) {
 		if rec.Summary == nil || rec.Model == nil {
 			continue
 		}
-		if scoped && !e.cfg.Coords.InScopeID(t.key.qid, rec.Subject) {
+		if scoped && !e.cfg.Coords.InScopeID(qid, rec.Subject) {
 			continue // the unavailable endsystem is outside the RTT scope
 		}
-		rows := rec.Summary.EstimateRows(t.query, nowSecs)
+		rows := rec.Summary.EstimateRows(q, nowSecs)
 		if rows <= 0 {
 			continue
 		}
@@ -606,10 +662,10 @@ func (e *Engine) contributeLocal(t *task, lo, hi ids.ID) {
 		}
 		e.cOnBehalf.Inc()
 		if e.o.Detail() {
-			e.o.EmitSpanDetail(t.span, obs.Event{Kind: obs.KindOnBehalf, Query: e.o.QueryTag(t.key.qid),
+			e.o.EmitSpanDetail(span, obs.Event{Kind: obs.KindOnBehalf, Query: e.o.QueryTag(qid),
 				EP: int(node.Endpoint()), V: rows})
 		}
-		t.acc.AddModel(rec.Model, now, rec.DownSince, rows)
+		acc.AddModel(rec.Model, now, rec.DownSince, rows)
 	}
 }
 
@@ -823,7 +879,9 @@ func (e *Engine) handleResp(m *rangeResp) {
 		// samples.
 		e.observeRTT(e.host.PastryNode().Sched().Now() - s.sentAt)
 	}
-	t.acc.Merge(m.Pred)
+	if m.Pred != nil { // nil: the subrange had nothing to report
+		t.acc.Merge(m.Pred)
+	}
 	// The response that completes the fan-in is the task's critical
 	// child; its span becomes the causal parent of this task's own
 	// response.
@@ -882,8 +940,8 @@ func (e *Engine) sweep(now time.Duration) {
 // read it.
 func (e *Engine) respond(t *task) {
 	e.respondTo(t, t.parent)
-	for _, parent := range t.more {
-		e.respondTo(t, parent)
+	for p := t.more; p != nil; p = p.next {
+		e.respondTo(t, p.ep)
 	}
 }
 
@@ -891,16 +949,16 @@ func (e *Engine) respondTo(t *task, parent simnet.Endpoint) {
 	node := e.host.PastryNode()
 	net := node.Ring().Network()
 	switch {
-	case t.key.lo.IsZero() && t.key.hi == ids.MaxID:
+	case t.key.whole():
 		// Root task: deliver the final predictor to the injector.
 		net.Send(node.Endpoint(), parent, ids.Bytes+predictor.EncodedSize,
-			simnet.ClassQuery, &predictorMsg{QueryID: t.key.qid, Pred: &t.acc, Cause: t.respCause})
+			simnet.ClassQuery, &predictorMsg{QueryID: t.key.qid, Pred: t.acc, Cause: t.respCause})
 	case parent == node.Endpoint():
 		// Self-recursion: deliver locally without a network hop.
-		e.handleResp(&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: &t.acc, Cause: t.respCause})
+		e.handleResp(&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: t.acc, Cause: t.respCause})
 	default:
 		net.Send(node.Endpoint(), parent, rangeRespSize(), simnet.ClassQuery,
-			&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: &t.acc, Cause: t.respCause})
+			&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: t.acc, Cause: t.respCause})
 	}
 }
 

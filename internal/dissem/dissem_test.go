@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/avail"
+	"repro/internal/coords"
 	"repro/internal/ids"
 	"repro/internal/metadata"
 	"repro/internal/pastry"
@@ -69,10 +70,18 @@ func newRing(n int, seed int64) (simnet.Scheduler, *pastry.Ring) {
 
 func newCluster(t *testing.T, n int, seed int64, cfg Config) *cluster {
 	t.Helper()
+	return newClusterWith(t, n, seed, func(*pastry.Ring, []ids.ID) Config { return cfg })
+}
+
+// newClusterWith is newCluster for a configuration that needs the ring or
+// the endsystem ids (endpoint i has ids[i]) before it can be written.
+func newClusterWith(t *testing.T, n int, seed int64, config func(*pastry.Ring, []ids.ID) Config) *cluster {
+	t.Helper()
 	c := &cluster{}
 	c.sched, c.ring = newRing(n, seed)
 	rng := rand.New(rand.NewSource(seed))
 	idList := ids.RandomN(rng, n)
+	cfg := config(c.ring, idList)
 	c.hosts = make([]*testHost, n)
 	eps := make([]simnet.Endpoint, n)
 	for i := 0; i < n; i++ {
@@ -327,16 +336,54 @@ func TestQueryIDDistinctPerInjection(t *testing.T) {
 	}
 }
 
+// TestSingleNodeQuery: on a one-endsystem cluster the root task is a leaf.
+// The injector is handed a predictor either way — also when the leaf has
+// nothing to report, where any other task would answer nil.
 func TestSingleNodeQuery(t *testing.T) {
-	c := newCluster(t, 1, 9, DefaultConfig())
-	c.sched.RunUntil(time.Second)
-	var got *predictor.Predictor
-	c.hosts[0].engine.Inject(testQuery, 0, func(p *predictor.Predictor) { got = p })
-	c.sched.RunUntil(c.sched.Now() + time.Minute)
-	if got == nil {
-		t.Fatal("single-node query produced no predictor")
+	for _, rows := range []float64{1, 0} {
+		c := newCluster(t, 1, 9, DefaultConfig())
+		c.hosts[0].rows = rows
+		c.sched.RunUntil(time.Second)
+		var got *predictor.Predictor
+		calls := 0
+		c.hosts[0].engine.Inject(testQuery, 0, func(p *predictor.Predictor) { got = p; calls++ })
+		c.sched.RunUntil(c.sched.Now() + time.Minute)
+		if calls != 1 || got == nil {
+			t.Fatalf("%v rows: callback ran %d times, predictor %p", rows, calls, got)
+		}
+		if got.ExpectedTotal() != rows || got.Immediate != rows {
+			t.Fatalf("%v rows: total = %v, immediate = %v", rows, got.ExpectedTotal(), got.Immediate)
+		}
 	}
-	if got.ExpectedTotal() != 1 {
-		t.Fatalf("total = %v, want 1", got.ExpectedTotal())
+}
+
+// TestScopedQueryPrunesToInjector runs an RTT-scoped query whose radius
+// admits the injector alone (an untrained coordinate space puts everyone
+// 200 µs from everyone else): every subrange but the one holding the
+// injector is pruned at every level, the other endsystems on the path
+// report nothing, and the predictor that comes back is the injector's rows
+// exactly.
+func TestScopedQueryPrunesToInjector(t *testing.T) {
+	n := 64
+	c := newClusterWith(t, n, 12, func(ring *pastry.Ring, idList []ids.ID) Config {
+		cfg := DefaultConfig()
+		cfg.Coords = coords.NewSpace(ring.Network(), coords.Enabled())
+		cfg.Coords.SetIDs(idList)
+		return cfg
+	})
+	c.sched.RunUntil(time.Minute)
+	q := *testQuery
+	q.RTTScope = time.Nanosecond
+	for _, injector := range []int{0, 17, n - 1} {
+		var got *predictor.Predictor
+		c.hosts[injector].engine.Inject(&q, 0, func(p *predictor.Predictor) { got = p })
+		c.sched.RunUntil(c.sched.Now() + time.Minute)
+		if got == nil {
+			t.Fatalf("injector %d: no predictor", injector)
+		}
+		if want := c.hosts[injector].rows; got.ExpectedTotal() != want || got.Immediate != want {
+			t.Fatalf("injector %d: total = %v, immediate = %v, want its own %v rows",
+				injector, got.ExpectedTotal(), got.Immediate, want)
+		}
 	}
 }
