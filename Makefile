@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench runner-bench cluster-bench cluster-bench-sharded shard-smoke bench-smoke profile sweep-smoke chaos-smoke hedge-smoke hedge-bench coords-smoke coords-bench workload-smoke trace-smoke qserve-bench obs-bench check clean
+.PHONY: all build vet fmt test race bench runner-bench cluster-bench cluster-bench-sharded shard-smoke bench-smoke profile sweep-smoke chaos-smoke coords-smoke coords-bench workload-smoke trace-smoke qserve-bench obs-bench check clean
 
 all: check
 
@@ -81,22 +81,6 @@ chaos-smoke:
 		echo "== chaos $$s =="; \
 		$(GO) run ./cmd/seaweed-sim -chaos $$s -smoke -out chaos-$$s || exit 1; \
 	done
-
-# hedge-smoke is the CI gate for interior-vertex hedging: the paired-seed
-# ablation study (hedged p99 completion must strictly beat `-ablate
-# hedging` under the straggler scenario, at <= 10% extra messages, with
-# identical final rows), plus one straggler chaos run with its invariant
-# checker. Deterministic; reports land in chaos-straggler.json.
-hedge-smoke:
-	$(GO) test -run TestHedgeSmoke -v ./internal/experiments/
-	$(GO) run ./cmd/seaweed-sim -chaos straggler -smoke -out chaos-straggler
-
-# hedge-bench runs the full-scale paired-seed hedging study and writes
-# the "hedged_aggregation" entry of BENCH_cluster.json (aggregation p99
-# under straggler + burst loss, hedged vs ablated). Fails if the hedged
-# tail stops strictly beating the ablation or overhead exceeds 10%.
-hedge-bench:
-	$(GO) test -run '^$$' -bench BenchmarkHedgedAggregation -benchtime=1x .
 
 # coords-smoke is the CI gate for the network-coordinate subsystem: the
 # paired ablation study (coords-biased trees must strictly beat the

@@ -29,7 +29,7 @@
 // mixed, straggler) against an always-on invariant checker and prints the
 // chaos report; the exit status is 1 when any invariant failed. The
 // report is byte-deterministic for a given scenario and seed. With
-// -ablate hedging the run disables tail-tolerant duplicate pulls at
+// -ablate reassert the run disables the upward re-assertion ladder at
 // interior aggregation vertices (the straggler scenario's ablation).
 //
 // -workload serves an open-loop query workload (light, heavy, spike)
@@ -94,7 +94,7 @@ func main() {
 	chaos := flag.String("chaos", "", "chaos scenario to run: partition, burstloss, flap, mixed, straggler")
 	workload := flag.String("workload", "", "query-service workload to serve: light, heavy, spike")
 	qps := flag.Float64("qps", 0, "with -workload: interactive arrival rate in queries/hour (0 = the preset's; other classes scale proportionally)")
-	ablate := flag.String("ablate", "", "with -chaos: disable a hardening mechanism (backoff, repair, hedging); with -workload: serve one ablated variant (admission, priority)")
+	ablate := flag.String("ablate", "", "with -chaos: disable a hardening mechanism (backoff, repair, reassert); with -workload: serve one ablated variant (admission, priority)")
 	full := flag.Bool("full", false, "approach the paper's deployment sizes (much slower)")
 	all := flag.Bool("all", false, "run every simulation figure")
 	sweep := flag.Bool("sweep", false, "run the Figures 5–8 completeness sweep through the parallel engine")
@@ -354,10 +354,10 @@ func main() {
 			cfg.DisableDissemBackoff = true
 		case "repair":
 			cfg.DisableAggRepair = true
-		case "hedging":
-			cfg.DisableHedging = true
+		case "reassert":
+			cfg.DisableReassert = true
 		default:
-			fmt.Fprintf(os.Stderr, "unknown ablation %q (have: backoff, repair, hedging)\n", *ablate)
+			fmt.Fprintf(os.Stderr, "unknown ablation %q (have: backoff, repair, reassert)\n", *ablate)
 			os.Exit(2)
 		}
 		if traceSink != nil {

@@ -31,7 +31,6 @@ package aggtree
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -67,34 +66,14 @@ type Config struct {
 	// aggregate state stranded by crashes is otherwise lost.
 	DisableRepair bool
 
-	// HedgeQuantile enables tail-tolerant hedging at interior vertices:
-	// each vertex tracks a per-child inter-update gap distribution, and
-	// when an awaited child stays silent past this quantile of its own
-	// history the vertex pulls a duplicate answer from one of the child's
-	// advertised backup replicas (version-keyed contributions dedupe
-	// whichever answer lands second). 0 disables hedging entirely — the
-	// default, keeping every non-hedged run byte-identical to before the
-	// feature existed.
-	HedgeQuantile float64
-	// HedgeBudget is the token-bucket refill rate in hedge tokens per
-	// vertex-minute of virtual time (default 4). Time-based rather than
-	// traffic-based: the silence that makes hedging necessary is exactly
-	// when child traffic vanishes. A winning hedge refunds its token and
-	// a current child's ack disarms its watch, so the budget throttles
-	// the unproductive residue only — steady state spends almost nothing.
-	HedgeBudget float64
-	// HedgeBurst caps the accumulated hedge tokens per vertex (default 8).
-	HedgeBurst float64
-	// HedgeMinObs is the cold-start floor: no hedging against a child
-	// heard fewer than this many times (default 1 — under correlated
-	// burst loss most children are heard exactly once before stalling,
-	// and the deadline floor plus the token budget already keep a thin
-	// gap distribution from stampeding replicas).
-	HedgeMinObs int
-	// HedgeSeed seeds the per-vertex replica-choice RNG streams. The
-	// embedding node derives it from its own seed when left 0, keeping
-	// replica picks byte-deterministic at any engine shard count.
-	HedgeSeed int64
+	// Reassert enables the upward re-assertion ladder at interior
+	// vertices: a routed forward that no newer content supersedes is
+	// retransmitted on exponential backoff (10 s doubling over five
+	// rungs), so a forward the network dropped surfaces at the parent in
+	// seconds instead of at the next unconditional refresh pass (see
+	// hedge.go). Off by default: it adds messages, so every run without
+	// it stays byte-identical to before the feature existed.
+	Reassert bool
 
 	// Coords, when non-nil, biases entry-vertex selection by latency:
 	// instead of always entering the tree at the deepest V-chain vertex it
@@ -164,19 +143,9 @@ type vertexState struct {
 	// vertex's aggregate — the causal parent of the next upward forward.
 	cause uint64
 
-	// Hedging state (nil / zero unless Config.HedgeQuantile > 0): the
-	// per-child response-time distributions and watch timers, the vertex's
-	// hedge token bucket, and its replica-choice RNG (see hedge.go).
-	hedge      map[ids.ID]*childHedge
-	tokens     float64
-	lastRefill time.Duration
-	hedgeRNG   *rand.Rand
-	issued     int64 // hedges issued by this vertex (trace annotation)
-	// Upward re-assertion ladder (hedging only): a forward that no newer
-	// update supersedes is retransmitted on exponential backoff, so a
-	// subtree whose every forward died in one burst — invisible to the
-	// parent, hence unhedgeable from above — still surfaces long before
-	// the unconditional refresh pass (see hedge.go).
+	// Upward re-assertion ladder (nil / zero unless Config.Reassert): the
+	// timer of the next rung and how many rungs the current content has
+	// used (see hedge.go).
 	reassert  *simnet.Timer
 	reassertN int
 }
@@ -250,16 +219,9 @@ type Engine struct {
 	cTakeovers *obs.Counter   // aggtree_takeovers
 	cRefresh   *obs.Counter   // aggtree_refresh_repairs
 	cResubmit  *obs.Counter   // aggtree_resubmits
+	cReasserts *obs.Counter   // aggtree_hedge_reasserts: ladder rungs fired
 	hDepth     *obs.Histogram // aggtree_entry_depth
 	hFanin     *obs.Histogram // aggtree_fanin_delay_ns: routed submit latency
-
-	// Hedging counters (see hedge.go).
-	cHedgeIssued     *obs.Counter // aggtree_hedges_issued
-	cHedgeWon        *obs.Counter // aggtree_hedges_won
-	cHedgeWasted     *obs.Counter // aggtree_hedges_wasted
-	cHedgeSuppressed *obs.Counter // aggtree_hedges_suppressed
-	cHedgeAcked      *obs.Counter // aggtree_hedge_acks
-	cHedgeReasserts  *obs.Counter // aggtree_hedge_reasserts
 
 	// backups is backupSet's reused scratch buffer (engines are
 	// single-threaded on their shard).
@@ -270,17 +232,6 @@ type Engine struct {
 func NewEngine(host Host, cfg Config) *Engine {
 	if cfg.B == 0 {
 		cfg.B = 4
-	}
-	if cfg.HedgeQuantile > 0 {
-		if cfg.HedgeBudget <= 0 {
-			cfg.HedgeBudget = 4
-		}
-		if cfg.HedgeBurst <= 0 {
-			cfg.HedgeBurst = 8
-		}
-		if cfg.HedgeMinObs <= 0 {
-			cfg.HedgeMinObs = 1
-		}
 	}
 	o := host.PastryNode().Ring().Obs()
 	return &Engine{
@@ -299,15 +250,9 @@ func NewEngine(host Host, cfg Config) *Engine {
 		cTakeovers: o.Counter("aggtree_takeovers"),
 		cRefresh:   o.Counter("aggtree_refresh_repairs"),
 		cResubmit:  o.Counter("aggtree_resubmits"),
+		cReasserts: o.Counter("aggtree_hedge_reasserts"),
 		hDepth:     o.Histogram("aggtree_entry_depth"),
 		hFanin:     o.DurationHistogram("aggtree_fanin_delay_ns"),
-
-		cHedgeIssued:     o.Counter("aggtree_hedges_issued"),
-		cHedgeWon:        o.Counter("aggtree_hedges_won"),
-		cHedgeWasted:     o.Counter("aggtree_hedges_wasted"),
-		cHedgeSuppressed: o.Counter("aggtree_hedges_suppressed"),
-		cHedgeAcked:      o.Counter("aggtree_hedge_acks"),
-		cHedgeReasserts:  o.Counter("aggtree_hedge_reasserts"),
 	}
 }
 
@@ -352,29 +297,6 @@ func (e *Engine) Cause(qid ids.ID) uint64 {
 		return info.cause
 	}
 	return 0
-}
-
-// Cancel marks a query canceled at this endsystem: its tree state is
-// dropped and it is no longer advertised or refreshed.
-func (e *Engine) Cancel(qid ids.ID) {
-	if info, ok := e.queries[qid]; ok {
-		info.canceled = true
-	}
-	if st, ok := e.resubmit[qid]; ok {
-		if st.timer != nil {
-			st.timer.Cancel()
-		}
-		delete(e.resubmit, qid)
-	}
-	for key, v := range e.vertices {
-		if key.qid == qid {
-			if v.refresh != nil {
-				v.refresh.Cancel()
-			}
-			e.clearHedge(v)
-			delete(e.vertices, key)
-		}
-	}
 }
 
 // CancelPropagate cancels a query at this endsystem — the injector-side
@@ -525,16 +447,6 @@ type submitMsg struct {
 	// Cause is the span of the sender-side event behind this contribution
 	// (trace metadata; excluded from wire sizes like dissem's).
 	Cause uint64
-	// Backups advertises the sending child vertex's replica endpoints so
-	// the parent can hedge a duplicate pull against one of them when the
-	// child goes quiet. Only populated while hedging is enabled: size (and
-	// so timing) of every message is unchanged when it is off.
-	Backups []simnet.Endpoint
-	// Hedged marks an answer to a hedgePullMsg (served from replicated or
-	// durable leaf state) rather than a child's own forward, so the
-	// receiving vertex can attribute the dedup outcome (won vs wasted)
-	// without affecting how the contribution itself is applied.
-	Hedged bool
 	// SentAt is the virtual send time of a routed submission (zero for
 	// locally applied ones). Like Cause it is in-struct metadata excluded
 	// from wire sizes; the receiving vertex turns it into the
@@ -543,9 +455,7 @@ type submitMsg struct {
 	SentAt time.Duration
 }
 
-func submitMsgSize(backups int) int {
-	return 3*ids.Bytes + 8 + agg.EncodedPartialSize + 8 + 4*backups
-}
+func submitMsgSize() int { return 3*ids.Bytes + 8 + agg.EncodedPartialSize + 8 }
 
 // replMsg replicates a vertex's state to its backups: the whole child
 // table in Children (takeovers, membership changes), or — Children nil —
@@ -705,7 +615,7 @@ func (e *Engine) sendSubmission(qid ids.ID, c contribution, cause uint64) {
 		return
 	}
 	msg.SentAt = node.Sched().Now()
-	node.Route(v, msg, submitMsgSize(0), simnet.ClassQuery)
+	node.Route(v, msg, submitMsgSize(), simnet.ClassQuery)
 }
 
 // nearestEntryVertex walks the V-chain from the id-only entry vertex up
@@ -755,10 +665,6 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 		e.host.ResultDelivered(m.QID, m.Part, m.Contributors, span)
 	case *cancelMsg:
 		e.applyCancel(m)
-	case *hedgePullMsg:
-		e.handleHedgePull(m)
-	case *hedgeAckMsg:
-		e.applyHedgeAck(m)
 	default:
 		return false
 	}
@@ -787,20 +693,10 @@ func (e *Engine) applySubmit(m *submitMsg) {
 		e.armRefresh(v)
 	}
 	v.primary = true
-	// Any message from the child — duplicate or not — is liveness
-	// evidence: feed the gap distribution, refill the hedge budget and
-	// restart the watch before dedup decides the contribution's fate.
-	e.observeChild(v, m)
 	cur, exists := v.children.get(m.Child)
 	if exists && cur.Version >= m.C.Version {
-		// Stale or duplicate: counted at most once. A hedged answer losing
-		// the race against the child's own (earlier) forward is the wasted
-		// duplicate the budget paid for.
-		if m.Hedged {
-			e.cHedgeWasted.Inc()
-		} else {
-			e.cDups.Inc()
-		}
+		// Stale or duplicate: counted at most once.
+		e.cDups.Inc()
 		return
 	}
 	v.children.put(m.Child, m.C)
@@ -808,9 +704,6 @@ func (e *Engine) applySubmit(m *submitMsg) {
 	// A version advance with identical content is a refresh re-assertion:
 	// record it but do not cascade it any further up the tree.
 	if exists && cur.Part == m.C.Part && cur.Contributors == m.C.Contributors {
-		if m.Hedged {
-			e.cHedgeWasted.Inc()
-		}
 		return
 	}
 	v.dirty = true
@@ -819,22 +712,6 @@ func (e *Engine) applySubmit(m *submitMsg) {
 	v.reassertN = 0
 	if m.Cause != 0 {
 		v.cause = m.Cause
-	}
-	if m.Hedged {
-		// The replica's answer advanced the aggregate before the child's
-		// own forward did (which was lost, or is still in flight and will
-		// dedup on arrival): the hedge won. Chain the upward forward onto
-		// the win so delay decomposition attributes the recovered time.
-		e.cHedgeWon.Inc()
-		// A winning hedge replaced a message the network lost — it added no
-		// load the lost forward would not have — so refund its token and
-		// let the budget throttle wasted pulls only.
-		v.tokens = min(v.tokens+1, e.cfg.HedgeBurst)
-		if won := e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindHedgeWon,
-			Query: e.o.QueryTag(m.QID), EP: int(e.host.PastryNode().Endpoint()),
-			N: int64(m.C.Version)}); won != 0 {
-			v.cause = won
-		}
 	}
 	e.replicateDelta(v, m.Child)
 	e.forwardUp(v)
@@ -884,11 +761,9 @@ func (e *Engine) applyRepl(m *replMsg) {
 			e.cTakeovers.Inc()
 			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: e.o.QueryTag(m.QID),
 				EP: int(e.host.PastryNode().Endpoint())})
-			// A takeover starts with a clean hedge slate: the response-time
-			// distributions the old primary accumulated (and whatever this
-			// node saw in an earlier primary stint) describe children whose
-			// replica groups may have changed across the churn that moved
-			// the role here. Stale quantiles would misfire hedges.
+			// A takeover starts the ladder from its first rung: whatever
+			// this node armed in an earlier primary stint protected a
+			// forward of that stint.
 			e.clearHedge(v)
 		}
 		v.primary = true
@@ -898,8 +773,7 @@ func (e *Engine) applyRepl(m *replMsg) {
 			e.forwardUp(v)
 		}
 	} else {
-		// Not this node's vertex (anymore): only primaries hedge, so
-		// release the watch timers and distributions.
+		// Not this node's vertex (anymore): only primaries re-assert.
 		e.clearHedge(v)
 		v.primary = false
 	}
@@ -973,23 +847,14 @@ func (e *Engine) forwardUp(v *vertexState) {
 	msg := &submitMsg{QID: v.key.qid, Vertex: parent, Child: v.key.vertex,
 		C:        contribution{Version: v.upVersion, Part: part, Contributors: contributors},
 		Injector: info.injector, Query: info.query, Cause: v.cause}
-	if e.hedging() {
-		// Advertise this vertex's replica set so the parent can hedge a
-		// duplicate pull against a backup if we go quiet.
-		for _, b := range e.backupSet(v.key.vertex) {
-			msg.Backups = append(msg.Backups, b.EP)
-		}
-	}
 	if node.IsRootOf(parent) {
 		// Local delivery cannot be lost; the ladder applies to the wire.
 		e.applySubmit(msg)
 		return
 	}
 	msg.SentAt = node.Sched().Now()
-	node.Route(parent, msg, submitMsgSize(len(msg.Backups)), simnet.ClassQuery)
-	if e.hedging() {
-		e.armReassert(v)
-	}
+	node.Route(parent, msg, submitMsgSize(), simnet.ClassQuery)
+	e.armReassert(v)
 }
 
 // backupSet picks the m leafset members closest to the vertexId. The
@@ -1049,13 +914,6 @@ func (e *Engine) armRefresh(v *vertexState) {
 			if v.dirty {
 				e.cRefresh.Inc()
 			}
-			if e.hedging() && tick%3 == 0 {
-				// Hedge pulls read the backups, so the unconditional pass
-				// also re-asserts state to them: a replica whose delta died
-				// in the same burst as the forward it described would
-				// otherwise stay stale until the next membership change.
-				e.replicateState(v)
-			}
 			e.forwardUp(v)
 		}
 	})
@@ -1077,9 +935,7 @@ func (e *Engine) HandleLeafsetChanged() {
 		switch {
 		case !v.primary && isRoot:
 			// Take over: the previous primary died or the namespace
-			// shifted toward us. Hedge state from any earlier primary
-			// stint is stale (children may have new replica groups after
-			// the churn) — start the distributions fresh.
+			// shifted toward us. The ladder starts from its first rung.
 			e.clearHedge(v)
 			v.primary = true
 			e.cTakeovers.Inc()
@@ -1176,22 +1032,8 @@ func (e *Engine) OrphanVertices() int {
 	return n
 }
 
-// DebugString summarizes this engine's vertex states for one query (test
-// instrumentation).
-func (e *Engine) DebugString(qid ids.ID) string {
-	out := ""
-	for key, v := range e.vertices {
-		if key.qid != qid {
-			continue
-		}
-		part, contribs := v.aggregate()
-		out += fmt.Sprintf("[v=%s children=%d contribs=%d rows=%d primary=%v dirty=%v] ",
-			key.vertex.Short(), len(v.children), contribs, part.Count, v.primary, v.dirty)
-	}
-	return out
-}
-
-// DebugFull is DebugString with full vertex ids (test instrumentation).
+// DebugFull summarizes this engine's vertex states for one query, with
+// full vertex ids (test instrumentation).
 func (e *Engine) DebugFull(qid ids.ID) string {
 	out := ""
 	for key, v := range e.vertices {

@@ -63,6 +63,9 @@ type testHost struct {
 	node    *pastry.Node
 	engine  *Engine
 	results []resultEvent
+	// drop, when set, sees every payload routed to this host and loses the
+	// ones it reports true for (a drop on the last hop).
+	drop func(payload any) bool
 }
 
 type resultEvent struct {
@@ -77,6 +80,9 @@ func (h *testHost) ResultDelivered(qid ids.ID, part agg.Partial, contributors in
 }
 
 func (h *testHost) Deliver(key ids.ID, from simnet.Endpoint, payload any) {
+	if h.drop != nil && h.drop(payload) {
+		return
+	}
 	h.engine.HandleMessage(from, payload)
 }
 

@@ -10,8 +10,8 @@ import (
 	"repro/internal/ids"
 )
 
-// del removes id's entry. The protocol never forgets a child; tests do, to
-// stage a contribution that was lost on the way.
+// del removes id's entry. The protocol never forgets a child; the oracle
+// test does, so that put also meets ids it has held before.
 func (t *childTable) del(id ids.ID) {
 	if i, ok := t.find(id); ok {
 		*t = slices.Delete(*t, i, i+1)

@@ -12,18 +12,23 @@ import (
 	"repro/internal/simnet"
 )
 
-// hedgedConfig is the test hedging configuration: tight refresh so runs
-// stay short, hedging at p95 with a fixed seed.
+// hedgedConfig is the test configuration with the re-assertion ladder on:
+// tight refresh so runs stay short.
 func hedgedConfig() Config {
+	cfg := plainConfig()
+	cfg.Reassert = true
+	return cfg
+}
+
+// plainConfig is hedgedConfig without the ladder.
+func plainConfig() Config {
 	cfg := DefaultConfig()
 	cfg.RefreshPeriod = 2 * time.Minute
-	cfg.HedgeQuantile = 0.95
-	cfg.HedgeSeed = 99
 	return cfg
 }
 
 // newLossyCluster is newCluster with independent Bernoulli message loss:
-// the environment hedging exists for.
+// the environment the ladder exists for.
 func newLossyCluster(t *testing.T, n int, seed int64, cfg Config, loss float64) *cluster {
 	t.Helper()
 	c := &cluster{sched: simnet.NewScheduler()}
@@ -32,8 +37,8 @@ func newLossyCluster(t *testing.T, n int, seed int64, cfg Config, loss float64) 
 	ncfg.Seed = seed
 	ncfg.LossRate = loss
 	net := simnet.NewNetwork(c.sched, topo, n, ncfg)
-	// The base harness runs without observability; the hedging tests
-	// assert on the hedge counters, so attach a real metrics layer.
+	// The base harness runs without observability; these tests assert on
+	// the re-assertion counter, so attach a real metrics layer.
 	net.SetObs(obs.New())
 	pcfg := pastry.DefaultConfig()
 	pcfg.Seed = seed
@@ -63,12 +68,12 @@ func submitAll(c *cluster, qid ids.ID) {
 	}
 }
 
-// hedgeCounter reads one of the shared hedging counters.
+// counter reads one of the cluster's shared counters.
 func (c *cluster) counter(name string) uint64 {
 	return c.ring.Obs().Counter(name).Value()
 }
 
-// totalHedgeTimers sums armed hedge watch + re-assertion timers.
+// totalHedgeTimers sums armed re-assertion timers.
 func (c *cluster) totalHedgeTimers() int {
 	n := 0
 	for _, h := range c.hosts {
@@ -77,43 +82,11 @@ func (c *cluster) totalHedgeTimers() int {
 	return n
 }
 
-// findHedgedVertex locates a vertex primary that is actively hedging an
-// interior child (one that advertised backups), along with a live replica
-// engine for that child vertex.
-func findHedgedVertex(c *cluster, qid ids.ID) (parent *testHost, v *vertexState, child ids.ID, childPrimary, childReplica *Engine) {
-	for _, h := range c.hosts {
-		for key, vs := range h.engine.vertices {
-			if key.qid != qid || !vs.primary {
-				continue
-			}
-			for cid, ch := range vs.hedge {
-				if len(ch.backups) == 0 {
-					continue
-				}
-				var prim, repl *Engine
-				for _, h2 := range c.hosts {
-					if cv, ok := h2.engine.vertices[vertexKey{qid: qid, vertex: cid}]; ok && len(cv.children) > 0 {
-						if cv.primary {
-							prim = h2.engine
-						} else if repl == nil {
-							repl = h2.engine
-						}
-					}
-				}
-				if prim != nil && repl != nil {
-					return h, vs, cid, prim, repl
-				}
-			}
-		}
-	}
-	return nil, nil, ids.ID{}, nil, nil
-}
-
-// TestHedgingExactlyOnceUnderLoss is the headline hedging property: under
-// sustained independent message loss the hedged tree still converges to
-// the exact aggregate — duplicate pulls, duplicate answers, re-assertion
-// retransmissions and leaf resubmits all dedupe through the versioned
-// child tables — and the hedging machinery demonstrably engaged.
+// TestHedgingExactlyOnceUnderLoss is the headline property: under
+// sustained independent message loss the tree with the ladder on still
+// converges to the exact aggregate — re-assertion retransmissions and leaf
+// resubmits all dedupe through the versioned child tables — and the ladder
+// demonstrably engaged.
 func TestHedgingExactlyOnceUnderLoss(t *testing.T) {
 	n := 64
 	c := newLossyCluster(t, n, 11, hedgedConfig(), 0.15)
@@ -130,18 +103,15 @@ func TestHedgingExactlyOnceUnderLoss(t *testing.T) {
 	if got.contributors != int64(n) {
 		t.Fatalf("contributors = %d, want %d", got.contributors, n)
 	}
-	if c.counter("aggtree_hedges_issued") == 0 {
-		t.Fatal("no hedges issued under 15% loss: the policy never engaged")
-	}
-	if c.counter("aggtree_hedges_won")+c.counter("aggtree_hedges_wasted") == 0 {
-		t.Fatal("no hedge answers arrived: pulls were never answered")
+	if c.counter("aggtree_hedge_reasserts") == 0 {
+		t.Fatal("no re-assertion fired under 15% loss: the ladder never engaged")
 	}
 }
 
-// TestHedgedMatchesUnhedgedResult: hedging must be invisible in the final
-// aggregate — the same cluster and submissions converge to identical
-// results with hedging on and off (the duplicate answers are equivalent
-// versioned state, deduped on arrival).
+// TestHedgedMatchesUnhedgedResult: the ladder must be invisible in the
+// final aggregate — the same cluster and submissions converge to identical
+// results with it on and off (a retransmission is the same aggregate at a
+// newer version, recorded as a refresh on arrival).
 func TestHedgedMatchesUnhedgedResult(t *testing.T) {
 	run := func(cfg Config) resultEvent {
 		n := 64
@@ -152,114 +122,16 @@ func TestHedgedMatchesUnhedgedResult(t *testing.T) {
 		c.sched.RunUntil(c.sched.Now() + 30*time.Minute)
 		return latestResult(t, c.hosts[0])
 	}
-	plain := DefaultConfig()
-	plain.RefreshPeriod = 2 * time.Minute
-	a, b := run(hedgedConfig()), run(plain)
+	a, b := run(hedgedConfig()), run(plainConfig())
 	if a.part.Final(agg.Sum) != b.part.Final(agg.Sum) || a.contributors != b.contributors {
 		t.Fatalf("hedged result (sum %v, %d contributors) != unhedged (sum %v, %d contributors)",
 			a.part.Final(agg.Sum), a.contributors, b.part.Final(agg.Sum), b.contributors)
 	}
 }
 
-// TestHedgeReplicaAnswerAndLateRace exercises the pull path end to end on
-// a converged lossless tree: a parent that loses a child contribution
-// recovers it from one of the child's replicas (the replica answers from
-// stale-but-versioned state), and when the child's own "late" original
-// forward subsequently arrives it dedupes against the hedged answer
-// instead of double counting.
-func TestHedgeReplicaAnswerAndLateRace(t *testing.T) {
-	n := 64
-	c := newLossyCluster(t, n, 13, hedgedConfig(), 0)
-	c.sched.RunUntil(time.Second)
-	qid := ids.HashString("q-hedge-race")
-	submitAll(c, qid)
-	c.sched.RunUntil(c.sched.Now() + 2*time.Minute)
-
-	want := latestResult(t, c.hosts[0])
-	parent, v, child, _, replica := findHedgedVertex(c, qid)
-	if parent == nil {
-		t.Fatal("no hedged interior vertex with a live child replica found")
-	}
-	orig, ok := v.children.get(child)
-	if !ok {
-		t.Fatal("parent holds no contribution for the hedged child")
-	}
-	// Simulate a lost forward: the parent never received the child's
-	// contribution (so its Have is zero), and pulls a replica directly.
-	v.children.del(child)
-	wonBefore := c.counter("aggtree_hedges_won")
-	replica.handleHedgePull(&hedgePullMsg{QID: qid, Vertex: child, Parent: v.key.vertex,
-		Have: 0, ReplyTo: parent.node.Endpoint()})
-	c.sched.RunUntil(c.sched.Now() + time.Minute)
-
-	if c.counter("aggtree_hedges_won") != wonBefore+1 {
-		t.Fatalf("replica answer did not register as a hedge win")
-	}
-	rec, ok := v.children.get(child)
-	if !ok {
-		t.Fatal("replica answer did not restore the child contribution")
-	}
-	if rec.Part.Final(agg.Sum) != orig.Part.Final(agg.Sum) || rec.Contributors != orig.Contributors {
-		t.Fatalf("restored contribution (sum %v, %d contributors) != original (sum %v, %d)",
-			rec.Part.Final(agg.Sum), rec.Contributors, orig.Part.Final(agg.Sum), orig.Contributors)
-	}
-
-	// The child's original forward arrives late, racing the hedged answer
-	// it lost to: the versioned table must drop it.
-	dupsBefore := c.counter("aggtree_dup_contributions")
-	parent.engine.applySubmit(&submitMsg{QID: qid, Vertex: v.key.vertex, Child: child,
-		C: orig, Injector: c.hosts[0].node.Endpoint(), Query: testQuery})
-	c.sched.RunUntil(c.sched.Now() + time.Minute)
-	if c.counter("aggtree_dup_contributions") != dupsBefore+1 {
-		t.Fatal("late original forward was not deduped against the hedged answer")
-	}
-	got := latestResult(t, c.hosts[0])
-	if got.part.Final(agg.Sum) != want.part.Final(agg.Sum) || got.contributors != want.contributors {
-		t.Fatalf("result changed after hedge race: (sum %v, %d contributors), want (sum %v, %d)",
-			got.part.Final(agg.Sum), got.contributors, want.part.Final(agg.Sum), want.contributors)
-	}
-}
-
-// TestHedgeAckStandsDownWatch: a hedge pull reaching a child primary that
-// has nothing newer than the requester holds is answered with an ack, and
-// the ack disarms the requester's watch (the child is done, not stuck).
-func TestHedgeAckStandsDownWatch(t *testing.T) {
-	n := 64
-	c := newLossyCluster(t, n, 14, hedgedConfig(), 0)
-	c.sched.RunUntil(time.Second)
-	qid := ids.HashString("q-hedge-ack")
-	submitAll(c, qid)
-	c.sched.RunUntil(c.sched.Now() + 2*time.Minute)
-
-	parent, v, child, childPrimary, _ := findHedgedVertex(c, qid)
-	if parent == nil {
-		t.Fatal("no hedged interior vertex with a live child replica found")
-	}
-	ch := v.hedge[child]
-	ch.strikes = 3
-	ackedBefore := c.counter("aggtree_hedge_acks")
-	held, _ := v.children.get(child)
-	childPrimary.handleHedgePull(&hedgePullMsg{QID: qid, Vertex: child, Parent: v.key.vertex,
-		Have: held.Version, ReplyTo: parent.node.Endpoint()})
-	// A tight window: long enough for the single-hop ack, short enough
-	// that no organic refresh traffic re-arms the watch behind the test.
-	c.sched.RunUntil(c.sched.Now() + time.Second)
-
-	if c.counter("aggtree_hedge_acks") != ackedBefore+1 {
-		t.Fatal("current child primary did not ack the hedge pull")
-	}
-	if ch.watch != nil {
-		t.Fatal("ack did not disarm the hedge watch")
-	}
-	if ch.strikes != 0 {
-		t.Fatalf("ack did not reset the strike backoff (strikes=%d)", ch.strikes)
-	}
-}
-
 // TestHedgeTimerCleanupOnCancel extends the vertex-reclaim invariant to
-// the hedging machinery: cancel propagation must cancel every armed hedge
-// watch, re-assertion and leaf-resubmit timer along with the vertices
-// (cancel-on-first-response is about timers as much as messages).
+// the ladder: cancel propagation must cancel every armed re-assertion and
+// leaf-resubmit timer along with the vertices.
 func TestHedgeTimerCleanupOnCancel(t *testing.T) {
 	// Lossless: cancel propagation is best-effort, and a lost cancel
 	// legitimately leaves state for TTL reclaim — the timer-cleanup
@@ -271,7 +143,7 @@ func TestHedgeTimerCleanupOnCancel(t *testing.T) {
 	submitAll(c, qid)
 	c.sched.RunUntil(c.sched.Now() + 90*time.Second)
 	if c.totalHedgeTimers() == 0 {
-		t.Fatal("no hedge timers armed mid-run under loss; the cleanup assertion would be vacuous")
+		t.Fatal("no re-assertion timers armed mid-run; the cleanup assertion would be vacuous")
 	}
 
 	c.hosts[0].engine.CancelPropagate(qid)
@@ -290,9 +162,8 @@ func TestHedgeTimerCleanupOnCancel(t *testing.T) {
 }
 
 // TestResetClearsHedgeState: a restart (GoDown/GoUp drives Engine.Reset)
-// must drop the per-child response distributions and cancel every hedge
-// timer — the stale-distribution leak this PR fixes. The surviving
-// cluster must still converge exactly after losing vertex primaries.
+// must cancel every re-assertion timer. The surviving cluster must still
+// converge exactly after losing vertex primaries.
 func TestResetClearsHedgeState(t *testing.T) {
 	n := 64
 	c := newLossyCluster(t, n, 16, hedgedConfig(), 0.10)
@@ -316,14 +187,9 @@ func TestResetClearsHedgeState(t *testing.T) {
 	if got := victim.engine.HedgeTimers(); got != 0 {
 		t.Fatalf("reset leaked %d hedge timers", got)
 	}
-	for _, v := range victim.engine.vertices {
-		if v.hedge != nil {
-			t.Fatal("reset kept per-child hedge state")
-		}
-	}
 
-	// Takeover replaces the dead primary; hedging on the survivors must
-	// not double count across the handover.
+	// Takeover replaces the dead primary; re-assertions on the survivors
+	// must not double count across the handover.
 	c.sched.RunUntil(c.sched.Now() + 20*time.Minute)
 	got := latestResult(t, c.hosts[0])
 	want := float64(n * (n + 1) / 2)
@@ -332,5 +198,79 @@ func TestResetClearsHedgeState(t *testing.T) {
 	}
 	if got.contributors != int64(n) {
 		t.Fatalf("contributors after primary loss = %d, want %d", got.contributors, n)
+	}
+}
+
+// TestReassertRecoversDroppedForward is the ladder's own tooth. On a
+// converged lossless tree one leaf submits an update, and the first routed
+// forward that carries it between two interior vertices is dropped. That
+// forward is the only copy on its way up: the leaf's resubmits dedupe at
+// its entry vertex, and the sending vertex cleared dirty when it sent. With
+// Reassert the update is through by the first rung (10 s plus the routes
+// to the injector); without it nothing moves until the sender's
+// unconditional refresh pass, every third tick.
+func TestReassertRecoversDroppedForward(t *testing.T) {
+	const n = 64
+	want := float64(n*(n+1)/2 + 1000)
+	// run returns whether the injector has the leaf's update one second
+	// after the first rung, a plain refresh tick later, and after the
+	// safety pass.
+	run := func(cfg Config) (byRung, byTick, byPass bool) {
+		c := newLossyCluster(t, n, 17, cfg, 0)
+		c.sched.RunUntil(time.Second)
+		qid := ids.HashString("q-reassert-drop")
+		submitAll(c, qid)
+		c.sched.RunUntil(30 * time.Second)
+
+		primaryOf := func(vertex ids.ID) *testHost {
+			root, _ := c.ring.Root(vertex)
+			return c.hosts[root.EP]
+		}
+		// Walk up from the last host's entry vertex to the first tree edge
+		// whose two ends live on different endsystems.
+		leaf := c.hosts[n-1]
+		child, _ := leaf.engine.EntryVertex(qid)
+		parent := V(qid, child, cfg.B)
+		for primaryOf(child) == primaryOf(parent) {
+			if parent == qid {
+				t.Fatal("no routed interior edge above the leaf")
+			}
+			child, parent = parent, V(qid, parent, cfg.B)
+		}
+		dropped := 0
+		primaryOf(parent).drop = func(payload any) bool {
+			m, ok := payload.(*submitMsg)
+			if !ok || m.Child != child || dropped > 0 {
+				return false
+			}
+			dropped++
+			return true
+		}
+
+		var p agg.Partial
+		p.Observe(float64(n + 1000))
+		t0 := c.sched.Now()
+		leaf.engine.Submit(qid, p, testQuery, c.hosts[0].node.Endpoint(), 0)
+		has := func() bool { return latestResult(t, c.hosts[0]).part.Final(agg.Sum) == want }
+		c.sched.RunUntil(t0 + reassertBase + time.Second)
+		byRung = has()
+		c.sched.RunUntil(t0 + cfg.RefreshPeriod)
+		byTick = has()
+		c.sched.RunUntil(t0 + 3*cfg.RefreshPeriod)
+		byPass = has()
+		if dropped != 1 {
+			t.Fatalf("dropped %d forwards, want exactly 1", dropped)
+		}
+		return
+	}
+	if byRung, _, _ := run(hedgedConfig()); !byRung {
+		t.Fatal("with Reassert the update had not reached the injector one second after the first rung")
+	}
+	byRung, byTick, byPass := run(plainConfig())
+	if byRung || byTick {
+		t.Fatalf("without Reassert the dropped forward was recovered before the safety pass (by rung %v, by tick %v)", byRung, byTick)
+	}
+	if !byPass {
+		t.Fatal("without Reassert the refresh safety pass did not recover the dropped forward")
 	}
 }

@@ -31,9 +31,9 @@ type ChaosConfig struct {
 	// checker is expected to catch the absence of.
 	DisableDissemBackoff bool
 	DisableAggRepair     bool
-	// DisableHedging turns off tail-tolerant duplicate pulls at interior
+	// DisableReassert turns off the upward re-assertion ladder at interior
 	// aggregation vertices (the straggler scenario's ablation tooth).
-	DisableHedging bool
+	DisableReassert bool
 
 	// TraceSink, when set, additionally receives every trace event (the
 	// invariant checker always sees them).
@@ -121,12 +121,10 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 	ccfg.Node.Agg.RefreshPeriod = 2 * time.Minute
 	ccfg.Node.Agg.QueryTTL = queryTTL
 	ccfg.Node.Agg.DisableRepair = cfg.DisableAggRepair
-	if !cfg.DisableHedging {
-		// Hedging is on for every chaos scenario (not just straggler): the
-		// duplication and loss windows of the other scenarios exercise the
-		// exactly-once invariant under hedge-induced duplication too.
-		ccfg.Node.Agg.HedgeQuantile = 0.95
-	}
+	// The ladder is on for every chaos scenario (not just straggler): the
+	// duplication and loss windows of the other scenarios exercise the
+	// exactly-once invariant under retransmitted forwards too.
+	ccfg.Node.Agg.Reassert = !cfg.DisableReassert
 	ccfg.Node.Dissem.MaxRetries = 6
 	ccfg.Node.Dissem.DisableBackoff = cfg.DisableDissemBackoff
 
@@ -217,12 +215,9 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 	report.Queries = append(report.Queries, verdict)
 
 	report.Hedges = &fault.HedgeStats{
-		Enabled:    !cfg.DisableHedging,
-		Issued:     int64(o.Counter("aggtree_hedges_issued").Value()),
-		Won:        int64(o.Counter("aggtree_hedges_won").Value()),
-		Wasted:     int64(o.Counter("aggtree_hedges_wasted").Value()),
-		Suppressed: int64(o.Counter("aggtree_hedges_suppressed").Value()),
-		NetSends:   int64(o.Counter("net_sends").Value()),
+		Enabled:   !cfg.DisableReassert,
+		Reasserts: int64(o.Counter("aggtree_hedge_reasserts").Value()),
+		NetSends:  int64(o.Counter("net_sends").Value()),
 	}
 
 	checker.Check(fault.InvariantCompleteness, finalRows == truth,

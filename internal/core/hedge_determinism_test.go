@@ -12,17 +12,17 @@ import (
 )
 
 // hedgeRun executes a full packet-level cluster with churn and one
-// injected query, with interior-vertex hedging at the given quantile
-// (0 = disabled), and returns the observable outputs: the metrics
-// registry JSON, executed-event count, the query's full result log, and
-// separately the final result tuple for cross-mode comparison.
-func hedgeRun(t *testing.T, shards int, quantile float64) (output, final string) {
+// injected query, with the aggregation tree's re-assertion ladder on or
+// off, and returns the observable outputs: the metrics registry JSON,
+// executed-event count, the query's full result log, separately the final
+// result tuple for cross-mode comparison, and how many rungs fired.
+func hedgeRun(t *testing.T, shards int, reassert bool) (output, final string, reasserts uint64) {
 	t.Helper()
 	tr := avail.GenerateFarsite(avail.DefaultFarsiteConfig(100, 36*time.Hour, 3))
 	cfg := DefaultClusterConfig(tr, 3)
 	cfg.Workload.MeanFlowsPerDay = 50
 	cfg.Shards = shards
-	cfg.Node.Agg.HedgeQuantile = quantile
+	cfg.Node.Agg.Reassert = reassert
 	o := obs.New()
 	cfg.Obs = o
 	c := NewCluster(cfg)
@@ -47,33 +47,36 @@ func hedgeRun(t *testing.T, shards int, quantile float64) (output, final string)
 		final = fmt.Sprintf("count=%d sum=%v contributors=%d",
 			u.Partial.Count, u.Partial.Sum, u.Contributors)
 	}
-	return out.String(), final
+	return out.String(), final, o.Counter("aggtree_hedge_reasserts").Value()
 }
 
-// TestHedgedShardedByteDeterminism: hedging must preserve the engine's
-// byte-determinism guarantee — watch timers ride shard-local scheduler
-// wheels and replica picks come from per-vertex seeded streams, so a
-// hedged run's complete output (metrics, event count, every incremental
-// result) is identical at any shard count.
+// TestHedgedShardedByteDeterminism: the ladder must preserve the engine's
+// byte-determinism guarantee — its timers ride shard-local scheduler
+// wheels, so the complete output of a run with it on (metrics, event
+// count, every incremental result) is identical at any shard count.
 func TestHedgedShardedByteDeterminism(t *testing.T) {
-	ref, _ := hedgeRun(t, 1, 0.95)
+	ref, _, reasserts := hedgeRun(t, 1, true)
 	if len(ref) == 0 {
 		t.Fatal("reference hedged run produced no output")
 	}
+	if reasserts == 0 {
+		t.Fatal("no re-assertion fired in the reference run: the comparison would not exercise the ladder")
+	}
 	for _, shards := range []int{2, 8} {
-		got, _ := hedgeRun(t, shards, 0.95)
+		got, _, _ := hedgeRun(t, shards, true)
 		diffLines(t, fmt.Sprintf("hedged shards=1 vs shards=%d", shards), ref, got)
 	}
 }
 
-// TestHedgedMatchesUnhedgedFinalResult: hedging substitutes equivalent
-// versioned state, so for the same seed the hedged and unhedged runs must
-// converge to the same final aggregate (hedge answers may shift when
-// intermediate updates arrive, never what the query ultimately returns).
+// TestHedgedMatchesUnhedgedFinalResult: a re-assertion is the same
+// aggregate at a newer version, so for the same seed the runs with and
+// without the ladder must converge to the same final aggregate
+// (retransmissions may shift when intermediate updates arrive, never what
+// the query ultimately returns).
 func TestHedgedMatchesUnhedgedFinalResult(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
-		_, hedged := hedgeRun(t, shards, 0.95)
-		_, plain := hedgeRun(t, shards, 0)
+		_, hedged, _ := hedgeRun(t, shards, true)
+		_, plain, _ := hedgeRun(t, shards, false)
 		if hedged == "" || plain == "" {
 			t.Fatalf("shards=%d: a run delivered no results (hedged=%q plain=%q)", shards, hedged, plain)
 		}

@@ -123,13 +123,7 @@ func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
 		disCfg.Seed = runner.SplitSeed(cfg.Seed, -2)
 	}
 	n.dis = dissem.NewEngine(n, disCfg)
-	aggCfg := cfg.Agg
-	if aggCfg.HedgeSeed == 0 {
-		// Stream -3: distinct from dissemination (-2) and the per-endpoint
-		// metadata streams, so hedge replica picks perturb nothing else.
-		aggCfg.HedgeSeed = runner.SplitSeed(cfg.Seed, -3)
-	}
-	n.tree = aggtree.NewEngine(n, aggCfg)
+	n.tree = aggtree.NewEngine(n, cfg.Agg)
 	n.pn.OnReady = n.onReady
 	return n
 }

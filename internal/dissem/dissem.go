@@ -158,10 +158,6 @@ type pendingInject struct {
 	span        uint64 // span of the latest inject/retry event
 }
 
-// DebugContribute, when non-nil, observes every on-behalf-of contribution
-// (handler id, subject id, rows). Test instrumentation only.
-var DebugContribute func(handler, subject ids.ID, rows float64)
-
 // NewEngine creates an engine for the host.
 func NewEngine(host Host, cfg Config) *Engine {
 	if cfg.Arity < 2 {
@@ -656,9 +652,6 @@ func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Q
 		rows := rec.Summary.EstimateRows(q, nowSecs)
 		if rows <= 0 {
 			continue
-		}
-		if DebugContribute != nil {
-			DebugContribute(node.ID(), rec.Subject, rows)
 		}
 		e.cOnBehalf.Inc()
 		if e.o.Detail() {

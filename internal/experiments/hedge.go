@@ -13,11 +13,11 @@ import (
 )
 
 // HedgePair is one paired-seed comparison of the straggler chaos scenario:
-// the identical (scenario, seed) run twice, with interior-vertex hedging on
-// and ablated. The pairing isolates the hedging policy — everything else
-// about the two runs is the same configuration (hedge traffic does shift
-// the per-message loss draws, so the comparison is statistical across
-// seeds, not message-for-message).
+// the identical (scenario, seed) run twice, with the aggregation tree's
+// re-assertion ladder on ("hedged") and ablated. The pairing isolates the
+// ladder — everything else about the two runs is the same configuration
+// (its retransmissions do shift the per-message loss draws, so the
+// comparison is statistical across seeds, not message-for-message).
 type HedgePair struct {
 	Seed int64 `json:"seed"`
 	// Time from query injection to the first 100%-complete result, -1 if
@@ -26,10 +26,7 @@ type HedgePair struct {
 	AblatedComplete time.Duration `json:"ablated_complete_ns"`
 	HedgedSends     int64         `json:"hedged_net_sends"`
 	AblatedSends    int64         `json:"ablated_net_sends"`
-	Issued          int64         `json:"hedges_issued"`
-	Won             int64         `json:"hedges_won"`
-	Wasted          int64         `json:"hedges_wasted"`
-	Suppressed      int64         `json:"hedges_suppressed"`
+	Reasserts       int64         `json:"reasserts"`
 	HedgedOK        bool          `json:"hedged_ok"`
 	AblatedOK       bool          `json:"ablated_ok"`
 	// RowsEqual: both runs converged to the same final row count (they
@@ -41,18 +38,19 @@ type HedgePair struct {
 // acceptance gate checks: tail completion time (hedged must strictly beat
 // ablated at p99) and message overhead (at most a few percent extra).
 type HedgeStudyResult struct {
-	Smoke       bool          `json:"smoke"`
-	Pairs       []HedgePair   `json:"pairs"`
-	HedgedP99   time.Duration `json:"hedged_p99_complete_ns"`
-	AblatedP99  time.Duration `json:"ablated_p99_complete_ns"`
-	SendsRatio  float64       `json:"hedged_to_ablated_sends_ratio"`
-	TotalIssued int64         `json:"total_hedges_issued"`
-	TotalWon    int64         `json:"total_hedges_won"`
+	Smoke          bool          `json:"smoke"`
+	Pairs          []HedgePair   `json:"pairs"`
+	HedgedP99      time.Duration `json:"hedged_p99_complete_ns"`
+	AblatedP99     time.Duration `json:"ablated_p99_complete_ns"`
+	HedgedSends    int64         `json:"hedged_net_sends"`
+	AblatedSends   int64         `json:"ablated_net_sends"`
+	SendsRatio     float64       `json:"hedged_to_ablated_sends_ratio"`
+	TotalReasserts int64         `json:"total_reasserts"`
 }
 
 // HedgeStudy runs the straggler scenario (per-region slow cohorts layered
 // with a correlated burst-loss episode and a duplication window) once per
-// seed with hedging on and once with it ablated. Pairs fan out across
+// seed with the ladder on and once with it ablated. Pairs fan out across
 // workers through the deterministic engine; the result is identical at any
 // worker count.
 func HedgeStudy(seeds []int64, smoke bool, workers int) *HedgeStudyResult {
@@ -61,7 +59,7 @@ func HedgeStudy(seeds []int64, smoke bool, workers int) *HedgeStudyResult {
 		panic("straggler scenario missing")
 	}
 	one := func(seed int64, ablate bool) *fault.Report {
-		cfg := core.ChaosConfig{Scenario: scen, Seed: seed, DisableHedging: ablate}
+		cfg := core.ChaosConfig{Scenario: scen, Seed: seed, DisableReassert: ablate}
 		if smoke {
 			cfg.N = 60
 			cfg.Settle = 5 * time.Minute
@@ -89,7 +87,6 @@ func HedgeStudy(seeds []int64, smoke bool, workers int) *HedgeStudyResult {
 	}
 
 	out := &HedgeStudyResult{Smoke: smoke}
-	var hedgedSends, ablatedSends int64
 	for i, seed := range seeds {
 		h := rep.Results[2*i].Value.(*fault.Report)
 		a := rep.Results[2*i+1].Value.(*fault.Report)
@@ -99,24 +96,20 @@ func HedgeStudy(seeds []int64, smoke bool, workers int) *HedgeStudyResult {
 			AblatedComplete: a.Queries[0].TimeToComplete,
 			HedgedSends:     h.Hedges.NetSends,
 			AblatedSends:    a.Hedges.NetSends,
-			Issued:          h.Hedges.Issued,
-			Won:             h.Hedges.Won,
-			Wasted:          h.Hedges.Wasted,
-			Suppressed:      h.Hedges.Suppressed,
+			Reasserts:       h.Hedges.Reasserts,
 			HedgedOK:        h.OK(),
 			AblatedOK:       a.OK(),
 			RowsEqual:       h.Queries[0].FinalRows == a.Queries[0].FinalRows,
 		}
 		out.Pairs = append(out.Pairs, p)
-		hedgedSends += p.HedgedSends
-		ablatedSends += p.AblatedSends
-		out.TotalIssued += p.Issued
-		out.TotalWon += p.Won
+		out.HedgedSends += p.HedgedSends
+		out.AblatedSends += p.AblatedSends
+		out.TotalReasserts += p.Reasserts
 	}
 	out.HedgedP99 = completionQuantile(out.Pairs, 0.99, false)
 	out.AblatedP99 = completionQuantile(out.Pairs, 0.99, true)
-	if ablatedSends > 0 {
-		out.SendsRatio = float64(hedgedSends) / float64(ablatedSends)
+	if out.AblatedSends > 0 {
+		out.SendsRatio = float64(out.HedgedSends) / float64(out.AblatedSends)
 	}
 	return out
 }
@@ -150,21 +143,27 @@ func completionQuantile(pairs []HedgePair, q float64, ablated bool) time.Duratio
 	return ts[idx]
 }
 
-// Render writes the paired table and the aggregate verdict line.
+// Render writes the paired table and the aggregate verdict lines.
 func (r *HedgeStudyResult) Render(w io.Writer) {
-	header(w, "Hedged interior vertices: straggler + burst loss, paired seeds",
-		"seed", "hedged_complete", "ablated_complete", "issued", "won", "wasted", "sends_ratio")
+	header(w, "Re-assertion ladder: straggler + burst loss, paired seeds",
+		"seed", "hedged_complete", "ablated_complete", "reasserts", "sends_ratio")
 	for _, p := range r.Pairs {
 		ratio := 0.0
 		if p.AblatedSends > 0 {
 			ratio = float64(p.HedgedSends) / float64(p.AblatedSends)
 		}
 		row(w, p.Seed, fmtCompletion(p.HedgedComplete), fmtCompletion(p.AblatedComplete),
-			p.Issued, p.Won, p.Wasted, ratio)
+			p.Reasserts, ratio)
 	}
-	fmt.Fprintf(w, "# p99 completion: hedged %s vs ablated %s; sends ratio %.3f; %d issued, %d won\n",
-		fmtCompletion(r.HedgedP99), fmtCompletion(r.AblatedP99), r.SendsRatio,
-		r.TotalIssued, r.TotalWon)
+	mode := func(name string, ablated bool, sends int64) {
+		fmt.Fprintf(w, "# %s completion p50 / p90 / p99: %s / %s / %s, %d sends\n", name,
+			fmtCompletion(completionQuantile(r.Pairs, 0.50, ablated)),
+			fmtCompletion(completionQuantile(r.Pairs, 0.90, ablated)),
+			fmtCompletion(completionQuantile(r.Pairs, 0.99, ablated)), sends)
+	}
+	mode("hedged ", false, r.HedgedSends)
+	mode("ablated", true, r.AblatedSends)
+	fmt.Fprintf(w, "# sends ratio %.3f; %d reasserts\n", r.SendsRatio, r.TotalReasserts)
 }
 
 func fmtCompletion(d time.Duration) string {

@@ -46,22 +46,17 @@ type QueryVerdict struct {
 	RecoveredAfterHeal bool    `json:"recovered_after_heal"`
 	// TimeToComplete is how long after injection the query first reached
 	// 100% of ground truth (-1 if it never did) — the tail-latency metric
-	// the straggler scenario's hedging ablation is judged on.
+	// the straggler scenario's re-assertion ablation is judged on.
 	TimeToComplete time.Duration `json:"time_to_complete"`
 }
 
-// HedgeStats summarizes the hedging machinery's activity over a run:
-// duplicate pulls issued against slow children, how many beat (won) or
-// lost (wasted) the race with the primary's answer, how many were
-// suppressed by the budget, and total network sends (for the extra-load
-// accounting of hedged vs. ablated runs).
+// HedgeStats summarizes the aggregation tree's re-assertion ladder over a
+// run: whether it was on, how many rungs fired, and total network sends
+// (for the extra-load accounting of hedged vs. ablated runs).
 type HedgeStats struct {
-	Enabled    bool  `json:"enabled"`
-	Issued     int64 `json:"issued"`
-	Won        int64 `json:"won"`
-	Wasted     int64 `json:"wasted"`
-	Suppressed int64 `json:"suppressed"`
-	NetSends   int64 `json:"net_sends"`
+	Enabled   bool  `json:"enabled"`
+	Reasserts int64 `json:"reasserts"`
+	NetSends  int64 `json:"net_sends"`
 }
 
 // Report is the deterministic artifact of one chaos run: what was
@@ -144,8 +139,8 @@ func (r *Report) WriteText(w io.Writer) {
 		if r.Hedges.Enabled {
 			state = "on"
 		}
-		fmt.Fprintf(w, "\nhedging %s: %d issued, %d won, %d wasted, %d suppressed (%d network sends)\n",
-			state, r.Hedges.Issued, r.Hedges.Won, r.Hedges.Wasted, r.Hedges.Suppressed, r.Hedges.NetSends)
+		fmt.Fprintf(w, "\nre-assertion ladder %s: %d rungs fired (%d network sends)\n",
+			state, r.Hedges.Reasserts, r.Hedges.NetSends)
 	}
 	if len(r.Invariants) > 0 {
 		fmt.Fprintf(w, "\ninvariants:\n")

@@ -75,9 +75,10 @@ func Builtin(name string, smoke bool) (Scenario, bool) {
 	case "straggler":
 		// Two regional slow cohorts (overlapping, different severities) with
 		// a burst-loss channel and light duplication layered on top: the
-		// tail-tolerance gauntlet. Hedged aggregation should ride out the
-		// slow cohorts by pulling from replicas; exactly-once must hold while
-		// the duplication window doubles both organic and hedged traffic.
+		// tail-tolerance gauntlet. The aggregation tree's re-assertion
+		// ladder should ride out the forwards the bursts drop; exactly-once
+		// must hold while the duplication window doubles both organic and
+		// retransmitted traffic.
 		if smoke {
 			return Scenario{
 				Name:    "straggler-smoke",

@@ -67,20 +67,13 @@ func PhaseOf(k obs.Kind) Phase {
 	case obs.KindDisseminate, obs.KindOnBehalf, obs.KindPredict, obs.KindRouteDeliver:
 		return PhaseRouting
 	case obs.KindDissemRetry, obs.KindDissemAbandon, obs.KindDissemGiveup,
-		obs.KindRouteRetry, obs.KindRouteDrop, obs.KindAggResubmit,
-		// A hedge fires only after waiting out the child's predicted
-		// response quantile, so the edge into it is timeout wait, like a
-		// resubmission.
-		obs.KindHedgeIssued:
+		obs.KindRouteRetry, obs.KindRouteDrop, obs.KindAggResubmit:
 		return PhaseRetryBackoff
 	case obs.KindExec, obs.KindSubmit:
 		return PhaseExecution
 	case obs.KindAvailExec:
 		return PhaseAvailabilityWait
-	case obs.KindPartial, obs.KindComplete, obs.KindCancel, obs.KindTakeover,
-		// A hedge win is a replica's answer advancing the vertex aggregate:
-		// tree fan-in time, same as the forward it substitutes for.
-		obs.KindHedgeWon:
+	case obs.KindPartial, obs.KindComplete, obs.KindCancel, obs.KindTakeover:
 		return PhaseAggregation
 	}
 	return PhaseOther

@@ -97,16 +97,6 @@ const (
 	// KindTakeover marks an aggregation-tree vertex primary takeover after
 	// churn.
 	KindTakeover Kind = "takeover"
-	// KindHedgeIssued marks an interior aggregation vertex issuing a
-	// duplicate pull to a replica of a child that exceeded its predicted
-	// response quantile. N is the number of hedges issued so far for this
-	// vertex, V the deadline (in seconds) the child overran.
-	KindHedgeIssued Kind = "hedge_issued"
-	// KindHedgeWon marks a hedged pull's answer arriving before (or
-	// instead of) the awaited child's own forward and advancing the
-	// vertex's aggregate — the answer that lost the race is deduplicated
-	// by the versioned child table and never produces this event.
-	KindHedgeWon Kind = "hedge_won"
 	// KindMetaPush marks a metadata replication push (verbose traces
 	// only). N is the replica-set fan-out.
 	KindMetaPush Kind = "meta_push"

@@ -355,19 +355,12 @@ func (n *Network) AccountAggregate(ep Endpoint, class Class, txBytes, rxBytes in
 	n.stats.accountRx(s, ep, class, rxBytes, now)
 }
 
-// DebugSendHook, when non-nil, observes every Send (payload, wire size,
-// class). Test and profiling instrumentation only.
-var DebugSendHook func(payload any, size int, class Class)
-
 // Send transmits a message of the given wire size from one endsystem to
 // another. The sender is charged size bytes of transmission immediately and
 // the receiver size bytes of reception at delivery time. Delivery invokes
 // the receiver's bound handler after the topology delay, unless the message
 // is lost. Sending to self is delivered after twice the LAN delay.
 func (n *Network) Send(from, to Endpoint, size int, class Class, payload any) {
-	if DebugSendHook != nil {
-		DebugSendHook(payload, size, class)
-	}
 	sf := n.shardOf[from]
 	now := n.wheelFor(sf).Now()
 	n.stats.accountTx(sf, from, class, size, now)

@@ -250,16 +250,15 @@ func WithScale(n int) Option {
 	}
 }
 
-// WithHedging enables tail-tolerant duplicate pulls at interior
-// aggregation-tree vertices (ClusterConfig.Node.Agg.HedgeQuantile): when
-// an awaited child's response is slower than the given quantile of its
-// observed response-gap distribution, the vertex pulls the child's
-// contribution from a replica and the versioned merge keeps whichever
-// answer lands first. 0 (the default) disables hedging; 0.95 is a good
-// starting point.
-func WithHedging(quantile float64) Option {
+// WithReassert enables the upward re-assertion ladder at interior
+// aggregation-tree vertices (ClusterConfig.Node.Agg.Reassert): a vertex
+// retransmits a forward that no newer content has superseded 10, 20, 40,
+// 80 and 160 s after sending it, so an aggregate the network dropped
+// reaches the parent in seconds instead of at the next refresh pass; the
+// versioned merge counts whichever copy lands first. Off by default.
+func WithReassert() Option {
 	return func(b *builder) {
-		b.mods = append(b.mods, func(cfg *ClusterConfig) { cfg.Node.Agg.HedgeQuantile = quantile })
+		b.mods = append(b.mods, func(cfg *ClusterConfig) { cfg.Node.Agg.Reassert = true })
 	}
 }
 
