@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench runner-bench cluster-bench cluster-bench-sharded shard-smoke bench-smoke profile sweep-smoke chaos-smoke coords-smoke coords-bench workload-smoke trace-smoke qserve-bench obs-bench check clean
+.PHONY: all build vet fmt test race bench cluster-bench cluster-bench-sharded shard-smoke bench-smoke profile sweep-smoke chaos-smoke coords-smoke coords-bench workload-smoke trace-smoke qserve-bench obs-bench check clean
 
 all: check
 
@@ -24,14 +24,8 @@ race:
 # the race detector.
 check: build vet fmt race
 
-bench: runner-bench
+bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# runner-bench runs the Figures 5-8 completeness sweep through the
-# parallel experiment engine and emits BENCH_runner.json (wall clock,
-# busy time, and speedup vs serial execution).
-runner-bench:
-	$(GO) run ./cmd/seaweed-sim -sweep -parallel 0 -bench BENCH_runner.json > /dev/null
 
 # cluster-bench runs the event-engine throughput benchmark (N=2000
 # endsystems, 6 hours of virtual time) and persists events/sec, ns/event
@@ -69,9 +63,9 @@ profile:
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof cpu.pprof"
 
 # sweep-smoke is the CI smoke test: a shrunken parallel sweep that
-# exercises the engine, the sinks, and the bench summary end to end.
+# exercises the engine and the sinks end to end.
 sweep-smoke:
-	$(GO) run ./cmd/seaweed-sim -sweep -smoke -parallel 2 -bench BENCH_runner.json -out sweep-smoke
+	$(GO) run ./cmd/seaweed-sim -sweep -smoke -parallel 2 -out sweep-smoke
 
 # chaos-smoke is the CI fault-injection gate: every built-in chaos
 # scenario at smoke scale, each run judged by the always-on invariant

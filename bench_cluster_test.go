@@ -62,7 +62,7 @@ func BenchmarkClusterSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c := NewCluster(trace, WithSeed(7), WithFlowsPerDay(50))
+		c := New(WithTrace(trace), WithSeed(7), WithFlowsPerDay(50))
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -291,7 +291,7 @@ func BenchmarkMicroCompletenessSim(b *testing.B) {
 func BenchmarkMicroClusterDay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		trace := FarsiteTrace(100, 24*time.Hour, int64(i))
-		c := NewCluster(trace, WithSeed(int64(i)), WithFlowsPerDay(30))
+		c := New(WithTrace(trace), WithSeed(int64(i)), WithFlowsPerDay(30))
 		c.RunUntil(24 * time.Hour)
 	}
 }

@@ -11,7 +11,6 @@
 //	seaweed-sim -all                            # every simulation figure at quick scale
 //	seaweed-sim -sweep -parallel 8              # Figures 5–8 as one parallel sweep
 //	seaweed-sim -sweep -out results             # also write results.jsonl/.csv records
-//	seaweed-sim -sweep -bench BENCH_runner.json # emit the engine perf summary
 //	seaweed-sim -fig 5 -trace t.jsonl -metrics  # with query trace + metrics summary
 //	seaweed-sim -fig 9a -metrics-out m.json     # metrics registry as JSON
 //	seaweed-sim -workload heavy -timeseries ts.jsonl  # virtual-time system samples
@@ -103,7 +102,6 @@ func main() {
 	smoke := flag.Bool("smoke", false, "shrink every dimension for a fast smoke run")
 	coordsOn := flag.Bool("coords", false, "enable the Vivaldi network-coordinate subsystem inside each simulation run (latency-biased delegate and aggregation-entry selection; required by -rtt-scope)")
 	rttScope := flag.Duration("rtt-scope", 0, "run the RTT-scoped query demo: inject the Figure 9 query restricted to the endsystems within this predicted RTT of the injector and audit the result against the brute-force oracle; requires -coords")
-	benchPath := flag.String("bench", "", "write the engine perf summary (BENCH_runner.json) to this path")
 	outPrefix := flag.String("out", "", "write sweep records to <out>.jsonl and <out>.csv")
 	seed := flag.Int64("seed", 1, "random seed")
 	tracePath := flag.String("trace", "", "write query-lifecycle trace events to this JSONL file")
@@ -184,10 +182,7 @@ func main() {
 	s.Shards = *shards
 	s.Coords = *coordsOn
 	s.ProfileDir = *profileRuns
-	stats := &runner.Stats{}
-	s.RunnerStats = stats
 	w := os.Stdout
-	start := time.Now()
 
 	// One shared observability layer across every run this invocation
 	// performs: metrics accumulate (merged deterministically when runs
@@ -249,21 +244,6 @@ func main() {
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "seaweed-sim: writing %s: %v\n", *metricsOut, err)
 				os.Exit(1)
-			}
-		}
-		if *benchPath != "" {
-			sum := runner.NewBenchSummary("seaweed-sim", stats, time.Since(start))
-			sum.SetEvents(o.Counter("sched_events").Value())
-			if err := sum.WriteFile(*benchPath); err != nil {
-				fmt.Fprintf(os.Stderr, "seaweed-sim: writing %s: %v\n", *benchPath, err)
-				os.Exit(1)
-			}
-			if sum.Workers > 1 {
-				fmt.Fprintf(w, "# bench: %d engine runs, %d workers, speedup %.2fx vs serial, %.0f events/sec -> %s\n",
-					sum.Runs, sum.Workers, sum.SpeedupVsSerial, sum.EventsPerSec, *benchPath)
-			} else {
-				fmt.Fprintf(w, "# bench: %d engine runs, serial, %.0f events/sec -> %s\n",
-					sum.Runs, sum.EventsPerSec, *benchPath)
 			}
 		}
 		if *memProfile != "" {

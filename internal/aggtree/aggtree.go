@@ -27,6 +27,12 @@
 // from the replicated state. Versioned, keyed contributions make
 // retransmissions and primary handovers idempotent: at-least-once delivery
 // plus at-most-once counting.
+//
+// An Engine keeps one record per query (queryState) in one table: what it
+// knows of the query, its own contribution and entry vertexId — the only
+// part that survives a restart — the leaf re-assertion timer, and the
+// vertices it hosts for the query's tree. Everything the protocol does for
+// a query starts from that record, and vertices point back at it.
 package aggtree
 
 import (
@@ -122,15 +128,10 @@ type contribution struct {
 	Contributors int64
 }
 
-// vertexKey identifies a vertex instance.
-type vertexKey struct {
-	qid    ids.ID
-	vertex ids.ID
-}
-
 // vertexState is the O(1)-per-child state of one tree vertex.
 type vertexState struct {
-	key       vertexKey
+	q         *queryState // the record of the query whose tree this vertex is in
+	id        ids.ID      // the vertexId
 	children  childTable
 	upVersion uint64
 	refresh   *simnet.Timer
@@ -139,6 +140,9 @@ type vertexState struct {
 	// refresh only re-propagates dirty vertices (plus a rare safety pass)
 	// so an idle query costs almost nothing.
 	dirty bool
+	// dropped is set when the vertex leaves its record (cancel, expiry,
+	// restart): a timer of its that still fires does nothing.
+	dropped bool
 	// cause is the span of the last contribution that changed this
 	// vertex's aggregate — the causal parent of the next upward forward.
 	cause uint64
@@ -161,14 +165,6 @@ func (v *vertexState) aggregate() (agg.Partial, int64) {
 	return part, contributors
 }
 
-// resubmitState tracks the bounded re-assertion schedule for this
-// endsystem's own contribution to one query.
-type resubmitState struct {
-	timer   *simnet.Timer
-	attempt int
-	version uint64
-}
-
 const (
 	// The leaf re-assertion schedule: re-send the contribution 20s, 1m,
 	// 3m and 9m after the original submission, then stop. Bounded so a
@@ -178,37 +174,60 @@ const (
 	resubmitAttempts = 4
 )
 
-// queryInfo is what the engine needs to know about an active query.
-type queryInfo struct {
+// queryState is everything this endsystem keeps about one query (see
+// DESIGN.md, "Per-query state on an endsystem"). Engine.queries holds one
+// per query the endsystem has heard of, until Reset.
+type queryState struct {
+	qid ids.ID
+
+	// The registry half is volatile. known is false between a restart and
+	// the next time the query is heard of, which counts as expired; a
+	// cancel that arrives for an unknown query makes it known with nothing
+	// but firstSeen, a tombstone that drops late submissions.
+	known     bool
+	canceled  bool
 	query     *relq.Query
 	injector  simnet.Endpoint
 	firstSeen time.Duration
-	canceled  bool
 	// cause is the span under which this endsystem first learned of the
 	// query; availability-wait handoffs to rejoining neighbors chain off
 	// it.
 	cause uint64
+
+	// The durable half survives Reset: this endsystem's own latest
+	// contribution (Version 0 before the first Submit) and the vertexId it
+	// first submitted to — the paper's "persists that vertexId with the
+	// query". Re-submissions after churn carry the next version to the same
+	// vertex, which is what keeps each endsystem's contribution counted
+	// exactly once even when leafset changes would now suggest a different
+	// entry point.
+	own   contribution
+	entry ids.ID
+	// asserted: own was submitted in this incarnation. Reset clears it, so
+	// the rejoin re-execution re-asserts an unchanged result (see Submit).
+	asserted bool
+
+	// resubmit is the live leaf re-assertion timer for own (volatile: a
+	// restart drops it, and the rejoin path's fresh Submit re-arms it).
+	resubmit *simnet.Timer
+
+	// vertices are the vertex states hosted here for this query's tree,
+	// ordered by vertexId: 1.6 on average, four at the 99th percentile.
+	vertices []*vertexState
+}
+
+// findVertex returns the index the vertex is at, or would be inserted at.
+func (st *queryState) findVertex(id ids.ID) (int, bool) {
+	return slices.BinarySearchFunc(st.vertices, id, func(v *vertexState, id ids.ID) int { return v.id.Cmp(id) })
 }
 
 // Engine runs the aggregation protocol for one endsystem.
 type Engine struct {
-	cfg      Config
-	host     Host
-	vertices map[vertexKey]*vertexState
-	queries  map[ids.ID]*queryInfo
-	// submitted records this endsystem's own latest contribution per
-	// query; it persists across restarts so re-submissions replace rather
-	// than duplicate (version continuity).
-	submitted map[ids.ID]*contribution
-	// entryVertex persists, per query, the vertexId this endsystem first
-	// submitted to — the paper's "persists that vertexId with the query".
-	// Re-submissions after churn go to the same vertex, which is what
-	// keeps each endsystem's contribution counted exactly once even when
-	// leafset changes would now suggest a different entry point.
-	entryVertex map[ids.ID]ids.ID
-	// resubmit holds the live re-assertion timer per query (volatile: a
-	// restart drops it, and the rejoin path's fresh Submit re-arms it).
-	resubmit map[ids.ID]*resubmitState
+	cfg  Config
+	host Host
+	// queries is the engine's one table: a record per query, keyed by
+	// queryId.
+	queries map[ids.ID]*queryState
 
 	// Observability handles, cached at construction (nil-safe no-ops when
 	// disabled).
@@ -235,13 +254,9 @@ func NewEngine(host Host, cfg Config) *Engine {
 	}
 	o := host.PastryNode().Ring().Obs()
 	return &Engine{
-		cfg:         cfg,
-		host:        host,
-		vertices:    make(map[vertexKey]*vertexState),
-		queries:     make(map[ids.ID]*queryInfo),
-		submitted:   make(map[ids.ID]*contribution),
-		entryVertex: make(map[ids.ID]ids.ID),
-		resubmit:    make(map[ids.ID]*resubmitState),
+		cfg:     cfg,
+		host:    host,
+		queries: make(map[ids.ID]*queryState),
 
 		o:          o,
 		cSubmits:   o.Counter("aggtree_submissions"),
@@ -258,25 +273,32 @@ func NewEngine(host Host, cfg Config) *Engine {
 
 // Reset clears the volatile state (the endsystem restarted). Hosted
 // vertex state is dropped — the exactly-once argument only needs the
-// replica group to survive — but this endsystem's own submission record
-// and its persisted entry vertexIds are durable, exactly as the paper
+// replica group to survive — but this endsystem's own contribution and
+// its persisted entry vertexId are durable, exactly as the paper
 // prescribes: a rejoining endsystem re-submits the same versioned
-// contribution to the same vertex, replacing rather than duplicating.
+// contribution to the same vertex, replacing rather than duplicating. A
+// record that holds neither is deleted; one that does is kept with its
+// registry half unknown.
 func (e *Engine) Reset() {
-	for _, v := range e.vertices {
-		if v.refresh != nil {
-			v.refresh.Cancel()
+	for qid, st := range e.queries {
+		for _, v := range st.vertices {
+			e.drop(v)
 		}
-		e.clearHedge(v)
-	}
-	e.vertices = make(map[vertexKey]*vertexState)
-	e.queries = make(map[ids.ID]*queryInfo)
-	for _, st := range e.resubmit {
-		if st.timer != nil {
-			st.timer.Cancel()
+		st.resubmit.Cancel()
+		if st.own.Version == 0 {
+			delete(e.queries, qid)
+			continue
 		}
+		*st = queryState{qid: qid, own: st.own, entry: st.entry}
 	}
-	e.resubmit = make(map[ids.ID]*resubmitState)
+}
+
+// drop retires a vertex that has left (or is leaving) its record: its
+// timers are canceled, and one that fires all the same finds the flag.
+func (e *Engine) drop(v *vertexState) {
+	v.refresh.Cancel()
+	e.clearHedge(v)
+	v.dropped = true
 }
 
 // RegisterQuery tells the engine about an active query (from the
@@ -284,19 +306,23 @@ func (e *Engine) Reset() {
 // cause is the span under which the query arrived here (0 without
 // tracing).
 func (e *Engine) RegisterQuery(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) {
-	if _, ok := e.queries[qid]; !ok {
-		e.queries[qid] = &queryInfo{query: q, injector: injector,
-			firstSeen: e.host.PastryNode().Sched().Now(), cause: cause}
-	}
+	e.register(qid, q, injector, cause)
 }
 
-// Cause returns the span under which this endsystem first learned of the
-// query (0 when unknown or tracing is off).
-func (e *Engine) Cause(qid ids.ID) uint64 {
-	if info, ok := e.queries[qid]; ok {
-		return info.cause
+// register returns the query's record, creating it if this is the first
+// the endsystem keeps about the query and filling in the registry half if
+// this is the first it hears of the query in this incarnation.
+func (e *Engine) register(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) *queryState {
+	st := e.queries[qid]
+	if st == nil {
+		st = &queryState{qid: qid}
+		e.queries[qid] = st
 	}
-	return 0
+	if !st.known {
+		st.known, st.query, st.injector, st.cause = true, q, injector, cause
+		st.firstSeen = e.host.PastryNode().Sched().Now()
+	}
+	return st
 }
 
 // CancelPropagate cancels a query at this endsystem — the injector-side
@@ -330,40 +356,18 @@ func (e *Engine) CancelPropagate(qid ids.ID) {
 // passes m itself on: a cancel says only which query, and receivers only
 // read it, so one message serves every child and backup down the tree.
 func (e *Engine) applyCancel(m *cancelMsg) {
-	info := e.queries[m.QID]
-	if info == nil {
-		info = &queryInfo{firstSeen: e.host.PastryNode().Sched().Now()}
-		e.queries[m.QID] = info
-	}
-	info.canceled = true
-	if st, ok := e.resubmit[m.QID]; ok {
-		if st.timer != nil {
-			st.timer.Cancel()
-		}
-		delete(e.resubmit, m.QID)
-	}
-	var keys []vertexKey
-	for key := range e.vertices {
-		if key.qid == m.QID {
-			keys = append(keys, key)
-		}
-	}
-	// Deterministic fan-out order: map iteration must not decide message
-	// order.
-	slices.SortFunc(keys, func(a, b vertexKey) int { return a.vertex.Cmp(b.vertex) })
+	st := e.register(m.QID, nil, 0, 0)
+	st.canceled = true
+	st.resubmit.Cancel()
+	st.resubmit = nil
 	node := e.host.PastryNode()
-	for _, key := range keys {
-		v := e.vertices[key]
-		if v == nil {
-			// Route below can deliver to self synchronously, re-entering
-			// applyCancel and reclaiming the remaining vertices already.
-			continue
-		}
-		if v.refresh != nil {
-			v.refresh.Cancel()
-		}
-		e.clearHedge(v)
-		delete(e.vertices, key)
+	// Vertices leave the record in vertexId order, each before the cancel
+	// fans out from it: Route below can deliver to self synchronously,
+	// re-entering applyCancel, which then carries on with what is left.
+	for len(st.vertices) > 0 {
+		v := st.vertices[0]
+		st.vertices = st.vertices[1:]
+		e.drop(v)
 		if !v.primary {
 			continue
 		}
@@ -372,54 +376,52 @@ func (e *Engine) applyCancel(m *cancelMsg) {
 		}
 		// Backups mirror this vertex's state; they drop it on receipt and
 		// only propagate further for vertices they are primary of.
-		for _, b := range e.backupSet(key.vertex) {
+		for _, b := range e.backupSet(v.id) {
 			node.Ring().Network().Send(node.Endpoint(), b.EP,
 				cancelMsgSize(), simnet.ClassQuery, m)
 		}
 	}
+	st.vertices = nil // let go of the array the dropped vertices are still in
 }
 
-// expired reports whether a query is past its TTL or canceled.
-func (e *Engine) expired(info *queryInfo) bool {
-	if info == nil {
-		return true
-	}
-	if info.canceled {
+// expired reports whether a query is unknown, canceled or past its TTL.
+func (e *Engine) expired(st *queryState) bool {
+	if st == nil || !st.known || st.canceled {
 		return true
 	}
 	if e.cfg.QueryTTL <= 0 {
 		return false
 	}
 	now := e.host.PastryNode().Sched().Now()
-	return now-info.firstSeen > e.cfg.QueryTTL
+	return now-st.firstSeen > e.cfg.QueryTTL
+}
+
+// ActiveQuery is one entry of the list handed to endsystems that join
+// while queries are in flight: the query, where its results go, and the
+// span under which the lister learned of it.
+type ActiveQuery struct {
+	ID       ids.ID
+	Query    *relq.Query
+	Injector simnet.Endpoint
+	Cause    uint64
 }
 
 // ActiveQueries returns the live (non-expired, non-canceled) queries the
-// engine knows about, for handing to endsystems that join while queries
-// are in flight.
-func (e *Engine) ActiveQueries() map[ids.ID]*relq.Query {
-	out := make(map[ids.ID]*relq.Query, len(e.queries))
-	for qid, info := range e.queries {
-		if !e.expired(info) {
-			out[qid] = info.query
+// engine knows about, in queryId order.
+func (e *Engine) ActiveQueries() []ActiveQuery {
+	var out []ActiveQuery
+	for qid, st := range e.queries {
+		if !e.expired(st) {
+			out = append(out, ActiveQuery{ID: qid, Query: st.query, Injector: st.injector, Cause: st.cause})
 		}
 	}
+	slices.SortFunc(out, func(a, b ActiveQuery) int { return a.ID.Cmp(b.ID) })
 	return out
 }
 
 // IsActive reports whether the query is known, unexpired and uncanceled.
 func (e *Engine) IsActive(qid ids.ID) bool {
-	info, ok := e.queries[qid]
-	return ok && !e.expired(info)
-}
-
-// Injector returns the injector endpoint recorded for a query.
-func (e *Engine) Injector(qid ids.ID) (simnet.Endpoint, bool) {
-	info, ok := e.queries[qid]
-	if !ok {
-		return 0, false
-	}
-	return info.injector, true
+	return !e.expired(e.queries[qid])
 }
 
 // EntryVertex returns the vertexId this endsystem persisted as its entry
@@ -427,8 +429,10 @@ func (e *Engine) Injector(qid ids.ID) (simnet.Endpoint, bool) {
 // it to score entry-edge quality (predicted vs actual delay to the
 // vertex's primary) without touching protocol state.
 func (e *Engine) EntryVertex(qid ids.ID) (ids.ID, bool) {
-	v, ok := e.entryVertex[qid]
-	return v, ok
+	if st := e.queries[qid]; st != nil && st.own.Version > 0 {
+		return st.entry, true
+	}
+	return ids.ID{}, false
 }
 
 // --------------------------------------------------------------- messages
@@ -518,22 +522,28 @@ func (m *resultMsg) TraceSpan() uint64 { return m.Cause }
 
 // Submit contributes this endsystem's local result for a query. It may be
 // called again with an updated partial (e.g. after a local data change);
-// the new version replaces the old exactly once. cause is the span of the
-// execution that produced the partial (0 when tracing is off).
+// the new version replaces the old exactly once, and a partial equal to
+// the one already submitted in this incarnation is not sent again. After a
+// restart the first Submit goes out whatever it carries: the entry vertex
+// (or its whole replica group) may have died while this endsystem was
+// down, and the versioned replacement keeps the re-assertion exactly-once.
+// cause is the span of the execution that produced the partial (0 when
+// tracing is off).
 func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector simnet.Endpoint, cause uint64) {
-	e.RegisterQuery(qid, q, injector, cause)
-	prev := e.submitted[qid]
-	version := uint64(1)
-	if prev != nil {
-		version = prev.Version + 1
+	st := e.register(qid, q, injector, cause)
+	if st.asserted && st.own.Part == part {
+		return
 	}
-	c := &contribution{Version: version, Part: part, Contributors: 1}
-	e.submitted[qid] = c
+	if st.own.Version == 0 {
+		st.entry = e.chooseEntry(qid)
+	}
+	st.own = contribution{Version: st.own.Version + 1, Part: part, Contributors: 1}
+	st.asserted = true
 	e.cSubmits.Inc()
 	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindSubmit, Query: e.o.QueryTag(qid),
-		EP: int(e.host.PastryNode().Endpoint()), N: int64(version)})
-	e.sendSubmission(qid, *c, span)
-	e.armResubmit(qid, c.Version, 0, span)
+		EP: int(e.host.PastryNode().Endpoint()), N: int64(st.own.Version)})
+	e.sendSubmission(st, span)
+	e.armResubmit(st, 0, span)
 }
 
 // armResubmit schedules a bounded, backed-off re-assertion of this
@@ -543,14 +553,12 @@ func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector si
 // whole life of the query — vertex repair cannot resurrect state that
 // never arrived anywhere. Re-sending the same version is idempotent at
 // the vertex (applySubmit drops it as a duplicate), so the exactly-once
-// invariant is untouched. A newer Submit restarts the chain with its own
-// version; the stale chain detects the version change and stops.
-func (e *Engine) armResubmit(qid ids.ID, version uint64, attempt int, span uint64) {
-	if prev := e.resubmit[qid]; prev != nil && prev.timer != nil {
-		prev.timer.Cancel()
-	}
+// invariant is untouched. A newer Submit restarts the chain for its own
+// version by cancelling the timer of the chain before it.
+func (e *Engine) armResubmit(st *queryState, attempt int, span uint64) {
+	st.resubmit.Cancel()
+	st.resubmit = nil
 	if e.cfg.DisableRepair || attempt >= resubmitAttempts {
-		delete(e.resubmit, qid)
 		return
 	}
 	delay := resubmitBase
@@ -558,64 +566,58 @@ func (e *Engine) armResubmit(qid ids.ID, version uint64, attempt int, span uint6
 		delay *= 3
 	}
 	node := e.host.PastryNode()
-	st := &resubmitState{attempt: attempt, version: version}
-	st.timer = node.Sched().After(delay, func() {
-		if cur := e.resubmit[qid]; cur != st {
-			return
-		}
-		delete(e.resubmit, qid)
-		c := e.submitted[qid]
-		if c == nil || c.Version != st.version || !node.Alive() ||
-			e.expired(e.queries[qid]) {
+	st.resubmit = node.Sched().After(delay, func() {
+		st.resubmit = nil
+		if !node.Alive() || e.expired(st) {
 			return
 		}
 		e.cResubmit.Inc()
-		next := e.o.EmitSpan(span, obs.Event{Kind: obs.KindAggResubmit, Query: e.o.QueryTag(qid),
-			EP: int(node.Endpoint()), N: int64(st.attempt + 1)})
-		e.sendSubmission(qid, *c, next)
-		e.armResubmit(qid, st.version, st.attempt+1, next)
+		next := e.o.EmitSpan(span, obs.Event{Kind: obs.KindAggResubmit, Query: e.o.QueryTag(st.qid),
+			EP: int(node.Endpoint()), N: int64(attempt + 1)})
+		e.sendSubmission(st, next)
+		e.armResubmit(st, attempt+1, next)
 	})
-	e.resubmit[qid] = st
 }
 
-// sendSubmission routes this endsystem's contribution to its entry vertex:
-// on first submission, the first vertex on the V-chain from its own
-// endsystemId that it is not the root of; afterwards, the persisted entry
-// vertexId, so that re-submissions (including after a restart) land on the
-// same vertex and replace the previous version.
-func (e *Engine) sendSubmission(qid ids.ID, c contribution, cause uint64) {
+// chooseEntry picks where this endsystem enters qid's tree: the first
+// vertex on the V-chain from its own endsystemId that it is not the root
+// of (or, with coordinates, the nearest of the chain from there up).
+func (e *Engine) chooseEntry(qid ids.ID) ids.ID {
 	node := e.host.PastryNode()
-	info := e.queries[qid]
-	v, ok := e.entryVertex[qid]
-	if !ok {
-		v = node.ID()
-		digits := ids.DigitsPerID(e.cfg.B)
-		depth := 0
-		for i := 0; i <= digits && v != qid; i++ {
-			if !node.IsRootOf(v) {
-				break
-			}
-			v = V(qid, v, e.cfg.B)
-			depth++
+	v := node.ID()
+	digits := ids.DigitsPerID(e.cfg.B)
+	depth := 0
+	for i := 0; i <= digits && v != qid; i++ {
+		if !node.IsRootOf(v) {
+			break
 		}
-		if e.cfg.Coords != nil {
-			v = e.nearestEntryVertex(qid, v)
-		}
-		e.entryVertex[qid] = v
-		// Entry depth measures how many levels the sparse namespace let this
-		// endsystem skip: tree depth from the leaves' perspective.
-		e.hDepth.Observe(int64(depth))
+		v = V(qid, v, e.cfg.B)
+		depth++
 	}
-	msg := &submitMsg{QID: qid, Vertex: v, Child: node.ID(), C: c,
-		Injector: info.injector, Query: info.query, Cause: cause}
-	if node.IsRootOf(v) {
+	if e.cfg.Coords != nil {
+		v = e.nearestEntryVertex(qid, v)
+	}
+	// Entry depth measures how many levels the sparse namespace let this
+	// endsystem skip: tree depth from the leaves' perspective.
+	e.hDepth.Observe(int64(depth))
+	return v
+}
+
+// sendSubmission routes this endsystem's contribution to its persisted
+// entry vertex, so that re-submissions (including after a restart) land on
+// the same vertex and replace the previous version.
+func (e *Engine) sendSubmission(st *queryState, cause uint64) {
+	node := e.host.PastryNode()
+	msg := &submitMsg{QID: st.qid, Vertex: st.entry, Child: node.ID(), C: st.own,
+		Injector: st.injector, Query: st.query, Cause: cause}
+	if node.IsRootOf(st.entry) {
 		// This endsystem hosts the vertex itself (it is the root of the
 		// whole chain up to the queryId).
 		e.applySubmit(msg)
 		return
 	}
 	msg.SentAt = node.Sched().Now()
-	node.Route(v, msg, submitMsgSize(), simnet.ClassQuery)
+	node.Route(st.entry, msg, submitMsgSize(), simnet.ClassQuery)
 }
 
 // nearestEntryVertex walks the V-chain from the id-only entry vertex up
@@ -671,11 +673,24 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 	return true
 }
 
+// vertex returns the state of one of the query's vertices hosted here,
+// creating it (and arming its refresh) if this is the first it holds.
+func (e *Engine) vertex(st *queryState, id ids.ID) *vertexState {
+	i, ok := st.findVertex(id)
+	if ok {
+		return st.vertices[i]
+	}
+	v := &vertexState{q: st, id: id}
+	st.vertices = slices.Insert(st.vertices, i, v)
+	e.armRefresh(v)
+	return v
+}
+
 // applySubmit folds a child contribution into the vertex hosted here.
 // Contributions for expired or canceled queries are dropped.
 func (e *Engine) applySubmit(m *submitMsg) {
-	e.RegisterQuery(m.QID, m.Query, m.Injector, m.Cause)
-	if e.expired(e.queries[m.QID]) {
+	st := e.register(m.QID, m.Query, m.Injector, m.Cause)
+	if e.expired(st) {
 		return
 	}
 	if m.SentAt > 0 {
@@ -685,13 +700,7 @@ func (e *Engine) applySubmit(m *submitMsg) {
 			e.hFanin.ObserveDuration(d)
 		}
 	}
-	key := vertexKey{qid: m.QID, vertex: m.Vertex}
-	v, ok := e.vertices[key]
-	if !ok {
-		v = &vertexState{key: key}
-		e.vertices[key] = v
-		e.armRefresh(v)
-	}
+	v := e.vertex(st, m.Vertex)
 	v.primary = true
 	cur, exists := v.children.get(m.Child)
 	if exists && cur.Version >= m.C.Version {
@@ -721,19 +730,13 @@ func (e *Engine) applySubmit(m *submitMsg) {
 // against stale replication overwriting newer local state (e.g. when this
 // backup has already taken over as primary).
 func (e *Engine) applyRepl(m *replMsg) {
-	e.RegisterQuery(m.QID, m.Query, m.Injector, m.Cause)
+	st := e.register(m.QID, m.Query, m.Injector, m.Cause)
 	// A replication in flight across a cancel (or TTL expiry) must not
 	// resurrect vertex state the sweep already reclaimed.
-	if e.expired(e.queries[m.QID]) {
+	if e.expired(st) {
 		return
 	}
-	key := vertexKey{qid: m.QID, vertex: m.Vertex}
-	v, ok := e.vertices[key]
-	if !ok {
-		v = &vertexState{key: key}
-		e.vertices[key] = v
-		e.armRefresh(v)
-	}
+	v := e.vertex(st, m.Vertex)
 	changed := false
 	if m.Children == nil {
 		changed = v.install(m.Child, m.C)
@@ -808,19 +811,15 @@ func (e *Engine) propagate(v *vertexState) {
 // parent, and on the common update path only one child changed.
 func (e *Engine) replicateDelta(v *vertexState, child ids.ID) {
 	node := e.host.PastryNode()
-	info := e.queries[v.key.qid]
-	if info == nil {
-		return
-	}
 	c, ok := v.children.get(child)
 	if !ok {
 		return
 	}
-	msg := &replMsg{QID: v.key.qid, Vertex: v.key.vertex,
+	msg := &replMsg{QID: v.q.qid, Vertex: v.id,
 		Child: child, C: c, UpVersion: v.upVersion,
-		Injector: info.injector, Query: info.query, Cause: v.cause}
+		Injector: v.q.injector, Query: v.q.query, Cause: v.cause}
 	size := replMsgSize(1)
-	for _, b := range e.backupSet(v.key.vertex) {
+	for _, b := range e.backupSet(v.id) {
 		node.Ring().Network().Send(node.Endpoint(), b.EP, size, simnet.ClassQuery, msg)
 	}
 }
@@ -829,24 +828,21 @@ func (e *Engine) replicateDelta(v *vertexState, child ids.ID) {
 // the injector, at the root).
 func (e *Engine) forwardUp(v *vertexState) {
 	node := e.host.PastryNode()
-	info := e.queries[v.key.qid]
-	if info == nil {
-		return
-	}
+	qid := v.q.qid
 	part, contributors := v.aggregate()
 	v.dirty = false
 	v.upVersion++
-	if v.key.vertex == v.key.qid {
+	if v.id == qid {
 		// Root: deliver the incremental result to the injector.
-		node.Ring().Network().Send(node.Endpoint(), info.injector,
+		node.Ring().Network().Send(node.Endpoint(), v.q.injector,
 			resultMsgSize(), simnet.ClassQuery,
-			&resultMsg{QID: v.key.qid, Part: part, Contributors: contributors, Cause: v.cause})
+			&resultMsg{QID: qid, Part: part, Contributors: contributors, Cause: v.cause})
 		return
 	}
-	parent := V(v.key.qid, v.key.vertex, e.cfg.B)
-	msg := &submitMsg{QID: v.key.qid, Vertex: parent, Child: v.key.vertex,
+	parent := V(qid, v.id, e.cfg.B)
+	msg := &submitMsg{QID: qid, Vertex: parent, Child: v.id,
 		C:        contribution{Version: v.upVersion, Part: part, Contributors: contributors},
-		Injector: info.injector, Query: info.query, Cause: v.cause}
+		Injector: v.q.injector, Query: v.q.query, Cause: v.cause}
 	if node.IsRootOf(parent) {
 		// Local delivery cannot be lost; the ladder applies to the wire.
 		e.applySubmit(msg)
@@ -889,22 +885,23 @@ func (e *Engine) armRefresh(v *vertexState) {
 		if !node.Alive() {
 			return
 		}
-		if cur, ok := e.vertices[v.key]; !ok || cur != v {
+		if v.dropped {
 			v.refresh.Cancel()
 			return
 		}
 		tick++
-		if e.expired(e.queries[v.key.qid]) {
+		if e.expired(v.q) {
 			// The query timed out (or was canceled): reclaim the vertex.
-			v.refresh.Cancel()
-			e.clearHedge(v)
-			delete(e.vertices, v.key)
+			if i, ok := v.q.findVertex(v.id); ok {
+				v.q.vertices = slices.Delete(v.q.vertices, i, i+1)
+			}
+			e.drop(v)
 			return
 		}
 		if e.cfg.DisableRepair {
 			return
 		}
-		if !node.IsRootOf(v.key.vertex) || len(v.children) == 0 {
+		if !node.IsRootOf(v.id) || len(v.children) == 0 {
 			return
 		}
 		v.primary = true
@@ -931,7 +928,7 @@ func (e *Engine) HandleLeafsetChanged() {
 		if len(v.children) == 0 {
 			continue
 		}
-		isRoot := node.IsRootOf(v.key.vertex)
+		isRoot := node.IsRootOf(v.id)
 		switch {
 		case !v.primary && isRoot:
 			// Take over: the previous primary died or the namespace
@@ -939,7 +936,7 @@ func (e *Engine) HandleLeafsetChanged() {
 			e.clearHedge(v)
 			v.primary = true
 			e.cTakeovers.Inc()
-			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: e.o.QueryTag(v.key.qid),
+			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: e.o.QueryTag(v.q.qid),
 				EP: int(node.Endpoint())})
 			e.propagate(v)
 		case !isRoot:
@@ -962,7 +959,7 @@ func (e *Engine) HandleLeafsetChanged() {
 // this node is not the vertex's root, toward the current root.
 func (e *Engine) replicateState(v *vertexState) {
 	e.replicateToBackups(v)
-	if !e.host.PastryNode().IsRootOf(v.key.vertex) {
+	if !e.host.PastryNode().IsRootOf(v.id) {
 		e.pushStateToRoot(v)
 	}
 }
@@ -971,15 +968,11 @@ func (e *Engine) replicateState(v *vertexState) {
 // leafset members closest to the vertexId.
 func (e *Engine) replicateToBackups(v *vertexState) {
 	node := e.host.PastryNode()
-	info := e.queries[v.key.qid]
-	if info == nil {
-		return
-	}
-	msg := &replMsg{QID: v.key.qid, Vertex: v.key.vertex,
+	msg := &replMsg{QID: v.q.qid, Vertex: v.id,
 		Children: v.children.clone(), UpVersion: v.upVersion,
-		Injector: info.injector, Query: info.query, Cause: v.cause}
+		Injector: v.q.injector, Query: v.q.query, Cause: v.cause}
 	size := replMsgSize(len(v.children))
-	for _, b := range e.backupSet(v.key.vertex) {
+	for _, b := range e.backupSet(v.id) {
 		node.Ring().Network().Send(node.Endpoint(), b.EP, size, simnet.ClassQuery, msg)
 	}
 }
@@ -988,35 +981,39 @@ func (e *Engine) replicateToBackups(v *vertexState) {
 // currently numerically closest to the vertexId.
 func (e *Engine) pushStateToRoot(v *vertexState) {
 	node := e.host.PastryNode()
-	info := e.queries[v.key.qid]
-	if info == nil {
-		return
-	}
-	msg := &replMsg{QID: v.key.qid, Vertex: v.key.vertex,
+	msg := &replMsg{QID: v.q.qid, Vertex: v.id,
 		Children: v.children.clone(), UpVersion: v.upVersion,
-		Injector: info.injector, Query: info.query, Cause: v.cause}
-	node.Route(v.key.vertex, msg, replMsgSize(len(v.children)), simnet.ClassQuery)
+		Injector: v.q.injector, Query: v.q.query, Cause: v.cause}
+	node.Route(v.id, msg, replMsgSize(len(v.children)), simnet.ClassQuery)
 }
 
-// sortedVertices returns the vertex states in key order, keeping the
-// simulation deterministic where map iteration would otherwise change
-// message order between runs.
+// sortedVertices returns the vertex states in (queryId, vertexId) order,
+// keeping the simulation deterministic where map iteration would otherwise
+// change message order between runs. It is a snapshot: propagate can
+// create vertices synchronously.
 func (e *Engine) sortedVertices() []*vertexState {
-	out := make([]*vertexState, 0, len(e.vertices))
-	for _, v := range e.vertices {
-		out = append(out, v)
-	}
-	slices.SortFunc(out, func(a, b *vertexState) int {
-		if c := a.key.qid.Cmp(b.key.qid); c != 0 {
-			return c
+	var hosting []*queryState
+	for _, st := range e.queries {
+		if len(st.vertices) > 0 {
+			hosting = append(hosting, st)
 		}
-		return a.key.vertex.Cmp(b.key.vertex)
-	})
+	}
+	slices.SortFunc(hosting, func(a, b *queryState) int { return a.qid.Cmp(b.qid) })
+	var out []*vertexState
+	for _, st := range hosting {
+		out = append(out, st.vertices...)
+	}
 	return out
 }
 
 // NumVertices reports how many vertex states this endsystem holds.
-func (e *Engine) NumVertices() int { return len(e.vertices) }
+func (e *Engine) NumVertices() int {
+	n := 0
+	for _, st := range e.queries {
+		n += len(st.vertices)
+	}
+	return n
+}
 
 // OrphanVertices reports how many vertex states this endsystem holds for
 // queries that are expired or canceled — state the refresh path should
@@ -1024,9 +1021,9 @@ func (e *Engine) NumVertices() int { return len(e.vertices) }
 // after every query's TTL plus a few refresh periods.
 func (e *Engine) OrphanVertices() int {
 	n := 0
-	for key := range e.vertices {
-		if e.expired(e.queries[key.qid]) {
-			n++
+	for _, st := range e.queries {
+		if e.expired(st) {
+			n += len(st.vertices)
 		}
 	}
 	return n
@@ -1036,13 +1033,12 @@ func (e *Engine) OrphanVertices() int {
 // full vertex ids (test instrumentation).
 func (e *Engine) DebugFull(qid ids.ID) string {
 	out := ""
-	for key, v := range e.vertices {
-		if key.qid != qid {
-			continue
+	if st := e.queries[qid]; st != nil {
+		for _, v := range st.vertices {
+			_, contribs := v.aggregate()
+			out += fmt.Sprintf("[v=%s eq-qid=%v children=%d contribs=%d primary=%v] ",
+				v.id, v.id == qid, len(v.children), contribs, v.primary)
 		}
-		_, contribs := v.aggregate()
-		out += fmt.Sprintf("[v=%s eq-qid=%v children=%d contribs=%d primary=%v] ",
-			key.vertex, key.vertex == qid, len(v.children), contribs, v.primary)
 	}
 	return out
 }

@@ -100,7 +100,7 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, seed int64, cfg Config) *cluster {
 	t.Helper()
-	c := &cluster{sched: simnet.NewScheduler()}
+	c := &cluster{sched: simnet.NewWheel()}
 	topo := simnet.UniformTopology(4, 10*time.Millisecond, time.Millisecond)
 	ncfg := simnet.DefaultNetworkConfig()
 	ncfg.Seed = seed
@@ -348,18 +348,30 @@ func TestTreeDepthIsLogarithmic(t *testing.T) {
 func TestActiveQueriesTracked(t *testing.T) {
 	c := newCluster(t, 16, 8, DefaultConfig())
 	c.sched.RunUntil(time.Second)
-	qid := ids.HashString("q7")
 	injector := c.hosts[0].node.Endpoint()
 	var p agg.Partial
 	p.Observe(1)
-	c.hosts[3].engine.Submit(qid, p, testQuery, injector, 0)
-	c.sched.RunUntil(c.sched.Now() + time.Minute)
-	qs := c.hosts[3].engine.ActiveQueries()
-	if qs[qid] == nil {
-		t.Fatal("submitting node must track the active query")
+	qids := []ids.ID{ids.HashString("q7"), ids.HashString("q7b"), ids.HashString("q7c"), ids.HashString("q7d")}
+	for i, qid := range qids {
+		c.hosts[3].engine.Submit(qid, p, testQuery, injector, uint64(i+1))
 	}
-	if ep, ok := c.hosts[3].engine.Injector(qid); !ok || ep != injector {
-		t.Fatal("injector not recorded")
+	c.sched.RunUntil(c.sched.Now() + time.Minute)
+	c.hosts[3].engine.CancelPropagate(qids[1])
+	// The list is in queryId order and leaves out the canceled query.
+	qs := c.hosts[3].engine.ActiveQueries()
+	if len(qs) != len(qids)-1 {
+		t.Fatalf("%d active queries, want %d", len(qs), len(qids)-1)
+	}
+	for i, a := range qs {
+		if i > 0 && !qs[i-1].ID.Less(a.ID) {
+			t.Fatalf("active queries out of queryId order at %d", i)
+		}
+		if a.ID == qids[1] {
+			t.Fatal("canceled query still listed")
+		}
+		if a.Query != testQuery || a.Injector != injector || a.Cause == 0 {
+			t.Fatalf("entry %d: query, injector or cause not recorded: %+v", i, a)
+		}
 	}
 }
 
@@ -447,7 +459,13 @@ func TestReplDeltaInlineMatchesTable(t *testing.T) {
 		{Version: 1, Part: one, Contributors: 1}, // stale
 		{Version: 4, Part: two, Contributors: 1}, // refresh
 	}
-	key := vertexKey{qid: qid, vertex: qid}
+	rootVertex := func(e *Engine) *vertexState {
+		st := e.queries[qid]
+		if i, ok := st.findVertex(qid); ok {
+			return st.vertices[i]
+		}
+		return nil
+	}
 	for i, s := range steps {
 		base := replMsg{QID: qid, Vertex: qid, UpVersion: uint64(i), Injector: 0, Query: testQuery}
 		d, m := base, base
@@ -455,7 +473,7 @@ func TestReplDeltaInlineMatchesTable(t *testing.T) {
 		m.Children.put(child, s)
 		inline.applyRepl(&d)
 		table.applyRepl(&m)
-		a, b := inline.vertices[key], table.vertices[key]
+		a, b := rootVertex(inline), rootVertex(table)
 		if a == nil || b == nil {
 			t.Fatalf("step %d: vertex missing", i)
 		}
@@ -469,7 +487,80 @@ func TestReplDeltaInlineMatchesTable(t *testing.T) {
 				i, a.dirty, a.upVersion, a.primary, b.dirty, b.upVersion, b.primary)
 		}
 	}
-	if got, _ := inline.vertices[key].children.get(child); got.Version != 4 {
+	if got, _ := rootVertex(inline).children.get(child); got.Version != 4 {
 		t.Fatalf("final version %d, want 4", got.Version)
+	}
+}
+
+// TestResetKeepsOnlyOwnContribution: a restart leaves an engine with
+// nothing volatile — no vertex, no timer, no active query — and with
+// exactly the records that hold an own contribution, so the next Submit
+// carries the next version to the persisted entry vertex. A query the
+// endsystem only heard of through the tree is gone.
+func TestResetKeepsOnlyOwnContribution(t *testing.T) {
+	n := 32
+	c := newLossyCluster(t, n, 13, hedgedConfig(), 0)
+	c.sched.RunUntil(time.Second)
+	own, heard := ids.HashString("q-reset-own"), ids.HashString("q-reset-heard")
+	injector := c.hosts[0].node.Endpoint()
+	// Everyone contributes to the first query, every other endsystem to the
+	// second. The victim is one that did not, but hosts a vertex of that
+	// tree all the same, and whose own entry vertex lives elsewhere.
+	submitAll(c, own)
+	for i := 0; i < n; i += 2 {
+		var p agg.Partial
+		p.Observe(1)
+		c.hosts[i].engine.Submit(heard, p, testQuery, injector, 0)
+	}
+	c.sched.RunUntil(c.sched.Now() + 30*time.Second)
+	var victim *testHost
+	var entry ids.ID
+	for _, h := range c.hosts {
+		st := h.engine.queries[heard]
+		entry, _ = h.engine.EntryVertex(own)
+		if st != nil && st.own.Version == 0 && len(st.vertices) > 0 && !h.node.IsRootOf(entry) &&
+			h.engine.HedgeTimers() > 0 && h.engine.ResubmitTimers() > 0 {
+			victim = h
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("no endsystem hosts a vertex of a tree it does not contribute to with timers armed")
+	}
+	e := victim.engine
+	prev := e.queries[own].own
+
+	victim.node.Stop()
+	e.Reset()
+	if e.NumVertices() != 0 || e.HedgeTimers() != 0 || e.ResubmitTimers() != 0 || len(e.ActiveQueries()) != 0 {
+		t.Fatalf("after Reset: %d vertices, %d ladder timers, %d resubmit timers, %d active queries; want none",
+			e.NumVertices(), e.HedgeTimers(), e.ResubmitTimers(), len(e.ActiveQueries()))
+	}
+	if e.IsActive(own) {
+		t.Fatal("a query not heard of since the restart counts as active")
+	}
+	if got, ok := e.EntryVertex(own); !ok || got != entry {
+		t.Fatalf("entry vertex after Reset = %v, %v; want %v", got, ok, entry)
+	}
+	if len(e.queries) != 1 || e.queries[own] == nil {
+		t.Fatalf("Reset kept %d records, want only the one with an own contribution", len(e.queries))
+	}
+
+	// The rejoin re-submission: same vertex, next version, and sent even
+	// though the partial is the one submitted before the restart.
+	var sent []*submitMsg
+	for _, h := range c.hosts {
+		h.drop = func(payload any) bool {
+			if m, ok := payload.(*submitMsg); ok && m.Child == victim.node.ID() {
+				sent = append(sent, m)
+			}
+			return false
+		}
+	}
+	victim.node.OnReady = func() { e.Submit(own, prev.Part, testQuery, injector, 0) }
+	victim.node.Start()
+	c.sched.RunUntil(c.sched.Now() + 10*time.Second)
+	if len(sent) != 1 || sent[0].Vertex != entry || sent[0].C.Version != prev.Version+1 || sent[0].C.Part != prev.Part {
+		t.Fatalf("after the restart the entry vertex %v received %+v, want one submission at version %d", entry, sent, prev.Version+1)
 	}
 }

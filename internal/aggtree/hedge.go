@@ -49,10 +49,7 @@ func (e *Engine) reassertFire(v *vertexState) {
 	if !node.Alive() {
 		return
 	}
-	if cur, ok := e.vertices[v.key]; !ok || cur != v || !v.primary {
-		return
-	}
-	if e.expired(e.queries[v.key.qid]) {
+	if v.dropped || !v.primary || e.expired(v.q) {
 		return
 	}
 	v.reassertN++
@@ -76,21 +73,23 @@ func (e *Engine) clearHedge(v *vertexState) {
 // no-leak invariants).
 func (e *Engine) HedgeTimers() int {
 	n := 0
-	for _, v := range e.vertices {
-		if v.reassert != nil {
-			n++
+	for _, st := range e.queries {
+		for _, v := range st.vertices {
+			if v.reassert != nil {
+				n++
+			}
 		}
 	}
 	return n
 }
 
 // ResubmitTimers reports how many leaf re-assertion timers are live (test
-// instrumentation: the resubmit map must not leak timers across cancels,
+// instrumentation: a record must not leak its timer across cancels,
 // restarts, or takeovers).
 func (e *Engine) ResubmitTimers() int {
 	n := 0
-	for _, st := range e.resubmit {
-		if st.timer != nil {
+	for _, st := range e.queries {
+		if st.resubmit != nil {
 			n++
 		}
 	}

@@ -31,7 +31,7 @@ func plainConfig() Config {
 // the environment the ladder exists for.
 func newLossyCluster(t *testing.T, n int, seed int64, cfg Config, loss float64) *cluster {
 	t.Helper()
-	c := &cluster{sched: simnet.NewScheduler()}
+	c := &cluster{sched: simnet.NewWheel()}
 	topo := simnet.UniformTopology(4, 10*time.Millisecond, time.Millisecond)
 	ncfg := simnet.DefaultNetworkConfig()
 	ncfg.Seed = seed

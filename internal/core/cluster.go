@@ -412,17 +412,19 @@ func (c *Cluster) CancelQuery(h *QueryHandle, from simnet.Endpoint) {
 
 // TrueRelevantRows returns the exact number of rows matching the query
 // across every endsystem's data (available or not), with NOW() bound to
-// the current clock — the denominator of completeness.
+// the current clock — the denominator of completeness. CountMatching
+// resolves NOW() as it executes, so q itself is passed: the per-table plan
+// cache is keyed by query pointer, and a bound copy per call would miss it
+// on every endsystem and evict the plans of queries still running.
 func (c *Cluster) TrueRelevantRows(q *relq.Query) int64 {
 	now := int64(c.Sched.Now() / time.Second)
-	bound := q.BindNow(now)
 	var total int64
 	for _, n := range c.Nodes {
-		tbl, ok := n.tables[bound.Table]
+		tbl, ok := n.tables[q.Table]
 		if !ok {
 			continue
 		}
-		cnt, err := tbl.CountMatching(bound, now)
+		cnt, err := tbl.CountMatching(q, now)
 		if err == nil {
 			total += cnt
 		}
@@ -447,17 +449,16 @@ func (c *Cluster) TrueRowsInScope(qid ids.ID, q *relq.Query) int64 {
 		return c.TrueRelevantRows(q)
 	}
 	now := int64(c.Sched.Now() / time.Second)
-	bound := q.BindNow(now)
 	var total int64
 	for i, n := range c.Nodes {
 		if !c.space.InScope(qid, simnet.Endpoint(i)) {
 			continue
 		}
-		tbl, ok := n.tables[bound.Table]
+		tbl, ok := n.tables[q.Table]
 		if !ok {
 			continue
 		}
-		cnt, err := tbl.CountMatching(bound, now)
+		cnt, err := tbl.CountMatching(q, now)
 		if err == nil {
 			total += cnt
 		}

@@ -285,3 +285,46 @@ func TestCompletenessDeterministic(t *testing.T) {
 }
 
 var _ = agg.Partial{} // keep import when assertions change
+
+// TestTruthCountsKeepPlanCache: the truth counts pass the query itself to
+// the tables, not a NOW()-bound copy per call. The plan cache is keyed by
+// query pointer and holds 32 plans a table, so 40 counts of a NOW() query
+// cost each endsystem one miss — not 40, with the plan of every query
+// still running evicted on the way.
+func TestTruthCountsKeepPlanCache(t *testing.T) {
+	const n = 40
+	cfg := DefaultClusterConfig(alwaysUpTrace(n, 24*time.Hour), 5)
+	cfg.Workload.MeanFlowsPerDay = 50
+	c := NewCluster(cfg)
+	c.RunUntil(12 * time.Hour)
+	misses, hits := c.Obs().Counter("plan_cache_misses"), c.Obs().Counter("plan_cache_hits")
+
+	running := relq.MustParse("SELECT COUNT(*) FROM Flow WHERE SrcPort=80")
+	c.TrueRelevantRows(running)
+	recent := relq.MustParse("SELECT COUNT(*) FROM Flow WHERE ts >= NOW() - 3600")
+	m0 := misses.Value()
+	for i := 0; i < 40; i++ {
+		c.RunUntil(c.Sched.Now() + time.Minute)
+		// The count is the one a bound copy gives.
+		var want int64
+		now := int64(c.Sched.Now() / time.Second)
+		for _, node := range c.Nodes {
+			plan, err := node.tables["Flow"].Bind(recent.BindNow(now))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += plan.CountMatching(0)
+		}
+		if got := c.TrueRelevantRows(recent); got != want || got == 0 {
+			t.Fatalf("count %d: %d rows, a bound copy counts %d", i, got, want)
+		}
+	}
+	if got := misses.Value() - m0; got != n {
+		t.Errorf("40 truth counts of a NOW() query missed the plan cache %d times, want one per endsystem (%d)", got, n)
+	}
+	m0, h0 := misses.Value(), hits.Value()
+	c.TrueRelevantRows(running)
+	if misses.Value() != m0 || hits.Value()-h0 != n {
+		t.Errorf("a query executed before the truth counts: %d misses, %d hits; want 0 and %d", misses.Value()-m0, hits.Value()-h0, n)
+	}
+}

@@ -50,7 +50,7 @@ type CompletenessConfig struct {
 	// parallel phases — the parallel workers never touch it.
 	Obs *obs.Obs
 	// RunnerStats, when non-nil, accumulates the parallel engine's
-	// timing for perf summaries (BENCH_runner.json).
+	// timing (a sweep prints it).
 	RunnerStats *runner.Stats
 	// ProfileDir, when non-empty, captures a per-injection CPU profile
 	// (see runner.Config.ProfileDir); implies serial execution.

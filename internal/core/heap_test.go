@@ -15,14 +15,17 @@ import (
 // ever touched: the same test read 208 KB then.
 const heapPerEndsystemCeiling = 70 << 10
 
-// allocPerQueryCeiling sits between what TestAllocPerQuery measures (8.9 KB
-// on go1.24 linux/amd64, 9.0 KB with GOEXPERIMENT=noswissmap; runs differ
-// by half a percent) and what it measured when every dissemination range
-// task carried its own 592-byte predictor, empty or not, and every
-// aggregation vertex kept its children in a map (11.4 and 11.5 KB). At
-// N=256 the tree has fewer empty ranges than at the benchmark's N=1000, so
-// the two are only 27% apart and the ceiling cannot have the usual slack.
-const allocPerQueryCeiling = 10 << 10
+// allocPerQueryCeiling sits between what TestAllocPerQuery measures (7.5 KB
+// on go1.24 linux/amd64, 7.6 KB with GOEXPERIMENT=noswissmap; runs differ
+// by half a percent) and what it measured when an endsystem kept a query
+// in nine tables across three packages instead of one record and
+// core.Node.executed (8.8 KB on both; DESIGN.md, "Per-query state on an
+// endsystem"). Before that, every dissemination range task carried its
+// own 592-byte predictor, empty or not, and every aggregation vertex kept
+// its children in a map (11.4 and 11.5 KB). At N=256 the tree has fewer
+// empty ranges than at the benchmark's N=1000, so the steps are 15-27%
+// apart and the ceiling cannot have the usual slack.
+const allocPerQueryCeiling = 8500
 
 // heapTestCluster keeps TestHeapPerEndsystem's cluster reachable after the
 // test returns: go test -memprofile collects before it writes, and that

@@ -5,10 +5,14 @@
 // two simulation harnesses the paper's evaluation uses: the packet-level
 // cluster simulation (Figures 9 and 10) and the availability-level
 // completeness simulation (Figures 5–8).
+//
+// Per query a Node itself keeps only whether it has run the query in this
+// uptime session (executed), plus a timer for a standing query and a sink
+// at the injector; what the query is, what was last submitted for it and
+// where, is the aggregation engine's record (aggtree.Engine).
 package core
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/agg"
@@ -45,11 +49,11 @@ type Node struct {
 	// prevLeaf is the leafset membership at the last LeafsetChanged
 	// upcall, for detecting additions (see pullFromNewNeighbors).
 	prevLeaf map[simnet.Endpoint]bool
-	// executed tracks queries already run locally in this uptime session.
+	// executed tracks queries already run locally in this uptime session:
+	// the one guard that makes a query execute at most once per uptime
+	// whether it arrives by dissemination (however many range requests
+	// carry it) or in a neighbor's active-query list.
 	executed map[ids.ID]bool
-	// lastSubmitted remembers the last partial submitted per query, so
-	// continuous re-execution only resubmits on change.
-	lastSubmitted map[ids.ID]agg.Partial
 
 	// Live data feed (optional): new rows appended while the endsystem is
 	// up, with the summary rebuilt and re-replicated when data changed.
@@ -97,7 +101,6 @@ func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
 		resultSinks:      make(map[ids.ID]func(agg.Partial, int64, uint64)),
 		prevLeaf:         make(map[simnet.Endpoint]bool),
 		executed:         make(map[ids.ID]bool),
-		lastSubmitted:    make(map[ids.ID]agg.Partial),
 		contTimers:       make(map[ids.ID]*simnet.Timer),
 		continuousPeriod: cfg.ContinuousPeriod,
 	}
@@ -169,14 +172,15 @@ func (n *Node) UnavailableInRange(lo, hi ids.ID) []*metadata.Record {
 }
 
 // QueryObserved implements dissem.Host: execute the query locally and
-// submit the result into the aggregation tree, exactly once per uptime.
+// submit the result into the aggregation tree. The engine calls it for
+// every range task it begins; executeAndSubmit deduplicates.
 func (n *Node) QueryObserved(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) {
-	n.tree.RegisterQuery(qid, q, injector, cause)
 	n.executeAndSubmit(qid, q, injector, cause, obs.KindExec)
 }
 
-// executeAndSubmit runs a query against the local tables and submits the
-// partial result. Continuous queries additionally arm a periodic local
+// executeAndSubmit registers a query with the aggregation tree, runs it
+// against the local tables and submits the partial result — once per
+// uptime session. Continuous queries additionally arm a periodic local
 // re-execution that resubmits whenever the local result changes — the
 // §3.4 continuous-query extension, riding the aggregation tree's versioned
 // exactly-once replacement. kind distinguishes the normal dissemination
@@ -188,6 +192,7 @@ func (n *Node) executeAndSubmit(qid ids.ID, q *relq.Query, injector simnet.Endpo
 		return
 	}
 	n.executed[qid] = true
+	n.tree.RegisterQuery(qid, q, injector, cause)
 	if q.RTTScope > 0 {
 		// RTT-scoped query: endsystems outside the frozen scope observe the
 		// query (dedup state above) but neither execute nor submit. The
@@ -220,12 +225,13 @@ func (n *Node) executeAndSubmit(qid ids.ID, q *relq.Query, injector simnet.Endpo
 	}
 }
 
-// runLocal executes the query against local data and submits the result if
-// it differs from the last submission. It reports whether the table
-// existed and execution succeeded. Table.Execute goes through the
-// per-table bound-plan cache: the query object is pointer-stable per qid
-// on this node, so continuous re-executions and rejoin replays skip
-// parse/bind entirely.
+// runLocal executes the query against local data and submits the result
+// (the tree sends it on only if it differs from the last one submitted in
+// this uptime session, so continuous re-execution resubmits on change). It
+// reports whether the table existed and execution succeeded. Table.Execute
+// goes through the per-table bound-plan cache: the query object is
+// pointer-stable per qid on this node, so continuous re-executions and
+// rejoin replays skip parse/bind entirely.
 func (n *Node) runLocal(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) bool {
 	tbl, ok := n.tables[q.Table]
 	if !ok {
@@ -235,10 +241,6 @@ func (n *Node) runLocal(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cau
 	if err != nil {
 		return false
 	}
-	if last, ok := n.lastSubmitted[qid]; ok && last == part {
-		return true
-	}
-	n.lastSubmitted[qid] = part
 	n.tree.Submit(qid, part, q, injector, cause)
 	return true
 }
@@ -354,12 +356,6 @@ func (n *Node) GoUp() {
 	n.dis.Reset()
 	n.tree.Reset()
 	n.executed = make(map[ids.ID]bool)
-	// Forget the last-submitted dedup too: the entry vertex (or its whole
-	// replica group) may have died while this endsystem was down, so the
-	// rejoin re-execution must re-assert the contribution even when the
-	// local result is unchanged. The tree's versioned replacement keeps
-	// the re-assertion exactly-once.
-	n.lastSubmitted = make(map[ids.ID]agg.Partial)
 	for _, t := range n.contTimers {
 		t.Cancel()
 	}
@@ -452,14 +448,12 @@ type queryListPull struct {
 	From simnet.Endpoint
 }
 
-// queryListPush answers with the active queries and their injectors.
-// Spans carries, per query, the span under which the sender learned of
-// the query, so the receiver's avail_exec event chains onto the original
-// dissemination — the edge between them is the availability wait.
+// queryListPush answers with the active queries in queryId order, each
+// with its injector and the span under which the sender learned of it, so
+// the receiver's avail_exec event chains onto the original dissemination
+// — the edge between them is the availability wait.
 type queryListPush struct {
-	Queries   map[ids.ID]*relq.Query
-	Injectors map[ids.ID]simnet.Endpoint
-	Spans     map[ids.ID]uint64
+	Queries []aggtree.ActiveQuery
 }
 
 func (n *Node) handleQueryListPull(m *queryListPull) {
@@ -467,34 +461,16 @@ func (n *Node) handleQueryListPull(m *queryListPull) {
 	if len(qs) == 0 {
 		return
 	}
-	inj := make(map[ids.ID]simnet.Endpoint, len(qs))
-	spans := make(map[ids.ID]uint64, len(qs))
 	size := 8
-	for qid, q := range qs {
-		if ep, ok := n.tree.Injector(qid); ok {
-			inj[qid] = ep
-		}
-		if sp := n.tree.Cause(qid); sp != 0 {
-			spans[qid] = sp
-		}
-		size += ids.Bytes + len(q.Raw) + 8
+	for _, a := range qs {
+		size += ids.Bytes + len(a.Query.Raw) + 8
 	}
 	n.pn.Ring().Network().Send(n.pn.Endpoint(), m.From, size, simnet.ClassQuery,
-		&queryListPush{Queries: qs, Injectors: inj, Spans: spans})
+		&queryListPush{Queries: qs})
 }
 
 func (n *Node) handleQueryListPush(m *queryListPush) {
-	qids := make([]ids.ID, 0, len(m.Queries))
-	for qid := range m.Queries {
-		qids = append(qids, qid)
-	}
-	sort.Slice(qids, func(i, j int) bool { return qids[i].Less(qids[j]) })
-	for _, qid := range qids {
-		inj, ok := m.Injectors[qid]
-		if !ok {
-			continue
-		}
-		n.tree.RegisterQuery(qid, m.Queries[qid], inj, m.Spans[qid])
-		n.executeAndSubmit(qid, m.Queries[qid], inj, m.Spans[qid], obs.KindAvailExec)
+	for _, a := range m.Queries {
+		n.executeAndSubmit(a.ID, a.Query, a.Injector, a.Cause, obs.KindAvailExec)
 	}
 }

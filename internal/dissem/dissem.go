@@ -91,7 +91,11 @@ type Host interface {
 	// currently-unavailable endsystems in the inclusive id range.
 	UnavailableInRange(lo, hi ids.ID) []*metadata.Record
 	// QueryObserved tells the host a query reached this endsystem, so it
-	// can execute it locally and submit results (exactly once per query).
+	// can execute it locally and submit results. The engine calls it for
+	// every range task it begins — at least once per query, and again for
+	// each further range and each request that outlives a task's retention
+	// — so the host deduplicates: it holds the once-per-uptime guard for
+	// this path and for the ones that do not pass through the engine.
 	// injector is the endpoint that submitted the query, where incremental
 	// results are delivered. cause is the span of the dissemination event
 	// that carried the query here (0 when tracing is off), so execution
@@ -122,7 +126,6 @@ type Engine struct {
 	// waiting holds injector-side callbacks keyed by queryId, with the
 	// injection instant for predictor-latency accounting.
 	waiting map[ids.ID]*pendingInject
-	seen    map[ids.ID]bool // queries already passed to QueryObserved
 
 	// Smoothed subrange response time and its mean deviation (Jacobson),
 	// sampled from unretried subrange responses per Karn's rule. They set
@@ -171,7 +174,6 @@ func NewEngine(host Host, cfg Config) *Engine {
 		tasks:   make(map[taskKey]*task),
 		awaited: make(map[taskKey]*subrange),
 		waiting: make(map[ids.ID]*pendingInject),
-		seen:    make(map[ids.ID]bool),
 
 		o:          o,
 		cInjects:   o.Counter("dissem_injects"),
@@ -211,7 +213,6 @@ func (e *Engine) Reset() {
 	}
 	e.retired, e.retiredTail = nil, nil
 	e.waiting = make(map[ids.ID]*pendingInject)
-	e.seen = make(map[ids.ID]bool)
 	e.srtt, e.rttvar = 0, 0
 }
 
@@ -537,7 +538,7 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 	}
 	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindDisseminate, Query: e.o.QueryTag(qid),
 		EP: int(node.Endpoint())})
-	e.observe(qid, q, injector, span)
+	e.host.QueryObserved(qid, q, injector, span)
 
 	if lo == hi || e.aloneInRange(lo, hi) {
 		// Leaf: contribute own rows (if in range) and predict on behalf of
@@ -604,15 +605,6 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 		e.contributeLocal(t.acc, qid, q, span, lo, hi)
 		e.finish(t)
 	}
-}
-
-// observe triggers the host's local execution exactly once per query.
-func (e *Engine) observe(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) {
-	if e.seen[qid] {
-		return
-	}
-	e.seen[qid] = true
-	e.host.QueryObserved(qid, q, injector, cause)
 }
 
 // aloneInRange reports whether, per the local leafset, this node is the

@@ -804,7 +804,6 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 	const runs = 100
 	// The table is sized up front: its growth is not the path's cost.
 	r.e.tasks = make(map[taskKey]*task, 8*runs)
-	r.e.seen = make(map[ids.ID]bool, 8*runs)
 
 	// Leaves, a new query each time. Letting the response arrive returns
 	// its event to the scheduler's pool, so the count is the engine's

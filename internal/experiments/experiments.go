@@ -63,7 +63,7 @@ type Scale struct {
 	// Off by default: the id-only baseline stays byte-identical.
 	Coords bool
 	// RunnerStats, when non-nil, accumulates engine timing across every
-	// experiment run through it (for the BENCH_runner.json summary).
+	// experiment run through it (the sweep prints it).
 	RunnerStats *runner.Stats
 	// ProfileDir, when non-empty, captures a per-run CPU profile into it
 	// (see runner.Config.ProfileDir); implies serial execution.

@@ -13,7 +13,7 @@ import (
 // its own failure region, so partitions can be tested at single-router
 // granularity.
 func testNet(n int, seed int64) (simnet.Scheduler, *simnet.Network) {
-	sched := simnet.NewScheduler()
+	sched := simnet.NewWheel()
 	topo := simnet.UniformTopology(4, 10*time.Millisecond, time.Millisecond)
 	cfg := simnet.DefaultNetworkConfig()
 	cfg.Seed = seed

@@ -41,7 +41,7 @@ func (a *svcApp) LeafsetChanged() {
 
 func newHarness(t *testing.T, n int, seed int64) *harness {
 	t.Helper()
-	h := &harness{sched: simnet.NewScheduler()}
+	h := &harness{sched: simnet.NewWheel()}
 	topo := simnet.UniformTopology(4, 10*time.Millisecond, time.Millisecond)
 	cfg := simnet.DefaultNetworkConfig()
 	cfg.Seed = seed

@@ -12,7 +12,7 @@ import (
 // lossyRing builds a bootstrapped ring over a lossy network.
 func lossyRing(t *testing.T, n int, seed int64, loss float64) (simnet.Scheduler, *Ring, []*Node, []*testApp) {
 	t.Helper()
-	sched := simnet.NewScheduler()
+	sched := simnet.NewWheel()
 	topo := simnet.UniformTopology(8, 10*time.Millisecond, time.Millisecond)
 	netCfg := simnet.DefaultNetworkConfig()
 	netCfg.Seed = seed

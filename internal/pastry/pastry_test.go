@@ -31,7 +31,7 @@ func (a *testApp) LeafsetChanged() { a.leafsetChanges++ }
 // testRing builds a bootstrapped ring of n nodes.
 func testRing(t *testing.T, n int, seed int64) (simnet.Scheduler, *Ring, []*Node, []*testApp) {
 	t.Helper()
-	sched := simnet.NewScheduler()
+	sched := simnet.NewWheel()
 	topo := simnet.UniformTopology(8, 10*time.Millisecond, time.Millisecond)
 	netCfg := simnet.DefaultNetworkConfig()
 	netCfg.Seed = seed
@@ -137,7 +137,7 @@ func TestRoutingTerminatesAndLatencyBounded(t *testing.T) {
 
 func TestJoinAndRouteToJoiner(t *testing.T) {
 	n := 65
-	sched := simnet.NewScheduler()
+	sched := simnet.NewWheel()
 	topo := simnet.UniformTopology(8, 10*time.Millisecond, time.Millisecond)
 	netCfg := simnet.DefaultNetworkConfig()
 	net := simnet.NewNetwork(sched, topo, n, netCfg)
@@ -336,7 +336,7 @@ func TestRouteFromDeadNodeIsNoop(t *testing.T) {
 }
 
 func TestSingleNodeRing(t *testing.T) {
-	sched := simnet.NewScheduler()
+	sched := simnet.NewWheel()
 	topo := simnet.UniformTopology(2, 10*time.Millisecond, time.Millisecond)
 	net := simnet.NewNetwork(sched, topo, 1, simnet.DefaultNetworkConfig())
 	ring := NewRing(net, DefaultConfig())

@@ -75,7 +75,7 @@ type Config struct {
 	// Sinks receive every result, strictly in run-index order.
 	Sinks []Sink
 	// Stats, when non-nil, accumulates aggregate timing across engine
-	// executions (for the BENCH_runner.json perf summary).
+	// executions (a sweep's own render prints it).
 	Stats *Stats
 	// OnProgress, when non-nil, is called after each emitted result with
 	// (emitted, total); it runs on the collecting goroutine.
@@ -291,11 +291,6 @@ func Execute(ctx context.Context, cfg Config, specs []Spec) (*Report, error) {
 		}
 	} else if sinkErr != nil {
 		err = sinkErr
-	}
-	for _, s := range cfg.Sinks {
-		if fs, ok := s.(FinishSink); ok {
-			fs.Finish(rep)
-		}
 	}
 	cfg.Stats.add(rep)
 	return rep, err

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,8 +233,7 @@ func TestMapAndForEach(t *testing.T) {
 
 func TestBenchSinkAndCSV(t *testing.T) {
 	var csvBuf bytes.Buffer
-	path := t.TempDir() + "/BENCH_runner.json"
-	sinks := []Sink{NewCSVSink(&csvBuf), NewBenchSink("test-sweep", path)}
+	sinks := []Sink{NewCSVSink(&csvBuf)}
 	rep, err := Execute(context.Background(),
 		Config{Workers: 4, Seed: 1, Sinks: sinks}, sweepSpecs(6))
 	if err != nil {
@@ -248,20 +246,7 @@ func TestBenchSinkAndCSV(t *testing.T) {
 	if len(lines) != 7 { // header + 6 rows
 		t.Fatalf("csv lines = %d:\n%s", len(lines), csvBuf.String())
 	}
-	sum := NewBenchSummary("x", nil, 0)
-	if sum.NumCPU <= 0 {
-		t.Fatal("bench summary missing cpu info")
-	}
 	if rep.Speedup() <= 0 {
 		t.Fatal("speedup not measured")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"label": "test-sweep"`, `"speedup_vs_serial"`, `"num_cpu"`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("BENCH_runner.json missing %s:\n%s", want, data)
-		}
 	}
 }

@@ -5,9 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"time"
 )
 
 // Sink receives results, strictly in run-index order. Sinks are called
@@ -15,12 +12,6 @@ import (
 type Sink interface {
 	Emit(res Result) error
 	Close() error
-}
-
-// FinishSink is an optional Sink extension: the engine calls Finish with
-// the final report after the last Emit (the bench summary uses it).
-type FinishSink interface {
-	Finish(rep *Report)
 }
 
 // EmitAll pushes a result slice through sinks in order — for sweeps that
@@ -126,103 +117,3 @@ func (s *CSVSink) Close() error {
 	s.cw.Flush()
 	return s.cw.Error()
 }
-
-// BenchSummary is the perf summary written to BENCH_runner.json.
-// SpeedupVsSerial is only present for genuinely parallel executions
-// (workers > 1): a serial run has no parallel speedup to report, and
-// busy/wall at workers==1 merely measures engine overhead, which once
-// made a healthy serial sweep read as a 0.86× "regression".
-type BenchSummary struct {
-	Label           string  `json:"label"`
-	Workers         int     `json:"workers"`
-	Runs            int     `json:"runs"`
-	Failed          int     `json:"failed"`
-	WallNS          int64   `json:"wall_ns"`
-	BusyNS          int64   `json:"busy_ns"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
-	// Events is the total scheduler events executed across all runs (from
-	// the sched_events counter); EventsPerSec is Events over the sweep
-	// wall-clock. Both are omitted when the caller has no event counts.
-	Events       uint64  `json:"events,omitempty"`
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
-	NumCPU       int     `json:"num_cpu"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-}
-
-// NewBenchSummary builds the summary from accumulated engine stats plus
-// the overall wall-clock time of the sweep (which may include serial
-// phases outside the engines; SpeedupVsSerial is measured over the
-// engine-executed portion only, honestly excluding them).
-func NewBenchSummary(label string, st *Stats, sweepWall time.Duration) BenchSummary {
-	b := BenchSummary{
-		Label:      label,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		WallNS:     int64(sweepWall),
-	}
-	if st != nil {
-		b.Workers = st.Workers
-		b.Runs = st.Runs
-		b.Failed = st.Failed
-		b.BusyNS = int64(st.Busy)
-		if st.Workers > 1 {
-			b.SpeedupVsSerial = st.Speedup()
-		}
-	}
-	return b
-}
-
-// SetEvents records the total scheduler events executed across the sweep
-// and derives EventsPerSec from the summary's wall-clock time.
-func (b *BenchSummary) SetEvents(events uint64) {
-	b.Events = events
-	if b.WallNS > 0 && events > 0 {
-		b.EventsPerSec = float64(events) / (time.Duration(b.WallNS)).Seconds()
-	}
-}
-
-// WriteFile writes the summary as indented JSON to path.
-func (b BenchSummary) WriteFile(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// BenchSink is a Sink that accumulates per-run timing and writes a
-// BENCH_runner.json perf summary when the engine finishes.
-type BenchSink struct {
-	Label string
-	Path  string
-	err   error
-}
-
-// NewBenchSink returns a sink writing the summary to path on Finish.
-func NewBenchSink(label, path string) *BenchSink {
-	return &BenchSink{Label: label, Path: path}
-}
-
-// Emit is a no-op: timing is taken from the final report.
-func (s *BenchSink) Emit(Result) error { return nil }
-
-// Finish writes the summary for the completed execution.
-func (s *BenchSink) Finish(rep *Report) {
-	b := BenchSummary{
-		Label:      s.Label,
-		Workers:    rep.Workers,
-		Runs:       len(rep.Results),
-		Failed:     rep.Failed,
-		WallNS:     int64(rep.Elapsed),
-		BusyNS:     int64(rep.Busy),
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	if rep.Workers > 1 {
-		b.SpeedupVsSerial = rep.Speedup()
-	}
-	s.err = b.WriteFile(s.Path)
-}
-
-// Close surfaces any write error from Finish.
-func (s *BenchSink) Close() error { return s.err }

@@ -7,7 +7,7 @@ import (
 
 func testNetwork(t *testing.T, n int, cfg NetworkConfig) (*Wheel, *Network) {
 	t.Helper()
-	s := NewScheduler()
+	s := NewWheel()
 	topo := UniformTopology(4, 10*time.Millisecond, time.Millisecond)
 	return s, NewNetwork(s, topo, n, cfg)
 }

@@ -163,14 +163,6 @@ func NewWheel() *Wheel {
 	return &Wheel{}
 }
 
-// NewScheduler returns a single-wheel scheduler whose clock starts at 0.
-//
-// Deprecated: use NewWheel (or NewSharded for the multi-core engine).
-// Retained so existing callers keep compiling.
-func NewScheduler() *Wheel {
-	return NewWheel()
-}
-
 // Now returns the current virtual time, measured from the start of the
 // simulation.
 func (s *Wheel) Now() time.Duration { return s.now }

@@ -255,7 +255,7 @@ func runScript(s schedIface, seed int64) []string {
 
 func TestSchedulerOrderOracle(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
-		got := runScript(wheelAdapter{NewScheduler()}, seed)
+		got := runScript(wheelAdapter{NewWheel()}, seed)
 		want := runScript(oracleAdapter{&oracleScheduler{}}, seed)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: wheel executed %d log entries, oracle %d\nwheel tail: %v\noracle tail: %v",

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSchedulerOrdering(t *testing.T) {
-	s := NewScheduler()
+	s := NewWheel()
 	var order []int
 	s.At(3*time.Second, func() { order = append(order, 3) })
 	s.At(1*time.Second, func() { order = append(order, 1) })
@@ -24,7 +24,7 @@ func TestSchedulerOrdering(t *testing.T) {
 }
 
 func TestSchedulerFIFOAmongSameTime(t *testing.T) {
-	s := NewScheduler()
+	s := NewWheel()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -39,7 +39,7 @@ func TestSchedulerFIFOAmongSameTime(t *testing.T) {
 }
 
 func TestSchedulerPastEventRunsNow(t *testing.T) {
-	s := NewScheduler()
+	s := NewWheel()
 	s.At(10*time.Second, func() {})
 	s.Run()
 	fired := time.Duration(-1)
@@ -51,7 +51,7 @@ func TestSchedulerPastEventRunsNow(t *testing.T) {
 }
 
 func TestSchedulerRunUntil(t *testing.T) {
-	s := NewScheduler()
+	s := NewWheel()
 	count := 0
 	for i := 1; i <= 10; i++ {
 		s.At(time.Duration(i)*time.Second, func() { count++ })
@@ -73,7 +73,7 @@ func TestSchedulerRunUntil(t *testing.T) {
 }
 
 func TestTimerCancel(t *testing.T) {
-	s := NewScheduler()
+	s := NewWheel()
 	fired := false
 	tm := s.After(time.Second, func() { fired = true })
 	if !tm.Cancel() {
@@ -89,7 +89,7 @@ func TestTimerCancel(t *testing.T) {
 }
 
 func TestEvery(t *testing.T) {
-	s := NewScheduler()
+	s := NewWheel()
 	count := 0
 	var tm *Timer
 	tm = s.Every(time.Second, func() {
@@ -105,7 +105,7 @@ func TestEvery(t *testing.T) {
 }
 
 func TestEveryCancelBeforeFirstFire(t *testing.T) {
-	s := NewScheduler()
+	s := NewWheel()
 	count := 0
 	tm := s.Every(time.Second, func() { count++ })
 	tm.Cancel()
@@ -116,7 +116,7 @@ func TestEveryCancelBeforeFirstFire(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
-	s := NewScheduler()
+	s := NewWheel()
 	depth := 0
 	var recurse func()
 	recurse = func() {
@@ -139,7 +139,7 @@ func TestSchedulerRejectsConcurrentDrivers(t *testing.T) {
 	// Two goroutines driving one scheduler is exactly the sharing mistake
 	// a parallel sweep could make; the scheduler must detect it rather
 	// than silently produce nondeterministic results.
-	s := NewScheduler()
+	s := NewWheel()
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	firstDone := make(chan struct{})
@@ -177,7 +177,7 @@ func TestSchedulerRejectsConcurrentDrivers(t *testing.T) {
 // own tick callback. The cancel must win the race against the re-arm: no
 // further tick may fire, and the pooled event must not be resurrected.
 func TestEveryCancelFromWithinTick(t *testing.T) {
-	s := NewScheduler()
+	s := NewWheel()
 	fires := 0
 	var tm *Timer
 	tm = s.Every(time.Second, func() {
@@ -202,7 +202,7 @@ func TestEveryCancelFromWithinTick(t *testing.T) {
 // not a multiple of the wheel tick and the horizon spans many wheel
 // rotations.
 func TestEveryPeriodPreservation(t *testing.T) {
-	s := NewScheduler()
+	s := NewWheel()
 	const period = 700*time.Millisecond + 137*time.Microsecond
 	var at []time.Duration
 	s.Every(period, func() { at = append(at, s.Now()) })
@@ -224,7 +224,7 @@ func TestEveryPeriodPreservation(t *testing.T) {
 // the remaining same-tick events pending, and events scheduled afterwards
 // between the deadline and the leftovers must still fire in time order.
 func TestRunUntilMidTickLeftovers(t *testing.T) {
-	s := NewScheduler()
+	s := NewWheel()
 	var order []string
 	s.At(1400*time.Microsecond, func() { order = append(order, "a") })
 	if n := s.RunUntil(1100 * time.Microsecond); n != 0 {

@@ -18,7 +18,7 @@
 //   - Queries: the supported SQL subset (single-table SELECT with
 //     SUM/COUNT/AVG/MIN/MAX, conjunctive comparison predicates, NOW()
 //     arithmetic) via ParseQuery.
-//   - Deployments: NewCluster builds a packet-level simulated deployment
+//   - Deployments: New builds a packet-level simulated deployment
 //     of full Seaweed endsystems over a discrete-event network; InjectQuery
 //     returns the predictor and the incremental result stream.
 //   - Completeness studies: RunCompleteness evaluates predicted versus
@@ -323,25 +323,6 @@ func New(opts ...Option) *Cluster {
 	cfg := core.DefaultClusterConfig(b.trace, b.seed)
 	for _, mod := range b.mods {
 		mod(&cfg)
-	}
-	return core.NewCluster(cfg)
-}
-
-// NewCluster builds a deployment over the trace.
-//
-// Deprecated: use New with WithTrace; this shim forwards to it.
-func NewCluster(trace *AvailabilityTrace, opts ...Option) *Cluster {
-	return New(append([]Option{WithTrace(trace)}, opts...)...)
-}
-
-// NewClusterFromConfig builds and wires the deployment from an explicit
-// configuration (see DefaultClusterConfig).
-//
-// Deprecated: use New with WithConfig (or construct the config and pass
-// it through core directly); this shim remains for struct-level callers.
-func NewClusterFromConfig(cfg ClusterConfig) *Cluster {
-	if cfg.Trace == nil {
-		panic("seaweed.NewClusterFromConfig: ClusterConfig.Trace is required")
 	}
 	return core.NewCluster(cfg)
 }

@@ -9,7 +9,7 @@ import (
 
 func TestPublicAPIEndToEnd(t *testing.T) {
 	trace := FarsiteTrace(120, 2*24*time.Hour, 99)
-	cluster := NewCluster(trace, WithSeed(99), WithFlowsPerDay(40))
+	cluster := New(WithTrace(trace), WithSeed(99), WithFlowsPerDay(40))
 	cluster.RunUntil(24 * time.Hour)
 
 	q, err := ParseQuery("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80")
@@ -56,27 +56,13 @@ func TestPublicAPIOptions(t *testing.T) {
 	if len(cluster.Nodes) != 30 {
 		t.Fatalf("WithScale(30) built %d nodes", len(cluster.Nodes))
 	}
-	// The deprecated trace-first constructor forwards to New.
-	legacy := NewCluster(trace,
-		WithSeed(5), WithLoss(0.01), WithScale(30), WithFlowsPerDay(20))
-	if len(legacy.Nodes) != len(cluster.Nodes) {
-		t.Fatal("NewCluster shim diverges from New with the same options")
-	}
-	// WithConfig is the escape hatch to any ClusterConfig field; the same
-	// deployment is reachable through it and through NewClusterFromConfig.
+	// WithConfig is the escape hatch to any ClusterConfig field.
 	viaConfig := New(WithTrace(trace), WithSeed(5), WithConfig(func(cfg *ClusterConfig) {
 		cfg.Net.LossRate = 0.01
 		cfg.Workload.MeanFlowsPerDay = 20
 	}), WithScale(30))
 	if len(viaConfig.Nodes) != len(cluster.Nodes) {
 		t.Fatal("WithConfig diverges from the dedicated options")
-	}
-	cfg := DefaultClusterConfig(trace, 5)
-	cfg.Net.LossRate = 0.01
-	cfg.Workload.MeanFlowsPerDay = 20
-	other := NewClusterFromConfig(cfg)
-	if len(other.Nodes) != len(trace.Profiles) {
-		t.Fatal("NewClusterFromConfig did not build the full trace")
 	}
 }
 
