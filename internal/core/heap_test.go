@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/relq"
+	"repro/internal/simnet"
 )
 
 // heapPerEndsystemCeiling is about twice what TestHeapPerEndsystem measures
@@ -70,6 +71,38 @@ func TestHeapPerEndsystem(t *testing.T) {
 	heapTestCluster = c
 }
 
+// queryBytesPerEndsystemCeiling is about 10% above what
+// TestQueryBytesPerEndsystem measures (1,677 bytes). The number is exact per
+// seed, so the margin is room for protocol changes, not noise; it read
+// 3,011 when every response carried a fixed 592-byte predictor.
+const queryBytesPerEndsystemCeiling = 1850
+
+// querySpan builds the budget tests' cluster, runs it for an hour, and
+// measures ten more virtual minutes — with one query injected at their
+// start, or quiet: the bytes the simulator allocated and the query-class
+// bytes the endsystems sent.
+func querySpan(t *testing.T, withQuery bool) (alloc uint64, queryBytes float64, c *Cluster) {
+	t.Helper()
+	c = smallCluster(t, 256, 6*time.Hour, 17)
+	c.RunUntil(time.Hour)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sent := c.Net.Stats().TotalTx(simnet.ClassQuery)
+	var h *QueryHandle
+	if withQuery {
+		q := relq.MustParse("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80")
+		h = c.InjectQuery(findLiveInjector(t, c), q)
+	}
+	c.RunUntil(c.Sched.Now() + 10*time.Minute)
+	runtime.ReadMemStats(&after)
+	if h != nil {
+		if last, ok := h.Latest(); !ok || last.Contributors == 0 {
+			t.Fatal("the query returned nothing")
+		}
+	}
+	return after.TotalAlloc - before.TotalAlloc, c.Net.Stats().TotalTx(simnet.ClassQuery) - sent, c
+}
+
 // TestAllocPerQuery is the tier-1 allocation budget: what one query makes
 // the simulator allocate in its first ten virtual minutes — dissemination,
 // execution, the aggregation tree's build-up and first re-assertions — per
@@ -82,29 +115,32 @@ func TestAllocPerQuery(t *testing.T) {
 		t.Skip("the race detector's own allocations count toward TotalAlloc")
 	}
 	const n = 256
-	span := func(withQuery bool) uint64 {
-		c := smallCluster(t, n, 6*time.Hour, 17)
-		c.RunUntil(time.Hour)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		var h *QueryHandle
-		if withQuery {
-			q := relq.MustParse("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80")
-			h = c.InjectQuery(findLiveInjector(t, c), q)
-		}
-		c.RunUntil(c.Sched.Now() + 10*time.Minute)
-		runtime.ReadMemStats(&after)
-		if h != nil {
-			if last, ok := h.Latest(); !ok || last.Contributors == 0 {
-				t.Fatal("the query returned nothing")
-			}
-		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	quiet := span(false)
-	per := (int64(span(true)) - int64(quiet)) / n
+	quiet, _, _ := querySpan(t, false)
+	with, _, _ := querySpan(t, true)
+	per := (int64(with) - int64(quiet)) / n
 	t.Logf("one query allocates %d bytes per endsystem (the quiet span: %d)", per, int64(quiet)/n)
 	if per > allocPerQueryCeiling {
 		t.Errorf("one query allocates %d bytes per endsystem, ceiling %d", per, allocPerQueryCeiling)
+	}
+}
+
+// TestQueryBytesPerEndsystem is the tier-1 wire budget, the paper's own
+// overhead metric (Figure 9): the query-class bytes one query makes the
+// endsystems send in its first ten virtual minutes — dissemination, the
+// predictor's way back, submissions, their blind resubmits and replication
+// — per endsystem, less the same span with no query. The dissem counters
+// put the predictor's share beside it.
+func TestQueryBytesPerEndsystem(t *testing.T) {
+	const n = 256
+	_, quiet, _ := querySpan(t, false)
+	_, with, c := querySpan(t, true)
+	per := (with - quiet) / n
+	o := c.Obs()
+	resps, empty := o.Counter("dissem_resps").Value(), o.Counter("dissem_resps_empty").Value()
+	t.Logf("one query sends %.0f query bytes per endsystem (the quiet span: %.0f); "+
+		"%d responses carried a predictor, %d of them the empty one, %d predictor bytes in all",
+		per, quiet/n, resps, empty, o.Counter("dissem_predictor_bytes").Value())
+	if per > queryBytesPerEndsystemCeiling {
+		t.Errorf("one query sends %.0f query bytes per endsystem, ceiling %d", per, queryBytesPerEndsystemCeiling)
 	}
 }

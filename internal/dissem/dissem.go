@@ -143,6 +143,9 @@ type Engine struct {
 	cGiveups   *obs.Counter   // dissem_giveups
 	cOnBehalf  *obs.Counter   // dissem_onbehalf_predictions
 	cPruned    *obs.Counter   // rttscope_pruned
+	cResps     *obs.Counter   // dissem_resps
+	cRespEmpty *obs.Counter   // dissem_resps_empty
+	cPredBytes *obs.Counter   // dissem_predictor_bytes
 	hPredLat   *obs.Histogram // dissem_predictor_latency_ns
 
 	// cands is a reused scratch buffer for coordinate-biased delegate
@@ -183,6 +186,9 @@ func NewEngine(host Host, cfg Config) *Engine {
 		cGiveups:   o.Counter("dissem_giveups"),
 		cOnBehalf:  o.Counter("dissem_onbehalf_predictions"),
 		cPruned:    o.Counter("rttscope_pruned"),
+		cResps:     o.Counter("dissem_resps"),
+		cRespEmpty: o.Counter("dissem_resps_empty"),
+		cPredBytes: o.Counter("dissem_predictor_bytes"),
 		hPredLat:   o.DurationHistogram("dissem_predictor_latency_ns"),
 	}
 }
@@ -327,7 +333,7 @@ func rangeMsgSize(q *relq.Query) int { return 3*ids.Bytes + 8 + len(q.Raw) + sco
 
 // rangeResp carries a subrange's aggregated predictor back to the parent.
 // Pred is nil when the subrange had nothing to report: the empty predictor,
-// which the wire size charges in full all the same.
+// one byte on the wire (predictor.AppendEncode) like an all-zero one.
 type rangeResp struct {
 	QueryID ids.ID
 	Lo, Hi  ids.ID
@@ -335,7 +341,13 @@ type rangeResp struct {
 	Cause   uint64
 }
 
-func rangeRespSize() int { return 3*ids.Bytes + predictor.EncodedSize }
+// RangeRespHeaderBytes is what a rangeResp costs on the wire before the
+// predictor it carries: the query id and the range.
+const RangeRespHeaderBytes = 3 * ids.Bytes
+
+// rangeRespSize and predictorMsgSize take the encoded length of the
+// predictor carried: a response costs what its predictor holds.
+func rangeRespSize(predLen int) int { return RangeRespHeaderBytes + predLen }
 
 // predictorMsg returns the final aggregated predictor to the injector.
 type predictorMsg struct {
@@ -343,6 +355,8 @@ type predictorMsg struct {
 	Pred    *predictor.Predictor
 	Cause   uint64
 }
+
+func predictorMsgSize(predLen int) int { return ids.Bytes + predLen }
 
 // TraceQuery implements pastry.Traced, attributing routing events for
 // dissemination traffic to the query's trace.
@@ -932,19 +946,28 @@ func (e *Engine) respond(t *task) {
 
 func (e *Engine) respondTo(t *task, parent simnet.Endpoint) {
 	node := e.host.PastryNode()
-	net := node.Ring().Network()
-	switch {
-	case t.key.whole():
-		// Root task: deliver the final predictor to the injector.
-		net.Send(node.Endpoint(), parent, ids.Bytes+predictor.EncodedSize,
-			simnet.ClassQuery, &predictorMsg{QueryID: t.key.qid, Pred: t.acc, Cause: t.respCause})
-	case parent == node.Endpoint():
+	if !t.key.whole() && parent == node.Endpoint() {
 		// Self-recursion: deliver locally without a network hop.
 		e.handleResp(&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: t.acc, Cause: t.respCause})
-	default:
-		net.Send(node.Endpoint(), parent, rangeRespSize(), simnet.ClassQuery,
-			&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: t.acc, Cause: t.respCause})
+		return
 	}
+	// The wire carries the frozen acc's encoding, sized here rather than
+	// kept on the task (see task: two more words cost a size class).
+	predLen := t.acc.EncodedLen()
+	e.cResps.Inc()
+	if predLen == 1 {
+		e.cRespEmpty.Inc()
+	}
+	e.cPredBytes.Add(uint64(predLen))
+	net := node.Ring().Network()
+	if t.key.whole() {
+		// Root task: deliver the final predictor to the injector.
+		net.Send(node.Endpoint(), parent, predictorMsgSize(predLen), simnet.ClassQuery,
+			&predictorMsg{QueryID: t.key.qid, Pred: t.acc, Cause: t.respCause})
+		return
+	}
+	net.Send(node.Endpoint(), parent, rangeRespSize(predLen), simnet.ClassQuery,
+		&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: t.acc, Cause: t.respCause})
 }
 
 // splitRange divides the inclusive range [lo, hi] into up to arity

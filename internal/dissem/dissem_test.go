@@ -12,6 +12,7 @@ import (
 	"repro/internal/coords"
 	"repro/internal/ids"
 	"repro/internal/metadata"
+	"repro/internal/obs"
 	"repro/internal/pastry"
 	"repro/internal/predictor"
 	"repro/internal/relq"
@@ -26,12 +27,22 @@ type testHost struct {
 	engine   *Engine
 	rows     float64
 	observed int
+	// phantoms are records of unavailable endsystems this host reports on
+	// top of what its metadata service holds, so that a test can put
+	// bucket mass into predictors without killing anyone.
+	phantoms []*metadata.Record
 }
 
 func (h *testHost) PastryNode() *pastry.Node              { return h.node }
 func (h *testHost) EstimateOwnRows(q *relq.Query) float64 { return h.rows }
 func (h *testHost) UnavailableInRange(lo, hi ids.ID) []*metadata.Record {
-	return h.meta.UnavailableInRange(lo, hi)
+	out := h.meta.UnavailableInRange(lo, hi)
+	for _, rec := range h.phantoms {
+		if rec.Subject.InRange(lo, hi) {
+			out = append(out, rec)
+		}
+	}
+	return out
 }
 func (h *testHost) QueryObserved(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) {
 	h.observed++
@@ -57,7 +68,8 @@ type cluster struct {
 	hosts []*testHost
 }
 
-// newRing returns an empty n-endpoint overlay on a uniform 10 ms topology.
+// newRing returns an empty n-endpoint overlay on a uniform 10 ms topology,
+// with the metrics registry a cluster has by default.
 func newRing(n int, seed int64) (simnet.Scheduler, *pastry.Ring) {
 	sched := simnet.NewWheel()
 	topo := simnet.UniformTopology(4, 10*time.Millisecond, time.Millisecond)
@@ -65,7 +77,9 @@ func newRing(n int, seed int64) (simnet.Scheduler, *pastry.Ring) {
 	ncfg.Seed = seed
 	pcfg := pastry.DefaultConfig()
 	pcfg.Seed = seed
-	return sched, pastry.NewRing(simnet.NewNetwork(sched, topo, n, ncfg), pcfg)
+	net := simnet.NewNetwork(sched, topo, n, ncfg)
+	net.SetObs(obs.New())
+	return sched, pastry.NewRing(net, pcfg)
 }
 
 func newCluster(t *testing.T, n int, seed int64, cfg Config) *cluster {
@@ -388,6 +402,143 @@ func TestScopedQueryPrunesToInjector(t *testing.T) {
 		if want := c.hosts[injector].rows; got.ExpectedTotal() != want || got.Immediate != want {
 			t.Fatalf("injector %d: total = %v, immediate = %v, want its own %v rows",
 				injector, got.ExpectedTotal(), got.Immediate, want)
+		}
+	}
+}
+
+// sendLedger is the accounting test's view of the wire. As the network's
+// fault hook it sees every send, just after the sender was charged, and
+// reads what was charged off the class's byte total; bound in front of
+// every endsystem's handler it sees every payload delivered. A message
+// from a to b sent at t arrives at t + Delay(a, b), and same-instant
+// deliveries fire in send order, so the two views pair up exactly.
+type sendLedger struct {
+	c        *cluster
+	charged  [simnet.NumClasses]float64 // class byte totals at the last send
+	inFlight map[flight][]sent
+}
+
+type flight struct {
+	from, to simnet.Endpoint
+	at       time.Duration
+}
+
+type sent struct {
+	class simnet.Class
+	size  int
+}
+
+func (l *sendLedger) OnSend(from, to simnet.Endpoint, _, _ int, class simnet.Class) simnet.Fate {
+	net := l.c.ring.Network()
+	total := net.Stats().TotalTx(class)
+	k := flight{from, to, l.c.sched.Now() + net.Delay(from, to)}
+	l.inFlight[k] = append(l.inFlight[k], sent{class, int(total - l.charged[class])})
+	l.charged[class] = total
+	return simnet.Fate{}
+}
+
+// arrived returns what the sender was charged for the message now being
+// delivered; ok is false for a message sent before the ledger was attached.
+func (l *sendLedger) arrived(from, to simnet.Endpoint) (s sent, ok bool) {
+	k := flight{from, to, l.c.sched.Now()}
+	q := l.inFlight[k]
+	if len(q) == 0 {
+		return sent{}, false
+	}
+	l.inFlight[k] = q[1:]
+	return q[0], true
+}
+
+// TestPredictorBytesCharged is the differential oracle for the response
+// accounting: over one query on a small cluster, every message that
+// carried a predictor was charged its header plus exactly
+// len(AppendEncode) of the predictor it carried, in each of the shapes the
+// wire format distinguishes, and the dissem_resps* counters say the same.
+func TestPredictorBytesCharged(t *testing.T) {
+	n := 48
+	c := newCluster(t, n, 13, DefaultConfig())
+	o := c.ring.Obs()
+	c.sched.RunUntil(time.Minute)
+
+	// Most endsystems expect no matching row (empty responses); some hold
+	// rows (Immediate only); phantom unavailable endsystems put mass in the
+	// buckets: a morning machine a few, one never observed every one.
+	rng := rand.New(rand.NewSource(13))
+	for i, h := range c.hosts {
+		if i%3 != 0 {
+			h.rows = 0
+		}
+		if i%8 == 0 {
+			model := periodicModel()
+			if i%16 == 0 {
+				model = &avail.Model{}
+			}
+			rec := &metadata.Record{Subject: ids.Random(rng), Summary: rowSummary(t, 5+i),
+				Model: model, DownSince: c.sched.Now() - time.Hour}
+			for _, all := range c.hosts {
+				all.phantoms = append(all.phantoms, rec)
+			}
+		}
+	}
+
+	l := &sendLedger{c: c, inFlight: map[flight][]sent{}}
+	net := c.ring.Network()
+	for class := range l.charged {
+		l.charged[class] = net.Stats().TotalTx(simnet.Class(class))
+	}
+	net.SetFaultHook(l)
+	var msgs, empty, immediateOnly, dense int
+	var predBytes uint64
+	for _, h := range c.hosts {
+		ep, node := h.node.Endpoint(), h.node
+		net.Bind(ep, simnet.HandlerFunc(func(from simnet.Endpoint, payload any) {
+			s, ok := l.arrived(from, ep)
+			var pred *predictor.Predictor
+			header := 0
+			switch m := payload.(type) {
+			case *rangeResp:
+				pred, header = m.Pred, 3*ids.Bytes
+			case *predictorMsg:
+				pred, header = m.Pred, ids.Bytes
+			}
+			if header != 0 {
+				enc := pred.AppendEncode(nil)
+				if !ok || s.class != simnet.ClassQuery || s.size != header+len(enc) {
+					t.Errorf("%T from %d to %d: charged %+v (paired %v), carried %d header + %d predictor bytes",
+						payload, from, ep, s, ok, header, len(enc))
+				}
+				msgs++
+				predBytes += uint64(len(enc))
+				switch {
+				case len(enc) == 1:
+					empty++
+				case *pred == predictor.Predictor{Immediate: pred.Immediate}:
+					immediateOnly++
+				case len(enc) == predictor.MaxEncodedLen:
+					dense++
+				}
+			}
+			node.HandleMessage(from, payload)
+		}))
+	}
+
+	var got *predictor.Predictor
+	c.hosts[0].engine.Inject(testQuery, 0, func(p *predictor.Predictor) { got = p })
+	c.sched.RunUntil(c.sched.Now() + 2*time.Minute)
+	if got == nil {
+		t.Fatal("no predictor arrived")
+	}
+	t.Logf("%d predictor-carrying messages: %d empty, %d Immediate-only, %d dense; %d predictor bytes",
+		msgs, empty, immediateOnly, dense, predBytes)
+	if empty == 0 || immediateOnly == 0 || dense == 0 || empty+immediateOnly+dense == msgs {
+		t.Errorf("the query did not exercise every shape: %d empty, %d Immediate-only, %d dense, %d other",
+			empty, immediateOnly, dense, msgs-empty-immediateOnly-dense)
+	}
+	for name, want := range map[string]uint64{
+		"dissem_resps": uint64(msgs), "dissem_resps_empty": uint64(empty), "dissem_predictor_bytes": predBytes,
+	} {
+		if got := o.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

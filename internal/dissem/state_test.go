@@ -251,7 +251,7 @@ func (r *rig) advance(d time.Duration) { r.sched.RunUntil(r.sched.Now() + d) }
 func rowsPred(rows float64) *predictor.Predictor {
 	p := &predictor.Predictor{}
 	p.AddImmediate(rows)
-	p.AddAtDelay(time.Hour, rows/2)
+	p.Buckets[48] += rows / 2 // the bucket holding a one-hour delay
 	return p
 }
 

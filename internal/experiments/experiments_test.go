@@ -216,6 +216,12 @@ func TestFig9dScaling(t *testing.T) {
 		if p.PredictorLatency <= 0 {
 			t.Errorf("N=%d: no predictor", p.N)
 		}
+		// The predictor's way back is a part of the query bytes, and far
+		// under one fixed-size predictor a response.
+		if p.PredictorBytes <= 0 || p.PredictorBytes >= p.DissemBytes || p.PredictorBytes > 776 {
+			t.Errorf("N=%d: predictor path %.0f B per endsystem of %.0f query bytes (paper: 776)",
+				p.N, p.PredictorBytes, p.DissemBytes)
+		}
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"repro/internal/avail"
 	"repro/internal/coords"
 	"repro/internal/core"
+	"repro/internal/dissem"
+	"repro/internal/obs"
 	"repro/internal/predictor"
 	"repro/internal/relq"
 	"repro/internal/simnet"
@@ -235,6 +237,19 @@ type Fig9dPoint struct {
 	Query            float64
 	PredictorLatency time.Duration
 	DissemBytes      float64 // query dissemination bytes per endsystem
+	// PredictorBytes is the predictor's way back, per endsystem: every
+	// response that carried a predictor, header and encoding (the paper's
+	// "predictor aggregation", 776 B).
+	PredictorBytes float64
+}
+
+// predictorPathBytes reads the bytes of predictor-carrying responses off
+// the dissem counters (0 with observability off). Every response is taken
+// for a rangeResp; the one predictorMsg a query ends in has a header 32
+// bytes shorter.
+func predictorPathBytes(o *obs.Obs) float64 {
+	return float64(o.Counter("dissem_resps").Value()*dissem.RangeRespHeaderBytes +
+		o.Counter("dissem_predictor_bytes").Value())
 }
 
 // Fig9d measures overhead and predictor latency as network size varies
@@ -245,6 +260,8 @@ func Fig9d(s Scale, sizes []int) []Fig9dPoint {
 		n := sizes[i]
 		sc.PacketN = n
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(n, sc.PacketHorizon, sc.Seed))
+		// A serial series shares one registry: count this run's part.
+		predBefore := predictorPathBytes(sc.Obs)
 		run := runPacket(sc, trace, sc.Seed)
 		st := run.Cluster.Net.Stats()
 		stats := trace.ComputeStats()
@@ -255,6 +272,8 @@ func Fig9d(s Scale, sizes []int) []Fig9dPoint {
 			Maintenance: st.TotalTx(simnet.ClassMaintenance) / onlineSeconds,
 			Query:       st.TotalTx(simnet.ClassQuery) / onlineSeconds,
 			DissemBytes: st.TotalTx(simnet.ClassQuery) / float64(n),
+
+			PredictorBytes: (predictorPathBytes(run.Cluster.Obs()) - predBefore) / float64(n),
 		}
 		if run.Handle.Predictor != nil {
 			pt.PredictorLatency = run.Handle.PredictorAt - run.Handle.Injected
@@ -271,9 +290,10 @@ func Fig9d(s Scale, sizes []int) []Fig9dPoint {
 // WriteFig9d renders the scaling panel.
 func WriteFig9d(w io.Writer, pts []Fig9dPoint) {
 	header(w, "Figure 9(d): overhead vs network size (B/s per online endsystem)",
-		"N", "pastry", "maintenance", "query", "predictor_latency", "query_bytes_per_endsystem")
+		"N", "pastry", "maintenance", "query", "predictor_latency", "query_bytes_per_endsystem",
+		"predictor_bytes_per_endsystem")
 	for _, p := range pts {
-		row(w, p.N, p.Pastry, p.Maintenance, p.Query, p.PredictorLatency, p.DissemBytes)
+		row(w, p.N, p.Pastry, p.Maintenance, p.Query, p.PredictorLatency, p.DissemBytes, p.PredictorBytes)
 	}
 }
 

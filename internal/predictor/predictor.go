@@ -7,14 +7,12 @@
 // Time is bucketed on a log scale (half-power-of-two boundaries from one
 // second to about three days) "to accommodate wide variations in
 // availability ranging from seconds to days". Because the bucket layout is
-// fixed, predictors are constant-size and merge by pointwise addition; the
+// fixed, predictors are bounded in size and merge by pointwise addition; the
 // query distribution tree aggregates them at each step without growth, as
-// §3.3 requires.
+// §3.3 requires. On the wire a predictor costs what it holds (codec.go).
 package predictor
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 	"time"
 
@@ -31,9 +29,16 @@ const NumBuckets = 72
 // accommodate wide variations in availability ranging from seconds to
 // days"); the quarter-power spacing keeps interpolation error small in the
 // steep morning ramp while the predictor stays constant-size.
-func Boundary(i int) time.Duration {
-	return time.Duration(float64(time.Second) * math.Pow(2, float64(i)/4))
-}
+func Boundary(i int) time.Duration { return boundaries[i] }
+
+// boundaries holds every bucket's upper boundary, computed once: AddModel,
+// RowsBy and DelayFor walk all of them on every call.
+var boundaries = func() (b [NumBuckets]time.Duration) {
+	for i := range b {
+		b[i] = time.Duration(float64(time.Second) * math.Pow(2, float64(i)/4))
+	}
+	return b
+}()
 
 // Predictor is a completeness predictor. Immediate holds rows on currently
 // available endsystems; Buckets[i] holds expected rows becoming available
@@ -47,23 +52,6 @@ type Predictor struct {
 
 // AddImmediate adds rows that are available now (the endsystem is online).
 func (p *Predictor) AddImmediate(rows float64) { p.Immediate += rows }
-
-// AddAtDelay adds rows expected to become available at exactly the given
-// delay from now (used when the availability time is known rather than
-// probabilistic).
-func (p *Predictor) AddAtDelay(delay time.Duration, rows float64) {
-	if delay <= 0 {
-		p.Immediate += rows
-		return
-	}
-	for i := 0; i < NumBuckets; i++ {
-		if delay <= Boundary(i) {
-			p.Buckets[i] += rows
-			return
-		}
-	}
-	p.Later += rows
-}
 
 // AddModel distributes an unavailable endsystem's estimated rows across the
 // delay buckets according to its availability model: the mass in bucket i
@@ -168,42 +156,4 @@ func (p *Predictor) DelayFor(frac float64) (time.Duration, bool) {
 		}
 	}
 	return 0, false
-}
-
-// EncodedSize is the fixed wire size of a predictor.
-const EncodedSize = 8 * (NumBuckets + 2)
-
-// Encode appends the predictor's fixed-size wire form to dst.
-func (p *Predictor) Encode(dst []byte) []byte {
-	var buf [8]byte
-	put := func(v float64) {
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
-		dst = append(dst, buf[:]...)
-	}
-	put(p.Immediate)
-	for _, v := range p.Buckets {
-		put(v)
-	}
-	put(p.Later)
-	return dst
-}
-
-// Decode parses a predictor from the front of b, returning the remaining
-// bytes.
-func Decode(b []byte) (*Predictor, []byte, error) {
-	if len(b) < EncodedSize {
-		return nil, nil, fmt.Errorf("predictor: need %d bytes, have %d", EncodedSize, len(b))
-	}
-	p := &Predictor{}
-	get := func() float64 {
-		v := math.Float64frombits(binary.BigEndian.Uint64(b))
-		b = b[8:]
-		return v
-	}
-	p.Immediate = get()
-	for i := range p.Buckets {
-		p.Buckets[i] = get()
-	}
-	p.Later = get()
-	return p, b, nil
 }

@@ -9,6 +9,29 @@ import (
 	"repro/internal/avail"
 )
 
+// addAtDelay puts rows into the bucket whose window holds delay, or into
+// Later beyond the last boundary.
+func addAtDelay(p *Predictor, delay time.Duration, rows float64) {
+	for i := range p.Buckets {
+		if delay <= Boundary(i) {
+			p.Buckets[i] += rows
+			return
+		}
+	}
+	p.Later += rows
+}
+
+// TestBoundaryTable: the table holds, bit for bit, the expression it
+// replaced.
+func TestBoundaryTable(t *testing.T) {
+	for i := 0; i < NumBuckets; i++ {
+		want := time.Duration(float64(time.Second) * math.Pow(2, float64(i)/4))
+		if Boundary(i) != want {
+			t.Fatalf("Boundary(%d) = %d, want %d", i, Boundary(i), want)
+		}
+	}
+}
+
 func TestBoundariesSpanSecondsToDays(t *testing.T) {
 	if Boundary(0) != time.Second {
 		t.Fatalf("first boundary = %v", Boundary(0))
@@ -27,8 +50,8 @@ func TestBoundariesSpanSecondsToDays(t *testing.T) {
 func TestAddImmediateAndRowsBy(t *testing.T) {
 	p := &Predictor{}
 	p.AddImmediate(100)
-	p.AddAtDelay(30*time.Second, 50)
-	p.AddAtDelay(10*time.Hour, 25)
+	addAtDelay(p, 30*time.Second, 50)
+	addAtDelay(p, 10*time.Hour, 25)
 
 	if got := p.RowsBy(0); got != 100 {
 		t.Errorf("RowsBy(0) = %v, want 100", got)
@@ -44,18 +67,6 @@ func TestAddImmediateAndRowsBy(t *testing.T) {
 	}
 }
 
-func TestAddAtDelayEdges(t *testing.T) {
-	p := &Predictor{}
-	p.AddAtDelay(0, 10) // zero delay = immediate
-	if p.Immediate != 10 {
-		t.Error("zero delay must be immediate")
-	}
-	p.AddAtDelay(365*24*time.Hour, 5) // beyond last boundary
-	if p.Later != 5 {
-		t.Error("beyond-horizon rows must land in Later")
-	}
-}
-
 func TestCompletenessMonotone(t *testing.T) {
 	f := func(imm uint16, delays []uint32, weights []uint16) bool {
 		p := &Predictor{}
@@ -65,7 +76,7 @@ func TestCompletenessMonotone(t *testing.T) {
 			if i < len(weights) {
 				w = float64(weights[i]%1000) + 1
 			}
-			p.AddAtDelay(time.Duration(delays[i]%(200*3600))*time.Second, w)
+			addAtDelay(p, time.Duration(delays[i]%(200*3600))*time.Second, w)
 		}
 		prev := -1.0
 		for d := time.Duration(0); d < 80*time.Hour; d += 37 * time.Minute {
@@ -87,8 +98,8 @@ func TestMergeEqualsCombined(t *testing.T) {
 	b := &Predictor{}
 	all := &Predictor{}
 	add := func(p *Predictor, d time.Duration, rows float64) {
-		p.AddAtDelay(d, rows)
-		all.AddAtDelay(d, rows)
+		addAtDelay(p, d, rows)
+		addAtDelay(all, d, rows)
 	}
 	add(a, 0, 10)
 	add(a, time.Minute, 20)
@@ -148,8 +159,8 @@ func TestAddModelMassConservation(t *testing.T) {
 func TestDelayFor(t *testing.T) {
 	p := &Predictor{}
 	p.AddImmediate(80)
-	p.AddAtDelay(30*time.Minute, 19)
-	p.AddAtDelay(1000*time.Hour, 1) // never within horizon
+	addAtDelay(p, 30*time.Minute, 19)
+	addAtDelay(p, 1000*time.Hour, 1) // never within horizon
 
 	if d, ok := p.DelayFor(0.5); !ok || d != 0 {
 		t.Errorf("DelayFor(0.5) = %v %v, want 0 (80%% immediate)", d, ok)
@@ -170,27 +181,6 @@ func TestEmptyPredictor(t *testing.T) {
 	}
 	if d, ok := p.DelayFor(0.9); !ok || d != 0 {
 		t.Error("empty predictor reaches any completeness at 0")
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	p := &Predictor{}
-	p.AddImmediate(123.5)
-	p.AddAtDelay(90*time.Second, 7)
-	p.AddAtDelay(900*time.Hour, 2)
-	enc := p.Encode(nil)
-	if len(enc) != EncodedSize {
-		t.Fatalf("encoded size %d, want %d", len(enc), EncodedSize)
-	}
-	got, rest, err := Decode(enc)
-	if err != nil || len(rest) != 0 {
-		t.Fatal(err)
-	}
-	if *got != *p {
-		t.Fatal("round trip mismatch")
-	}
-	if _, _, err := Decode(enc[:10]); err == nil {
-		t.Error("short buffer must fail")
 	}
 }
 
