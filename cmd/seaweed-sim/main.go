@@ -18,7 +18,7 @@
 //	seaweed-sim -chaos mixed -smoke -out rep    # CI variant, report JSON to rep.json
 //	seaweed-sim -chaos mixed -ablate backoff    # ablation: expect invariant failures
 //	seaweed-sim -workload heavy                 # query-service sweep: full + both ablations
-//	seaweed-sim -workload heavy -out BENCH_qserve  # also write BENCH_qserve.json
+//	seaweed-sim -workload heavy -out report     # also write report.json
 //	seaweed-sim -workload spike -qps 400        # spike preset at 400 interactive queries/hour
 //	seaweed-sim -workload heavy -ablate admission  # serve one ablated variant only
 //	seaweed-sim -coords -fig 9a                 # Vivaldi coordinates on inside the run

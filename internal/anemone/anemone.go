@@ -36,9 +36,10 @@ type Config struct {
 	// paper's queries all target Flow; Packet mainly contributes data
 	// volume, so most experiments leave this off.
 	WithPacketTable bool
-	// PacketsPerFlowCap bounds the Packet rows generated per flow record.
-	PacketsPerFlowCap int
 }
+
+// packetsPerFlowCap bounds the Packet rows generated per flow record.
+const packetsPerFlowCap = 8
 
 // DefaultConfig returns a workload sized for simulation: 2,000 flow
 // records per endsystem-day. (The real Anemone deployment records far more
@@ -47,10 +48,9 @@ type Config struct {
 // models use the paper's published u and d directly.)
 func DefaultConfig(horizon time.Duration, seed int64) Config {
 	return Config{
-		Seed:              seed,
-		Horizon:           horizon,
-		MeanFlowsPerDay:   2000,
-		PacketsPerFlowCap: 8,
+		Seed:            seed,
+		Horizon:         horizon,
+		MeanFlowsPerDay: 2000,
 	}
 }
 
@@ -207,8 +207,8 @@ func appendFlow(rng *rand.Rand, prof endsystemProfile, cfg Config, d *Dataset, t
 
 	if d.Packet != nil {
 		n := int(packets)
-		if n > cfg.PacketsPerFlowCap {
-			n = cfg.PacketsPerFlowCap
+		if n > packetsPerFlowCap {
+			n = packetsPerFlowCap
 		}
 		for pk := 0; pk < n; pk++ {
 			rx := int64(0)
@@ -246,7 +246,7 @@ func Generate(cfg Config, i int) *Dataset {
 	if cfg.WithPacketTable {
 		// Packet rows per flow average roughly half the cap under the
 		// lognormal size mix; reserve that and let outliers append-grow.
-		d.Packet = relq.NewTableWithCapacity(PacketSchema(), total*cfg.PacketsPerFlowCap/2)
+		d.Packet = relq.NewTableWithCapacity(PacketSchema(), total*packetsPerFlowCap/2)
 	}
 	for f := 0; f < total; f++ {
 		ts := sampleTimestamp(rng, cfg.Horizon, prof.isServer)

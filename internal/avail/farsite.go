@@ -16,53 +16,41 @@ type FarsiteConfig struct {
 	NumEndsystems int
 	Horizon       time.Duration
 	Seed          int64
+}
 
-	// AlwaysOnFraction is the fraction of endsystems that behave as
+// The calibrated shape of the population.
+const (
+	// alwaysOnFraction is the fraction of endsystems that behave as
 	// servers or always-on desktops: available except for rare outages.
-	AlwaysOnFraction float64
-	// ServerMTBF is the mean time between failures for always-on
-	// endsystems.
-	ServerMTBF time.Duration
-	// ServerMeanOutage is the mean outage duration for always-on
-	// endsystems.
-	ServerMeanOutage time.Duration
+	alwaysOnFraction = 0.68
+	// serverMTBF is the mean time between failures for always-on
+	// endsystems, serverMeanOutage their mean outage duration.
+	serverMTBF       = 30 * Day
+	serverMeanOutage = 3 * time.Hour
 
 	// Office endsystems follow a work-hours cycle. Each endsystem draws a
 	// persistent personal arrival hour from
-	// [OfficeArriveEarliest, OfficeArriveLatest] and a persistent workday
-	// length around OfficeMeanWorkday.
-	OfficeArriveEarliest time.Duration
-	OfficeArriveLatest   time.Duration
-	OfficeMeanWorkday    time.Duration
-	// OfficeAbsentProb is the per-weekday probability the endsystem stays
+	// [officeArriveEarliest, officeArriveLatest] and a persistent workday
+	// length around officeMeanWorkday.
+	officeArriveEarliest = 7*time.Hour + 30*time.Minute
+	officeArriveLatest   = 9*time.Hour + 30*time.Minute
+	officeMeanWorkday    = 9*time.Hour + 30*time.Minute
+	// officeAbsentProb is the per-weekday probability the endsystem stays
 	// off all day (owner absent).
-	OfficeAbsentProb float64
-	// OfficeOvernightProb is the probability a workday machine is left on
+	officeAbsentProb = 0.05
+	// officeOvernightProb is the probability a workday machine is left on
 	// overnight.
-	OfficeOvernightProb float64
-	// OfficeWeekendProb is the per-weekend-day probability the machine is
+	officeOvernightProb = 0.25
+	// officeWeekendProb is the per-weekend-day probability the machine is
 	// used (a shorter session).
-	OfficeWeekendProb float64
-}
+	officeWeekendProb = 0.20
+)
 
-// DefaultFarsiteConfig returns the calibrated defaults described above for
-// the given scale and seed. The paper's full trace has 51,663 endsystems
-// over 4 weeks plus a ~2-week warmup; experiments often subsample.
+// DefaultFarsiteConfig returns the configuration for the given scale and
+// seed. The paper's full trace has 51,663 endsystems over 4 weeks plus a
+// ~2-week warmup; experiments often subsample.
 func DefaultFarsiteConfig(numEndsystems int, horizon time.Duration, seed int64) FarsiteConfig {
-	return FarsiteConfig{
-		NumEndsystems:        numEndsystems,
-		Horizon:              horizon,
-		Seed:                 seed,
-		AlwaysOnFraction:     0.68,
-		ServerMTBF:           30 * Day,
-		ServerMeanOutage:     3 * time.Hour,
-		OfficeArriveEarliest: 7*time.Hour + 30*time.Minute,
-		OfficeArriveLatest:   9*time.Hour + 30*time.Minute,
-		OfficeMeanWorkday:    9*time.Hour + 30*time.Minute,
-		OfficeAbsentProb:     0.05,
-		OfficeOvernightProb:  0.25,
-		OfficeWeekendProb:    0.20,
-	}
+	return FarsiteConfig{NumEndsystems: numEndsystems, Horizon: horizon, Seed: seed}
 }
 
 // GenerateFarsite builds a synthetic enterprise availability trace. The
@@ -73,7 +61,7 @@ func GenerateFarsite(cfg FarsiteConfig) *Trace {
 		// Each endsystem gets its own deterministic stream so the trace
 		// for endsystem i does not depend on how many others exist.
 		sub := rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9e3779b97f4a7c ^ 0x5ea3eed))
-		if sub.Float64() < cfg.AlwaysOnFraction {
+		if sub.Float64() < alwaysOnFraction {
 			tr.Profiles[i] = generateServer(cfg, sub)
 		} else {
 			tr.Profiles[i] = generateOffice(cfg, sub)
@@ -88,13 +76,13 @@ func generateServer(cfg FarsiteConfig, rng *rand.Rand) *Profile {
 	cursor := time.Duration(0)
 	for cursor < cfg.Horizon {
 		// Up until the next failure.
-		up := expDuration(rng, cfg.ServerMTBF)
+		up := expDuration(rng, serverMTBF)
 		end := cursor + up
 		if end > cfg.Horizon {
 			end = cfg.Horizon
 		}
 		p.Up = append(p.Up, Interval{Start: cursor, End: end})
-		cursor = end + expDuration(rng, cfg.ServerMeanOutage)
+		cursor = end + expDuration(rng, serverMeanOutage)
 	}
 	p.Normalize()
 	return p
@@ -104,28 +92,28 @@ func generateServer(cfg FarsiteConfig, rng *rand.Rand) *Profile {
 func generateOffice(cfg FarsiteConfig, rng *rand.Rand) *Profile {
 	p := &Profile{}
 	// Persistent personal habits.
-	arriveSpan := cfg.OfficeArriveLatest - cfg.OfficeArriveEarliest
-	personalArrive := cfg.OfficeArriveEarliest + time.Duration(rng.Int63n(int64(arriveSpan)+1))
-	personalWorkday := cfg.OfficeMeanWorkday + time.Duration((rng.Float64()-0.5)*2*float64(time.Hour))
+	arriveSpan := officeArriveLatest - officeArriveEarliest
+	personalArrive := officeArriveEarliest + time.Duration(rng.Int63n(int64(arriveSpan)+1))
+	personalWorkday := officeMeanWorkday + time.Duration((rng.Float64()-0.5)*2*float64(time.Hour))
 
 	days := int(cfg.Horizon/Day) + 2
 	for d := 0; d < days; d++ {
 		dayStart := time.Duration(d) * Day
 		weekend := IsWeekend(dayStart)
 		if weekend {
-			if rng.Float64() < cfg.OfficeWeekendProb {
+			if rng.Float64() < officeWeekendProb {
 				start := dayStart + 10*time.Hour + jitter(rng, time.Hour)
 				end := start + 4*time.Hour + jitter(rng, 2*time.Hour)
 				p.Up = append(p.Up, clip(Interval{start, end}, cfg.Horizon))
 			}
 			continue
 		}
-		if rng.Float64() < cfg.OfficeAbsentProb {
+		if rng.Float64() < officeAbsentProb {
 			continue
 		}
 		start := dayStart + personalArrive + jitter(rng, 20*time.Minute)
 		end := start + personalWorkday + jitter(rng, 45*time.Minute)
-		if rng.Float64() < cfg.OfficeOvernightProb {
+		if rng.Float64() < officeOvernightProb {
 			// Left on overnight: runs until switched off around the end of
 			// the next day's session (adjacent intervals merge in
 			// Normalize).

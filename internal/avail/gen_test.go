@@ -77,7 +77,7 @@ func TestGnutellaCalibration(t *testing.T) {
 	if st.DeparturesPerOnlineSecond < 6e-5 || st.DeparturesPerOnlineSecond > 1.4e-4 {
 		t.Errorf("departure rate = %.3g, want ≈9.46e-5", st.DeparturesPerOnlineSecond)
 	}
-	wantAvail := float64(cfg.MeanSession) / float64(cfg.MeanSession+cfg.MeanDowntime)
+	wantAvail := float64(gnutellaMeanSession) / float64(gnutellaMeanSession+gnutellaMeanDowntime)
 	if math.Abs(st.MeanAvailability-wantAvail) > 0.08 {
 		t.Errorf("mean availability = %.3f, want ≈%.3f", st.MeanAvailability, wantAvail)
 	}

@@ -14,26 +14,24 @@ type GnutellaConfig struct {
 	NumEndsystems int
 	Horizon       time.Duration
 	Seed          int64
-	// MeanSession is the mean up-interval length. The departure rate per
-	// online endsystem second is 1/MeanSession.
-	MeanSession time.Duration
-	// MeanDowntime is the mean down-interval length; together with
-	// MeanSession it sets the mean availability
-	// MeanSession/(MeanSession+MeanDowntime).
-	MeanDowntime time.Duration
 }
 
-// DefaultGnutellaConfig returns defaults matching the paper's high-churn
-// trace: mean session 10,570 s (departure rate 9.46e-5 s^-1) and mean
-// availability around 0.3, typical of peer-to-peer hosts.
+// The paper's high-churn trace: mean session 10,570 s (departure rate
+// 9.46e-5 s^-1) and mean availability around 0.3, typical of peer-to-peer
+// hosts.
+const (
+	// gnutellaMeanSession is the mean up-interval length. The departure
+	// rate per online endsystem second is its reciprocal.
+	gnutellaMeanSession = 10570 * time.Second
+	// gnutellaMeanDowntime is the mean down-interval length; with the mean
+	// session it sets the mean availability session/(session+downtime).
+	gnutellaMeanDowntime = 24660 * time.Second
+)
+
+// DefaultGnutellaConfig returns the configuration for the given scale and
+// seed.
 func DefaultGnutellaConfig(numEndsystems int, horizon time.Duration, seed int64) GnutellaConfig {
-	return GnutellaConfig{
-		NumEndsystems: numEndsystems,
-		Horizon:       horizon,
-		Seed:          seed,
-		MeanSession:   10570 * time.Second,
-		MeanDowntime:  24660 * time.Second,
-	}
+	return GnutellaConfig{NumEndsystems: numEndsystems, Horizon: horizon, Seed: seed}
 }
 
 // GenerateGnutella builds a synthetic peer-to-peer availability trace with
@@ -42,7 +40,7 @@ func DefaultGnutellaConfig(numEndsystems int, horizon time.Duration, seed int64)
 // stationary from t=0.
 func GenerateGnutella(cfg GnutellaConfig) *Trace {
 	tr := &Trace{Horizon: cfg.Horizon, Profiles: make([]*Profile, cfg.NumEndsystems)}
-	pUp := float64(cfg.MeanSession) / float64(cfg.MeanSession+cfg.MeanDowntime)
+	pUp := float64(gnutellaMeanSession) / float64(gnutellaMeanSession+gnutellaMeanDowntime)
 	for i := range tr.Profiles {
 		rng := rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9e3779b97f4a7c ^ 0x6e47e11a))
 		p := &Profile{}
@@ -53,14 +51,14 @@ func GenerateGnutella(cfg GnutellaConfig) *Trace {
 		up := rng.Float64() < pUp
 		for cursor < cfg.Horizon {
 			if up {
-				end := cursor + expDuration(rng, cfg.MeanSession)
+				end := cursor + expDuration(rng, gnutellaMeanSession)
 				if end > cfg.Horizon {
 					end = cfg.Horizon
 				}
 				p.Up = append(p.Up, Interval{Start: cursor, End: end})
 				cursor = end
 			} else {
-				cursor += expDuration(rng, cfg.MeanDowntime)
+				cursor += expDuration(rng, gnutellaMeanDowntime)
 			}
 			up = !up
 		}

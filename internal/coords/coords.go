@@ -41,26 +41,16 @@ type Config struct {
 	// id-only baseline byte-for-byte: no space is built, no samples are
 	// taken, and selection falls back to id arithmetic everywhere.
 	Enabled bool
-	// Ce is the error-estimate gain (Vivaldi's c_e); 0 means the default
-	// 0.25.
-	Ce float64
-	// Cc is the coordinate timestep gain (Vivaldi's c_c); 0 means the
-	// default 0.25.
-	Cc float64
 }
 
-// DefaultConfig returns the standard Vivaldi gains with the subsystem
-// still disabled (set Enabled, or use Enabled()).
-func DefaultConfig() Config { return Config{Ce: 0.25, Cc: 0.25} }
-
-// Enabled returns the default configuration with the subsystem on.
-func Enabled() Config {
-	c := DefaultConfig()
-	c.Enabled = true
-	return c
-}
+// Enabled returns the configuration with the subsystem on.
+func Enabled() Config { return Config{Enabled: true} }
 
 const (
+	// ce is the error-estimate gain and cc the coordinate timestep gain
+	// (Vivaldi's c_e and c_c, both at the value its authors recommend).
+	ce = 0.25
+	cc = 0.25
 	// errorMax caps the relative error estimate (fresh nodes start here).
 	errorMax = 1.5
 	// heightMin floors the height component, in nanoseconds (100 µs — on
@@ -110,7 +100,6 @@ type errWindow struct {
 
 // Space holds the coordinates of every endsystem in one cluster.
 type Space struct {
-	cfg Config
 	net *simnet.Network
 
 	work []vivaldi // indexed by endpoint; owner-shard writes only
@@ -145,18 +134,12 @@ type Space struct {
 
 // NewSpace builds the coordinate space for a network. Every endpoint
 // starts at the origin with maximal error; coordinates take shape as
-// samples arrive.
-func NewSpace(net *simnet.Network, cfg Config) *Space {
-	if cfg.Ce <= 0 {
-		cfg.Ce = 0.25
-	}
-	if cfg.Cc <= 0 {
-		cfg.Cc = 0.25
-	}
+// samples arrive. The Config carries only the on switch, which the caller
+// has read by the time it builds a space.
+func NewSpace(net *simnet.Network, _ Config) *Space {
 	n := net.NumEndpoints()
 	o := net.Obs()
 	s := &Space{
-		cfg:    cfg,
 		net:    net,
 		work:   make([]vivaldi, n),
 		pub:    make([]Coord, n),
@@ -218,13 +201,13 @@ func (s *Space) Observe(self, peer simnet.Endpoint, rtt time.Duration) {
 		total = 1e-9
 	}
 	weight := w.err / total
-	w.err = relErr*s.cfg.Ce*weight + w.err*(1-s.cfg.Ce*weight)
+	w.err = relErr*ce*weight + w.err*(1-ce*weight)
 	if w.err > errorMax {
 		w.err = errorMax
 	}
 	// Adaptive timestep: confident nodes move little for a noisy peer,
 	// fresh nodes jump toward confident ones.
-	force := s.cfg.Cc * weight * (sample - dist)
+	force := cc * weight * (sample - dist)
 	s.applyForce(w, rc, force, self, peer)
 	w.samples++
 

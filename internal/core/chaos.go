@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/avail"
 	"repro/internal/fault"
+	"repro/internal/metadata"
 	"repro/internal/obs"
 	"repro/internal/relq"
 	"repro/internal/simnet"
@@ -38,9 +39,6 @@ type ChaosConfig struct {
 	// TraceSink, when set, additionally receives every trace event (the
 	// invariant checker always sees them).
 	TraceSink obs.Sink
-	// FatalOnViolation panics at the instant of the first violation
-	// instead of collecting them into the report.
-	FatalOnViolation bool
 }
 
 // alwaysUpTrace returns a trace where every endsystem is available for
@@ -138,7 +136,6 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 		}
 		return clock()
 	})
-	checker.FatalOnViolation = cfg.FatalOnViolation
 	o := obs.New()
 	o.SetTracer(obs.NewTracer(fault.FanoutSink{Checker: checker, Next: cfg.TraceSink}))
 	ccfg.Obs = o
@@ -242,7 +239,7 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 		}
 		liveAtEnd++
 		id := node.pn.ID()
-		replicas := node.pn.ReplicaSet(ccfg.Node.Meta.K)
+		replicas := node.pn.ReplicaSet(metadata.K)
 		if len(replicas) == 0 {
 			continue
 		}

@@ -50,10 +50,6 @@ type ClusterConfig struct {
 	// metrics-only layer (metrics are on by default). Supply one to share a
 	// registry across runs or to attach a tracer.
 	Obs *obs.Obs
-	// NoObs disables observability entirely (every instrumentation site
-	// degrades to a nil-handle no-op); BenchmarkObsOverhead uses it to
-	// quantify the default-on cost.
-	NoObs bool
 	// Coords configures the Vivaldi network-coordinate subsystem
 	// (internal/coords): per-endsystem coordinates maintained from RTT
 	// samples on existing protocol traffic, latency-biased delegate and
@@ -124,7 +120,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	// Attach observability before the protocol layers are built: they cache
 	// their metric handles at construction time.
 	o := cfg.Obs
-	if o == nil && !cfg.NoObs {
+	if o == nil {
 		o = obs.New()
 	}
 	o.BindClock(sched.Now)

@@ -190,13 +190,13 @@ func TestCompletenessSimBasic(t *testing.T) {
 	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(n, horizon, 6))
 	w := anemone.DefaultConfig(horizon, 6)
 	w.MeanFlowsPerDay = 100
-	res := RunCompleteness(CompletenessConfig{
-		Trace:    trace,
-		Workload: w,
-		Query:    relq.MustParse("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80"),
-		InjectAt: 2 * avail.Week, // Monday midnight after 2 weeks of warmup
-		Lifetime: 48 * time.Hour,
-	})
+	res := RunCompletenessStudy(CompletenessStudyConfig{
+		Trace:     trace,
+		Workload:  w,
+		Queries:   []*relq.Query{relq.MustParse("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80")},
+		InjectAts: []time.Duration{2 * avail.Week}, // Monday midnight after 2 weeks of warmup
+		Lifetime:  48 * time.Hour,
+	})[0][0]
 	if res.TotalRelevantRows == 0 {
 		t.Fatal("no relevant rows")
 	}
@@ -237,19 +237,19 @@ func TestCompletenessSimImmediateFraction(t *testing.T) {
 	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(n, horizon, 7))
 	w := anemone.DefaultConfig(horizon, 7)
 	w.MeanFlowsPerDay = 60
-	base := CompletenessConfig{
+	base := CompletenessStudyConfig{
 		Trace:    trace,
 		Workload: w,
-		Query:    relq.MustParse("SELECT COUNT(*) FROM Flow"),
+		Queries:  []*relq.Query{relq.MustParse("SELECT COUNT(*) FROM Flow")},
 		Lifetime: 48 * time.Hour,
 	}
 	noon := base
-	noon.InjectAt = 2*avail.Week + avail.Day + 12*time.Hour // Tuesday noon
+	noon.InjectAts = []time.Duration{2*avail.Week + avail.Day + 12*time.Hour} // Tuesday noon
 	night := base
-	night.InjectAt = 2*avail.Week + avail.Day + 3*time.Hour // Tuesday 3am
+	night.InjectAts = []time.Duration{2*avail.Week + avail.Day + 3*time.Hour} // Tuesday 3am
 
-	rNoon := RunCompleteness(noon)
-	rNight := RunCompleteness(night)
+	rNoon := RunCompletenessStudy(noon)[0][0]
+	rNight := RunCompletenessStudy(night)[0][0]
 	fracNoon := rNoon.Predicted.Immediate / rNoon.Predicted.ExpectedTotal()
 	fracNight := rNight.Predicted.Immediate / rNight.Predicted.ExpectedTotal()
 	if fracNoon <= fracNight {
@@ -263,17 +263,17 @@ func TestCompletenessDeterministic(t *testing.T) {
 	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(n, horizon, 8))
 	w := anemone.DefaultConfig(horizon, 8)
 	w.MeanFlowsPerDay = 40
-	cfg := CompletenessConfig{
+	cfg := CompletenessStudyConfig{
 		Trace:       trace,
 		Workload:    w,
-		Query:       relq.MustParse("SELECT AVG(Bytes) FROM Flow WHERE App='SMB'"),
-		InjectAt:    avail.Week,
+		Queries:     []*relq.Query{relq.MustParse("SELECT AVG(Bytes) FROM Flow WHERE App='SMB'")},
+		InjectAts:   []time.Duration{avail.Week},
 		Lifetime:    24 * time.Hour,
 		Parallelism: 4,
 	}
-	a := RunCompleteness(cfg)
+	a := RunCompletenessStudy(cfg)[0][0]
 	cfg.Parallelism = 1
-	b := RunCompleteness(cfg)
+	b := RunCompletenessStudy(cfg)[0][0]
 	if a.TotalRelevantRows != b.TotalRelevantRows {
 		t.Fatal("parallelism changed the result")
 	}

@@ -15,32 +15,38 @@ import (
 	"repro/internal/runner"
 )
 
-// CompletenessConfig parameterizes the availability-level simulator used
-// for the paper's Figures 5–8. As in the paper, this simulator "correctly
-// captures the effect of availability on completeness but does not do
-// packet-level simulation": prediction uses each endsystem's learned
-// availability model and replicated histogram estimates, and the actual
-// result stream is derived directly from the availability trace.
-type CompletenessConfig struct {
+// minUpTime is the continuous uptime an endsystem needs to receive and
+// process a query (the H_U "sufficient time" of §2.3).
+const minUpTime = 30 * time.Second
+
+// CompletenessStudyConfig parameterizes the availability-level simulator
+// used for the paper's Figures 5–8. As in the paper, this simulator
+// "correctly captures the effect of availability on completeness but does
+// not do packet-level simulation": prediction uses each endsystem's
+// learned availability model and replicated histogram estimates, and the
+// actual result stream is derived directly from the availability trace.
+//
+// A study is several queries and several injection times evaluated over
+// one shared trace and workload. The per-endsystem datasets — the
+// expensive part — are generated once and shared by every (query,
+// injection) cell, and all cells execute through the deterministic
+// parallel runner.
+type CompletenessStudyConfig struct {
 	Trace    *avail.Trace
 	Workload anemone.Config
-	Query    *relq.Query
-	// InjectAt is the query injection instant. The preceding part of the
-	// trace is the warmup from which availability models are learned.
-	InjectAt time.Duration
-	// Lifetime is how long the query runs before it is terminated (the
-	// paper uses 48 hours).
+	Queries  []*relq.Query
+	// InjectAts are the query injection instants. The part of the trace
+	// preceding each is the warmup from which availability models are
+	// learned.
+	InjectAts []time.Duration
+	// Lifetime is how long a query runs before it is terminated (the
+	// paper uses 48 hours). The output curves are sampled at
+	// DefaultSampleDelays(Lifetime).
 	Lifetime time.Duration
-	// MinUpTime is the continuous uptime an endsystem needs to receive
-	// and process a query (the H_U "sufficient time" of §2.3).
-	MinUpTime time.Duration
 	// Parallelism bounds the worker goroutines of the deterministic
-	// runner executing the experiment (0 = GOMAXPROCS). Results are
+	// runner executing the study (0 = GOMAXPROCS). Results are
 	// byte-identical regardless.
 	Parallelism int
-	// SampleDelays are the observation delays for the output curves; nil
-	// selects a default log-spaced set from 0 to Lifetime.
-	SampleDelays []time.Duration
 	// Mode forces the availability-prediction mode (ablation); the zero
 	// value is the paper's classifier-driven behaviour.
 	Mode avail.PredictionMode
@@ -57,28 +63,6 @@ type CompletenessConfig struct {
 	ProfileDir string
 }
 
-// CompletenessStudyConfig parameterizes a completeness study: several
-// queries and several injection times evaluated over one shared trace and
-// workload. The per-endsystem datasets — the expensive part — are
-// generated once and shared by every (query, injection) cell, and all
-// cells execute through the deterministic parallel runner.
-type CompletenessStudyConfig struct {
-	Trace     *avail.Trace
-	Workload  anemone.Config
-	Queries   []*relq.Query
-	InjectAts []time.Duration
-	// Lifetime, MinUpTime, Parallelism, SampleDelays, Mode, Obs,
-	// RunnerStats and ProfileDir are as in CompletenessConfig.
-	Lifetime     time.Duration
-	MinUpTime    time.Duration
-	Parallelism  int
-	SampleDelays []time.Duration
-	Mode         avail.PredictionMode
-	Obs          *obs.Obs
-	RunnerStats  *runner.Stats
-	ProfileDir   string
-}
-
 // CompletenessResult is the outcome of one completeness experiment.
 type CompletenessResult struct {
 	// Predicted is the aggregated completeness predictor generated at
@@ -88,7 +72,7 @@ type CompletenessResult struct {
 	Delays []time.Duration
 	// PredictedRows[i] is the predictor's expected cumulative row count at
 	// Delays[i]; ActualRows[i] is the true cumulative count of rows on
-	// endsystems that had become available (for at least MinUpTime) by
+	// endsystems that had become available (for at least minUpTime) by
 	// then.
 	PredictedRows []float64
 	ActualRows    []float64
@@ -143,7 +127,7 @@ func (r *CompletenessResult) TotalRowCountError() float64 {
 // intermediate of the simulation; it does not depend on the query.
 type endsystemOutcome struct {
 	// availability at injection, or the first instant after injection at
-	// which the endsystem has been up MinUpTime (availAtValid false if
+	// which the endsystem has been up minUpTime (availAtValid false if
 	// never within the lifetime).
 	availAt      time.Duration
 	availAtValid bool
@@ -159,31 +143,6 @@ type endsystemOutcome struct {
 type rowEst struct {
 	rows int64
 	est  float64
-}
-
-// RunCompleteness executes the experiment.
-func RunCompleteness(cfg CompletenessConfig) *CompletenessResult {
-	return RunCompletenessSeries(cfg, []time.Duration{cfg.InjectAt})[0]
-}
-
-// RunCompletenessSeries runs the experiment for several injection times
-// over the same trace and workload (cfg.InjectAt is ignored). It is a
-// single-query completeness study; see RunCompletenessStudy.
-func RunCompletenessSeries(cfg CompletenessConfig, injectAts []time.Duration) []*CompletenessResult {
-	return RunCompletenessStudy(CompletenessStudyConfig{
-		Trace:        cfg.Trace,
-		Workload:     cfg.Workload,
-		Queries:      []*relq.Query{cfg.Query},
-		InjectAts:    injectAts,
-		Lifetime:     cfg.Lifetime,
-		MinUpTime:    cfg.MinUpTime,
-		Parallelism:  cfg.Parallelism,
-		SampleDelays: cfg.SampleDelays,
-		Mode:         cfg.Mode,
-		Obs:          cfg.Obs,
-		ProfileDir:   cfg.ProfileDir,
-		RunnerStats:  cfg.RunnerStats,
-	})[0]
 }
 
 // RunCompletenessStudy evaluates every (query, injection) pair of the
@@ -209,9 +168,6 @@ func RunCompletenessStudy(cfg CompletenessStudyConfig) [][]*CompletenessResult {
 	nq, ni := len(cfg.Queries), len(cfg.InjectAts)
 	if nq == 0 || ni == 0 {
 		return nil
-	}
-	if cfg.MinUpTime <= 0 {
-		cfg.MinUpTime = 30 * time.Second
 	}
 	workers := cfg.Parallelism
 	if workers <= 0 {
@@ -262,8 +218,7 @@ func RunCompletenessStudy(cfg CompletenessStudyConfig) [][]*CompletenessResult {
 			Run: func(runner.RunContext) (any, error) {
 				out := make([]endsystemOutcome, n)
 				runner.ForEach(n, inner, func(i int) {
-					out[i] = evalAvailability(cfg.Trace, cfg.InjectAts[j],
-						cfg.Lifetime, cfg.MinUpTime, i)
+					out[i] = evalAvailability(cfg.Trace, cfg.InjectAts[j], cfg.Lifetime, i)
 				})
 				return out, nil
 			},
@@ -307,7 +262,7 @@ func RunCompletenessStudy(cfg CompletenessStudyConfig) [][]*CompletenessResult {
 // evalAvailability computes one endsystem's availability-dependent
 // outcome: its learned model, its state at injection, and when its rows
 // join the result.
-func evalAvailability(trace *avail.Trace, injectAt, lifetime, minUpTime time.Duration, i int) endsystemOutcome {
+func evalAvailability(trace *avail.Trace, injectAt, lifetime time.Duration, i int) endsystemOutcome {
 	out := endsystemOutcome{}
 	p := trace.Profiles[i]
 
@@ -394,10 +349,7 @@ func assemble(cfg CompletenessStudyConfig, injectAt time.Duration,
 		res.arrivalCum = append(res.arrivalCum, cum)
 	}
 
-	delays := cfg.SampleDelays
-	if delays == nil {
-		delays = DefaultSampleDelays(cfg.Lifetime)
-	}
+	delays := DefaultSampleDelays(cfg.Lifetime)
 	res.Delays = delays
 	res.PredictedRows = make([]float64, len(delays))
 	res.ActualRows = make([]float64, len(delays))

@@ -62,10 +62,12 @@ type Node struct {
 	feedPeriod time.Duration
 	feedTimer  *simnet.Timer
 
-	// continuousPeriod is the re-execution period for standing queries.
-	continuousPeriod time.Duration
-	contTimers       map[ids.ID]*simnet.Timer
+	contTimers map[ids.ID]*simnet.Timer
 }
+
+// continuousPeriod is how often standing (Continuous) queries re-execute
+// locally while the endsystem is up.
+const continuousPeriod = 15 * time.Minute
 
 // NodeConfig bundles the per-subsystem configurations of a Seaweed node.
 type NodeConfig struct {
@@ -73,20 +75,16 @@ type NodeConfig struct {
 	Dissem dissem.Config
 	Agg    aggtree.Config
 	Seed   int64
-	// ContinuousPeriod is how often standing (Continuous) queries
-	// re-execute locally while the endsystem is up.
-	ContinuousPeriod time.Duration
 }
 
 // DefaultNodeConfig returns the paper's Seaweed configuration: k=8
 // metadata replicas, 16-ary dissemination, m=3 vertex backups.
 func DefaultNodeConfig(seed int64) NodeConfig {
 	return NodeConfig{
-		Meta:             metadata.DefaultConfig(),
-		Dissem:           dissem.DefaultConfig(),
-		Agg:              aggtree.DefaultConfig(),
-		Seed:             seed,
-		ContinuousPeriod: 15 * time.Minute,
+		Meta:   metadata.DefaultConfig(),
+		Dissem: dissem.DefaultConfig(),
+		Agg:    aggtree.DefaultConfig(),
+		Seed:   seed,
 	}
 }
 
@@ -96,13 +94,12 @@ func DefaultNodeConfig(seed int64) NodeConfig {
 func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
 	tables []*relq.Table, model *avail.Model, cfg NodeConfig) *Node {
 	n := &Node{
-		tables:           make(map[string]*relq.Table, len(tables)),
-		model:            model,
-		resultSinks:      make(map[ids.ID]func(agg.Partial, int64, uint64)),
-		prevLeaf:         make(map[simnet.Endpoint]bool),
-		executed:         make(map[ids.ID]bool),
-		contTimers:       make(map[ids.ID]*simnet.Timer),
-		continuousPeriod: cfg.ContinuousPeriod,
+		tables:      make(map[string]*relq.Table, len(tables)),
+		model:       model,
+		resultSinks: make(map[ids.ID]func(agg.Partial, int64, uint64)),
+		prevLeaf:    make(map[simnet.Endpoint]bool),
+		executed:    make(map[ids.ID]bool),
+		contTimers:  make(map[ids.ID]*simnet.Timer),
 	}
 	// Every endsystem table shares the cluster-wide executor counters
 	// (rows_scanned / rows_matched / blocks_pruned plus plan-cache hit
@@ -208,10 +205,10 @@ func (n *Node) executeAndSubmit(qid ids.ID, q *relq.Query, injector simnet.Endpo
 	if !n.runLocal(qid, q, injector, span) {
 		return
 	}
-	if q.Continuous && n.continuousPeriod > 0 {
+	if q.Continuous {
 		sched := n.pn.Sched()
 		var timer *simnet.Timer
-		timer = sched.Every(n.continuousPeriod, func() {
+		timer = sched.Every(continuousPeriod, func() {
 			if !n.tree.IsActive(qid) {
 				timer.Cancel()
 				delete(n.contTimers, qid)

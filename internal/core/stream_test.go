@@ -140,15 +140,15 @@ func TestCompletenessStudyDeterministicAcrossParallelism(t *testing.T) {
 		}
 	}
 
-	// And the single-query series wrapper agrees with the study cell.
-	series := RunCompletenessSeries(CompletenessConfig{
-		Trace:       trace,
-		Workload:    base.Workload,
-		Query:       base.Queries[0],
-		Lifetime:    base.Lifetime,
-		Parallelism: 4,
-	}, base.InjectAts)
-	if !reflect.DeepEqual(series, got1[0]) {
-		t.Fatal("RunCompletenessSeries disagrees with the study row")
+	// And a query studied alone, one injection at a time, agrees with its
+	// cells of the shared study.
+	alone := base
+	alone.Queries = base.Queries[:1]
+	alone.Parallelism = 4
+	for j, at := range base.InjectAts {
+		alone.InjectAts = []time.Duration{at}
+		if !reflect.DeepEqual(RunCompletenessStudy(alone)[0][0], got1[0][j]) {
+			t.Fatalf("query studied alone at %v disagrees with the study cell", at)
+		}
 	}
 }

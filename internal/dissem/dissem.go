@@ -40,17 +40,10 @@ type Config struct {
 	// waits for a subrange's aggregated predictor before reissuing the
 	// request when it has no RTT observations yet. Once responses have
 	// been observed, the initial timeout adapts to srtt + 4·rttvar
-	// (clamped to [MinTimeout, ResponseTimeout]).
+	// (clamped to [minTimeout, ResponseTimeout]).
 	ResponseTimeout time.Duration
 	// MaxRetries bounds reissues per subrange.
 	MaxRetries int
-	// BackoffCap caps the per-attempt reissue timeout grown by the
-	// decorrelated-jitter exponential backoff (default 4 minutes). The
-	// total retry window — the longest transient outage a dissemination
-	// survives — is roughly the sum of the capped attempt timeouts.
-	BackoffCap time.Duration
-	// MinTimeout floors the adaptive initial timeout (default 1s).
-	MinTimeout time.Duration
 	// Seed drives the reissue jitter.
 	Seed int64
 	// DisableBackoff reverts reissues to the fixed
@@ -68,14 +61,22 @@ type Config struct {
 	Coords *coords.Space
 }
 
+const (
+	// backoffCap caps the per-attempt reissue timeout grown by the
+	// decorrelated-jitter exponential backoff. The total retry window —
+	// the longest transient outage a dissemination survives — is roughly
+	// the sum of the capped attempt timeouts.
+	backoffCap = 4 * time.Minute
+	// minTimeout floors the adaptive initial timeout.
+	minTimeout = time.Second
+)
+
 // DefaultConfig returns the paper's configuration: 16-ary subdivision.
 func DefaultConfig() Config {
 	return Config{
 		Arity:           16,
 		ResponseTimeout: 5 * time.Second,
 		MaxRetries:      3,
-		BackoffCap:      4 * time.Minute,
-		MinTimeout:      time.Second,
 	}
 }
 
@@ -735,9 +736,9 @@ func (e *Engine) nearestDelegate(lo, hi ids.ID) (pastry.NodeRef, bool) {
 
 // attemptTimeout returns the response timeout for an attempt (attempt 0 is
 // the initial send). The initial timeout adapts to observed response
-// latency — srtt + 4·rttvar, clamped to [MinTimeout, ResponseTimeout] —
+// latency — srtt + 4·rttvar, clamped to [minTimeout, ResponseTimeout] —
 // and reissues back off exponentially with jitter (uniform in
-// [2·previous, 3·previous], capped at BackoffCap): the factor-2 lower
+// [2·previous, 3·previous], capped at backoffCap): the factor-2 lower
 // bound guarantees the retry window at least doubles every attempt, so a
 // bounded retry budget provably spans multi-minute outages, while the
 // jitter band decorrelates simultaneous reissues instead of letting them
@@ -754,15 +755,11 @@ func (e *Engine) attemptTimeout(attempt int, prev time.Duration) time.Duration {
 	if floor > 0 && floor < initial {
 		initial = floor
 	}
-	if min := e.cfg.MinTimeout; min > 0 && initial < min {
-		initial = min
+	if initial < minTimeout {
+		initial = minTimeout
 	}
 	if attempt == 0 {
 		return initial
-	}
-	cap := e.cfg.BackoffCap
-	if cap <= 0 {
-		cap = 4 * time.Minute
 	}
 	lo, hi := 2*float64(prev), 3*float64(prev)
 	if min := float64(initial); lo < min {
@@ -772,8 +769,8 @@ func (e *Engine) attemptTimeout(attempt int, prev time.Duration) time.Duration {
 		hi = lo
 	}
 	d := time.Duration(lo + e.rng.Float64()*(hi-lo))
-	if d > cap {
-		d = cap
+	if d > backoffCap {
+		d = backoffCap
 	}
 	if floor > 0 && d < floor {
 		d = floor

@@ -34,12 +34,9 @@ func AblationDissemArity(s Scale, arities []int) *ArityAblationResult {
 		bytes float64
 		lat   time.Duration
 	}
-	runs := runSeries(s, "arity", len(arities), func(i int, sc Scale) any {
+	runs := runSeries(s, "arity", len(arities), func(i int, sc Scale) point {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
-		cfg := core.DefaultClusterConfig(trace, sc.Seed)
-		cfg.Shards = sc.Shards
-		cfg.Obs, cfg.NoObs = sc.Obs, sc.NoObs
-		cfg.Workload.MeanFlowsPerDay = sc.FlowsPerDay
+		cfg := sc.clusterConfig(trace, sc.Seed)
 		cfg.Node.Dissem.Arity = arities[i]
 		c := core.NewCluster(cfg)
 		injectAt := sc.PacketHorizon / 2
@@ -54,8 +51,7 @@ func AblationDissemArity(s Scale, arities []int) *ArityAblationResult {
 		}
 		return pt
 	})
-	for _, v := range runs {
-		pt := v.(point)
+	for _, pt := range runs {
 		r.QueryBytes = append(r.QueryBytes, pt.bytes)
 		r.PredictorLatency = append(r.PredictorLatency, pt.lat)
 	}
@@ -84,13 +80,12 @@ func AblationPredictorMode(s Scale) *PredictorModeResult {
 	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(s.CompletenessN, s.Horizon, s.Seed))
 	w := anemone.DefaultConfig(s.Horizon, s.Seed)
 	w.MeanFlowsPerDay = s.FlowsPerDay
-	base := core.CompletenessConfig{
-		Trace:    trace,
-		Workload: w,
-		Query:    relq.MustParse(Fig9Query),
-		InjectAt: s.InjectAt(),
-		Lifetime: 48 * time.Hour,
-		Obs:      s.Obs,
+	base := core.CompletenessStudyConfig{
+		Trace:     trace,
+		Workload:  w,
+		Queries:   []*relq.Query{relq.MustParse(Fig9Query)},
+		InjectAts: []time.Duration{s.InjectAt()},
+		Lifetime:  48 * time.Hour,
 	}
 	modes := []struct {
 		name string
@@ -102,12 +97,12 @@ func AblationPredictorMode(s Scale) *PredictorModeResult {
 	}
 	out := &PredictorModeResult{}
 	type errs struct{ maxE, avgE float64 }
-	runs := runSeries(s, "predmode", len(modes), func(i int, sc Scale) any {
+	runs := runSeries(s, "predmode", len(modes), func(i int, sc Scale) errs {
 		cfg := base
 		cfg.Mode = modes[i].mode
 		cfg.Obs = sc.Obs
 		cfg.RunnerStats = sc.RunnerStats
-		res := core.RunCompleteness(cfg)
+		res := core.RunCompletenessStudy(cfg)[0][0]
 		maxE, sumE, n := 0.0, 0.0, 0.0
 		for _, d := range ErrorCheckpoints {
 			e := math.Abs(res.PredictionErrorAt(d))
@@ -119,8 +114,7 @@ func AblationPredictorMode(s Scale) *PredictorModeResult {
 		}
 		return errs{maxE: maxE, avgE: sumE / n}
 	})
-	for i, v := range runs {
-		e := v.(errs)
+	for i, e := range runs {
 		out.Modes = append(out.Modes, modes[i].name)
 		out.MaxErr = append(out.MaxErr, e.maxE)
 		out.AvgErr = append(out.AvgErr, e.avgE)
@@ -252,12 +246,9 @@ func AblationPushPeriod(s Scale, periods []time.Duration) *PushPeriodResult {
 		p.P = 1 / period.Seconds()
 		out.ModelBytesPS = append(out.ModelBytesPS, model.MaintenanceOverhead(model.Seaweed, p))
 	}
-	runs := runSeries(s, "pushperiod", len(periods), func(i int, sc Scale) any {
+	out.SimMeanBPS = runSeries(s, "pushperiod", len(periods), func(i int, sc Scale) float64 {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
-		cfg := core.DefaultClusterConfig(trace, sc.Seed)
-		cfg.Shards = sc.Shards
-		cfg.Obs, cfg.NoObs = sc.Obs, sc.NoObs
-		cfg.Workload.MeanFlowsPerDay = sc.FlowsPerDay
+		cfg := sc.clusterConfig(trace, sc.Seed)
 		cfg.Node.Meta.PushPeriod = periods[i]
 		c := core.NewCluster(cfg)
 		c.RunUntil(sc.PacketHorizon)
@@ -266,9 +257,6 @@ func AblationPushPeriod(s Scale, periods []time.Duration) *PushPeriodResult {
 		onlineSeconds := stats.MeanAvailability * float64(sc.PacketN) * sc.PacketHorizon.Seconds()
 		return st.TotalTx(simnet.ClassMaintenance) / onlineSeconds
 	})
-	for _, v := range runs {
-		out.SimMeanBPS = append(out.SimMeanBPS, v.(float64))
-	}
 	return out
 }
 
@@ -298,12 +286,9 @@ func AblationVertexReplicas(s Scale, backups []int) *VertexReplicaResult {
 		coverage float64
 		bytes    float64
 	}
-	runs := runSeries(s, "replicas", len(backups), func(i int, sc Scale) any {
+	runs := runSeries(s, "replicas", len(backups), func(i int, sc Scale) point {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
-		cfg := core.DefaultClusterConfig(trace, sc.Seed)
-		cfg.Shards = sc.Shards
-		cfg.Obs, cfg.NoObs = sc.Obs, sc.NoObs
-		cfg.Workload.MeanFlowsPerDay = sc.FlowsPerDay
+		cfg := sc.clusterConfig(trace, sc.Seed)
 		cfg.Node.Agg.Backups = backups[i]
 		c := core.NewCluster(cfg)
 		injectAt := sc.PacketHorizon / 2
@@ -337,8 +322,7 @@ func AblationVertexReplicas(s Scale, backups []int) *VertexReplicaResult {
 		st := c.Net.Stats()
 		return point{coverage: cov, bytes: st.TotalTx(simnet.ClassQuery) / float64(sc.PacketN)}
 	})
-	for _, v := range runs {
-		pt := v.(point)
+	for _, pt := range runs {
 		out.ResultCoverage = append(out.ResultCoverage, pt.coverage)
 		out.QueryBytes = append(out.QueryBytes, pt.bytes)
 	}
@@ -373,19 +357,16 @@ func (r *DeltaPushResult) Saving() float64 {
 // with live data updates run twice, with full and with delta-encoded
 // summary pushes.
 func AblationDeltaPush(s Scale) *DeltaPushResult {
-	runs := runSeries(s, "deltapush", 2, func(i int, sc Scale) any {
+	runs := runSeries(s, "deltapush", 2, func(i int, sc Scale) float64 {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
-		cfg := core.DefaultClusterConfig(trace, sc.Seed)
-		cfg.Shards = sc.Shards
-		cfg.Obs, cfg.NoObs = sc.Obs, sc.NoObs
-		cfg.Workload.MeanFlowsPerDay = sc.FlowsPerDay
+		cfg := sc.clusterConfig(trace, sc.Seed)
 		cfg.Feed = core.FeedConfig{Enabled: true, Period: 30 * time.Minute}
 		cfg.Node.Meta.DeltaPush = i == 1
 		c := core.NewCluster(cfg)
 		c.RunUntil(sc.PacketHorizon)
 		return c.Net.Stats().TotalTx(simnet.ClassMaintenance)
 	})
-	return &DeltaPushResult{FullBytes: runs[0].(float64), DeltaBytes: runs[1].(float64)}
+	return &DeltaPushResult{FullBytes: runs[0], DeltaBytes: runs[1]}
 }
 
 // Render writes the comparison.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/relq"
-	"repro/internal/runner"
 	"repro/internal/simnet"
 )
 
@@ -72,33 +70,17 @@ func (r *CoordsStudyResult) OK() bool {
 // fan-in edges and completion times. Pairs fan out across workers through
 // the deterministic engine.
 func CoordsStudy(seeds []int64, smoke bool, workers int) *CoordsStudyResult {
-	specs := make([]runner.Spec, 0, 2*len(seeds))
-	for _, seed := range seeds {
-		seed := seed
-		for _, enable := range []bool{true, false} {
-			enable := enable
-			specs = append(specs, runner.Spec{
-				Name: fmt.Sprintf("coords/%d/enabled=%v", seed, enable),
-				Run:  func(runner.RunContext) (any, error) { return coordsOneRun(seed, enable, smoke), nil },
-			})
-		}
-	}
-	rep, err := runner.Execute(context.Background(),
-		runner.Config{Workers: workers, Seed: 0}, specs)
-	if err != nil {
-		panic(err)
-	}
-	if ferr := rep.FirstErr(); ferr != nil {
-		panic(ferr)
-	}
+	// Run 2i is seed i with coordinates on, run 2i+1 the same seed id-only.
+	runs := runSeries(Scale{Workers: workers}, "coords", 2*len(seeds), func(i int, _ Scale) *coordsRunOut {
+		return coordsOneRun(seeds[i/2], i%2 == 0, smoke)
+	})
 
 	out := &CoordsStudyResult{Smoke: smoke, Seeds: seeds}
 	var cEntry, bEntry, cTimes, bTimes []time.Duration
 	var cReg, bReg []time.Duration
 	var errSum float64
 	for i := range seeds {
-		c := rep.Results[2*i].Value.(*coordsRunOut)
-		b := rep.Results[2*i+1].Value.(*coordsRunOut)
+		c, b := runs[2*i], runs[2*i+1]
 		cEntry = append(cEntry, c.entry...)
 		bEntry = append(bEntry, b.entry...)
 		cTimes = append(cTimes, c.qtimes...)
@@ -251,10 +233,7 @@ func (r *RTTScopeResult) OK() bool {
 // result against the brute-force oracle over the frozen snapshot.
 func RTTScopeDemo(s Scale, radius time.Duration) *RTTScopeResult {
 	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(s.PacketN, s.PacketHorizon, s.Seed))
-	cfg := core.DefaultClusterConfig(trace, s.Seed)
-	cfg.Shards = s.Shards
-	cfg.Workload.MeanFlowsPerDay = s.FlowsPerDay
-	cfg.Obs, cfg.NoObs = s.Obs, s.NoObs
+	cfg := s.clusterConfig(trace, s.Seed)
 	cfg.Coords = coords.Enabled()
 	cfg.Node.Agg.QueryTTL = 0
 	c := core.NewCluster(cfg)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"io"
 	"testing"
 	"time"
@@ -52,5 +53,30 @@ func TestCoordsSmoke(t *testing.T) {
 	}
 	if d.Members <= 0 || d.Members > d.N {
 		t.Errorf("scope membership %d of %d endsystems is implausible", d.Members, d.N)
+	}
+}
+
+// TestCoordsFullScale holds the study's teeth on the numbers DESIGN.md and
+// EXPERIMENTS.md quote: the full-scale paired ablation over seeds 1..6
+// (the logged table is theirs; 26.29 vs 31.98 ms fan-in edge p50 and 386.3
+// vs 501.5 ms query p50 when last recorded).
+func TestCoordsFullScale(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("12 full-scale cluster runs")
+	}
+	r := CoordsStudy([]int64{1, 2, 3, 4, 5, 6}, false, 0)
+	var buf bytes.Buffer
+	r.Render(&buf)
+	t.Logf("\n%s", buf.String())
+	if r.EntryEdges == 0 || r.Queries == 0 {
+		t.Fatalf("study measured nothing: %d entry edges, %d queries", r.EntryEdges, r.Queries)
+	}
+	if r.CoordsFaninP50 >= r.BaseFaninP50 {
+		t.Errorf("coords fan-in edge p50 %v does not strictly beat id-only %v",
+			r.CoordsFaninP50, r.BaseFaninP50)
+	}
+	if r.CoordsQueryP50 >= r.BaseQueryP50 {
+		t.Errorf("coords query p50 %v does not strictly beat id-only %v",
+			r.CoordsQueryP50, r.BaseQueryP50)
 	}
 }

@@ -1,10 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 4). Each experiment is a function returning a typed
-// result with a text rendering; the cmd/seaweed-* binaries and the
-// top-level benchmarks are thin wrappers over this package.
+// result with a text rendering; the cmd/seaweed-* binaries are thin
+// wrappers over this package.
 //
 // Experiments take a Scale so the same code serves both quick runs
-// (benchmarks, default CLI) and paper-scale runs (the --full flag of the
+// (the default CLI) and paper-scale runs (the --full flag of the
 // CLI): absolute magnitudes shift with scale but the shape claims the
 // paper makes are scale-stable.
 package experiments
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/avail"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/runner"
 )
@@ -43,8 +44,6 @@ type Scale struct {
 	// tracer sees all their query lifecycles. Nil gives each cluster its
 	// own metrics-only layer.
 	Obs *obs.Obs
-	// NoObs disables observability in every run (benchmark baseline).
-	NoObs bool
 	// Workers bounds the deterministic parallel engine fanning an
 	// experiment's independent simulation runs across cores (0 =
 	// GOMAXPROCS, 1 = serial). Results are identical at any value; an
@@ -81,7 +80,7 @@ type Scale struct {
 //
 // Experiments are library calls with serial crash semantics, so a failed
 // run re-panics here rather than returning a partial series.
-func runSeries(s Scale, name string, n int, run func(i int, sc Scale) any) []any {
+func runSeries[T any](s Scale, name string, n int, run func(i int, sc Scale) T) []T {
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -127,14 +126,25 @@ func runSeries(s Scale, name string, n int, run func(i int, sc Scale) any) []any
 			s.Obs.Registry().Merge(po.Registry())
 		}
 	}
-	out := make([]any, n)
+	out := make([]T, n)
 	for i := range rep.Results {
-		out[i] = rep.Results[i].Value
+		out[i] = rep.Results[i].Value.(T)
 	}
 	return out
 }
 
-// QuickScale returns a scale suitable for benchmarks and fast CLI runs:
+// clusterConfig returns the packet-level configuration every experiment
+// starts from: the paper's defaults on the trace, with the scale's event
+// engine, observability layer and workload size.
+func (s Scale) clusterConfig(trace *avail.Trace, seed int64) core.ClusterConfig {
+	cfg := core.DefaultClusterConfig(trace, seed)
+	cfg.Shards = s.Shards
+	cfg.Obs = s.Obs
+	cfg.Workload.MeanFlowsPerDay = s.FlowsPerDay
+	return cfg
+}
+
+// QuickScale returns a scale suitable for tests and fast CLI runs:
 // minutes of wall-clock in total across all experiments.
 func QuickScale() Scale {
 	return Scale{
@@ -148,10 +158,7 @@ func QuickScale() Scale {
 }
 
 // FullScale approaches the paper's deployment sizes. Packet-level runs at
-// these sizes take tens of minutes of wall-clock time. PacketN 16,000
-// became practical with the timer-wheel engine (see BENCH_cluster.json:
-// ~1.6× events/sec and ~7× fewer allocations per event than the old
-// binary-heap engine, whose GC pressure dominated large runs).
+// these sizes take tens of minutes of wall-clock time.
 func FullScale() Scale {
 	return Scale{
 		CompletenessN: 51663,

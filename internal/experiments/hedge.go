@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/runner"
 )
 
 // HedgePair is one paired-seed comparison of the straggler chaos scenario:
@@ -58,38 +56,19 @@ func HedgeStudy(seeds []int64, smoke bool, workers int) *HedgeStudyResult {
 	if !ok {
 		panic("straggler scenario missing")
 	}
-	one := func(seed int64, ablate bool) *fault.Report {
-		cfg := core.ChaosConfig{Scenario: scen, Seed: seed, DisableReassert: ablate}
+	// Run 2i is seed i with the ladder on, run 2i+1 the same seed ablated.
+	runs := runSeries(Scale{Workers: workers}, "hedge", 2*len(seeds), func(i int, _ Scale) *fault.Report {
+		cfg := core.ChaosConfig{Scenario: scen, Seed: seeds[i/2], DisableReassert: i%2 == 1}
 		if smoke {
 			cfg.N = 60
 			cfg.Settle = 5 * time.Minute
 		}
 		return core.RunChaos(cfg)
-	}
-	specs := make([]runner.Spec, 0, 2*len(seeds))
-	for _, seed := range seeds {
-		seed := seed
-		for _, ablate := range []bool{false, true} {
-			ablate := ablate
-			specs = append(specs, runner.Spec{
-				Name: fmt.Sprintf("hedge/%d/ablate=%v", seed, ablate),
-				Run:  func(runner.RunContext) (any, error) { return one(seed, ablate), nil },
-			})
-		}
-	}
-	rep, err := runner.Execute(context.Background(),
-		runner.Config{Workers: workers, Seed: 0}, specs)
-	if err != nil {
-		panic(err)
-	}
-	if ferr := rep.FirstErr(); ferr != nil {
-		panic(ferr)
-	}
+	})
 
 	out := &HedgeStudyResult{Smoke: smoke}
 	for i, seed := range seeds {
-		h := rep.Results[2*i].Value.(*fault.Report)
-		a := rep.Results[2*i+1].Value.(*fault.Report)
+		h, a := runs[2*i], runs[2*i+1]
 		p := HedgePair{
 			Seed:            seed,
 			HedgedComplete:  h.Queries[0].TimeToComplete,

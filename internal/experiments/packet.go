@@ -30,10 +30,7 @@ type packetRun struct {
 // runPacket builds a cluster on the trace, injects the Figure 9 query at
 // injectAt, and runs to the trace horizon.
 func runPacket(s Scale, trace *avail.Trace, seed int64) *packetRun {
-	cfg := core.DefaultClusterConfig(trace, seed)
-	cfg.Shards = s.Shards
-	cfg.Workload.MeanFlowsPerDay = s.FlowsPerDay
-	cfg.Obs, cfg.NoObs = s.Obs, s.NoObs
+	cfg := s.clusterConfig(trace, seed)
 	if s.Coords {
 		cfg.Coords = coords.Enabled()
 	}
@@ -188,7 +185,7 @@ func Fig9c(s Scale, seeds []int64) *Fig9cResult {
 		mean   float64
 		xs, fs []float64
 	}
-	runs := runSeries(s, "fig9c", len(seeds), func(i int, sc Scale) any {
+	runs := runSeries(s, "fig9c", len(seeds), func(i int, sc Scale) cdf {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
 		run := runPacket(sc, trace, seeds[i]) // same trace/workload, new ids
 		st := run.Cluster.Net.Stats()
@@ -198,8 +195,7 @@ func Fig9c(s Scale, seeds []int64) *Fig9cResult {
 		return cdf{mean: d.Mean, xs: xs, fs: fs}
 	})
 	var means []float64
-	for _, v := range runs {
-		c := v.(cdf)
+	for _, c := range runs {
 		means = append(means, c.mean)
 		r.Xs = append(r.Xs, c.xs)
 		r.Fs = append(r.Fs, c.fs)
@@ -256,7 +252,7 @@ func predictorPathBytes(o *obs.Obs) float64 {
 // (the paper sweeps 2,000 to 51,663 endsystems). Each size is an
 // independent simulation fanned across the engine's workers.
 func Fig9d(s Scale, sizes []int) []Fig9dPoint {
-	runs := runSeries(s, "fig9d", len(sizes), func(i int, sc Scale) any {
+	return runSeries(s, "fig9d", len(sizes), func(i int, sc Scale) Fig9dPoint {
 		n := sizes[i]
 		sc.PacketN = n
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(n, sc.PacketHorizon, sc.Seed))
@@ -280,11 +276,6 @@ func Fig9d(s Scale, sizes []int) []Fig9dPoint {
 		}
 		return pt
 	})
-	out := make([]Fig9dPoint, len(runs))
-	for i, v := range runs {
-		out[i] = v.(Fig9dPoint)
-	}
-	return out
 }
 
 // WriteFig9d renders the scaling panel.
@@ -342,10 +333,7 @@ type Fig2Result struct {
 // fraction of endsystems is down.
 func Fig2(s Scale) *Fig2Result {
 	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(s.PacketN, s.PacketHorizon, s.Seed))
-	cfg := core.DefaultClusterConfig(trace, s.Seed)
-	cfg.Shards = s.Shards
-	cfg.Workload.MeanFlowsPerDay = s.FlowsPerDay
-	cfg.Obs, cfg.NoObs = s.Obs, s.NoObs
+	cfg := s.clusterConfig(trace, s.Seed)
 	c := core.NewCluster(cfg)
 	injectAt := s.PacketHorizon / 2
 	injectAt -= injectAt % avail.Day // midnight

@@ -72,9 +72,9 @@ func (r *WorkloadResult) Render(w io.Writer) {
 		verdict(r.PriorityToothOK))
 }
 
-// JSON renders the result for BENCH_qserve.json: indented, trailing
-// newline, no wall timing anywhere — byte-comparable across runs and
-// worker counts.
+// JSON renders the result for `seaweed-sim -workload W -out f`: indented,
+// trailing newline, no wall timing anywhere — byte-comparable across runs
+// and worker counts.
 func (r *WorkloadResult) JSON() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -145,7 +145,7 @@ var workloadVariants = []struct {
 // runs go through the deterministic engine, so the result is
 // byte-identical at any Workers count.
 func WorkloadSweep(s Scale, n int, w qserve.Workload, smoke bool) *WorkloadResult {
-	vals := runSeries(s, "workload-"+w.Name, len(workloadVariants), func(i int, sc Scale) any {
+	variants := runSeries(s, "workload-"+w.Name, len(workloadVariants), func(i int, sc Scale) *qserve.Report {
 		cfg := WorkloadConfig(n, s.Seed, w, smoke)
 		cfg.DisableAdmission = workloadVariants[i].disableAdmission
 		cfg.DisablePriority = workloadVariants[i].disablePriority
@@ -153,10 +153,7 @@ func WorkloadSweep(s Scale, n int, w qserve.Workload, smoke bool) *WorkloadResul
 		return qserve.Run(cfg)
 	})
 	res := &WorkloadResult{
-		Label: "qserve", Workload: w.Name, N: n, Seed: s.Seed,
-	}
-	for _, v := range vals {
-		res.Variants = append(res.Variants, v.(*qserve.Report))
+		Label: "qserve", Workload: w.Name, N: n, Seed: s.Seed, Variants: variants,
 	}
 	full := res.Variant("full").Class("interactive")
 	noAdm := res.Variant("ablate-admission").Class("interactive")

@@ -52,9 +52,9 @@ func TestWorkloadSmoke(t *testing.T) {
 		t.Fatal("admission-ablated variant shed queries")
 	}
 
-	// The JSON must round-trip (it is the BENCH_qserve.json format).
+	// The JSON must round-trip (it is the `-workload W -out f` report format).
 	var back WorkloadResult
 	if err := json.Unmarshal(j1, &back); err != nil {
-		t.Fatalf("BENCH json does not round-trip: %v", err)
+		t.Fatalf("report json does not round-trip: %v", err)
 	}
 }

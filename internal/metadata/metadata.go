@@ -75,18 +75,21 @@ func recordWireSize(sum *relq.Summary, _ *avail.Model) int {
 	return size
 }
 
+// K is the replica-set size (paper Table 1 and simulation: k=8). It is
+// exported because the chaos harness audits the same replica sets.
+const K = 8
+
+// evictSlack controls when a node drops records it is no longer
+// responsible for: a record is evicted when the node is not among the
+// evictSlack*K locally-closest nodes to the subject.
+const evictSlack = 2
+
 // Config parameterizes a metadata service.
 type Config struct {
-	// K is the replica-set size (paper simulation: k=8).
-	K int
 	// PushPeriod is the mean period of proactive summary pushes (paper
 	// simulation: 17.5 minutes, each endsystem choosing its phase
 	// randomly to avoid bandwidth spikes).
 	PushPeriod time.Duration
-	// EvictSlack controls when a node drops records it is no longer
-	// responsible for: a record is evicted when the node is not among the
-	// EvictSlack*K locally-closest nodes to the subject.
-	EvictSlack int
 	// DeltaPush enables delta-encoded summary pushes (§3.2.2's proposed
 	// optimization): a periodic push to a replica that already holds the
 	// previous version carries only the changed tables' histograms. The
@@ -97,7 +100,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's metadata configuration.
 func DefaultConfig() Config {
-	return Config{K: 8, PushPeriod: 17*time.Minute + 30*time.Second, EvictSlack: 2}
+	return Config{PushPeriod: 17*time.Minute + 30*time.Second}
 }
 
 // Service runs the metadata protocol for one endsystem. The owning layer
@@ -212,7 +215,7 @@ func (s *Service) pushOwn() {
 	if s.o.Detail() {
 		s.o.EmitDetail(obs.Event{Kind: obs.KindMetaPush, EP: int(s.node.Endpoint())})
 	}
-	s.scratch = s.node.AppendReplicaSet(s.scratch[:0], s.cfg.K)
+	s.scratch = s.node.AppendReplicaSet(s.scratch[:0], K)
 	for _, m := range s.scratch {
 		s.cPushes.Inc()
 		size := rec.WireSize
@@ -309,7 +312,7 @@ func (s *Service) HandleLeafsetChanged() {
 
 	if len(added) > 0 {
 		for _, rec := range s.sortedRecords() {
-			rs := s.localReplicaSet(rec.Subject, s.cfg.K)
+			rs := s.localReplicaSet(rec.Subject, K)
 			for _, a := range added {
 				if _, in := rs[a.ID]; in {
 					s.cRerepl.Inc()
@@ -320,7 +323,7 @@ func (s *Service) HandleLeafsetChanged() {
 			}
 		}
 		if s.own != nil && s.node.Alive() {
-			rs := s.localReplicaSet(s.own.Subject, s.cfg.K)
+			rs := s.localReplicaSet(s.own.Subject, K)
 			for _, a := range added {
 				if _, in := rs[a.ID]; in {
 					s.send(a, s.own)
@@ -331,9 +334,8 @@ func (s *Service) HandleLeafsetChanged() {
 
 	// Eviction: drop records whose replica neighborhood has drifted far
 	// from this node.
-	slack := s.cfg.EvictSlack * s.cfg.K
 	for id := range s.store {
-		if !s.withinLocalClosest(id, slack) {
+		if !s.withinLocalClosest(id, evictSlack*K) {
 			delete(s.store, id)
 			s.cEvictions.Inc()
 		}

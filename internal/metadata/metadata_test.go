@@ -91,7 +91,7 @@ func testModel(i int) *avail.Model {
 func TestInitialPushReachesReplicaSet(t *testing.T) {
 	h := newHarness(t, 48, 1)
 	h.sched.RunUntil(time.Minute)
-	k := DefaultConfig().K
+	k := K
 	for i, n := range h.nodes {
 		replicas := n.ReplicaSet(k)
 		for _, rep := range replicas {
@@ -115,7 +115,7 @@ func TestDownMarkingAfterDeath(t *testing.T) {
 	h.sched.RunUntil(time.Minute)
 	victim := h.nodes[7]
 	vid := victim.ID()
-	replicas := victim.ReplicaSet(DefaultConfig().K)
+	replicas := victim.ReplicaSet(K)
 	dieAt := h.sched.Now() + time.Second
 	h.sched.At(dieAt, func() {
 		h.services[7].Deactivate()
@@ -173,7 +173,7 @@ func TestMetadataSurvivesHolderChurn(t *testing.T) {
 
 	// The record must now exist on at least one of the current k closest.
 	holders := 0
-	for _, ref := range h.ring.LiveClosest(vid, DefaultConfig().K, nil) {
+	for _, ref := range h.ring.LiveClosest(vid, K, nil) {
 		if rec := h.services[ref.EP].Lookup(vid); rec != nil && !rec.Up {
 			holders++
 		}
@@ -199,7 +199,7 @@ func TestRejoinMarksUpAgain(t *testing.T) {
 	})
 	h.sched.RunUntil(h.sched.Now() + 5*time.Minute)
 
-	k := DefaultConfig().K
+	k := K
 	upSeen := 0
 	for _, ref := range h.ring.LiveClosest(vid, k, nil) {
 		if ref.ID == vid {

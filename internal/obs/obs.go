@@ -9,9 +9,9 @@
 // (histograms). The relational executor reports its scan work here too —
 // rows_scanned, rows_matched, blocks_pruned, plan_cache_hits and
 // plan_cache_misses (see relq.StandardExecStats) — batched as one atomic
-// add per counter per query execution. All handle methods are nil-safe, so a disabled layer (a
-// nil *Obs) costs one predicted branch per site and nothing else —
-// BenchmarkObsOverhead at the repository root quantifies the difference.
+// add per counter per query execution. All handle methods are nil-safe: a
+// nil *Obs (a layer built without one, as in unit tests) costs one
+// predicted branch per site and nothing else.
 //
 // The tracer records typed span events describing where each query spends
 // its virtual time (inject → disseminate → predict → partial-result →

@@ -1,7 +1,6 @@
 package pastry
 
 import (
-	"log"
 	"slices"
 	"sort"
 	"time"
@@ -171,7 +170,7 @@ func (n *Node) StartBootstrap() {
 
 // installState fills the leafset and routing table from the ground truth.
 func (n *Node) installState() {
-	n.setLeafset(n.ring.liveLeafNeighbors(n.ep, n.id, n.ring.cfg.LeafsetHalf))
+	n.setLeafset(n.ring.liveLeafNeighbors(n.ep, n.id, leafsetHalf))
 	if n.ring.cfg.LazyTables {
 		n.rows = nil
 		n.rowsReady = false
@@ -282,11 +281,7 @@ func (n *Node) sendJoinRequest() {
 	}
 	req := &joinRequest{Joiner: n.Ref()}
 	n.ring.net.Send(n.ep, contact.EP, refBytes+16, simnet.ClassPastry, req)
-	timeout := n.ring.cfg.JoinRetryTimeout
-	if timeout <= 0 {
-		timeout = 10 * n.ring.cfg.RetryTimeout
-	}
-	n.joinRetry = n.sched.After(timeout, func() {
+	n.joinRetry = n.sched.After(joinRetryTimeout, func() {
 		n.ring.cJoinRetry.Inc()
 		n.sendJoinRequest()
 	})
@@ -310,12 +305,12 @@ func (n *Node) Stop() {
 	}
 	// The nodes holding this node in their leafsets — its lh successors
 	// and lh predecessors — learn of the death after the detection delay.
-	neighbors := n.ring.liveLeafNeighbors(n.ep, n.id, n.ring.cfg.LeafsetHalf)
+	neighbors := n.ring.liveLeafNeighbors(n.ep, n.id, leafsetHalf)
 	rng := n.ring.sh[n.shard].rng
 	for _, nb := range neighbors {
 		nb := nb
-		delay := n.ring.cfg.HeartbeatPeriod +
-			time.Duration(rng.Float64()*float64(n.ring.cfg.HeartbeatPeriod))
+		delay := heartbeatPeriod +
+			time.Duration(rng.Float64()*float64(heartbeatPeriod))
 		n.ring.net.CallAfter(n.ep, nb.EP, delay, func() {
 			if m := n.ring.nodes[nb.EP]; m != nil && m.alive && m.id == nb.ID {
 				m.noteDead(ref)
@@ -345,10 +340,6 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 		n.ring.cHopDrops.Inc()
 		n.ring.o.EmitSpan(env.span, obs.Event{Kind: obs.KindRouteDrop,
 			Query: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
-		if n.ring.cfg.DebugLog {
-			log.Printf("pastry: dropped route to %s at ep %d: hop limit %d exceeded",
-				env.Key.Short(), n.ep, maxHops)
-		}
 		n.ring.putEnv(n.shard, env)
 		return
 	}
@@ -376,7 +367,7 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 				Query: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
 		}
 		n.ring.net.AccountAggregate(n.ep, env.Class, size, 0)
-		n.sched.After(n.ring.cfg.RetryTimeout, func() {
+		n.sched.After(retryTimeout, func() {
 			if !n.alive {
 				return
 			}
@@ -489,7 +480,7 @@ func (n *Node) nextHop(key ids.ID) (next NodeRef, selfIsRoot bool) {
 // span is taken to cover the whole ring, because the leafset then contains
 // every known node and the closest-member rule is exact.
 func (n *Node) inLeafsetSpan(key ids.ID) bool {
-	if len(n.leaf) < 2*n.ring.cfg.LeafsetHalf {
+	if len(n.leaf) < 2*leafsetHalf {
 		return true
 	}
 	// Find the farthest successor (max clockwise distance from self) and
@@ -646,7 +637,7 @@ func (n *Node) repairLeafset() {
 				&leafsetPull{From: self})
 		}
 	}
-	n.setLeafset(n.ring.liveLeafNeighbors(n.ep, n.id, n.ring.cfg.LeafsetHalf))
+	n.setLeafset(n.ring.liveLeafNeighbors(n.ep, n.id, leafsetHalf))
 }
 
 // reconcileLeafset merges the reachable ground-truth neighbors into the
@@ -659,7 +650,7 @@ func (n *Node) reconcileLeafset() {
 	if !n.alive || n.joining {
 		return
 	}
-	want := n.ring.liveLeafNeighbors(n.ep, n.id, n.ring.cfg.LeafsetHalf)
+	want := n.ring.liveLeafNeighbors(n.ep, n.id, leafsetHalf)
 	cands := make([]NodeRef, 0, len(n.leaf)+len(want))
 	cands = append(cands, n.leaf...)
 	cands = append(cands, want...)
@@ -699,13 +690,12 @@ func (n *Node) setLeafset(cands []NodeRef) {
 		return n.id.Distance(a.ID).Cmp(n.id.Distance(b.ID))
 	})
 	all = slices.CompactFunc(all, func(a, b NodeRef) bool { return a.ID == b.ID })
-	lh := n.ring.cfg.LeafsetHalf
 	var leaf []NodeRef
-	if len(all) <= 2*lh {
+	if len(all) <= 2*leafsetHalf {
 		leaf = all
 	} else {
-		leaf = append(leaf, all[:lh]...)          // l/2 successors
-		leaf = append(leaf, all[len(all)-lh:]...) // l/2 predecessors
+		leaf = append(leaf, all[:leafsetHalf]...)          // l/2 successors
+		leaf = append(leaf, all[len(all)-leafsetHalf:]...) // l/2 predecessors
 	}
 	slices.SortFunc(leaf, func(a, b NodeRef) int { return a.ID.Cmp(b.ID) })
 	n.leaf = leaf
@@ -721,10 +711,6 @@ func (n *Node) handleJoinRequest(req *joinRequest) {
 		n.ring.cJoinDrops.Inc()
 		n.ring.o.Emit(obs.Event{Kind: obs.KindRouteDrop, EP: int(n.ep),
 			N: int64(req.Hops)})
-		if n.ring.cfg.DebugLog {
-			log.Printf("pastry: dropped join request from %s at ep %d: hop limit %d exceeded",
-				req.Joiner.ID.Short(), n.ep, maxHops)
-		}
 		return
 	}
 	next, selfIsRoot := n.nextHop(req.Joiner.ID)
@@ -732,7 +718,7 @@ func (n *Node) handleJoinRequest(req *joinRequest) {
 		if !n.ring.isLiveFrom(n.shard, next) {
 			size := refBytes + 16
 			n.ring.net.AccountAggregate(n.ep, simnet.ClassPastry, size, 0)
-			n.sched.After(n.ring.cfg.RetryTimeout, func() {
+			n.sched.After(retryTimeout, func() {
 				if n.alive {
 					n.dropRef(next)
 					n.handleJoinRequest(req)
@@ -750,7 +736,7 @@ func (n *Node) handleJoinRequest(req *joinRequest) {
 	joiner := req.Joiner
 	rows, entries := n.ring.buildRoutingTable(joiner.ID, n.ring.sh[n.shard].rng,
 		func() *tableRow { return new(tableRow) })
-	leafset := n.ring.liveLeafNeighbors(joiner.EP, joiner.ID, n.ring.cfg.LeafsetHalf)
+	leafset := n.ring.liveLeafNeighbors(joiner.EP, joiner.ID, leafsetHalf)
 	reply := &joinReply{Leafset: leafset, Rows: flattenRows(rows)}
 	size := 16 + (len(leafset)+entries)*refBytes
 	n.ring.net.Send(n.ep, joiner.EP, size, simnet.ClassPastry, reply)

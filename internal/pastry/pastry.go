@@ -28,35 +28,34 @@ import (
 	"repro/internal/simnet"
 )
 
-// Config parameterizes the overlay. The defaults mirror the paper's
-// MSPastry configuration: b=4, leafset size l=8, 30-second leafset
-// heartbeat period.
-type Config struct {
-	// B is the digit width; keys are interpreted base 2^B.
-	B int
-	// LeafsetHalf is l/2: the number of leafset entries maintained on
+// The paper's MSPastry configuration (Table 1 and section 4.3): leafset
+// size l=8, 30-second leafset heartbeats. Nothing varies them, so they are
+// constants; Config holds what a caller sets.
+const (
+	// leafsetHalf is l/2: the number of leafset entries maintained on
 	// each side of the node.
-	LeafsetHalf int
-	// HeartbeatPeriod is the leafset heartbeat interval, which bounds
+	leafsetHalf = 4
+	// heartbeatPeriod is the leafset heartbeat interval, which bounds
 	// failure-detection latency.
-	HeartbeatPeriod time.Duration
-	// HeartbeatBytes is the wire size of one leafset heartbeat message.
-	HeartbeatBytes int
-	// ProbeBytesPerSec is the steady-state routing-table maintenance
-	// traffic per node in bytes/second (grows O(log N) with network size;
-	// set by the ring from the initial population).
-	ProbeBytesPerSec float64
-	// RetryTimeout is how long a node waits before concluding a forward
+	heartbeatPeriod = 30 * time.Second
+	// heartbeatBytes is the wire size of one leafset heartbeat message.
+	heartbeatBytes = 32
+	// retryTimeout is how long a node waits before concluding a forward
 	// to a stale routing entry failed and rerouting.
-	RetryTimeout time.Duration
-	// JoinRetryTimeout is how long a joining node waits for a join reply
-	// before retrying with a different contact. Zero means the historical
-	// default of 10×RetryTimeout; chaos scenarios with long partitions
-	// raise it to avoid join-retry storms.
-	JoinRetryTimeout time.Duration
-	// AccountingPeriod is how often aggregate heartbeat/probe costs are
+	retryTimeout = time.Second
+	// joinRetryTimeout is how long a joining node waits for a join reply
+	// before retrying with a different contact.
+	joinRetryTimeout = 10 * retryTimeout
+	// accountingPeriod is how often aggregate heartbeat/probe costs are
 	// folded into the bandwidth statistics.
-	AccountingPeriod time.Duration
+	accountingPeriod = 10 * time.Minute
+)
+
+// Config parameterizes the overlay.
+type Config struct {
+	// B is the digit width; keys are interpreted base 2^B (the paper's
+	// b=4).
+	B int
 	// Seed drives protocol randomness (detection jitter, probe targets).
 	Seed int64
 	// LazyTables defers each bootstrapped node's routing-table
@@ -66,22 +65,11 @@ type Config struct {
 	// both bootstrap time and resident memory; lazy materialization makes
 	// table cost proportional to routing activity instead of population.
 	LazyTables bool
-	// DebugLog logs routing failures (hop-limit drops) to the standard
-	// logger. The pastry_maxhops_drops counters record them regardless.
-	DebugLog bool
 }
 
 // DefaultConfig returns the paper's overlay configuration.
 func DefaultConfig() Config {
-	return Config{
-		B:                4,
-		LeafsetHalf:      4,
-		HeartbeatPeriod:  30 * time.Second,
-		HeartbeatBytes:   32,
-		RetryTimeout:     time.Second,
-		JoinRetryTimeout: 10 * time.Second,
-		AccountingPeriod: 10 * time.Minute,
-	}
+	return Config{B: 4}
 }
 
 // NodeRef identifies an overlay node: its endsystemId and its network

@@ -60,8 +60,8 @@ func TestBootstrapLeafsets(t *testing.T) {
 		if !slices.Equal(ls, n.LeafsetView()) {
 			t.Fatal("LeafsetView differs from the Leafset copy")
 		}
-		if len(ls) != 2*ring.Config().LeafsetHalf {
-			t.Fatalf("node %v leafset size %d, want %d", n.ID().Short(), len(ls), 2*ring.Config().LeafsetHalf)
+		if len(ls) != 2*leafsetHalf {
+			t.Fatalf("node %v leafset size %d, want %d", n.ID().Short(), len(ls), 2*leafsetHalf)
 		}
 		// Every leafset member must be live, and the replica set must be
 		// exactly the ground-truth closest set.

@@ -254,9 +254,6 @@ func NewRing(net *simnet.Network, cfg Config) *Ring {
 // (nil when disabled).
 func (r *Ring) Obs() *obs.Obs { return r.o }
 
-// Config returns the ring's configuration.
-func (r *Ring) Config() Config { return r.cfg }
-
 // Scheduler returns the engine driving the ring. Per-node timer work must
 // use Node.Sched instead: under the sharded engine this engine-level
 // handle pins timers to shard 0, which is a data race for state on any
@@ -543,15 +540,15 @@ func (r *Ring) ReachabilityChanged() {
 				continue
 			}
 			m := m
-			delay := r.cfg.HeartbeatPeriod +
-				time.Duration(rng.Float64()*float64(r.cfg.HeartbeatPeriod))
+			delay := heartbeatPeriod +
+				time.Duration(rng.Float64()*float64(heartbeatPeriod))
 			n.sched.After(delay, func() {
 				if n.alive && !n.joining && !r.reachable(n.ep, m.EP) {
 					n.noteDead(m)
 				}
 			})
 		}
-		delay := time.Duration(rng.Float64() * float64(r.cfg.HeartbeatPeriod))
+		delay := time.Duration(rng.Float64() * float64(heartbeatPeriod))
 		n.sched.After(delay, func() { n.reconcileLeafset() })
 	}
 }
@@ -600,7 +597,7 @@ func (r *Ring) buildRoutingTable(id ids.ID, rng *rand.Rand, alloc func() *tableR
 	maxRows := ids.DigitsPerID(b)
 	for plen := 0; plen < maxRows; plen++ {
 		lo, hi := r.prefixRange(id, plen)
-		if hi-lo <= 2*r.cfg.LeafsetHalf {
+		if hi-lo <= 2*leafsetHalf {
 			break // the leafset covers the rest
 		}
 		row := alloc()
@@ -636,9 +633,6 @@ func (r *Ring) expectedProbeRate() float64 {
 	if n < 2 {
 		return 0
 	}
-	if r.cfg.ProbeBytesPerSec > 0 {
-		return r.cfg.ProbeBytesPerSec
-	}
 	rowsInUse := math.Log(float64(n))/math.Log(16) + 1
 	const probePeriod = 60.0 // seconds
 	const probeBytes = 48.0
@@ -650,17 +644,13 @@ func (r *Ring) expectedProbeRate() float64 {
 // endpoints from a timer on its own wheel, so the per-endpoint statistics
 // rows stay single-writer under parallel windows.
 func (r *Ring) startAccounting() {
-	period := r.cfg.AccountingPeriod
-	if period <= 0 {
-		period = 10 * time.Minute
-	}
 	ns := r.net.NumShards()
 	for s := 0; s < ns; s++ {
 		shard := s
-		r.net.ShardScheduler(shard).Every(period, func() {
-			secs := period.Seconds()
-			hbPerSec := float64(2*r.cfg.LeafsetHalf) * float64(r.cfg.HeartbeatBytes) /
-				r.cfg.HeartbeatPeriod.Seconds()
+		r.net.ShardScheduler(shard).Every(accountingPeriod, func() {
+			secs := accountingPeriod.Seconds()
+			hbPerSec := float64(2*leafsetHalf) * float64(heartbeatBytes) /
+				heartbeatPeriod.Seconds()
 			probe := r.expectedProbeRate()
 			perNode := int((hbPerSec + probe) * secs)
 			for _, ref := range r.live {

@@ -33,6 +33,10 @@ import (
 	"repro/internal/simnet"
 )
 
+// ewmaAlpha is the weight of the newest observation in the per-template
+// time-to-90% estimate.
+const ewmaAlpha = 0.3
+
 // Config parameterizes one query-service run.
 type Config struct {
 	// N is the endsystem population of the simulated cluster.
@@ -71,9 +75,6 @@ type Config struct {
 	// query has waited this long, dispatch is reserved for it until it
 	// fits.
 	StarveAfter time.Duration
-	// EWMAAlpha is the weight of the newest observation in the
-	// per-template time-to-90% estimate (0 < alpha <= 1).
-	EWMAAlpha float64
 
 	// DisableAdmission ablates the admission controller: nothing is ever
 	// shed.
@@ -100,7 +101,6 @@ func DefaultConfig(n int, seed int64, w Workload) Config {
 		DelayBudget:  [NumClasses]time.Duration{Interactive: 2 * time.Hour, Batch: 10 * time.Minute},
 		ResultWindow: [NumClasses]time.Duration{Interactive: 3 * time.Minute, Batch: 10 * time.Minute},
 		StarveAfter:  20 * time.Minute,
-		EWMAAlpha:    0.3,
 	}
 }
 
@@ -372,8 +372,7 @@ func (s *Service) retire(t *tracked) {
 		obs90 := t90 - t.sq.StartedAt
 		name := t.arr.Tmpl.Name
 		if prev, seen := s.ewma[name]; seen {
-			a := s.cfg.EWMAAlpha
-			s.ewma[name] = time.Duration(a*float64(obs90) + (1-a)*float64(prev))
+			s.ewma[name] = time.Duration(ewmaAlpha*float64(obs90) + (1-ewmaAlpha)*float64(prev))
 		} else {
 			s.ewma[name] = obs90
 		}

@@ -169,7 +169,7 @@ func (s *Wheel) Now() time.Duration { return s.now }
 
 // Executed returns the cumulative number of events executed by the
 // scheduler since creation. It is the numerator of the events/sec and
-// ns/event throughput metrics reported by BenchmarkClusterSteadyState.
+// ns/event throughput metrics the benchmark (bench/) reports.
 func (s *Wheel) Executed() uint64 { return s.executed }
 
 // Pending returns the number of queued events, including lazily canceled

@@ -26,8 +26,7 @@ type Topology struct {
 type TopologyConfig struct {
 	CoreRouters    int           // fully meshed wide-area core (default 6)
 	HubsPerCore    int           // regional hubs attached to each core router (default 6)
-	LeavesPerHub   int           // leaf routers attached to each hub (default ~7, adjusted to reach TotalRouters)
-	TotalRouters   int           // total router budget (default 298, as in CorpNet)
+	TotalRouters   int           // total router budget: what core and hubs leave is leaf routers (default 298, as in CorpNet)
 	CoreRTTMin     time.Duration // min core-core link RTT (default 20ms)
 	CoreRTTMax     time.Duration // max core-core link RTT (default 180ms)
 	HubRTTMin      time.Duration // min hub uplink RTT (default 2ms)

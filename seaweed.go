@@ -21,7 +21,7 @@
 //   - Deployments: New builds a packet-level simulated deployment
 //     of full Seaweed endsystems over a discrete-event network; InjectQuery
 //     returns the predictor and the incremental result stream.
-//   - Completeness studies: RunCompleteness evaluates predicted versus
+//   - Completeness studies: RunCompletenessStudy evaluates predicted versus
 //     actual completeness over an availability trace at large scale, as in
 //     the paper's Figures 5–8.
 //   - Traces and workloads: synthetic availability traces calibrated to
@@ -330,26 +330,14 @@ func New(opts ...Option) *Cluster {
 // Completeness experiments: availability-level simulation of predicted vs
 // actual completeness.
 type (
-	CompletenessConfig      = core.CompletenessConfig
 	CompletenessResult      = core.CompletenessResult
 	CompletenessStudyConfig = core.CompletenessStudyConfig
 )
 
-// RunCompleteness evaluates one query injection.
-func RunCompleteness(cfg CompletenessConfig) *CompletenessResult {
-	return core.RunCompleteness(cfg)
-}
-
-// RunCompletenessSeries evaluates several injection times over a shared
-// trace and workload, fanned across the deterministic parallel engine
-// (cfg.Parallelism workers; results identical at any worker count).
-func RunCompletenessSeries(cfg CompletenessConfig, injectAts []time.Duration) []*CompletenessResult {
-	return core.RunCompletenessSeries(cfg, injectAts)
-}
-
-// RunCompletenessStudy evaluates every (query, injection) pair of a
-// multi-query study in one pass: datasets are generated once and shared,
-// and the cells execute in parallel. Results are indexed
+// RunCompletenessStudy evaluates every (query, injection) pair of a study
+// in one pass: datasets are generated once and shared, and the cells
+// execute through the deterministic parallel engine (cfg.Parallelism
+// workers; results identical at any worker count). Results are indexed
 // [query][injection].
 func RunCompletenessStudy(cfg CompletenessStudyConfig) [][]*CompletenessResult {
 	return core.RunCompletenessStudy(cfg)

@@ -109,13 +109,13 @@ func TestPublicAPICompleteness(t *testing.T) {
 	trace := FarsiteTrace(200, 3*7*24*time.Hour, 7)
 	w := DefaultAnemoneConfig(trace.Horizon, 7)
 	w.MeanFlowsPerDay = 30
-	res := RunCompleteness(CompletenessConfig{
-		Trace:    trace,
-		Workload: w,
-		Query:    MustParseQuery("SELECT COUNT(*) FROM Flow"),
-		InjectAt: 2 * 7 * 24 * time.Hour,
-		Lifetime: 24 * time.Hour,
-	})
+	res := RunCompletenessStudy(CompletenessStudyConfig{
+		Trace:     trace,
+		Workload:  w,
+		Queries:   []*Query{MustParseQuery("SELECT COUNT(*) FROM Flow")},
+		InjectAts: []time.Duration{2 * 7 * 24 * time.Hour},
+		Lifetime:  24 * time.Hour,
+	})[0][0]
 	if res.TotalRelevantRows <= 0 {
 		t.Fatal("no rows")
 	}
