@@ -26,13 +26,16 @@
 // membership changes move a vertexId's root, the new primary takes over
 // from the replicated state. Versioned, keyed contributions make
 // retransmissions and primary handovers idempotent: at-least-once delivery
-// plus at-most-once counting.
+// plus at-most-once counting. A leaf's half of that is literal: it sends
+// its contribution until the entry vertex's primary acknowledges holding
+// it, and again whenever that vertex's root moves to another endsystem.
 //
 // An Engine keeps one record per query (queryState) in one table: what it
 // knows of the query, its own contribution and entry vertexId — the only
-// part that survives a restart — the leaf re-assertion timer, and the
-// vertices it hosts for the query's tree. Everything the protocol does for
-// a query starts from that record, and vertices point back at it.
+// part that survives a restart — the leaf retransmission timer and the ack
+// that stops it, and the vertices it hosts for the query's tree.
+// Everything the protocol does for a query starts from that record, and
+// vertices point back at it.
 package aggtree
 
 import (
@@ -166,12 +169,11 @@ func (v *vertexState) aggregate() (agg.Partial, int64) {
 }
 
 const (
-	// The leaf re-assertion schedule: re-send the contribution 20s, 1m,
-	// 3m and 9m after the original submission, then stop. Bounded so a
-	// long-lived query costs a handful of extra messages, not a periodic
-	// stream for its whole TTL.
-	resubmitBase     = 20 * time.Second
-	resubmitAttempts = 4
+	// The leaf retransmission schedule: an unacknowledged contribution is
+	// re-sent 20s, 1m, 3m and 9m after the one before, and every 9m from
+	// then on, until it is acknowledged or the query ends.
+	resubmitBase = 20 * time.Second
+	resubmitMax  = 9 * time.Minute
 )
 
 // queryState is everything this endsystem keeps about one query (see
@@ -184,8 +186,11 @@ type queryState struct {
 	// the next time the query is heard of, which counts as expired; a
 	// cancel that arrives for an unknown query makes it known with nothing
 	// but firstSeen, a tombstone that drops late submissions.
-	known     bool
-	canceled  bool
+	known    bool
+	canceled bool
+	// ackedBy belongs with resubmit and acked below; as an int32 here it
+	// shares the flags' word, which keeps the record in its size class.
+	ackedBy   int32
 	query     *relq.Query
 	injector  simnet.Endpoint
 	firstSeen time.Duration
@@ -207,9 +212,14 @@ type queryState struct {
 	// the rejoin re-execution re-asserts an unchanged result (see Submit).
 	asserted bool
 
-	// resubmit is the live leaf re-assertion timer for own (volatile: a
-	// restart drops it, and the rejoin path's fresh Submit re-arms it).
+	// resubmit is the live leaf retransmission timer for own, armed while
+	// own is unacknowledged. acked is the version of own that the entry
+	// vertex's primary has said it holds (own is acknowledged when the two
+	// are equal) and ackedBy, above, the endpoint that said so: an ack
+	// stands only for that primary. All three are volatile: a restart drops
+	// them, and the rejoin path's fresh Submit starts over.
 	resubmit *simnet.Timer
+	acked    uint64
 
 	// vertices are the vertex states hosted here for this query's tree,
 	// ordered by vertexId: 1.6 on average, four at the 99th percentile.
@@ -238,6 +248,7 @@ type Engine struct {
 	cTakeovers *obs.Counter   // aggtree_takeovers
 	cRefresh   *obs.Counter   // aggtree_refresh_repairs
 	cResubmit  *obs.Counter   // aggtree_resubmits
+	cAcks      *obs.Counter   // aggtree_acks
 	cReasserts *obs.Counter   // aggtree_hedge_reasserts: ladder rungs fired
 	hDepth     *obs.Histogram // aggtree_entry_depth
 	hFanin     *obs.Histogram // aggtree_fanin_delay_ns: routed submit latency
@@ -265,6 +276,7 @@ func NewEngine(host Host, cfg Config) *Engine {
 		cTakeovers: o.Counter("aggtree_takeovers"),
 		cRefresh:   o.Counter("aggtree_refresh_repairs"),
 		cResubmit:  o.Counter("aggtree_resubmits"),
+		cAcks:      o.Counter("aggtree_acks"),
 		cReasserts: o.Counter("aggtree_hedge_reasserts"),
 		hDepth:     o.Histogram("aggtree_entry_depth"),
 		hFanin:     o.DurationHistogram("aggtree_fanin_delay_ns"),
@@ -328,7 +340,7 @@ func (e *Engine) register(qid ids.ID, q *relq.Query, injector simnet.Endpoint, c
 // CancelPropagate cancels a query at this endsystem — the injector-side
 // entry point — and broadcasts the cancellation down the query's
 // aggregation tree so every vertex replica group drops its state and
-// every leaf contributor stops re-asserting, instead of all of them
+// every leaf contributor stops retransmitting, instead of all of them
 // waiting out the TTL. The paper keeps incremental results flowing
 // "until it times out or is explicitly canceled"; this is the explicit
 // path. Propagation is best-effort: endsystems a cancel never reaches
@@ -346,7 +358,7 @@ func (e *Engine) CancelPropagate(qid ids.ID) {
 
 // applyCancel processes a cancellation at this endsystem: mark the query
 // canceled (tombstoning it if unknown, so late submissions are dropped
-// rather than resurrecting state), stop the local re-assertion chain,
+// rather than resurrecting state), stop the local retransmission timer,
 // drop every hosted vertex, and — for every dropped vertex this endsystem
 // was the primary of — fan the cancel to the vertex's children and
 // backups. Fan-out keys off the vertex's primary flag, not off which
@@ -444,6 +456,9 @@ type submitMsg struct {
 	Vertex ids.ID
 	Child  ids.ID
 	C      contribution
+	// WantAck is set on a leaf's own contribution: the primary that holds
+	// it at this version or newer answers the origin with an ackMsg.
+	WantAck bool
 	// Injector lets a vertex learn the query's home when it first hears
 	// of the query through the tree rather than through dissemination.
 	Injector simnet.Endpoint
@@ -459,7 +474,19 @@ type submitMsg struct {
 	SentAt time.Duration
 }
 
-func submitMsgSize() int { return 3*ids.Bytes + 8 + agg.EncodedPartialSize + 8 }
+func submitMsgSize() int { return 3*ids.Bytes + 8 + agg.EncodedPartialSize + 8 + 1 }
+
+// ackMsg tells a leaf that the sender, its entry vertex's primary, holds
+// the leaf's contribution at Version: sent directly to the origin of every
+// submitMsg that asks for it, duplicates included, since a duplicate means
+// an earlier ack may have been lost.
+type ackMsg struct {
+	QID     ids.ID
+	Child   ids.ID
+	Version uint64
+}
+
+func ackMsgSize() int { return 2*ids.Bytes + 8 }
 
 // replMsg replicates a vertex's state to its backups: the whole child
 // table in Children (takeovers, membership changes), or — Children nil —
@@ -496,10 +523,11 @@ func resultMsgSize() int { return ids.Bytes + agg.EncodedPartialSize + 8 }
 // query and fans the cancel on from each vertex it was primary of: to the
 // vertex's children (child keys are lower tree vertices, where the cancel
 // recurses at their primaries, or leaf contributors' endsystemIds, where
-// it stops their re-assertions) and to the vertex's backups. The
+// it stops their retransmissions) and to the vertex's backups. The
 // broadcast is best-effort — a lost cancel leaves state for the TTL
 // expiry backstop to reclaim — and idempotent: a second receipt finds no
-// vertices left to forward from.
+// vertices left to forward from. A submission that reaches an endsystem
+// holding the tombstone is answered with the same message (applySubmit).
 type cancelMsg struct {
 	QID ids.ID
 }
@@ -512,6 +540,7 @@ func (m *submitMsg) TraceQuery() string { return m.QID.Short() }
 func (m *replMsg) TraceQuery() string   { return m.QID.Short() }
 func (m *resultMsg) TraceQuery() string { return m.QID.Short() }
 func (m *cancelMsg) TraceQuery() string { return m.QID.Short() }
+func (m *ackMsg) TraceQuery() string    { return m.QID.Short() }
 
 // TraceSpan implements pastry.TracedSpan for verbose hop-chain tracing.
 func (m *submitMsg) TraceSpan() uint64 { return m.Cause }
@@ -546,23 +575,25 @@ func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector si
 	e.armResubmit(st, 0, span)
 }
 
-// armResubmit schedules a bounded, backed-off re-assertion of this
-// endsystem's own contribution. The single routed submitMsg is the only
-// copy of the contribution until a vertex primary replicates it; a drop
-// during a burst or partition would otherwise lose those rows for the
-// whole life of the query — vertex repair cannot resurrect state that
-// never arrived anywhere. Re-sending the same version is idempotent at
-// the vertex (applySubmit drops it as a duplicate), so the exactly-once
-// invariant is untouched. A newer Submit restarts the chain for its own
-// version by cancelling the timer of the chain before it.
+// armResubmit schedules the next backed-off retransmission of this
+// endsystem's own contribution, unless it is already acknowledged. The
+// single routed submitMsg is the only copy of the contribution until a
+// vertex primary replicates it; a drop during a burst or partition would
+// otherwise lose those rows for the whole life of the query — vertex
+// repair cannot resurrect state that never arrived anywhere. So the leaf
+// sends until the primary's ack (applyAck) cancels the timer, or the query
+// is canceled or expires. Re-sending the same version is idempotent at
+// the vertex (applySubmit counts it as a duplicate and acks it again), so
+// the exactly-once invariant is untouched. A newer Submit restarts the
+// schedule for its own version by cancelling the timer armed before it.
 func (e *Engine) armResubmit(st *queryState, attempt int, span uint64) {
 	st.resubmit.Cancel()
 	st.resubmit = nil
-	if e.cfg.DisableRepair || attempt >= resubmitAttempts {
+	if e.cfg.DisableRepair || st.acked == st.own.Version {
 		return
 	}
 	delay := resubmitBase
-	for i := 0; i < attempt; i++ {
+	for i := 0; i < attempt && delay < resubmitMax; i++ {
 		delay *= 3
 	}
 	node := e.host.PastryNode()
@@ -612,10 +643,13 @@ func (e *Engine) sendSubmission(st *queryState, cause uint64) {
 		Injector: st.injector, Query: st.query, Cause: cause}
 	if node.IsRootOf(st.entry) {
 		// This endsystem hosts the vertex itself (it is the root of the
-		// whole chain up to the queryId).
-		e.applySubmit(msg)
+		// whole chain up to the queryId): nothing can be lost, and the
+		// contribution is acknowledged in place.
+		e.applySubmit(node.Endpoint(), msg)
+		st.acked, st.ackedBy = st.own.Version, int32(node.Endpoint())
 		return
 	}
+	msg.WantAck = true
 	msg.SentAt = node.Sched().Now()
 	node.Route(st.entry, msg, submitMsgSize(), simnet.ClassQuery)
 }
@@ -657,7 +691,9 @@ func (e *Engine) nearestEntryVertex(qid, entry ids.ID) ids.ID {
 func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 	switch m := payload.(type) {
 	case *submitMsg:
-		e.applySubmit(m)
+		e.applySubmit(from, m)
+	case *ackMsg:
+		e.applyAck(from, m)
 	case *replMsg:
 		e.applyRepl(m)
 	case *resultMsg:
@@ -686,11 +722,19 @@ func (e *Engine) vertex(st *queryState, id ids.ID) *vertexState {
 	return v
 }
 
-// applySubmit folds a child contribution into the vertex hosted here.
-// Contributions for expired or canceled queries are dropped.
-func (e *Engine) applySubmit(m *submitMsg) {
+// applySubmit folds a child contribution from the endsystem at origin into
+// the vertex hosted here, and acknowledges it if asked to. Contributions
+// for expired or canceled queries are dropped; the sender of one for a
+// canceled query is told so, because the cancel fan-out only reaches the
+// children a vertex had when it passed, and a leaf whose submission
+// crossed it would otherwise retransmit for the rest of the TTL.
+func (e *Engine) applySubmit(origin simnet.Endpoint, m *submitMsg) {
 	st := e.register(m.QID, m.Query, m.Injector, m.Cause)
 	if e.expired(st) {
+		if node := e.host.PastryNode(); st.canceled && origin != node.Endpoint() {
+			node.Ring().Network().Send(node.Endpoint(), origin,
+				cancelMsgSize(), simnet.ClassQuery, &cancelMsg{QID: m.QID})
+		}
 		return
 	}
 	if m.SentAt > 0 {
@@ -703,6 +747,14 @@ func (e *Engine) applySubmit(m *submitMsg) {
 	v := e.vertex(st, m.Vertex)
 	v.primary = true
 	cur, exists := v.children.get(m.Child)
+	if m.WantAck {
+		// Whichever branch below is taken, the child table holds the
+		// contribution at this version or a newer one when it returns.
+		e.cAcks.Inc()
+		node := e.host.PastryNode()
+		node.Ring().Network().Send(node.Endpoint(), origin, ackMsgSize(), simnet.ClassQuery,
+			&ackMsg{QID: m.QID, Child: m.Child, Version: m.C.Version})
+	}
 	if exists && cur.Version >= m.C.Version {
 		// Stale or duplicate: counted at most once.
 		e.cDups.Inc()
@@ -724,6 +776,19 @@ func (e *Engine) applySubmit(m *submitMsg) {
 	}
 	e.replicateDelta(v, m.Child)
 	e.forwardUp(v)
+}
+
+// applyAck records that the primary at from holds this endsystem's own
+// contribution and stops retransmitting it. An ack for an older version
+// than own says nothing about own, whose timer stays armed.
+func (e *Engine) applyAck(from simnet.Endpoint, m *ackMsg) {
+	st := e.queries[m.QID]
+	if st == nil || m.Version != st.own.Version || m.Child != e.host.PastryNode().ID() {
+		return
+	}
+	st.acked, st.ackedBy = m.Version, int32(from)
+	st.resubmit.Cancel()
+	st.resubmit = nil
 }
 
 // applyRepl installs replicated vertex state at a backup. Versions protect
@@ -845,7 +910,7 @@ func (e *Engine) forwardUp(v *vertexState) {
 		Injector: v.q.injector, Query: v.q.query, Cause: v.cause}
 	if node.IsRootOf(parent) {
 		// Local delivery cannot be lost; the ladder applies to the wire.
-		e.applySubmit(msg)
+		e.applySubmit(node.Endpoint(), msg)
 		return
 	}
 	msg.SentAt = node.Sched().Now()
@@ -918,7 +983,8 @@ func (e *Engine) armRefresh(v *vertexState) {
 
 // HandleLeafsetChanged reacts to churn: any vertex whose primary role just
 // arrived at this node (the previous primary died or the namespace
-// shifted) re-propagates from the replicated state.
+// shifted) re-propagates from the replicated state, and any acknowledged
+// own contribution whose entry vertex now has another root is sent again.
 func (e *Engine) HandleLeafsetChanged() {
 	node := e.host.PastryNode()
 	if !node.Alive() || e.cfg.DisableRepair {
@@ -952,6 +1018,42 @@ func (e *Engine) HandleLeafsetChanged() {
 			// Membership changed around us: refresh the backups.
 			e.replicateToBackups(v)
 		}
+	}
+	// After the takeovers, so that a vertex this endsystem has just become
+	// the root of is taken over from its replicated state before this
+	// endsystem's own contribution is applied to it.
+	e.reassertMovedEntries()
+}
+
+// reassertMovedEntries is the rule that an ack stands only for the primary
+// that gave it. The acker held the contribution, but it may have been the
+// primary only on this endsystem's side of a partition, or have handed the
+// vertex on before its replication landed; the endsystem that is the
+// entry vertex's root now may never have seen the contribution. So when
+// this endsystem's leafset names a root for the entry vertex other than
+// the acker, the contribution goes back to being unacknowledged and is
+// sent again, from the first rung. Entry vertices outside the leafset's
+// span (the coordinate-biased far entries) have no root this endsystem can
+// name, and there the ack stands.
+func (e *Engine) reassertMovedEntries() {
+	node := e.host.PastryNode()
+	var moved []*queryState
+	for _, st := range e.queries {
+		if st.own.Version == 0 || st.acked != st.own.Version || e.expired(st) {
+			continue
+		}
+		if root, ok := node.LeafsetRoot(st.entry); ok && root.EP != simnet.Endpoint(st.ackedBy) {
+			moved = append(moved, st)
+		}
+	}
+	slices.SortFunc(moved, func(a, b *queryState) int { return a.qid.Cmp(b.qid) })
+	for _, st := range moved {
+		st.acked = 0
+		e.cResubmit.Inc()
+		span := e.o.EmitSpan(st.cause, obs.Event{Kind: obs.KindAggResubmit, Query: e.o.QueryTag(st.qid),
+			EP: int(node.Endpoint())})
+		e.sendSubmission(st, span)
+		e.armResubmit(st, 0, span)
 	}
 }
 

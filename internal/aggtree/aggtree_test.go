@@ -519,15 +519,26 @@ func TestResetKeepsOnlyOwnContribution(t *testing.T) {
 		st := h.engine.queries[heard]
 		entry, _ = h.engine.EntryVertex(own)
 		if st != nil && st.own.Version == 0 && len(st.vertices) > 0 && !h.node.IsRootOf(entry) &&
-			h.engine.HedgeTimers() > 0 && h.engine.ResubmitTimers() > 0 {
+			h.engine.HedgeTimers() > 0 {
 			victim = h
 			break
 		}
 	}
 	if victim == nil {
-		t.Fatal("no endsystem hosts a vertex of a tree it does not contribute to with timers armed")
+		t.Fatal("no endsystem hosts a vertex of a tree it does not contribute to with a ladder timer armed")
 	}
 	e := victim.engine
+	// A leaf timer stays armed only while a contribution is unacknowledged:
+	// the victim submits an update whose ack is lost.
+	victim.drop = func(payload any) bool { _, ack := payload.(*ackMsg); return ack }
+	var update agg.Partial
+	update.Observe(1000)
+	e.Submit(own, update, testQuery, injector, 0)
+	c.sched.RunUntil(c.sched.Now() + time.Second)
+	if e.HedgeTimers() == 0 || e.ResubmitTimers() == 0 {
+		t.Fatalf("%d ladder timers and %d leaf timers armed before the restart, want some of each",
+			e.HedgeTimers(), e.ResubmitTimers())
+	}
 	prev := e.queries[own].own
 
 	victim.node.Stop()

@@ -16,17 +16,17 @@ import (
 // ever touched: the same test read 208 KB then.
 const heapPerEndsystemCeiling = 70 << 10
 
-// allocPerQueryCeiling sits between what TestAllocPerQuery measures (7.5 KB
-// on go1.24 linux/amd64, 7.6 KB with GOEXPERIMENT=noswissmap; runs differ
-// by half a percent) and what it measured when an endsystem kept a query
-// in nine tables across three packages instead of one record and
-// core.Node.executed (8.8 KB on both; DESIGN.md, "Per-query state on an
-// endsystem"). Before that, every dissemination range task carried its
-// own 592-byte predictor, empty or not, and every aggregation vertex kept
-// its children in a map (11.4 and 11.5 KB). At N=256 the tree has fewer
-// empty ranges than at the benchmark's N=1000, so the steps are 15-27%
-// apart and the ceiling cannot have the usual slack.
-const allocPerQueryCeiling = 8500
+// allocPerQueryCeiling is about 10% above what TestAllocPerQuery measures
+// (7.0 KB on go1.24 linux/amd64; runs differ by half a percent). It read
+// 7.5 KB while every leaf sent its contribution five times whether or not
+// the first copy arrived, and 8.8 KB when an endsystem kept a query in
+// nine tables across three packages instead of one record and
+// core.Node.executed (DESIGN.md, "Per-query state on an endsystem").
+// Before that, every dissemination range task carried its own 592-byte
+// predictor, empty or not, and every aggregation vertex kept its children
+// in a map (11.4 and 11.5 KB). At N=256 the tree has fewer empty ranges
+// than at the benchmark's N=1000, so those steps are 15-27% apart.
+const allocPerQueryCeiling = 7800
 
 // heapTestCluster keeps TestHeapPerEndsystem's cluster reachable after the
 // test returns: go test -memprofile collects before it writes, and that
@@ -72,10 +72,12 @@ func TestHeapPerEndsystem(t *testing.T) {
 }
 
 // queryBytesPerEndsystemCeiling is about 10% above what
-// TestQueryBytesPerEndsystem measures (1,677 bytes). The number is exact per
+// TestQueryBytesPerEndsystem measures (1,381 bytes). The number is exact per
 // seed, so the margin is room for protocol changes, not noise; it read
-// 3,011 when every response carried a fixed 592-byte predictor.
-const queryBytesPerEndsystemCeiling = 1850
+// 1,677 when a leaf sent its contribution five times instead of until
+// acknowledged, and 3,011 when every response carried a fixed 592-byte
+// predictor.
+const queryBytesPerEndsystemCeiling = 1520
 
 // querySpan builds the budget tests' cluster, runs it for an hour, and
 // measures ten more virtual minutes — with one query injected at their
@@ -127,8 +129,8 @@ func TestAllocPerQuery(t *testing.T) {
 // TestQueryBytesPerEndsystem is the tier-1 wire budget, the paper's own
 // overhead metric (Figure 9): the query-class bytes one query makes the
 // endsystems send in its first ten virtual minutes — dissemination, the
-// predictor's way back, submissions, their blind resubmits and replication
-// — per endsystem, less the same span with no query. The dissem counters
+// predictor's way back, submissions, their acks and replication — per
+// endsystem, less the same span with no query. The dissem counters
 // put the predictor's share beside it.
 func TestQueryBytesPerEndsystem(t *testing.T) {
 	const n = 256

@@ -410,27 +410,13 @@ func (*hopMsg) SingleDelivery() {}
 // prefix at least as long as ours that is strictly numerically closer
 // (prefix length never decreases, distance strictly decreases); (4) with
 // no such candidate, deliver to the numerically closest of leafset ∪ self.
-// selfIsRoot is true when this node is the destination.
+// selfIsRoot is true when this node is the destination (next is then this
+// node's own reference).
 func (n *Node) nextHop(key ids.ID) (next NodeRef, selfIsRoot bool) {
 	b := n.ring.cfg.B
 
-	closestOfLeafset := func() (NodeRef, bool) {
-		best := NodeRef{ID: n.id, EP: n.ep}
-		bestD := n.id.AbsDistance(key)
-		for _, m := range n.leaf {
-			d := m.ID.AbsDistance(key)
-			if d.Less(bestD) {
-				best, bestD = m, d
-			}
-		}
-		if best.ID == n.id {
-			return NodeRef{}, true
-		}
-		return best, false
-	}
-
-	if n.inLeafsetSpan(key) {
-		return closestOfLeafset()
+	if root, ok := n.LeafsetRoot(key); ok {
+		return root, root.ID == n.id
 	}
 
 	if !n.rowsReady {
@@ -471,7 +457,34 @@ func (n *Node) nextHop(key ids.ID) (next NodeRef, selfIsRoot bool) {
 	if best.ID != n.id {
 		return best, false
 	}
-	return closestOfLeafset()
+	root := n.closestOfLeafset(key)
+	return root, root.ID == n.id
+}
+
+// closestOfLeafset returns the numerically closest of leafset ∪ self to
+// key.
+func (n *Node) closestOfLeafset(key ids.ID) NodeRef {
+	best := n.Ref()
+	bestD := n.id.AbsDistance(key)
+	for _, m := range n.leaf {
+		d := m.ID.AbsDistance(key)
+		if d.Less(bestD) {
+			best, bestD = m, d
+		}
+	}
+	return best
+}
+
+// LeafsetRoot returns the endsystem this node takes for key's root from
+// its leafset alone: the numerically closest of leafset ∪ self when key
+// lies within the leafset's span (possibly this node itself), and false
+// when it does not — there the node knows a next hop, not the root. It
+// reads routing state and changes none.
+func (n *Node) LeafsetRoot(key ids.ID) (NodeRef, bool) {
+	if !n.inLeafsetSpan(key) {
+		return NodeRef{}, false
+	}
+	return n.closestOfLeafset(key), true
 }
 
 // inLeafsetSpan reports whether key lies on the namespace arc covered by
