@@ -49,9 +49,10 @@ shard-smoke:
 sweep-smoke:
 	$(GO) run ./cmd/seaweed-sim -sweep -smoke -parallel 2 -out sweep-smoke
 
-# chaos-smoke is the CI fault-injection gate: every built-in chaos
-# scenario at smoke scale, each run judged by the always-on invariant
-# checker (exit 1 on any violation). Reports land in chaos-<name>.json.
+# chaos-smoke runs every built-in chaos scenario at smoke scale through
+# the CLI, each run judged by the always-on invariant checker (exit 1 on
+# any violation). Reports land in chaos-<name>.json. CI runs one scenario
+# this way; all five run in process under `make test`.
 chaos-smoke:
 	@for s in partition burstloss flap mixed straggler; do \
 		echo "== chaos $$s =="; \

@@ -22,13 +22,15 @@
 // contribution per child — and is realized as a replica group: the primary
 // is whatever endsystem is currently numerically closest to the vertexId
 // (so Pastry routing always finds it), and it replicates its state to m
-// backups before propagating a new aggregate to its parent. When
-// membership changes move a vertexId's root, the new primary takes over
-// from the replicated state. Versioned, keyed contributions make
-// retransmissions and primary handovers idempotent: at-least-once delivery
-// plus at-most-once counting. A leaf's half of that is literal: it sends
-// its contribution until the entry vertex's primary acknowledges holding
-// it, and again whenever that vertex's root moves to another endsystem.
+// backups as it propagates a new aggregate to its parent: the first change
+// after a quiet second at once, a burst of further ones as one table when
+// the second is up (replicateDelta). When membership changes move a
+// vertexId's root, the new primary takes over from the replicated state.
+// Versioned, keyed contributions make retransmissions and primary
+// handovers idempotent: at-least-once delivery plus at-most-once counting.
+// A leaf's half of that is literal: it sends its contribution until the
+// entry vertex's primary acknowledges holding it, and again whenever that
+// vertex's root moves to another endsystem.
 //
 // An Engine keeps one record per query (queryState) in one table: what it
 // knows of the query, its own contribution and entry vertexId — the only
@@ -60,8 +62,6 @@ type Config struct {
 	// RefreshPeriod is how often a vertex primary re-propagates its
 	// aggregate and state (repairing any losses from churn). 0 disables.
 	RefreshPeriod time.Duration
-	// B is the digit width of the namespace (must match the overlay).
-	B int
 	// QueryTTL is how long a query stays active after an endsystem first
 	// learns of it: expired queries drop their tree state and stop being
 	// advertised to joiners ("incremental results will thus continue to
@@ -97,7 +97,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's configuration.
 func DefaultConfig() Config {
-	return Config{Backups: 3, RefreshPeriod: 5 * time.Minute, B: 4, QueryTTL: 48 * time.Hour}
+	return Config{Backups: 3, RefreshPeriod: 5 * time.Minute, QueryTTL: 48 * time.Hour}
 }
 
 // Host is the embedding Seaweed node.
@@ -155,6 +155,12 @@ type vertexState struct {
 	// used (see hedge.go).
 	reassert  *simnet.Timer
 	reassertN int
+
+	// Coalesced replication (see replicateDelta): the instant up to which
+	// a changed child waits to go to the backups in one table, and the
+	// timer that sends that table once a change is waiting.
+	replQuiet time.Duration
+	flush     *simnet.Timer
 }
 
 func (v *vertexState) aggregate() (agg.Partial, int64) {
@@ -174,6 +180,14 @@ const (
 	// then on, until it is acknowledged or the query ends.
 	resubmitBase = 20 * time.Second
 	resubmitMax  = 9 * time.Minute
+
+	// replWindow is the most a vertex's backups may lag its primary, and so
+	// the least time between two replications of one vertex. A backup's
+	// copy is of use only once the overlay has noticed the primary gone and
+	// handed the vertex on, which takes pastry at least its per-hop timeout
+	// of one second (and its heartbeat period of 30 s without traffic):
+	// copies fresher than that buy no takeover anything.
+	replWindow = time.Second
 )
 
 // queryState is everything this endsystem keeps about one query (see
@@ -249,6 +263,8 @@ type Engine struct {
 	cRefresh   *obs.Counter   // aggtree_refresh_repairs
 	cResubmit  *obs.Counter   // aggtree_resubmits
 	cAcks      *obs.Counter   // aggtree_acks
+	cRepls     *obs.Counter   // aggtree_replications: replMsgs sent
+	cReplRows  *obs.Counter   // aggtree_repl_entries: child entries they carried
 	cReasserts *obs.Counter   // aggtree_hedge_reasserts: ladder rungs fired
 	hDepth     *obs.Histogram // aggtree_entry_depth
 	hFanin     *obs.Histogram // aggtree_fanin_delay_ns: routed submit latency
@@ -260,9 +276,6 @@ type Engine struct {
 
 // NewEngine creates an engine for the host.
 func NewEngine(host Host, cfg Config) *Engine {
-	if cfg.B == 0 {
-		cfg.B = 4
-	}
 	o := host.PastryNode().Ring().Obs()
 	return &Engine{
 		cfg:     cfg,
@@ -277,6 +290,8 @@ func NewEngine(host Host, cfg Config) *Engine {
 		cRefresh:   o.Counter("aggtree_refresh_repairs"),
 		cResubmit:  o.Counter("aggtree_resubmits"),
 		cAcks:      o.Counter("aggtree_acks"),
+		cRepls:     o.Counter("aggtree_replications"),
+		cReplRows:  o.Counter("aggtree_repl_entries"),
 		cReasserts: o.Counter("aggtree_hedge_reasserts"),
 		hDepth:     o.Histogram("aggtree_entry_depth"),
 		hFanin:     o.DurationHistogram("aggtree_fanin_delay_ns"),
@@ -310,6 +325,7 @@ func (e *Engine) Reset() {
 func (e *Engine) drop(v *vertexState) {
 	v.refresh.Cancel()
 	e.clearHedge(v)
+	v.cancelFlush()
 	v.dropped = true
 }
 
@@ -489,9 +505,10 @@ type ackMsg struct {
 func ackMsgSize() int { return 2*ids.Bytes + 8 }
 
 // replMsg replicates a vertex's state to its backups: the whole child
-// table in Children (takeovers, membership changes), or — Children nil —
-// the one entry that changed, inline as (Child, C), on the common update
-// path. The wire size counts entries either way (replMsgSize).
+// table in Children (takeovers, membership changes, the flush that ends a
+// burst of updates), or — Children nil — the one entry that changed, inline
+// as (Child, C), for the first update after a quiet replWindow. The wire
+// size counts entries either way (replMsgSize).
 type replMsg struct {
 	QID       ids.ID
 	Vertex    ids.ID
@@ -502,6 +519,14 @@ type replMsg struct {
 	Injector  simnet.Endpoint
 	Query     *relq.Query
 	Cause     uint64
+}
+
+// entries is how many child entries the message carries.
+func (m *replMsg) entries() int {
+	if m.Children == nil {
+		return 1
+	}
+	return len(m.Children)
 }
 
 func replMsgSize(children int) int {
@@ -616,13 +641,13 @@ func (e *Engine) armResubmit(st *queryState, attempt int, span uint64) {
 func (e *Engine) chooseEntry(qid ids.ID) ids.ID {
 	node := e.host.PastryNode()
 	v := node.ID()
-	digits := ids.DigitsPerID(e.cfg.B)
+	digits := ids.DigitsPerID(pastry.B)
 	depth := 0
 	for i := 0; i <= digits && v != qid; i++ {
 		if !node.IsRootOf(v) {
 			break
 		}
-		v = V(qid, v, e.cfg.B)
+		v = V(qid, v, pastry.B)
 		depth++
 	}
 	if e.cfg.Coords != nil {
@@ -670,7 +695,7 @@ func (e *Engine) nearestEntryVertex(qid, entry ids.ID) ids.ID {
 	var bestRTT time.Duration
 	have := false
 	v := entry
-	digits := ids.DigitsPerID(e.cfg.B)
+	digits := ids.DigitsPerID(pastry.B)
 	for i := 0; i <= digits; i++ {
 		if root, ok := node.Ring().Root(v); ok {
 			rtt := e.cfg.Coords.PredictRTT(self, root.EP)
@@ -681,7 +706,7 @@ func (e *Engine) nearestEntryVertex(qid, entry ids.ID) ids.ID {
 		if v == qid {
 			break
 		}
-		v = V(qid, v, e.cfg.B)
+		v = V(qid, v, pastry.B)
 	}
 	return best
 }
@@ -841,8 +866,10 @@ func (e *Engine) applyRepl(m *replMsg) {
 			e.forwardUp(v)
 		}
 	} else {
-		// Not this node's vertex (anymore): only primaries re-assert.
+		// Not this node's vertex (anymore): only primaries re-assert and
+		// replicate.
 		e.clearHedge(v)
+		v.cancelFlush()
 		v.primary = false
 	}
 }
@@ -871,20 +898,56 @@ func (e *Engine) propagate(v *vertexState) {
 	e.forwardUp(v)
 }
 
-// replicateDelta replicates just one changed child entry to the backups —
-// the paper's primary replicates its state before transmitting to the
-// parent, and on the common update path only one child changed.
+// replicateDelta is the gate on the common update path, where one child
+// changed: the paper's primary replicates its state to the backups as it
+// transmits to the parent. The first change after a quiet replWindow goes
+// out at once, as that one entry. A change inside the window only arms the
+// flush, and the changes after it find the flush armed: when the window is
+// up, whatever the child table holds by then goes out once
+// (replicateToBackups), in place of a message per change per level, most of
+// which carried a version of an interior child that the next one
+// superseded milliseconds later. A primary that dies inside the window
+// takes up to a second of updates with it: the leaves behind them re-send
+// when their leafset names another root (reassertMovedEntries), interior
+// children on their safety pass.
 func (e *Engine) replicateDelta(v *vertexState, child ids.ID) {
-	node := e.host.PastryNode()
-	c, ok := v.children.get(child)
-	if !ok {
+	if v.flush != nil {
 		return
 	}
-	msg := &replMsg{QID: v.q.qid, Vertex: v.id,
+	node := e.host.PastryNode()
+	now := node.Sched().Now()
+	if now < v.replQuiet {
+		v.flush = node.Sched().After(v.replQuiet-now, func() {
+			v.flush = nil
+			if node.Alive() && v.primary && !e.expired(v.q) {
+				e.replicateToBackups(v)
+			}
+		})
+		return
+	}
+	v.replQuiet = now + replWindow
+	c, _ := v.children.get(child)
+	e.sendToBackups(v, &replMsg{QID: v.q.qid, Vertex: v.id,
 		Child: child, C: c, UpVersion: v.upVersion,
-		Injector: v.q.injector, Query: v.q.query, Cause: v.cause}
-	size := replMsgSize(1)
-	for _, b := range e.backupSet(v.id) {
+		Injector: v.q.injector, Query: v.q.query, Cause: v.cause})
+}
+
+// cancelFlush drops a pending table flush: the vertex is leaving its
+// record or the primary role, or its table has just gone out in full.
+func (v *vertexState) cancelFlush() {
+	v.flush.Cancel()
+	v.flush = nil
+}
+
+// sendToBackups sends one replication message to each of the m leafset
+// members closest to the vertexId.
+func (e *Engine) sendToBackups(v *vertexState, msg *replMsg) {
+	node := e.host.PastryNode()
+	size := replMsgSize(msg.entries())
+	backups := e.backupSet(v.id)
+	e.cRepls.Add(uint64(len(backups)))
+	e.cReplRows.Add(uint64(len(backups) * msg.entries()))
+	for _, b := range backups {
 		node.Ring().Network().Send(node.Endpoint(), b.EP, size, simnet.ClassQuery, msg)
 	}
 }
@@ -904,7 +967,7 @@ func (e *Engine) forwardUp(v *vertexState) {
 			&resultMsg{QID: qid, Part: part, Contributors: contributors, Cause: v.cause})
 		return
 	}
-	parent := V(qid, v.id, e.cfg.B)
+	parent := V(qid, v.id, pastry.B)
 	msg := &submitMsg{QID: qid, Vertex: parent, Child: v.id,
 		C:        contribution{Version: v.upVersion, Part: part, Contributors: contributors},
 		Injector: v.q.injector, Query: v.q.query, Cause: v.cause}
@@ -1012,6 +1075,7 @@ func (e *Engine) HandleLeafsetChanged() {
 			// and the new root is not one of its backups, this is the
 			// only path by which the state reaches it.
 			e.clearHedge(v)
+			v.cancelFlush()
 			v.primary = false
 			e.pushStateToRoot(v)
 		default: // primary && isRoot
@@ -1066,27 +1130,30 @@ func (e *Engine) replicateState(v *vertexState) {
 	}
 }
 
-// replicateToBackups sends the vertex's full children table to the m
-// leafset members closest to the vertexId.
+// replicateToBackups sends the vertex's full children table to its
+// backups, which takes the place of a pending flush and opens a new
+// replication window.
 func (e *Engine) replicateToBackups(v *vertexState) {
-	node := e.host.PastryNode()
-	msg := &replMsg{QID: v.q.qid, Vertex: v.id,
-		Children: v.children.clone(), UpVersion: v.upVersion,
-		Injector: v.q.injector, Query: v.q.query, Cause: v.cause}
-	size := replMsgSize(len(v.children))
-	for _, b := range e.backupSet(v.id) {
-		node.Ring().Network().Send(node.Endpoint(), b.EP, size, simnet.ClassQuery, msg)
-	}
+	v.cancelFlush()
+	v.replQuiet = e.host.PastryNode().Sched().Now() + replWindow
+	e.sendToBackups(v, e.tableMsg(v))
 }
 
 // pushStateToRoot routes the vertex's full state to whichever endsystem is
 // currently numerically closest to the vertexId.
 func (e *Engine) pushStateToRoot(v *vertexState) {
-	node := e.host.PastryNode()
-	msg := &replMsg{QID: v.q.qid, Vertex: v.id,
+	msg := e.tableMsg(v)
+	e.cRepls.Inc()
+	e.cReplRows.Add(uint64(msg.entries()))
+	e.host.PastryNode().Route(v.id, msg, replMsgSize(msg.entries()), simnet.ClassQuery)
+}
+
+// tableMsg is the replication message that carries the vertex's whole
+// child table.
+func (e *Engine) tableMsg(v *vertexState) *replMsg {
+	return &replMsg{QID: v.q.qid, Vertex: v.id,
 		Children: v.children.clone(), UpVersion: v.upVersion,
 		Injector: v.q.injector, Query: v.q.query, Cause: v.cause}
-	node.Route(v.id, msg, replMsgSize(len(v.children)), simnet.ClassQuery)
 }
 
 // sortedVertices returns the vertex states in (queryId, vertexId) order,

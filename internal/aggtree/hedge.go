@@ -72,10 +72,20 @@ func (e *Engine) clearHedge(v *vertexState) {
 // across every vertex this engine hosts (test instrumentation for the
 // no-leak invariants).
 func (e *Engine) HedgeTimers() int {
+	return e.countVertices(func(v *vertexState) bool { return v.reassert != nil })
+}
+
+// FlushTimers reports how many coalesced-replication flushes are pending
+// across every vertex this engine hosts (test instrumentation, as above).
+func (e *Engine) FlushTimers() int {
+	return e.countVertices(func(v *vertexState) bool { return v.flush != nil })
+}
+
+func (e *Engine) countVertices(pred func(*vertexState) bool) int {
 	n := 0
 	for _, st := range e.queries {
 		for _, v := range st.vertices {
-			if v.reassert != nil {
+			if pred(v) {
 				n++
 			}
 		}

@@ -230,12 +230,12 @@ func TestReassertRecoversDroppedForward(t *testing.T) {
 		// whose two ends live on different endsystems.
 		leaf := c.hosts[n-1]
 		child, _ := leaf.engine.EntryVertex(qid)
-		parent := V(qid, child, cfg.B)
+		parent := V(qid, child, pastry.B)
 		for primaryOf(child) == primaryOf(parent) {
 			if parent == qid {
 				t.Fatal("no routed interior edge above the leaf")
 			}
-			child, parent = parent, V(qid, parent, cfg.B)
+			child, parent = parent, V(qid, parent, pastry.B)
 		}
 		dropped := 0
 		primaryOf(parent).drop = func(payload any) bool {

@@ -17,16 +17,18 @@ import (
 const heapPerEndsystemCeiling = 70 << 10
 
 // allocPerQueryCeiling is about 10% above what TestAllocPerQuery measures
-// (7.0 KB on go1.24 linux/amd64; runs differ by half a percent). It read
-// 7.5 KB while every leaf sent its contribution five times whether or not
-// the first copy arrived, and 8.8 KB when an endsystem kept a query in
+// (6.95 KB on go1.24 linux/amd64; runs differ by half a percent). It read
+// 7.04 KB while a vertex primary replicated every child update at every
+// level to its backups the moment it arrived, 7.5 KB while every leaf sent
+// its contribution five times whether or not the first copy arrived, and
+// 8.8 KB when an endsystem kept a query in
 // nine tables across three packages instead of one record and
 // core.Node.executed (DESIGN.md, "Per-query state on an endsystem").
 // Before that, every dissemination range task carried its own 592-byte
 // predictor, empty or not, and every aggregation vertex kept its children
 // in a map (11.4 and 11.5 KB). At N=256 the tree has fewer empty ranges
 // than at the benchmark's N=1000, so those steps are 15-27% apart.
-const allocPerQueryCeiling = 7800
+const allocPerQueryCeiling = 7650
 
 // heapTestCluster keeps TestHeapPerEndsystem's cluster reachable after the
 // test returns: go test -memprofile collects before it writes, and that
@@ -72,12 +74,13 @@ func TestHeapPerEndsystem(t *testing.T) {
 }
 
 // queryBytesPerEndsystemCeiling is about 10% above what
-// TestQueryBytesPerEndsystem measures (1,381 bytes). The number is exact per
+// TestQueryBytesPerEndsystem measures (1,171 bytes). The number is exact per
 // seed, so the margin is room for protocol changes, not noise; it read
-// 1,677 when a leaf sent its contribution five times instead of until
+// 1,381 when a burst of child updates reached a vertex's backups one
+// message an update a level instead of as one table, 1,677 when a leaf sent its contribution five times instead of until
 // acknowledged, and 3,011 when every response carried a fixed 592-byte
 // predictor.
-const queryBytesPerEndsystemCeiling = 1520
+const queryBytesPerEndsystemCeiling = 1290
 
 // querySpan builds the budget tests' cluster, runs it for an hour, and
 // measures ten more virtual minutes — with one query injected at their

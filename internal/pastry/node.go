@@ -413,8 +413,6 @@ func (*hopMsg) SingleDelivery() {}
 // selfIsRoot is true when this node is the destination (next is then this
 // node's own reference).
 func (n *Node) nextHop(key ids.ID) (next NodeRef, selfIsRoot bool) {
-	b := n.ring.cfg.B
-
 	if root, ok := n.LeafsetRoot(key); ok {
 		return root, root.ID == n.id
 	}
@@ -422,9 +420,9 @@ func (n *Node) nextHop(key ids.ID) (next NodeRef, selfIsRoot bool) {
 	if !n.rowsReady {
 		n.ensureRows()
 	}
-	plen := ids.CommonPrefixLen(key, n.id, b)
+	plen := ids.CommonPrefixLen(key, n.id, B)
 	if plen < len(n.rows) {
-		e := n.rows[plen][key.Digit(plen, b)]
+		e := n.rows[plen][key.Digit(plen, B)]
 		if e.ok {
 			return e.NodeRef, false
 		}
@@ -436,7 +434,7 @@ func (n *Node) nextHop(key ids.ID) (next NodeRef, selfIsRoot bool) {
 	best := NodeRef{ID: n.id, EP: n.ep}
 	bestD := selfD
 	consider := func(ref NodeRef) {
-		if ids.CommonPrefixLen(key, ref.ID, b) < plen {
+		if ids.CommonPrefixLen(key, ref.ID, B) < plen {
 			return
 		}
 		d := ref.ID.AbsDistance(key)
@@ -577,9 +575,8 @@ func (n *Node) learn(ref NodeRef) {
 	if ref.ID == n.id {
 		return
 	}
-	b := n.ring.cfg.B
-	plen := ids.CommonPrefixLen(ref.ID, n.id, b)
-	if plen >= ids.DigitsPerID(b) {
+	plen := ids.CommonPrefixLen(ref.ID, n.id, B)
+	if plen >= ids.DigitsPerID(B) {
 		return
 	}
 	for len(n.rows) <= plen {
@@ -588,7 +585,7 @@ func (n *Node) learn(ref NodeRef) {
 		}
 		n.rows = append(n.rows, n.ring.newRow(n.shard))
 	}
-	slot := &n.rows[plen][ref.ID.Digit(plen, b)]
+	slot := &n.rows[plen][ref.ID.Digit(plen, B)]
 	if !slot.ok {
 		*slot = tableEntry{NodeRef: ref, ok: true}
 	}
@@ -597,10 +594,9 @@ func (n *Node) learn(ref NodeRef) {
 // dropRef removes a dead node from the routing table and leafset (with
 // leafset repair if needed).
 func (n *Node) dropRef(ref NodeRef) {
-	b := n.ring.cfg.B
-	plen := ids.CommonPrefixLen(ref.ID, n.id, b)
+	plen := ids.CommonPrefixLen(ref.ID, n.id, B)
 	if plen < len(n.rows) {
-		slot := &n.rows[plen][ref.ID.Digit(plen, b)]
+		slot := &n.rows[plen][ref.ID.Digit(plen, B)]
 		if slot.ok && slot.ID == ref.ID {
 			*slot = tableEntry{}
 		}

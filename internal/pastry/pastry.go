@@ -28,9 +28,14 @@ import (
 	"repro/internal/simnet"
 )
 
-// The paper's MSPastry configuration (Table 1 and section 4.3): leafset
-// size l=8, 30-second leafset heartbeats. Nothing varies them, so they are
-// constants; Config holds what a caller sets.
+// B is the digit width of the namespace: keys are interpreted base 2^B
+// (the paper's b=4). The overlay's routing tables and the aggregation
+// trees' parent function V must agree on it, so both read this constant.
+const B = 4
+
+// The rest of the paper's MSPastry configuration (Table 1 and section
+// 4.3): leafset size l=8, 30-second leafset heartbeats. Nothing varies
+// them, so they are constants; Config holds what a caller sets.
 const (
 	// leafsetHalf is l/2: the number of leafset entries maintained on
 	// each side of the node.
@@ -53,9 +58,6 @@ const (
 
 // Config parameterizes the overlay.
 type Config struct {
-	// B is the digit width; keys are interpreted base 2^B (the paper's
-	// b=4).
-	B int
 	// Seed drives protocol randomness (detection jitter, probe targets).
 	Seed int64
 	// LazyTables defers each bootstrapped node's routing-table
@@ -69,7 +71,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's overlay configuration.
 func DefaultConfig() Config {
-	return Config{B: 4}
+	return Config{}
 }
 
 // NodeRef identifies an overlay node: its endsystemId and its network

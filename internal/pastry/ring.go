@@ -99,8 +99,8 @@ type Ring struct {
 	cReconciles *obs.Counter   // pastry_leafset_reconciles (partition heal)
 }
 
-// tableRow is one routing table row (b=4: one entry per hex digit).
-type tableRow = [16]tableEntry
+// tableRow is one routing table row: one entry per digit value.
+type tableRow = [1 << B]tableEntry
 
 // ringShard is the state owned by one shard's events. hopFree/envFree are
 // intrusive free lists of the per-hop message wrappers: one hopMsg is
@@ -566,10 +566,9 @@ func (r *Ring) Root(key ids.ID) (NodeRef, bool) {
 // prefixRange returns the half-open [lo, hi) index range of live nodes
 // whose IDs share the first plen digits of id.
 func (r *Ring) prefixRange(id ids.ID, plen int) (int, int) {
-	b := r.cfg.B
-	loKey := id.PrefixMask(plen, b)
+	loKey := id.PrefixMask(plen, B)
 	// hiKey is the first ID past the prefix block.
-	span := ids.MaxID.Rsh(uint(plen * b))
+	span := ids.MaxID.Rsh(uint(plen * B))
 	hiKey := loKey.Add(span).AddUint64(1)
 	lo := r.liveIndex(loKey)
 	var hi int
@@ -589,12 +588,8 @@ func (r *Ring) prefixRange(id ids.ID, plen int) (int, int) {
 // returns the table rows and the number of entries (for bandwidth
 // charging).
 func (r *Ring) buildRoutingTable(id ids.ID, rng *rand.Rand, alloc func() *tableRow) (rows []*tableRow, entries int) {
-	b := r.cfg.B
-	width := 1 << b
-	if width != 16 {
-		panic("pastry: routing tables currently assume b=4")
-	}
-	maxRows := ids.DigitsPerID(b)
+	const width = 1 << B
+	maxRows := ids.DigitsPerID(B)
 	for plen := 0; plen < maxRows; plen++ {
 		lo, hi := r.prefixRange(id, plen)
 		if hi-lo <= 2*leafsetHalf {
@@ -603,10 +598,10 @@ func (r *Ring) buildRoutingTable(id ids.ID, rng *rand.Rand, alloc func() *tableR
 		row := alloc()
 		filled := false
 		for d := 0; d < width; d++ {
-			if d == id.Digit(plen, b) {
+			if d == id.Digit(plen, B) {
 				continue // own digit: next row handles it
 			}
-			key := id.PrefixMask(plen, b).WithDigit(plen, b, d)
+			key := id.PrefixMask(plen, B).WithDigit(plen, B, d)
 			dlo, dhi := r.prefixRange(key, plen+1)
 			if dhi <= dlo {
 				continue

@@ -58,9 +58,6 @@ type Config struct {
 	// query of cost c holds c units for c*UnitHold (larger results keep
 	// their tree hot longer).
 	UnitHold time.Duration
-	// RowsPerUnit converts the metadata-predicted result row volume into
-	// cost units.
-	RowsPerUnit float64
 	// MaxCost caps a single query's cost units.
 	MaxCost int
 
@@ -96,13 +93,16 @@ func DefaultConfig(n int, seed int64, w Workload) Config {
 		Budget:       8,
 		ClassCap:     [NumClasses]int{Interactive: 8, Batch: 6},
 		UnitHold:     20 * time.Second,
-		RowsPerUnit:  0, // filled by Run from the workload's data scale
 		MaxCost:      6,
 		DelayBudget:  [NumClasses]time.Duration{Interactive: 2 * time.Hour, Batch: 10 * time.Minute},
 		ResultWindow: [NumClasses]time.Duration{Interactive: 3 * time.Minute, Batch: 10 * time.Minute},
 		StarveAfter:  20 * time.Minute,
 	}
 }
+
+// flowsPerDay is the data volume of Run's cluster: Anemone flows an
+// endsystem generates a day.
+const flowsPerDay = 200
 
 // tracked is one query's service-side record, kept for the whole run so
 // the report can compute arrival-to-t90 latencies post hoc.
@@ -134,6 +134,9 @@ type Service struct {
 	c     *core.Cluster
 	svc   *core.QueryService
 	sched simnet.Scheduler
+	// rowsPerUnit converts the metadata-predicted result row volume into
+	// cost units.
+	rowsPerUnit float64
 
 	templates map[string]*relq.Query
 	queue     []*tracked // arrival order; SJF scans, FIFO pops head
@@ -156,6 +159,12 @@ func NewService(cfg Config, c *core.Cluster) *Service {
 		ewma:      make(map[string]time.Duration),
 		o:         c.Obs(),
 	}
+	// Tie the cost scale to the simulated data volume: Run's cluster
+	// generates flowsPerDay rows an endsystem a day, so a full-table scan
+	// (the largest query) lands at MaxCost and filtered interactive
+	// aggregates at a third of it.
+	days := float64(cfg.Workload.End()+time.Hour) / float64(24*time.Hour)
+	s.rowsPerUnit = flowsPerDay * days * float64(cfg.N) / float64(cfg.MaxCost)
 	s.gQueueDepth = s.o.Gauge("qserve_queue_depth")
 	for _, load := range cfg.Workload.Loads {
 		for _, t := range load.Templates {
@@ -196,7 +205,7 @@ func (s *Service) pickInjector(pick int64) (simnet.Endpoint, bool) {
 // replicates, so admission needs no extra protocol.
 func (s *Service) estimateCost(injector simnet.Endpoint, q *relq.Query) int {
 	estRows := s.c.Nodes[injector].EstimateOwnRows(q) * float64(s.cfg.N)
-	cost := int(math.Round(estRows / s.cfg.RowsPerUnit))
+	cost := int(math.Round(estRows / s.rowsPerUnit))
 	if cost < 1 {
 		cost = 1
 	}
@@ -436,17 +445,9 @@ func (s *Service) recordMetrics(t *tracked, now time.Duration) {
 // timing, so equal configurations produce byte-identical reports.
 func Run(cfg Config) *Report {
 	w := cfg.Workload
-	if cfg.RowsPerUnit <= 0 {
-		// Tie the cost scale to the simulated data volume: the cluster
-		// below generates ~200 flows/endsystem/day, so a full-table scan
-		// (the largest query) lands at MaxCost and filtered interactive
-		// aggregates at a third of it.
-		days := float64(w.End()+time.Hour) / float64(24*time.Hour)
-		cfg.RowsPerUnit = 200 * days * float64(cfg.N) / float64(cfg.MaxCost)
-	}
 	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(cfg.N, w.End()+time.Hour, cfg.Seed))
 	ccfg := core.DefaultClusterConfig(trace, cfg.Seed)
-	ccfg.Workload.MeanFlowsPerDay = 200
+	ccfg.Workload.MeanFlowsPerDay = flowsPerDay
 	// Trees are reclaimed by the service's explicit retire cancel; the
 	// TTL stays as the backstop for cancels lost to churn.
 	ccfg.Node.Agg.QueryTTL = 4 * time.Hour
