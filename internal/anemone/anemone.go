@@ -5,7 +5,7 @@
 // three weeks and queries the resulting Flow tables.
 //
 // That capture is unavailable, so this package synthesizes per-endsystem
-// Flow (and optionally Packet) tables with the marginals the paper's four
+// Flow tables with the marginals the paper's four
 // evaluation queries exercise: a realistic application and port mix
 // (HTTP/80, HTTPS/443, SMB/445, SQL/1433, DNS/53, ephemeral), heavy-tailed
 // flow sizes, privileged local ports on server-like endsystems, and
@@ -32,14 +32,7 @@ type Config struct {
 	// MeanFlowsPerDay is the mean number of Flow records an endsystem
 	// produces per day, before diurnal modulation.
 	MeanFlowsPerDay int
-	// WithPacketTable also generates the (much larger) Packet table. The
-	// paper's queries all target Flow; Packet mainly contributes data
-	// volume, so most experiments leave this off.
-	WithPacketTable bool
 }
-
-// packetsPerFlowCap bounds the Packet rows generated per flow record.
-const packetsPerFlowCap = 8
 
 // DefaultConfig returns a workload sized for simulation: 2,000 flow
 // records per endsystem-day. (The real Anemone deployment records far more
@@ -76,37 +69,14 @@ func FlowSchema() relq.Schema {
 	}
 }
 
-// PacketSchema returns the Packet table schema.
-func PacketSchema() relq.Schema {
-	return relq.Schema{
-		Name: "Packet",
-		Columns: []relq.Column{
-			{Name: "ts", Type: relq.TInt, Indexed: true},
-			{Name: "SrcIP", Type: relq.TInt},
-			{Name: "DstIP", Type: relq.TInt},
-			{Name: "SrcPort", Type: relq.TInt, Indexed: true},
-			{Name: "DstPort", Type: relq.TInt},
-			{Name: "Proto", Type: relq.TInt},
-			{Name: "Rx", Type: relq.TInt}, // 1 = received, 0 = transmitted
-			{Name: "Size", Type: relq.TInt, Indexed: true},
-		},
-	}
-}
-
-// Dataset is one endsystem's generated tables.
+// Dataset is one endsystem's generated data: the Flow table every paper
+// query reads.
 type Dataset struct {
-	Flow   *relq.Table
-	Packet *relq.Table // nil unless Config.WithPacketTable
+	Flow *relq.Table
 }
 
-// Tables returns the non-nil tables of the dataset.
-func (d *Dataset) Tables() []*relq.Table {
-	out := []*relq.Table{d.Flow}
-	if d.Packet != nil {
-		out = append(out, d.Packet)
-	}
-	return out
-}
+// Tables returns the dataset's tables.
+func (d *Dataset) Tables() []*relq.Table { return []*relq.Table{d.Flow} }
 
 // Summary builds the endsystem's replicable data summary.
 func (d *Dataset) Summary() *relq.Summary {
@@ -153,9 +123,8 @@ func profileFor(rng *rand.Rand, i int) endsystemProfile {
 	return p
 }
 
-// appendFlow draws one flow record with the given timestamp and inserts it
-// (and, when a Packet table is present, its packet records).
-func appendFlow(rng *rand.Rand, prof endsystemProfile, cfg Config, d *Dataset, ts int64) {
+// appendFlow draws one flow record with the given timestamp and inserts it.
+func appendFlow(rng *rand.Rand, prof endsystemProfile, d *Dataset, ts int64) {
 	a := sampleApp(rng)
 	spec := trafficMix[a]
 	bytes := int64(math.Exp(spec.logBytesMu + spec.logBytesSd*rng.NormFloat64()))
@@ -204,25 +173,6 @@ func appendFlow(rng *rand.Rand, prof endsystemProfile, cfg Config, d *Dataset, t
 
 	d.Flow.InsertInts(ts, 300, srcIP, dstIP, srcPort, dstPort,
 		localPort, proto, prof.appCodes[a], bytes, packets)
-
-	if d.Packet != nil {
-		n := int(packets)
-		if n > packetsPerFlowCap {
-			n = packetsPerFlowCap
-		}
-		for pk := 0; pk < n; pk++ {
-			rx := int64(0)
-			if inbound {
-				rx = 1
-			}
-			size := bytes / packets
-			if size > 1500 {
-				size = 1500
-			}
-			d.Packet.InsertInts(ts+int64(pk), srcIP, dstIP, srcPort,
-				dstPort, proto, rx, size)
-		}
-	}
 }
 
 // Generate builds the dataset for endsystem index i. Roughly one in eight
@@ -243,14 +193,9 @@ func Generate(cfg Config, i int) *Dataset {
 	days := cfg.Horizon.Hours() / 24
 	total := int(float64(cfg.MeanFlowsPerDay) * days * (0.75 + rng.Float64()*0.5))
 	d := &Dataset{Flow: relq.NewTableWithCapacity(FlowSchema(), total)}
-	if cfg.WithPacketTable {
-		// Packet rows per flow average roughly half the cap under the
-		// lognormal size mix; reserve that and let outliers append-grow.
-		d.Packet = relq.NewTableWithCapacity(PacketSchema(), total*packetsPerFlowCap/2)
-	}
 	for f := 0; f < total; f++ {
 		ts := sampleTimestamp(rng, cfg.Horizon, prof.isServer)
-		appendFlow(rng, prof, cfg, d, ts)
+		appendFlow(rng, prof, d, ts)
 	}
 	return d
 }
@@ -340,7 +285,7 @@ func (st *Streamer) AppendTo(d *Dataset, upTo time.Duration) int {
 				span = 1
 			}
 			ts := int64(st.cursor/time.Second) + st.rng.Int63n(span)
-			appendFlow(st.rng, st.prof, st.cfg, d, ts)
+			appendFlow(st.rng, st.prof, d, ts)
 			added++
 		}
 		st.cursor = hourEnd

@@ -202,27 +202,6 @@ func TestSummarySizeOrderOfMagnitude(t *testing.T) {
 	}
 }
 
-func TestPacketTableGeneration(t *testing.T) {
-	cfg := DefaultConfig(2*24*time.Hour, 3)
-	cfg.MeanFlowsPerDay = 200
-	cfg.WithPacketTable = true
-	d := Generate(cfg, 9)
-	if d.Packet == nil || d.Packet.NumRows() == 0 {
-		t.Fatal("packet table missing")
-	}
-	if d.Packet.NumRows() < d.Flow.NumRows() {
-		t.Error("packet table should have at least one row per flow")
-	}
-	if len(d.Tables()) != 2 {
-		t.Error("Tables() should include Packet")
-	}
-	// Packet sizes must respect the MTU cap used in generation.
-	p, _ := d.Packet.Execute(relq.MustParse("SELECT MAX(Size) FROM Packet"), 0)
-	if p.Final(agg.Max) > 1500 {
-		t.Errorf("max packet size %v exceeds MTU", p.Final(agg.Max))
-	}
-}
-
 func TestServerWorkstationMix(t *testing.T) {
 	// Across many endsystems, some must be servers (high privileged-port
 	// fraction) and most workstations.

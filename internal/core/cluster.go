@@ -174,9 +174,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 			// Live updates: start with an empty dataset; rows accrue
 			// while the endsystem is up.
 			ds = &anemone.Dataset{Flow: relq.NewTable(anemone.FlowSchema())}
-			if cfg.Workload.WithPacketTable {
-				ds.Packet = relq.NewTable(anemone.PacketSchema())
-			}
 		} else {
 			ds = anemone.Generate(cfg.Workload, i)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"runtime"
 	"sort"
 	"time"
@@ -55,7 +54,7 @@ type CompletenessStudyConfig struct {
 	// only from the single-threaded observation step that runs after the
 	// parallel phases — the parallel workers never touch it.
 	Obs *obs.Obs
-	// RunnerStats, when non-nil, accumulates the parallel engine's
+	// RunnerStats, when non-nil, accumulates the worker pool's
 	// timing (a sweep prints it).
 	RunnerStats *runner.Stats
 	// ProfileDir, when non-empty, captures a per-injection CPU profile
@@ -192,51 +191,25 @@ func RunCompletenessStudy(cfg CompletenessStudyConfig) [][]*CompletenessResult {
 		ds := anemone.Generate(cfg.Workload, i)
 		sum := ds.Summary()
 		for q, bq := range bound {
-			tbl := ds.Flow
-			if bq.Table == "Packet" && ds.Packet != nil {
-				tbl = ds.Packet
-			}
-			if cnt, err := tbl.CountMatching(bq, nowSecs0); err == nil {
+			if cnt, err := ds.Flow.CountMatching(bq, nowSecs0); err == nil {
 				rowsEst[q][i].rows = cnt
 			}
 			rowsEst[q][i].est = sum.EstimateRows(bq, nowSecs0)
 		}
 	})
 
-	// Phase 2: availability outcomes per injection, through the engine —
+	// Phase 2: availability outcomes per injection, through the pool —
 	// each run owns its outcome slice; inner per-endsystem loops use the
 	// leftover worker budget so a single-injection study still fans out.
-	inner := workers / ni
-	if inner < 1 {
-		inner = 1
-	}
-	specs := make([]runner.Spec, ni)
-	for j := range specs {
-		j := j
-		specs[j] = runner.Spec{
-			Name: "inject/" + cfg.InjectAts[j].String(),
-			Run: func(runner.RunContext) (any, error) {
-				out := make([]endsystemOutcome, n)
-				runner.ForEach(n, inner, func(i int) {
-					out[i] = evalAvailability(cfg.Trace, cfg.InjectAts[j], cfg.Lifetime, i)
-				})
-				return out, nil
-			},
-		}
-	}
-	rep, err := runner.Execute(context.Background(),
-		runner.Config{Workers: workers, Obs: cfg.Obs, Stats: cfg.RunnerStats,
-			ProfileDir: cfg.ProfileDir}, specs)
-	if err != nil {
-		panic(err)
-	}
-	if ferr := rep.FirstErr(); ferr != nil {
-		panic(ferr)
-	}
-	outcomes := make([][]endsystemOutcome, ni)
-	for j := range outcomes {
-		outcomes[j] = rep.Results[j].Value.([]endsystemOutcome)
-	}
+	inner := max(1, workers/ni)
+	outcomes := runner.Run(runner.Config{Workers: workers, Stats: cfg.RunnerStats, ProfileDir: cfg.ProfileDir}, ni,
+		func(j int) []endsystemOutcome {
+			out := make([]endsystemOutcome, n)
+			runner.ForEach(n, inner, func(i int) {
+				out[i] = evalAvailability(cfg.Trace, cfg.InjectAts[j], cfg.Lifetime, i)
+			})
+			return out
+		})
 
 	// Phase 3: assemble every (query, injection) cell.
 	results := make([][]*CompletenessResult, nq)

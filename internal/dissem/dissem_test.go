@@ -244,7 +244,7 @@ func TestPredictorCoversUnavailableEndsystems(t *testing.T) {
 
 func TestBinaryArity(t *testing.T) {
 	n := 48
-	c := newCluster(t, n, 5, Config{Arity: 2, ResponseTimeout: 5 * time.Second, MaxRetries: 3})
+	c := newCluster(t, n, 5, Config{Arity: 2, MaxRetries: 3})
 	c.sched.RunUntil(time.Minute)
 	var got *predictor.Predictor
 	c.hosts[1].engine.Inject(testQuery, 0, func(p *predictor.Predictor) { got = p })

@@ -415,7 +415,7 @@ func TestIndexAgainstLinearScan(t *testing.T) {
 		cfg.DisableBackoff = true // fixed timeouts: the reference can tell when a subrange is abandoned
 		r := newRig(t, 128, 11, cfg)
 		ref := &refEngine{arity: cfg.Arity, tasks: make(map[taskKey]*refTask), leafRows: r.leafRows,
-			patience: time.Duration(cfg.MaxRetries+1) * cfg.ResponseTimeout}
+			patience: time.Duration(cfg.MaxRetries+1) * responseTimeout}
 		leaves := append([]idRange{r.own}, r.empties...)
 		nilSent, nilResponses := 0, 0
 		rng := rand.New(rand.NewSource(seed))

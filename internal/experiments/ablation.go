@@ -34,7 +34,7 @@ func AblationDissemArity(s Scale, arities []int) *ArityAblationResult {
 		bytes float64
 		lat   time.Duration
 	}
-	runs := runSeries(s, "arity", len(arities), func(i int, sc Scale) point {
+	runs := runSeries(s, len(arities), func(i int, sc Scale) point {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
 		cfg := sc.clusterConfig(trace, sc.Seed)
 		cfg.Node.Dissem.Arity = arities[i]
@@ -97,7 +97,7 @@ func AblationPredictorMode(s Scale) *PredictorModeResult {
 	}
 	out := &PredictorModeResult{}
 	type errs struct{ maxE, avgE float64 }
-	runs := runSeries(s, "predmode", len(modes), func(i int, sc Scale) errs {
+	runs := runSeries(s, len(modes), func(i int, sc Scale) errs {
 		cfg := base
 		cfg.Mode = modes[i].mode
 		cfg.Obs = sc.Obs
@@ -246,7 +246,7 @@ func AblationPushPeriod(s Scale, periods []time.Duration) *PushPeriodResult {
 		p.P = 1 / period.Seconds()
 		out.ModelBytesPS = append(out.ModelBytesPS, model.MaintenanceOverhead(model.Seaweed, p))
 	}
-	out.SimMeanBPS = runSeries(s, "pushperiod", len(periods), func(i int, sc Scale) float64 {
+	out.SimMeanBPS = runSeries(s, len(periods), func(i int, sc Scale) float64 {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
 		cfg := sc.clusterConfig(trace, sc.Seed)
 		cfg.Node.Meta.PushPeriod = periods[i]
@@ -286,7 +286,7 @@ func AblationVertexReplicas(s Scale, backups []int) *VertexReplicaResult {
 		coverage float64
 		bytes    float64
 	}
-	runs := runSeries(s, "replicas", len(backups), func(i int, sc Scale) point {
+	runs := runSeries(s, len(backups), func(i int, sc Scale) point {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
 		cfg := sc.clusterConfig(trace, sc.Seed)
 		cfg.Node.Agg.Backups = backups[i]
@@ -357,7 +357,7 @@ func (r *DeltaPushResult) Saving() float64 {
 // with live data updates run twice, with full and with delta-encoded
 // summary pushes.
 func AblationDeltaPush(s Scale) *DeltaPushResult {
-	runs := runSeries(s, "deltapush", 2, func(i int, sc Scale) float64 {
+	runs := runSeries(s, 2, func(i int, sc Scale) float64 {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
 		cfg := sc.clusterConfig(trace, sc.Seed)
 		cfg.Feed = core.FeedConfig{Enabled: true, Period: 30 * time.Minute}

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,8 +27,8 @@ import (
 // The configuration surface may only shrink without an edit here: each
 // ceiling is the count at the time it was last lowered.
 const (
-	maxConfigFields   = 111
-	maxTestOnlyFields = 23 // rows whose only setter is a test
+	maxConfigFields   = 99
+	maxTestOnlyFields = 13 // rows whose only setter is a test
 	maxUnsetFields    = 0  // rows nothing sets at all
 )
 
@@ -51,13 +55,21 @@ var configStructs = map[string]any{
 	"simnet.TopologyConfig":        simnet.TopologyConfig{},
 }
 
-// censusRow matches one table row: | `pkg.Struct` | `Field` | default | set by |
-var censusRow = regexp.MustCompile("^\\| `([a-z]+\\.[A-Za-z]+)` \\| `([A-Za-z]+)` \\|[^|]*\\| (.*) \\|$")
+// The table's three row shapes: a struct field (| `pkg.Struct` | `Field` |
+// default | set by |), a facade option (| `seaweed.WithX` | sets | set by
+// |) and a seaweed-sim flag (| `-name` | sets | set by |).
+var (
+	censusRow = regexp.MustCompile("^\\| `([a-z]+\\.[A-Za-z]+)` \\| `([A-Za-z]+)` \\|[^|]*\\| (.*) \\|$")
+	optionRow = regexp.MustCompile("^\\| `seaweed\\.(With[A-Za-z]+)` \\|[^|]*\\| (.*) \\|$")
+	flagRow   = regexp.MustCompile("^\\| `(-[a-z-]+)` \\|[^|]*\\| (.*) \\|$")
+)
 
 // TestConfigCensus holds DESIGN.md's "Configuration surface" table and the
-// structs to each other: every exported field has exactly one row, every
-// row names a field that exists, and the three counts stay at or under
-// their ceilings — so a new knob has to name the caller that sets it.
+// code to each other: every exported field of the config structs, every
+// With* option of seaweed.go and every seaweed-sim flag has exactly one
+// row, every row names something that exists, and the three counts stay
+// at or under their ceilings — so a new knob has to name the caller that
+// sets it.
 func TestConfigCensus(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -70,36 +82,47 @@ func TestConfigCensus(t *testing.T) {
 	section, _, _ = strings.Cut(section, "\n## ")
 
 	rows := map[string]string{} // "pkg.Struct.Field" -> the row's "set by" cell
+	options := map[string]string{}
+	flags := map[string]string{}
 	for _, line := range strings.Split(section, "\n") {
-		m := censusRow.FindStringSubmatch(line)
-		if m == nil {
+		key, setBy, table := "", "", rows
+		if m := censusRow.FindStringSubmatch(line); m != nil {
+			key, setBy = m[1]+"."+m[2], m[3]
+		} else if m := optionRow.FindStringSubmatch(line); m != nil {
+			key, setBy, table = m[1], m[2], options
+		} else if m := flagRow.FindStringSubmatch(line); m != nil {
+			key, setBy, table = m[1], m[2], flags
+		} else {
 			continue
 		}
-		key := m[1] + "." + m[2]
-		if _, dup := rows[key]; dup {
+		if _, dup := table[key]; dup {
 			t.Errorf("%s has two rows", key)
 		}
-		rows[key] = m[3]
+		table[key] = setBy
 	}
 
 	fields := 0
 	for name, v := range configStructs {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i)
-			if !f.IsExported() {
-				continue
+			if f := typ.Field(i); f.IsExported() {
+				fields++
+				checkRow(t, rows, name+"."+f.Name)
 			}
-			fields++
-			key := name + "." + f.Name
-			if _, ok := rows[key]; !ok {
-				t.Errorf("%s has no row in DESIGN.md's Configuration surface table: name the non-test caller that sets it, or make it a constant", key)
-			}
-			delete(rows, key)
 		}
 	}
-	for key := range rows {
-		t.Errorf("DESIGN.md's Configuration surface table has a row for %s, which does not exist", key)
+	opts := facadeOptions(t)
+	for _, name := range opts {
+		checkRow(t, options, name)
+	}
+	flagNames := simFlags(t)
+	for _, name := range flagNames {
+		checkRow(t, flags, name)
+	}
+	for _, left := range []map[string]string{rows, options, flags} {
+		for key := range left {
+			t.Errorf("DESIGN.md's Configuration surface table has a row for %s, which does not exist", key)
+		}
 	}
 	if fields > maxConfigFields {
 		t.Errorf("%d exported configuration fields, ceiling is %d", fields, maxConfigFields)
@@ -108,10 +131,70 @@ func TestConfigCensus(t *testing.T) {
 	testOnly := strings.Count(section, "| test only: ")
 	unset := strings.Count(section, "| nothing: ")
 	if testOnly > maxTestOnlyFields {
-		t.Errorf("%d fields only a test sets, ceiling is %d", testOnly, maxTestOnlyFields)
+		t.Errorf("%d rows only a test sets, ceiling is %d", testOnly, maxTestOnlyFields)
 	}
 	if unset > maxUnsetFields {
-		t.Errorf("%d fields nothing sets, ceiling is %d", unset, maxUnsetFields)
+		t.Errorf("%d rows nothing sets, ceiling is %d", unset, maxUnsetFields)
 	}
-	t.Logf("%d fields in %d structs, %d test only, %d unset", fields, len(configStructs), testOnly, unset)
+	t.Logf("%d fields in %d structs, %d options, %d flags; %d test only, %d unset",
+		fields, len(configStructs), len(opts), len(flagNames), testOnly, unset)
+}
+
+// checkRow reports a knob without a row, and consumes the row.
+func checkRow(t *testing.T, table map[string]string, key string) {
+	t.Helper()
+	if _, ok := table[key]; !ok {
+		t.Errorf("%s has no row in DESIGN.md's Configuration surface table: name the non-test caller that sets it, or make it a constant", key)
+	}
+	delete(table, key)
+}
+
+// facadeOptions returns the With* options seaweed.go declares.
+func facadeOptions(t *testing.T) []string {
+	f, err := parser.ParseFile(token.NewFileSet(), "../../seaweed.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "With") {
+			out = append(out, fn.Name.Name)
+		}
+	}
+	return out
+}
+
+// simFlags returns the names of the flags seaweed-sim registers: the first
+// string-literal argument of every flag.X call in its main.go.
+func simFlags(t *testing.T) []string {
+	f, err := parser.ParseFile(token.NewFileSet(), "../../cmd/seaweed-sim/main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, "-"+name)
+				break
+			}
+		}
+		return true
+	})
+	return out
 }

@@ -71,7 +71,7 @@ func (r *CoordsStudyResult) OK() bool {
 // the deterministic engine.
 func CoordsStudy(seeds []int64, smoke bool, workers int) *CoordsStudyResult {
 	// Run 2i is seed i with coordinates on, run 2i+1 the same seed id-only.
-	runs := runSeries(Scale{Workers: workers}, "coords", 2*len(seeds), func(i int, _ Scale) *coordsRunOut {
+	runs := runSeries(Scale{Workers: workers}, 2*len(seeds), func(i int, _ Scale) *coordsRunOut {
 		return coordsOneRun(seeds[i/2], i%2 == 0, smoke)
 	})
 

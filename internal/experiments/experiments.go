@@ -10,7 +10,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -44,7 +43,7 @@ type Scale struct {
 	// tracer sees all their query lifecycles. Nil gives each cluster its
 	// own metrics-only layer.
 	Obs *obs.Obs
-	// Workers bounds the deterministic parallel engine fanning an
+	// Workers bounds the deterministic worker pool fanning an
 	// experiment's independent simulation runs across cores (0 =
 	// GOMAXPROCS, 1 = serial). Results are identical at any value; an
 	// attached tracer forces serial so the event stream stays whole.
@@ -61,7 +60,7 @@ type Scale struct {
 	// aggregation-entry selection; RTT-scoped queries become available).
 	// Off by default: the id-only baseline stays byte-identical.
 	Coords bool
-	// RunnerStats, when non-nil, accumulates engine timing across every
+	// RunnerStats, when non-nil, accumulates pool timing across every
 	// experiment run through it (the sweep prints it).
 	RunnerStats *runner.Stats
 	// ProfileDir, when non-empty, captures a per-run CPU profile into it
@@ -70,7 +69,7 @@ type Scale struct {
 }
 
 // runSeries executes n independent runs of an experiment through the
-// deterministic engine and returns their values in run order. Each run
+// deterministic pool and returns their values in run order. Each run
 // receives a Scale to build its simulation from; when several runs
 // proceed concurrently and a shared s.Obs exists, each run gets a
 // private metrics layer instead (the shared registry is single-threaded)
@@ -80,7 +79,7 @@ type Scale struct {
 //
 // Experiments are library calls with serial crash semantics, so a failed
 // run re-panics here rather than returning a partial series.
-func runSeries[T any](s Scale, name string, n int, run func(i int, sc Scale) T) []T {
+func runSeries[T any](s Scale, n int, run func(i int, sc Scale) T) []T {
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -90,45 +89,23 @@ func runSeries[T any](s Scale, name string, n int, run func(i int, sc Scale) T) 
 		// the fact: both are ordered streams on the shared layer.
 		workers = 1
 	}
+	// One run at a time on the shared layer: event order and metrics
+	// match a plain loop exactly.
 	serialShared := s.Obs != nil && (workers == 1 || n == 1)
 	perRun := make([]*obs.Obs, n)
-	specs := make([]runner.Spec, n)
-	for i := 0; i < n; i++ {
-		i := i
-		sc := s
-		if serialShared {
-			// One run at a time on the shared layer: event order and
-			// metrics match a plain loop exactly.
-		} else if s.Obs != nil {
-			perRun[i] = obs.New()
-			sc.Obs = perRun[i]
-		}
-		specs[i] = runner.Spec{
-			Name: fmt.Sprintf("%s/%d", name, i),
-			Run:  func(runner.RunContext) (any, error) { return run(i, sc), nil },
-		}
-	}
-	cfg := runner.Config{Workers: workers, Seed: s.Seed, Stats: s.RunnerStats, ProfileDir: s.ProfileDir}
-	if !serialShared {
-		// The collector's progress counters may not share a registry with
-		// the runs; with a shared serial registry they stay off it too.
-		cfg.Obs = nil
-	}
-	rep, err := runner.Execute(context.Background(), cfg, specs)
-	if err != nil {
-		panic(err)
-	}
-	if ferr := rep.FirstErr(); ferr != nil {
-		panic(ferr)
-	}
+	out := runner.Run(runner.Config{Workers: workers, Stats: s.RunnerStats, ProfileDir: s.ProfileDir}, n,
+		func(i int) T {
+			sc := s
+			if !serialShared && s.Obs != nil {
+				perRun[i] = obs.New()
+				sc.Obs = perRun[i]
+			}
+			return run(i, sc)
+		})
 	if !serialShared && s.Obs != nil {
 		for _, po := range perRun {
 			s.Obs.Registry().Merge(po.Registry())
 		}
-	}
-	out := make([]T, n)
-	for i := range rep.Results {
-		out[i] = rep.Results[i].Value.(T)
 	}
 	return out
 }

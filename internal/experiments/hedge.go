@@ -57,7 +57,7 @@ func HedgeStudy(seeds []int64, smoke bool, workers int) *HedgeStudyResult {
 		panic("straggler scenario missing")
 	}
 	// Run 2i is seed i with the ladder on, run 2i+1 the same seed ablated.
-	runs := runSeries(Scale{Workers: workers}, "hedge", 2*len(seeds), func(i int, _ Scale) *fault.Report {
+	runs := runSeries(Scale{Workers: workers}, 2*len(seeds), func(i int, _ Scale) *fault.Report {
 		cfg := core.ChaosConfig{Scenario: scen, Seed: seeds[i/2], DisableReassert: i%2 == 1}
 		if smoke {
 			cfg.N = 60

@@ -185,7 +185,7 @@ func Fig9c(s Scale, seeds []int64) *Fig9cResult {
 		mean   float64
 		xs, fs []float64
 	}
-	runs := runSeries(s, "fig9c", len(seeds), func(i int, sc Scale) cdf {
+	runs := runSeries(s, len(seeds), func(i int, sc Scale) cdf {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
 		run := runPacket(sc, trace, seeds[i]) // same trace/workload, new ids
 		st := run.Cluster.Net.Stats()
@@ -252,7 +252,7 @@ func predictorPathBytes(o *obs.Obs) float64 {
 // (the paper sweeps 2,000 to 51,663 endsystems). Each size is an
 // independent simulation fanned across the engine's workers.
 func Fig9d(s Scale, sizes []int) []Fig9dPoint {
-	return runSeries(s, "fig9d", len(sizes), func(i int, sc Scale) Fig9dPoint {
+	return runSeries(s, len(sizes), func(i int, sc Scale) Fig9dPoint {
 		n := sizes[i]
 		sc.PacketN = n
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(n, sc.PacketHorizon, sc.Seed))

@@ -5,32 +5,42 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
-// sweepJSONL runs the completeness sweep at the given worker count and
-// returns the deterministic JSONL serialization of its records.
-func sweepJSONL(t *testing.T, workers int) ([]byte, *CompletenessSweepResult) {
+// sweepJSONL runs the completeness sweep at the given worker count with
+// an observability layer attached and returns the JSONL serialization of
+// its records and the layer's registry as JSON.
+func sweepJSONL(t *testing.T, workers int) ([]byte, []byte, *CompletenessSweepResult) {
 	t.Helper()
 	s := tinyScale()
 	s.Workers = workers
-	var buf bytes.Buffer
+	s.Obs = obs.New()
+	var buf, metrics bytes.Buffer
 	sinks := []runner.Sink{runner.NewJSONLSink(&buf)}
 	r := CompletenessSweep(s, sinks)
 	if err := runner.CloseAll(sinks); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), r
+	if err := s.Obs.Registry().WriteJSON(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), metrics.Bytes(), r
 }
 
 func TestCompletenessSweepDeterministicAcrossWorkers(t *testing.T) {
 	// The acceptance guarantee: same seed, -parallel 1 vs -parallel 8,
-	// byte-identical per-run records.
-	serial, r1 := sweepJSONL(t, 1)
-	wide, r8 := sweepJSONL(t, 8)
+	// byte-identical per-run records and metrics (the registry is
+	// virtual-time only: no host wall time may leak into it).
+	serial, m1, r1 := sweepJSONL(t, 1)
+	wide, m8, r8 := sweepJSONL(t, 8)
 	if !bytes.Equal(serial, wide) {
 		t.Fatalf("sweep records differ between 1 and 8 workers:\n%s\nvs\n%s",
 			serial[:200], wide[:200])
+	}
+	if !bytes.Equal(m1, m8) {
+		t.Fatalf("sweep metrics differ between 1 and 8 workers:\n%s\nvs\n%s", m1, m8)
 	}
 	if n := bytes.Count(serial, []byte("\n")); n != 4*7 {
 		t.Fatalf("sweep emitted %d records, want 28 (4 figures x 7 injections)", n)

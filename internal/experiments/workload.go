@@ -145,7 +145,7 @@ var workloadVariants = []struct {
 // runs go through the deterministic engine, so the result is
 // byte-identical at any Workers count.
 func WorkloadSweep(s Scale, n int, w qserve.Workload, smoke bool) *WorkloadResult {
-	variants := runSeries(s, "workload-"+w.Name, len(workloadVariants), func(i int, sc Scale) *qserve.Report {
+	variants := runSeries(s, len(workloadVariants), func(i int, sc Scale) *qserve.Report {
 		cfg := WorkloadConfig(n, s.Seed, w, smoke)
 		cfg.DisableAdmission = workloadVariants[i].disableAdmission
 		cfg.DisablePriority = workloadVariants[i].disablePriority

@@ -46,21 +46,6 @@ type Config struct {
 	// Workload is the open-loop arrival plan.
 	Workload Workload
 
-	// Budget is the service's total query-bandwidth budget in cost
-	// units: the summed cost of concurrently running queries never
-	// exceeds it. It models the shared pipe the paper's constant-rate
-	// query traffic flows through.
-	Budget int
-	// ClassCap bounds one class's share of Budget, so batch scans can
-	// never occupy the whole pipe.
-	ClassCap [NumClasses]int
-	// UnitHold is how long one cost unit of a query occupies the pipe: a
-	// query of cost c holds c units for c*UnitHold (larger results keep
-	// their tree hot longer).
-	UnitHold time.Duration
-	// MaxCost caps a single query's cost units.
-	MaxCost int
-
 	// DelayBudget is each class's end-to-end latency budget; admission
 	// sheds queries predicted to miss it.
 	DelayBudget [NumClasses]time.Duration
@@ -90,15 +75,31 @@ type Config struct {
 func DefaultConfig(n int, seed int64, w Workload) Config {
 	return Config{
 		N: n, Seed: seed, Workload: w,
-		Budget:       8,
-		ClassCap:     [NumClasses]int{Interactive: 8, Batch: 6},
-		UnitHold:     20 * time.Second,
-		MaxCost:      6,
 		DelayBudget:  [NumClasses]time.Duration{Interactive: 2 * time.Hour, Batch: 10 * time.Minute},
 		ResultWindow: [NumClasses]time.Duration{Interactive: 3 * time.Minute, Batch: 10 * time.Minute},
 		StarveAfter:  20 * time.Minute,
 	}
 }
+
+// The query pipe. Every named workload is sized against it (see Light and
+// Heavy): load is varied through the workload, never the pipe.
+const (
+	// pipeBudget is the service's total query-bandwidth budget in cost
+	// units: the summed cost of concurrently running queries never
+	// exceeds it. It models the shared pipe the paper's constant-rate
+	// query traffic flows through.
+	pipeBudget = 8
+	// unitHold is how long one cost unit of a query occupies the pipe: a
+	// query of cost c holds c units for c*unitHold (larger results keep
+	// their tree hot longer).
+	unitHold = 20 * time.Second
+	// maxCost caps a single query's cost units: a full-table scan.
+	maxCost = 6
+)
+
+// classCap bounds one class's share of pipeBudget, so batch scans can
+// never occupy the whole pipe. Constant; Go has no array constants.
+var classCap = [NumClasses]int{Interactive: 8, Batch: 6}
 
 // flowsPerDay is the data volume of Run's cluster: Anemone flows an
 // endsystem generates a day.
@@ -161,10 +162,10 @@ func NewService(cfg Config, c *core.Cluster) *Service {
 	}
 	// Tie the cost scale to the simulated data volume: Run's cluster
 	// generates flowsPerDay rows an endsystem a day, so a full-table scan
-	// (the largest query) lands at MaxCost and filtered interactive
+	// (the largest query) lands at maxCost and filtered interactive
 	// aggregates at a third of it.
 	days := float64(cfg.Workload.End()+time.Hour) / float64(24*time.Hour)
-	s.rowsPerUnit = flowsPerDay * days * float64(cfg.N) / float64(cfg.MaxCost)
+	s.rowsPerUnit = flowsPerDay * days * float64(cfg.N) / maxCost
 	s.gQueueDepth = s.o.Gauge("qserve_queue_depth")
 	for _, load := range cfg.Workload.Loads {
 		for _, t := range load.Templates {
@@ -209,8 +210,8 @@ func (s *Service) estimateCost(injector simnet.Endpoint, q *relq.Query) int {
 	if cost < 1 {
 		cost = 1
 	}
-	if cost > s.cfg.MaxCost {
-		cost = s.cfg.MaxCost
+	if cost > maxCost {
+		cost = maxCost
 	}
 	return cost
 }
@@ -227,7 +228,7 @@ func (s *Service) queuedWork() time.Duration {
 // predictedWait estimates how long a new arrival would queue: the work
 // ahead of it divided by the pipe's drain rate.
 func (s *Service) predictedWait() time.Duration {
-	return s.queuedWork() / time.Duration(s.cfg.Budget)
+	return s.queuedWork() / pipeBudget
 }
 
 // predictedT90 is the service's running estimate of a template's time
@@ -254,7 +255,7 @@ func (s *Service) arrive(a Arrival) {
 		seq: len(s.all), arr: a, class: class, query: q, injector: injector,
 	}
 	t.cost = s.estimateCost(injector, q)
-	t.hold = time.Duration(t.cost) * s.cfg.UnitHold
+	t.hold = time.Duration(t.cost) * unitHold
 	t.sq = s.svc.Admit(injector, q, class.String())
 	s.all = append(s.all, t)
 	s.o.Counter("qserve_arrivals_" + class.String()).Inc()
@@ -281,8 +282,8 @@ func (s *Service) arrive(a Arrival) {
 // fits reports whether the query can start under the budget and its
 // class cap right now.
 func (s *Service) fits(t *tracked) bool {
-	return s.inflight+t.cost <= s.cfg.Budget &&
-		s.classInflight[t.class]+t.cost <= s.cfg.ClassCap[t.class]
+	return s.inflight+t.cost <= pipeBudget &&
+		s.classInflight[t.class]+t.cost <= classCap[t.class]
 }
 
 // pump dispatches queued queries while budget allows.
@@ -315,14 +316,14 @@ func (s *Service) pump() {
 			} else {
 				bestKey := time.Duration(math.MaxInt64)
 				for i, t := range s.queue[1:] {
-					if s.inflight+t.cost > s.cfg.Budget-head.cost {
+					if s.inflight+t.cost > pipeBudget-head.cost {
 						continue
 					}
 					cc := s.classInflight[t.class] + t.cost
 					if t.class == head.class {
 						cc += head.cost
 					}
-					if cc > s.cfg.ClassCap[t.class] {
+					if cc > classCap[t.class] {
 						continue
 					}
 					key := t.hold + s.predictedT90(t)

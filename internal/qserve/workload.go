@@ -87,7 +87,7 @@ type Workload struct {
 func (w Workload) End() time.Duration { return w.Start + w.Window + w.Drain }
 
 // The named workloads are sized against the default service capacity
-// (see DefaultConfig): with Budget 8, UnitHold 20s, interactive cost 2
+// (see pipeBudget): with budget 8, unit hold 20s, interactive cost 2
 // and batch cost 6, the service completes ~360 interactive or ~40 batch
 // queries per hour when serving one class alone.
 const (

@@ -1,23 +1,20 @@
 // Package runner is the deterministic parallel experiment-execution
-// engine: it fans independent simulation runs across cores while
+// pool: it fans independent simulation runs across cores while
 // guaranteeing that the results are byte-identical to a serial execution,
 // at any worker count.
 //
 // The determinism contract has three legs:
 //
-//  1. Seeding. Every run receives an independently derived seed computed
-//     by SplitSeed from the sweep's base seed and the run index — never
-//     from a rand.Rand shared between runs, whose consumption order would
-//     depend on scheduling.
+//  1. Seeding. Every stream of randomness is derived by SplitSeed from a
+//     base seed and a stream index — never from a rand.Rand shared
+//     between runs, whose consumption order would depend on scheduling.
 //  2. Isolation. A run owns everything it mutates: its own simnet
 //     scheduler, its own cluster, its own observability registry. The
-//     engine never shares mutable state between in-flight runs (the
+//     pool never shares mutable state between in-flight runs (the
 //     simnet scheduler additionally self-checks this; see
 //     simnet.Scheduler).
-//  3. Ordered emission. Results are delivered to sinks and accumulated
-//     into the report strictly in run-index order, regardless of
-//     completion order, through a bounded reorder window that also caps
-//     in-flight memory.
+//  3. Indexed results. Run i's value lands in slot i of the output,
+//     regardless of completion order.
 //
 // RNG-plumbing audit (the bug class this package exists to prevent):
 // before the runner, per-node seeds in internal/core were derived as

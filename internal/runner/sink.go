@@ -7,15 +7,14 @@ import (
 	"io"
 )
 
-// Sink receives results, strictly in run-index order. Sinks are called
-// from a single goroutine and need no locking.
+// Sink receives results in the order the caller emits them. Sinks are
+// called from a single goroutine and need no locking.
 type Sink interface {
 	Emit(res Result) error
 	Close() error
 }
 
-// EmitAll pushes a result slice through sinks in order — for sweeps that
-// produce their records outside an engine execution — and returns the
+// EmitAll pushes a result slice through sinks in order and returns the
 // first sink error.
 func EmitAll(sinks []Sink, results []Result) error {
 	var first error
@@ -47,7 +46,6 @@ type jsonlRecord struct {
 	Name  string `json:"name"`
 	Seed  int64  `json:"seed"`
 	Value any    `json:"value,omitempty"`
-	Error string `json:"error,omitempty"`
 }
 
 // JSONLSink writes one JSON line per result. Output depends only on the
@@ -61,11 +59,7 @@ func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
 
 // Emit writes one line.
 func (s *JSONLSink) Emit(res Result) error {
-	rec := jsonlRecord{Index: res.Index, Name: res.Name, Seed: res.Seed, Value: res.Value}
-	if res.Err != nil {
-		rec.Error = res.Err.Error()
-	}
-	b, err := json.Marshal(rec)
+	b, err := json.Marshal(jsonlRecord{Index: res.Index, Name: res.Name, Seed: res.Seed, Value: res.Value})
 	if err != nil {
 		return err
 	}
@@ -77,7 +71,9 @@ func (s *JSONLSink) Emit(res Result) error {
 func (s *JSONLSink) Close() error { return nil }
 
 // CSVSink writes one row per result: index, name, seed, status and the
-// JSON-encoded value. Like JSONLSink, its output excludes timing.
+// JSON-encoded value. Like JSONLSink, its output excludes timing. Status
+// is always "ok": a run that fails panics the sweep (see Run) and writes
+// no record.
 type CSVSink struct {
 	cw     *csv.Writer
 	header bool
@@ -94,10 +90,6 @@ func (s *CSVSink) Emit(res Result) error {
 			return err
 		}
 	}
-	status := "ok"
-	if res.Err != nil {
-		status = "failed"
-	}
 	val := ""
 	if res.Value != nil {
 		b, err := json.Marshal(res.Value)
@@ -108,7 +100,7 @@ func (s *CSVSink) Emit(res Result) error {
 	}
 	return s.cw.Write([]string{
 		fmt.Sprintf("%d", res.Index), res.Name,
-		fmt.Sprintf("%d", res.Seed), status, val,
+		fmt.Sprintf("%d", res.Seed), "ok", val,
 	})
 }
 

@@ -94,15 +94,12 @@ type NetworkConfig struct {
 	// in flight. The MSPastry evaluation runs at up to 5% loss; Seaweed's
 	// experiments default to 0.
 	LossRate float64
-	// StatsBucket is the width of the time bucket used for bandwidth
-	// accounting (default 1 hour, matching the paper's Figure 9(b)).
-	StatsBucket time.Duration
 	// Horizon is the expected duration of the simulation; it sizes the
 	// per-bucket accounting arrays.
 	Horizon time.Duration
 	// PerEndpointStats enables the per-endsystem per-bucket byte counters
 	// needed for load-distribution CDFs. It costs
-	// O(endsystems × Horizon/StatsBucket) memory; disable for very large
+	// O(endsystems × Horizon/statsBucket) memory; disable for very large
 	// sweeps that only need aggregate numbers.
 	PerEndpointStats bool
 	// Seed drives endpoint→router attachment and message-loss randomness.
@@ -117,7 +114,6 @@ type NetworkConfig struct {
 // horizon, per-endsystem statistics enabled.
 func DefaultNetworkConfig() NetworkConfig {
 	return NetworkConfig{
-		StatsBucket:      time.Hour,
 		Horizon:          4 * 7 * 24 * time.Hour,
 		PerEndpointStats: true,
 	}
@@ -165,9 +161,6 @@ const (
 // endsystem's timers and deliveries live on the wheel of its router's
 // region.
 func NewNetwork(sched Scheduler, topo *Topology, numEndpoints int, cfg NetworkConfig) *Network {
-	if cfg.StatsBucket <= 0 {
-		cfg.StatsBucket = time.Hour
-	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 4 * 7 * 24 * time.Hour
 	}

@@ -104,30 +104,24 @@ func TestUnboundEndpointDropsSilently(t *testing.T) {
 
 func TestPerEndpointBuckets(t *testing.T) {
 	cfg := DefaultNetworkConfig()
-	cfg.StatsBucket = time.Second
-	cfg.Horizon = 10 * time.Second
+	cfg.Horizon = 10 * time.Hour
 	s, net := testNetwork(t, 2, cfg)
 	net.Bind(1, HandlerFunc(func(Endpoint, any) {}))
-	// One send at t=0, one at t=2.5s.
+	// One send at t=0, one at t=2.5h.
 	net.Send(0, 1, 100, ClassQuery, nil)
-	s.At(2500*time.Millisecond, func() { net.Send(0, 1, 200, ClassQuery, nil) })
+	s.At(150*time.Minute, func() { net.Send(0, 1, 200, ClassQuery, nil) })
 	s.Run()
-	samples := net.Stats().PerEndpointHourSamples(false, 0, 4*time.Second)
-	// 2 endpoints x 4 buckets = 8 samples; endpoint 0 has 100 B/s in bucket
-	// 0 and 200 B/s in bucket 2.
+	samples := net.Stats().PerEndpointHourSamples(false, 0, 4*time.Hour)
+	// 2 endpoints x 4 hour buckets = 8 samples; endpoint 0 averages 100 B
+	// over hour 0 and 200 B over hour 2.
 	if len(samples) != 8 {
 		t.Fatalf("len(samples) = %d, want 8", len(samples))
 	}
-	var nonzero int
-	var sum float64
-	for _, v := range samples {
-		if v > 0 {
-			nonzero++
-			sum += v
+	want := []float64{100 / 3600.0, 0, 200 / 3600.0, 0, 0, 0, 0, 0}
+	for i, v := range samples {
+		if v != want[i] {
+			t.Fatalf("samples = %v, want %v", samples, want)
 		}
-	}
-	if nonzero != 2 || sum != 300 {
-		t.Fatalf("nonzero=%d sum=%v, want 2 and 300", nonzero, sum)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 //     classes), transmitted and received separately. This regenerates the
 //     load-distribution CDFs of Figures 9(b), 9(c) and 10(b).
 type Stats struct {
-	bucket     time.Duration
 	numBuckets int
 
 	// sh holds one counter block per shard. Each block is written only by
@@ -40,6 +39,11 @@ type Stats struct {
 	epRx        [][]uint64
 }
 
+// statsBucket is the width of the accounting buckets: one hour, because
+// Figure 9(b)'s sample is "the average bandwidth used by a single
+// endsystem in a single hour of the trace period" (PerEndpointHourSamples).
+const statsBucket = time.Hour
+
 // shardCounters is one shard's systemwide-aggregate accounting block.
 type shardCounters struct {
 	classTx [NumClasses][]uint64 // bytes per bucket, per class
@@ -49,9 +53,8 @@ type shardCounters struct {
 }
 
 func newStats(numEndpoints, numShards int, cfg NetworkConfig) *Stats {
-	nb := int(cfg.Horizon/cfg.StatsBucket) + 2
+	nb := int(cfg.Horizon/statsBucket) + 2
 	s := &Stats{
-		bucket:      cfg.StatsBucket,
 		numBuckets:  nb,
 		sh:          make([]shardCounters, numShards),
 		perEndpoint: cfg.PerEndpointStats,
@@ -74,7 +77,7 @@ func newStats(numEndpoints, numShards int, cfg NetworkConfig) *Stats {
 }
 
 func (s *Stats) bucketFor(t time.Duration) int {
-	b := int(t / s.bucket)
+	b := int(t / statsBucket)
 	if b >= s.numBuckets {
 		b = s.numBuckets - 1
 	}
@@ -105,7 +108,7 @@ func (s *Stats) accountRx(shard int32, ep Endpoint, class Class, size int, t tim
 }
 
 // Bucket returns the accounting bucket width.
-func (s *Stats) Bucket() time.Duration { return s.bucket }
+func (s *Stats) Bucket() time.Duration { return statsBucket }
 
 // NumBuckets returns the number of accounting buckets.
 func (s *Stats) NumBuckets() int { return s.numBuckets }
@@ -141,7 +144,7 @@ func (s *Stats) TotalTxAll() float64 {
 // transmitted bytes per second in each bucket (summed over shards).
 func (s *Stats) ClassTxTimeline(class Class) []float64 {
 	out := make([]float64, s.numBuckets)
-	secs := s.bucket.Seconds()
+	secs := statsBucket.Seconds()
 	for i := range s.sh {
 		for b, v := range s.sh[i].classTx[class] {
 			out[b] += float64(v)
@@ -168,7 +171,7 @@ func (s *Stats) PerEndpointHourSamples(rx bool, from, to time.Duration) []float6
 		src = s.epRx
 	}
 	b0, b1 := s.bucketFor(from), s.bucketFor(to)
-	secs := s.bucket.Seconds()
+	secs := statsBucket.Seconds()
 	out := make([]float64, 0, len(src)*(b1-b0))
 	for _, row := range src {
 		for b := b0; b < b1; b++ {

@@ -111,7 +111,7 @@ func TestCDFDownsamples(t *testing.T) {
 // Per-endpoint byte accounting must hold counts past the uint32 limit
 // (the old counters wrapped at 4 GiB per endpoint-bucket).
 func TestPerEndpointCountersPastUint32(t *testing.T) {
-	cfg := NetworkConfig{StatsBucket: time.Hour, Horizon: 2 * time.Hour, PerEndpointStats: true}
+	cfg := NetworkConfig{Horizon: 2 * time.Hour, PerEndpointStats: true}
 	s := newStats(1, 1, cfg)
 	const chunk = 1 << 30 // 1 GiB per call
 	for i := 0; i < 5; i++ {

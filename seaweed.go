@@ -26,7 +26,7 @@
 //     the paper's Figures 5–8.
 //   - Traces and workloads: synthetic availability traces calibrated to
 //     the Farsite and Gnutella studies, and the Anemone endsystem network
-//     monitoring workload (Flow/Packet tables).
+//     monitoring workload (its Flow table).
 //   - Analytics: the paper's closed-form scalability models comparing
 //     Seaweed with centralized, DHT-replicated and PIER architectures.
 //
@@ -41,7 +41,6 @@ import (
 	"repro/internal/agg"
 	"repro/internal/anemone"
 	"repro/internal/avail"
-	"repro/internal/coords"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/predictor"
@@ -118,7 +117,7 @@ func GnutellaTrace(endsystems int, horizon time.Duration, seed int64) *Availabil
 }
 
 // Anemone workload generation (the paper's driving application: endsystem
-// network management with Flow and Packet tables).
+// network management; every paper query reads its Flow table).
 type AnemoneConfig = anemone.Config
 
 // DefaultAnemoneConfig returns a workload configuration for the horizon.
@@ -126,8 +125,7 @@ func DefaultAnemoneConfig(horizon time.Duration, seed int64) AnemoneConfig {
 	return anemone.DefaultConfig(horizon, seed)
 }
 
-// GenerateAnemone builds endsystem i's Flow (and optionally Packet)
-// tables.
+// GenerateAnemone builds endsystem i's Flow table.
 func GenerateAnemone(cfg AnemoneConfig, i int) *anemone.Dataset {
 	return anemone.Generate(cfg, i)
 }
@@ -247,32 +245,6 @@ func WithScale(n int) Option {
 				cfg.Trace = &avail.Trace{Horizon: cfg.Trace.Horizon, Profiles: cfg.Trace.Profiles[:n]}
 			}
 		})
-	}
-}
-
-// WithReassert enables the upward re-assertion ladder at interior
-// aggregation-tree vertices (ClusterConfig.Node.Agg.Reassert): a vertex
-// retransmits a forward that no newer content has superseded 10, 20, 40,
-// 80 and 160 s after sending it, so an aggregate the network dropped
-// reaches the parent in seconds instead of at the next refresh pass; the
-// versioned merge counts whichever copy lands first. Off by default.
-func WithReassert() Option {
-	return func(b *builder) {
-		b.mods = append(b.mods, func(cfg *ClusterConfig) { cfg.Node.Agg.Reassert = true })
-	}
-}
-
-// WithCoords enables the Vivaldi network-coordinate subsystem
-// (ClusterConfig.Coords): each endsystem maintains a 3D+height coordinate
-// from RTT samples on existing protocol traffic, dissemination delegates
-// and aggregation entry vertices are chosen by lowest predicted RTT
-// within their id-valid candidate sets, and queries may carry an RTT
-// scope (Query.RTTScope — "endsystems within T ms of me"). Off by
-// default: without it the id-only baseline runs byte-identically to
-// before the subsystem existed.
-func WithCoords() Option {
-	return func(b *builder) {
-		b.mods = append(b.mods, func(cfg *ClusterConfig) { cfg.Coords = coords.Enabled() })
 	}
 }
 
