@@ -89,7 +89,7 @@ import (
 
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 2, 5, 6, 7, 8, 9a, 9b, 9c, 9d, 10")
-	ablation := flag.String("ablation", "", "ablation to run: arity, predictor, histogram, push, replicas, deltapush")
+	ablation := flag.String("ablation", "", "ablation to run: arity, predictor, histogram, push, replicas")
 	chaos := flag.String("chaos", "", "chaos scenario to run: partition, burstloss, flap, mixed, straggler")
 	workload := flag.String("workload", "", "query-service workload to serve: light, heavy, spike")
 	qps := flag.Float64("qps", 0, "with -workload: interactive arrival rate in queries/hour (0 = the preset's; other classes scale proportionally)")
@@ -452,8 +452,6 @@ func main() {
 			}).Render(w)
 		case "replicas":
 			experiments.AblationVertexReplicas(s, []int{0, 1, 3, 5}).Render(w)
-		case "deltapush":
-			experiments.AblationDeltaPush(s).Render(w)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown ablation %q\n", *ablation)
 			os.Exit(2)

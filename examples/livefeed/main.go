@@ -1,8 +1,8 @@
 // Live feed: run Seaweed over a deployment whose data grows while the
 // simulation runs (the paper's own simulator could not support data
 // updates) and keep a continuous query standing over it — the §3.4
-// extension. Metadata pushes use delta encoding, so unchanged summaries
-// cost almost nothing.
+// extension. A metadata push carries the summary only when it changed
+// since the replica last got it; an unchanged one costs a 32-byte beacon.
 //
 //	go run ./examples/livefeed
 package main
@@ -23,10 +23,7 @@ func main() {
 		seaweed.WithTrace(trace),
 		seaweed.WithSeed(9),
 		seaweed.WithFlowsPerDay(200),
-		seaweed.WithFeed(20*time.Minute),
-		seaweed.WithConfig(func(cfg *seaweed.ClusterConfig) {
-			cfg.Node.Meta.DeltaPush = true
-		}))
+		seaweed.WithFeed(20*time.Minute))
 
 	// Let data accrue for half a day, then stand up a continuous query
 	// counting elephant flows.

@@ -148,8 +148,8 @@ func TestClusterBandwidthByClass(t *testing.T) {
 	if maint == 0 || pastryB == 0 || query == 0 {
 		t.Fatalf("missing class traffic: maint=%v pastry=%v query=%v", maint, pastryB, query)
 	}
-	// The paper's headline ordering: Seaweed maintenance dominates, with
-	// query overhead far below it.
+	// Maintenance, mostly full records after rejoins, stays above the
+	// traffic of one query.
 	if maint < query {
 		t.Fatalf("maintenance (%v) should dominate query traffic (%v) with one query",
 			maint, query)

@@ -176,27 +176,32 @@ func TestOneShotQueryDoesNotTrackGrowth(t *testing.T) {
 	_ = first
 }
 
-func TestFeedDeltaPushCheaper(t *testing.T) {
-	// With live updates, delta-encoded pushes must cost measurably less
-	// maintenance bandwidth than full pushes.
-	run := func(delta bool) float64 {
-		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(40, 36*time.Hour, 26))
-		cfg := DefaultClusterConfig(trace, 26)
-		cfg.Workload.MeanFlowsPerDay = 60
-		cfg.Feed = FeedConfig{Enabled: true, Period: 30 * time.Minute}
-		cfg.Node.Meta.DeltaPush = delta
-		c := NewCluster(cfg)
-		c.RunUntil(36 * time.Hour)
-		return c.Net.Stats().TotalTx(simnet.ClassMaintenance)
+func TestFeedBeaconsCheaper(t *testing.T) {
+	// With live updates, a summary changes every 30 minutes at most, so
+	// some 17.5-minute rounds find it unchanged and send beacons. Every
+	// change reaches a member in its round's full push: at zero loss no
+	// beacon finds a stale copy, and nobody pulls.
+	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(40, 36*time.Hour, 26))
+	cfg := DefaultClusterConfig(trace, 26)
+	cfg.Workload.MeanFlowsPerDay = 60
+	cfg.Feed = FeedConfig{Enabled: true, Period: 30 * time.Minute}
+	c := NewCluster(cfg)
+	c.RunUntil(36 * time.Hour)
+	beacons := c.Obs().Counter("meta_beacons").Value()
+	pulls := c.Obs().Counter("meta_pulls").Value()
+	maint := c.Net.Stats().TotalTx(simnet.ClassMaintenance)
+	// The same cluster's maintenance bytes while every round re-sent the
+	// full record.
+	const fullPushBytes = 55_004_294
+	t.Logf("%d pushes, %d beacons, %d pulls; %.0f maintenance bytes (%.1f%% of full pushes)",
+		c.Obs().Counter("meta_pushes").Value(), beacons, pulls, maint, 100*maint/fullPushBytes)
+	if beacons == 0 {
+		t.Error("no round sent a beacon")
 	}
-	full := run(false)
-	delta := run(true)
-	if delta >= full {
-		t.Fatalf("delta pushes (%v B) not cheaper than full pushes (%v B)", delta, full)
+	if pulls != 0 {
+		t.Errorf("%d pulls at zero loss", pulls)
 	}
-	// With a 30-minute feed period and 17.5-minute pushes, roughly half
-	// the pushes carry no change; expect a visible (>10%) saving.
-	if delta > 0.9*full {
-		t.Errorf("delta saving too small: %v vs %v", delta, full)
+	if maint >= fullPushBytes {
+		t.Errorf("maintenance %.0f B, not below the full-push figure %d B", maint, fullPushBytes)
 	}
 }

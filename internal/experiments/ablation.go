@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"time"
@@ -336,44 +335,4 @@ func (r *VertexReplicaResult) Render(w io.Writer) {
 	for i := range r.Backups {
 		row(w, r.Backups[i], r.ResultCoverage[i], r.QueryBytes[i])
 	}
-}
-
-// DeltaPushResult compares full vs delta-encoded metadata pushes under
-// live data updates.
-type DeltaPushResult struct {
-	FullBytes  float64 // maintenance bytes, full pushes
-	DeltaBytes float64 // maintenance bytes, delta-encoded pushes
-}
-
-// Saving returns the fractional bandwidth saving of delta encoding.
-func (r *DeltaPushResult) Saving() float64 {
-	if r.FullBytes == 0 {
-		return 0
-	}
-	return 1 - r.DeltaBytes/r.FullBytes
-}
-
-// AblationDeltaPush measures §3.2.2's proposed optimization: a cluster
-// with live data updates run twice, with full and with delta-encoded
-// summary pushes.
-func AblationDeltaPush(s Scale) *DeltaPushResult {
-	runs := runSeries(s, 2, func(i int, sc Scale) float64 {
-		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
-		cfg := sc.clusterConfig(trace, sc.Seed)
-		cfg.Feed = core.FeedConfig{Enabled: true, Period: 30 * time.Minute}
-		cfg.Node.Meta.DeltaPush = i == 1
-		c := core.NewCluster(cfg)
-		c.RunUntil(sc.PacketHorizon)
-		return c.Net.Stats().TotalTx(simnet.ClassMaintenance)
-	})
-	return &DeltaPushResult{FullBytes: runs[0], DeltaBytes: runs[1]}
-}
-
-// Render writes the comparison.
-func (r *DeltaPushResult) Render(w io.Writer) {
-	header(w, "Ablation: delta-encoded metadata pushes (live data updates)",
-		"mode", "maintenance_bytes")
-	row(w, "full", r.FullBytes)
-	row(w, "delta", r.DeltaBytes)
-	fmt.Fprintf(w, "# saving: %.1f%%"+"\n", 100*r.Saving())
 }

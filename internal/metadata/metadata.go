@@ -9,6 +9,13 @@
 // that was ever available remains available with high probability, even
 // long after the endsystem itself went down.
 //
+// A periodic push carries the record only "if there is any change"
+// (§3.2.2): a member that already holds the subject's current content
+// generation gets a beacon, the record's header alone, which refreshes its
+// version and marks the subject up. A member whose copy is missing or of
+// another generation answers a beacon with a pull, and the subject sends
+// it the full record.
+//
 // Replica-set members record the time at which they notice the subject
 // endsystem become unavailable; together with the replicated availability
 // model, that is what lets any replica generate a completeness predictor
@@ -34,6 +41,7 @@ import (
 type Record struct {
 	Subject   ids.ID
 	Version   time.Duration // push time at the subject; newer wins
+	Gen       uint64        // content generation: bumped when Summary or Model changes
 	Summary   *relq.Summary
 	Model     *avail.Model
 	Up        bool
@@ -48,14 +56,27 @@ func (r *Record) clone() *Record {
 	return &c
 }
 
-// pushMsg replicates a record to one replica-set member. The wrappers
-// are pooled: a push to a K-member replica set sends K of them, and the
-// receiver recycles each as soon as it has taken the record out.
-// Wrappers lost in flight just fall to the garbage collector. The pool is
-// package-level (clusters in parallel sweep runs share it), so it must be
-// a sync.Pool rather than a single-threaded free list.
+// recordHeaderBytes is a record's fixed header: subject, version, and a
+// flags word that holds the up bit and the content generation. A beacon
+// is this header alone.
+const recordHeaderBytes = ids.Bytes + 8 + 8
+
+// pullBytes is a pull's wire size: the subject and the generation held.
+const pullBytes = ids.Bytes + 8
+
+// pushMsg replicates a record to one replica-set member: in full, or with
+// Beacon set as its header alone, of which the receiver reads Subject,
+// Version and Gen only. From is the sender, where a beacon's receiver
+// sends its pull. The wrappers are pooled: a push to a K-member replica
+// set sends K of them, and the receiver recycles each as soon as it has
+// taken the record out. Wrappers lost in flight just fall to the garbage
+// collector. The pool is package-level (clusters in parallel sweep runs
+// share it), so it must be a sync.Pool rather than a single-threaded free
+// list.
 type pushMsg struct {
-	Rec *Record
+	Rec    *Record
+	From   simnet.Endpoint
+	Beacon bool
 }
 
 var pushMsgPool = sync.Pool{New: func() any { return new(pushMsg) }}
@@ -65,10 +86,15 @@ var pushMsgPool = sync.Pool{New: func() any { return new(pushMsg) }}
 // freed state.
 func (*pushMsg) SingleDelivery() {}
 
+// pullMsg asks a subject for its full record: a beacon named a generation
+// the puller does not hold.
+type pullMsg struct {
+	From pastry.NodeRef
+}
+
 // recordWireSize computes the on-the-wire size of a record push.
-func recordWireSize(sum *relq.Summary, _ *avail.Model) int {
-	const header = ids.Bytes + 8 + 8 // subject, version, flags
-	size := header + avail.EncodedModelSize
+func recordWireSize(sum *relq.Summary) int {
+	size := recordHeaderBytes + avail.EncodedModelSize
 	if sum != nil {
 		size += sum.EncodedSize()
 	}
@@ -90,12 +116,6 @@ type Config struct {
 	// simulation: 17.5 minutes, each endsystem choosing its phase
 	// randomly to avoid bandwidth spikes).
 	PushPeriod time.Duration
-	// DeltaPush enables delta-encoded summary pushes (§3.2.2's proposed
-	// optimization): a periodic push to a replica that already holds the
-	// previous version carries only the changed tables' histograms. The
-	// paper's baseline pushes the full histograms every period; that is
-	// the default here, and the ablation benchmarks quantify the saving.
-	DeltaPush bool
 }
 
 // DefaultConfig returns the paper's metadata configuration.
@@ -114,9 +134,9 @@ type Service struct {
 	store    map[ids.ID]*Record
 	prevLeaf map[ids.ID]pastry.NodeRef
 	ticker   *simnet.Timer
-	// lastPushed tracks, per replica member, the summary version most
-	// recently sent to it, the base for delta-encoded pushes.
-	lastPushed map[ids.ID]*relq.Summary
+	// sentGen is, per replica-set member, the generation of this
+	// endsystem's record last sent to it in full (0: none this uptime).
+	sentGen map[ids.ID]uint64
 	// scratch is the reusable replica-set buffer for pushOwn.
 	scratch []pastry.NodeRef
 
@@ -124,6 +144,8 @@ type Service struct {
 	// disabled).
 	o          *obs.Obs
 	cPushes    *obs.Counter // meta_pushes
+	cBeacons   *obs.Counter // meta_beacons
+	cPulls     *obs.Counter // meta_pulls
 	cRerepl    *obs.Counter // meta_rereplications
 	cEvictions *obs.Counter // meta_evictions
 	cDownMarks *obs.Counter // meta_down_marks
@@ -134,15 +156,17 @@ type Service struct {
 func NewService(node *pastry.Node, cfg Config, seed int64) *Service {
 	o := node.Ring().Obs()
 	return &Service{
-		cfg:        cfg,
-		node:       node,
-		rng:        rand.New(rand.NewSource(seed)),
-		store:      make(map[ids.ID]*Record),
-		prevLeaf:   make(map[ids.ID]pastry.NodeRef),
-		lastPushed: make(map[ids.ID]*relq.Summary),
+		cfg:      cfg,
+		node:     node,
+		rng:      rand.New(rand.NewSource(seed)),
+		store:    make(map[ids.ID]*Record),
+		prevLeaf: make(map[ids.ID]pastry.NodeRef),
+		sentGen:  make(map[ids.ID]uint64),
 
 		o:          o,
 		cPushes:    o.Counter("meta_pushes"),
+		cBeacons:   o.Counter("meta_beacons"),
+		cPulls:     o.Counter("meta_pulls"),
 		cRerepl:    o.Counter("meta_rereplications"),
 		cEvictions: o.Counter("meta_evictions"),
 		cDownMarks: o.Counter("meta_down_marks"),
@@ -150,15 +174,26 @@ func NewService(node *pastry.Node, cfg Config, seed int64) *Service {
 }
 
 // SetLocalMetadata installs this endsystem's own summary and availability
-// model. Call before Activate and whenever either changes materially; the
-// next push carries the new version.
+// model under a new content generation. Call before Activate and whenever
+// either changes materially; the next push carries the new record to
+// every member in full. Until then the record keeps the last push's
+// version, so a copy forwarded in between supersedes every copy of the
+// previous generation.
 func (s *Service) SetLocalMetadata(sum *relq.Summary, model *avail.Model) {
+	gen := uint64(1)
+	var ver time.Duration
+	if s.own != nil {
+		gen = s.own.Gen + 1
+		ver = s.own.Version
+	}
 	s.own = &Record{
 		Subject:  s.node.ID(),
+		Version:  ver,
+		Gen:      gen,
 		Summary:  sum,
 		Model:    model,
 		Up:       true,
-		WireSize: recordWireSize(sum, model),
+		WireSize: recordWireSize(sum),
 	}
 }
 
@@ -167,7 +202,7 @@ func (s *Service) SetLocalMetadata(sum *relq.Summary, model *avail.Model) {
 func (s *Service) Activate() {
 	// Fresh uptime: assume nothing about what replicas still hold, so the
 	// first push of each member is a full one.
-	s.lastPushed = make(map[ids.ID]*relq.Summary)
+	clear(s.sentGen)
 	s.prevLeaf = make(map[ids.ID]pastry.NodeRef)
 	for _, m := range s.node.Leafset() {
 		s.prevLeaf[m.ID] = m
@@ -200,9 +235,9 @@ func (s *Service) Deactivate() {
 	}
 }
 
-// pushOwn replicates this endsystem's metadata to its replica set. With
-// DeltaPush enabled, members that already hold the previous summary
-// version are charged only the delta wire size.
+// pushOwn replicates this endsystem's metadata to its replica set: in full
+// to a member that has not been sent the current generation this uptime,
+// as a beacon to every other one.
 func (s *Service) pushOwn() {
 	if s.own == nil {
 		return
@@ -218,25 +253,29 @@ func (s *Service) pushOwn() {
 	s.scratch = s.node.AppendReplicaSet(s.scratch[:0], K)
 	for _, m := range s.scratch {
 		s.cPushes.Inc()
-		size := rec.WireSize
-		if s.cfg.DeltaPush && rec.Summary != nil {
-			if prev, ok := s.lastPushed[m.ID]; ok {
-				const header = 16 + 8 + 8 // subject, version, flags
-				size = header + avail.EncodedModelSize + rec.Summary.DeltaSize(prev)
-			}
-			s.lastPushed[m.ID] = rec.Summary
+		if s.sentGen[m.ID] == rec.Gen {
+			s.cBeacons.Inc()
+			s.send(m, rec, true)
+		} else {
+			s.sendOwn(m, rec)
 		}
-		s.sendSized(m, rec, size)
 	}
 }
 
-func (s *Service) send(to pastry.NodeRef, rec *Record) {
-	s.sendSized(to, rec, rec.WireSize)
+// sendOwn sends this endsystem's record to a member in full and remembers
+// the generation the member now holds.
+func (s *Service) sendOwn(to pastry.NodeRef, rec *Record) {
+	s.sentGen[to.ID] = rec.Gen
+	s.send(to, rec, false)
 }
 
-func (s *Service) sendSized(to pastry.NodeRef, rec *Record, size int) {
+func (s *Service) send(to pastry.NodeRef, rec *Record, beacon bool) {
+	size := rec.WireSize
+	if beacon {
+		size = recordHeaderBytes
+	}
 	m := pushMsgPool.Get().(*pushMsg)
-	m.Rec = rec
+	m.Rec, m.From, m.Beacon = rec, s.node.Endpoint(), beacon
 	s.node.Ring().Network().Send(s.node.Endpoint(), to.EP, size,
 		simnet.ClassMaintenance, m)
 }
@@ -244,27 +283,59 @@ func (s *Service) sendSized(to pastry.NodeRef, rec *Record, size int) {
 // HandleMessage processes a protocol message; it reports whether the
 // payload belonged to this service.
 func (s *Service) HandleMessage(payload any) bool {
-	m, ok := payload.(*pushMsg)
-	if !ok {
+	switch m := payload.(type) {
+	case *pushMsg:
+		rec, from, beacon := m.Rec, m.From, m.Beacon
+		*m = pushMsg{}
+		pushMsgPool.Put(m)
+		if beacon {
+			s.refresh(rec, from)
+		} else {
+			s.insert(rec)
+		}
+	case *pullMsg:
+		// Answered from whatever is current: a pull that crossed a change
+		// gets the new generation.
+		s.sendOwn(m.From, s.own)
+	default:
 		return false
 	}
-	rec := m.Rec
-	m.Rec = nil
-	pushMsgPool.Put(m)
-	s.insert(rec)
 	return true
 }
 
-// insert merges a received record, newest version wins. A node never
-// stores a record about itself: it is the source of that metadata, and a
-// re-replicated copy would go stale the moment it rejoins (its own pushes
-// go to its replica set, which excludes itself).
+// refresh applies a beacon, the header of the subject's current record.
+// A copy of the same generation is left exactly as the full push would
+// have left it; a missing copy, or one of another generation, is pulled.
+func (s *Service) refresh(hdr *Record, from simnet.Endpoint) {
+	cur, ok := s.store[hdr.Subject]
+	if ok && supersedes(cur, hdr) {
+		return
+	}
+	if !ok || cur.Gen != hdr.Gen {
+		s.cPulls.Inc()
+		s.node.Ring().Network().Send(s.node.Endpoint(), from, pullBytes,
+			simnet.ClassMaintenance, &pullMsg{From: s.node.Ref()})
+		return
+	}
+	cur.Version, cur.Up, cur.DownSince = hdr.Version, true, 0
+}
+
+// supersedes reports whether a is a newer record of its subject than b: a
+// later push, or a later generation of the same push.
+func supersedes(a, b *Record) bool {
+	return a.Version > b.Version || a.Version == b.Version && a.Gen > b.Gen
+}
+
+// insert merges a received record; the newer one wins (supersedes). A
+// node never stores a record about itself: it is the source of that
+// metadata, and a re-replicated copy would go stale the moment it rejoins
+// (its own pushes go to its replica set, which excludes itself).
 func (s *Service) insert(rec *Record) {
 	if rec.Subject == s.node.ID() {
 		return
 	}
 	cur, ok := s.store[rec.Subject]
-	if ok && cur.Version > rec.Version {
+	if ok && supersedes(cur, rec) {
 		return
 	}
 	// A push from the subject itself means it is up; a re-replication
@@ -318,7 +389,9 @@ func (s *Service) HandleLeafsetChanged() {
 					s.cRerepl.Inc()
 					s.o.EmitDetail(obs.Event{Kind: obs.KindMetaRereplicate,
 						EP: int(s.node.Endpoint())})
-					s.send(a, rec)
+					// A snapshot: the stored record is marked down and
+					// overwritten in place while the forward is in flight.
+					s.send(a, rec.clone(), false)
 				}
 			}
 		}
@@ -326,7 +399,7 @@ func (s *Service) HandleLeafsetChanged() {
 			rs := s.localReplicaSet(s.own.Subject, K)
 			for _, a := range added {
 				if _, in := rs[a.ID]; in {
-					s.send(a, s.own)
+					s.sendOwn(a, s.own)
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/avail"
 	"repro/internal/ids"
+	"repro/internal/obs"
 	"repro/internal/pastry"
 	"repro/internal/relq"
 	"repro/internal/simnet"
@@ -15,16 +16,24 @@ import (
 // harness wires a pastry ring where every node runs a metadata service.
 type harness struct {
 	sched    simnet.Scheduler
+	obs      *obs.Obs
 	ring     *pastry.Ring
 	nodes    []*pastry.Node
 	services []*Service
+	apps     []*svcApp
 }
 
 type svcApp struct {
 	svc **Service
+	// drop, when set, discards the payloads it reports before the service
+	// sees them.
+	drop func(payload any) bool
 }
 
 func (a *svcApp) Deliver(key ids.ID, from simnet.Endpoint, payload any) {
+	if a.drop != nil && a.drop(payload) {
+		return
+	}
 	(*a.svc).HandleMessage(payload)
 }
 
@@ -41,11 +50,12 @@ func (a *svcApp) LeafsetChanged() {
 
 func newHarness(t *testing.T, n int, seed int64) *harness {
 	t.Helper()
-	h := &harness{sched: simnet.NewWheel()}
+	h := &harness{sched: simnet.NewWheel(), obs: obs.New()}
 	topo := simnet.UniformTopology(4, 10*time.Millisecond, time.Millisecond)
 	cfg := simnet.DefaultNetworkConfig()
 	cfg.Seed = seed
 	net := simnet.NewNetwork(h.sched, topo, n, cfg)
+	net.SetObs(h.obs)
 	pcfg := pastry.DefaultConfig()
 	pcfg.Seed = seed
 	h.ring = pastry.NewRing(net, pcfg)
@@ -53,10 +63,11 @@ func newHarness(t *testing.T, n int, seed int64) *harness {
 	idList := ids.RandomN(rng, n)
 	h.nodes = make([]*pastry.Node, n)
 	h.services = make([]*Service, n)
+	h.apps = make([]*svcApp, n)
 	eps := make([]simnet.Endpoint, n)
 	for i := 0; i < n; i++ {
-		app := &svcApp{svc: &h.services[i]}
-		h.nodes[i] = h.ring.AddNode(simnet.Endpoint(i), idList[i], app)
+		h.apps[i] = &svcApp{svc: &h.services[i]}
+		h.nodes[i] = h.ring.AddNode(simnet.Endpoint(i), idList[i], h.apps[i])
 		h.services[i] = NewService(h.nodes[i], DefaultConfig(), seed+int64(i))
 		h.services[i].SetLocalMetadata(testSummary(t, i), testModel(i))
 		eps[i] = simnet.Endpoint(i)
@@ -214,6 +225,33 @@ func TestRejoinMarksUpAgain(t *testing.T) {
 	}
 }
 
+func TestRejoinPushIsFull(t *testing.T) {
+	// A rejoining endsystem assumes nothing about what its replicas still
+	// hold: its first round is full records, even with nothing changed,
+	// so replicas that dropped its record meanwhile need not pull.
+	h := newHarness(t, 48, 4)
+	h.sched.RunUntil(time.Minute)
+	const v = 5
+	victim := h.nodes[v]
+	h.services[v].Deactivate()
+	victim.Stop()
+	h.sched.RunUntil(h.sched.Now() + 5*time.Minute)
+	for _, svc := range h.services {
+		delete(svc.store, victim.ID())
+	}
+	victim.OnReady = h.services[v].Activate
+	victim.Start()
+	h.sched.RunUntil(h.sched.Now() + time.Minute)
+	if p := h.obs.Counter("meta_pulls").Value(); p != 0 {
+		t.Fatalf("%d pulls after the rejoin", p)
+	}
+	for _, rep := range victim.ReplicaSet(K) {
+		if rec := h.services[rep.EP].Lookup(victim.ID()); rec == nil || !rec.Up {
+			t.Fatalf("replica %v lacks the rejoined record", rep.ID.Short())
+		}
+	}
+}
+
 func TestUnavailableInRange(t *testing.T) {
 	h := newHarness(t, 48, 5)
 	h.sched.RunUntil(time.Minute)
@@ -241,32 +279,210 @@ func TestUnavailableInRange(t *testing.T) {
 }
 
 func TestPeriodicPushTraffic(t *testing.T) {
-	h := newHarness(t, 32, 6)
-	h.sched.RunUntil(2 * time.Hour)
+	// Nothing changes after the activation round, so every later round is
+	// K beacons per node: about K·32 B per PushPeriod per node.
+	const n = 32
+	h := newHarness(t, n, 6)
+	h.sched.RunUntil(time.Minute)
 	st := h.ring.Network().Stats()
-	maint := st.TotalTx(simnet.ClassMaintenance)
-	if maint == 0 {
-		t.Fatal("no maintenance traffic")
+	first := st.TotalTx(simnet.ClassMaintenance)
+	if first < n*K*float64(recordWireSize(testSummary(t, 0))) {
+		t.Fatalf("activation round sent %.0f B, less than a full record per member", first)
 	}
-	// Each node pushes k records per ~17.5 min; sanity-check the rate per
-	// node per second is in a plausible band (paper: tens of B/s).
-	perNodePerSec := maint / 32 / (2 * 3600)
-	if perNodePerSec < 1 || perNodePerSec > 2000 {
-		t.Fatalf("maintenance rate %.1f B/s per node implausible", perNodePerSec)
+	beacons0 := h.obs.Counter("meta_beacons").Value()
+	const window = 2 * time.Hour
+	h.sched.RunUntil(time.Minute + window)
+	bytes := st.TotalTx(simnet.ClassMaintenance) - first
+	beacons := h.obs.Counter("meta_beacons").Value() - beacons0
+	if bytes != float64(beacons*recordHeaderBytes) {
+		t.Fatalf("%.0f maintenance bytes in the window, want %d beacons x %d B", bytes, beacons, recordHeaderBytes)
+	}
+	if p := h.obs.Counter("meta_pulls").Value(); p != 0 {
+		t.Fatalf("%d pulls at zero loss", p)
+	}
+	rounds := float64(window) / float64(DefaultConfig().PushPeriod)
+	want := K * recordHeaderBytes * rounds
+	perNode := bytes / n
+	t.Logf("%.0f B per node over %v (%.2f B/s); K·32 B per round predicts %.0f", perNode, window,
+		perNode/window.Seconds(), want)
+	// Each node fits 6 or 7 rounds into the window (6.86 on average).
+	if perNode < 0.85*want || perNode > 1.15*want {
+		t.Fatalf("%.0f B per node, want about %.0f", perNode, want)
 	}
 }
 
 func TestVersioningNewestWins(t *testing.T) {
 	h := newHarness(t, 16, 7)
-	h.sched.RunUntil(time.Minute)
-	svc := h.services[0]
-	old := &Record{Subject: h.nodes[1].ID(), Version: 0, Up: false}
-	svc.insert(old)
-	cur := svc.Lookup(h.nodes[1].ID())
-	if cur != nil && !cur.Up && cur.Version == 0 {
-		t.Skip("node 1 not replicated at node 0; versioning covered elsewhere")
+	// Past every node's first periodic round, so versions are non-zero.
+	h.sched.RunUntil(DefaultConfig().PushPeriod + time.Minute)
+	subject := h.nodes[1]
+	rep := subject.AppendReplicaSet(nil, K)[0]
+	svc := h.services[rep.EP]
+	cur := svc.Lookup(subject.ID())
+	if cur == nil || cur.Version == 0 {
+		t.Fatalf("replica %v holds no pushed record of its subject", rep.ID.Short())
 	}
-	if cur != nil && cur.Version == 0 {
-		t.Fatal("stale record overwrote newer one")
+	want := *cur
+	svc.insert(&Record{Subject: subject.ID(), Version: cur.Version - 1, Gen: cur.Gen + 1})
+	svc.insert(&Record{Subject: subject.ID(), Version: cur.Version, Gen: cur.Gen - 1})
+	// A stale beacon of another generation neither applies nor pulls.
+	svc.refresh(&Record{Subject: subject.ID(), Version: cur.Version - 1, Gen: cur.Gen + 1},
+		subject.Endpoint())
+	if got := svc.Lookup(subject.ID()); *got != want {
+		t.Fatalf("an older record overwrote the newer one: %+v, want %+v", *got, want)
+	}
+	if p := h.obs.Counter("meta_pulls").Value(); p != 0 {
+		t.Fatalf("a stale beacon pulled (%d)", p)
+	}
+	// The same push instant with a later generation wins.
+	svc.insert(&Record{Subject: subject.ID(), Version: cur.Version, Gen: want.Gen + 1, Up: true})
+	if got := svc.Lookup(subject.ID()); got.Gen != want.Gen+1 {
+		t.Fatalf("generation %d, want the later %d", got.Gen, want.Gen+1)
+	}
+}
+
+func TestBeaconLeavesFullPushState(t *testing.T) {
+	// Every member's copy of every subject must read what a full push each
+	// round would have left: the subject's current record field for field.
+	h := newHarness(t, 32, 8)
+	// A quarter of the subjects change mid-run, so their later rounds are
+	// one full push followed by beacons of generation 2.
+	h.sched.At(30*time.Minute, func() {
+		for i := 0; i < len(h.services); i += 4 {
+			h.services[i].SetLocalMetadata(testSummary(t, 100+i), testModel(i))
+		}
+	})
+	// Every copy is marked down, as a member does when its subject leaves
+	// its leafset for a moment; the next beacon must mark it up again.
+	h.sched.At(time.Hour, func() {
+		for _, svc := range h.services {
+			for _, rec := range svc.store {
+				rec.Up, rec.DownSince = false, h.sched.Now()
+			}
+		}
+	})
+	h.sched.RunUntil(2 * time.Hour)
+	// Stop the rounds and let the last ones land.
+	for _, svc := range h.services {
+		svc.Deactivate()
+	}
+	h.sched.RunUntil(h.sched.Now() + time.Minute)
+	if h.obs.Counter("meta_beacons").Value() == 0 {
+		t.Fatal("no round sent a beacon")
+	}
+	if p := h.obs.Counter("meta_pulls").Value(); p != 0 {
+		t.Fatalf("%d pulls at zero loss", p)
+	}
+	for i, n := range h.nodes {
+		own := h.services[i].own
+		for _, rep := range n.ReplicaSet(K) {
+			rec := h.services[rep.EP].Lookup(n.ID())
+			if rec == nil {
+				t.Fatalf("replica %v lacks subject %d", rep.ID.Short(), i)
+			}
+			if rec.Gen != own.Gen || rec.Version != own.Version || rec.Up != own.Up ||
+				rec.DownSince != own.DownSince || rec.Summary != own.Summary || rec.Model != own.Model {
+				t.Fatalf("replica %v holds subject %d as gen %d version %v up %v down %v, want gen %d version %v up %v down %v",
+					rep.ID.Short(), i, rec.Gen, rec.Version, rec.Up, rec.DownSince,
+					own.Gen, own.Version, own.Up, own.DownSince)
+			}
+		}
+	}
+}
+
+// dropOnce loses the next maintenance message from one endpoint to another.
+type dropOnce struct {
+	from, to simnet.Endpoint
+	dropped  bool
+}
+
+func (d *dropOnce) OnSend(from, to simnet.Endpoint, _, _ int, class simnet.Class) simnet.Fate {
+	if !d.dropped && from == d.from && to == d.to && class == simnet.ClassMaintenance {
+		d.dropped = true
+		return simnet.Fate{Drop: true}
+	}
+	return simnet.Fate{}
+}
+
+func TestLostPushRepairedByPull(t *testing.T) {
+	for _, answered := range []bool{true, false} {
+		h := newHarness(t, 32, 9)
+		h.sched.RunUntil(time.Minute)
+		const subj = 3
+		svc := h.services[subj]
+		member := h.nodes[subj].ReplicaSet(K)[0]
+		if !answered {
+			// The subject never sees a pull: nothing else can repair the
+			// member, so it must stay stale.
+			h.apps[subj].drop = func(p any) bool { _, ok := p.(*pullMsg); return ok }
+		}
+		hook := &dropOnce{from: simnet.Endpoint(subj), to: member.EP}
+		h.ring.Network().SetFaultHook(hook)
+		svc.SetLocalMetadata(testSummary(t, 100), testModel(subj))
+		svc.pushOwn() // the change round; its push to member is lost
+		lostAt := h.sched.Now()
+		h.sched.RunUntil(lostAt + time.Second)
+		stale := func() bool { return h.services[member.EP].Lookup(h.nodes[subj].ID()).Gen != svc.own.Gen }
+		if !hook.dropped || !stale() {
+			t.Fatal("the change push was not lost")
+		}
+		// The next round is at most one PushPeriod away; its beacon, the
+		// pull and the answer take a round trip and a half.
+		h.sched.RunUntil(lostAt + DefaultConfig().PushPeriod + time.Second)
+		pulls := h.obs.Counter("meta_pulls").Value()
+		if pulls == 0 {
+			t.Fatalf("answered=%v: the member never pulled", answered)
+		}
+		if answered && stale() {
+			t.Fatalf("the member is still stale one PushPeriod after the loss (%d pulls)", pulls)
+		}
+		if !answered && !stale() {
+			t.Fatal("the member converged with pulls unanswered")
+		}
+		if answered {
+			rec := h.services[member.EP].Lookup(h.nodes[subj].ID())
+			if rec.Summary != svc.own.Summary || !rec.Up {
+				t.Fatalf("the pulled copy is not the subject's record: %+v", *rec)
+			}
+		}
+	}
+}
+
+func TestRereplicationSendsSnapshot(t *testing.T) {
+	// A re-replication forward carries the record as it was when sent,
+	// not as the sender's copy reads at delivery: the sender marks its
+	// stored record down and overwrites it in place.
+	h := newHarness(t, 32, 10)
+	h.sched.RunUntil(time.Minute)
+	const holder = 5
+	svc := h.services[holder]
+	var rec *Record
+	var to pastry.NodeRef
+	for _, r := range svc.sortedRecords() {
+		for _, m := range svc.localReplicaSet(r.Subject, K) {
+			if m.ID != r.Subject && m.ID != h.nodes[holder].ID() && h.services[m.EP].Lookup(r.Subject) != nil {
+				rec, to = r, m
+				break
+			}
+		}
+		if rec != nil {
+			break
+		}
+	}
+	if rec == nil || !rec.Up {
+		t.Fatal("no up record with another member to forward it to")
+	}
+	// Make the member look newly arrived, so the holder forwards to it.
+	delete(svc.prevLeaf, to.ID)
+	rerepl := h.obs.Counter("meta_rereplications").Value()
+	svc.HandleLeafsetChanged()
+	if h.obs.Counter("meta_rereplications").Value() == rerepl {
+		t.Fatal("no re-replication forward")
+	}
+	// While the forward is in flight the holder sees the subject leave.
+	rec.Up, rec.DownSince = false, h.sched.Now()
+	h.sched.RunUntil(h.sched.Now() + time.Second)
+	if got := h.services[to.EP].Lookup(rec.Subject); !got.Up || got.DownSince != 0 {
+		t.Fatalf("the member read the holder's later copy: up %v down since %v", got.Up, got.DownSince)
 	}
 }

@@ -162,36 +162,6 @@ func DecodeSummary(b []byte) (*Summary, error) {
 // parameter h).
 func (s *Summary) EncodedSize() int { return len(s.Encode()) }
 
-// DeltaSize returns the wire size of a delta-encoded push of this summary
-// against a previous version the receiver already holds: unchanged tables
-// cost only their name plus a marker, and a changed table costs its full
-// encoding. The paper proposes exactly this ("sending delta-encoded
-// histograms which could reduce network overhead compared to pushing the
-// entire histogram", §3.2.2); with per-table granularity a push in a
-// steady state costs a few bytes instead of several kilobytes.
-func (s *Summary) DeltaSize(prev *Summary) int {
-	if prev == nil {
-		return s.EncodedSize()
-	}
-	size := 2 // header: table count
-	for name, ts := range s.Tables {
-		size += len(name) + 2
-		old, ok := prev.Tables[name]
-		if !ok || !summaryEqual(ts, old) {
-			size += len(ts.Encode(nil))
-		}
-	}
-	return size
-}
-
-// summaryEqual reports whether two table summaries encode identically.
-func summaryEqual(a, b *TableSummary) bool {
-	if a.TotalRows != b.TotalRows || len(a.Columns) != len(b.Columns) {
-		return false
-	}
-	return string(a.Encode(nil)) == string(b.Encode(nil))
-}
-
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
