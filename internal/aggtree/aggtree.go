@@ -137,7 +137,7 @@ type vertexState struct {
 	id        ids.ID      // the vertexId
 	children  childTable
 	upVersion uint64
-	refresh   *simnet.Timer
+	refresh   simnet.Timer
 	primary   bool
 	// dirty marks state changes not yet propagated upward; the periodic
 	// refresh only re-propagates dirty vertices (plus a rare safety pass)
@@ -146,21 +146,23 @@ type vertexState struct {
 	// dropped is set when the vertex leaves its record (cancel, expiry,
 	// restart): a timer of its that still fires does nothing.
 	dropped bool
+	// reassertN belongs with reassert below; as an int32 here it shares
+	// the flags' word.
+	reassertN int32
 	// cause is the span of the last contribution that changed this
 	// vertex's aggregate — the causal parent of the next upward forward.
 	cause uint64
 
-	// Upward re-assertion ladder (nil / zero unless Config.Reassert): the
-	// timer of the next rung and how many rungs the current content has
-	// used (see hedge.go).
-	reassert  *simnet.Timer
-	reassertN int
+	// Upward re-assertion ladder (zero unless Config.Reassert): the timer
+	// of the next rung, and in reassertN above how many rungs the current
+	// content has used (see hedge.go).
+	reassert simnet.Timer
 
 	// Coalesced replication (see replicateDelta): the instant up to which
 	// a changed child waits to go to the backups in one table, and the
 	// timer that sends that table once a change is waiting.
 	replQuiet time.Duration
-	flush     *simnet.Timer
+	flush     simnet.Timer
 }
 
 func (v *vertexState) aggregate() (agg.Partial, int64) {
@@ -202,6 +204,9 @@ type queryState struct {
 	// but firstSeen, a tombstone that drops late submissions.
 	known    bool
 	canceled bool
+	// asserted: own was submitted in this incarnation. Reset clears it, so
+	// the rejoin re-execution re-asserts an unchanged result (see Submit).
+	asserted bool
 	// ackedBy belongs with resubmit and acked below; as an int32 here it
 	// shares the flags' word, which keeps the record in its size class.
 	ackedBy   int32
@@ -222,9 +227,6 @@ type queryState struct {
 	// entry point.
 	own   contribution
 	entry ids.ID
-	// asserted: own was submitted in this incarnation. Reset clears it, so
-	// the rejoin re-execution re-asserts an unchanged result (see Submit).
-	asserted bool
 
 	// resubmit is the live leaf retransmission timer for own, armed while
 	// own is unacknowledged. acked is the version of own that the entry
@@ -232,7 +234,7 @@ type queryState struct {
 	// are equal) and ackedBy, above, the endpoint that said so: an ack
 	// stands only for that primary. All three are volatile: a restart drops
 	// them, and the rejoin path's fresh Submit starts over.
-	resubmit *simnet.Timer
+	resubmit simnet.Timer
 	acked    uint64
 
 	// vertices are the vertex states hosted here for this query's tree,
@@ -387,7 +389,7 @@ func (e *Engine) applyCancel(m *cancelMsg) {
 	st := e.register(m.QID, nil, 0, 0)
 	st.canceled = true
 	st.resubmit.Cancel()
-	st.resubmit = nil
+	st.resubmit = simnet.Timer{}
 	node := e.host.PastryNode()
 	// Vertices leave the record in vertexId order, each before the cancel
 	// fans out from it: Route below can deliver to self synchronously,
@@ -613,7 +615,7 @@ func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector si
 // schedule for its own version by cancelling the timer armed before it.
 func (e *Engine) armResubmit(st *queryState, attempt int, span uint64) {
 	st.resubmit.Cancel()
-	st.resubmit = nil
+	st.resubmit = simnet.Timer{}
 	if e.cfg.DisableRepair || st.acked == st.own.Version {
 		return
 	}
@@ -623,7 +625,7 @@ func (e *Engine) armResubmit(st *queryState, attempt int, span uint64) {
 	}
 	node := e.host.PastryNode()
 	st.resubmit = node.Sched().After(delay, func() {
-		st.resubmit = nil
+		st.resubmit = simnet.Timer{}
 		if !node.Alive() || e.expired(st) {
 			return
 		}
@@ -813,7 +815,7 @@ func (e *Engine) applyAck(from simnet.Endpoint, m *ackMsg) {
 	}
 	st.acked, st.ackedBy = m.Version, int32(from)
 	st.resubmit.Cancel()
-	st.resubmit = nil
+	st.resubmit = simnet.Timer{}
 }
 
 // applyRepl installs replicated vertex state at a backup. Versions protect
@@ -911,14 +913,14 @@ func (e *Engine) propagate(v *vertexState) {
 // when their leafset names another root (reassertMovedEntries), interior
 // children on their safety pass.
 func (e *Engine) replicateDelta(v *vertexState, child ids.ID) {
-	if v.flush != nil {
+	if v.flush != (simnet.Timer{}) {
 		return
 	}
 	node := e.host.PastryNode()
 	now := node.Sched().Now()
 	if now < v.replQuiet {
 		v.flush = node.Sched().After(v.replQuiet-now, func() {
-			v.flush = nil
+			v.flush = simnet.Timer{}
 			if node.Alive() && v.primary && !e.expired(v.q) {
 				e.replicateToBackups(v)
 			}
@@ -936,7 +938,7 @@ func (e *Engine) replicateDelta(v *vertexState, child ids.ID) {
 // record or the primary role, or its table has just gone out in full.
 func (v *vertexState) cancelFlush() {
 	v.flush.Cancel()
-	v.flush = nil
+	v.flush = simnet.Timer{}
 }
 
 // sendToBackups sends one replication message to each of the m leafset

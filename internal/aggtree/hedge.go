@@ -14,7 +14,11 @@
 // at any engine shard count.
 package aggtree
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/simnet"
+)
 
 // reassertBase is the first rung of the ladder; rung n fires
 // reassertBase << n after the forward it protects.
@@ -28,16 +32,14 @@ const reassertMax = 5
 // content supersedes it before the rung's deadline, the forward is
 // retransmitted.
 func (e *Engine) armReassert(v *vertexState) {
-	if v.reassert != nil {
-		v.reassert.Cancel()
-		v.reassert = nil
-	}
+	v.reassert.Cancel()
+	v.reassert = simnet.Timer{}
 	if !e.cfg.Reassert || v.reassertN >= reassertMax {
 		return
 	}
 	delay := reassertBase << uint(v.reassertN)
 	v.reassert = e.host.PastryNode().Sched().After(delay, func() {
-		v.reassert = nil
+		v.reassert = simnet.Timer{}
 		e.reassertFire(v)
 	})
 }
@@ -61,10 +63,8 @@ func (e *Engine) reassertFire(v *vertexState) {
 // restart, cancel, expiry, takeover, and loss of the primary role. Timer
 // cleanup here is what the no-leaked-timers tests assert.
 func (e *Engine) clearHedge(v *vertexState) {
-	if v.reassert != nil {
-		v.reassert.Cancel()
-		v.reassert = nil
-	}
+	v.reassert.Cancel()
+	v.reassert = simnet.Timer{}
 	v.reassertN = 0
 }
 
@@ -72,13 +72,13 @@ func (e *Engine) clearHedge(v *vertexState) {
 // across every vertex this engine hosts (test instrumentation for the
 // no-leak invariants).
 func (e *Engine) HedgeTimers() int {
-	return e.countVertices(func(v *vertexState) bool { return v.reassert != nil })
+	return e.countVertices(func(v *vertexState) bool { return v.reassert != (simnet.Timer{}) })
 }
 
 // FlushTimers reports how many coalesced-replication flushes are pending
 // across every vertex this engine hosts (test instrumentation, as above).
 func (e *Engine) FlushTimers() int {
-	return e.countVertices(func(v *vertexState) bool { return v.flush != nil })
+	return e.countVertices(func(v *vertexState) bool { return v.flush != (simnet.Timer{}) })
 }
 
 func (e *Engine) countVertices(pred func(*vertexState) bool) int {
@@ -99,7 +99,7 @@ func (e *Engine) countVertices(pred func(*vertexState) bool) int {
 func (e *Engine) ResubmitTimers() int {
 	n := 0
 	for _, st := range e.queries {
-		if st.resubmit != nil {
+		if st.resubmit != (simnet.Timer{}) {
 			n++
 		}
 	}

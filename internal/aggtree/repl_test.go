@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/ids"
+	"repro/internal/simnet"
 )
 
 // update has host i replace its contribution with rows rows of value 1.
@@ -75,7 +76,7 @@ func TestReplicationCoalesced(t *testing.T) {
 		r.run(100 * time.Millisecond)
 	}
 	v := r.hostedVertex(t, primary, entry)
-	if v.flush == nil {
+	if v.flush == (simnet.Timer{}) {
 		t.Fatalf("no flush pending at the vertex after %d updates in %v", k, k*100*time.Millisecond)
 	}
 	r.run(2 * time.Second)
@@ -166,7 +167,7 @@ func TestPrimaryCrashInsideReplicationWindow(t *testing.T) {
 		if st.own.Version != 3 || st.acked != 3 || r.hosts[st.ackedBy] != primary {
 			t.Fatalf("the leaf is at version %d, acknowledged to %d; want 3 and 3, by the primary", st.own.Version, st.acked)
 		}
-		if r.hostedVertex(t, primary, entry).flush == nil {
+		if r.hostedVertex(t, primary, entry).flush == (simnet.Timer{}) {
 			t.Fatal("no flush pending at the vertex")
 		}
 		return
@@ -298,11 +299,12 @@ func TestNoLeakedFlush(t *testing.T) {
 	})
 }
 
-// TestVertexStateSizeClass pins a vertex's state to the 112-byte allocator
-// size class: the flush timer and the window's end took the 16 bytes that
-// were left in it.
+// TestVertexStateSizeClass pins a vertex's state to the 128-byte allocator
+// size class. It holds its three timer handles (refresh, reassert, flush) by
+// value, 16 bytes each: they were pointers to handles of 24 bytes apiece,
+// so a vertex with its refresh timer alone cost 112 + 24.
 func TestVertexStateSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(vertexState{}); got > 112 {
-		t.Fatalf("vertexState is %d bytes, above its 112-byte size class", got)
+	if got := unsafe.Sizeof(vertexState{}); got > 128 {
+		t.Fatalf("vertexState is %d bytes, above its 128-byte size class", got)
 	}
 }

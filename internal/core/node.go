@@ -60,9 +60,9 @@ type Node struct {
 	feed       *anemone.Streamer
 	feedDS     *anemone.Dataset
 	feedPeriod time.Duration
-	feedTimer  *simnet.Timer
+	feedTimer  simnet.Timer
 
-	contTimers map[ids.ID]*simnet.Timer
+	contTimers map[ids.ID]simnet.Timer
 }
 
 // continuousPeriod is how often standing (Continuous) queries re-execute
@@ -99,7 +99,7 @@ func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
 		resultSinks: make(map[ids.ID]func(agg.Partial, int64, uint64)),
 		prevLeaf:    make(map[simnet.Endpoint]bool),
 		executed:    make(map[ids.ID]bool),
-		contTimers:  make(map[ids.ID]*simnet.Timer),
+		contTimers:  make(map[ids.ID]simnet.Timer),
 	}
 	// Every endsystem table shares the cluster-wide executor counters
 	// (rows_scanned / rows_matched / blocks_pruned plus plan-cache hit
@@ -207,7 +207,7 @@ func (n *Node) executeAndSubmit(qid ids.ID, q *relq.Query, injector simnet.Endpo
 	}
 	if q.Continuous {
 		sched := n.pn.Sched()
-		var timer *simnet.Timer
+		var timer simnet.Timer
 		timer = sched.Every(continuousPeriod, func() {
 			if !n.tree.IsActive(qid) {
 				timer.Cancel()
@@ -356,7 +356,7 @@ func (n *Node) GoUp() {
 	for _, t := range n.contTimers {
 		t.Cancel()
 	}
-	n.contTimers = make(map[ids.ID]*simnet.Timer)
+	n.contTimers = make(map[ids.ID]simnet.Timer)
 	// resultSinks survive the restart: the querying user re-attaches when
 	// their endsystem returns, and the root vertex keeps sending
 	// incremental results to the injector endpoint.
@@ -426,16 +426,16 @@ func (n *Node) GoDown() {
 	}
 	n.downAt = n.now()
 	n.everDown = true
-	if n.feedTimer != nil {
+	if n.feedTimer != (simnet.Timer{}) {
 		// Flush the rows produced since the last tick, then stop.
 		n.feedTick()
 		n.feedTimer.Cancel()
-		n.feedTimer = nil
+		n.feedTimer = simnet.Timer{}
 	}
 	for _, t := range n.contTimers {
 		t.Cancel()
 	}
-	n.contTimers = make(map[ids.ID]*simnet.Timer)
+	n.contTimers = make(map[ids.ID]simnet.Timer)
 	n.meta.Deactivate()
 	n.pn.Stop()
 }

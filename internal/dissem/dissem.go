@@ -163,7 +163,7 @@ type pendingInject struct {
 	query       *relq.Query
 	attempts    int
 	lastTimeout time.Duration
-	timer       *simnet.Timer
+	timer       simnet.Timer
 	span        uint64 // span of the latest inject/retry event
 }
 
@@ -209,9 +209,7 @@ func (e *Engine) scoped(q *relq.Query) bool {
 // so it cannot disturb a task the new incarnation created under its key.
 func (e *Engine) Reset() {
 	for _, p := range e.waiting {
-		if p.timer != nil {
-			p.timer.Cancel()
-		}
+		p.timer.Cancel()
 	}
 	e.tasks = make(map[taskKey]*task)
 	e.awaited = make(map[taskKey]*subrange)
@@ -334,9 +332,9 @@ type rangeMsg struct {
 
 func rangeMsgSize(q *relq.Query) int { return 3*ids.Bytes + 8 + len(q.Raw) + scopeSize(q) }
 
-// rangeResp carries a subrange's aggregated predictor back to the parent.
-// Pred is nil when the subrange had nothing to report: the empty predictor,
-// one byte on the wire (predictor.AppendEncode) like an all-zero one.
+// rangeResp carries a subrange's aggregated predictor back to the parent:
+// the responding task's own, frozen acc. One with nothing to report is one
+// byte on the wire (predictor.AppendEncode).
 type rangeResp struct {
 	QueryID ids.ID
 	Lo, Hi  ids.ID
@@ -388,16 +386,18 @@ type taskKey struct {
 // task instead of disseminating the range a second time.
 const retention = 2 * time.Minute
 
-// subrange is one awaited part of an interior task's range.
+// subrange is one awaited part of an interior task's range. Sixteen of its
+// 88 bytes fill splitRange's array in the 1,408-byte size class; retries is
+// an int32 so that it shares the flags' word and the timer handle fits.
 type subrange struct {
 	lo, hi      ids.ID
 	task        *task // the task awaiting this subrange
 	local       bool  // handled by local recursion, not a network child
 	done        bool  // answered or abandoned: no longer in Engine.awaited
-	retries     int
+	retries     int32
 	sentAt      time.Duration // when the latest request went out
 	lastTimeout time.Duration // timeout armed for the latest request
-	timer       *simnet.Timer
+	timer       simnet.Timer
 	cause       uint64 // span of the latest send/retry event for this subrange
 }
 
@@ -407,19 +407,14 @@ func (s *subrange) onTimeout() { s.task.eng.subrangeTimeout(s) }
 // task aggregates the predictor of one range at this endsystem. A leaf
 // task (alone in its range) finishes the instant it is created; an
 // interior task finishes when its last subrange is answered or abandoned.
-// Every task ends in Engine.finish, and from then on what acc points at is
-// frozen: responses and the final predictorMsg carry acc itself, not a
-// copy.
+// Every task ends in Engine.finish, and from then on acc is frozen:
+// responses and the final predictorMsg carry &acc itself, not a copy.
 //
-// A task comes in two shapes (newTask). Most are leaves with nothing to
-// report — an empty range handed to the nearest endsystem, an endsystem
-// whose histogram expects no matching row — and are this struct alone, acc
-// nil, which every reader takes for the empty predictor. A task that has or
-// may get something to report is the first field of a taskWithSum, acc
-// pointing at the predictor behind it: one object of 752 bytes (the
-// predictor is 592), which with the 8-byte header the allocator puts before
-// a pointer-holding object over 512 bytes is the last size that fits the
-// 768-byte class. Two more words here and each of those costs 896.
+// acc is held by value, and a predictor allocates its buckets only when
+// one receives mass: a task with nothing to report (an empty range handed
+// to the nearest endsystem, an endsystem whose histogram expects no
+// matching row) or only Immediate rows — nearly every task in a run — is
+// this one object of the 192-byte class and nothing more.
 type task struct {
 	eng      *Engine
 	key      taskKey
@@ -430,7 +425,7 @@ type task struct {
 	// they asked, deduplicated.
 	parent simnet.Endpoint
 	more   *requester
-	acc    *predictor.Predictor
+	acc    predictor.Predictor
 	// subs are the awaited subranges, by value: Engine.awaited and the
 	// response timers point into the array, which is sized once. Released
 	// when the task finishes.
@@ -446,26 +441,10 @@ type task struct {
 	respCause uint64
 }
 
-// taskWithSum is a task allocated together with the predictor it
-// accumulates into.
-type taskWithSum struct {
-	task
-	sum predictor.Predictor
-}
-
-// newTask allocates the task for key — bare, or with its predictor behind
-// it — and enters it in the table. span is its disseminate event.
-func (e *Engine) newTask(key taskKey, q *relq.Query, parent, injector simnet.Endpoint, span uint64, withSum bool) *task {
-	var t *task
-	if withSum {
-		ts := &taskWithSum{}
-		t = &ts.task
-		t.acc = &ts.sum
-	} else {
-		t = &task{}
-	}
-	t.eng, t.key, t.query, t.parent, t.injector = e, key, q, parent, injector
-	t.span, t.respCause = span, span
+// newTask allocates the task for key and enters it in the table. span is
+// its disseminate event.
+func (e *Engine) newTask(key taskKey, q *relq.Query, parent, injector simnet.Endpoint, span uint64) *task {
+	t := &task{eng: e, key: key, query: q, parent: parent, injector: injector, span: span, respCause: span}
 	e.tasks[key] = t
 	return t
 }
@@ -508,9 +487,7 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 	case *predictorMsg:
 		if p, ok := e.waiting[m.QueryID]; ok {
 			delete(e.waiting, m.QueryID)
-			if p.timer != nil {
-				p.timer.Cancel()
-			}
+			p.timer.Cancel()
 			node := e.host.PastryNode()
 			e.hPredLat.ObserveDuration(node.Sched().Now() - p.at)
 			e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindPredict, Query: e.o.QueryTag(m.QueryID),
@@ -557,22 +534,14 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 		EP: int(node.Endpoint())})
 	e.host.QueryObserved(qid, q, injector, span)
 
+	t := e.newTask(key, q, parent, injector, span)
 	if lo == hi || e.aloneInRange(lo, hi) {
 		// Leaf: contribute own rows (if in range) and predict on behalf of
-		// every unavailable endsystem in the range — into a predictor on the
-		// stack, so that a leaf with nothing to report allocates none. The
-		// root task always gets one: the injector is handed a predictor,
-		// never nil.
-		var sum predictor.Predictor
-		e.contributeLocal(&sum, qid, q, span, lo, hi)
-		t := e.newTask(key, q, parent, injector, span, key.whole() || sum != predictor.Predictor{})
-		if t.acc != nil {
-			*t.acc = sum
-		}
+		// every unavailable endsystem in the range.
+		e.contributeLocal(&t.acc, qid, q, span, lo, hi)
 		e.finish(t)
 		return
 	}
-	t := e.newTask(key, q, parent, injector, span, true)
 
 	// Split into arity equal subranges. The one containing self recurses
 	// locally (no message); the rest are routed toward their midpoints.
@@ -619,7 +588,7 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 	if len(subs) == 0 {
 		// Degenerate: nothing to wait for (every subrange was pruned by
 		// the RTT scope; the split itself never comes back empty).
-		e.contributeLocal(t.acc, qid, q, span, lo, hi)
+		e.contributeLocal(&t.acc, qid, q, span, lo, hi)
 		e.finish(t)
 	}
 }
@@ -640,8 +609,7 @@ func (e *Engine) aloneInRange(lo, hi ids.ID) bool {
 
 // contributeLocal adds to acc this node's own predictor (when in range)
 // and the metadata-derived predictors of unavailable endsystems in the
-// range. span is the range task's disseminate event. acc must not escape:
-// a leaf passes a predictor on its stack.
+// range. span is the range task's disseminate event.
 func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Query, span uint64, lo, hi ids.ID) {
 	node := e.host.PastryNode()
 	now := node.Sched().Now()
@@ -693,7 +661,7 @@ func (e *Engine) sendSubrange(s *subrange) {
 	// the timer.
 	sched := node.Sched()
 	s.sentAt = sched.Now()
-	s.lastTimeout = e.attemptTimeout(s.retries, s.lastTimeout)
+	s.lastTimeout = e.attemptTimeout(int(s.retries), s.lastTimeout)
 	s.timer = sched.After(s.lastTimeout, s.onTimeout)
 	// Initial delegate: the id midpoint by default; with coordinates
 	// attached, the lowest-predicted-RTT node this node already knows
@@ -826,7 +794,7 @@ func (e *Engine) subrangeTimeout(s *subrange) {
 		return
 	}
 	tag := e.o.QueryTag(t.key.qid)
-	if s.retries >= e.cfg.MaxRetries {
+	if int(s.retries) >= e.cfg.MaxRetries {
 		e.settle(s)
 		e.cAbandoned.Inc()
 		s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemAbandon, Query: tag,
@@ -877,9 +845,7 @@ func (e *Engine) handleResp(m *rangeResp) {
 		// samples.
 		e.observeRTT(e.host.PastryNode().Sched().Now() - s.sentAt)
 	}
-	if m.Pred != nil { // nil: the subrange had nothing to report
-		t.acc.Merge(m.Pred)
-	}
+	t.acc.Merge(m.Pred)
 	// The response that completes the fan-in is the task's critical
 	// child; its span becomes the causal parent of this task's own
 	// response.
@@ -947,11 +913,11 @@ func (e *Engine) respondTo(t *task, parent simnet.Endpoint) {
 	node := e.host.PastryNode()
 	if !t.key.whole() && parent == node.Endpoint() {
 		// Self-recursion: deliver locally without a network hop.
-		e.handleResp(&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: t.acc, Cause: t.respCause})
+		e.handleResp(&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: &t.acc, Cause: t.respCause})
 		return
 	}
 	// The wire carries the frozen acc's encoding, sized here rather than
-	// kept on the task (see task: two more words cost a size class).
+	// kept on the task.
 	predLen := t.acc.EncodedLen()
 	e.cResps.Inc()
 	if predLen == 1 {
@@ -962,11 +928,11 @@ func (e *Engine) respondTo(t *task, parent simnet.Endpoint) {
 	if t.key.whole() {
 		// Root task: deliver the final predictor to the injector.
 		net.Send(node.Endpoint(), parent, predictorMsgSize(predLen), simnet.ClassQuery,
-			&predictorMsg{QueryID: t.key.qid, Pred: t.acc, Cause: t.respCause})
+			&predictorMsg{QueryID: t.key.qid, Pred: &t.acc, Cause: t.respCause})
 		return
 	}
 	net.Send(node.Endpoint(), parent, rangeRespSize(predLen), simnet.ClassQuery,
-		&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: t.acc, Cause: t.respCause})
+		&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: &t.acc, Cause: t.respCause})
 }
 
 // splitRange divides the inclusive range [lo, hi] into up to arity

@@ -512,7 +512,7 @@ func TestPredictorBytesCharged(t *testing.T) {
 				switch {
 				case len(enc) == 1:
 					empty++
-				case *pred == predictor.Predictor{Immediate: pred.Immediate}:
+				case pred.Equal(&predictor.Predictor{Immediate: pred.Immediate}):
 					immediateOnly++
 				case len(enc) == predictor.MaxEncodedLen:
 					dense++

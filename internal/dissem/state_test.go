@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/avail"
 	"repro/internal/coords"
 	"repro/internal/ids"
 	"repro/internal/metadata"
@@ -105,14 +106,16 @@ type received struct {
 	was  predictor.Predictor
 }
 
-// value is what a predictor pointer in a message stands for: nil is the
-// empty predictor.
+// value is a snapshot of a predictor: a copy that shares no buckets with
+// it (a value copy would).
 func value(p *predictor.Predictor) predictor.Predictor {
-	if p == nil {
-		return predictor.Predictor{}
-	}
-	return *p
+	var v predictor.Predictor
+	v.Merge(p)
+	return v
 }
+
+// empty is the predictor of a range with nothing to report.
+var empty predictor.Predictor
 
 // sink is a ring member that runs no engine and records the responses it
 // is sent (requests it swallows: its subranges never answer by themselves).
@@ -248,10 +251,13 @@ func (r *rig) subs(g idRange) []idRange {
 
 func (r *rig) advance(d time.Duration) { r.sched.RunUntil(r.sched.Now() + d) }
 
+// rowsPred is a child's predictor of rows available now and half as many
+// again spread over the delay buckets (by the uninformed availability
+// model).
 func rowsPred(rows float64) *predictor.Predictor {
 	p := &predictor.Predictor{}
 	p.AddImmediate(rows)
-	p.Buckets[48] += rows / 2 // the bucket holding a one-hour delay
+	p.AddModel(&avail.Model{}, 0, 0, rows/2)
 	return p
 }
 
@@ -266,8 +272,7 @@ func rigConfig() Config {
 // refEngine is the bookkeeping of the engine before the index, reduced to
 // what the rig exercises (interior tasks without local subranges, leaves,
 // fixed timeouts): tasks in a map, responses matched by the linear scan,
-// a predictor by value in every task and one copy of it per response — a
-// predictor nobody contributed to is the zero value, never absent. Tasks
+// a predictor by value in every task, rendered once per response. Tasks
 // of an earlier incarnation run their retry ladder out and answer their
 // parents, as the engine's do.
 type refEngine struct {
@@ -300,8 +305,7 @@ func sentString(to simnet.Endpoint, key taskKey, p *predictor.Predictor) string 
 
 func (r *refEngine) respond(t *refTask) {
 	for _, p := range t.parents {
-		pred := t.acc // a copy: the reference shares nothing between responses
-		r.out = append(r.out, sentString(p, t.key, &pred))
+		r.out = append(r.out, sentString(p, t.key, &t.acc))
 	}
 }
 
@@ -380,8 +384,7 @@ func (r *refEngine) answer(now time.Duration, qid ids.ID, s idRange, p *predicto
 					return
 				}
 				t.done[i] = true
-				pred := value(p)
-				t.acc.Merge(&pred)
+				t.acc.Merge(p)
 				t.open--
 				if t.open == 0 {
 					r.finish(t, now)
@@ -405,10 +408,9 @@ func (r *refEngine) reset() {
 // the same seeded random sequences of requests, responses, duplicates,
 // reissues from new parents, abandonments and restarts — over interior
 // ranges and leaves, with children and leaves that have something to
-// report and ones that have nothing (a nil predictor in the engine, the
-// zero value in the reference). After every step the index must resolve
-// what the scan resolves; at the end the parents must have been sent the
-// same predictors.
+// report and ones that have nothing (the empty predictor). After every
+// step the index must resolve what the scan resolves; at the end the
+// parents must have been sent the same predictors.
 func TestIndexAgainstLinearScan(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		cfg := rigConfig()
@@ -417,7 +419,7 @@ func TestIndexAgainstLinearScan(t *testing.T) {
 		ref := &refEngine{arity: cfg.Arity, tasks: make(map[taskKey]*refTask), leafRows: r.leafRows,
 			patience: time.Duration(cfg.MaxRetries+1) * responseTimeout}
 		leaves := append([]idRange{r.own}, r.empties...)
-		nilSent, nilResponses := 0, 0
+		emptySent, emptyResponses := 0, 0
 		rng := rand.New(rand.NewSource(seed))
 		qids := ids.RandomN(rng, 3)
 		parents := []simnet.Endpoint{2, 3, 5}
@@ -438,11 +440,11 @@ func TestIndexAgainstLinearScan(t *testing.T) {
 				ref.request(now, qid, g, parent)
 			case op < 65: // a response: awaited, already counted, or never asked for
 				subs := r.subs(g)
-				lastQ, lastS, lastP = qid, subs[rng.Intn(len(subs))], nil
+				lastQ, lastS, lastP = qid, subs[rng.Intn(len(subs))], &empty
 				if rng.Intn(3) > 0 { // else the subrange contributed nothing
 					lastP = rowsPred(float64(1 + rng.Intn(1000)))
 				} else {
-					nilSent++
+					emptySent++
 				}
 				r.answer(lastQ, lastS, lastP)
 				ref.answer(now, lastQ, lastS, lastP)
@@ -473,15 +475,15 @@ func TestIndexAgainstLinearScan(t *testing.T) {
 		var got []string
 		for _, m := range r.got {
 			got = append(got, sentString(m.to, taskKey{m.resp.QueryID, m.resp.Lo, m.resp.Hi}, &m.was))
-			if value(m.resp.Pred) != m.was {
+			if !m.resp.Pred.Equal(&m.was) {
 				t.Fatalf("seed %d: predictor of %v changed after it was sent", seed, m.resp.Lo)
 			}
-			if m.resp.Pred == nil {
-				nilResponses++
+			if m.was.Equal(&empty) {
+				emptyResponses++
 			}
 		}
-		if nilSent == 0 || nilResponses == 0 {
-			t.Fatalf("seed %d: %d nil predictors sent in, %d sent out: the nil path was not exercised", seed, nilSent, nilResponses)
+		if emptySent == 0 || emptyResponses == 0 {
+			t.Fatalf("seed %d: %d empty predictors sent in, %d sent out: the empty path was not exercised", seed, emptySent, emptyResponses)
 		}
 		want := ref.out
 		sort.Strings(got)
@@ -590,24 +592,24 @@ func TestRestartMidQueryKeepsNewTask(t *testing.T) {
 }
 
 // TestFinishedAccFrozen checks that a finished task's predictor never
-// changes: every response carries the task's own pointer, so a write — or
-// a predictor swapped in later — would change a message already sent. Held
-// for a task that accumulated something and for one that finished with
-// nothing to report, whose pointer is nil and has to stay nil.
+// changes: every response carries a pointer to the task's own acc, so a
+// write — to it or to buckets it would allocate later — would change a
+// message already sent. Held for a task that accumulated something and for
+// one that finished with nothing to report.
 func TestFinishedAccFrozen(t *testing.T) {
 	r := newRig(t, 128, 11, rigConfig())
 	for _, c := range []struct {
 		name   string
 		g      idRange
 		finish func(qid ids.ID, g idRange) // after the first request
-		isNil  bool
+		empty  bool
 	}{
 		{name: "interior", g: r.ranges[0], finish: func(qid ids.ID, g idRange) {
 			for _, s := range r.subs(g) {
 				r.answer(qid, s, rowsPred(7))
 			}
 		}},
-		{name: "empty leaf", g: r.empties[0], finish: func(ids.ID, idRange) {}, isNil: true},
+		{name: "empty leaf", g: r.empties[0], finish: func(ids.ID, idRange) {}, empty: true},
 	} {
 		qid := ids.HashString("frozen " + c.name)
 		g, subs := c.g, r.subs(c.g)
@@ -619,10 +621,10 @@ func TestFinishedAccFrozen(t *testing.T) {
 		if task == nil || !task.finished {
 			t.Fatalf("%s: task did not finish", c.name)
 		}
-		if (task.acc == nil) != c.isNil {
-			t.Fatalf("%s: finished with predictor %p", c.name, task.acc)
+		acc, sent := &task.acc, value(&task.acc)
+		if sent.Equal(&empty) != c.empty {
+			t.Fatalf("%s: finished with predictor %+v", c.name, sent)
 		}
-		acc, sent := task.acc, value(task.acc)
 
 		// Everything that can still reach a finished task.
 		for _, s := range subs {
@@ -640,10 +642,7 @@ func TestFinishedAccFrozen(t *testing.T) {
 			t.Fatalf("%s: task outlived its retention", c.name)
 		}
 
-		if task.acc != acc {
-			t.Fatalf("%s: finished task's predictor was replaced", c.name)
-		}
-		if value(task.acc) != sent {
+		if !task.acc.Equal(&sent) {
 			t.Fatalf("%s: finished task's predictor was written to", c.name)
 		}
 		answers := 0
@@ -655,7 +654,7 @@ func TestFinishedAccFrozen(t *testing.T) {
 			if m.resp.Pred != acc {
 				t.Fatalf("%s: response carries %p, not the task's own predictor %p", c.name, m.resp.Pred, acc)
 			}
-			if m.was != sent {
+			if !m.was.Equal(&sent) {
 				t.Fatalf("%s: response arrived with a different predictor than was sent", c.name)
 			}
 		}
@@ -698,14 +697,14 @@ func TestAllSubrangesPruned(t *testing.T) {
 		if task == nil || !task.finished || task.open != 0 {
 			t.Fatalf("range %d: task did not finish at once", i)
 		}
-		if task.acc == nil || *task.acc != (predictor.Predictor{}) {
-			t.Fatalf("range %d: predictor %v, want its own, empty", i, task.acc)
+		if !task.acc.Equal(&empty) {
+			t.Fatalf("range %d: predictor %+v, want its own, empty", i, task.acc)
 		}
 		if len(r.e.awaited) != 0 {
 			t.Fatalf("range %d: %d subranges awaited", i, len(r.e.awaited))
 		}
 		r.advance(time.Second)
-		if len(r.got) != 1 || r.got[0].to != 2 || r.got[0].resp.Pred != task.acc {
+		if len(r.got) != 1 || r.got[0].to != 2 || r.got[0].resp.Pred != &task.acc {
 			t.Fatalf("range %d: parent got %d responses", i, len(r.got))
 		}
 	}
@@ -783,10 +782,10 @@ func bytesPerRun(runs int, f func()) uint64 {
 }
 
 // TestRangeTaskAllocCeilings pins the allocations of the per-message
-// paths: a leaf range task is the task and its response — one object of
-// the 768-byte class when there is a predictor to keep, a bare task when
-// there is not; a response that does not complete its task allocates
-// nothing; one that does allocates the task's own response.
+// paths: a leaf range task is the task and its response — 256 bytes,
+// whether it has rows to report or not, for its predictor allocates buckets
+// only for mass in them; a response that does not complete its task
+// allocates nothing; one that does allocates the task's own response.
 func TestRangeTaskAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -794,10 +793,9 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 	if size := unsafe.Sizeof(task{}); size > 192 {
 		t.Errorf("task is %d bytes: past the 192-byte size class", size)
 	}
-	// An object over 512 bytes that holds pointers is allocated with an
-	// 8-byte header in front (go1.22 on): 768 itself lands in the 896 class.
-	if size := unsafe.Sizeof(taskWithSum{}); size > 768-8 {
-		t.Errorf("task with its predictor is %d bytes: with the allocator's header past the 768-byte size class, each costs 896", size)
+	// Sixteen subranges fill splitRange's array in the 1,408-byte class.
+	if size := unsafe.Sizeof(subrange{}); size > 88 {
+		t.Errorf("subrange is %d bytes: sixteen are past the 1,408-byte size class", size)
 	}
 	r := newRig(t, 128, 11, rigConfig())
 	r.record = false
@@ -815,7 +813,7 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 		g     idRange
 		bytes uint64
 	}{
-		{"leaf with rows", r.own, 768 + 64},
+		{"leaf with rows", r.own, 256},
 		{"empty leaf", r.empties[0], 256},
 	} {
 		leaf := &rangeMsg{Query: testQuery, Lo: c.g.lo, Hi: c.g.hi, Parent: 2, Injector: 2}
@@ -846,7 +844,9 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 		qids[i] = ids.HashString(fmt.Sprint("interior", i))
 		r.request(qids[i], g, 2)
 	}
-	resp := &rangeResp{Pred: rowsPred(1)}
+	// Rows available now: a child with mass in the delay buckets also
+	// allocates the task's buckets, on the first such response.
+	resp := &rangeResp{Pred: &predictor.Predictor{Immediate: 1}}
 	i := 0
 	perResp := testing.AllocsPerRun(runs, func() {
 		s := subs[i%each]

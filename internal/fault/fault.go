@@ -135,7 +135,7 @@ type geState struct {
 	inj   Injection
 	index int
 	bad   bool
-	flip  *simnet.Timer
+	flip  simnet.Timer
 }
 
 // Injector schedules a Scenario's injections on the virtual clock and
@@ -386,9 +386,7 @@ func (inj *Injector) heal(i int) {
 	case BurstLoss:
 		for k, g := range inj.bursts {
 			if g.index == i {
-				if g.flip != nil {
-					g.flip.Cancel()
-				}
+				g.flip.Cancel()
 				inj.bursts = append(inj.bursts[:k], inj.bursts[k+1:]...)
 				break
 			}

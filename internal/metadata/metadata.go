@@ -133,7 +133,7 @@ type Service struct {
 	own      *Record
 	store    map[ids.ID]*Record
 	prevLeaf map[ids.ID]pastry.NodeRef
-	ticker   *simnet.Timer
+	ticker   simnet.Timer
 	// sentGen is, per replica-set member, the generation of this
 	// endsystem's record last sent to it in full (0: none this uptime).
 	sentGen map[ids.ID]uint64
@@ -229,10 +229,8 @@ func (s *Service) Activate() {
 // across the subject's downtime; a node that crashes and returns keeps its
 // persisted store, per the paper's persistent replica-set state.
 func (s *Service) Deactivate() {
-	if s.ticker != nil {
-		s.ticker.Cancel()
-		s.ticker = nil
-	}
+	s.ticker.Cancel()
+	s.ticker = simnet.Timer{}
 }
 
 // pushOwn replicates this endsystem's metadata to its replica set: in full

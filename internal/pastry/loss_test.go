@@ -81,7 +81,7 @@ func TestJoinRetryStopsOnStop(t *testing.T) {
 	samples := ring.Network().Stats().PerEndpointHourSamples(false, 15*time.Minute, 2*time.Hour)
 	_ = samples
 	// Direct check: the victim must have no armed retry timer.
-	if victim.joinRetry != nil {
+	if victim.joinRetry != (simnet.Timer{}) {
 		t.Fatal("stopped node still has a join retry armed")
 	}
 }

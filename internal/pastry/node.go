@@ -50,7 +50,7 @@ type Node struct {
 	OnReady func()
 
 	joining   bool
-	joinRetry *simnet.Timer
+	joinRetry simnet.Timer
 }
 
 // ID returns the node's endsystemId.
@@ -299,10 +299,8 @@ func (n *Node) Stop() {
 	n.ring.setAlive(n, false)
 	n.ring.noteLeft(n, ref)
 	n.joining = false
-	if n.joinRetry != nil {
-		n.joinRetry.Cancel()
-		n.joinRetry = nil
-	}
+	n.joinRetry.Cancel()
+	n.joinRetry = simnet.Timer{}
 	// The nodes holding this node in their leafsets — its lh successors
 	// and lh predecessors — learn of the death after the detection delay.
 	neighbors := n.ring.liveLeafNeighbors(n.ep, n.id, leafsetHalf)
@@ -770,10 +768,8 @@ func (n *Node) handleJoinReply(reply *joinReply) {
 		return // duplicate or stale reply
 	}
 	n.joining = false
-	if n.joinRetry != nil {
-		n.joinRetry.Cancel()
-		n.joinRetry = nil
-	}
+	n.joinRetry.Cancel()
+	n.joinRetry = simnet.Timer{}
 	n.setLeafset(reply.Leafset)
 	n.rows = nil
 	for _, ref := range reply.Rows {

@@ -51,15 +51,30 @@ var (
 	ErrBadMass = errors.New("predictor: mass is NaN, infinite or negative")
 )
 
-// slot returns slot s: Immediate, Buckets[s-1], or Later.
-func (p *Predictor) slot(s int) *float64 {
+// slot returns slot s: Immediate, Bucket(s-1), or Later.
+func (p *Predictor) slot(s int) float64 {
 	switch {
 	case s == 0:
-		return &p.Immediate
+		return p.Immediate
 	case s <= NumBuckets:
-		return &p.Buckets[s-1]
+		return p.Bucket(s - 1)
 	}
-	return &p.Later
+	return p.Later
+}
+
+// setSlot writes slot s, allocating the buckets when s is one of them.
+func (p *Predictor) setSlot(s int, v float64) {
+	switch {
+	case s == 0:
+		p.Immediate = v
+	case s <= NumBuckets:
+		if p.buckets == nil {
+			p.buckets = new([NumBuckets]float64)
+		}
+		p.buckets[s-1] = v
+	default:
+		p.Later = v
+	}
 }
 
 // present counts the slots whose bit pattern is not zero. A nil predictor
@@ -70,7 +85,7 @@ func (p *Predictor) present() int {
 	}
 	n := 0
 	for s := 0; s < numSlots; s++ {
-		if math.Float64bits(*p.slot(s)) != 0 {
+		if math.Float64bits(p.slot(s)) != 0 {
 			n++
 		}
 	}
@@ -100,7 +115,7 @@ func (p *Predictor) AppendEncode(dst []byte) []byte {
 	if n >= denseFrom {
 		dst = append(dst, tagDense)
 		for s := 0; s < numSlots; s++ {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(*p.slot(s)))
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.slot(s)))
 		}
 		return dst
 	}
@@ -108,7 +123,7 @@ func (p *Predictor) AppendEncode(dst []byte) []byte {
 	bitmap := len(dst)
 	dst = append(dst, make([]byte, bitmapBytes)...)
 	for s := 0; s < numSlots; s++ {
-		if bits := math.Float64bits(*p.slot(s)); bits != 0 {
+		if bits := math.Float64bits(p.slot(s)); bits != 0 {
 			dst[bitmap+s/8] |= 1 << (s % 8)
 			dst = binary.BigEndian.AppendUint64(dst, bits)
 		}
@@ -119,7 +134,8 @@ func (p *Predictor) AppendEncode(dst []byte) []byte {
 // Decode parses one predictor from the front of b and returns the bytes
 // after it. It accepts exactly what AppendEncode produces for a predictor
 // of finite, non-negative masses: re-encoding the result gives back the
-// bytes consumed.
+// bytes consumed. A predictor with no bucket present decodes without
+// buckets.
 func Decode(b []byte) (*Predictor, []byte, error) {
 	if len(b) == 0 {
 		return nil, nil, ErrTruncated
@@ -153,7 +169,8 @@ func Decode(b []byte) (*Predictor, []byte, error) {
 			if !validMass(v) {
 				return nil, nil, ErrBadMass
 			}
-			*p.slot(s), vals = v, vals[8:]
+			p.setSlot(s, v)
+			vals = vals[8:]
 			n++
 		}
 		if n == 0 || n >= denseFrom {
@@ -169,7 +186,7 @@ func Decode(b []byte) (*Predictor, []byte, error) {
 			if !validMass(v) {
 				return nil, nil, ErrBadMass
 			}
-			*p.slot(s) = v
+			p.setSlot(s, v)
 		}
 		if p.present() < denseFrom {
 			return nil, nil, ErrNonCanonical

@@ -14,7 +14,7 @@ import (
 // (== would take -0.0 for 0.0).
 func sameBits(a, b *Predictor) bool {
 	for s := 0; s < numSlots; s++ {
-		if math.Float64bits(*a.slot(s)) != math.Float64bits(*b.slot(s)) {
+		if math.Float64bits(a.slot(s)) != math.Float64bits(b.slot(s)) {
 			return false
 		}
 	}
@@ -25,7 +25,7 @@ func sameBits(a, b *Predictor) bool {
 func dense() *Predictor {
 	p := &Predictor{}
 	for s := 0; s < numSlots; s++ {
-		*p.slot(s) = float64(s) + 0.5
+		p.setSlot(s, float64(s)+0.5)
 	}
 	return p
 }
@@ -74,7 +74,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if enc := checkRoundTrip(t, d); len(enc) != MaxEncodedLen {
 		t.Fatalf("dense predictor is %d bytes, want %d", len(enc), MaxEncodedLen)
 	}
-	d.Buckets[3] = 0
+	setBucket(d, 3, 0)
 	if enc := checkRoundTrip(t, d); len(enc) != MaxEncodedLen || enc[0] != tagDense {
 		t.Fatalf("73 present slots: %d bytes, tag %d", len(enc), enc[0])
 	}
@@ -85,7 +85,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 	// Presence is decided on the bit pattern: -0.0 and denormals survive.
 	odd := &Predictor{Immediate: math.Copysign(0, -1), Later: math.SmallestNonzeroFloat64}
-	odd.Buckets[71] = math.Float64frombits(1 << 51)
+	setBucket(odd, 71, math.Float64frombits(1<<51))
 	if enc := checkRoundTrip(t, odd); len(enc) != 1+bitmapBytes+3*8 {
 		t.Fatalf("-0.0/denormal predictor is %d bytes", len(enc))
 	}
@@ -180,7 +180,7 @@ func generate(rng *rand.Rand) *Predictor {
 		default:
 			v = rng.ExpFloat64() * 1000
 		}
-		*p.slot(s) = v
+		p.setSlot(s, v)
 	}
 	return p
 }
@@ -231,8 +231,8 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("EncodedLen %d, encoded %d bytes", p.EncodedLen(), len(enc))
 		}
 		for s := 0; s < numSlots; s++ {
-			if !validMass(*p.slot(s)) {
-				t.Fatalf("slot %d holds %v", s, *p.slot(s))
+			if !validMass(p.slot(s)) {
+				t.Fatalf("slot %d holds %v", s, p.slot(s))
 			}
 		}
 		if total := p.ExpectedTotal(); math.IsNaN(total) || total < 0 {

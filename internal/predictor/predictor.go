@@ -9,7 +9,8 @@
 // availability ranging from seconds to days". Because the bucket layout is
 // fixed, predictors are bounded in size and merge by pointwise addition; the
 // query distribution tree aggregates them at each step without growth, as
-// §3.3 requires. On the wire a predictor costs what it holds (codec.go).
+// §3.3 requires. On the wire (codec.go) and in memory (Predictor) a
+// predictor costs what it holds.
 package predictor
 
 import (
@@ -41,13 +42,53 @@ var boundaries = func() (b [NumBuckets]time.Duration) {
 }()
 
 // Predictor is a completeness predictor. Immediate holds rows on currently
-// available endsystems; Buckets[i] holds expected rows becoming available
+// available endsystems; Bucket(i) holds expected rows becoming available
 // within bucket i's delay window; Later holds expected rows beyond the last
 // boundary. The zero Predictor is empty and is the identity of Merge.
+//
+// The buckets cost what they hold in memory as on the wire: the array is
+// allocated on the first mass a bucket receives, and until then nil stands
+// for 72 zeros. Most predictors in a run never get one — a range with
+// nothing to report, an endsystem that is up — and are 24 bytes. Every
+// result is bit-identical to the one a predictor holding all 72 buckets
+// gives, since adding +0.0 to a mass gives the mass back. The one exception
+// is a -0.0 mass, which only Decode (or a write to Immediate or Later) can
+// put into a predictor: where a dense sum adds a +0.0 bucket to it and gets
+// +0.0, a missing bucket leaves it -0.0 — in a merged bucket, in
+// ExpectedTotal, in RowsBy. The two compare equal, and the simulator never
+// decodes (TestNegativeZeroException).
+//
+// A value copy shares the bucket array with its original: copy a predictor
+// to read it or to hand it off, not to keep a snapshot (merge it into a zero
+// Predictor for that). For the same reason == compares the array's address,
+// not the masses; use Equal.
 type Predictor struct {
 	Immediate float64
-	Buckets   [NumBuckets]float64
+	buckets   *[NumBuckets]float64
 	Later     float64
+}
+
+// Bucket returns the rows expected to become available within bucket i's
+// delay window.
+func (p *Predictor) Bucket(i int) float64 {
+	if p.buckets == nil {
+		return 0
+	}
+	return p.buckets[i]
+}
+
+// Equal reports whether p and q hold the same masses, slot by slot (as
+// float64 ==: -0.0 equals +0.0).
+func (p *Predictor) Equal(q *Predictor) bool {
+	if p.Immediate != q.Immediate || p.Later != q.Later {
+		return false
+	}
+	for i := 0; i < NumBuckets; i++ {
+		if p.Bucket(i) != q.Bucket(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // AddImmediate adds rows that are available now (the endsystem is online).
@@ -74,7 +115,10 @@ func (p *Predictor) AddModelMode(mode avail.PredictionMode, m *avail.Model, now,
 			cum = 1
 		}
 		if cum > prev {
-			p.Buckets[i] += rows * (cum - prev)
+			if p.buckets == nil {
+				p.buckets = new([NumBuckets]float64)
+			}
+			p.buckets[i] += rows * (cum - prev)
 			prev = cum
 		}
 	}
@@ -84,11 +128,18 @@ func (p *Predictor) AddModelMode(mode avail.PredictionMode, m *avail.Model, now,
 }
 
 // Merge adds another predictor into this one. Merging is commutative and
-// associative; aggregation trees rely on this.
+// associative; aggregation trees rely on this. It allocates only when q has
+// buckets and p has none.
 func (p *Predictor) Merge(q *Predictor) {
 	p.Immediate += q.Immediate
-	for i := range p.Buckets {
-		p.Buckets[i] += q.Buckets[i]
+	if qb := q.buckets; qb != nil {
+		if p.buckets == nil {
+			p.buckets = new([NumBuckets]float64)
+		}
+		pb := p.buckets
+		for i := range pb {
+			pb[i] += qb[i]
+		}
 	}
 	p.Later += q.Later
 }
@@ -96,8 +147,10 @@ func (p *Predictor) Merge(q *Predictor) {
 // ExpectedTotal returns the predictor's total expected row count.
 func (p *Predictor) ExpectedTotal() float64 {
 	t := p.Immediate + p.Later
-	for _, v := range p.Buckets {
-		t += v
+	if p.buckets != nil {
+		for _, v := range p.buckets {
+			t += v
+		}
 	}
 	return t
 }
@@ -106,10 +159,13 @@ func (p *Predictor) ExpectedTotal() float64 {
 // after query injection.
 func (p *Predictor) RowsBy(delay time.Duration) float64 {
 	rows := p.Immediate
+	if p.buckets == nil {
+		return rows
+	}
 	for i := 0; i < NumBuckets; i++ {
 		b := Boundary(i)
 		if b <= delay {
-			rows += p.Buckets[i]
+			rows += p.buckets[i]
 			continue
 		}
 		// Interpolate within the bucket on log time.
@@ -119,7 +175,7 @@ func (p *Predictor) RowsBy(delay time.Duration) float64 {
 		}
 		if delay > lo {
 			frac := float64(delay-lo) / float64(b-lo)
-			rows += p.Buckets[i] * frac
+			rows += p.buckets[i] * frac
 		}
 		break
 	}
@@ -149,8 +205,11 @@ func (p *Predictor) DelayFor(frac float64) (time.Duration, bool) {
 	if rows >= need {
 		return 0, true
 	}
+	if p.buckets == nil {
+		return 0, false
+	}
 	for i := 0; i < NumBuckets; i++ {
-		rows += p.Buckets[i]
+		rows += p.buckets[i]
 		if rows >= need {
 			return Boundary(i), true
 		}

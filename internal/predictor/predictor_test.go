@@ -9,12 +9,15 @@ import (
 	"repro/internal/avail"
 )
 
+// setBucket writes bucket i.
+func setBucket(p *Predictor, i int, rows float64) { p.setSlot(i+1, rows) }
+
 // addAtDelay puts rows into the bucket whose window holds delay, or into
 // Later beyond the last boundary.
 func addAtDelay(p *Predictor, delay time.Duration, rows float64) {
-	for i := range p.Buckets {
+	for i := 0; i < NumBuckets; i++ {
 		if delay <= Boundary(i) {
-			p.Buckets[i] += rows
+			setBucket(p, i, p.Bucket(i)+rows)
 			return
 		}
 	}
@@ -189,7 +192,7 @@ func TestRowsByInterpolatesWithinBucket(t *testing.T) {
 	// All mass in the bucket ending at Boundary(10).
 	lo := Boundary(9)
 	hi := Boundary(10)
-	p.Buckets[10] = 100
+	setBucket(p, 10, 100)
 	mid := lo + (hi-lo)/2
 	got := p.RowsBy(mid)
 	if got < 40 || got > 60 {

@@ -10,8 +10,9 @@
 // sliding calendar wheel (millisecond-wide slots over a ~33 s window,
 // occupancy tracked in a bitmap) with a binary-heap overflow level for
 // far-future events, and all events are pooled structs rather than
-// closures: the steady-state simulation path performs no allocation per
-// message delivery or per periodic-timer firing.
+// closures, with cancel handles (Timer) returned by value: once the pool is
+// warm, a message delivery, an At/After with its Cancel and a periodic-timer
+// firing allocate nothing (TestSchedulerSteadyStateAllocs).
 package simnet
 
 import (
@@ -84,11 +85,11 @@ type Scheduler interface {
 	// Now returns the current virtual time.
 	Now() time.Duration
 	// At schedules fn at absolute virtual time at (clamped to now).
-	At(at time.Duration, fn func()) *Timer
+	At(at time.Duration, fn func()) Timer
 	// After schedules fn d after the current virtual time.
-	After(d time.Duration, fn func()) *Timer
+	After(d time.Duration, fn func()) Timer
 	// Every schedules fn every period until the Timer is canceled.
-	Every(period time.Duration, fn func()) *Timer
+	Every(period time.Duration, fn func()) Timer
 	// Pending returns the number of queued events (including lazily
 	// canceled ones).
 	Pending() int
@@ -420,42 +421,41 @@ func sortEvents(evs []*event) {
 // ------------------------------------------------------------------ timers
 
 // Timer is a handle to a scheduled event (or repeating event), usable to
-// cancel it before it fires. Events are pooled, so the handle carries the
-// timer identity it was issued for and becomes inert once the event fires
-// or is recycled.
+// cancel it before it fires. It is a value: scheduling allocates no handle,
+// and holders keep it by value. Events are pooled, so the handle carries
+// the timer identity it was issued for and becomes inert once the event
+// fires, is canceled or is recycled — through any copy of it. The zero
+// Timer refers to nothing.
 type Timer struct {
-	ev      *event
-	tid     uint64
-	stopped bool
+	ev  *event
+	tid uint64
 }
 
 // Cancel prevents the timer's event from firing (and, for repeating timers,
-// stops all future firings). Canceling an already-fired one-shot timer or an
-// already-canceled timer is a no-op returning false.
-func (t *Timer) Cancel() bool {
-	if t == nil || t.stopped {
+// stops all future firings, even from within a firing) and reports whether
+// it stopped one. Canceling an already-fired one-shot timer, an
+// already-canceled timer or the zero Timer is a no-op returning false.
+func (t Timer) Cancel() bool {
+	if t.ev == nil || t.ev.tid != t.tid {
 		return false
 	}
-	t.stopped = true
-	if t.ev != nil && t.ev.tid == t.tid {
-		t.ev.kind = evNone // the queue lazily discards canceled events
-	}
-	t.ev = nil
+	t.ev.kind = evNone // the queue lazily discards canceled events
+	t.ev.tid = 0       // every copy of the handle now finds nothing
 	return true
 }
 
-// newTimer wraps a scheduled event in a cancel handle, branding the event
-// with a fresh timer identity.
-func (s *Wheel) newTimer(ev *event) *Timer {
+// newTimer brands a scheduled event with a fresh timer identity and
+// returns its cancel handle.
+func (s *Wheel) newTimer(ev *event) Timer {
 	s.tids++
 	ev.tid = s.tids
-	return &Timer{ev: ev, tid: s.tids}
+	return Timer{ev: ev, tid: s.tids}
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // (or present) runs the event at the current time, after all events already
 // scheduled for that time.
-func (s *Wheel) At(at time.Duration, fn func()) *Timer {
+func (s *Wheel) At(at time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("simnet: At called with nil fn")
 	}
@@ -471,7 +471,7 @@ func (s *Wheel) At(at time.Duration, fn func()) *Timer {
 }
 
 // After schedules fn to run d after the current virtual time.
-func (s *Wheel) After(d time.Duration, fn func()) *Timer {
+func (s *Wheel) After(d time.Duration, fn func()) Timer {
 	return s.At(s.now+d, fn)
 }
 
@@ -480,7 +480,7 @@ func (s *Wheel) After(d time.Duration, fn func()) *Timer {
 // re-armed after each firing (with a fresh sequence number, preserving
 // FIFO fairness among same-time events), so the steady-state tick chain
 // allocates nothing. Cancel takes effect at the next period boundary.
-func (s *Wheel) Every(period time.Duration, fn func()) *Timer {
+func (s *Wheel) Every(period time.Duration, fn func()) Timer {
 	if period <= 0 {
 		panic(fmt.Sprintf("simnet: Every with non-positive period %v", period))
 	}

@@ -52,22 +52,22 @@ type oracleScheduler struct {
 }
 
 type oracleTimer struct {
-	s       *oracleScheduler
-	ev      *oracleEvent
-	stopped bool
+	s        *oracleScheduler
+	ev       *oracleEvent
+	periodic bool
+	stopped  bool
 }
 
+// Cancel reports whether it stopped a firing, as Timer.Cancel does: a
+// periodic timer stops until it is canceled, a one-shot only until it runs.
 func (t *oracleTimer) Cancel() bool {
-	if t == nil || t.stopped {
+	if t.stopped {
 		return false
 	}
 	t.stopped = true
-	if t.ev != nil && t.ev.fn != nil {
-		t.ev.fn = nil
-		t.ev = nil
-		return true
-	}
-	return true
+	live := t.periodic || t.ev.fn != nil
+	t.ev.fn = nil
+	return live
 }
 
 func (s *oracleScheduler) Now() time.Duration { return s.now }
@@ -87,7 +87,7 @@ func (s *oracleScheduler) After(d time.Duration, fn func()) *oracleTimer {
 }
 
 func (s *oracleScheduler) Every(period time.Duration, fn func()) *oracleTimer {
-	t := &oracleTimer{s: s}
+	t := &oracleTimer{s: s, periodic: true}
 	var tick func()
 	tick = func() {
 		if t.stopped {
@@ -189,6 +189,11 @@ func runScript(s schedIface, seed int64) []string {
 	record := func(id int) {
 		log = append(log, fmt.Sprintf("%d@%d", id, s.Now()))
 	}
+	// cancel logs whether the cancel stopped a firing: the two must agree
+	// on that too.
+	cancel := func(tm canceler) {
+		log = append(log, fmt.Sprintf("cancel=%v@%d", tm.Cancel(), s.Now()))
+	}
 	spawn = func(depth int) {
 		id := nextID
 		nextID++
@@ -201,7 +206,7 @@ func runScript(s schedIface, seed int64) []string {
 					spawn(depth + 1)
 				}
 				if len(timers) > 0 && rng.Intn(4) == 0 {
-					timers[rng.Intn(len(timers))].Cancel()
+					cancel(timers[rng.Intn(len(timers))])
 				}
 			}))
 		case op < 8: // At, absolute (possibly in the past)
@@ -220,7 +225,7 @@ func runScript(s schedIface, seed int64) []string {
 				record(id)
 				remaining--
 				if remaining <= 0 {
-					tm.Cancel()
+					cancel(tm)
 				}
 				if depth < 3 && rng.Intn(4) == 0 {
 					spawn(depth + 1)
@@ -244,7 +249,7 @@ func runScript(s schedIface, seed int64) []string {
 			spawn(0)
 		}
 		if len(timers) > 0 {
-			timers[rng.Intn(len(timers))].Cancel()
+			cancel(timers[rng.Intn(len(timers))])
 		}
 	}
 	// Drain everything that terminates (Everys are all self-canceling).

@@ -88,10 +88,89 @@ func TestTimerCancel(t *testing.T) {
 	}
 }
 
+// TestTimerCancelReportsFiring: Cancel reports whether it stopped a firing.
+// A one-shot that already fired, a copy of a handle another copy canceled
+// and the zero Timer all stop nothing — even after the fired event's pooled
+// struct is reused by a later timer, which the stale handle must not touch.
+func TestTimerCancelReportsFiring(t *testing.T) {
+	s := NewWheel()
+	if (Timer{}).Cancel() {
+		t.Fatal("the zero Timer's Cancel returned true")
+	}
+	fired := 0
+	done := s.After(time.Second, func() { fired++ })
+	s.Run()
+	if done.Cancel() {
+		t.Fatal("Cancel of a fired one-shot returned true")
+	}
+	later := s.After(time.Second, func() { fired++ }) // reuses the pooled event
+	if done.Cancel() {
+		t.Fatal("a stale handle cancelled the event's next timer")
+	}
+	s.Run()
+	if fired != 2 {
+		t.Fatalf("fired %d times, want 2", fired)
+	}
+	if later.Cancel() {
+		t.Fatal("Cancel of the second fired one-shot returned true")
+	}
+
+	pending := s.After(time.Second, func() { fired++ })
+	cp := pending
+	if !cp.Cancel() {
+		t.Fatal("Cancel of a pending timer through a copy returned false")
+	}
+	if pending.Cancel() {
+		t.Fatal("the original handle cancelled again after its copy did")
+	}
+	s.Run()
+	if fired != 2 {
+		t.Fatal("canceled event fired")
+	}
+}
+
+// TestSchedulerSteadyStateAllocs: once the event pool is warm, scheduling
+// and cancelling a one-shot, firing one, and an Every chain allocate
+// nothing.
+func TestSchedulerSteadyStateAllocs(t *testing.T) {
+	s := NewWheel()
+	fn := func() {}
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"At+Cancel", func() {
+			s.At(s.Now()+time.Millisecond, fn).Cancel()
+			s.RunUntil(s.Now() + 2*time.Millisecond)
+		}},
+		{"After fired", func() {
+			s.After(time.Millisecond, fn)
+			s.RunUntil(s.Now() + 2*time.Millisecond)
+		}},
+		{"After+Cancel overflow", func() { // a far-future event in the overflow heap
+			s.After(time.Hour, fn).Cancel()
+			s.RunUntil(s.Now() + time.Hour + time.Millisecond)
+		}},
+	}
+	for _, c := range cases {
+		if a := testing.AllocsPerRun(100, c.run); a != 0 {
+			t.Errorf("%s: %v allocations, want 0", c.name, a)
+		}
+	}
+	ticks := 0
+	tm := s.Every(time.Second, func() { ticks++ })
+	if a := testing.AllocsPerRun(100, func() { s.RunUntil(s.Now() + time.Second) }); a != 0 {
+		t.Errorf("Every chain: %v allocations per tick, want 0", a)
+	}
+	if !tm.Cancel() || ticks != 101 {
+		t.Fatalf("Every chain ticked %d times, or was no longer pending", ticks)
+	}
+}
+
 func TestEvery(t *testing.T) {
 	s := NewWheel()
 	count := 0
-	var tm *Timer
+	var tm Timer
 	tm = s.Every(time.Second, func() {
 		count++
 		if count == 5 {
@@ -179,7 +258,7 @@ func TestSchedulerRejectsConcurrentDrivers(t *testing.T) {
 func TestEveryCancelFromWithinTick(t *testing.T) {
 	s := NewWheel()
 	fires := 0
-	var tm *Timer
+	var tm Timer
 	tm = s.Every(time.Second, func() {
 		fires++
 		if fires == 3 {

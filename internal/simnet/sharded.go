@@ -176,13 +176,13 @@ func (e *Sharded) Now() time.Duration { return e.wheels[0].Now() }
 // work, not endsystem work; pinning them to shard 0 keeps them in the
 // deterministic order of one wheel. Endsystem work must go through the
 // per-endpoint wheel (Network.SchedulerFor).
-func (e *Sharded) At(at time.Duration, fn func()) *Timer { return e.wheels[0].At(at, fn) }
+func (e *Sharded) At(at time.Duration, fn func()) Timer { return e.wheels[0].At(at, fn) }
 
 // After schedules an engine-level event d from now on shard 0's wheel.
-func (e *Sharded) After(d time.Duration, fn func()) *Timer { return e.wheels[0].After(d, fn) }
+func (e *Sharded) After(d time.Duration, fn func()) Timer { return e.wheels[0].After(d, fn) }
 
 // Every schedules an engine-level periodic event on shard 0's wheel.
-func (e *Sharded) Every(p time.Duration, fn func()) *Timer { return e.wheels[0].Every(p, fn) }
+func (e *Sharded) Every(p time.Duration, fn func()) Timer { return e.wheels[0].Every(p, fn) }
 
 // Pending returns the number of queued events across all shards.
 func (e *Sharded) Pending() int {
