@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench cluster-bench-sharded shard-smoke sweep-smoke chaos-smoke coords-smoke workload-smoke trace-smoke check clean
+.PHONY: all build vet fmt test race bench sweep-smoke chaos-smoke coords-smoke workload-smoke trace-smoke check clean
 
 all: check
 
@@ -30,20 +30,6 @@ check: build vet fmt race
 bench:
 	$(GO) run ./bench
 
-# cluster-bench-sharded runs the sharded-engine scaling benchmark: an
-# N=100,000 cluster on the 8-worker region-sharded engine, once at
-# GOMAXPROCS=1 and once at GOMAXPROCS=8 (identical event sequences —
-# the benchmark fails if the counts diverge), and reports the events/s
-# ratio.
-cluster-bench-sharded:
-	$(GO) test -run '^$$' -bench BenchmarkClusterSharded100k -benchtime=1x -timeout 60m .
-
-# shard-smoke is the CI scale gate for the sharded engine: an N=1,000,000
-# cluster must construct and complete a short horizon in one process
-# (compact routing rows, lazy table fill, per-endpoint stats off).
-shard-smoke:
-	SEAWEED_SHARD_SMOKE=1 $(GO) test -run TestShardedMillionSmoke -v -timeout 60m .
-
 # sweep-smoke is the CI smoke test: a shrunken parallel sweep that
 # exercises the engine and the sinks end to end.
 sweep-smoke:
@@ -72,7 +58,7 @@ coords-smoke:
 # workload-smoke is the CI query-service gate: one end-to-end CLI sweep,
 # which exits 1 itself if an ablation tooth on interactive p99 fails.
 # Report lands in workload-smoke.json. The sweep's byte-determinism at 1
-# vs 8 engine workers (TestWorkloadSmoke) runs under `make test`.
+# vs 8 sweep workers (TestWorkloadSmoke) runs under `make test`.
 workload-smoke:
 	$(GO) run ./cmd/seaweed-sim -workload heavy -smoke -parallel 2 -out workload-smoke
 

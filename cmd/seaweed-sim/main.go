@@ -40,20 +40,13 @@
 //
 // -parallel N fans independent simulation runs across N workers of the
 // deterministic engine (0 = all cores); results are byte-identical at any
-// worker count. -shards N instead parallelizes INSIDE each run: the
-// simnet is partitioned by router region into per-shard timer wheels
-// advanced with conservative lookahead by up to N workers, and results
-// are byte-identical at any N >= 1 (N = 0 keeps the classic serial
-// wheel). The two compose — -parallel fills cores across runs, -shards
-// fills cores within one big run — but -shards refuses flags whose
-// shared state would pin it back to one worker (-trace, -timeseries,
-// -chaos, -workload) rather than silently degrading. -smoke shrinks
-// every dimension for CI smoke tests.
+// worker count. Each run is one single-threaded event wheel. -smoke
+// shrinks every dimension for CI smoke tests.
 //
 // -coords enables the Vivaldi network-coordinate subsystem inside every
 // simulation run: coordinates are maintained from RTT samples on existing
 // protocol traffic and bias delegate and aggregation-entry selection
-// toward nearby peers (byte-deterministic at any -shards value). With
+// toward nearby peers (byte-deterministic per seed). With
 // -rtt-scope T the invocation instead runs the scoped-query demo — the
 // Figure 9 query restricted to the endsystems within predicted RTT T of
 // the injector — and audits the converged result against a brute-force
@@ -98,7 +91,6 @@ func main() {
 	all := flag.Bool("all", false, "run every simulation figure")
 	sweep := flag.Bool("sweep", false, "run the Figures 5–8 completeness sweep through the parallel engine")
 	parallel := flag.Int("parallel", 0, "engine workers for independent runs (0 = all cores, 1 = serial)")
-	shards := flag.Int("shards", 0, "event-engine workers inside each simulation run: 0 = classic serial wheel, >=1 = region-sharded engine (byte-identical results at any value >= 1); orthogonal to -parallel, which fans whole runs; incompatible with -trace, -timeseries, -chaos and -workload")
 	smoke := flag.Bool("smoke", false, "shrink every dimension for a fast smoke run")
 	coordsOn := flag.Bool("coords", false, "enable the Vivaldi network-coordinate subsystem inside each simulation run (latency-biased delegate and aggregation-entry selection; required by -rtt-scope)")
 	rttScope := flag.Duration("rtt-scope", 0, "run the RTT-scoped query demo: inject the Figure 9 query restricted to the endsystems within this predicted RTT of the injector and audit the result against the brute-force oracle; requires -coords")
@@ -118,29 +110,6 @@ func main() {
 	if *cpuProfile != "" && *profileRuns != "" {
 		fmt.Fprintln(os.Stderr, "seaweed-sim: -cpuprofile and -profileruns are mutually exclusive (one CPU profile at a time)")
 		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintln(os.Stderr, "seaweed-sim: -shards must be >= 0")
-		os.Exit(2)
-	}
-	if *shards > 0 {
-		// These modes pin the sharded engine to one worker (shared tracer,
-		// sampler, fault-hook or query-service state): refuse the
-		// combination outright rather than silently degrading to serial.
-		switch {
-		case *tracePath != "":
-			fmt.Fprintln(os.Stderr, "seaweed-sim: -shards is incompatible with -trace (the tracer is a shared ordered sink and forces the engine serial); drop one of the two")
-			os.Exit(2)
-		case *timeseries != "":
-			fmt.Fprintln(os.Stderr, "seaweed-sim: -shards is incompatible with -timeseries (the sampler walks shared registry state and forces the engine serial); drop one of the two")
-			os.Exit(2)
-		case *chaos != "":
-			fmt.Fprintln(os.Stderr, "seaweed-sim: -shards is incompatible with -chaos (the fault injector and invariant checker share cross-shard state and force the engine serial); drop one of the two")
-			os.Exit(2)
-		case *workload != "":
-			fmt.Fprintln(os.Stderr, "seaweed-sim: -shards is incompatible with -workload (the query service's admission control is cross-shard state and forces the engine serial); drop one of the two")
-			os.Exit(2)
-		}
 	}
 	if *rttScope < 0 {
 		fmt.Fprintln(os.Stderr, "seaweed-sim: -rtt-scope must be a positive duration")
@@ -179,7 +148,6 @@ func main() {
 	}
 	s.Seed = *seed
 	s.Workers = *parallel
-	s.Shards = *shards
 	s.Coords = *coordsOn
 	s.ProfileDir = *profileRuns
 	w := os.Stdout

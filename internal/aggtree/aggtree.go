@@ -272,7 +272,7 @@ type Engine struct {
 	hFanin     *obs.Histogram // aggtree_fanin_delay_ns: routed submit latency
 
 	// backups is backupSet's reused scratch buffer (engines are
-	// single-threaded on their shard).
+	// single-threaded).
 	backups []pastry.NodeRef
 }
 
@@ -688,8 +688,8 @@ func (e *Engine) sendSubmission(st *queryState, cause uint64) {
 // entering higher merely skips levels, which the versioned child tables
 // already tolerate. The comparison is strict and the chain is walked
 // deepest-first, so the id-only default wins ties and the choice is
-// byte-deterministic at any shard count — primaries come from the ring's
-// ground-truth index, which is stable within a scheduling window.
+// byte-deterministic per seed — primaries come from the ring's
+// ground-truth index.
 func (e *Engine) nearestEntryVertex(qid, entry ids.ID) ids.ID {
 	node := e.host.PastryNode()
 	self := node.Endpoint()

@@ -93,7 +93,7 @@ func (h *testHost) LeafsetChanged() {
 }
 
 type cluster struct {
-	sched simnet.Scheduler
+	sched *simnet.Wheel
 	ring  *pastry.Ring
 	hosts []*testHost
 }

@@ -9,9 +9,8 @@
 // it was sent. Each retransmission is a full forwardUp at the next
 // version, so the parent's versioned child table counts whichever copy
 // lands first and records the rest as refreshes — the ladder can delay
-// nothing and double-count nothing. Its timers ride the owning node's
-// shard-local scheduler wheel, so runs with it on stay byte-deterministic
-// at any engine shard count.
+// nothing and double-count nothing. Its timers ride the simulation's one
+// wheel, so runs with it on stay byte-deterministic per seed.
 package aggtree
 
 import (

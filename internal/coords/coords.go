@@ -15,14 +15,6 @@
 // flow; wire sizes are unchanged, as a real deployment amortizes the few
 // bytes into existing headers), so an update touches only the observer's
 // own state.
-//
-// Determinism under the sharded engine: each endsystem's working
-// coordinate is written only by events on its own shard. Reads from other
-// shards (RTT prediction during selection, the remote coordinate folded
-// into an update) go through a published snapshot that is committed only
-// at window barriers, so every read within a window sees the same bytes
-// regardless of worker count, and coordinate-biased runs stay
-// byte-identical at any shard count.
 package coords
 
 import (
@@ -81,41 +73,18 @@ func (c Coord) planarDist(o Coord) float64 {
 	return math.Sqrt(dx*dx + dy*dy + dz*dz)
 }
 
-// vivaldi is one endsystem's working coordinate state, owned by the
-// endsystem's shard.
+// vivaldi is one endsystem's coordinate state.
 type vivaldi struct {
 	c       Coord
 	err     float64
 	samples uint64
-	pending bool // queued on a dirty list, awaiting barrier publish
-}
-
-// errWindow accumulates relative prediction errors observed by one shard
-// since the last barrier fold.
-type errWindow struct {
-	sum float64
-	n   float64
-	_   [48]byte // pad to a cache line: shards write these concurrently
 }
 
 // Space holds the coordinates of every endsystem in one cluster.
 type Space struct {
-	net *simnet.Network
+	vs []vivaldi // indexed by endpoint
 
-	work []vivaldi // indexed by endpoint; owner-shard writes only
-	// pub/pubErr are the published snapshot every cross-shard read uses:
-	// stable within a window, committed single-threaded at barriers (or
-	// immediately when the engine is serial or idle).
-	pub    []Coord
-	pubErr []float64
-	multi  bool      // deferred publishing (multi-shard engine)
-	dirty  [][]int32 // per-shard endpoints awaiting publish
-
-	// Folded relative-error statistics behind the coords_error gauge.
-	// Per-shard windows accumulate in event order and are folded in shard
-	// order at barriers, keeping the gauge byte-identical at any worker
-	// count.
-	errAcc []errWindow
+	// Relative-error statistics behind the coords_error gauge.
 	errSum float64
 	errN   float64
 
@@ -129,7 +98,7 @@ type Space struct {
 	cUpdates *obs.Counter   // coords_updates
 	hRelErr  *obs.Histogram // coords_rel_error_ppm
 
-	scopes scopeTable
+	scopes map[ids.ID]*scope // RTT scopes by queryId (scope.go)
 }
 
 // NewSpace builds the coordinate space for a network. Every endpoint
@@ -140,27 +109,16 @@ func NewSpace(net *simnet.Network, _ Config) *Space {
 	n := net.NumEndpoints()
 	o := net.Obs()
 	s := &Space{
-		net:    net,
-		work:   make([]vivaldi, n),
-		pub:    make([]Coord, n),
-		pubErr: make([]float64, n),
+		vs:     make([]vivaldi, n),
+		scopes: make(map[ids.ID]*scope),
 
 		gErr:     o.Gauge("coords_error"),
 		cUpdates: o.Counter("coords_updates"),
 		hRelErr:  o.Histogram("coords_rel_error_ppm"),
 	}
-	for i := range s.work {
-		s.work[i].c.H = heightMin
-		s.work[i].err = errorMax
-		s.pub[i] = s.work[i].c
-		s.pubErr[i] = errorMax
-	}
-	s.scopes.init()
-	if ns := net.NumShards(); ns > 1 {
-		s.multi = true
-		s.dirty = make([][]int32, ns)
-		s.errAcc = make([]errWindow, ns)
-		net.OnBarrier(s.commit)
+	for i := range s.vs {
+		s.vs[i].c.H = heightMin
+		s.vs[i].err = errorMax
 	}
 	return s
 }
@@ -183,15 +141,14 @@ func (s *Space) SetIDs(idList []ids.ID) {
 }
 
 // Observe folds one RTT sample into self's coordinate: self measured rtt
-// to peer, whose published coordinate models the piggybacked remote
-// coordinate on the sampled message. Must be called from an event on
-// self's shard (protocol receive paths are).
+// to peer, whose current coordinate models the piggybacked remote
+// coordinate on the sampled message.
 func (s *Space) Observe(self, peer simnet.Endpoint, rtt time.Duration) {
 	if rtt <= 0 || self == peer {
 		return
 	}
-	w := &s.work[self]
-	rc, re := s.pub[peer], s.pubErr[peer]
+	w := &s.vs[self]
+	rc, re := s.vs[peer].c, s.vs[peer].err
 	sample := float64(rtt)
 	dist := w.c.distNS(rc)
 
@@ -213,24 +170,9 @@ func (s *Space) Observe(self, peer simnet.Endpoint, rtt time.Duration) {
 
 	s.cUpdates.Inc()
 	s.hRelErr.Observe(int64(relErr * 1e6))
-	if s.multi && s.net.Running() {
-		sh := s.net.ShardOf(self)
-		acc := &s.errAcc[sh]
-		acc.sum += relErr
-		acc.n++
-		if !w.pending {
-			w.pending = true
-			s.dirty[sh] = append(s.dirty[sh], int32(self))
-		}
-	} else {
-		// Serial engine, or a quiescent sharded engine (construction,
-		// between RunUntil calls): publish immediately.
-		s.pub[self] = w.c
-		s.pubErr[self] = w.err
-		s.errSum += relErr
-		s.errN++
-		s.gErr.Set(s.errSum / s.errN)
-	}
+	s.errSum += relErr
+	s.errN++
+	s.gErr.Set(s.errSum / s.errN)
 }
 
 // applyForce moves w's coordinate along the unit vector away from rc by
@@ -248,8 +190,7 @@ func (s *Space) applyForce(w *vivaldi, rc Coord, force float64, self, peer simne
 		}
 	} else {
 		// Coincident points: pick a deterministic pseudo-random direction
-		// (a seeded RNG would be shared mutable state across shards; a
-		// hash of the participants and the sample count is not).
+		// from a hash of the participants and the sample count.
 		dx, dy, dz = unitFromHash(uint64(self)<<32 ^ uint64(peer) ^ w.samples*0x9e3779b97f4a7c15)
 	}
 	w.c.X += dx * force
@@ -276,45 +217,20 @@ func unitFromHash(seed uint64) (x, y, z float64) {
 	return x / mag, y / mag, z / mag
 }
 
-// commit publishes dirty working coordinates and folds the per-shard
-// error windows, in shard order — it runs single-threaded at every window
-// barrier.
-func (s *Space) commit() {
-	for sh := range s.dirty {
-		for _, ep := range s.dirty[sh] {
-			w := &s.work[ep]
-			s.pub[ep] = w.c
-			s.pubErr[ep] = w.err
-			w.pending = false
-		}
-		s.dirty[sh] = s.dirty[sh][:0]
-		acc := &s.errAcc[sh]
-		if acc.n > 0 {
-			s.errSum += acc.sum
-			s.errN += acc.n
-			acc.sum, acc.n = 0, 0
-		}
-	}
-	if s.errN > 0 {
-		s.gErr.Set(s.errSum / s.errN)
-	}
-}
-
-// PredictRTT returns the coordinate-predicted RTT between two endpoints,
-// from the published snapshot (stable within a scheduling window).
+// PredictRTT returns the coordinate-predicted RTT between two endpoints.
 func (s *Space) PredictRTT(a, b simnet.Endpoint) time.Duration {
 	if a == b {
 		return 0
 	}
-	return s.pub[a].DistanceTo(s.pub[b])
+	return s.vs[a].c.DistanceTo(s.vs[b].c)
 }
 
-// Coordinate returns an endpoint's published coordinate.
-func (s *Space) Coordinate(ep simnet.Endpoint) Coord { return s.pub[ep] }
+// Coordinate returns an endpoint's coordinate.
+func (s *Space) Coordinate(ep simnet.Endpoint) Coord { return s.vs[ep].c }
 
-// ErrorEstimate returns an endpoint's published relative-error estimate.
-func (s *Space) ErrorEstimate(ep simnet.Endpoint) float64 { return s.pubErr[ep] }
+// ErrorEstimate returns an endpoint's relative-error estimate.
+func (s *Space) ErrorEstimate(ep simnet.Endpoint) float64 { return s.vs[ep].err }
 
 // MeanError returns the running mean relative prediction error across all
-// folded samples (the coords_error gauge).
+// samples (the coords_error gauge).
 func (s *Space) MeanError() float64 { return s.gErr.Value() }

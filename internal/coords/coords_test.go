@@ -73,13 +73,13 @@ func TestVivaldiConvergence(t *testing.T) {
 		t.Fatalf("training barely helped: median error %.3f -> %.3f", before, after)
 	}
 	if me := s.MeanError(); me <= 0 || me > errorMax {
-		t.Fatalf("mean folded error %.3f out of range", me)
+		t.Fatalf("mean error %.3f out of range", me)
 	}
 }
 
 // TestObserveDeterminism feeds two spaces the identical sample stream and
-// requires bit-identical coordinates — the property the sharded engine's
-// publish barriers preserve across worker counts.
+// requires bit-identical coordinates: no hidden state (map order, a
+// shared rng) leaks into an update.
 func TestObserveDeterminism(t *testing.T) {
 	const n = 40
 	s1, net := testSpace(t, n, 3)

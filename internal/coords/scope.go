@@ -1,9 +1,9 @@
 // RTT-scoped queries: "answer over the endsystems within T ms of the
 // injector". When a scoped query is injected, the coordinate space
-// freezes the published snapshot for that queryId — membership is then a
-// pure function of the frozen coordinates, so every delegate that asks is
-// answered consistently no matter when it asks, and a brute-force oracle
-// over the same snapshot is exact. On top of the frozen snapshot a static
+// freezes a snapshot of every coordinate for that queryId — membership is
+// then a pure function of the frozen coordinates, so every delegate that
+// asks is answered consistently no matter when it asks, and a brute-force
+// oracle over the same snapshot is exact. On top of the frozen snapshot a static
 // ball tree over the id-sorted endpoint order lets dissemination prune
 // whole id subranges whose coordinate bounding balls fall outside the
 // radius, without visiting their members.
@@ -11,29 +11,11 @@ package coords
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/ids"
 	"repro/internal/simnet"
 )
-
-// scopeTable guards the per-query scopes. Scopes are registered at
-// injection time and read from delegate events on any shard, so the map
-// itself needs a lock; each scope is immutable after registration.
-type scopeTable struct {
-	mu sync.RWMutex
-	m  map[ids.ID]*scope
-}
-
-func (t *scopeTable) init() { t.m = make(map[ids.ID]*scope) }
-
-func (t *scopeTable) get(qid ids.ID) *scope {
-	t.mu.RLock()
-	sc := t.m[qid]
-	t.mu.RUnlock()
-	return sc
-}
 
 // scope is one frozen RTT scope: the injector's coordinate, the radius,
 // a snapshot of every endpoint's coordinate at injection time, and a
@@ -61,22 +43,23 @@ type ballNode struct {
 
 const ballLeafSize = 8
 
-// BeginScope freezes the current published coordinates as the membership
-// snapshot for qid, with the given injector and RTT radius. Idempotent
+// BeginScope freezes the current coordinates as the membership snapshot
+// for qid, with the given injector and RTT radius. Idempotent
 // per queryId (injection retries re-route the same query).
 func (s *Space) BeginScope(qid ids.ID, injector simnet.Endpoint, radius time.Duration) {
 	if radius <= 0 || len(s.order) == 0 {
 		return
 	}
-	s.scopes.mu.Lock()
-	defer s.scopes.mu.Unlock()
-	if _, ok := s.scopes.m[qid]; ok {
+	if _, ok := s.scopes[qid]; ok {
 		return
 	}
 	sc := &scope{
 		injector: injector,
 		radius:   float64(radius),
-		frozen:   append([]Coord(nil), s.pub...),
+		frozen:   make([]Coord, len(s.vs)),
+	}
+	for i := range s.vs {
+		sc.frozen[i] = s.vs[i].c
 	}
 	sc.center = sc.frozen[injector]
 	for i, ep := range s.order {
@@ -86,18 +69,16 @@ func (s *Space) BeginScope(qid ids.ID, injector simnet.Endpoint, radius time.Dur
 		}
 	}
 	sc.build(s.order)
-	s.scopes.m[qid] = sc
+	s.scopes[qid] = sc
 }
 
 // HasScope reports whether qid was injected with an RTT scope.
-func (s *Space) HasScope(qid ids.ID) bool { return s.scopes.get(qid) != nil }
+func (s *Space) HasScope(qid ids.ID) bool { return s.scopes[qid] != nil }
 
 // EndScope drops a query's frozen snapshot (call once the query handle is
 // fully drained; scopes are otherwise retained for the cluster lifetime).
 func (s *Space) EndScope(qid ids.ID) {
-	s.scopes.mu.Lock()
-	delete(s.scopes.m, qid)
-	s.scopes.mu.Unlock()
+	delete(s.scopes, qid)
 }
 
 // dist is the membership metric: predicted RTT from the injector to ep
@@ -113,7 +94,7 @@ func (sc *scope) dist(ep simnet.Endpoint) float64 {
 // InScope reports whether ep is inside qid's RTT scope. Unscoped queries
 // (no registered scope) include everyone.
 func (s *Space) InScope(qid ids.ID, ep simnet.Endpoint) bool {
-	sc := s.scopes.get(qid)
+	sc := s.scopes[qid]
 	if sc == nil {
 		return true
 	}
@@ -124,7 +105,7 @@ func (s *Space) InScope(qid ids.ID, ep simnet.Endpoint) bool {
 // contributions made on behalf of an unavailable endsystem, whose
 // metadata record carries only its id.
 func (s *Space) InScopeID(qid ids.ID, id ids.ID) bool {
-	sc := s.scopes.get(qid)
+	sc := s.scopes[qid]
 	if sc == nil {
 		return true
 	}
@@ -140,7 +121,7 @@ func (s *Space) InScopeID(qid ids.ID, id ids.ID) bool {
 // a false answer to prune the whole subrange. The answer is exact: ball
 // bounds only ever short-circuit, leaves are scanned member by member.
 func (s *Space) RangeInScope(qid ids.ID, lo, hi ids.ID) bool {
-	sc := s.scopes.get(qid)
+	sc := s.scopes[qid]
 	if sc == nil {
 		return true
 	}
@@ -155,7 +136,7 @@ func (s *Space) RangeInScope(qid ids.ID, lo, hi ids.ID) bool {
 // ScopeMembers brute-forces the member set over the frozen snapshot —
 // the oracle the ball tree and the protocol are validated against.
 func (s *Space) ScopeMembers(qid ids.ID) ([]simnet.Endpoint, bool) {
-	sc := s.scopes.get(qid)
+	sc := s.scopes[qid]
 	if sc == nil {
 		return nil, false
 	}

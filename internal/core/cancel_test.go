@@ -37,7 +37,7 @@ func TestCancelReclaimsTreeAndSilencesTraffic(t *testing.T) {
 	}
 
 	c.RunUntil(c.Sched.Now() + 30*time.Minute)
-	if _, ok := h.Latest(); !ok {
+	if _, ok := lastUpdate(h); !ok {
 		t.Fatal("no results before cancel")
 	}
 	vertices := 0

@@ -171,14 +171,14 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 
 	c.RunUntil(finalHeal)
 	var rowsAtHeal int64
-	if upd, ok := h.Latest(); ok {
-		rowsAtHeal = upd.Partial.Count
+	if k := len(h.Results); k > 0 {
+		rowsAtHeal = h.Results[k-1].Partial.Count
 	}
 
 	c.RunUntil(finalHeal + settle)
 	var finalRows int64
-	if upd, ok := h.Latest(); ok {
-		finalRows = upd.Partial.Count
+	if k := len(h.Results); k > 0 {
+		finalRows = h.Results[k-1].Partial.Count
 	}
 
 	// Exactly-once: no incremental result ever exceeded ground truth, and

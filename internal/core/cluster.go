@@ -23,23 +23,10 @@ import (
 type ClusterConfig struct {
 	Trace    *avail.Trace
 	Workload anemone.Config
-	Topology simnet.TopologyConfig
 	Net      simnet.NetworkConfig
 	Pastry   pastry.Config
 	Node     NodeConfig
 	Seed     int64
-	// Shards selects the event engine. 0 (the default) runs the classic
-	// serial timer wheel, byte-identical to every historical seed. Any
-	// value >= 1 runs the sharded engine — the simnet is partitioned by
-	// router region into per-region wheels advanced with conservative
-	// lookahead — with up to Shards worker goroutines. Results are
-	// byte-identical across all Shards >= 1 values (the logical partition
-	// comes from the topology, not the worker count); Shards == 1 is the
-	// serial reference execution of that partition. Features that hinge
-	// on a single global event order (tracing, time-series sampling,
-	// fault injection, the query service) pin the engine back to one
-	// worker automatically.
-	Shards int
 	// Feed, when enabled, switches the cluster to live data updates:
 	// endsystems start empty and accrue rows while up, rebuilding and
 	// re-replicating their summaries as data changes. (The paper's own
@@ -83,7 +70,6 @@ func DefaultClusterConfig(trace *avail.Trace, seed int64) ClusterConfig {
 	return ClusterConfig{
 		Trace:    trace,
 		Workload: w,
-		Topology: simnet.DefaultTopologyConfig(),
 		Net:      net,
 		Pastry:   p,
 		Node:     DefaultNodeConfig(seed),
@@ -93,7 +79,7 @@ func DefaultClusterConfig(trace *avail.Trace, seed int64) ClusterConfig {
 
 // Cluster is a running packet-level Seaweed simulation.
 type Cluster struct {
-	Sched simnet.Scheduler
+	Sched *simnet.Wheel
 	Net   *simnet.Network
 	Ring  *pastry.Ring
 	Nodes []*Node
@@ -106,16 +92,12 @@ type Cluster struct {
 
 // NewCluster builds the cluster: endsystem data, overlay nodes, the t=0
 // bootstrap of the initially-available population, and the scheduled
-// up/down transitions for the whole trace horizon.
+// up/down transitions for the whole trace horizon. One wheel drives the
+// whole simulation.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	n := cfg.Trace.NumEndsystems()
-	topo := simnet.GenerateTopology(cfg.Topology, cfg.Seed)
-	var sched simnet.Scheduler
-	if cfg.Shards > 0 {
-		sched = simnet.NewSharded(topo, cfg.Shards)
-	} else {
-		sched = simnet.NewWheel()
-	}
+	topo := simnet.GenerateTopology(simnet.DefaultTopologyConfig(), cfg.Seed)
+	sched := simnet.NewWheel()
 	net := simnet.NewNetwork(sched, topo, n, cfg.Net)
 	// Attach observability before the protocol layers are built: they cache
 	// their metric handles at construction time.
@@ -125,20 +107,13 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}
 	o.BindClock(sched.Now)
 	net.SetObs(o)
-	// A tracer needs one globally ordered event stream; run it on a single
-	// worker so its output is the canonical serial interleaving.
-	if o.Tracer() != nil {
-		net.ForceSerial("tracer")
-	}
 	ring := pastry.NewRing(net, cfg.Pastry)
 	c := &Cluster{Sched: sched, Net: net, Ring: ring, Nodes: make([]*Node, n), cfg: cfg,
 		cSchedEvents: o.Counter("sched_events")}
 
 	// Virtual-time telemetry: when a sampler is attached to the obs layer,
-	// snapshot the load signals on its period. Like a tracer, a sampler
-	// forces experiment series serial, so sampling here cannot race.
+	// snapshot the load signals on its period.
 	if sw, period := o.Sampler(); sw != nil && period > 0 {
-		net.ForceSerial("timeseries sampler")
 		var lastT time.Duration
 		var lastEvents uint64
 		sched.Every(period, func() {
@@ -199,18 +174,13 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		c.Nodes[ep].startFeed()
 	}
 
-	// Schedule every availability transition on the endsystem's own shard
-	// wheel: a transition mutates that node's overlay and metadata state,
-	// which only its shard may touch under the sharded engine.
 	for i := 0; i < n; i++ {
 		node := c.Nodes[i]
-		nodeSched := net.SchedulerFor(simnet.Endpoint(i))
 		for _, tr := range cfg.Trace.Profiles[i].Transitions(0, cfg.Trace.Horizon) {
-			tr := tr
 			if tr.Up {
-				nodeSched.At(tr.At, node.GoUp)
+				sched.At(tr.At, node.GoUp)
 			} else {
-				nodeSched.At(tr.At, node.GoDown)
+				sched.At(tr.At, node.GoDown)
 			}
 		}
 	}
@@ -261,7 +231,7 @@ type QueryHandle struct {
 // Done returns a channel that is closed when the query finishes: when
 // its incremental results reach the predictor's expected total, or when
 // it is explicitly cancelled. Workload clients select on it instead of
-// polling Latest. The channel is closed from the simulation goroutine;
+// polling Results. The channel is closed from the simulation goroutine;
 // like the rest of the handle it is safe to read between RunUntil calls.
 func (h *QueryHandle) Done() <-chan struct{} { return h.done }
 
@@ -298,16 +268,6 @@ type ResultUpdate struct {
 	Contributors int64
 }
 
-// Latest returns the most recent result update, if any. It is the
-// polling-compatibility wrapper over the update log; new code should
-// consume the stream through Updates or OnUpdate.
-func (h *QueryHandle) Latest() (ResultUpdate, bool) {
-	if len(h.Results) == 0 {
-		return ResultUpdate{}, false
-	}
-	return h.Results[len(h.Results)-1], true
-}
-
 // InjectContinuousQuery submits a standing query: every endsystem
 // re-executes it periodically while up and replaces its contribution when
 // the local result changes, so the handle's incremental results track the
@@ -328,21 +288,17 @@ func (c *Cluster) InjectQuery(from simnet.Endpoint, q *relq.Query) *QueryHandle 
 // the query service passes its started event so the whole query tree
 // chains back to admission. cause 0 starts a fresh causal tree.
 func (c *Cluster) InjectQueryCause(from simnet.Endpoint, q *relq.Query, cause uint64) *QueryHandle {
-	// The injector's shard clock stamps the handle: its callbacks run as
-	// events on that shard, where reading the engine-level (shard 0) clock
-	// mid-run would race and be off by up to one lookahead window.
-	sch := c.Net.SchedulerFor(from)
-	h := &QueryHandle{Injected: sch.Now(), done: make(chan struct{})}
+	h := &QueryHandle{Injected: c.Sched.Now(), done: make(chan struct{})}
 	node := c.Nodes[from]
 	o := c.Obs()
 	var hit50, hit90, hit99 bool
 	h.QueryID = node.InjectQuery(q, cause,
 		func(p *predictor.Predictor) {
 			h.Predictor = p
-			h.PredictorAt = sch.Now()
+			h.PredictorAt = c.Sched.Now()
 		},
 		func(part agg.Partial, contributors int64, span uint64) {
-			now := sch.Now()
+			now := c.Sched.Now()
 			h.deliver(ResultUpdate{
 				At: now, Partial: part, Contributors: contributors,
 			})

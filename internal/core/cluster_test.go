@@ -33,6 +33,14 @@ func findLiveInjector(t *testing.T, c *Cluster) simnet.Endpoint {
 	return 0
 }
 
+// lastUpdate returns a query's most recent result update, if any.
+func lastUpdate(h *QueryHandle) (ResultUpdate, bool) {
+	if len(h.Results) == 0 {
+		return ResultUpdate{}, false
+	}
+	return h.Results[len(h.Results)-1], true
+}
+
 func TestClusterEndToEndQuery(t *testing.T) {
 	c := smallCluster(t, 80, 3*24*time.Hour, 1)
 	// Warm up: half a day of protocol activity and churn.
@@ -50,7 +58,7 @@ func TestClusterEndToEndQuery(t *testing.T) {
 	if lat <= 0 || lat > 30*time.Second {
 		t.Fatalf("predictor latency %v implausible", lat)
 	}
-	last, ok := h.Latest()
+	last, ok := lastUpdate(h)
 	if !ok {
 		t.Fatal("no incremental results arrived")
 	}
@@ -101,7 +109,7 @@ func TestClusterIncrementalCompleteness(t *testing.T) {
 		_ = prev
 		prev = r.Partial.Count
 	}
-	last, _ := h.Latest()
+	last, _ := lastUpdate(h)
 	initial := h.Results[0]
 	if last.Partial.Count <= initial.Partial.Count {
 		t.Logf("initial=%d final=%d", initial.Partial.Count, last.Partial.Count)
@@ -171,13 +179,13 @@ func TestClusterRejoinSubmitsToActiveQuery(t *testing.T) {
 	inj := findLiveInjector(t, c)
 	h := c.InjectQuery(inj, q)
 	c.RunUntil(c.Sched.Now() + 15*time.Minute)
-	first, ok := h.Latest()
+	first, ok := lastUpdate(h)
 	if !ok {
 		t.Fatal("no initial results")
 	}
 	// By mid-morning the overnight machines have rejoined.
 	c.RunUntil(34 * time.Hour)
-	last, _ := h.Latest()
+	last, _ := lastUpdate(h)
 	if last.Contributors <= first.Contributors {
 		t.Fatalf("contributors did not grow after rejoins: %d -> %d",
 			first.Contributors, last.Contributors)

@@ -74,7 +74,7 @@ func TestConsistencyHEqualsHU(t *testing.T) {
 		}
 	}
 
-	last, ok := h.Latest()
+	last, ok := lastUpdate(h)
 	if !ok {
 		t.Fatal("no results")
 	}
@@ -118,7 +118,7 @@ func TestConsistencyExactlyOnceAcrossManyCycles(t *testing.T) {
 	}
 	// Everyone with data who was ever up long enough should be in by now
 	// (3 days after injection, multiple day cycles).
-	last, _ := h.Latest()
+	last, _ := lastUpdate(h)
 	total := c.TrueRelevantRows(q)
 	if last.Partial.Count != total {
 		// Allow endsystems that never appeared within the window.
@@ -159,7 +159,7 @@ func TestQueryUnderMessageLoss(t *testing.T) {
 	if h.Predictor == nil {
 		t.Fatal("no predictor under 2% loss")
 	}
-	last, ok := h.Latest()
+	last, ok := lastUpdate(h)
 	if !ok {
 		t.Fatal("no results under loss")
 	}

@@ -14,18 +14,17 @@ import (
 	"repro/internal/simnet"
 )
 
-// coordsShardedRun is shardedRun with the Vivaldi subsystem enabled and a
+// coordsRun is clusterRun with the Vivaldi subsystem enabled and a
 // second, RTT-scoped query: coordinate updates ride every protocol
-// receive, delegate and entry-vertex selection read the published
-// snapshot, and the scoped query exercises the frozen-scope pruning path.
-// The returned bytes include both query logs, the scope audit, and the
-// full metrics registry (coords_* series included).
-func coordsShardedRun(t *testing.T, shards int) string {
+// receive, delegate and entry-vertex selection read the coordinates, and
+// the scoped query exercises the frozen-scope pruning path. The returned
+// bytes include both query logs, the scope audit, and the full metrics
+// registry (coords_* series included).
+func coordsRun(t *testing.T) string {
 	t.Helper()
 	tr := avail.GenerateFarsite(avail.DefaultFarsiteConfig(100, 36*time.Hour, 3))
 	cfg := DefaultClusterConfig(tr, 3)
 	cfg.Workload.MeanFlowsPerDay = 50
-	cfg.Shards = shards
 	cfg.Coords = coords.Enabled()
 	o := obs.New()
 	cfg.Obs = o
@@ -37,9 +36,7 @@ func coordsShardedRun(t *testing.T, shards int) string {
 
 	c.RunUntil(18 * time.Hour)
 	// Scoped query: pick the radius from the injector's predicted RTTs so
-	// the scope always splits the population. The published snapshot is
-	// committed at window barriers, so the radius — and everything after
-	// it — is identical at any shard count.
+	// the scope always splits the population.
 	inj2 := findLiveInjector(t, c)
 	sp := c.Coords()
 	rtts := make([]time.Duration, 0, len(c.Nodes))
@@ -78,25 +75,21 @@ func coordsShardedRun(t *testing.T, shards int) string {
 	return out.String()
 }
 
-// TestCoordsShardedByteDeterminism is the coordinate subsystem's
-// determinism gate: with Vivaldi updates, coordinate-biased selection and
-// an RTT-scoped query all active, the full observable output — result
-// logs, traffic totals, the scope audit, the registry including the
-// coords_* series — must stay byte-identical between the serial reference
-// execution (Shards=1) and parallel executions at higher worker counts.
-func TestCoordsShardedByteDeterminism(t *testing.T) {
-	ref := coordsShardedRun(t, 1)
+// TestCoordsByteDeterminism is the coordinate subsystem's determinism
+// gate: with Vivaldi updates, coordinate-biased selection and an
+// RTT-scoped query all active, the full observable output — result logs,
+// traffic totals, the scope audit, the registry including the coords_*
+// series — must be byte-identical when the same seed runs twice.
+func TestCoordsByteDeterminism(t *testing.T) {
+	ref := coordsRun(t)
 	if len(ref) == 0 {
 		t.Fatal("reference run produced no output")
 	}
-	for _, shards := range []int{2, 8} {
-		got := coordsShardedRun(t, shards)
-		diffLines(t, fmt.Sprintf("coords shards=1 vs shards=%d", shards), ref, got)
-	}
+	diffLines(t, "coords run 1 vs run 2", ref, coordsRun(t))
 }
 
 // TestRTTScopeProtocol audits the scoped-query protocol against the
-// frozen-snapshot oracle on a serial run: no endsystem outside the scope
+// frozen-snapshot oracle: no endsystem outside the scope
 // may enter the aggregation tree, the converged result must count exactly
 // the in-scope rows, and dissemination must actually have pruned
 // out-of-scope subranges.
@@ -140,7 +133,7 @@ func TestRTTScopeProtocol(t *testing.T) {
 			t.Errorf("endsystem %d entered the tree from outside the scope", ep)
 		}
 	}
-	last, ok := h.Latest()
+	last, ok := lastUpdate(h)
 	if !ok {
 		t.Fatal("scoped query produced no results")
 	}

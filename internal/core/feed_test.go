@@ -129,13 +129,13 @@ func TestContinuousQueryTracksGrowingData(t *testing.T) {
 	inj := findLiveInjector(t, c)
 	h := c.InjectContinuousQuery(inj, q)
 	c.RunUntil(13 * time.Hour)
-	first, ok := h.Latest()
+	first, ok := lastUpdate(h)
 	if !ok {
 		t.Fatal("no initial results")
 	}
 	// A day later the standing query must have grown with the data.
 	c.RunUntil(40 * time.Hour)
-	last, _ := h.Latest()
+	last, _ := lastUpdate(h)
 	if last.Partial.Count <= first.Partial.Count {
 		t.Fatalf("continuous result did not grow: %d -> %d",
 			first.Partial.Count, last.Partial.Count)
@@ -160,12 +160,12 @@ func TestOneShotQueryDoesNotTrackGrowth(t *testing.T) {
 	inj := findLiveInjector(t, c)
 	h := c.InjectQuery(inj, q)
 	c.RunUntil(13 * time.Hour)
-	first, ok := h.Latest()
+	first, ok := lastUpdate(h)
 	if !ok {
 		t.Fatal("no results")
 	}
 	c.RunUntil(20 * time.Hour)
-	last, _ := h.Latest()
+	last, _ := lastUpdate(h)
 	total := c.TrueRelevantRows(q)
 	// The one-shot result may grow a little (rejoining endsystems submit
 	// fresher snapshots) but must stay below the live total, which keeps

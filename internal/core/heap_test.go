@@ -63,7 +63,7 @@ func TestHeapPerEndsystem(t *testing.T) {
 	q := relq.MustParse("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80")
 	h := c.InjectQuery(findLiveInjector(t, c), q)
 	c.RunUntil(c.Sched.Now() + 30*time.Minute)
-	if last, ok := h.Latest(); !ok || last.Contributors == 0 {
+	if last, ok := lastUpdate(h); !ok || last.Contributors == 0 {
 		t.Fatal("the query returned nothing")
 	}
 
@@ -103,7 +103,7 @@ func querySpan(t *testing.T, withQuery bool) (alloc uint64, queryBytes float64, 
 	c.RunUntil(c.Sched.Now() + 10*time.Minute)
 	runtime.ReadMemStats(&after)
 	if h != nil {
-		if last, ok := h.Latest(); !ok || last.Contributors == 0 {
+		if last, ok := lastUpdate(h); !ok || last.Contributors == 0 {
 			t.Fatal("the query returned nothing")
 		}
 	}

@@ -16,12 +16,11 @@ import (
 // off, and returns the observable outputs: the metrics registry JSON,
 // executed-event count, the query's full result log, separately the final
 // result tuple for cross-mode comparison, and how many rungs fired.
-func hedgeRun(t *testing.T, shards int, reassert bool) (output, final string, reasserts uint64) {
+func hedgeRun(t *testing.T, reassert bool) (output, final string, reasserts uint64) {
 	t.Helper()
 	tr := avail.GenerateFarsite(avail.DefaultFarsiteConfig(100, 36*time.Hour, 3))
 	cfg := DefaultClusterConfig(tr, 3)
 	cfg.Workload.MeanFlowsPerDay = 50
-	cfg.Shards = shards
 	cfg.Node.Agg.Reassert = reassert
 	o := obs.New()
 	cfg.Obs = o
@@ -50,22 +49,19 @@ func hedgeRun(t *testing.T, shards int, reassert bool) (output, final string, re
 	return out.String(), final, o.Counter("aggtree_hedge_reasserts").Value()
 }
 
-// TestHedgedShardedByteDeterminism: the ladder must preserve the engine's
-// byte-determinism guarantee — its timers ride shard-local scheduler
-// wheels, so the complete output of a run with it on (metrics, event
-// count, every incremental result) is identical at any shard count.
-func TestHedgedShardedByteDeterminism(t *testing.T) {
-	ref, _, reasserts := hedgeRun(t, 1, true)
+// TestHedgedByteDeterminism: the ladder keeps runs byte-deterministic —
+// the complete output of a run with it on (metrics, event count, every
+// incremental result) is identical when the same seed runs twice.
+func TestHedgedByteDeterminism(t *testing.T) {
+	ref, _, reasserts := hedgeRun(t, true)
 	if len(ref) == 0 {
 		t.Fatal("reference hedged run produced no output")
 	}
 	if reasserts == 0 {
 		t.Fatal("no re-assertion fired in the reference run: the comparison would not exercise the ladder")
 	}
-	for _, shards := range []int{2, 8} {
-		got, _, _ := hedgeRun(t, shards, true)
-		diffLines(t, fmt.Sprintf("hedged shards=1 vs shards=%d", shards), ref, got)
-	}
+	got, _, _ := hedgeRun(t, true)
+	diffLines(t, "hedged run 1 vs run 2", ref, got)
 }
 
 // TestHedgedMatchesUnhedgedFinalResult: a re-assertion is the same
@@ -74,14 +70,12 @@ func TestHedgedShardedByteDeterminism(t *testing.T) {
 // (retransmissions may shift when intermediate updates arrive, never what
 // the query ultimately returns).
 func TestHedgedMatchesUnhedgedFinalResult(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		_, hedged, _ := hedgeRun(t, shards, true)
-		_, plain, _ := hedgeRun(t, shards, false)
-		if hedged == "" || plain == "" {
-			t.Fatalf("shards=%d: a run delivered no results (hedged=%q plain=%q)", shards, hedged, plain)
-		}
-		if hedged != plain {
-			t.Fatalf("shards=%d: final results differ: hedged %s vs unhedged %s", shards, hedged, plain)
-		}
+	_, hedged, _ := hedgeRun(t, true)
+	_, plain, _ := hedgeRun(t, false)
+	if hedged == "" || plain == "" {
+		t.Fatalf("a run delivered no results (hedged=%q plain=%q)", hedged, plain)
+	}
+	if hedged != plain {
+		t.Fatalf("final results differ: hedged %s vs unhedged %s", hedged, plain)
 	}
 }

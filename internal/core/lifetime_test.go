@@ -22,7 +22,7 @@ func TestQueryTTLExpiry(t *testing.T) {
 	inj := findLiveInjector(t, c)
 	h := c.InjectQuery(inj, q)
 	c.RunUntil(c.Sched.Now() + 30*time.Minute)
-	if _, ok := h.Latest(); !ok {
+	if _, ok := lastUpdate(h); !ok {
 		t.Fatal("no results before expiry")
 	}
 
@@ -56,7 +56,7 @@ func TestExplicitCancelStopsResults(t *testing.T) {
 	inj := findLiveInjector(t, c)
 	h := c.InjectQuery(inj, q)
 	c.RunUntil(c.Sched.Now() + 30*time.Minute)
-	if _, ok := h.Latest(); !ok {
+	if _, ok := lastUpdate(h); !ok {
 		t.Fatal("no results before cancel")
 	}
 	c.CancelQuery(h, inj)

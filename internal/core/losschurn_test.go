@@ -90,7 +90,7 @@ func TestAggTreeExactlyOnceUnderLossAndChurn(t *testing.T) {
 		}
 	}
 
-	final, ok := h.Latest()
+	final, ok := lastUpdate(h)
 	if !ok {
 		t.Fatal("no results under loss + churn")
 	}

@@ -104,7 +104,7 @@ func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
 	// Every endsystem table shares the cluster-wide executor counters
 	// (rows_scanned / rows_matched / blocks_pruned plus plan-cache hit
 	// rates); counter updates are atomic and order-independent, so the
-	// totals stay byte-identical across sharded-engine worker counts.
+	// totals do not depend on execution order.
 	execStats := relq.StandardExecStats(ring.Obs())
 	for _, t := range tables {
 		t.SetExecStats(execStats)

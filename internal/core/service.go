@@ -101,10 +101,6 @@ type QueryService struct {
 
 // NewQueryService returns a service façade over the cluster.
 func NewQueryService(c *Cluster) *QueryService {
-	// The service's admission control and workload engine keep shared
-	// per-cluster state (active-query accounting, deadline queues) touched
-	// from events across every shard; run those events on one worker.
-	c.Net.ForceSerial("query service")
 	o := c.Obs()
 	return &QueryService{
 		c:          c,

@@ -4,11 +4,10 @@ package core
 // incremental result in Results (the virtual-time-ordered update log);
 // consumers either pull updates through a Subscription cursor or register
 // an OnUpdate callback that fires synchronously, in virtual time, as the
-// simulation delivers results. Latest remains as a thin compatibility
-// wrapper over the log for code that polls.
+// simulation delivers results.
 //
 // Everything here runs on the simulation's single driving goroutine (see
-// simnet.Scheduler), so no locking is needed — and none would help, since
+// simnet.Wheel), so no locking is needed — and none would help, since
 // reading results from another goroutine mid-run would race with the
 // scheduler anyway.
 

@@ -49,7 +49,7 @@ type Config struct {
 	// Initial delegate selection is then biased toward the known candidate
 	// with the lowest predicted RTT inside each subrange (the id-valid
 	// candidate set is unchanged; ties break toward the smaller id so runs
-	// stay byte-identical at any shard count), and RTT-scoped queries
+	// stay byte-identical per seed), and RTT-scoped queries
 	// prune subranges whose coordinate bounding balls fall entirely
 	// outside the query radius. Nil preserves the id-only baseline.
 	Coords *coords.Space
@@ -152,7 +152,7 @@ type Engine struct {
 	hPredLat   *obs.Histogram // dissem_predictor_latency_ns
 
 	// cands is a reused scratch buffer for coordinate-biased delegate
-	// candidate enumeration (engines are single-threaded on their shard).
+	// candidate enumeration (engines are single-threaded).
 	cands []pastry.NodeRef
 }
 
@@ -683,8 +683,7 @@ func (e *Engine) sendSubrange(s *subrange) {
 // nearestDelegate picks, among the nodes this endsystem's own routing
 // state knows inside [lo, hi], the one with the lowest predicted RTT.
 // Candidates arrive sorted by id and the comparison is strict, so the
-// choice is deterministic (ties go to the smaller id) regardless of shard
-// count. ok is false when nothing in range is known locally.
+// choice is deterministic (ties go to the smaller id). ok is false when nothing in range is known locally.
 func (e *Engine) nearestDelegate(lo, hi ids.ID) (pastry.NodeRef, bool) {
 	node := e.host.PastryNode()
 	e.cands = node.AppendKnownInRange(e.cands[:0], lo, hi)

@@ -63,14 +63,14 @@ func (h *testHost) LeafsetChanged() {
 }
 
 type cluster struct {
-	sched simnet.Scheduler
+	sched *simnet.Wheel
 	ring  *pastry.Ring
 	hosts []*testHost
 }
 
 // newRing returns an empty n-endpoint overlay on a uniform 10 ms topology,
 // with the metrics registry a cluster has by default.
-func newRing(n int, seed int64) (simnet.Scheduler, *pastry.Ring) {
+func newRing(n int, seed int64) (*simnet.Wheel, *pastry.Ring) {
 	sched := simnet.NewWheel()
 	topo := simnet.UniformTopology(4, 10*time.Millisecond, time.Millisecond)
 	ncfg := simnet.DefaultNetworkConfig()

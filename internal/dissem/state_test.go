@@ -142,7 +142,7 @@ type idRange struct{ lo, hi ids.ID }
 // two ring members, which contribute nothing, and own, the engine's id
 // alone, which contributes the host's ten rows.
 type rig struct {
-	sched   simnet.Scheduler
+	sched   *simnet.Wheel
 	host    *rigHost
 	e       *Engine
 	ids     []ids.ID // endpoint i sits on ids[i]; ascending

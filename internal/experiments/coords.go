@@ -250,8 +250,8 @@ func RTTScopeDemo(s Scale, radius time.Duration) *RTTScopeResult {
 	if members, ok := sp.ScopeMembers(h.QueryID); ok {
 		r.Members = len(members)
 	}
-	if last, ok := h.Latest(); ok {
-		r.FinalRows = last.Partial.Count
+	if k := len(h.Results); k > 0 {
+		r.FinalRows = h.Results[k-1].Partial.Count
 	}
 	r.OracleRows = c.TrueRowsInScope(h.QueryID, q)
 	for ep := range c.Nodes {

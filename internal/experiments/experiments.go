@@ -48,13 +48,6 @@ type Scale struct {
 	// GOMAXPROCS, 1 = serial). Results are identical at any value; an
 	// attached tracer forces serial so the event stream stays whole.
 	Workers int
-	// Shards selects the event engine inside each simulation run: 0 keeps
-	// the classic serial wheel; >= 1 partitions the simnet by router
-	// region and advances the shards with up to Shards workers. Results
-	// are byte-identical at any value >= 1 (and differ from 0 only in the
-	// engine, not the model). Orthogonal to Workers, which fans whole
-	// independent runs.
-	Shards int
 	// Coords enables the Vivaldi network-coordinate subsystem inside every
 	// cluster the experiment builds (latency-biased delegate and
 	// aggregation-entry selection; RTT-scoped queries become available).
@@ -111,11 +104,10 @@ func runSeries[T any](s Scale, n int, run func(i int, sc Scale) T) []T {
 }
 
 // clusterConfig returns the packet-level configuration every experiment
-// starts from: the paper's defaults on the trace, with the scale's event
-// engine, observability layer and workload size.
+// starts from: the paper's defaults on the trace, with the scale's
+// observability layer and workload size.
 func (s Scale) clusterConfig(trace *avail.Trace, seed int64) core.ClusterConfig {
 	cfg := core.DefaultClusterConfig(trace, seed)
-	cfg.Shards = s.Shards
 	cfg.Obs = s.Obs
 	cfg.Workload.MeanFlowsPerDay = s.FlowsPerDay
 	return cfg

@@ -142,7 +142,7 @@ type geState struct {
 // implements simnet.FaultHook for the message-level faults. Install with
 // net.SetFaultHook(inj) and call Start once.
 type Injector struct {
-	sched    simnet.Scheduler
+	sched    *simnet.Wheel
 	net      *simnet.Network
 	topo     *simnet.Topology
 	scenario Scenario

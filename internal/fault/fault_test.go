@@ -12,7 +12,7 @@ import (
 // testNet builds a network over a uniform topology where every router is
 // its own failure region, so partitions can be tested at single-router
 // granularity.
-func testNet(n int, seed int64) (simnet.Scheduler, *simnet.Network) {
+func testNet(n int, seed int64) (*simnet.Wheel, *simnet.Network) {
 	sched := simnet.NewWheel()
 	topo := simnet.UniformTopology(4, 10*time.Millisecond, time.Millisecond)
 	cfg := simnet.DefaultNetworkConfig()

@@ -15,7 +15,7 @@ import (
 
 // harness wires a pastry ring where every node runs a metadata service.
 type harness struct {
-	sched    simnet.Scheduler
+	sched    *simnet.Wheel
 	obs      *obs.Obs
 	ring     *pastry.Ring
 	nodes    []*pastry.Node

@@ -20,13 +20,11 @@
 // Event types in trace.go and the summarizer in summary.go.
 //
 // Metric handles (counters, gauges, histogram buckets) update with atomic
-// operations: under the sharded simulation engine (internal/simnet)
-// instrumentation fires concurrently from per-shard workers. All recorded
-// quantities are integers (counts, byte sizes, nanosecond durations), so
-// atomic integer accumulation also keeps every total independent of the
-// order shards interleave — which is what keeps metrics byte-identical
-// across worker counts. The tracer remains single-threaded: tracing forces
-// the engine serial (see simnet.Sharded.ForceSerial).
+// operations, so a registry stays safe to record into from more than one
+// goroutine. All recorded quantities are integers (counts, byte sizes,
+// nanosecond durations), so every total is exact and independent of the
+// order its updates arrive in. The tracer is single-threaded, like the
+// simulation (one simnet.Wheel) whose events it records.
 package obs
 
 import (
@@ -160,7 +158,7 @@ type Histogram struct {
 	count uint64
 	// sum is an integer: every recorded quantity is an integral count or
 	// nanosecond duration, and integer accumulation keeps the sum exact
-	// and order-independent across concurrent shard workers.
+	// and order-independent across concurrent recorders.
 	sum uint64
 	// minEnc holds min+1 (0 = no observations yet), so the zero-value
 	// histogram needs no sentinel initialization.
@@ -291,7 +289,7 @@ type Registry struct {
 	// mu guards the maps. Instrumentation sites fetch handles once at
 	// construction time, so get-or-create is a cold path; the lone
 	// mid-run creator is lazy per-query histogram naming, which must be
-	// safe when simulation events run on sharded workers.
+	// safe when more than one goroutine records into the registry.
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge

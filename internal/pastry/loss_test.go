@@ -10,7 +10,7 @@ import (
 )
 
 // lossyRing builds a bootstrapped ring over a lossy network.
-func lossyRing(t *testing.T, n int, seed int64, loss float64) (simnet.Scheduler, *Ring, []*Node, []*testApp) {
+func lossyRing(t *testing.T, n int, seed int64, loss float64) (*simnet.Wheel, *Ring, []*Node, []*testApp) {
 	t.Helper()
 	sched := simnet.NewWheel()
 	topo := simnet.UniformTopology(8, 10*time.Millisecond, time.Millisecond)
@@ -51,7 +51,7 @@ func TestJoinRetriesUnderHeavyLoss(t *testing.T) {
 		if !nodes[i].Alive() {
 			t.Fatalf("node %d not alive", i)
 		}
-		if !ring.isLiveFrom(0, nodes[i].Ref()) {
+		if !ring.isLive(nodes[i].Ref()) {
 			t.Fatalf("node %d alive but stranded outside the overlay (join never completed)", i)
 		}
 		if len(nodes[i].Leafset()) == 0 {

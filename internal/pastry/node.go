@@ -21,8 +21,7 @@ type tableEntry struct {
 const maxHops = 64
 
 // Node is one overlay endsystem. All methods must be called from simulator
-// events on the node's own shard (the node is single-threaded under its
-// shard's wheel; with the serial engine that is the whole simulation).
+// events (the simulation is single-threaded under one wheel).
 type Node struct {
 	ring  *Ring
 	ep    simnet.Endpoint
@@ -30,19 +29,8 @@ type Node struct {
 	app   Application
 	alive bool
 
-	// sched is the node's shard wheel: the only scheduler its timers may
-	// use under the sharded engine. shard caches the shard index for
-	// free-list, rng, and liveness lookups on the message hot path.
-	sched simnet.Scheduler
-	shard int32
-
 	leaf []NodeRef   // leafset: l/2 nearest per side, sorted by ID
 	rows []*tableRow // routing table rows, arena-allocated as needed
-
-	// rowsReady distinguishes "no table yet" (LazyTables bootstrap;
-	// materialize on first use) from "table legitimately empty or built
-	// incrementally" (joined nodes, tiny overlays).
-	rowsReady bool
 
 	// OnReady, if set, is called once the node has joined the overlay and
 	// is routable (immediately for bootstrap starts, after the join
@@ -62,12 +50,9 @@ func (n *Node) Ring() *Ring { return n.ring }
 // Endpoint returns the node's network attachment.
 func (n *Node) Endpoint() simnet.Endpoint { return n.ep }
 
-// Sched returns the scheduler for this node's timers: its shard's wheel.
-// Layers above the overlay (metadata, dissemination, aggregation) must
-// schedule work that touches this node's state here, never on the
-// engine-level scheduler, or the work lands on the wrong shard under the
-// sharded engine.
-func (n *Node) Sched() simnet.Scheduler { return n.sched }
+// Sched returns the wheel this node's timers run on. Layers above the
+// overlay (metadata, dissemination, aggregation) schedule through it.
+func (n *Node) Sched() *simnet.Wheel { return n.ring.sched }
 
 // Ref returns the node's NodeRef.
 func (n *Node) Ref() NodeRef { return NodeRef{ID: n.id, EP: n.ep} }
@@ -89,11 +74,10 @@ func (n *Node) Leafset() []NodeRef {
 func (n *Node) LeafsetView() []NodeRef { return n.leaf }
 
 // AppendKnownInRange appends the nodes this node's own routing state —
-// leafset plus already-materialized routing-table rows — knows inside the
-// inclusive linear id range [lo, hi], deduplicated and sorted by id, and
-// returns the extended slice. It never forces lazy table materialization
-// (which would draw from the shard rng and perturb baseline determinism);
-// an empty result just means the caller falls back to id arithmetic.
+// leafset plus routing-table rows — knows inside the inclusive linear id
+// range [lo, hi], deduplicated and sorted by id, and returns the extended
+// slice. An empty result just means the caller falls back to id
+// arithmetic.
 func (n *Node) AppendKnownInRange(dst []NodeRef, lo, hi ids.ID) []NodeRef {
 	start := len(dst)
 	for _, m := range n.leaf {
@@ -101,15 +85,10 @@ func (n *Node) AppendKnownInRange(dst []NodeRef, lo, hi ids.ID) []NodeRef {
 			dst = append(dst, m)
 		}
 	}
-	if n.rowsReady {
-		for _, row := range n.rows {
-			if row == nil {
-				continue
-			}
-			for d := range row {
-				if e := &row[d]; e.ok && e.ID.InRange(lo, hi) {
-					dst = append(dst, e.NodeRef)
-				}
+	for _, row := range n.rows {
+		for d := range row {
+			if e := &row[d]; e.ok && e.ID.InRange(lo, hi) {
+				dst = append(dst, e.NodeRef)
 			}
 		}
 	}
@@ -160,7 +139,7 @@ func (n *Node) AppendReplicaSet(dst []NodeRef, k int) []NodeRef {
 // ground-truth index must already contain the full initial population
 // (see Ring.BootstrapAll).
 func (n *Node) StartBootstrap() {
-	n.ring.setAlive(n, true)
+	n.alive = true
 	n.joining = false
 	n.installState()
 	if n.OnReady != nil {
@@ -171,40 +150,13 @@ func (n *Node) StartBootstrap() {
 // installState fills the leafset and routing table from the ground truth.
 func (n *Node) installState() {
 	n.setLeafset(n.ring.liveLeafNeighbors(n.ep, n.id, leafsetHalf))
-	if n.ring.cfg.LazyTables {
-		n.rows = nil
-		n.rowsReady = false
-		return
-	}
-	n.rows, _ = n.ring.buildRoutingTable(n.id, n.ring.sh[n.shard].rng,
-		func() *tableRow { return n.ring.newRow(n.shard) })
-	n.rowsReady = true
-}
-
-// ensureRows materializes a lazily deferred routing table from the
-// current ground truth, keeping any entries learned from traffic in the
-// meantime where the ground-truth build left a hole.
-func (n *Node) ensureRows() {
-	n.rowsReady = true
-	learned := n.rows
-	n.rows, _ = n.ring.buildRoutingTable(n.id, n.ring.sh[n.shard].rng,
-		func() *tableRow { return n.ring.newRow(n.shard) })
-	for i, row := range learned {
-		for i >= len(n.rows) {
-			n.rows = append(n.rows, n.ring.newRow(n.shard))
-		}
-		for d := 0; d < 16; d++ {
-			if row[d].ok && !n.rows[i][d].ok {
-				n.rows[i][d] = row[d]
-			}
-		}
-	}
+	n.rows, _ = n.ring.buildRoutingTable(n.id, n.ring.newRow)
 }
 
 // BootstrapAll starts every node in eps simultaneously as the initial
 // overlay population. The live index is built in bulk — append all, sort
 // once — because inserting a sorted slice one element at a time is
-// quadratic, which at N=10^6 turns bootstrap into the dominant cost of a
+// quadratic, which at large N turns bootstrap into the dominant cost of a
 // run.
 func (r *Ring) BootstrapAll(eps []simnet.Endpoint) {
 	refs := make([]NodeRef, 0, len(eps))
@@ -214,9 +166,6 @@ func (r *Ring) BootstrapAll(eps []simnet.Endpoint) {
 			panic("pastry: BootstrapAll on unknown endpoint")
 		}
 		n.alive = true
-		if r.aliveBits != nil {
-			r.aliveBits[ep] = true
-		}
 		refs = append(refs, n.Ref())
 	}
 	r.live = append(r.live, refs...)
@@ -236,11 +185,10 @@ func (n *Node) Start() {
 	if n.alive {
 		return
 	}
-	n.ring.setAlive(n, true)
+	n.alive = true
 	n.joining = true
 	n.leaf = nil
 	n.rows = nil
-	n.rowsReady = true // join transfers state eagerly
 	if n.ring.NumLive() == 0 {
 		n.ring.noteJoined(n)
 		n.joining = false
@@ -270,7 +218,7 @@ func (n *Node) sendJoinRequest() {
 	// not burn its whole retry timeout on a contact across the cut. The
 	// random draw is made regardless so the rng stream is identical with
 	// and without faults.
-	contact := n.ring.live[n.ring.sh[n.shard].rng.Intn(len(n.ring.live))]
+	contact := n.ring.live[n.ring.rng.Intn(len(n.ring.live))]
 	if !n.ring.reachable(n.ep, contact.EP) {
 		for _, ref := range n.ring.live {
 			if n.ring.reachable(n.ep, ref.EP) {
@@ -281,7 +229,7 @@ func (n *Node) sendJoinRequest() {
 	}
 	req := &joinRequest{Joiner: n.Ref()}
 	n.ring.net.Send(n.ep, contact.EP, refBytes+16, simnet.ClassPastry, req)
-	n.joinRetry = n.sched.After(joinRetryTimeout, func() {
+	n.joinRetry = n.Sched().After(joinRetryTimeout, func() {
 		n.ring.cJoinRetry.Inc()
 		n.sendJoinRequest()
 	})
@@ -289,27 +237,25 @@ func (n *Node) sendJoinRequest() {
 
 // Stop takes the node down silently (a crash or power-off). Failure
 // detection at its neighbors is modeled by scheduling notifications one to
-// two heartbeat periods later; the notifications travel through
-// Network.CallAfter so each lands on its target's shard.
+// two heartbeat periods later.
 func (n *Node) Stop() {
 	if !n.alive {
 		return
 	}
 	ref := n.Ref()
-	n.ring.setAlive(n, false)
-	n.ring.noteLeft(n, ref)
+	n.alive = false
+	n.ring.noteLeft(ref)
 	n.joining = false
 	n.joinRetry.Cancel()
 	n.joinRetry = simnet.Timer{}
 	// The nodes holding this node in their leafsets — its lh successors
 	// and lh predecessors — learn of the death after the detection delay.
 	neighbors := n.ring.liveLeafNeighbors(n.ep, n.id, leafsetHalf)
-	rng := n.ring.sh[n.shard].rng
 	for _, nb := range neighbors {
 		nb := nb
 		delay := heartbeatPeriod +
-			time.Duration(rng.Float64()*float64(heartbeatPeriod))
-		n.ring.net.CallAfter(n.ep, nb.EP, delay, func() {
+			time.Duration(n.ring.rng.Float64()*float64(heartbeatPeriod))
+		n.Sched().After(delay, func() {
 			if m := n.ring.nodes[nb.EP]; m != nil && m.alive && m.id == nb.ID {
 				m.noteDead(ref)
 			}
@@ -325,7 +271,7 @@ func (n *Node) Route(key ids.ID, payload any, size int, class simnet.Class) {
 	if !n.alive {
 		return
 	}
-	n.forward(n.ring.getEnv(n.shard, key, payload, size, class), n.ep)
+	n.forward(n.ring.getEnv(key, payload, size, class), n.ep)
 }
 
 // forward advances an envelope one hop. origin is the endpoint of the
@@ -338,7 +284,7 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 		n.ring.cHopDrops.Inc()
 		n.ring.o.EmitSpan(env.span, obs.Event{Kind: obs.KindRouteDrop,
 			Query: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
-		n.ring.putEnv(n.shard, env)
+		n.ring.putEnv(env)
 		return
 	}
 	next, selfIsRoot := n.nextHop(env.Key)
@@ -349,13 +295,13 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 				Query: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
 		}
 		key, payload := env.Key, env.Payload
-		n.ring.putEnv(n.shard, env)
+		n.ring.putEnv(env)
 		n.app.Deliver(key, origin, payload)
 		return
 	}
 	env.Hops++
 	size := env.Size + envelopeOverhead
-	if !n.ring.isLiveFrom(n.shard, next) {
+	if !n.ring.isLive(next) {
 		// Stale entry: the transmission is wasted, and after a timeout the
 		// node removes the entry and reroutes — modeling MSPastry's
 		// per-hop ack timeout.
@@ -365,7 +311,7 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 				Query: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
 		}
 		n.ring.net.AccountAggregate(n.ep, env.Class, size, 0)
-		n.sched.After(retryTimeout, func() {
+		n.Sched().After(retryTimeout, func() {
 			if !n.alive {
 				return
 			}
@@ -374,13 +320,12 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 		})
 		return
 	}
-	n.ring.net.Send(n.ep, next.EP, size, env.Class, n.ring.getHop(n.shard, env, origin, n.Ref(), n.sched.Now()))
+	n.ring.net.Send(n.ep, next.EP, size, env.Class, n.ring.getHop(env, origin, n.Ref(), n.Sched().Now()))
 }
 
 // hopMsg is the per-hop wrapper carrying an envelope between nodes. The
-// wrappers are pooled per shard (see Ring.getHop/putHop); the receiving
-// node recycles one into its own shard's list as soon as it has copied
-// the fields out.
+// wrappers are pooled (see Ring.getHop/putHop); the receiving node
+// recycles one as soon as it has copied the fields out.
 type hopMsg struct {
 	Env    *routeEnvelope
 	Origin simnet.Endpoint
@@ -391,7 +336,7 @@ type hopMsg struct {
 	// already pays for. The receiver turns now−SentAt into the RTT sample
 	// feeding the pastry_hop_rtt histogram and the coordinate space.
 	SentAt time.Duration
-	next   *hopMsg // per-shard free list
+	next   *hopMsg // Ring free list
 }
 
 // SingleDelivery opts hop wrappers out of the duplication fault: the
@@ -415,9 +360,6 @@ func (n *Node) nextHop(key ids.ID) (next NodeRef, selfIsRoot bool) {
 		return root, root.ID == n.id
 	}
 
-	if !n.rowsReady {
-		n.ensureRows()
-	}
 	plen := ids.CommonPrefixLen(key, n.id, B)
 	if plen < len(n.rows) {
 		e := n.rows[plen][key.Digit(plen, B)]
@@ -527,8 +469,8 @@ func (n *Node) HandleMessage(from simnet.Endpoint, payload any) {
 	switch m := payload.(type) {
 	case *hopMsg:
 		env, origin, sender, sentAt := m.Env, m.Origin, m.Sender, m.SentAt
-		n.ring.putHop(n.shard, m)
-		if d := n.sched.Now() - sentAt; d > 0 {
+		n.ring.putHop(m)
+		if d := n.Sched().Now() - sentAt; d > 0 {
 			// One-way hop delay doubled into an RTT sample. Fault-injected
 			// extra delay inflates it, exactly as a real probe would see.
 			n.ring.hHopRTT.ObserveDuration(2 * d)
@@ -581,7 +523,7 @@ func (n *Node) learn(ref NodeRef) {
 		if len(n.rows) >= 8 { // deeper rows are covered by the leafset
 			return
 		}
-		n.rows = append(n.rows, n.ring.newRow(n.shard))
+		n.rows = append(n.rows, n.ring.newRow())
 	}
 	slot := &n.rows[plen][ref.ID.Digit(plen, B)]
 	if !slot.ok {
@@ -639,7 +581,7 @@ func (n *Node) repairLeafset() {
 	self := n.Ref()
 	for i := 0; i < 2 && i < len(n.leaf); i++ {
 		target := n.leaf[len(n.leaf)-1-i]
-		if n.ring.isLiveFrom(n.shard, target) {
+		if n.ring.isLive(target) {
 			n.ring.net.Send(n.ep, target.EP, refBytes+8, simnet.ClassPastry,
 				&leafsetPull{From: self})
 		}
@@ -722,10 +664,10 @@ func (n *Node) handleJoinRequest(req *joinRequest) {
 	}
 	next, selfIsRoot := n.nextHop(req.Joiner.ID)
 	if !selfIsRoot {
-		if !n.ring.isLiveFrom(n.shard, next) {
+		if !n.ring.isLive(next) {
 			size := refBytes + 16
 			n.ring.net.AccountAggregate(n.ep, simnet.ClassPastry, size, 0)
-			n.sched.After(retryTimeout, func() {
+			n.Sched().After(retryTimeout, func() {
 				if n.alive {
 					n.dropRef(next)
 					n.handleJoinRequest(req)
@@ -741,8 +683,7 @@ func (n *Node) handleJoinRequest(req *joinRequest) {
 	// flattened into the reply and discarded, so they come from the plain
 	// heap rather than the table arena.
 	joiner := req.Joiner
-	rows, entries := n.ring.buildRoutingTable(joiner.ID, n.ring.sh[n.shard].rng,
-		func() *tableRow { return new(tableRow) })
+	rows, entries := n.ring.buildRoutingTable(joiner.ID, func() *tableRow { return new(tableRow) })
 	leafset := n.ring.liveLeafNeighbors(joiner.EP, joiner.ID, leafsetHalf)
 	reply := &joinReply{Leafset: leafset, Rows: flattenRows(rows)}
 	size := 16 + (len(leafset)+entries)*refBytes
@@ -779,7 +720,7 @@ func (n *Node) handleJoinReply(reply *joinReply) {
 	n.ring.o.Emit(obs.Event{Kind: obs.KindJoin, EP: int(n.ep)})
 	ann := &nodeAnnounce{Node: n.Ref()}
 	for _, m := range n.leaf {
-		if n.ring.isLiveFrom(n.shard, m) {
+		if n.ring.isLive(m) {
 			n.ring.net.Send(n.ep, m.EP, refBytes+8, simnet.ClassPastry, ann)
 		}
 	}

@@ -60,13 +60,6 @@ const (
 type Config struct {
 	// Seed drives protocol randomness (detection jitter, probe targets).
 	Seed int64
-	// LazyTables defers each bootstrapped node's routing-table
-	// materialization to its first non-leafset route. At N=10^6 most
-	// nodes never forward beyond their leafset over a short horizon, so
-	// building (and storing) a million ~5-row tables up front dominates
-	// both bootstrap time and resident memory; lazy materialization makes
-	// table cost proportional to routing activity instead of population.
-	LazyTables bool
 }
 
 // DefaultConfig returns the paper's overlay configuration.

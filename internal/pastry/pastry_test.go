@@ -29,7 +29,7 @@ func (a *testApp) Deliver(key ids.ID, from simnet.Endpoint, payload any) {
 func (a *testApp) LeafsetChanged() { a.leafsetChanges++ }
 
 // testRing builds a bootstrapped ring of n nodes.
-func testRing(t *testing.T, n int, seed int64) (simnet.Scheduler, *Ring, []*Node, []*testApp) {
+func testRing(t *testing.T, n int, seed int64) (*simnet.Wheel, *Ring, []*Node, []*testApp) {
 	t.Helper()
 	sched := simnet.NewWheel()
 	topo := simnet.UniformTopology(8, 10*time.Millisecond, time.Millisecond)
@@ -66,7 +66,7 @@ func TestBootstrapLeafsets(t *testing.T) {
 		// Every leafset member must be live, and the replica set must be
 		// exactly the ground-truth closest set.
 		for _, m := range ls {
-			if !ring.isLiveFrom(0, m) {
+			if !ring.isLive(m) {
 				t.Fatalf("leafset contains dead node")
 			}
 		}
@@ -165,7 +165,7 @@ func TestJoinAndRouteToJoiner(t *testing.T) {
 	if !ready {
 		t.Fatal("joiner never became ready")
 	}
-	if !ring.isLiveFrom(0, joiner.Ref()) {
+	if !ring.isLive(joiner.Ref()) {
 		t.Fatal("joiner not in ground truth")
 	}
 

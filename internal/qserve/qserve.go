@@ -134,7 +134,7 @@ type Service struct {
 	cfg   Config
 	c     *core.Cluster
 	svc   *core.QueryService
-	sched simnet.Scheduler
+	sched *simnet.Wheel
 	// rowsPerUnit converts the metadata-predicted result row volume into
 	// cost units.
 	rowsPerUnit float64

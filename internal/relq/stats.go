@@ -7,8 +7,8 @@ import "repro/internal/obs"
 // ExecStats) pays one predicted branch per counter per execution and
 // nothing else. The cluster wires every endsystem table to one shared set
 // of registry counters; counts are accumulated atomically and are
-// order-independent, so totals stay byte-identical across sharded-engine
-// worker counts.
+// order-independent, so totals do not depend on the order executions run
+// in.
 type ExecStats struct {
 	// RowsScanned counts rows evaluated by a predicate kernel. Rows in
 	// blocks that zone maps decided wholesale (pruned or all-match) are

@@ -197,7 +197,7 @@ func (g *segment) bytes() int {
 
 // Table is a columnar table holding one endsystem's horizontal partition of
 // a dataset. Tables are not safe for concurrent use; in the simulation each
-// table belongs to exactly one endsystem, which executes on one shard.
+// table belongs to exactly one endsystem.
 type Table struct {
 	schema Schema
 	cols   []column

@@ -12,7 +12,7 @@
 //     scheduler, its own cluster, its own observability registry. The
 //     pool never shares mutable state between in-flight runs (the
 //     simnet scheduler additionally self-checks this; see
-//     simnet.Scheduler).
+//     simnet.Wheel).
 //  3. Indexed results. Run i's value lands in slot i of the output,
 //     regardless of completion order.
 //

@@ -45,7 +45,7 @@ const (
 	// evDeliver delivers a network message: receiver and payload are
 	// struct fields, so Network.Send allocates nothing per message.
 	evDeliver
-	// evPeriodic is a self-rescheduling timer (Scheduler.Every): one
+	// evPeriodic is a self-rescheduling timer (Wheel.Every): one
 	// callback captured at creation, the same pooled event re-armed every
 	// period with a fresh sequence number.
 	evPeriodic
@@ -73,44 +73,14 @@ type event struct {
 	payload  any
 }
 
-// Scheduler is the discrete-event scheduling surface of the simulator:
-// schedule (At/After/Every), cancel (via the returned Timer), and advance
-// (Run/RunUntil). Two engines implement it: the single calendar Wheel that
-// every run used historically, and the Sharded engine (sharded.go) that
-// partitions endsystems by router region into per-shard wheels advanced
-// with conservative lookahead. Code written against Scheduler — fault
-// injection, obs sampling, the heap-oracle property test — runs unchanged
-// against both.
-type Scheduler interface {
-	// Now returns the current virtual time.
-	Now() time.Duration
-	// At schedules fn at absolute virtual time at (clamped to now).
-	At(at time.Duration, fn func()) Timer
-	// After schedules fn d after the current virtual time.
-	After(d time.Duration, fn func()) Timer
-	// Every schedules fn every period until the Timer is canceled.
-	Every(period time.Duration, fn func()) Timer
-	// Pending returns the number of queued events (including lazily
-	// canceled ones).
-	Pending() int
-	// Executed returns the cumulative number of events executed.
-	Executed() uint64
-	// Run executes events until the queue is empty.
-	Run() int
-	// RunUntil executes events with timestamps <= deadline and advances
-	// the clock to deadline.
-	RunUntil(deadline time.Duration) int
-}
-
-// Wheel is the single-threaded calendar-wheel Scheduler. The zero value
-// is not usable; call NewWheel. Wheels are not safe for concurrent use:
-// a whole serial simulation runs single-threaded in virtual time, which is
+// Wheel is the simulator's event engine: schedule (At/After/Every),
+// cancel (via the returned Timer), and advance (Run/RunUntil). The zero
+// value is not usable; call NewWheel. Wheels are not safe for concurrent
+// use: a whole simulation runs single-threaded in virtual time, which is
 // what makes runs deterministic and reproducible. Parallel sweeps (see
-// internal/runner) give every run its own scheduler; RunUntil asserts this
+// internal/runner) give every run its own wheel; RunUntil asserts this
 // single-driver discipline and panics if two goroutines ever drive the same
 // wheel concurrently, turning a silent determinism bug into a loud one.
-// (The Sharded engine drives one Wheel per shard, each from exactly one
-// worker per synchronization window.)
 //
 // Events execute in (time, schedule order) — the wheel preserves exactly
 // the time-then-FIFO guarantee of the original binary-heap queue, which is
@@ -151,12 +121,6 @@ type Wheel struct {
 	// running guards against concurrent (or re-entrant) RunUntil: one
 	// scheduler, one driving goroutine.
 	running atomic.Bool
-
-	// runCap is the active RunUntil deadline. The Sharded engine's solo
-	// fast path lowers it mid-run (from within a dispatched event, same
-	// goroutine) when the running shard emits a cross-shard operation that
-	// shrinks its safe horizon; see Sharded.enqueue.
-	runCap time.Duration
 }
 
 // NewWheel returns a calendar-wheel scheduler whose clock starts at 0.
@@ -216,15 +180,6 @@ func (s *Wheel) schedule(ev *event) {
 		// relative to the not-yet-executed events of this tick.
 		s.dueInsert(ev)
 		return
-	}
-	if t < s.curTick {
-		// An event behind the current tick would land in a slot the wheel
-		// has already swept past: invisible to advance, it would freeze
-		// nextEventTime and livelock the sharded engine. This can only
-		// happen through a lookahead violation, so fail loudly at the
-		// insertion point where the cause is still on the stack.
-		panic(fmt.Sprintf("simnet: event scheduled behind the wheel clock: at=%v (tick %d) < curTick=%d (now=%v)",
-			ev.at, t, s.curTick, s.now))
 	}
 	if t < s.curTick+wheelSlots {
 		s.wheelPush(ev, t)
@@ -528,7 +483,6 @@ func (s *Wheel) RunUntil(deadline time.Duration) int {
 			"each parallel run must own its scheduler (see internal/runner)")
 	}
 	defer s.running.Store(false)
-	s.runCap = deadline
 	n := 0
 	for {
 		// Drain the due buffer of the current tick first: it holds the
@@ -541,7 +495,7 @@ func (s *Wheel) RunUntil(deadline time.Duration) int {
 				s.recycle(ev)
 				continue
 			}
-			if ev.at > s.runCap {
+			if ev.at > deadline {
 				goto done
 			}
 			s.dueIdx++
@@ -553,86 +507,18 @@ func (s *Wheel) RunUntil(deadline time.Duration) int {
 		}
 		s.due = s.due[:0]
 		s.dueIdx = 0
-		if !s.advance(tickOf(s.runCap)) {
+		if !s.advance(tickOf(deadline)) {
 			break
 		}
 	}
 done:
-	if s.runCap > s.now && s.runCap < maxDuration {
-		s.now = s.runCap
-		if t := tickOf(s.runCap); t > s.curTick {
+	if deadline > s.now && deadline < maxDuration {
+		s.now = deadline
+		if t := tickOf(deadline); t > s.curTick {
 			s.curTick = t
 		}
 	}
 	return n
-}
-
-// tightenCap lowers the active RunUntil deadline. Called only from within
-// a dispatched event of this wheel (hence the same goroutine), and only
-// with caps beyond the current time, so already-executed events are never
-// retroactively invalidated.
-func (s *Wheel) tightenCap(cap time.Duration) {
-	if s.running.Load() && cap < s.runCap {
-		if cap < s.now {
-			cap = s.now
-		}
-		s.runCap = cap
-	}
-}
-
-// nextEventTime returns the exact timestamp of the earliest pending event,
-// or (0, false) when the queue is empty. Canceled-but-undiscarded events
-// count (their time still bounds the queue; hitting one costs an empty
-// window, after which it is discarded and the queue shrinks). The Sharded
-// engine uses this to choose window starts and to decide termination
-// against a deadline, so exactness matters: a conservative tick-start
-// bound below the deadline with the true event beyond it would loop
-// forever without progress.
-func (s *Wheel) nextEventTime() (time.Duration, bool) {
-	best := maxDuration
-	ok := false
-	if s.dueIdx < len(s.due) {
-		// The due buffer can retain events when a previous RunUntil
-		// deadline fell mid-tick; it is sorted, so its head is its minimum.
-		best = s.due[s.dueIdx].at
-		ok = true
-	}
-	if t, wok := s.nextWheelTick(); wok {
-		// Scan the earliest occupied slot for its true minimum (slots are
-		// unsorted until drained; occupancy is typically a handful).
-		for ev := s.slots[int(t&wheelMask)]; ev != nil; ev = ev.next {
-			if ev.at < best {
-				best = ev.at
-			}
-		}
-		ok = true
-	}
-	if len(s.over) > 0 && s.over[0].at < best {
-		best = s.over[0].at
-		ok = true
-	}
-	if !ok {
-		return 0, false
-	}
-	return best, true
-}
-
-// alignTo advances the wheel's clock (and current tick) toward t without
-// executing anything, stopping at the wheel's earliest pending event so no
-// event is ever skipped. The Sharded engine calls this on every wheel at
-// every window barrier, which keeps all shard clocks within one lookahead
-// of each other — the property that bounds the time-base error of
-// cross-shard After calls in forced-serial modes.
-func (s *Wheel) alignTo(t time.Duration) {
-	if next, ok := s.nextEventTime(); ok && next < t {
-		t = next
-	}
-	if t > s.now {
-		s.now = t
-		if tk := tickOf(t); tk > s.curTick {
-			s.curTick = tk
-		}
-	}
 }
 
 // dispatch executes one event and recycles it (periodic events re-arm

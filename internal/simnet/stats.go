@@ -18,25 +18,18 @@ import (
 type Stats struct {
 	numBuckets int
 
-	// sh holds one counter block per shard. Each block is written only by
-	// events executing on its shard, so the sharded engine accounts with
-	// no atomics and no locks; getters sum across shards. Counters are
-	// integers (wire bytes are integral), which also makes the totals
-	// independent of accumulation order across shards — float addition
-	// would not be.
-	sh []shardCounters
+	// Systemwide aggregates. Counters are integers because wire bytes are.
+	classTx [NumClasses][]uint64 // bytes transmitted per bucket, per class
+	totalTx [NumClasses]uint64   // cumulative
+	totalRx [NumClasses]uint64
 
 	// Per-endpoint counters are uint64: a uint32 caps one endsystem's
 	// bucket at 4 GiB, which a -full horizon run with coarse buckets (or a
 	// future high-bandwidth workload) can overflow silently. The widening
 	// costs numEndpoints × numBuckets × 8 extra bytes — accept that rather
-	// than risk wrapped load CDFs. Rows are owned by their endpoint's
-	// shard (tx is charged by the sending event, rx by the delivering
-	// event, both of which run on the row owner's shard), so they too need
-	// no synchronization.
-	perEndpoint bool
-	epTx        [][]uint64 // [endpoint][bucket] bytes transmitted
-	epRx        [][]uint64
+	// than risk wrapped load CDFs.
+	epTx [][]uint64 // [endpoint][bucket] bytes transmitted
+	epRx [][]uint64
 }
 
 // statsBucket is the width of the accounting buckets: one hour, because
@@ -44,34 +37,19 @@ type Stats struct {
 // endsystem in a single hour of the trace period" (PerEndpointHourSamples).
 const statsBucket = time.Hour
 
-// shardCounters is one shard's systemwide-aggregate accounting block.
-type shardCounters struct {
-	classTx [NumClasses][]uint64 // bytes per bucket, per class
-	classRx [NumClasses][]uint64
-	totalTx [NumClasses]uint64 // cumulative
-	totalRx [NumClasses]uint64
-}
-
-func newStats(numEndpoints, numShards int, cfg NetworkConfig) *Stats {
+func newStats(numEndpoints int, cfg NetworkConfig) *Stats {
 	nb := int(cfg.Horizon/statsBucket) + 2
 	s := &Stats{
-		numBuckets:  nb,
-		sh:          make([]shardCounters, numShards),
-		perEndpoint: cfg.PerEndpointStats,
+		numBuckets: nb,
+		epTx:       make([][]uint64, numEndpoints),
+		epRx:       make([][]uint64, numEndpoints),
 	}
-	for i := range s.sh {
-		for c := 0; c < int(NumClasses); c++ {
-			s.sh[i].classTx[c] = make([]uint64, nb)
-			s.sh[i].classRx[c] = make([]uint64, nb)
-		}
+	for c := 0; c < int(NumClasses); c++ {
+		s.classTx[c] = make([]uint64, nb)
 	}
-	if cfg.PerEndpointStats {
-		s.epTx = make([][]uint64, numEndpoints)
-		s.epRx = make([][]uint64, numEndpoints)
-		for i := range s.epTx {
-			s.epTx[i] = make([]uint64, nb)
-			s.epRx[i] = make([]uint64, nb)
-		}
+	for i := range s.epTx {
+		s.epTx[i] = make([]uint64, nb)
+		s.epRx[i] = make([]uint64, nb)
 	}
 	return s
 }
@@ -87,24 +65,17 @@ func (s *Stats) bucketFor(t time.Duration) int {
 	return b
 }
 
-func (s *Stats) accountTx(shard int32, ep Endpoint, class Class, size int, t time.Duration) {
+func (s *Stats) accountTx(ep Endpoint, class Class, size int, t time.Duration) {
 	b := s.bucketFor(t)
-	c := &s.sh[shard]
-	c.classTx[class][b] += uint64(size)
-	c.totalTx[class] += uint64(size)
-	if s.perEndpoint {
-		s.epTx[ep][b] += uint64(size)
-	}
+	s.classTx[class][b] += uint64(size)
+	s.totalTx[class] += uint64(size)
+	s.epTx[ep][b] += uint64(size)
 }
 
-func (s *Stats) accountRx(shard int32, ep Endpoint, class Class, size int, t time.Duration) {
+func (s *Stats) accountRx(ep Endpoint, class Class, size int, t time.Duration) {
 	b := s.bucketFor(t)
-	c := &s.sh[shard]
-	c.classRx[class][b] += uint64(size)
-	c.totalRx[class] += uint64(size)
-	if s.perEndpoint {
-		s.epRx[ep][b] += uint64(size)
-	}
+	s.totalRx[class] += uint64(size)
+	s.epRx[ep][b] += uint64(size)
 }
 
 // Bucket returns the accounting bucket width.
@@ -114,22 +85,10 @@ func (s *Stats) Bucket() time.Duration { return statsBucket }
 func (s *Stats) NumBuckets() int { return s.numBuckets }
 
 // TotalTx returns cumulative transmitted bytes for a class, systemwide.
-func (s *Stats) TotalTx(class Class) float64 {
-	var t uint64
-	for i := range s.sh {
-		t += s.sh[i].totalTx[class]
-	}
-	return float64(t)
-}
+func (s *Stats) TotalTx(class Class) float64 { return float64(s.totalTx[class]) }
 
 // TotalRx returns cumulative received bytes for a class, systemwide.
-func (s *Stats) TotalRx(class Class) float64 {
-	var t uint64
-	for i := range s.sh {
-		t += s.sh[i].totalRx[class]
-	}
-	return float64(t)
-}
+func (s *Stats) TotalRx(class Class) float64 { return float64(s.totalRx[class]) }
 
 // TotalTxAll returns cumulative transmitted bytes over all classes.
 func (s *Stats) TotalTxAll() float64 {
@@ -141,17 +100,12 @@ func (s *Stats) TotalTxAll() float64 {
 }
 
 // ClassTxTimeline returns, for one traffic class, the systemwide
-// transmitted bytes per second in each bucket (summed over shards).
+// transmitted bytes per second in each bucket.
 func (s *Stats) ClassTxTimeline(class Class) []float64 {
 	out := make([]float64, s.numBuckets)
 	secs := statsBucket.Seconds()
-	for i := range s.sh {
-		for b, v := range s.sh[i].classTx[class] {
-			out[b] += float64(v)
-		}
-	}
-	for i := range out {
-		out[i] /= secs
+	for b, v := range s.classTx[class] {
+		out[b] = float64(v) / secs
 	}
 	return out
 }
@@ -163,9 +117,6 @@ func (s *Stats) ClassTxTimeline(class Class) []float64 {
 // bandwidth used by a single endsystem in a single hour of the trace
 // period." Buckets outside [from, to) are excluded.
 func (s *Stats) PerEndpointHourSamples(rx bool, from, to time.Duration) []float64 {
-	if !s.perEndpoint {
-		return nil
-	}
 	src := s.epTx
 	if rx {
 		src = s.epRx

@@ -111,11 +111,10 @@ func TestCDFDownsamples(t *testing.T) {
 // Per-endpoint byte accounting must hold counts past the uint32 limit
 // (the old counters wrapped at 4 GiB per endpoint-bucket).
 func TestPerEndpointCountersPastUint32(t *testing.T) {
-	cfg := NetworkConfig{Horizon: 2 * time.Hour, PerEndpointStats: true}
-	s := newStats(1, 1, cfg)
+	s := newStats(1, NetworkConfig{Horizon: 2 * time.Hour})
 	const chunk = 1 << 30 // 1 GiB per call
 	for i := 0; i < 5; i++ {
-		s.accountTx(0, 0, ClassQuery, chunk, 0)
+		s.accountTx(0, ClassQuery, chunk, 0)
 	}
 	samples := s.PerEndpointHourSamples(false, 0, time.Hour)
 	if len(samples) != 1 {

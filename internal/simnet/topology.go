@@ -20,37 +20,38 @@ type Topology struct {
 }
 
 // TopologyConfig parameterizes the synthetic CorpNet-like topology
-// generator. The defaults reproduce the scale and RTT mix of the paper's
-// measured topology: a small fully-meshed intercontinental core, regional
-// hubs per core site, and building/leaf routers per hub.
+// generator. Its one value, DefaultTopologyConfig, reproduces the scale and
+// RTT mix of the paper's measured topology: a small fully-meshed
+// intercontinental core, regional hubs per core site, and building/leaf
+// routers per hub.
 type TopologyConfig struct {
-	CoreRouters    int           // fully meshed wide-area core (default 6)
-	HubsPerCore    int           // regional hubs attached to each core router (default 6)
-	TotalRouters   int           // total router budget: what core and hubs leave is leaf routers (default 298, as in CorpNet)
-	CoreRTTMin     time.Duration // min core-core link RTT (default 20ms)
-	CoreRTTMax     time.Duration // max core-core link RTT (default 180ms)
-	HubRTTMin      time.Duration // min hub uplink RTT (default 2ms)
-	HubRTTMax      time.Duration // max hub uplink RTT (default 20ms)
-	LeafRTTMin     time.Duration // min leaf uplink RTT (default 500µs)
-	LeafRTTMax     time.Duration // max leaf uplink RTT (default 4ms)
-	LANDelay       time.Duration // endsystem-to-router one-way delay (default 1ms, per the paper)
-	ExtraCrossLink int           // random shortcut links between hubs (default 20)
+	coreRouters    int           // fully meshed wide-area core (default 6)
+	hubsPerCore    int           // regional hubs attached to each core router (default 6)
+	totalRouters   int           // total router budget: what core and hubs leave is leaf routers (default 298, as in CorpNet)
+	coreRTTMin     time.Duration // min core-core link RTT (default 20ms)
+	coreRTTMax     time.Duration // max core-core link RTT (default 180ms)
+	hubRTTMin      time.Duration // min hub uplink RTT (default 2ms)
+	hubRTTMax      time.Duration // max hub uplink RTT (default 20ms)
+	leafRTTMin     time.Duration // min leaf uplink RTT (default 500µs)
+	leafRTTMax     time.Duration // max leaf uplink RTT (default 4ms)
+	lanDelay       time.Duration // endsystem-to-router one-way delay (default 1ms, per the paper)
+	extraCrossLink int           // random shortcut links between hubs (default 20)
 }
 
 // DefaultTopologyConfig returns the CorpNet-like defaults described above.
 func DefaultTopologyConfig() TopologyConfig {
 	return TopologyConfig{
-		CoreRouters:    6,
-		HubsPerCore:    6,
-		TotalRouters:   298,
-		CoreRTTMin:     20 * time.Millisecond,
-		CoreRTTMax:     180 * time.Millisecond,
-		HubRTTMin:      2 * time.Millisecond,
-		HubRTTMax:      20 * time.Millisecond,
-		LeafRTTMin:     500 * time.Microsecond,
-		LeafRTTMax:     4 * time.Millisecond,
-		LANDelay:       time.Millisecond,
-		ExtraCrossLink: 20,
+		coreRouters:    6,
+		hubsPerCore:    6,
+		totalRouters:   298,
+		coreRTTMin:     20 * time.Millisecond,
+		coreRTTMax:     180 * time.Millisecond,
+		hubRTTMin:      2 * time.Millisecond,
+		hubRTTMax:      20 * time.Millisecond,
+		leafRTTMin:     500 * time.Microsecond,
+		leafRTTMax:     4 * time.Millisecond,
+		lanDelay:       time.Millisecond,
+		extraCrossLink: 20,
 	}
 }
 
@@ -58,16 +59,16 @@ func DefaultTopologyConfig() TopologyConfig {
 // computes the all-pairs shortest-path RTT matrix. The same seed always
 // yields the same topology.
 func GenerateTopology(cfg TopologyConfig, seed int64) *Topology {
-	if cfg.TotalRouters <= 0 {
+	if cfg.totalRouters <= 0 {
 		cfg = DefaultTopologyConfig()
 	}
 	rng := rand.New(rand.NewSource(seed))
-	n := cfg.TotalRouters
-	core := cfg.CoreRouters
+	n := cfg.totalRouters
+	core := cfg.coreRouters
 	if core > n {
 		core = n
 	}
-	hubs := core * cfg.HubsPerCore
+	hubs := core * cfg.hubsPerCore
 	if core+hubs > n {
 		hubs = n - core
 	}
@@ -96,14 +97,14 @@ func GenerateTopology(cfg TopologyConfig, seed int64) *Topology {
 	// Fully meshed core.
 	for i := 0; i < core; i++ {
 		for j := i + 1; j < core; j++ {
-			link(i, j, randRTT(cfg.CoreRTTMin, cfg.CoreRTTMax))
+			link(i, j, randRTT(cfg.coreRTTMin, cfg.coreRTTMax))
 		}
 	}
 	// Hubs: router indices [core, core+hubs), each homed on a core router.
 	for h := 0; h < hubs; h++ {
 		r := core + h
 		parent := h % max(core, 1)
-		link(r, parent, randRTT(cfg.HubRTTMin, cfg.HubRTTMax))
+		link(r, parent, randRTT(cfg.hubRTTMin, cfg.hubRTTMax))
 	}
 	// Leaves: remaining routers, each homed on a hub (or core if no hubs).
 	for l := core + hubs; l < n; l++ {
@@ -113,14 +114,14 @@ func GenerateTopology(cfg TopologyConfig, seed int64) *Topology {
 		} else {
 			parent = (l - core) % max(core, 1)
 		}
-		link(l, parent, randRTT(cfg.LeafRTTMin, cfg.LeafRTTMax))
+		link(l, parent, randRTT(cfg.leafRTTMin, cfg.leafRTTMax))
 	}
 	// Random hub-hub shortcuts for path diversity.
-	for i := 0; i < cfg.ExtraCrossLink && hubs >= 2; i++ {
+	for i := 0; i < cfg.extraCrossLink && hubs >= 2; i++ {
 		a := core + rng.Intn(hubs)
 		b := core + rng.Intn(hubs)
 		if a != b {
-			link(a, b, randRTT(cfg.HubRTTMin, cfg.CoreRTTMax/2))
+			link(a, b, randRTT(cfg.hubRTTMin, cfg.coreRTTMax/2))
 		}
 	}
 
@@ -165,7 +166,7 @@ func GenerateTopology(cfg TopologyConfig, seed int64) *Topology {
 		}
 	}
 
-	return &Topology{numRouters: n, rtt: dist, lanDelay: cfg.LANDelay, region: region, numRegions: max(core, 1)}
+	return &Topology{numRouters: n, rtt: dist, lanDelay: cfg.lanDelay, region: region, numRegions: max(core, 1)}
 }
 
 // UniformTopology returns a degenerate topology in which every router pair
@@ -212,36 +213,6 @@ func (t *Topology) NumRegions() int {
 		return 1
 	}
 	return t.numRegions
-}
-
-// MinCrossRegionOneWay returns the smallest one-way endsystem-to-endsystem
-// delay between any two routers in different failure regions. It is the
-// conservative lookahead of the sharded engine: a message sent by an
-// endsystem in one region cannot be delivered in another region sooner
-// than this, so shards (one per region) may be advanced independently
-// through any window shorter than it. Returns 0 when the topology has a
-// single region (no cross-region traffic exists; the engine degrades to
-// one shard).
-func (t *Topology) MinCrossRegionOneWay() time.Duration {
-	min := time.Duration(0)
-	found := false
-	for a := 0; a < t.numRouters; a++ {
-		row := t.rtt[a*t.numRouters : (a+1)*t.numRouters]
-		ra := t.Region(a)
-		for b := 0; b < t.numRouters; b++ {
-			if t.Region(b) == ra {
-				continue
-			}
-			if d := 2*t.lanDelay + row[b]/2; !found || d < min {
-				min = d
-				found = true
-			}
-		}
-	}
-	if !found {
-		return 0
-	}
-	return min
 }
 
 // RouterRTT returns the shortest-path round-trip time between two routers.

@@ -139,8 +139,8 @@ type (
 	ResultUpdate  = core.ResultUpdate
 	// Subscription is a cursor over a query's result updates in
 	// virtual-time order; obtain one from QueryHandle.Updates. Handles
-	// also accept QueryHandle.OnUpdate callbacks. QueryHandle.Latest
-	// remains as a polling-compatibility wrapper.
+	// also accept QueryHandle.OnUpdate callbacks, and QueryHandle.Results
+	// is the whole update log.
 	Subscription = core.Subscription
 	// Endpoint identifies an endsystem in a cluster (its index).
 	Endpoint = simnet.Endpoint
@@ -212,20 +212,6 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithShards runs the deployment on the sharded event engine with up to n
-// worker goroutines (ClusterConfig.Shards). The simnet is partitioned by
-// router region and advanced with conservative lookahead; results are
-// byte-identical for every n >= 1, and n == 1 is the serial reference
-// execution of the sharded partition. The default (no option) is the
-// classic serial wheel, byte-compatible with historical seeds. Tracing,
-// time-series sampling, fault injection and the query service need a
-// single global event order and pin the engine back to one worker.
-func WithShards(n int) Option {
-	return func(b *builder) {
-		b.mods = append(b.mods, func(cfg *ClusterConfig) { cfg.Shards = n })
-	}
-}
-
 // WithLoss sets the independent per-message drop probability of the
 // simulated network (ClusterConfig.Net.LossRate). Default 0.
 func WithLoss(rate float64) Option {
@@ -277,12 +263,11 @@ func WithConfig(fn func(*ClusterConfig)) Option {
 //	c := seaweed.New(
 //		seaweed.WithTrace(trace),
 //		seaweed.WithSeed(7),
-//		seaweed.WithShards(8),
 //		seaweed.WithScale(1000))
 //
 // WithTrace is required; every other knob defaults to the paper's
 // configuration (MSPastry b=4, l=8, 30 s heartbeats; k=8 metadata
-// replicas; m=3 vertex backups; CorpNet-like topology; serial engine).
+// replicas; m=3 vertex backups; CorpNet-like topology).
 // Options apply in order over that default, so later options win.
 func New(opts ...Option) *Cluster {
 	b := builder{seed: 1}

@@ -34,13 +34,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if _, ok := h.Predictor.DelayFor(0.5); !ok {
 		t.Fatal("50% completeness should always be reachable on this trace")
 	}
-	last, ok := h.Latest()
-	if !ok || last.Partial.Final(Sum) <= 0 {
+	if len(h.Results) == 0 || h.Results[len(h.Results)-1].Partial.Final(Sum) <= 0 {
 		t.Fatal("no incremental result through the public API")
 	}
+	last := h.Results[len(h.Results)-1]
 	// The streaming API delivers the same updates as the polled log.
 	if len(streamed) == 0 || streamed[len(streamed)-1] != last {
-		t.Fatal("OnUpdate stream disagrees with Latest")
+		t.Fatal("OnUpdate stream disagrees with the update log")
 	}
 	sub := h.Updates()
 	if sub.Pending() != len(streamed) {
