@@ -55,8 +55,8 @@
 // running unscoped.
 //
 // The trace file is JSONL, one query-lifecycle event per line, with
-// causal span links; summarize it with `seaweed-trace -query t.jsonl` or
-// decompose per-query delay with `seaweed-trace -breakdown t.jsonl`.
+// causal span links; decompose per-query delay with
+// `seaweed-trace -breakdown t.jsonl`.
 // -metrics prints the system-wide metrics registry (always collected)
 // after the run; -metrics-out writes it as JSON. -timeseries streams
 // periodic virtual-time snapshots of the running system (live
@@ -104,13 +104,8 @@ func main() {
 	tsPeriod := flag.Duration("timeseries-period", time.Minute, "virtual-time sampling period for -timeseries")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-	profileRuns := flag.String("profileruns", "", "capture a per-run CPU profile into this directory (forces serial runs)")
 	flag.Parse()
 
-	if *cpuProfile != "" && *profileRuns != "" {
-		fmt.Fprintln(os.Stderr, "seaweed-sim: -cpuprofile and -profileruns are mutually exclusive (one CPU profile at a time)")
-		os.Exit(2)
-	}
 	if *rttScope < 0 {
 		fmt.Fprintln(os.Stderr, "seaweed-sim: -rtt-scope must be a positive duration")
 		os.Exit(2)
@@ -149,7 +144,6 @@ func main() {
 	s.Seed = *seed
 	s.Workers = *parallel
 	s.Coords = *coordsOn
-	s.ProfileDir = *profileRuns
 	w := os.Stdout
 
 	// One shared observability layer across every run this invocation

@@ -1,13 +1,12 @@
 // Command seaweed-trace generates and inspects the synthetic availability
 // traces (Figure 1 and the calibration numbers the models take from the
-// Farsite and Gnutella studies), and summarizes query-lifecycle trace
-// files written by seaweed-sim -trace.
+// Farsite and Gnutella studies), and decomposes the per-query delay in
+// trace files written by seaweed-sim -trace.
 //
 // Usage:
 //
 //	seaweed-trace -fig 1                    # hourly availability series
 //	seaweed-trace -kind gnutella -stats     # calibration statistics only
-//	seaweed-trace -query t.jsonl            # per-query latency breakdown
 //	seaweed-trace -breakdown t.jsonl        # causal delay decomposition + aggregate
 //	seaweed-trace -breakdown t.jsonl -id a1b2c3d4  # one query's decomposition
 //	seaweed-trace -critical-path t.jsonl -id a1b2c3d4  # its critical path
@@ -18,6 +17,8 @@
 // end-to-end latency to a phase: queue wait, routing, retry backoff,
 // availability wait, execution, aggregation. The per-phase durations sum
 // to the query's latency exactly; -check makes that invariant a CI gate.
+// A query that needed dissemination retries or lost subranges to give-ups
+// also reports their counts and the namespace fraction lost.
 // -critical-path prints the chain of events behind the decomposition.
 // An -id that matches no query in the trace is an error (exit status 1).
 package main
@@ -41,7 +42,6 @@ func main() {
 	hours := flag.Int("hours", int(4*avail.Week/time.Hour), "trace horizon in hours")
 	seed := flag.Int64("seed", 1, "random seed")
 	statsOnly := flag.Bool("stats", false, "print only the calibration statistics")
-	queryTrace := flag.String("query", "", "summarize the query lifecycles in this JSONL trace file")
 	breakdown := flag.String("breakdown", "", "print causal delay decompositions (and the aggregate) from this JSONL trace file")
 	critPath := flag.String("critical-path", "", "print causal critical paths from this JSONL trace file")
 	queryID := flag.String("id", "", "with -breakdown/-critical-path: only this query id (error if absent)")
@@ -50,10 +50,6 @@ func main() {
 
 	if *breakdown != "" || *critPath != "" {
 		analyzeTrace(*breakdown, *critPath, *queryID, *check)
-		return
-	}
-	if *queryTrace != "" {
-		summarizeQueryTrace(*queryTrace)
 		return
 	}
 
@@ -158,26 +154,4 @@ func analyzeTrace(breakdownPath, critPath, queryID string, check bool) {
 			os.Exit(1)
 		}
 	}
-}
-
-// summarizeQueryTrace reads a JSONL trace written by seaweed-sim -trace
-// and prints the per-query latency breakdown.
-func summarizeQueryTrace(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "seaweed-trace: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	events, err := obs.ReadJSONL(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "seaweed-trace: reading %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	sums := obs.SummarizeQueries(events)
-	if len(sums) == 0 {
-		fmt.Printf("# no query lifecycles in %s (%d events)\n", path, len(events))
-		return
-	}
-	obs.WriteQueryBreakdown(os.Stdout, sums)
 }

@@ -163,10 +163,13 @@ func (p Partial) Encode(dst []byte) []byte {
 }
 
 // DecodePartial parses a Partial from the front of b, returning it and the
-// remaining bytes.
+// remaining bytes. The bound flag must be 0 or 1, as Encode writes it.
 func DecodePartial(b []byte) (Partial, []byte, error) {
 	if len(b) < EncodedPartialSize {
 		return Partial{}, nil, fmt.Errorf("agg: partial needs %d bytes, have %d", EncodedPartialSize, len(b))
+	}
+	if b[32] > 1 {
+		return Partial{}, nil, fmt.Errorf("agg: bad bound flag %d", b[32])
 	}
 	p := Partial{
 		Count:    int64(binary.BigEndian.Uint64(b[0:])),

@@ -263,13 +263,23 @@ func (m *Model) Encode() []byte {
 	return out
 }
 
-// DecodeModel parses a model from its wire form.
+// maxScaleLog is the largest scale Encode writes: a uint16 counter needs
+// at most 8 halvings to fit a byte, and a larger scale would overflow the
+// counter on decode.
+const maxScaleLog = 8
+
+// DecodeModel parses a model from its wire form. It accepts only what
+// Encode writes: the header, a scale of at most maxScaleLog and a zero
+// reserved byte.
 func DecodeModel(b []byte) (*Model, error) {
 	if len(b) != EncodedModelSize {
 		return nil, fmt.Errorf("avail: model wire size %d, want %d", len(b), EncodedModelSize)
 	}
 	if b[0] != 'A' || b[1] != 1 {
 		return nil, fmt.Errorf("avail: bad model header %x %x", b[0], b[1])
+	}
+	if b[2] > maxScaleLog || b[3] != 0 {
+		return nil, fmt.Errorf("avail: bad model scale %d or reserved byte %x", b[2], b[3])
 	}
 	scale := 1 << int(b[2])
 	m := &Model{}

@@ -20,7 +20,6 @@ func TestCancelReclaimsTreeAndSilencesTraffic(t *testing.T) {
 	// Long TTL so reclamation observed here is cancellation, not expiry.
 	cfg.Node.Agg.QueryTTL = 48 * time.Hour
 	c := NewCluster(cfg)
-	svc := NewQueryService(c)
 
 	// Let joins and metadata settle: on an always-up trace there are no
 	// further membership changes, so after this point the only
@@ -29,12 +28,9 @@ func TestCancelReclaimsTreeAndSilencesTraffic(t *testing.T) {
 
 	q := relq.MustParse("SELECT COUNT(*) FROM Flow")
 	inj := findLiveInjector(t, c)
-	sq := svc.Admit(inj, q, "interactive")
-	svc.Enqueue(sq)
-	h := svc.Start(sq)
-	if sq.State != QueryRunning || sq.StartedAt != c.Sched.Now() {
-		t.Fatalf("after Start: state %v started %s", sq.State, sq.StartedAt)
-	}
+	h := c.InjectQuery(inj, q)
+	done := false
+	h.WhenDone(func() { done = true })
 
 	c.RunUntil(c.Sched.Now() + 30*time.Minute)
 	if _, ok := lastUpdate(h); !ok {
@@ -48,9 +44,9 @@ func TestCancelReclaimsTreeAndSilencesTraffic(t *testing.T) {
 		t.Fatal("no aggregation-tree vertices while query active")
 	}
 
-	svc.Cancel(sq)
-	if !sq.State.Terminal() {
-		t.Fatalf("state %v after cancel", sq.State)
+	c.CancelQuery(h, inj)
+	if !h.Cancelled || !done {
+		t.Fatalf("after cancel: Cancelled %v, completion hook ran %v", h.Cancelled, done)
 	}
 	select {
 	case <-h.Done():
@@ -78,54 +74,5 @@ func TestCancelReclaimsTreeAndSilencesTraffic(t *testing.T) {
 	}
 	if len(h.Results) > results {
 		t.Fatalf("results delivered after cancel: %d -> %d", results, len(h.Results))
-	}
-}
-
-// The service façade walks the full lifecycle and keeps the
-// queries_active gauge balanced; shed queries never reach the cluster.
-func TestQueryServiceLifecycle(t *testing.T) {
-	trace := alwaysUpTrace(40, 12*time.Hour)
-	cfg := DefaultClusterConfig(trace, 78)
-	cfg.Workload.MeanFlowsPerDay = 30
-	c := NewCluster(cfg)
-	svc := NewQueryService(c)
-	c.RunUntil(2 * time.Hour)
-	inj := findLiveInjector(t, c)
-	q := relq.MustParse("SELECT COUNT(*) FROM Flow")
-
-	shed := svc.Admit(inj, q, "batch")
-	svc.Enqueue(shed)
-	svc.Shed(shed)
-	if shed.State != QueryShed || shed.Handle != nil {
-		t.Fatalf("shed query: state %v handle %v", shed.State, shed.Handle)
-	}
-
-	queuedCancel := svc.Admit(inj, q, "batch")
-	svc.Enqueue(queuedCancel)
-	svc.Cancel(queuedCancel)
-	if queuedCancel.State != QueryCancelled {
-		t.Fatalf("queued cancel: state %v", queuedCancel.State)
-	}
-
-	run := svc.Admit(inj, q, "interactive")
-	h := svc.Start(run)
-	if got := c.Obs().Gauge("queries_active").Value(); got != 1 {
-		t.Fatalf("queries_active = %v with one running query", got)
-	}
-	done := false
-	h.whenDone(func() { done = true })
-	c.RunUntil(c.Sched.Now() + time.Hour)
-	svc.Cancel(run)
-	if run.State != QueryCancelled && run.State != QueryComplete {
-		t.Fatalf("running query ended in state %v", run.State)
-	}
-	if run.FinishedAt < 0 || !done {
-		t.Fatalf("finish bookkeeping missed: finishedAt %s done %v", run.FinishedAt, done)
-	}
-	if got := c.Obs().Gauge("queries_active").Value(); got != 0 {
-		t.Fatalf("queries_active = %v after all queries ended", got)
-	}
-	if got := c.Obs().Counter("queries_shed").Value(); got != 1 {
-		t.Fatalf("queries_shed = %d, want 1", got)
 	}
 }

@@ -17,7 +17,9 @@ func (s *captureSink) Record(ev obs.Event) { s.events = append(s.events, ev) }
 // The acceptance invariant of the causal tracing layer: for every query
 // that completes in a deterministic run, the critical-path phase
 // decomposition sums — exactly, in virtual time — to the query's
-// end-to-end latency from service arrival to completion.
+// end-to-end latency from service arrival to completion. The test plays
+// the query service's part (internal/qserve): a queued span at arrival,
+// a started span at dispatch, and the injection chained to it.
 func TestCausalBreakdownSumsToLatency(t *testing.T) {
 	trace := alwaysUpTrace(50, 24*time.Hour)
 	cfg := DefaultClusterConfig(trace, 7)
@@ -27,21 +29,29 @@ func TestCausalBreakdownSumsToLatency(t *testing.T) {
 	o.SetTracer(obs.NewTracer(sink))
 	cfg.Obs = o
 	c := NewCluster(cfg)
-	svc := NewQueryService(c)
 	c.RunUntil(2 * time.Hour)
 
 	// Queue several queries at one instant and start them staggered, so
 	// the decompositions include genuine queue wait alongside routing,
 	// execution and aggregation.
+	type served struct {
+		h                          *QueryHandle
+		arrived, started, finished time.Duration
+	}
 	inj := findLiveInjector(t, c)
 	q := relq.MustParse("SELECT COUNT(*) FROM Flow WHERE SrcPort=80")
-	var sqs []*ServicedQuery
+	var sqs []*served
 	for i := 0; i < 4; i++ {
-		sq := svc.Admit(inj, q, "interactive")
-		svc.Enqueue(sq)
+		sq := &served{arrived: c.Sched.Now()}
 		sqs = append(sqs, sq)
+		span := o.EmitSpan(0, obs.Event{Kind: obs.KindQueued, EP: int(inj), N: int64(i)})
 		wait := time.Duration(i) * 37 * time.Second
-		c.Sched.After(wait, func() { svc.Start(sq) })
+		c.Sched.After(wait, func() {
+			sq.started = c.Sched.Now()
+			span := o.EmitSpan(span, obs.Event{Kind: obs.KindStarted, EP: int(inj), N: int64(i)})
+			sq.h = c.InjectQueryCause(inj, q, span)
+			sq.h.WhenDone(func() { sq.finished = c.Sched.Now() })
+		})
 	}
 	c.RunUntil(c.Sched.Now() + 4*time.Hour)
 
@@ -51,13 +61,13 @@ func TestCausalBreakdownSumsToLatency(t *testing.T) {
 	}
 	completed := 0
 	for i, sq := range sqs {
-		if sq.State != QueryComplete {
+		if !sq.h.Completed {
 			continue
 		}
 		completed++
-		b := byQ[sq.Handle.QueryID.Short()]
+		b := byQ[sq.h.QueryID.Short()]
 		if b == nil {
-			t.Fatalf("query %d (%s) has no causal breakdown", i, sq.Handle.QueryID.Short())
+			t.Fatalf("query %d (%s) has no causal breakdown", i, sq.h.QueryID.Short())
 		}
 		if err := b.Check(); err != nil {
 			t.Errorf("query %d: %v", i, err)
@@ -65,63 +75,23 @@ func TestCausalBreakdownSumsToLatency(t *testing.T) {
 		if b.Terminal != obs.KindComplete {
 			t.Errorf("query %d terminal = %s, want complete", i, b.Terminal)
 		}
-		// The path's root is the queued event at service arrival and its
-		// terminal the complete event, so the decomposed Total must equal
-		// the independently tracked service latency exactly.
-		if b.Start != sq.ArrivedAt || b.End != sq.FinishedAt {
+		// The path's root is the queued event at arrival and its terminal
+		// the complete event, so the decomposed Total must equal the
+		// independently tracked latency exactly.
+		if b.Start != sq.arrived || b.End != sq.finished {
 			t.Errorf("query %d path spans [%v,%v], service saw [%v,%v]",
-				i, b.Start, b.End, sq.ArrivedAt, sq.FinishedAt)
+				i, b.Start, b.End, sq.arrived, sq.finished)
 		}
-		if want := sq.FinishedAt - sq.ArrivedAt; b.Total != want {
+		if want := sq.finished - sq.arrived; b.Total != want {
 			t.Errorf("query %d decomposed %v, end-to-end latency %v", i, b.Total, want)
 		}
 		// The staggered start must be attributed to queue wait.
-		if wait := sq.StartedAt - sq.ArrivedAt; b.Phases[causal.PhaseQueueWait] < wait {
+		if wait := sq.started - sq.arrived; b.Phases[causal.PhaseQueueWait] < wait {
 			t.Errorf("query %d queue_wait %v < actual queue dwell %v",
 				i, b.Phases[causal.PhaseQueueWait], wait)
 		}
 	}
 	if completed < 2 {
 		t.Fatalf("only %d/4 queries completed; horizon too short for the invariant to bite", completed)
-	}
-}
-
-// Shed queries decompose too: queued → shed, all queue wait.
-func TestCausalShedQueryChain(t *testing.T) {
-	trace := alwaysUpTrace(30, 8*time.Hour)
-	cfg := DefaultClusterConfig(trace, 11)
-	cfg.Workload.MeanFlowsPerDay = 20
-	o := obs.New()
-	sink := &captureSink{}
-	o.SetTracer(obs.NewTracer(sink))
-	cfg.Obs = o
-	c := NewCluster(cfg)
-	svc := NewQueryService(c)
-	c.RunUntil(time.Hour)
-
-	inj := findLiveInjector(t, c)
-	sq := svc.Admit(inj, relq.MustParse("SELECT COUNT(*) FROM Flow"), "batch")
-	svc.Enqueue(sq)
-	c.RunUntil(c.Sched.Now() + time.Minute)
-	svc.Shed(sq)
-
-	var queued, shed *obs.Event
-	for i := range sink.events {
-		switch sink.events[i].Kind {
-		case obs.KindQueued:
-			queued = &sink.events[i]
-		case obs.KindShed:
-			shed = &sink.events[i]
-		}
-	}
-	if queued == nil || shed == nil {
-		t.Fatal("missing queued/shed events in trace")
-	}
-	if queued.Span == 0 || shed.Parent != queued.Span {
-		t.Fatalf("shed (span %d parent %d) not chained to queued (span %d)",
-			shed.Span, shed.Parent, queued.Span)
-	}
-	if d := shed.T - queued.T; d != time.Minute {
-		t.Fatalf("queued->shed edge = %v, want 1m", d)
 	}
 }

@@ -249,10 +249,10 @@ func (h *QueryHandle) finish() {
 	}
 }
 
-// whenDone registers fn to run at the virtual instant the query becomes
+// WhenDone registers fn to run at the virtual instant the query becomes
 // terminal (completed or cancelled), or immediately if it already is.
 // Like OnUpdate callbacks, fn runs on the simulation goroutine.
-func (h *QueryHandle) whenDone(fn func()) {
+func (h *QueryHandle) WhenDone(fn func()) {
 	select {
 	case <-h.done:
 		fn()
@@ -285,8 +285,9 @@ func (c *Cluster) InjectQuery(from simnet.Endpoint, q *relq.Query) *QueryHandle 
 }
 
 // InjectQueryCause is InjectQuery with an explicit causal parent span:
-// the query service passes its started event so the whole query tree
-// chains back to admission. cause 0 starts a fresh causal tree.
+// the query service (internal/qserve) passes its started event so the
+// whole query tree chains back to admission. cause 0 starts a fresh
+// causal tree.
 func (c *Cluster) InjectQueryCause(from simnet.Endpoint, q *relq.Query, cause uint64) *QueryHandle {
 	h := &QueryHandle{Injected: c.Sched.Now(), done: make(chan struct{})}
 	node := c.Nodes[from]

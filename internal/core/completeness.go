@@ -57,9 +57,6 @@ type CompletenessStudyConfig struct {
 	// RunnerStats, when non-nil, accumulates the worker pool's
 	// timing (a sweep prints it).
 	RunnerStats *runner.Stats
-	// ProfileDir, when non-empty, captures a per-injection CPU profile
-	// (see runner.Config.ProfileDir); implies serial execution.
-	ProfileDir string
 }
 
 // CompletenessResult is the outcome of one completeness experiment.
@@ -202,7 +199,7 @@ func RunCompletenessStudy(cfg CompletenessStudyConfig) [][]*CompletenessResult {
 	// each run owns its outcome slice; inner per-endsystem loops use the
 	// leftover worker budget so a single-injection study still fans out.
 	inner := max(1, workers/ni)
-	outcomes := runner.Run(runner.Config{Workers: workers, Stats: cfg.RunnerStats, ProfileDir: cfg.ProfileDir}, ni,
+	outcomes := runner.Run(runner.Config{Workers: workers, Stats: cfg.RunnerStats}, ni,
 		func(j int) []endsystemOutcome {
 			out := make([]endsystemOutcome, n)
 			runner.ForEach(n, inner, func(i int) {

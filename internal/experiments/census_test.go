@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,7 +32,7 @@ import (
 // The configuration surface may only shrink without an edit here: each
 // ceiling is the count at the time it was last lowered.
 const (
-	maxConfigFields   = 82
+	maxConfigFields   = 79
 	maxTestOnlyFields = 0 // rows whose only setter is a test
 	maxUnsetFields    = 0 // rows nothing sets at all
 )
@@ -63,22 +68,22 @@ var (
 	flagRow   = regexp.MustCompile("^\\| `(-[a-z-]+)` \\|[^|]*\\| (.*) \\|$")
 )
 
-// TestConfigCensus holds DESIGN.md's "Configuration surface" table and the
-// code to each other: every exported field of the config structs, every
-// With* option of seaweed.go and every seaweed-sim flag has exactly one
-// row, every row names something that exists, and the three counts stay
-// at or under their ceilings — so a new knob has to name the caller that
-// sets it.
+// TestConfigCensus holds DESIGN.md's "Configuration surface" and "Package
+// census" tables and the code to each other. Every exported field of the
+// config structs, every With* option of seaweed.go and every seaweed-sim
+// flag has exactly one row, every row names something that exists, and
+// the three counts stay at or under their ceilings — so a new knob has to
+// name the caller that sets it. Every package has exactly one row with its
+// non-test line count and a tier-1 test that exists, and every internal
+// package is imported by non-test code outside it — so a package has to
+// name what needs it.
 func TestConfigCensus(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, section, found := strings.Cut(string(design), "\n## Configuration surface\n")
-	if !found {
-		t.Fatal(`DESIGN.md has no "## Configuration surface" section`)
-	}
-	section, _, _ = strings.Cut(section, "\n## ")
+	checkPackages(t, designSection(t, design, "Package census"), scanModule(t))
+	section := designSection(t, design, "Configuration surface")
 
 	rows := map[string]string{} // "pkg.Struct.Field" -> the row's "set by" cell
 	options := map[string]string{}
@@ -137,6 +142,161 @@ func TestConfigCensus(t *testing.T) {
 	}
 	t.Logf("%d fields in %d structs, %d options, %d flags; %d test only, %d unset",
 		fields, len(configStructs), len(opts), len(flagNames), testOnly, unset)
+}
+
+// designSection returns the body of DESIGN.md's "## name" section.
+func designSection(t *testing.T, design []byte, name string) string {
+	t.Helper()
+	_, section, found := strings.Cut(string(design), "\n## "+name+"\n")
+	if !found {
+		t.Fatalf(`DESIGN.md has no "## %s" section`, name)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	return section
+}
+
+// A "Package census" row: | `internal/x` or `seaweed` | non-test lines |
+// what needs it | `TestX` |.
+var packageRow = regexp.MustCompile("^\\| `(internal/[a-z/]+|seaweed)` \\| ([0-9,]+) \\|[^|]+\\| `(Test\\w+)` \\|$")
+
+// checkPackages holds the package table to the tree: one row per package
+// under internal/ plus the root facade (`seaweed`), each with the
+// package's non-test line count and a test function that exists; no row
+// for a package that does not; and no internal package that only tests,
+// or nothing, import.
+func checkPackages(t *testing.T, section string, m module) {
+	t.Helper()
+	type row struct {
+		lines string
+		test  string
+	}
+	rows := map[string]row{}
+	for _, line := range strings.Split(section, "\n") {
+		r := packageRow.FindStringSubmatch(line)
+		if r == nil {
+			continue
+		}
+		if _, dup := rows[r[1]]; dup {
+			t.Errorf("package %s has two rows", r[1])
+		}
+		rows[r[1]] = row{strings.ReplaceAll(r[2], ",", ""), r[3]}
+	}
+
+	var pkgs []string
+	for dir := range m.lines {
+		if strings.HasPrefix(dir, "internal/") {
+			pkgs = append(pkgs, dir)
+		}
+	}
+	sort.Strings(pkgs)
+	pkgs = append(pkgs, "seaweed")
+	for _, pkg := range pkgs {
+		dir := pkg
+		if pkg == "seaweed" {
+			dir = "."
+		}
+		r, ok := rows[pkg]
+		delete(rows, pkg)
+		switch {
+		case !ok:
+			t.Errorf("package %s has no row in DESIGN.md's Package census table: name what needs it and the tier-1 test that fails without it, or delete it", pkg)
+		case r.lines != strconv.Itoa(m.lines[dir]):
+			t.Errorf("package %s: the Package census row says %s non-test lines, the tree has %d", pkg, r.lines, m.lines[dir])
+		case !m.tests[r.test]:
+			t.Errorf("package %s: the Package census row names %s, which is not a test function", pkg, r.test)
+		}
+		if pkg != "seaweed" && !m.imported[pkg] {
+			t.Errorf("package %s: no non-test code outside it imports it", pkg)
+		}
+	}
+	for pkg := range rows {
+		t.Errorf("DESIGN.md's Package census table has a row for %s, which is not a package", pkg)
+	}
+	t.Logf("%d packages in the census", len(pkgs))
+}
+
+// module is what scanModule learns from one walk of the source tree.
+type module struct {
+	lines    map[string]int  // package dir, relative to the root -> non-test lines
+	imported map[string]bool // "internal/x" -> non-test code outside it imports it
+	tests    map[string]bool // every Test function of every _test.go file
+}
+
+// testFunc matches a test function declaration.
+var testFunc = regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+
+// scanModule walks the module's Go files, skipping testdata and hidden
+// directories.
+func scanModule(t *testing.T) module {
+	t.Helper()
+	m := module{lines: map[string]int{}, imported: map[string]bool{}, tests: map[string]bool{}}
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "../.." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, f := range testFunc.FindAllSubmatch(src, -1) {
+				m.tests[string(f[1])] = true
+			}
+			return nil
+		}
+		dir, _ := filepath.Rel("../..", filepath.Dir(path))
+		dir = filepath.ToSlash(dir)
+		m.lines[dir] += bytes.Count(src, []byte("\n"))
+		f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "repro/"); ok && p != dir {
+				m.imported[p] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// docTestName matches a test name a document cites.
+var docTestName = regexp.MustCompile(`\bTest[A-Z]\w*`)
+
+// TestDocTestReferences: every Test name DESIGN.md, EXPERIMENTS.md,
+// README.md and the verify skill cite is a test function in the tree, or
+// the prefix of one (the documents cite -run prefixes such as
+// TestChaosMixed50), so a document cannot keep pointing at a test that was
+// renamed or deleted.
+func TestDocTestReferences(t *testing.T) {
+	var names []string
+	for name := range scanModule(t).tests {
+		names = append(names, name)
+	}
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md", ".claude/skills/verify/SKILL.md"} {
+		src, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cited := range docTestName.FindAllString(string(src), -1) {
+			if !slices.ContainsFunc(names, func(name string) bool { return strings.HasPrefix(name, cited) }) {
+				t.Errorf("%s cites %s, which is neither a test function nor the prefix of one", doc, cited)
+			}
+		}
+	}
 }
 
 // checkRow reports a knob without a row, and consumes the row.

@@ -56,9 +56,6 @@ type Scale struct {
 	// RunnerStats, when non-nil, accumulates pool timing across every
 	// experiment run through it (the sweep prints it).
 	RunnerStats *runner.Stats
-	// ProfileDir, when non-empty, captures a per-run CPU profile into it
-	// (see runner.Config.ProfileDir); implies serial execution.
-	ProfileDir string
 }
 
 // runSeries executes n independent runs of an experiment through the
@@ -86,7 +83,7 @@ func runSeries[T any](s Scale, n int, run func(i int, sc Scale) T) []T {
 	// match a plain loop exactly.
 	serialShared := s.Obs != nil && (workers == 1 || n == 1)
 	perRun := make([]*obs.Obs, n)
-	out := runner.Run(runner.Config{Workers: workers, Stats: s.RunnerStats, ProfileDir: s.ProfileDir}, n,
+	out := runner.Run(runner.Config{Workers: workers, Stats: s.RunnerStats}, n,
 		func(i int) T {
 			sc := s
 			if !serialShared && s.Obs != nil {

@@ -67,7 +67,6 @@ func completenessFigures(s Scale, qis []int, sinks []runner.Sink) []*Completenes
 		Parallelism: s.Workers,
 		Obs:         s.Obs,
 		RunnerStats: s.RunnerStats,
-		ProfileDir:  s.ProfileDir,
 	})
 
 	errorsAt := func(r *core.CompletenessResult) []float64 {

@@ -48,7 +48,9 @@ const (
 )
 
 // Decode parses one histogram from the front of b, returning the histogram
-// and the remaining bytes.
+// and the remaining bytes. It checks every entry count against the bytes
+// left before allocating for it, and rejects row counts above 2^53, which
+// a float64 cannot hold exactly.
 func Decode(b []byte) (Histogram, []byte, error) {
 	if len(b) < 1 {
 		return nil, nil, fmt.Errorf("histogram: empty buffer")
@@ -195,13 +197,13 @@ func decodeEquiWidth(b []byte) (Histogram, []byte, error) {
 	h.Min = r.varint()
 	h.Max = r.varint()
 	h.total = r.varint()
-	n := r.uvarint()
-	if r.err == nil && n > 1<<20 {
-		return nil, nil, fmt.Errorf("histogram: absurd bucket count %d", n)
+	n := r.count(1)
+	if r.err == nil && n == 0 {
+		return nil, nil, fmt.Errorf("histogram: equi-width histogram without buckets")
 	}
 	h.Counts = make([]float64, n)
 	for i := range h.Counts {
-		h.Counts[i] = float64(r.uvarint())
+		h.Counts[i] = r.rows()
 	}
 	if r.err != nil {
 		return nil, nil, r.err
@@ -368,10 +370,7 @@ func decodeEquiDepth(b []byte) (Histogram, []byte, error) {
 	r := reader{b: b[1:]}
 	h := &EquiDepth{}
 	h.total = r.varint()
-	n := r.uvarint()
-	if r.err == nil && n > 1<<20 {
-		return nil, nil, fmt.Errorf("histogram: absurd step count %d", n)
-	}
+	n := r.count(4) // a boundary and three row counts per step
 	if n > 0 {
 		h.Bounds = make([]int64, n)
 		prev := int64(0)
@@ -387,10 +386,10 @@ func decodeEquiDepth(b []byte) (Histogram, []byte, error) {
 		h.EqRows = make([]float64, n)
 		h.RangeRows = make([]float64, n)
 		h.RangeDistinct = make([]float64, n)
-		for i := 0; i < int(n); i++ {
-			h.EqRows[i] = float64(r.uvarint())
-			h.RangeRows[i] = float64(r.uvarint())
-			h.RangeDistinct[i] = float64(r.uvarint())
+		for i := 0; i < n; i++ {
+			h.EqRows[i] = r.rows()
+			h.RangeRows[i] = r.rows()
+			h.RangeDistinct[i] = r.rows()
 		}
 	}
 	if r.err != nil {
@@ -476,10 +475,7 @@ func decodeFrequency(b []byte) (Histogram, []byte, error) {
 	r := reader{b: b[1:]}
 	h := &Frequency{}
 	h.total = r.varint()
-	n := r.uvarint()
-	if r.err == nil && n > 1<<20 {
-		return nil, nil, fmt.Errorf("histogram: absurd value count %d", n)
-	}
+	n := r.count(2) // a value and its row count per entry
 	h.Values = make([]int64, n)
 	h.Counts = make([]float64, n)
 	prev := int64(0)
@@ -491,7 +487,7 @@ func decodeFrequency(b []byte) (Histogram, []byte, error) {
 			h.Values[i] = prev + d
 		}
 		prev = h.Values[i]
-		h.Counts[i] = float64(r.uvarint())
+		h.Counts[i] = r.rows()
 	}
 	if r.err != nil {
 		return nil, nil, r.err
@@ -530,6 +526,33 @@ func (r *reader) uvarint() uint64 {
 	}
 	r.b = r.b[n:]
 	return v
+}
+
+// count reads an entry count and checks that the bytes left can hold
+// that many entries of at least perEntry bytes each, so a corrupt count
+// fails before anything is allocated for it. It returns 0 on error.
+func (r *reader) count(perEntry int) int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)/perEntry) {
+		r.err = fmt.Errorf("histogram: %d entries cannot fit in %d bytes", n, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// maxRows is the largest row count a float64 holds exactly.
+const maxRows = 1 << 53
+
+// rows reads one row count. Encode writes uint64(count), so a count above
+// maxRows would not survive a decode-encode round trip.
+func (r *reader) rows() float64 {
+	v := r.uvarint()
+	if r.err == nil && v > maxRows {
+		r.err = fmt.Errorf("histogram: row count %d above 2^53", v)
+	}
+	return float64(v)
 }
 
 func minI64(a, b int64) int64 {

@@ -57,10 +57,6 @@ func (id ID) AppendBytes(dst []byte) []byte {
 // ToBytes returns the 16-byte big-endian encoding of the ID.
 func (id ID) ToBytes() []byte { return id.AppendBytes(nil) }
 
-// FromUint64 builds an ID whose low 64 bits are v and whose high bits are 0.
-// It is mainly useful in tests.
-func FromUint64(v uint64) ID { return ID{Lo: v} }
-
 // HashString deterministically derives an ID from a name by taking the first
 // 128 bits of its SHA-1 hash. Seaweed uses this to map a query's text to its
 // queryId.

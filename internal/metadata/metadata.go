@@ -452,9 +452,6 @@ func (s *Service) withinLocalClosest(subject ids.ID, k int) bool {
 // Lookup returns the stored record for an endsystem, or nil.
 func (s *Service) Lookup(id ids.ID) *Record { return s.store[id] }
 
-// NumRecords returns the number of records stored (excluding own).
-func (s *Service) NumRecords() int { return len(s.store) }
-
 // UnavailableInRange returns the stored records of currently-down subjects
 // whose ids fall in the inclusive namespace range [lo, hi]. The
 // dissemination protocol calls this on the node responsible for a range to

@@ -103,6 +103,14 @@ type Breakdown struct {
 	Phases map[Phase]time.Duration `json:"phases"`
 	// Path is the critical path, root first.
 	Path []Step `json:"path"`
+	// Retries and Giveups count the query's dissemination subrange
+	// reissues and the subranges abandoned after the last reissue, on or
+	// off the critical path. LostRange is the fraction of the identifier
+	// namespace the abandoned subranges covered: an upper bound on the
+	// fraction of endsystems the query never reached.
+	Retries   int     `json:"dissem_retries"`
+	Giveups   int     `json:"dissem_giveups"`
+	LostRange float64 `json:"lost_range"`
 }
 
 // Check verifies the decomposition invariant: the phase durations sum
@@ -122,7 +130,8 @@ func (b *Breakdown) Check() error {
 // returns per-query breakdowns ordered by injection time. Queries are
 // enumerated from inject events; a query's terminal event is its
 // complete, else its cancel, else its last partial, else the inject
-// itself. Traces recorded without span links (older traces, the
+// itself. The same pass counts each query's dissemination retries and
+// give-ups. Traces recorded without span links (older traces, the
 // availability-level simulator) yield breakdowns with a single-event
 // path and an empty decomposition.
 func Analyze(events []obs.Event) []*Breakdown {
@@ -133,9 +142,11 @@ func Analyze(events []obs.Event) []*Breakdown {
 		}
 	}
 	type qstate struct {
-		inject   obs.Event
 		terminal obs.Event
 		rank     int // 0 none, 1 partial, 2 cancel, 3 complete
+		retries  int
+		giveups  int
+		lost     float64
 	}
 	var order []string
 	states := make(map[string]*qstate)
@@ -148,13 +159,20 @@ func Analyze(events []obs.Event) []*Breakdown {
 			if ev.Kind != obs.KindInject {
 				continue
 			}
-			st = &qstate{inject: ev, terminal: ev}
+			st = &qstate{terminal: ev}
 			states[ev.Query] = st
 			order = append(order, ev.Query)
 			continue
 		}
 		var rank int
 		switch ev.Kind {
+		case obs.KindDissemRetry:
+			st.retries++
+			continue
+		case obs.KindDissemGiveup:
+			st.giveups++
+			st.lost += ev.V
+			continue
 		case obs.KindPartial:
 			rank = 1
 		case obs.KindCancel:
@@ -172,7 +190,10 @@ func Analyze(events []obs.Event) []*Breakdown {
 	}
 	out := make([]*Breakdown, 0, len(order))
 	for _, q := range order {
-		out = append(out, breakdown(q, states[q].terminal, bySpan))
+		st := states[q]
+		b := breakdown(q, st.terminal, bySpan)
+		b.Retries, b.Giveups, b.LostRange = st.retries, st.giveups, st.lost
+		out = append(out, b)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
@@ -297,9 +318,14 @@ func mean(ds []time.Duration) time.Duration {
 	return sum / time.Duration(len(ds))
 }
 
-// WriteBreakdown renders one query's decomposition.
+// WriteBreakdown renders one query's decomposition, and its
+// dissemination retries and give-ups when it had any.
 func WriteBreakdown(w io.Writer, b *Breakdown) {
 	fmt.Fprintf(w, "query %s: %v end-to-end (%s at %v)\n", b.Query, b.Total, b.Terminal, b.End)
+	if b.Retries > 0 || b.Giveups > 0 {
+		fmt.Fprintf(w, "  dissem retries %d, giveups %d (%.2f%% of the namespace lost)\n",
+			b.Retries, b.Giveups, 100*b.LostRange)
+	}
 	for _, p := range Phases {
 		d, ok := b.Phases[p]
 		if !ok {

@@ -88,6 +88,42 @@ func TestAnalyzeTerminalRanking(t *testing.T) {
 	}
 }
 
+// Dissemination retries and give-ups count per query whether or not they
+// sit on the critical path, and the rendered breakdown reports them.
+func TestAnalyzeCountsDissemCosts(t *testing.T) {
+	events := []obs.Event{
+		ev(obs.KindInject, "a", 0, 1, 0),
+		ev(obs.KindDissemRetry, "a", time.Second, 2, 1),
+		ev(obs.KindDissemRetry, "a", 2*time.Second, 3, 1),
+		{Kind: obs.KindDissemGiveup, Query: "a", T: 3 * time.Second, Span: 4, Parent: 3, V: 0.125},
+		ev(obs.KindPartial, "a", 4*time.Second, 5, 1),
+		ev(obs.KindInject, "b", time.Second, 6, 0),
+		ev(obs.KindComplete, "b", 2*time.Second, 7, 6),
+	}
+	bds := Analyze(events)
+	if len(bds) != 2 {
+		t.Fatalf("got %d breakdowns", len(bds))
+	}
+	a, b := bds[0], bds[1]
+	if a.Query != "a" || a.Retries != 2 || a.Giveups != 1 || a.LostRange != 0.125 {
+		t.Fatalf("a: %s retries %d giveups %d lost %v", a.Query, a.Retries, a.Giveups, a.LostRange)
+	}
+	if a.Total != 4*time.Second || a.Phases[PhaseRetryBackoff] != 0 {
+		t.Fatalf("off-path retries moved the decomposition: total %v, retry_backoff %v",
+			a.Total, a.Phases[PhaseRetryBackoff])
+	}
+	if b.Retries != 0 || b.Giveups != 0 || b.LostRange != 0 {
+		t.Fatalf("b: retries %d giveups %d lost %v", b.Retries, b.Giveups, b.LostRange)
+	}
+	var sb strings.Builder
+	WriteBreakdown(&sb, a)
+	WriteBreakdown(&sb, b)
+	if out := sb.String(); !strings.Contains(out, "dissem retries 2, giveups 1 (12.50% of the namespace lost)") ||
+		strings.Count(out, "dissem retries") != 1 {
+		t.Fatalf("rendered breakdowns:\n%s", out)
+	}
+}
+
 // Spanless traces (older runs) still enumerate queries, with single-event
 // paths and empty decompositions.
 func TestAnalyzeSpanlessTrace(t *testing.T) {

@@ -17,7 +17,8 @@
 // its virtual time (inject → disseminate → predict → partial-result →
 // complete, plus per-hop routing, retry and maintenance events) to an
 // in-memory ring or a JSONL sink. Tracing is opt-in; see the Tracer and
-// Event types in trace.go and the summarizer in summary.go.
+// Event types in trace.go, and package causal for the per-query delay
+// decomposition built from the trace.
 //
 // Metric handles (counters, gauges, histogram buckets) update with atomic
 // operations, so a registry stays safe to record into from more than one

@@ -43,59 +43,3 @@ func TestReadJSONLErrors(t *testing.T) {
 		t.Fatalf("blank-only input: evs=%v err=%v", evs, err)
 	}
 }
-
-func TestSummarizeQueries(t *testing.T) {
-	h := time.Hour
-	events := []Event{
-		{T: 1 * h, Kind: KindInject, Query: "q1", EP: 3},
-		{T: 1*h + 2*time.Second, Kind: KindPredict, Query: "q1", EP: 3, V: 1000},
-		{T: 1*h + 10*time.Second, Kind: KindPartial, Query: "q1", EP: 3, N: 50, V: 400},
-		{T: 2 * h, Kind: KindPartial, Query: "q1", EP: 3, N: 80, V: 700},
-		{T: 13 * h, Kind: KindPartial, Query: "q1", EP: 3, N: 99, V: 990},
-		{T: 1*h + time.Second, Kind: KindDissemRetry, Query: "q1", EP: 9},
-		{T: 1*h + time.Second, Kind: KindRouteDrop, Query: "q1", EP: 4},
-		{T: 20 * h, Kind: KindComplete, Query: "q1", EP: 3},
-
-		{T: 5 * h, Kind: KindInject, Query: "q2", EP: 1},
-		// q2: no predictor, no partials.
-	}
-	sums := SummarizeQueries(events)
-	if len(sums) != 2 {
-		t.Fatalf("got %d summaries, want 2", len(sums))
-	}
-	s := sums[0]
-	if s.Query != "q1" || s.InjectAt != 1*h || s.Injector != 3 {
-		t.Fatalf("q1 header wrong: %+v", s)
-	}
-	if s.Dissemination != 2*time.Second {
-		t.Fatalf("dissemination = %v, want 2s", s.Dissemination)
-	}
-	if s.Aggregation != 10*time.Second {
-		t.Fatalf("aggregation = %v, want 10s", s.Aggregation)
-	}
-	if s.AvailabilityWait != 12*h-10*time.Second {
-		t.Fatalf("availability wait = %v", s.AvailabilityWait)
-	}
-	if s.Partials != 3 || s.MaxContributors != 99 || s.FinalRows != 990 {
-		t.Fatalf("partials summary wrong: %+v", s)
-	}
-	if s.P50 != 1*h || s.P99 != 12*h {
-		t.Fatalf("p50/p99 = %v/%v, want 1h/12h", s.P50, s.P99)
-	}
-	if s.Retries != 1 || s.Drops != 1 || !s.Completed {
-		t.Fatalf("protocol counters wrong: %+v", s)
-	}
-	s2 := sums[1]
-	if s2.Query != "q2" || s2.Dissemination != -1 || s2.Partials != 0 {
-		t.Fatalf("q2 should have absent phases: %+v", s2)
-	}
-
-	var sb strings.Builder
-	WriteQueryBreakdown(&sb, sums)
-	out := sb.String()
-	for _, want := range []string{"2 queries", "q1", "q2", "dissemination", "avail_wait"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("breakdown missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -191,13 +191,6 @@ func (r *Ring) Node(ep simnet.Endpoint) *Node { return r.nodes[ep] }
 // NumLive returns the current number of live nodes.
 func (r *Ring) NumLive() int { return len(r.live) }
 
-// LiveRefs returns a copy of the live node set, sorted by ID.
-func (r *Ring) LiveRefs() []NodeRef {
-	out := make([]NodeRef, len(r.live))
-	copy(out, r.live)
-	return out
-}
-
 // liveIndex returns the insertion position of id in the live index.
 func (r *Ring) liveIndex(id ids.ID) int {
 	return sort.Search(len(r.live), func(i int) bool { return !r.live[i].ID.Less(id) })

@@ -18,6 +18,16 @@
 // Both mechanisms can be ablated independently (DisableAdmission,
 // DisablePriority) to measure what each contributes; the experiments
 // package's WorkloadSweep does exactly that.
+//
+// Each arrival moves through
+//
+//	admitted → queued → running → retired (cancelled in the cluster)
+//	        ↘ shed
+//
+// and the service keeps the lifecycle metrics (queries_admitted,
+// queries_shed, queries_active) and emits the queued, started and shed
+// trace spans, so a query's causal chain runs from its arrival through
+// injection (see internal/obs/causal).
 package qserve
 
 import (
@@ -116,9 +126,11 @@ type tracked struct {
 	cost     int
 	hold     time.Duration
 
-	sq     *core.ServicedQuery
-	handle *core.QueryHandle
-	queued time.Duration
+	shed    bool
+	span    uint64 // latest lifecycle span (queued, then started)
+	queued  time.Duration
+	started time.Duration // -1 until dispatched
+	handle  *core.QueryHandle
 
 	updates []updateRec
 }
@@ -133,7 +145,6 @@ type updateRec struct {
 type Service struct {
 	cfg   Config
 	c     *core.Cluster
-	svc   *core.QueryService
 	sched *simnet.Wheel
 	// rowsPerUnit converts the metadata-predicted result row volume into
 	// cost units.
@@ -149,17 +160,27 @@ type Service struct {
 	peakOpen      int
 	ewma          map[string]time.Duration // template name -> t90 estimate
 	o             *obs.Obs
+	gActive       *obs.Gauge // queries_active: started, not yet complete or cancelled
+	cAdmitted     *obs.Counter
+	cShed         *obs.Counter
 	gQueueDepth   *obs.Gauge // qserve_queue_depth: current scheduler queue length
 }
 
 // NewService attaches a query service to a running cluster.
 func NewService(cfg Config, c *core.Cluster) *Service {
+	o := c.Obs()
 	s := &Service{
-		cfg: cfg, c: c, svc: core.NewQueryService(c), sched: c.Sched,
+		cfg: cfg, c: c, sched: c.Sched,
 		templates: make(map[string]*relq.Query),
 		ewma:      make(map[string]time.Duration),
-		o:         c.Obs(),
+		o:         o,
+		gActive:   o.Gauge("queries_active"),
+		cAdmitted: o.Counter("queries_admitted"),
+		cShed:     o.Counter("queries_shed"),
 	}
+	// Registered up front so a run that retires nothing still reports it;
+	// Cluster.CancelQuery counts the cancels.
+	o.Counter("queries_cancelled")
 	// Tie the cost scale to the simulated data volume: Run's cluster
 	// generates flowsPerDay rows an endsystem a day, so a full-table scan
 	// (the largest query) lands at maxCost and filtered interactive
@@ -252,23 +273,29 @@ func (s *Service) arrive(a Arrival) {
 	}
 	q := s.templates[a.Tmpl.Name]
 	t := &tracked{
-		seq: len(s.all), arr: a, class: class, query: q, injector: injector,
+		seq: len(s.all), arr: a, class: class, query: q, injector: injector, started: -1,
 	}
 	t.cost = s.estimateCost(injector, q)
 	t.hold = time.Duration(t.cost) * unitHold
-	t.sq = s.svc.Admit(injector, q, class.String())
+	s.cAdmitted.Inc()
 	s.all = append(s.all, t)
 	s.o.Counter("qserve_arrivals_" + class.String()).Inc()
 
 	if !s.cfg.DisableAdmission {
 		predicted := s.predictedWait() + t.hold + s.predictedT90(t)
 		if predicted > s.cfg.DelayBudget[class] {
-			s.svc.Shed(t.sq)
+			t.shed = true
+			s.cShed.Inc()
+			s.o.EmitSpan(0, obs.Event{Kind: obs.KindShed, EP: int(injector), N: int64(t.seq)})
 			s.o.Counter("qserve_shed_" + class.String()).Inc()
 			return
 		}
 	}
-	s.svc.Enqueue(t.sq)
+	// The queued event roots the query's causal chain. Its queryId does not
+	// exist yet (it is derived from the injection instant), so the event
+	// carries the arrival sequence number, and the started and inject
+	// events link back to it by span.
+	t.span = s.o.EmitSpan(0, obs.Event{Kind: obs.KindQueued, EP: int(injector), N: int64(t.seq)})
 	t.queued = s.sched.Now()
 	s.queue = append(s.queue, t)
 	s.gQueueDepth.Set(float64(len(s.queue)))
@@ -358,7 +385,11 @@ func (s *Service) pump() {
 }
 
 func (s *Service) start(t *tracked) {
-	t.handle = s.svc.Start(t.sq)
+	t.started = s.sched.Now()
+	t.span = s.o.EmitSpan(t.span, obs.Event{Kind: obs.KindStarted, EP: int(t.injector), N: int64(t.seq)})
+	t.handle = s.c.InjectQueryCause(t.injector, t.query, t.span)
+	s.gActive.Add(1)
+	t.handle.WhenDone(func() { s.gActive.Add(-1) })
 	s.inflight += t.cost
 	s.classInflight[t.class] += t.cost
 	t.handle.OnUpdate(func(u core.ResultUpdate) {
@@ -379,7 +410,7 @@ func (s *Service) start(t *tracked) {
 // aggregation tree instead of letting refresh traffic run to the TTL.
 func (s *Service) retire(t *tracked) {
 	if t90, ok := t.t90(); ok {
-		obs90 := t90 - t.sq.StartedAt
+		obs90 := t90 - t.started
 		name := t.arr.Tmpl.Name
 		if prev, seen := s.ewma[name]; seen {
 			s.ewma[name] = time.Duration(ewmaAlpha*float64(obs90) + (1-ewmaAlpha)*float64(prev))
@@ -389,7 +420,7 @@ func (s *Service) retire(t *tracked) {
 	}
 	s.recordMetrics(t, s.sched.Now())
 	s.open--
-	s.svc.Cancel(t.sq)
+	s.c.CancelQuery(t.handle, t.injector)
 }
 
 // t90 returns the virtual instant the query's result first reached 90%
@@ -417,7 +448,7 @@ func (t *tracked) latency(end time.Duration) (time.Duration, bool) {
 	if at, ok := t.t90(); ok {
 		return at - t.arr.At, true
 	}
-	if t.sq.StartedAt < 0 {
+	if t.started < 0 {
 		return end - t.arr.At, true
 	}
 	return 0, false
@@ -428,9 +459,9 @@ func (s *Service) recordMetrics(t *tracked, now time.Duration) {
 	if lat, ok := t.latency(now); ok {
 		s.o.DurationHistogram("qserve_latency_" + class + "_ns").ObserveDuration(lat)
 	}
-	if t.sq.StartedAt >= 0 {
+	if t.started >= 0 {
 		s.o.DurationHistogram("qserve_wait_" + class + "_ns").
-			ObserveDuration(t.sq.StartedAt - t.arr.At)
+			ObserveDuration(t.started - t.arr.At)
 	}
 	if t.handle != nil && t.handle.Predictor != nil && len(t.updates) > 0 {
 		if total := t.handle.Predictor.ExpectedTotal(); total > 0 {
@@ -542,17 +573,17 @@ func (s *Service) report() *Report {
 				continue
 			}
 			st.Arrived++
-			if t.sq.State == core.QueryShed {
+			if t.shed {
 				st.Shed++
 				continue
 			}
-			if t.sq.StartedAt >= 0 {
+			if t.started >= 0 {
 				st.Started++
-				waits = append(waits, t.sq.StartedAt-t.arr.At)
+				waits = append(waits, t.started-t.arr.At)
 			}
 			if _, ok := t.t90(); ok {
 				done90s++
-			} else if t.sq.StartedAt >= 0 {
+			} else if t.started >= 0 {
 				st.Failed++
 			} else {
 				st.Censored++

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // testWorkload is a small custom plan for unit tests: a 15-minute burst
@@ -133,5 +135,87 @@ func TestVariantNames(t *testing.T) {
 	cfg.DisableAdmission, cfg.DisablePriority = false, true
 	if cfg.Variant() != "ablate-priority" {
 		t.Fatalf("variant %q", cfg.Variant())
+	}
+}
+
+// captureSink accumulates every trace event in record order.
+type captureSink struct{ events []obs.Event }
+
+func (s *captureSink) Record(ev obs.Event) { s.events = append(s.events, ev) }
+
+// The service walks every arrival through its lifecycle: the lifecycle
+// counters agree with the report, shed queries are lone trace roots, and
+// every started query chains queued → started → inject, so its causal
+// path runs back to its arrival. queries_active counts exactly the
+// injected queries with neither a complete nor a cancel event.
+func TestServiceLifecycle(t *testing.T) {
+	cfg := DefaultConfig(120, 5, testWorkload())
+	// Tight enough that admission sheds some arrivals, loose enough that
+	// others run.
+	cfg.DelayBudget = [NumClasses]time.Duration{Interactive: 2 * time.Minute, Batch: time.Minute}
+	sink := &captureSink{}
+	cfg.Obs = obs.New()
+	cfg.Obs.SetTracer(obs.NewTracer(sink))
+	rep := Run(cfg)
+
+	var shed, started int
+	for _, c := range rep.Classes {
+		shed += c.Shed
+		started += c.Started
+	}
+	if shed == 0 || started == 0 {
+		t.Fatalf("want both shed and started queries: shed %d started %d", shed, started)
+	}
+	t.Logf("%d queries: %d shed, %d started", rep.Queries, shed, started)
+	r := cfg.Obs.Registry()
+	if got := r.Counter("queries_admitted").Value(); got != uint64(rep.Queries) {
+		t.Fatalf("queries_admitted = %d, report has %d queries", got, rep.Queries)
+	}
+	if got := r.Counter("queries_shed").Value(); got != uint64(shed) {
+		t.Fatalf("queries_shed = %d, report sheds %d", got, shed)
+	}
+	if r.Counter("queries_cancelled").Value() == 0 {
+		t.Fatal("no started query was retired by a cancel")
+	}
+
+	kind := map[uint64]obs.Kind{}
+	count := map[obs.Kind]int{}
+	ended := map[string]bool{}
+	var injected []string
+	for _, ev := range sink.events {
+		kind[ev.Span] = ev.Kind
+		count[ev.Kind]++
+		switch ev.Kind {
+		case obs.KindShed:
+			if ev.Parent != 0 {
+				t.Fatalf("shed query %d chains to span %d; admission sheds on arrival", ev.N, ev.Parent)
+			}
+		case obs.KindStarted:
+			if kind[ev.Parent] != obs.KindQueued {
+				t.Fatalf("started query %d chains to a %q event", ev.N, kind[ev.Parent])
+			}
+		case obs.KindInject:
+			if kind[ev.Parent] != obs.KindStarted {
+				t.Fatalf("inject %s chains to a %q event", ev.Query, kind[ev.Parent])
+			}
+			injected = append(injected, ev.Query)
+		case obs.KindComplete, obs.KindCancel:
+			ended[ev.Query] = true
+		}
+	}
+	if count[obs.KindShed] != shed || count[obs.KindQueued] != rep.Queries-shed ||
+		count[obs.KindStarted] != started || len(injected) != started {
+		t.Fatalf("trace has %d shed, %d queued, %d started, %d inject events; report: %d queries, %d shed, %d started",
+			count[obs.KindShed], count[obs.KindQueued], count[obs.KindStarted], len(injected),
+			rep.Queries, shed, started)
+	}
+	active := 0
+	for _, q := range injected {
+		if !ended[q] {
+			active++
+		}
+	}
+	if got := r.Gauge("queries_active").Value(); got != float64(active) {
+		t.Fatalf("queries_active = %v, %d injected queries have not ended", got, active)
 	}
 }

@@ -71,8 +71,9 @@ func DecodeTableSummary(b []byte) (*TableSummary, []byte, error) {
 	}
 	ts.TotalRows = total
 	b = b[n:]
+	// A column is at least a name length and a 3-byte histogram.
 	ncols, n := binary.Uvarint(b)
-	if n <= 0 || ncols > 1<<16 {
+	if n <= 0 || ncols > uint64(len(b)-n)/4 {
 		return nil, nil, fmt.Errorf("relq: bad summary column count")
 	}
 	b = b[n:]
@@ -136,10 +137,12 @@ func (s *Summary) Encode() []byte {
 	return dst
 }
 
-// DecodeSummary parses a Summary from its wire form.
+// DecodeSummary parses a Summary from its wire form. The table count is
+// checked against the bytes left before the table map is sized by it: a
+// table is at least a name length, a row total and a column count.
 func DecodeSummary(b []byte) (*Summary, error) {
 	ntab, n := binary.Uvarint(b)
-	if n <= 0 || ntab > 1<<12 {
+	if n <= 0 || ntab > uint64(len(b)-n)/3 {
 		return nil, fmt.Errorf("relq: bad summary table count")
 	}
 	b = b[n:]

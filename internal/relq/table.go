@@ -285,9 +285,6 @@ func (t *Table) StorageBytes() int {
 // differ.
 func (t *Table) SetZoneMaps(enabled bool) { t.zonesOff = !enabled }
 
-// ZoneMapsEnabled reports whether zone-map pruning is in effect.
-func (t *Table) ZoneMapsEnabled() bool { return !t.zonesOff }
-
 // Insert appends one row. Values must match the schema's arity and types:
 // int/int64/time-like integers for TInt columns, string for TString
 // columns. The row is encoded in full before any column is touched, so a

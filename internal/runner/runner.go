@@ -2,11 +2,8 @@ package runner
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,13 +24,6 @@ type Config struct {
 	// Stats, when non-nil, accumulates aggregate timing across executions
 	// (a sweep's own render prints it).
 	Stats *Stats
-	// ProfileDir, when non-empty, captures a CPU profile of every run to
-	// <ProfileDir>/run-<index>.pprof. The Go runtime supports a single
-	// active CPU profile per process, so setting it forces the execution
-	// serial (Workers is ignored). Profile I/O failures are reported to
-	// stderr, never as run failures: the profiling harness must not change
-	// a sweep's results.
-	ProfileDir string
 }
 
 // Stats accumulates pool timing across executions (the phases of a sweep,
@@ -83,12 +73,6 @@ type runPanic struct {
 // its stack.
 func Run[T any](cfg Config, n int, run func(i int) T) []T {
 	workers := cfg.Workers
-	if cfg.ProfileDir != "" {
-		if err := os.MkdirAll(cfg.ProfileDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "runner: profile dir: %v\n", err)
-		}
-		workers = 1 // one CPU profile at a time
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -105,7 +89,7 @@ func Run[T any](cfg Config, n int, run func(i int) T) []T {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 				t0 := time.Now()
-				panics[i] = runOne(cfg.ProfileDir, i, &out[i], run)
+				panics[i] = runOne(i, &out[i], run)
 				busy.Add(int64(time.Since(t0)))
 			}
 		}()
@@ -120,23 +104,9 @@ func Run[T any](cfg Config, n int, run func(i int) T) []T {
 	return out
 }
 
-// runOne executes run(i) into *dst, optionally under a CPU profile, and
-// returns the recovered panic, if any.
-func runOne[T any](profileDir string, i int, dst *T, run func(i int) T) (p *runPanic) {
-	if profileDir != "" {
-		path := filepath.Join(profileDir, fmt.Sprintf("run-%03d.pprof", i))
-		if f, err := os.Create(path); err != nil {
-			fmt.Fprintf(os.Stderr, "runner: run %d profile: %v\n", i, err)
-		} else if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "runner: run %d profile: %v\n", i, err)
-			f.Close()
-		} else {
-			defer func() {
-				pprof.StopCPUProfile()
-				f.Close()
-			}()
-		}
-	}
+// runOne executes run(i) into *dst and returns the recovered panic, if
+// any.
+func runOne[T any](i int, dst *T, run func(i int) T) (p *runPanic) {
 	defer func() {
 		if r := recover(); r != nil {
 			p = &runPanic{index: i, value: r, stack: debug.Stack()}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -129,17 +127,6 @@ func TestMapAndForEach(t *testing.T) {
 	})
 	if len(seen) != 100 {
 		t.Fatalf("ForEach covered %d of 100", len(seen))
-	}
-
-	dir, pst := t.TempDir(), &Stats{}
-	Run(Config{Workers: 8, ProfileDir: dir, Stats: pst}, 2, func(i int) int { return i })
-	if pst.Workers != 1 {
-		t.Fatalf("profiling ran %d workers, want 1 (one CPU profile at a time)", pst.Workers)
-	}
-	for _, name := range []string{"run-000.pprof", "run-001.pprof"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Fatalf("per-run profile: %v", err)
-		}
 	}
 }
 
