@@ -76,3 +76,82 @@ func TestCancelReclaimsTreeAndSilencesTraffic(t *testing.T) {
 		t.Fatalf("results delivered after cancel: %d -> %d", results, len(h.Results))
 	}
 }
+
+// The cluster's half of the query service lifecycle (internal/qserve):
+// the test plays the service, which injects each started query, balances
+// queries_active through WhenDone, and retires every query with a cancel
+// at its result window — whether it completed first or not. Each query's
+// completion hook runs exactly once, however it ends and however often it
+// is retired, so the gauge returns to zero and never below it.
+func TestQueryServiceLifecycle(t *testing.T) {
+	trace := alwaysUpTrace(40, 12*time.Hour)
+	cfg := DefaultClusterConfig(trace, 78)
+	cfg.Workload.MeanFlowsPerDay = 30
+	c := NewCluster(cfg)
+	c.RunUntil(2 * time.Hour)
+	inj := findLiveInjector(t, c)
+	q := relq.MustParse("SELECT COUNT(*) FROM Flow WHERE SrcPort=80")
+	active := c.Obs().Gauge("queries_active")
+
+	const n = 3
+	var hs []*QueryHandle
+	fired := make([]int, n)
+	for i := 0; i < n; i++ {
+		// A query's ID derives from its injector and injection instant.
+		c.RunUntil(c.Sched.Now() + time.Second)
+		h := c.InjectQuery(inj, q)
+		active.Add(1)
+		h.WhenDone(func() { active.Add(-1); fired[i]++ })
+		hs = append(hs, h)
+	}
+	if got := active.Value(); got != n {
+		t.Fatalf("queries_active = %v with %d running queries", got, n)
+	}
+
+	// Cancel one query while it runs; let the others run on.
+	c.RunUntil(c.Sched.Now() + 10*time.Minute)
+	c.CancelQuery(hs[0], inj)
+	if !hs[0].Cancelled || fired[0] != 1 {
+		t.Fatalf("running query after cancel: Cancelled %v, hook ran %d times", hs[0].Cancelled, fired[0])
+	}
+	c.RunUntil(c.Sched.Now() + 4*time.Hour)
+	completed := 0
+	for i, h := range hs[1:] {
+		if h.Completed {
+			completed++
+			if fired[i+1] != 1 {
+				t.Fatalf("completed query %d: hook ran %d times", i+1, fired[i+1])
+			}
+		}
+	}
+	if completed == 0 {
+		t.Fatal("no query completed on its own; the completed-then-retired path went untested")
+	}
+
+	// Retire every query, the already-cancelled one included.
+	for _, h := range hs {
+		c.CancelQuery(h, inj)
+	}
+	for i, h := range hs {
+		select {
+		case <-h.Done():
+		default:
+			t.Fatalf("query %d: Done channel open after retire", i)
+		}
+		if fired[i] != 1 {
+			t.Fatalf("query %d: completion hook ran %d times", i, fired[i])
+		}
+	}
+	if got := active.Value(); got != 0 {
+		t.Fatalf("queries_active = %v after every query ended", got)
+	}
+	if got := c.Obs().Counter("queries_cancelled").Value(); got != n+1 {
+		t.Fatalf("queries_cancelled = %d, want %d (one per CancelQuery call)", got, n+1)
+	}
+	// A hook registered on a terminal query runs at once.
+	late := false
+	hs[0].WhenDone(func() { late = true })
+	if !late {
+		t.Fatal("WhenDone on a terminal query did not run")
+	}
+}

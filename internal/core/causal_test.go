@@ -95,3 +95,79 @@ func TestCausalBreakdownSumsToLatency(t *testing.T) {
 		t.Fatalf("only %d/4 queries completed; horizon too short for the invariant to bite", completed)
 	}
 }
+
+// The query service (internal/qserve) sheds on arrival and queues the
+// rest. The test plays both: a shed span is a lone root that no cluster
+// event chains to, while a queued query chains queued → started → inject,
+// so its cancelled path runs back to its arrival and the queue dwell is
+// all queue wait.
+func TestCausalShedQueryChain(t *testing.T) {
+	trace := alwaysUpTrace(30, 8*time.Hour)
+	cfg := DefaultClusterConfig(trace, 11)
+	cfg.Workload.MeanFlowsPerDay = 20
+	o := obs.New()
+	sink := &captureSink{}
+	o.SetTracer(obs.NewTracer(sink))
+	cfg.Obs = o
+	c := NewCluster(cfg)
+	c.RunUntil(time.Hour)
+
+	inj := findLiveInjector(t, c)
+	arrived := c.Sched.Now()
+	shedSpan := o.EmitSpan(0, obs.Event{Kind: obs.KindShed, EP: int(inj), N: 0})
+	queuedSpan := o.EmitSpan(0, obs.Event{Kind: obs.KindQueued, EP: int(inj), N: 1})
+	c.RunUntil(c.Sched.Now() + time.Minute)
+	startedSpan := o.EmitSpan(queuedSpan, obs.Event{Kind: obs.KindStarted, EP: int(inj), N: 1})
+	h := c.InjectQueryCause(inj, relq.MustParse("SELECT COUNT(*) FROM Flow"), startedSpan)
+	c.RunUntil(c.Sched.Now() + 10*time.Minute)
+	c.CancelQuery(h, inj)
+	cancelled := c.Sched.Now()
+
+	var shed, inject *obs.Event
+	for i := range sink.events {
+		ev := &sink.events[i]
+		switch {
+		case ev.Span == shedSpan:
+			shed = ev
+		case ev.Kind == obs.KindInject:
+			inject = ev
+		}
+		if ev.Parent == shedSpan {
+			t.Fatalf("%s event chains to the shed span", ev.Kind)
+		}
+	}
+	if shed == nil || inject == nil {
+		t.Fatal("missing shed/inject events in trace")
+	}
+	if shed.Kind != obs.KindShed || shed.Parent != 0 {
+		t.Fatalf("shed event %s has parent %d, want a root", shed.Kind, shed.Parent)
+	}
+	if inject.Parent != startedSpan {
+		t.Fatalf("inject (parent %d) not chained to started (span %d)", inject.Parent, startedSpan)
+	}
+
+	bs := causal.Analyze(sink.events)
+	if len(bs) != 1 {
+		t.Fatalf("%d breakdowns, want 1 (the shed query was never injected)", len(bs))
+	}
+	b := bs[0]
+	if err := b.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Query != h.QueryID.Short() || b.Terminal != obs.KindCancel {
+		t.Fatalf("breakdown for %s ends in %s, want %s ending in cancel", b.Query, b.Terminal, h.QueryID.Short())
+	}
+	if b.Start != arrived || b.End != cancelled {
+		t.Fatalf("path spans [%v,%v], want arrival %v to cancel %v", b.Start, b.End, arrived, cancelled)
+	}
+	if len(b.Path) < 3 || b.Path[0].Kind != obs.KindQueued || b.Path[1].Kind != obs.KindStarted ||
+		b.Path[2].Kind != obs.KindInject {
+		t.Fatalf("path does not begin queued -> started -> inject: %+v", b.Path)
+	}
+	if d := b.Path[1].Dur; d != time.Minute {
+		t.Fatalf("queued->started edge = %v, want 1m", d)
+	}
+	if b.Phases[causal.PhaseQueueWait] < time.Minute {
+		t.Fatalf("queue_wait %v < the 1m queue dwell", b.Phases[causal.PhaseQueueWait])
+	}
+}
