@@ -17,8 +17,11 @@ import (
 const heapPerEndsystemCeiling = 70 << 10
 
 // allocPerQueryCeiling is about 10% above what TestAllocPerQuery measures
-// (6.5 KB on go1.24 linux/amd64; runs differ by half a percent). It read
-// 6.95 KB while every range task that might report anything carried all 72
+// (5.9 KB on go1.24 linux/amd64; runs differ by half a percent). It read
+// 6.4-6.5 KB (ceiling 7,200) while every range task carried the fields of
+// an interior one, every response was an object of its own, and every
+// subrange stored its bounds; 6.95 KB while every range task that might
+// report anything carried all 72
 // predictor buckets, and every scheduled timer allocated its own handle,
 // 7.04 KB while a vertex primary replicated every child update at every
 // level to its backups the moment it arrived, 7.5 KB while every leaf sent
@@ -30,7 +33,7 @@ const heapPerEndsystemCeiling = 70 << 10
 // predictor, empty or not, and every aggregation vertex kept its children
 // in a map (11.4 and 11.5 KB). At N=256 the tree has fewer empty ranges
 // than at the benchmark's N=1000, so those steps are 15-27% apart.
-const allocPerQueryCeiling = 7200
+const allocPerQueryCeiling = 6500
 
 // heapTestCluster keeps TestHeapPerEndsystem's cluster reachable after the
 // test returns: go test -memprofile collects before it writes, and that

@@ -17,6 +17,7 @@
 package dissem
 
 import (
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -34,7 +35,8 @@ import (
 type Config struct {
 	// Arity is the fan-out of the range subdivision. The paper describes
 	// the tree as binary and implements it 2^b-ary (16); both are
-	// supported for the ablation benchmarks.
+	// supported for the ablation benchmarks. At most 65,536: a subrange
+	// keeps its index in a uint16.
 	Arity int
 	// MaxRetries bounds reissues per subrange.
 	MaxRetries int
@@ -116,8 +118,9 @@ type Engine struct {
 	// holds this endsystem's range tasks: the unfinished ones, and each
 	// finished one for retention after it finished, so a reissued request
 	// gets the cached answer. awaited indexes every unanswered subrange of
-	// every unfinished task by (queryId, lo, hi) — a rangeResp carries
-	// exactly that key, so it finds its (task, subrange) in one lookup.
+	// every unfinished task by (queryId, lo, hi) — a response, the
+	// answering task, carries exactly that key, so it finds its (task,
+	// subrange) in one lookup.
 	// retired and retiredTail are the ends of a queue (linked through
 	// task.next) of the finished tasks still in tasks, in finish order,
 	// which — retention being one constant — is expiry order.
@@ -319,59 +322,41 @@ func scopeSize(q *relq.Query) int {
 
 func startMsgSize(q *relq.Query) int { return ids.Bytes + 8 + len(q.Raw) + scopeSize(q) }
 
+// queryHdr is a query's identity. The root builds one per root task, and
+// every range message and fan-out of the query below it shares it by
+// reference; nothing writes to it after.
+type queryHdr struct {
+	QueryID  ids.ID
+	Query    *relq.Query
+	Injector simnet.Endpoint // the query's home, carried to every endsystem
+}
+
 // rangeMsg asks the recipient to produce the aggregated predictor for the
 // inclusive namespace range [Lo, Hi].
 type rangeMsg struct {
-	QueryID  ids.ID
-	Query    *relq.Query
-	Lo, Hi   ids.ID
-	Parent   simnet.Endpoint // where to send the rangeResp
-	Injector simnet.Endpoint // the query's home, carried to every endsystem
-	Cause    uint64
+	Hdr    *queryHdr
+	Lo, Hi ids.ID
+	Parent simnet.Endpoint // where to send the response
+	Cause  uint64
 }
 
 func rangeMsgSize(q *relq.Query) int { return 3*ids.Bytes + 8 + len(q.Raw) + scopeSize(q) }
 
-// rangeResp carries a subrange's aggregated predictor back to the parent:
-// the responding task's own, frozen acc. One with nothing to report is one
-// byte on the wire (predictor.AppendEncode).
-type rangeResp struct {
-	QueryID ids.ID
-	Lo, Hi  ids.ID
-	Pred    *predictor.Predictor
-	Cause   uint64
-}
-
-// RangeRespHeaderBytes is what a rangeResp costs on the wire before the
-// predictor it carries: the query id and the range.
+// RangeRespHeaderBytes is what a subrange's response costs on the wire
+// before the predictor it carries: the query id and the range. A response
+// is the finished task itself (see task); the root task's, the query's
+// final predictor for the injector, carries the query id alone.
 const RangeRespHeaderBytes = 3 * ids.Bytes
-
-// rangeRespSize and predictorMsgSize take the encoded length of the
-// predictor carried: a response costs what its predictor holds.
-func rangeRespSize(predLen int) int { return RangeRespHeaderBytes + predLen }
-
-// predictorMsg returns the final aggregated predictor to the injector.
-type predictorMsg struct {
-	QueryID ids.ID
-	Pred    *predictor.Predictor
-	Cause   uint64
-}
-
-func predictorMsgSize(predLen int) int { return ids.Bytes + predLen }
 
 // TraceQuery implements pastry.Traced, attributing routing events for
 // dissemination traffic to the query's trace.
-func (m *startMsg) TraceQuery() string     { return m.QueryID.Short() }
-func (m *rangeMsg) TraceQuery() string     { return m.QueryID.Short() }
-func (m *rangeResp) TraceQuery() string    { return m.QueryID.Short() }
-func (m *predictorMsg) TraceQuery() string { return m.QueryID.Short() }
+func (m *startMsg) TraceQuery() string { return m.QueryID.Short() }
+func (m *rangeMsg) TraceQuery() string { return m.Hdr.QueryID.Short() }
 
 // TraceSpan implements pastry.TracedSpan, chaining per-hop routing
 // events (verbose traces) onto the sender's causal span.
-func (m *startMsg) TraceSpan() uint64     { return m.Cause }
-func (m *rangeMsg) TraceSpan() uint64     { return m.Cause }
-func (m *rangeResp) TraceSpan() uint64    { return m.Cause }
-func (m *predictorMsg) TraceSpan() uint64 { return m.Cause }
+func (m *startMsg) TraceSpan() uint64 { return m.Cause }
+func (m *rangeMsg) TraceSpan() uint64 { return m.Cause }
 
 // --------------------------------------------------------------- task
 
@@ -386,14 +371,58 @@ type taskKey struct {
 // task instead of disseminating the range a second time.
 const retention = 2 * time.Minute
 
-// subrange is one awaited part of an interior task's range. Sixteen of its
-// 88 bytes fill splitRange's array in the 1,408-byte size class; retries is
-// an int32 so that it shares the flags' word and the timer handle fits.
+// task aggregates the predictor of one range at this endsystem. A leaf
+// task (alone in its range) finishes the instant it is created; an
+// interior task, the only kind with a fanout, finishes when its last
+// subrange is answered or abandoned. Every task ends in Engine.finish, and
+// from then on key, acc and respCause are frozen: the task itself is the
+// response every parent is sent, and receivers read only those three.
+//
+// acc is held by value, and a predictor allocates its buckets only when
+// one receives mass: a task with nothing to report (an empty range handed
+// to the nearest endsystem, an endsystem whose histogram expects no
+// matching row) or only Immediate rows — nearly every task in a run, and
+// nearly all of them leaves — is this one object of the 128-byte class,
+// response included, and nothing more.
+type task struct {
+	key taskKey
+	fan *fanout // an interior task's until it finishes; nil for a leaf
+	// parent asked for the range first; more lists any further requesters
+	// (a reissue from a new parent after the old one died) in the order
+	// they asked, deduplicated.
+	parent   simnet.Endpoint
+	more     *requester
+	acc      predictor.Predictor
+	finished bool
+	expires  time.Duration // finished tasks only: when the table lets go
+	next     *task         // the task finished next (Engine.retired); nil once swept
+	// respCause is the span of the last contribution folded in — the child
+	// whose response completed the fan-in, i.e. the causal parent of the
+	// task's own response; the task's disseminate event until then.
+	respCause uint64
+}
+
+// fanout is what an interior task holds while it waits on its subranges.
+type fanout struct {
+	eng *Engine
+	hdr *queryHdr
+	// width is the span of the task's range over the arity: with the range
+	// itself, it gives every subrange its bounds (subrange.bounds).
+	width ids.ID
+	// subs are the awaited subranges, by value: Engine.awaited and the
+	// response timers point into the array, which is sized once.
+	subs []subrange
+	open int32 // subranges neither answered nor abandoned
+}
+
+// subrange is one awaited part of an interior task's range: part index of
+// its split. Sixteen of its 56 bytes fill the 896-byte size class; index
+// and retries share the flags' word.
 type subrange struct {
-	lo, hi      ids.ID
-	task        *task // the task awaiting this subrange
-	local       bool  // handled by local recursion, not a network child
-	done        bool  // answered or abandoned: no longer in Engine.awaited
+	task        *task  // the task awaiting this subrange
+	local       bool   // handled by local recursion, not a network child
+	done        bool   // answered or abandoned: no longer in Engine.awaited
+	index       uint16 // which part of the task's range; kept when the RTT scope prunes others
 	retries     int32
 	sentAt      time.Duration // when the latest request went out
 	lastTimeout time.Duration // timeout armed for the latest request
@@ -401,52 +430,59 @@ type subrange struct {
 	cause       uint64 // span of the latest send/retry event for this subrange
 }
 
-// onTimeout is the subrange's response-timeout callback.
-func (s *subrange) onTimeout() { s.task.eng.subrangeTimeout(s) }
+// onTimeout is the subrange's response-timeout callback. No timer outlives
+// its task's fan-out: the task finishes only once every subrange settled,
+// and settling cancels the timer or is what the timer did.
+func (s *subrange) onTimeout() { s.task.fan.eng.subrangeTimeout(s) }
 
-// task aggregates the predictor of one range at this endsystem. A leaf
-// task (alone in its range) finishes the instant it is created; an
-// interior task finishes when its last subrange is answered or abandoned.
-// Every task ends in Engine.finish, and from then on acc is frozen:
-// responses and the final predictorMsg carry &acc itself, not a copy.
-//
-// acc is held by value, and a predictor allocates its buckets only when
-// one receives mass: a task with nothing to report (an empty range handed
-// to the nearest endsystem, an endsystem whose histogram expects no
-// matching row) or only Immediate rows — nearly every task in a run — is
-// this one object of the 192-byte class and nothing more.
-type task struct {
-	eng      *Engine
-	key      taskKey
-	query    *relq.Query
-	injector simnet.Endpoint
-	// parent asked for the range first; more lists any further requesters
-	// (a reissue from a new parent after the old one died) in the order
-	// they asked, deduplicated.
-	parent simnet.Endpoint
-	more   *requester
-	acc    predictor.Predictor
-	// subs are the awaited subranges, by value: Engine.awaited and the
-	// response timers point into the array, which is sized once. Released
-	// when the task finishes.
-	subs     []subrange
-	open     int32 // subranges neither answered nor abandoned
-	finished bool
-	expires  time.Duration // finished tasks only: when the table lets go
-	next     *task         // the task finished next (Engine.retired); nil once swept
-	// span is this task's disseminate event; respCause is the span of the
-	// last contribution folded in — the child whose response completed the
-	// fan-in, i.e. the causal parent of the task's own response.
-	span      uint64
-	respCause uint64
+// bounds returns the subrange's inclusive range.
+func (s *subrange) bounds() (lo, hi ids.ID) {
+	t := s.task
+	return part(t.key.lo, t.key.hi, t.fan.width, uint64(s.index))
 }
 
-// newTask allocates the task for key and enters it in the table. span is
-// its disseminate event.
-func (e *Engine) newTask(key taskKey, q *relq.Query, parent, injector simnet.Endpoint, span uint64) *task {
-	t := &task{eng: e, key: key, query: q, parent: parent, injector: injector, span: span, respCause: span}
-	e.tasks[key] = t
-	return t
+// part returns part i of a split of [lo, hi] whose width is the span over
+// the arity: parts are width+1 ids wide and consecutive from lo, and the
+// first to reach hi — part arity-1 at the latest, for arity·(width+1)
+// exceeds the span — ends there. A span shorter than the arity splits into
+// its single ids.
+func part(lo, hi, width ids.ID, i uint64) (ids.ID, ids.ID) {
+	start := lo.Add(mulUint(width.AddUint64(1), i))
+	end := start.Add(width)
+	if end.Less(start) || hi.Less(end) { // past the namespace's end, or the range's
+		end = hi
+	}
+	return start, end
+}
+
+// newFanout gives t its fan-out over h's query: t's range split arity
+// ways, less the parts an RTT scope prunes. The split ends at the first
+// part that reaches the range's end, so it never comes back empty before
+// pruning.
+func (e *Engine) newFanout(t *task, h *queryHdr) *fanout {
+	arity := e.cfg.Arity
+	f := &fanout{eng: e, hdr: h, width: divByUint(t.key.hi.Sub(t.key.lo), uint64(arity)),
+		subs: make([]subrange, 0, arity)}
+	t.fan = f
+	// RTT-scoped queries drop subranges whose coordinate bounding balls
+	// prove no member lies within the radius: nothing in-scope is lost
+	// (the ball test is exact), and the completeness predictor never
+	// expects the pruned endsystems.
+	scoped := e.scoped(h.Query)
+	for i := 0; i < arity; i++ {
+		s := subrange{task: t, index: uint16(i)}
+		lo, hi := s.bounds()
+		if scoped && !e.cfg.Coords.RangeInScope(h.QueryID, lo, hi) {
+			e.cPruned.Inc()
+		} else {
+			f.subs = append(f.subs, s)
+		}
+		if hi == t.key.hi {
+			break
+		}
+	}
+	f.open = int32(len(f.subs))
+	return f
 }
 
 // whole reports whether the key's range is the full namespace: the root
@@ -482,18 +518,21 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 		e.handleStart(m)
 	case *rangeMsg:
 		e.handleRange(m)
-	case *rangeResp:
-		e.handleResp(m)
-	case *predictorMsg:
-		if p, ok := e.waiting[m.QueryID]; ok {
-			delete(e.waiting, m.QueryID)
+	case *task:
+		if !m.key.whole() {
+			e.handleResp(m.key, &m.acc, m.respCause)
+			break
+		}
+		// The root task's response: the query's final predictor.
+		if p, ok := e.waiting[m.key.qid]; ok {
+			delete(e.waiting, m.key.qid)
 			p.timer.Cancel()
 			node := e.host.PastryNode()
 			e.hPredLat.ObserveDuration(node.Sched().Now() - p.at)
-			e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindPredict, Query: e.o.QueryTag(m.QueryID),
-				EP: int(node.Endpoint()), V: m.Pred.ExpectedTotal()})
+			e.o.EmitSpan(m.respCause, obs.Event{Kind: obs.KindPredict, Query: e.o.QueryTag(m.key.qid),
+				EP: int(node.Endpoint()), V: m.acc.ExpectedTotal()})
 			if p.cb != nil {
-				p.cb(m.Pred)
+				p.cb(&m.acc)
 			}
 		}
 	default:
@@ -505,21 +544,23 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 // handleStart runs at the queryId root: begin the broadcast over the full
 // namespace, with the injector as the parent of the root range.
 func (e *Engine) handleStart(m *startMsg) {
-	e.beginTask(m.QueryID, m.Query, ids.ID{}, ids.MaxID, m.Injector, m.Injector, m.Cause)
+	h := &queryHdr{QueryID: m.QueryID, Query: m.Query, Injector: m.Injector}
+	e.beginTask(h, ids.ID{}, ids.MaxID, m.Injector, m.Cause)
 }
 
 func (e *Engine) handleRange(m *rangeMsg) {
-	e.beginTask(m.QueryID, m.Query, m.Lo, m.Hi, m.Parent, m.Injector, m.Cause)
+	e.beginTask(m.Hdr, m.Lo, m.Hi, m.Parent, m.Cause)
 }
 
-// beginTask starts (or re-answers) the aggregation task for one range.
-// cause is the span of the message (or local recursion) that requested
-// the range.
-func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, injector simnet.Endpoint, cause uint64) {
+// beginTask starts (or re-answers) the aggregation task for one range of
+// h's query. cause is the span of the message (or local recursion) that
+// requested the range.
+func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, cause uint64) {
 	node := e.host.PastryNode()
 	// Expired tasks leave the table before it is consulted, so a hit below
 	// is always inside its retention window.
 	e.sweep(node.Sched().Now())
+	qid := h.QueryID
 	key := taskKey{qid: qid, lo: lo, hi: hi}
 	if t, ok := e.tasks[key]; ok {
 		// Duplicate request (a reissue, or a new parent after the old one
@@ -532,50 +573,35 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 	}
 	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindDisseminate, Query: e.o.QueryTag(qid),
 		EP: int(node.Endpoint())})
-	e.host.QueryObserved(qid, q, injector, span)
+	e.host.QueryObserved(qid, h.Query, h.Injector, span)
 
-	t := e.newTask(key, q, parent, injector, span)
+	t := &task{key: key, parent: parent, respCause: span}
+	e.tasks[key] = t
 	if lo == hi || e.aloneInRange(lo, hi) {
 		// Leaf: contribute own rows (if in range) and predict on behalf of
 		// every unavailable endsystem in the range.
-		e.contributeLocal(&t.acc, qid, q, span, lo, hi)
+		e.contributeLocal(&t.acc, qid, h.Query, span, lo, hi)
 		e.finish(t)
 		return
 	}
 
 	// Split into arity equal subranges. The one containing self recurses
 	// locally (no message); the rest are routed toward their midpoints.
-	// RTT-scoped queries drop subranges whose coordinate bounding balls
-	// prove no member lies within the radius: nothing in-scope is lost
-	// (the ball test is exact), and the completeness predictor never
-	// expects the pruned endsystems.
-	subs := splitRange(lo, hi, e.cfg.Arity)
-	if e.scoped(q) {
-		kept := subs[:0]
-		for _, s := range subs {
-			if !e.cfg.Coords.RangeInScope(qid, s.lo, s.hi) {
-				e.cPruned.Inc()
-				continue
-			}
-			kept = append(kept, s)
-		}
-		subs = kept
-	}
-	// subs stays put from here on: the index and the timers point into it.
-	t.subs, t.open = subs, int32(len(subs))
+	f := e.newFanout(t, h)
 	self := node.ID()
 	var selfSub *subrange
-	for i := range subs {
-		s := &subs[i]
-		s.task, s.cause = t, t.span
-		if self.InRange(s.lo, s.hi) {
+	for i := range f.subs {
+		s := &f.subs[i]
+		s.cause = span
+		slo, shi := s.bounds()
+		if self.InRange(slo, shi) {
 			s.local = true
 			selfSub = s
 		}
-		e.awaited[taskKey{qid: qid, lo: s.lo, hi: s.hi}] = s
+		e.awaited[taskKey{qid: qid, lo: slo, hi: shi}] = s
 	}
-	for i := range subs {
-		if s := &subs[i]; !s.local {
+	for i := range f.subs {
+		if s := &f.subs[i]; !s.local {
 			e.sendSubrange(s)
 		}
 	}
@@ -583,12 +609,13 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 		// Local recursion: handle the self subrange as a child task whose
 		// parent is this node itself; its response arrives synchronously
 		// through handleResp.
-		e.beginTask(qid, q, selfSub.lo, selfSub.hi, node.Endpoint(), injector, t.span)
+		slo, shi := selfSub.bounds()
+		e.beginTask(h, slo, shi, node.Endpoint(), span)
 	}
-	if len(subs) == 0 {
+	if len(f.subs) == 0 {
 		// Degenerate: nothing to wait for (every subrange was pruned by
-		// the RTT scope; the split itself never comes back empty).
-		e.contributeLocal(&t.acc, qid, q, span, lo, hi)
+		// the RTT scope).
+		e.contributeLocal(&t.acc, qid, h.Query, span, lo, hi)
 		e.finish(t)
 	}
 }
@@ -650,10 +677,10 @@ func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Q
 // execution — so route diversity costs at most some extra traffic on
 // already-failing paths.
 func (e *Engine) sendSubrange(s *subrange) {
-	t := s.task
+	h := s.task.fan.hdr
+	lo, hi := s.bounds()
 	node := e.host.PastryNode()
-	msg := &rangeMsg{QueryID: t.key.qid, Query: t.query, Lo: s.lo, Hi: s.hi,
-		Parent: node.Endpoint(), Injector: t.injector, Cause: s.cause}
+	msg := &rangeMsg{Hdr: h, Lo: lo, Hi: hi, Parent: node.Endpoint(), Cause: s.cause}
 	e.cRangeMsgs.Inc()
 	// Arm the attempt state BEFORE routing: Route can deliver locally and
 	// answer synchronously (a self-routed midpoint resolving to a leaf),
@@ -669,15 +696,15 @@ func (e *Engine) sendSubrange(s *subrange) {
 	// reaches it or, if it just died, the numerically closest live node,
 	// exactly as the midpoint would). Reissues keep the random retarget:
 	// route diversity around failures matters more than latency there.
-	target := ids.Midpoint(s.lo, s.hi)
+	target := ids.Midpoint(lo, hi)
 	if s.retries > 0 {
-		target = ids.RandomInRange(e.rng, s.lo, s.hi)
+		target = ids.RandomInRange(e.rng, lo, hi)
 	} else if e.cfg.Coords != nil {
-		if ref, ok := e.nearestDelegate(s.lo, s.hi); ok {
+		if ref, ok := e.nearestDelegate(lo, hi); ok {
 			target = ref.ID
 		}
 	}
-	node.Route(target, msg, rangeMsgSize(t.query), simnet.ClassQuery)
+	node.Route(target, msg, rangeMsgSize(h.Query), simnet.ClassQuery)
 }
 
 // nearestDelegate picks, among the nodes this endsystem's own routing
@@ -801,8 +828,8 @@ func (e *Engine) subrangeTimeout(s *subrange) {
 		e.cGiveups.Inc()
 		e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemGiveup, Query: tag,
 			EP: int(node.Endpoint()), N: int64(s.retries),
-			V: rangeFraction(s.lo, s.hi)})
-		if t.open == 0 {
+			V: rangeFraction(s.bounds())})
+		if t.fan.open == 0 {
 			e.finish(t)
 		}
 		return
@@ -819,20 +846,22 @@ func (e *Engine) subrangeTimeout(s *subrange) {
 // Reset must not unhook the same range awaited by a newer task.
 func (e *Engine) settle(s *subrange) {
 	s.done = true
-	s.task.open--
-	key := taskKey{qid: s.task.key.qid, lo: s.lo, hi: s.hi}
+	s.task.fan.open--
+	lo, hi := s.bounds()
+	key := taskKey{qid: s.task.key.qid, lo: lo, hi: hi}
 	if e.awaited[key] == s {
 		delete(e.awaited, key)
 	}
 }
 
-// handleResp folds a child's aggregated predictor into the parent task.
-// The index holds a subrange only while it is unanswered and its task
-// unfinished, so a duplicate response (from a reissued request), a late
-// one (its subrange abandoned, its task finished) and one this incarnation
-// never asked for all miss it: each subrange counts exactly once.
-func (e *Engine) handleResp(m *rangeResp) {
-	s := e.awaited[taskKey{qid: m.QueryID, lo: m.Lo, hi: m.Hi}]
+// handleResp folds a child's aggregated predictor into the parent task:
+// key, pred and cause are the finished child task's. The index holds a
+// subrange only while it is unanswered and its task unfinished, so a
+// duplicate response (from a reissued request), a late one (its subrange
+// abandoned, its task finished) and one this incarnation never asked for
+// all miss it: each subrange counts exactly once.
+func (e *Engine) handleResp(key taskKey, pred *predictor.Predictor, cause uint64) {
+	s := e.awaited[key]
 	if s == nil {
 		return
 	}
@@ -844,27 +873,27 @@ func (e *Engine) handleResp(m *rangeResp) {
 		// samples.
 		e.observeRTT(e.host.PastryNode().Sched().Now() - s.sentAt)
 	}
-	t.acc.Merge(m.Pred)
+	t.acc.Merge(pred)
 	// The response that completes the fan-in is the task's critical
 	// child; its span becomes the causal parent of this task's own
 	// response.
-	if m.Cause != 0 {
-		t.respCause = m.Cause
+	if cause != 0 {
+		t.respCause = cause
 	}
-	if t.open == 0 {
+	if t.fan.open == 0 {
 		e.finish(t)
 	}
 }
 
 // finish is the one way a task ends — leaf, interior or degenerate. It
-// freezes acc, answers every parent, and starts the retention window:
-// the task stays in the table, to re-answer reissued requests from the
-// frozen acc, until sweep lets it go. No timer is armed. A task of a
+// freezes key, acc and respCause, answers every parent, and starts the
+// retention window: the task stays in the table, to re-answer reissued
+// requests, until sweep lets it go. No timer is armed. A task of a
 // previous incarnation (see Reset) answers its parents and is otherwise
 // left alone: it is in no table.
 func (e *Engine) finish(t *task) {
 	t.finished = true
-	t.subs = nil // all settled; nothing points into the array any more
+	t.fan = nil // all settled; nothing points into the subranges any more
 	if e.tasks[t.key] == t {
 		t.expires = e.host.PastryNode().Sched().Now() + retention
 		if e.retiredTail == nil {
@@ -883,8 +912,8 @@ func (e *Engine) finish(t *task) {
 // delete is by identity, like every removal from the engine's tables.
 func (e *Engine) sweep(now time.Duration) {
 	for t := e.retired; t != nil && t.expires <= now; t = e.retired {
-		// Unlink fully: a response in flight may keep t alive through its
-		// predictor, and must not keep the rest of the queue with it.
+		// Unlink fully: a response in flight is t and keeps it alive, and
+		// must not keep the rest of the queue with it.
 		e.retired, t.next = t.next, nil
 		if e.tasks[t.key] == t {
 			delete(e.tasks, t.key)
@@ -895,12 +924,11 @@ func (e *Engine) sweep(now time.Duration) {
 	}
 }
 
-// respond sends a finished task's aggregated predictor to its parents: a
-// rangeResp for interior tasks, or the final predictorMsg when the parent
-// is the injector (full-namespace task). Parents deduplicate per
-// subrange, so answering every registered parent preserves exactly-once
-// counting. The messages share the task's frozen acc; receivers only
-// read it.
+// respond sends a finished task to its parents as their response: the
+// final predictor when the parent is the injector (full-namespace task),
+// a subrange's otherwise. Parents deduplicate per subrange, so answering
+// every registered parent preserves exactly-once counting. Receivers only
+// read the task's frozen key, acc and respCause.
 func (e *Engine) respond(t *task) {
 	e.respondTo(t, t.parent)
 	for p := t.more; p != nil; p = p.next {
@@ -912,53 +940,29 @@ func (e *Engine) respondTo(t *task, parent simnet.Endpoint) {
 	node := e.host.PastryNode()
 	if !t.key.whole() && parent == node.Endpoint() {
 		// Self-recursion: deliver locally without a network hop.
-		e.handleResp(&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: &t.acc, Cause: t.respCause})
+		e.handleResp(t.key, &t.acc, t.respCause)
 		return
 	}
 	// The wire carries the frozen acc's encoding, sized here rather than
-	// kept on the task.
+	// kept on the task: a response costs what its predictor holds, one byte
+	// with nothing to report (predictor.AppendEncode).
 	predLen := t.acc.EncodedLen()
 	e.cResps.Inc()
 	if predLen == 1 {
 		e.cRespEmpty.Inc()
 	}
 	e.cPredBytes.Add(uint64(predLen))
-	net := node.Ring().Network()
+	size := RangeRespHeaderBytes + predLen
 	if t.key.whole() {
-		// Root task: deliver the final predictor to the injector.
-		net.Send(node.Endpoint(), parent, predictorMsgSize(predLen), simnet.ClassQuery,
-			&predictorMsg{QueryID: t.key.qid, Pred: &t.acc, Cause: t.respCause})
-		return
+		size = ids.Bytes + predLen
 	}
-	net.Send(node.Endpoint(), parent, rangeRespSize(predLen), simnet.ClassQuery,
-		&rangeResp{QueryID: t.key.qid, Lo: t.key.lo, Hi: t.key.hi, Pred: &t.acc, Cause: t.respCause})
+	node.Ring().Network().Send(node.Endpoint(), parent, size, simnet.ClassQuery, t)
 }
 
-// splitRange divides the inclusive range [lo, hi] into up to arity
-// contiguous, non-overlapping, equal-width inclusive subranges covering it
-// exactly.
-func splitRange(lo, hi ids.ID, arity int) []subrange {
-	out := make([]subrange, 0, arity)
-	span := hi.Sub(lo)
-	width := divByUint(span, uint64(arity))
-	cur := lo
-	for i := 0; i < arity; i++ {
-		var end ids.ID
-		if i == arity-1 {
-			end = hi
-		} else {
-			end = cur.Add(width)
-		}
-		if end.Less(cur) { // overflow guard
-			end = hi
-		}
-		out = append(out, subrange{lo: cur, hi: end})
-		if end == hi {
-			break
-		}
-		cur = end.AddUint64(1)
-	}
-	return out
+// mulUint multiplies a 128-bit value by an unsigned integer, modulo 2^128.
+func mulUint(v ids.ID, by uint64) ids.ID {
+	hi, lo := bits.Mul64(v.Lo, by)
+	return ids.ID{Hi: v.Hi*by + hi, Lo: lo}
 }
 
 // divByUint divides a 128-bit value by a small unsigned integer.

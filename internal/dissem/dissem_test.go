@@ -295,37 +295,6 @@ func TestChurnDuringDissemination(t *testing.T) {
 	}
 }
 
-func TestSplitRangeProperties(t *testing.T) {
-	f := func(aHi, aLo, bHi, bLo uint64, arityRaw uint8) bool {
-		lo := ids.ID{Hi: aHi, Lo: aLo}
-		hi := ids.ID{Hi: bHi, Lo: bLo}
-		if hi.Less(lo) {
-			lo, hi = hi, lo
-		}
-		arity := 2 + int(arityRaw%15)
-		subs := splitRange(lo, hi, arity)
-		if len(subs) == 0 || len(subs) > arity {
-			return false
-		}
-		// Exact disjoint cover.
-		if subs[0].lo != lo || subs[len(subs)-1].hi != hi {
-			return false
-		}
-		for i, s := range subs {
-			if s.hi.Less(s.lo) {
-				return false
-			}
-			if i > 0 && s.lo != subs[i-1].hi.AddUint64(1) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDivByUintMatchesBigInt(t *testing.T) {
 	f := func(hi, lo uint64, byRaw uint8) bool {
 		by := uint64(byRaw)%100 + 1
@@ -492,20 +461,18 @@ func TestPredictorBytesCharged(t *testing.T) {
 	for _, h := range c.hosts {
 		ep, node := h.node.Endpoint(), h.node
 		net.Bind(ep, simnet.HandlerFunc(func(from simnet.Endpoint, payload any) {
-			s, ok := l.arrived(from, ep)
-			var pred *predictor.Predictor
-			header := 0
-			switch m := payload.(type) {
-			case *rangeResp:
-				pred, header = m.Pred, 3*ids.Bytes
-			case *predictorMsg:
-				pred, header = m.Pred, ids.Bytes
-			}
-			if header != 0 {
+			s, paired := l.arrived(from, ep)
+			// A response is the finished task: the root's, to the injector,
+			// carries the query id alone, any other the range too.
+			if m, ok := payload.(*task); ok {
+				pred, header := &m.acc, 3*ids.Bytes
+				if m.key.whole() {
+					header = ids.Bytes
+				}
 				enc := pred.AppendEncode(nil)
-				if !ok || s.class != simnet.ClassQuery || s.size != header+len(enc) {
-					t.Errorf("%T from %d to %d: charged %+v (paired %v), carried %d header + %d predictor bytes",
-						payload, from, ep, s, ok, header, len(enc))
+				if !paired || s.class != simnet.ClassQuery || s.size != header+len(enc) {
+					t.Errorf("response %v from %d to %d: charged %+v (paired %v), carried %d header + %d predictor bytes",
+						m.key, from, ep, s, paired, header, len(enc))
 				}
 				msgs++
 				predBytes += uint64(len(enc))

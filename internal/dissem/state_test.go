@@ -25,15 +25,17 @@ import (
 
 // scanAwaited is the response matching the engine used before it had an
 // index, kept as the oracle: walk every task, skip the other queries' and
-// the finished ones, and look through the subranges for matching bounds.
-// An answered or abandoned subrange resolves to nothing.
+// the finished ones, and look through the subranges for matching bounds
+// (derived, as the engine derives them). An answered or abandoned subrange
+// resolves to nothing.
 func scanAwaited(e *Engine, qid, lo, hi ids.ID) *subrange {
 	for _, t := range e.tasks {
 		if t.key.qid != qid || t.finished {
 			continue
 		}
-		for i := range t.subs {
-			if s := &t.subs[i]; s.lo == lo && s.hi == hi {
+		for i := range t.fan.subs {
+			s := &t.fan.subs[i]
+			if slo, shi := s.bounds(); slo == lo && shi == hi {
 				if s.done {
 					return nil
 				}
@@ -56,10 +58,10 @@ func checkIndex(t *testing.T, e *Engine) {
 		if tk.finished {
 			continue
 		}
-		for i := range tk.subs {
-			s := &tk.subs[i]
-			k := taskKey{qid: key.qid, lo: s.lo, hi: s.hi}
-			if got, want := e.awaited[k], scanAwaited(e, key.qid, s.lo, s.hi); got != want {
+		for i := range tk.fan.subs {
+			lo, hi := tk.fan.subs[i].bounds()
+			k := taskKey{qid: key.qid, lo: lo, hi: hi}
+			if got, want := e.awaited[k], scanAwaited(e, key.qid, lo, hi); got != want {
 				t.Fatalf("subrange %v: index resolves %p, scan %p", k, got, want)
 			}
 		}
@@ -98,11 +100,11 @@ func (h *rigHost) Deliver(_ ids.ID, from simnet.Endpoint, payload any) {
 	h.engine.HandleMessage(from, payload)
 }
 
-// received is one message a sink was sent, with the predictor's value at
-// the instant it arrived.
+// received is one response a sink was sent — the finished task itself —
+// with its predictor's value at the instant it arrived.
 type received struct {
 	to   simnet.Endpoint
-	resp *rangeResp
+	resp *task
 	was  predictor.Predictor
 }
 
@@ -126,8 +128,8 @@ type sink struct {
 
 func (s *sink) LeafsetChanged() {}
 func (s *sink) Deliver(_ ids.ID, _ simnet.Endpoint, payload any) {
-	if m, ok := payload.(*rangeResp); ok && s.rig.record {
-		s.rig.got = append(s.rig.got, received{to: s.ep, resp: m, was: value(m.Pred)})
+	if m, ok := payload.(*task); ok && s.rig.record {
+		s.rig.got = append(s.rig.got, received{to: s.ep, resp: m, was: value(&m.acc)})
 	}
 }
 
@@ -151,6 +153,7 @@ type rig struct {
 	own     idRange
 	got     []received
 	record  bool
+	causes  uint64 // the span the last response the test played carried
 }
 
 // leafRows is what the engine contributes to g as a leaf; ok is false when
@@ -232,12 +235,15 @@ func newRig(t *testing.T, n int, seed int64, cfg Config) *rig {
 }
 
 func (r *rig) request(qid ids.ID, g idRange, parent simnet.Endpoint) {
-	r.e.HandleMessage(parent, &rangeMsg{QueryID: qid, Query: testQuery, Lo: g.lo, Hi: g.hi,
-		Parent: parent, Injector: parent})
+	r.e.HandleMessage(parent, &rangeMsg{Hdr: &queryHdr{QueryID: qid, Query: testQuery, Injector: parent},
+		Lo: g.lo, Hi: g.hi, Parent: parent})
 }
 
+// answer plays a child's response for subrange s: a finished task of its
+// own, whose span is new each time.
 func (r *rig) answer(qid ids.ID, s idRange, p *predictor.Predictor) {
-	r.e.HandleMessage(1, &rangeResp{QueryID: qid, Lo: s.lo, Hi: s.hi, Pred: p})
+	r.causes++
+	r.e.HandleMessage(1, &task{key: taskKey{qid, s.lo, s.hi}, acc: *p, finished: true, respCause: r.causes})
 }
 
 // subs are the subranges the engine splits g into.
@@ -474,9 +480,9 @@ func TestIndexAgainstLinearScan(t *testing.T) {
 		}
 		var got []string
 		for _, m := range r.got {
-			got = append(got, sentString(m.to, taskKey{m.resp.QueryID, m.resp.Lo, m.resp.Hi}, &m.was))
-			if !m.resp.Pred.Equal(&m.was) {
-				t.Fatalf("seed %d: predictor of %v changed after it was sent", seed, m.resp.Lo)
+			got = append(got, sentString(m.to, m.resp.key, &m.was))
+			if !m.resp.acc.Equal(&m.was) {
+				t.Fatalf("seed %d: predictor of %v changed after it was sent", seed, m.resp.key)
 			}
 			if m.was.Equal(&empty) {
 				emptyResponses++
@@ -591,11 +597,12 @@ func TestRestartMidQueryKeepsNewTask(t *testing.T) {
 	}
 }
 
-// TestFinishedAccFrozen checks that a finished task's predictor never
-// changes: every response carries a pointer to the task's own acc, so a
-// write — to it or to buckets it would allocate later — would change a
-// message already sent. Held for a task that accumulated something and for
-// one that finished with nothing to report.
+// TestFinishedAccFrozen checks that what a finished task's response is
+// read for never changes: every response is the task itself, so a write to
+// its key, its respCause or its acc — or to buckets acc would allocate
+// later — would change a message already sent. It also checks that the
+// task let go of its fan-out. Held for a task that accumulated something
+// and for one that finished with nothing to report.
 func TestFinishedAccFrozen(t *testing.T) {
 	r := newRig(t, 128, 11, rigConfig())
 	for _, c := range []struct {
@@ -621,9 +628,12 @@ func TestFinishedAccFrozen(t *testing.T) {
 		if task == nil || !task.finished {
 			t.Fatalf("%s: task did not finish", c.name)
 		}
-		acc, sent := &task.acc, value(&task.acc)
+		sent, key, cause := value(&task.acc), task.key, task.respCause
 		if sent.Equal(&empty) != c.empty {
 			t.Fatalf("%s: finished with predictor %+v", c.name, sent)
+		}
+		if task.fan != nil {
+			t.Fatalf("%s: finished task kept its fan-out", c.name)
 		}
 
 		// Everything that can still reach a finished task.
@@ -645,14 +655,17 @@ func TestFinishedAccFrozen(t *testing.T) {
 		if !task.acc.Equal(&sent) {
 			t.Fatalf("%s: finished task's predictor was written to", c.name)
 		}
+		if task.key != key || task.respCause != cause {
+			t.Fatalf("%s: finished task's key or respCause moved", c.name)
+		}
 		answers := 0
 		for _, m := range r.got {
-			if m.resp.QueryID != qid {
+			if m.resp.key.qid != qid {
 				continue
 			}
 			answers++
-			if m.resp.Pred != acc {
-				t.Fatalf("%s: response carries %p, not the task's own predictor %p", c.name, m.resp.Pred, acc)
+			if m.resp != task {
+				t.Fatalf("%s: response is %p, not the task %p", c.name, m.resp, task)
 			}
 			if !m.was.Equal(&sent) {
 				t.Fatalf("%s: response arrived with a different predictor than was sent", c.name)
@@ -692,9 +705,10 @@ func TestAllSubrangesPruned(t *testing.T) {
 			t.Fatalf("range %d is a leaf or holds the injector: it would not be pruned whole", i)
 		}
 		r.got = nil
-		r.e.HandleMessage(2, &rangeMsg{QueryID: qid, Query: &q, Lo: g.lo, Hi: g.hi, Parent: 2, Injector: injector})
+		r.e.HandleMessage(2, &rangeMsg{Hdr: &queryHdr{QueryID: qid, Query: &q, Injector: injector},
+			Lo: g.lo, Hi: g.hi, Parent: 2})
 		task := r.e.tasks[taskKey{qid, g.lo, g.hi}]
-		if task == nil || !task.finished || task.open != 0 {
+		if task == nil || !task.finished || task.fan != nil {
 			t.Fatalf("range %d: task did not finish at once", i)
 		}
 		if !task.acc.Equal(&empty) {
@@ -704,7 +718,7 @@ func TestAllSubrangesPruned(t *testing.T) {
 			t.Fatalf("range %d: %d subranges awaited", i, len(r.e.awaited))
 		}
 		r.advance(time.Second)
-		if len(r.got) != 1 || r.got[0].to != 2 || r.got[0].resp.Pred != &task.acc {
+		if len(r.got) != 1 || r.got[0].to != 2 || r.got[0].resp != task {
 			t.Fatalf("range %d: parent got %d responses", i, len(r.got))
 		}
 	}
@@ -782,20 +796,20 @@ func bytesPerRun(runs int, f func()) uint64 {
 }
 
 // TestRangeTaskAllocCeilings pins the allocations of the per-message
-// paths: a leaf range task is the task and its response — 256 bytes,
-// whether it has rows to report or not, for its predictor allocates buckets
-// only for mass in them; a response that does not complete its task
-// allocates nothing; one that does allocates the task's own response.
+// paths: a leaf range task is the task, which is also its response — one
+// object of the 128-byte class, whether it has rows to report or not, for
+// its predictor allocates buckets only for mass in them; a response
+// allocates nothing, whether or not it completes its task.
 func TestRangeTaskAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	if size := unsafe.Sizeof(task{}); size > 192 {
-		t.Errorf("task is %d bytes: past the 192-byte size class", size)
+	if size := unsafe.Sizeof(task{}); size > 128 {
+		t.Errorf("task is %d bytes: past the 128-byte size class", size)
 	}
-	// Sixteen subranges fill splitRange's array in the 1,408-byte class.
-	if size := unsafe.Sizeof(subrange{}); size > 88 {
-		t.Errorf("subrange is %d bytes: sixteen are past the 1,408-byte size class", size)
+	// Sixteen subranges fill the 896-byte class.
+	if size := unsafe.Sizeof(subrange{}); size > 56 {
+		t.Errorf("subrange is %d bytes: sixteen are past the 896-byte size class", size)
 	}
 	r := newRig(t, 128, 11, rigConfig())
 	r.record = false
@@ -809,25 +823,25 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 	// a gap between two members reports nothing.
 	qid := ids.HashString("leaf")
 	for _, c := range []struct {
-		name  string
-		g     idRange
-		bytes uint64
+		name string
+		g    idRange
 	}{
-		{"leaf with rows", r.own, 256},
-		{"empty leaf", r.empties[0], 256},
+		{"leaf with rows", r.own},
+		{"empty leaf", r.empties[0]},
 	} {
-		leaf := &rangeMsg{Query: testQuery, Lo: c.g.lo, Hi: c.g.hi, Parent: 2, Injector: 2}
+		hdr := &queryHdr{Query: testQuery, Injector: 2}
+		leaf := &rangeMsg{Hdr: hdr, Lo: c.g.lo, Hi: c.g.hi, Parent: 2}
 		run := func() {
 			qid.Lo++
-			leaf.QueryID = qid
+			hdr.QueryID = qid
 			r.e.HandleMessage(2, leaf)
 			r.advance(50 * time.Millisecond)
 		}
-		if n := testing.AllocsPerRun(runs, run); n > 2 {
-			t.Errorf("%s: %.1f allocations, want at most 2", c.name, n)
+		if n := testing.AllocsPerRun(runs, run); n > 1 {
+			t.Errorf("%s: %.1f allocations, want at most 1", c.name, n)
 		}
-		if n := bytesPerRun(runs, run); n > c.bytes {
-			t.Errorf("%s: %d bytes, want at most %d (task and response)", c.name, n, c.bytes)
+		if n := bytesPerRun(runs, run); n > 128 {
+			t.Errorf("%s: %d bytes, want at most 128 (the task, response included)", c.name, n)
 		} else {
 			t.Logf("%s: %d bytes", c.name, n)
 		}
@@ -846,11 +860,11 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 	}
 	// Rows available now: a child with mass in the delay buckets also
 	// allocates the task's buckets, on the first such response.
-	resp := &rangeResp{Pred: &predictor.Predictor{Immediate: 1}}
+	resp := &task{acc: predictor.Predictor{Immediate: 1}, finished: true}
 	i := 0
 	perResp := testing.AllocsPerRun(runs, func() {
 		s := subs[i%each]
-		resp.QueryID, resp.Lo, resp.Hi = qids[i/each], s.lo, s.hi
+		resp.key = taskKey{qids[i/each], s.lo, s.hi}
 		r.e.HandleMessage(1, resp)
 		i++
 	})
@@ -864,7 +878,7 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 	i = 0
 	last := subs[each]
 	perLast := testing.AllocsPerRun(tasks-2, func() {
-		resp.QueryID, resp.Lo, resp.Hi = qids[i], last.lo, last.hi
+		resp.key = taskKey{qids[i], last.lo, last.hi}
 		r.e.HandleMessage(1, resp)
 		r.advance(50 * time.Millisecond)
 		i++
@@ -872,7 +886,7 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 	if !r.e.tasks[taskKey{qids[0], g.lo, g.hi}].finished {
 		t.Fatal("last response did not finish its task")
 	}
-	if perLast > 1 {
-		t.Errorf("response completing its task: %.1f allocations, want at most 1", perLast)
+	if perLast != 0 {
+		t.Errorf("response completing its task: %.1f allocations, want 0", perLast)
 	}
 }

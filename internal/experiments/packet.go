@@ -241,7 +241,7 @@ type Fig9dPoint struct {
 
 // predictorPathBytes reads the bytes of predictor-carrying responses off
 // the dissem counters (0 with observability off). Every response is taken
-// for a rangeResp; the one predictorMsg a query ends in has a header 32
+// for a subrange's; the root's, the one a query ends in, has a header 32
 // bytes shorter.
 func predictorPathBytes(o *obs.Obs) float64 {
 	return float64(o.Counter("dissem_resps").Value()*dissem.RangeRespHeaderBytes +

@@ -396,6 +396,10 @@ func (t Timer) Cancel() bool {
 	}
 	t.ev.kind = evNone // the queue lazily discards canceled events
 	t.ev.tid = 0       // every copy of the handle now finds nothing
+	// The event stays queued until its instant: it must not keep what the
+	// callback captured alive that long. A periodic timer canceled from
+	// within its own firing is past reading fn.
+	t.ev.fn = nil
 	return true
 }
 
