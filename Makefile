@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench sweep-smoke chaos-smoke coords-smoke workload-smoke trace-smoke check clean
+.PHONY: all build vet fmt test race bench sweep-smoke coords-smoke workload-smoke trace-smoke check clean
 
 all: check
 
@@ -31,19 +31,9 @@ bench:
 	$(GO) run ./bench
 
 # sweep-smoke is the CI smoke test: a shrunken parallel sweep that
-# exercises the engine and the sinks end to end.
+# exercises the engine and the sweep's JSONL records end to end.
 sweep-smoke:
 	$(GO) run ./cmd/seaweed-sim -sweep -smoke -parallel 2 -out sweep-smoke
-
-# chaos-smoke runs every built-in chaos scenario at smoke scale through
-# the CLI, each run judged by the always-on invariant checker (exit 1 on
-# any violation). Reports land in chaos-<name>.json. CI runs one scenario
-# this way; all five run in process under `make test`.
-chaos-smoke:
-	@for s in partition burstloss flap mixed straggler; do \
-		echo "== chaos $$s =="; \
-		$(GO) run ./cmd/seaweed-sim -chaos $$s -smoke -out chaos-$$s || exit 1; \
-	done
 
 # coords-smoke is the CI gate for the network-coordinate subsystem: the
 # unit suite (Vivaldi convergence, ball-tree vs brute force, frozen
@@ -76,5 +66,5 @@ trace-smoke:
 clean:
 	$(GO) clean ./...
 	rm -rf .bench_build bench/out
-	rm -f *.test *.pprof chaos-*.json sweep-smoke.jsonl sweep-smoke.csv \
+	rm -f *.test *.pprof chaos-*.json sweep-smoke.jsonl \
 		workload-smoke.json trace-smoke*.jsonl trace-smoke-metrics.json

@@ -10,7 +10,7 @@
 //	seaweed-sim -ablation arity                 # one ablation study
 //	seaweed-sim -all                            # every simulation figure at quick scale
 //	seaweed-sim -sweep -parallel 8              # Figures 5–8 as one parallel sweep
-//	seaweed-sim -sweep -out results             # also write results.jsonl/.csv records
+//	seaweed-sim -sweep -out results             # also write results.jsonl records
 //	seaweed-sim -fig 5 -trace t.jsonl -metrics  # with query trace + metrics summary
 //	seaweed-sim -fig 9a -metrics-out m.json     # metrics registry as JSON
 //	seaweed-sim -workload heavy -timeseries ts.jsonl  # virtual-time system samples
@@ -59,7 +59,7 @@
 // `seaweed-trace -breakdown t.jsonl`.
 // -metrics prints the system-wide metrics registry (always collected)
 // after the run; -metrics-out writes it as JSON. -timeseries streams
-// periodic virtual-time snapshots of the running system (live
+// a virtual-time snapshot every minute of the running system (live
 // endsystems, backlog, events/s, queue depth, query counts) to JSONL;
 // like -trace it forces multi-run invocations serial.
 package main
@@ -77,7 +77,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/qserve"
-	"repro/internal/runner"
 )
 
 func main() {
@@ -94,14 +93,13 @@ func main() {
 	smoke := flag.Bool("smoke", false, "shrink every dimension for a fast smoke run")
 	coordsOn := flag.Bool("coords", false, "enable the Vivaldi network-coordinate subsystem inside each simulation run (latency-biased delegate and aggregation-entry selection; required by -rtt-scope)")
 	rttScope := flag.Duration("rtt-scope", 0, "run the RTT-scoped query demo: inject the Figure 9 query restricted to the endsystems within this predicted RTT of the injector and audit the result against the brute-force oracle; requires -coords")
-	outPrefix := flag.String("out", "", "write sweep records to <out>.jsonl and <out>.csv")
+	outPrefix := flag.String("out", "", "write sweep records to <out>.jsonl, or the -chaos / -workload report to <out>.json")
 	seed := flag.Int64("seed", 1, "random seed")
 	tracePath := flag.String("trace", "", "write query-lifecycle trace events to this JSONL file")
 	verbose := flag.Bool("vtrace", false, "with -trace, also record per-hop routing and maintenance detail events")
 	metrics := flag.Bool("metrics", false, "print the metrics registry summary after the run")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry as JSON to this file after the run")
 	timeseries := flag.String("timeseries", "", "stream periodic virtual-time registry samples to this JSONL file (forces serial runs)")
-	tsPeriod := flag.Duration("timeseries-period", time.Minute, "virtual-time sampling period for -timeseries")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	flag.Parse()
@@ -174,7 +172,7 @@ func main() {
 		}
 		defer f.Close()
 		sampleWriter = obs.NewSampleWriter(f)
-		o.SetSampler(sampleWriter, *tsPeriod)
+		o.SetSampler(sampleWriter)
 	}
 	finish := func() {
 		if traceSink != nil {
@@ -224,26 +222,20 @@ func main() {
 	}
 
 	runSweep := func() {
-		var sinks []runner.Sink
+		r := experiments.CompletenessSweep(s)
 		if *outPrefix != "" {
-			jf, err := os.Create(*outPrefix + ".jsonl")
+			f, err := os.Create(*outPrefix + ".jsonl")
+			if err == nil {
+				if err = r.WriteJSONL(f); err == nil {
+					err = f.Close()
+				} else {
+					f.Close()
+				}
+			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "seaweed-sim: %v\n", err)
+				fmt.Fprintf(os.Stderr, "seaweed-sim: writing sweep records: %v\n", err)
 				os.Exit(1)
 			}
-			defer jf.Close()
-			cf, err := os.Create(*outPrefix + ".csv")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "seaweed-sim: %v\n", err)
-				os.Exit(1)
-			}
-			defer cf.Close()
-			sinks = []runner.Sink{runner.NewJSONLSink(jf), runner.NewCSVSink(cf)}
-		}
-		r := experiments.CompletenessSweep(s, sinks)
-		if err := runner.CloseAll(sinks); err != nil {
-			fmt.Fprintf(os.Stderr, "seaweed-sim: sink: %v\n", err)
-			os.Exit(1)
 		}
 		r.Render(w)
 	}

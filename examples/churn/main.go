@@ -29,15 +29,14 @@ func run(label string, trace *seaweed.AvailabilityTrace) {
 	fmt.Printf("mean availability %.2f, departures per online endsystem-second %.2g\n",
 		st.MeanAvailability, st.DeparturesPerOnlineSecond)
 
-	cluster := seaweed.New(
-		seaweed.WithTrace(trace),
-		seaweed.WithSeed(3),
-		seaweed.WithFlowsPerDay(100))
+	cfg := seaweed.DefaultClusterConfig(trace, 3)
+	cfg.Workload.MeanFlowsPerDay = 100
+	cluster := seaweed.NewCluster(cfg)
 
 	injectAt := 30 * time.Hour
 	cluster.RunUntil(injectAt)
 	q := seaweed.MustParseQuery("SELECT COUNT(*) FROM Flow WHERE Bytes > 20000")
-	injector, ok := seaweed.FirstLive(cluster)
+	injector, ok := cluster.FirstLive()
 	if !ok {
 		fmt.Println("nothing alive")
 		return
@@ -52,19 +51,10 @@ func run(label string, trace *seaweed.AvailabilityTrace) {
 			100*h.Predictor.CompletenessBy(12*time.Hour))
 	}
 
-	// Stream the remaining updates and keep the newest one.
-	sub := h.Updates()
+	// Run to the end of the trace and read the newest update in the log.
 	cluster.RunUntil(horizon)
-	var last seaweed.ResultUpdate
-	got := false
-	for {
-		u, ok := sub.Next()
-		if !ok {
-			break
-		}
-		last, got = u, true
-	}
-	if got {
+	if n := len(h.Results); n > 0 {
+		last := h.Results[n-1]
 		total := cluster.TrueRelevantRows(q)
 		fmt.Printf("result after %v: %d of %d rows (%.1f%%) from %d endsystems\n",
 			(horizon - injectAt).Round(time.Hour),

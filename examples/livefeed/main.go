@@ -19,17 +19,16 @@ func main() {
 	horizon := 2 * 24 * time.Hour
 	trace := seaweed.FarsiteTrace(endsystems, horizon, 9)
 
-	cluster := seaweed.New(
-		seaweed.WithTrace(trace),
-		seaweed.WithSeed(9),
-		seaweed.WithFlowsPerDay(200),
-		seaweed.WithFeed(20*time.Minute))
+	cfg := seaweed.DefaultClusterConfig(trace, 9)
+	cfg.Workload.MeanFlowsPerDay = 200
+	cfg.Feed = seaweed.FeedConfig{Enabled: true, Period: 20 * time.Minute}
+	cluster := seaweed.NewCluster(cfg)
 
 	// Let data accrue for half a day, then stand up a continuous query
 	// counting elephant flows.
 	cluster.RunUntil(12 * time.Hour)
 	q := seaweed.MustParseQuery("SELECT COUNT(*) FROM Flow WHERE Bytes > 20000")
-	injector, ok := seaweed.FirstLive(cluster)
+	injector, ok := cluster.FirstLive()
 	if !ok {
 		fmt.Println("network down")
 		return

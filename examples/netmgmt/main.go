@@ -18,10 +18,9 @@ func main() {
 	const endsystems = 300
 	horizon := 4 * 24 * time.Hour
 	trace := seaweed.FarsiteTrace(endsystems, horizon, 7)
-	cluster := seaweed.New(
-		seaweed.WithTrace(trace),
-		seaweed.WithSeed(7),
-		seaweed.WithFlowsPerDay(150))
+	cfg := seaweed.DefaultClusterConfig(trace, 7)
+	cfg.Workload.MeanFlowsPerDay = 150
+	cluster := seaweed.NewCluster(cfg)
 
 	// Tuesday, 08:30: the operator arrives to an alert about last night's
 	// traffic and starts digging.
@@ -45,7 +44,7 @@ func main() {
 	for _, spec := range queries {
 		fmt.Printf("\n── %s\n   %s\n", spec.question, spec.sql)
 		q := seaweed.MustParseQuery(spec.sql)
-		injector, ok := seaweed.FirstLive(cluster)
+		injector, ok := cluster.FirstLive()
 		if !ok {
 			fmt.Println("   network down!")
 			return

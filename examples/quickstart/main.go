@@ -19,10 +19,9 @@ func main() {
 	horizon := 3 * 24 * time.Hour
 	trace := seaweed.FarsiteTrace(endsystems, horizon, 42)
 
-	cluster := seaweed.New(
-		seaweed.WithTrace(trace),
-		seaweed.WithSeed(42),
-		seaweed.WithFlowsPerDay(100)) // light synthetic Anemone workload
+	cfg := seaweed.DefaultClusterConfig(trace, 42)
+	cfg.Workload.MeanFlowsPerDay = 100 // light synthetic Anemone workload
+	cluster := seaweed.NewCluster(cfg)
 
 	// Let a day of protocol activity pass: metadata replication, leafset
 	// maintenance, availability-model learning.
@@ -32,12 +31,18 @@ func main() {
 	// machines are off, so part of the answer will arrive only as they
 	// power back on.
 	query := seaweed.MustParseQuery("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80")
-	injector, ok := seaweed.FirstLive(cluster)
+	injector, ok := cluster.FirstLive()
 	if !ok {
 		fmt.Println("no live endsystem to inject from")
 		return
 	}
 	handle := cluster.InjectQuery(injector, query)
+
+	// Keep the newest incremental result as the stream delivers it: the
+	// callback fires at the virtual instant each update arrives.
+	var last seaweed.ResultUpdate
+	fresh := false
+	handle.OnUpdate(func(u seaweed.ResultUpdate) { last, fresh = u, true })
 
 	// The completeness predictor arrives within seconds.
 	cluster.RunUntil(cluster.Sched.Now() + time.Minute)
@@ -56,38 +61,24 @@ func main() {
 		fmt.Printf("  99%% completeness expected within %v\n", d)
 	}
 
-	// Watch the incremental result converge over the morning, pulling the
-	// update stream in virtual-time order through a subscription.
+	// Watch the incremental result converge over the morning, reporting
+	// whenever new updates arrived since the last look.
 	total := float64(cluster.TrueRelevantRows(query))
-	sub := handle.Updates()
 	for _, wait := range []time.Duration{10 * time.Minute, 4 * time.Hour, 12 * time.Hour} {
 		cluster.RunUntil(handle.Injected + wait)
-		var last seaweed.ResultUpdate
-		got := false
-		for {
-			u, ok := sub.Next()
-			if !ok {
-				break
-			}
-			last, got = u, true
-		}
-		if got {
+		if fresh {
 			fmt.Printf("after %8v: SUM(Bytes) = %.0f from %d endsystems (completeness %.1f%%)\n",
 				wait, last.Partial.Final(seaweed.Sum), last.Contributors,
 				100*float64(last.Partial.Count)/total)
+			fresh = false
 		}
 	}
 
 	// The answer is good enough: retire the query. The cancel propagates
-	// down the aggregation tree and reclaims its state everywhere, and
-	// handle.Done() — a channel closed on completion or cancellation —
-	// lets a client wait for the end of the lifecycle without polling.
+	// down the aggregation tree and reclaims its state everywhere; the
+	// handle's Completed and Cancelled flags (and any WhenDone hooks)
+	// report the end of the lifecycle.
 	cluster.CancelQuery(handle, injector)
-	select {
-	case <-handle.Done():
-		fmt.Printf("query retired after %v (cancelled=%v)\n",
-			cluster.Sched.Now()-handle.Injected, handle.Cancelled)
-	default:
-		fmt.Println("query still running?")
-	}
+	fmt.Printf("query retired after %v (cancelled=%v)\n",
+		cluster.Sched.Now()-handle.Injected, handle.Cancelled)
 }

@@ -75,12 +75,8 @@ func chaosInjectorEndpoint(c *Cluster, s fault.Scenario) simnet.Endpoint {
 			return e
 		}
 	}
-	for ep := 0; ep < c.Net.NumEndpoints(); ep++ {
-		if c.Nodes[ep].Alive() {
-			return simnet.Endpoint(ep)
-		}
-	}
-	return 0
+	ep, _ := c.FirstLive()
+	return ep
 }
 
 // RunChaos executes one chaos run: build the cluster, install the fault

@@ -77,6 +77,12 @@ func DefaultClusterConfig(trace *avail.Trace, seed int64) ClusterConfig {
 	}
 }
 
+// samplePeriod is the virtual-time period of an attached time-series
+// sampler (obs.SetSampler). A minute puts 15 samples inside the spike
+// workload's 15-minute burst, while a workload's 15 virtual hours still
+// write under a thousand lines.
+const samplePeriod = time.Minute
+
 // Cluster is a running packet-level Seaweed simulation.
 type Cluster struct {
 	Sched *simnet.Wheel
@@ -112,11 +118,11 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		cSchedEvents: o.Counter("sched_events")}
 
 	// Virtual-time telemetry: when a sampler is attached to the obs layer,
-	// snapshot the load signals on its period.
-	if sw, period := o.Sampler(); sw != nil && period > 0 {
+	// snapshot the load signals every samplePeriod.
+	if sw := o.Sampler(); sw != nil {
 		var lastT time.Duration
 		var lastEvents uint64
-		sched.Every(period, func() {
+		sched.Every(samplePeriod, func() {
 			now := sched.Now()
 			exec := sched.Executed()
 			perSec := 0.0
@@ -202,8 +208,8 @@ func (c *Cluster) RunUntil(t time.Duration) {
 func (c *Cluster) Obs() *obs.Obs { return c.Net.Obs() }
 
 // QueryHandle tracks one injected query's outputs. Results is the
-// virtual-time-ordered update log; stream consumers use Updates() or
-// OnUpdate (see stream.go) instead of polling it.
+// virtual-time-ordered update log; OnUpdate (see stream.go) streams the
+// same updates as they arrive, and WhenDone reports the end.
 type QueryHandle struct {
 	QueryID     ids.ID
 	Injected    time.Duration
@@ -215,12 +221,12 @@ type QueryHandle struct {
 
 	// Completed reports that the result stream reached the predictor's
 	// expected total (>= 99% of it); Cancelled that the query was
-	// explicitly cancelled. Either closes the Done channel.
+	// explicitly cancelled. Either makes the query terminal.
 	Completed bool
 	Cancelled bool
 
-	callbacks []*updateCallback
-	done      chan struct{}
+	callbacks []func(ResultUpdate)
+	done      bool // terminal; finish has run
 	onDone    []func()
 	// lastSpan is the span of the most recent partial event delivered to
 	// this injector (0 without tracing): the causal parent of the terminal
@@ -228,22 +234,13 @@ type QueryHandle struct {
 	lastSpan uint64
 }
 
-// Done returns a channel that is closed when the query finishes: when
-// its incremental results reach the predictor's expected total, or when
-// it is explicitly cancelled. Workload clients select on it instead of
-// polling Results. The channel is closed from the simulation goroutine;
-// like the rest of the handle it is safe to read between RunUntil calls.
-func (h *QueryHandle) Done() <-chan struct{} { return h.done }
-
-// finish marks the handle terminal exactly once: close Done, fire the
-// registered completion hooks.
+// finish marks the handle terminal exactly once and fires the registered
+// completion hooks.
 func (h *QueryHandle) finish() {
-	select {
-	case <-h.done:
-		return // already terminal
-	default:
+	if h.done {
+		return
 	}
-	close(h.done)
+	h.done = true
 	for _, fn := range h.onDone {
 		fn()
 	}
@@ -253,12 +250,11 @@ func (h *QueryHandle) finish() {
 // terminal (completed or cancelled), or immediately if it already is.
 // Like OnUpdate callbacks, fn runs on the simulation goroutine.
 func (h *QueryHandle) WhenDone(fn func()) {
-	select {
-	case <-h.done:
+	if h.done {
 		fn()
-	default:
-		h.onDone = append(h.onDone, fn)
+		return
 	}
+	h.onDone = append(h.onDone, fn)
 }
 
 // ResultUpdate is one incremental result observation.
@@ -289,7 +285,7 @@ func (c *Cluster) InjectQuery(from simnet.Endpoint, q *relq.Query) *QueryHandle 
 // whole query tree chains back to admission. cause 0 starts a fresh
 // causal tree.
 func (c *Cluster) InjectQueryCause(from simnet.Endpoint, q *relq.Query, cause uint64) *QueryHandle {
-	h := &QueryHandle{Injected: c.Sched.Now(), done: make(chan struct{})}
+	h := &QueryHandle{Injected: c.Sched.Now()}
 	node := c.Nodes[from]
 	o := c.Obs()
 	var hit50, hit90, hit99 bool
@@ -345,8 +341,8 @@ func (c *Cluster) InjectQueryCause(from simnet.Endpoint, q *relq.Query, cause ui
 	return h
 }
 
-// CancelQuery explicitly cancels a query at its injector: the handle's
-// Done channel closes, the cancellation is broadcast down the
+// CancelQuery explicitly cancels a query at its injector: the handle
+// becomes terminal, the cancellation is broadcast down the
 // aggregation tree (see Node.CancelQuery), and no further result updates
 // are delivered. Cancelling an already-terminal query only tears down
 // remaining tree state.
@@ -384,6 +380,17 @@ func (c *Cluster) TrueRelevantRows(q *relq.Query) int64 {
 
 // NumLive returns the number of currently-available endsystems.
 func (c *Cluster) NumLive() int { return c.Ring.NumLive() }
+
+// FirstLive returns the lowest-indexed endsystem that is currently up, for
+// use as a query injector. ok is false when everything is down.
+func (c *Cluster) FirstLive() (ep simnet.Endpoint, ok bool) {
+	for i, n := range c.Nodes {
+		if n.Alive() {
+			return simnet.Endpoint(i), true
+		}
+	}
+	return 0, false
+}
 
 // Coords returns the cluster's network-coordinate space, or nil when the
 // subsystem is disabled.

@@ -24,13 +24,11 @@ func smallCluster(t *testing.T, n int, horizon time.Duration, seed int64) *Clust
 // findLiveInjector returns an endsystem that is up at the current time.
 func findLiveInjector(t *testing.T, c *Cluster) simnet.Endpoint {
 	t.Helper()
-	for i, n := range c.Nodes {
-		if n.Alive() {
-			return simnet.Endpoint(i)
-		}
+	ep, ok := c.FirstLive()
+	if !ok {
+		t.Fatal("no live endsystem")
 	}
-	t.Fatal("no live endsystem")
-	return 0
+	return ep
 }
 
 // lastUpdate returns a query's most recent result update, if any.

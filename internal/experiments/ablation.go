@@ -41,7 +41,8 @@ func AblationDissemArity(s Scale, arities []int) *ArityAblationResult {
 		injectAt := sc.PacketHorizon / 2
 		c.RunUntil(injectAt)
 		before := c.Net.Stats().TotalTx(simnet.ClassQuery)
-		h := c.InjectQuery(firstLive(c), relq.MustParse(Fig9Query))
+		inj, _ := c.FirstLive()
+		h := c.InjectQuery(inj, relq.MustParse(Fig9Query))
 		c.RunUntil(injectAt + 10*time.Minute)
 		after := c.Net.Stats().TotalTx(simnet.ClassQuery)
 		pt := point{bytes: (after - before) / float64(sc.PacketN)}
@@ -293,7 +294,8 @@ func AblationVertexReplicas(s Scale, backups []int) *VertexReplicaResult {
 		injectAt := sc.PacketHorizon / 2
 		c.RunUntil(injectAt)
 		q := relq.MustParse("SELECT COUNT(*) FROM Flow")
-		h := c.InjectQuery(firstLive(c), q)
+		inj, _ := c.FirstLive()
+		h := c.InjectQuery(inj, q)
 		// Track the stream as it arrives instead of polling the handle:
 		// `last` always holds the newest update once `seen` is true.
 		var last core.ResultUpdate
@@ -304,8 +306,9 @@ func AblationVertexReplicas(s Scale, backups []int) *VertexReplicaResult {
 
 		// Kill a quarter of the live endsystems (sparing the injector).
 		killed := 0
+		spare, _ := c.FirstLive()
 		for i, n := range c.Nodes {
-			if simnet.Endpoint(i) == firstLive(c) {
+			if simnet.Endpoint(i) == spare {
 				continue
 			}
 			if n.Alive() && killed < sc.PacketN/4 {

@@ -59,24 +59,22 @@ var configStructs = map[string]any{
 	"simnet.NetworkConfig":         simnet.NetworkConfig{},
 }
 
-// The table's three row shapes: a struct field (| `pkg.Struct` | `Field` |
-// default | set by |), a facade option (| `seaweed.WithX` | sets | set by
-// |) and a seaweed-sim flag (| `-name` | sets | set by |).
+// The table's two row shapes: a struct field (| `pkg.Struct` | `Field` |
+// default | set by |) and a seaweed-sim flag (| `-name` | sets | set by |).
 var (
 	censusRow = regexp.MustCompile("^\\| `([a-z]+\\.[A-Za-z]+)` \\| `([A-Za-z]+)` \\|[^|]*\\| (.*) \\|$")
-	optionRow = regexp.MustCompile("^\\| `seaweed\\.(With[A-Za-z]+)` \\|[^|]*\\| (.*) \\|$")
 	flagRow   = regexp.MustCompile("^\\| `(-[a-z-]+)` \\|[^|]*\\| (.*) \\|$")
 )
 
 // TestConfigCensus holds DESIGN.md's "Configuration surface" and "Package
 // census" tables and the code to each other. Every exported field of the
-// config structs, every With* option of seaweed.go and every seaweed-sim
-// flag has exactly one row, every row names something that exists, and
-// the three counts stay at or under their ceilings — so a new knob has to
-// name the caller that sets it. Every package has exactly one row with its
-// non-test line count and a tier-1 test that exists, and every internal
-// package is imported by non-test code outside it — so a package has to
-// name what needs it.
+// config structs and every seaweed-sim flag has exactly one row, every row
+// names something that exists, and the counts stay at or under their
+// ceilings — so a new knob has to name the caller that sets it. The facade
+// declares no With* options: a deployment is a ClusterConfig. Every
+// package has exactly one row with its non-test line count and a tier-1
+// test that exists, and every internal package is imported by non-test
+// code outside it — so a package has to name what needs it.
 func TestConfigCensus(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -86,14 +84,11 @@ func TestConfigCensus(t *testing.T) {
 	section := designSection(t, design, "Configuration surface")
 
 	rows := map[string]string{} // "pkg.Struct.Field" -> the row's "set by" cell
-	options := map[string]string{}
 	flags := map[string]string{}
 	for _, line := range strings.Split(section, "\n") {
 		key, setBy, table := "", "", rows
 		if m := censusRow.FindStringSubmatch(line); m != nil {
 			key, setBy = m[1]+"."+m[2], m[3]
-		} else if m := optionRow.FindStringSubmatch(line); m != nil {
-			key, setBy, table = m[1], m[2], options
 		} else if m := flagRow.FindStringSubmatch(line); m != nil {
 			key, setBy, table = m[1], m[2], flags
 		} else {
@@ -115,15 +110,14 @@ func TestConfigCensus(t *testing.T) {
 			}
 		}
 	}
-	opts := facadeOptions(t)
-	for _, name := range opts {
-		checkRow(t, options, name)
+	for _, name := range facadeOptions(t) {
+		t.Errorf("seaweed.go declares the option %s: set the ClusterConfig field instead", name)
 	}
 	flagNames := simFlags(t)
 	for _, name := range flagNames {
 		checkRow(t, flags, name)
 	}
-	for _, left := range []map[string]string{rows, options, flags} {
+	for _, left := range []map[string]string{rows, flags} {
 		for key := range left {
 			t.Errorf("DESIGN.md's Configuration surface table has a row for %s, which does not exist", key)
 		}
@@ -140,8 +134,8 @@ func TestConfigCensus(t *testing.T) {
 	if unset > maxUnsetFields {
 		t.Errorf("%d rows nothing sets, ceiling is %d", unset, maxUnsetFields)
 	}
-	t.Logf("%d fields in %d structs, %d options, %d flags; %d test only, %d unset",
-		fields, len(configStructs), len(opts), len(flagNames), testOnly, unset)
+	t.Logf("%d fields in %d structs, %d flags; %d test only, %d unset",
+		fields, len(configStructs), len(flagNames), testOnly, unset)
 }
 
 // designSection returns the body of DESIGN.md's "## name" section.
@@ -308,7 +302,7 @@ func checkRow(t *testing.T, table map[string]string, key string) {
 	delete(table, key)
 }
 
-// facadeOptions returns the With* options seaweed.go declares.
+// facadeOptions returns the exported With* functions seaweed.go declares.
 func facadeOptions(t *testing.T) []string {
 	f, err := parser.ParseFile(token.NewFileSet(), "../../seaweed.go", nil, 0)
 	if err != nil {

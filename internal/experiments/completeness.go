@@ -84,7 +84,8 @@ var ErrorCheckpoints = []time.Duration{
 // parallel engine; CompletenessSweep produces all four figures from one
 // shared study instead.
 func RunCompletenessFigure(s Scale, qi int) *CompletenessFigure {
-	return completenessFigures(s, []int{qi}, nil)[0]
+	figs, _ := completenessFigures(s, []int{qi})
+	return figs[0]
 }
 
 // WriteTo renders the figure's panels.

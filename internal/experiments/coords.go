@@ -130,14 +130,15 @@ func coordsOneRun(seed int64, enable, smoke bool) *coordsRunOut {
 	t := 4 * time.Hour
 	c.RunUntil(t)
 	for i := 0; i < warmups; i++ {
-		c.InjectQuery(firstLive(c), relq.MustParse(Fig9Query))
+		inj, _ := c.FirstLive()
+		c.InjectQuery(inj, relq.MustParse(Fig9Query))
 		t += 40 * time.Minute
 		c.RunUntil(t)
 	}
 
 	out := &coordsRunOut{}
 	for i := 0; i < measured; i++ {
-		inj := firstLive(c)
+		inj, _ := c.FirstLive()
 		injAt := c.Sched.Now()
 		h := c.InjectQuery(inj, relq.MustParse(Fig9Query))
 		t += window
@@ -179,7 +180,7 @@ func timeTo99(h *core.QueryHandle, injAt, window time.Duration) time.Duration {
 	return window
 }
 
-// durMedian returns the median (lower of the middle pair) of ds.
+// durMedian returns the median (upper of the middle pair) of ds.
 func durMedian(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {
 		return 0
@@ -241,7 +242,7 @@ func RTTScopeDemo(s Scale, radius time.Duration) *RTTScopeResult {
 	c.RunUntil(trace.Horizon / 2)
 	q := relq.MustParse(Fig9Query)
 	q.RTTScope = radius
-	inj := firstLive(c)
+	inj, _ := c.FirstLive()
 	h := c.InjectQuery(inj, q)
 	c.RunUntil(trace.Horizon)
 

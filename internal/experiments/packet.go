@@ -42,19 +42,10 @@ func runPacket(s Scale, trace *avail.Trace, seed int64) *packetRun {
 	injectAt := trace.Horizon / 2
 	c.RunUntil(injectAt)
 	q := relq.MustParse(Fig9Query)
-	inj := firstLive(c)
+	inj, _ := c.FirstLive()
 	h := c.InjectQuery(inj, q)
 	c.RunUntil(trace.Horizon)
 	return &packetRun{Cluster: c, Handle: h, Trace: trace, InjectAt: injectAt, RanUntil: trace.Horizon}
-}
-
-func firstLive(c *core.Cluster) simnet.Endpoint {
-	for i, n := range c.Nodes {
-		if n.Alive() {
-			return simnet.Endpoint(i)
-		}
-	}
-	return 0
 }
 
 // Fig9aResult is the overhead timeline split by traffic class.
@@ -338,7 +329,8 @@ func Fig2(s Scale) *Fig2Result {
 	injectAt := s.PacketHorizon / 2
 	injectAt -= injectAt % avail.Day // midnight
 	c.RunUntil(injectAt)
-	h := c.InjectQuery(firstLive(c), relq.MustParse(Fig9Query))
+	inj, _ := c.FirstLive()
+	h := c.InjectQuery(inj, relq.MustParse(Fig9Query))
 	c.RunUntil(injectAt + 10*time.Minute)
 	r := &Fig2Result{Pred: h.Predictor}
 	if r.Pred == nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -13,10 +14,13 @@ import (
 )
 
 // dayLabels and timeLabels name the panel (b) and (c) injections of the
-// completeness figures.
+// completeness figures; injectionLabels names figureInjections' instants,
+// in its order.
 var (
-	dayLabels  = []string{"Tue", "Wed", "Thu", "Fri"}
-	timeLabels = []string{"00:00", "06:00", "12:00", "18:00"}
+	dayLabels       = []string{"Tue", "Wed", "Thu", "Fri"}
+	timeLabels      = []string{"00:00", "06:00", "12:00", "18:00"}
+	injectionLabels = []string{"Tue-00:00", "Wed-00:00", "Thu-00:00",
+		"Fri-00:00", "Tue-06:00", "Tue-12:00", "Tue-18:00"}
 )
 
 // figureInjections returns the seven distinct injection instants behind
@@ -35,8 +39,8 @@ func figureInjections(s Scale) []time.Duration {
 	return inj
 }
 
-// SweepRecord is the deterministic per-(figure, injection) record the
-// sweep emits to result sinks; it carries no timing.
+// SweepRecord is the deterministic per-(figure, injection) record of the
+// sweep; it carries no timing.
 type SweepRecord struct {
 	Figure      int       `json:"figure"`
 	Label       string    `json:"label"`
@@ -50,8 +54,8 @@ type SweepRecord struct {
 // PaperQueries at indices qis through ONE shared study: the
 // per-endsystem datasets are generated once for all queries and the
 // availability outcomes once for all seven injections, instead of once
-// per figure. Records are emitted to sinks in (figure, injection) order.
-func completenessFigures(s Scale, qis []int, sinks []runner.Sink) []*CompletenessFigure {
+// per figure. The records come back in (figure, injection) order.
+func completenessFigures(s Scale, qis []int) ([]*CompletenessFigure, []SweepRecord) {
 	w := anemone.DefaultConfig(s.Horizon, s.Seed)
 	w.MeanFlowsPerDay = s.FlowsPerDay
 	queries := make([]*relq.Query, len(qis))
@@ -78,7 +82,7 @@ func completenessFigures(s Scale, qis []int, sinks []runner.Sink) []*Completenes
 	}
 
 	figs := make([]*CompletenessFigure, len(qis))
-	emitIndex := 0
+	var recs []SweepRecord
 	for fi, qi := range qis {
 		spec := PaperQueries[qi]
 		results := study[fi]
@@ -103,46 +107,60 @@ func completenessFigures(s Scale, qis []int, sinks []runner.Sink) []*Completenes
 		figs[fi] = out
 
 		for j, r := range results {
-			label := map[int]string{0: "Tue-00:00", 1: "Wed-00:00", 2: "Thu-00:00",
-				3: "Fri-00:00", 4: "Tue-06:00", 5: "Tue-12:00", 6: "Tue-18:00"}[j]
-			rec := runner.Result{
-				Index: emitIndex,
-				Name:  fmt.Sprintf("fig%d/%s", spec.Figure, label),
-				Seed:  s.Seed,
-				Value: SweepRecord{
-					Figure:      spec.Figure,
-					Label:       spec.Label,
-					Injection:   label,
-					TotalRows:   r.TotalRelevantRows,
-					TotalRowErr: r.TotalRowCountError(),
-					Errors:      errorsAt(r),
-				},
-			}
-			emitIndex++
-			if err := runner.EmitAll(sinks, []runner.Result{rec}); err != nil {
-				panic(err)
-			}
+			recs = append(recs, SweepRecord{
+				Figure:      spec.Figure,
+				Label:       spec.Label,
+				Injection:   injectionLabels[j],
+				TotalRows:   r.TotalRelevantRows,
+				TotalRowErr: r.TotalRowCountError(),
+				Errors:      errorsAt(r),
+			})
 		}
 	}
-	return figs
+	return figs, recs
 }
 
 // CompletenessSweepResult bundles the four completeness figures produced
-// by one shared parallel study, with the engine timing behind them.
+// by one shared parallel study, their per-cell records, and the engine
+// timing behind them.
 type CompletenessSweepResult struct {
 	Figures []*CompletenessFigure
+	// Records holds one SweepRecord per (figure, injection) cell in
+	// deterministic order.
+	Records []SweepRecord
+	Seed    int64
 	Stats   *runner.Stats
 }
 
 // CompletenessSweep reproduces Figures 5–8 in one pass over the shared
-// study (4 queries × 7 injections). Sinks, when given, receive one
-// SweepRecord per (figure, injection) cell in deterministic order.
-func CompletenessSweep(s Scale, sinks []runner.Sink) *CompletenessSweepResult {
+// study (4 queries × 7 injections).
+func CompletenessSweep(s Scale) *CompletenessSweepResult {
 	if s.RunnerStats == nil {
 		s.RunnerStats = &runner.Stats{}
 	}
-	figs := completenessFigures(s, []int{0, 1, 2, 3}, sinks)
-	return &CompletenessSweepResult{Figures: figs, Stats: s.RunnerStats}
+	figs, recs := completenessFigures(s, []int{0, 1, 2, 3})
+	return &CompletenessSweepResult{Figures: figs, Records: recs, Seed: s.Seed, Stats: s.RunnerStats}
+}
+
+// WriteJSONL writes one JSON line per record: its index, a
+// "fig<N>/<injection>" name, the sweep's seed and the record itself. The
+// output depends only on the records, never on timing or worker count.
+func (r *CompletenessSweepResult) WriteJSONL(w io.Writer) error {
+	for i, rec := range r.Records {
+		b, err := json.Marshal(struct {
+			Index int         `json:"index"`
+			Name  string      `json:"name"`
+			Seed  int64       `json:"seed"`
+			Value SweepRecord `json:"value"`
+		}{i, fmt.Sprintf("fig%d/%s", rec.Figure, rec.Injection), r.Seed, rec})
+		if err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s\n", b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Render writes every figure plus the engine's parallel-efficiency line.

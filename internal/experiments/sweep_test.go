@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/runner"
 )
 
 // sweepJSONL runs the completeness sweep at the given worker count with
@@ -18,9 +17,8 @@ func sweepJSONL(t *testing.T, workers int) ([]byte, []byte, *CompletenessSweepRe
 	s.Workers = workers
 	s.Obs = obs.New()
 	var buf, metrics bytes.Buffer
-	sinks := []runner.Sink{runner.NewJSONLSink(&buf)}
-	r := CompletenessSweep(s, sinks)
-	if err := runner.CloseAll(sinks); err != nil {
+	r := CompletenessSweep(s)
+	if err := r.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Obs.Registry().WriteJSON(&metrics); err != nil {

@@ -22,7 +22,7 @@ func TestTimeseriesByteDeterministicAcrossWorkers(t *testing.T) {
 		var buf bytes.Buffer
 		o := obs.New()
 		sw := obs.NewSampleWriter(&buf)
-		o.SetSampler(sw, time.Minute)
+		o.SetSampler(sw)
 		WorkloadSweep(Scale{Seed: 3, Workers: workers, Obs: o}, n, w, true)
 		if err := sw.Flush(); err != nil {
 			t.Fatal(err)

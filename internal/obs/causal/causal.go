@@ -16,7 +16,6 @@ package causal
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"time"
 
@@ -276,15 +275,15 @@ func Summarize(bds []*Breakdown) *Aggregate {
 			sums[p] += d
 		}
 	}
-	agg.TotalP50 = quantile(totals, 0.50)
-	agg.TotalP99 = quantile(totals, 0.99)
+	agg.TotalP50 = obs.Percentile(totals, 0.50)
+	agg.TotalP99 = obs.Percentile(totals, 0.99)
 	for _, p := range Phases {
 		ds := perPhase[p]
 		ps := PhaseStats{
 			Phase: p,
 			Mean:  mean(ds),
-			P50:   quantile(ds, 0.50),
-			P99:   quantile(ds, 0.99),
+			P50:   obs.Percentile(ds, 0.50),
+			P99:   obs.Percentile(ds, 0.99),
 		}
 		if grand > 0 {
 			ps.Share = float64(sums[p]) / float64(grand)
@@ -292,19 +291,6 @@ func Summarize(bds []*Breakdown) *Aggregate {
 		agg.Phases = append(agg.Phases, ps)
 	}
 	return agg
-}
-
-// quantile is the nearest-rank quantile of unsorted durations, rounding
-// the rank up so high quantiles of small samples report the tail rather
-// than the middle.
-func quantile(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(math.Ceil(q * float64(len(s)-1)))
-	return s[idx]
 }
 
 func mean(ds []time.Duration) time.Duration {

@@ -220,4 +220,17 @@ func TestSummarizeAndRender(t *testing.T) {
 	if empty.Queries != 0 || empty.TotalP99 != 0 {
 		t.Fatalf("empty aggregate %+v", empty)
 	}
+
+	// Nearest rank: the p99 of 100 totals is the 99th, not the maximum.
+	var hundred []*Breakdown
+	for i := 1; i <= 100; i++ {
+		hundred = append(hundred, mk("q", time.Duration(i)*time.Second, 0))
+	}
+	if a := Summarize(hundred); a.TotalP99 != 99*time.Second || a.TotalP50 != 50*time.Second {
+		t.Fatalf("totals 1..100 s: p50 %v, p99 %v; want 50s, 99s", a.TotalP50, a.TotalP99)
+	}
+	// The median of two totals is the smaller one.
+	if a := Summarize(bds[:2]); a.TotalP50 != 10*time.Second {
+		t.Fatalf("two totals: p50 %v, want 10s", a.TotalP50)
+	}
 }

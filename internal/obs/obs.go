@@ -282,6 +282,19 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return max
 }
 
+// Percentile returns the exact q-quantile (q in [0,1]) of unsorted
+// samples by nearest rank: the ceil(q·n)-th smallest, so the p50 of two
+// samples is the smaller and the p99 of 100 is the 99th. 0 when empty.
+func Percentile(samples []time.Duration, q float64) time.Duration {
+	if len(samples) == 0 {
+		return 0
+	}
+	s := append([]time.Duration(nil), samples...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	idx := int(math.Ceil(q*float64(len(s)))) - 1
+	return s[max(0, min(idx, len(s)-1))]
+}
+
 // Registry is a named collection of metrics. Handles are get-or-create
 // and stable for the registry's lifetime, so instrumentation sites fetch
 // them once and hold the pointer. The nil registry hands out nil (no-op)
@@ -547,8 +560,7 @@ type Obs struct {
 	spans uint64
 	// sampler, when set, asks the simulation harness to stream periodic
 	// registry snapshots (see SetSampler and timeseries.go).
-	sampler       *SampleWriter
-	samplerPeriod time.Duration
+	sampler *SampleWriter
 }
 
 // New returns an enabled observability layer: metrics on, tracing off
@@ -698,32 +710,27 @@ func (o *Obs) EmitSpanDetail(parent uint64, ev Event) uint64 {
 	return ev.Span
 }
 
-// SetSampler asks the simulation harness to stream a registry snapshot
-// to w every period of virtual time (see Sample in timeseries.go). The
-// harness — core.NewCluster — arms the periodic timer; obs only carries
-// the request, keeping it free of scheduler dependencies. Pass nil to
-// disable. Like an attached tracer, an attached sampler makes the Obs
+// SetSampler asks the simulation harness to stream periodic registry
+// snapshots to w (see Sample in timeseries.go). The harness —
+// core.NewCluster — arms the periodic timer and owns its period; obs only
+// carries the request, keeping it free of scheduler dependencies. Pass nil
+// to disable. Like an attached tracer, an attached sampler makes the Obs
 // order-sensitive: the experiment runner serializes runs that share it.
-func (o *Obs) SetSampler(w *SampleWriter, period time.Duration) {
-	if o == nil {
-		return
+func (o *Obs) SetSampler(w *SampleWriter) {
+	if o != nil {
+		o.sampler = w
 	}
-	o.sampler = w
-	o.samplerPeriod = period
 }
 
-// Sampler returns the attached sample writer and period (nil, 0 when
-// sampling is off).
-func (o *Obs) Sampler() (*SampleWriter, time.Duration) {
+// Sampler returns the attached sample writer (nil when sampling is off).
+func (o *Obs) Sampler() *SampleWriter {
 	if o == nil {
-		return nil, 0
+		return nil
 	}
-	return o.sampler, o.samplerPeriod
+	return o.sampler
 }
 
 // Sampling reports whether a time-series sampler is attached. Like
 // Tracing, runners use it to serialize runs that share this Obs: samples
 // from concurrent runs would interleave in the output stream.
-func (o *Obs) Sampling() bool {
-	return o != nil && o.sampler != nil && o.samplerPeriod > 0
-}
+func (o *Obs) Sampling() bool { return o.Sampler() != nil }

@@ -599,10 +599,10 @@ func (s *Service) report() *Report {
 			}
 		}
 		st.ThroughputPerHour = float64(done90s) / (float64(end-s.cfg.Workload.Start) / float64(time.Hour))
-		st.LatencyP50MS = percentile(lats, 0.50).Milliseconds()
-		st.LatencyP99MS = percentile(lats, 0.99).Milliseconds()
-		st.WaitP50MS = percentile(waits, 0.50).Milliseconds()
-		st.WaitP99MS = percentile(waits, 0.99).Milliseconds()
+		st.LatencyP50MS = obs.Percentile(lats, 0.50).Milliseconds()
+		st.LatencyP99MS = obs.Percentile(lats, 0.99).Milliseconds()
+		st.WaitP50MS = obs.Percentile(waits, 0.50).Milliseconds()
+		st.WaitP99MS = obs.Percentile(waits, 0.99).Milliseconds()
 		if complN > 0 {
 			st.MeanCompleteness = complSum / float64(complN)
 		}

@@ -2,7 +2,6 @@ package qserve
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -207,22 +206,4 @@ func (w Workload) Arrivals(seed int64) []Arrival {
 		return a.Seq < b.Seq
 	})
 	return out
-}
-
-// percentile returns the q-quantile (0..1) of the samples by nearest-rank
-// on a sorted copy; 0 when empty.
-func percentile(samples []time.Duration, q float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(math.Ceil(q*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }

@@ -9,14 +9,6 @@ import (
 	"time"
 )
 
-// Result is one record of a sweep's -out files (see JSONLSink, CSVSink).
-type Result struct {
-	Index int
-	Name  string
-	Seed  int64
-	Value any
-}
-
 // Config parameterizes a pool execution.
 type Config struct {
 	// Workers is the number of concurrent runs (0 = GOMAXPROCS).

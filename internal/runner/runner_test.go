@@ -1,9 +1,9 @@
 package runner
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -29,46 +29,34 @@ func TestSplitSeedIndependence(t *testing.T) {
 	}
 }
 
+// sweepRun is one run's output: its seed and a value drawn from it.
+type sweepRun struct {
+	Seed int64
+	Sum  float64
+}
+
 // sweep runs n runs whose values depend only on the index, each drawing
-// from its own seeded RNG as a real simulation run would, and returns them
-// as sink records.
-func sweep(cfg Config, n int) []Result {
-	return Run(cfg, n, func(i int) Result {
+// from its own seeded RNG as a real simulation run would.
+func sweep(workers, n int) []sweepRun {
+	return Run(Config{Workers: workers}, n, func(i int) sweepRun {
 		seed := SplitSeed(7, int64(i))
 		rng := rand.New(rand.NewSource(seed))
 		sum := 0.0
 		for j := 0; j < 1000; j++ {
 			sum += rng.Float64()
 		}
-		return Result{Index: i, Name: fmt.Sprintf("run-%d", i), Seed: seed,
-			Value: map[string]any{"index": i, "sum": sum}}
+		return sweepRun{Seed: seed, Sum: sum}
 	})
 }
 
-// runToJSONL executes the sweep at the given worker count and returns
-// the JSONL serialization of the results.
-func runToJSONL(t *testing.T, workers int, n int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	sinks := []Sink{NewJSONLSink(&buf)}
-	if err := EmitAll(sinks, sweep(Config{Workers: workers}, n)); err != nil {
-		t.Fatal(err)
-	}
-	if err := CloseAll(sinks); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func TestExecuteDeterministicAcrossWorkerCounts(t *testing.T) {
-	// The headline guarantee: any worker count, byte-identical serialized
-	// results.
-	serial := runToJSONL(t, 1, 37)
+	// The headline guarantee: any worker count, identical results in index
+	// order.
+	serial := sweep(1, 37)
 	for _, workers := range []int{2, 8, 16} {
-		got := runToJSONL(t, workers, 37)
-		if !bytes.Equal(serial, got) {
-			t.Fatalf("workers=%d output differs from serial:\n%s\nvs\n%s",
-				workers, got[:120], serial[:120])
+		if got := sweep(workers, 37); !reflect.DeepEqual(serial, got) {
+			t.Fatalf("workers=%d output differs from serial:\n%v\nvs\n%v",
+				workers, got[:3], serial[:3])
 		}
 	}
 }
@@ -127,20 +115,5 @@ func TestMapAndForEach(t *testing.T) {
 	})
 	if len(seen) != 100 {
 		t.Fatalf("ForEach covered %d of 100", len(seen))
-	}
-}
-
-func TestBenchSinkAndCSV(t *testing.T) {
-	var csvBuf bytes.Buffer
-	sinks := []Sink{NewCSVSink(&csvBuf)}
-	if err := EmitAll(sinks, sweep(Config{Workers: 4}, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if err := CloseAll(sinks); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
-	if len(lines) != 7 { // header + 6 rows
-		t.Fatalf("csv lines = %d:\n%s", len(lines), csvBuf.String())
 	}
 }

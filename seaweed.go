@@ -18,9 +18,10 @@
 //   - Queries: the supported SQL subset (single-table SELECT with
 //     SUM/COUNT/AVG/MIN/MAX, conjunctive comparison predicates, NOW()
 //     arithmetic) via ParseQuery.
-//   - Deployments: New builds a packet-level simulated deployment
-//     of full Seaweed endsystems over a discrete-event network; InjectQuery
-//     returns the predictor and the incremental result stream.
+//   - Deployments: NewCluster builds a packet-level simulated deployment
+//     of full Seaweed endsystems over a discrete-event network from a
+//     DefaultClusterConfig; InjectQuery returns the predictor and the
+//     incremental result stream.
 //   - Completeness studies: RunCompletenessStudy evaluates predicted versus
 //     actual completeness over an availability trace at large scale, as in
 //     the paper's Figures 5–8.
@@ -137,11 +138,6 @@ type (
 	ClusterConfig = core.ClusterConfig
 	QueryHandle   = core.QueryHandle
 	ResultUpdate  = core.ResultUpdate
-	// Subscription is a cursor over a query's result updates in
-	// virtual-time order; obtain one from QueryHandle.Updates. Handles
-	// also accept QueryHandle.OnUpdate callbacks, and QueryHandle.Results
-	// is the whole update log.
-	Subscription = core.Subscription
 	// Endpoint identifies an endsystem in a cluster (its index).
 	Endpoint = simnet.Endpoint
 	// Node is one Seaweed endsystem within a cluster.
@@ -150,139 +146,21 @@ type (
 	FeedConfig = core.FeedConfig
 )
 
-// FirstLive returns an endsystem that is currently up in the cluster, for
-// use as a query injector. ok is false when everything is down.
-func FirstLive(c *Cluster) (Endpoint, bool) {
-	for i, n := range c.Nodes {
-		if n.Alive() {
-			return Endpoint(i), true
-		}
-	}
-	return 0, false
-}
-
 // DefaultClusterConfig builds the paper's configuration (MSPastry b=4,
 // l=8, 30 s heartbeats; k=8 metadata replicas; m=3 vertex backups;
-// CorpNet-like topology) over the trace.
+// CorpNet-like topology) over the trace. The seed drives all of the
+// deployment's randomness: same trace and seed, bit-identical simulation.
 func DefaultClusterConfig(trace *AvailabilityTrace, seed int64) ClusterConfig {
 	return core.DefaultClusterConfig(trace, seed)
 }
 
-// builder accumulates the deployment description while options apply:
-// the trace and seed feed the default-configuration derivation (workload
-// horizon, accounting horizon), and the mods run over that derived
-// ClusterConfig in option order.
-type builder struct {
-	trace *avail.Trace
-	seed  int64
-	mods  []func(*ClusterConfig)
-}
-
-// Option adjusts a deployment before construction. Options are thin,
-// documented wrappers over ClusterConfig fields, applied in order over
-// the paper-default configuration; anything they can express can also be
-// done through WithConfig.
-type Option func(*builder)
-
-// WithTrace sets the availability trace the deployment runs over. New
-// requires exactly this option; everything else has a default.
-func WithTrace(trace *AvailabilityTrace) Option {
-	return func(b *builder) {
-		b.trace = trace
-		b.mods = append(b.mods, func(cfg *ClusterConfig) { cfg.Trace = trace })
-	}
-}
-
-// WithSeed sets the seed driving all of the deployment's randomness —
-// workload generation (ClusterConfig.Workload.Seed), network loss
-// (Net.Seed), overlay protocol jitter (Pastry.Seed), per-node streams
-// (Node.Seed, split per endsystem) and endsystem id assignment
-// (ClusterConfig.Seed). Same trace + same seed means a bit-identical
-// simulation. Default 1.
-func WithSeed(seed int64) Option {
-	return func(b *builder) {
-		b.seed = seed
-		b.mods = append(b.mods, func(cfg *ClusterConfig) {
-			cfg.Seed = seed
-			cfg.Workload.Seed = seed
-			cfg.Net.Seed = seed
-			cfg.Pastry.Seed = seed
-			cfg.Node.Seed = seed
-		})
-	}
-}
-
-// WithLoss sets the independent per-message drop probability of the
-// simulated network (ClusterConfig.Net.LossRate). Default 0.
-func WithLoss(rate float64) Option {
-	return func(b *builder) {
-		b.mods = append(b.mods, func(cfg *ClusterConfig) { cfg.Net.LossRate = rate })
-	}
-}
-
-// WithScale truncates the deployment to the first n endsystems of the
-// trace (all of it when n exceeds the trace). It replaces
-// ClusterConfig.Trace with the truncated trace; use it to dial a large
-// generated trace down to an affordable simulation.
-func WithScale(n int) Option {
-	return func(b *builder) {
-		b.mods = append(b.mods, func(cfg *ClusterConfig) {
-			if n < len(cfg.Trace.Profiles) {
-				cfg.Trace = &avail.Trace{Horizon: cfg.Trace.Horizon, Profiles: cfg.Trace.Profiles[:n]}
-			}
-		})
-	}
-}
-
-// WithFlowsPerDay sets the mean per-endsystem workload intensity
-// (ClusterConfig.Workload.MeanFlowsPerDay). Default 200.
-func WithFlowsPerDay(n int) Option {
-	return func(b *builder) {
-		b.mods = append(b.mods, func(cfg *ClusterConfig) { cfg.Workload.MeanFlowsPerDay = n })
-	}
-}
-
-// WithFeed enables live data updates (ClusterConfig.Feed): endsystems
-// start empty and accrue rows while up, refreshing metadata every period.
-func WithFeed(period time.Duration) Option {
-	return func(b *builder) {
-		b.mods = append(b.mods, func(cfg *ClusterConfig) {
-			cfg.Feed = FeedConfig{Enabled: true, Period: period}
-		})
-	}
-}
-
-// WithConfig applies fn to the full ClusterConfig — the escape hatch to
-// any field without leaving the options style.
-func WithConfig(fn func(*ClusterConfig)) Option {
-	return func(b *builder) { b.mods = append(b.mods, fn) }
-}
-
-// New builds and wires a deployment described entirely by options:
+// NewCluster builds and wires a deployment. Start from
+// DefaultClusterConfig and set any field before the call:
 //
-//	c := seaweed.New(
-//		seaweed.WithTrace(trace),
-//		seaweed.WithSeed(7),
-//		seaweed.WithScale(1000))
-//
-// WithTrace is required; every other knob defaults to the paper's
-// configuration (MSPastry b=4, l=8, 30 s heartbeats; k=8 metadata
-// replicas; m=3 vertex backups; CorpNet-like topology).
-// Options apply in order over that default, so later options win.
-func New(opts ...Option) *Cluster {
-	b := builder{seed: 1}
-	for _, opt := range opts {
-		opt(&b)
-	}
-	if b.trace == nil {
-		panic("seaweed.New: WithTrace is required")
-	}
-	cfg := core.DefaultClusterConfig(b.trace, b.seed)
-	for _, mod := range b.mods {
-		mod(&cfg)
-	}
-	return core.NewCluster(cfg)
-}
+//	cfg := seaweed.DefaultClusterConfig(trace, 7)
+//	cfg.Workload.MeanFlowsPerDay = 100
+//	c := seaweed.NewCluster(cfg)
+func NewCluster(cfg ClusterConfig) *Cluster { return core.NewCluster(cfg) }
 
 // Completeness experiments: availability-level simulation of predicted vs
 // actual completeness.

@@ -1,6 +1,7 @@
 package seaweed
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -9,14 +10,16 @@ import (
 
 func TestPublicAPIEndToEnd(t *testing.T) {
 	trace := FarsiteTrace(120, 2*24*time.Hour, 99)
-	cluster := New(WithTrace(trace), WithSeed(99), WithFlowsPerDay(40))
+	cfg := DefaultClusterConfig(trace, 99)
+	cfg.Workload.MeanFlowsPerDay = 40
+	cluster := NewCluster(cfg)
 	cluster.RunUntil(24 * time.Hour)
 
 	q, err := ParseQuery("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80")
 	if err != nil {
 		t.Fatal(err)
 	}
-	injector, ok := FirstLive(cluster)
+	injector, ok := cluster.FirstLive()
 	if !ok {
 		t.Fatal("no live endsystem")
 	}
@@ -37,32 +40,27 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if len(h.Results) == 0 || h.Results[len(h.Results)-1].Partial.Final(Sum) <= 0 {
 		t.Fatal("no incremental result through the public API")
 	}
-	last := h.Results[len(h.Results)-1]
 	// The streaming API delivers the same updates as the polled log.
-	if len(streamed) == 0 || streamed[len(streamed)-1] != last {
-		t.Fatal("OnUpdate stream disagrees with the update log")
-	}
-	sub := h.Updates()
-	if sub.Pending() != len(streamed) {
-		t.Fatalf("subscription sees %d pending, callback saw %d", sub.Pending(), len(streamed))
+	if !reflect.DeepEqual(streamed, h.Results) {
+		t.Fatalf("OnUpdate stream (%d updates) disagrees with the update log (%d)",
+			len(streamed), len(h.Results))
 	}
 }
 
-func TestPublicAPIOptions(t *testing.T) {
+func TestPublicAPIClusterConfig(t *testing.T) {
+	// Every knob is a ClusterConfig field: a lossy network, and a large
+	// generated trace dialled down to its first 30 endsystems.
 	trace := FarsiteTrace(80, 24*time.Hour, 5)
-	// WithScale truncates the deployment; WithSeed/WithLoss configure it.
-	cluster := New(WithTrace(trace),
-		WithSeed(5), WithLoss(0.01), WithScale(30), WithFlowsPerDay(20))
+	cfg := DefaultClusterConfig(&AvailabilityTrace{Horizon: trace.Horizon, Profiles: trace.Profiles[:30]}, 5)
+	cfg.Net.LossRate = 0.01
+	cfg.Workload.MeanFlowsPerDay = 20
+	cluster := NewCluster(cfg)
 	if len(cluster.Nodes) != 30 {
-		t.Fatalf("WithScale(30) built %d nodes", len(cluster.Nodes))
+		t.Fatalf("a 30-endsystem trace built %d nodes", len(cluster.Nodes))
 	}
-	// WithConfig is the escape hatch to any ClusterConfig field.
-	viaConfig := New(WithTrace(trace), WithSeed(5), WithConfig(func(cfg *ClusterConfig) {
-		cfg.Net.LossRate = 0.01
-		cfg.Workload.MeanFlowsPerDay = 20
-	}), WithScale(30))
-	if len(viaConfig.Nodes) != len(cluster.Nodes) {
-		t.Fatal("WithConfig diverges from the dedicated options")
+	cluster.RunUntil(2 * time.Hour)
+	if lost := cluster.Obs().Counter("net_lost").Value(); lost == 0 {
+		t.Fatal("1% loss dropped no message in two hours")
 	}
 }
 
