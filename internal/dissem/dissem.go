@@ -112,7 +112,9 @@ type Host interface {
 type Engine struct {
 	cfg  Config
 	host Host
-	rng  *rand.Rand
+	// rng is the reissue stream, seeded from cfg.Seed by the first reissue
+	// (random): most engines never reissue, and a seeded source is 4.9 KB.
+	rng *rand.Rand
 
 	// Per-query state (see DESIGN.md, "Per-query state lifecycle"). tasks
 	// holds this endsystem's range tasks: the unfinished ones, and each
@@ -179,7 +181,6 @@ func NewEngine(host Host, cfg Config) *Engine {
 	return &Engine{
 		cfg:     cfg,
 		host:    host,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		tasks:   make(map[taskKey]*task),
 		awaited: make(map[taskKey]*subrange),
 		waiting: make(map[ids.ID]*pendingInject),
@@ -698,7 +699,7 @@ func (e *Engine) sendSubrange(s *subrange) {
 	// route diversity around failures matters more than latency there.
 	target := ids.Midpoint(lo, hi)
 	if s.retries > 0 {
-		target = ids.RandomInRange(e.rng, lo, hi)
+		target = ids.RandomInRange(e.random(), lo, hi)
 	} else if e.cfg.Coords != nil {
 		if ref, ok := e.nearestDelegate(lo, hi); ok {
 			target = ref.ID
@@ -764,7 +765,7 @@ func (e *Engine) attemptTimeout(attempt int, prev time.Duration) time.Duration {
 	if hi < lo {
 		hi = lo
 	}
-	d := time.Duration(lo + e.rng.Float64()*(hi-lo))
+	d := time.Duration(lo + e.random().Float64()*(hi-lo))
 	if d > backoffCap {
 		d = backoffCap
 	}
@@ -772,6 +773,14 @@ func (e *Engine) attemptTimeout(attempt int, prev time.Duration) time.Duration {
 		d = floor
 	}
 	return d
+}
+
+// random returns the reissue stream, seeding it on first use.
+func (e *Engine) random() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.cfg.Seed))
+	}
+	return e.rng
 }
 
 // rtoFloor returns the RTT-aware timeout floor (0 before any sample).

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -507,5 +509,123 @@ func TestPredictorBytesCharged(t *testing.T) {
 		if got := o.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// send is one message the network was handed: when, between whom, and of
+// which class.
+type send struct {
+	at       time.Duration
+	from, to simnet.Endpoint
+	class    simnet.Class
+}
+
+// sendLog is a fault hook that records every send and drops none.
+type sendLog struct {
+	now   func() time.Duration
+	sends []send
+}
+
+func (l *sendLog) OnSend(from, to simnet.Endpoint, _, _ int, class simnet.Class) simnet.Fate {
+	l.sends = append(l.sends, send{l.now(), from, to, class})
+	return simnet.Fate{}
+}
+
+// TestReissueStreamSeededOnFirstUse: an engine holds no generator until a
+// reissue draws from it, and the stream it then seeds is the one an
+// eagerly seeded engine draws — the same churn run sends the same
+// messages between the same endsystems at the same instants either way,
+// so every reissue timeout and retarget matches.
+func TestReissueStreamSeededOnFirstUse(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 11
+	run := func(eager bool) ([]send, int) {
+		const n = 96
+		c := newCluster(t, n, 6, cfg)
+		c.sched.RunUntil(time.Minute)
+		for i, h := range c.hosts {
+			if h.engine.rng != nil {
+				t.Fatalf("engine %d holds a generator before any reissue", i)
+			}
+			if eager {
+				h.engine.rng = rand.New(rand.NewSource(cfg.Seed))
+			}
+		}
+		log := &sendLog{now: c.sched.Now}
+		c.ring.Network().SetFaultHook(log)
+		rng := rand.New(rand.NewSource(8))
+		injectAt := c.sched.Now()
+		c.hosts[0].engine.Inject(testQuery, 0, func(*predictor.Predictor) {})
+		// Victims die while the range messages are in flight, so parents
+		// time out on them and reissue.
+		for i := 0; i < 10; i++ {
+			victim := 1 + rng.Intn(n-1)
+			at := injectAt + time.Duration(rng.Int63n(int64(50*time.Millisecond)))
+			c.sched.At(at, func() {
+				if c.hosts[victim].node.Alive() {
+					c.hosts[victim].meta.Deactivate()
+					c.hosts[victim].node.Stop()
+				}
+			})
+		}
+		c.sched.RunUntil(injectAt + 5*time.Minute)
+		if r := c.ring.Obs().Counter("dissem_reissues").Value(); r == 0 {
+			t.Fatal("the churn run reissued nothing")
+		}
+		seeded := 0
+		for _, h := range c.hosts {
+			if h.engine.rng != nil {
+				seeded++
+			}
+		}
+		return log.sends, seeded
+	}
+	lazy, seeded := run(false)
+	eager, _ := run(true)
+	t.Logf("%d sends; %d of 96 engines seeded a generator", len(lazy), seeded)
+	if seeded == 0 || seeded == 96 {
+		t.Errorf("%d of 96 engines seeded a generator: want the reissuers only", seeded)
+	}
+	if !slices.Equal(lazy, eager) {
+		t.Errorf("lazily and eagerly seeded engines sent %d and %d messages, or sent them differently",
+			len(lazy), len(eager))
+	}
+}
+
+// TestNoGeneratorRetained is the retained-size tooth of both per-endsystem
+// random streams: a built metadata service and a built engine each retain
+// under 1 KB, so neither holds a seeded math/rand source (4.9 KB).
+func TestNoGeneratorRetained(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations count toward HeapAlloc")
+	}
+	const n = 256
+	_, ring := newRing(n, 1)
+	hosts := make([]*testHost, n)
+	for i, id := range ids.RandomN(rand.New(rand.NewSource(1)), n) {
+		hosts[i] = &testHost{}
+		hosts[i].node = ring.AddNode(simnet.Endpoint(i), id, hosts[i])
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap()
+	for i, h := range hosts {
+		h.meta = metadata.NewService(h.node, metadata.DefaultConfig(), int64(i))
+	}
+	mid := liveHeap()
+	for i, h := range hosts {
+		h.engine = NewEngine(h, Config{Arity: 16, MaxRetries: 3, Seed: int64(i)})
+	}
+	after := liveHeap()
+	runtime.KeepAlive(hosts)
+	perService, perEngine := (mid-before)/n, (after-mid)/n
+	t.Logf("a metadata service retains %d bytes, an engine %d", perService, perEngine)
+	if perService >= 1<<10 || perEngine >= 1<<10 {
+		t.Errorf("a metadata service retains %d bytes and an engine %d, ceiling 1 KB each", perService, perEngine)
 	}
 }

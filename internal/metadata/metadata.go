@@ -128,7 +128,12 @@ func DefaultConfig() Config {
 type Service struct {
 	cfg  Config
 	node *pastry.Node
-	rng  *rand.Rand
+	// seed and phases stand for the push-phase stream: the k-th Activate
+	// takes the k-th Int63n(PushPeriod) of rand.NewSource(seed). A seeded
+	// source is 4.9 KB and draws come a few per uptime, so the source is
+	// rebuilt per draw rather than held.
+	seed   int64
+	phases int
 
 	own      *Record
 	store    map[ids.ID]*Record
@@ -158,7 +163,7 @@ func NewService(node *pastry.Node, cfg Config, seed int64) *Service {
 	return &Service{
 		cfg:      cfg,
 		node:     node,
-		rng:      rand.New(rand.NewSource(seed)),
+		seed:     seed,
 		store:    make(map[ids.ID]*Record),
 		prevLeaf: make(map[ids.ID]pastry.NodeRef),
 		sentGen:  make(map[ids.ID]uint64),
@@ -210,8 +215,7 @@ func (s *Service) Activate() {
 	s.pushOwn()
 	// Randomize the phase: first tick after U(0,period), then periodic.
 	sched := s.node.Sched()
-	first := time.Duration(s.rng.Int63n(int64(s.cfg.PushPeriod)))
-	sched.After(first, func() {
+	sched.After(s.nextPhase(), func() {
 		if !s.node.Alive() {
 			return
 		}
@@ -222,6 +226,18 @@ func (s *Service) Activate() {
 			}
 		})
 	})
+}
+
+// nextPhase draws the next push phase, U(0, PushPeriod), replaying the
+// draws before it: PushPeriod is fixed, so each is the same Int63n call.
+func (s *Service) nextPhase() time.Duration {
+	period := int64(s.cfg.PushPeriod)
+	rng := rand.New(rand.NewSource(s.seed))
+	for range s.phases {
+		rng.Int63n(period)
+	}
+	s.phases++
+	return time.Duration(rng.Int63n(period))
 }
 
 // Deactivate stops periodic pushes (the endsystem went down). Stored

@@ -311,6 +311,38 @@ func TestPeriodicPushTraffic(t *testing.T) {
 	}
 }
 
+// TestPushPhasesReplayTheSeed: a service keeps its seed, not a generator,
+// and the first periodic push of its k-th activation comes the k-th
+// Int63n(PushPeriod) of a persistent rand.New(rand.NewSource(seed)) after
+// the activation.
+func TestPushPhasesReplayTheSeed(t *testing.T) {
+	const seed, subj = 21, 3
+	h := newHarness(t, 16, seed)
+	svc := h.services[subj]
+	period := int64(DefaultConfig().PushPeriod)
+	want := rand.New(rand.NewSource(seed + subj))
+	var at time.Duration // newHarness activated every service at 0
+	for k := 0; k < 6; k++ {
+		if k > 0 {
+			svc.Deactivate()
+			at = h.sched.Now()
+			svc.Activate()
+		}
+		phase := time.Duration(want.Int63n(period))
+		h.sched.RunUntil(at + phase - 1)
+		if v := svc.own.Version; v != at {
+			t.Fatalf("activation %d at %v: pushed at %v, before its phase %v", k, at, v, phase)
+		}
+		h.sched.RunUntil(at + phase)
+		if v := svc.own.Version; v != at+phase {
+			t.Fatalf("activation %d at %v: last push at %v, want the phase %v after it", k, at, v, phase)
+		}
+	}
+	if svc.phases != 6 {
+		t.Fatalf("%d phases drawn over 6 activations", svc.phases)
+	}
+}
+
 func TestVersioningNewestWins(t *testing.T) {
 	h := newHarness(t, 16, 7)
 	// Past every node's first periodic round, so versions are non-zero.
