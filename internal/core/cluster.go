@@ -174,11 +174,8 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 			bootstrap = append(bootstrap, simnet.Endpoint(i))
 		}
 	}
+	// Each bootstrap node's onReady activates its metadata and feed.
 	ring.BootstrapAll(bootstrap)
-	for _, ep := range bootstrap {
-		c.Nodes[ep].meta.Activate()
-		c.Nodes[ep].startFeed()
-	}
 
 	for i := 0; i < n; i++ {
 		node := c.Nodes[i]
@@ -396,19 +393,22 @@ func (c *Cluster) FirstLive() (ep simnet.Endpoint, ok bool) {
 // subsystem is disabled.
 func (c *Cluster) Coords() *coords.Space { return c.space }
 
-// TrueRowsInScope is TrueRelevantRows restricted to qid's RTT scope: the
+// TrueRowsInScope is TrueRelevantRows restricted to h's RTT scope: the
 // exact matching row count over the endsystems inside the scope's frozen
-// coordinate snapshot — the completeness denominator of an RTT-scoped
-// query, brute-forced for oracle checks. Falls back to TrueRelevantRows
-// when the query carries no scope.
-func (c *Cluster) TrueRowsInScope(qid ids.ID, q *relq.Query) int64 {
-	if c.space == nil || !c.space.HasScope(qid) {
+// coordinate snapshot that were up at some instant since injection — the
+// rows eventual completeness promises by now, brute-forced for oracle
+// checks. Falls back to TrueRelevantRows when the query carries no scope.
+func (c *Cluster) TrueRowsInScope(h *QueryHandle, q *relq.Query) int64 {
+	if c.space == nil || !c.space.HasScope(h.QueryID) {
 		return c.TrueRelevantRows(q)
 	}
 	now := int64(c.Sched.Now() / time.Second)
 	var total int64
 	for i, n := range c.Nodes {
-		if !c.space.InScope(qid, simnet.Endpoint(i)) {
+		if !c.space.InScope(h.QueryID, simnet.Endpoint(i)) {
+			continue
+		}
+		if up, ok := c.cfg.Trace.Profiles[i].NextUp(h.Injected); !ok || up > c.Sched.Now() {
 			continue
 		}
 		tbl, ok := n.tables[q.Table]

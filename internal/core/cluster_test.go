@@ -8,6 +8,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/anemone"
 	"repro/internal/avail"
+	"repro/internal/metadata"
 	"repro/internal/relq"
 	"repro/internal/simnet"
 )
@@ -332,5 +333,24 @@ func TestTruthCountsKeepPlanCache(t *testing.T) {
 	c.TrueRelevantRows(running)
 	if misses.Value() != m0 || hits.Value()-h0 != n {
 		t.Errorf("a query executed before the truth counts: %d misses, %d hits; want 0 and %d", misses.Value()-m0, hits.Value()-h0, n)
+	}
+}
+
+// TestBootstrapPushesOncePerPeriod: an endsystem up from t=0 is activated
+// once, by its bootstrap, so in a quiet cluster each one pushes to its
+// replica set once per push period — one periodic ticker each.
+func TestBootstrapPushesOncePerPeriod(t *testing.T) {
+	const n = 64
+	cfg := DefaultClusterConfig(alwaysUpTrace(n, 3*time.Hour), 5)
+	cfg.Workload.MeanFlowsPerDay = 50
+	c := NewCluster(cfg)
+	period := cfg.Node.Meta.PushPeriod
+	// Past every phase: each endsystem's periodic ticker is armed.
+	c.RunUntil(period)
+	pushes := c.Obs().Counter("meta_pushes")
+	before := pushes.Value()
+	c.RunUntil(2 * period)
+	if got, want := pushes.Value()-before, uint64(n*metadata.K); got != want {
+		t.Fatalf("%d pushes in one push period, want %d: one round of K per endsystem", got, want)
 	}
 }

@@ -68,7 +68,7 @@ func coordsRun(t *testing.T) string {
 	}
 	members, _ := sp.ScopeMembers(h2.QueryID)
 	fmt.Fprintf(&out, "scope members=%d oracle_rows=%d\n",
-		len(members), c.TrueRowsInScope(h2.QueryID, q2))
+		len(members), c.TrueRowsInScope(h2, q2))
 	if err := o.Registry().WriteJSON(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRTTScopeProtocol(t *testing.T) {
 	if !ok {
 		t.Fatal("scoped query produced no results")
 	}
-	if oracle := c.TrueRowsInScope(h.QueryID, q); last.Partial.Count != oracle {
+	if oracle := c.TrueRowsInScope(h, q); last.Partial.Count != oracle {
 		t.Errorf("scoped query converged to %d rows, oracle says %d", last.Partial.Count, oracle)
 	}
 	if pruned := o.Counter("rttscope_pruned").Value(); pruned == 0 {

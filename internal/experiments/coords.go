@@ -209,8 +209,8 @@ type RTTScopeResult struct {
 	N       int           `json:"endsystems"`
 	Members int           `json:"scope_members"`
 	// FinalRows is the row count of the last result update the injector
-	// saw; OracleRows the exact matching-row count over the in-scope
-	// endsystems' data (available or not).
+	// saw; OracleRows the exact matching-row count over the data of the
+	// in-scope endsystems up at some instant since injection.
 	FinalRows  int64 `json:"final_rows"`
 	OracleRows int64 `json:"oracle_rows"`
 	// OutOfScopeSubmits counts endsystems that entered the aggregation
@@ -254,7 +254,7 @@ func RTTScopeDemo(s Scale, radius time.Duration) *RTTScopeResult {
 	if k := len(h.Results); k > 0 {
 		r.FinalRows = h.Results[k-1].Partial.Count
 	}
-	r.OracleRows = c.TrueRowsInScope(h.QueryID, q)
+	r.OracleRows = c.TrueRowsInScope(h, q)
 	for ep := range c.Nodes {
 		if _, ok := c.Nodes[ep].TreeEntryVertex(h.QueryID); !ok {
 			continue
