@@ -214,8 +214,10 @@ func (s *Service) Activate() {
 	}
 	s.pushOwn()
 	// Randomize the phase: first tick after U(0,period), then periodic.
+	// ticker holds the phase timer until it hands over to the periodic
+	// one, so a Deactivate before the phase cancels it.
 	sched := s.node.Sched()
-	sched.After(s.nextPhase(), func() {
+	s.ticker = sched.After(s.nextPhase(), func() {
 		if !s.node.Alive() {
 			return
 		}

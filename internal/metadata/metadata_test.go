@@ -343,6 +343,22 @@ func TestPushPhasesReplayTheSeed(t *testing.T) {
 	}
 }
 
+// TestDeactivateCancelsPendingPhase: an endsystem that goes down before
+// its push phase comes keeps no timer from that uptime, so coming back
+// leaves it one ticker, not two.
+func TestDeactivateCancelsPendingPhase(t *testing.T) {
+	h := newHarness(t, 16, 22)
+	svc := h.services[3]
+	pending := svc.ticker
+	if pending == (simnet.Timer{}) {
+		t.Fatal("the pending phase timer is not held")
+	}
+	svc.Deactivate()
+	if pending.Cancel() {
+		t.Fatal("Deactivate left the pending phase timer armed")
+	}
+}
+
 func TestVersioningNewestWins(t *testing.T) {
 	h := newHarness(t, 16, 7)
 	// Past every node's first periodic round, so versions are non-zero.
