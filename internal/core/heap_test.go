@@ -10,11 +10,13 @@ import (
 )
 
 // heapPerEndsystemCeiling is about twice what TestHeapPerEndsystem measures
-// (31 KB on go1.24 linux/amd64). The quiet cluster's shape is the steady2k
+// (17 KB on go1.24 linux/amd64). It read 29-31 KB while every endsystem held
+// two seeded math/rand sources, its push-phase and reissue streams, in the
+// 5,376-byte size class each. The quiet cluster's shape is the steady2k
 // benchmark's — 50 flows a day, a dozen rows a table — where rounding each
 // table's reservation up to a block held 180 KB per endsystem that no row
 // ever touched: the same test read 208 KB then.
-const heapPerEndsystemCeiling = 70 << 10
+const heapPerEndsystemCeiling = 36 << 10
 
 // allocPerQueryCeiling is about 10% above what TestAllocPerQuery measures
 // (5.9 KB on go1.24 linux/amd64; runs differ by half a percent). It read
