@@ -402,13 +402,14 @@ func (c *Cluster) TrueRowsInScope(h *QueryHandle, q *relq.Query) int64 {
 	if c.space == nil || !c.space.HasScope(h.QueryID) {
 		return c.TrueRelevantRows(q)
 	}
-	now := int64(c.Sched.Now() / time.Second)
+	at := c.Sched.Now()
+	now := int64(at / time.Second)
 	var total int64
 	for i, n := range c.Nodes {
 		if !c.space.InScope(h.QueryID, simnet.Endpoint(i)) {
 			continue
 		}
-		if up, ok := c.cfg.Trace.Profiles[i].NextUp(h.Injected); !ok || up > c.Sched.Now() {
+		if up, ok := c.cfg.Trace.Profiles[i].NextUp(h.Injected); !ok || up > at {
 			continue
 		}
 		tbl, ok := n.tables[q.Table]
