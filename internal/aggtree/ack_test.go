@@ -384,6 +384,42 @@ func TestCanceledSubmissionIsAnswered(t *testing.T) {
 	}
 }
 
+// TestSubmitAfterCancelSendsNothing: an endsystem that holds a query as
+// canceled does not contribute to it again. A leaf the cancel fan-out
+// reached submits a new partial: nothing goes on the wire, no timer is
+// armed, and its record keeps the contribution it had.
+func TestSubmitAfterCancelSendsNothing(t *testing.T) {
+	r := newAckRig(t, 27, "q-submit-after-cancel")
+	for i := range r.hosts {
+		r.submit(i)
+	}
+	r.run(time.Minute)
+	r.hosts[0].engine.CancelPropagate(r.qid)
+	r.run(time.Minute)
+	h := r.hosts[r.remoteLeaf(t)]
+	st := h.engine.queries[r.qid]
+	if st == nil || !st.canceled {
+		t.Fatal("the cancel did not reach the leaf")
+	}
+	own := st.own
+
+	sends := r.counter("net_sends")
+	var p agg.Partial
+	p.Observe(1000)
+	h.engine.Submit(r.qid, p, testQuery, r.injector, 0)
+	if got := h.engine.ResubmitTimers(); got != 0 {
+		t.Fatalf("%d leaf timers armed by a submission after the cancel", got)
+	}
+	r.run(30 * time.Minute)
+	if got := r.counter("net_sends"); got != sends {
+		t.Fatalf("a submission after the cancel sent %d messages", got-sends)
+	}
+	if st.own != own || h.engine.IsActive(r.qid) {
+		t.Fatalf("the canceled record now holds version %d (was %d), active = %v",
+			st.own.Version, own.Version, h.engine.IsActive(r.qid))
+	}
+}
+
 // TestQueryStateSizeClass pins the record to the allocator size class it
 // had before it carried the ack (176 bytes): every endsystem keeps one per
 // query it has heard of.

@@ -583,11 +583,13 @@ func (m *resultMsg) TraceSpan() uint64 { return m.Cause }
 // restart the first Submit goes out whatever it carries: the entry vertex
 // (or its whole replica group) may have died while this endsystem was
 // down, and the versioned replacement keeps the re-assertion exactly-once.
-// cause is the span of the execution that produced the partial (0 when
-// tracing is off).
+// A query this endsystem holds as canceled is refused: the cancel has
+// passed, and a contribution would only be answered with it again. cause is
+// the span of the execution that produced the partial (0 when tracing is
+// off).
 func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector simnet.Endpoint, cause uint64) {
 	st := e.register(qid, q, injector, cause)
-	if st.asserted && st.own.Part == part {
+	if st.canceled || st.asserted && st.own.Part == part {
 		return
 	}
 	if st.own.Version == 0 {
