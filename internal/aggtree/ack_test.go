@@ -349,7 +349,7 @@ func TestCanceledSubmissionIsAnswered(t *testing.T) {
 	for i := n - 8; i < n; i++ {
 		h := r.hosts[i]
 		root, ok := h.node.LeafsetRoot(h.engine.chooseEntry(r.qid))
-		if ok && root.EP != h.node.Endpoint() && h.engine.queries[r.qid] == nil {
+		if _, held := h.engine.queries[r.qid]; ok && root.EP != h.node.Endpoint() && !held {
 			late = i
 			break
 		}
@@ -387,7 +387,7 @@ func TestCanceledSubmissionIsAnswered(t *testing.T) {
 // TestSubmitAfterCancelSendsNothing: an endsystem that holds a query as
 // canceled does not contribute to it again. A leaf the cancel fan-out
 // reached submits a new partial: nothing goes on the wire, no timer is
-// armed, and its record keeps the contribution it had.
+// armed, and the query's entry stays a tombstone, with no record behind it.
 func TestSubmitAfterCancelSendsNothing(t *testing.T) {
 	r := newAckRig(t, 27, "q-submit-after-cancel")
 	for i := range r.hosts {
@@ -397,11 +397,13 @@ func TestSubmitAfterCancelSendsNothing(t *testing.T) {
 	r.hosts[0].engine.CancelPropagate(r.qid)
 	r.run(time.Minute)
 	h := r.hosts[r.remoteLeaf(t)]
-	st := h.engine.queries[r.qid]
-	if st == nil || !st.canceled {
-		t.Fatal("the cancel did not reach the leaf")
+	tombstone := func() bool {
+		st, ok := h.engine.queries[r.qid]
+		return ok && st == nil
 	}
-	own := st.own
+	if !tombstone() {
+		t.Fatal("the cancel did not leave a tombstone at the leaf")
+	}
 
 	sends := r.counter("net_sends")
 	var p agg.Partial
@@ -414,9 +416,8 @@ func TestSubmitAfterCancelSendsNothing(t *testing.T) {
 	if got := r.counter("net_sends"); got != sends {
 		t.Fatalf("a submission after the cancel sent %d messages", got-sends)
 	}
-	if st.own != own || h.engine.IsActive(r.qid) {
-		t.Fatalf("the canceled record now holds version %d (was %d), active = %v",
-			st.own.Version, own.Version, h.engine.IsActive(r.qid))
+	if !tombstone() || h.engine.IsActive(r.qid) {
+		t.Fatalf("a submission after the cancel made a record; active = %v", h.engine.IsActive(r.qid))
 	}
 }
 

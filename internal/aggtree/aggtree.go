@@ -33,11 +33,13 @@
 // vertex's root moves to another endsystem.
 //
 // An Engine keeps one record per query (queryState) in one table: what it
-// knows of the query, its own contribution and entry vertexId — the only
-// part that survives a restart — the leaf retransmission timer and the ack
-// that stops it, and the vertices it hosts for the query's tree.
-// Everything the protocol does for a query starts from that record, and
-// vertices point back at it.
+// knows of the query, whether it has run it in this uptime session, its
+// own contribution and entry vertexId — the only part that survives a
+// restart — the leaf retransmission timer and the ack that stops it, and
+// the vertices it hosts for the query's tree. Everything the protocol does
+// for a query starts from that record, and vertices point back at it. A
+// cancel ends the record: its entry becomes a tombstone that owns nothing
+// and refuses the query for good.
 package aggtree
 
 import (
@@ -194,16 +196,16 @@ const (
 
 // queryState is everything this endsystem keeps about one query (see
 // DESIGN.md, "Per-query state on an endsystem"). Engine.queries holds one
-// per query the endsystem has heard of, until Reset.
+// per query the endsystem has heard of and not seen canceled, until Reset.
 type queryState struct {
 	qid ids.ID
 
 	// The registry half is volatile. known is false between a restart and
-	// the next time the query is heard of, which counts as expired; a
-	// cancel that arrives for an unknown query makes it known with nothing
-	// but firstSeen, a tombstone that drops late submissions.
-	known    bool
-	canceled bool
+	// the next time the query is heard of, which counts as expired.
+	known bool
+	// executed: this endsystem has run the query in this uptime session
+	// (ClaimExecution). Reset clears it with the rest of the volatile half.
+	executed bool
 	// asserted: own was submitted in this incarnation. Reset clears it, so
 	// the rejoin re-execution re-asserts an unchanged result (see Submit).
 	asserted bool
@@ -252,7 +254,7 @@ type Engine struct {
 	cfg  Config
 	host Host
 	// queries is the engine's one table: a record per query, keyed by
-	// queryId.
+	// queryId. A nil entry is a canceled query's tombstone (applyCancel).
 	queries map[ids.ID]*queryState
 
 	// Observability handles, cached at construction (nil-safe no-ops when
@@ -307,9 +309,12 @@ func NewEngine(host Host, cfg Config) *Engine {
 // prescribes: a rejoining endsystem re-submits the same versioned
 // contribution to the same vertex, replacing rather than duplicating. A
 // record that holds neither is deleted; one that does is kept with its
-// registry half unknown.
+// registry half unknown. Tombstones are kept: a cancel outlives restarts.
 func (e *Engine) Reset() {
 	for qid, st := range e.queries {
+		if st == nil {
+			continue
+		}
 		for _, v := range st.vertices {
 			e.drop(v)
 		}
@@ -331,20 +336,32 @@ func (e *Engine) drop(v *vertexState) {
 	v.dropped = true
 }
 
-// RegisterQuery tells the engine about an active query (from the
-// dissemination layer). The injector endpoint is where root results go;
-// cause is the span under which the query arrived here (0 without
-// tracing).
-func (e *Engine) RegisterQuery(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) {
-	e.register(qid, q, injector, cause)
+// ClaimExecution tells the engine about a query that reached this
+// endsystem (by dissemination or in a neighbor's list) and reports whether
+// to run it: true the first time in this uptime session, false after that
+// and for a canceled query. It is the one guard that makes an endsystem
+// execute a query at most once per uptime, however often the query
+// arrives. The injector endpoint is where root results go; cause is the
+// span under which the query arrived here (0 without tracing).
+func (e *Engine) ClaimExecution(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) bool {
+	st := e.register(qid, q, injector, cause)
+	if st == nil || st.executed {
+		return false
+	}
+	st.executed = true
+	return true
 }
 
 // register returns the query's record, creating it if this is the first
 // the endsystem keeps about the query and filling in the registry half if
-// this is the first it hears of the query in this incarnation.
+// this is the first it hears of the query in this incarnation. For a
+// canceled query it returns nil and leaves the tombstone as it is.
 func (e *Engine) register(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) *queryState {
-	st := e.queries[qid]
+	st, ok := e.queries[qid]
 	if st == nil {
+		if ok {
+			return nil
+		}
 		st = &queryState{qid: qid}
 		e.queries[qid] = st
 	}
@@ -374,49 +391,51 @@ func (e *Engine) CancelPropagate(qid ids.ID) {
 	}
 }
 
-// applyCancel processes a cancellation at this endsystem: mark the query
-// canceled (tombstoning it if unknown, so late submissions are dropped
-// rather than resurrecting state), stop the local retransmission timer,
-// drop every hosted vertex, and — for every dropped vertex this endsystem
-// was the primary of — fan the cancel to the vertex's children and
-// backups. Fan-out keys off the vertex's primary flag, not off which
+// applyCancel processes a cancellation at this endsystem: stop the local
+// retransmission timer, drop every hosted vertex, and — for every dropped
+// vertex this endsystem was the primary of — fan the cancel to the
+// vertex's children and backups. Then the record gives way to a tombstone,
+// a nil entry, whether or not there was a record: a late submission or
+// replication finds it and is dropped rather than resurrecting state, and
+// the endsystem neither runs nor submits the query again (ClaimExecution,
+// Submit). Fan-out keys off the vertex's primary flag, not off which
 // cancel arrived first: a node can be backup for one vertex and primary
 // for another in the same tree, and a backup-targeted cancel reaching it
 // first must still propagate the primary vertex's subtree. The fan-out
 // passes m itself on: a cancel says only which query, and receivers only
 // read it, so one message serves every child and backup down the tree.
 func (e *Engine) applyCancel(m *cancelMsg) {
-	st := e.register(m.QID, nil, 0, 0)
-	st.canceled = true
-	st.resubmit.Cancel()
-	st.resubmit = simnet.Timer{}
-	node := e.host.PastryNode()
-	// Vertices leave the record in vertexId order, each before the cancel
-	// fans out from it: Route below can deliver to self synchronously,
-	// re-entering applyCancel, which then carries on with what is left.
-	for len(st.vertices) > 0 {
-		v := st.vertices[0]
-		st.vertices = st.vertices[1:]
-		e.drop(v)
-		if !v.primary {
-			continue
-		}
-		for _, child := range v.children { // in id order
-			node.Route(child.id, m, cancelMsgSize(), simnet.ClassQuery)
-		}
-		// Backups mirror this vertex's state; they drop it on receipt and
-		// only propagate further for vertices they are primary of.
-		for _, b := range e.backupSet(v.id) {
-			node.Ring().Network().Send(node.Endpoint(), b.EP,
-				cancelMsgSize(), simnet.ClassQuery, m)
+	if st := e.queries[m.QID]; st != nil {
+		st.resubmit.Cancel()
+		node := e.host.PastryNode()
+		// Vertices leave the record in vertexId order, each before the cancel
+		// fans out from it: Route below can deliver to self synchronously,
+		// re-entering applyCancel, which finds the record still in the table
+		// and carries on with what is left.
+		for len(st.vertices) > 0 {
+			v := st.vertices[0]
+			st.vertices = st.vertices[1:]
+			e.drop(v)
+			if !v.primary {
+				continue
+			}
+			for _, child := range v.children { // in id order
+				node.Route(child.id, m, cancelMsgSize(), simnet.ClassQuery)
+			}
+			// Backups mirror this vertex's state; they drop it on receipt and
+			// only propagate further for vertices they are primary of.
+			for _, b := range e.backupSet(v.id) {
+				node.Ring().Network().Send(node.Endpoint(), b.EP,
+					cancelMsgSize(), simnet.ClassQuery, m)
+			}
 		}
 	}
-	st.vertices = nil // let go of the array the dropped vertices are still in
+	e.queries[m.QID] = nil
 }
 
-// expired reports whether a query is unknown, canceled or past its TTL.
+// expired reports whether a query is canceled, unknown or past its TTL.
 func (e *Engine) expired(st *queryState) bool {
-	if st == nil || !st.known || st.canceled {
+	if st == nil || !st.known {
 		return true
 	}
 	if e.cfg.QueryTTL <= 0 {
@@ -589,7 +608,7 @@ func (m *resultMsg) TraceSpan() uint64 { return m.Cause }
 // off).
 func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector simnet.Endpoint, cause uint64) {
 	st := e.register(qid, q, injector, cause)
-	if st.canceled || st.asserted && st.own.Part == part {
+	if st == nil || st.asserted && st.own.Part == part {
 		return
 	}
 	if st.own.Version == 0 {
@@ -754,13 +773,13 @@ func (e *Engine) vertex(st *queryState, id ids.ID) *vertexState {
 // applySubmit folds a child contribution from the endsystem at origin into
 // the vertex hosted here, and acknowledges it if asked to. Contributions
 // for expired or canceled queries are dropped; the sender of one for a
-// canceled query is told so, because the cancel fan-out only reaches the
-// children a vertex had when it passed, and a leaf whose submission
-// crossed it would otherwise retransmit for the rest of the TTL.
+// canceled query (register's nil) is told so, because the cancel fan-out
+// only reaches the children a vertex had when it passed, and a leaf whose
+// submission crossed it would otherwise retransmit for the rest of the TTL.
 func (e *Engine) applySubmit(origin simnet.Endpoint, m *submitMsg) {
 	st := e.register(m.QID, m.Query, m.Injector, m.Cause)
 	if e.expired(st) {
-		if node := e.host.PastryNode(); st.canceled && origin != node.Endpoint() {
+		if node := e.host.PastryNode(); st == nil && origin != node.Endpoint() {
 			node.Ring().Network().Send(node.Endpoint(), origin,
 				cancelMsgSize(), simnet.ClassQuery, &cancelMsg{QID: m.QID})
 		}
@@ -1107,7 +1126,7 @@ func (e *Engine) reassertMovedEntries() {
 	node := e.host.PastryNode()
 	var moved []*queryState
 	for _, st := range e.queries {
-		if st.own.Version == 0 || st.acked != st.own.Version || e.expired(st) {
+		if st == nil || st.own.Version == 0 || st.acked != st.own.Version || e.expired(st) {
 			continue
 		}
 		if root, ok := node.LeafsetRoot(st.entry); ok && root.EP != simnet.Endpoint(st.ackedBy) {
@@ -1167,7 +1186,7 @@ func (e *Engine) tableMsg(v *vertexState) *replMsg {
 func (e *Engine) sortedVertices() []*vertexState {
 	var hosting []*queryState
 	for _, st := range e.queries {
-		if len(st.vertices) > 0 {
+		if st != nil && len(st.vertices) > 0 {
 			hosting = append(hosting, st)
 		}
 	}
@@ -1183,7 +1202,9 @@ func (e *Engine) sortedVertices() []*vertexState {
 func (e *Engine) NumVertices() int {
 	n := 0
 	for _, st := range e.queries {
-		n += len(st.vertices)
+		if st != nil {
+			n += len(st.vertices)
+		}
 	}
 	return n
 }
@@ -1195,7 +1216,7 @@ func (e *Engine) NumVertices() int {
 func (e *Engine) OrphanVertices() int {
 	n := 0
 	for _, st := range e.queries {
-		if e.expired(st) {
+		if st != nil && e.expired(st) {
 			n += len(st.vertices)
 		}
 	}

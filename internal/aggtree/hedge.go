@@ -83,6 +83,9 @@ func (e *Engine) FlushTimers() int {
 func (e *Engine) countVertices(pred func(*vertexState) bool) int {
 	n := 0
 	for _, st := range e.queries {
+		if st == nil {
+			continue
+		}
 		for _, v := range st.vertices {
 			if pred(v) {
 				n++
@@ -98,7 +101,7 @@ func (e *Engine) countVertices(pred func(*vertexState) bool) int {
 func (e *Engine) ResubmitTimers() int {
 	n := 0
 	for _, st := range e.queries {
-		if st.resubmit != (simnet.Timer{}) {
+		if st != nil && st.resubmit != (simnet.Timer{}) {
 			n++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aggtree"
 	"repro/internal/relq"
 	"repro/internal/simnet"
 )
@@ -69,6 +70,55 @@ func TestCancelReclaimsTreeAndSilencesTraffic(t *testing.T) {
 	}
 	if len(h.Results) > results {
 		t.Fatalf("results delivered after cancel: %d -> %d", results, len(h.Results))
+	}
+}
+
+// TestCancelSurvivesRestart: a restart does not forget a cancel. An
+// endsystem that contributed to a query restarts after the query was
+// canceled and is then handed the query in a neighbor's active-query list,
+// as a rejoining endsystem is. It sends nothing, and no vertex of the
+// query's tree comes back anywhere. (Reset used to keep such a record with
+// its cancel cleared, and the endsystem re-submitted.)
+func TestCancelSurvivesRestart(t *testing.T) {
+	const n = 64
+	cfg := DefaultClusterConfig(alwaysUpTrace(n, 12*time.Hour), 79)
+	cfg.Workload.MeanFlowsPerDay = 30
+	c := NewCluster(cfg)
+	c.RunUntil(2 * time.Hour)
+	q := relq.MustParse("SELECT COUNT(*) FROM Flow")
+	inj := findLiveInjector(t, c)
+	h := c.InjectQuery(inj, q)
+	c.RunUntil(c.Sched.Now() + 10*time.Minute)
+	var victim *Node
+	for ep, node := range c.Nodes {
+		if _, ok := node.TreeEntryVertex(h.QueryID); ok && simnet.Endpoint(ep) != inj {
+			victim = node
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("nobody but the injector contributed")
+	}
+	c.CancelQuery(h, inj)
+	c.RunUntil(c.Sched.Now() + 2*time.Minute)
+	victim.GoDown()
+	c.RunUntil(c.Sched.Now() + time.Minute)
+	victim.GoUp()
+	c.RunUntil(c.Sched.Now() + 10*time.Minute)
+	if !victim.Alive() {
+		t.Fatal("the endsystem did not rejoin")
+	}
+
+	queryBytes := c.Net.Stats().TotalTx(simnet.ClassQuery)
+	victim.handleQueryListPush(&queryListPush{Queries: []aggtree.ActiveQuery{{ID: h.QueryID, Query: q, Injector: inj}}})
+	c.RunUntil(c.Sched.Now() + 30*time.Minute)
+	if got := c.Net.Stats().TotalTx(simnet.ClassQuery); got != queryBytes {
+		t.Fatalf("the restarted endsystem was handed the canceled query and %v query bytes were sent", got-queryBytes)
+	}
+	for ep, node := range c.Nodes {
+		if nv := node.tree.NumVertices(); nv != 0 {
+			t.Fatalf("endsystem %d holds %d vertices of the canceled query", ep, nv)
+		}
 	}
 }
 

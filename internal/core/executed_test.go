@@ -10,8 +10,9 @@ import (
 	"repro/internal/relq"
 )
 
-// TestQueryExecutesOncePerUptime: Node.executed is the one guard that makes
-// an endsystem run a query at most once per uptime session. The
+// TestQueryExecutesOncePerUptime: the executed bit on the query's record in
+// the aggregation engine (aggtree.Engine.ClaimExecution) is the one guard
+// that makes an endsystem run a query at most once per uptime session. The
 // dissemination engine reports the query with every range task it begins
 // (several an endsystem, more when lost responses make parents reissue
 // requests to other delegates), and a rejoining endsystem is pushed the

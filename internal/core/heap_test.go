@@ -19,8 +19,9 @@ import (
 const heapPerEndsystemCeiling = 36 << 10
 
 // allocPerQueryCeiling is about 10% above what TestAllocPerQuery measures
-// (5.9 KB on go1.24 linux/amd64; runs differ by half a percent). It read
-// 6.4-6.5 KB (ceiling 7,200) while every range task carried the fields of
+// (5.8 KB on go1.24 linux/amd64; runs differ by half a percent). It read
+// 5.9 KB while every endsystem also kept a core.Node.executed entry per
+// query, 6.4-6.5 KB (ceiling 7,200) while every range task carried the fields of
 // an interior one, every response was an object of its own, and every
 // subrange stored its bounds; 6.95 KB while every range task that might
 // report anything carried all 72
@@ -29,8 +30,8 @@ const heapPerEndsystemCeiling = 36 << 10
 // level to its backups the moment it arrived, 7.5 KB while every leaf sent
 // its contribution five times whether or not the first copy arrived, and
 // 8.8 KB when an endsystem kept a query in
-// nine tables across three packages instead of one record and
-// core.Node.executed (DESIGN.md, "Per-query state on an endsystem").
+// nine tables across three packages instead of one record and that entry
+// (DESIGN.md, "Per-query state on an endsystem").
 // Before that, every dissemination range task carried its own 592-byte
 // predictor, empty or not, and every aggregation vertex kept its children
 // in a map (11.4 and 11.5 KB). At N=256 the tree has fewer empty ranges
@@ -78,6 +79,78 @@ func TestHeapPerEndsystem(t *testing.T) {
 		t.Errorf("live heap is %d KB per endsystem, ceiling %d KB", per>>10, heapPerEndsystemCeiling>>10)
 	}
 	heapTestCluster = c
+}
+
+// cancelledQueryCeiling is what a canceled query may leave on an endsystem
+// once it is over: the tombstone's slot in the aggregation engine's table,
+// 24 bytes of key and nil record with the table's slack around them.
+// TestCancelledQueriesReleaseState measures 35-36 (go1.24 linux/amd64); it
+// read 242 while every endsystem kept a canceled query's 176-byte record
+// and its core.Node.executed entry.
+const cancelledQueryCeiling = 48
+
+// TestCancelledQueriesReleaseState: a query that is over leaves nothing on
+// an endsystem but its tombstone. A quiet cluster runs a first query and
+// then a hundred more, each canceled after a minute, three minutes apart
+// (more than a range task's retention); the same cluster runs the first
+// query only, to the same instant. The difference in live heap, per
+// endsystem per measured query, is at most cancelledQueryCeiling.
+//
+// The first query leaves in both clusters what only a first query costs
+// and later ones reuse: each table's bound plan for the one query object,
+// routing-table entries, pooled route envelopes. Both clusters let go of
+// the dissemination tables' storage before measuring, because a drained
+// map keeps its storage at its peak size, which grows with how many
+// endsystems have been a query's root and is not per-query state. The
+// tables are empty by then: the last range task's retention ran out half an
+// hour before, and TestFinishedTaskLeavesAtNextMessage holds the sweep.
+func TestCancelledQueriesReleaseState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations count toward HeapAlloc")
+	}
+	const n, queries = 128, 100
+	const warmup, spacing = time.Hour, 3 * time.Minute
+	end := warmup + (1+queries)*spacing + 30*time.Minute
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	grows := func(queries int) int64 {
+		before := liveHeap()
+		cfg := DefaultClusterConfig(alwaysUpTrace(n, end+time.Hour), 41)
+		cfg.Workload.MeanFlowsPerDay = 30
+		c := NewCluster(cfg)
+		c.RunUntil(warmup)
+		q := relq.MustParse("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80")
+		inj := findLiveInjector(t, c)
+		for i := 0; i <= queries; i++ {
+			h := c.InjectQuery(inj, q)
+			c.RunUntil(c.Sched.Now() + time.Minute)
+			if len(h.Results) == 0 {
+				t.Fatalf("query %d returned nothing in a minute", i)
+			}
+			c.CancelQuery(h, inj)
+			c.RunUntil(c.Sched.Now() + spacing - time.Minute)
+		}
+		c.RunUntil(end)
+		for _, node := range c.Nodes {
+			node.dis.Reset()
+		}
+		grown := liveHeap() - before
+		runtime.KeepAlive(c)
+		return grown
+	}
+	first := grows(0)
+	all := grows(queries)
+	per := (all - first) / (n * queries)
+	t.Logf("a canceled query leaves %d bytes per endsystem (the cluster grew %d KB with one query, %d KB with %d more)",
+		per, first>>10, all>>10, queries)
+	if per > cancelledQueryCeiling {
+		t.Errorf("a canceled query leaves %d bytes per endsystem, ceiling %d", per, cancelledQueryCeiling)
+	}
 }
 
 // queryBytesPerEndsystemCeiling is about 10% above what

@@ -6,10 +6,10 @@
 // cluster simulation (Figures 9 and 10) and the availability-level
 // completeness simulation (Figures 5–8).
 //
-// Per query a Node itself keeps only whether it has run the query in this
-// uptime session (executed), plus a timer for a standing query and a sink
-// at the injector; what the query is, what was last submitted for it and
-// where, is the aggregation engine's record (aggtree.Engine).
+// Per query a Node itself keeps only a timer for a standing query and a
+// sink at the injector; what the query is, whether it has run in this
+// uptime session, what was last submitted for it and where, is the
+// aggregation engine's record (aggtree.Engine).
 package core
 
 import (
@@ -49,11 +49,6 @@ type Node struct {
 	// prevLeaf is the leafset membership at the last LeafsetChanged
 	// upcall, for detecting additions (see pullFromNewNeighbors).
 	prevLeaf map[simnet.Endpoint]bool
-	// executed tracks queries already run locally in this uptime session:
-	// the one guard that makes a query execute at most once per uptime
-	// whether it arrives by dissemination (however many range requests
-	// carry it) or in a neighbor's active-query list.
-	executed map[ids.ID]bool
 
 	// Live data feed (optional): new rows appended while the endsystem is
 	// up, with the summary rebuilt and re-replicated when data changed.
@@ -98,7 +93,6 @@ func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
 		model:       model,
 		resultSinks: make(map[ids.ID]func(agg.Partial, int64, uint64)),
 		prevLeaf:    make(map[simnet.Endpoint]bool),
-		executed:    make(map[ids.ID]bool),
 		contTimers:  make(map[ids.ID]simnet.Timer),
 	}
 	// Every endsystem table shares the cluster-wide executor counters
@@ -177,7 +171,10 @@ func (n *Node) QueryObserved(qid ids.ID, q *relq.Query, injector simnet.Endpoint
 
 // executeAndSubmit registers a query with the aggregation tree, runs it
 // against the local tables and submits the partial result — once per
-// uptime session. Continuous queries additionally arm a periodic local
+// uptime session, and never once the query is canceled here (the tree's
+// ClaimExecution is the guard, whether the query arrives by dissemination,
+// however many range requests carry it, or in a neighbor's active-query
+// list). Continuous queries additionally arm a periodic local
 // re-execution that resubmits whenever the local result changes — the
 // §3.4 continuous-query extension, riding the aggregation tree's versioned
 // exactly-once replacement. kind distinguishes the normal dissemination
@@ -185,11 +182,9 @@ func (n *Node) QueryObserved(qid ids.ID, q *relq.Query, injector simnet.Endpoint
 // whose parent edge measures the availability wait.
 func (n *Node) executeAndSubmit(qid ids.ID, q *relq.Query, injector simnet.Endpoint,
 	cause uint64, kind obs.Kind) {
-	if n.executed[qid] {
+	if !n.tree.ClaimExecution(qid, q, injector, cause) {
 		return
 	}
-	n.executed[qid] = true
-	n.tree.RegisterQuery(qid, q, injector, cause)
 	if q.RTTScope > 0 {
 		// RTT-scoped query: endsystems outside the frozen scope observe the
 		// query (dedup state above) but neither execute nor submit. The
@@ -352,7 +347,6 @@ func (n *Node) GoUp() {
 	}
 	n.dis.Reset()
 	n.tree.Reset()
-	n.executed = make(map[ids.ID]bool)
 	for _, t := range n.contTimers {
 		t.Cancel()
 	}

@@ -512,8 +512,13 @@ func (t *task) addParent(ep simnet.Endpoint) {
 }
 
 // HandleMessage processes a dissemination message; it reports whether the
-// payload belonged to this engine.
+// payload belonged to this engine. The host hands it every message first,
+// so finished tasks whose retention has run out leave the table here,
+// whatever the message is.
 func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
+	if e.retired != nil {
+		e.sweep(e.host.PastryNode().Sched().Now())
+	}
 	switch m := payload.(type) {
 	case *startMsg:
 		e.handleStart(m)
@@ -559,7 +564,8 @@ func (e *Engine) handleRange(m *rangeMsg) {
 func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, cause uint64) {
 	node := e.host.PastryNode()
 	// Expired tasks leave the table before it is consulted, so a hit below
-	// is always inside its retention window.
+	// is always inside its retention window (local recursion reaches here
+	// without a message).
 	e.sweep(node.Sched().Now())
 	qid := h.QueryID
 	key := taskKey{qid: qid, lo: lo, hi: hi}
@@ -916,9 +922,10 @@ func (e *Engine) finish(t *task) {
 }
 
 // sweep drops the finished tasks whose retention has run out. beginTask
-// calls it before every lookup, so expiry needs no timer: an expired task
-// is never found, and the table is trimmed at the rate it is filled. The
-// delete is by identity, like every removal from the engine's tables.
+// calls it before every lookup, so an expired task is never found, and
+// HandleMessage on every message the endsystem receives, so one leaves the
+// table at the first message after its retention: expiry needs no timer.
+// The delete is by identity, like every removal from the engine's tables.
 func (e *Engine) sweep(now time.Duration) {
 	for t := e.retired; t != nil && t.expires <= now; t = e.retired {
 		// Unlink fully: a response in flight is t and keeps it alive, and

@@ -597,6 +597,37 @@ func TestRestartMidQueryKeepsNewTask(t *testing.T) {
 	}
 }
 
+// TestFinishedTaskLeavesAtNextMessage: a finished task leaves the table at
+// the first message the endsystem receives once its retention has run out,
+// whatever the message is — here one for another layer — and not before.
+// No range request has to come along.
+func TestFinishedTaskLeavesAtNextMessage(t *testing.T) {
+	r := newRig(t, 128, 11, rigConfig())
+	qid := ids.HashString("next message")
+	g := r.empties[0]
+	r.request(qid, g, 2)
+	key := taskKey{qid, g.lo, g.hi}
+	if tk := r.e.tasks[key]; tk == nil || !tk.finished {
+		t.Fatal("the leaf task did not finish")
+	}
+	type otherLayer struct{}
+	r.advance(retention - time.Second)
+	if r.e.HandleMessage(2, &otherLayer{}) {
+		t.Fatal("the engine claimed another layer's message")
+	}
+	if r.e.tasks[key] == nil {
+		t.Fatal("the task left before its retention ran out")
+	}
+	r.advance(time.Second)
+	if r.e.tasks[key] == nil {
+		t.Fatal("the task left without a message")
+	}
+	r.e.HandleMessage(2, &otherLayer{})
+	if len(r.e.tasks) != 0 || r.e.retired != nil || r.e.retiredTail != nil {
+		t.Fatalf("after the first message past its retention: %d tasks, %d queued for expiry", len(r.e.tasks), r.e.queued())
+	}
+}
+
 // TestFinishedAccFrozen checks that what a finished task's response is
 // read for never changes: every response is the task itself, so a write to
 // its key, its respCause or its acc — or to buckets acc would allocate
