@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench sweep-smoke coords-smoke workload-smoke trace-smoke check clean
+.PHONY: all build vet fmt test race bench sweep-smoke workload-smoke trace-smoke check clean
 
 all: check
 
@@ -34,16 +34,6 @@ bench:
 # exercises the engine and the sweep's JSONL records end to end.
 sweep-smoke:
 	$(GO) run ./cmd/seaweed-sim -sweep -smoke -parallel 2 -out sweep-smoke
-
-# coords-smoke is the CI gate for the network-coordinate subsystem: the
-# unit suite (Vivaldi convergence, ball-tree vs brute force, frozen
-# scopes) and one end-to-end CLI run of the RTT-scoped query demo, which
-# exits 1 itself if the scoped result diverges from the brute-force
-# oracle. The paired ablation study (TestCoordsSmoke, TestCoordsFullScale)
-# runs under `make test`.
-coords-smoke:
-	$(GO) test -v ./internal/coords/
-	$(GO) run ./cmd/seaweed-sim -coords -rtt-scope 50ms -smoke
 
 # workload-smoke is the CI query-service gate: one end-to-end CLI sweep,
 # which exits 1 itself if an ablation tooth on interactive p99 fails.

@@ -21,8 +21,7 @@
 //	seaweed-sim -workload heavy -out report     # also write report.json
 //	seaweed-sim -workload spike -qps 400        # spike preset at 400 interactive queries/hour
 //	seaweed-sim -workload heavy -ablate admission  # serve one ablated variant only
-//	seaweed-sim -coords -fig 9a                 # Vivaldi coordinates on inside the run
-//	seaweed-sim -coords -rtt-scope 50ms -smoke  # RTT-scoped query demo + oracle audit
+//	seaweed-sim -rtt-scope 50ms -smoke          # RTT-scoped query demo + oracle audit
 //
 // -chaos runs a scripted fault scenario (partition, burstloss, flap,
 // mixed, straggler) against an always-on invariant checker and prints the
@@ -43,16 +42,11 @@
 // worker count. Each run is one single-threaded event wheel. -smoke
 // shrinks every dimension for CI smoke tests.
 //
-// -coords enables the Vivaldi network-coordinate subsystem inside every
-// simulation run: coordinates are maintained from RTT samples on existing
-// protocol traffic and bias delegate and aggregation-entry selection
-// toward nearby peers (byte-deterministic per seed). With
-// -rtt-scope T the invocation instead runs the scoped-query demo — the
-// Figure 9 query restricted to the endsystems within predicted RTT T of
-// the injector — and audits the converged result against a brute-force
-// oracle over the frozen coordinate snapshot; exit status 1 on any
-// mismatch. -rtt-scope without -coords is refused rather than silently
-// running unscoped.
+// -rtt-scope T runs the scoped-query demo on a cluster with Vivaldi
+// network coordinates on: the Figure 9 query restricted to the endsystems
+// within predicted RTT T of the injector, its converged result audited
+// against a brute-force oracle over the frozen coordinate snapshot; exit
+// status 1 on any mismatch.
 //
 // The trace file is JSONL, one query-lifecycle event per line, with
 // causal span links; decompose per-query delay with
@@ -91,8 +85,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the Figures 5–8 completeness sweep through the parallel engine")
 	parallel := flag.Int("parallel", 0, "engine workers for independent runs (0 = all cores, 1 = serial)")
 	smoke := flag.Bool("smoke", false, "shrink every dimension for a fast smoke run")
-	coordsOn := flag.Bool("coords", false, "enable the Vivaldi network-coordinate subsystem inside each simulation run (latency-biased delegate and aggregation-entry selection; required by -rtt-scope)")
-	rttScope := flag.Duration("rtt-scope", 0, "run the RTT-scoped query demo: inject the Figure 9 query restricted to the endsystems within this predicted RTT of the injector and audit the result against the brute-force oracle; requires -coords")
+	rttScope := flag.Duration("rtt-scope", 0, "run the RTT-scoped query demo with network coordinates on: inject the Figure 9 query restricted to the endsystems within this predicted RTT of the injector and audit the result against the brute-force oracle")
 	outPrefix := flag.String("out", "", "write sweep records to <out>.jsonl, or the -chaos / -workload report to <out>.json")
 	seed := flag.Int64("seed", 1, "random seed")
 	tracePath := flag.String("trace", "", "write query-lifecycle trace events to this JSONL file")
@@ -106,13 +99,6 @@ func main() {
 
 	if *rttScope < 0 {
 		fmt.Fprintln(os.Stderr, "seaweed-sim: -rtt-scope must be a positive duration")
-		os.Exit(2)
-	}
-	if *rttScope > 0 && !*coordsOn {
-		// An RTT scope is meaningless without the coordinate space that
-		// defines it: refuse the combination outright rather than silently
-		// running the query unscoped.
-		fmt.Fprintln(os.Stderr, "seaweed-sim: -rtt-scope requires -coords (scope membership is defined over the Vivaldi coordinate space); add -coords or drop -rtt-scope")
 		os.Exit(2)
 	}
 	if *cpuProfile != "" {
@@ -141,7 +127,6 @@ func main() {
 	}
 	s.Seed = *seed
 	s.Workers = *parallel
-	s.Coords = *coordsOn
 	w := os.Stdout
 
 	// One shared observability layer across every run this invocation

@@ -76,11 +76,7 @@ func main() {
 	}
 
 	if *fig == 1 {
-		s := experiments.QuickScale()
-		s.CompletenessN = *n
-		s.Horizon = horizon
-		s.Seed = *seed
-		experiments.Fig1(s).Render(os.Stdout)
+		experiments.Fig1(trace).Render(os.Stdout)
 		return
 	}
 	for h, f := range trace.HourlySeries() {

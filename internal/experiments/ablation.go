@@ -103,16 +103,13 @@ func AblationPredictorMode(s Scale) *PredictorModeResult {
 		cfg.Obs = sc.Obs
 		cfg.RunnerStats = sc.RunnerStats
 		res := core.RunCompletenessStudy(cfg)[0][0]
-		maxE, sumE, n := 0.0, 0.0, 0.0
+		maxE, sumE := 0.0, 0.0
 		for _, d := range ErrorCheckpoints {
 			e := math.Abs(res.PredictionErrorAt(d))
-			if e > maxE {
-				maxE = e
-			}
+			maxE = max(maxE, e)
 			sumE += e
-			n++
 		}
-		return errs{maxE: maxE, avgE: sumE / n}
+		return errs{maxE: maxE, avgE: sumE / float64(len(ErrorCheckpoints))}
 	})
 	for i, e := range runs {
 		out.Modes = append(out.Modes, modes[i].name)
@@ -166,12 +163,12 @@ func AblationHistogram(s Scale) *HistogramAblationResult {
 			if col < 0 {
 				continue
 			}
-			values := columnValues(tbl, pred.Col)
+			values := tbl.ColumnValues(pred.Col)
 			exact, err := tbl.CountMatching(q, 0)
 			if err != nil || exact == 0 {
 				continue
 			}
-			// columnValues already returned a caller-owned copy, so
+			// ColumnValues already returned a caller-owned copy, so
 			// BuildEquiDepth may sort it in place directly; BuildEquiWidth
 			// is order-insensitive, so sharing the (sorted) slice is fine.
 			width := histogram.BuildEquiWidth(values, relq.HistogramBuckets)
@@ -192,13 +189,6 @@ func AblationHistogram(s Scale) *HistogramAblationResult {
 		out.WidthSize = append(out.WidthSize, widthSize/n)
 	}
 	return out
-}
-
-// columnValues extracts one column of a table via its summary-facing API.
-func columnValues(tbl *relq.Table, col string) []int64 {
-	// relq keeps storage private; re-run the generator-level extraction by
-	// scanning with a match-all plan and accumulating the aggregate column.
-	return tbl.ColumnValues(col)
 }
 
 // estimate evaluates a single predicate against a histogram.

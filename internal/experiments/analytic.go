@@ -46,7 +46,7 @@ func Table2() *Table2Result {
 	return r
 }
 
-// WriteTo renders the table.
+// Render writes the table.
 func (r *Table2Result) Render(w io.Writer) {
 	header(w, "Table 2: expected availability in PIER (e^-ct)",
 		"time_since_refresh", "farsite", "gnutella")
@@ -65,7 +65,7 @@ type SweepResult struct {
 	Overhead [][]float64 // [design][point], bytes/s systemwide
 }
 
-// WriteTo renders the sweep as a data table, one row per sweep point.
+// Render writes the sweep as a data table, one row per sweep point.
 func (r *SweepResult) Render(w io.Writer) {
 	cols := []string{r.Param}
 	for _, d := range r.Designs {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/avail"
@@ -26,15 +27,14 @@ type Fig1Result struct {
 	Stats avail.Stats
 }
 
-// Fig1 regenerates the Farsite availability picture: the hourly fraction
-// of available endsystems across the trace, with the aggregate statistics
-// the paper quotes (mean availability ≈ 0.81, strong periodicity).
-func Fig1(s Scale) *Fig1Result {
-	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(s.CompletenessN, s.Horizon, s.Seed))
+// Fig1 regenerates the availability picture of a trace: the hourly
+// fraction of available endsystems, with the aggregate statistics the
+// paper quotes for Farsite (mean availability ≈ 0.81, strong periodicity).
+func Fig1(trace *avail.Trace) *Fig1Result {
 	return &Fig1Result{Hours: trace.HourlySeries(), Stats: trace.ComputeStats()}
 }
 
-// WriteTo renders the series.
+// Render writes the series.
 func (r *Fig1Result) Render(w io.Writer) {
 	header(w, fmt.Sprintf(
 		"Figure 1: endsystem availability by hour (mean %.3f, departures/online-s %.3g)",
@@ -88,7 +88,7 @@ func RunCompletenessFigure(s Scale, qi int) *CompletenessFigure {
 	return figs[0]
 }
 
-// WriteTo renders the figure's panels.
+// Render writes the figure's panels.
 func (f *CompletenessFigure) Render(w io.Writer) {
 	header(w, fmt.Sprintf("Figure %d(a): %s — predicted vs actual rows (total row-count error %+.2f%%)",
 		f.Figure, f.SQL, f.TotalRowErr),
@@ -123,19 +123,12 @@ func (f *CompletenessFigure) Render(w io.Writer) {
 // "under 5% in all cases" number.
 func (f *CompletenessFigure) MaxAbsError() float64 {
 	maxAbs := 0.0
-	scan := func(rows [][]float64) {
-		for _, es := range rows {
+	for _, panel := range [][][]float64{f.DayErrors, f.TimeErrors} {
+		for _, es := range panel {
 			for _, e := range es {
-				if e < 0 {
-					e = -e
-				}
-				if e > maxAbs {
-					maxAbs = e
-				}
+				maxAbs = max(maxAbs, math.Abs(e))
 			}
 		}
 	}
-	scan(f.DayErrors)
-	scan(f.TimeErrors)
 	return maxAbs
 }

@@ -10,31 +10,20 @@ import (
 // TestCoordsSmoke is the CI gate for the network-coordinate subsystem:
 // the paired ablation (coords-biased vs id-only trees on the clustered
 // router topology) must show coords strictly winning on both fan-in edge
-// p50 and query p50, and the RTT-scoped query demo must return exactly
+// p50 and query p50, and the RTT-scoped query demo, at the scale of
+// `seaweed-sim -rtt-scope 50ms -smoke`, must return exactly
 // the in-scope rows per the brute-force oracle.
 func TestCoordsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cluster study")
 	}
 	r := CoordsStudy([]int64{1, 2}, true, 0)
-	r.Render(io.Discard)
-	t.Logf("fanin p50 coords=%v base=%v; query p50 coords=%v base=%v; edges=%d queries=%d err=%.3f",
-		r.CoordsFaninP50, r.BaseFaninP50, r.CoordsQueryP50, r.BaseQueryP50,
-		r.EntryEdges, r.Queries, r.MeanCoordErr)
-	if r.EntryEdges == 0 || r.Queries == 0 {
-		t.Fatalf("study measured nothing: %d entry edges, %d queries", r.EntryEdges, r.Queries)
-	}
-	if r.CoordsFaninP50 >= r.BaseFaninP50 {
-		t.Errorf("coords fan-in edge p50 %v does not strictly beat id-only %v",
-			r.CoordsFaninP50, r.BaseFaninP50)
-	}
-	if r.CoordsQueryP50 >= r.BaseQueryP50 {
-		t.Errorf("coords query p50 %v does not strictly beat id-only %v",
-			r.CoordsQueryP50, r.BaseQueryP50)
-	}
-	if r.MeanCoordErr <= 0 || r.MeanCoordErr >= 1.0 {
-		t.Errorf("mean Vivaldi relative error %.3f outside (0, 1.0): space did not converge",
-			r.MeanCoordErr)
+	var buf bytes.Buffer
+	r.Render(&buf)
+	t.Logf("\n%s", buf.String())
+	checkCoordsTeeth(t, r)
+	if e := r.Means[coordsArm]["coord_error"]; e <= 0 || e >= 1.0 {
+		t.Errorf("mean Vivaldi relative error %.3f outside (0, 1.0): space did not converge", e)
 	}
 
 	s := QuickScale()
@@ -58,8 +47,8 @@ func TestCoordsSmoke(t *testing.T) {
 
 // TestCoordsFullScale holds the study's teeth on the numbers DESIGN.md and
 // EXPERIMENTS.md quote: the full-scale paired ablation over seeds 1..6
-// (the logged table is theirs; 26.29 vs 31.98 ms fan-in edge p50 and 386.3
-// vs 501.5 ms query p50 when last recorded).
+// (the logged table is theirs; 26.40 vs 31.98 ms fan-in edge p50 and 384.9
+// vs 501.3 ms query p50 when last recorded).
 func TestCoordsFullScale(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("12 full-scale cluster runs")
@@ -68,15 +57,26 @@ func TestCoordsFullScale(t *testing.T) {
 	var buf bytes.Buffer
 	r.Render(&buf)
 	t.Logf("\n%s", buf.String())
-	if r.EntryEdges == 0 || r.Queries == 0 {
-		t.Fatalf("study measured nothing: %d entry edges, %d queries", r.EntryEdges, r.Queries)
-	}
-	if r.CoordsFaninP50 >= r.BaseFaninP50 {
-		t.Errorf("coords fan-in edge p50 %v does not strictly beat id-only %v",
-			r.CoordsFaninP50, r.BaseFaninP50)
-	}
-	if r.CoordsQueryP50 >= r.BaseQueryP50 {
-		t.Errorf("coords query p50 %v does not strictly beat id-only %v",
-			r.CoordsQueryP50, r.BaseQueryP50)
+	checkCoordsTeeth(t, r)
+}
+
+// The arms of CoordsStudy.
+const (
+	coordsArm = 0
+	idOnlyArm = 1
+)
+
+// checkCoordsTeeth asserts the study's teeth: with coordinates on, the
+// fan-in edge p50 and the query p50 strictly beat the id-only trees.
+func checkCoordsTeeth(t *testing.T, r *PairedResult) {
+	t.Helper()
+	for _, name := range []string{"fanin_edge", "query"} {
+		if len(r.Pooled[coordsArm][name]) == 0 {
+			t.Fatalf("study measured no %s samples", name)
+		}
+		c, b := r.Quantile(coordsArm, name, 0.5), r.Quantile(idOnlyArm, name, 0.5)
+		if c >= b {
+			t.Errorf("coords %s p50 %v does not strictly beat id-only %v", name, c, b)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/avail"
@@ -48,11 +49,6 @@ type Scale struct {
 	// GOMAXPROCS, 1 = serial). Results are identical at any value; an
 	// attached tracer forces serial so the event stream stays whole.
 	Workers int
-	// Coords enables the Vivaldi network-coordinate subsystem inside every
-	// cluster the experiment builds (latency-biased delegate and
-	// aggregation-entry selection; RTT-scoped queries become available).
-	// Off by default: the id-only baseline stays byte-identical.
-	Coords bool
 	// RunnerStats, when non-nil, accumulates pool timing across every
 	// experiment run through it (the sweep prints it).
 	RunnerStats *runner.Stats
@@ -162,15 +158,7 @@ func row(w io.Writer, cells ...any) {
 
 // header prints a commented header line.
 func header(w io.Writer, title string, cols ...string) {
-	fmt.Fprintf(w, "# %s\n", title)
-	fmt.Fprint(w, "# ")
-	for i, c := range cols {
-		if i > 0 {
-			fmt.Fprint(w, "\t")
-		}
-		fmt.Fprint(w, c)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "# %s\n# %s\n", title, strings.Join(cols, "\t"))
 }
 
 // fmtDuration renders durations compactly for tables.

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/avail"
 	"repro/internal/model"
 )
 
@@ -119,7 +121,7 @@ func TestFig4SmallDataFavorsCentralized(t *testing.T) {
 
 func TestFig1AvailabilityShape(t *testing.T) {
 	s := tinyScale()
-	r := Fig1(s)
+	r := Fig1(avail.GenerateFarsite(avail.DefaultFarsiteConfig(s.CompletenessN, s.Horizon, s.Seed)))
 	if len(r.Hours) < 24 {
 		t.Fatal("too few samples")
 	}
@@ -130,6 +132,19 @@ func TestFig1AvailabilityShape(t *testing.T) {
 	r.Render(&buf)
 	if len(strings.Split(buf.String(), "\n")) < len(r.Hours) {
 		t.Error("render truncated")
+	}
+}
+
+// TestFig1RendersItsTrace: Figure 1 plots the trace it is given, so a
+// Gnutella trace's header carries that trace's mean availability (about
+// 0.31 here), not a Farsite trace's (about 0.86).
+func TestFig1RendersItsTrace(t *testing.T) {
+	trace := avail.GenerateGnutella(avail.DefaultGnutellaConfig(200, 48*time.Hour, 1))
+	var buf bytes.Buffer
+	Fig1(trace).Render(&buf)
+	want := fmt.Sprintf("(mean %.3f,", trace.ComputeStats().MeanAvailability)
+	if first, _, _ := strings.Cut(buf.String(), "\n"); !strings.Contains(first, want) {
+		t.Fatalf("Figure 1 header %q does not carry the trace's %q", first, want)
 	}
 }
 

@@ -15,23 +15,30 @@ var hedgeStudySeeds = []int64{1, 2, 3, 4, 5}
 // ablated runs (measured: 2.3% at smoke scale, 1.6% at full scale).
 const hedgeSendsBudget = 1.05
 
+// The arms of HedgeStudy.
+const (
+	ladderArm  = 0
+	ablatedArm = 1
+)
+
 // checkHedgeTeeth asserts the study's two teeth: tail completion with the
 // ladder on strictly beats the ablated runs, within the message budget.
-func checkHedgeTeeth(t *testing.T, r *HedgeStudyResult) {
+func checkHedgeTeeth(t *testing.T, r *PairedResult) {
 	t.Helper()
 	var buf bytes.Buffer
 	r.Render(&buf)
 	t.Logf("\n%s", buf.String())
-	if r.TotalReasserts == 0 {
+	if r.Means[ladderArm]["reasserts"] == 0 {
 		t.Fatal("no re-assertion fired across any seed: the ladder never engaged")
 	}
-	if r.HedgedP99 >= r.AblatedP99 {
-		t.Fatalf("hedged p99 completion %v does not strictly beat ablated %v: the ablation has no teeth",
-			r.HedgedP99, r.AblatedP99)
+	ladder, ablated := r.Quantile(ladderArm, "complete", 0.99), r.Quantile(ablatedArm, "complete", 0.99)
+	if ladder >= ablated {
+		t.Fatalf("ladder p99 completion %v does not strictly beat ablated %v: the ablation has no teeth",
+			ladder, ablated)
 	}
-	if r.SendsRatio > hedgeSendsBudget {
+	if ratio := r.Means[ladderArm]["net_sends"] / r.Means[ablatedArm]["net_sends"]; ratio > hedgeSendsBudget {
 		t.Fatalf("the ladder cost %.1f%% extra messages, budget is %.0f%%",
-			100*(r.SendsRatio-1), 100*(hedgeSendsBudget-1))
+			100*(ratio-1), 100*(hedgeSendsBudget-1))
 	}
 }
 
@@ -43,18 +50,18 @@ func checkHedgeTeeth(t *testing.T, r *HedgeStudyResult) {
 func TestHedgeSmoke(t *testing.T) {
 	r := HedgeStudy(hedgeStudySeeds, true, 0)
 
-	for _, p := range r.Pairs {
-		if !p.HedgedOK {
-			t.Errorf("seed %d: hedged run violated a fault invariant", p.Seed)
+	for i, runs := range r.Runs {
+		seed := r.Seeds[i]
+		for a, run := range runs {
+			if !run.OK {
+				t.Errorf("seed %d: %s run violated a fault invariant", seed, r.Arms[a])
+			}
 		}
-		if !p.AblatedOK {
-			t.Errorf("seed %d: ablated run violated a fault invariant", p.Seed)
+		if runs[ladderArm].Values["final_rows"] != runs[ablatedArm].Values["final_rows"] {
+			t.Errorf("seed %d: ladder and ablated runs converged to different final rows", seed)
 		}
-		if !p.RowsEqual {
-			t.Errorf("seed %d: hedged and ablated runs converged to different final rows", p.Seed)
-		}
-		if p.HedgedComplete < 0 {
-			t.Errorf("seed %d: hedged run never reached 100%% before measurement ended", p.Seed)
+		if runs[ladderArm].Samples["complete"][0] == never {
+			t.Errorf("seed %d: ladder run never reached 100%% before measurement ended", seed)
 		}
 	}
 	checkHedgeTeeth(t, r)

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/avail"
-	"repro/internal/coords"
 	"repro/internal/core"
 	"repro/internal/dissem"
 	"repro/internal/obs"
@@ -31,9 +31,6 @@ type packetRun struct {
 // injectAt, and runs to the trace horizon.
 func runPacket(s Scale, trace *avail.Trace, seed int64) *packetRun {
 	cfg := s.clusterConfig(trace, seed)
-	if s.Coords {
-		cfg.Coords = coords.Enabled()
-	}
 	// The paper lets the Figure 9 query run to the end of the simulation
 	// (weeks), so the default 48 h query TTL is disabled here.
 	cfg.Node.Agg.QueryTTL = 0
@@ -74,23 +71,19 @@ func fig9aFrom(run *packetRun) *Fig9aResult {
 	maintTl := st.ClassTxTimeline(simnet.ClassMaintenance)
 	queryTl := st.ClassTxTimeline(simnet.ClassQuery)
 	n := float64(run.Trace.NumEndsystems())
-	var sumTotal, sumBuckets float64
+	var sumTotal float64
 	for b := 0; b < buckets; b++ {
 		mid := time.Duration(b)*st.Bucket() + st.Bucket()/2
 		frac := run.Trace.FractionAvailable(mid)
-		online := frac * n
-		if online < 1 {
-			online = 1
-		}
+		online := max(frac*n, 1)
 		r.OnlineFraction = append(r.OnlineFraction, frac)
 		r.Pastry = append(r.Pastry, pastryTl[b]/online)
 		r.Maintenance = append(r.Maintenance, maintTl[b]/online)
 		r.Query = append(r.Query, queryTl[b]/online)
 		sumTotal += (pastryTl[b] + maintTl[b] + queryTl[b]) / online
-		sumBuckets++
 	}
-	if sumBuckets > 0 {
-		r.MeanTotalPerOnline = sumTotal / sumBuckets
+	if buckets > 0 {
+		r.MeanTotalPerOnline = sumTotal / float64(buckets)
 	}
 	if run.Handle.Predictor != nil {
 		r.PredictorLatency = run.Handle.PredictorAt - run.Handle.Injected
@@ -98,7 +91,7 @@ func fig9aFrom(run *packetRun) *Fig9aResult {
 	return r
 }
 
-// WriteTo renders the timeline.
+// Render writes the timeline.
 func (r *Fig9aResult) Render(w io.Writer) {
 	header(w, fmt.Sprintf(
 		"Figure 9(a): overhead timeline, B/s per online endsystem (mean %.1f; predictor latency %v)",
@@ -145,7 +138,7 @@ func (r *Fig9bResult) MeanOnlineTx() float64 {
 	return r.Tx.Mean / (1 - r.Tx.ZeroFraction)
 }
 
-// WriteTo renders the CDF.
+// Render writes the CDF.
 func (r *Fig9bResult) Render(w io.Writer) {
 	header(w, fmt.Sprintf(
 		"Figure 9(b): per-endsystem-hour bandwidth CDF (tx mean/online %.1f B/s, p99 %.1f; rx p99 %.1f)",
@@ -193,19 +186,13 @@ func Fig9c(s Scale, seeds []int64) *Fig9cResult {
 	}
 	for i := range means {
 		for j := i + 1; j < len(means); j++ {
-			gap := means[i] - means[j]
-			if gap < 0 {
-				gap = -gap
-			}
-			if gap > r.MaxMeanGap {
-				r.MaxMeanGap = gap
-			}
+			r.MaxMeanGap = max(r.MaxMeanGap, math.Abs(means[i]-means[j]))
 		}
 	}
 	return r
 }
 
-// WriteTo renders summary statistics per seed.
+// Render writes the CDF point count per seed.
 func (r *Fig9cResult) Render(w io.Writer) {
 	header(w, fmt.Sprintf(
 		"Figure 9(c): load CDFs under %d endsystemId assignments (max mean gap %.3g B/s)",
@@ -303,7 +290,7 @@ func Fig10(s Scale) *Fig10Result {
 	}
 }
 
-// WriteTo renders both panels.
+// Render writes both panels.
 func (r *Fig10Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "# Figure 10: high-churn overhead (departures/online-s %.3g)\n",
 		r.Stats.DeparturesPerOnlineSecond)
@@ -344,7 +331,7 @@ func Fig2(s Scale) *Fig2Result {
 	return r
 }
 
-// WriteTo renders the predictor curve.
+// Render writes the predictor curve.
 func (r *Fig2Result) Render(w io.Writer) {
 	if r.Pred == nil {
 		fmt.Fprintln(w, "# Figure 2: no predictor (injection failed)")

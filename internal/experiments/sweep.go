@@ -96,13 +96,11 @@ func completenessFigures(s Scale, qis []int) ([]*CompletenessFigure, []SweepReco
 
 		out.DayLabels = dayLabels
 		out.TimeLabels = timeLabels
-		out.DayErrors = append(out.DayErrors, errorsAt(results[0]))
-		for d := 1; d < 4; d++ {
-			out.DayErrors = append(out.DayErrors, errorsAt(results[d]))
+		for _, j := range []int{0, 1, 2, 3} {
+			out.DayErrors = append(out.DayErrors, errorsAt(results[j]))
 		}
-		out.TimeErrors = append(out.TimeErrors, errorsAt(results[0]))
-		for h := 1; h < 4; h++ {
-			out.TimeErrors = append(out.TimeErrors, errorsAt(results[3+h]))
+		for _, j := range []int{0, 4, 5, 6} {
+			out.TimeErrors = append(out.TimeErrors, errorsAt(results[j]))
 		}
 		figs[fi] = out
 
@@ -171,15 +169,4 @@ func (r *CompletenessSweepResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "# sweep: %d runs, %d workers, wall %v, busy %v, speedup %.2fx\n",
 		r.Stats.Runs, r.Stats.Workers, r.Stats.Wall.Round(time.Millisecond),
 		r.Stats.Busy.Round(time.Millisecond), r.Stats.Speedup())
-}
-
-// MaxAbsError returns the largest |prediction error| across all figures.
-func (r *CompletenessSweepResult) MaxAbsError() float64 {
-	maxAbs := 0.0
-	for _, f := range r.Figures {
-		if e := f.MaxAbsError(); e > maxAbs {
-			maxAbs = e
-		}
-	}
-	return maxAbs
 }

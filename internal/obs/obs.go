@@ -29,11 +29,13 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -284,13 +286,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // Percentile returns the exact q-quantile (q in [0,1]) of unsorted
 // samples by nearest rank: the ceil(q·n)-th smallest, so the p50 of two
-// samples is the smaller and the p99 of 100 is the 99th. 0 when empty.
-func Percentile(samples []time.Duration, q float64) time.Duration {
+// samples is the smaller and the p99 of 100 is the 99th. The zero value
+// when empty. It is the tree's one rule for picking a rank from samples.
+func Percentile[T cmp.Ordered](samples []T, q float64) T {
 	if len(samples) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(samples)
+	slices.Sort(s)
 	idx := int(math.Ceil(q*float64(len(s)))) - 1
 	return s[max(0, min(idx, len(s)-1))]
 }

@@ -140,6 +140,31 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestPercentileNearestRank: Percentile is exact nearest rank, ceil(q·n),
+// on any ordered sample type, and leaves its input unsorted.
+func TestPercentileNearestRank(t *testing.T) {
+	two := []float64{3.5, 1.25}
+	if got := Percentile(two, 0.50); got != 1.25 {
+		t.Fatalf("p50 of %v = %g, want the smaller, 1.25", two, got)
+	}
+	if two[0] != 3.5 {
+		t.Fatalf("Percentile sorted its input: %v", two)
+	}
+	hundred := make([]float64, 100)
+	for i := range hundred {
+		hundred[i] = float64(100 - i) // 100..1
+	}
+	if got := Percentile(hundred, 0.99); got != 99 {
+		t.Fatalf("p99 of 1..100 = %g, want 99", got)
+	}
+	if got := Percentile(hundred[90:], 0.99); got != 10 {
+		t.Fatalf("p99 of 1..10 = %g, want the 10th, 10", got)
+	}
+	if got := Percentile([]float64(nil), 0.5); got != 0 {
+		t.Fatalf("p50 of nothing = %g, want 0", got)
+	}
+}
+
 func TestHistogramAllZeroSamples(t *testing.T) {
 	h := &Histogram{}
 	for i := 0; i < 10; i++ {

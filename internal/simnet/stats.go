@@ -3,6 +3,8 @@ package simnet
 import (
 	"sort"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Stats accumulates bandwidth accounting for a simulation run. All byte
@@ -139,8 +141,8 @@ type Distribution struct {
 	N                        int
 }
 
-// Summarize computes a Distribution over samples. The sample slice is
-// sorted in place.
+// Summarize computes a Distribution over samples, its percentiles by
+// obs.Percentile's nearest rank. The sample slice is sorted in place.
 func Summarize(samples []float64) Distribution {
 	d := Distribution{N: len(samples)}
 	if len(samples) == 0 {
@@ -155,14 +157,10 @@ func Summarize(samples []float64) Distribution {
 			zero++
 		}
 	}
-	pct := func(p float64) float64 {
-		i := int(p * float64(len(samples)-1))
-		return samples[i]
-	}
 	d.Mean = sum / float64(len(samples))
-	d.P50 = pct(0.50)
-	d.P90 = pct(0.90)
-	d.P99 = pct(0.99)
+	d.P50 = obs.Percentile(samples, 0.50)
+	d.P90 = obs.Percentile(samples, 0.90)
+	d.P99 = obs.Percentile(samples, 0.99)
 	d.Max = samples[len(samples)-1]
 	d.ZeroFraction = float64(zero) / float64(len(samples))
 	return d

@@ -44,6 +44,12 @@ func TestSummarizePercentiles(t *testing.T) {
 	if d.Mean != 50.5 {
 		t.Fatalf("mean = %g, want 50.5", d.Mean)
 	}
+	// Nearest rank, ceil(q·n): on 1..10 the p99 is the 10th sample (the
+	// floor(q·(n-1)) rule Summarize used before obs.Percentile gave 9).
+	ten := []float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
+	if d := Summarize(ten); d.P50 != 5 || d.P90 != 9 || d.P99 != 10 {
+		t.Fatalf("1..10 percentiles = p50 %g p90 %g p99 %g, want 5 9 10", d.P50, d.P90, d.P99)
+	}
 }
 
 func TestCDFEmpty(t *testing.T) {
