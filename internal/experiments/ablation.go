@@ -103,13 +103,16 @@ func AblationPredictorMode(s Scale) *PredictorModeResult {
 		cfg.Obs = sc.Obs
 		cfg.RunnerStats = sc.RunnerStats
 		res := core.RunCompletenessStudy(cfg)[0][0]
-		maxE, sumE := 0.0, 0.0
+		maxE, sumE, n := 0.0, 0.0, 0.0
 		for _, d := range ErrorCheckpoints {
 			e := math.Abs(res.PredictionErrorAt(d))
-			maxE = max(maxE, e)
+			if e > maxE {
+				maxE = e
+			}
 			sumE += e
+			n++
 		}
-		return errs{maxE: maxE, avgE: sumE / float64(len(ErrorCheckpoints))}
+		return errs{maxE: maxE, avgE: sumE / n}
 	})
 	for i, e := range runs {
 		out.Modes = append(out.Modes, modes[i].name)

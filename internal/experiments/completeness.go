@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"repro/internal/avail"
@@ -123,12 +122,19 @@ func (f *CompletenessFigure) Render(w io.Writer) {
 // "under 5% in all cases" number.
 func (f *CompletenessFigure) MaxAbsError() float64 {
 	maxAbs := 0.0
-	for _, panel := range [][][]float64{f.DayErrors, f.TimeErrors} {
-		for _, es := range panel {
+	scan := func(rows [][]float64) {
+		for _, es := range rows {
 			for _, e := range es {
-				maxAbs = max(maxAbs, math.Abs(e))
+				if e < 0 {
+					e = -e
+				}
+				if e > maxAbs {
+					maxAbs = e
+				}
 			}
 		}
 	}
+	scan(f.DayErrors)
+	scan(f.TimeErrors)
 	return maxAbs
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/avail"
@@ -158,7 +157,15 @@ func row(w io.Writer, cells ...any) {
 
 // header prints a commented header line.
 func header(w io.Writer, title string, cols ...string) {
-	fmt.Fprintf(w, "# %s\n# %s\n", title, strings.Join(cols, "\t"))
+	fmt.Fprintf(w, "# %s\n", title)
+	fmt.Fprint(w, "# ")
+	for i, c := range cols {
+		if i > 0 {
+			fmt.Fprint(w, "\t")
+		}
+		fmt.Fprint(w, c)
+	}
+	fmt.Fprintln(w)
 }
 
 // fmtDuration renders durations compactly for tables.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"repro/internal/avail"
@@ -71,19 +70,23 @@ func fig9aFrom(run *packetRun) *Fig9aResult {
 	maintTl := st.ClassTxTimeline(simnet.ClassMaintenance)
 	queryTl := st.ClassTxTimeline(simnet.ClassQuery)
 	n := float64(run.Trace.NumEndsystems())
-	var sumTotal float64
+	var sumTotal, sumBuckets float64
 	for b := 0; b < buckets; b++ {
 		mid := time.Duration(b)*st.Bucket() + st.Bucket()/2
 		frac := run.Trace.FractionAvailable(mid)
-		online := max(frac*n, 1)
+		online := frac * n
+		if online < 1 {
+			online = 1
+		}
 		r.OnlineFraction = append(r.OnlineFraction, frac)
 		r.Pastry = append(r.Pastry, pastryTl[b]/online)
 		r.Maintenance = append(r.Maintenance, maintTl[b]/online)
 		r.Query = append(r.Query, queryTl[b]/online)
 		sumTotal += (pastryTl[b] + maintTl[b] + queryTl[b]) / online
+		sumBuckets++
 	}
-	if buckets > 0 {
-		r.MeanTotalPerOnline = sumTotal / float64(buckets)
+	if sumBuckets > 0 {
+		r.MeanTotalPerOnline = sumTotal / sumBuckets
 	}
 	if run.Handle.Predictor != nil {
 		r.PredictorLatency = run.Handle.PredictorAt - run.Handle.Injected
@@ -186,7 +189,13 @@ func Fig9c(s Scale, seeds []int64) *Fig9cResult {
 	}
 	for i := range means {
 		for j := i + 1; j < len(means); j++ {
-			r.MaxMeanGap = max(r.MaxMeanGap, math.Abs(means[i]-means[j]))
+			gap := means[i] - means[j]
+			if gap < 0 {
+				gap = -gap
+			}
+			if gap > r.MaxMeanGap {
+				r.MaxMeanGap = gap
+			}
 		}
 	}
 	return r

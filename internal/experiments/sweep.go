@@ -96,11 +96,13 @@ func completenessFigures(s Scale, qis []int) ([]*CompletenessFigure, []SweepReco
 
 		out.DayLabels = dayLabels
 		out.TimeLabels = timeLabels
-		for _, j := range []int{0, 1, 2, 3} {
-			out.DayErrors = append(out.DayErrors, errorsAt(results[j]))
+		out.DayErrors = append(out.DayErrors, errorsAt(results[0]))
+		for d := 1; d < 4; d++ {
+			out.DayErrors = append(out.DayErrors, errorsAt(results[d]))
 		}
-		for _, j := range []int{0, 4, 5, 6} {
-			out.TimeErrors = append(out.TimeErrors, errorsAt(results[j]))
+		out.TimeErrors = append(out.TimeErrors, errorsAt(results[0]))
+		for h := 1; h < 4; h++ {
+			out.TimeErrors = append(out.TimeErrors, errorsAt(results[3+h]))
 		}
 		figs[fi] = out
 

@@ -287,7 +287,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Percentile returns the exact q-quantile (q in [0,1]) of unsorted
 // samples by nearest rank: the ceil(q·n)-th smallest, so the p50 of two
 // samples is the smaller and the p99 of 100 is the 99th. The zero value
-// when empty. It is the tree's one rule for picking a rank from samples.
+// when empty.
 func Percentile[T cmp.Ordered](samples []T, q float64) T {
 	if len(samples) == 0 {
 		var zero T
@@ -295,8 +295,15 @@ func Percentile[T cmp.Ordered](samples []T, q float64) T {
 	}
 	s := slices.Clone(samples)
 	slices.Sort(s)
-	idx := int(math.Ceil(q*float64(len(s)))) - 1
-	return s[max(0, min(idx, len(s)-1))]
+	return s[Rank(len(s), q)]
+}
+
+// Rank returns the index of the q-quantile in n > 0 sorted samples by
+// nearest rank, ceil(q·n)−1 clamped to [0, n). It is the tree's one rule
+// for picking a rank from samples: Percentile uses it, and so does code
+// that already holds its samples sorted.
+func Rank(n int, q float64) int {
+	return max(0, min(int(math.Ceil(q*float64(n)))-1, n-1))
 }
 
 // Registry is a named collection of metrics. Handles are get-or-create

@@ -141,8 +141,8 @@ type Distribution struct {
 	N                        int
 }
 
-// Summarize computes a Distribution over samples, its percentiles by
-// obs.Percentile's nearest rank. The sample slice is sorted in place.
+// Summarize computes a Distribution over samples, its percentiles at
+// obs.Rank's nearest rank. The sample slice is sorted in place.
 func Summarize(samples []float64) Distribution {
 	d := Distribution{N: len(samples)}
 	if len(samples) == 0 {
@@ -158,9 +158,9 @@ func Summarize(samples []float64) Distribution {
 		}
 	}
 	d.Mean = sum / float64(len(samples))
-	d.P50 = obs.Percentile(samples, 0.50)
-	d.P90 = obs.Percentile(samples, 0.90)
-	d.P99 = obs.Percentile(samples, 0.99)
+	d.P50 = samples[obs.Rank(len(samples), 0.50)]
+	d.P90 = samples[obs.Rank(len(samples), 0.90)]
+	d.P99 = samples[obs.Rank(len(samples), 0.99)]
 	d.Max = samples[len(samples)-1]
 	d.ZeroFraction = float64(zero) / float64(len(samples))
 	return d
