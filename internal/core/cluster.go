@@ -148,8 +148,15 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if feedPeriod <= 0 {
 		feedPeriod = 15 * time.Minute
 	}
-	var bootstrap []simnet.Endpoint
-	for i := 0; i < n; i++ {
+	// An endsystem's dataset and summary are a pure function of
+	// (cfg.Workload, i) and share nothing with another endsystem's, so they
+	// are built on every core; the nodes are then wired one by one in
+	// endpoint order, as if the build had been sequential.
+	type endsystemData struct {
+		ds      *anemone.Dataset
+		summary *relq.Summary
+	}
+	data := runner.Run(runner.Config{}, n, func(i int) endsystemData {
 		var ds *anemone.Dataset
 		if cfg.Feed.Enabled {
 			// Live updates: start with an empty dataset; rows accrue
@@ -158,6 +165,10 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		} else {
 			ds = anemone.Generate(cfg.Workload, i)
 		}
+		return endsystemData{ds, ds.Summary()}
+	})
+	var bootstrap []simnet.Endpoint
+	for i, d := range data {
 		nodeCfg := cfg.Node
 		// SplitSeed, not an xor mix: sweeps run clusters at sequential
 		// seeds, and cfg.Seed ^ i<<1 made (seed 0, node 1) and (seed 2,
@@ -165,10 +176,10 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		nodeCfg.Seed = runner.SplitSeed(cfg.Seed, int64(i))
 		nodeCfg.Dissem.Coords = c.space
 		nodeCfg.Agg.Coords = c.space
-		c.Nodes[i] = NewNode(ring, simnet.Endpoint(i), idList[i], ds.Tables(),
-			&avail.Model{}, nodeCfg)
+		c.Nodes[i] = NewNode(ring, simnet.Endpoint(i), idList[i], d.ds.Tables(),
+			d.summary, &avail.Model{}, nodeCfg)
 		if cfg.Feed.Enabled {
-			c.Nodes[i].EnableFeed(anemone.NewStreamer(cfg.Workload, i), ds, feedPeriod)
+			c.Nodes[i].EnableFeed(anemone.NewStreamer(cfg.Workload, i), d.ds, feedPeriod)
 		}
 		if cfg.Trace.Profiles[i].AvailableAt(0) {
 			bootstrap = append(bootstrap, simnet.Endpoint(i))

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -101,4 +102,38 @@ func TestTracerDoesNotPerturb(t *testing.T) {
 		t.Fatal("traced run emitted no events")
 	}
 	diffLines(t, "untraced vs traced", plain, traced)
+}
+
+// TestNewClusterBuildWorkerIndependent: NewCluster builds the endsystems'
+// data and summaries on every core, so the cluster must not depend on how
+// many there are. At GOMAXPROCS 1 and 4 every node's encoded summary is
+// the same, and so are the executed-event count and the metrics registry
+// after an hour of simulation.
+func TestNewClusterBuildWorkerIndependent(t *testing.T) {
+	tr := avail.GenerateFarsite(avail.DefaultFarsiteConfig(48, 36*time.Hour, 5))
+	build := func(procs int) (summaries [][]byte, run string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		cfg := DefaultClusterConfig(tr, 5)
+		cfg.Workload.MeanFlowsPerDay = 1000
+		cfg.Obs = obs.New()
+		c := NewCluster(cfg)
+		for _, n := range c.Nodes {
+			summaries = append(summaries, n.Summary().Encode())
+		}
+		c.RunUntil(time.Hour)
+		var out bytes.Buffer
+		fmt.Fprintf(&out, "executed=%d\n", c.Sched.Executed())
+		if err := cfg.Obs.Registry().WriteJSON(&out); err != nil {
+			t.Fatal(err)
+		}
+		return summaries, out.String()
+	}
+	sum1, run1 := build(1)
+	sum4, run4 := build(4)
+	for i := range sum1 {
+		if !bytes.Equal(sum1[i], sum4[i]) {
+			t.Fatalf("node %d: summary differs between GOMAXPROCS 1 and 4", i)
+		}
+	}
+	diffLines(t, "GOMAXPROCS 1 vs 4", run1, run4)
 }

@@ -84,12 +84,14 @@ func DefaultNodeConfig(seed int64) NodeConfig {
 }
 
 // NewNode creates a Seaweed endsystem on the ring at the given endpoint.
-// tables is the endsystem's local horizontal partition; model is its
-// (possibly empty) availability model, updated online as the node cycles.
+// tables is the endsystem's local horizontal partition and summary its
+// data summary (relq.NewSummary over tables); model is its (possibly
+// empty) availability model, updated online as the node cycles.
 func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
-	tables []*relq.Table, model *avail.Model, cfg NodeConfig) *Node {
+	tables []*relq.Table, summary *relq.Summary, model *avail.Model, cfg NodeConfig) *Node {
 	n := &Node{
 		tables:      make(map[string]*relq.Table, len(tables)),
+		summary:     summary,
 		model:       model,
 		resultSinks: make(map[ids.ID]func(agg.Partial, int64, uint64)),
 		prevLeaf:    make(map[simnet.Endpoint]bool),
@@ -104,7 +106,6 @@ func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
 		t.SetExecStats(execStats)
 		n.tables[t.Schema().Name] = t
 	}
-	n.summary = relq.NewSummary(tables...)
 	n.pn = ring.AddNode(ep, id, n)
 	// A second split keeps the metadata stream independent of the node's
 	// other RNG consumers (cfg.Seed is already SplitSeed-derived per node).

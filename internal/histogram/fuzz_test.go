@@ -1,8 +1,10 @@
 package histogram
 
 import (
+	"encoding/binary"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -35,6 +37,37 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, h) {
 			t.Fatalf("round trip changed the histogram: %+v -> %+v", h, again)
+		}
+	})
+}
+
+// FuzzBuildEquiDepth: on any int64 column radixSort gives slices.Sort's
+// order, and BuildEquiDepth leaves its input in that order and builds the
+// histogram the slices.Sort build does. Every 8 bytes of b are one
+// little-endian value, sign-extended from width%64+1 bits so narrow spans
+// (one or two radix passes) are as easy to reach as the full range. The
+// committed corpus (testdata/fuzz/FuzzBuildEquiDepth) holds columns on
+// both sides of the comparison-sort cutoff, at 11, 18, 33 and 64 bits,
+// all-equal and few-valued ones.
+func FuzzBuildEquiDepth(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte, width, buckets uint8) {
+		shift := 63 - width%64
+		vals := make([]int64, len(b)/8)
+		for i := range vals {
+			vals[i] = int64(binary.LittleEndian.Uint64(b[8*i:])<<shift) >> shift
+		}
+		ref := sorted(vals)
+		radix := slices.Clone(vals)
+		radixSort(radix, make([]int64, len(radix)))
+		if !slices.Equal(radix, ref) {
+			t.Fatal("radixSort's order differs from slices.Sort's")
+		}
+		got := BuildEquiDepth(vals, int(buckets))
+		if !slices.Equal(vals, ref) {
+			t.Fatal("BuildEquiDepth left its input out of slices.Sort's order")
+		}
+		if want := equiDepthSorted(ref, int(buckets)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("histogram %+v, want the slices.Sort build's %+v", got, want)
 		}
 	})
 }

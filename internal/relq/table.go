@@ -429,10 +429,12 @@ func (t *Table) BuildSummary() *TableSummary {
 		TotalRows: int64(t.rows),
 		Columns:   make(map[string]histogram.Histogram),
 	}
-	// One decoded copy serves every indexed column in turn: BuildEquiDepth
-	// sorts its input in place (and keeps none of it), so it needs a copy
-	// anyway, and the stored blocks are not []int64 to begin with.
+	// One decoded copy and one radix-sort buffer serve every indexed column
+	// in turn: the equi-depth build sorts its input in place and keeps
+	// neither, and the stored blocks are not []int64 to begin with. The
+	// buffer is allocated by the first column long enough to radix-sort.
 	vals := make([]int64, 0, t.rows)
+	var scratch []int64
 	for i, col := range t.schema.Columns {
 		if !col.Indexed {
 			continue
@@ -442,7 +444,7 @@ func (t *Table) BuildSummary() *TableSummary {
 			ts.Columns[col.Name] = h
 			continue
 		}
-		ts.Columns[col.Name] = histogram.BuildEquiDepth(vals, HistogramBuckets)
+		ts.Columns[col.Name] = histogram.BuildEquiDepthBuf(vals, &scratch, HistogramBuckets)
 	}
 	t.lastSummary = ts
 	return ts
