@@ -186,10 +186,12 @@ func Generate(cfg Config, i int) *Dataset {
 	// The exact row count is known before the first insert, so the tables
 	// are told it: relq reserves the block directory, the zone maps and an
 	// open tail of at most one block for that many rows, and allocates
-	// each block at its encoded width when it fills — a 12-row table holds
-	// 12 rows of capacity, which is what lets a cluster keep one table per
-	// endsystem at N=100k+. (The rng draw order is unchanged — profile,
-	// then volume, then rows — so generated data is byte-identical.)
+	// each block at its encoded width when it fills. A table of a block or
+	// more seals its last block at its own length on the last row and lets
+	// the tail go; a 12-row table holds 12 rows of capacity, which is what
+	// lets a cluster keep one table per endsystem at N=100k+. (The rng
+	// draw order is unchanged — profile, then volume, then rows — so
+	// generated data is byte-identical.)
 	days := cfg.Horizon.Hours() / 24
 	total := int(float64(cfg.MeanFlowsPerDay) * days * (0.75 + rng.Float64()*0.5))
 	d := &Dataset{Flow: relq.NewTableWithCapacity(FlowSchema(), total)}
@@ -219,7 +221,9 @@ func NewStreamer(cfg Config, i int) *Streamer {
 	return &Streamer{cfg: cfg, rng: rng, prof: profileFor(rng, i)}
 }
 
-// acceptRate mirrors sampleTimestamp's diurnal/weekly acceptance shape.
+// acceptRate is the diurnal/weekly acceptance shape of flow timestamps:
+// the probability that Generate keeps an instant it drew, and a
+// streamer's relative rate.
 func acceptRate(t time.Duration, isServer bool) float64 {
 	h := avail.HourOfDay(t)
 	weekend := avail.IsWeekend(t)
@@ -326,30 +330,13 @@ func sampleApp(rng *rand.Rand) int {
 }
 
 // sampleTimestamp draws a flow timestamp (in whole seconds) with diurnal
-// and weekly modulation: workstation traffic concentrates in working
-// hours; server traffic is flatter with a mild daytime bump.
+// and weekly modulation: a uniform instant is kept with probability
+// acceptRate, so workstation traffic concentrates in working hours and
+// server traffic is flatter with a mild daytime bump.
 func sampleTimestamp(rng *rand.Rand, horizon time.Duration, isServer bool) int64 {
 	for {
 		t := time.Duration(rng.Int63n(int64(horizon)))
-		h := avail.HourOfDay(t)
-		weekend := avail.IsWeekend(t)
-		var accept float64
-		switch {
-		case isServer:
-			accept = 0.55
-			if h >= 8 && h < 20 {
-				accept = 1.0
-			}
-		case weekend:
-			accept = 0.10
-		case h >= 9 && h < 18:
-			accept = 1.0
-		case h >= 7 && h < 22:
-			accept = 0.35
-		default:
-			accept = 0.05
-		}
-		if rng.Float64() < accept {
+		if rng.Float64() < acceptRate(t, isServer) {
 			return int64(t / time.Second)
 		}
 	}

@@ -44,18 +44,27 @@ func TestGenerateRowVolume(t *testing.T) {
 }
 
 // TestStorageBudget holds a generated Flow table to what its rows need:
-// the few rows of a quiet endsystem must not reserve a block, and a table
-// the size of the scan benchmark's must store its ports, protocol ids and
-// clustered counters narrow (88 bytes a row at full width).
+// the few rows of a quiet endsystem must not reserve a block or grow past
+// what they reserved, and a table the size of the scan benchmark's must
+// store its ports, protocol ids and clustered counters narrow, App's few
+// hashes as one-byte codes, and its last block sealed with no tail left
+// open (88 bytes a row at full width).
 func TestStorageBudget(t *testing.T) {
 	small := Generate(Config{Seed: 1, Horizon: 6 * time.Hour, MeanFlowsPerDay: 50}, 0).Flow
-	if rows, got := small.NumRows(), small.StorageBytes(); rows < 8 || rows > 16 || got > 2<<10 {
-		t.Errorf("a %d-row Flow table holds %d bytes of storage, want about 12 rows in at most 2 KB", rows, got)
+	rows, got := small.NumRows(), small.StorageBytes()
+	empty := relq.NewTableWithCapacity(FlowSchema(), rows).StorageBytes()
+	t.Logf("a %d-row Flow table: %d bytes of storage, %d before its rows", rows, got, empty)
+	if rows < 8 || rows > 16 || got > 2<<10 || got != empty {
+		t.Errorf("a %d-row Flow table holds %d bytes of storage (%d before its rows), want about 12 rows in at most 2 KB and no growth",
+			rows, got, empty)
 	}
 	big := Generate(Config{Seed: 1, Horizon: 3 * avail.Day, MeanFlowsPerDay: 10_000}, 0).Flow
-	rows := big.NumRows()
-	if perRow := float64(big.StorageBytes()) / float64(rows); rows < 22_000 || rows > 38_000 || perRow > 40 {
-		t.Errorf("a %d-row Flow table holds %.1f bytes of storage a row, want about 30,000 rows at 40 or less", rows, perRow)
+	rows = big.NumRows()
+	perRow := float64(big.StorageBytes()) / float64(rows)
+	t.Logf("a %d-row Flow table: %.1f bytes of storage a row, %d bytes of open tail", rows, perRow, big.TailBytes())
+	if rows < 22_000 || rows > 38_000 || perRow > 25 || big.TailBytes() != 0 {
+		t.Errorf("a %d-row Flow table holds %.1f bytes of storage a row and a %d-byte tail, want about 30,000 rows at 25 or less and no tail",
+			rows, perRow, big.TailBytes())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,7 @@ const (
 	styleByte                       // 200 values from a large negative base: blocks seal at one byte
 	styleShort                      // 50,000 values below MaxInt64: two bytes, base near the top
 	styleMixedWidth                 // the spread grows with the block: 1, 2, 4 then 8 bytes
+	styleDict                       // 200 values across all of int64: one-byte dictionary codes, inexact sums
 	numStyles
 )
 
@@ -55,6 +57,37 @@ func genHuge(rng *rand.Rand) int64 {
 	default:
 		return rng.Int63n(1000) // small: keeps some blocks' sums exact
 	}
+}
+
+// dictVals are styleDict's values, ascending: hugeVals and random values
+// across all of int64, 200 distinct in all, so every block of them seals
+// as dictionary codes and most of its SUMs are replayed in floating point.
+var dictVals = func() []int64 {
+	rng := rand.New(rand.NewSource(53))
+	vals := slices.Clone(hugeVals)
+	for len(vals) < 200 {
+		if v := int64(rng.Uint64()); !slices.Contains(vals, v) {
+			vals = append(vals, v)
+		}
+	}
+	slices.Sort(vals)
+	return vals
+}()
+
+// dictRHS is a comparison point for a styleDict column: a value it holds,
+// one beside it that it does not, or one between two neighbours.
+func dictRHS(rng *rand.Rand) int64 {
+	i := rng.Intn(len(dictVals) - 1)
+	v, next := dictVals[i], dictVals[i+1]
+	switch rng.Intn(4) {
+	case 0:
+		return v
+	case 1:
+		return v + 1
+	case 2:
+		return next - 1
+	}
+	return v + (next-v)/2
 }
 
 var diffVocab = []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
@@ -103,6 +136,8 @@ func genTable(rng *rand.Rand, rows int) (*Table, []colStyle) {
 				vals[c] = math.MaxInt64 - rng.Int63n(50_000)
 			case styleMixedWidth:
 				vals[c] = -50 + rng.Int63n(mixedSpread[r/BlockSize%len(mixedSpread)])
+			case styleDict:
+				vals[c] = dictVals[rng.Intn(len(dictVals))]
 			}
 		}
 		if err := t.InsertInts(vals...); err != nil {
@@ -180,6 +215,8 @@ func genQuery(rng *rand.Rand, t *Table, styles []colStyle, nowSeconds int64) *Qu
 				rhs = -7_000_000_000 + rng.Int63n(220) - 10
 			case styleShort:
 				rhs = math.MaxInt64 - rng.Int63n(55_000)
+			case styleDict:
+				rhs = dictRHS(rng)
 			}
 		}
 		// MinInt64 has no literal (the parser negates a positive number),
@@ -224,12 +261,17 @@ func TestVectorizedMatchesOracleRandomized(t *testing.T) {
 	// with and without a partial tail.
 	rowChoices := []int{0, 1, 100, BlockSize, BlockSize + 1, 3 * BlockSize, 4*BlockSize + 17, 5*BlockSize + 1000}
 	sealedAt := map[int]int{} // width in bytes → sealed blocks the trials held
+	dictBlocks := 0
 	for trial := 0; trial < 80; trial++ {
 		rows := rowChoices[rng.Intn(len(rowChoices))]
 		tbl, styles := genTable(rng, rows)
 		for c := range tbl.cols {
 			for b := range tbl.cols[c].sealed {
-				sealedAt[tbl.cols[c].sealed[b].width()]++
+				g := &tbl.cols[c].sealed[b]
+				sealedAt[g.width()]++
+				if g.dict() != nil {
+					dictBlocks++
+				}
 			}
 		}
 		if rng.Intn(2) == 0 {
@@ -255,6 +297,9 @@ func TestVectorizedMatchesOracleRandomized(t *testing.T) {
 		if sealedAt[w] < 20 {
 			t.Errorf("the trials sealed only %d blocks at %d bytes: %v", sealedAt[w], w, sealedAt)
 		}
+	}
+	if dictBlocks < 20 {
+		t.Errorf("the trials sealed only %d dictionary blocks", dictBlocks)
 	}
 }
 

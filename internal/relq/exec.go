@@ -213,16 +213,25 @@ func (p *Plan) matchBlock(b, rows int, steps []step, buf *execBuf, countOnly boo
 			return 0, nil, zonePartial
 		}
 		g := t.cols[s.col].block(b)
-		base, count := s.rebase(&g), i == last && countOnly
+		base, span, count := s.rebase(&g), s.span, i == last && countOnly
+		if dict := g.dict(); dict != nil {
+			// The dictionary is sorted, so the step's values are an
+			// interval of codes, which the uint8 kernels test as they
+			// test offsets.
+			var ok bool
+			if base, span, ok = s.codes(dict); !ok {
+				return 0, nil, zonePartial
+			}
+		}
 		switch {
 		case g.u8 != nil:
-			n, sel = runStep(g.u8, base, s.span, sel, buf.sel, count)
+			n, sel = runStep(g.u8, base, span, sel, buf.sel, count)
 		case g.u16 != nil:
-			n, sel = runStep(g.u16, base, s.span, sel, buf.sel, count)
+			n, sel = runStep(g.u16, base, span, sel, buf.sel, count)
 		case g.u32 != nil:
-			n, sel = runStep(g.u32, base, s.span, sel, buf.sel, count)
+			n, sel = runStep(g.u32, base, span, sel, buf.sel, count)
 		default:
-			n, sel = runStep(g.i64, base, s.span, sel, buf.sel, count)
+			n, sel = runStep(g.i64, base, span, sel, buf.sel, count)
 		}
 		if n == 0 {
 			break

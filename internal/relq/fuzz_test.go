@@ -1,9 +1,12 @@
 package relq
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,6 +74,93 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("re-parse of %q: %+v, %v", sql, again, err)
 		}
 	})
+}
+
+// FuzzSealBlock: one block of any values, sealed at its own length (as a
+// table seals its last block at its row hint) in whatever layout seal
+// picks, reads back as inserted, and every CmpOp at comparison points on,
+// beside and between its values executes as the oracle does, zone maps on
+// and off. The input is a block in a few bytes (see blockValues), so that
+// the fuzzer spends its time on values, not on minimizing long inputs. The
+// committed corpus (testdata/fuzz/FuzzSealBlock) holds App-like and
+// extreme-valued palettes, blocks of 255 values across 2^32, and
+// palettes spread into offsets of one byte, three bytes and eight.
+func FuzzSealBlock(f *testing.F) {
+	schema := Schema{Name: "T", Columns: []Column{{Name: "v", Type: TInt}}}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		vals := blockValues(b)
+		tbl := NewTable(schema)
+		for _, v := range vals {
+			tbl.InsertInts(v)
+		}
+		if c := &tbl.cols[0]; len(c.tail) > 0 {
+			c.seal()
+		}
+		if got := tbl.ColumnValues("v"); !slices.Equal(got, vals) {
+			t.Fatalf("the block reads back as %v, inserted %v", got, vals)
+		}
+		rhs := []int64{math.MinInt64, math.MaxInt64}
+		if n := len(vals); n > 0 {
+			v := vals[n/2]
+			rhs = append(rhs, v-1, v, v+1, vals[0]/2+vals[n-1]/2)
+		}
+		// The oracle runs once per comparison: it is most of the cost of an
+		// input, and the fuzzer minimizes an input by rerunning it.
+		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+			p, err := tbl.Bind(MustParse("SELECT SUM(v) FROM T WHERE v " + op + " NOW() + 0"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, now := range rhs {
+				want := p.ExecuteOracle(now)
+				for _, zones := range []bool{true, false} {
+					tbl.SetZoneMaps(zones)
+					got, n := p.Execute(now), p.CountMatching(now)
+					if got != want || !bytes.Equal(got.Encode(nil), want.Encode(nil)) || n != want.Count {
+						t.Fatalf("%d rows, v %s %d, zones=%v: Execute %+v, CountMatching %d; oracle %+v",
+							len(vals), op, now, zones, got, n, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// blockValues decodes a FuzzSealBlock input: a little-endian uint16 whose
+// value mod BlockSize+1 is the row count, a mode byte, and a palette of up
+// to 256 little-endian int64s. Row i takes a palette value picked by a
+// splitmix64 stream seeded with the mode; an odd mode adds to it the
+// stream's next draw shifted right by mode/2 mod 64 bits, which spreads
+// the palette into blocks of every width.
+func blockValues(b []byte) []int64 {
+	if len(b) < 3+8 {
+		return nil
+	}
+	n := int(binary.LittleEndian.Uint16(b)) % (BlockSize + 1)
+	mode := b[2]
+	var palette []int64
+	for b = b[3:]; len(b) >= 8 && len(palette) < maxDict; b = b[8:] {
+		palette = append(palette, int64(binary.LittleEndian.Uint64(b)))
+	}
+	vals := make([]int64, n)
+	x := uint64(mode)
+	for i := range vals {
+		x = splitmix64(x)
+		vals[i] = palette[x%uint64(len(palette))]
+		if mode&1 == 1 {
+			x = splitmix64(x)
+			vals[i] += int64(x >> (mode / 2 % 64))
+		}
+	}
+	return vals
+}
+
+// splitmix64 is one step of Vigna's SplitMix64 generator.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // checkVerdict holds the committed corpus to its file names: an entry

@@ -2,6 +2,7 @@ package relq
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/agg"
 )
@@ -86,6 +87,26 @@ func (s *step) narrow(lo, hi int64, ok bool) {
 
 // rebase returns the step's base in the offset domain of segment g.
 func (s *step) rebase(g *segment) uint64 { return uint64(s.base) - uint64(g.base) }
+
+// codes returns the step over the codes of a dictionary block with sorted
+// values dict: code k matches iff uint64(k) - base <= span. ok is false
+// when no code does. The step's values run from lo = s.base up to hi;
+// dict[a:] are the values at or above lo and dict[:b] those at or below
+// hi. Without a wrap (lo <= hi) the matching codes are [a, b-1]; when the
+// interval wraps (a <>, whose values leave out only hi+1) they are [a, d)
+// and [0, b), which is the same base and span taken modulo 2^64.
+func (s *step) codes(dict []int64) (base, span uint64, ok bool) {
+	lo, hi := s.base, s.base+int64(s.span)
+	a, _ := slices.BinarySearch(dict, lo)
+	b, found := slices.BinarySearch(dict, hi)
+	if found {
+		b++
+	}
+	if lo <= hi && b <= a {
+		return 0, 0, false
+	}
+	return uint64(a), uint64(b-1) - uint64(a), true
+}
 
 // zoneResult classifies a block against one step using its zone map.
 type zoneResult uint8
@@ -274,6 +295,8 @@ func (f *fold) block(g segment, sel selVec, n int, z zone) {
 	}
 	f.count += int64(n)
 	switch {
+	case g.dict() != nil:
+		foldDict(f, g.u8, g.i64, sel)
 	case g.u8 != nil:
 		foldSeg(f, g.u8, g.base, sel, n)
 	case g.u16 != nil:
@@ -306,6 +329,33 @@ func foldSeg[E elem](f *fold, col []E, base int64, sel selVec, n int) {
 	}
 	for _, i := range sel {
 		f.fsum += float64(base + int64(col[i]))
+	}
+}
+
+// foldDict is block for a dictionary block: the sum is of dict[code], and
+// the dictionary is sorted, so the extrema are the values of the extreme
+// codes.
+func foldDict(f *fold, codes []uint8, dict []int64, sel selVec) {
+	var sum int64
+	var mn, mx uint8
+	if sel == nil {
+		sum, mn, mx = aggDictAll(codes, dict)
+	} else {
+		sum, mn, mx = aggDictSel(codes, dict, sel)
+	}
+	f.sum += sum
+	f.min, f.max = min(f.min, dict[mn]), max(f.max, dict[mx])
+	if !f.inexact {
+		return
+	}
+	if sel == nil {
+		for _, c := range codes {
+			f.fsum += float64(dict[c])
+		}
+		return
+	}
+	for _, i := range sel {
+		f.fsum += float64(dict[codes[i]])
 	}
 }
 
@@ -347,6 +397,34 @@ func aggColAll[E elem](col []E) (sum, mn, mx int64) {
 		sum += o
 		mn = min(mn, o)
 		mx = max(mx, o)
+	}
+	return sum, mn, mx
+}
+
+// aggDictSel folds the selected rows of a dictionary block into the sum of
+// their values and their extreme codes.
+//
+//go:noinline
+func aggDictSel(codes []uint8, dict []int64, sel selVec) (sum int64, mn, mx uint8) {
+	mn, mx = math.MaxUint8, 0
+	for _, i := range sel {
+		c := codes[i]
+		sum += dict[c]
+		mn = min(mn, c)
+		mx = max(mx, c)
+	}
+	return sum, mn, mx
+}
+
+// aggDictAll is aggDictSel over every row of the block.
+//
+//go:noinline
+func aggDictAll(codes []uint8, dict []int64) (sum int64, mn, mx uint8) {
+	mn, mx = math.MaxUint8, 0
+	for _, c := range codes {
+		sum += dict[c]
+		mn = min(mn, c)
+		mx = max(mx, c)
 	}
 	return sum, mn, mx
 }

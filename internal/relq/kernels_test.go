@@ -524,7 +524,7 @@ func TestExecuteAllocs(t *testing.T) {
 	}
 	tbl, _ := statsTable(t)
 	tbl.BuildSummary()
-	w := newWidthsTable()
+	w := newWidthsTable(0)
 	w.fill(t, 2*BlockSize+100)
 	sqls := map[*Table][]string{
 		tbl: {

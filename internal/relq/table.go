@@ -9,8 +9,10 @@
 //
 // Storage is columnar and block-structured: each column is a run of sealed
 // BlockSize-row blocks, each stored as offsets from the block's minimum in
-// the narrowest integer width that holds them, plus one open full-width
-// tail that rows are appended to. Every (column, block) pair carries a zone
+// the narrowest integer width that holds them or as one-byte codes into
+// the block's own dictionary, plus one open full-width tail that rows are
+// appended to (sealed early, at its own length, when a table reaches the
+// row count it was created for). Every (column, block) pair carries a zone
 // map — the min and max value in that block, maintained incrementally on
 // insert. Execution is batch-at-a-time (see exec.go and kernels.go): zone
 // maps skip whole blocks, and surviving blocks are evaluated with
@@ -86,11 +88,13 @@ type elem interface {
 }
 
 // segment is one column's values over one block, stored as v - base.
-// Exactly one slice is set. A sealed block uses the narrowest unsigned
-// type that holds its zone's span with base = the zone's minimum; a span
-// of 2^32 or more keeps the values themselves (i64, base 0), as does the
-// open tail, so the int64 extremes need no offset arithmetic to stay
-// exact.
+// Exactly one slice is set, except in a dictionary block. A sealed block
+// uses the narrowest unsigned type that holds its zone's span with base =
+// the zone's minimum; a span of 2^32 or more keeps the values themselves
+// (i64, base 0), as does the open tail, so the int64 extremes need no
+// offset arithmetic to stay exact. A dictionary block (see encodeDict)
+// sets both u8 and i64: u8 holds each row's code, i64 the block's distinct
+// values in ascending order, and base is 0.
 type segment struct {
 	base int64
 	u8   []uint8
@@ -129,8 +133,18 @@ func (c *column) block(b int) segment {
 	return segment{i64: c.tail}
 }
 
-// seal encodes a full tail into a sealed segment of the narrowest width
-// its zone allows and empties the tail for reuse.
+// dict returns a dictionary block's sorted values, or nil.
+func (g *segment) dict() []int64 {
+	if g.u8 != nil {
+		return g.i64
+	}
+	return nil
+}
+
+// seal encodes the tail into a sealed segment of the narrowest width its
+// zone allows, or into dictionary codes when a 4- or 8-byte block holds
+// few enough distinct values for them to be smaller, and empties the tail
+// for reuse.
 func (c *column) seal() {
 	var g segment
 	z := c.zones[len(c.zones)-1]
@@ -140,12 +154,86 @@ func (c *column) seal() {
 	case span < 1<<16:
 		g = segment{base: z.min, u16: narrow[uint16](c.tail, z.min)}
 	case span < 1<<32:
-		g = segment{base: z.min, u32: narrow[uint32](c.tail, z.min)}
+		if g = encodeDict(c.tail, 4); g.u8 == nil {
+			g = segment{base: z.min, u32: narrow[uint32](c.tail, z.min)}
+		}
 	default:
-		g = segment{i64: slices.Clone(c.tail)}
+		if g = encodeDict(c.tail, 8); g.u8 == nil {
+			g = segment{i64: slices.Clone(c.tail)}
+		}
 	}
 	c.sealed = append(c.sealed, g)
 	c.tail = c.tail[:0]
+}
+
+// reopen turns the last sealed block, which holds n < BlockSize rows (a
+// table sealed it on reaching its row hint), back into the tail.
+func (c *column) reopen(n int) {
+	last := len(c.sealed) - 1
+	c.tail = c.sealed[last].appendTo(make([]int64, 0, min(2*n, BlockSize)))
+	c.sealed = c.sealed[:last]
+}
+
+// maxDict is the most distinct values a dictionary block holds: its codes
+// are one byte.
+const maxDict = 1 << 8
+
+// encodeDict's hash set has dictSlots = 2^dictBits slots, twice maxDict,
+// so that it is at most half full and no probe sequence is long.
+const (
+	dictBits  = 9
+	dictSlots = 1 << dictBits
+)
+
+// encodeDict stores vals as one-byte codes into their sorted distinct
+// values if that takes fewer bytes than width bytes a row, and returns the
+// zero segment otherwise. The distinct values are collected in a dictSet
+// on the stack, which gives up at the first value past what the codes can
+// index or the size allows: a block of thousands of distinct values costs
+// a few hundred probes and allocates nothing.
+func encodeDict(vals []int64, width int) segment {
+	// n codes and d values beat width bytes a row iff n + 8d < width·n.
+	limit := min(maxDict, ((width-1)*len(vals)-1)/8)
+	var set dictSet
+	d := 0
+	for _, v := range vals {
+		if h := set.slot(v); set.slots[h] == 0 {
+			if d == limit {
+				return segment{}
+			}
+			set.distinct[d] = v
+			d++
+			set.slots[h] = uint16(d)
+		}
+	}
+	dict := slices.Clone(set.distinct[:d])
+	slices.Sort(dict)
+	var code [maxDict]uint8 // by index into set.distinct
+	for j, v := range set.distinct[:d] {
+		k, _ := slices.BinarySearch(dict, v)
+		code[j] = uint8(k)
+	}
+	out := make([]uint8, len(vals))
+	for i, v := range vals {
+		out[i] = code[set.slots[set.slot(v)]-1]
+	}
+	return segment{u8: out, i64: dict}
+}
+
+// dictSet is encodeDict's hash set: open addressing with linear probing
+// over slots that index distinct.
+type dictSet struct {
+	distinct [maxDict]int64    // in order of first appearance
+	slots    [dictSlots]uint16 // 0: empty, else 1 + an index into distinct
+}
+
+// slot returns the slot that holds v, or the empty one where it belongs.
+func (s *dictSet) slot(v int64) uint64 {
+	h := uint64(v) * 0x9e3779b97f4a7c15 >> (64 - dictBits)
+	for s.slots[h] != 0 && s.distinct[s.slots[h]-1] != v {
+		h = (h + 1) % dictSlots
+	}
+	return h
 }
 
 // narrow returns vals as offsets from base, which must all fit E.
@@ -161,6 +249,9 @@ func narrow[E uint8 | uint16 | uint32](vals []int64, base int64) []E {
 func (g *segment) at(i int) int64 {
 	switch {
 	case g.u8 != nil:
+		if g.i64 != nil { // dictionary codes
+			return g.i64[g.u8[i]]
+		}
 		return g.base + int64(g.u8[i])
 	case g.u16 != nil:
 		return g.base + int64(g.u16[i])
@@ -173,6 +264,11 @@ func (g *segment) at(i int) int64 {
 // appendTo appends the segment's values to dst.
 func (g *segment) appendTo(dst []int64) []int64 {
 	switch {
+	case g.dict() != nil:
+		for _, code := range g.u8 {
+			dst = append(dst, g.i64[code])
+		}
+		return dst
 	case g.u8 != nil:
 		return appendWide(dst, g.u8, g.base)
 	case g.u16 != nil:
@@ -190,7 +286,8 @@ func appendWide[E uint8 | uint16 | uint32](dst []int64, col []E, base int64) []i
 	return dst
 }
 
-// bytes is the size of the segment's stored values.
+// bytes is the size of the segment's stored values (a dictionary block's
+// codes and dictionary).
 func (g *segment) bytes() int {
 	return len(g.u8) + 2*len(g.u16) + 4*len(g.u32) + 8*len(g.i64)
 }
@@ -202,6 +299,11 @@ type Table struct {
 	schema Schema
 	cols   []column
 	rows   int
+
+	// sealAt is the row count at which the last block is sealed at its own
+	// length and the tail released: the row hint, when doing so lowers
+	// StorageBytes; 0 otherwise.
+	sealAt int
 
 	// row is Insert's scratch: the encoded form of the row being inserted.
 	row []int64
@@ -238,15 +340,30 @@ func NewTable(schema Schema) *Table {
 // about — a 12-row table reserves 12 rows, not a block. Bulk loaders that
 // know their row count up front — anemone generation in particular — use
 // this to skip the tail's regrowth on the way to its first block.
+//
+// A table of at least one block that reaches rowCap rows also seals its
+// last, partial block at its own length and releases the tail, as long as
+// that block at full width and its directory entry take less than the
+// tail's capacity (a last block of 2,035 rows or more stays open); the
+// next insert reopens it. Smaller tables keep their tail: a directory
+// entry costs more than their rows.
 func NewTableWithCapacity(schema Schema, rowCap int) *Table {
 	t := &Table{schema: schema, cols: make([]column, len(schema.Columns))}
-	if rowCap > 0 {
-		for i := range t.cols {
-			t.cols[i] = column{
-				sealed: make([]segment, 0, rowCap/BlockSize),
-				tail:   make([]int64, 0, min(rowCap, BlockSize)),
-				zones:  make([]zone, 0, (rowCap+BlockSize-1)/BlockSize),
-			}
+	if rowCap <= 0 {
+		return t
+	}
+	nb := (rowCap + BlockSize - 1) / BlockSize
+	tailCap := min(rowCap, BlockSize)
+	if segmentBytes+8*(rowCap%BlockSize) < 8*tailCap {
+		t.sealAt = rowCap
+	} else {
+		nb-- // the last block is open when the hint is reached
+	}
+	for i := range t.cols {
+		t.cols[i] = column{
+			sealed: make([]segment, 0, nb),
+			tail:   make([]int64, 0, tailCap),
+			zones:  make([]zone, 0, (rowCap+BlockSize-1)/BlockSize),
 		}
 	}
 	return t
@@ -274,6 +391,17 @@ func (t *Table) StorageBytes() int {
 			n += c.sealed[b].bytes()
 		}
 		n += cap(c.sealed)*segmentBytes + 8*cap(c.tail) + 16*cap(c.zones)
+	}
+	return n
+}
+
+// TailBytes returns the capacity of the open tails, in bytes: the part of
+// StorageBytes that holds rows at full width. It is 0 once a table of a
+// block or more reaches the row count it was created for.
+func (t *Table) TailBytes() int {
+	n := 0
+	for i := range t.cols {
+		n += 8 * cap(t.cols[i].tail)
 	}
 	return n
 }
@@ -325,9 +453,16 @@ const minTailCap = 16
 
 // appendRow appends one encoded row to the tails and folds it into the
 // open block's zone maps, opening a fresh zone when the previous block was
-// sealed and sealing this one when the row fills it.
+// sealed (reopening it when it was sealed short, at the row hint) and
+// sealing this one when the row fills it or the table reaches sealAt.
 func (t *Table) appendRow(values []int64) {
-	fresh := t.rows%BlockSize == 0
+	open := t.rows % BlockSize
+	fresh := open == 0
+	if t.rows == t.sealAt && !fresh {
+		for i := range t.cols {
+			t.cols[i].reopen(open)
+		}
+	}
 	for i, v := range values {
 		c := &t.cols[i]
 		if fresh {
@@ -346,9 +481,13 @@ func (t *Table) appendRow(values []int64) {
 		c.tail = append(c.tail, v)
 	}
 	t.rows++
-	if t.rows%BlockSize == 0 {
+	if t.rows%BlockSize == 0 || t.rows == t.sealAt {
 		for i := range t.cols {
-			t.cols[i].seal()
+			c := &t.cols[i]
+			c.seal()
+			if t.rows == t.sealAt {
+				c.tail = nil
+			}
 		}
 	}
 }
