@@ -262,19 +262,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown chaos scenario %q (have %v)\n", name, fault.BuiltinNames())
 			os.Exit(2)
 		}
-		cfg := core.ChaosConfig{Scenario: scen, Seed: *seed}
-		if *smoke {
-			cfg.N = 60
-			cfg.Settle = 5 * time.Minute
-		}
+		cfg := core.DefaultChaosConfig(scen, *seed, *smoke)
 		switch *ablate {
 		case "":
 		case "backoff":
-			cfg.DisableDissemBackoff = true
+			cfg.Cluster.Node.Dissem.DisableBackoff = true
 		case "repair":
-			cfg.DisableAggRepair = true
+			cfg.Cluster.Node.Agg.DisableRepair = true
 		case "reassert":
-			cfg.DisableReassert = true
+			cfg.Cluster.Node.Agg.Reassert = false
 		default:
 			fmt.Fprintf(os.Stderr, "unknown ablation %q (have: backoff, repair, reassert)\n", *ablate)
 			os.Exit(2)
@@ -333,7 +329,7 @@ func main() {
 			cfg := experiments.WorkloadConfig(n, s.Seed, wl, *smoke)
 			cfg.DisableAdmission = *ablate == "admission"
 			cfg.DisablePriority = *ablate == "priority"
-			cfg.Obs = o
+			cfg.Cluster.Obs = o
 			qserve.Run(cfg).Render(w)
 			return true
 		case "":

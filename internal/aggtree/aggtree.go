@@ -85,16 +85,6 @@ type Config struct {
 	// hedge.go). Off by default: it adds messages, so every run without
 	// it stays byte-identical to before the feature existed.
 	Reassert bool
-
-	// Coords, when non-nil, biases entry-vertex selection by latency:
-	// instead of always entering the tree at the deepest V-chain vertex it
-	// is not the root of, an endsystem enters at the chain vertex whose
-	// current primary has the lowest predicted RTT. The candidate set is
-	// exactly the remaining V-chain (id-valid by construction, so tree
-	// convergence and the exactly-once child tables are untouched); ties
-	// break toward the deepest vertex, which is the id-only default. Nil
-	// preserves the baseline byte-for-byte.
-	Coords *coords.Space
 }
 
 // DefaultConfig returns the paper's configuration.
@@ -673,8 +663,10 @@ func (e *Engine) chooseEntry(qid ids.ID) ids.ID {
 		v = V(qid, v, pastry.B)
 		depth++
 	}
-	if e.cfg.Coords != nil {
-		v = e.nearestEntryVertex(qid, v)
+	// With network coordinates on the ring, latency biases the entry.
+	// Without them the id-only baseline holds byte-for-byte.
+	if sp := node.Ring().Coords(); sp != nil {
+		v = e.nearestEntryVertex(sp, qid, v)
 	}
 	// Entry depth measures how many levels the sparse namespace let this
 	// endsystem skip: tree depth from the leaves' perspective.
@@ -704,14 +696,14 @@ func (e *Engine) sendSubmission(st *queryState, cause uint64) {
 
 // nearestEntryVertex walks the V-chain from the id-only entry vertex up
 // to the queryId and returns the chain vertex whose current primary has
-// the lowest predicted RTT from this endsystem. Every chain vertex is an
+// the lowest RTT sp predicts from this endsystem. Every chain vertex is an
 // id-valid entry (its subtree contains this endsystem's leaf position);
 // entering higher merely skips levels, which the versioned child tables
 // already tolerate. The comparison is strict and the chain is walked
 // deepest-first, so the id-only default wins ties and the choice is
 // byte-deterministic per seed — primaries come from the ring's
 // ground-truth index.
-func (e *Engine) nearestEntryVertex(qid, entry ids.ID) ids.ID {
+func (e *Engine) nearestEntryVertex(sp *coords.Space, qid, entry ids.ID) ids.ID {
 	node := e.host.PastryNode()
 	self := node.Endpoint()
 	best := entry
@@ -721,7 +713,7 @@ func (e *Engine) nearestEntryVertex(qid, entry ids.ID) ids.ID {
 	digits := ids.DigitsPerID(pastry.B)
 	for i := 0; i <= digits; i++ {
 		if root, ok := node.Ring().Root(v); ok {
-			rtt := e.cfg.Coords.PredictRTT(self, root.EP)
+			rtt := sp.PredictRTT(self, root.EP)
 			if !have || rtt < bestRTT {
 				best, bestRTT, have = v, rtt, true
 			}

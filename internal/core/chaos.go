@@ -12,33 +12,69 @@ import (
 	"repro/internal/simnet"
 )
 
-// ChaosConfig parameterizes a chaos run: a fault scenario executed
-// against an otherwise always-available cluster (the injected faults are
-// the only adversary, so every violation is attributable to them).
+// ChaosConfig is one chaos run: a fault scenario executed against the
+// world Cluster describes. DefaultChaosConfig builds the always-up world
+// the built-in scenarios are judged on (the injected faults are the only
+// adversary, so every violation is attributable to them); any other
+// world - fewer endsystems, some never up - runs and is judged the same
+// way.
 type ChaosConfig struct {
 	Scenario fault.Scenario
-	// N is the number of endsystems (default 120).
-	N int
-	// Seed drives everything: topology, IDs, workload, protocol RNGs and
-	// the per-fault-type injection streams.
-	Seed int64
+	// Cluster is the world the scenario runs against. Its Seed also drives
+	// the per-fault-type injection streams, and its Node.Agg.QueryTTL must
+	// be the one Settle implies (RunChaos panics otherwise). RunChaos sets
+	// only its Obs, which the invariant checker rides on.
+	Cluster ClusterConfig
 	// Settle is the recovery window after the final heal before
-	// completeness is judged (default 8 min: enough for failure
-	// detection, leafset reconciliation, the query-list handoff, and a
-	// couple of aggregation-tree refresh rounds).
+	// completeness is judged.
 	Settle time.Duration
-
-	// Ablations: each one removes a hardening mechanism the invariant
-	// checker is expected to catch the absence of.
-	DisableDissemBackoff bool
-	DisableAggRepair     bool
-	// DisableReassert turns off the upward re-assertion ladder at interior
-	// aggregation vertices (the straggler scenario's ablation tooth).
-	DisableReassert bool
 
 	// TraceSink, when set, additionally receives every trace event (the
 	// invariant checker always sees them).
 	TraceSink obs.Sink
+}
+
+// DefaultChaosConfig returns the world a built-in scenario runs against:
+// 120 endsystems (60 at smoke scale), available for the whole run, with
+// the paper's protocol defaults except for the four overrides below.
+func DefaultChaosConfig(s fault.Scenario, seed int64, smoke bool) ChaosConfig {
+	// The settle window is enough for failure detection, leafset
+	// reconciliation, the query-list handoff and a couple of
+	// aggregation-tree refresh rounds.
+	n, settle := 120, 8*time.Minute
+	if smoke {
+		n, settle = 60, 5*time.Minute
+	}
+	// The last learn is around finalHeal+settle (the post-heal handoff);
+	// the run ends past every endsystem's TTL plus refresh slack.
+	finalHeal, ttl := chaosTimes(s, settle)
+	horizon := finalHeal + settle + ttl + chaosDrain + 10*time.Minute
+	cfg := DefaultClusterConfig(alwaysUpTrace(n, horizon), seed)
+	cfg.Node.Agg.QueryTTL = ttl
+	// Metadata repair must happen within the settle window.
+	cfg.Node.Meta.PushPeriod = 5 * time.Minute
+	// So must a couple of aggregation-tree refresh rounds.
+	cfg.Node.Agg.RefreshPeriod = 2 * time.Minute
+	// The ladder is on for every scenario, not just straggler: the
+	// duplication and loss windows of the others exercise the
+	// exactly-once invariant under retransmitted forwards too.
+	cfg.Node.Agg.Reassert = true
+	// Dissemination gets enough retries to ride out a burst with backoff.
+	cfg.Node.Dissem.MaxRetries = 6
+	return ChaosConfig{Scenario: s, Cluster: cfg, Settle: settle}
+}
+
+// chaosDrain is how long a chaos run goes on after the query's TTL ran out
+// at the last endsystem to learn of it: refresh slack.
+const chaosDrain = 4 * time.Minute
+
+// chaosTimes returns when a scenario's last fault heals (never before its
+// query) and the query TTL it needs: the query must outlive measurement at
+// finalHeal+settle, then expire so the no-orphans invariant can see the
+// state drain.
+func chaosTimes(s fault.Scenario, settle time.Duration) (finalHeal, ttl time.Duration) {
+	finalHeal = max(s.FinalHeal(), s.QueryAt)
+	return finalHeal, finalHeal - s.QueryAt + settle + 2*time.Minute
 }
 
 // alwaysUpTrace returns a trace where every endsystem is available for
@@ -79,48 +115,22 @@ func chaosInjectorEndpoint(c *Cluster, s fault.Scenario) simnet.Endpoint {
 	return ep
 }
 
-// RunChaos executes one chaos run: build the cluster, install the fault
-// injector and the always-on invariant checker, inject one COUNT(*) query
-// while the scenario's faults are active, and judge the run against the
-// fault invariants after everything heals. The returned report is
-// byte-deterministic for a given (scenario, seed) at any worker count.
+// RunChaos executes one chaos run: build the configured cluster, install
+// the fault injector and the always-on invariant checker, inject one
+// COUNT(*) query while the scenario's faults are active, and judge the run
+// against the fault invariants after everything heals. Ground truth and
+// the contributor bound count only the endsystems the trace brings up
+// between injection and judgement. The returned report is
+// byte-deterministic for a given config at any worker count.
 func RunChaos(cfg ChaosConfig) *fault.Report {
-	n := cfg.N
-	if n <= 0 {
-		n = 120
+	s, settle, ccfg := cfg.Scenario, cfg.Settle, cfg.Cluster
+	finalHeal, ttl := chaosTimes(s, settle)
+	if ccfg.Node.Agg.QueryTTL != ttl {
+		panic(fmt.Sprintf("core: chaos query TTL %v does not fit scenario %s with settle %v: want %v",
+			ccfg.Node.Agg.QueryTTL, s.Name, settle, ttl))
 	}
-	settle := cfg.Settle
-	if settle <= 0 {
-		settle = 8 * time.Minute
-	}
-	s := cfg.Scenario
-	finalHeal := s.FinalHeal()
-	if finalHeal < s.QueryAt {
-		finalHeal = s.QueryAt
-	}
-	// The query must outlive measurement (judged at finalHeal+settle),
-	// then expire so the no-orphans invariant can see the state drain.
-	queryTTL := finalHeal - s.QueryAt + settle + 2*time.Minute
-	// Latest possible learn time is around finalHeal+settle (the
-	// post-heal handoff); run past every node's TTL plus refresh slack.
-	endAt := finalHeal + settle + queryTTL + 4*time.Minute
-	horizon := endAt + 10*time.Minute
-
-	trace := alwaysUpTrace(n, horizon)
-	ccfg := DefaultClusterConfig(trace, cfg.Seed)
-	// Chaos runs compress the maintenance timescales so repair happens
-	// within the settle window, and give dissemination enough retries to
-	// ride out a burst with backoff.
-	ccfg.Node.Meta.PushPeriod = 5 * time.Minute
-	ccfg.Node.Agg.RefreshPeriod = 2 * time.Minute
-	ccfg.Node.Agg.QueryTTL = queryTTL
-	ccfg.Node.Agg.DisableRepair = cfg.DisableAggRepair
-	// The ladder is on for every chaos scenario (not just straggler): the
-	// duplication and loss windows of the other scenarios exercise the
-	// exactly-once invariant under retransmitted forwards too.
-	ccfg.Node.Agg.Reassert = !cfg.DisableReassert
-	ccfg.Node.Dissem.MaxRetries = 6
-	ccfg.Node.Dissem.DisableBackoff = cfg.DisableDissemBackoff
+	judgeAt := finalHeal + settle
+	endAt := judgeAt + ttl + chaosDrain
 
 	// The checker rides the trace as a sink, so every fault event the
 	// injector emits is observed the instant it happens. The clock is
@@ -139,12 +149,13 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 	c := NewCluster(ccfg)
 	clock = c.Sched.Now
 
-	inj := fault.NewInjector(c.Net, s, cfg.Seed)
+	inj := fault.NewInjector(c.Net, s, ccfg.Seed)
 	c.Net.SetFaultHook(inj)
 	inj.SetCrashFunc(func(ep simnet.Endpoint, down bool) {
 		if down {
 			c.Nodes[ep].GoDown()
-		} else {
+		} else if ccfg.Trace.Profiles[ep].AvailableAt(c.Sched.Now()) {
+			// A restart returns the endsystem to what the trace has it doing.
 			c.Nodes[ep].GoUp()
 		}
 	})
@@ -163,7 +174,14 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 	from := chaosInjectorEndpoint(c, s)
 	q := relq.MustParse("SELECT COUNT(*) FROM Flow")
 	h := c.InjectQuery(from, q)
-	truth := c.TrueRelevantRows(q)
+	upInRun := func(i int) bool { return c.upDuring(i, s.QueryAt, judgeAt) }
+	truth := c.trueRows(q, upInRun)
+	var population int64
+	for i := range c.Nodes {
+		if upInRun(i) {
+			population++
+		}
+	}
 
 	c.RunUntil(finalHeal)
 	var rowsAtHeal int64
@@ -171,7 +189,7 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 		rowsAtHeal = h.Results[k-1].Partial.Count
 	}
 
-	c.RunUntil(finalHeal + settle)
+	c.RunUntil(judgeAt)
 	var finalRows int64
 	if k := len(h.Results); k > 0 {
 		finalRows = h.Results[k-1].Partial.Count
@@ -181,7 +199,7 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 	// contributors never exceeded the population.
 	for _, upd := range h.Results {
 		checker.ObserveResult(h.QueryID.Short(), float64(upd.Partial.Count), float64(truth),
-			upd.Contributors, int64(n))
+			upd.Contributors, population)
 	}
 
 	checker.SealInvariant(fault.InvariantExactlyOnce,
@@ -208,7 +226,7 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 	report.Queries = append(report.Queries, verdict)
 
 	report.Hedges = &fault.HedgeStats{
-		Enabled:   !cfg.DisableReassert,
+		Enabled:   ccfg.Node.Agg.Reassert,
 		Reasserts: int64(o.Counter("aggtree_hedge_reasserts").Value()),
 		NetSends:  int64(o.Counter("net_sends").Value()),
 	}
@@ -228,8 +246,7 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 	liveAtEnd := 0
 	converged := true
 	convDetail := ""
-	for ep := 0; ep < n; ep++ {
-		node := c.Nodes[ep]
+	for ep, node := range c.Nodes {
 		if !node.Alive() {
 			continue
 		}

@@ -51,7 +51,7 @@ func TestChaosSweep(t *testing.T) {
 	reports := make([]*fault.Report, len(names)*chaosSweepSeeds)
 	runner.ForEach(len(reports), 0, func(i int) {
 		s, _ := fault.Builtin(names[i/chaosSweepSeeds], false)
-		reports[i] = RunChaos(ChaosConfig{Scenario: s, Seed: int64(i%chaosSweepSeeds + 1)})
+		reports[i] = RunChaos(DefaultChaosConfig(s, int64(i%chaosSweepSeeds+1), false))
 	})
 
 	giveups := 0
@@ -108,7 +108,7 @@ func TestChaosMixed50AckedByMinorityPrimary(t *testing.T) {
 		t.Skip("one full-scale chaos run")
 	}
 	s, _ := fault.Builtin("mixed", false)
-	r := RunChaos(ChaosConfig{Scenario: s, Seed: 50})
+	r := RunChaos(DefaultChaosConfig(s, 50, false))
 	if !r.OK() {
 		var buf bytes.Buffer
 		r.WriteText(&buf)

@@ -2,10 +2,15 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/anemone"
+	"repro/internal/avail"
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 // TestChaosMixedSmokePasses is the headline robustness test: the full
@@ -18,7 +23,7 @@ func TestChaosMixedSmokePasses(t *testing.T) {
 	if !ok {
 		t.Fatal("mixed scenario missing")
 	}
-	r := RunChaos(ChaosConfig{Scenario: s, N: 60, Seed: 1, Settle: 5 * time.Minute})
+	r := RunChaos(DefaultChaosConfig(s, 1, true))
 	if !r.OK() {
 		var buf bytes.Buffer
 		r.WriteText(&buf)
@@ -49,7 +54,7 @@ func TestChaosBuiltinsPass(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			s, _ := fault.Builtin(name, true)
-			r := RunChaos(ChaosConfig{Scenario: s, N: 60, Seed: 1, Settle: 5 * time.Minute})
+			r := RunChaos(DefaultChaosConfig(s, 1, true))
 			if !r.OK() {
 				var buf bytes.Buffer
 				r.WriteText(&buf)
@@ -65,7 +70,7 @@ func TestChaosBuiltinsPass(t *testing.T) {
 func TestChaosDeterministic(t *testing.T) {
 	s, _ := fault.Builtin("mixed", true)
 	run := func() []byte {
-		r := RunChaos(ChaosConfig{Scenario: s, N: 60, Seed: 1, Settle: 5 * time.Minute})
+		r := RunChaos(DefaultChaosConfig(s, 1, true))
 		j, err := r.JSON()
 		if err != nil {
 			t.Fatal(err)
@@ -83,20 +88,129 @@ func TestChaosDeterministic(t *testing.T) {
 // load-bearing.
 func TestChaosAblations(t *testing.T) {
 	s, _ := fault.Builtin("mixed", true)
-	base := ChaosConfig{Scenario: s, N: 60, Seed: 1, Settle: 5 * time.Minute}
-
 	t.Run("no-dissem-backoff", func(t *testing.T) {
-		cfg := base
-		cfg.DisableDissemBackoff = true
+		cfg := DefaultChaosConfig(s, 1, true)
+		cfg.Cluster.Node.Dissem.DisableBackoff = true
 		if r := RunChaos(cfg); r.OK() {
 			t.Fatal("chaos passed with dissemination backoff disabled; the ablation has no teeth")
 		}
 	})
 	t.Run("no-aggtree-repair", func(t *testing.T) {
-		cfg := base
-		cfg.DisableAggRepair = true
+		cfg := DefaultChaosConfig(s, 1, true)
+		cfg.Cluster.Node.Agg.DisableRepair = true
 		if r := RunChaos(cfg); r.OK() {
 			t.Fatal("chaos passed with aggregation-tree repair disabled; the ablation has no teeth")
 		}
 	})
+}
+
+// TestChaosReportsPinned pins the SHA-256 of the JSON report of every
+// built-in smoke scenario at seed 1, and of mixed under each ablation and
+// straggler with the ladder off: a change that moves one byte of a chaos
+// verdict, a counter or a timing fails here.
+func TestChaosReportsPinned(t *testing.T) {
+	noBackoff := func(c *ChaosConfig) { c.Cluster.Node.Dissem.DisableBackoff = true }
+	noRepair := func(c *ChaosConfig) { c.Cluster.Node.Agg.DisableRepair = true }
+	noLadder := func(c *ChaosConfig) { c.Cluster.Node.Agg.Reassert = false }
+	for _, tc := range []struct {
+		scenario, ablation string
+		ablate             func(*ChaosConfig)
+		sha256             string
+	}{
+		{"partition", "", nil, "0276c1dbdfdc323acbd6929ed15a5ddaf73dd42311e2a1c05dcbab0d30b70d45"},
+		{"burstloss", "", nil, "0cb7ce4e838ebcf69d5a82427d9ee67ae3ef1e0cbf51dbaff4b134c26524f0ba"},
+		{"flap", "", nil, "139c023d90f02bddc31e64b1bd398a03891ff5c31f5338e8d5169e79c71b7f15"},
+		{"mixed", "", nil, "01080d03008c37e961d9045221c3a672e6e7434d33cf579acf43026e5d36dad6"},
+		{"straggler", "", nil, "12a9e6eca2a64533b2ff3aa33b0566a9060333e62757def0eb37896d56bf1983"},
+		{"mixed", "backoff", noBackoff, "ee0d99a1f11814493a3671f6c97b9bbb249c7cfe1fd66d669c946d56371894ec"},
+		{"mixed", "repair", noRepair, "04eaaa2a688c0ed6033a14aca2f7b8410311115a20c94d268cb1a2ae9e4573ef"},
+		{"mixed", "reassert", noLadder, "18b0c631a77aa04745a85eeeb836edd7cb07d0029fa92a75603ccd6b7f9f25f1"},
+		{"straggler", "reassert", noLadder, "f7c0cf3ba75b892c54b1f86b1c84071164f54f87f7c353b766681bfbf0f844e8"},
+	} {
+		s, _ := fault.Builtin(tc.scenario, true)
+		cfg := DefaultChaosConfig(s, 1, true)
+		if tc.ablate != nil {
+			tc.ablate(&cfg)
+		}
+		j, err := RunChaos(cfg).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(j)); got != tc.sha256 {
+			t.Errorf("%s-smoke ablate=%q: report sha256 %s, pinned %s", tc.scenario, tc.ablation, got, tc.sha256)
+		}
+	}
+}
+
+// TestChaosJudgesGivenWorld runs partition-smoke, and flap-smoke with its
+// crash cohort, on a world where ten of the sixty endsystems are never
+// up. Ground truth is the rows of the fifty that are, and none of the ten
+// executes the query, submits to the aggregation tree or counts as a
+// contributor: a crash's restart does not bring one up either.
+func TestChaosJudgesGivenWorld(t *testing.T) {
+	for _, name := range []string{"partition", "flap"} {
+		t.Run(name, func(t *testing.T) { testChaosRemovedEndsystems(t, name) })
+	}
+}
+
+func testChaosRemovedEndsystems(t *testing.T, name string) {
+	s, _ := fault.Builtin(name, true)
+	cfg := DefaultChaosConfig(s, 1, true)
+	removed := map[int]bool{}
+	for ep := 3; ep < 60; ep += 6 {
+		removed[ep] = true
+		cfg.Cluster.Trace.Profiles[ep] = &avail.Profile{}
+	}
+	sink := &captureSink{}
+	cfg.TraceSink = sink
+	r := RunChaos(cfg)
+	if !r.OK() {
+		var buf bytes.Buffer
+		r.WriteText(&buf)
+		t.Fatalf("%s-smoke with %d endsystems removed failed:\n%s", name, len(removed), buf.String())
+	}
+
+	var want int64
+	for ep := 0; ep < 60; ep++ {
+		if !removed[ep] {
+			want += int64(anemone.Generate(cfg.Cluster.Workload, ep).Flow.NumRows())
+		}
+	}
+	if q := r.Queries[0]; q.TruthRows != float64(want) || q.FinalRows != float64(want) {
+		t.Fatalf("truth %v rows, final %v, want the %d rows of the up endsystems", q.TruthRows, q.FinalRows, want)
+	}
+	submits := 0
+	for _, ev := range sink.events {
+		switch ev.Kind {
+		case obs.KindExec, obs.KindAvailExec, obs.KindSubmit:
+			if removed[ev.EP] {
+				t.Fatalf("removed endsystem %d: %s event at %v", ev.EP, ev.Kind, ev.T)
+			}
+			if ev.Kind == obs.KindSubmit {
+				submits++
+			}
+		case obs.KindPartial:
+			if ev.N > int64(60-len(removed)) {
+				t.Fatalf("partial at %v counts %d contributors of %d up endsystems", ev.T, ev.N, 60-len(removed))
+			}
+		}
+	}
+	if submits < 60-len(removed) {
+		t.Fatalf("%d submissions traced, want one from each of the %d up endsystems", submits, 60-len(removed))
+	}
+}
+
+// TestChaosSettleMustFitTTL: the settle window and the query TTL are one
+// quantity, so a config whose Settle disagrees with its TTL is refused
+// instead of judged.
+func TestChaosSettleMustFitTTL(t *testing.T) {
+	s, _ := fault.Builtin("mixed", true)
+	cfg := DefaultChaosConfig(s, 1, true)
+	cfg.Settle += time.Minute
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunChaos judged a run whose settle window outlasts its query TTL")
+		}
+	}()
+	RunChaos(cfg)
 }

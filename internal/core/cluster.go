@@ -90,7 +90,6 @@ type Cluster struct {
 	Ring  *pastry.Ring
 	Nodes []*Node
 	cfg   ClusterConfig
-	space *coords.Space // nil unless cfg.Coords.Enabled
 
 	cSchedEvents *obs.Counter // sched_events: scheduler events executed
 	seenEvents   uint64       // events already accounted to cSchedEvents
@@ -137,12 +136,11 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	idList := ids.RandomN(rng, n)
 	if cfg.Coords.Enabled {
-		// Build the coordinate space before the nodes: every engine caches
-		// the handle at construction. The id assignment feeds the
-		// RTT-scope index.
-		c.space = coords.NewSpace(net, cfg.Coords)
-		c.space.SetIDs(idList)
-		ring.SetCoords(c.space)
+		// The engines read the space from the ring. The id assignment
+		// feeds the RTT-scope index.
+		space := coords.NewSpace(net, cfg.Coords)
+		space.SetIDs(idList)
+		ring.SetCoords(space)
 	}
 	feedPeriod := cfg.Feed.Period
 	if feedPeriod <= 0 {
@@ -174,8 +172,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		// seeds, and cfg.Seed ^ i<<1 made (seed 0, node 1) and (seed 2,
 		// node 0) share RNG state across runs.
 		nodeCfg.Seed = runner.SplitSeed(cfg.Seed, int64(i))
-		nodeCfg.Dissem.Coords = c.space
-		nodeCfg.Agg.Coords = c.space
 		c.Nodes[i] = NewNode(ring, simnet.Endpoint(i), idList[i], d.ds.Tables(),
 			d.summary, &avail.Model{}, nodeCfg)
 		if cfg.Feed.Enabled {
@@ -366,14 +362,21 @@ func (c *Cluster) CancelQuery(h *QueryHandle, from simnet.Endpoint) {
 
 // TrueRelevantRows returns the exact number of rows matching the query
 // across every endsystem's data (available or not), with NOW() bound to
-// the current clock — the denominator of completeness. CountMatching
-// resolves NOW() as it executes, so q itself is passed: the per-table plan
-// cache is keyed by query pointer, and a bound copy per call would miss it
-// on every endsystem and evict the plans of queries still running.
-func (c *Cluster) TrueRelevantRows(q *relq.Query) int64 {
+// the current clock — the denominator of completeness.
+func (c *Cluster) TrueRelevantRows(q *relq.Query) int64 { return c.trueRows(q, nil) }
+
+// trueRows is TrueRelevantRows over the endsystems keep admits (every one
+// when keep is nil). CountMatching resolves NOW() as it executes, so q
+// itself is passed: the per-table plan cache is keyed by query pointer,
+// and a bound copy per call would miss it on every endsystem and evict
+// the plans of queries still running.
+func (c *Cluster) trueRows(q *relq.Query, keep func(i int) bool) int64 {
 	now := int64(c.Sched.Now() / time.Second)
 	var total int64
-	for _, n := range c.Nodes {
+	for i, n := range c.Nodes {
+		if keep != nil && !keep(i) {
+			continue
+		}
 		tbl, ok := n.tables[q.Table]
 		if !ok {
 			continue
@@ -384,6 +387,13 @@ func (c *Cluster) TrueRelevantRows(q *relq.Query) int64 {
 		}
 	}
 	return total
+}
+
+// upDuring reports whether the trace brings endsystem i up at some instant
+// in [from, to].
+func (c *Cluster) upDuring(i int, from, to time.Duration) bool {
+	up, ok := c.cfg.Trace.Profiles[i].NextUp(from)
+	return ok && up <= to
 }
 
 // NumLive returns the number of currently-available endsystems.
@@ -402,7 +412,7 @@ func (c *Cluster) FirstLive() (ep simnet.Endpoint, ok bool) {
 
 // Coords returns the cluster's network-coordinate space, or nil when the
 // subsystem is disabled.
-func (c *Cluster) Coords() *coords.Space { return c.space }
+func (c *Cluster) Coords() *coords.Space { return c.Ring.Coords() }
 
 // TrueRowsInScope is TrueRelevantRows restricted to h's RTT scope: the
 // exact matching row count over the endsystems inside the scope's frozen
@@ -410,27 +420,12 @@ func (c *Cluster) Coords() *coords.Space { return c.space }
 // rows eventual completeness promises by now, brute-forced for oracle
 // checks. Falls back to TrueRelevantRows when the query carries no scope.
 func (c *Cluster) TrueRowsInScope(h *QueryHandle, q *relq.Query) int64 {
-	if c.space == nil || !c.space.HasScope(h.QueryID) {
+	sp := c.Coords()
+	if sp == nil || !sp.HasScope(h.QueryID) {
 		return c.TrueRelevantRows(q)
 	}
 	at := c.Sched.Now()
-	now := int64(at / time.Second)
-	var total int64
-	for i, n := range c.Nodes {
-		if !c.space.InScope(h.QueryID, simnet.Endpoint(i)) {
-			continue
-		}
-		if up, ok := c.cfg.Trace.Profiles[i].NextUp(h.Injected); !ok || up > at {
-			continue
-		}
-		tbl, ok := n.tables[q.Table]
-		if !ok {
-			continue
-		}
-		cnt, err := tbl.CountMatching(q, now)
-		if err == nil {
-			total += cnt
-		}
-	}
-	return total
+	return c.trueRows(q, func(i int) bool {
+		return sp.InScope(h.QueryID, simnet.Endpoint(i)) && c.upDuring(i, h.Injected, at)
+	})
 }

@@ -47,14 +47,6 @@ type Config struct {
 	// the chaos invariant checker can demonstrate that fixed timeouts
 	// lose subranges across outages the backoff schedule survives.
 	DisableBackoff bool
-	// Coords, when non-nil, is the cluster's network-coordinate space.
-	// Initial delegate selection is then biased toward the known candidate
-	// with the lowest predicted RTT inside each subrange (the id-valid
-	// candidate set is unchanged; ties break toward the smaller id so runs
-	// stay byte-identical per seed), and RTT-scoped queries
-	// prune subranges whose coordinate bounding balls fall entirely
-	// outside the query radius. Nil preserves the id-only baseline.
-	Coords *coords.Space
 }
 
 const (
@@ -200,9 +192,23 @@ func NewEngine(host Host, cfg Config) *Engine {
 	}
 }
 
-// scoped reports whether q carries an RTT scope the engine can enforce.
-func (e *Engine) scoped(q *relq.Query) bool {
-	return q.RTTScope > 0 && e.cfg.Coords != nil
+// space returns the ring's network-coordinate space, nil when the
+// subsystem is off. With one attached, initial delegate selection is
+// biased toward the known candidate with the lowest predicted RTT inside
+// each subrange (the id-valid candidate set is unchanged; ties break
+// toward the smaller id so runs stay byte-identical per seed), and
+// RTT-scoped queries prune subranges whose coordinate bounding balls fall
+// entirely outside the query radius. Without one the id-only baseline
+// holds.
+func (e *Engine) space() *coords.Space { return e.host.PastryNode().Ring().Coords() }
+
+// scope returns the space that enforces q's RTT scope, or nil when q
+// carries none or the ring has no coordinates.
+func (e *Engine) scope(q *relq.Query) *coords.Space {
+	if q.RTTScope <= 0 {
+		return nil
+	}
+	return e.space()
 }
 
 // Reset clears all per-query state (the endsystem restarted). Stale
@@ -250,11 +256,11 @@ func (e *Engine) Inject(q *relq.Query, cause uint64, onPredictor func(*predictor
 	p := &pendingInject{cb: onPredictor, at: now, query: q}
 	e.waiting[qid] = p
 	e.cInjects.Inc()
-	if e.scoped(q) {
+	if sp := e.scope(q); sp != nil {
 		// Freeze the RTT scope before the first route: Route can deliver
 		// locally and synchronously, and every later membership or pruning
 		// decision must see the same snapshot.
-		e.cfg.Coords.BeginScope(qid, node.Endpoint(), q.RTTScope)
+		sp.BeginScope(qid, node.Endpoint(), q.RTTScope)
 	}
 	p.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindInject, Query: e.o.QueryTag(qid), EP: int(node.Endpoint())})
 	msg := &startMsg{QueryID: qid, Query: q, Injector: node.Endpoint(), Cause: p.span}
@@ -469,11 +475,11 @@ func (e *Engine) newFanout(t *task, h *queryHdr) *fanout {
 	// prove no member lies within the radius: nothing in-scope is lost
 	// (the ball test is exact), and the completeness predictor never
 	// expects the pruned endsystems.
-	scoped := e.scoped(h.Query)
+	sp := e.scope(h.Query)
 	for i := 0; i < arity; i++ {
 		s := subrange{task: t, index: uint16(i)}
 		lo, hi := s.bounds()
-		if scoped && !e.cfg.Coords.RangeInScope(h.QueryID, lo, hi) {
+		if sp != nil && !sp.RangeInScope(h.QueryID, lo, hi) {
 			e.cPruned.Inc()
 		} else {
 			f.subs = append(f.subs, s)
@@ -647,9 +653,9 @@ func (e *Engine) aloneInRange(lo, hi ids.ID) bool {
 func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Query, span uint64, lo, hi ids.ID) {
 	node := e.host.PastryNode()
 	now := node.Sched().Now()
-	scoped := e.scoped(q)
+	sp := e.scope(q)
 	if node.ID().InRange(lo, hi) &&
-		(!scoped || e.cfg.Coords.InScope(qid, node.Endpoint())) {
+		(sp == nil || sp.InScope(qid, node.Endpoint())) {
 		acc.AddImmediate(e.host.EstimateOwnRows(q))
 	}
 	nowSecs := int64(now / time.Second)
@@ -657,7 +663,7 @@ func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Q
 		if rec.Summary == nil || rec.Model == nil {
 			continue
 		}
-		if scoped && !e.cfg.Coords.InScopeID(qid, rec.Subject) {
+		if sp != nil && !sp.InScopeID(qid, rec.Subject) {
 			continue // the unavailable endsystem is outside the RTT scope
 		}
 		rows := rec.Summary.EstimateRows(q, nowSecs)
@@ -706,8 +712,8 @@ func (e *Engine) sendSubrange(s *subrange) {
 	target := ids.Midpoint(lo, hi)
 	if s.retries > 0 {
 		target = ids.RandomInRange(e.random(), lo, hi)
-	} else if e.cfg.Coords != nil {
-		if ref, ok := e.nearestDelegate(lo, hi); ok {
+	} else if sp := e.space(); sp != nil {
+		if ref, ok := e.nearestDelegate(sp, lo, hi); ok {
 			target = ref.ID
 		}
 	}
@@ -718,7 +724,7 @@ func (e *Engine) sendSubrange(s *subrange) {
 // state knows inside [lo, hi], the one with the lowest predicted RTT.
 // Candidates arrive sorted by id and the comparison is strict, so the
 // choice is deterministic (ties go to the smaller id). ok is false when nothing in range is known locally.
-func (e *Engine) nearestDelegate(lo, hi ids.ID) (pastry.NodeRef, bool) {
+func (e *Engine) nearestDelegate(sp *coords.Space, lo, hi ids.ID) (pastry.NodeRef, bool) {
 	node := e.host.PastryNode()
 	e.cands = node.AppendKnownInRange(e.cands[:0], lo, hi)
 	self := node.Endpoint()
@@ -729,7 +735,7 @@ func (e *Engine) nearestDelegate(lo, hi ids.ID) (pastry.NodeRef, bool) {
 		if c.EP == self {
 			continue
 		}
-		rtt := e.cfg.Coords.PredictRTT(self, c.EP)
+		rtt := sp.PredictRTT(self, c.EP)
 		if !found || rtt < bestRTT {
 			best, bestRTT, found = c, rtt, true
 		}

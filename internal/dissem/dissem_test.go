@@ -355,10 +355,10 @@ func TestSingleNodeQuery(t *testing.T) {
 func TestScopedQueryPrunesToInjector(t *testing.T) {
 	n := 64
 	c := newClusterWith(t, n, 12, func(ring *pastry.Ring, idList []ids.ID) Config {
-		cfg := DefaultConfig()
-		cfg.Coords = coords.NewSpace(ring.Network(), coords.Enabled())
-		cfg.Coords.SetIDs(idList)
-		return cfg
+		sp := coords.NewSpace(ring.Network(), coords.Enabled())
+		sp.SetIDs(idList)
+		ring.SetCoords(sp)
+		return DefaultConfig()
 	})
 	c.sched.RunUntil(time.Minute)
 	q := *testQuery

@@ -716,11 +716,9 @@ func TestFinishedAccFrozen(t *testing.T) {
 func TestAllSubrangesPruned(t *testing.T) {
 	const n = 128
 	r := newRig(t, n, 11, rigConfig())
-	cfg := rigConfig()
-	cfg.Coords = coords.NewSpace(r.host.node.Ring().Network(), coords.Enabled())
-	cfg.Coords.SetIDs(r.ids)
-	r.e = NewEngine(r.host, cfg)
-	r.host.engine = r.e
+	sp := coords.NewSpace(r.host.node.Ring().Network(), coords.Enabled())
+	sp.SetIDs(r.ids)
+	r.host.node.Ring().SetCoords(sp)
 
 	// An untrained space puts every endsystem 200 µs from every other: a
 	// radius of 1 ns admits the injector, the top endpoint, and nobody else.
@@ -731,8 +729,8 @@ func TestAllSubrangesPruned(t *testing.T) {
 	around := idRange{r.ids[0], r.ranges[0].hi} // the engine too, itself out of scope
 	for i, g := range []idRange{above, around} {
 		qid := ids.HashString(fmt.Sprint("pruned", i))
-		cfg.Coords.BeginScope(qid, injector, q.RTTScope)
-		if r.e.aloneInRange(g.lo, g.hi) || cfg.Coords.RangeInScope(qid, g.lo, g.hi) {
+		sp.BeginScope(qid, injector, q.RTTScope)
+		if r.e.aloneInRange(g.lo, g.hi) || sp.RangeInScope(qid, g.lo, g.hi) {
 			t.Fatalf("range %d is a leaf or holds the injector: it would not be pruned whole", i)
 		}
 		r.got = nil

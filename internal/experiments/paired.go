@@ -141,11 +141,8 @@ func HedgeStudy(seeds []int64, smoke bool, workers int) *PairedResult {
 	}
 	return PairedStudy("Re-assertion ladder: straggler + burst loss", []string{"ladder", "ablated"}, seeds, workers,
 		func(seed int64, arm int) PairedRun {
-			cfg := core.ChaosConfig{Scenario: scen, Seed: seed, DisableReassert: arm == 1}
-			if smoke {
-				cfg.N = 60
-				cfg.Settle = 5 * time.Minute
-			}
+			cfg := core.DefaultChaosConfig(scen, seed, smoke)
+			cfg.Cluster.Node.Agg.Reassert = arm == 0
 			rep := core.RunChaos(cfg)
 			q := rep.Queries[0]
 			if q.TimeToComplete < 0 {

@@ -149,7 +149,7 @@ func WorkloadSweep(s Scale, n int, w qserve.Workload, smoke bool) *WorkloadResul
 		cfg := WorkloadConfig(n, s.Seed, w, smoke)
 		cfg.DisableAdmission = workloadVariants[i].disableAdmission
 		cfg.DisablePriority = workloadVariants[i].disablePriority
-		cfg.Obs = sc.Obs
+		cfg.Cluster.Obs = sc.Obs
 		return qserve.Run(cfg)
 	})
 	res := &WorkloadResult{

@@ -1,13 +1,19 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
+// workloadSmokeSHA256 pins the heavy smoke sweep's JSON, all three
+// variants: a change that moves one byte of a qserve report fails here.
+const workloadSmokeSHA256 = "85ccff36fe1267374e75517babf5ac08694c2cffd25c6bb06bf63425c702646a"
+
 // The CI smoke claim: the workload sweep is byte-deterministic across
-// engine worker counts, and the ablations degrade interactive tail
-// latency (the teeth).
+// engine worker counts and pinned by digest, and the ablations degrade
+// interactive tail latency (the teeth).
 func TestWorkloadSmoke(t *testing.T) {
 	const n = 200
 	w, ok := SmokeWorkload("heavy", 1)
@@ -30,6 +36,9 @@ func TestWorkloadSmoke(t *testing.T) {
 	}
 	if string(j1) != string(j8) {
 		t.Fatalf("sweep differs between 1 and 8 workers:\n--- workers=1\n%s\n--- workers=8\n%s", j1, j8)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(j1)); got != workloadSmokeSHA256 {
+		t.Errorf("sweep sha256 %s, pinned %s:\n%s", got, workloadSmokeSHA256, j1)
 	}
 
 	if len(r1.Variants) != 3 {

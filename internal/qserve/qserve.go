@@ -49,10 +49,9 @@ const ewmaAlpha = 0.3
 
 // Config parameterizes one query-service run.
 type Config struct {
-	// N is the endsystem population of the simulated cluster.
-	N int
-	// Seed drives the trace, the cluster, and the workload streams.
-	Seed int64
+	// Cluster is the world the service runs on. Its Seed also drives the
+	// workload streams, and its Obs, when set, receives the run's metrics.
+	Cluster core.ClusterConfig
 	// Workload is the open-loop arrival plan.
 	Workload Workload
 
@@ -74,17 +73,19 @@ type Config struct {
 	// DisablePriority ablates delay-aware dispatch: strict FIFO with no
 	// bypass (head-of-line blocking included).
 	DisablePriority bool
-
-	// Obs, when set, receives the run's metrics; nil creates a private
-	// layer.
-	Obs *obs.Obs
 }
 
 // DefaultConfig returns the service configuration the named workloads are
-// sized against.
+// sized against, on n endsystems of a Farsite trace that outlasts the
+// workload by an hour.
 func DefaultConfig(n int, seed int64, w Workload) Config {
+	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(n, w.End()+time.Hour, seed))
+	cluster := core.DefaultClusterConfig(trace, seed)
+	// Trees are reclaimed by the service's explicit retire cancel; the
+	// TTL stays as the backstop for cancels lost to churn.
+	cluster.Node.Agg.QueryTTL = 4 * time.Hour
 	return Config{
-		N: n, Seed: seed, Workload: w,
+		Cluster: cluster, Workload: w,
 		DelayBudget:  [NumClasses]time.Duration{Interactive: 2 * time.Hour, Batch: 10 * time.Minute},
 		ResultWindow: [NumClasses]time.Duration{Interactive: 3 * time.Minute, Batch: 10 * time.Minute},
 		StarveAfter:  20 * time.Minute,
@@ -110,10 +111,6 @@ const (
 // classCap bounds one class's share of pipeBudget, so batch scans can
 // never occupy the whole pipe. Constant; Go has no array constants.
 var classCap = [NumClasses]int{Interactive: 8, Batch: 6}
-
-// flowsPerDay is the data volume of Run's cluster: Anemone flows an
-// endsystem generates a day.
-const flowsPerDay = 200
 
 // tracked is one query's service-side record, kept for the whole run so
 // the report can compute arrival-to-t90 latencies post hoc.
@@ -166,7 +163,8 @@ type Service struct {
 	gQueueDepth   *obs.Gauge // qserve_queue_depth: current scheduler queue length
 }
 
-// NewService attaches a query service to a running cluster.
+// NewService attaches a query service to c, the cluster built from
+// cfg.Cluster.
 func NewService(cfg Config, c *core.Cluster) *Service {
 	o := c.Obs()
 	s := &Service{
@@ -181,12 +179,13 @@ func NewService(cfg Config, c *core.Cluster) *Service {
 	// Registered up front so a run that retires nothing still reports it;
 	// Cluster.CancelQuery counts the cancels.
 	o.Counter("queries_cancelled")
-	// Tie the cost scale to the simulated data volume: Run's cluster
-	// generates flowsPerDay rows an endsystem a day, so a full-table scan
-	// (the largest query) lands at maxCost and filtered interactive
+	// Tie the cost scale to the simulated data volume, the cluster's rows
+	// a day over its capture period on every endsystem, so a full-table
+	// scan (the largest query) lands at maxCost and filtered interactive
 	// aggregates at a third of it.
-	days := float64(cfg.Workload.End()+time.Hour) / float64(24*time.Hour)
-	s.rowsPerUnit = flowsPerDay * days * float64(cfg.N) / maxCost
+	data := cfg.Cluster.Workload
+	days := float64(data.Horizon) / float64(24*time.Hour)
+	s.rowsPerUnit = float64(data.MeanFlowsPerDay) * days * float64(cfg.Cluster.Trace.NumEndsystems()) / maxCost
 	s.gQueueDepth = s.o.Gauge("qserve_queue_depth")
 	for _, load := range cfg.Workload.Loads {
 		for _, t := range load.Templates {
@@ -200,7 +199,7 @@ func NewService(cfg Config, c *core.Cluster) *Service {
 
 // Schedule registers every workload arrival with the cluster's scheduler.
 func (s *Service) Schedule() {
-	for _, a := range s.cfg.Workload.Arrivals(s.cfg.Seed) {
+	for _, a := range s.cfg.Workload.Arrivals(s.cfg.Cluster.Seed) {
 		a := a
 		s.sched.At(a.At, func() { s.arrive(a) })
 	}
@@ -226,7 +225,7 @@ func (s *Service) pickInjector(pick int64) (simnet.Endpoint, bool) {
 // estimate scaled to the population — exactly the summary data Seaweed
 // replicates, so admission needs no extra protocol.
 func (s *Service) estimateCost(injector simnet.Endpoint, q *relq.Query) int {
-	estRows := s.c.Nodes[injector].EstimateOwnRows(q) * float64(s.cfg.N)
+	estRows := s.c.Nodes[injector].EstimateOwnRows(q) * float64(len(s.c.Nodes))
 	cost := int(math.Round(estRows / s.rowsPerUnit))
 	if cost < 1 {
 		cost = 1
@@ -471,23 +470,15 @@ func (s *Service) recordMetrics(t *tracked, now time.Duration) {
 	}
 }
 
-// Run builds a cluster for the config, drives the workload through a
-// fresh query service, and reports per-class delay statistics. The
-// report is a pure function of (Config minus Obs): it contains no wall
+// Run builds the configured cluster, drives the workload through a fresh
+// query service, and reports per-class delay statistics. The report is a
+// pure function of the config minus Cluster.Obs: it contains no wall
 // timing, so equal configurations produce byte-identical reports.
 func Run(cfg Config) *Report {
-	w := cfg.Workload
-	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(cfg.N, w.End()+time.Hour, cfg.Seed))
-	ccfg := core.DefaultClusterConfig(trace, cfg.Seed)
-	ccfg.Workload.MeanFlowsPerDay = flowsPerDay
-	// Trees are reclaimed by the service's explicit retire cancel; the
-	// TTL stays as the backstop for cancels lost to churn.
-	ccfg.Node.Agg.QueryTTL = 4 * time.Hour
-	ccfg.Obs = cfg.Obs
-	c := core.NewCluster(ccfg)
+	c := core.NewCluster(cfg.Cluster)
 	s := NewService(cfg, c)
 	s.Schedule()
-	c.RunUntil(w.End())
+	c.RunUntil(cfg.Workload.End())
 	return s.report()
 }
 
@@ -555,8 +546,8 @@ func (s *Service) report() *Report {
 	rep := &Report{
 		Variant:  s.cfg.Variant(),
 		Workload: s.cfg.Workload.Name,
-		N:        s.cfg.N,
-		Seed:     s.cfg.Seed,
+		N:        s.cfg.Cluster.Trace.NumEndsystems(),
+		Seed:     s.cfg.Cluster.Seed,
 		Queries:  len(s.all),
 		PeakOpen: s.peakOpen,
 	}

@@ -154,8 +154,8 @@ func TestServiceLifecycle(t *testing.T) {
 	// others run.
 	cfg.DelayBudget = [NumClasses]time.Duration{Interactive: 2 * time.Minute, Batch: time.Minute}
 	sink := &captureSink{}
-	cfg.Obs = obs.New()
-	cfg.Obs.SetTracer(obs.NewTracer(sink))
+	cfg.Cluster.Obs = obs.New()
+	cfg.Cluster.Obs.SetTracer(obs.NewTracer(sink))
 	rep := Run(cfg)
 
 	var shed, started int
@@ -167,7 +167,7 @@ func TestServiceLifecycle(t *testing.T) {
 		t.Fatalf("want both shed and started queries: shed %d started %d", shed, started)
 	}
 	t.Logf("%d queries: %d shed, %d started", rep.Queries, shed, started)
-	r := cfg.Obs.Registry()
+	r := cfg.Cluster.Obs.Registry()
 	if got := r.Counter("queries_admitted").Value(); got != uint64(rep.Queries) {
 		t.Fatalf("queries_admitted = %d, report has %d queries", got, rep.Queries)
 	}

@@ -91,9 +91,10 @@ type Query struct {
 	// predicted RTT from the injector — per the network-coordinate space
 	// frozen at injection time — is at most this bound ("endsystems within
 	// T ms of me"). Set programmatically. Requires the coordinate
-	// subsystem (ClusterConfig.Coords / seaweed.WithCoords); with
-	// coordinates disabled the scope is ignored and the query runs
-	// unscoped (seaweed-sim refuses the combination outright).
+	// subsystem (ClusterConfig.Coords.Enabled); with coordinates disabled
+	// the scope is ignored and the query runs unscoped. seaweed-sim
+	// -rtt-scope turns coordinates on itself, so it never runs that
+	// combination.
 	RTTScope time.Duration
 }
 
