@@ -19,9 +19,11 @@ import (
 const heapPerEndsystemCeiling = 36 << 10
 
 // allocPerQueryCeiling is about 10% above what TestAllocPerQuery measures
-// (5.8 KB on go1.24 linux/amd64; runs differ by half a percent). It read
-// 5.9 KB while every endsystem also kept a core.Node.executed entry per
-// query, 6.4-6.5 KB (ceiling 7,200) while every range task carried the fields of
+// (5.7 KB on go1.24 linux/amd64; runs differ by half a percent). It read
+// 5.8 KB (ceiling 6,500) while every dissemination range message and
+// fan-out was allocated afresh and every subrange send built its timeout
+// callback, 5.9 KB while every endsystem also kept a core.Node.executed
+// entry per query, 6.4-6.5 KB (ceiling 7,200) while every range task carried the fields of
 // an interior one, every response was an object of its own, and every
 // subrange stored its bounds; 6.95 KB while every range task that might
 // report anything carried all 72
@@ -36,7 +38,7 @@ const heapPerEndsystemCeiling = 36 << 10
 // predictor, empty or not, and every aggregation vertex kept its children
 // in a map (11.4 and 11.5 KB). At N=256 the tree has fewer empty ranges
 // than at the benchmark's N=1000, so those steps are 15-27% apart.
-const allocPerQueryCeiling = 6500
+const allocPerQueryCeiling = 6250
 
 // heapTestCluster keeps TestHeapPerEndsystem's cluster reachable after the
 // test returns: go test -memprofile collects before it writes, and that

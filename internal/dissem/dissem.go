@@ -19,6 +19,7 @@ package dissem
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/coords"
@@ -151,6 +152,11 @@ type Engine struct {
 	// cands is a reused scratch buffer for coordinate-biased delegate
 	// candidate enumeration (engines are single-threaded).
 	cands []pastry.NodeRef
+	// spare lists the fan-outs of this engine's finished interior tasks
+	// (linked through fanout.next), for newFanout to reuse. An engine
+	// creates and finishes its own fan-outs, so the list balances; sweep
+	// drops it when the task table drains, so an idle engine holds none.
+	spare *fanout
 }
 
 // pendingInject is one injector-side query awaiting its predictor.
@@ -231,6 +237,7 @@ func (e *Engine) Reset() {
 	e.retired, e.retiredTail = nil, nil
 	e.waiting = make(map[ids.ID]*pendingInject)
 	e.srtt, e.rttvar = 0, 0
+	e.spare = nil
 }
 
 // QueryID derives the queryId for a query injected at the given virtual
@@ -331,20 +338,53 @@ func startMsgSize(q *relq.Query) int { return ids.Bytes + 8 + len(q.Raw) + scope
 
 // queryHdr is a query's identity. The root builds one per root task, and
 // every range message and fan-out of the query below it shares it by
-// reference; nothing writes to it after.
+// reference; nothing writes to its identity after. free is the one field
+// that moves: the query's consumed range messages, for the next send of
+// the same query to reuse (the wheel is single-threaded, so every engine
+// of a cluster shares the list). It dies with the header, so it never
+// outlives the query's dissemination.
 type queryHdr struct {
 	QueryID  ids.ID
 	Query    *relq.Query
 	Injector simnet.Endpoint // the query's home, carried to every endsystem
+	free     *rangeMsg
 }
 
 // rangeMsg asks the recipient to produce the aggregated predictor for the
 // inclusive namespace range [Lo, Hi].
+//
+// A range message reaches a handler at most once: it only travels through
+// pastry.Node.Route, which delivers it synchronously or inside a hop
+// wrapper the duplication fault never copies (simnet.SingleDelivery), and
+// one the network drops is simply garbage. So HandleMessage recycles it
+// onto its header's free list once the range task has copied it out.
 type rangeMsg struct {
 	Hdr    *queryHdr
 	Lo, Hi ids.ID
 	Parent simnet.Endpoint // where to send the response
 	Cause  uint64
+	next   *rangeMsg // queryHdr.free
+}
+
+// rangeMsg returns a request for [lo, hi] of h's query, reusing a
+// consumed one when h has one.
+func (h *queryHdr) rangeMsg(lo, hi ids.ID, parent simnet.Endpoint, cause uint64) *rangeMsg {
+	m := h.free
+	if m == nil {
+		m = new(rangeMsg)
+	} else {
+		h.free = m.next
+	}
+	*m = rangeMsg{Hdr: h, Lo: lo, Hi: hi, Parent: parent, Cause: cause}
+	return m
+}
+
+// recycle zeroes a consumed range message and puts it on its header's
+// free list.
+func (m *rangeMsg) recycle() {
+	h := m.Hdr
+	*m = rangeMsg{next: h.free}
+	h.free = m
 }
 
 func rangeMsgSize(q *relq.Query) int { return 3*ids.Bytes + 8 + len(q.Raw) + scopeSize(q) }
@@ -410,16 +450,25 @@ type task struct {
 }
 
 // fanout is what an interior task holds while it waits on its subranges.
+// Once its task finishes it goes on the engine's spare list (Engine.spare)
+// and serves a later interior task of the same engine.
 type fanout struct {
-	eng *Engine
 	hdr *queryHdr
 	// width is the span of the task's range over the arity: with the range
 	// itself, it gives every subrange its bounds (subrange.bounds).
 	width ids.ID
 	// subs are the awaited subranges, by value: Engine.awaited and the
-	// response timers point into the array, which is sized once.
+	// response timers point into the array, which is sized once, to the
+	// arity, when the fan-out is first allocated.
 	subs []subrange
-	open int32 // subranges neither answered nor abandoned
+	// timeouts[i] is the response-timeout callback of slot i, built at the
+	// slot's first send and kept with the array, so a reused slot arms its
+	// timer without allocating. No timer outlives its task's fan-out: the
+	// task finishes only once every subrange settled, and settling cancels
+	// the timer or is what the timer did.
+	timeouts []func()
+	open     int32   // subranges neither answered nor abandoned
+	next     *fanout // Engine.spare
 }
 
 // subrange is one awaited part of an interior task's range: part index of
@@ -436,11 +485,6 @@ type subrange struct {
 	timer       simnet.Timer
 	cause       uint64 // span of the latest send/retry event for this subrange
 }
-
-// onTimeout is the subrange's response-timeout callback. No timer outlives
-// its task's fan-out: the task finishes only once every subrange settled,
-// and settling cancels the timer or is what the timer did.
-func (s *subrange) onTimeout() { s.task.fan.eng.subrangeTimeout(s) }
 
 // bounds returns the subrange's inclusive range.
 func (s *subrange) bounds() (lo, hi ids.ID) {
@@ -468,8 +512,13 @@ func part(lo, hi, width ids.ID, i uint64) (ids.ID, ids.ID) {
 // pruning.
 func (e *Engine) newFanout(t *task, h *queryHdr) *fanout {
 	arity := e.cfg.Arity
-	f := &fanout{eng: e, hdr: h, width: divByUint(t.key.hi.Sub(t.key.lo), uint64(arity)),
-		subs: make([]subrange, 0, arity)}
+	f := e.spare
+	if f != nil {
+		e.spare, f.next = f.next, nil
+	} else {
+		f = &fanout{subs: make([]subrange, 0, arity), timeouts: make([]func(), arity)}
+	}
+	f.hdr, f.width = h, divByUint(t.key.hi.Sub(t.key.lo), uint64(arity))
 	t.fan = f
 	// RTT-scoped queries drop subranges whose coordinate bounding balls
 	// prove no member lies within the radius: nothing in-scope is lost
@@ -529,7 +578,8 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 	case *startMsg:
 		e.handleStart(m)
 	case *rangeMsg:
-		e.handleRange(m)
+		e.beginTask(m.Hdr, m.Lo, m.Hi, m.Parent, m.Cause)
+		m.recycle()
 	case *task:
 		if !m.key.whole() {
 			e.handleResp(m.key, &m.acc, m.respCause)
@@ -558,10 +608,6 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 func (e *Engine) handleStart(m *startMsg) {
 	h := &queryHdr{QueryID: m.QueryID, Query: m.Query, Injector: m.Injector}
 	e.beginTask(h, ids.ID{}, ids.MaxID, m.Injector, m.Cause)
-}
-
-func (e *Engine) handleRange(m *rangeMsg) {
-	e.beginTask(m.Hdr, m.Lo, m.Hi, m.Parent, m.Cause)
 }
 
 // beginTask starts (or re-answers) the aggregation task for one range of
@@ -601,6 +647,14 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 	// Split into arity equal subranges. The one containing self recurses
 	// locally (no message); the rest are routed toward their midpoints.
 	f := e.newFanout(t, h)
+	if len(f.subs) == 0 {
+		// Degenerate: nothing to wait for (every subrange was pruned by
+		// the RTT scope). Checked before any send: once a send can answer,
+		// the task may finish and its fan-out serve another task.
+		e.contributeLocal(&t.acc, qid, h.Query, span, lo, hi)
+		e.finish(t)
+		return
+	}
 	self := node.ID()
 	var selfSub *subrange
 	for i := range f.subs {
@@ -613,9 +667,12 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 		}
 		e.awaited[taskKey{qid: qid, lo: slo, hi: shi}] = s
 	}
+	// A send can be answered synchronously (a midpoint this node is the
+	// root of, resolving to a leaf): with no local subrange, the last one
+	// can finish t and hand f on, so nothing reads f after these loops.
 	for i := range f.subs {
-		if s := &f.subs[i]; !s.local {
-			e.sendSubrange(s)
+		if !f.subs[i].local {
+			e.sendSubrange(f, i)
 		}
 	}
 	if selfSub != nil {
@@ -625,12 +682,6 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 		slo, shi := selfSub.bounds()
 		e.beginTask(h, slo, shi, node.Endpoint(), span)
 	}
-	if len(f.subs) == 0 {
-		// Degenerate: nothing to wait for (every subrange was pruned by
-		// the RTT scope).
-		e.contributeLocal(&t.acc, qid, h.Query, span, lo, hi)
-		e.finish(t)
-	}
 }
 
 // aloneInRange reports whether, per the local leafset, this node is the
@@ -639,12 +690,11 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 // live neighbors on both sides lie outside the range, no other live node
 // can be inside it.
 func (e *Engine) aloneInRange(lo, hi ids.ID) bool {
-	for _, m := range e.host.PastryNode().LeafsetView() {
-		if m.ID.InRange(lo, hi) {
-			return false
-		}
-	}
-	return true
+	// The view is sorted by id: the range holds a member exactly when the
+	// first member at or above lo is at or below hi.
+	leaf := e.host.PastryNode().LeafsetView()
+	i, _ := slices.BinarySearchFunc(leaf, lo, func(m pastry.NodeRef, key ids.ID) int { return m.ID.Cmp(key) })
+	return i == len(leaf) || hi.Less(leaf[i].ID)
 }
 
 // contributeLocal adds to acc this node's own predictor (when in range)
@@ -689,11 +739,12 @@ func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Q
 // parent counts the first response only, and endsystems deduplicate query
 // execution — so route diversity costs at most some extra traffic on
 // already-failing paths.
-func (e *Engine) sendSubrange(s *subrange) {
-	h := s.task.fan.hdr
+func (e *Engine) sendSubrange(f *fanout, i int) {
+	s := &f.subs[i]
+	h := f.hdr
 	lo, hi := s.bounds()
 	node := e.host.PastryNode()
-	msg := &rangeMsg{Hdr: h, Lo: lo, Hi: hi, Parent: node.Endpoint(), Cause: s.cause}
+	msg := h.rangeMsg(lo, hi, node.Endpoint(), s.cause)
 	e.cRangeMsgs.Inc()
 	// Arm the attempt state BEFORE routing: Route can deliver locally and
 	// answer synchronously (a self-routed midpoint resolving to a leaf),
@@ -702,7 +753,10 @@ func (e *Engine) sendSubrange(s *subrange) {
 	sched := node.Sched()
 	s.sentAt = sched.Now()
 	s.lastTimeout = e.attemptTimeout(int(s.retries), s.lastTimeout)
-	s.timer = sched.After(s.lastTimeout, s.onTimeout)
+	if f.timeouts[i] == nil {
+		f.timeouts[i] = func() { e.subrangeTimeout(f, i) }
+	}
+	s.timer = sched.After(s.lastTimeout, f.timeouts[i])
 	// Initial delegate: the id midpoint by default; with coordinates
 	// attached, the lowest-predicted-RTT node this node already knows
 	// inside the subrange (still an id-valid delegate — routing to its id
@@ -829,12 +883,13 @@ func rangeFraction(lo, hi ids.ID) float64 {
 	return float64(span.Hi)/two64 + float64(span.Lo)/(two64*two64)
 }
 
-// subrangeTimeout reissues an unanswered subrange request, or gives up
-// after MaxRetries (the contribution is then missing from the predictor —
-// the paper's "with high probability" caveat — and, worse, endsystems in
-// the subrange never observe the query; the giveup event makes that loss
-// visible and attributable).
-func (e *Engine) subrangeTimeout(s *subrange) {
+// subrangeTimeout reissues an unanswered subrange request — subrange i of
+// f — or gives up after MaxRetries (the contribution is then missing from
+// the predictor — the paper's "with high probability" caveat — and, worse,
+// endsystems in the subrange never observe the query; the giveup event
+// makes that loss visible and attributable).
+func (e *Engine) subrangeTimeout(f *fanout, i int) {
+	s := &f.subs[i]
 	t := s.task
 	node := e.host.PastryNode()
 	if s.done || t.finished || !node.Alive() {
@@ -859,7 +914,7 @@ func (e *Engine) subrangeTimeout(s *subrange) {
 	e.cReissues.Inc()
 	s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemRetry, Query: tag,
 		EP: int(node.Endpoint()), N: int64(s.retries)})
-	e.sendSubrange(s)
+	e.sendSubrange(f, i)
 }
 
 // settle marks a subrange answered or abandoned and takes it out of the
@@ -911,10 +966,17 @@ func (e *Engine) handleResp(key taskKey, pred *predictor.Predictor, cause uint64
 // retention window: the task stays in the table, to re-answer reissued
 // requests, until sweep lets it go. No timer is armed. A task of a
 // previous incarnation (see Reset) answers its parents and is otherwise
-// left alone: it is in no table.
+// left alone: it is in no table. An interior task's fan-out goes to the
+// spare list.
 func (e *Engine) finish(t *task) {
 	t.finished = true
-	t.fan = nil // all settled; nothing points into the subranges any more
+	if f := t.fan; f != nil {
+		// All settled: nothing points into the subranges any more.
+		t.fan = nil
+		clear(f.subs)
+		f.subs, f.hdr, f.next = f.subs[:0], nil, e.spare
+		e.spare = f
+	}
 	if e.tasks[t.key] == t {
 		t.expires = e.host.PastryNode().Sched().Now() + retention
 		if e.retiredTail == nil {
@@ -943,6 +1005,9 @@ func (e *Engine) sweep(now time.Duration) {
 	}
 	if e.retired == nil {
 		e.retiredTail = nil
+		if len(e.tasks) == 0 {
+			e.spare = nil // drained: an idle engine holds no fan-out
+		}
 	}
 }
 

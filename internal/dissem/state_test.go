@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -120,7 +121,8 @@ func value(p *predictor.Predictor) predictor.Predictor {
 var empty predictor.Predictor
 
 // sink is a ring member that runs no engine and records the responses it
-// is sent (requests it swallows: its subranges never answer by themselves).
+// is sent. It swallows requests, so its subranges never answer by
+// themselves, and recycles each as an engine does once it has consumed it.
 type sink struct {
 	rig *rig
 	ep  simnet.Endpoint
@@ -128,8 +130,13 @@ type sink struct {
 
 func (s *sink) LeafsetChanged() {}
 func (s *sink) Deliver(_ ids.ID, _ simnet.Endpoint, payload any) {
-	if m, ok := payload.(*task); ok && s.rig.record {
-		s.rig.got = append(s.rig.got, received{to: s.ep, resp: m, was: value(&m.acc)})
+	switch m := payload.(type) {
+	case *task:
+		if s.rig.record {
+			s.rig.got = append(s.rig.got, received{to: s.ep, resp: m, was: value(&m.acc)})
+		}
+	case *rangeMsg:
+		m.recycle()
 	}
 }
 
@@ -753,10 +760,86 @@ func TestAllSubrangesPruned(t *testing.T) {
 	}
 }
 
+// TestAloneInRangeMatchesScan holds aloneInRange's binary search to a
+// scan of the leafset, on ranges that start, end or stop one short of
+// members, and on ones that wrap no member at all.
+func TestAloneInRangeMatchesScan(t *testing.T) {
+	r := newRig(t, 64, 11, rigConfig())
+	leaf := r.host.node.LeafsetView()
+	var edges []ids.ID
+	for _, m := range leaf {
+		edges = append(edges, m.ID, m.ID.AddUint64(1), m.ID.Sub(ids.ID{Lo: 1}))
+	}
+	edges = append(edges, ids.ID{}, ids.MaxID, r.ids[0], r.ids[len(r.ids)/2])
+	for _, lo := range edges {
+		for _, hi := range edges {
+			if hi.Less(lo) {
+				continue
+			}
+			want := true
+			for _, m := range leaf {
+				want = want && !m.ID.InRange(lo, hi)
+			}
+			if got := r.e.aloneInRange(lo, hi); got != want {
+				t.Fatalf("[%v, %v]: alone %v, the scan says %v", lo, hi, got, want)
+			}
+		}
+	}
+}
+
+// TestSynchronousAnswersFinishOnce: when this endsystem lies in none of a
+// range's subranges and every request it sends is answered inside the
+// send itself, the last answer finishes the task — and hands its fan-out
+// to the spare list — before beginTask's loop returns. The task must be
+// answered once, its fan-out not mistaken for an empty one afterwards.
+//
+// The range starts just above the engine, the lowest member; its first
+// subrange holds no member, so its midpoint is the engine's own and the
+// request for it is a local leaf, answered at once. The RTT scope admits
+// only that subrange: the injector is placed inside it in the coordinate
+// space's id list, and everybody else is out of a 1 ns radius.
+func TestSynchronousAnswersFinishOnce(t *testing.T) {
+	const n = 128
+	r := newRig(t, n, 11, rigConfig())
+	self, first := r.ids[0], r.ids[1]
+	lo := self.AddUint64(1)
+	g := idRange{lo, lo.Add(first.Sub(lo)).Add(first.Sub(lo))}
+	if r.e.aloneInRange(g.lo, g.hi) {
+		t.Fatal("the range is a leaf")
+	}
+	const injector = simnet.Endpoint(n - 1)
+	placed := slices.Clone(r.ids)
+	placed[injector] = g.lo
+	sp := coords.NewSpace(r.host.node.Ring().Network(), coords.Enabled())
+	sp.SetIDs(placed)
+	r.host.node.Ring().SetCoords(sp)
+	q := *testQuery
+	q.RTTScope = time.Nanosecond
+	qid := ids.HashString("synchronous")
+	sp.BeginScope(qid, injector, q.RTTScope)
+
+	r.e.HandleMessage(2, &rangeMsg{Hdr: &queryHdr{QueryID: qid, Query: &q, Injector: injector},
+		Lo: g.lo, Hi: g.hi, Parent: 2})
+	task := r.e.tasks[taskKey{qid, g.lo, g.hi}]
+	if task == nil || !task.finished {
+		t.Fatal("the task did not finish inside beginTask")
+	}
+	if r.e.spare == nil || r.e.spare.next != nil {
+		t.Fatal("the finished task's fan-out is not the one spare")
+	}
+	r.advance(time.Second)
+	if len(r.got) != 1 || r.got[0].resp != task {
+		t.Fatalf("the parent got %d responses, want 1", len(r.got))
+	}
+	if got := r.e.queued(); got != 2 { // the task and its one leaf, each once
+		t.Fatalf("%d tasks queued for expiry, want 2", got)
+	}
+}
+
 // TestTaskTablesBounded is the leak regression: under a query stream the
 // engine's tables hold the queries in flight or inside their retention
 // (plus the one a lazy sweep has yet to let go), never the stream, and
-// empty out once the stream stops.
+// empty out once the stream stops — the spare fan-outs with them.
 func TestTaskTablesBounded(t *testing.T) {
 	for _, period := range []time.Duration{30 * time.Second, 3 * time.Minute} {
 		c := newCluster(t, 64, 31, DefaultConfig())
@@ -806,6 +889,9 @@ func TestTaskTablesBounded(t *testing.T) {
 				t.Fatalf("period %v: after the stream: %d tasks, %d indexed subranges, %d queued for expiry",
 					period, len(e.tasks), len(e.awaited), e.queued())
 			}
+			if e.spare != nil {
+				t.Fatalf("period %v: after the stream: a drained engine holds a spare fan-out", period)
+			}
 		}
 	}
 }
@@ -827,8 +913,10 @@ func bytesPerRun(runs int, f func()) uint64 {
 // TestRangeTaskAllocCeilings pins the allocations of the per-message
 // paths: a leaf range task is the task, which is also its response — one
 // object of the 128-byte class, whether it has rows to report or not, for
-// its predictor allocates buckets only for mass in them; a response
-// allocates nothing, whether or not it completes its task.
+// its predictor allocates buckets only for mass in them; once warm, an
+// interior range task is its task too, its fan-out a finished task's and
+// its requests consumed ones of its query; a response allocates nothing,
+// whether or not it completes its task.
 func TestRangeTaskAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -858,12 +946,12 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 		{"leaf with rows", r.own},
 		{"empty leaf", r.empties[0]},
 	} {
+		// Each run's request is the one the run before consumed.
 		hdr := &queryHdr{Query: testQuery, Injector: 2}
-		leaf := &rangeMsg{Hdr: hdr, Lo: c.g.lo, Hi: c.g.hi, Parent: 2}
 		run := func() {
 			qid.Lo++
 			hdr.QueryID = qid
-			r.e.HandleMessage(2, leaf)
+			r.e.HandleMessage(2, hdr.rangeMsg(c.g.lo, c.g.hi, 2, 0))
 			r.advance(50 * time.Millisecond)
 		}
 		if n := testing.AllocsPerRun(runs, run); n > 1 {
@@ -876,10 +964,39 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 		}
 	}
 
-	// Interior tasks to answer: all but the last subrange of each, then
-	// the last of each.
+	// Interior tasks, a new query each time, every subrange answered once
+	// the sinks have consumed its request. The response timers the answers
+	// cancel leave the wheel at their instant, so each run waits them out:
+	// their events go back to the scheduler's pool.
 	g := r.ranges[0]
 	subs := r.subs(g)
+	hdr := &queryHdr{Query: testQuery, Injector: 2}
+	answer := &task{finished: true}
+	interior := func() {
+		qid.Lo++
+		hdr.QueryID = qid
+		r.e.HandleMessage(2, hdr.rangeMsg(g.lo, g.hi, 2, 0))
+		r.advance(time.Second)
+		for _, s := range subs {
+			answer.key = taskKey{qid, s.lo, s.hi}
+			r.e.HandleMessage(1, answer)
+		}
+		r.advance(responseTimeout)
+	}
+	if n := testing.AllocsPerRun(runs, interior); n > 1 {
+		t.Errorf("interior: %.1f allocations, want at most 1", n)
+	}
+	if n := bytesPerRun(runs, interior); n > 128 {
+		t.Errorf("interior: %d bytes, want at most 128 (the task; fan-out and requests reused)", n)
+	} else {
+		t.Logf("interior: %d bytes", n)
+	}
+	if tk := r.e.tasks[taskKey{qid, g.lo, g.hi}]; tk == nil || !tk.finished {
+		t.Fatal("the last interior task did not finish")
+	}
+
+	// Interior tasks to answer: all but the last subrange of each, then
+	// the last of each.
 	each := len(subs) - 1
 	tasks := (runs+1)/each + 1
 	qids := make([]ids.ID, tasks)

@@ -480,7 +480,8 @@ func (s *Service) Lookup(id ids.ID) *Record { return s.store[id] }
 func (s *Service) UnavailableInRange(lo, hi ids.ID) []*Record {
 	var out []*Record
 	for id, rec := range s.store {
-		if rec.Up || !id.InRange(lo, hi) || id == s.node.ID() {
+		// The key first: nearly every record lies outside a leaf's range.
+		if !id.InRange(lo, hi) || rec.Up || id == s.node.ID() {
 			continue
 		}
 		if _, live := s.prevLeaf[id]; live {

@@ -28,16 +28,25 @@ type Node struct {
 	id    ids.ID
 	app   Application
 	alive bool
+	// joining and bounded share alive's word: joining is the join
+	// protocol's state (joinRetry), bounded the leafset arc's (arcLo).
+	joining bool
+	bounded bool
 
 	leaf []NodeRef   // leafset: l/2 nearest per side, sorted by ID
 	rows []*tableRow // routing table rows, arena-allocated as needed
+
+	// The leafset's namespace arc, which inLeafsetSpan tests: arcLen
+	// clockwise from arcLo. bounded is false while the leafset holds fewer
+	// than l members, and the arc is then the whole ring. setArc recomputes
+	// them on every change to leaf.
+	arcLo, arcLen ids.ID
 
 	// OnReady, if set, is called once the node has joined the overlay and
 	// is routable (immediately for bootstrap starts, after the join
 	// protocol completes otherwise).
 	OnReady func()
 
-	joining   bool
 	joinRetry simnet.Timer
 }
 
@@ -68,9 +77,10 @@ func (n *Node) Leafset() []NodeRef {
 	return out
 }
 
-// LeafsetView returns the node's current leafset members without copying.
-// The slice is the node's own: read-only, and good only until the node
-// next handles an event. It is for per-message paths that just iterate.
+// LeafsetView returns the node's current leafset members, sorted by id,
+// without copying. The slice is the node's own: read-only, and good only
+// until the node next handles an event. It is for per-message paths that
+// just iterate or search.
 func (n *Node) LeafsetView() []NodeRef { return n.leaf }
 
 // AppendKnownInRange appends the nodes this node's own routing state —
@@ -188,6 +198,7 @@ func (n *Node) Start() {
 	n.alive = true
 	n.joining = true
 	n.leaf = nil
+	n.setArc()
 	n.rows = nil
 	if n.ring.NumLive() == 0 {
 		n.ring.noteJoined(n)
@@ -400,17 +411,33 @@ func (n *Node) nextHop(key ids.ID) (next NodeRef, selfIsRoot bool) {
 }
 
 // closestOfLeafset returns the numerically closest of leafset ∪ self to
-// key.
+// key. Ties go to self, then to the smaller id.
 func (n *Node) closestOfLeafset(key ids.ID) NodeRef {
-	best := n.Ref()
-	bestD := n.id.AbsDistance(key)
-	for _, m := range n.leaf {
-		d := m.ID.AbsDistance(key)
-		if d.Less(bestD) {
-			best, bestD = m, d
+	self := n.Ref()
+	if len(n.leaf) == 0 {
+		return self
+	}
+	// The closest member is key's nearest one clockwise or counterclockwise:
+	// the first at or above key and the last below it, each wrapping round
+	// the ID-sorted leafset.
+	i, j := 0, len(n.leaf)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if n.leaf[h].ID.Less(key) {
+			i = h + 1
+		} else {
+			j = h
 		}
 	}
-	return best
+	succ, pred := n.leaf[i%len(n.leaf)], n.leaf[(i+len(n.leaf)-1)%len(n.leaf)]
+	best, bestD := succ, succ.ID.AbsDistance(key)
+	if d := pred.ID.AbsDistance(key); d.Less(bestD) || d == bestD && pred.ID.Less(succ.ID) {
+		best, bestD = pred, d
+	}
+	if bestD.Less(n.id.AbsDistance(key)) {
+		return best
+	}
+	return self
 }
 
 // LeafsetRoot returns the endsystem this node takes for key's root from
@@ -431,8 +458,14 @@ func (n *Node) LeafsetRoot(key ids.ID) (NodeRef, bool) {
 // span is taken to cover the whole ring, because the leafset then contains
 // every known node and the closest-member rule is exact.
 func (n *Node) inLeafsetSpan(key ids.ID) bool {
-	if len(n.leaf) < 2*leafsetHalf {
-		return true
+	return !n.bounded || n.arcLo.Distance(key).Cmp(n.arcLen) <= 0
+}
+
+// setArc caches the leafset's arc for inLeafsetSpan; every change to leaf
+// calls it.
+func (n *Node) setArc() {
+	if n.bounded = len(n.leaf) >= 2*leafsetHalf; !n.bounded {
+		return
 	}
 	// Find the farthest successor (max clockwise distance from self) and
 	// farthest predecessor (max counterclockwise distance); the leafset
@@ -451,7 +484,7 @@ func (n *Node) inLeafsetSpan(key ids.ID) bool {
 			lo, dPred = m.ID, ccw
 		}
 	}
-	return lo.Distance(key).Cmp(lo.Distance(hi)) <= 0
+	n.arcLo, n.arcLen = lo, lo.Distance(hi)
 }
 
 // IsRootOf reports whether this node believes it is the key's root: no
@@ -564,6 +597,7 @@ func (n *Node) removeFromLeafset(ref NodeRef) {
 		return
 	}
 	n.leaf = append(n.leaf[:idx], n.leaf[idx+1:]...)
+	n.setArc()
 	n.ring.cRepairs.Inc()
 	n.ring.o.Emit(obs.Event{Kind: obs.KindLeafsetRepair, EP: int(n.ep)})
 	n.repairLeafset()
@@ -648,6 +682,7 @@ func (n *Node) setLeafset(cands []NodeRef) {
 	}
 	slices.SortFunc(leaf, func(a, b NodeRef) int { return a.ID.Cmp(b.ID) })
 	n.leaf = leaf
+	n.setArc()
 }
 
 // handleJoinRequest routes a join toward the joiner's id; at the root it
