@@ -132,8 +132,10 @@ type vertexState struct {
 	refresh   simnet.Timer
 	primary   bool
 	// dirty marks state changes not yet propagated upward; the periodic
-	// refresh only re-propagates dirty vertices (plus a rare safety pass)
-	// so an idle query costs almost nothing.
+	// refresh re-propagates dirty vertices at the next tick and idle ones
+	// only on the safety pass, and an idle vertex's chain sleeps in
+	// between (armRefresh): an idle query costs a tick per primary every
+	// third period, and one per backup at expiry.
 	dirty bool
 	// dropped is set when the vertex leaves its record (cancel, expiry,
 	// restart): a timer of its that still fires does nothing.
@@ -785,7 +787,7 @@ func (e *Engine) applySubmit(origin simnet.Endpoint, m *submitMsg) {
 		}
 	}
 	v := e.vertex(st, m.Vertex)
-	v.primary = true
+	e.setPrimary(v)
 	cur, exists := v.children.get(m.Child)
 	if m.WantAck {
 		// Whichever branch below is taken, the child table holds the
@@ -874,7 +876,7 @@ func (e *Engine) applyRepl(m *replMsg) {
 			// forward of that stint.
 			e.clearHedge(v)
 		}
-		v.primary = true
+		e.setPrimary(v)
 		if changed {
 			// Taking over with fresh state: push the new aggregate up. The
 			// backups already hold the state we just received.
@@ -1011,44 +1013,86 @@ func (e *Engine) backupSet(vertex ids.ID) []pastry.NodeRef {
 	return cands
 }
 
-// armRefresh schedules periodic re-propagation for a vertex. Ordinarily a
-// tick is a no-op: it re-propagates only state that changed without
-// reaching the parent (a lost message). Every third tick re-propagates
-// unconditionally as a safety net against losses the dirty flag cannot
-// see: forwardUp clears dirty optimistically, so a dropped vertex-to-
-// parent message — or a parent replica group that lost the aggregate
-// wholesale — is only ever recovered by this pass.
+// armRefresh starts the vertex's refresh chain. Its ticks fall every
+// RefreshPeriod from the instant the vertex was created, the chain's phase:
+// the n-th at born+n·RefreshPeriod. A tick re-propagates state that changed
+// without reaching the parent (a lost message), and every third tick
+// re-propagates unconditionally as a safety net against losses the dirty
+// flag cannot see: forwardUp clears dirty optimistically, so a dropped
+// vertex-to-parent message — or a parent replica group that lost the
+// aggregate wholesale — is only ever recovered by this pass. Only a
+// primary acts on either, and only the first tick past the query's expiry
+// reclaims the vertex, so the chain schedules an event only at a tick that
+// can act: a backup's chain sleeps until its expiry tick, an idle
+// primary's until its next safety pass, and setPrimary pulls a backup's
+// chain in to its next tick. A new vertex starts asleep as a backup's.
 func (e *Engine) armRefresh(v *vertexState) {
 	if e.cfg.RefreshPeriod <= 0 {
 		return
 	}
+	sched := e.host.PastryNode().Sched()
+	born := sched.Now()
+	var tick func()
+	tick = func() {
+		sched := e.host.PastryNode().Sched()
+		n := int64((sched.Now() - born) / e.cfg.RefreshPeriod)
+		if next := e.refreshTick(v, n); next > 0 {
+			v.refresh = sched.At(e.refreshWake(v, born, n, next), tick)
+		}
+	}
+	v.refresh = sched.At(e.refreshWake(v, born, 0, sleepUntilExpiry), tick)
+	if refreshArmed != nil {
+		refreshArmed(e, v, born)
+	}
+}
+
+// refreshWake returns the instant of the tick that a chain of phase born,
+// having run tick n, sleeps until, given refreshTick's answer next. It is
+// never past the expiry tick, the first n with
+// born+n·RefreshPeriod-firstSeen > QueryTTL, unless that has passed.
+// Without a TTL a backup's chain wakes for every safety pass.
+func (e *Engine) refreshWake(v *vertexState, born time.Duration, n, next int64) time.Duration {
+	period := e.cfg.RefreshPeriod
+	if e.cfg.QueryTTL > 0 {
+		expiry := int64((v.q.firstSeen+e.cfg.QueryTTL-born)/period) + 1
+		next = min(next, max(expiry, n+1))
+	} else if next == sleepUntilExpiry {
+		next = n + 3 - n%3
+	}
+	return born + time.Duration(next)*period
+}
+
+// sleepUntilExpiry is refreshTick's answer for a chain that no tick before
+// its expiry tick can make act.
+const sleepUntilExpiry = int64(1<<63 - 1)
+
+// refreshTick runs the vertex's n-th refresh tick and returns the tick its
+// chain sleeps until (before expiry is taken into account), or 0 when the
+// chain ends.
+func (e *Engine) refreshTick(v *vertexState, n int64) int64 {
+	if refreshTicked != nil {
+		refreshTicked(e, v)
+	}
 	node := e.host.PastryNode()
-	tick := 0
-	v.refresh = node.Sched().Every(e.cfg.RefreshPeriod, func() {
-		if !node.Alive() {
-			return
+	if !node.Alive() || v.dropped {
+		// A down endsystem's ticks do nothing, and coming back
+		// (core.Node.GoUp) resets the engine, which drops the vertex.
+		return 0
+	}
+	if e.expired(v.q) {
+		// The query timed out (or was canceled): reclaim the vertex.
+		if i, ok := v.q.findVertex(v.id); ok {
+			v.q.vertices = slices.Delete(v.q.vertices, i, i+1)
 		}
-		if v.dropped {
-			v.refresh.Cancel()
-			return
-		}
-		tick++
-		if e.expired(v.q) {
-			// The query timed out (or was canceled): reclaim the vertex.
-			if i, ok := v.q.findVertex(v.id); ok {
-				v.q.vertices = slices.Delete(v.q.vertices, i, i+1)
-			}
-			e.drop(v)
-			return
-		}
-		if e.cfg.DisableRepair {
-			return
-		}
-		if !node.IsRootOf(v.id) || len(v.children) == 0 {
-			return
-		}
+		e.drop(v)
+		return 0
+	}
+	if e.cfg.DisableRepair {
+		return sleepUntilExpiry
+	}
+	if node.IsRootOf(v.id) && len(v.children) > 0 {
 		v.primary = true
-		if v.dirty || tick%3 == 0 {
+		if v.dirty || n%3 == 0 {
 			// Re-assert the aggregate upward; replication to backups is
 			// handled by the update and membership-change paths.
 			if v.dirty {
@@ -1056,8 +1100,47 @@ func (e *Engine) armRefresh(v *vertexState) {
 			}
 			e.forwardUp(v)
 		}
-	})
+	}
+	switch {
+	case !v.primary:
+		// A backup: a root vertex with children is already primary (the
+		// takeover paths make it so), so none of its ticks can act.
+		return sleepUntilExpiry
+	case v.dirty:
+		return n + 1
+	default:
+		return n + 3 - n%3
+	}
 }
+
+// setPrimary makes this endsystem the vertex's primary. A backup's refresh
+// chain sleeps until expiry, so it is pulled in to its next tick: the first
+// instant on its phase after now, read off the sleeping event's own
+// instant, which lies on the phase. A primary's chain is left as it is: it
+// ticks every period while the vertex is dirty, and the paths that call
+// this and dirty a primary forward at once, which cleans it.
+func (e *Engine) setPrimary(v *vertexState) {
+	if v.primary {
+		return
+	}
+	v.primary = true
+	at, ok := v.refresh.When()
+	if !ok {
+		return
+	}
+	period := e.cfg.RefreshPeriod
+	now := e.host.PastryNode().Sched().Now()
+	if next := at - (at-now-1)/period*period; next < at {
+		v.refresh.Reschedule(next)
+	}
+}
+
+// Test hooks, nil outside tests: the differential refresh oracle shadows
+// every chain armRefresh starts and is told of every tick a chain runs.
+var (
+	refreshArmed  func(e *Engine, v *vertexState, born time.Duration)
+	refreshTicked func(e *Engine, v *vertexState)
+)
 
 // HandleLeafsetChanged reacts to churn: any vertex whose primary role just
 // arrived at this node (the previous primary died or the namespace
@@ -1078,7 +1161,7 @@ func (e *Engine) HandleLeafsetChanged() {
 			// Take over: the previous primary died or the namespace
 			// shifted toward us. The ladder starts from its first rung.
 			e.clearHedge(v)
-			v.primary = true
+			e.setPrimary(v)
 			e.cTakeovers.Inc()
 			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: e.o.QueryTag(v.q.qid),
 				EP: int(node.Endpoint())})

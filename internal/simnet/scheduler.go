@@ -12,7 +12,9 @@
 // far-future events, and all events are pooled structs rather than
 // closures, with cancel handles (Timer) returned by value: once the pool is
 // warm, a message delivery, an At/After with its Cancel and a periodic-timer
-// firing allocate nothing (TestSchedulerSteadyStateAllocs).
+// firing allocate nothing (TestSchedulerSteadyStateAllocs). A canceled
+// far-future event leaves the overflow heap at once; one canceled inside the
+// wheel's window is discarded when its tick is drained.
 package simnet
 
 import (
@@ -37,7 +39,8 @@ const (
 	maxDuration = time.Duration(1<<63 - 1)
 )
 
-// event kinds. evNone marks a canceled (or pooled) event, lazily discarded.
+// event kinds. evNone marks a canceled (or pooled) event: a canceled one
+// still in the wheel or the due buffer is discarded when it is reached.
 const (
 	evNone = iota
 	// evFunc runs an arbitrary callback (the general At/After path).
@@ -59,19 +62,34 @@ type event struct {
 	seq  uint64
 	tid  uint64 // timer identity; 0 when no Timer can refer to this event
 	next *event // slot free-list link
-	kind uint8
+	w    *Wheel // the wheel that owns it, for Timer.Cancel and Reschedule
 
 	// evFunc / evPeriodic
 	fn     func()
 	period time.Duration
 
 	// evDeliver
-	net      *Network
-	from, to Endpoint
-	size     int
-	class    Class
-	payload  any
+	net     *Network
+	payload any
+	size    int
+	from    int32 // Endpoint
+	to      int32 // Endpoint
+
+	// hidx is the event's index in the overflow heap while where is inHeap.
+	hidx  int32
+	kind  uint8
+	where uint8 // which queue holds the event (inWheel, inDue, inHeap), or none
+	class uint8 // Class
 }
+
+// Where a queued event is (event.where). An event being dispatched, or in
+// the pool, is in none of them.
+const (
+	inNone = iota
+	inWheel
+	inDue
+	inHeap
+)
 
 // Wheel is the simulator's event engine: schedule (At/After/Every),
 // cancel (via the returned Timer), and advance (Run/RunUntil). The zero
@@ -137,8 +155,10 @@ func (s *Wheel) Now() time.Duration { return s.now }
 // ns/event throughput metrics the benchmark (bench/) reports.
 func (s *Wheel) Executed() uint64 { return s.executed }
 
-// Pending returns the number of queued events, including lazily canceled
-// ones.
+// Pending returns the number of queued events. A canceled timer whose
+// instant lies beyond the wheel's window has left the queue; one canceled
+// inside the window is counted until its tick is drained. The obs time
+// series reports this as its backlog.
 func (s *Wheel) Pending() int { return s.pending }
 
 func tickOf(t time.Duration) int64 { return int64(t / wheelTick) }
@@ -148,7 +168,7 @@ func tickOf(t time.Duration) int64 { return int64(t / wheelTick) }
 func (s *Wheel) alloc() *event {
 	ev := s.free
 	if ev == nil {
-		return &event{}
+		return &event{w: s}
 	}
 	s.free = ev.next
 	ev.next = nil
@@ -158,6 +178,7 @@ func (s *Wheel) alloc() *event {
 // recycle clears an event's references and returns it to the pool.
 func (s *Wheel) recycle(ev *event) {
 	ev.kind = evNone
+	ev.where = inNone
 	ev.tid = 0
 	ev.fn = nil
 	ev.net = nil
@@ -190,10 +211,27 @@ func (s *Wheel) schedule(ev *event) {
 
 func (s *Wheel) wheelPush(ev *event, tick int64) {
 	slot := int(tick & wheelMask)
+	ev.where = inWheel
 	ev.next = s.slots[slot]
 	s.slots[slot] = ev
 	s.bitmap[slot>>6] |= 1 << uint(slot&63)
 	s.wheeled++
+}
+
+// wheelRemove unlinks a wheeled event from its slot list (a slot holds the
+// events of one millisecond, so the walk is short).
+func (s *Wheel) wheelRemove(ev *event) {
+	slot := int(tickOf(ev.at) & wheelMask)
+	p := &s.slots[slot]
+	for *p != ev {
+		p = &(*p).next
+	}
+	*p = ev.next
+	ev.next = nil
+	if s.slots[slot] == nil {
+		s.bitmap[slot>>6] &^= 1 << uint(slot&63)
+	}
+	s.wheeled--
 }
 
 // dueInsert places ev into the pending portion of the sorted due buffer.
@@ -209,9 +247,37 @@ func (s *Wheel) dueInsert(ev *event) {
 			hi = mid
 		}
 	}
+	ev.where = inDue
 	s.due = append(s.due, nil)
 	copy(s.due[lo+1:], s.due[lo:])
 	s.due[lo] = ev
+}
+
+// dueRemove takes a not-yet-executed event out of the due buffer, keeping
+// the rest in order.
+func (s *Wheel) dueRemove(ev *event) {
+	i := s.dueIdx
+	for s.due[i] != ev {
+		i++
+	}
+	n := len(s.due) - 1
+	copy(s.due[i:], s.due[i+1:])
+	s.due[n] = nil
+	s.due = s.due[:n]
+}
+
+// unqueue takes a queued event out of whichever queue holds it.
+func (s *Wheel) unqueue(ev *event) {
+	switch ev.where {
+	case inWheel:
+		s.wheelRemove(ev)
+	case inDue:
+		s.dueRemove(ev)
+	case inHeap:
+		s.overRemove(int(ev.hidx))
+	}
+	ev.where = inNone
+	s.pending--
 }
 
 // eventBefore is the global execution order: time, then schedule order.
@@ -224,27 +290,41 @@ func eventBefore(a, b *event) bool {
 
 // ---------------------------------------------------------------- overflow
 
-func (s *Wheel) overPush(ev *event) {
-	s.over = append(s.over, ev)
-	i := len(s.over) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventBefore(s.over[i], s.over[parent]) {
-			break
-		}
-		s.over[i], s.over[parent] = s.over[parent], s.over[i]
-		i = parent
-	}
+// The overflow heap records each event's index in it (event.hidx), so an
+// event can leave from anywhere in the heap: a canceled far-future timer
+// goes at once instead of waiting out its instant.
+
+func (s *Wheel) overSet(i int, ev *event) {
+	s.over[i] = ev
+	ev.hidx = int32(i)
 }
 
-func (s *Wheel) overPop() *event {
+func (s *Wheel) overPush(ev *event) {
+	ev.where = inHeap
+	s.over = append(s.over, ev)
+	s.overUp(len(s.over) - 1)
+}
+
+func (s *Wheel) overUp(i int) {
 	h := s.over
-	ev := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	s.over = h[:n]
-	i := 0
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !eventBefore(ev, h[parent]) {
+			break
+		}
+		s.overSet(i, h[parent])
+		i = parent
+	}
+	s.overSet(i, ev)
+}
+
+// overDown sifts the event at i down and reports whether it moved.
+func (s *Wheel) overDown(i int) bool {
+	h := s.over
+	n := len(h)
+	ev := h[i]
+	start := i
 	for {
 		l, r := 2*i+1, 2*i+2
 		if l >= n {
@@ -254,12 +334,30 @@ func (s *Wheel) overPop() *event {
 		if r < n && eventBefore(h[r], h[l]) {
 			min = r
 		}
-		if !eventBefore(h[min], h[i]) {
+		if !eventBefore(h[min], ev) {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
+		s.overSet(i, h[min])
 		i = min
 	}
+	s.overSet(i, ev)
+	return i != start
+}
+
+// overRemove takes the event at index i out of the heap.
+func (s *Wheel) overRemove(i int) *event {
+	h := s.over
+	ev := h[i]
+	n := len(h) - 1
+	if i != n {
+		s.overSet(i, h[n])
+	}
+	h[n] = nil
+	s.over = h[:n]
+	if i < n && !s.overDown(i) {
+		s.overUp(i)
+	}
+	ev.where = inNone
 	return ev
 }
 
@@ -329,8 +427,9 @@ func (s *Wheel) advance(limit int64) bool {
 	// Migrate overflow events that now fit the window; those landing on
 	// the target tick go straight to the due buffer.
 	for len(s.over) > 0 && tickOf(s.over[0].at) < s.curTick+wheelSlots {
-		ev := s.overPop()
+		ev := s.overRemove(0)
 		if t := tickOf(ev.at); t == target {
+			ev.where = inDue
 			s.due = append(s.due, ev)
 		} else {
 			s.wheelPush(ev, t)
@@ -346,6 +445,7 @@ func (s *Wheel) advance(limit int64) bool {
 		s.bitmap[slot>>6] &^= 1 << uint(slot&63)
 		head := len(s.due)
 		for ; ev != nil; ev = ev.next {
+			ev.where = inDue
 			s.due = append(s.due, ev)
 			s.wheeled--
 		}
@@ -391,15 +491,64 @@ type Timer struct {
 // it stopped one. Canceling an already-fired one-shot timer, an
 // already-canceled timer or the zero Timer is a no-op returning false.
 func (t Timer) Cancel() bool {
-	if t.ev == nil || t.ev.tid != t.tid {
+	ev := t.ev
+	if ev == nil || ev.tid != t.tid {
 		return false
 	}
-	t.ev.kind = evNone // the queue lazily discards canceled events
-	t.ev.tid = 0       // every copy of the handle now finds nothing
-	// The event stays queued until its instant: it must not keep what the
+	if ev.where == inHeap {
+		// Beyond the wheel's window: leave the queue now, not at the
+		// instant, which may be hours away.
+		s := ev.w
+		s.unqueue(ev)
+		s.recycle(ev)
+		return true
+	}
+	ev.kind = evNone // the wheel discards it when its tick is drained
+	ev.tid = 0       // every copy of the handle now finds nothing
+	// The event stays queued until its tick: it must not keep what the
 	// callback captured alive that long. A periodic timer canceled from
 	// within its own firing is past reading fn.
-	t.ev.fn = nil
+	ev.fn = nil
+	return true
+}
+
+// queued returns the timer's event while it waits in a queue, else nil: a
+// fired, canceled or zero Timer, or a repeating timer in the middle of its
+// own firing.
+func (t Timer) queued() *event {
+	if t.ev == nil || t.ev.tid != t.tid || t.ev.where == inNone {
+		return nil
+	}
+	return t.ev
+}
+
+// When reports the instant the timer's event is queued for, and false for
+// a timer that is not queued: fired, canceled, the zero Timer, or a
+// repeating timer in the middle of its own firing.
+func (t Timer) When() (time.Duration, bool) {
+	if ev := t.queued(); ev != nil {
+		return ev.at, true
+	}
+	return 0, false
+}
+
+// Reschedule moves the timer's queued event to at (or to now, if at is in
+// the past), keeping its callback and every copy of the handle. The event
+// takes its place among the events of its new instant as if scheduled
+// now. A repeating timer's later firings follow from the moved one. It
+// reports whether it moved an event: false wherever When reports false.
+func (t Timer) Reschedule(at time.Duration) bool {
+	ev := t.queued()
+	if ev == nil {
+		return false
+	}
+	s := ev.w
+	s.unqueue(ev)
+	if at < s.now {
+		at = s.now
+	}
+	ev.at = at
+	s.schedule(ev)
 	return true
 }
 
@@ -438,7 +587,7 @@ func (s *Wheel) After(d time.Duration, fn func()) Timer {
 // until the returned Timer is canceled. The timer is one pooled event
 // re-armed after each firing (with a fresh sequence number, preserving
 // FIFO fairness among same-time events), so the steady-state tick chain
-// allocates nothing. Cancel takes effect at the next period boundary.
+// allocates nothing. Cancel stops it at once, from within a firing too.
 func (s *Wheel) Every(period time.Duration, fn func()) Timer {
 	if period <= 0 {
 		panic(fmt.Sprintf("simnet: Every with non-positive period %v", period))
@@ -463,10 +612,10 @@ func (s *Wheel) sendAt(at time.Duration, n *Network, from, to Endpoint,
 	ev.kind = evDeliver
 	ev.at = at
 	ev.net = n
-	ev.from = from
-	ev.to = to
+	ev.from = int32(from)
+	ev.to = int32(to)
 	ev.size = size
-	ev.class = class
+	ev.class = uint8(class)
 	ev.payload = payload
 	s.schedule(ev)
 }
@@ -504,6 +653,7 @@ func (s *Wheel) RunUntil(deadline time.Duration) int {
 			}
 			s.dueIdx++
 			s.pending--
+			ev.where = inNone
 			s.now = ev.at
 			s.dispatch(ev)
 			n++
@@ -534,8 +684,8 @@ func (s *Wheel) dispatch(ev *event) {
 		s.recycle(ev)
 		fn()
 	case evDeliver:
-		net, from, to := ev.net, ev.from, ev.to
-		size, class, payload := ev.size, ev.class, ev.payload
+		net, from, to := ev.net, Endpoint(ev.from), Endpoint(ev.to)
+		size, class, payload := ev.size, Class(ev.class), ev.payload
 		s.recycle(ev)
 		net.deliver(from, to, size, class, payload)
 	case evPeriodic:

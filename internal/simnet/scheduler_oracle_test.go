@@ -11,8 +11,9 @@ import (
 // This file keeps the original binary-heap scheduler alive as a test-only
 // oracle. TestSchedulerOrderOracle drives the production calendar-wheel
 // scheduler and the heap oracle through identical randomized schedules of
-// At/After/Every/Cancel (including same-time bursts, sub-tick offsets,
-// past events, overflow-range delays and nested scheduling) and requires
+// At/After/Every/Cancel/Reschedule (including same-time bursts, sub-tick
+// offsets, past events, overflow-range delays, far-future timers canceled
+// or moved while in the overflow heap, and nested scheduling) and requires
 // the two to execute events in exactly the same order: the wheel must
 // preserve the documented time-then-FIFO guarantee event for event,
 // because equal-seed byte-identical sweep output depends on it.
@@ -68,6 +69,29 @@ func (t *oracleTimer) Cancel() bool {
 	live := t.periodic || t.ev.fn != nil
 	t.ev.fn = nil
 	return live
+}
+
+// queued reports whether the timer has an event waiting: a periodic timer
+// in the middle of its own firing has none, as on the wheel.
+func (t *oracleTimer) queued() bool { return !t.stopped && t.ev.fn != nil }
+
+func (t *oracleTimer) When() (time.Duration, bool) {
+	if !t.queued() {
+		return 0, false
+	}
+	return t.ev.at, true
+}
+
+// Reschedule replaces the queued event with one at the new instant and a
+// fresh sequence number, which is what moving it on the wheel amounts to.
+func (t *oracleTimer) Reschedule(at time.Duration) bool {
+	if !t.queued() {
+		return false
+	}
+	fn := t.ev.fn
+	t.ev.fn = nil
+	t.ev = t.s.At(at, fn).ev
+	return true
 }
 
 func (s *oracleScheduler) Now() time.Duration { return s.now }
@@ -128,7 +152,11 @@ func (s *oracleScheduler) RunUntil(deadline time.Duration) int {
 
 // ------------------------------------------------------- shared interface
 
-type canceler interface{ Cancel() bool }
+type canceler interface {
+	Cancel() bool
+	When() (time.Duration, bool)
+	Reschedule(time.Duration) bool
+}
 
 type schedIface interface {
 	Now() time.Duration
@@ -194,10 +222,45 @@ func runScript(s schedIface, seed int64) []string {
 	cancel := func(tm canceler) {
 		log = append(log, fmt.Sprintf("cancel=%v@%d", tm.Cancel(), s.Now()))
 	}
+	// reschedule moves a timer by a random delay from now, mostly within
+	// or out of the overflow range, and logs what When said before and
+	// whether the move took.
+	reschedule := func(tm canceler) {
+		at, ok := tm.When()
+		d := randomDelay(rng)
+		if rng.Intn(2) == 0 {
+			d = time.Duration(rng.Int63n(int64(time.Hour)))
+		}
+		log = append(log, fmt.Sprintf("when=%d,%v move=%v@%d", at, ok, tm.Reschedule(s.Now()+d), s.Now()))
+	}
+	// farTimers are the one-shots scheduled beyond the wheel's window.
+	var farTimers []canceler
+	touchFar := func() {
+		if len(farTimers) == 0 {
+			return
+		}
+		tm := farTimers[rng.Intn(len(farTimers))]
+		if rng.Intn(2) == 0 {
+			cancel(tm)
+		} else {
+			reschedule(tm)
+		}
+	}
 	spawn = func(depth int) {
 		id := nextID
 		nextID++
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(12); {
+		case op >= 10: // After, far beyond the wheel's window
+			d := time.Duration(int64(wheelSlots)*int64(wheelTick) + rng.Int63n(int64(2*time.Hour)))
+			tm := s.After(d, func() {
+				record(id)
+				touchFar()
+				if depth < 3 && rng.Intn(3) == 0 {
+					spawn(depth + 1)
+				}
+			})
+			timers = append(timers, tm)
+			farTimers = append(farTimers, tm)
 		case op < 5: // After
 			d := randomDelay(rng)
 			timers = append(timers, s.After(d, func() {
@@ -207,6 +270,9 @@ func runScript(s schedIface, seed int64) []string {
 				}
 				if len(timers) > 0 && rng.Intn(4) == 0 {
 					cancel(timers[rng.Intn(len(timers))])
+				}
+				if len(timers) > 0 && rng.Intn(6) == 0 {
+					reschedule(timers[rng.Intn(len(timers))])
 				}
 			}))
 		case op < 8: // At, absolute (possibly in the past)
@@ -251,9 +317,12 @@ func runScript(s schedIface, seed int64) []string {
 		if len(timers) > 0 {
 			cancel(timers[rng.Intn(len(timers))])
 		}
+		touchFar()
+		touchFar()
 	}
-	// Drain everything that terminates (Everys are all self-canceling).
-	n := s.RunUntil(6 * time.Hour)
+	// Drain everything that terminates (Everys are all self-canceling;
+	// moves reach at most an hour past their instant, three levels deep).
+	n := s.RunUntil(12 * time.Hour)
 	log = append(log, fmt.Sprintf("final:n=%d now=%d", n, s.Now()))
 	return log
 }

@@ -1,8 +1,10 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestSchedulerOrdering(t *testing.T) {
@@ -164,6 +166,68 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	}
 	if !tm.Cancel() || ticks != 101 {
 		t.Fatalf("Every chain ticked %d times, or was no longer pending", ticks)
+	}
+}
+
+// TestEventSizeClass pins a scheduler event to the 112-byte allocator size
+// class it had before it carried its wheel and its overflow-heap index:
+// every queued message and timer is one.
+func TestEventSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got > 112 {
+		t.Fatalf("event is %d bytes, above its 112-byte size class", got)
+	}
+}
+
+// TestReschedule moves queued timers between the overflow heap, the wheel
+// and the due buffer: each fires once, at its new instant, in FIFO order
+// among the events already there, and a handle that is not queued moves
+// nothing.
+func TestReschedule(t *testing.T) {
+	s := NewWheel()
+	var order []string
+	mark := func(name string) func() { return func() { order = append(order, name+"@"+s.Now().String()) } }
+	far := s.After(time.Hour, mark("far"))        // overflow heap
+	near := s.After(20*time.Second, mark("near")) // wheel
+	s.At(10*time.Second, mark("first"))
+	if at, ok := far.When(); !ok || at != time.Hour {
+		t.Fatalf("When = %v, %v; want 1h0m0s, true", at, ok)
+	}
+	if !far.Reschedule(10*time.Second) || !near.Reschedule(2*time.Hour) {
+		t.Fatal("Reschedule of a queued timer returned false")
+	}
+	if s.Pending() != 3 {
+		t.Fatalf("%d events queued, want 3", s.Pending())
+	}
+	s.RunUntil(10 * time.Second)
+	if at, ok := near.When(); !ok || at != 2*time.Hour {
+		t.Fatalf("When = %v, %v; want 2h0m0s, true", at, ok)
+	}
+	if far.Reschedule(time.Minute) {
+		t.Fatal("Reschedule of a fired timer returned true")
+	}
+	if _, ok := far.When(); ok {
+		t.Fatal("When of a fired timer reported an instant")
+	}
+	// Into the due buffer of the tick being drained, and back out of it.
+	var same Timer
+	s.At(11*time.Second, func() {
+		mark("drain")()
+		near.Reschedule(s.Now())
+		same.Reschedule(12 * time.Second)
+	})
+	same = s.At(11*time.Second, mark("same"))
+	s.RunUntil(3 * time.Hour)
+	want := []string{"first@10s", "far@10s", "drain@11s", "near@11s", "same@12s"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d events left queued", s.Pending())
+	}
+	tm := s.After(time.Second, mark("x"))
+	tm.Cancel()
+	if tm.Reschedule(2*time.Second) || (Timer{}).Reschedule(time.Second) {
+		t.Fatal("Reschedule of a canceled or zero timer returned true")
 	}
 }
 
