@@ -39,12 +39,10 @@ type Config struct {
 	// supported for the ablation benchmarks. At most 65,536: a subrange
 	// keeps its index in a uint16.
 	Arity int
-	// MaxRetries bounds reissues per subrange.
-	MaxRetries int
 	// Seed drives the reissue jitter.
 	Seed int64
 	// DisableBackoff reverts reissues to the fixed
-	// responseTimeout × MaxRetries schedule. Ablation only: it exists so
+	// responseTimeout × maxRetries schedule. Ablation only: it exists so
 	// the chaos invariant checker can demonstrate that fixed timeouts
 	// lose subranges across outages the backoff schedule survives.
 	DisableBackoff bool
@@ -56,24 +54,24 @@ const (
 	// the longest transient outage a dissemination survives — is roughly
 	// the sum of the capped attempt timeouts.
 	backoffCap = 4 * time.Minute
-	// minTimeout floors the adaptive initial timeout.
-	minTimeout = time.Second
-	// responseTimeout is the base response timeout: how long a parent
+	// responseTimeout is the first response timeout: how long a parent
 	// waits for a subrange's aggregated predictor before reissuing the
-	// request when it has no RTT observations yet. It sits above a whole
-	// tree's predictor latency (the paper's 3.1 s at N=2,000; 1.4-1.5 s
-	// here, EXPERIMENTS.md), so a subrange that is merely slow is not
-	// reissued. Once responses have been observed, the initial timeout
-	// adapts to srtt + 4·rttvar (clamped to [minTimeout,
-	// responseTimeout]).
+	// request. It sits above a whole tree's predictor latency (the paper's
+	// 3.1 s at N=2,000; 1.4-1.5 s here, EXPERIMENTS.md), so a subrange
+	// that is merely slow is not reissued.
 	responseTimeout = 5 * time.Second
+	// maxRetries bounds reissues per subrange (and, doubled, the
+	// injector's retransmissions of its start message). With six, a
+	// subrange is given up 9 to 15 minutes after its first request, which
+	// outlasts every chaos scenario's fault windows; three or four do not
+	// (DESIGN.md, "Exponential backoff with jitter").
+	maxRetries = 6
 )
 
 // DefaultConfig returns the paper's configuration: 16-ary subdivision.
 func DefaultConfig() Config {
 	return Config{
-		Arity:      16,
-		MaxRetries: 3,
+		Arity: 16,
 	}
 }
 
@@ -127,12 +125,6 @@ type Engine struct {
 	// waiting holds injector-side callbacks keyed by queryId, with the
 	// injection instant for predictor-latency accounting.
 	waiting map[ids.ID]*pendingInject
-
-	// Smoothed subrange response time and its mean deviation (Jacobson),
-	// sampled from unretried subrange responses per Karn's rule. They set
-	// the RTT-aware floor and adaptive initial value of reissue timeouts.
-	srtt   time.Duration
-	rttvar time.Duration
 
 	// Observability handles, cached at construction (nil-safe no-ops when
 	// disabled).
@@ -218,11 +210,12 @@ func (e *Engine) scope(q *relq.Query) *coords.Space {
 }
 
 // Reset clears all per-query state (the endsystem restarted). Stale
-// inject-retry timers recognize the replaced maps and fall through. A
-// task of the previous incarnation whose subrange timers are still armed
-// runs its retry ladder out as before, but it is in neither table any
-// more: no response can reach it, and every removal below is by identity,
-// so it cannot disturb a task the new incarnation created under its key.
+// inject-retry timers recognize the replaced maps and fall through, and so
+// do the subrange timers of a task of the previous incarnation: it is in
+// neither table any more, so no response can reach it, and its next
+// timeout ends its retry ladder without a reissue or a giveup. Every
+// removal from the tables is by identity, so such a task cannot disturb
+// one the new incarnation created under its key.
 func (e *Engine) Reset() {
 	for _, p := range e.waiting {
 		p.timer.Cancel()
@@ -236,7 +229,6 @@ func (e *Engine) Reset() {
 	}
 	e.retired, e.retiredTail = nil, nil
 	e.waiting = make(map[ids.ID]*pendingInject)
-	e.srtt, e.rttvar = 0, 0
 	e.spare = nil
 }
 
@@ -279,13 +271,13 @@ func (e *Engine) Inject(q *relq.Query, cause uint64, onPredictor func(*predictor
 // armInjectRetry schedules retransmission of the injector-to-root start
 // message. The start message previously had no delivery guarantee at all:
 // losing it killed the whole query silently. Retries follow the same
-// adaptive backoff as subrange reissues; the root deduplicates by task
-// key and re-answers finished tasks from cache, so retransmission never
-// double-counts. After 2×MaxRetries unanswered attempts the query is
+// backoff as subrange reissues; the root deduplicates by task key and
+// re-answers finished tasks from cache, so retransmission never
+// double-counts. After 2×maxRetries unanswered attempts the query is
 // given up as a whole-namespace loss.
 func (e *Engine) armInjectRetry(qid ids.ID, p *pendingInject) {
 	node := e.host.PastryNode()
-	if p.attempts > 2*e.cfg.MaxRetries {
+	if p.attempts > 2*maxRetries {
 		e.cGiveups.Inc()
 		e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemGiveup, Query: e.o.QueryTag(qid),
 			EP: int(node.Endpoint()), N: int64(p.attempts), V: 1.0})
@@ -472,15 +464,15 @@ type fanout struct {
 }
 
 // subrange is one awaited part of an interior task's range: part index of
-// its split. Sixteen of its 56 bytes fill the 896-byte size class; index
-// and retries share the flags' word.
+// its split. Sixteen of its 48 bytes, with the runtime's 8-byte header,
+// are one object of the 896-byte size class; index and retries share the
+// flags' word.
 type subrange struct {
 	task        *task  // the task awaiting this subrange
 	local       bool   // handled by local recursion, not a network child
 	done        bool   // answered or abandoned: no longer in Engine.awaited
 	index       uint16 // which part of the task's range; kept when the RTT scope prunes others
 	retries     int32
-	sentAt      time.Duration // when the latest request went out
 	lastTimeout time.Duration // timeout armed for the latest request
 	timer       simnet.Timer
 	cause       uint64 // span of the latest send/retry event for this subrange
@@ -746,12 +738,10 @@ func (e *Engine) sendSubrange(f *fanout, i int) {
 	node := e.host.PastryNode()
 	msg := h.rangeMsg(lo, hi, node.Endpoint(), s.cause)
 	e.cRangeMsgs.Inc()
-	// Arm the attempt state BEFORE routing: Route can deliver locally and
-	// answer synchronously (a self-routed midpoint resolving to a leaf),
-	// and the response path reads sentAt for the RTT sample and cancels
-	// the timer.
+	// Arm the timer BEFORE routing: Route can deliver locally and answer
+	// synchronously (a self-routed midpoint resolving to a leaf), and the
+	// response path cancels it.
 	sched := node.Sched()
-	s.sentAt = sched.Now()
 	s.lastTimeout = e.attemptTimeout(int(s.retries), s.lastTimeout)
 	if f.timeouts[i] == nil {
 		f.timeouts[i] = func() { e.subrangeTimeout(f, i) }
@@ -798,47 +788,20 @@ func (e *Engine) nearestDelegate(sp *coords.Space, lo, hi ids.ID) (pastry.NodeRe
 }
 
 // attemptTimeout returns the response timeout for an attempt (attempt 0 is
-// the initial send). The initial timeout adapts to observed response
-// latency — srtt + 4·rttvar, clamped to [minTimeout, responseTimeout] —
-// and reissues back off exponentially with jitter (uniform in
-// [2·previous, 3·previous], capped at backoffCap): the factor-2 lower
-// bound guarantees the retry window at least doubles every attempt, so a
-// bounded retry budget provably spans multi-minute outages, while the
-// jitter band decorrelates simultaneous reissues instead of letting them
-// thunder in lockstep. The adaptive floor never drops a timeout below the
-// observed response latency. DisableBackoff reverts to the fixed
-// responseTimeout (ablation only).
+// the initial send): responseTimeout first, then exponential backoff with
+// jitter — uniform in [2·previous, 3·previous], capped at backoffCap. The
+// factor-2 lower bound guarantees the retry window at least doubles every
+// attempt, so a bounded retry budget provably spans multi-minute outages,
+// while the jitter band decorrelates simultaneous reissues instead of
+// letting them thunder in lockstep. Only reissues draw from the reissue
+// stream. DisableBackoff keeps every attempt at responseTimeout (ablation
+// only).
 func (e *Engine) attemptTimeout(attempt int, prev time.Duration) time.Duration {
-	base := responseTimeout
-	if e.cfg.DisableBackoff {
-		return base
+	if attempt == 0 || e.cfg.DisableBackoff {
+		return responseTimeout
 	}
-	floor := e.rtoFloor()
-	initial := base
-	if floor > 0 && floor < initial {
-		initial = floor
-	}
-	if initial < minTimeout {
-		initial = minTimeout
-	}
-	if attempt == 0 {
-		return initial
-	}
-	lo, hi := 2*float64(prev), 3*float64(prev)
-	if min := float64(initial); lo < min {
-		lo = min
-	}
-	if hi < lo {
-		hi = lo
-	}
-	d := time.Duration(lo + e.random().Float64()*(hi-lo))
-	if d > backoffCap {
-		d = backoffCap
-	}
-	if floor > 0 && d < floor {
-		d = floor
-	}
-	return d
+	p := float64(prev)
+	return min(time.Duration(2*p+e.random().Float64()*p), backoffCap)
 }
 
 // random returns the reissue stream, seeding it on first use.
@@ -847,32 +810,6 @@ func (e *Engine) random() *rand.Rand {
 		e.rng = rand.New(rand.NewSource(e.cfg.Seed))
 	}
 	return e.rng
-}
-
-// rtoFloor returns the RTT-aware timeout floor (0 before any sample).
-func (e *Engine) rtoFloor() time.Duration {
-	if e.srtt <= 0 {
-		return 0
-	}
-	return e.srtt + 4*e.rttvar
-}
-
-// observeRTT folds one subrange response latency into the smoothed
-// estimators (Jacobson/Karels gains: 1/8 for srtt, 1/4 for rttvar).
-func (e *Engine) observeRTT(sample time.Duration) {
-	if sample <= 0 {
-		return
-	}
-	if e.srtt == 0 {
-		e.srtt, e.rttvar = sample, sample/2
-		return
-	}
-	delta := sample - e.srtt
-	if delta < 0 {
-		delta = -delta
-	}
-	e.rttvar += (delta - e.rttvar) / 4
-	e.srtt += (sample - e.srtt) / 8
 }
 
 // rangeFraction returns the fraction of the 128-bit identifier namespace
@@ -884,19 +821,20 @@ func rangeFraction(lo, hi ids.ID) float64 {
 }
 
 // subrangeTimeout reissues an unanswered subrange request — subrange i of
-// f — or gives up after MaxRetries (the contribution is then missing from
+// f — or gives up after maxRetries (the contribution is then missing from
 // the predictor — the paper's "with high probability" caveat — and, worse,
 // endsystems in the subrange never observe the query; the giveup event
-// makes that loss visible and attributable).
+// makes that loss visible and attributable). A task of a previous
+// incarnation (see Reset) stops here: nothing can answer it any more.
 func (e *Engine) subrangeTimeout(f *fanout, i int) {
 	s := &f.subs[i]
 	t := s.task
 	node := e.host.PastryNode()
-	if s.done || t.finished || !node.Alive() {
+	if s.done || t.finished || !node.Alive() || e.tasks[t.key] != t {
 		return
 	}
 	tag := e.o.QueryTag(t.key.qid)
-	if int(s.retries) >= e.cfg.MaxRetries {
+	if int(s.retries) >= maxRetries {
 		e.settle(s)
 		e.cAbandoned.Inc()
 		s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemAbandon, Query: tag,
@@ -944,11 +882,6 @@ func (e *Engine) handleResp(key taskKey, pred *predictor.Predictor, cause uint64
 	t := s.task
 	e.settle(s)
 	s.timer.Cancel()
-	if s.retries == 0 && !s.local {
-		// Karn's rule: only unretried responses are unambiguous latency
-		// samples.
-		e.observeRTT(e.host.PastryNode().Sched().Now() - s.sentAt)
-	}
 	t.acc.Merge(pred)
 	// The response that completes the fan-in is the task's critical
 	// child; its span becomes the causal parent of this task's own

@@ -246,7 +246,7 @@ func TestPredictorCoversUnavailableEndsystems(t *testing.T) {
 
 func TestBinaryArity(t *testing.T) {
 	n := 48
-	c := newCluster(t, n, 5, Config{Arity: 2, MaxRetries: 3})
+	c := newCluster(t, n, 5, Config{Arity: 2})
 	c.sched.RunUntil(time.Minute)
 	var got *predictor.Predictor
 	c.hosts[1].engine.Inject(testQuery, 0, func(p *predictor.Predictor) { got = p })
@@ -619,7 +619,7 @@ func TestNoGeneratorRetained(t *testing.T) {
 	}
 	mid := liveHeap()
 	for i, h := range hosts {
-		h.engine = NewEngine(h, Config{Arity: 16, MaxRetries: 3, Seed: int64(i)})
+		h.engine = NewEngine(h, Config{Arity: 16, Seed: int64(i)})
 	}
 	after := liveHeap()
 	runtime.KeepAlive(hosts)

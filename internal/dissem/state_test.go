@@ -285,15 +285,15 @@ func rigConfig() Config {
 // refEngine is the bookkeeping of the engine before the index, reduced to
 // what the rig exercises (interior tasks without local subranges, leaves,
 // fixed timeouts): tasks in a map, responses matched by the linear scan,
-// a predictor by value in every task, rendered once per response. Tasks
-// of an earlier incarnation run their retry ladder out and answer their
-// parents, as the engine's do.
+// a predictor by value in every task, rendered once per response. A reset
+// drops the unfinished tasks of the earlier incarnation, after the
+// abandonments already due: their retry ladders stop at the next timeout,
+// as the engine's do, so they never answer.
 type refEngine struct {
 	arity     int
 	leafRows  func(idRange) (float64, bool)
 	patience  time.Duration // from a request to the abandonment of what it did not hear
 	tasks     map[taskKey]*refTask
-	zombies   []*refTask
 	out       []string
 	nextOrder int
 }
@@ -332,11 +332,6 @@ func (r *refEngine) finish(t *refTask, now time.Duration) {
 func (r *refEngine) advance(now time.Duration) {
 	var due []*refTask
 	for _, t := range r.tasks {
-		if !t.finished && t.abandonAt <= now {
-			due = append(due, t)
-		}
-	}
-	for _, t := range r.zombies {
 		if !t.finished && t.abandonAt <= now {
 			due = append(due, t)
 		}
@@ -408,12 +403,8 @@ func (r *refEngine) answer(now time.Duration, qid ids.ID, s idRange, p *predicto
 	}
 }
 
-func (r *refEngine) reset() {
-	for _, t := range r.tasks {
-		if !t.finished {
-			r.zombies = append(r.zombies, t)
-		}
-	}
+func (r *refEngine) reset(now time.Duration) {
+	r.advance(now)
 	r.tasks = make(map[taskKey]*refTask)
 }
 
@@ -430,7 +421,7 @@ func TestIndexAgainstLinearScan(t *testing.T) {
 		cfg.DisableBackoff = true // fixed timeouts: the reference can tell when a subrange is abandoned
 		r := newRig(t, 128, 11, cfg)
 		ref := &refEngine{arity: cfg.Arity, tasks: make(map[taskKey]*refTask), leafRows: r.leafRows,
-			patience: time.Duration(cfg.MaxRetries+1) * responseTimeout}
+			patience: (maxRetries + 1) * responseTimeout}
 		leaves := append([]idRange{r.own}, r.empties...)
 		emptySent, emptyResponses := 0, 0
 		rng := rand.New(rand.NewSource(seed))
@@ -472,7 +463,7 @@ func TestIndexAgainstLinearScan(t *testing.T) {
 				r.advance(10*time.Second + time.Duration(rng.Int63n(int64(3*time.Minute))))
 			default:
 				r.e.Reset()
-				ref.reset()
+				ref.reset(now)
 			}
 			checkIndex(t, r.e)
 		}
@@ -924,10 +915,6 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 	if size := unsafe.Sizeof(task{}); size > 128 {
 		t.Errorf("task is %d bytes: past the 128-byte size class", size)
 	}
-	// Sixteen subranges fill the 896-byte class.
-	if size := unsafe.Sizeof(subrange{}); size > 56 {
-		t.Errorf("subrange is %d bytes: sixteen are past the 896-byte size class", size)
-	}
 	r := newRig(t, 128, 11, rigConfig())
 	r.record = false
 	const runs = 100
@@ -1034,5 +1021,110 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 	}
 	if perLast != 0 {
 		t.Errorf("response completing its task: %.1f allocations, want 0", perLast)
+	}
+}
+
+// subsSink keeps TestSubrangeSizeClass's fan-outs on the heap.
+var subsSink []subrange
+
+// TestSubrangeSizeClass pins a subrange at 48 bytes, so that the subranges
+// of a 16-ary fan-out, 768 bytes and the 8-byte header the runtime puts on
+// a pointerful object over 512 bytes, are one object of the 896-byte size
+// class (the 1024-byte one at 56 bytes).
+func TestSubrangeSizeClass(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under -race")
+	}
+	if size := unsafe.Sizeof(subrange{}); size != 48 {
+		t.Errorf("subrange is %d bytes, want 48", size)
+	}
+	arity := DefaultConfig().Arity
+	if n := bytesPerRun(100, func() { subsSink = make([]subrange, 0, arity) }); n != 896 {
+		t.Errorf("a %d-ary fan-out's subranges take %d bytes, want the 896-byte size class", arity, n)
+	}
+}
+
+// TestReissueSchedule pins the response timeouts: a first request waits
+// responseTimeout, whatever responses the engine has seen, and draws
+// nothing from the reissue stream; each reissue waits two to three times
+// the attempt before it, capped at backoffCap, and draws once; and
+// DisableBackoff keeps every attempt at responseTimeout.
+func TestReissueSchedule(t *testing.T) {
+	cfg := rigConfig()
+	r := newRig(t, 128, 11, cfg)
+	g := r.ranges[0]
+	subs := r.subs(g)
+	// Quick, unretried answers: what an RTT estimator would have shortened
+	// the next first timeout on.
+	for i := 0; i < 8; i++ {
+		qid := ids.HashString(fmt.Sprint("answered", i))
+		r.request(qid, g, 2)
+		r.advance(100 * time.Millisecond)
+		for _, s := range subs {
+			r.answer(qid, s, rowsPred(1))
+		}
+	}
+	qid := ids.HashString("unanswered")
+	r.request(qid, g, 2)
+	awaited := func() []*subrange {
+		var out []*subrange
+		for _, s := range subs {
+			if a := r.e.awaited[taskKey{qid, s.lo, s.hi}]; a != nil {
+				out = append(out, a)
+			}
+		}
+		if len(out) != len(subs) {
+			t.Fatalf("%d of %d subranges awaited", len(out), len(subs))
+		}
+		return out
+	}
+	for _, s := range awaited() {
+		if s.retries != 0 || s.lastTimeout != responseTimeout {
+			t.Errorf("first request after %d answers: attempt %d waits %v, want attempt 0 at %v",
+				8*len(subs), s.retries, s.lastTimeout, responseTimeout)
+		}
+	}
+	if r.e.rng != nil {
+		t.Error("a first request drew from the reissue stream")
+	}
+	// The sinks swallow every request, so each subrange times out and is
+	// reissued.
+	r.advance(responseTimeout + time.Second)
+	for _, s := range awaited() {
+		if s.retries != 1 || s.lastTimeout < 2*responseTimeout || s.lastTimeout > 3*responseTimeout {
+			t.Errorf("first reissue: attempt %d waits %v, want attempt 1 in [%v, %v]",
+				s.retries, s.lastTimeout, 2*responseTimeout, 3*responseTimeout)
+		}
+	}
+
+	// The whole ladder, attempt by attempt, against a stream of its own:
+	// one draw per reissue, none for the first request.
+	e := NewEngine(r.host, cfg)
+	ref := rand.New(rand.NewSource(cfg.Seed))
+	prev := e.attemptTimeout(0, 0)
+	for n := 1; n <= 2*maxRetries; n++ {
+		d := e.attemptTimeout(n, prev)
+		if lo, hi := min(2*prev, backoffCap), min(3*prev, backoffCap); d < lo || d > hi {
+			t.Errorf("attempt %d waits %v after %v, want [%v, %v]", n, d, prev, lo, hi)
+		}
+		ref.Float64()
+		prev = d
+	}
+	if prev != backoffCap {
+		t.Errorf("attempt %d waits %v, want the cap %v", 2*maxRetries, prev, backoffCap)
+	}
+	if e.rng.Float64() != ref.Float64() {
+		t.Error("the ladder drew other than once per reissue")
+	}
+
+	cfg.DisableBackoff = true
+	flat := NewEngine(r.host, cfg)
+	for n := 0; n <= 2*maxRetries; n++ {
+		if d := flat.attemptTimeout(n, backoffCap); d != responseTimeout {
+			t.Errorf("DisableBackoff: attempt %d waits %v, want %v", n, d, responseTimeout)
+		}
+	}
+	if flat.rng != nil {
+		t.Error("DisableBackoff drew from the reissue stream")
 	}
 }

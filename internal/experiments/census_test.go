@@ -32,7 +32,7 @@ import (
 // The configuration surface may only shrink without an edit here: each
 // ceiling is the count at the time it was last lowered.
 const (
-	maxConfigFields   = 70
+	maxConfigFields   = 69
 	maxTestOnlyFields = 0 // rows whose only setter is a test
 	maxUnsetFields    = 0 // rows nothing sets at all
 )

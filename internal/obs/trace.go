@@ -36,8 +36,9 @@ const (
 	// KindDissemRetry marks a reissued subrange request after a response
 	// timeout.
 	KindDissemRetry Kind = "dissem_retry"
-	// KindDissemAbandon marks a subrange given up on after MaxRetries; its
-	// contribution is missing from the predictor.
+	// KindDissemAbandon marks a subrange given up on once its reissues
+	// (six, dissem's maxRetries) are spent; its contribution is missing
+	// from the predictor.
 	KindDissemAbandon Kind = "dissem_abandon"
 	// KindDissemGiveup marks the permanent loss of a dissemination
 	// subrange: reissues are exhausted and no endsystem will execute the
