@@ -45,6 +45,7 @@ package aggtree
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/agg"
@@ -137,9 +138,6 @@ type vertexState struct {
 	// between (armRefresh): an idle query costs a tick per primary every
 	// third period, and one per backup at expiry.
 	dirty bool
-	// dropped is set when the vertex leaves its record (cancel, expiry,
-	// restart): a timer of its that still fires does nothing.
-	dropped bool
 	// reassertN belongs with reassert below; as an int32 here it shares
 	// the flags' word.
 	reassertN int32
@@ -152,11 +150,30 @@ type vertexState struct {
 	// content has used (see hedge.go).
 	reassert simnet.Timer
 
-	// Coalesced replication (see replicateDelta): the instant up to which
-	// a changed child waits to go to the backups in one table, and the
-	// timer that sends that table once a change is waiting.
+	// timers holds what the refresh chain and the replication gate keep
+	// beside their handles, callbacks included.
+	timers *vertexTimers
+	// Coalesced replication (see replicateDelta): the timer that sends the
+	// table once a change is waiting.
+	flush simnet.Timer
+}
+
+// vertexTimers is the part of a vertex's timer state that outlives one
+// life of the vertexState: it is allocated with the vertexState and goes
+// with it through the spare list, so the refresh and flush callbacks are
+// built once per object and a reused vertex arms its timers without
+// allocating. Kept in the vertex, the two instants and two callbacks
+// would take it out of its size class.
+type vertexTimers struct {
+	// born is the instant the vertex entered its record, the phase of its
+	// refresh chain (armRefresh).
+	born time.Duration
+	// replQuiet is the instant up to which a changed child waits to go to
+	// the backups in one table (replicateDelta).
 	replQuiet time.Duration
-	flush     simnet.Timer
+	// refresh and flush are the callbacks of the vertex's refresh chain
+	// and of its table flush, built at their first arm.
+	refresh, flush func()
 }
 
 func (v *vertexState) aggregate() (agg.Partial, int64) {
@@ -249,6 +266,15 @@ type Engine struct {
 	// queryId. A nil entry is a canceled query's tombstone (applyCancel).
 	queries map[ids.ID]*queryState
 
+	// hosted counts the vertices in the table's records. While it is
+	// above zero, records and vertices that leave the table wait on the
+	// spare lists for register and vertex to reuse them, each with its
+	// array (a record's vertex slice, a vertex's child table); when it
+	// falls to zero, and on Reset, the lists go (releaseVertex).
+	hosted        int
+	spareQueries  []*queryState
+	spareVertices []*vertexState
+
 	// Observability handles, cached at construction (nil-safe no-ops when
 	// disabled).
 	o          *obs.Obs
@@ -308,7 +334,7 @@ func (e *Engine) Reset() {
 			continue
 		}
 		for _, v := range st.vertices {
-			e.drop(v)
+			e.releaseVertex(v) // the last one takes the spare lists with it
 		}
 		st.resubmit.Cancel()
 		if st.own.Version == 0 {
@@ -319,13 +345,43 @@ func (e *Engine) Reset() {
 	}
 }
 
-// drop retires a vertex that has left (or is leaving) its record: its
-// timers are canceled, and one that fires all the same finds the flag.
-func (e *Engine) drop(v *vertexState) {
+// releaseVertex retires a vertex that has left its record: its timers are
+// canceled (a canceled timer never fires) and it is cleared. It waits on
+// the spare list, its child table's array with it, unless the engine now
+// hosts no vertex: then the spare lists go, so an engine between queries
+// holds nothing it is not using.
+func (e *Engine) releaseVertex(v *vertexState) {
 	v.refresh.Cancel()
-	e.clearHedge(v)
-	v.cancelFlush()
-	v.dropped = true
+	v.reassert.Cancel()
+	v.flush.Cancel()
+	t := v.timers
+	*t = vertexTimers{refresh: t.refresh, flush: t.flush}
+	*v = vertexState{children: v.children[:0], timers: t}
+	if e.hosted--; e.hosted == 0 {
+		e.spareQueries, e.spareVertices = nil, nil
+		return
+	}
+	e.spareVertices = append(e.spareVertices, v)
+}
+
+// releaseQuery clears a record that has left the table and keeps it, its
+// vertex slice's array with it, while the engine hosts a vertex.
+func (e *Engine) releaseQuery(st *queryState) {
+	*st = queryState{vertices: st.vertices[:0]}
+	if e.hosted > 0 {
+		e.spareQueries = append(e.spareQueries, st)
+	}
+}
+
+// pop takes the last entry off a spare list, or returns nil.
+func pop[T any](spare *[]*T) *T {
+	n := len(*spare)
+	if n == 0 {
+		return nil
+	}
+	x := (*spare)[n-1]
+	*spare = (*spare)[:n-1]
+	return x
 }
 
 // ClaimExecution tells the engine about a query that reached this
@@ -354,7 +410,10 @@ func (e *Engine) register(qid ids.ID, q *relq.Query, injector simnet.Endpoint, c
 		if ok {
 			return nil
 		}
-		st = &queryState{qid: qid}
+		if st = pop(&e.spareQueries); st == nil {
+			st = new(queryState)
+		}
+		st.qid = qid
 		e.queries[qid] = st
 	}
 	if !st.known {
@@ -397,20 +456,23 @@ func (e *Engine) CancelPropagate(qid ids.ID) {
 // passes m itself on: a cancel says only which query, and receivers only
 // read it, so one message serves every child and backup down the tree.
 func (e *Engine) applyCancel(m *cancelMsg) {
-	if st := e.queries[m.QID]; st != nil {
-		st.resubmit.Cancel()
-		node := e.host.PastryNode()
-		// Vertices leave the record in vertexId order, each before the cancel
-		// fans out from it: Route below can deliver to self synchronously,
-		// re-entering applyCancel, which finds the record still in the table
-		// and carries on with what is left.
-		for len(st.vertices) > 0 {
-			v := st.vertices[0]
-			st.vertices = st.vertices[1:]
-			e.drop(v)
-			if !v.primary {
-				continue
-			}
+	st := e.queries[m.QID]
+	if st == nil {
+		e.queries[m.QID] = nil
+		return
+	}
+	st.resubmit.Cancel()
+	node := e.host.PastryNode()
+	// Vertices leave the record in vertexId order, each before the cancel
+	// fans out from it: Route below can deliver to self synchronously,
+	// re-entering applyCancel, which finds the record still in the table,
+	// carries on with what is left and ends the record itself. A vertex is
+	// released by the call that took it off the record, once its fan-out
+	// is done with it.
+	for e.queries[m.QID] == st && len(st.vertices) > 0 {
+		v := st.vertices[0]
+		st.vertices = slices.Delete(st.vertices, 0, 1)
+		if v.primary {
 			for _, child := range v.children { // in id order
 				node.Route(child.id, m, cancelMsgSize(), simnet.ClassQuery)
 			}
@@ -421,8 +483,14 @@ func (e *Engine) applyCancel(m *cancelMsg) {
 					cancelMsgSize(), simnet.ClassQuery, m)
 			}
 		}
+		e.releaseVertex(v)
 	}
-	e.queries[m.QID] = nil
+	// Only the call that writes the tombstone releases the record: one
+	// that a re-entrant call has already ended finds the tombstone.
+	if e.queries[m.QID] == st {
+		e.queries[m.QID] = nil
+		e.releaseQuery(st)
+	}
 }
 
 // expired reports whether a query is canceled, unknown or past its TTL.
@@ -479,7 +547,13 @@ func (e *Engine) EntryVertex(qid ids.ID) (ids.ID, bool) {
 // --------------------------------------------------------------- messages
 
 // submitMsg carries a child contribution to a vertex; routed by key, so it
-// always reaches the vertex's current primary.
+// always reaches the vertex's current primary. Submissions are pooled: one
+// only travels through pastry.Node.Route, which delivers it synchronously
+// or inside a hop wrapper the duplication fault never copies, so it
+// reaches applySubmit at most once and goes back to the pool when that
+// returns (applyAndRecycle); one the network drops is simply garbage. The
+// pool is package-level (clusters in parallel sweep runs share it), so it
+// is a sync.Pool, as metadata's push wrappers are.
 type submitMsg struct {
 	QID    ids.ID
 	Vertex ids.ID
@@ -504,6 +578,22 @@ type submitMsg struct {
 }
 
 func submitMsgSize() int { return 3*ids.Bytes + 8 + agg.EncodedPartialSize + 8 + 1 }
+
+var submitMsgPool = sync.Pool{New: func() any { return new(submitMsg) }}
+
+// newSubmit takes a submission from the pool, set to m.
+func newSubmit(m submitMsg) *submitMsg {
+	p := submitMsgPool.Get().(*submitMsg)
+	*p = m
+	return p
+}
+
+// applyAndRecycle applies a submission and puts it back in the pool.
+func (e *Engine) applyAndRecycle(origin simnet.Endpoint, m *submitMsg) {
+	e.applySubmit(origin, m)
+	*m = submitMsg{}
+	submitMsgPool.Put(m)
+}
 
 // ackMsg tells a leaf that the sender, its entry vertex's primary, holds
 // the leaf's contribution at Version: sent directly to the origin of every
@@ -681,13 +771,13 @@ func (e *Engine) chooseEntry(qid ids.ID) ids.ID {
 // the same vertex and replace the previous version.
 func (e *Engine) sendSubmission(st *queryState, cause uint64) {
 	node := e.host.PastryNode()
-	msg := &submitMsg{QID: st.qid, Vertex: st.entry, Child: node.ID(), C: st.own,
-		Injector: st.injector, Query: st.query, Cause: cause}
+	msg := newSubmit(submitMsg{QID: st.qid, Vertex: st.entry, Child: node.ID(), C: st.own,
+		Injector: st.injector, Query: st.query, Cause: cause})
 	if node.IsRootOf(st.entry) {
 		// This endsystem hosts the vertex itself (it is the root of the
 		// whole chain up to the queryId): nothing can be lost, and the
 		// contribution is acknowledged in place.
-		e.applySubmit(node.Endpoint(), msg)
+		e.applyAndRecycle(node.Endpoint(), msg)
 		st.acked, st.ackedBy = st.own.Version, int32(node.Endpoint())
 		return
 	}
@@ -733,7 +823,7 @@ func (e *Engine) nearestEntryVertex(sp *coords.Space, qid, entry ids.ID) ids.ID 
 func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 	switch m := payload.(type) {
 	case *submitMsg:
-		e.applySubmit(from, m)
+		e.applyAndRecycle(from, m)
 	case *ackMsg:
 		e.applyAck(from, m)
 	case *replMsg:
@@ -758,7 +848,12 @@ func (e *Engine) vertex(st *queryState, id ids.ID) *vertexState {
 	if ok {
 		return st.vertices[i]
 	}
-	v := &vertexState{q: st, id: id}
+	v := pop(&e.spareVertices)
+	if v == nil {
+		v = &vertexState{timers: new(vertexTimers)}
+	}
+	v.q, v.id = st, id
+	e.hosted++
 	st.vertices = slices.Insert(st.vertices, i, v)
 	e.armRefresh(v)
 	return v
@@ -933,20 +1028,28 @@ func (e *Engine) replicateDelta(v *vertexState, child ids.ID) {
 	}
 	node := e.host.PastryNode()
 	now := node.Sched().Now()
-	if now < v.replQuiet {
-		v.flush = node.Sched().After(v.replQuiet-now, func() {
-			v.flush = simnet.Timer{}
-			if node.Alive() && v.primary && !e.expired(v.q) {
-				e.replicateToBackups(v)
-			}
-		})
+	t := v.timers
+	if now < t.replQuiet {
+		if t.flush == nil {
+			t.flush = func() { e.flushFired(v) }
+		}
+		v.flush = node.Sched().After(t.replQuiet-now, t.flush)
 		return
 	}
-	v.replQuiet = now + replWindow
+	t.replQuiet = now + replWindow
 	c, _ := v.children.get(child)
 	e.sendToBackups(v, &replMsg{QID: v.q.qid, Vertex: v.id,
 		Child: child, C: c, UpVersion: v.upVersion,
 		Injector: v.q.injector, Query: v.q.query, Cause: v.cause})
+}
+
+// flushFired sends the table a change armed the flush for, unless the
+// vertex has lost the primary role or its query has ended since.
+func (e *Engine) flushFired(v *vertexState) {
+	v.flush = simnet.Timer{}
+	if e.host.PastryNode().Alive() && v.primary && !e.expired(v.q) {
+		e.replicateToBackups(v)
+	}
 }
 
 // cancelFlush drops a pending table flush: the vertex is leaving its
@@ -985,12 +1088,12 @@ func (e *Engine) forwardUp(v *vertexState) {
 		return
 	}
 	parent := V(qid, v.id, pastry.B)
-	msg := &submitMsg{QID: qid, Vertex: parent, Child: v.id,
+	msg := newSubmit(submitMsg{QID: qid, Vertex: parent, Child: v.id,
 		C:        contribution{Version: v.upVersion, Part: part, Contributors: contributors},
-		Injector: v.q.injector, Query: v.q.query, Cause: v.cause}
+		Injector: v.q.injector, Query: v.q.query, Cause: v.cause})
 	if node.IsRootOf(parent) {
 		// Local delivery cannot be lost; the ladder applies to the wire.
-		e.applySubmit(node.Endpoint(), msg)
+		e.applyAndRecycle(node.Endpoint(), msg)
 		return
 	}
 	msg.SentAt = node.Sched().Now()
@@ -1031,18 +1134,25 @@ func (e *Engine) armRefresh(v *vertexState) {
 		return
 	}
 	sched := e.host.PastryNode().Sched()
-	born := sched.Now()
-	var tick func()
-	tick = func() {
-		sched := e.host.PastryNode().Sched()
-		n := int64((sched.Now() - born) / e.cfg.RefreshPeriod)
-		if next := e.refreshTick(v, n); next > 0 {
-			v.refresh = sched.At(e.refreshWake(v, born, n, next), tick)
-		}
+	t := v.timers
+	t.born = sched.Now()
+	if t.refresh == nil {
+		t.refresh = func() { e.refreshFired(v) }
 	}
-	v.refresh = sched.At(e.refreshWake(v, born, 0, sleepUntilExpiry), tick)
+	v.refresh = sched.At(e.refreshWake(v, t.born, 0, sleepUntilExpiry), t.refresh)
 	if refreshArmed != nil {
-		refreshArmed(e, v, born)
+		refreshArmed(e, v, t.born)
+	}
+}
+
+// refreshFired runs the tick the chain's event stands for, the n-th of
+// its phase, and re-arms the chain for the tick it sleeps until.
+func (e *Engine) refreshFired(v *vertexState) {
+	sched := e.host.PastryNode().Sched()
+	born := v.timers.born
+	n := int64((sched.Now() - born) / e.cfg.RefreshPeriod)
+	if next := e.refreshTick(v, n); next > 0 {
+		v.refresh = sched.At(e.refreshWake(v, born, n, next), v.timers.refresh)
 	}
 }
 
@@ -1074,17 +1184,18 @@ func (e *Engine) refreshTick(v *vertexState, n int64) int64 {
 		refreshTicked(e, v)
 	}
 	node := e.host.PastryNode()
-	if !node.Alive() || v.dropped {
+	if !node.Alive() {
 		// A down endsystem's ticks do nothing, and coming back
 		// (core.Node.GoUp) resets the engine, which drops the vertex.
 		return 0
 	}
 	if e.expired(v.q) {
-		// The query timed out (or was canceled): reclaim the vertex.
+		// The query timed out: reclaim the vertex. (A canceled query's
+		// vertices left with the cancel, their chains with them.)
 		if i, ok := v.q.findVertex(v.id); ok {
 			v.q.vertices = slices.Delete(v.q.vertices, i, i+1)
 		}
-		e.drop(v)
+		e.releaseVertex(v)
 		return 0
 	}
 	if e.cfg.DisableRepair {
@@ -1233,7 +1344,7 @@ func (e *Engine) replicateState(v *vertexState) {
 // replication window.
 func (e *Engine) replicateToBackups(v *vertexState) {
 	v.cancelFlush()
-	v.replQuiet = e.host.PastryNode().Sched().Now() + replWindow
+	v.timers.replQuiet = e.host.PastryNode().Sched().Now() + replWindow
 	e.sendToBackups(v, e.tableMsg(v))
 }
 

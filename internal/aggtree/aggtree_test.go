@@ -1,8 +1,10 @@
 package aggtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -433,6 +435,86 @@ func TestCancelPropagateReclaimsVertices(t *testing.T) {
 	}
 }
 
+// TestReentrantCancelReleasesOnce: a cancel whose fan-out is delivered to
+// its own endsystem re-enters applyCancel, and the record and each of its
+// vertices still go onto the engine's spare lists exactly once. The
+// endsystem is the primary of a vertex with a child key it is the root of,
+// so that child's cancel comes back to it inside the fan-out; another
+// query keeps vertices hosted there, so the lists are kept.
+func TestReentrantCancelReleasesOnce(t *testing.T) {
+	c := newCluster(t, 64, 9, DefaultConfig())
+	c.sched.RunUntil(time.Second)
+	injector := c.hosts[0].node.Endpoint()
+	submitAll := func(qid ids.ID) {
+		for i, h := range c.hosts {
+			var p agg.Partial
+			p.Observe(float64(i + 1))
+			h.engine.Submit(qid, p, testQuery, injector, 0)
+		}
+		c.sched.RunUntil(c.sched.Now() + time.Minute)
+	}
+	reenters := func(h *testHost, st *queryState) bool {
+		for _, v := range st.vertices {
+			for _, child := range v.children {
+				if v.primary && h.node.IsRootOf(child.id) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	submitAll(ids.HashString("q-other"))
+	for k := 0; k < 20; k++ {
+		qid := ids.HashString(fmt.Sprintf("q-reenter-%d", k))
+		submitAll(qid)
+		for _, h := range c.hosts {
+			e := h.engine
+			st := e.queries[qid]
+			if st == nil || e.hosted == len(st.vertices) || !reenters(h, st) {
+				continue
+			}
+			vertices := slices.Clone(st.vertices)
+			reentered := 0
+			h.drop = func(payload any) bool {
+				if m, ok := payload.(*cancelMsg); ok && m.QID == qid {
+					reentered++
+				}
+				return false
+			}
+			e.applyCancel(&cancelMsg{QID: qid})
+			h.drop = nil
+			if reentered == 0 {
+				t.Fatal("the fan-out did not come back to the canceling endsystem")
+			}
+			if got, ok := e.queries[qid]; !ok || got != nil {
+				t.Fatalf("after the cancel the table holds %v, %v; want the tombstone", got, ok)
+			}
+			count := func(spare []*vertexState, v *vertexState) int {
+				n := 0
+				for _, w := range spare {
+					if w == v {
+						n++
+					}
+				}
+				return n
+			}
+			for _, v := range vertices {
+				if n := count(e.spareVertices, v); n != 1 {
+					t.Fatalf("vertex %s is on the spare list %d times, want once", v.id.Short(), n)
+				}
+			}
+			if n := len(e.spareVertices); n != len(vertices) {
+				t.Fatalf("%d spare vertices after canceling a record of %d", n, len(vertices))
+			}
+			if n := len(e.spareQueries); n != 1 || e.spareQueries[0] != st {
+				t.Fatalf("%d spare records after one cancel (re-entered %d times), want the canceled one once", n, reentered)
+			}
+			return
+		}
+	}
+	t.Fatal("no endsystem whose cancel comes back to it")
+}
+
 // TestReplDeltaInlineMatchesTable checks that a delta carrying its one
 // child inline installs at a backup exactly what the one-entry table form
 // did: new entry, newer version, stale version, refresh with unchanged
@@ -559,11 +641,11 @@ func TestResetKeepsOnlyOwnContribution(t *testing.T) {
 
 	// The rejoin re-submission: same vertex, next version, and sent even
 	// though the partial is the one submitted before the restart.
-	var sent []*submitMsg
+	var sent []submitMsg // copies: a delivered submission is recycled
 	for _, h := range c.hosts {
 		h.drop = func(payload any) bool {
 			if m, ok := payload.(*submitMsg); ok && m.Child == victim.node.ID() {
-				sent = append(sent, m)
+				sent = append(sent, *m)
 			}
 			return false
 		}

@@ -16,7 +16,8 @@ import (
 // root and has children and is dirty, on the safety pass, or not yet
 // primary (the old tick made it so). The shadow only reads engine state.
 type RefreshOracle struct {
-	chains map[*vertexState]*shadowChain
+	chains map[*vertexState]*shadowChain // each vertex's current life
+	all    []*shadowChain                // every life shadowed so far
 	faults []string
 
 	// Ticks counts the events the refresh chains ran, OldTicks those the
@@ -25,8 +26,16 @@ type RefreshOracle struct {
 }
 
 type shadowChain struct {
-	last  time.Duration // the instant of the new chain's latest tick
-	timer simnet.Timer
+	v       *vertexState
+	last    time.Duration // the instant of the new chain's latest tick
+	primary bool          // the vertex's primary flag at that tick
+	timer   simnet.Timer
+}
+
+// live reports whether the chain's vertex is still in the life it shadows:
+// a released vertex is cleared, and a reused one has a chain of its own.
+func (sc *shadowChain) live(o *RefreshOracle) bool {
+	return sc.v.q != nil && o.chains[sc.v] == sc
 }
 
 // InstallRefreshOracle shadows every refresh chain armed until Close.
@@ -42,16 +51,18 @@ func InstallRefreshOracle() *RefreshOracle {
 // discrepancies found, if any.
 func (o *RefreshOracle) Close() []string {
 	refreshArmed, refreshTicked = nil, nil
-	for _, sc := range o.chains {
+	for _, sc := range o.all {
 		sc.timer.Cancel()
 	}
 	return o.faults
 }
 
-// Roles counts the vertices shadowed so far by their primary flag now.
+// Roles counts the vertex lives shadowed so far by their primary flag:
+// now for a vertex still in its record, at its last tick for one that has
+// left it.
 func (o *RefreshOracle) Roles() (primaries, backups int) {
-	for v := range o.chains {
-		if v.primary {
+	for _, sc := range o.all {
+		if sc.live(o) && sc.v.primary || !sc.live(o) && sc.primary {
 			primaries++
 		} else {
 			backups++
@@ -69,13 +80,14 @@ func (o *RefreshOracle) fault(format string, args ...any) {
 func (o *RefreshOracle) ticked(e *Engine, v *vertexState) {
 	o.Ticks++
 	if sc := o.chains[v]; sc != nil {
-		sc.last = e.host.PastryNode().Sched().Now()
+		sc.last, sc.primary = e.host.PastryNode().Sched().Now(), v.primary
 	}
 }
 
 func (o *RefreshOracle) armed(e *Engine, v *vertexState, born time.Duration) {
-	sc := &shadowChain{last: -1}
+	sc := &shadowChain{v: v, last: -1}
 	o.chains[v] = sc
+	o.all = append(o.all, sc)
 	node := e.host.PastryNode()
 	period := e.cfg.RefreshPeriod
 	tick := int64(0)
@@ -84,7 +96,9 @@ func (o *RefreshOracle) armed(e *Engine, v *vertexState, born time.Duration) {
 		if !node.Alive() {
 			return
 		}
-		if v.dropped {
+		if !sc.live(o) {
+			// The vertex left its record and was released, or serves
+			// another life whose chain has its own shadow.
 			sc.timer.Cancel()
 			return
 		}

@@ -50,7 +50,7 @@ func (e *Engine) reassertFire(v *vertexState) {
 	if !node.Alive() {
 		return
 	}
-	if v.dropped || !v.primary || e.expired(v.q) {
+	if !v.primary || e.expired(v.q) {
 		return
 	}
 	v.reassertN++

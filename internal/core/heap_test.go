@@ -1,6 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -19,8 +23,10 @@ import (
 const heapPerEndsystemCeiling = 36 << 10
 
 // allocPerQueryCeiling is about 10% above what TestAllocPerQuery measures
-// (5.7 KB on go1.24 linux/amd64; runs differ by half a percent). It read
-// 5.8 KB (ceiling 6,500) while every dissemination range message and
+// (5.5 KB on go1.24 linux/amd64; runs differ by half a percent). It read
+// 5.65 KB (ceiling 6,250) while every routed aggregation submission was
+// allocated afresh and every vertex's refresh chain built its callback
+// and a cell for it, 5.8 KB (ceiling 6,500) while every dissemination range message and
 // fan-out was allocated afresh and every subrange send built its timeout
 // callback, 5.9 KB while every endsystem also kept a core.Node.executed
 // entry per query, 6.4-6.5 KB (ceiling 7,200) while every range task carried the fields of
@@ -38,7 +44,7 @@ const heapPerEndsystemCeiling = 36 << 10
 // predictor, empty or not, and every aggregation vertex kept its children
 // in a map (11.4 and 11.5 KB). At N=256 the tree has fewer empty ranges
 // than at the benchmark's N=1000, so those steps are 15-27% apart.
-const allocPerQueryCeiling = 6250
+const allocPerQueryCeiling = 6050
 
 // heapTestCluster keeps TestHeapPerEndsystem's cluster reachable after the
 // test returns: go test -memprofile collects before it writes, and that
@@ -229,5 +235,115 @@ func TestQueryBytesPerEndsystem(t *testing.T) {
 		per, quiet/n, resps, empty, o.Counter("dissem_predictor_bytes").Value())
 	if per > queryBytesPerEndsystemCeiling {
 		t.Errorf("one query sends %.0f query bytes per endsystem, ceiling %d", per, queryBytesPerEndsystemCeiling)
+	}
+}
+
+// The warm query stream behind TestWarmQueryAllocs and
+// TestCancelStreamPinned: ad-hoc queries injected streamSpacing apart on
+// the budget tests' N=256 cluster, each canceled the instant it completes
+// or streamDeadline after it was injected, whichever comes first. Most
+// complete within seconds; under the cluster's churn a few run to their
+// deadline, so cancels meet engines that host other queries' vertices.
+const (
+	streamQueries  = 30
+	streamWarm     = 10 // the last streamWarm queries are the measured ones
+	streamSpacing  = 30 * time.Second
+	streamDeadline = 5 * time.Minute
+)
+
+// queryStream builds the budget tests' cluster, runs it for an hour, and
+// then runs the stream, or the same span quiet: what the simulator
+// allocated from the injection of the first measured query to a minute
+// after the last deadline, and the stream's handles.
+func queryStream(t *testing.T, withQueries bool) (alloc uint64, handles []*QueryHandle, c *Cluster) {
+	t.Helper()
+	c = smallCluster(t, 256, 6*time.Hour, 17)
+	c.RunUntil(time.Hour)
+	q := relq.MustParse("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80")
+	var before, after runtime.MemStats
+	for i := 0; i < streamQueries; i++ {
+		if i == streamQueries-streamWarm {
+			runtime.ReadMemStats(&before)
+		}
+		if withQueries {
+			inj := findLiveInjector(t, c)
+			h := c.InjectQuery(inj, q)
+			cancel := func() {
+				if !h.Cancelled {
+					c.CancelQuery(h, inj)
+				}
+			}
+			h.WhenDone(func() { c.Sched.After(0, cancel) })
+			c.Sched.After(streamDeadline, cancel)
+			handles = append(handles, h)
+		}
+		c.RunUntil(c.Sched.Now() + streamSpacing)
+	}
+	c.RunUntil(c.Sched.Now() + streamDeadline + time.Minute)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, handles, c
+}
+
+// warmQueryAllocCeiling is about 10% above what TestWarmQueryAllocs
+// measures (1,306-1,354 bytes on go1.24 linux/amd64). It read 2,032-2,076
+// while every aggregation engine allocated each query's record, vertices,
+// child tables, routed submissions and refresh and flush callbacks afresh
+// and let them go at the cancel.
+const warmQueryAllocCeiling = 1475
+
+// TestWarmQueryAllocs is the allocation budget of a query on a warm
+// cluster: the bytes per endsystem that each of the stream's last ten
+// queries makes the simulator allocate, less the same span of the same
+// cluster run quiet. TestAllocPerQuery measures a first query, which
+// finds nothing to reuse; here the aggregation engines have recycled
+// the records, vertices and child tables of the queries canceled before.
+func TestWarmQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations count toward TotalAlloc")
+	}
+	const n = 256
+	quiet, _, _ := queryStream(t, false)
+	with, handles, _ := queryStream(t, true)
+	for i, h := range handles {
+		if len(h.Results) == 0 {
+			t.Fatalf("query %d returned nothing", i)
+		}
+	}
+	per := (int64(with) - int64(quiet)) / (n * streamWarm)
+	t.Logf("a warm query allocates %d bytes per endsystem (the quiet span: %d per endsystem)", per, int64(quiet)/n)
+	if per > warmQueryAllocCeiling {
+		t.Errorf("a warm query allocates %d bytes per endsystem, ceiling %d", per, warmQueryAllocCeiling)
+	}
+}
+
+// TestCancelStreamPinned pins the stream's outcome by SHA-256: every
+// query's result updates (instant, count and sum, in order) and the run's
+// bytes sent per traffic class. Recycling a record or a vertex while it is
+// still in use, or twice, moves what the trees send, so a moved byte
+// fails here even when every result stays plausible.
+func TestCancelStreamPinned(t *testing.T) {
+	_, handles, c := queryStream(t, true)
+	d := sha256.New()
+	var buf []byte
+	completed := 0
+	for _, h := range handles {
+		if h.Completed {
+			completed++
+		}
+		for _, u := range h.Results {
+			buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(u.At))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(u.Partial.Count))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(u.Partial.Sum))
+			d.Write(buf)
+		}
+	}
+	for cl := simnet.Class(0); cl < simnet.NumClasses; cl++ {
+		d.Write(binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(c.Net.Stats().TotalTx(cl))))
+	}
+	got := fmt.Sprintf("%x", d.Sum(nil))
+	t.Logf("%d queries, %d completed; digest %s", len(handles), completed, got)
+	const pinned = "d8486d2caad0dbb9e3f236968dcd528f3a5441b26d30681535e8ef4f7e12059b"
+	if got != pinned {
+		t.Errorf("cancel stream digest %s, pinned %s", got, pinned)
 	}
 }
