@@ -23,8 +23,10 @@ import (
 const heapPerEndsystemCeiling = 36 << 10
 
 // allocPerQueryCeiling is about 10% above what TestAllocPerQuery measures
-// (5.5 KB on go1.24 linux/amd64; runs differ by half a percent). It read
-// 5.65 KB (ceiling 6,250) while every routed aggregation submission was
+// (4.31-4.38 KB on go1.24 linux/amd64; runs differ by a percent). It
+// read 5.5 KB (ceiling 6,050) while every dissemination engine filed its
+// range tasks and awaited subranges in two maps keyed by (queryId, lo,
+// hi), each grown afresh on its first query, 5.65 KB (ceiling 6,250) while every routed aggregation submission was
 // allocated afresh and every vertex's refresh chain built its callback
 // and a cell for it, 5.8 KB (ceiling 6,500) while every dissemination range message and
 // fan-out was allocated afresh and every subrange send built its timeout
@@ -44,7 +46,7 @@ const heapPerEndsystemCeiling = 36 << 10
 // predictor, empty or not, and every aggregation vertex kept its children
 // in a map (11.4 and 11.5 KB). At N=256 the tree has fewer empty ranges
 // than at the benchmark's N=1000, so those steps are 15-27% apart.
-const allocPerQueryCeiling = 6050
+const allocPerQueryCeiling = 4800
 
 // heapTestCluster keeps TestHeapPerEndsystem's cluster reachable after the
 // test returns: go test -memprofile collects before it writes, and that
@@ -106,12 +108,12 @@ const cancelledQueryCeiling = 48
 //
 // The first query leaves in both clusters what only a first query costs
 // and later ones reuse: each table's bound plan for the one query object,
-// routing-table entries, pooled route envelopes. Both clusters let go of
-// the dissemination tables' storage before measuring, because a drained
-// map keeps its storage at its peak size, which grows with how many
-// endsystems have been a query's root and is not per-query state. The
-// tables are empty by then: the last range task's retention ran out half an
-// hour before, and TestFinishedTaskLeavesAtNextMessage holds the sweep.
+// routing-table entries, pooled route envelopes. The dissemination engines
+// hold no task by then: the last range task's retention ran out half an
+// hour before and the sweep at the next message let it go
+// (TestFinishedTaskLeavesAtNextMessage). A drained engine keeps its empty
+// per-query table, sized to the queries it has held at once, one or two
+// in both clusters (TestDrainedEngineGivesBackTables).
 func TestCancelledQueriesReleaseState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations count toward HeapAlloc")
@@ -144,9 +146,6 @@ func TestCancelledQueriesReleaseState(t *testing.T) {
 			c.RunUntil(c.Sched.Now() + spacing - time.Minute)
 		}
 		c.RunUntil(end)
-		for _, node := range c.Nodes {
-			node.dis.Reset()
-		}
 		grown := liveHeap() - before
 		runtime.KeepAlive(c)
 		return grown
@@ -284,12 +283,15 @@ func queryStream(t *testing.T, withQueries bool) (alloc uint64, handles []*Query
 	return after.TotalAlloc - before.TotalAlloc, handles, c
 }
 
-// warmQueryAllocCeiling is about 10% above what TestWarmQueryAllocs
-// measures (1,306-1,354 bytes on go1.24 linux/amd64). It read 2,032-2,076
-// while every aggregation engine allocated each query's record, vertices,
-// child tables, routed submissions and refresh and flush callbacks afresh
-// and let them go at the cancel.
-const warmQueryAllocCeiling = 1475
+// warmQueryAllocCeiling is about 4% above what TestWarmQueryAllocs
+// measures (1,246-1,252 bytes on go1.24 linux/amd64), which is below the
+// 1,306-1,354 it read while every dissemination engine filed its range
+// tasks and awaited subranges in two maps keyed by (queryId, lo, hi)
+// (ceiling 1,475). It read 2,032-2,076 while every aggregation engine
+// allocated each query's record, vertices, child tables, routed
+// submissions and refresh and flush callbacks afresh and let them go at
+// the cancel.
+const warmQueryAllocCeiling = 1300
 
 // TestWarmQueryAllocs is the allocation budget of a query on a warm
 // cluster: the bytes per endsystem that each of the stream's last ten

@@ -20,6 +20,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/coords"
@@ -107,18 +108,17 @@ type Engine struct {
 	// (random): most engines never reissue, and a seeded source is 4.9 KB.
 	rng *rand.Rand
 
-	// Per-query state (see DESIGN.md, "Per-query state lifecycle"). tasks
-	// holds this endsystem's range tasks: the unfinished ones, and each
-	// finished one for retention after it finished, so a reissued request
-	// gets the cached answer. awaited indexes every unanswered subrange of
-	// every unfinished task by (queryId, lo, hi) — a response, the
-	// answering task, carries exactly that key, so it finds its (task,
-	// subrange) in one lookup.
+	// Per-query state (see DESIGN.md, "Dissemination: per-query state
+	// lifecycle"). queries files this endsystem's range tasks by queryId:
+	// the unfinished ones, and each finished one for retention after it
+	// finished, so a reissued request gets the cached answer. A response,
+	// the answering task, finds the subrange it answers through the task
+	// that split it (awaiting). Made at the first task, it stays when it
+	// drains: its size follows the queries filed at once, not the tasks.
 	// retired and retiredTail are the ends of a queue (linked through
-	// task.next) of the finished tasks still in tasks, in finish order,
+	// task.next) of the finished tasks still filed, in finish order,
 	// which — retention being one constant — is expiry order.
-	tasks       map[taskKey]*task
-	awaited     map[taskKey]*subrange
+	queries     map[ids.ID]*queryTasks
 	retired     *task
 	retiredTail *task
 
@@ -145,10 +145,12 @@ type Engine struct {
 	// candidate enumeration (engines are single-threaded).
 	cands []pastry.NodeRef
 	// spare lists the fan-outs of this engine's finished interior tasks
-	// (linked through fanout.next), for newFanout to reuse. An engine
-	// creates and finishes its own fan-outs, so the list balances; sweep
-	// drops it when the task table drains, so an idle engine holds none.
-	spare *fanout
+	// (linked through fanout.next), for newFanout to reuse, and
+	// spareQueries the entries of swept queries, with their arrays, for
+	// file. An engine makes and finishes its own fan-outs and entries, so
+	// the lists balance; sweep drops them when the table drains.
+	spare        *fanout
+	spareQueries *queryTasks
 }
 
 // pendingInject is one injector-side query awaiting its predictor.
@@ -171,8 +173,6 @@ func NewEngine(host Host, cfg Config) *Engine {
 	return &Engine{
 		cfg:     cfg,
 		host:    host,
-		tasks:   make(map[taskKey]*task),
-		awaited: make(map[taskKey]*subrange),
 		waiting: make(map[ids.ID]*pendingInject),
 
 		o:          o,
@@ -210,18 +210,17 @@ func (e *Engine) scope(q *relq.Query) *coords.Space {
 }
 
 // Reset clears all per-query state (the endsystem restarted). Stale
-// inject-retry timers recognize the replaced maps and fall through, and so
-// do the subrange timers of a task of the previous incarnation: it is in
-// neither table any more, so no response can reach it, and its next
-// timeout ends its retry ladder without a reissue or a giveup. Every
-// removal from the tables is by identity, so such a task cannot disturb
-// one the new incarnation created under its key.
+// inject-retry timers recognize the replaced map and fall through, and so
+// do the subrange timers of a task of the previous incarnation: it is
+// filed no more, so no response can reach it, and its next timeout ends
+// its retry ladder without a reissue or a giveup. Every removal from the
+// table is by identity, so such a task cannot disturb one the new
+// incarnation files for its range.
 func (e *Engine) Reset() {
 	for _, p := range e.waiting {
 		p.timer.Cancel()
 	}
-	e.tasks = make(map[taskKey]*task)
-	e.awaited = make(map[taskKey]*subrange)
+	e.queries, e.spareQueries = nil, nil
 	for t := e.retired; t != nil; {
 		next := t.next
 		t.next = nil // as sweep does: no task keeps the queue alive
@@ -404,10 +403,10 @@ type taskKey struct {
 	lo, hi ids.ID
 }
 
-// retention is how long a finished task stays in the engine's table. A
-// request for the same range inside that window — a parent's reissue, or
-// a new parent after the old one died — is answered from the finished
-// task instead of disseminating the range a second time.
+// retention is how long a finished task stays filed. A request for the
+// same range inside that window — a parent's reissue, or a new parent
+// after the old one died — is answered from the finished task instead of
+// disseminating the range a second time.
 const retention = 2 * time.Minute
 
 // task aggregates the predictor of one range at this endsystem. A leaf
@@ -433,7 +432,7 @@ type task struct {
 	more     *requester
 	acc      predictor.Predictor
 	finished bool
-	expires  time.Duration // finished tasks only: when the table lets go
+	expires  time.Duration // finished tasks only: when sweep lets go
 	next     *task         // the task finished next (Engine.retired); nil once swept
 	// respCause is the span of the last contribution folded in — the child
 	// whose response completed the fan-in, i.e. the causal parent of the
@@ -449,15 +448,15 @@ type fanout struct {
 	// width is the span of the task's range over the arity: with the range
 	// itself, it gives every subrange its bounds (subrange.bounds).
 	width ids.ID
-	// subs are the awaited subranges, by value: Engine.awaited and the
+	// subs are the awaited subranges, by value and in index order: the
 	// response timers point into the array, which is sized once, to the
 	// arity, when the fan-out is first allocated.
 	subs []subrange
 	// timeouts[i] is the response-timeout callback of slot i, built at the
 	// slot's first send and kept with the array, so a reused slot arms its
 	// timer without allocating. No timer outlives its task's fan-out: the
-	// task finishes only once every subrange settled, and settling cancels
-	// the timer or is what the timer did.
+	// task finishes only once every subrange is answered, which cancels
+	// the timer, or abandoned, which is what the timer did.
 	timeouts []func()
 	open     int32   // subranges neither answered nor abandoned
 	next     *fanout // Engine.spare
@@ -470,7 +469,7 @@ type fanout struct {
 type subrange struct {
 	task        *task  // the task awaiting this subrange
 	local       bool   // handled by local recursion, not a network child
-	done        bool   // answered or abandoned: no longer in Engine.awaited
+	done        bool   // answered or abandoned: no response finds it any more
 	index       uint16 // which part of the task's range; kept when the RTT scope prunes others
 	retries     int32
 	lastTimeout time.Duration // timeout armed for the latest request
@@ -536,6 +535,86 @@ func (e *Engine) newFanout(t *task, h *queryHdr) *fanout {
 // whole reports whether the key's range is the full namespace: the root
 // task, whose parent is the injector.
 func (k taskKey) whole() bool { return k.lo.IsZero() && k.hi == ids.MaxID }
+
+// queryTasks is one query's entry in Engine.queries: its range tasks on
+// this endsystem, a handful, one per range, in the order they were filed.
+type queryTasks struct {
+	tasks []*task
+	next  *queryTasks // Engine.spareQueries
+}
+
+// list returns q's tasks, none when q is nil (the query has no entry).
+func (q *queryTasks) list() []*task {
+	if q == nil {
+		return nil
+	}
+	return q.tasks
+}
+
+// find returns the task for [lo, hi] among tasks, nil if there is none.
+func find(tasks []*task, lo, hi ids.ID) *task {
+	for _, t := range tasks {
+		if t.key.lo == lo && t.key.hi == hi {
+			return t
+		}
+	}
+	return nil
+}
+
+// awaiting returns the subrange [lo, hi] of one of tasks while it is
+// unanswered and its task unfinished: the one a response for [lo, hi]
+// answers. Splits nest, so several tasks may hold [lo, hi] (a task and its
+// local child), but only one has a subrange with exactly those bounds.
+func awaiting(tasks []*task, lo, hi ids.ID) *subrange {
+	for _, t := range tasks {
+		f := t.fan
+		if f == nil || lo.Less(t.key.lo) || t.key.hi.Less(hi) {
+			continue // finished, or [lo, hi] is not inside its range
+		}
+		// The subranges are in index order: find the one holding lo.
+		i := sort.Search(len(f.subs), func(i int) bool {
+			_, shi := f.subs[i].bounds()
+			return !shi.Less(lo)
+		})
+		if i < len(f.subs) && !f.subs[i].done {
+			if slo, shi := f.subs[i].bounds(); slo == lo && shi == hi {
+				return &f.subs[i]
+			}
+		}
+	}
+	return nil
+}
+
+// file enters t, a new task, under its query's entry q (nil if none yet).
+func (e *Engine) file(q *queryTasks, t *task) {
+	if q == nil {
+		if q = e.spareQueries; q != nil {
+			e.spareQueries, q.next = q.next, nil
+		} else {
+			q = &queryTasks{tasks: make([]*task, 0, 4)} // a query has ~4 tasks on an endsystem
+		}
+		if e.queries == nil {
+			e.queries = make(map[ids.ID]*queryTasks)
+		}
+		e.queries[t.key.qid] = q
+	}
+	q.tasks = append(q.tasks, t)
+}
+
+// unfile removes t from the table, by identity (a task of a previous
+// incarnation is filed no more, see Reset). Its query's entry goes to the
+// spare list with the query's last task.
+func (e *Engine) unfile(t *task) {
+	q := e.queries[t.key.qid]
+	i := slices.Index(q.list(), t)
+	if i < 0 {
+		return
+	}
+	if q.tasks = slices.Delete(q.tasks, i, i+1); len(q.tasks) == 0 {
+		delete(e.queries, t.key.qid)
+		q.next, e.spareQueries = e.spareQueries, q
+	}
+}
 
 // requester is one further parent of a task. Few tasks ever have one, so
 // the task carries a list head rather than a slice header.
@@ -612,8 +691,8 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 	// without a message).
 	e.sweep(node.Sched().Now())
 	qid := h.QueryID
-	key := taskKey{qid: qid, lo: lo, hi: hi}
-	if t, ok := e.tasks[key]; ok {
+	q := e.queries[qid]
+	if t := find(q.list(), lo, hi); t != nil {
 		// Duplicate request (a reissue, or a new parent after the old one
 		// died): remember the extra parent and re-answer if finished.
 		t.addParent(parent)
@@ -624,10 +703,9 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 	}
 	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindDisseminate, Query: e.o.QueryTag(qid),
 		EP: int(node.Endpoint())})
+	t := &task{key: taskKey{qid: qid, lo: lo, hi: hi}, parent: parent, respCause: span}
+	e.file(q, t)
 	e.host.QueryObserved(qid, h.Query, h.Injector, span)
-
-	t := &task{key: key, parent: parent, respCause: span}
-	e.tasks[key] = t
 	if lo == hi || e.aloneInRange(lo, hi) {
 		// Leaf: contribute own rows (if in range) and predict on behalf of
 		// every unavailable endsystem in the range.
@@ -652,12 +730,10 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 	for i := range f.subs {
 		s := &f.subs[i]
 		s.cause = span
-		slo, shi := s.bounds()
-		if self.InRange(slo, shi) {
+		if self.InRange(s.bounds()) {
 			s.local = true
 			selfSub = s
 		}
-		e.awaited[taskKey{qid: qid, lo: slo, hi: shi}] = s
 	}
 	// A send can be answered synchronously (a midpoint this node is the
 	// root of, resolving to a leaf): with no local subrange, the last one
@@ -830,12 +906,13 @@ func (e *Engine) subrangeTimeout(f *fanout, i int) {
 	s := &f.subs[i]
 	t := s.task
 	node := e.host.PastryNode()
-	if s.done || t.finished || !node.Alive() || e.tasks[t.key] != t {
+	if s.done || t.finished || !node.Alive() || !slices.Contains(e.queries[t.key.qid].list(), t) {
 		return
 	}
 	tag := e.o.QueryTag(t.key.qid)
 	if int(s.retries) >= maxRetries {
-		e.settle(s)
+		s.done = true // abandoned: no response finds it after
+		t.fan.open--
 		e.cAbandoned.Inc()
 		s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemAbandon, Query: tag,
 			EP: int(node.Endpoint()), N: int64(s.retries)})
@@ -855,32 +932,20 @@ func (e *Engine) subrangeTimeout(f *fanout, i int) {
 	e.sendSubrange(f, i)
 }
 
-// settle marks a subrange answered or abandoned and takes it out of the
-// index. The removal is by identity: a subrange of a task from before a
-// Reset must not unhook the same range awaited by a newer task.
-func (e *Engine) settle(s *subrange) {
-	s.done = true
-	s.task.fan.open--
-	lo, hi := s.bounds()
-	key := taskKey{qid: s.task.key.qid, lo: lo, hi: hi}
-	if e.awaited[key] == s {
-		delete(e.awaited, key)
-	}
-}
-
 // handleResp folds a child's aggregated predictor into the parent task:
-// key, pred and cause are the finished child task's. The index holds a
-// subrange only while it is unanswered and its task unfinished, so a
-// duplicate response (from a reissued request), a late one (its subrange
+// key, pred and cause are the finished child task's. A subrange is found
+// only while it is unanswered and its task unfinished and filed, so a
+// duplicate (a reissued request's), a late response (its subrange
 // abandoned, its task finished) and one this incarnation never asked for
-// all miss it: each subrange counts exactly once.
+// all miss: each subrange counts exactly once.
 func (e *Engine) handleResp(key taskKey, pred *predictor.Predictor, cause uint64) {
-	s := e.awaited[key]
+	s := awaiting(e.queries[key.qid].list(), key.lo, key.hi)
 	if s == nil {
 		return
 	}
 	t := s.task
-	e.settle(s)
+	s.done = true // answered: no response finds it after
+	t.fan.open--
 	s.timer.Cancel()
 	t.acc.Merge(pred)
 	// The response that completes the fan-in is the task's critical
@@ -896,11 +961,11 @@ func (e *Engine) handleResp(key taskKey, pred *predictor.Predictor, cause uint64
 
 // finish is the one way a task ends — leaf, interior or degenerate. It
 // freezes key, acc and respCause, answers every parent, and starts the
-// retention window: the task stays in the table, to re-answer reissued
-// requests, until sweep lets it go. No timer is armed. A task of a
-// previous incarnation (see Reset) answers its parents and is otherwise
-// left alone: it is in no table. An interior task's fan-out goes to the
-// spare list.
+// retention window: the task stays filed, to re-answer reissued requests,
+// until sweep lets it go. No timer is armed. Every task that gets here is
+// filed: beginTask has just filed it, and handleResp and subrangeTimeout
+// act only on filed tasks, so one of a previous incarnation never
+// finishes. An interior task's fan-out goes to the spare list.
 func (e *Engine) finish(t *task) {
 	t.finished = true
 	if f := t.fan; f != nil {
@@ -910,15 +975,13 @@ func (e *Engine) finish(t *task) {
 		f.subs, f.hdr, f.next = f.subs[:0], nil, e.spare
 		e.spare = f
 	}
-	if e.tasks[t.key] == t {
-		t.expires = e.host.PastryNode().Sched().Now() + retention
-		if e.retiredTail == nil {
-			e.retired = t
-		} else {
-			e.retiredTail.next = t
-		}
-		e.retiredTail = t
+	t.expires = e.host.PastryNode().Sched().Now() + retention
+	if e.retiredTail == nil {
+		e.retired = t
+	} else {
+		e.retiredTail.next = t
 	}
+	e.retiredTail = t
 	e.respond(t)
 }
 
@@ -926,20 +989,17 @@ func (e *Engine) finish(t *task) {
 // calls it before every lookup, so an expired task is never found, and
 // HandleMessage on every message the endsystem receives, so one leaves the
 // table at the first message after its retention: expiry needs no timer.
-// The delete is by identity, like every removal from the engine's tables.
 func (e *Engine) sweep(now time.Duration) {
 	for t := e.retired; t != nil && t.expires <= now; t = e.retired {
 		// Unlink fully: a response in flight is t and keeps it alive, and
 		// must not keep the rest of the queue with it.
 		e.retired, t.next = t.next, nil
-		if e.tasks[t.key] == t {
-			delete(e.tasks, t.key)
-		}
+		e.unfile(t)
 	}
 	if e.retired == nil {
 		e.retiredTail = nil
-		if len(e.tasks) == 0 {
-			e.spare = nil // drained: an idle engine holds no fan-out
+		if len(e.queries) == 0 {
+			e.spareQueries, e.spare = nil, nil // drained: an idle engine holds no spare
 		}
 	}
 }
