@@ -47,27 +47,28 @@ func DefaultConfig(horizon time.Duration, seed int64) Config {
 	}
 }
 
-// FlowSchema returns the Flow table schema. The five indexed columns (ts,
+// flowSchema is the Flow table schema: one immutable column list that
+// every endsystem's table shares, so that a query bound for one Flow table
+// runs on all of them (relq.Table.Plan). The five indexed columns (ts,
 // SrcPort, LocalPort, App, Bytes) match the paper's five histograms per
 // endsystem.
-func FlowSchema() relq.Schema {
-	return relq.Schema{
-		Name: "Flow",
-		Columns: []relq.Column{
-			{Name: "ts", Type: relq.TInt, Indexed: true}, // seconds since epoch
-			{Name: "Interval", Type: relq.TInt},          // measurement interval, seconds
-			{Name: "SrcIP", Type: relq.TInt},
-			{Name: "DstIP", Type: relq.TInt},
-			{Name: "SrcPort", Type: relq.TInt, Indexed: true},
-			{Name: "DstPort", Type: relq.TInt},
-			{Name: "LocalPort", Type: relq.TInt, Indexed: true},
-			{Name: "Proto", Type: relq.TInt},
-			{Name: "App", Type: relq.TString, Indexed: true},
-			{Name: "Bytes", Type: relq.TInt, Indexed: true},
-			{Name: "Packets", Type: relq.TInt},
-		},
-	}
-}
+var flowSchema = relq.Schema{Name: "Flow", Columns: []relq.Column{
+	{Name: "ts", Type: relq.TInt, Indexed: true}, // seconds since epoch
+	{Name: "Interval", Type: relq.TInt},          // measurement interval, seconds
+	{Name: "SrcIP", Type: relq.TInt},
+	{Name: "DstIP", Type: relq.TInt},
+	{Name: "SrcPort", Type: relq.TInt, Indexed: true},
+	{Name: "DstPort", Type: relq.TInt},
+	{Name: "LocalPort", Type: relq.TInt, Indexed: true},
+	{Name: "Proto", Type: relq.TInt},
+	{Name: "App", Type: relq.TString, Indexed: true},
+	{Name: "Bytes", Type: relq.TInt, Indexed: true},
+	{Name: "Packets", Type: relq.TInt},
+}}
+
+// FlowSchema returns the Flow table schema, whose column list callers
+// must not modify.
+func FlowSchema() relq.Schema { return flowSchema }
 
 // Dataset is one endsystem's generated data: the Flow table every paper
 // query reads.
@@ -127,13 +128,7 @@ func profileFor(rng *rand.Rand, i int) endsystemProfile {
 func appendFlow(rng *rand.Rand, prof endsystemProfile, d *Dataset, ts int64) {
 	a := sampleApp(rng)
 	spec := trafficMix[a]
-	bytes := int64(math.Exp(spec.logBytesMu + spec.logBytesSd*rng.NormFloat64()))
-	if bytes < 64 {
-		bytes = 64
-	}
-	if bytes > 1<<31 {
-		bytes = 1 << 31
-	}
+	bytes := min(max(int64(math.Exp(spec.logBytesMu+spec.logBytesSd*rng.NormFloat64())), 64), 1<<31)
 	packets := bytes/700 + 1 + int64(rng.Intn(4))
 
 	remoteIP := int64(0x0a000000 + rng.Intn(1<<16))

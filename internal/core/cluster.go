@@ -273,9 +273,9 @@ type ResultUpdate struct {
 // the local result changes, so the handle's incremental results track the
 // (possibly growing) data.
 func (c *Cluster) InjectContinuousQuery(from simnet.Endpoint, q *relq.Query) *QueryHandle {
-	cq := *q
+	cq := q.Clone()
 	cq.Continuous = true
-	return c.InjectQuery(from, &cq)
+	return c.InjectQuery(from, cq)
 }
 
 // InjectQuery submits a query at endsystem from (which must be up) and
@@ -367,9 +367,8 @@ func (c *Cluster) TrueRelevantRows(q *relq.Query) int64 { return c.trueRows(q, n
 
 // trueRows is TrueRelevantRows over the endsystems keep admits (every one
 // when keep is nil). CountMatching resolves NOW() as it executes, so q
-// itself is passed: the per-table plan cache is keyed by query pointer,
-// and a bound copy per call would miss it on every endsystem and evict
-// the plans of queries still running.
+// itself is passed: a query carries its bound plan, and a bound copy per
+// call would bind afresh on every call.
 func (c *Cluster) trueRows(q *relq.Query, keep func(i int) bool) int64 {
 	now := int64(c.Sched.Now() / time.Second)
 	var total int64

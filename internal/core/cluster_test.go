@@ -294,10 +294,9 @@ func TestCompletenessDeterministic(t *testing.T) {
 var _ = agg.Partial{} // keep import when assertions change
 
 // TestTruthCountsKeepPlanCache: the truth counts pass the query itself to
-// the tables, not a NOW()-bound copy per call. The plan cache is keyed by
-// query pointer and holds 32 plans a table, so 40 counts of a NOW() query
-// cost each endsystem one miss — not 40, with the plan of every query
-// still running evicted on the way.
+// the tables, not a NOW()-bound copy per call. A query carries its bound
+// plan for the Flow schema every endsystem shares, so 40 counts of a NOW()
+// query over 40 endsystems bind once — not once per endsystem per count.
 func TestTruthCountsKeepPlanCache(t *testing.T) {
 	const n = 40
 	cfg := DefaultClusterConfig(alwaysUpTrace(n, 24*time.Hour), 5)
@@ -316,18 +315,19 @@ func TestTruthCountsKeepPlanCache(t *testing.T) {
 		var want int64
 		now := int64(c.Sched.Now() / time.Second)
 		for _, node := range c.Nodes {
-			plan, err := node.tables["Flow"].Bind(recent.BindNow(now))
+			tbl := node.tables["Flow"]
+			plan, err := tbl.Bind(recent.BindNow(now))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want += plan.CountMatching(0)
+			want += plan.CountMatching(tbl, 0)
 		}
 		if got := c.TrueRelevantRows(recent); got != want || got == 0 {
 			t.Fatalf("count %d: %d rows, a bound copy counts %d", i, got, want)
 		}
 	}
-	if got := misses.Value() - m0; got != n {
-		t.Errorf("40 truth counts of a NOW() query missed the plan cache %d times, want one per endsystem (%d)", got, n)
+	if got := misses.Value() - m0; got != 1 {
+		t.Errorf("40 truth counts of a NOW() query on %d endsystems bound it %d times, want once", n, got)
 	}
 	m0, h0 := misses.Value(), hits.Value()
 	c.TrueRelevantRows(running)

@@ -14,13 +14,17 @@ import (
 )
 
 // heapPerEndsystemCeiling is about twice what TestHeapPerEndsystem measures
-// (17 KB on go1.24 linux/amd64). It read 29-31 KB while every endsystem held
-// two seeded math/rand sources, its push-phase and reissue streams, in the
-// 5,376-byte size class each. The quiet cluster's shape is the steady2k
-// benchmark's — 50 flows a day, a dozen rows a table — where rounding each
-// table's reservation up to a block held 180 KB per endsystem that no row
-// ever touched: the same test read 208 KB then.
-const heapPerEndsystemCeiling = 36 << 10
+// (14.9 KB on go1.24 linux/amd64). It read 16.6 KB (ceiling 36 KB) while
+// every Flow table held a private copy of the column list and a cache of
+// the plans it had bound, and every data summary kept its tables and
+// columns in maps (TestRelqStatePerEndsystem). It read 29-31 KB while
+// every endsystem held two seeded math/rand sources, its push-phase and
+// reissue streams, in the 5,376-byte size class each. The quiet cluster's
+// shape is the steady2k benchmark's — 50 flows a day, a dozen rows a
+// table — where rounding each table's reservation up to a block held 180
+// KB per endsystem that no row ever touched: the same test read 208 KB
+// then.
+const heapPerEndsystemCeiling = 30 << 10
 
 // allocPerQueryCeiling is about 10% above what TestAllocPerQuery measures
 // (4.31-4.38 KB on go1.24 linux/amd64; runs differ by a percent). It
@@ -84,7 +88,7 @@ func TestHeapPerEndsystem(t *testing.T) {
 	}
 
 	per := int64(liveHeap()-before) / n
-	t.Logf("live heap %d KB per endsystem", per>>10)
+	t.Logf("live heap %d bytes per endsystem", per)
 	if per > heapPerEndsystemCeiling {
 		t.Errorf("live heap is %d KB per endsystem, ceiling %d KB", per>>10, heapPerEndsystemCeiling>>10)
 	}

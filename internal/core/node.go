@@ -222,9 +222,9 @@ func (n *Node) executeAndSubmit(qid ids.ID, q *relq.Query, injector simnet.Endpo
 // (the tree sends it on only if it differs from the last one submitted in
 // this uptime session, so continuous re-execution resubmits on change). It
 // reports whether the table existed and execution succeeded. Table.Execute
-// goes through the per-table bound-plan cache: the query object is
-// pointer-stable per qid on this node, so continuous re-executions and
-// rejoin replays skip parse/bind entirely.
+// runs the plan the query carries: the query object is one per qid,
+// shared by every endsystem, so only the first execution anywhere binds,
+// and continuous re-executions and rejoin replays skip bind entirely.
 func (n *Node) runLocal(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) bool {
 	tbl, ok := n.tables[q.Table]
 	if !ok {

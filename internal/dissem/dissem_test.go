@@ -361,11 +361,11 @@ func TestScopedQueryPrunesToInjector(t *testing.T) {
 		return DefaultConfig()
 	})
 	c.sched.RunUntil(time.Minute)
-	q := *testQuery
+	q := testQuery.Clone()
 	q.RTTScope = time.Nanosecond
 	for _, injector := range []int{0, 17, n - 1} {
 		var got *predictor.Predictor
-		c.hosts[injector].engine.Inject(&q, 0, func(p *predictor.Predictor) { got = p })
+		c.hosts[injector].engine.Inject(q, 0, func(p *predictor.Predictor) { got = p })
 		c.sched.RunUntil(c.sched.Now() + time.Minute)
 		if got == nil {
 			t.Fatalf("injector %d: no predictor", injector)

@@ -752,7 +752,7 @@ func TestAllSubrangesPruned(t *testing.T) {
 
 	// An untrained space puts every endsystem 200 µs from every other: a
 	// radius of 1 ns admits the injector, the top endpoint, and nobody else.
-	q := *testQuery
+	q := testQuery.Clone()
 	q.RTTScope = time.Nanosecond
 	const injector = simnet.Endpoint(n - 1)
 	above := r.ranges[0]                        // members, not the engine, not the injector
@@ -764,7 +764,7 @@ func TestAllSubrangesPruned(t *testing.T) {
 			t.Fatalf("range %d is a leaf or holds the injector: it would not be pruned whole", i)
 		}
 		r.got = nil
-		r.e.HandleMessage(2, &rangeMsg{Hdr: &queryHdr{QueryID: qid, Query: &q, Injector: injector},
+		r.e.HandleMessage(2, &rangeMsg{Hdr: &queryHdr{QueryID: qid, Query: q, Injector: injector},
 			Lo: g.lo, Hi: g.hi, Parent: 2})
 		task := filed(r.e, taskKey{qid, g.lo, g.hi})
 		if task == nil || !task.finished || task.fan != nil {
@@ -836,12 +836,12 @@ func TestSynchronousAnswersFinishOnce(t *testing.T) {
 	sp := coords.NewSpace(r.host.node.Ring().Network(), coords.Enabled())
 	sp.SetIDs(placed)
 	r.host.node.Ring().SetCoords(sp)
-	q := *testQuery
+	q := testQuery.Clone()
 	q.RTTScope = time.Nanosecond
 	qid := ids.HashString("synchronous")
 	sp.BeginScope(qid, injector, q.RTTScope)
 
-	r.e.HandleMessage(2, &rangeMsg{Hdr: &queryHdr{QueryID: qid, Query: &q, Injector: injector},
+	r.e.HandleMessage(2, &rangeMsg{Hdr: &queryHdr{QueryID: qid, Query: q, Injector: injector},
 		Lo: g.lo, Hi: g.hi, Parent: 2})
 	task := filed(r.e, taskKey{qid, g.lo, g.hi})
 	if task == nil || !task.finished {

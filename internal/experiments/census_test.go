@@ -37,6 +37,35 @@ const (
 	maxUnsetFields    = 0 // rows nothing sets at all
 )
 
+// maxPackageLines are the per-package ceilings on non-test lines (the
+// Package census table holds the exact counts). A package may shrink under
+// its ceiling, and the change that shrinks it lowers the ceiling; raising
+// one takes an edit here and a CHANGES.md line saying why.
+var maxPackageLines = map[string]int{
+	"internal/agg":         182,
+	"internal/aggtree":     1585,
+	"internal/anemone":     338,
+	"internal/avail":       784,
+	"internal/coords":      473,
+	"internal/core":        1613,
+	"internal/dissem":      1060,
+	"internal/experiments": 1819,
+	"internal/fault":       1010,
+	"internal/histogram":   675,
+	"internal/ids":         445,
+	"internal/metadata":    489,
+	"internal/model":       209,
+	"internal/obs":         1135,
+	"internal/obs/causal":  352,
+	"internal/pastry":      1402,
+	"internal/predictor":   419,
+	"internal/qserve":      826,
+	"internal/relq":        2156,
+	"internal/runner":      165,
+	"internal/simnet":      1404,
+	"seaweed":              203,
+}
+
 // configStructs are the structs DESIGN.md's "Configuration surface" table
 // covers, under the names its rows use.
 var configStructs = map[string]any{
@@ -73,8 +102,9 @@ var (
 // ceilings — so a new knob has to name the caller that sets it. The facade
 // declares no With* options: a deployment is a ClusterConfig. Every
 // package has exactly one row with its non-test line count and a tier-1
-// test that exists, and every internal package is imported by non-test
-// code outside it — so a package has to name what needs it.
+// test that exists, stays at or under its maxPackageLines ceiling, and,
+// unless it is the facade, is imported by non-test code outside it — so a
+// package has to name what needs it.
 func TestConfigCensus(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -199,12 +229,22 @@ func checkPackages(t *testing.T, section string, m module) {
 		case !m.tests[r.test]:
 			t.Errorf("package %s: the Package census row names %s, which is not a test function", pkg, r.test)
 		}
+		if ceiling, ok := maxPackageLines[pkg]; !ok {
+			t.Errorf("package %s has no line ceiling in maxPackageLines", pkg)
+		} else if m.lines[dir] > ceiling {
+			t.Errorf("package %s has %d non-test lines, ceiling %d: shrink it, or raise the ceiling and say why in CHANGES.md", pkg, m.lines[dir], ceiling)
+		}
 		if pkg != "seaweed" && !m.imported[pkg] {
 			t.Errorf("package %s: no non-test code outside it imports it", pkg)
 		}
 	}
 	for pkg := range rows {
 		t.Errorf("DESIGN.md's Package census table has a row for %s, which is not a package", pkg)
+	}
+	for pkg := range maxPackageLines {
+		if !slices.Contains(pkgs, pkg) {
+			t.Errorf("maxPackageLines has a ceiling for %s, which is not a package", pkg)
+		}
 	}
 	t.Logf("%d packages in the census", len(pkgs))
 }

@@ -42,13 +42,14 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzBuildEquiDepth: on any int64 column radixSort gives slices.Sort's
-// order, and BuildEquiDepth leaves its input in that order and builds the
-// histogram the slices.Sort build does. Every 8 bytes of b are one
-// little-endian value, sign-extended from width%64+1 bits so narrow spans
-// (one or two radix passes) are as easy to reach as the full range. The
-// committed corpus (testdata/fuzz/FuzzBuildEquiDepth) holds columns on
-// both sides of the comparison-sort cutoff, at 11, 18, 33 and 64 bits,
-// all-equal and few-valued ones.
+// order, BuildEquiDepth leaves its input in that order and builds the
+// histogram the slices.Sort build does, and Build makes BuildFrequency's
+// or that one. Every 8 bytes of b are one little-endian value,
+// sign-extended from width%64+1 bits so narrow spans (one or two radix
+// passes) are as easy to reach as the full range. The committed corpus
+// (testdata/fuzz/FuzzBuildEquiDepth) holds columns on both sides of the
+// comparison-sort cutoff, at 11, 18, 33 and 64 bits, all-equal and
+// few-valued ones.
 func FuzzBuildEquiDepth(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte, width, buckets uint8) {
 		shift := 63 - width%64
@@ -68,6 +69,17 @@ func FuzzBuildEquiDepth(f *testing.F) {
 		}
 		if want := equiDepthSorted(ref, int(buckets)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("histogram %+v, want the slices.Sort build's %+v", got, want)
+		}
+		// Build gives BuildFrequency's histogram up to its distinct-value
+		// limit and BuildEquiDepth's past it.
+		limit := int(width % 16)
+		var want Histogram = got
+		if f := BuildFrequency(ref, limit); f != nil {
+			want = f
+		}
+		var scratch []int64
+		if h := Build(slices.Clone(vals), &scratch, limit, int(buckets)); !reflect.DeepEqual(h, want) {
+			t.Fatalf("Build made %+v, want %+v", h, want)
 		}
 	})
 }

@@ -238,14 +238,21 @@ type EquiDepth struct {
 // 96 for 191).
 func BuildEquiDepth(values []int64, buckets int) *EquiDepth {
 	var scratch []int64
-	return BuildEquiDepthBuf(values, &scratch, buckets)
+	sortInt64s(values, &scratch)
+	return equiDepthSorted(values, buckets)
 }
 
-// BuildEquiDepthBuf is BuildEquiDepth with a caller-held sort buffer, so
-// one buffer serves a table's columns in turn. The buffer is allocated, or
-// grown, only when a column is long enough to be radix-sorted.
-func BuildEquiDepthBuf(values []int64, scratch *[]int64, buckets int) *EquiDepth {
+// Build builds a column's histogram from its values, which it sorts in
+// place and keeps none of: BuildFrequency's exact histogram when they hold
+// at most maxDistinct distinct values, BuildEquiDepth's step histogram
+// otherwise, both from the one sort. scratch is the sort's buffer,
+// allocated or grown only when a column is long enough to be radix-sorted,
+// so one buffer serves a table's columns in turn.
+func Build(values []int64, scratch *[]int64, maxDistinct, buckets int) Histogram {
 	sortInt64s(values, scratch)
+	if h := frequencySorted(values, maxDistinct); h != nil {
+		return h
+	}
 	return equiDepthSorted(values, buckets)
 }
 
@@ -500,24 +507,32 @@ type Frequency struct {
 
 // BuildFrequency builds an exact frequency histogram. If the number of
 // distinct values exceeds maxDistinct it returns nil; callers should fall
-// back to an equi-depth histogram.
+// back to an equi-depth histogram (Build makes that choice).
 func BuildFrequency(values []int64, maxDistinct int) *Frequency {
-	counts := make(map[int64]float64)
-	for _, v := range values {
-		counts[v]++
-		if len(counts) > maxDistinct {
-			return nil
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	return frequencySorted(sorted, maxDistinct)
+}
+
+// frequencySorted builds the frequency histogram of ascending values, or
+// returns nil if they hold more than maxDistinct distinct values.
+func frequencySorted(values []int64, maxDistinct int) *Frequency {
+	d := 0
+	for i := range values {
+		if i == 0 || values[i] != values[i-1] {
+			if d++; d > maxDistinct {
+				return nil
+			}
 		}
 	}
-	h := &Frequency{total: int64(len(values))}
-	h.Values = make([]int64, 0, len(counts))
-	for v := range counts {
+	h := &Frequency{Values: make([]int64, 0, d), Counts: make([]float64, 0, d), total: int64(len(values))}
+	for i, v := range values {
+		if i > 0 && v == values[i-1] {
+			h.Counts[len(h.Counts)-1]++
+			continue
+		}
 		h.Values = append(h.Values, v)
-	}
-	slices.Sort(h.Values)
-	h.Counts = make([]float64, len(h.Values))
-	for i, v := range h.Values {
-		h.Counts[i] = counts[v]
+		h.Counts = append(h.Counts, 1)
 	}
 	return h
 }

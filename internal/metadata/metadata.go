@@ -397,11 +397,13 @@ func (s *Service) HandleLeafsetChanged() {
 	}
 	s.prevLeaf = cur
 
+	// One candidate buffer serves every replica-set computation below.
+	buf := make([]pastry.NodeRef, 0, len(s.node.LeafsetView())+1)
 	if len(added) > 0 {
 		for _, rec := range s.sortedRecords() {
-			rs := s.localReplicaSet(rec.Subject, K)
+			buf = s.localReplicaSet(buf, rec.Subject, K)
 			for _, a := range added {
-				if _, in := rs[a.ID]; in {
+				if containsNode(buf, a.ID) {
 					s.cRerepl.Inc()
 					s.o.EmitDetail(obs.Event{Kind: obs.KindMetaRereplicate,
 						EP: int(s.node.Endpoint())})
@@ -412,9 +414,9 @@ func (s *Service) HandleLeafsetChanged() {
 			}
 		}
 		if s.own != nil && s.node.Alive() {
-			rs := s.localReplicaSet(s.own.Subject, K)
+			buf = s.localReplicaSet(buf, s.own.Subject, K)
 			for _, a := range added {
-				if _, in := rs[a.ID]; in {
+				if containsNode(buf, a.ID) {
 					s.sendOwn(a, s.own)
 				}
 			}
@@ -424,7 +426,7 @@ func (s *Service) HandleLeafsetChanged() {
 	// Eviction: drop records whose replica neighborhood has drifted far
 	// from this node.
 	for id := range s.store {
-		if !s.withinLocalClosest(id, evictSlack*K) {
+		if buf = s.localReplicaSet(buf, id, evictSlack*K); !containsNode(buf, s.node.ID()) {
 			delete(s.store, id)
 			s.cEvictions.Inc()
 		}
@@ -444,27 +446,21 @@ func (s *Service) sortedRecords() []*Record {
 }
 
 // localReplicaSet computes, from local knowledge (leafset ∪ self), the k
-// nodes closest to subject.
-func (s *Service) localReplicaSet(subject ids.ID, k int) map[ids.ID]pastry.NodeRef {
-	cands := append(s.node.Leafset(), s.node.Ref())
+// nodes closest to subject, into buf's storage. The candidates are laid
+// out in leafset order, then self, before every sort, so nodes equally
+// far from subject keep one order from call to call.
+func (s *Service) localReplicaSet(buf []pastry.NodeRef, subject ids.ID, k int) []pastry.NodeRef {
+	cands := append(append(buf[:0], s.node.LeafsetView()...), s.node.Ref())
 	slices.SortFunc(cands, func(a, b pastry.NodeRef) int {
 		return subject.AbsDistance(a.ID).Cmp(subject.AbsDistance(b.ID))
 	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make(map[ids.ID]pastry.NodeRef, len(cands))
-	for _, c := range cands {
-		out[c.ID] = c
-	}
-	return out
+	return cands[:min(k, len(cands))]
 }
 
-// withinLocalClosest reports whether this node is among the k locally
-// closest nodes to subject.
-func (s *Service) withinLocalClosest(subject ids.ID, k int) bool {
-	_, in := s.localReplicaSet(subject, k)[s.node.ID()]
-	return in
+// containsNode reports whether id is one of nodes (a replica set of at
+// most 2K, so a scan).
+func containsNode(nodes []pastry.NodeRef, id ids.ID) bool {
+	return slices.ContainsFunc(nodes, func(m pastry.NodeRef) bool { return m.ID == id })
 }
 
 // Lookup returns the stored record for an endsystem, or nil.

@@ -507,7 +507,7 @@ func TestRereplicationSendsSnapshot(t *testing.T) {
 	var rec *Record
 	var to pastry.NodeRef
 	for _, r := range svc.sortedRecords() {
-		for _, m := range svc.localReplicaSet(r.Subject, K) {
+		for _, m := range svc.localReplicaSet(nil, r.Subject, K) {
 			if m.ID != r.Subject && m.ID != h.nodes[holder].ID() && h.services[m.EP].Lookup(r.Subject) != nil {
 				rec, to = r, m
 				break

@@ -236,21 +236,20 @@ func genQuery(rng *rand.Rand, t *Table, styles []colStyle, nowSeconds int64) *Qu
 	return MustParse(sb.String())
 }
 
-// assertPlanMatchesOracle runs one plan down both paths and fails on any
-// divergence, including in the encoded bytes.
-func assertPlanMatchesOracle(t *testing.T, p *Plan, nowSeconds int64, label string) {
+// assertPlanMatchesOracle runs one plan on tbl down both paths and fails
+// on any divergence, including in the encoded bytes. label names the query.
+func assertPlanMatchesOracle(t *testing.T, tbl *Table, p *Plan, nowSeconds int64, label string) {
 	t.Helper()
-	got := p.Execute(nowSeconds)
-	want := p.ExecuteOracle(nowSeconds)
+	got := p.Execute(tbl, nowSeconds)
+	want := p.ExecuteOracle(tbl, nowSeconds)
 	if got != want {
-		t.Fatalf("%s: Execute mismatch\n  sql:  %s\n  vec:    %+v\n  oracle: %+v",
-			label, p.query.Raw, got, want)
+		t.Fatalf("%s: Execute mismatch\n  vec:    %+v\n  oracle: %+v", label, got, want)
 	}
 	if !bytes.Equal(got.Encode(nil), want.Encode(nil)) {
-		t.Fatalf("%s: encoded Partial bytes differ for %s", label, p.query.Raw)
+		t.Fatalf("%s: encoded Partial bytes differ", label)
 	}
-	if gc, wc := p.CountMatching(nowSeconds), p.CountMatchingOracle(nowSeconds); gc != wc {
-		t.Fatalf("%s: CountMatching %d != oracle %d for %s", label, gc, wc, p.query.Raw)
+	if gc, wc := p.CountMatching(tbl, nowSeconds), p.CountMatchingOracle(tbl, nowSeconds); gc != wc {
+		t.Fatalf("%s: CountMatching %d != oracle %d", label, gc, wc)
 	}
 }
 
@@ -287,9 +286,9 @@ func TestVectorizedMatchesOracleRandomized(t *testing.T) {
 				t.Fatalf("bind %q: %v", q.Raw, err)
 			}
 			tbl.SetZoneMaps(true)
-			assertPlanMatchesOracle(t, p, nowSeconds, fmt.Sprintf("trial=%d q=%d zones=on", trial, qi))
+			assertPlanMatchesOracle(t, tbl, p, nowSeconds, fmt.Sprintf("trial=%d q=%d zones=on: %s", trial, qi, q.Raw))
 			tbl.SetZoneMaps(false)
-			assertPlanMatchesOracle(t, p, nowSeconds, fmt.Sprintf("trial=%d q=%d zones=off", trial, qi))
+			assertPlanMatchesOracle(t, tbl, p, nowSeconds, fmt.Sprintf("trial=%d q=%d zones=off: %s", trial, qi, q.Raw))
 			tbl.SetZoneMaps(true)
 		}
 	}
@@ -335,7 +334,7 @@ func TestVectorizedEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bind %q: %v", sql, err)
 		}
-		assertPlanMatchesOracle(t, p, now, sql)
+		assertPlanMatchesOracle(t, tbl, p, now, sql)
 	}
 
 	empty := NewTable(schema)
@@ -343,5 +342,5 @@ func TestVectorizedEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPlanMatchesOracle(t, p, now, "empty table")
+	assertPlanMatchesOracle(t, empty, p, now, "empty table")
 }

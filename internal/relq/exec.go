@@ -10,15 +10,14 @@ import (
 // Bind validates a parsed query against the table's schema and returns a
 // bound execution plan. Errors cover: wrong table, unknown columns,
 // aggregating a string column, and ordered comparisons against string
-// values. Plans stay valid for the table's lifetime: they hold column
-// positions, the schema is immutable after creation, and execution reads
-// the table's current rows — so inserts never invalidate a plan (which is
-// what makes the bound-plan cache in plancache.go safe).
+// values. A plan holds column positions and nothing of the table: it runs
+// on any table of the schema it was bound for, and inserts never
+// invalidate it.
 func (t *Table) Bind(q *Query) (*Plan, error) {
 	if q.Table != t.schema.Name {
 		return nil, fmt.Errorf("relq: query targets table %q, this is %q", q.Table, t.schema.Name)
 	}
-	plan := &Plan{query: q, table: t}
+	plan := &Plan{cols: t.schema.Columns}
 	if !q.CountAll {
 		i := t.schema.ColumnIndex(q.AggCol)
 		if i < 0 {
@@ -52,12 +51,50 @@ func (t *Table) Bind(q *Query) (*Plan, error) {
 	return plan, nil
 }
 
-// Plan is a query bound to a concrete table.
+// Plan returns the query's bound plan for the table's schema. The plan is
+// memoized on the query, not on the table: every endsystem of a cluster
+// executes the same parsed query against tables of one shared schema, so
+// the first table binds and the rest hit. A table of another schema binds
+// afresh and takes the memo over. Errors are not memoized: a query that
+// fails to bind re-reports the error on every call.
+//
+// The memo is keyed by *Query identity, so a BindNow copy, whose NOW() is
+// resolved at another clock than its original's, binds its own plan. It is
+// read and filled atomically, since parallel runs may share one parsed
+// query; two that miss at once both bind, and either plan serves.
+func (t *Table) Plan(q *Query) (*Plan, error) {
+	if p := q.plan.Load(); p != nil && p.boundTo(&t.schema) && q.Table == t.schema.Name {
+		t.stats.PlanCacheHits.Inc()
+		return p, nil
+	}
+	p, err := t.Bind(q)
+	if err != nil {
+		return nil, err
+	}
+	t.stats.PlanCacheMisses.Inc()
+	q.plan.Store(p)
+	return p, nil
+}
+
+// Plan is a query bound to a schema. It runs on any table of that schema.
 type Plan struct {
-	query  *Query
-	table  *Table
-	aggCol int // -1 for COUNT(*)
+	cols   []Column // the column list of the schema bound for
+	aggCol int      // -1 for COUNT(*)
 	preds  []boundPred
+}
+
+// boundTo reports whether the plan was bound for schema s's column list:
+// the same backing array, not merely equal contents.
+func (p *Plan) boundTo(s *Schema) bool {
+	return len(p.cols) == len(s.Columns) && (len(p.cols) == 0 || &p.cols[0] == &s.Columns[0])
+}
+
+// check panics unless the plan was bound for t's schema: its column
+// positions mean nothing in another.
+func (p *Plan) check(t *Table) {
+	if !p.boundTo(&t.schema) {
+		panic(fmt.Sprintf("relq: plan bound for another schema than table %s's", t.schema.Name))
+	}
 }
 
 type boundPred struct {
@@ -114,21 +151,20 @@ func (p *Plan) resolveRHS(nowSeconds int64, buf *execBuf) []int64 {
 // query order — the sort is stable — so execution stays deterministic.
 // Conjunct order never changes which rows match, only how fast the
 // non-matches are discarded.
-func (p *Plan) predOrder(rhs []int64, buf *execBuf) []int {
+func (p *Plan) predOrder(ts *TableSummary, rhs []int64, buf *execBuf) []int {
 	order := buf.order[:0]
 	for i := range p.preds {
 		order = append(order, i)
 	}
 	buf.order = order
-	ts := p.table.lastSummary
 	if ts == nil || len(order) < 2 {
 		return order
 	}
 	sels := buf.sels[:0]
 	for i := range p.preds {
 		pr := &p.preds[i]
-		h, ok := ts.Columns[p.table.schema.Columns[pr.col].Name]
-		if !ok {
+		h := ts.Column(p.cols[pr.col].Name)
+		if h == nil {
 			sels = append(sels, 1)
 			continue
 		}
@@ -148,10 +184,10 @@ func (p *Plan) predOrder(rhs []int64, buf *execBuf) []int {
 // resolve binds the plan's conjuncts for one execution and returns the
 // steps to run, in predOrder. Ordered and equality conjuncts on one column
 // narrow one step, placed where the most selective of them stands.
-func (p *Plan) resolve(nowSeconds int64, buf *execBuf) []step {
+func (p *Plan) resolve(t *Table, nowSeconds int64, buf *execBuf) []step {
 	rhs := p.resolveRHS(nowSeconds, buf)
 	steps := buf.steps[:0]
-	for _, k := range p.predOrder(rhs, buf) {
+	for _, k := range p.predOrder(t.lastSummary, rhs, buf) {
 		pr := &p.preds[k]
 		if i := narrowable(steps, pr); i >= 0 {
 			steps[i].narrow(interval(pr.op, rhs[k]))
@@ -183,8 +219,7 @@ func narrowable(steps []step, pr *boundPred) int {
 // their block-relative indices in ascending order. With countOnly the last
 // undecided step only counts, over the column or over the vector the
 // earlier steps left, and no vector is written for it.
-func (p *Plan) matchBlock(b, rows int, steps []step, buf *execBuf, countOnly bool) (n int, sel selVec, z zoneResult) {
-	t := p.table
+func matchBlock(t *Table, b, rows int, steps []step, buf *execBuf, countOnly bool) (n int, sel selVec, z zoneResult) {
 	last := -1 // the last step no zone map decides
 	for i := range steps {
 		s := &steps[i]
@@ -246,20 +281,20 @@ func (p *Plan) matchBlock(b, rows int, steps []step, buf *execBuf, countOnly boo
 // Execution is batch-at-a-time: blocks whose zone maps prove no match are
 // skipped whole; surviving blocks run the steps' kernels (most selective
 // first) and feed the aggregate fold.
-func (p *Plan) scan(nowSeconds int64, f *fold) int64 {
-	t := p.table
+func (p *Plan) scan(t *Table, nowSeconds int64, f *fold) int64 {
+	p.check(t)
 	if len(p.preds) == 0 && f == nil {
 		t.stats.RowsMatched.Add(uint64(t.rows))
 		return int64(t.rows)
 	}
 	buf := getExecBuf(len(p.preds))
 	defer putExecBuf(buf)
-	steps := p.resolve(nowSeconds, buf)
+	steps := p.resolve(t, nowSeconds, buf)
 
 	var scanned, matched, prunedBlocks uint64
 	for b, nb := 0, t.NumBlocks(); b < nb; b++ {
 		rows := min(BlockSize, t.rows-b*BlockSize)
-		n, sel, z := p.matchBlock(b, rows, steps, buf, f == nil)
+		n, sel, z := matchBlock(t, b, rows, steps, buf, f == nil)
 		switch z {
 		case zoneNone:
 			prunedBlocks++
@@ -279,24 +314,25 @@ func (p *Plan) scan(nowSeconds int64, f *fold) int64 {
 	return int64(matched)
 }
 
-// Execute runs the plan over the whole table and returns the aggregate
-// partial. nowSeconds binds NOW(). The Partial is bit-identical to
-// ExecuteOracle's (see fold) — the property the differential suite asserts
-// and the simulation's determinism gates depend on.
-func (p *Plan) Execute(nowSeconds int64) agg.Partial {
+// Execute runs the plan over the whole of table t, which must be of the
+// schema the plan was bound for, and returns the aggregate partial.
+// nowSeconds binds NOW(). The Partial is bit-identical to ExecuteOracle's
+// (see fold) — the property the differential suite asserts and the
+// simulation's determinism gates depend on.
+func (p *Plan) Execute(t *Table, nowSeconds int64) agg.Partial {
 	if p.aggCol < 0 {
-		return agg.Partial{Count: p.scan(nowSeconds, nil)}
+		return agg.Partial{Count: p.scan(t, nowSeconds, nil)}
 	}
 	f := newFold()
-	p.scan(nowSeconds, &f)
+	p.scan(t, nowSeconds, &f)
 	return f.partial()
 }
 
 // CountMatching returns the exact number of rows matching the plan's
 // predicates (the "rows relevant to the query" that completeness is
 // measured against). It shares Execute's block-pruned, vectorized path.
-func (p *Plan) CountMatching(nowSeconds int64) int64 {
-	return p.scan(nowSeconds, nil)
+func (p *Plan) CountMatching(t *Table, nowSeconds int64) int64 {
+	return p.scan(t, nowSeconds, nil)
 }
 
 // ------------------------------------------------------ row-at-a-time oracle
@@ -327,13 +363,13 @@ func cmpMatch(op CmpOp, v, rhs int64) bool {
 // predicate check per row per conjunct, one Observe per matching row. It
 // is kept unconditionally compiled (no build tag) as the reference oracle
 // for differential testing.
-func (p *Plan) ExecuteOracle(nowSeconds int64) agg.Partial {
+func (p *Plan) ExecuteOracle(t *Table, nowSeconds int64) agg.Partial {
+	p.check(t)
 	rhs := make([]int64, len(p.preds))
 	for i, pr := range p.preds {
 		rhs[i] = pr.val.Resolve(nowSeconds)
 	}
 	var out agg.Partial
-	t := p.table
 rows:
 	for r := 0; r < t.rows; r++ {
 		for i, pr := range p.preds {
@@ -350,45 +386,31 @@ rows:
 	return out
 }
 
-// CountMatchingOracle is the row-at-a-time reference for CountMatching.
-func (p *Plan) CountMatchingOracle(nowSeconds int64) int64 {
-	rhs := make([]int64, len(p.preds))
-	for i, pr := range p.preds {
-		rhs[i] = pr.val.Resolve(nowSeconds)
-	}
-	var n int64
-	t := p.table
-rows:
-	for r := 0; r < t.rows; r++ {
-		for i, pr := range p.preds {
-			if !cmpMatch(pr.op, t.value(pr.col, r), rhs[i]) {
-				continue rows
-			}
-		}
-		n++
-	}
-	return n
+// CountMatchingOracle is the row-at-a-time reference for CountMatching:
+// the rows ExecuteOracle observes.
+func (p *Plan) CountMatchingOracle(t *Table, nowSeconds int64) int64 {
+	return p.ExecuteOracle(t, nowSeconds).Count
 }
 
 // --------------------------------------------------------- table conveniences
 
-// Execute binds (through the bound-plan cache) and runs in one step.
+// Execute binds (through the query's plan memo) and runs in one step.
 func (t *Table) Execute(q *Query, nowSeconds int64) (agg.Partial, error) {
 	plan, err := t.Plan(q)
 	if err != nil {
 		return agg.Partial{}, err
 	}
-	return plan.Execute(nowSeconds), nil
+	return plan.Execute(t, nowSeconds), nil
 }
 
-// CountMatching binds (through the bound-plan cache) and counts rows
+// CountMatching binds (through the query's plan memo) and counts rows
 // matching the query's predicates.
 func (t *Table) CountMatching(q *Query, nowSeconds int64) (int64, error) {
 	plan, err := t.Plan(q)
 	if err != nil {
 		return 0, err
 	}
-	return plan.CountMatching(nowSeconds), nil
+	return plan.CountMatching(t, nowSeconds), nil
 }
 
 // ExecuteOracle binds and runs the row-at-a-time reference path.
@@ -397,7 +419,7 @@ func (t *Table) ExecuteOracle(q *Query, nowSeconds int64) (agg.Partial, error) {
 	if err != nil {
 		return agg.Partial{}, err
 	}
-	return plan.ExecuteOracle(nowSeconds), nil
+	return plan.ExecuteOracle(t, nowSeconds), nil
 }
 
 // predSelectivity estimates the fraction of rows matching one predicate

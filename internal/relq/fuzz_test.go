@@ -15,7 +15,7 @@ import (
 // input cannot hold, and whatever it accepts round-trips — it re-encodes
 // to a summary that decodes to the same value. The committed corpus
 // (testdata/fuzz/FuzzDecode) holds the Flow table's summary, an empty
-// summary and one input per rejection.
+// summary, one of two tables and one input per rejection.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeSummary(b)
@@ -112,10 +112,10 @@ func FuzzSealBlock(f *testing.F) {
 				t.Fatal(err)
 			}
 			for _, now := range rhs {
-				want := p.ExecuteOracle(now)
+				want := p.ExecuteOracle(tbl, now)
 				for _, zones := range []bool{true, false} {
 					tbl.SetZoneMaps(zones)
-					got, n := p.Execute(now), p.CountMatching(now)
+					got, n := p.Execute(tbl, now), p.CountMatching(tbl, now)
 					if got != want || !bytes.Equal(got.Encode(nil), want.Encode(nil)) || n != want.Count {
 						t.Fatalf("%d rows, v %s %d, zones=%v: Execute %+v, CountMatching %d; oracle %+v",
 							len(vals), op, now, zones, got, n, want)

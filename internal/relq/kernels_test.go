@@ -447,7 +447,7 @@ func TestSumExactnessGuard(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertPlanMatchesOracle(t, p, 0, fmt.Sprintf("%s zones=%v", name, zones))
+				assertPlanMatchesOracle(t, tbl, p, 0, fmt.Sprintf("%s zones=%v: %s", name, zones, sql))
 			}
 		}
 	}
@@ -458,8 +458,9 @@ func TestSumExactnessGuard(t *testing.T) {
 	for _, v := range mid {
 		isum += v
 	}
-	p, _ := guardTable(t, mid).Bind(MustParse("SELECT SUM(v) FROM T"))
-	if got := p.ExecuteOracle(0).Sum; got == float64(isum) {
+	midTable := guardTable(t, mid)
+	p, _ := midTable.Bind(MustParse("SELECT SUM(v) FROM T"))
+	if got := p.ExecuteOracle(midTable, 0).Sum; got == float64(isum) {
 		t.Fatalf("oracle sum %v equals the integer sum: the case does not round", got)
 	}
 	narrowed := guardTable(t, cases["1-byte offsets, crosses mid-block"])
@@ -471,7 +472,7 @@ func TestSumExactnessGuard(t *testing.T) {
 		isum += v
 	}
 	p, _ = narrowed.Bind(MustParse("SELECT SUM(v) FROM T"))
-	if got := p.ExecuteOracle(0).Sum; got == float64(isum) {
+	if got := p.ExecuteOracle(narrowed, 0).Sum; got == float64(isum) {
 		t.Fatalf("oracle sum %v equals the integer sum: the sealed case does not round", got)
 	}
 }
@@ -492,7 +493,7 @@ func TestSelectivityOfUnsatisfiableComparison(t *testing.T) {
 		op  CmpOp
 		rhs int64
 	}{{OpLt, math.MinInt64}, {OpGt, math.MaxInt64}} {
-		if got := predSelectivity(ts.Columns["b"], c.op, c.rhs); got != 0 {
+		if got := predSelectivity(ts.Column("b"), c.op, c.rhs); got != 0 {
 			t.Errorf("selectivity of b %s %d = %v, want 0", c.op, c.rhs, got)
 		}
 		q := &Query{Agg: agg.Count, CountAll: true, Table: "T", Preds: []Pred{
@@ -504,12 +505,12 @@ func TestSelectivityOfUnsatisfiableComparison(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := getExecBuf(len(p.preds))
-		order := p.predOrder(p.resolveRHS(0, buf), buf)
+		order := p.predOrder(ts, p.resolveRHS(0, buf), buf)
 		if order[0] != 1 {
 			t.Errorf("b %s %d ordered %v: the unsatisfiable conjunct must run first", c.op, c.rhs, order)
 		}
 		putExecBuf(buf)
-		if got := p.CountMatching(0); got != 0 {
+		if got := p.CountMatching(tbl, 0); got != 0 {
 			t.Errorf("b %s %d matches %d rows", c.op, c.rhs, got)
 		}
 	}
@@ -547,10 +548,10 @@ func TestExecuteAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := testing.AllocsPerRun(50, func() { p.Execute(0) }); n != 0 {
+			if n := testing.AllocsPerRun(50, func() { p.Execute(tbl, 0) }); n != 0 {
 				t.Errorf("Execute allocates %v times per run: %s", n, sql)
 			}
-			if n := testing.AllocsPerRun(50, func() { p.CountMatching(0) }); n != 0 {
+			if n := testing.AllocsPerRun(50, func() { p.CountMatching(tbl, 0) }); n != 0 {
 				t.Errorf("CountMatching allocates %v times per run: %s", n, sql)
 			}
 		}

@@ -2,8 +2,10 @@ package relq
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agg"
@@ -96,6 +98,9 @@ type Query struct {
 	// -rtt-scope turns coordinates on itself, so it never runs that
 	// combination.
 	RTTScope time.Duration
+
+	// plan is the bound plan Table.Plan memoizes on the query.
+	plan atomic.Pointer[Plan]
 }
 
 // String returns the original query text.
@@ -118,15 +123,21 @@ func (q *Query) BindNow(nowSeconds int64) *Query {
 	if !uses {
 		return q
 	}
-	out := *q
-	out.Preds = make([]Pred, len(q.Preds))
-	copy(out.Preds, q.Preds)
+	out := q.Clone()
+	out.Preds = slices.Clone(q.Preds)
 	for i := range out.Preds {
 		if out.Preds[i].Val.UsesNow {
 			out.Preds[i].Val = Expr{Int: out.Preds[i].Val.Resolve(nowSeconds)}
 		}
 	}
-	return &out
+	return out
+}
+
+// Clone returns a copy of the query, which shares its predicates and binds
+// a plan of its own.
+func (q *Query) Clone() *Query {
+	return &Query{Agg: q.Agg, AggCol: q.AggCol, CountAll: q.CountAll, Table: q.Table,
+		Preds: q.Preds, Raw: q.Raw, Continuous: q.Continuous, RTTScope: q.RTTScope}
 }
 
 // Parse parses a query in the Seaweed SQL subset:

@@ -1,8 +1,10 @@
 package relq
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/agg"
 )
@@ -156,5 +158,26 @@ func TestHashStringStable(t *testing.T) {
 	}
 	if !strings.Contains("SMB HTTP DNS", "SMB") { // silence unused import when cases change
 		t.Fatal("impossible")
+	}
+}
+
+// TestCloneCopiesEveryField: Clone names Query's fields one by one, since
+// a Query holds its plan memo and is not copied by value, so a field added
+// to Query and not to Clone fails here.
+func TestCloneCopiesEveryField(t *testing.T) {
+	q := MustParse("SELECT SUM(Bytes) FROM Flow WHERE ts > NOW() - 5")
+	q.Continuous, q.RTTScope = true, time.Second
+	orig, clone := reflect.ValueOf(q).Elem(), reflect.ValueOf(q.Clone()).Elem()
+	for i := 0; i < orig.NumField(); i++ {
+		f := orig.Type().Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		if f.Name != "CountAll" && orig.Field(i).IsZero() {
+			t.Errorf("the query leaves %s zero, so the test cannot see Clone copy it", f.Name)
+		}
+		if !reflect.DeepEqual(clone.Field(i).Interface(), orig.Field(i).Interface()) {
+			t.Errorf("Clone drops %s", f.Name)
+		}
 	}
 }

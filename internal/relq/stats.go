@@ -20,7 +20,8 @@ type ExecStats struct {
 	// BlocksPruned counts blocks skipped entirely because a zone map
 	// proved no row could match. Always zero while zone maps are disabled.
 	BlocksPruned *obs.Counter
-	// PlanCacheHits / PlanCacheMisses count bound-plan cache outcomes.
+	// PlanCacheHits / PlanCacheMisses count Table.Plan's outcomes: a hit
+	// is a query that already carries a plan for the table's schema.
 	PlanCacheHits   *obs.Counter
 	PlanCacheMisses *obs.Counter
 }

@@ -253,7 +253,7 @@ func (w *widthsTable) checkQueries(t *testing.T, label string) {
 			for _, zones := range []bool{true, false} {
 				w.SetZoneMaps(zones)
 				for _, now := range []int64{c.min, mid, int64(uint64(c.min) + c.span)} {
-					assertPlanMatchesOracle(t, p, now, fmt.Sprintf("%s: %s zones=%v now=%d", label, c.name, zones, now))
+					assertPlanMatchesOracle(t, w.Table, p, now, fmt.Sprintf("%s: %s zones=%v now=%d: %s", label, c.name, zones, now, sql))
 				}
 			}
 		}

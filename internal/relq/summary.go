@@ -3,7 +3,8 @@ package relq
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/histogram"
 )
@@ -16,7 +17,24 @@ import (
 type TableSummary struct {
 	Table     string
 	TotalRows int64
-	Columns   map[string]histogram.Histogram
+	Columns   []ColumnSummary // ascending by Name, the order Encode writes
+}
+
+// ColumnSummary is one indexed column's histogram.
+type ColumnSummary struct {
+	Name      string
+	Histogram histogram.Histogram
+}
+
+// Column returns the named column's histogram, or nil.
+func (ts *TableSummary) Column(name string) histogram.Histogram {
+	i, ok := slices.BinarySearchFunc(ts.Columns, name, func(c ColumnSummary, name string) int {
+		return strings.Compare(c.Name, name)
+	})
+	if !ok {
+		return nil
+	}
+	return ts.Columns[i].Histogram
 }
 
 // EstimateRows estimates how many of the table's rows match the query's
@@ -30,36 +48,30 @@ func (ts *TableSummary) EstimateRows(q *Query, nowSeconds int64) float64 {
 	}
 	est := float64(ts.TotalRows)
 	for _, p := range q.Preds {
-		h, ok := ts.Columns[p.Col]
-		if !ok {
-			continue
+		if h := ts.Column(p.Col); h != nil {
+			est *= predSelectivity(h, p.Op, p.Val.Resolve(nowSeconds))
 		}
-		est *= predSelectivity(h, p.Op, p.Val.Resolve(nowSeconds))
 	}
 	return est
 }
 
-// Encode appends the summary's wire form to dst.
+// Encode appends the summary's wire form to dst: the columns in ascending
+// name order, which is theirs.
 func (ts *TableSummary) Encode(dst []byte) []byte {
 	dst = appendString(dst, ts.Table)
 	dst = binary.AppendVarint(dst, ts.TotalRows)
 	dst = binary.AppendUvarint(dst, uint64(len(ts.Columns)))
-	// Deterministic order for stable wire sizes.
-	names := make([]string, 0, len(ts.Columns))
-	for name := range ts.Columns {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		dst = appendString(dst, name)
-		dst = ts.Columns[name].Encode(dst)
+	for _, c := range ts.Columns {
+		dst = appendString(dst, c.Name)
+		dst = c.Histogram.Encode(dst)
 	}
 	return dst
 }
 
-// DecodeTableSummary parses a TableSummary from the front of b.
+// DecodeTableSummary parses a TableSummary from the front of b. Column
+// names must ascend strictly, as Encode writes them.
 func DecodeTableSummary(b []byte) (*TableSummary, []byte, error) {
-	ts := &TableSummary{Columns: make(map[string]histogram.Histogram)}
+	ts := &TableSummary{}
 	var err error
 	ts.Table, b, err = readString(b)
 	if err != nil {
@@ -77,18 +89,20 @@ func DecodeTableSummary(b []byte) (*TableSummary, []byte, error) {
 		return nil, nil, fmt.Errorf("relq: bad summary column count")
 	}
 	b = b[n:]
-	for i := uint64(0); i < ncols; i++ {
-		var name string
-		name, b, err = readString(b)
+	ts.Columns = make([]ColumnSummary, ncols)
+	for i := range ts.Columns {
+		c := &ts.Columns[i]
+		c.Name, b, err = readString(b)
 		if err != nil {
 			return nil, nil, err
 		}
-		var h histogram.Histogram
-		h, b, err = histogram.Decode(b)
+		if i > 0 && c.Name <= ts.Columns[i-1].Name {
+			return nil, nil, fmt.Errorf("relq: summary column %q after %q", c.Name, ts.Columns[i-1].Name)
+		}
+		c.Histogram, b, err = histogram.Decode(b)
 		if err != nil {
 			return nil, nil, err
 		}
-		ts.Columns[name] = h
 	}
 	return ts, b, nil
 }
@@ -97,15 +111,18 @@ func DecodeTableSummary(b []byte) (*TableSummary, []byte, error) {
 // local table. Its encoded size is the model parameter h (6,473 bytes for
 // the Anemone deployment's five indexed columns).
 type Summary struct {
-	Tables map[string]*TableSummary
+	Tables []*TableSummary // ascending by Table, the order Encode writes
 }
 
-// NewSummary builds a Summary over the given tables.
+// NewSummary builds a Summary over the given tables. Of two tables of one
+// name, the first is summarized.
 func NewSummary(tables ...*Table) *Summary {
-	s := &Summary{Tables: make(map[string]*TableSummary, len(tables))}
+	s := &Summary{Tables: make([]*TableSummary, 0, len(tables))}
 	for _, t := range tables {
-		s.Tables[t.Schema().Name] = t.BuildSummary()
+		s.Tables = append(s.Tables, t.BuildSummary())
 	}
+	slices.SortStableFunc(s.Tables, func(a, b *TableSummary) int { return strings.Compare(a.Table, b.Table) })
+	s.Tables = slices.CompactFunc(s.Tables, func(a, b *TableSummary) bool { return a.Table == b.Table })
 	return s
 }
 
@@ -115,44 +132,45 @@ func (s *Summary) EstimateRows(q *Query, nowSeconds int64) float64 {
 	if s == nil {
 		return 0
 	}
-	ts, ok := s.Tables[q.Table]
-	if !ok {
-		return 0
+	for _, ts := range s.Tables {
+		if ts.Table == q.Table {
+			return ts.EstimateRows(q, nowSeconds)
+		}
 	}
-	return ts.EstimateRows(q, nowSeconds)
+	return 0
 }
 
-// Encode returns the summary's wire form.
+// Encode returns the summary's wire form: the tables in ascending name
+// order, which is theirs.
 func (s *Summary) Encode() []byte {
 	var dst []byte
 	dst = binary.AppendUvarint(dst, uint64(len(s.Tables)))
-	names := make([]string, 0, len(s.Tables))
-	for name := range s.Tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		dst = s.Tables[name].Encode(dst)
+	for _, ts := range s.Tables {
+		dst = ts.Encode(dst)
 	}
 	return dst
 }
 
 // DecodeSummary parses a Summary from its wire form. The table count is
-// checked against the bytes left before the table map is sized by it: a
-// table is at least a name length, a row total and a column count.
+// checked against the bytes left before the table list is sized by it: a
+// table is at least a name length, a row total and a column count. Table
+// names must ascend strictly, as Encode writes them.
 func DecodeSummary(b []byte) (*Summary, error) {
 	ntab, n := binary.Uvarint(b)
 	if n <= 0 || ntab > uint64(len(b)-n)/3 {
 		return nil, fmt.Errorf("relq: bad summary table count")
 	}
 	b = b[n:]
-	s := &Summary{Tables: make(map[string]*TableSummary, ntab)}
-	for i := uint64(0); i < ntab; i++ {
+	s := &Summary{Tables: make([]*TableSummary, ntab)}
+	for i := range s.Tables {
 		ts, rest, err := DecodeTableSummary(b)
 		if err != nil {
 			return nil, err
 		}
-		s.Tables[ts.Table] = ts
+		if i > 0 && ts.Table <= s.Tables[i-1].Table {
+			return nil, fmt.Errorf("relq: summary table %q after %q", ts.Table, s.Tables[i-1].Table)
+		}
+		s.Tables[i] = ts
 		b = rest
 	}
 	if len(b) != 0 {

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"strings"
 
 	"repro/internal/histogram"
 )
@@ -322,9 +323,6 @@ type Table struct {
 	// side channel (the node already rebuilds the summary whenever its
 	// data changes).
 	lastSummary *TableSummary
-
-	// plans caches bound plans keyed by query identity (see plancache.go).
-	plans planCache
 }
 
 // NewTable creates an empty table with the given schema.
@@ -381,8 +379,8 @@ func (t *Table) NumBlocks() int { return (t.rows + BlockSize - 1) / BlockSize }
 
 // StorageBytes returns the bytes the table's column storage occupies:
 // sealed blocks at their encoded width, the tail's capacity, the block
-// directory and the zone maps. Schema, plan cache and summary are not
-// column storage and are not counted.
+// directory and the zone maps. Schema and summary are not column storage
+// and are not counted.
 func (t *Table) StorageBytes() int {
 	n := 0
 	for i := range t.cols {
@@ -559,32 +557,39 @@ const HistogramBuckets = 64
 const maxFrequencyDistinct = 64
 
 // BuildSummary builds the table's data summary: one histogram per indexed
-// column. Low-cardinality columns get exact frequency histograms; numeric
-// columns get equi-depth histograms. The summary is also retained on the
-// table so the executor can order conjuncts by estimated selectivity.
+// column, in ascending name order. Low-cardinality columns get exact
+// frequency histograms; numeric columns get equi-depth histograms. The
+// summary is also retained on the table so the executor can order
+// conjuncts by estimated selectivity.
 func (t *Table) BuildSummary() *TableSummary {
+	n := 0
+	for _, col := range t.schema.Columns {
+		if col.Indexed {
+			n++
+		}
+	}
 	ts := &TableSummary{
 		Table:     t.schema.Name,
 		TotalRows: int64(t.rows),
-		Columns:   make(map[string]histogram.Histogram),
+		Columns:   make([]ColumnSummary, 0, n),
 	}
 	// One decoded copy and one radix-sort buffer serve every indexed column
-	// in turn: the equi-depth build sorts its input in place and keeps
-	// neither, and the stored blocks are not []int64 to begin with. The
-	// buffer is allocated by the first column long enough to radix-sort.
+	// in turn: the build sorts its input in place and keeps neither, and
+	// the stored blocks are not []int64 to begin with. The buffer is
+	// allocated by the first column long enough to radix-sort.
 	vals := make([]int64, 0, t.rows)
 	var scratch []int64
 	for i, col := range t.schema.Columns {
-		if !col.Indexed {
+		// A name the schema repeats is summarized once, for the column
+		// queries bind to: its first.
+		if !col.Indexed || t.schema.ColumnIndex(col.Name) != i {
 			continue
 		}
 		vals = t.appendColumn(vals[:0], i)
-		if h := histogram.BuildFrequency(vals, maxFrequencyDistinct); h != nil {
-			ts.Columns[col.Name] = h
-			continue
-		}
-		ts.Columns[col.Name] = histogram.BuildEquiDepthBuf(vals, &scratch, HistogramBuckets)
+		h := histogram.Build(vals, &scratch, maxFrequencyDistinct, HistogramBuckets)
+		ts.Columns = append(ts.Columns, ColumnSummary{Name: col.Name, Histogram: h})
 	}
+	slices.SortFunc(ts.Columns, func(a, b ColumnSummary) int { return strings.Compare(a.Name, b.Name) })
 	t.lastSummary = ts
 	return ts
 }
