@@ -40,11 +40,7 @@ type Config struct {
 // the constant factors, not any of the evaluated behaviour; the analytic
 // models use the paper's published u and d directly.)
 func DefaultConfig(horizon time.Duration, seed int64) Config {
-	return Config{
-		Seed:            seed,
-		Horizon:         horizon,
-		MeanFlowsPerDay: 2000,
-	}
+	return Config{Seed: seed, Horizon: horizon, MeanFlowsPerDay: 2000}
 }
 
 // flowSchema is the Flow table schema: one immutable column list that
@@ -80,14 +76,13 @@ type Dataset struct {
 func (d *Dataset) Tables() []*relq.Table { return []*relq.Table{d.Flow} }
 
 // Summary builds the endsystem's replicable data summary.
-func (d *Dataset) Summary() *relq.Summary {
-	return relq.NewSummary(d.Tables()...)
-}
+func (d *Dataset) Summary() *relq.Summary { return relq.NewSummary(d.Tables()...) }
 
 // app describes one application class in the traffic mix.
 type app struct {
 	name       string
 	port       int64   // well-known server port
+	proto      int64   // IP protocol: 6 (TCP) or 17 (UDP)
 	weight     float64 // share of flows
 	logBytesMu float64 // lognormal parameters of flow size in bytes
 	logBytesSd float64
@@ -96,38 +91,46 @@ type app struct {
 // trafficMix is the application mix. Weights sum to 1. Flow sizes are
 // lognormal: HTTP flows with median ~8 kB and a heavy tail; SMB transfers
 // larger; DNS tiny.
-var trafficMix = []app{
-	{name: "HTTP", port: 80, weight: 0.34, logBytesMu: 9.0, logBytesSd: 1.6},
-	{name: "HTTPS", port: 443, weight: 0.16, logBytesMu: 8.8, logBytesSd: 1.5},
-	{name: "SMB", port: 445, weight: 0.20, logBytesMu: 10.2, logBytesSd: 1.8},
-	{name: "SQL", port: 1433, weight: 0.06, logBytesMu: 8.0, logBytesSd: 1.2},
-	{name: "DNS", port: 53, weight: 0.14, logBytesMu: 5.0, logBytesSd: 0.7},
-	{name: "P2P", port: 6881, weight: 0.10, logBytesMu: 11.0, logBytesSd: 2.0},
+var trafficMix = [...]app{
+	{name: "HTTP", port: 80, proto: 6, weight: 0.34, logBytesMu: 9.0, logBytesSd: 1.6},
+	{name: "HTTPS", port: 443, proto: 6, weight: 0.16, logBytesMu: 8.8, logBytesSd: 1.5},
+	{name: "SMB", port: 445, proto: 6, weight: 0.20, logBytesMu: 10.2, logBytesSd: 1.8},
+	{name: "SQL", port: 1433, proto: 6, weight: 0.06, logBytesMu: 8.0, logBytesSd: 1.2},
+	{name: "DNS", port: 53, proto: 17, weight: 0.14, logBytesMu: 5.0, logBytesSd: 0.7},
+	{name: "P2P", port: 6881, proto: 6, weight: 0.10, logBytesMu: 11.0, logBytesSd: 2.0},
 }
+
+// appCodes are the App column's values: trafficMix's names hash-encoded.
+var appCodes = func() (codes [len(trafficMix)]int64) {
+	for k, a := range trafficMix {
+		codes[k] = relq.HashString(a.name)
+	}
+	return codes
+}()
 
 // endsystemProfile holds an endsystem's persistent traffic identity.
 type endsystemProfile struct {
 	isServer bool
 	localIP  int64
-	appCodes []int64
+	accept   *[hoursPerWeek]float64 // acceptRates of its kind
 }
 
 func profileFor(rng *rand.Rand, i int) endsystemProfile {
-	p := endsystemProfile{
-		isServer: rng.Float64() < 0.125,
-		localIP:  int64(0x0a000000 + i), // 10.x.y.z
-		appCodes: make([]int64, len(trafficMix)),
-	}
-	for k, a := range trafficMix {
-		p.appCodes[k] = relq.HashString(a.name)
+	p := endsystemProfile{isServer: rng.Float64() < 0.125, localIP: int64(0x0a000000 + i)} // 10.x.y.z
+	p.accept = &acceptRates[0]
+	if p.isServer {
+		p.accept = &acceptRates[1]
 	}
 	return p
 }
 
-// appendFlow draws one flow record with the given timestamp and inserts it.
-func appendFlow(rng *rand.Rand, prof endsystemProfile, d *Dataset, ts int64) {
+// flowColumns is the Flow table's column count: a row as drawFlow draws it.
+const flowColumns = 11
+
+// drawFlow draws one flow record with the given timestamp, in column order.
+func drawFlow(rng *rand.Rand, prof *endsystemProfile, ts int64) [flowColumns]int64 {
 	a := sampleApp(rng)
-	spec := trafficMix[a]
+	spec := &trafficMix[a]
 	bytes := min(max(int64(math.Exp(spec.logBytesMu+spec.logBytesSd*rng.NormFloat64())), 64), 1<<31)
 	packets := bytes/700 + 1 + int64(rng.Intn(4))
 
@@ -135,39 +138,25 @@ func appendFlow(rng *rand.Rand, prof endsystemProfile, d *Dataset, ts int64) {
 	ephemeral := int64(1024 + rng.Intn(64511))
 
 	// Direction: servers mostly receive requests on the well-known port;
-	// workstations mostly originate requests to it.
+	// workstations mostly originate requests to it. The response traffic
+	// of an outbound flow (SrcPort = well-known port) dominates by
+	// convention in Anemone's Rx direction, so half of those are recorded
+	// from the remote server's side, for a realistic SrcPort=80 population.
 	inbound := rng.Float64() < 0.7
 	if !prof.isServer {
 		inbound = rng.Float64() < 0.25
 	}
-	var srcIP, dstIP, srcPort, dstPort, localPort int64
-	if inbound {
-		// Remote client -> local server port.
-		srcIP, dstIP = remoteIP, prof.localIP
-		srcPort, dstPort = ephemeral, spec.port
-		localPort = spec.port
-	} else {
-		// Local client -> remote server port. The response traffic
-		// (SrcPort = well-known port) dominates by convention in Anemone's
-		// Rx direction; we record the flow from the remote server's
-		// perspective half the time to get a realistic SrcPort=80
-		// population.
+	srcIP, dstIP, srcPort, dstPort, localPort := remoteIP, prof.localIP, ephemeral, spec.port, spec.port
+	if !inbound {
+		localPort = ephemeral
 		if rng.Float64() < 0.5 {
-			srcIP, dstIP = remoteIP, prof.localIP
 			srcPort, dstPort = spec.port, ephemeral
 		} else {
 			srcIP, dstIP = prof.localIP, remoteIP
-			srcPort, dstPort = ephemeral, spec.port
 		}
-		localPort = ephemeral
 	}
-	proto := int64(6) // TCP
-	if spec.name == "DNS" {
-		proto = 17 // UDP
-	}
-
-	d.Flow.InsertInts(ts, 300, srcIP, dstIP, srcPort, dstPort,
-		localPort, proto, prof.appCodes[a], bytes, packets)
+	return [flowColumns]int64{ts, 300, srcIP, dstIP, srcPort, dstPort,
+		localPort, spec.proto, appCodes[a], bytes, packets}
 }
 
 // Generate builds the dataset for endsystem index i. Roughly one in eight
@@ -178,21 +167,34 @@ func Generate(cfg Config, i int) *Dataset {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9e3779b97f4a7c ^ 0xa4e04e))
 	prof := profileFor(rng, i)
 
-	// The exact row count is known before the first insert, so the tables
-	// are told it: relq reserves the block directory, the zone maps and an
-	// open tail of at most one block for that many rows, and allocates
-	// each block at its encoded width when it fills. A table of a block or
-	// more seals its last block at its own length on the last row and lets
-	// the tail go; a 12-row table holds 12 rows of capacity, which is what
-	// lets a cluster keep one table per endsystem at N=100k+. (The rng
-	// draw order is unchanged — profile, then volume, then rows — so
-	// generated data is byte-identical.)
+	// The exact row count is known before the first row, so the table is
+	// told it: relq reserves the block directory, the zone maps and an
+	// open tail of at most one block, and seals the last block at its own
+	// length on the last row. Rows are drawn a block at a time into one
+	// column-major buffer sized to the table — a 12-row table pays for 12
+	// rows, not a block — and appended a block at a time. (The rng draw
+	// order is profile, then volume, then rows, row after row.)
 	days := cfg.Horizon.Hours() / 24
 	total := int(float64(cfg.MeanFlowsPerDay) * days * (0.75 + rng.Float64()*0.5))
 	d := &Dataset{Flow: relq.NewTableWithCapacity(FlowSchema(), total)}
-	for f := 0; f < total; f++ {
-		ts := sampleTimestamp(rng, cfg.Horizon, prof.isServer)
-		appendFlow(rng, prof, d, ts)
+	n := min(total, relq.BlockSize)
+	buf := make([]int64, flowColumns*n)
+	var cols [flowColumns][]int64
+	// The largest rng.Int63 draw that rng.Int63n(horizon) keeps, computed
+	// once here instead of on every draw (a horizon under 1 ns draws no rows).
+	reject := int64(1<<63 - 1 - (1<<63)%uint64(max(cfg.Horizon, 1)))
+	for done := 0; done < total; done += n {
+		n = min(n, total-done)
+		for c := range cols {
+			cols[c] = buf[c*n : (c+1)*n]
+		}
+		for r := range n {
+			row := drawFlow(rng, &prof, sampleTimestamp(rng, int64(cfg.Horizon), reject, prof.accept))
+			for c, v := range row {
+				cols[c][r] = v
+			}
+		}
+		d.Flow.AppendColumns(cols[:])
 	}
 	return d
 }
@@ -216,77 +218,71 @@ func NewStreamer(cfg Config, i int) *Streamer {
 	return &Streamer{cfg: cfg, rng: rng, prof: profileFor(rng, i)}
 }
 
-// acceptRate is the diurnal/weekly acceptance shape of flow timestamps:
-// the probability that Generate keeps an instant it drew, and a
+// hoursPerWeek is the period of the acceptance shape.
+const hoursPerWeek = 7 * 24
+
+// acceptRates[s][h] is the diurnal/weekly acceptance shape of flow
+// timestamps at hour of week h, for workstations (s = 0) and servers
+// (s = 1): the probability that Generate keeps an instant it drew, and a
 // streamer's relative rate.
-func acceptRate(t time.Duration, isServer bool) float64 {
-	h := avail.HourOfDay(t)
-	weekend := avail.IsWeekend(t)
-	switch {
-	case isServer:
-		if h >= 8 && h < 20 {
-			return 1.0
+var acceptRates = func() (r [2][hoursPerWeek]float64) {
+	for h := range hoursPerWeek {
+		hour, weekend := h%24, h >= 5*24
+		switch r[1][h] = 0.55; {
+		case weekend:
+			r[0][h] = 0.10
+		case hour >= 9 && hour < 18:
+			r[0][h] = 1.0
+		case hour >= 7 && hour < 22:
+			r[0][h] = 0.35
+		default:
+			r[0][h] = 0.05
 		}
-		return 0.55
-	case weekend:
-		return 0.10
-	case h >= 9 && h < 18:
-		return 1.0
-	case h >= 7 && h < 22:
-		return 0.35
-	default:
-		return 0.05
+		if hour >= 8 && hour < 20 {
+			r[1][h] = 1.0
+		}
 	}
+	return r
+}()
+
+// acceptRate returns accept's entry for instant t (t >= 0).
+func acceptRate(accept *[hoursPerWeek]float64, t time.Duration) float64 {
+	return accept[t%avail.Week/time.Hour]
 }
 
-// meanAccept is the time-averaged acceptance of the workstation profile;
-// it normalizes the streaming rate so a streamer and Generate produce
-// comparable volumes.
-func meanAccept(isServer bool) float64 {
+// meanAccept is the time-averaged acceptance of a profile; it normalizes
+// the streaming rate so a streamer and Generate produce comparable
+// volumes.
+func meanAccept(accept *[hoursPerWeek]float64) float64 {
 	var sum float64
-	for d := 0; d < 7; d++ {
-		for h := 0; h < 24; h++ {
-			sum += acceptRate(time.Duration(d)*avail.Day+time.Duration(h)*time.Hour, isServer)
-		}
+	for _, a := range accept {
+		sum += a
 	}
-	return sum / (7 * 24)
+	return sum / hoursPerWeek
 }
 
 // SkipTo advances the cursor without generating rows — used when the
 // endsystem was offline (no data is produced while down).
-func (st *Streamer) SkipTo(t time.Duration) {
-	if t > st.cursor {
-		st.cursor = t
-	}
-}
+func (st *Streamer) SkipTo(t time.Duration) { st.cursor = max(st.cursor, t) }
 
 // AppendTo generates the rows with timestamps in [cursor, upTo) into the
 // dataset and advances the cursor. It returns the number of rows added.
 func (st *Streamer) AppendTo(d *Dataset, upTo time.Duration) int {
-	if upTo <= st.cursor {
-		return 0
-	}
 	added := 0
-	basePerHour := float64(st.cfg.MeanFlowsPerDay) / 24 / meanAccept(st.prof.isServer)
+	basePerHour := float64(st.cfg.MeanFlowsPerDay) / 24 / meanAccept(st.prof.accept)
 	// Walk hour by hour so the diurnal modulation applies within long
 	// windows.
 	for st.cursor < upTo {
-		hourEnd := st.cursor - st.cursor%time.Hour + time.Hour
-		if hourEnd > upTo {
-			hourEnd = upTo
-		}
+		hourEnd := min(st.cursor-st.cursor%time.Hour+time.Hour, upTo)
 		frac := float64(hourEnd-st.cursor) / float64(time.Hour)
-		expected := basePerHour * acceptRate(st.cursor, st.prof.isServer) * frac
+		expected := basePerHour * acceptRate(st.prof.accept, st.cursor) * frac
 		n := poisson(st.rng, expected)
-		for k := 0; k < n; k++ {
-			span := int64(hourEnd-st.cursor) / int64(time.Second)
-			if span < 1 {
-				span = 1
-			}
-			ts := int64(st.cursor/time.Second) + st.rng.Int63n(span)
-			appendFlow(st.rng, st.prof, d, ts)
-			added++
+		for range n {
+			span := max(int64(hourEnd-st.cursor)/int64(time.Second), 1)
+			row := drawFlow(st.rng, &st.prof, int64(st.cursor/time.Second)+st.rng.Int63n(span))
+			d.Flow.InsertInts(row[:]...)
 		}
+		added += n
 		st.cursor = hourEnd
 	}
 	return added
@@ -315,9 +311,8 @@ func poisson(rng *rand.Rand, lambda float64) int {
 // sampleApp draws an application index from the weighted mix.
 func sampleApp(rng *rand.Rand) int {
 	x := rng.Float64()
-	for i, a := range trafficMix {
-		x -= a.weight
-		if x < 0 {
+	for i := range trafficMix {
+		if x -= trafficMix[i].weight; x < 0 {
 			return i
 		}
 	}
@@ -325,13 +320,18 @@ func sampleApp(rng *rand.Rand) int {
 }
 
 // sampleTimestamp draws a flow timestamp (in whole seconds) with diurnal
-// and weekly modulation: a uniform instant is kept with probability
-// acceptRate, so workstation traffic concentrates in working hours and
-// server traffic is flatter with a mild daytime bump.
-func sampleTimestamp(rng *rand.Rand, horizon time.Duration, isServer bool) int64 {
+// and weekly modulation: a uniform instant in [0, horizon), drawn as
+// rng.Int63n(horizon) draws it given that call's largest kept draw,
+// reject, is kept with probability acceptRate, so workstation traffic
+// concentrates in working hours and server traffic is flatter with a mild
+// daytime bump.
+func sampleTimestamp(rng *rand.Rand, horizon, reject int64, accept *[hoursPerWeek]float64) int64 {
 	for {
-		t := time.Duration(rng.Int63n(int64(horizon)))
-		if rng.Float64() < acceptRate(t, isServer) {
+		v := rng.Int63()
+		for v > reject {
+			v = rng.Int63()
+		}
+		if t := time.Duration(v % horizon); rng.Float64() < acceptRate(accept, t) {
 			return int64(t / time.Second)
 		}
 	}

@@ -50,3 +50,28 @@ func TestGeneratePinned(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGenerate times Generate per row on a scan-sized table (10,000
+// flows a day over three days, about 30,000 rows) and a steady-sized one
+// (50 flows a day over six hours, about a dozen rows), cycling through
+// endsystems 0-3 (TestGeneratePinned's tables).
+//
+//	go test -run '^$' -bench Generate -count 10 -cpu 1 ./internal/anemone
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"scan", Config{Seed: 1, Horizon: 3 * avail.Day, MeanFlowsPerDay: 10_000}},
+		{"steady", Config{Seed: 1, Horizon: 6 * time.Hour, MeanFlowsPerDay: 50}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := range b.N {
+				rows += Generate(c.cfg, i%4).Flow.NumRows()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+		})
+	}
+}

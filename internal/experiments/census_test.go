@@ -29,12 +29,13 @@ import (
 	"repro/internal/simnet"
 )
 
-// The configuration surface may only shrink without an edit here: each
-// ceiling is the count at the time it was last lowered.
+// The configuration surface and DESIGN.md may only shrink without an
+// edit here: each ceiling is the count at the time it was last lowered.
 const (
 	maxConfigFields   = 69
 	maxTestOnlyFields = 0 // rows whose only setter is a test
 	maxUnsetFields    = 0 // rows nothing sets at all
+	maxDesignLines    = 2848
 )
 
 // maxPackageLines are the per-package ceilings on non-test lines (the
@@ -51,7 +52,7 @@ var maxPackageLines = map[string]int{
 	"internal/dissem":      1060,
 	"internal/experiments": 1819,
 	"internal/fault":       1010,
-	"internal/histogram":   675,
+	"internal/histogram":   672,
 	"internal/ids":         445,
 	"internal/metadata":    489,
 	"internal/model":       209,
@@ -60,7 +61,7 @@ var maxPackageLines = map[string]int{
 	"internal/pastry":      1402,
 	"internal/predictor":   419,
 	"internal/qserve":      826,
-	"internal/relq":        2156,
+	"internal/relq":        2155,
 	"internal/runner":      165,
 	"internal/simnet":      1404,
 	"seaweed":              203,
@@ -104,11 +105,15 @@ var (
 // package has exactly one row with its non-test line count and a tier-1
 // test that exists, stays at or under its maxPackageLines ceiling, and,
 // unless it is the facade, is imported by non-test code outside it — so a
-// package has to name what needs it.
+// package has to name what needs it. DESIGN.md stays at or under
+// maxDesignLines.
 func TestConfigCensus(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := bytes.Count(design, []byte("\n")); n > maxDesignLines {
+		t.Errorf("DESIGN.md has %d lines, ceiling %d: shrink it, or raise the ceiling and say why in CHANGES.md", n, maxDesignLines)
 	}
 	checkPackages(t, designSection(t, design, "Package census"), scanModule(t))
 	section := designSection(t, design, "Configuration surface")

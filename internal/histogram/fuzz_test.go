@@ -43,8 +43,10 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzBuildEquiDepth: on any int64 column radixSort gives slices.Sort's
 // order, BuildEquiDepth leaves its input in that order and builds the
-// histogram the slices.Sort build does, and Build makes BuildFrequency's
-// or that one. Every 8 bytes of b are one little-endian value,
+// histogram the slices.Sort build does, and BuildFrequency and Build, on
+// the column in its given order, make the frequency histogram of the
+// sorted column (frequencySorted) or, past its distinct-value limit, nil
+// and that step histogram. Every 8 bytes of b are one little-endian value,
 // sign-extended from width%64+1 bits so narrow spans (one or two radix
 // passes) are as easy to reach as the full range. The committed corpus
 // (testdata/fuzz/FuzzBuildEquiDepth) holds columns on both sides of the
@@ -57,7 +59,7 @@ func FuzzBuildEquiDepth(f *testing.F) {
 		for i := range vals {
 			vals[i] = int64(binary.LittleEndian.Uint64(b[8*i:])<<shift) >> shift
 		}
-		ref := sorted(vals)
+		ref, given := sorted(vals), slices.Clone(vals)
 		radix := slices.Clone(vals)
 		radixSort(radix, make([]int64, len(radix)))
 		if !slices.Equal(radix, ref) {
@@ -70,15 +72,19 @@ func FuzzBuildEquiDepth(f *testing.F) {
 		if want := equiDepthSorted(ref, int(buckets)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("histogram %+v, want the slices.Sort build's %+v", got, want)
 		}
-		// Build gives BuildFrequency's histogram up to its distinct-value
-		// limit and BuildEquiDepth's past it.
+		// Build gives the sorted column's frequency histogram up to its
+		// distinct-value limit and BuildEquiDepth's past it.
 		limit := int(width % 16)
 		var want Histogram = got
-		if f := BuildFrequency(ref, limit); f != nil {
+		f := frequencySorted(ref, limit)
+		if f != nil {
 			want = f
 		}
+		if probed := BuildFrequency(given, limit); !reflect.DeepEqual(probed, f) {
+			t.Fatalf("BuildFrequency made %+v, want %+v", probed, f)
+		}
 		var scratch []int64
-		if h := Build(slices.Clone(vals), &scratch, limit, int(buckets)); !reflect.DeepEqual(h, want) {
+		if h := Build(given, &scratch, limit, int(buckets)); !reflect.DeepEqual(h, want) {
 			t.Fatalf("Build made %+v, want %+v", h, want)
 		}
 	})

@@ -85,9 +85,7 @@ type EquiWidth struct {
 // over the values. A nil or empty value slice yields an empty histogram
 // that estimates zero everywhere.
 func BuildEquiWidth(values []int64, buckets int) *EquiWidth {
-	if buckets <= 0 {
-		buckets = 1
-	}
+	buckets = max(buckets, 1)
 	h := &EquiWidth{Counts: make([]float64, buckets)}
 	if len(values) == 0 {
 		return h
@@ -153,10 +151,7 @@ func (h *EquiWidth) EstimateRange(lo, hi int64) float64 {
 		}
 		est += c * (oHi - oLo) / w
 	}
-	if est > float64(h.total) {
-		est = float64(h.total)
-	}
-	return est
+	return min(est, float64(h.total))
 }
 
 // EstimateEq implements Histogram assuming values are uniformly spread
@@ -242,33 +237,28 @@ func BuildEquiDepth(values []int64, buckets int) *EquiDepth {
 	return equiDepthSorted(values, buckets)
 }
 
-// Build builds a column's histogram from its values, which it sorts in
+// Build builds a column's histogram from its values, which it may sort in
 // place and keeps none of: BuildFrequency's exact histogram when they hold
-// at most maxDistinct distinct values, BuildEquiDepth's step histogram
-// otherwise, both from the one sort. scratch is the sort's buffer,
+// at most maxDistinct distinct values, found without a sort, and
+// otherwise BuildEquiDepth's step histogram. scratch is the sort's buffer,
 // allocated or grown only when a column is long enough to be radix-sorted,
 // so one buffer serves a table's columns in turn.
 func Build(values []int64, scratch *[]int64, maxDistinct, buckets int) Histogram {
-	sortInt64s(values, scratch)
-	if h := frequencySorted(values, maxDistinct); h != nil {
+	if h := BuildFrequency(values, maxDistinct); h != nil {
 		return h
 	}
+	sortInt64s(values, scratch)
 	return equiDepthSorted(values, buckets)
 }
 
 // equiDepthSorted builds the step histogram of ascending values.
 func equiDepthSorted(values []int64, buckets int) *EquiDepth {
-	if buckets <= 0 {
-		buckets = 1
-	}
+	buckets = max(buckets, 1)
 	h := &EquiDepth{}
 	if len(values) == 0 {
 		return h
 	}
-	target := len(values) / buckets
-	if target < 1 {
-		target = 1
-	}
+	target := max(len(values)/buckets, 1)
 
 	emit := func(bound int64, eq, rr, rd float64) {
 		h.Bounds = append(h.Bounds, bound)
@@ -379,11 +369,7 @@ func radixSort(values, scratch []int64) {
 // interiorSpan returns the number of possible integer values strictly
 // between two step boundaries.
 func interiorSpan(lo, hi int64) float64 {
-	s := float64(hi) - float64(lo) - 1
-	if s < 0 {
-		return 0
-	}
-	return s
+	return max(float64(hi)-float64(lo)-1, 0)
 }
 
 // EstimateRange implements Histogram: exact boundary counts plus
@@ -406,17 +392,14 @@ func (h *EquiDepth) EstimateRange(lo, hi int64) float64 {
 		if span == 0 || h.RangeRows[i] == 0 {
 			continue
 		}
-		oLo, oHi := maxI64(lo, prev+1), minI64(hi, b-1)
+		oLo, oHi := max(lo, prev+1), min(hi, b-1)
 		if oHi < oLo {
 			continue
 		}
 		overlap := float64(oHi) - float64(oLo) + 1
 		est += h.RangeRows[i] * overlap / span
 	}
-	if est > float64(h.total) {
-		est = float64(h.total)
-	}
-	return est
+	return min(est, float64(h.total))
 }
 
 // EstimateEq implements Histogram: exact at step boundaries, uniform
@@ -505,34 +488,62 @@ type Frequency struct {
 	total  int64
 }
 
-// BuildFrequency builds an exact frequency histogram. If the number of
-// distinct values exceeds maxDistinct it returns nil; callers should fall
-// back to an equi-depth histogram (Build makes that choice).
+// BuildFrequency builds an exact frequency histogram, or returns nil if
+// the values hold more than maxDistinct distinct ones; callers should then
+// fall back to an equi-depth histogram (Build makes that choice). It reads
+// the values once, counting them into a counter that gives up at the
+// first value past the bound, and sorts only the distinct values.
 func BuildFrequency(values []int64, maxDistinct int) *Frequency {
-	sorted := slices.Clone(values)
-	slices.Sort(sorted)
-	return frequencySorted(sorted, maxDistinct)
-}
-
-// frequencySorted builds the frequency histogram of ascending values, or
-// returns nil if they hold more than maxDistinct distinct values.
-func frequencySorted(values []int64, maxDistinct int) *Frequency {
-	d := 0
-	for i := range values {
-		if i == 0 || values[i] != values[i-1] {
-			if d++; d > maxDistinct {
+	var slots [2 * counterKeys]int32
+	var keys [counterKeys]int64
+	var counts [counterKeys]int32
+	b := bits.Len(uint(max(2*maxDistinct-1, 0))) // 2^b >= 2·maxDistinct slots
+	c := counter{slots: slots[:], keys: keys[:0], counts: counts[:0], shift: uint(64 - b)}
+	if 1<<b > len(slots) {
+		c.slots = make([]int32, 1<<b)
+	}
+	c.slots = c.slots[:1<<b]
+	for _, v := range values {
+		h := c.slot(v)
+		if c.slots[h] == 0 {
+			if len(c.keys) >= maxDistinct {
 				return nil
 			}
+			c.keys, c.counts = append(c.keys, v), append(c.counts, 0)
+			c.slots[h] = int32(len(c.keys))
 		}
+		c.counts[c.slots[h]-1]++
 	}
-	h := &Frequency{Values: make([]int64, 0, d), Counts: make([]float64, 0, d), total: int64(len(values))}
-	for i, v := range values {
-		if i > 0 && v == values[i-1] {
-			h.Counts[len(h.Counts)-1]++
-			continue
-		}
-		h.Values = append(h.Values, v)
-		h.Counts = append(h.Counts, 1)
+	f := &Frequency{Values: append(make([]int64, 0, len(c.keys)), c.keys...), Counts: make([]float64, len(c.keys)), total: int64(len(values))}
+	slices.Sort(f.Values)
+	for i, v := range f.Values {
+		f.Counts[i] = float64(c.counts[c.slots[c.slot(v)]-1])
+	}
+	return f
+}
+
+// counterKeys is the most distinct values a counter holds on
+// BuildFrequency's stack; a larger bound moves it to the heap.
+const counterKeys = 64
+
+// counter is BuildFrequency's count of distinct values: open addressing
+// with linear probing over 2^(64-shift) slots, at least twice the values
+// it may hold, so that it is at most half full and no probe is long.
+type counter struct {
+	slots  []int32 // 0: empty, else 1 + an index into keys
+	keys   []int64 // in order of first appearance
+	counts []int32 // counts[i] is the number of keys[i]
+	shift  uint
+}
+
+// home is the slot v hashes to (Fibonacci hashing).
+func (c *counter) home(v int64) int { return int(uint64(v) * 0x9e3779b97f4a7c15 >> c.shift) }
+
+// slot returns the slot that holds v, or the empty one where it belongs.
+func (c *counter) slot(v int64) int {
+	h := c.home(v)
+	for c.slots[h] != 0 && c.keys[c.slots[h]-1] != v {
+		h = (h + 1) & (len(c.slots) - 1)
 	}
 	return h
 }
@@ -658,18 +669,4 @@ func (r *reader) rows() float64 {
 		r.err = fmt.Errorf("histogram: row count %d above 2^53", v)
 	}
 	return float64(v)
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

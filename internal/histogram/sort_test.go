@@ -23,6 +23,100 @@ func sorted(values []int64) []int64 {
 	return out
 }
 
+// frequencySorted is the sort-based frequency build BuildFrequency
+// replaced: the frequency histogram of ascending values, or nil if they
+// hold more than maxDistinct distinct values.
+func frequencySorted(values []int64, maxDistinct int) *Frequency {
+	d := 0
+	for i := range values {
+		if i == 0 || values[i] != values[i-1] {
+			if d++; d > maxDistinct {
+				return nil
+			}
+		}
+	}
+	h := &Frequency{Values: make([]int64, 0, d), Counts: make([]float64, 0, d), total: int64(len(values))}
+	for i, v := range values {
+		if i > 0 && v == values[i-1] {
+			h.Counts[len(h.Counts)-1]++
+			continue
+		}
+		h.Values = append(h.Values, v)
+		h.Counts = append(h.Counts, 1)
+	}
+	return h
+}
+
+// refBuild is Build as it was before its counter: one slices.Sort, then the
+// frequency histogram up to maxDistinct distinct values and the step
+// histogram past them.
+func refBuild(values []int64, maxDistinct, buckets int) Histogram {
+	s := sorted(values)
+	if f := frequencySorted(s, maxDistinct); f != nil {
+		return f
+	}
+	return equiDepthSorted(s, buckets)
+}
+
+// TestBuildProbeBoundary: Build, which counts a column before it sorts
+// it, makes the histogram the sort-based build does on either side of the
+// 64-distinct bound (the 65th value first seen early or on the last row),
+// on values that all hash to one slot of the counter, on the int64
+// extremes, and on all-equal, empty and one-value columns, short and past
+// the radix cutoff.
+func TestBuildProbeBoundary(t *testing.T) {
+	const maxDistinct = 64
+	rng := rand.New(rand.NewSource(47))
+	// spread returns n values cycling through palette, shuffled.
+	spread := func(palette []int64, n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = palette[i%len(palette)]
+		}
+		rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	c := counter{shift: 64 - 7} // BuildFrequency's for 64 distinct values: 128 slots
+	var colliding []int64
+	for v := int64(-1 << 40); len(colliding) < maxDistinct+1; v += 977 {
+		if c.home(v) == c.home(-1<<40) {
+			colliding = append(colliding, v)
+		}
+	}
+	cases := map[string][]int64{
+		"empty":       {},
+		"one_value":   {math.MinInt64},
+		"all_equal":   spread([]int64{-5}, 1000),
+		"extremes":    spread([]int64{math.MinInt64, math.MaxInt64, 0, -1, 1}, 700),
+		"extremes_65": spread(append(colliding[:maxDistinct-2:maxDistinct-2], math.MinInt64, math.MaxInt64, 0), 900),
+	}
+	for _, d := range []int{maxDistinct - 1, maxDistinct, maxDistinct + 1} {
+		palette := make([]int64, d)
+		for i := range palette {
+			palette[i] = rng.Int63() - 1<<62
+		}
+		for _, n := range []int{d, 300, 3000} {
+			cases[fmt.Sprintf("distinct%d_n%d", d, n)] = spread(palette, n)
+			cases[fmt.Sprintf("colliding%d_n%d", d, n)] = spread(colliding[:d], n)
+		}
+		// The last distinct value first appears on the last row.
+		last := spread(palette[:d-1], 2000)
+		cases[fmt.Sprintf("distinct%d_last_row", d)] = append(last, palette[d-1])
+	}
+	for name, vals := range cases {
+		want := refBuild(vals, maxDistinct, 64)
+		var scratch []int64
+		if got := Build(slices.Clone(vals), &scratch, maxDistinct, 64); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Build made %+v, the sort-based build %+v", name, got, want)
+		}
+		for _, limit := range []int{0, 1, 5} {
+			if got, want := BuildFrequency(vals, limit), frequencySorted(sorted(vals), limit); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, limit %d: BuildFrequency made %+v, want %+v", name, limit, got, want)
+			}
+		}
+	}
+}
+
 // TestRadixSortMatchesSlicesSort: radixSort, and sortInt64s on either
 // side of its cutoff, give slices.Sort's order on columns with negative
 // values, on the full MinInt64..MaxInt64 span, on all-equal input, at

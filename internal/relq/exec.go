@@ -17,7 +17,7 @@ func (t *Table) Bind(q *Query) (*Plan, error) {
 	if q.Table != t.schema.Name {
 		return nil, fmt.Errorf("relq: query targets table %q, this is %q", q.Table, t.schema.Name)
 	}
-	plan := &Plan{cols: t.schema.Columns}
+	plan := &Plan{cols: t.schema.Columns, aggCol: -1}
 	if !q.CountAll {
 		i := t.schema.ColumnIndex(q.AggCol)
 		if i < 0 {
@@ -27,8 +27,6 @@ func (t *Table) Bind(q *Query) (*Plan, error) {
 			return nil, fmt.Errorf("relq: cannot %s string column %q", q.Agg, q.AggCol)
 		}
 		plan.aggCol = i
-	} else {
-		plan.aggCol = -1
 	}
 	for _, p := range q.Preds {
 		i := t.schema.ColumnIndex(p.Col)
@@ -129,8 +127,6 @@ func getExecBuf(npreds int) *execBuf {
 	}
 	return b
 }
-
-func putExecBuf(b *execBuf) { execBufPool.Put(b) }
 
 // resolveRHS evaluates every predicate's right-hand side once per
 // execution (NOW() binds here).
@@ -288,7 +284,7 @@ func (p *Plan) scan(t *Table, nowSeconds int64, f *fold) int64 {
 		return int64(t.rows)
 	}
 	buf := getExecBuf(len(p.preds))
-	defer putExecBuf(buf)
+	defer execBufPool.Put(buf)
 	steps := p.resolve(t, nowSeconds, buf)
 
 	var scanned, matched, prunedBlocks uint64
@@ -446,12 +442,5 @@ func predSelectivity(h interface {
 			match = h.EstimateRange(lo, hi)
 		}
 	}
-	sel := match / total
-	if sel < 0 {
-		sel = 0
-	}
-	if sel > 1 {
-		sel = 1
-	}
-	return sel
+	return min(max(match/total, 0), 1)
 }

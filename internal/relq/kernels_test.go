@@ -509,7 +509,7 @@ func TestSelectivityOfUnsatisfiableComparison(t *testing.T) {
 		if order[0] != 1 {
 			t.Errorf("b %s %d ordered %v: the unsatisfiable conjunct must run first", c.op, c.rhs, order)
 		}
-		putExecBuf(buf)
+		execBufPool.Put(buf)
 		if got := p.CountMatching(tbl, 0); got != 0 {
 			t.Errorf("b %s %d matches %d rows", c.op, c.rhs, got)
 		}

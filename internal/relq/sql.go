@@ -23,24 +23,15 @@ const (
 	OpGe              // >=
 )
 
+// opSpellings are the operators' SQL spellings, indexed by CmpOp.
+var opSpellings = []string{"=", "<>", "<", "<=", ">", ">="}
+
 // String returns the SQL spelling of the operator.
 func (op CmpOp) String() string {
-	switch op {
-	case OpEq:
-		return "="
-	case OpNe:
-		return "<>"
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	default:
+	if op < 0 || int(op) >= len(opSpellings) {
 		return "?"
 	}
+	return opSpellings[op]
 }
 
 // Expr is a scalar expression on the right-hand side of a predicate: an
@@ -113,14 +104,7 @@ func (q *Query) String() string { return q.Raw }
 // timestamp"), so Seaweed binds before disseminating. Queries without
 // NOW() are returned unchanged.
 func (q *Query) BindNow(nowSeconds int64) *Query {
-	uses := false
-	for _, p := range q.Preds {
-		if p.Val.UsesNow {
-			uses = true
-			break
-		}
-	}
-	if !uses {
+	if !slices.ContainsFunc(q.Preds, func(p Pred) bool { return p.Val.UsesNow }) {
 		return q
 	}
 	out := q.Clone()
@@ -198,14 +182,8 @@ func lex(s string) ([]token, error) {
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
-		case c == '(':
-			toks = append(toks, token{tkLParen, "("})
-			i++
-		case c == ')':
-			toks = append(toks, token{tkRParen, ")"})
-			i++
-		case c == '*':
-			toks = append(toks, token{tkStar, "*"})
+		case c == '(' || c == ')' || c == '*': // tkLParen, tkRParen, tkStar
+			toks = append(toks, token{tkLParen + tokKind(strings.IndexByte("()*", c)), s[i : i+1]})
 			i++
 		case c == '\'':
 			j := i + 1
@@ -217,22 +195,13 @@ func lex(s string) ([]token, error) {
 			}
 			toks = append(toks, token{tkString, s[i+1 : j]})
 			i = j + 1
-		case c == '<':
-			if i+1 < len(s) && (s[i+1] == '=' || s[i+1] == '>') {
-				toks = append(toks, token{tkOp, s[i : i+2]})
-				i += 2
-			} else {
-				toks = append(toks, token{tkOp, "<"})
-				i++
+		case c == '<' || c == '>': // <, <=, <>, >, >=
+			n := 1
+			if i+1 < len(s) && (s[i+1] == '=' || c == '<' && s[i+1] == '>') {
+				n = 2
 			}
-		case c == '>':
-			if i+1 < len(s) && s[i+1] == '=' {
-				toks = append(toks, token{tkOp, ">="})
-				i += 2
-			} else {
-				toks = append(toks, token{tkOp, ">"})
-				i++
-			}
+			toks = append(toks, token{tkOp, s[i : i+n]})
+			i += n
 		case c == '=' || c == '+' || c == '-':
 			toks = append(toks, token{tkOp, string(c)})
 			i++
@@ -360,21 +329,8 @@ func (p *parser) parsePred() (Pred, error) {
 	if opTok.kind != tkOp {
 		return Pred{}, fmt.Errorf("expected comparison operator, got %q", opTok.text)
 	}
-	var op CmpOp
-	switch opTok.text {
-	case "=":
-		op = OpEq
-	case "<>":
-		op = OpNe
-	case "<":
-		op = OpLt
-	case "<=":
-		op = OpLe
-	case ">":
-		op = OpGt
-	case ">=":
-		op = OpGe
-	default:
+	op := CmpOp(slices.Index(opSpellings, opTok.text))
+	if op < 0 {
 		return Pred{}, fmt.Errorf("unknown operator %q", opTok.text)
 	}
 	val, err := p.parseExpr()
@@ -390,43 +346,37 @@ func (p *parser) parseExpr() (Expr, error) {
 	case t.kind == tkString:
 		return Expr{IsString: true, Str: t.text}, nil
 	case t.kind == tkNumber:
-		v, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return Expr{}, fmt.Errorf("bad number %q: %v", t.text, err)
-		}
-		return Expr{Int: v}, nil
+		v, err := number(t, "")
+		return Expr{Int: v}, err
 	case t.kind == tkOp && t.text == "-":
-		num := p.next()
-		if num.kind != tkNumber {
-			return Expr{}, fmt.Errorf("expected number after unary -, got %q", num.text)
-		}
-		v, err := strconv.ParseInt(num.text, 10, 64)
-		if err != nil {
-			return Expr{}, fmt.Errorf("bad number %q: %v", num.text, err)
-		}
-		return Expr{Int: -v}, nil
+		v, err := number(p.next(), "unary -")
+		return Expr{Int: -v}, err
 	case t.kind == tkIdent && strings.EqualFold(t.text, "NOW"):
 		if p.next().kind != tkLParen || p.next().kind != tkRParen {
 			return Expr{}, fmt.Errorf("expected () after NOW")
 		}
-		e := Expr{UsesNow: true}
 		if nxt := p.peek(); nxt.kind == tkOp && (nxt.text == "+" || nxt.text == "-") {
-			sign := int64(1)
-			if p.next().text == "-" {
-				sign = -1
+			p.next()
+			v, err := number(p.next(), "NOW() "+nxt.text)
+			if nxt.text == "-" {
+				v = -v
 			}
-			num := p.next()
-			if num.kind != tkNumber {
-				return Expr{}, fmt.Errorf("expected number after NOW() %s", nxt.text)
-			}
-			v, err := strconv.ParseInt(num.text, 10, 64)
-			if err != nil {
-				return Expr{}, fmt.Errorf("bad number %q: %v", num.text, err)
-			}
-			e.Int = sign * v
+			return Expr{UsesNow: true, Int: v}, err
 		}
-		return e, nil
+		return Expr{UsesNow: true}, nil
 	default:
 		return Expr{}, fmt.Errorf("expected literal or NOW(), got %q", t.text)
 	}
+}
+
+// number parses an integer literal token, which follows after.
+func number(t token, after string) (int64, error) {
+	if t.kind != tkNumber {
+		return 0, fmt.Errorf("expected number after %s, got %q", after, t.text)
+	}
+	v, err := strconv.ParseInt(t.text, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad number %q: %v", t.text, err)
+	}
+	return v, nil
 }

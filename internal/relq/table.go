@@ -120,9 +120,10 @@ type column struct {
 	// is then reused for the next block.
 	tail []int64
 	// zones[b] bounds block b. Zones are maintained incrementally on
-	// insert — a fresh block's zone starts at its first row's value and
-	// widens as rows arrive — so the open block's zone is valid at all
-	// times and a sealed block's is what chose its width.
+	// insert — a fresh block's zone starts at the bounds of its first
+	// stretch of rows and widens with each stretch after it — so the open
+	// block's zone is valid at all times and a sealed block's is what
+	// chose its width.
 	zones []zone
 }
 
@@ -417,8 +418,7 @@ func (t *Table) SetZoneMaps(enabled bool) { t.zonesOff = !enabled }
 // type error leaves the table unchanged.
 func (t *Table) Insert(values ...any) error {
 	if len(values) != len(t.schema.Columns) {
-		return fmt.Errorf("relq: table %s: %d values for %d columns",
-			t.schema.Name, len(values), len(t.schema.Columns))
+		return t.arityError(len(values))
 	}
 	if t.row == nil {
 		t.row = make([]int64, len(values))
@@ -430,63 +430,122 @@ func (t *Table) Insert(values ...any) error {
 		}
 		t.row[i] = e
 	}
-	t.appendRow(t.row)
-	return nil
+	return t.InsertInts(t.row...)
 }
 
 // InsertInts appends one row of already-encoded column values, avoiding
 // the boxing of Insert. The caller must supply exactly one int64 per
-// column, with string columns already hash-encoded via HashString.
+// column, with string columns already hash-encoded via HashString. It is
+// AppendColumns' path for a stretch of one row, its values appended as
+// they are rather than sliced into columns.
 func (t *Table) InsertInts(values ...int64) error {
 	if len(values) != len(t.schema.Columns) {
-		return fmt.Errorf("relq: table %s: %d values for %d columns",
-			t.schema.Name, len(values), len(t.schema.Columns))
+		return t.arityError(len(values))
 	}
-	t.appendRow(values)
+	_, fresh := t.open(1)
+	for i, v := range values {
+		c := &t.cols[i]
+		c.fold(v, v, fresh)
+		c.grow(1)
+		c.tail = append(c.tail, v)
+	}
+	t.close(1)
 	return nil
+}
+
+// AppendColumns appends rows given column by column: cols[i] holds column
+// i's values, encoded as InsertInts takes them, and every column is as
+// long. It appends them a stretch at a time, each stretch as many rows as
+// fit before the open block seals: per column one min/max pass for the
+// zone and one copy into the tail. The table is the one those rows
+// inserted one at a time would build.
+func (t *Table) AppendColumns(cols [][]int64) error {
+	if len(cols) != len(t.schema.Columns) {
+		return t.arityError(len(cols))
+	}
+	n := 0
+	for i, c := range cols {
+		if n = len(cols[0]); len(c) != n {
+			return fmt.Errorf("relq: table %s: column %d holds %d values, column 0 %d", t.schema.Name, i, len(c), n)
+		}
+	}
+	for done := 0; done < n; {
+		k, fresh := t.open(n - done)
+		for i := range t.cols {
+			t.cols[i].extend(cols[i][done:done+k], fresh)
+		}
+		t.close(k)
+		done += k
+	}
+	return nil
+}
+
+func (t *Table) arityError(n int) error {
+	return fmt.Errorf("relq: table %s: %d values for %d columns", t.schema.Name, n, len(t.schema.Columns))
+}
+
+// open readies the open block for up to n more rows, reopening the last
+// block if the table sealed it short at sealAt. It returns how many of
+// them the block takes before it seals — at BlockSize, or at sealAt if
+// the table has not reached it — and whether they start it.
+func (t *Table) open(n int) (k int, fresh bool) {
+	held := t.rows % BlockSize
+	if t.rows == t.sealAt && held != 0 {
+		for i := range t.cols {
+			t.cols[i].reopen(held)
+		}
+	}
+	if k = min(n, BlockSize-held); t.rows < t.sealAt {
+		k = min(k, t.sealAt-t.rows)
+	}
+	return k, held == 0
+}
+
+// close counts k appended rows and seals the open block if they filled it
+// or brought the table to sealAt, where the tail is released.
+func (t *Table) close(k int) {
+	if t.rows += k; t.rows%BlockSize == 0 || t.rows == t.sealAt {
+		for i := range t.cols {
+			if t.cols[i].seal(); t.rows == t.sealAt {
+				t.cols[i].tail = nil
+			}
+		}
+	}
 }
 
 // minTailCap is the tail's first capacity when no hint reserved one.
 const minTailCap = 16
 
-// appendRow appends one encoded row to the tails and folds it into the
-// open block's zone maps, opening a fresh zone when the previous block was
-// sealed (reopening it when it was sealed short, at the row hint) and
-// sealing this one when the row fills it or the table reaches sealAt.
-func (t *Table) appendRow(values []int64) {
-	open := t.rows % BlockSize
-	fresh := open == 0
-	if t.rows == t.sealAt && !fresh {
-		for i := range t.cols {
-			t.cols[i].reopen(open)
-		}
+// extend appends vals, which fit the open block, to the tail and folds
+// them into the block's zone, which they open when fresh.
+func (c *column) extend(vals []int64, fresh bool) {
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	for i, v := range values {
-		c := &t.cols[i]
-		if fresh {
-			// First row of a new block: its value is the zone on both ends.
-			c.zones = append(c.zones, zone{v, v})
-		} else {
-			z := &c.zones[len(c.zones)-1]
-			z.min, z.max = min(z.min, v), max(z.max, v)
-		}
-		if len(c.tail) == cap(c.tail) {
-			// Double, but never past the block the tail is sealed at.
-			grown := make([]int64, len(c.tail), min(max(2*cap(c.tail), minTailCap), BlockSize))
-			copy(grown, c.tail)
-			c.tail = grown
-		}
-		c.tail = append(c.tail, v)
+	c.fold(lo, hi, fresh)
+	c.grow(len(vals))
+	c.tail = append(c.tail, vals...)
+}
+
+// fold widens the open block's zone to [lo, hi], opening it when fresh.
+func (c *column) fold(lo, hi int64, fresh bool) {
+	if fresh {
+		c.zones = append(c.zones, zone{lo, hi})
 	}
-	t.rows++
-	if t.rows%BlockSize == 0 || t.rows == t.sealAt {
-		for i := range t.cols {
-			c := &t.cols[i]
-			c.seal()
-			if t.rows == t.sealAt {
-				c.tail = nil
-			}
+	z := &c.zones[len(c.zones)-1]
+	z.min, z.max = min(z.min, lo), max(z.max, hi)
+}
+
+// grow makes room in the tail for k more rows by doubling it, never past
+// BlockSize, so that its capacity does not depend on how the rows were
+// split into stretches.
+func (c *column) grow(k int) {
+	if size := cap(c.tail); len(c.tail)+k > size {
+		for size < len(c.tail)+k {
+			size = min(max(2*size, minTailCap), BlockSize)
 		}
+		c.tail = append(make([]int64, 0, size), c.tail...)
 	}
 }
 
@@ -574,9 +633,10 @@ func (t *Table) BuildSummary() *TableSummary {
 		Columns:   make([]ColumnSummary, 0, n),
 	}
 	// One decoded copy and one radix-sort buffer serve every indexed column
-	// in turn: the build sorts its input in place and keeps neither, and
-	// the stored blocks are not []int64 to begin with. The buffer is
-	// allocated by the first column long enough to radix-sort.
+	// in turn: the build counts its input, sorts it in place if it has
+	// too many distinct values, and keeps neither, and the stored blocks
+	// are not []int64 to begin with. The buffer is allocated by the first
+	// column long enough to radix-sort.
 	vals := make([]int64, 0, t.rows)
 	var scratch []int64
 	for i, col := range t.schema.Columns {
