@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/avail"
+	"repro/internal/ids"
 	"repro/internal/relq"
 )
 
@@ -164,7 +165,7 @@ func drawFlow(rng *rand.Rand, prof *endsystemProfile, ts int64) [flowColumns]int
 // well-known local ports); the rest are workstations (ephemeral local
 // ports, working-hours activity).
 func Generate(cfg Config, i int) *Dataset {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9e3779b97f4a7c ^ 0xa4e04e))
+	rng := rand.New(ids.NewSource(cfg.Seed ^ int64(i)*0x9e3779b97f4a7c ^ 0xa4e04e))
 	prof := profileFor(rng, i)
 
 	// The exact row count is known before the first row, so the table is
@@ -214,7 +215,7 @@ type Streamer struct {
 
 // NewStreamer creates the streamer for endsystem i.
 func NewStreamer(cfg Config, i int) *Streamer {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9e3779b97f4a7c ^ 0x57e4))
+	rng := rand.New(ids.NewSource(cfg.Seed ^ int64(i)*0x9e3779b97f4a7c ^ 0x57e4))
 	return &Streamer{cfg: cfg, rng: rng, prof: profileFor(rng, i)}
 }
 
@@ -296,16 +297,12 @@ func poisson(rng *rand.Rand, lambda float64) int {
 	}
 	l := math.Exp(-lambda)
 	k, p := 0, 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-		if k > 10000 {
+	for ; k <= 10000; k++ {
+		if p *= rng.Float64(); p <= l {
 			return k
 		}
 	}
+	return k
 }
 
 // sampleApp draws an application index from the weighted mix.

@@ -3,6 +3,8 @@ package avail
 import (
 	"math/rand"
 	"time"
+
+	"repro/internal/ids"
 )
 
 // FarsiteConfig parameterizes the synthetic enterprise-desktop availability
@@ -57,10 +59,11 @@ func DefaultFarsiteConfig(numEndsystems int, horizon time.Duration, seed int64) 
 // same config (including seed) always yields the same trace.
 func GenerateFarsite(cfg FarsiteConfig) *Trace {
 	tr := &Trace{Horizon: cfg.Horizon, Profiles: make([]*Profile, cfg.NumEndsystems)}
+	// Each endsystem gets its own deterministic stream (one source, re-seeded
+	// in place), so its trace does not depend on how many others exist.
+	sub := rand.New(new(ids.Source))
 	for i := range tr.Profiles {
-		// Each endsystem gets its own deterministic stream so the trace
-		// for endsystem i does not depend on how many others exist.
-		sub := rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9e3779b97f4a7c ^ 0x5ea3eed))
+		sub.Seed(cfg.Seed ^ int64(i)*0x9e3779b97f4a7c ^ 0x5ea3eed)
 		if sub.Float64() < alwaysOnFraction {
 			tr.Profiles[i] = generateServer(cfg, sub)
 		} else {
@@ -76,11 +79,7 @@ func generateServer(cfg FarsiteConfig, rng *rand.Rand) *Profile {
 	cursor := time.Duration(0)
 	for cursor < cfg.Horizon {
 		// Up until the next failure.
-		up := expDuration(rng, serverMTBF)
-		end := cursor + up
-		if end > cfg.Horizon {
-			end = cfg.Horizon
-		}
+		end := min(cursor+expDuration(rng, serverMTBF), cfg.Horizon)
 		p.Up = append(p.Up, Interval{Start: cursor, End: end})
 		cursor = end + expDuration(rng, serverMeanOutage)
 	}

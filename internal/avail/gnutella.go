@@ -3,6 +3,8 @@ package avail
 import (
 	"math/rand"
 	"time"
+
+	"repro/internal/ids"
 )
 
 // GnutellaConfig parameterizes the synthetic high-churn availability
@@ -41,8 +43,9 @@ func DefaultGnutellaConfig(numEndsystems int, horizon time.Duration, seed int64)
 func GenerateGnutella(cfg GnutellaConfig) *Trace {
 	tr := &Trace{Horizon: cfg.Horizon, Profiles: make([]*Profile, cfg.NumEndsystems)}
 	pUp := float64(gnutellaMeanSession) / float64(gnutellaMeanSession+gnutellaMeanDowntime)
+	rng := rand.New(new(ids.Source)) // re-seeded in place per endsystem
 	for i := range tr.Profiles {
-		rng := rand.New(rand.NewSource(cfg.Seed ^ int64(i)*0x9e3779b97f4a7c ^ 0x6e47e11a))
+		rng.Seed(cfg.Seed ^ int64(i)*0x9e3779b97f4a7c ^ 0x6e47e11a)
 		p := &Profile{}
 		cursor := time.Duration(0)
 		// Random initial phase: by the memorylessness of the exponential,
@@ -51,10 +54,7 @@ func GenerateGnutella(cfg GnutellaConfig) *Trace {
 		up := rng.Float64() < pUp
 		for cursor < cfg.Horizon {
 			if up {
-				end := cursor + expDuration(rng, gnutellaMeanSession)
-				if end > cfg.Horizon {
-					end = cfg.Horizon
-				}
+				end := min(cursor+expDuration(rng, gnutellaMeanSession), cfg.Horizon)
 				p.Up = append(p.Up, Interval{Start: cursor, End: end})
 				cursor = end
 			} else {

@@ -133,7 +133,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		})
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(ids.NewSource(cfg.Seed))
 	idList := ids.RandomN(rng, n)
 	if cfg.Coords.Enabled {
 		// The engines read the space from the ring. The id assignment

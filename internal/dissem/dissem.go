@@ -883,7 +883,7 @@ func (e *Engine) attemptTimeout(attempt int, prev time.Duration) time.Duration {
 // random returns the reissue stream, seeding it on first use.
 func (e *Engine) random() *rand.Rand {
 	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.cfg.Seed))
+		e.rng = rand.New(ids.NewSource(e.cfg.Seed))
 	}
 	return e.rng
 }

@@ -45,25 +45,25 @@ const (
 var maxPackageLines = map[string]int{
 	"internal/agg":         182,
 	"internal/aggtree":     1585,
-	"internal/anemone":     338,
-	"internal/avail":       784,
+	"internal/anemone":     335,
+	"internal/avail":       783,
 	"internal/coords":      473,
 	"internal/core":        1613,
 	"internal/dissem":      1060,
 	"internal/experiments": 1819,
-	"internal/fault":       1010,
+	"internal/fault":       1008,
 	"internal/histogram":   672,
-	"internal/ids":         445,
+	"internal/ids":         535,
 	"internal/metadata":    489,
 	"internal/model":       209,
 	"internal/obs":         1135,
 	"internal/obs/causal":  352,
 	"internal/pastry":      1402,
 	"internal/predictor":   419,
-	"internal/qserve":      826,
+	"internal/qserve":      820,
 	"internal/relq":        2155,
 	"internal/runner":      165,
-	"internal/simnet":      1404,
+	"internal/simnet":      1400,
 	"seaweed":              203,
 }
 
@@ -106,7 +106,8 @@ var (
 // test that exists, stays at or under its maxPackageLines ceiling, and,
 // unless it is the facade, is imported by non-test code outside it — so a
 // package has to name what needs it. DESIGN.md stays at or under
-// maxDesignLines.
+// maxDesignLines. Non-test code under internal/ seeds its random streams
+// with ids.NewSource: only internal/ids calls math/rand's NewSource.
 func TestConfigCensus(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -115,7 +116,11 @@ func TestConfigCensus(t *testing.T) {
 	if n := bytes.Count(design, []byte("\n")); n > maxDesignLines {
 		t.Errorf("DESIGN.md has %d lines, ceiling %d: shrink it, or raise the ceiling and say why in CHANGES.md", n, maxDesignLines)
 	}
-	checkPackages(t, designSection(t, design, "Package census"), scanModule(t))
+	m := scanModule(t)
+	checkPackages(t, designSection(t, design, "Package census"), m)
+	for _, at := range m.slowSeeds {
+		t.Errorf("%s calls math/rand's NewSource: seed with ids.NewSource, the same stream without the serial seeding", at)
+	}
 	section := designSection(t, design, "Configuration surface")
 
 	rows := map[string]string{} // "pkg.Struct.Field" -> the row's "set by" cell
@@ -259,6 +264,9 @@ type module struct {
 	lines    map[string]int  // package dir, relative to the root -> non-test lines
 	imported map[string]bool // "internal/x" -> non-test code outside it imports it
 	tests    map[string]bool // every Test function of every _test.go file
+	// slowSeeds are the math/rand NewSource calls of non-test code under
+	// internal/ outside internal/ids, as file:line.
+	slowSeeds []string
 }
 
 // testFunc matches a test function declaration.
@@ -295,9 +303,15 @@ func scanModule(t *testing.T) module {
 		dir, _ := filepath.Rel("../..", filepath.Dir(path))
 		dir = filepath.ToSlash(dir)
 		m.lines[dir] += bytes.Count(src, []byte("\n"))
-		f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.ImportsOnly)
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, src, 0)
 		if err != nil {
 			return err
+		}
+		if strings.HasPrefix(dir, "internal/") && dir != "internal/ids" {
+			for _, pos := range newSourceCalls(f) {
+				m.slowSeeds = append(m.slowSeeds, fset.Position(pos).String())
+			}
 		}
 		for _, imp := range f.Imports {
 			if p, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "repro/"); ok && p != dir {
@@ -310,6 +324,33 @@ func scanModule(t *testing.T) module {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// newSourceCalls returns where f calls math/rand's NewSource, under
+// whatever name f imports the package.
+func newSourceCalls(f *ast.File) []token.Pos {
+	name := ""
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"math/rand"` {
+			name = "rand"
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+		}
+	}
+	if name == "" {
+		return nil
+	}
+	var out []token.Pos
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewSource" {
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == name {
+				out = append(out, sel.Pos())
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // docTestName matches a test name a document cites.

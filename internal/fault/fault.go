@@ -27,6 +27,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/simnet"
@@ -196,9 +197,9 @@ func NewInjector(net *simnet.Network, scenario Scenario, seed int64) *Injector {
 		net:        net,
 		topo:       net.Topology(),
 		scenario:   scenario,
-		rngGE:      rand.New(rand.NewSource(runner.SplitSeed(seed, streamGE))),
-		rngJitter:  rand.New(rand.NewSource(runner.SplitSeed(seed, streamJitter))),
-		rngDup:     rand.New(rand.NewSource(runner.SplitSeed(seed, streamDup))),
+		rngGE:      rand.New(ids.NewSource(runner.SplitSeed(seed, streamGE))),
+		rngJitter:  rand.New(ids.NewSource(runner.SplitSeed(seed, streamJitter))),
+		rngDup:     rand.New(ids.NewSource(runner.SplitSeed(seed, streamDup))),
 		cut:        make(map[int]bool),
 		jitters:    make(map[int]time.Duration),
 		spikes:     make(map[int]time.Duration),
@@ -429,10 +430,7 @@ func (inj *Injector) armFlip(g *geState) {
 	if mean <= 0 {
 		mean = 10 * time.Second
 	}
-	d := time.Duration(inj.rngGE.ExpFloat64() * float64(mean))
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
+	d := max(time.Duration(inj.rngGE.ExpFloat64()*float64(mean)), time.Millisecond)
 	g.flip = inj.sched.After(d, func() {
 		g.bad = !g.bad
 		inj.armFlip(g)

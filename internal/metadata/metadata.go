@@ -129,7 +129,7 @@ type Service struct {
 	cfg  Config
 	node *pastry.Node
 	// seed and phases stand for the push-phase stream: the k-th Activate
-	// takes the k-th Int63n(PushPeriod) of rand.NewSource(seed). A seeded
+	// takes the k-th Int63n(PushPeriod) of ids.NewSource(seed). A seeded
 	// source is 4.9 KB and draws come a few per uptime, so the source is
 	// rebuilt per draw rather than held.
 	seed   int64
@@ -234,7 +234,7 @@ func (s *Service) Activate() {
 // draws before it: PushPeriod is fixed, so each is the same Int63n call.
 func (s *Service) nextPhase() time.Duration {
 	period := int64(s.cfg.PushPeriod)
-	rng := rand.New(rand.NewSource(s.seed))
+	rng := rand.New(ids.NewSource(s.seed))
 	for range s.phases {
 		rng.Int63n(period)
 	}

@@ -144,7 +144,7 @@ func NewRing(net *simnet.Network, cfg Config) *Ring {
 	r := &Ring{
 		net:   net,
 		sched: net.Scheduler(),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   rand.New(ids.NewSource(cfg.Seed)),
 		nodes: make([]*Node, net.NumEndpoints()),
 
 		o:           o,

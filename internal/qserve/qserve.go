@@ -226,14 +226,7 @@ func (s *Service) pickInjector(pick int64) (simnet.Endpoint, bool) {
 // replicates, so admission needs no extra protocol.
 func (s *Service) estimateCost(injector simnet.Endpoint, q *relq.Query) int {
 	estRows := s.c.Nodes[injector].EstimateOwnRows(q) * float64(len(s.c.Nodes))
-	cost := int(math.Round(estRows / s.rowsPerUnit))
-	if cost < 1 {
-		cost = 1
-	}
-	if cost > maxCost {
-		cost = maxCost
-	}
-	return cost
+	return min(max(int(math.Round(estRows/s.rowsPerUnit)), 1), maxCost)
 }
 
 // queuedWork is the queue's total pipe occupancy demand in unit-seconds.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/ids"
 	"repro/internal/runner"
 )
 
@@ -174,7 +175,7 @@ func (w Workload) Arrivals(seed int64) []Arrival {
 		}
 		meanGap := time.Duration(float64(load.Clients) / load.PerHour * float64(time.Hour))
 		for client := 0; client < load.Clients; client++ {
-			rng := rand.New(rand.NewSource(runner.SplitSeed(seed, int64(li)<<20|int64(client))))
+			rng := rand.New(ids.NewSource(runner.SplitSeed(seed, int64(li)<<20|int64(client))))
 			at := w.Start
 			for seq := 0; ; seq++ {
 				gap := time.Duration(rng.ExpFloat64() * float64(meanGap))

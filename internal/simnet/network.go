@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/runner"
 )
@@ -147,7 +148,7 @@ func NewNetwork(sched *Wheel, topo *Topology, numEndpoints int, cfg NetworkConfi
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 4 * 7 * 24 * time.Hour
 	}
-	attachRng := rand.New(rand.NewSource(runner.SplitSeed(cfg.Seed, rngStreamAttach)))
+	attachRng := rand.New(ids.NewSource(runner.SplitSeed(cfg.Seed, rngStreamAttach)))
 	router := make([]int, numEndpoints)
 	for i := range router {
 		router[i] = attachRng.Intn(topo.NumRouters())
@@ -156,7 +157,7 @@ func NewNetwork(sched *Wheel, topo *Topology, numEndpoints int, cfg NetworkConfi
 		sched:    sched,
 		topo:     topo,
 		cfg:      cfg,
-		lossRng:  rand.New(rand.NewSource(runner.SplitSeed(cfg.Seed, rngStreamLoss))),
+		lossRng:  rand.New(ids.NewSource(runner.SplitSeed(cfg.Seed, rngStreamLoss))),
 		router:   router,
 		handlers: make([]Handler, numEndpoints),
 		stats:    newStats(numEndpoints, cfg),

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"repro/internal/ids"
 )
 
 // Topology is a router-level network map with an all-pairs round-trip-time
@@ -58,27 +60,29 @@ func DefaultTopologyConfig() TopologyConfig {
 // GenerateTopology builds a synthetic hierarchical router topology and
 // computes the all-pairs shortest-path RTT matrix. The same seed always
 // yields the same topology.
+//
+// Only the backbone (core and hub routers, 42 by default) runs
+// Floyd–Warshall: a leaf router's one link, to its home, starts all its
+// paths, so its row is that link plus its home's row — the matrix
+// Floyd–Warshall over all n routers gives, cell for cell.
 func GenerateTopology(cfg TopologyConfig, seed int64) *Topology {
 	if cfg.totalRouters <= 0 {
 		cfg = DefaultTopologyConfig()
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(ids.NewSource(seed))
 	n := cfg.totalRouters
-	core := cfg.coreRouters
-	if core > n {
-		core = n
-	}
-	hubs := core * cfg.hubsPerCore
-	if core+hubs > n {
-		hubs = n - core
-	}
+	core := min(cfg.coreRouters, n)
+	hubs := min(core*cfg.hubsPerCore, n-core)
+	// Routers [0, nb) are the backbone; with no core router, router 0 is
+	// every other router's home.
+	nb := max(core+hubs, 1)
 
 	const inf = time.Duration(1<<62 - 1)
 	dist := make([]time.Duration, n*n)
-	for i := range dist {
-		dist[i] = inf
-	}
-	for i := 0; i < n; i++ {
+	for i := range nb {
+		for j := range nb {
+			dist[i*n+j] = inf
+		}
 		dist[i*n+i] = 0
 	}
 	link := func(a, b int, rtt time.Duration) {
@@ -102,19 +106,16 @@ func GenerateTopology(cfg TopologyConfig, seed int64) *Topology {
 	}
 	// Hubs: router indices [core, core+hubs), each homed on a core router.
 	for h := 0; h < hubs; h++ {
-		r := core + h
-		parent := h % max(core, 1)
-		link(r, parent, randRTT(cfg.hubRTTMin, cfg.hubRTTMax))
+		link(core+h, h%core, randRTT(cfg.hubRTTMin, cfg.hubRTTMax))
 	}
 	// Leaves: remaining routers, each homed on a hub (or core if no hubs).
+	// Their uplinks join the matrix after the backbone's shortest paths.
+	uplink, home := make([]time.Duration, n), make([]int, n)
 	for l := core + hubs; l < n; l++ {
-		var parent int
-		if hubs > 0 {
-			parent = core + (l-core-hubs)%hubs
-		} else {
-			parent = (l - core) % max(core, 1)
+		uplink[l] = randRTT(cfg.leafRTTMin, cfg.leafRTTMax)
+		if home[l] = (l - core) % max(core, 1); hubs > 0 {
+			home[l] = core + (l-core-hubs)%hubs
 		}
-		link(l, parent, randRTT(cfg.leafRTTMin, cfg.leafRTTMax))
 	}
 	// Random hub-hub shortcuts for path diversity.
 	for i := 0; i < cfg.extraCrossLink && hubs >= 2; i++ {
@@ -130,40 +131,41 @@ func GenerateTopology(cfg TopologyConfig, seed int64) *Topology {
 	// uplink outage — cutting it partitions every endsystem attached to a
 	// router in the subtree from the rest of the network.
 	region := make([]int, n)
-	if core > 0 {
-		for h := 0; h < hubs; h++ {
-			region[core+h] = h % core
-		}
-		for l := core + hubs; l < n; l++ {
-			if hubs > 0 {
-				region[l] = region[core+(l-core-hubs)%hubs]
-			} else {
-				region[l] = (l - core) % core
-			}
-		}
-		for i := 0; i < core; i++ {
-			region[i] = i
-		}
+	for i := range core {
+		region[i] = i
+	}
+	for h := range hubs {
+		region[core+h] = h % core
+	}
+	for l := nb; l < n; l++ {
+		region[l] = region[home[l]]
 	}
 
-	// Floyd–Warshall all-pairs shortest paths. 298^3 ≈ 2.6e7 steps: cheap.
-	for k := 0; k < n; k++ {
-		rowK := dist[k*n : (k+1)*n]
-		for i := 0; i < n; i++ {
-			dik := dist[i*n+k]
-			if dik == inf {
-				continue
-			}
-			rowI := dist[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				if rowK[j] == inf {
-					continue
-				}
-				if d := dik + rowK[j]; d < rowI[j] {
-					rowI[j] = d
-				}
+	// Floyd–Warshall over the backbone block of the matrix (42³ steps by
+	// default), then each backbone row's leaf columns and each leaf's row.
+	// No cell exceeds inf and no sum of two overflows, so a sum with inf
+	// never undercuts a cell: the loop needs no guard.
+	for k := range nb {
+		rowK := dist[k*n : k*n+nb]
+		for i := range nb {
+			dik, rowI := dist[i*n+k], dist[i*n:i*n+nb]
+			for j, dkj := range rowK {
+				rowI[j] = min(rowI[j], dik+dkj)
 			}
 		}
+	}
+	for b := range nb {
+		row := dist[b*n : (b+1)*n]
+		for l := nb; l < n; l++ {
+			row[l] = uplink[l] + row[home[l]]
+		}
+	}
+	for l := nb; l < n; l++ {
+		row, homeRow := dist[l*n:(l+1)*n], dist[home[l]*n:(home[l]+1)*n]
+		for j, d := range homeRow {
+			row[j] = uplink[l] + d
+		}
+		row[l] = 0
 	}
 
 	return &Topology{numRouters: n, rtt: dist, lanDelay: cfg.lanDelay, region: region, numRegions: max(core, 1)}
@@ -229,11 +231,4 @@ func (t *Topology) RouterRTT(a, b int) time.Duration {
 // same router still pay the two LAN hops.
 func (t *Topology) OneWayDelay(a, b int) time.Duration {
 	return 2*t.lanDelay + t.RouterRTT(a, b)/2
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
