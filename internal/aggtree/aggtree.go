@@ -549,7 +549,7 @@ func (e *Engine) EntryVertex(qid ids.ID) (ids.ID, bool) {
 // submitMsg carries a child contribution to a vertex; routed by key, so it
 // always reaches the vertex's current primary. Submissions are pooled: one
 // only travels through pastry.Node.Route, which delivers it synchronously
-// or inside a hop wrapper the duplication fault never copies, so it
+// or inside a route envelope the duplication fault never copies, so it
 // reaches applySubmit at most once and goes back to the pool when that
 // returns (applyAndRecycle); one the network drops is simply garbage. The
 // pool is package-level (clusters in parallel sweep runs share it), so it
@@ -718,7 +718,6 @@ func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector si
 // schedule for its own version by cancelling the timer armed before it.
 func (e *Engine) armResubmit(st *queryState, attempt int, span uint64) {
 	st.resubmit.Cancel()
-	st.resubmit = simnet.Timer{}
 	if e.cfg.DisableRepair || st.acked == st.own.Version {
 		return
 	}
@@ -728,7 +727,6 @@ func (e *Engine) armResubmit(st *queryState, attempt int, span uint64) {
 	}
 	node := e.host.PastryNode()
 	st.resubmit = node.Sched().After(delay, func() {
-		st.resubmit = simnet.Timer{}
 		if !node.Alive() || e.expired(st) {
 			return
 		}
@@ -925,7 +923,6 @@ func (e *Engine) applyAck(from simnet.Endpoint, m *ackMsg) {
 	}
 	st.acked, st.ackedBy = m.Version, int32(from)
 	st.resubmit.Cancel()
-	st.resubmit = simnet.Timer{}
 }
 
 // applyRepl installs replicated vertex state at a backup. Versions protect
@@ -981,7 +978,7 @@ func (e *Engine) applyRepl(m *replMsg) {
 		// Not this node's vertex (anymore): only primaries re-assert and
 		// replicate.
 		e.clearHedge(v)
-		v.cancelFlush()
+		v.flush.Cancel()
 		v.primary = false
 	}
 }
@@ -1023,7 +1020,7 @@ func (e *Engine) propagate(v *vertexState) {
 // when their leafset names another root (reassertMovedEntries), interior
 // children on their safety pass.
 func (e *Engine) replicateDelta(v *vertexState, child ids.ID) {
-	if v.flush != (simnet.Timer{}) {
+	if _, armed := v.flush.When(); armed {
 		return
 	}
 	node := e.host.PastryNode()
@@ -1046,17 +1043,9 @@ func (e *Engine) replicateDelta(v *vertexState, child ids.ID) {
 // flushFired sends the table a change armed the flush for, unless the
 // vertex has lost the primary role or its query has ended since.
 func (e *Engine) flushFired(v *vertexState) {
-	v.flush = simnet.Timer{}
 	if e.host.PastryNode().Alive() && v.primary && !e.expired(v.q) {
 		e.replicateToBackups(v)
 	}
-}
-
-// cancelFlush drops a pending table flush: the vertex is leaving its
-// record or the primary role, or its table has just gone out in full.
-func (v *vertexState) cancelFlush() {
-	v.flush.Cancel()
-	v.flush = simnet.Timer{}
 }
 
 // sendToBackups sends one replication message to each of the m leafset
@@ -1105,15 +1094,8 @@ func (e *Engine) forwardUp(v *vertexState) {
 // result lives in the engine's scratch buffer: callers walk it at once
 // and keep nothing.
 func (e *Engine) backupSet(vertex ids.ID) []pastry.NodeRef {
-	cands := append(e.backups[:0], e.host.PastryNode().LeafsetView()...)
-	e.backups = cands
-	slices.SortFunc(cands, func(a, b pastry.NodeRef) int {
-		return vertex.AbsDistance(a.ID).Cmp(vertex.AbsDistance(b.ID))
-	})
-	if len(cands) > e.cfg.Backups {
-		cands = cands[:e.cfg.Backups]
-	}
-	return cands
+	e.backups = e.host.PastryNode().AppendClosest(e.backups[:0], vertex, e.cfg.Backups, false)
+	return e.backups
 }
 
 // armRefresh starts the vertex's refresh chain. Its ticks fall every
@@ -1284,7 +1266,7 @@ func (e *Engine) HandleLeafsetChanged() {
 			// and the new root is not one of its backups, this is the
 			// only path by which the state reaches it.
 			e.clearHedge(v)
-			v.cancelFlush()
+			v.flush.Cancel()
 			v.primary = false
 			e.pushStateToRoot(v)
 		default: // primary && isRoot
@@ -1343,7 +1325,7 @@ func (e *Engine) replicateState(v *vertexState) {
 // backups, which takes the place of a pending flush and opens a new
 // replication window.
 func (e *Engine) replicateToBackups(v *vertexState) {
-	v.cancelFlush()
+	v.flush.Cancel()
 	v.timers.replQuiet = e.host.PastryNode().Sched().Now() + replWindow
 	e.sendToBackups(v, e.tableMsg(v))
 }

@@ -13,11 +13,7 @@
 // wheel, so runs with it on stay byte-deterministic per seed.
 package aggtree
 
-import (
-	"time"
-
-	"repro/internal/simnet"
-)
+import "time"
 
 // reassertBase is the first rung of the ladder; rung n fires
 // reassertBase << n after the forward it protects.
@@ -32,15 +28,11 @@ const reassertMax = 5
 // retransmitted.
 func (e *Engine) armReassert(v *vertexState) {
 	v.reassert.Cancel()
-	v.reassert = simnet.Timer{}
 	if !e.cfg.Reassert || v.reassertN >= reassertMax {
 		return
 	}
 	delay := reassertBase << uint(v.reassertN)
-	v.reassert = e.host.PastryNode().Sched().After(delay, func() {
-		v.reassert = simnet.Timer{}
-		e.reassertFire(v)
-	})
+	v.reassert = e.host.PastryNode().Sched().After(delay, func() { e.reassertFire(v) })
 }
 
 // reassertFire retransmits the vertex's last forward up the tree. forwardUp
@@ -63,7 +55,6 @@ func (e *Engine) reassertFire(v *vertexState) {
 // cleanup here is what the no-leaked-timers tests assert.
 func (e *Engine) clearHedge(v *vertexState) {
 	v.reassert.Cancel()
-	v.reassert = simnet.Timer{}
 	v.reassertN = 0
 }
 
@@ -71,13 +62,13 @@ func (e *Engine) clearHedge(v *vertexState) {
 // across every vertex this engine hosts (test instrumentation for the
 // no-leak invariants).
 func (e *Engine) HedgeTimers() int {
-	return e.countVertices(func(v *vertexState) bool { return v.reassert != (simnet.Timer{}) })
+	return e.countVertices(func(v *vertexState) bool { _, armed := v.reassert.When(); return armed })
 }
 
 // FlushTimers reports how many coalesced-replication flushes are pending
 // across every vertex this engine hosts (test instrumentation, as above).
 func (e *Engine) FlushTimers() int {
-	return e.countVertices(func(v *vertexState) bool { return v.flush != (simnet.Timer{}) })
+	return e.countVertices(func(v *vertexState) bool { _, armed := v.flush.When(); return armed })
 }
 
 func (e *Engine) countVertices(pred func(*vertexState) bool) int {
@@ -101,7 +92,10 @@ func (e *Engine) countVertices(pred func(*vertexState) bool) int {
 func (e *Engine) ResubmitTimers() int {
 	n := 0
 	for _, st := range e.queries {
-		if st != nil && st.resubmit != (simnet.Timer{}) {
+		if st == nil {
+			continue
+		}
+		if _, armed := st.resubmit.When(); armed {
 			n++
 		}
 	}

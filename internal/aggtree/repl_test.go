@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/ids"
-	"repro/internal/simnet"
 )
 
 // update has host i replace its contribution with rows rows of value 1.
@@ -76,7 +75,7 @@ func TestReplicationCoalesced(t *testing.T) {
 		r.run(100 * time.Millisecond)
 	}
 	v := r.hostedVertex(t, primary, entry)
-	if v.flush == (simnet.Timer{}) {
+	if _, armed := v.flush.When(); !armed {
 		t.Fatalf("no flush pending at the vertex after %d updates in %v", k, k*100*time.Millisecond)
 	}
 	r.run(2 * time.Second)
@@ -167,7 +166,7 @@ func TestPrimaryCrashInsideReplicationWindow(t *testing.T) {
 		if st.own.Version != 3 || st.acked != 3 || r.hosts[st.ackedBy] != primary {
 			t.Fatalf("the leaf is at version %d, acknowledged to %d; want 3 and 3, by the primary", st.own.Version, st.acked)
 		}
-		if r.hostedVertex(t, primary, entry).flush == (simnet.Timer{}) {
+		if _, armed := r.hostedVertex(t, primary, entry).flush.When(); !armed {
 			t.Fatal("no flush pending at the vertex")
 		}
 		return

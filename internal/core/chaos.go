@@ -261,7 +261,7 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 		}
 		liveAtEnd++
 		id := node.pn.ID()
-		replicas := node.pn.ReplicaSet(metadata.K)
+		replicas := node.pn.AppendClosest(nil, id, metadata.K, false)
 		if len(replicas) == 0 {
 			continue
 		}

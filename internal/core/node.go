@@ -316,7 +316,7 @@ func (n *Node) pullFromNewNeighbors() {
 	if !n.pn.Alive() {
 		return
 	}
-	leaf := n.pn.Leafset()
+	leaf := n.pn.LeafsetView()
 	sent := 0
 	for _, m := range leaf {
 		if !n.prevLeaf[m.EP] && sent < 3 {
@@ -405,7 +405,7 @@ func (n *Node) onReady() {
 	// Seaweed receives a list of currently active queries"). Asking three
 	// keeps the handoff reliable under heavy churn, when a single
 	// neighbor may itself have just joined.
-	leaf := n.pn.Leafset()
+	leaf := n.pn.LeafsetView()
 	for i := 0; i < 3 && i < len(leaf); i++ {
 		n.pn.Ring().Network().Send(n.pn.Endpoint(), leaf[i].EP, ids.Bytes+8,
 			simnet.ClassQuery, &queryListPull{From: n.pn.Endpoint()})
@@ -421,11 +421,10 @@ func (n *Node) GoDown() {
 	}
 	n.downAt = n.now()
 	n.everDown = true
-	if n.feedTimer != (simnet.Timer{}) {
+	if _, armed := n.feedTimer.When(); armed {
 		// Flush the rows produced since the last tick, then stop.
 		n.feedTick()
 		n.feedTimer.Cancel()
-		n.feedTimer = simnet.Timer{}
 	}
 	for _, t := range n.contTimers {
 		t.Cancel()

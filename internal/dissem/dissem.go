@@ -345,8 +345,8 @@ type queryHdr struct {
 // inclusive namespace range [Lo, Hi].
 //
 // A range message reaches a handler at most once: it only travels through
-// pastry.Node.Route, which delivers it synchronously or inside a hop
-// wrapper the duplication fault never copies (simnet.SingleDelivery), and
+// pastry.Node.Route, which delivers it synchronously or inside a route
+// envelope the duplication fault never copies (simnet.SingleDelivery), and
 // one the network drops is simply garbage. So HandleMessage recycles it
 // onto its header's free list once the range task has copied it out.
 type rangeMsg struct {

@@ -44,23 +44,23 @@ const (
 // one takes an edit here and a CHANGES.md line saying why.
 var maxPackageLines = map[string]int{
 	"internal/agg":         182,
-	"internal/aggtree":     1585,
+	"internal/aggtree":     1561,
 	"internal/anemone":     335,
 	"internal/avail":       783,
 	"internal/coords":      473,
-	"internal/core":        1613,
+	"internal/core":        1612,
 	"internal/dissem":      1060,
 	"internal/experiments": 1819,
-	"internal/fault":       1008,
+	"internal/fault":       1007,
 	"internal/histogram":   672,
 	"internal/ids":         535,
-	"internal/metadata":    489,
+	"internal/metadata":    477,
 	"internal/model":       209,
 	"internal/obs":         1135,
 	"internal/obs/causal":  352,
-	"internal/pastry":      1402,
+	"internal/pastry":      1356,
 	"internal/predictor":   419,
-	"internal/qserve":      820,
+	"internal/qserve":      819,
 	"internal/relq":        2155,
 	"internal/runner":      165,
 	"internal/simnet":      1400,

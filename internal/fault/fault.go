@@ -236,7 +236,6 @@ func (inj *Injector) Start() {
 	}
 	inj.started = true
 	for i := range inj.scenario.Injections {
-		i := i
 		in := inj.scenario.Injections[i]
 		inj.sched.At(in.At, func() { inj.activate(i) })
 		if in.Duration > 0 {

@@ -209,7 +209,7 @@ func (s *Service) Activate() {
 	// first push of each member is a full one.
 	clear(s.sentGen)
 	s.prevLeaf = make(map[ids.ID]pastry.NodeRef)
-	for _, m := range s.node.Leafset() {
+	for _, m := range s.node.LeafsetView() {
 		s.prevLeaf[m.ID] = m
 	}
 	s.pushOwn()
@@ -248,7 +248,6 @@ func (s *Service) nextPhase() time.Duration {
 // persisted store, per the paper's persistent replica-set state.
 func (s *Service) Deactivate() {
 	s.ticker.Cancel()
-	s.ticker = simnet.Timer{}
 }
 
 // pushOwn replicates this endsystem's metadata to its replica set: in full
@@ -266,7 +265,7 @@ func (s *Service) pushOwn() {
 	if s.o.Detail() {
 		s.o.EmitDetail(obs.Event{Kind: obs.KindMetaPush, EP: int(s.node.Endpoint())})
 	}
-	s.scratch = s.node.AppendReplicaSet(s.scratch[:0], K)
+	s.scratch = s.node.AppendClosest(s.scratch[:0], s.node.ID(), K, false)
 	for _, m := range s.scratch {
 		s.cPushes.Inc()
 		if s.sentGen[m.ID] == rec.Gen {
@@ -374,7 +373,7 @@ func (s *Service) insert(rec *Record) {
 func (s *Service) HandleLeafsetChanged() {
 	now := s.node.Sched().Now()
 	cur := make(map[ids.ID]pastry.NodeRef)
-	for _, m := range s.node.Leafset() {
+	for _, m := range s.node.LeafsetView() {
 		cur[m.ID] = m
 	}
 	var added []pastry.NodeRef
@@ -397,11 +396,12 @@ func (s *Service) HandleLeafsetChanged() {
 	}
 	s.prevLeaf = cur
 
-	// One candidate buffer serves every replica-set computation below.
+	// One candidate buffer serves every replica-set computation below,
+	// each from local knowledge: leafset ∪ self.
 	buf := make([]pastry.NodeRef, 0, len(s.node.LeafsetView())+1)
 	if len(added) > 0 {
 		for _, rec := range s.sortedRecords() {
-			buf = s.localReplicaSet(buf, rec.Subject, K)
+			buf = s.node.AppendClosest(buf[:0], rec.Subject, K, true)
 			for _, a := range added {
 				if containsNode(buf, a.ID) {
 					s.cRerepl.Inc()
@@ -414,7 +414,7 @@ func (s *Service) HandleLeafsetChanged() {
 			}
 		}
 		if s.own != nil && s.node.Alive() {
-			buf = s.localReplicaSet(buf, s.own.Subject, K)
+			buf = s.node.AppendClosest(buf[:0], s.own.Subject, K, true)
 			for _, a := range added {
 				if containsNode(buf, a.ID) {
 					s.sendOwn(a, s.own)
@@ -426,7 +426,7 @@ func (s *Service) HandleLeafsetChanged() {
 	// Eviction: drop records whose replica neighborhood has drifted far
 	// from this node.
 	for id := range s.store {
-		if buf = s.localReplicaSet(buf, id, evictSlack*K); !containsNode(buf, s.node.ID()) {
+		if buf = s.node.AppendClosest(buf[:0], id, evictSlack*K, true); !containsNode(buf, s.node.ID()) {
 			delete(s.store, id)
 			s.cEvictions.Inc()
 		}
@@ -443,18 +443,6 @@ func (s *Service) sortedRecords() []*Record {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Subject.Less(out[j].Subject) })
 	return out
-}
-
-// localReplicaSet computes, from local knowledge (leafset ∪ self), the k
-// nodes closest to subject, into buf's storage. The candidates are laid
-// out in leafset order, then self, before every sort, so nodes equally
-// far from subject keep one order from call to call.
-func (s *Service) localReplicaSet(buf []pastry.NodeRef, subject ids.ID, k int) []pastry.NodeRef {
-	cands := append(append(buf[:0], s.node.LeafsetView()...), s.node.Ref())
-	slices.SortFunc(cands, func(a, b pastry.NodeRef) int {
-		return subject.AbsDistance(a.ID).Cmp(subject.AbsDistance(b.ID))
-	})
-	return cands[:min(k, len(cands))]
 }
 
 // containsNode reports whether id is one of nodes (a replica set of at

@@ -99,12 +99,18 @@ func testModel(i int) *avail.Model {
 	return m
 }
 
+// replicaSet is the k leafset members closest to n's own id: the
+// metadata replica set of §3.2.2, as pushOwn picks it.
+func replicaSet(n *pastry.Node, k int) []pastry.NodeRef {
+	return n.AppendClosest(nil, n.ID(), k, false)
+}
+
 func TestInitialPushReachesReplicaSet(t *testing.T) {
 	h := newHarness(t, 48, 1)
 	h.sched.RunUntil(time.Minute)
 	k := K
 	for i, n := range h.nodes {
-		replicas := n.ReplicaSet(k)
+		replicas := replicaSet(n, k)
 		for _, rep := range replicas {
 			svc := h.services[rep.EP]
 			rec := svc.Lookup(n.ID())
@@ -126,7 +132,7 @@ func TestDownMarkingAfterDeath(t *testing.T) {
 	h.sched.RunUntil(time.Minute)
 	victim := h.nodes[7]
 	vid := victim.ID()
-	replicas := victim.ReplicaSet(K)
+	replicas := replicaSet(victim, K)
 	dieAt := h.sched.Now() + time.Second
 	h.sched.At(dieAt, func() {
 		h.services[7].Deactivate()
@@ -245,7 +251,7 @@ func TestRejoinPushIsFull(t *testing.T) {
 	if p := h.obs.Counter("meta_pulls").Value(); p != 0 {
 		t.Fatalf("%d pulls after the rejoin", p)
 	}
-	for _, rep := range victim.ReplicaSet(K) {
+	for _, rep := range replicaSet(victim, K) {
 		if rec := h.services[rep.EP].Lookup(victim.ID()); rec == nil || !rec.Up {
 			t.Fatalf("replica %v lacks the rejoined record", rep.ID.Short())
 		}
@@ -350,7 +356,7 @@ func TestDeactivateCancelsPendingPhase(t *testing.T) {
 	h := newHarness(t, 16, 22)
 	svc := h.services[3]
 	pending := svc.ticker
-	if pending == (simnet.Timer{}) {
+	if _, ok := pending.When(); !ok {
 		t.Fatal("the pending phase timer is not held")
 	}
 	svc.Deactivate()
@@ -364,7 +370,7 @@ func TestVersioningNewestWins(t *testing.T) {
 	// Past every node's first periodic round, so versions are non-zero.
 	h.sched.RunUntil(DefaultConfig().PushPeriod + time.Minute)
 	subject := h.nodes[1]
-	rep := subject.AppendReplicaSet(nil, K)[0]
+	rep := replicaSet(subject, K)[0]
 	svc := h.services[rep.EP]
 	cur := svc.Lookup(subject.ID())
 	if cur == nil || cur.Version == 0 {
@@ -423,7 +429,7 @@ func TestBeaconLeavesFullPushState(t *testing.T) {
 	}
 	for i, n := range h.nodes {
 		own := h.services[i].own
-		for _, rep := range n.ReplicaSet(K) {
+		for _, rep := range replicaSet(n, K) {
 			rec := h.services[rep.EP].Lookup(n.ID())
 			if rec == nil {
 				t.Fatalf("replica %v lacks subject %d", rep.ID.Short(), i)
@@ -458,7 +464,7 @@ func TestLostPushRepairedByPull(t *testing.T) {
 		h.sched.RunUntil(time.Minute)
 		const subj = 3
 		svc := h.services[subj]
-		member := h.nodes[subj].ReplicaSet(K)[0]
+		member := replicaSet(h.nodes[subj], K)[0]
 		if !answered {
 			// The subject never sees a pull: nothing else can repair the
 			// member, so it must stay stale.
@@ -507,7 +513,7 @@ func TestRereplicationSendsSnapshot(t *testing.T) {
 	var rec *Record
 	var to pastry.NodeRef
 	for _, r := range svc.sortedRecords() {
-		for _, m := range svc.localReplicaSet(nil, r.Subject, K) {
+		for _, m := range h.nodes[holder].AppendClosest(nil, r.Subject, K, true) {
 			if m.ID != r.Subject && m.ID != h.nodes[holder].ID() && h.services[m.EP].Lookup(r.Subject) != nil {
 				rec, to = r, m
 				break

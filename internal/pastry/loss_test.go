@@ -54,7 +54,7 @@ func TestJoinRetriesUnderHeavyLoss(t *testing.T) {
 		if !ring.isLive(nodes[i].Ref()) {
 			t.Fatalf("node %d alive but stranded outside the overlay (join never completed)", i)
 		}
-		if len(nodes[i].Leafset()) == 0 {
+		if len(nodes[i].LeafsetView()) == 0 {
 			t.Fatalf("node %d has an empty leafset after rejoin", i)
 		}
 	}
@@ -81,7 +81,7 @@ func TestJoinRetryStopsOnStop(t *testing.T) {
 	samples := ring.Network().Stats().PerEndpointHourSamples(false, 15*time.Minute, 2*time.Hour)
 	_ = samples
 	// Direct check: the victim must have no armed retry timer.
-	if victim.joinRetry != (simnet.Timer{}) {
+	if _, armed := victim.joinRetry.When(); armed {
 		t.Fatal("stopped node still has a join retry armed")
 	}
 }
@@ -119,13 +119,13 @@ func TestRoutingDeliversUnderModerateLoss(t *testing.T) {
 func TestReplicaSetIsClosestSubset(t *testing.T) {
 	_, ring, nodes, _ := lossyRing(t, 64, 45, 0)
 	for _, n := range nodes {
-		rs := n.ReplicaSet(4)
+		rs := n.AppendClosest(nil, n.ID(), 4, false)
 		if len(rs) != 4 {
 			t.Fatalf("replica set size %d", len(rs))
 		}
 		// Every member must be in the leafset, and they must be the 4
 		// members closest to the node's id.
-		leaf := n.Leafset()
+		leaf := n.LeafsetView()
 		worst := ids.ID{}
 		for _, m := range rs {
 			d := n.ID().AbsDistance(m.ID)

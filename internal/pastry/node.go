@@ -69,14 +69,6 @@ func (n *Node) Ref() NodeRef { return NodeRef{ID: n.id, EP: n.ep} }
 // Alive reports whether the node is currently up.
 func (n *Node) Alive() bool { return n.alive }
 
-// Leafset returns a copy of the node's current leafset members, for
-// callers that sort, extend, keep or ship the slice.
-func (n *Node) Leafset() []NodeRef {
-	out := make([]NodeRef, len(n.leaf))
-	copy(out, n.leaf)
-	return out
-}
-
 // LeafsetView returns the node's current leafset members, sorted by id,
 // without copying. The slice is the node's own: read-only, and good only
 // until the node next handles an event. It is for per-message paths that
@@ -121,26 +113,23 @@ func dedupRefs(refs []NodeRef) int {
 	return w
 }
 
-// ReplicaSet returns the k leafset members numerically closest to the
-// node's own id — the metadata replica set of Seaweed §3.2.
-func (n *Node) ReplicaSet(k int) []NodeRef {
-	return n.AppendReplicaSet(nil, k)
-}
-
-// AppendReplicaSet appends the replica set to dst and returns the
-// extended slice; callers on hot paths reuse dst across calls to avoid
-// the per-call allocation of ReplicaSet.
-func (n *Node) AppendReplicaSet(dst []NodeRef, k int) []NodeRef {
+// AppendClosest appends the k nodes numerically closest to key among the
+// leafset members, and self when withSelf is set, and returns the extended
+// slice: a subject's metadata replica set (§3.2.2) and a vertex's backups
+// (§3.4). The candidates are laid out in leafset (id) order, then self,
+// before the sort, so members equally far from key keep one order from
+// call to call. Callers on hot paths reuse dst across calls.
+func (n *Node) AppendClosest(dst []NodeRef, key ids.ID, k int, withSelf bool) []NodeRef {
 	start := len(dst)
 	dst = append(dst, n.leaf...)
+	if withSelf {
+		dst = append(dst, n.Ref())
+	}
 	out := dst[start:]
 	slices.SortFunc(out, func(a, b NodeRef) int {
-		return n.id.AbsDistance(a.ID).Cmp(n.id.AbsDistance(b.ID))
+		return key.AbsDistance(a.ID).Cmp(key.AbsDistance(b.ID))
 	})
-	if len(out) > k {
-		dst = dst[:start+k]
-	}
-	return dst
+	return dst[:start+min(k, len(out))]
 }
 
 // StartBootstrap brings the node up as part of the initial population,
@@ -258,12 +247,10 @@ func (n *Node) Stop() {
 	n.ring.noteLeft(ref)
 	n.joining = false
 	n.joinRetry.Cancel()
-	n.joinRetry = simnet.Timer{}
 	// The nodes holding this node in their leafsets — its lh successors
 	// and lh predecessors — learn of the death after the detection delay.
 	neighbors := n.ring.liveLeafNeighbors(n.ep, n.id, leafsetHalf)
 	for _, nb := range neighbors {
-		nb := nb
 		delay := heartbeatPeriod +
 			time.Duration(n.ring.rng.Float64()*float64(heartbeatPeriod))
 		n.Sched().After(delay, func() {
@@ -282,12 +269,11 @@ func (n *Node) Route(key ids.ID, payload any, size int, class simnet.Class) {
 	if !n.alive {
 		return
 	}
-	n.forward(n.ring.getEnv(key, payload, size, class), n.ep)
+	n.forward(n.ring.getEnv(key, payload, size, class, n.ep))
 }
 
-// forward advances an envelope one hop. origin is the endpoint of the
-// message's original sender, passed through to Deliver.
-func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
+// forward advances an envelope one hop.
+func (n *Node) forward(env *routeEnvelope) {
 	if env.Hops >= maxHops {
 		// Routing failure; application-level retransmission recovers, but
 		// the drop must be visible: a silently vanishing message has
@@ -305,7 +291,7 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 			n.ring.o.EmitSpanDetail(env.span, obs.Event{Kind: obs.KindRouteDeliver,
 				Query: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
 		}
-		key, payload := env.Key, env.Payload
+		key, origin, payload := env.Key, env.Origin, env.Payload
 		n.ring.putEnv(env)
 		n.app.Deliver(key, origin, payload)
 		return
@@ -327,33 +313,13 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 				return
 			}
 			n.dropRef(next)
-			n.forward(env, origin)
+			n.forward(env)
 		})
 		return
 	}
-	n.ring.net.Send(n.ep, next.EP, size, env.Class, n.ring.getHop(env, origin, n.Ref(), n.Sched().Now()))
+	env.Sender, env.SentAt = n.Ref(), n.Sched().Now()
+	n.ring.net.Send(n.ep, next.EP, size, env.Class, env)
 }
-
-// hopMsg is the per-hop wrapper carrying an envelope between nodes. The
-// wrappers are pooled (see Ring.getHop/putHop); the receiving node
-// recycles one as soon as it has copied the fields out.
-type hopMsg struct {
-	Env    *routeEnvelope
-	Origin simnet.Endpoint
-	Sender NodeRef
-	// SentAt is the hop's virtual send time. Like a trace Cause it is
-	// in-struct metadata excluded from wire sizes: a real implementation
-	// piggybacks the few timestamp/coordinate bytes into headers it
-	// already pays for. The receiver turns now−SentAt into the RTT sample
-	// feeding the pastry_hop_rtt histogram and the coordinate space.
-	SentAt time.Duration
-	next   *hopMsg // Ring free list
-}
-
-// SingleDelivery opts hop wrappers out of the duplication fault: the
-// receiver recycles them at delivery, so a second delivery would read
-// freed state.
-func (*hopMsg) SingleDelivery() {}
 
 // nextHop picks the next hop for key using the classic Pastry rule, whose
 // mixed-step ordering is loop-free: (1) if the key falls within the
@@ -500,19 +466,17 @@ func (n *Node) HandleMessage(from simnet.Endpoint, payload any) {
 		return // powered off: in-flight traffic is lost
 	}
 	switch m := payload.(type) {
-	case *hopMsg:
-		env, origin, sender, sentAt := m.Env, m.Origin, m.Sender, m.SentAt
-		n.ring.putHop(m)
-		if d := n.Sched().Now() - sentAt; d > 0 {
+	case *routeEnvelope:
+		if d := n.Sched().Now() - m.SentAt; d > 0 {
 			// One-way hop delay doubled into an RTT sample. Fault-injected
 			// extra delay inflates it, exactly as a real probe would see.
 			n.ring.hHopRTT.ObserveDuration(2 * d)
 			if n.ring.coords != nil {
-				n.ring.coords.Observe(n.ep, sender.EP, 2*d)
+				n.ring.coords.Observe(n.ep, m.Sender.EP, 2*d)
 			}
 		}
-		n.learn(sender)
-		n.forward(env, origin)
+		n.learn(m.Sender)
+		n.forward(m)
 	case *joinRequest:
 		n.handleJoinRequest(m)
 	case *joinReply:
@@ -653,7 +617,7 @@ func (n *Node) reconcileLeafset() {
 func (n *Node) handleLeafsetPull(m *leafsetPull) {
 	size := 8 + len(n.leaf)*refBytes
 	n.ring.net.Send(n.ep, m.From.EP, size, simnet.ClassPastry,
-		&leafsetPush{Leafset: n.Leafset()})
+		&leafsetPush{Leafset: slices.Clone(n.leaf)})
 }
 
 // setLeafset installs the l/2 nearest candidates on each side of the node.
@@ -745,7 +709,6 @@ func (n *Node) handleJoinReply(reply *joinReply) {
 	}
 	n.joining = false
 	n.joinRetry.Cancel()
-	n.joinRetry = simnet.Timer{}
 	n.setLeafset(reply.Leafset)
 	n.rows = nil
 	for _, ref := range reply.Rows {
@@ -771,7 +734,7 @@ func (n *Node) handleJoinReply(reply *joinReply) {
 func (n *Node) handleAnnounce(ref NodeRef) {
 	n.learn(ref)
 	// Leafset candidate: recompute with the newcomer included.
-	cands := append(n.Leafset(), ref)
+	cands := append(slices.Clone(n.leaf), ref)
 	before := len(n.leaf)
 	n.setLeafset(cands)
 	changed := len(n.leaf) != before

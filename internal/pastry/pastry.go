@@ -126,20 +126,35 @@ const refBytes = ids.Bytes + 4
 // their contents; the structs themselves travel by pointer inside the
 // simulator.
 
-// routeEnvelope carries an application message toward a key. Envelopes
-// are pooled on the Ring: one is taken per Route call, travels the whole
-// multi-hop path inside hopMsg wrappers, and is recycled at the hop that
-// finally delivers (or drops) it. Envelopes lost in flight fall to the
-// garbage collector.
+// routeEnvelope carries an application message toward a key, and is
+// itself the message each hop sends. Envelopes are pooled on the Ring:
+// one is taken per Route call, travels the whole multi-hop path, and is
+// recycled at the hop that finally delivers (or drops) it. Envelopes lost
+// in flight fall to the garbage collector.
 type routeEnvelope struct {
 	Key     ids.ID
 	Payload any
 	Size    int // application payload wire size
 	Class   simnet.Class
 	Hops    int
-	span    uint64         // causal span of the payload's send (0 untraced)
-	next    *routeEnvelope // Ring free list
+	Origin  simnet.Endpoint // the original sender, passed to Deliver
+	// Sender and SentAt describe the current hop; forward writes them
+	// just before each send. SentAt, like a trace Cause, is in-struct
+	// metadata excluded from wire sizes: a real implementation
+	// piggybacks the few timestamp/coordinate bytes into headers it
+	// already pays for. The receiver turns now−SentAt into the RTT
+	// sample feeding the pastry_hop_rtt histogram and the coordinate
+	// space.
+	Sender NodeRef
+	SentAt time.Duration
+	span   uint64         // causal span of the payload's send (0 untraced)
+	next   *routeEnvelope // Ring free list
 }
+
+// SingleDelivery opts envelopes out of the duplication fault: the hop
+// that ends a route recycles its envelope, so a second delivery would
+// read freed state.
+func (*routeEnvelope) SingleDelivery() {}
 
 // envelopeOverhead is the wire overhead of one routing hop: key, flags,
 // and the per-hop acknowledgment MSPastry uses for reliable delivery.

@@ -28,13 +28,12 @@ type Ring struct {
 	nodes []*Node   // by endpoint; nil until AddNode
 	live  []NodeRef // ground truth, sorted by ID
 
-	// hopFree/envFree are intrusive free lists of the per-hop message
-	// wrappers: one hopMsg is allocated per routing hop on the hottest
-	// message path, and the simulation is single-threaded, so a plain list
-	// (no sync.Pool) recycles them. Wrappers lost in flight (message loss,
-	// dead receiver) simply fall to the garbage collector — the lists are
-	// recycling caches, not owners.
-	hopFree *hopMsg
+	// envFree is an intrusive free list of route envelopes: one is taken
+	// per Route on the hottest message path, and the simulation is
+	// single-threaded, so a plain list (no sync.Pool) recycles them.
+	// Envelopes lost in flight (message loss, dead receiver) simply fall
+	// to the garbage collector — the list is a recycling cache, not an
+	// owner.
 	envFree *routeEnvelope
 	arena   []tableRow // slab tail for newRow; grown in chunks
 
@@ -46,7 +45,7 @@ type Ring struct {
 	reach func(a, b simnet.Endpoint) bool
 
 	// coords, when non-nil, receives an RTT sample for every message
-	// receipt (hop wrappers carry their virtual send time; direct sends
+	// receipt (route envelopes carry their virtual send time; direct sends
 	// use the deterministic topology delay the receiver would compute
 	// from a piggybacked timestamp). Set once before the simulation
 	// starts via SetCoords.
@@ -86,8 +85,8 @@ func (r *Ring) newRow() *tableRow {
 }
 
 // getEnv takes a routeEnvelope from the free list (or allocates one) and
-// fills it for a fresh route.
-func (r *Ring) getEnv(key ids.ID, payload any, size int, class simnet.Class) *routeEnvelope {
+// fills it for a fresh route from origin.
+func (r *Ring) getEnv(key ids.ID, payload any, size int, class simnet.Class, origin simnet.Endpoint) *routeEnvelope {
 	e := r.envFree
 	if e == nil {
 		e = &routeEnvelope{}
@@ -95,7 +94,7 @@ func (r *Ring) getEnv(key ids.ID, payload any, size int, class simnet.Class) *ro
 		r.envFree = e.next
 	}
 	*e = routeEnvelope{Key: key, Payload: payload, Size: size, Class: class,
-		span: traceSpan(payload)}
+		Origin: origin, span: traceSpan(payload)}
 	return e
 }
 
@@ -105,28 +104,6 @@ func (r *Ring) putEnv(e *routeEnvelope) {
 	e.Payload = nil
 	e.next = r.envFree
 	r.envFree = e
-}
-
-// getHop takes a hopMsg wrapper from the free list (or allocates one) and
-// fills it for the next hop. sentAt is the virtual send time the receiver
-// turns into an RTT sample.
-func (r *Ring) getHop(env *routeEnvelope, origin simnet.Endpoint, sender NodeRef, sentAt time.Duration) *hopMsg {
-	m := r.hopFree
-	if m == nil {
-		m = &hopMsg{}
-	} else {
-		r.hopFree = m.next
-	}
-	m.Env, m.Origin, m.Sender, m.SentAt, m.next = env, origin, sender, sentAt, nil
-	return m
-}
-
-// putHop returns a wrapper to the free list. Callers must copy out every
-// field they still need first.
-func (r *Ring) putHop(m *hopMsg) {
-	m.Env = nil
-	m.next = r.hopFree
-	r.hopFree = m
 }
 
 // SetCoords attaches a network-coordinate space: every subsequent hop
@@ -327,7 +304,6 @@ func (r *Ring) ReachabilityChanged() {
 			if r.reachable(n.ep, m.EP) {
 				continue
 			}
-			m := m
 			delay := heartbeatPeriod +
 				time.Duration(rng.Float64()*float64(heartbeatPeriod))
 			r.sched.After(delay, func() {

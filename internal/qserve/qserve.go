@@ -200,7 +200,6 @@ func NewService(cfg Config, c *core.Cluster) *Service {
 // Schedule registers every workload arrival with the cluster's scheduler.
 func (s *Service) Schedule() {
 	for _, a := range s.cfg.Workload.Arrivals(s.cfg.Cluster.Seed) {
-		a := a
 		s.sched.At(a.At, func() { s.arrive(a) })
 	}
 }
