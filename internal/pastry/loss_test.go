@@ -69,18 +69,22 @@ func TestJoinRetryStopsOnStop(t *testing.T) {
 	victim.Start() // join can never complete at 100% loss
 	sched.RunUntil(11 * time.Minute)
 	victim.Stop()
-	before := ring.Network().Stats().TotalTx(simnet.ClassPastry)
 	sched.RunUntil(2 * time.Hour)
-	after := ring.Network().Stats().TotalTx(simnet.ClassPastry)
-	// Only the aggregate heartbeat accounting of other nodes should accrue;
-	// no join retries from the stopped node. Allow the aggregate accounting
-	// but verify it is not growing with retry-period cadence from ep3 by
-	// checking the per-endpoint samples.
-	_ = before
-	_ = after
-	samples := ring.Network().Stats().PerEndpointHourSamples(false, 15*time.Minute, 2*time.Hour)
-	_ = samples
-	// Direct check: the victim must have no armed retry timer.
+	// The stopped node sends nothing: its transmit samples over the hour
+	// from 1 h to 2 h (one sample per endpoint) are all zero. A retry at
+	// joinRetryTimeout cadence would send hundreds of join requests.
+	samples := ring.Network().Stats().PerEndpointHourSamples(false, time.Hour, 2*time.Hour)
+	if len(samples) != len(nodes) {
+		t.Fatalf("%d samples over one hour, want one per endpoint (%d)", len(samples), len(nodes))
+	}
+	if tx := samples[victim.ep]; tx != 0 {
+		t.Fatalf("stopped node sent %.2f bytes/s from 1 h to 2 h", tx)
+	}
+	// The live nodes' heartbeats are accounted in the same hour, so the
+	// zero is the victim's silence and not an empty bucket.
+	if samples[nodes[0].ep] == 0 {
+		t.Fatal("a live node sent nothing from 1 h to 2 h: the samples account nothing")
+	}
 	if _, armed := victim.joinRetry.When(); armed {
 		t.Fatal("stopped node still has a join retry armed")
 	}

@@ -256,13 +256,13 @@ func matchBlock(t *Table, b, rows int, steps []step, buf *execBuf, countOnly boo
 		}
 		switch {
 		case g.u8 != nil:
-			n, sel = runStep(g.u8, base, span, sel, buf.sel, count)
+			n, sel = runStep(&lanes8, g.u8, base, span, sel, buf.sel, count)
 		case g.u16 != nil:
-			n, sel = runStep(g.u16, base, span, sel, buf.sel, count)
+			n, sel = runStep(&lanes16, g.u16, base, span, sel, buf.sel, count)
 		case g.u32 != nil:
-			n, sel = runStep(g.u32, base, span, sel, buf.sel, count)
+			n, sel = runStep(&lanes32, g.u32, base, span, sel, buf.sel, count)
 		default:
-			n, sel = runStep(g.i64, base, span, sel, buf.sel, count)
+			n, sel = runStep(&lanes64, g.i64, base, span, sel, buf.sel, count)
 		}
 		if n == 0 {
 			break

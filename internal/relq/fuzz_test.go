@@ -83,8 +83,12 @@ func FuzzParse(f *testing.F) {
 // and off. The input is a block in a few bytes (see blockValues), so that
 // the fuzzer spends its time on values, not on minimizing long inputs. The
 // committed corpus (testdata/fuzz/FuzzSealBlock) holds App-like and
-// extreme-valued palettes, blocks of 255 values across 2^32, and
-// palettes spread into offsets of one byte, three bytes and eight.
+// extreme-valued palettes, blocks of 255 values across 2^32, palettes
+// spread into offsets of one byte, three bytes and eight, and (lanes_*)
+// blocks sealed at 1, 2 and 4 bytes and as dictionary codes whose row
+// count is not a multiple of the lane kernels' 32-row pass and whose
+// middle row is the block's largest or smallest value, so that v+1 or
+// v-1 lies just past the offsets a lane holds.
 func FuzzSealBlock(f *testing.F) {
 	schema := Schema{Name: "T", Columns: []Column{{Name: "v", Type: TInt}}}
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -219,21 +219,80 @@ func countSel[E elem](col []E, base, span uint64, sel selVec) int {
 	return n
 }
 
+// laneKernels are one width's SIMD selInit and countCol, set at package
+// init where the host has them (kernels_amd64.go): over the first
+// len(col) &^ (laneGroup-1) rows, v matches iff v - base (mod 2^w) <= span;
+// sel returns how many row indices it wrote to sel, which holds len(col).
+type laneKernels[E elem] struct {
+	sel   func(col []E, base, span E, sel []int32) int
+	count func(col []E, base, span E) int
+}
+
+var (
+	lanes8  laneKernels[uint8]
+	lanes16 laneKernels[uint16]
+	lanes32 laneKernels[uint32]
+	lanes64 laneKernels[int64] // none: 8-byte blocks run the generic kernels
+)
+
+const laneGroup = 32 // the rows a lane kernel tests in one pass
+
+// laneArc returns the step (base, span) over the lane values 0..top, top
+// = 2^w - 1: the arc from base to base+span modulo 2^64, cut to [0, top],
+// is empty (ok false), all of it (span top) or one arc modulo 2^w, also
+// when it wraps through 2^64 - 1 → 0, since it then holds top and 0.
+func laneArc(base, span, top uint64) (lb, ls uint64, ok bool) {
+	end := base + span
+	wraps := end < base
+	switch {
+	case base > top && !wraps:
+		return 0, 0, false
+	case base > top:
+		return 0, min(end, top), true
+	case !wraps:
+		return base, min(span, top-base), true
+	case end+1 >= base:
+		return 0, top, true
+	}
+	return base, top - base + end + 1, true
+}
+
 // runStep runs one step over one block's column segment. It narrows sel
 // (nil: every row) to the rows that also match, writing a first vector
-// into out; with count set it only counts them and returns no vector.
-func runStep[E elem](col []E, base, span uint64, sel, out selVec, count bool) (int, selVec) {
-	switch {
-	case count && sel == nil:
-		return countCol(col, base, span), nil
-	case count:
-		return countSel(col, base, span, sel), nil
-	case sel == nil:
-		sel = selInit(col, base, span, out)
-	default:
+// into out; with count set it only counts them and returns no vector. A
+// pass over the whole column runs at SIMD width where k, the width's lane
+// kernels, are set: the lane kernel over the whole passes of col, and the
+// generic kernel over the rows after them.
+func runStep[E elem](k *laneKernels[E], col []E, base, span uint64, sel, out selVec, count bool) (int, selVec) {
+	if sel != nil {
+		if count {
+			return countSel(col, base, span, sel), nil
+		}
 		sel = selRefine(col, base, span, sel)
+		return len(sel), sel
 	}
-	return len(sel), sel
+	g := len(col) &^ (laneGroup - 1)
+	if k.sel == nil || g == 0 {
+		if count {
+			return countCol(col, base, span), nil
+		}
+		sel = selInit(col, base, span, out)
+		return len(sel), sel
+	}
+	lb, ls, ok := laneArc(base, span, uint64(^E(0)))
+	switch {
+	case !ok:
+		return 0, nil
+	case count:
+		return k.count(col[:g], E(lb), E(ls)) + countCol(col[g:], base, span), nil
+	}
+	sel = out[:len(col)]
+	n := k.sel(col[:g], E(lb), E(ls), sel)
+	tail := selInit(col[g:], base, span, sel[n:])
+	for j := range tail {
+		tail[j] += int32(g)
+	}
+	return n + len(tail), sel[:n+len(tail)]
 }
 
 // maxExactSum is 2^53: every integer of magnitude up to it is a float64.

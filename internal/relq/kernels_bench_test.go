@@ -15,7 +15,10 @@ import (
 // storage of the same data buys, fewer lines per row and a lower level of
 // the hierarchy to fetch them from. Values are shuffled, so a kernel with a
 // data-dependent branch shows it at 50%. At 8 bytes selInit also runs
-// under every operator: they share one loop and must cost the same.
+// under every operator: they share one loop and must cost the same. At 1,
+// 2 and 4 bytes selInit and countCol are timed twice, as the generic
+// bodies (/generic) and through the host's lane kernels (/simd, on hosts
+// that have them).
 //
 //	go test -run '^$' -bench Kernels -benchtime 2000x -cpu 1 ./internal/relq
 //
@@ -83,20 +86,36 @@ func benchKernelsAt[E elem](b *testing.B, width int) {
 	}
 	work := make(selVec, len(odd))
 	w := fmt.Sprintf("w=%d/", width)
+	generic, lanes := "", hostLanes[E]()
+	if width < 8 {
+		generic = "/generic"
+	}
 
 	for _, l1 := range []bool{true, false} {
 		for _, pct := range []int{1, 50, 99} {
 			s := newStep(0, OpLt, int64(pct))
 			base, span := uint64(s.base), s.span
 			at := fmt.Sprintf("/sel=%d", pct)
-			benchRun(b, w+"selInit"+at, uniform, l1, func(seg []E) int {
+			benchRun(b, w+"selInit"+generic+at, uniform, l1, func(seg []E) int {
 				kernelSink += len(selInit(seg, base, span, buf))
 				return len(seg)
 			})
-			benchRun(b, w+"countCol"+at, uniform, l1, func(seg []E) int {
+			benchRun(b, w+"countCol"+generic+at, uniform, l1, func(seg []E) int {
 				kernelSink += countCol(seg, base, span)
 				return len(seg)
 			})
+			if lanes.sel != nil {
+				benchRun(b, w+"selInit/simd"+at, uniform, l1, func(seg []E) int {
+					n, _ := runStep(lanes, seg, base, span, nil, buf, false)
+					kernelSink += n
+					return len(seg)
+				})
+				benchRun(b, w+"countCol/simd"+at, uniform, l1, func(seg []E) int {
+					n, _ := runStep(lanes, seg, base, span, nil, nil, true)
+					kernelSink += n
+					return len(seg)
+				})
+			}
 			benchRun(b, w+"selRefine"+at, uniform, l1, func(seg []E) int {
 				copy(work, odd)
 				kernelSink += len(selRefine(seg, base, span, work))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/agg"
@@ -16,7 +17,8 @@ var allOps = []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
 // lengths at the ends of a block and one short of it, values at the int64
 // extremes, negative, duplicated, a plain random mix, and — for each
 // narrow width — offsets over the width's whole range from bases that are
-// negative, zero and at either end of int64.
+// negative, zero and at either end of int64, in a block and in segments of
+// 7 to 33 rows.
 func kernelSegments() map[string][]int64 {
 	rng := rand.New(rand.NewSource(14))
 	segs := map[string][]int64{
@@ -49,6 +51,13 @@ func kernelSegments() map[string][]int64 {
 			}
 			col[3], col[BlockSize-5] = at.base, at.base+span // both ends of the width
 			segs[fmt.Sprintf("u%d-%s", 8*w, at.name)] = col
+			// Around the lane kernels' 32-row passes, with both ends of
+			// the width in each.
+			for _, n := range []int{7, 8, 15, 16, 17, 31, 32, 33} {
+				short := slices.Clone(col[:n])
+				short[0], short[n-1] = at.base+span, at.base
+				segs[fmt.Sprintf("u%d-%s-%d", 8*w, at.name, n)] = short
+			}
 		}
 	}
 	return segs
@@ -65,19 +74,25 @@ func rhsFor(col []int64) []int64 {
 		return kernelRHS
 	}
 	zl, zh := zoneOf(col)
-	// The -1/+1 wrap at the int64 extremes; any int64 is a fair rhs.
-	return append([]int64{zl - 1, zl, zl + 1, zl + (zh-zl)/2, zh - 1, zh, zh + 1}, kernelRHS...)
+	// The -1/+1 wrap at the int64 extremes; any int64 is a fair rhs. The
+	// offsets 2^w - 1 and 2^w are a lane's last value and the first past
+	// it.
+	return append([]int64{zl - 1, zl, zl + 1, zl + (zh-zl)/2, zh - 1, zh, zh + 1,
+		zl + 1<<8 - 1, zl + 1<<8, zl + 1<<16 - 1, zl + 1<<16, zl + 1<<32 - 1, zl + 1<<32}, kernelRHS...)
 }
 
 // segmentAs stores col at the given element width (which must hold its
 // span) the way seal does, so kernels can be checked at widths seal would
-// not have picked as well as at the one it would.
+// not have picked as well as at the one it would. Width 0 is a dictionary
+// block (col must hold at most maxDict values).
 func segmentAs(col []int64, width int) segment {
 	if width == 8 || len(col) == 0 {
 		return segment{i64: col}
 	}
 	zl, _ := zoneOf(col)
 	switch width {
+	case 0:
+		return encodeDict(col, 8)
 	case 1:
 		return segment{base: zl, u8: narrow[uint8](col, zl)}
 	case 2:
@@ -201,9 +216,17 @@ func checkStep(t *testing.T, label string, s step, col []int64, want func(v int6
 			t.Fatalf("%s: zone verdict %d with %d of %d rows matching", label, z, len(rows), len(col))
 		}
 	}
-	for _, w := range widthsFor(col) {
+	layouts := widthsFor(col)
+	if encodeDict(col, 8).u8 != nil {
+		layouts = append(layouts, 0)
+	}
+	for _, w := range layouts {
 		g := segmentAs(col, w)
-		label := fmt.Sprintf("%s at %d bytes", label, w)
+		at := fmt.Sprintf("at %d bytes", w)
+		if w == 0 {
+			at = "as dictionary codes"
+		}
+		label := label + " " + at
 		switch {
 		case g.u8 != nil:
 			checkKernels(t, label, s, g, g.u8, col, rows, odd, oddRows)
@@ -217,8 +240,56 @@ func checkStep(t *testing.T, label string, s step, col []int64, want func(v int6
 	}
 }
 
+// hostLanes returns the lane kernels matchBlock runs at E's width.
+func hostLanes[E elem]() *laneKernels[E] {
+	var k any
+	switch any(E(0)).(type) {
+	case uint8:
+		k = &lanes8
+	case uint16:
+		k = &lanes16
+	case uint32:
+		k = &lanes32
+	default:
+		k = &lanes64
+	}
+	return k.(*laneKernels[E])
+}
+
+// goLanes are the lane kernels written in Go, the lane test in E's own
+// arithmetic over the whole passes of col: the glue around them is
+// checked on any host, and the host's own kernels against them. At 8
+// bytes there are none.
+func goLanes[E elem]() *laneKernels[E] {
+	if _, wide := any(E(0)).(int64); wide {
+		return &laneKernels[E]{}
+	}
+	whole := func(col []E) []E { return col[:len(col)&^(laneGroup-1)] }
+	return &laneKernels[E]{
+		sel: func(col []E, base, span E, sel []int32) int {
+			n := 0
+			for i, v := range whole(col) {
+				if v-base <= span {
+					sel[n] = int32(i)
+					n++
+				}
+			}
+			return n
+		},
+		count: func(col []E, base, span E) int {
+			n := 0
+			for _, v := range whole(col) {
+				if v-base <= span {
+					n++
+				}
+			}
+			return n
+		},
+	}
+}
+
 // checkKernels is checkStep at one element type: enc is segment g's
-// offsets of the values col.
+// offsets of the values col (its codes, in a dictionary block).
 func checkKernels[E elem](t *testing.T, label string, s step, g segment, enc []E, col []int64, rows, odd, oddRows []int32) {
 	t.Helper()
 	same := func(kernel string, got, want []int32) {
@@ -233,10 +304,28 @@ func checkKernels[E elem](t *testing.T, label string, s step, g segment, enc []E
 		}
 	}
 	base := s.rebase(&g)
+	if dict := g.dict(); dict != nil {
+		var ok bool
+		if base, s.span, ok = s.codes(dict); !ok {
+			if len(rows) != 0 {
+				t.Fatalf("%s: no code matches but %d rows do", label, len(rows))
+			}
+			return
+		}
+	}
 	sel := selInit(enc, base, s.span, make(selVec, BlockSize))
 	same("selInit", sel, rows)
 	if n := countCol(enc, base, s.span); n != len(rows) {
 		t.Fatalf("%s: countCol = %d, want %d", label, n, len(rows))
+	}
+	// The width-dispatched path matchBlock takes (the host's lane kernels,
+	// where it has them), and the same glue over Go lane kernels.
+	for name, k := range map[string]*laneKernels[E]{"host": hostLanes[E](), "Go": goLanes[E]()} {
+		n, got := runStep(k, enc, base, s.span, nil, make(selVec, BlockSize), false)
+		same(name+" runStep", got[:n], rows)
+		if n, _ := runStep(k, enc, base, s.span, nil, nil, true); n != len(rows) {
+			t.Fatalf("%s: %s runStep counts %d, want %d", label, name, n, len(rows))
+		}
 	}
 	if n := countSel(enc, base, s.span, odd); n != len(oddRows) {
 		t.Fatalf("%s: countSel = %d, want %d", label, n, len(oddRows))
@@ -282,6 +371,30 @@ func TestKernelsMatchScalar(t *testing.T) {
 				s := newStep(0, op, rhs)
 				label := fmt.Sprintf("%s: v %s %d", name, op, rhs)
 				checkStep(t, label, s, col, func(v int64) bool { return cmpMatch(op, v, rhs) })
+			}
+		}
+	}
+}
+
+// TestLaneArc checks the lane form of intervals against every value of a
+// one-byte lane, for bases and spans inside the lane, at its ends, just
+// past it and at the ends of uint64, where the interval wraps.
+func TestLaneArc(t *testing.T) {
+	const top = 1<<8 - 1
+	pts := []uint64{0, 1, 2, 127, top - 1, top, top + 1, top + 2, 1 << 16, 1 << 63,
+		math.MaxUint64 - top - 1, math.MaxUint64 - top, math.MaxUint64 - 1, math.MaxUint64}
+	for _, base := range pts {
+		for _, span := range pts {
+			lb, ls, ok := laneArc(base, span, top)
+			for v := uint64(0); v <= top; v++ {
+				want := v-base <= span
+				got := ok && (v-lb)&top <= ls
+				if got != want {
+					t.Fatalf("interval (%d, %d): lane form (%d, %d, %v) says %v for %d", base, span, lb, ls, ok, got, v)
+				}
+			}
+			if ok && (lb > top || ls > top) {
+				t.Fatalf("interval (%d, %d): lane form (%d, %d) is not inside the lane", base, span, lb, ls)
 			}
 		}
 	}
