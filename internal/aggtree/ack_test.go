@@ -246,13 +246,13 @@ func TestStaleAckDoesNotSilenceNewerVersion(t *testing.T) {
 	entry, _ := h.engine.EntryVertex(r.qid)
 	h.engine.HandleMessage(r.primaryOf(entry).node.Endpoint(), stale)
 	st := h.engine.queries[r.qid]
-	if st.own.Version != 2 || st.acked == st.own.Version || h.engine.ResubmitTimers() != 1 {
-		t.Fatalf("after the stale ack: own version %d, acked %d, %d timers; want version 2 unacknowledged with its timer armed",
+	if st.own.Version != 2 || st.acked || h.engine.ResubmitTimers() != 1 {
+		t.Fatalf("after the stale ack: own version %d, acked %v, %d timers; want version 2 unacknowledged with its timer armed",
 			st.own.Version, st.acked, h.engine.ResubmitTimers())
 	}
 	r.run(time.Second)
-	if st.acked != 2 || h.engine.ResubmitTimers() != 0 {
-		t.Fatalf("version 2's own ack left acked = %d and %d timers", st.acked, h.engine.ResubmitTimers())
+	if st.own.Version != 2 || !st.acked || h.engine.ResubmitTimers() != 0 {
+		t.Fatalf("version 2's own ack left version %d, acked = %v and %d timers", st.own.Version, st.acked, h.engine.ResubmitTimers())
 	}
 }
 
@@ -307,7 +307,7 @@ func TestAckBoundToPrimary(t *testing.T) {
 	if second == first || len(got) != 2 || got[1] != second {
 		t.Fatalf("after the primary's death %d copies were sent, want one more, to the new root", len(got))
 	}
-	if second != h && (ackedBy() != second || st.acked != st.own.Version) {
+	if second != h && (ackedBy() != second || !st.acked) {
 		t.Fatalf("the contribution is not acknowledged by the new root")
 	}
 	if h.engine.ResubmitTimers() != 0 {

@@ -138,17 +138,14 @@ type vertexState struct {
 	// between (armRefresh): an idle query costs a tick per primary every
 	// third period, and one per backup at expiry.
 	dirty bool
-	// reassertN belongs with reassert below; as an int32 here it shares
-	// the flags' word.
-	reassertN int32
 	// cause is the span of the last contribution that changed this
 	// vertex's aggregate — the causal parent of the next upward forward.
 	cause uint64
 
-	// Upward re-assertion ladder (zero unless Config.Reassert): the timer
-	// of the next rung, and in reassertN above how many rungs the current
-	// content has used (see hedge.go).
-	reassert simnet.Timer
+	// Upward re-assertion ladder (zero unless Config.Reassert): the
+	// retry of the latest remote forward, which counts the rungs the
+	// current content has used (see hedge.go).
+	reassert simnet.Retry
 
 	// timers holds what the refresh chain and the replication gate keep
 	// beside their handles, callbacks included.
@@ -187,13 +184,17 @@ func (v *vertexState) aggregate() (agg.Partial, int64) {
 	return part, contributors
 }
 
-const (
-	// The leaf retransmission schedule: an unacknowledged contribution is
-	// re-sent 20s, 1m, 3m and 9m after the one before, and every 9m from
-	// then on, until it is acknowledged or the query ends.
-	resubmitBase = 20 * time.Second
-	resubmitMax  = 9 * time.Minute
+// resubmitSchedule is the leaf retransmission schedule: an
+// unacknowledged contribution is re-sent 20s, 1m, 3m and 9m after the one
+// before, and every 9m from then on, until it is acknowledged or the query
+// ends.
+var resubmitSchedule = simnet.Backoff{First: 20 * time.Second, Grow: 3, Cap: 9 * time.Minute}
 
+// Schedules returns the leaf retransmission schedule and the re-assertion
+// ladder's.
+func Schedules() (resubmit, reassert simnet.Backoff) { return resubmitSchedule, reassertSchedule }
+
+const (
 	// replWindow is the most a vertex's backups may lag its primary, and so
 	// the least time between two replications of one vertex. A backup's
 	// copy is of use only once the overlay has noticed the primary gone and
@@ -218,8 +219,9 @@ type queryState struct {
 	// asserted: own was submitted in this incarnation. Reset clears it, so
 	// the rejoin re-execution re-asserts an unchanged result (see Submit).
 	asserted bool
-	// ackedBy belongs with resubmit and acked below; as an int32 here it
-	// shares the flags' word, which keeps the record in its size class.
+	// acked and ackedBy belong with resubmit below; here they share the
+	// flags' word, which keeps the record in its size class.
+	acked     bool
 	ackedBy   int32
 	query     *relq.Query
 	injector  simnet.Endpoint
@@ -239,14 +241,14 @@ type queryState struct {
 	own   contribution
 	entry ids.ID
 
-	// resubmit is the live leaf retransmission timer for own, armed while
-	// own is unacknowledged. acked is the version of own that the entry
-	// vertex's primary has said it holds (own is acknowledged when the two
-	// are equal) and ackedBy, above, the endpoint that said so: an ack
-	// stands only for that primary. All three are volatile: a restart drops
-	// them, and the rejoin path's fresh Submit starts over.
-	resubmit simnet.Timer
-	acked    uint64
+	// resubmit is the leaf retransmission of own, armed while own is
+	// unacknowledged, and span the span of its latest send, which the next
+	// retransmission chains off. acked, above, says the entry vertex's
+	// primary holds own's current version, and ackedBy the endpoint that
+	// said so: an ack stands only for that primary. All four are volatile:
+	// a restart drops them, and the rejoin path's fresh Submit starts over.
+	resubmit simnet.Retry
+	span     uint64
 
 	// vertices are the vertex states hosted here for this query's tree,
 	// ordered by vertexId: 1.6 on average, four at the 99th percentile.
@@ -697,45 +699,51 @@ func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector si
 		st.entry = e.chooseEntry(qid)
 	}
 	st.own = contribution{Version: st.own.Version + 1, Part: part, Contributors: 1}
-	st.asserted = true
+	st.asserted, st.acked = true, false
 	e.cSubmits.Inc()
 	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindSubmit, Query: e.o.QueryTag(qid),
 		EP: int(e.host.PastryNode().Endpoint()), N: int64(st.own.Version)})
 	e.sendSubmission(st, span)
-	e.armResubmit(st, 0, span)
+	e.startResubmit(st, span)
 }
 
-// armResubmit schedules the next backed-off retransmission of this
-// endsystem's own contribution, unless it is already acknowledged. The
+// startResubmit starts the retransmission of this endsystem's own
+// contribution, sent under span, unless it is already acknowledged. The
 // single routed submitMsg is the only copy of the contribution until a
 // vertex primary replicates it; a drop during a burst or partition would
 // otherwise lose those rows for the whole life of the query — vertex
 // repair cannot resurrect state that never arrived anywhere. So the leaf
-// sends until the primary's ack (applyAck) cancels the timer, or the query
+// sends until the primary's ack (applyAck) stops the retry, or the query
 // is canceled or expires. Re-sending the same version is idempotent at
 // the vertex (applySubmit counts it as a duplicate and acks it again), so
 // the exactly-once invariant is untouched. A newer Submit restarts the
-// schedule for its own version by cancelling the timer armed before it.
-func (e *Engine) armResubmit(st *queryState, attempt int, span uint64) {
+// schedule for its own version.
+func (e *Engine) startResubmit(st *queryState, span uint64) {
 	st.resubmit.Cancel()
-	if e.cfg.DisableRepair || st.acked == st.own.Version {
+	st.span = span
+	if e.cfg.DisableRepair || st.acked {
 		return
 	}
-	delay := resubmitBase
-	for i := 0; i < attempt && delay < resubmitMax; i++ {
-		delay *= 3
-	}
+	st.resubmit.Start(e.host.PastryNode().Sched(), &resubmitSchedule, func() { e.resubmit(st) })
+}
+
+// resubmit is the leaf retransmission's timeout: own goes out again, and
+// the next timeout is armed unless that send acknowledged it in place.
+func (e *Engine) resubmit(st *queryState) {
 	node := e.host.PastryNode()
-	st.resubmit = node.Sched().After(delay, func() {
-		if !node.Alive() || e.expired(st) {
-			return
-		}
-		e.cResubmit.Inc()
-		next := e.o.EmitSpan(span, obs.Event{Kind: obs.KindAggResubmit, Query: e.o.QueryTag(st.qid),
-			EP: int(node.Endpoint()), N: int64(attempt + 1)})
-		e.sendSubmission(st, next)
-		e.armResubmit(st, attempt+1, next)
-	})
+	if !node.Alive() || e.expired(st) {
+		st.resubmit.Cancel()
+		return
+	}
+	e.cResubmit.Inc()
+	st.span = e.o.EmitSpan(st.span, obs.Event{Kind: obs.KindAggResubmit, Query: e.o.QueryTag(st.qid),
+		EP: int(node.Endpoint()), N: int64(st.resubmit.N() + 1)})
+	e.sendSubmission(st, st.span)
+	if st.acked {
+		st.resubmit.Cancel()
+		return
+	}
+	st.resubmit.Again(&resubmitSchedule, nil)
 }
 
 // chooseEntry picks where this endsystem enters qid's tree: the first
@@ -776,7 +784,7 @@ func (e *Engine) sendSubmission(st *queryState, cause uint64) {
 		// whole chain up to the queryId): nothing can be lost, and the
 		// contribution is acknowledged in place.
 		e.applyAndRecycle(node.Endpoint(), msg)
-		st.acked, st.ackedBy = st.own.Version, int32(node.Endpoint())
+		st.acked, st.ackedBy = true, int32(node.Endpoint())
 		return
 	}
 	msg.WantAck = true
@@ -905,7 +913,7 @@ func (e *Engine) applySubmit(origin simnet.Endpoint, m *submitMsg) {
 	v.dirty = true
 	// Fresh content restarts the upward re-assertion ladder: the coming
 	// forward is a new transmission deserving its own retry protection.
-	v.reassertN = 0
+	v.reassert.Rewind(&reassertSchedule)
 	if m.Cause != 0 {
 		v.cause = m.Cause
 	}
@@ -921,7 +929,7 @@ func (e *Engine) applyAck(from simnet.Endpoint, m *ackMsg) {
 	if st == nil || m.Version != st.own.Version || m.Child != e.host.PastryNode().ID() {
 		return
 	}
-	st.acked, st.ackedBy = m.Version, int32(from)
+	st.acked, st.ackedBy = true, int32(from)
 	st.resubmit.Cancel()
 }
 
@@ -966,7 +974,7 @@ func (e *Engine) applyRepl(m *replMsg) {
 			// A takeover starts the ladder from its first rung: whatever
 			// this node armed in an earlier primary stint protected a
 			// forward of that stint.
-			e.clearHedge(v)
+			v.reassert.Cancel()
 		}
 		e.setPrimary(v)
 		if changed {
@@ -977,7 +985,7 @@ func (e *Engine) applyRepl(m *replMsg) {
 	} else {
 		// Not this node's vertex (anymore): only primaries re-assert and
 		// replicate.
-		e.clearHedge(v)
+		v.reassert.Cancel()
 		v.flush.Cancel()
 		v.primary = false
 	}
@@ -996,7 +1004,7 @@ func (v *vertexState) install(child ids.ID, c contribution) bool {
 		return false
 	}
 	v.dirty = true
-	v.reassertN = 0
+	v.reassert.Rewind(&reassertSchedule)
 	return true
 }
 
@@ -1253,7 +1261,7 @@ func (e *Engine) HandleLeafsetChanged() {
 		case !v.primary && isRoot:
 			// Take over: the previous primary died or the namespace
 			// shifted toward us. The ladder starts from its first rung.
-			e.clearHedge(v)
+			v.reassert.Cancel()
 			e.setPrimary(v)
 			e.cTakeovers.Inc()
 			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: e.o.QueryTag(v.q.qid),
@@ -1265,7 +1273,7 @@ func (e *Engine) HandleLeafsetChanged() {
 			// toward the vertexId's current root: if the old primary died
 			// and the new root is not one of its backups, this is the
 			// only path by which the state reaches it.
-			e.clearHedge(v)
+			v.reassert.Cancel()
 			v.flush.Cancel()
 			v.primary = false
 			e.pushStateToRoot(v)
@@ -1294,7 +1302,7 @@ func (e *Engine) reassertMovedEntries() {
 	node := e.host.PastryNode()
 	var moved []*queryState
 	for _, st := range e.queries {
-		if st == nil || st.own.Version == 0 || st.acked != st.own.Version || e.expired(st) {
+		if st == nil || st.own.Version == 0 || !st.acked || e.expired(st) {
 			continue
 		}
 		if root, ok := node.LeafsetRoot(st.entry); ok && root.EP != simnet.Endpoint(st.ackedBy) {
@@ -1303,12 +1311,12 @@ func (e *Engine) reassertMovedEntries() {
 	}
 	slices.SortFunc(moved, func(a, b *queryState) int { return a.qid.Cmp(b.qid) })
 	for _, st := range moved {
-		st.acked = 0
+		st.acked = false
 		e.cResubmit.Inc()
 		span := e.o.EmitSpan(st.cause, obs.Event{Kind: obs.KindAggResubmit, Query: e.o.QueryTag(st.qid),
 			EP: int(node.Endpoint())})
 		e.sendSubmission(st, span)
-		e.armResubmit(st, 0, span)
+		e.startResubmit(st, span)
 	}
 }
 

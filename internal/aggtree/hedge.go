@@ -13,49 +13,38 @@
 // wheel, so runs with it on stay byte-deterministic per seed.
 package aggtree
 
-import "time"
+import (
+	"time"
 
-// reassertBase is the first rung of the ladder; rung n fires
-// reassertBase << n after the forward it protects.
-const reassertBase = 10 * time.Second
+	"repro/internal/simnet"
+)
 
-// reassertMax caps the ladder at five rungs (10s/20s/40s/80s/160s): past
-// that the unconditional refresh pass owns re-assertion anyway.
-const reassertMax = 5
+// reassertSchedule is the ladder: a forward is retransmitted 10, 20, 40,
+// 80 and 160 s after the send before it. Past the fifth rung the
+// unconditional refresh pass owns re-assertion, and the ladder's give-up
+// does nothing, so no timeout is armed for it.
+var reassertSchedule = simnet.Backoff{First: 10 * time.Second, Grow: 2, Budget: 5}
 
-// armReassert (re)starts the ladder after a remote forward: if no newer
-// content supersedes it before the rung's deadline, the forward is
-// retransmitted.
+// armReassert (re)arms the ladder's current rung after a remote forward:
+// if no newer content supersedes the forward before the rung runs out, it
+// is retransmitted.
 func (e *Engine) armReassert(v *vertexState) {
-	v.reassert.Cancel()
-	if !e.cfg.Reassert || v.reassertN >= reassertMax {
+	if !e.cfg.Reassert || reassertSchedule.Spent(v.reassert.N()) || v.reassert.Arm() {
 		return
 	}
-	delay := reassertBase << uint(v.reassertN)
-	v.reassert = e.host.PastryNode().Sched().After(delay, func() { e.reassertFire(v) })
+	v.reassert.Start(e.host.PastryNode().Sched(), &reassertSchedule, func() { e.reassertFire(v) })
 }
 
-// reassertFire retransmits the vertex's last forward up the tree. forwardUp
-// re-arms the ladder at the next rung.
+// reassertFire retransmits the vertex's last forward up the tree, one rung
+// up. forwardUp re-arms the ladder if the forward is remote; a vertex that
+// is no longer a live primary keeps its rung and arms nothing.
 func (e *Engine) reassertFire(v *vertexState) {
-	node := e.host.PastryNode()
-	if !node.Alive() {
+	if !e.host.PastryNode().Alive() || !v.primary || e.expired(v.q) {
 		return
 	}
-	if !v.primary || e.expired(v.q) {
-		return
-	}
-	v.reassertN++
+	v.reassert.Advance(&reassertSchedule, nil)
 	e.cReasserts.Inc()
 	e.forwardUp(v)
-}
-
-// clearHedge cancels the re-assertion ladder and resets its rung — on
-// restart, cancel, expiry, takeover, and loss of the primary role. Timer
-// cleanup here is what the no-leaked-timers tests assert.
-func (e *Engine) clearHedge(v *vertexState) {
-	v.reassert.Cancel()
-	v.reassertN = 0
 }
 
 // HedgeTimers reports how many re-assertion timers are currently armed

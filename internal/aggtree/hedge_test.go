@@ -252,7 +252,7 @@ func TestReassertRecoversDroppedForward(t *testing.T) {
 		t0 := c.sched.Now()
 		leaf.engine.Submit(qid, p, testQuery, c.hosts[0].node.Endpoint(), 0)
 		has := func() bool { return latestResult(t, c.hosts[0]).part.Final(agg.Sum) == want }
-		c.sched.RunUntil(t0 + reassertBase + time.Second)
+		c.sched.RunUntil(t0 + reassertSchedule.First + time.Second)
 		byRung = has()
 		c.sched.RunUntil(t0 + cfg.RefreshPeriod)
 		byTick = has()

@@ -163,8 +163,8 @@ func TestPrimaryCrashInsideReplicationWindow(t *testing.T) {
 		r.run(300 * time.Millisecond)
 		r.see = nil
 		st := r.hosts[leaf].engine.queries[r.qid]
-		if st.own.Version != 3 || st.acked != 3 || r.hosts[st.ackedBy] != primary {
-			t.Fatalf("the leaf is at version %d, acknowledged to %d; want 3 and 3, by the primary", st.own.Version, st.acked)
+		if st.own.Version != 3 || !st.acked || r.hosts[st.ackedBy] != primary {
+			t.Fatalf("the leaf is at version %d, acknowledged %v; want 3, acknowledged by the primary", st.own.Version, st.acked)
 		}
 		if _, armed := r.hostedVertex(t, primary, entry).flush.When(); !armed {
 			t.Fatal("no flush pending at the vertex")

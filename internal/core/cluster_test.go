@@ -100,13 +100,10 @@ func TestClusterIncrementalCompleteness(t *testing.T) {
 	}
 	c.RunUntil(c.Sched.Now() + 12*time.Hour)
 
-	prev := int64(-1)
 	for _, r := range h.Results {
 		if r.Partial.Count > int64(total)+1 {
 			t.Fatalf("rows processed %d exceed total %v", r.Partial.Count, total)
 		}
-		_ = prev
-		prev = r.Partial.Count
 	}
 	last, _ := lastUpdate(h)
 	initial := h.Results[0]

@@ -65,9 +65,26 @@ const (
 	// injector's retransmissions of its start message). With six, a
 	// subrange is given up 9 to 15 minutes after its first request, which
 	// outlasts every chaos scenario's fault windows; three or four do not
-	// (DESIGN.md, "Exponential backoff with jitter").
+	// (DESIGN.md, "Retransmission").
 	maxRetries = 6
 )
+
+// Schedules returns an engine's retransmission schedules: a subrange
+// request's, and the injector's start message's, which may be re-sent
+// twice as often. Both wait responseTimeout first. Then each timeout is
+// two to three times the one before, capped at backoffCap: exponential
+// backoff, whose factor-2 floor lets a bounded budget span multi-minute
+// outages, with decorrelated jitter, which keeps simultaneous reissues out
+// of lockstep. Under DisableBackoff each is responseTimeout again.
+func Schedules(disableBackoff bool) (subrange, inject simnet.Backoff) {
+	subrange = simnet.Backoff{First: responseTimeout, Grow: 2, Jitter: 1, Cap: backoffCap, Budget: maxRetries}
+	if disableBackoff {
+		subrange = simnet.Backoff{First: responseTimeout, Grow: 1, Budget: maxRetries}
+	}
+	inject = subrange
+	inject.Budget *= 2
+	return subrange, inject
+}
 
 // DefaultConfig returns the paper's configuration: 16-ary subdivision.
 func DefaultConfig() Config {
@@ -155,13 +172,11 @@ type Engine struct {
 
 // pendingInject is one injector-side query awaiting its predictor.
 type pendingInject struct {
-	cb          func(*predictor.Predictor)
-	at          time.Duration
-	query       *relq.Query
-	attempts    int
-	lastTimeout time.Duration
-	timer       simnet.Timer
-	span        uint64 // span of the latest inject/retry event
+	cb    func(*predictor.Predictor)
+	at    time.Duration
+	query *relq.Query
+	retry simnet.Retry // the start message's
+	span  uint64       // span of the latest inject/retry event
 }
 
 // NewEngine creates an engine for the host.
@@ -209,16 +224,15 @@ func (e *Engine) scope(q *relq.Query) *coords.Space {
 	return e.space()
 }
 
-// Reset clears all per-query state (the endsystem restarted). Stale
-// inject-retry timers recognize the replaced map and fall through, and so
-// do the subrange timers of a task of the previous incarnation: it is
-// filed no more, so no response can reach it, and its next timeout ends
-// its retry ladder without a reissue or a giveup. Every removal from the
-// table is by identity, so such a task cannot disturb one the new
-// incarnation files for its range.
+// Reset clears all per-query state (the endsystem restarted) and stops the
+// injector's retries. A task of the previous incarnation is filed no more,
+// so no response can reach it, and its subranges' next timeouts end their
+// retries without a reissue or a giveup. Every removal from the table is
+// by identity, so such a task cannot disturb one the new incarnation files
+// for its range.
 func (e *Engine) Reset() {
 	for _, p := range e.waiting {
-		p.timer.Cancel()
+		p.retry.Cancel()
 	}
 	e.queries, e.spareQueries = nil, nil
 	for t := e.retired; t != nil; {
@@ -263,39 +277,38 @@ func (e *Engine) Inject(q *relq.Query, cause uint64, onPredictor func(*predictor
 	p.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindInject, Query: e.o.QueryTag(qid), EP: int(node.Endpoint())})
 	msg := &startMsg{QueryID: qid, Query: q, Injector: node.Endpoint(), Cause: p.span}
 	node.Route(qid, msg, startMsgSize(q), simnet.ClassQuery)
-	e.armInjectRetry(qid, p)
+	_, b := Schedules(e.cfg.DisableBackoff)
+	p.retry.Start(node.Sched(), &b, func() { e.injectTimeout(qid, p) })
 	return qid
 }
 
-// armInjectRetry schedules retransmission of the injector-to-root start
-// message. The start message previously had no delivery guarantee at all:
-// losing it killed the whole query silently. Retries follow the same
-// backoff as subrange reissues; the root deduplicates by task key and
-// re-answers finished tasks from cache, so retransmission never
-// double-counts. After 2×maxRetries unanswered attempts the query is
-// given up as a whole-namespace loss.
-func (e *Engine) armInjectRetry(qid ids.ID, p *pendingInject) {
+// injectTimeout retransmits the injector-to-root start message, whose loss
+// would kill the whole query; the root deduplicates by task key and
+// re-answers finished tasks from cache, so nothing double-counts. When the
+// last of 2×maxRetries retransmissions goes unanswered, the message goes
+// out once more, unawaited, and the query is given up as a whole-namespace
+// loss (TestInjectorGiveUp).
+func (e *Engine) injectTimeout(qid ids.ID, p *pendingInject) {
 	node := e.host.PastryNode()
-	if p.attempts > 2*maxRetries {
-		e.cGiveups.Inc()
-		e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemGiveup, Query: e.o.QueryTag(qid),
-			EP: int(node.Endpoint()), N: int64(p.attempts), V: 1.0})
+	if !node.Alive() {
+		p.retry.Cancel()
 		return
 	}
-	d := e.attemptTimeout(p.attempts, p.lastTimeout)
-	p.lastTimeout = d
-	p.timer = node.Sched().After(d, func() {
-		if e.waiting[qid] != p || !node.Alive() {
-			return
-		}
-		p.attempts++
-		e.cReissues.Inc()
-		p.span = e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemRetry, Query: e.o.QueryTag(qid),
-			EP: int(node.Endpoint()), N: int64(p.attempts)})
-		msg := &startMsg{QueryID: qid, Query: p.query, Injector: node.Endpoint(), Cause: p.span}
-		node.Route(qid, msg, startMsgSize(p.query), simnet.ClassQuery)
-		e.armInjectRetry(qid, p)
-	})
+	n := p.retry.N()
+	_, b := Schedules(e.cfg.DisableBackoff)
+	e.cReissues.Inc()
+	p.span = e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemRetry, Query: e.o.QueryTag(qid),
+		EP: int(node.Endpoint()), N: int64(n + 1)})
+	msg := &startMsg{QueryID: qid, Query: p.query, Injector: node.Endpoint(), Cause: p.span}
+	node.Route(qid, msg, startMsgSize(p.query), simnet.ClassQuery)
+	if b.Spent(n) {
+		p.retry.Cancel()
+		e.cGiveups.Inc()
+		e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemGiveup, Query: e.o.QueryTag(qid),
+			EP: int(node.Endpoint()), N: int64(n + 1), V: 1.0})
+		return
+	}
+	p.retry.Again(&b, e.random)
 }
 
 // --------------------------------------------------------------- messages
@@ -449,32 +462,29 @@ type fanout struct {
 	// itself, it gives every subrange its bounds (subrange.bounds).
 	width ids.ID
 	// subs are the awaited subranges, by value and in index order: the
-	// response timers point into the array, which is sized once, to the
-	// arity, when the fan-out is first allocated.
+	// response timeouts' callbacks point into the array, which is sized
+	// once, to the arity, when the fan-out is first allocated. No retry
+	// outlives its task's fan-out: the task finishes only once every
+	// subrange is answered, which stops the retry, or abandoned, which is
+	// what the retry's last timeout did.
 	subs []subrange
-	// timeouts[i] is the response-timeout callback of slot i, built at the
-	// slot's first send and kept with the array, so a reused slot arms its
-	// timer without allocating. No timer outlives its task's fan-out: the
-	// task finishes only once every subrange is answered, which cancels
-	// the timer, or abandoned, which is what the timer did.
-	timeouts []func()
-	open     int32   // subranges neither answered nor abandoned
-	next     *fanout // Engine.spare
+	open int32   // subranges neither answered nor abandoned
+	next *fanout // Engine.spare
 }
 
 // subrange is one awaited part of an interior task's range: part index of
 // its split. Sixteen of its 48 bytes, with the runtime's 8-byte header,
-// are one object of the 896-byte size class; index and retries share the
-// flags' word.
+// are one object of the 896-byte size class.
 type subrange struct {
-	task        *task  // the task awaiting this subrange
-	local       bool   // handled by local recursion, not a network child
-	done        bool   // answered or abandoned: no response finds it any more
-	index       uint16 // which part of the task's range; kept when the RTT scope prunes others
-	retries     int32
-	lastTimeout time.Duration // timeout armed for the latest request
-	timer       simnet.Timer
-	cause       uint64 // span of the latest send/retry event for this subrange
+	task  *task        // the task awaiting this subrange
+	local bool         // handled by local recursion, not a network child
+	done  bool         // answered or abandoned: no response finds it any more
+	index uint16       // which part of the task's range; kept when the RTT scope prunes others
+	retry simnet.Retry // the request's
+	cause uint64       // span of the latest send/retry event for this subrange
+	// timeout is the slot's retry callback, built at its first send and
+	// kept through the fan-out's reuses (newFanout, finish).
+	timeout func()
 }
 
 // bounds returns the subrange's inclusive range.
@@ -507,7 +517,7 @@ func (e *Engine) newFanout(t *task, h *queryHdr) *fanout {
 	if f != nil {
 		e.spare, f.next = f.next, nil
 	} else {
-		f = &fanout{subs: make([]subrange, 0, arity), timeouts: make([]func(), arity)}
+		f = &fanout{subs: make([]subrange, 0, arity)}
 	}
 	f.hdr, f.width = h, divByUint(t.key.hi.Sub(t.key.lo), uint64(arity))
 	t.fan = f
@@ -522,7 +532,9 @@ func (e *Engine) newFanout(t *task, h *queryHdr) *fanout {
 		if sp != nil && !sp.RangeInScope(h.QueryID, lo, hi) {
 			e.cPruned.Inc()
 		} else {
-			f.subs = append(f.subs, s)
+			f.subs = f.subs[:len(f.subs)+1]
+			s.timeout = f.subs[len(f.subs)-1].timeout
+			f.subs[len(f.subs)-1] = s
 		}
 		if hi == t.key.hi {
 			break
@@ -659,7 +671,7 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 		// The root task's response: the query's final predictor.
 		if p, ok := e.waiting[m.key.qid]; ok {
 			delete(e.waiting, m.key.qid)
-			p.timer.Cancel()
+			p.retry.Cancel()
 			node := e.host.PastryNode()
 			e.hPredLat.ObserveDuration(node.Sched().Now() - p.at)
 			e.o.EmitSpan(m.respCause, obs.Event{Kind: obs.KindPredict, Query: e.o.QueryTag(m.key.qid),
@@ -739,8 +751,8 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 	// root of, resolving to a leaf): with no local subrange, the last one
 	// can finish t and hand f on, so nothing reads f after these loops.
 	for i := range f.subs {
-		if !f.subs[i].local {
-			e.sendSubrange(f, i)
+		if s := &f.subs[i]; !s.local {
+			e.sendSubrange(s)
 		}
 	}
 	if selfSub != nil {
@@ -798,7 +810,8 @@ func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Q
 }
 
 // sendSubrange routes the request for one subrange toward its midpoint and
-// arms the response timeout for the current attempt. Reissues retarget a
+// arms its response timeout: the retry's first, or on a reissue its next.
+// Reissues retarget a
 // random point inside the subrange instead of the midpoint: the midpoint
 // always resolves to the same delegate, so when that delegate is dead or
 // partitioned, every retry would sail into the same hole. A fresh target
@@ -807,22 +820,21 @@ func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Q
 // parent counts the first response only, and endsystems deduplicate query
 // execution — so route diversity costs at most some extra traffic on
 // already-failing paths.
-func (e *Engine) sendSubrange(f *fanout, i int) {
-	s := &f.subs[i]
-	h := f.hdr
+func (e *Engine) sendSubrange(s *subrange) {
+	h := s.task.fan.hdr
 	lo, hi := s.bounds()
 	node := e.host.PastryNode()
 	msg := h.rangeMsg(lo, hi, node.Endpoint(), s.cause)
 	e.cRangeMsgs.Inc()
 	// Arm the timer BEFORE routing: Route can deliver locally and answer
 	// synchronously (a self-routed midpoint resolving to a leaf), and the
-	// response path cancels it.
-	sched := node.Sched()
-	s.lastTimeout = e.attemptTimeout(int(s.retries), s.lastTimeout)
-	if f.timeouts[i] == nil {
-		f.timeouts[i] = func() { e.subrangeTimeout(f, i) }
+	// response path stops it.
+	if b, _ := Schedules(e.cfg.DisableBackoff); !s.retry.Again(&b, e.random) {
+		if s.timeout == nil {
+			s.timeout = func() { e.subrangeTimeout(s) }
+		}
+		s.retry.Start(node.Sched(), &b, s.timeout)
 	}
-	s.timer = sched.After(s.lastTimeout, f.timeouts[i])
 	// Initial delegate: the id midpoint by default; with coordinates
 	// attached, the lowest-predicted-RTT node this node already knows
 	// inside the subrange (still an id-valid delegate — routing to its id
@@ -830,7 +842,7 @@ func (e *Engine) sendSubrange(f *fanout, i int) {
 	// exactly as the midpoint would). Reissues keep the random retarget:
 	// route diversity around failures matters more than latency there.
 	target := ids.Midpoint(lo, hi)
-	if s.retries > 0 {
+	if s.retry.N() > 0 {
 		target = ids.RandomInRange(e.random(), lo, hi)
 	} else if sp := e.space(); sp != nil {
 		if ref, ok := e.nearestDelegate(sp, lo, hi); ok {
@@ -863,23 +875,6 @@ func (e *Engine) nearestDelegate(sp *coords.Space, lo, hi ids.ID) (pastry.NodeRe
 	return best, found
 }
 
-// attemptTimeout returns the response timeout for an attempt (attempt 0 is
-// the initial send): responseTimeout first, then exponential backoff with
-// jitter — uniform in [2·previous, 3·previous], capped at backoffCap. The
-// factor-2 lower bound guarantees the retry window at least doubles every
-// attempt, so a bounded retry budget provably spans multi-minute outages,
-// while the jitter band decorrelates simultaneous reissues instead of
-// letting them thunder in lockstep. Only reissues draw from the reissue
-// stream. DisableBackoff keeps every attempt at responseTimeout (ablation
-// only).
-func (e *Engine) attemptTimeout(attempt int, prev time.Duration) time.Duration {
-	if attempt == 0 || e.cfg.DisableBackoff {
-		return responseTimeout
-	}
-	p := float64(prev)
-	return min(time.Duration(2*p+e.random().Float64()*p), backoffCap)
-}
-
 // random returns the reissue stream, seeding it on first use.
 func (e *Engine) random() *rand.Rand {
 	if e.rng == nil {
@@ -896,40 +891,42 @@ func rangeFraction(lo, hi ids.ID) float64 {
 	return float64(span.Hi)/two64 + float64(span.Lo)/(two64*two64)
 }
 
-// subrangeTimeout reissues an unanswered subrange request — subrange i of
-// f — or gives up after maxRetries (the contribution is then missing from
-// the predictor — the paper's "with high probability" caveat — and, worse,
-// endsystems in the subrange never observe the query; the giveup event
-// makes that loss visible and attributable). A task of a previous
-// incarnation (see Reset) stops here: nothing can answer it any more.
-func (e *Engine) subrangeTimeout(f *fanout, i int) {
-	s := &f.subs[i]
+// subrangeTimeout reissues an unanswered subrange request, or gives up
+// when the last of its maxRetries reissues goes unanswered (the
+// contribution is then missing from the predictor — the paper's "with
+// high probability" caveat — and, worse, endsystems in the subrange never
+// observe the query; the giveup event makes that loss visible and
+// attributable). A task of a previous incarnation (see Reset) stops here:
+// nothing can answer it any more.
+func (e *Engine) subrangeTimeout(s *subrange) {
 	t := s.task
 	node := e.host.PastryNode()
 	if s.done || t.finished || !node.Alive() || !slices.Contains(e.queries[t.key.qid].list(), t) {
+		s.retry.Cancel()
 		return
 	}
 	tag := e.o.QueryTag(t.key.qid)
-	if int(s.retries) >= maxRetries {
+	n := s.retry.N()
+	if b, _ := Schedules(e.cfg.DisableBackoff); b.Spent(n) {
+		s.retry.Cancel()
 		s.done = true // abandoned: no response finds it after
 		t.fan.open--
 		e.cAbandoned.Inc()
 		s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemAbandon, Query: tag,
-			EP: int(node.Endpoint()), N: int64(s.retries)})
+			EP: int(node.Endpoint()), N: int64(n)})
 		e.cGiveups.Inc()
 		e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemGiveup, Query: tag,
-			EP: int(node.Endpoint()), N: int64(s.retries),
+			EP: int(node.Endpoint()), N: int64(n),
 			V: rangeFraction(s.bounds())})
 		if t.fan.open == 0 {
 			e.finish(t)
 		}
 		return
 	}
-	s.retries++
 	e.cReissues.Inc()
 	s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemRetry, Query: tag,
-		EP: int(node.Endpoint()), N: int64(s.retries)})
-	e.sendSubrange(f, i)
+		EP: int(node.Endpoint()), N: int64(n + 1)})
+	e.sendSubrange(s)
 }
 
 // handleResp folds a child's aggregated predictor into the parent task:
@@ -946,7 +943,7 @@ func (e *Engine) handleResp(key taskKey, pred *predictor.Predictor, cause uint64
 	t := s.task
 	s.done = true // answered: no response finds it after
 	t.fan.open--
-	s.timer.Cancel()
+	s.retry.Cancel()
 	t.acc.Merge(pred)
 	// The response that completes the fan-in is the task's critical
 	// child; its span becomes the causal parent of this task's own
@@ -969,9 +966,12 @@ func (e *Engine) handleResp(key taskKey, pred *predictor.Predictor, cause uint64
 func (e *Engine) finish(t *task) {
 	t.finished = true
 	if f := t.fan; f != nil {
-		// All settled: nothing points into the subranges any more.
+		// All settled: nothing points into the subranges any more but
+		// their timeout callbacks, which stay.
 		t.fan = nil
-		clear(f.subs)
+		for i := range f.subs {
+			f.subs[i] = subrange{timeout: f.subs[i].timeout}
+		}
 		f.subs, f.hdr, f.next = f.subs[:0], nil, e.spare
 		e.spare = f
 	}

@@ -629,3 +629,69 @@ func TestNoGeneratorRetained(t *testing.T) {
 		t.Errorf("a metadata service retains %d bytes and an engine %d, ceiling 1 KB each", perService, perEngine)
 	}
 }
+
+// dropFrom is a fault hook that drops every query-class message one
+// endpoint sends and counts them.
+type dropFrom struct {
+	ep      simnet.Endpoint
+	now     func() time.Duration
+	dropped []time.Duration
+}
+
+func (d *dropFrom) OnSend(from, _ simnet.Endpoint, _, _ int, class simnet.Class) simnet.Fate {
+	if from != d.ep || class != simnet.ClassQuery {
+		return simnet.Fate{}
+	}
+	d.dropped = append(d.dropped, d.now())
+	return simnet.Fate{Drop: true}
+}
+
+// TestInjectorGiveUp pins when an injector whose start message never
+// arrives gives up: at the timeout of its 2×maxRetries-th retransmission,
+// one draw per retransmission from the reissue stream after it, having
+// sent the start message once more at that instant, which no timeout
+// waits for. The subranges give up at such a timeout without the extra
+// send (subrangeTimeout); the injector keeps it because dropping it moves
+// the reports TestChaosReportsPinned holds.
+func TestInjectorGiveUp(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 3
+	c := newCluster(t, 16, 4, cfg)
+	c.sched.RunUntil(time.Minute)
+	start := c.sched.Now()
+	qid := QueryID(testQuery, start)
+	injector := 0
+	for root, _ := c.ring.Root(qid); c.hosts[injector].node.Endpoint() == root.EP; injector++ {
+	}
+	hook := &dropFrom{ep: c.hosts[injector].node.Endpoint(), now: c.sched.Now}
+	c.ring.Network().SetFaultHook(hook)
+	e := c.hosts[injector].engine
+	if got := e.Inject(testQuery, 0, func(*predictor.Predictor) { t.Fatal("a predictor arrived") }); got != qid {
+		t.Fatal("the query id moved")
+	}
+	_, b := Schedules(false)
+	ref := rand.New(rand.NewSource(cfg.Seed))
+	at, timeout := start, b.First
+	for n := 0; n < b.Budget; n++ {
+		at += timeout
+		timeout = b.Next(timeout, func() *rand.Rand { return ref })
+	}
+	at += timeout // the last retransmission's timeout runs out
+	giveups := c.ring.Obs().Counter("dissem_giveups")
+	c.sched.RunUntil(at - 1)
+	if len(hook.dropped) != b.Budget+1 || giveups.Value() != 0 {
+		t.Fatalf("before the last timeout ran out: %d start messages and %d give-ups, want %d and none",
+			len(hook.dropped), giveups.Value(), b.Budget+1)
+	}
+	c.sched.RunUntil(start + time.Hour)
+	if len(hook.dropped) != b.Budget+2 || hook.dropped[len(hook.dropped)-1] != at || giveups.Value() != 1 {
+		t.Fatalf("start messages sent at %v and %d give-ups, want %d, the last at %v, and one", hook.dropped,
+			giveups.Value(), b.Budget+2, at)
+	}
+	if e.rng.Float64() != ref.Float64() {
+		t.Error("the injector drew other than once per retransmission")
+	}
+	if _, armed := e.waiting[qid].retry.When(); armed {
+		t.Error("a timeout is still armed after the give-up")
+	}
+}

@@ -1210,7 +1210,17 @@ func TestReissueSchedule(t *testing.T) {
 		}
 	}
 	qid := ids.HashString("unanswered")
+	sent := r.sched.Now()
 	r.request(qid, g, 2)
+	// timeout is the timeout armed with a subrange's latest request, sent
+	// at sent.
+	timeout := func(s *subrange) time.Duration {
+		at, armed := s.retry.When()
+		if !armed {
+			t.Fatal("a subrange awaits its response with no timeout armed")
+		}
+		return at - sent
+	}
 	awaited := func() []*subrange {
 		var out []*subrange
 		for _, s := range subs {
@@ -1224,9 +1234,9 @@ func TestReissueSchedule(t *testing.T) {
 		return out
 	}
 	for _, s := range awaited() {
-		if s.retries != 0 || s.lastTimeout != responseTimeout {
+		if s.retry.N() != 0 || timeout(s) != responseTimeout {
 			t.Errorf("first request after %d answers: attempt %d waits %v, want attempt 0 at %v",
-				8*len(subs), s.retries, s.lastTimeout, responseTimeout)
+				8*len(subs), s.retry.N(), timeout(s), responseTimeout)
 		}
 	}
 	if r.e.rng != nil {
@@ -1235,10 +1245,11 @@ func TestReissueSchedule(t *testing.T) {
 	// The sinks swallow every request, so each subrange times out and is
 	// reissued.
 	r.advance(responseTimeout + time.Second)
+	sent += responseTimeout
 	for _, s := range awaited() {
-		if s.retries != 1 || s.lastTimeout < 2*responseTimeout || s.lastTimeout > 3*responseTimeout {
+		if d := timeout(s); s.retry.N() != 1 || d < 2*responseTimeout || d > 3*responseTimeout {
 			t.Errorf("first reissue: attempt %d waits %v, want attempt 1 in [%v, %v]",
-				s.retries, s.lastTimeout, 2*responseTimeout, 3*responseTimeout)
+				s.retry.N(), d, 2*responseTimeout, 3*responseTimeout)
 		}
 	}
 
@@ -1246,9 +1257,10 @@ func TestReissueSchedule(t *testing.T) {
 	// one draw per reissue, none for the first request.
 	e := NewEngine(r.host, cfg)
 	ref := rand.New(rand.NewSource(cfg.Seed))
-	prev := e.attemptTimeout(0, 0)
+	b, _ := Schedules(cfg.DisableBackoff)
+	prev := b.First
 	for n := 1; n <= 2*maxRetries; n++ {
-		d := e.attemptTimeout(n, prev)
+		d := b.Next(prev, e.random)
 		if lo, hi := min(2*prev, backoffCap), min(3*prev, backoffCap); d < lo || d > hi {
 			t.Errorf("attempt %d waits %v after %v, want [%v, %v]", n, d, prev, lo, hi)
 		}
@@ -1264,9 +1276,10 @@ func TestReissueSchedule(t *testing.T) {
 
 	cfg.DisableBackoff = true
 	flat := NewEngine(r.host, cfg)
-	for n := 0; n <= 2*maxRetries; n++ {
-		if d := flat.attemptTimeout(n, backoffCap); d != responseTimeout {
-			t.Errorf("DisableBackoff: attempt %d waits %v, want %v", n, d, responseTimeout)
+	fb, _ := Schedules(cfg.DisableBackoff)
+	for n, prev := 0, fb.First; n <= 2*maxRetries; n, prev = n+1, fb.Next(prev, flat.random) {
+		if prev != responseTimeout {
+			t.Errorf("DisableBackoff: attempt %d waits %v, want %v", n, prev, responseTimeout)
 		}
 	}
 	if flat.rng != nil {

@@ -35,7 +35,7 @@ const (
 	maxConfigFields   = 69
 	maxTestOnlyFields = 0 // rows whose only setter is a test
 	maxUnsetFields    = 0 // rows nothing sets at all
-	maxDesignLines    = 2848
+	maxDesignLines    = 2673
 )
 
 // maxPackageLines are the per-package ceilings on non-test lines (the
@@ -44,7 +44,7 @@ const (
 // one takes an edit here and a CHANGES.md line saying why.
 var maxPackageLines = map[string]int{
 	"internal/agg":         182,
-	"internal/aggtree":     1561,
+	"internal/aggtree":     1558,
 	"internal/anemone":     335,
 	"internal/avail":       783,
 	"internal/coords":      473,
@@ -58,12 +58,12 @@ var maxPackageLines = map[string]int{
 	"internal/model":       209,
 	"internal/obs":         1135,
 	"internal/obs/causal":  352,
-	"internal/pastry":      1356,
+	"internal/pastry":      1361,
 	"internal/predictor":   419,
 	"internal/qserve":      819,
 	"internal/relq":        2253,
 	"internal/runner":      165,
-	"internal/simnet":      1400,
+	"internal/simnet":      1529,
 	"seaweed":              203,
 }
 
@@ -267,6 +267,12 @@ type module struct {
 	// slowSeeds are the math/rand NewSource calls of non-test code under
 	// internal/ outside internal/ids, as file:line.
 	slowSeeds []string
+	// discards are the `_ = local` statements of Test functions, as
+	// file:line.
+	discards []string
+	// citations maps each section non-test code cites as DESIGN.md, "X"
+	// to where, as file:line.
+	citations map[string][]string
 }
 
 // testFunc matches a test function declaration.
@@ -276,7 +282,8 @@ var testFunc = regexp.MustCompile(`(?m)^func (Test\w+)\(`)
 // directories.
 func scanModule(t *testing.T) module {
 	t.Helper()
-	m := module{lines: map[string]int{}, imported: map[string]bool{}, tests: map[string]bool{}}
+	m := module{lines: map[string]int{}, imported: map[string]bool{}, tests: map[string]bool{},
+		citations: map[string][]string{}}
 	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -294,19 +301,28 @@ func scanModule(t *testing.T) module {
 		if err != nil {
 			return err
 		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
+		if err != nil {
+			return err
+		}
 		if strings.HasSuffix(path, "_test.go") {
 			for _, f := range testFunc.FindAllSubmatch(src, -1) {
 				m.tests[string(f[1])] = true
+			}
+			for _, pos := range discardedLocals(f) {
+				m.discards = append(m.discards, fset.Position(pos).String())
 			}
 			return nil
 		}
 		dir, _ := filepath.Rel("../..", filepath.Dir(path))
 		dir = filepath.ToSlash(dir)
 		m.lines[dir] += bytes.Count(src, []byte("\n"))
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, path, src, 0)
-		if err != nil {
-			return err
+		for _, c := range f.Comments {
+			text := strings.Join(strings.Fields(c.Text()), " ")
+			for _, cited := range designCitation.FindAllStringSubmatch(text, -1) {
+				m.citations[cited[1]] = append(m.citations[cited[1]], fset.Position(c.Pos()).String())
+			}
 		}
 		if strings.HasPrefix(dir, "internal/") && dir != "internal/ids" {
 			for _, pos := range newSourceCalls(f) {
@@ -324,6 +340,66 @@ func scanModule(t *testing.T) module {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// discardedLocals returns where f's Test functions assign one of their
+// own locals to the blank identifier: a measurement computed and thrown
+// away checks nothing. Locals named sink are exempt; they keep a result
+// alive on purpose.
+func discardedLocals(f *ast.File) []token.Pos {
+	var out []token.Pos
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Body == nil || !strings.HasPrefix(fn.Name.Name, "Test") {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			a, ok := n.(*ast.AssignStmt)
+			if !ok || a.Tok != token.ASSIGN || len(a.Lhs) != 1 || len(a.Rhs) != 1 {
+				return true
+			}
+			blank, _ := a.Lhs[0].(*ast.Ident)
+			x, _ := a.Rhs[0].(*ast.Ident)
+			if blank != nil && blank.Name == "_" && x != nil && x.Name != "sink" && x.Obj != nil &&
+				x.Obj.Kind == ast.Var && x.Obj.Pos() > fn.Body.Pos() && x.Obj.Pos() < fn.Body.End() {
+				out = append(out, a.Pos())
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// designCitation matches a citation of a DESIGN.md section in a comment.
+var designCitation = regexp.MustCompile(`DESIGN\.md, "([^"]+)"`)
+
+// TestTestsKeepTheirMeasurements: no Test function discards a local it
+// computed with `_ = x`; it checks what it measured, or does not measure
+// it.
+func TestTestsKeepTheirMeasurements(t *testing.T) {
+	for _, at := range scanModule(t).discards {
+		t.Errorf("%s: a test discards a local it computed; check it or delete it", at)
+	}
+}
+
+// TestDesignCitations: every section a non-test comment cites as
+// DESIGN.md, "X" is a heading or a bold lead of DESIGN.md, so a comment
+// cannot keep pointing at a section that was renamed or folded away.
+func TestDesignCitations(t *testing.T) {
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := scanModule(t)
+	if len(m.citations) == 0 {
+		t.Fatal("no citation of DESIGN.md found: the scan is broken")
+	}
+	for name, at := range m.citations {
+		heading := regexp.MustCompile(`(?m)^#+ ` + regexp.QuoteMeta(name) + `$`)
+		if !heading.Match(design) && !bytes.Contains(design, []byte("**"+name+"**")) {
+			t.Errorf("%v cite DESIGN.md, %q, which is no heading or bold lead there", at, name)
+		}
+	}
 }
 
 // newSourceCalls returns where f calls math/rand's NewSource, under

@@ -110,9 +110,7 @@ func TestFig4SmallDataFavorsCentralized(t *testing.T) {
 		t.Fatal("Fig4 must return four panels")
 	}
 	// At the small-data defaults the centralized design beats Seaweed.
-	b := panels[1] // u sweep with base values at u=10 when evaluated... use panel a at default u
 	a := panels[0]
-	_ = b
 	centIdx, seaweedIdx := 0, 1
 	if a.Overhead[centIdx][0] >= a.Overhead[seaweedIdx][0] {
 		t.Error("centralized should win at u=10 B/s (Figure 4 narrative)")

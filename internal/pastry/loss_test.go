@@ -72,7 +72,7 @@ func TestJoinRetryStopsOnStop(t *testing.T) {
 	sched.RunUntil(2 * time.Hour)
 	// The stopped node sends nothing: its transmit samples over the hour
 	// from 1 h to 2 h (one sample per endpoint) are all zero. A retry at
-	// joinRetryTimeout cadence would send hundreds of join requests.
+	// joinSchedule's cadence would send hundreds of join requests.
 	samples := ring.Network().Stats().PerEndpointHourSamples(false, time.Hour, 2*time.Hour)
 	if len(samples) != len(nodes) {
 		t.Fatalf("%d samples over one hour, want one per endpoint (%d)", len(samples), len(nodes))
@@ -121,7 +121,7 @@ func TestRoutingDeliversUnderModerateLoss(t *testing.T) {
 }
 
 func TestReplicaSetIsClosestSubset(t *testing.T) {
-	_, ring, nodes, _ := lossyRing(t, 64, 45, 0)
+	_, _, nodes, _ := lossyRing(t, 64, 45, 0)
 	for _, n := range nodes {
 		rs := n.AppendClosest(nil, n.ID(), 4, false)
 		if len(rs) != 4 {
@@ -149,5 +149,4 @@ func TestReplicaSetIsClosestSubset(t *testing.T) {
 			}
 		}
 	}
-	_ = ring
 }

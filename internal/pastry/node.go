@@ -47,7 +47,7 @@ type Node struct {
 	// protocol completes otherwise).
 	OnReady func()
 
-	joinRetry simnet.Timer
+	joinRetry simnet.Retry
 }
 
 // ID returns the node's endsystemId.
@@ -201,12 +201,14 @@ func (n *Node) Start() {
 	n.sendJoinRequest()
 }
 
-// sendJoinRequest issues one join attempt and arms the retry timer.
+// sendJoinRequest issues one join attempt and arms the join retry: its
+// first timeout, or on a retransmission its next.
 func (n *Node) sendJoinRequest() {
 	if !n.alive || !n.joining {
 		return
 	}
 	if n.ring.NumLive() == 0 {
+		n.joinRetry.Cancel()
 		n.ring.noteJoined(n)
 		n.joining = false
 		if n.OnReady != nil {
@@ -229,10 +231,9 @@ func (n *Node) sendJoinRequest() {
 	}
 	req := &joinRequest{Joiner: n.Ref()}
 	n.ring.net.Send(n.ep, contact.EP, refBytes+16, simnet.ClassPastry, req)
-	n.joinRetry = n.Sched().After(joinRetryTimeout, func() {
-		n.ring.cJoinRetry.Inc()
-		n.sendJoinRequest()
-	})
+	if !n.joinRetry.Again(&joinSchedule, nil) {
+		n.joinRetry.Start(n.Sched(), &joinSchedule, func() { n.ring.cJoinRetry.Inc(); n.sendJoinRequest() })
+	}
 }
 
 // Stop takes the node down silently (a crash or power-off). Failure

@@ -48,13 +48,17 @@ const (
 	// retryTimeout is how long a node waits before concluding a forward
 	// to a stale routing entry failed and rerouting.
 	retryTimeout = time.Second
-	// joinRetryTimeout is how long a joining node waits for a join reply
-	// before retrying with a different contact.
-	joinRetryTimeout = 10 * retryTimeout
 	// accountingPeriod is how often aggregate heartbeat/probe costs are
 	// folded into the bandwidth statistics.
 	accountingPeriod = 10 * time.Minute
 )
+
+// joinSchedule re-sends a join request, to a fresh contact, every ten
+// per-hop timeouts until a reply arrives or the node stops.
+var joinSchedule = simnet.Backoff{First: 10 * retryTimeout, Grow: 1}
+
+// JoinSchedule returns the join retransmission schedule.
+func JoinSchedule() simnet.Backoff { return joinSchedule }
 
 // Config parameterizes the overlay.
 type Config struct {

@@ -204,19 +204,13 @@ func TestStopRepairsLeafsetsAndRerootsKeys(t *testing.T) {
 	if !ok || newRoot.ID == vid {
 		t.Fatal("ground truth still maps key to dead node")
 	}
-	delivered := false
 	rootNode := ring.Node(newRoot.EP)
-	rootApp := &testApp{}
-	// Rebind app to observe: nodes were built with their own testApps; use
-	// the ring to fetch and check after routing.
-	_ = rootApp
 	before := len(appOf(t, rootNode).delivered)
 	nodes[20].Route(key, "after-death", 10, simnet.ClassQuery)
 	sched.RunUntil(sched.Now() + time.Minute)
 	if len(appOf(t, rootNode).delivered) != before+1 {
 		t.Fatal("message for dead node's key not delivered to new root")
 	}
-	_ = delivered
 }
 
 // appOf extracts the testApp behind a node.

@@ -11,10 +11,11 @@
 // occupancy tracked in a bitmap) with a binary-heap overflow level for
 // far-future events, and all events are pooled structs rather than
 // closures, with cancel handles (Timer) returned by value: once the pool is
-// warm, a message delivery, an At/After with its Cancel and a periodic-timer
-// firing allocate nothing (TestSchedulerSteadyStateAllocs). A canceled
-// far-future event leaves the overflow heap at once; one canceled inside the
-// wheel's window is discarded when its tick is drained.
+// warm, a message delivery, an At/After with its Cancel and a periodic or
+// retry timer's firing allocate nothing (TestSchedulerSteadyStateAllocs). A
+// canceled far-future event leaves the overflow heap at once; one canceled
+// inside the wheel's window is discarded when its tick is drained. Every
+// retransmission above is a Retry on a Backoff schedule (retry.go).
 package simnet
 
 import (
@@ -52,6 +53,10 @@ const (
 	// callback captured at creation, the same pooled event re-armed every
 	// period with a fresh sequence number.
 	evPeriodic
+	// evRetry is a Retry's timeout: the event keeps its callback, the
+	// timeout it was armed with (period) and the retransmissions so far
+	// (n) from Start to Cancel, across its firings.
+	evRetry
 )
 
 // event is a pooled scheduler entry. Events are owned by the scheduler and
@@ -64,7 +69,7 @@ type event struct {
 	next *event // slot free-list link
 	w    *Wheel // the wheel that owns it, for Timer.Cancel and Reschedule
 
-	// evFunc / evPeriodic
+	// evFunc / evPeriodic / evRetry
 	fn     func()
 	period time.Duration
 
@@ -77,18 +82,22 @@ type event struct {
 
 	// hidx is the event's index in the overflow heap while where is inHeap.
 	hidx  int32
+	n     int32 // evRetry: retransmissions so far
 	kind  uint8
 	where uint8 // which queue holds the event (inWheel, inDue, inHeap), or none
 	class uint8 // Class
 }
 
 // Where a queued event is (event.where). An event being dispatched, or in
-// the pool, is in none of them.
+// the pool, is in none of them; a Retry's event is firing while its
+// callback runs, and parked from then until its next Arm.
 const (
 	inNone = iota
 	inWheel
 	inDue
 	inHeap
+	inFiring
+	inParked
 )
 
 // Wheel is the simulator's event engine: schedule (At/After/Every),
@@ -486,28 +495,33 @@ type Timer struct {
 	tid uint64
 }
 
-// Cancel prevents the timer's event from firing (and, for repeating timers,
-// stops all future firings, even from within a firing) and reports whether
-// it stopped one. Canceling an already-fired one-shot timer, an
-// already-canceled timer or the zero Timer is a no-op returning false.
+// Cancel prevents the timer's event from firing (and, for repeating timers
+// and retries, stops all future firings, even from within a firing) and
+// reports whether it stopped one. Canceling an already-fired one-shot
+// timer, an already-canceled timer, a parked Retry or the zero Timer
+// stops no firing and returns false.
 func (t Timer) Cancel() bool {
 	ev := t.ev
 	if ev == nil || ev.tid != t.tid {
 		return false
 	}
-	if ev.where == inHeap {
+	switch ev.where {
+	case inHeap:
 		// Beyond the wheel's window: leave the queue now, not at the
 		// instant, which may be hours away.
 		s := ev.w
 		s.unqueue(ev)
 		s.recycle(ev)
 		return true
+	case inParked:
+		ev.w.recycle(ev)
+		return false
 	}
 	ev.kind = evNone // the wheel discards it when its tick is drained
 	ev.tid = 0       // every copy of the handle now finds nothing
 	// The event stays queued until its tick: it must not keep what the
-	// callback captured alive that long. A periodic timer canceled from
-	// within its own firing is past reading fn.
+	// callback captured alive that long. A periodic timer or a retry
+	// canceled from within its own firing is past reading fn.
 	ev.fn = nil
 	return true
 }
@@ -516,7 +530,7 @@ func (t Timer) Cancel() bool {
 // fired, canceled or zero Timer, or a repeating timer in the middle of its
 // own firing.
 func (t Timer) queued() *event {
-	if t.ev == nil || t.ev.tid != t.tid || t.ev.where == inNone {
+	if t.ev == nil || t.ev.tid != t.tid || t.ev.where == inNone || t.ev.where >= inFiring {
 		return nil
 	}
 	return t.ev
@@ -676,7 +690,8 @@ done:
 }
 
 // dispatch executes one event and recycles it (periodic events re-arm
-// instead, reusing the same pooled event).
+// instead, reusing the same pooled event, and a retry's stays with its
+// holder).
 func (s *Wheel) dispatch(ev *event) {
 	switch ev.kind {
 	case evFunc:
@@ -694,6 +709,16 @@ func (s *Wheel) dispatch(ev *event) {
 			ev.at = s.now + ev.period
 			s.schedule(ev)
 		} else {
+			s.recycle(ev)
+		}
+	case evRetry:
+		ev.where = inFiring
+		ev.fn()
+		switch {
+		case ev.where != inFiring: // re-armed: the queue has it, stopped or not
+		case ev.kind == evRetry:
+			ev.where = inParked
+		default: // stopped from within its firing
 			s.recycle(ev)
 		}
 	default:
