@@ -665,17 +665,15 @@ type cancelMsg struct {
 func cancelMsgSize() int { return ids.Bytes }
 
 // TraceQuery implements pastry.Traced, attributing routing events for
-// aggregation traffic to the query's trace.
+// aggregation traffic to the query's trace. Results and acks are sent
+// directly, never routed, so they need neither.
 func (m *submitMsg) TraceQuery() string { return m.QID.Short() }
 func (m *replMsg) TraceQuery() string   { return m.QID.Short() }
-func (m *resultMsg) TraceQuery() string { return m.QID.Short() }
 func (m *cancelMsg) TraceQuery() string { return m.QID.Short() }
-func (m *ackMsg) TraceQuery() string    { return m.QID.Short() }
 
 // TraceSpan implements pastry.TracedSpan for verbose hop-chain tracing.
 func (m *submitMsg) TraceSpan() uint64 { return m.Cause }
 func (m *replMsg) TraceSpan() uint64   { return m.Cause }
-func (m *resultMsg) TraceSpan() uint64 { return m.Cause }
 
 // --------------------------------------------------------------- protocol
 

@@ -122,7 +122,7 @@ func TestChaosReportsPinned(t *testing.T) {
 		{"flap", "", nil, "139c023d90f02bddc31e64b1bd398a03891ff5c31f5338e8d5169e79c71b7f15"},
 		{"mixed", "", nil, "01080d03008c37e961d9045221c3a672e6e7434d33cf579acf43026e5d36dad6"},
 		{"straggler", "", nil, "12a9e6eca2a64533b2ff3aa33b0566a9060333e62757def0eb37896d56bf1983"},
-		{"mixed", "backoff", noBackoff, "cd67f34ca93a0bfbd49ae79fa9920f508fd7f1b70bed2511d2f4ff1257eb5241"},
+		{"mixed", "backoff", noBackoff, "892243913726de2bd37e0f4568a85a50d005f5b8fff89a9ae4d91bb1b396f081"},
 		{"mixed", "repair", noRepair, "04eaaa2a688c0ed6033a14aca2f7b8410311115a20c94d268cb1a2ae9e4573ef"},
 		{"mixed", "reassert", noLadder, "18b0c631a77aa04745a85eeeb836edd7cb07d0029fa92a75603ccd6b7f9f25f1"},
 		{"straggler", "reassert", noLadder, "f7c0cf3ba75b892c54b1f86b1c84071164f54f87f7c353b766681bfbf0f844e8"},

@@ -46,9 +46,10 @@ type Node struct {
 	// resultSinks receives incremental results for queries injected here;
 	// the third argument is the delivering partial event's span.
 	resultSinks map[ids.ID]func(agg.Partial, int64, uint64)
-	// prevLeaf is the leafset membership at the last LeafsetChanged
-	// upcall, for detecting additions (see pullFromNewNeighbors).
-	prevLeaf map[simnet.Endpoint]bool
+	// leafsetSeen is set by the first LeafsetChanged upcall. Until then
+	// pullFromNewNeighbors takes every leafset member for new: the
+	// bootstrap leafset is never handed to it.
+	leafsetSeen bool
 
 	// Live data feed (optional): new rows appended while the endsystem is
 	// up, with the summary rebuilt and re-replicated when data changed.
@@ -94,7 +95,6 @@ func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
 		summary:     summary,
 		model:       model,
 		resultSinks: make(map[ids.ID]func(agg.Partial, int64, uint64)),
-		prevLeaf:    make(map[simnet.Endpoint]bool),
 		contTimers:  make(map[ids.ID]simnet.Timer),
 	}
 	// Every endsystem table shares the cluster-wide executor counters
@@ -301,9 +301,10 @@ func (n *Node) Deliver(key ids.ID, from simnet.Endpoint, payload any) {
 
 // LeafsetChanged implements pastry.Application.
 func (n *Node) LeafsetChanged() {
-	n.meta.HandleLeafsetChanged()
+	added, removed := n.pn.LeafsetDelta()
+	n.meta.HandleLeafsetChanged(added, removed)
 	n.tree.HandleLeafsetChanged()
-	n.pullFromNewNeighbors()
+	n.pullFromNewNeighbors(added)
 }
 
 // pullFromNewNeighbors extends the joiner's active-query handoff to
@@ -312,24 +313,17 @@ func (n *Node) LeafsetChanged() {
 // restarted and so never ran the join-time pull — both sides ask their
 // new neighbors for the active query list, letting endsystems that
 // missed a dissemination while cut off contribute their rows after all.
-func (n *Node) pullFromNewNeighbors() {
+func (n *Node) pullFromNewNeighbors(added []pastry.NodeRef) {
 	if !n.pn.Alive() {
 		return
 	}
-	leaf := n.pn.LeafsetView()
-	sent := 0
-	for _, m := range leaf {
-		if !n.prevLeaf[m.EP] && sent < 3 {
-			n.pn.Ring().Network().Send(n.pn.Endpoint(), m.EP, ids.Bytes+8,
-				simnet.ClassQuery, &queryListPull{From: n.pn.Endpoint()})
-			sent++
-		}
+	if !n.leafsetSeen {
+		added, n.leafsetSeen = n.pn.LeafsetView(), true
 	}
-	next := make(map[simnet.Endpoint]bool, len(leaf))
-	for _, m := range leaf {
-		next[m.EP] = true
+	for i := 0; i < 3 && i < len(added); i++ {
+		n.pn.Ring().Network().Send(n.pn.Endpoint(), added[i].EP, ids.Bytes+8,
+			simnet.ClassQuery, &queryListPull{From: n.pn.Endpoint()})
 	}
-	n.prevLeaf = next
 }
 
 // GoUp brings the endsystem online (a trace up-transition): the

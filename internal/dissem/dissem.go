@@ -285,9 +285,8 @@ func (e *Engine) Inject(q *relq.Query, cause uint64, onPredictor func(*predictor
 // injectTimeout retransmits the injector-to-root start message, whose loss
 // would kill the whole query; the root deduplicates by task key and
 // re-answers finished tasks from cache, so nothing double-counts. When the
-// last of 2×maxRetries retransmissions goes unanswered, the message goes
-// out once more, unawaited, and the query is given up as a whole-namespace
-// loss (TestInjectorGiveUp).
+// last of 2×maxRetries retransmissions goes unanswered, the query is given
+// up as a whole-namespace loss (TestInjectorGiveUp).
 func (e *Engine) injectTimeout(qid ids.ID, p *pendingInject) {
 	node := e.host.PastryNode()
 	if !node.Alive() {
@@ -296,18 +295,18 @@ func (e *Engine) injectTimeout(qid ids.ID, p *pendingInject) {
 	}
 	n := p.retry.N()
 	_, b := Schedules(e.cfg.DisableBackoff)
+	if b.Spent(n) {
+		p.retry.Cancel()
+		e.cGiveups.Inc()
+		e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemGiveup, Query: e.o.QueryTag(qid),
+			EP: int(node.Endpoint()), N: int64(n), V: 1.0})
+		return
+	}
 	e.cReissues.Inc()
 	p.span = e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemRetry, Query: e.o.QueryTag(qid),
 		EP: int(node.Endpoint()), N: int64(n + 1)})
 	msg := &startMsg{QueryID: qid, Query: p.query, Injector: node.Endpoint(), Cause: p.span}
 	node.Route(qid, msg, startMsgSize(p.query), simnet.ClassQuery)
-	if b.Spent(n) {
-		p.retry.Cancel()
-		e.cGiveups.Inc()
-		e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemGiveup, Query: e.o.QueryTag(qid),
-			EP: int(node.Endpoint()), N: int64(n + 1), V: 1.0})
-		return
-	}
 	p.retry.Again(&b, e.random)
 }
 

@@ -60,7 +60,7 @@ func (h *testHost) Deliver(key ids.ID, from simnet.Endpoint, payload any) {
 
 func (h *testHost) LeafsetChanged() {
 	if h.meta != nil {
-		h.meta.HandleLeafsetChanged()
+		h.meta.HandleLeafsetChanged(h.node.LeafsetDelta())
 	}
 }
 
@@ -648,11 +648,8 @@ func (d *dropFrom) OnSend(from, _ simnet.Endpoint, _, _ int, class simnet.Class)
 
 // TestInjectorGiveUp pins when an injector whose start message never
 // arrives gives up: at the timeout of its 2×maxRetries-th retransmission,
-// one draw per retransmission from the reissue stream after it, having
-// sent the start message once more at that instant, which no timeout
-// waits for. The subranges give up at such a timeout without the extra
-// send (subrangeTimeout); the injector keeps it because dropping it moves
-// the reports TestChaosReportsPinned holds.
+// one draw per retransmission from the reissue stream after it, with no
+// send at that instant — the rule the subranges follow (subrangeTimeout).
 func TestInjectorGiveUp(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 3
@@ -683,10 +680,15 @@ func TestInjectorGiveUp(t *testing.T) {
 		t.Fatalf("before the last timeout ran out: %d start messages and %d give-ups, want %d and none",
 			len(hook.dropped), giveups.Value(), b.Budget+1)
 	}
+	c.sched.RunUntil(at)
+	if len(hook.dropped) != b.Budget+1 || giveups.Value() != 1 {
+		t.Fatalf("when the last timeout ran out: %d start messages and %d give-ups, want %d and one",
+			len(hook.dropped), giveups.Value(), b.Budget+1)
+	}
 	c.sched.RunUntil(start + time.Hour)
-	if len(hook.dropped) != b.Budget+2 || hook.dropped[len(hook.dropped)-1] != at || giveups.Value() != 1 {
-		t.Fatalf("start messages sent at %v and %d give-ups, want %d, the last at %v, and one", hook.dropped,
-			giveups.Value(), b.Budget+2, at)
+	if len(hook.dropped) != b.Budget+1 || giveups.Value() != 1 {
+		t.Fatalf("start messages sent at %v and %d give-ups, want %d and one", hook.dropped,
+			giveups.Value(), b.Budget+1)
 	}
 	if e.rng.Float64() != ref.Float64() {
 		t.Error("the injector drew other than once per retransmission")

@@ -36,6 +36,10 @@ const (
 	maxTestOnlyFields = 0 // rows whose only setter is a test
 	maxUnsetFields    = 0 // rows nothing sets at all
 	maxDesignLines    = 2673
+	// maxOracleReads ceils the ground-truth reads of the simulator's own
+	// code (see oracleReads): each is a place the protocol learns what it
+	// could not know, so the count may only fall.
+	maxOracleReads = 57
 )
 
 // maxPackageLines are the per-package ceilings on non-test lines (the
@@ -44,21 +48,21 @@ const (
 // one takes an edit here and a CHANGES.md line saying why.
 var maxPackageLines = map[string]int{
 	"internal/agg":         182,
-	"internal/aggtree":     1558,
+	"internal/aggtree":     1556,
 	"internal/anemone":     335,
 	"internal/avail":       783,
 	"internal/coords":      473,
-	"internal/core":        1612,
-	"internal/dissem":      1060,
+	"internal/core":        1606,
+	"internal/dissem":      1059,
 	"internal/experiments": 1819,
 	"internal/fault":       1007,
 	"internal/histogram":   672,
 	"internal/ids":         535,
-	"internal/metadata":    477,
+	"internal/metadata":    459,
 	"internal/model":       209,
 	"internal/obs":         1135,
 	"internal/obs/causal":  352,
-	"internal/pastry":      1361,
+	"internal/pastry":      1359,
 	"internal/predictor":   419,
 	"internal/qserve":      819,
 	"internal/relq":        2253,
@@ -273,6 +277,9 @@ type module struct {
 	// citations maps each section non-test code cites as DESIGN.md, "X"
 	// to where, as file:line.
 	citations map[string][]string
+	// oracleReads are the ground-truth reads of non-test code outside
+	// internal/fault, internal/experiments and bench, as file:line.
+	oracleReads []string
 }
 
 // testFunc matches a test function declaration.
@@ -327,6 +334,11 @@ func scanModule(t *testing.T) module {
 		if strings.HasPrefix(dir, "internal/") && dir != "internal/ids" {
 			for _, pos := range newSourceCalls(f) {
 				m.slowSeeds = append(m.slowSeeds, fset.Position(pos).String())
+			}
+		}
+		if dir != "internal/fault" && dir != "internal/experiments" && dir != "bench" {
+			for _, pos := range oracleReads(f) {
+				m.oracleReads = append(m.oracleReads, fset.Position(pos).String())
 			}
 		}
 		for _, imp := range f.Imports {
@@ -400,6 +412,49 @@ func TestDesignCitations(t *testing.T) {
 			t.Errorf("%v cite DESIGN.md, %q, which is no heading or bold lead there", at, name)
 		}
 	}
+}
+
+// oracleMethods are the pastry.Ring methods that answer from the ground
+// truth: who is live, who can reach whom, and the leafsets, roots and
+// routing tables that follow from them.
+var oracleMethods = []string{"isLive", "reachable", "LiveClosest", "Root", "liveLeafNeighbors", "buildRoutingTable"}
+
+// oracleReads returns where f reads the ground truth: a call of one of
+// oracleMethods, or a use of the ring's live index (a selector named
+// live that is not called; simnet's Retry has a live method). Names are
+// matched without types, so another type's Root counts too.
+func oracleReads(f *ast.File) []token.Pos {
+	called := map[*ast.SelectorExpr]bool{}
+	var out []token.Pos
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				called[sel] = true
+				if slices.Contains(oracleMethods, sel.Sel.Name) {
+					out = append(out, sel.Sel.Pos())
+				}
+			}
+		}
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "live" && !called[sel] {
+			out = append(out, sel.Sel.Pos())
+		}
+		return true
+	})
+	return out
+}
+
+// TestOracleCensus holds the simulator's ground-truth reads to
+// maxOracleReads: a change may remove reads, and lowers the ceiling when
+// it does, but adds none without raising it and saying why in CHANGES.md.
+func TestOracleCensus(t *testing.T) {
+	reads := scanModule(t).oracleReads
+	if len(reads) == 0 {
+		t.Fatal("no ground-truth read found: the scan is broken")
+	}
+	if len(reads) > maxOracleReads {
+		t.Errorf("%d ground-truth reads, ceiling %d:\n%s", len(reads), maxOracleReads, strings.Join(reads, "\n"))
+	}
+	t.Logf("%d ground-truth reads (ceiling %d)", len(reads), maxOracleReads)
 }
 
 // newSourceCalls returns where f calls math/rand's NewSource, under

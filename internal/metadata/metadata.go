@@ -135,14 +135,14 @@ type Service struct {
 	seed   int64
 	phases int
 
-	own      *Record
-	store    map[ids.ID]*Record
-	prevLeaf map[ids.ID]pastry.NodeRef
-	ticker   simnet.Timer
+	own    *Record
+	store  map[ids.ID]*Record
+	ticker simnet.Timer
 	// sentGen is, per replica-set member, the generation of this
 	// endsystem's record last sent to it in full (0: none this uptime).
 	sentGen map[ids.ID]uint64
-	// scratch is the reusable replica-set buffer for pushOwn.
+	// scratch is the reusable replica-set buffer of pushOwn and
+	// HandleLeafsetChanged.
 	scratch []pastry.NodeRef
 
 	// Observability handles, cached at construction (nil-safe no-ops when
@@ -161,12 +161,11 @@ type Service struct {
 func NewService(node *pastry.Node, cfg Config, seed int64) *Service {
 	o := node.Ring().Obs()
 	return &Service{
-		cfg:      cfg,
-		node:     node,
-		seed:     seed,
-		store:    make(map[ids.ID]*Record),
-		prevLeaf: make(map[ids.ID]pastry.NodeRef),
-		sentGen:  make(map[ids.ID]uint64),
+		cfg:     cfg,
+		node:    node,
+		seed:    seed,
+		store:   make(map[ids.ID]*Record),
+		sentGen: make(map[ids.ID]uint64),
 
 		o:          o,
 		cPushes:    o.Counter("meta_pushes"),
@@ -208,10 +207,6 @@ func (s *Service) Activate() {
 	// Fresh uptime: assume nothing about what replicas still hold, so the
 	// first push of each member is a full one.
 	clear(s.sentGen)
-	s.prevLeaf = make(map[ids.ID]pastry.NodeRef)
-	for _, m := range s.node.LeafsetView() {
-		s.prevLeaf[m.ID] = m
-	}
 	s.pushOwn()
 	// Randomize the phase: first tick after U(0,period), then periodic.
 	// ticker holds the phase timer until it hands over to the periodic
@@ -367,38 +362,25 @@ func (s *Service) insert(rec *Record) {
 }
 
 // HandleLeafsetChanged reacts to overlay membership changes around this
-// node: marking newly unavailable subjects down, forwarding records to
-// members that just entered their replica sets, and evicting records this
-// node no longer stands anywhere near.
-func (s *Service) HandleLeafsetChanged() {
+// node, given who entered the leafset and who left it (Node.LeafsetDelta):
+// marking subjects that left down, forwarding records to members that
+// entered their replica sets, and evicting records this node no longer
+// stands anywhere near.
+func (s *Service) HandleLeafsetChanged(added, removed []pastry.NodeRef) {
 	now := s.node.Sched().Now()
-	cur := make(map[ids.ID]pastry.NodeRef)
-	for _, m := range s.node.LeafsetView() {
-		cur[m.ID] = m
-	}
-	var added []pastry.NodeRef
-	for id, ref := range cur {
-		if _, ok := s.prevLeaf[id]; !ok {
-			added = append(added, ref)
+	for _, m := range removed {
+		// A neighbor left: if we replicate its metadata, note the time we
+		// saw it go down (§3.2.1).
+		if rec, ok := s.store[m.ID]; ok && rec.Up {
+			rec.Up = false
+			rec.DownSince = now
+			s.cDownMarks.Inc()
 		}
 	}
-	slices.SortFunc(added, func(a, b pastry.NodeRef) int { return a.ID.Cmp(b.ID) })
-	for id := range s.prevLeaf {
-		if _, ok := cur[id]; !ok {
-			// A neighbor left: if we replicate its metadata, note the time
-			// we saw it go down (§3.2.1).
-			if rec, ok := s.store[id]; ok && rec.Up {
-				rec.Up = false
-				rec.DownSince = now
-				s.cDownMarks.Inc()
-			}
-		}
-	}
-	s.prevLeaf = cur
 
 	// One candidate buffer serves every replica-set computation below,
 	// each from local knowledge: leafset ∪ self.
-	buf := make([]pastry.NodeRef, 0, len(s.node.LeafsetView())+1)
+	buf := s.scratch[:0]
 	if len(added) > 0 {
 		for _, rec := range s.sortedRecords() {
 			buf = s.node.AppendClosest(buf[:0], rec.Subject, K, true)
@@ -431,6 +413,7 @@ func (s *Service) HandleLeafsetChanged() {
 			s.cEvictions.Inc()
 		}
 	}
+	s.scratch = buf[:0]
 }
 
 // sortedRecords returns the stored records in subject-id order, keeping
@@ -458,9 +441,9 @@ func (s *Service) Lookup(id ids.ID) *Record { return s.store[id] }
 // whose ids fall in the inclusive namespace range [lo, hi]. The
 // dissemination protocol calls this on the node responsible for a range to
 // generate completeness predictors on behalf of unavailable endsystems.
-// Records for subjects currently alive in this node's leafset are skipped:
-// the leafset is fresher than a record whose rejoin push may not have
-// arrived here.
+// Records for subjects in the leafset last reported to this service are
+// skipped: the leafset is fresher than a record whose rejoin push may not
+// have arrived here.
 func (s *Service) UnavailableInRange(lo, hi ids.ID) []*Record {
 	var out []*Record
 	for id, rec := range s.store {
@@ -468,10 +451,9 @@ func (s *Service) UnavailableInRange(lo, hi ids.ID) []*Record {
 		if !id.InRange(lo, hi) || rec.Up || id == s.node.ID() {
 			continue
 		}
-		if _, live := s.prevLeaf[id]; live {
-			continue
+		if !s.node.InReportedLeafset(id) {
+			out = append(out, rec)
 		}
-		out = append(out, rec)
 	}
 	return out
 }

@@ -39,7 +39,7 @@ func (a *svcApp) Deliver(key ids.ID, from simnet.Endpoint, payload any) {
 
 func (a *svcApp) LeafsetChanged() {
 	if *a.svc != nil {
-		(*a.svc).HandleLeafsetChanged()
+		(*a.svc).HandleLeafsetChanged((*a.svc).node.LeafsetDelta())
 	}
 }
 
@@ -526,10 +526,9 @@ func TestRereplicationSendsSnapshot(t *testing.T) {
 	if rec == nil || !rec.Up {
 		t.Fatal("no up record with another member to forward it to")
 	}
-	// Make the member look newly arrived, so the holder forwards to it.
-	delete(svc.prevLeaf, to.ID)
+	// Hand the holder the member as newly arrived, so it forwards to it.
 	rerepl := h.obs.Counter("meta_rereplications").Value()
-	svc.HandleLeafsetChanged()
+	svc.HandleLeafsetChanged([]pastry.NodeRef{to}, nil)
 	if h.obs.Counter("meta_rereplications").Value() == rerepl {
 		t.Fatal("no re-replication forward")
 	}

@@ -49,8 +49,8 @@ func linearClosestOfLeafset(n *Node, key ids.ID) NodeRef {
 
 // TestLeafsetRootMatchesLinearScan drives LeafsetRoot — the cached arc and
 // the binary search — against the scans it replaced, on random leafsets
-// of every size up to l, built by setLeafset and thinned one member at a
-// time as removeFromLeafset does before it repairs. Members sit at small
+// of every size up to l, built by installLeafset and thinned one member at
+// a time. Members sit at small
 // integer offsets around a center that is often id 0, so arcs wrap round
 // it and keys exactly halfway between two members, or between a member
 // and self, are common.
@@ -70,12 +70,12 @@ func TestLeafsetRootMatchesLinearScan(t *testing.T) {
 			}
 			return center.Add(ids.ID{Lo: uint64(off)})
 		}
-		n := &Node{id: at(rng.Intn(2*spread+1) - spread)}
+		n := &Node{ring: &Ring{}, id: at(rng.Intn(2*spread+1) - spread)}
 		cands := make([]NodeRef, rng.Intn(3*leafsetHalf+1))
 		for i := range cands {
 			cands[i] = NodeRef{ID: at(rng.Intn(2*spread+1) - spread), EP: simnet.Endpoint(1 + i)}
 		}
-		n.setLeafset(cands)
+		n.installLeafset(cands, bootstrap)
 		for step := 0; ; step++ {
 			keys := []ids.ID{ids.Random(rng), at(3 * spread), at(-3 * spread)}
 			for off := -spread - 2; off <= spread+2; off++ {

@@ -33,8 +33,12 @@ type Node struct {
 	joining bool
 	bounded bool
 
-	leaf []NodeRef   // leafset: l/2 nearest per side, sorted by ID
-	rows []*tableRow // routing table rows, arena-allocated as needed
+	leaf []NodeRef // leafset: l/2 nearest per side, sorted by ID
+	// reported is the leafset the application was last told of (see
+	// installLeafset). Start keeps it: a rejoin reports against the
+	// leafset the node held before it went down.
+	reported []NodeRef
+	rows     []*tableRow // routing table rows, arena-allocated as needed
 
 	// The leafset's namespace arc, which inLeafsetSpan tests: arcLen
 	// clockwise from arcLo. bounded is false while the leafset holds fewer
@@ -75,6 +79,38 @@ func (n *Node) Alive() bool { return n.alive }
 // just iterate or search.
 func (n *Node) LeafsetView() []NodeRef { return n.leaf }
 
+// InReportedLeafset reports whether id is in the leafset the application
+// was last told of.
+func (n *Node) InReportedLeafset(id ids.ID) bool { return hasID(n.reported, id) }
+
+// LeafsetDelta returns who entered the leafset and who left it since the
+// application was last told of it; inside a LeafsetChanged upcall, the
+// change being reported (both empty when the upcall reports none). Each is
+// sorted by id. They are the ring's scratch, good until the next
+// LeafsetDelta call on any node of the ring.
+func (n *Node) LeafsetDelta() (added, removed []NodeRef) {
+	d := n.ring.delta[:0]
+	for _, m := range n.leaf {
+		if !hasID(n.reported, m.ID) {
+			d = append(d, m)
+		}
+	}
+	k := len(d)
+	for _, m := range n.reported {
+		if !hasID(n.leaf, m.ID) {
+			d = append(d, m)
+		}
+	}
+	n.ring.delta = d
+	return d[:k:k], d[k:]
+}
+
+// hasID reports whether id is one of refs, which are sorted by id.
+func hasID(refs []NodeRef, id ids.ID) bool {
+	_, ok := slices.BinarySearchFunc(refs, id, func(m NodeRef, id ids.ID) int { return m.ID.Cmp(id) })
+	return ok
+}
+
 // AppendKnownInRange appends the nodes this node's own routing state —
 // leafset plus routing-table rows — knows inside the inclusive linear id
 // range [lo, hi], deduplicated and sorted by id, and returns the extended
@@ -96,21 +132,7 @@ func (n *Node) AppendKnownInRange(dst []NodeRef, lo, hi ids.ID) []NodeRef {
 	}
 	out := dst[start:]
 	slices.SortFunc(out, func(a, b NodeRef) int { return a.ID.Cmp(b.ID) })
-	dst = dst[:start+dedupRefs(out)]
-	return dst
-}
-
-// dedupRefs compacts a sorted NodeRef slice in place, returning the new
-// length.
-func dedupRefs(refs []NodeRef) int {
-	w := 0
-	for i := range refs {
-		if i == 0 || refs[i].ID != refs[i-1].ID {
-			refs[w] = refs[i]
-			w++
-		}
-	}
-	return w
+	return dst[:start+len(slices.CompactFunc(out, func(a, b NodeRef) bool { return a.ID == b.ID }))]
 }
 
 // AppendClosest appends the k nodes numerically closest to key among the
@@ -140,16 +162,11 @@ func (n *Node) AppendClosest(dst []NodeRef, key ids.ID, k int, withSelf bool) []
 func (n *Node) StartBootstrap() {
 	n.alive = true
 	n.joining = false
-	n.installState()
+	n.installLeafset(n.ring.liveLeafNeighbors(n.ring.cands[:0], n.ep, n.id), bootstrap)
+	n.rows, _ = n.ring.buildRoutingTable(n.id, n.ring.newRow)
 	if n.OnReady != nil {
 		n.OnReady()
 	}
-}
-
-// installState fills the leafset and routing table from the ground truth.
-func (n *Node) installState() {
-	n.setLeafset(n.ring.liveLeafNeighbors(n.ep, n.id, leafsetHalf))
-	n.rows, _ = n.ring.buildRoutingTable(n.id, n.ring.newRow)
 }
 
 // BootstrapAll starts every node in eps simultaneously as the initial
@@ -186,19 +203,28 @@ func (n *Node) Start() {
 	}
 	n.alive = true
 	n.joining = true
-	n.leaf = nil
+	n.leaf = n.leaf[:0]
 	n.setArc()
 	n.rows = nil
 	if n.ring.NumLive() == 0 {
-		n.ring.noteJoined(n)
-		n.joining = false
-		if n.OnReady != nil {
-			n.OnReady()
-		}
+		n.found()
 		return
 	}
 	n.ring.cJoins.Inc()
 	n.sendJoinRequest()
+}
+
+// found makes the node the first member of an empty overlay, ready at
+// once. What its leafset holds (nothing, or what announces brought while
+// it was joining) is what the layers start from, as at bootstrap.
+func (n *Node) found() {
+	n.joinRetry.Cancel()
+	n.ring.noteJoined(n)
+	n.joining = false
+	n.installLeafset(append(n.ring.cands[:0], n.leaf...), bootstrap)
+	if n.OnReady != nil {
+		n.OnReady()
+	}
 }
 
 // sendJoinRequest issues one join attempt and arms the join retry: its
@@ -208,12 +234,7 @@ func (n *Node) sendJoinRequest() {
 		return
 	}
 	if n.ring.NumLive() == 0 {
-		n.joinRetry.Cancel()
-		n.ring.noteJoined(n)
-		n.joining = false
-		if n.OnReady != nil {
-			n.OnReady()
-		}
+		n.found()
 		return
 	}
 	// Prefer a reachable contact: during a network partition a joiner must
@@ -250,13 +271,12 @@ func (n *Node) Stop() {
 	n.joinRetry.Cancel()
 	// The nodes holding this node in their leafsets — its lh successors
 	// and lh predecessors — learn of the death after the detection delay.
-	neighbors := n.ring.liveLeafNeighbors(n.ep, n.id, leafsetHalf)
-	for _, nb := range neighbors {
+	for _, nb := range n.ring.liveLeafNeighbors(n.ring.cands[:0], n.ep, n.id) {
 		delay := heartbeatPeriod +
 			time.Duration(n.ring.rng.Float64()*float64(heartbeatPeriod))
 		n.Sched().After(delay, func() {
 			if m := n.ring.nodes[nb.EP]; m != nil && m.alive && m.id == nb.ID {
-				m.noteDead(ref)
+				m.dropRef(ref)
 			}
 		})
 	}
@@ -488,7 +508,7 @@ func (n *Node) HandleMessage(from simnet.Endpoint, payload any) {
 		n.handleLeafsetPull(m)
 	case *leafsetPush:
 		// Repair data arrives; the refill itself was applied from ground
-		// truth when the repair started (see noteDead), so this only
+		// truth when the repair started (see removeFromLeafset), so this only
 		// accounts the traffic.
 	default:
 		// Application-level direct (single-hop) message: deliver with the
@@ -530,7 +550,8 @@ func (n *Node) learn(ref NodeRef) {
 }
 
 // dropRef removes a dead node from the routing table and leafset (with
-// leafset repair if needed).
+// leafset repair if needed). It is also the failure-detection upcall: a
+// leafset heartbeat has timed out for ref.
 func (n *Node) dropRef(ref NodeRef) {
 	plen := ids.CommonPrefixLen(ref.ID, n.id, B)
 	if plen < len(n.rows) {
@@ -542,76 +563,39 @@ func (n *Node) dropRef(ref NodeRef) {
 	n.removeFromLeafset(ref)
 }
 
-// noteDead is the failure-detection upcall: a leafset heartbeat has timed
-// out for ref.
-func (n *Node) noteDead(ref NodeRef) {
-	n.dropRef(ref)
-}
-
 // removeFromLeafset removes ref from the leafset and repairs the leafset
-// if it was a member.
+// if it was a member. The refill comes from the ground truth (modeling the
+// leafset exchange piggybacked on heartbeats); the pull/push traffic to
+// the last two remaining members is simulated for its bandwidth and is
+// answered by handleLeafsetPull.
 func (n *Node) removeFromLeafset(ref NodeRef) {
-	idx := -1
-	for i, m := range n.leaf {
-		if m.ID == ref.ID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	if !hasID(n.leaf, ref.ID) {
 		return
 	}
-	n.leaf = append(n.leaf[:idx], n.leaf[idx+1:]...)
-	n.setArc()
-	n.ring.cRepairs.Inc()
-	n.ring.o.Emit(obs.Event{Kind: obs.KindLeafsetRepair, EP: int(n.ep)})
-	n.repairLeafset()
-	if n.app != nil {
-		n.app.LeafsetChanged()
-	}
-}
-
-// repairLeafset refills the leafset after a member loss. The refill
-// content comes from the ground truth (modeling the leafset exchange
-// piggybacked on heartbeats); the pull/push traffic to the two extreme
-// remaining members is simulated for its bandwidth and is answered by
-// handleLeafsetPull.
-func (n *Node) repairLeafset() {
 	self := n.Ref()
-	for i := 0; i < 2 && i < len(n.leaf); i++ {
-		target := n.leaf[len(n.leaf)-1-i]
-		if n.ring.isLive(target) {
-			n.ring.net.Send(n.ep, target.EP, refBytes+8, simnet.ClassPastry,
-				&leafsetPull{From: self})
+	for i, asked := len(n.leaf)-1, 0; i >= 0 && asked < 2; i-- {
+		if target := n.leaf[i]; target.ID != ref.ID {
+			asked++
+			if n.ring.isLive(target) {
+				n.ring.net.Send(n.ep, target.EP, refBytes+8, simnet.ClassPastry,
+					&leafsetPull{From: self})
+			}
 		}
 	}
-	n.setLeafset(n.ring.liveLeafNeighbors(n.ep, n.id, leafsetHalf))
+	n.installLeafset(n.ring.liveLeafNeighbors(n.ring.cands[:0], n.ep, n.id), repaired)
 }
 
 // reconcileLeafset merges the reachable ground-truth neighbors into the
 // leafset, modeling the heartbeat-piggybacked leafset exchange discovering
 // nodes that became reachable again after a partition heal. It only adds:
 // unreachable members are removed by the failure-detection path
-// (noteDead), never silently. Fires LeafsetChanged when membership moved
-// so the layers above re-replicate metadata and repair aggregation trees.
+// (dropRef), never silently.
 func (n *Node) reconcileLeafset() {
 	if !n.alive || n.joining {
 		return
 	}
-	want := n.ring.liveLeafNeighbors(n.ep, n.id, leafsetHalf)
-	cands := make([]NodeRef, 0, len(n.leaf)+len(want))
-	cands = append(cands, n.leaf...)
-	cands = append(cands, want...)
-	before := append([]NodeRef(nil), n.leaf...)
-	n.setLeafset(cands)
-	if slices.Equal(before, n.leaf) {
-		return
-	}
-	n.ring.cReconciles.Inc()
-	n.ring.o.Emit(obs.Event{Kind: obs.KindLeafsetRepair, EP: int(n.ep)})
-	if n.app != nil {
-		n.app.LeafsetChanged()
-	}
+	cands := append(n.ring.cands[:0], n.leaf...)
+	n.installLeafset(n.ring.liveLeafNeighbors(cands, n.ep, n.id), reconciled)
 }
 
 // handleLeafsetPull answers a repair pull with this node's leafset.
@@ -621,33 +605,65 @@ func (n *Node) handleLeafsetPull(m *leafsetPull) {
 		&leafsetPush{Leafset: slices.Clone(n.leaf)})
 }
 
-// setLeafset installs the l/2 nearest candidates on each side of the node.
-// Dedup rides on the distance sort (equal clockwise distance from one
-// origin means equal ID), avoiding a map allocation on this
-// churn-frequency path.
-func (n *Node) setLeafset(cands []NodeRef) {
-	all := make([]NodeRef, 0, len(cands))
-	for _, c := range cands {
-		if c.ID != n.id {
-			all = append(all, c)
-		}
-	}
-	// Sort by clockwise distance from self: successors first,
-	// predecessors (large clockwise distance) last.
+// install says why a leafset is installed, which decides when it reports.
+type install uint8
+
+const (
+	bootstrap   install = iota // never: the layers start from this leafset (also a founder's)
+	joined                     // always, after announcing the node to its live members
+	announced                  // when the membership moved
+	reannounced                // always: the announcer was a member already
+	repaired                   // always, counted as a repair: a member was noted dead
+	reconciled                 // when the membership moved, counted as a reconcile
+)
+
+// installLeafset is the one path that changes the leafset and raises
+// LeafsetChanged (DESIGN.md, "Leafset changes"): the l/2 candidates
+// nearest the node on each side become its leafset (cands is the ring's
+// scratch), reported as why asks. After the upcall, during which
+// LeafsetDelta compares the two, the new leafset is the reported one; a
+// bootstrap install only makes it so.
+func (n *Node) installLeafset(cands []NodeRef, why install) {
+	// Sort by clockwise distance from self: successors first, predecessors
+	// (large clockwise distance) last. Dedup rides on the sort: equal
+	// clockwise distance from one origin means equal ID.
+	all := slices.DeleteFunc(cands, func(c NodeRef) bool { return c.ID == n.id })
 	slices.SortFunc(all, func(a, b NodeRef) int {
 		return n.id.Distance(a.ID).Cmp(n.id.Distance(b.ID))
 	})
 	all = slices.CompactFunc(all, func(a, b NodeRef) bool { return a.ID == b.ID })
-	var leaf []NodeRef
-	if len(all) <= 2*leafsetHalf {
-		leaf = all
-	} else {
-		leaf = append(leaf, all[:leafsetHalf]...)          // l/2 successors
-		leaf = append(leaf, all[len(all)-leafsetHalf:]...) // l/2 predecessors
+	if len(all) > 2*leafsetHalf {
+		all = append(all[:leafsetHalf], all[len(all)-leafsetHalf:]...) // l/2 successors, l/2 predecessors
 	}
-	slices.SortFunc(leaf, func(a, b NodeRef) int { return a.ID.Cmp(b.ID) })
-	n.leaf = leaf
+	slices.SortFunc(all, func(a, b NodeRef) int { return a.ID.Cmp(b.ID) })
+	n.ring.cands = cands[:0]
+	changed := !slices.Equal(all, n.leaf)
+	n.leaf = append(n.leaf[:0], all...)
 	n.setArc()
+	switch {
+	case why == bootstrap:
+		n.reported = append(n.reported[:0], n.leaf...)
+		return
+	case !changed && (why == announced || why == reconciled):
+		return
+	case why == joined:
+		ann := &nodeAnnounce{Node: n.Ref()}
+		for _, m := range n.leaf {
+			if n.ring.isLive(m) {
+				n.ring.net.Send(n.ep, m.EP, refBytes+8, simnet.ClassPastry, ann)
+			}
+		}
+	case why == repaired:
+		n.ring.cRepairs.Inc()
+		n.ring.o.Emit(obs.Event{Kind: obs.KindLeafsetRepair, EP: int(n.ep)})
+	case why == reconciled:
+		n.ring.cReconciles.Inc()
+		n.ring.o.Emit(obs.Event{Kind: obs.KindLeafsetRepair, EP: int(n.ep)})
+	}
+	if n.app != nil {
+		n.app.LeafsetChanged()
+	}
+	n.reported = append(n.reported[:0], n.leaf...)
 }
 
 // handleJoinRequest routes a join toward the joiner's id; at the root it
@@ -684,7 +700,7 @@ func (n *Node) handleJoinRequest(req *joinRequest) {
 	// heap rather than the table arena.
 	joiner := req.Joiner
 	rows, entries := n.ring.buildRoutingTable(joiner.ID, func() *tableRow { return new(tableRow) })
-	leafset := n.ring.liveLeafNeighbors(joiner.EP, joiner.ID, leafsetHalf)
+	leafset := n.ring.liveLeafNeighbors(make([]NodeRef, 0, 2*leafsetHalf), joiner.EP, joiner.ID)
 	reply := &joinReply{Leafset: leafset, Rows: flattenRows(rows)}
 	size := 16 + (len(leafset)+entries)*refBytes
 	n.ring.net.Send(n.ep, joiner.EP, size, simnet.ClassPastry, reply)
@@ -710,44 +726,25 @@ func (n *Node) handleJoinReply(reply *joinReply) {
 	}
 	n.joining = false
 	n.joinRetry.Cancel()
-	n.setLeafset(reply.Leafset)
 	n.rows = nil
 	for _, ref := range reply.Rows {
 		n.learn(ref)
 	}
 	n.ring.noteJoined(n)
 	n.ring.o.Emit(obs.Event{Kind: obs.KindJoin, EP: int(n.ep)})
-	ann := &nodeAnnounce{Node: n.Ref()}
-	for _, m := range n.leaf {
-		if n.ring.isLive(m) {
-			n.ring.net.Send(n.ep, m.EP, refBytes+8, simnet.ClassPastry, ann)
-		}
-	}
-	if n.app != nil {
-		n.app.LeafsetChanged()
-	}
+	n.installLeafset(append(n.ring.cands[:0], reply.Leafset...), joined)
 	if n.OnReady != nil {
 		n.OnReady()
 	}
 }
 
-// handleAnnounce folds a newly joined node into local state.
+// handleAnnounce folds a newly joined node into local state: the newcomer
+// is a leafset candidate.
 func (n *Node) handleAnnounce(ref NodeRef) {
 	n.learn(ref)
-	// Leafset candidate: recompute with the newcomer included.
-	cands := append(slices.Clone(n.leaf), ref)
-	before := len(n.leaf)
-	n.setLeafset(cands)
-	changed := len(n.leaf) != before
-	if !changed {
-		for _, m := range n.leaf {
-			if m.ID == ref.ID {
-				changed = true
-				break
-			}
-		}
+	why := announced
+	if hasID(n.leaf, ref.ID) {
+		why = reannounced
 	}
-	if changed && n.app != nil {
-		n.app.LeafsetChanged()
-	}
+	n.installLeafset(append(append(n.ring.cands[:0], n.leaf...), ref), why)
 }

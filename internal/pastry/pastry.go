@@ -84,8 +84,10 @@ type Application interface {
 	// Deliver is called on the key's root when a routed message arrives.
 	Deliver(key ids.ID, from simnet.Endpoint, payload any)
 	// LeafsetChanged is called after the node's leafset membership
-	// changes (a neighbor died or a new node joined nearby). Seaweed uses
-	// it to maintain metadata replica sets.
+	// changes (a neighbor died or a new node joined nearby), and also
+	// when a join reply, an announce from a member or a repair leaves it
+	// as it was. Node.LeafsetDelta names who entered and who left since
+	// the last call. Seaweed uses it to maintain metadata replica sets.
 	LeafsetChanged()
 }
 
@@ -164,11 +166,10 @@ func (*routeEnvelope) SingleDelivery() {}
 // and the per-hop acknowledgment MSPastry uses for reliable delivery.
 const envelopeOverhead = ids.Bytes + 8 + 16
 
-// joinRequest is routed toward the joiner's id; nodes along the path
-// append routing rows, and the root replies with its leafset.
+// joinRequest is routed toward the joiner's id; the root replies with the
+// joiner's leafset and routing rows.
 type joinRequest struct {
 	Joiner NodeRef
-	Rows   []NodeRef // routing entries gathered along the path
 	Hops   int
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -36,6 +37,9 @@ type Ring struct {
 	// owner.
 	envFree *routeEnvelope
 	arena   []tableRow // slab tail for newRow; grown in chunks
+	// cands and delta are scratch for an install's leafset candidates
+	// and LeafsetDelta's answer, used by one node at a time.
+	cands, delta []NodeRef
 
 	// reach, when non-nil, reports whether two endpoints can currently
 	// exchange messages (false across an active network partition). The
@@ -245,43 +249,39 @@ func (r *Ring) reachable(a, b simnet.Endpoint) bool {
 	return r.reach == nil || r.reach(a, b)
 }
 
-// liveLeafNeighbors returns the proper leafset membership around id, as
-// visible from the endpoint from: its lh nearest live *reachable*
-// successors and lh nearest such predecessors in ring order, excluding id
-// itself. Absent partitions this set is both what a node's own leafset
-// should contain and — by the symmetry of successor/predecessor rank —
-// exactly the nodes whose leafsets contain id; during a partition each
-// side sees only its own fragment of the ring.
-func (r *Ring) liveLeafNeighbors(from simnet.Endpoint, id ids.ID, lh int) []NodeRef {
+// liveLeafNeighbors appends the proper leafset membership around id, as
+// visible from the endpoint from, to dst and returns the extended slice:
+// its l/2 nearest live *reachable* successors and l/2 nearest such
+// predecessors in ring order, excluding id itself. Absent partitions this
+// set is both what a node's own leafset should contain and — by the
+// symmetry of successor/predecessor rank — exactly the nodes whose
+// leafsets contain id; during a partition each side sees only its own
+// fragment of the ring. On a small ring the two walks meet: a predecessor
+// already taken as a successor is skipped.
+func (r *Ring) liveLeafNeighbors(dst []NodeRef, from simnet.Endpoint, id ids.ID) []NodeRef {
 	n := len(r.live)
 	if n == 0 {
-		return nil
+		return dst
 	}
-	k := 2 * lh
-	if k > n {
-		k = n
-	}
-	out := make([]NodeRef, 0, k)
-	seen := make(map[ids.ID]bool, k+1)
-	seen[id] = true
 	at := r.liveIndex(id) % n
-	for s, i := 0, at; s < lh && i < at+n; i++ { // successors
+	start := len(dst)
+	for s, i := 0, at; s < leafsetHalf && i < at+n; i++ { // successors
 		ref := r.live[i%n]
-		if !seen[ref.ID] && r.reachable(from, ref.EP) {
-			seen[ref.ID] = true
-			out = append(out, ref)
+		if ref.ID != id && r.reachable(from, ref.EP) {
+			dst = append(dst, ref)
 			s++
 		}
 	}
-	for s, i := 0, at-1; s < lh && i > at-1-n; i-- { // predecessors
+	succ := dst[start:]
+	for s, i := 0, at-1; s < leafsetHalf && i > at-1-n; i-- { // predecessors
 		ref := r.live[((i%n)+n)%n]
-		if !seen[ref.ID] && r.reachable(from, ref.EP) {
-			seen[ref.ID] = true
-			out = append(out, ref)
+		if ref.ID != id && !slices.ContainsFunc(succ, func(m NodeRef) bool { return m.ID == ref.ID }) &&
+			r.reachable(from, ref.EP) {
+			dst = append(dst, ref)
 			s++
 		}
 	}
-	return out
+	return dst
 }
 
 // ReachabilityChanged reacts to a change in the reachability oracle (a
@@ -308,7 +308,7 @@ func (r *Ring) ReachabilityChanged() {
 				time.Duration(rng.Float64()*float64(heartbeatPeriod))
 			r.sched.After(delay, func() {
 				if n.alive && !n.joining && !r.reachable(n.ep, m.EP) {
-					n.noteDead(m)
+					n.dropRef(m)
 				}
 			})
 		}
