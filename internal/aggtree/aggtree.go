@@ -264,6 +264,7 @@ func (st *queryState) findVertex(id ids.ID) (int, bool) {
 type Engine struct {
 	cfg  Config
 	host Host
+	node *pastry.Node // the host's overlay node, fixed at construction
 	// queries is the engine's one table: a record per query, keyed by
 	// queryId. A nil entry is a canceled query's tombstone (applyCancel).
 	queries map[ids.ID]*queryState
@@ -300,10 +301,12 @@ type Engine struct {
 
 // NewEngine creates an engine for the host.
 func NewEngine(host Host, cfg Config) *Engine {
-	o := host.PastryNode().Ring().Obs()
+	node := host.PastryNode()
+	o := node.Ring().Obs()
 	return &Engine{
 		cfg:     cfg,
 		host:    host,
+		node:    node,
 		queries: make(map[ids.ID]*queryState),
 
 		o:          o,
@@ -420,7 +423,7 @@ func (e *Engine) register(qid ids.ID, q *relq.Query, injector simnet.Endpoint, c
 	}
 	if !st.known {
 		st.known, st.query, st.injector, st.cause = true, q, injector, cause
-		st.firstSeen = e.host.PastryNode().Sched().Now()
+		st.firstSeen = e.node.Sched().Now()
 	}
 	return st
 }
@@ -436,11 +439,10 @@ func (e *Engine) register(qid ids.ID, q *relq.Query, injector simnet.Endpoint, c
 func (e *Engine) CancelPropagate(qid ids.ID) {
 	m := &cancelMsg{QID: qid}
 	e.applyCancel(m)
-	node := e.host.PastryNode()
-	if !node.IsRootOf(qid) {
+	if !e.node.IsRootOf(qid) {
 		// Hand the broadcast to the root vertex's primary, which fans it
 		// down the whole tree.
-		node.Route(qid, m, cancelMsgSize(), simnet.ClassQuery)
+		e.node.Route(qid, m, cancelMsgSize(), simnet.ClassQuery)
 	}
 }
 
@@ -464,7 +466,6 @@ func (e *Engine) applyCancel(m *cancelMsg) {
 		return
 	}
 	st.resubmit.Cancel()
-	node := e.host.PastryNode()
 	// Vertices leave the record in vertexId order, each before the cancel
 	// fans out from it: Route below can deliver to self synchronously,
 	// re-entering applyCancel, which finds the record still in the table,
@@ -476,12 +477,12 @@ func (e *Engine) applyCancel(m *cancelMsg) {
 		st.vertices = slices.Delete(st.vertices, 0, 1)
 		if v.primary {
 			for _, child := range v.children { // in id order
-				node.Route(child.id, m, cancelMsgSize(), simnet.ClassQuery)
+				e.node.Route(child.id, m, cancelMsgSize(), simnet.ClassQuery)
 			}
 			// Backups mirror this vertex's state; they drop it on receipt and
 			// only propagate further for vertices they are primary of.
 			for _, b := range e.backupSet(v.id) {
-				node.Ring().Network().Send(node.Endpoint(), b.EP,
+				e.node.Ring().Network().Send(e.node.Endpoint(), b.EP,
 					cancelMsgSize(), simnet.ClassQuery, m)
 			}
 		}
@@ -500,11 +501,7 @@ func (e *Engine) expired(st *queryState) bool {
 	if st == nil || !st.known {
 		return true
 	}
-	if e.cfg.QueryTTL <= 0 {
-		return false
-	}
-	now := e.host.PastryNode().Sched().Now()
-	return now-st.firstSeen > e.cfg.QueryTTL
+	return e.cfg.QueryTTL > 0 && e.node.Sched().Now()-st.firstSeen > e.cfg.QueryTTL
 }
 
 // ActiveQuery is one entry of the list handed to endsystems that join
@@ -700,13 +697,12 @@ func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector si
 	st.asserted, st.acked = true, false
 	e.cSubmits.Inc()
 	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindSubmit, Query: e.o.QueryTag(qid),
-		EP: int(e.host.PastryNode().Endpoint()), N: int64(st.own.Version)})
-	e.sendSubmission(st, span)
-	e.startResubmit(st, span)
+		EP: int(e.node.Endpoint()), N: int64(st.own.Version)})
+	e.sendOwn(st, span)
 }
 
-// startResubmit starts the retransmission of this endsystem's own
-// contribution, sent under span, unless it is already acknowledged. The
+// sendOwn sends this endsystem's own contribution under span and starts
+// its retransmission, unless the send acknowledged it in place. The
 // single routed submitMsg is the only copy of the contribution until a
 // vertex primary replicates it; a drop during a burst or partition would
 // otherwise lose those rows for the whole life of the query — vertex
@@ -716,26 +712,26 @@ func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector si
 // the vertex (applySubmit counts it as a duplicate and acks it again), so
 // the exactly-once invariant is untouched. A newer Submit restarts the
 // schedule for its own version.
-func (e *Engine) startResubmit(st *queryState, span uint64) {
+func (e *Engine) sendOwn(st *queryState, span uint64) {
+	e.sendSubmission(st, span)
 	st.resubmit.Cancel()
 	st.span = span
 	if e.cfg.DisableRepair || st.acked {
 		return
 	}
-	st.resubmit.Start(e.host.PastryNode().Sched(), &resubmitSchedule, func() { e.resubmit(st) })
+	st.resubmit.Start(e.node.Sched(), &resubmitSchedule, func() { e.resubmit(st) })
 }
 
 // resubmit is the leaf retransmission's timeout: own goes out again, and
 // the next timeout is armed unless that send acknowledged it in place.
 func (e *Engine) resubmit(st *queryState) {
-	node := e.host.PastryNode()
-	if !node.Alive() || e.expired(st) {
+	if !e.node.Alive() || e.expired(st) {
 		st.resubmit.Cancel()
 		return
 	}
 	e.cResubmit.Inc()
 	st.span = e.o.EmitSpan(st.span, obs.Event{Kind: obs.KindAggResubmit, Query: e.o.QueryTag(st.qid),
-		EP: int(node.Endpoint()), N: int64(st.resubmit.N() + 1)})
+		EP: int(e.node.Endpoint()), N: int64(st.resubmit.N() + 1)})
 	e.sendSubmission(st, st.span)
 	if st.acked {
 		st.resubmit.Cancel()
@@ -748,12 +744,11 @@ func (e *Engine) resubmit(st *queryState) {
 // vertex on the V-chain from its own endsystemId that it is not the root
 // of (or, with coordinates, the nearest of the chain from there up).
 func (e *Engine) chooseEntry(qid ids.ID) ids.ID {
-	node := e.host.PastryNode()
-	v := node.ID()
+	v := e.node.ID()
 	digits := ids.DigitsPerID(pastry.B)
 	depth := 0
 	for i := 0; i <= digits && v != qid; i++ {
-		if !node.IsRootOf(v) {
+		if !e.node.IsRootOf(v) {
 			break
 		}
 		v = V(qid, v, pastry.B)
@@ -761,7 +756,7 @@ func (e *Engine) chooseEntry(qid ids.ID) ids.ID {
 	}
 	// With network coordinates on the ring, latency biases the entry.
 	// Without them the id-only baseline holds byte-for-byte.
-	if sp := node.Ring().Coords(); sp != nil {
+	if sp := e.node.Ring().Coords(); sp != nil {
 		v = e.nearestEntryVertex(sp, qid, v)
 	}
 	// Entry depth measures how many levels the sparse namespace let this
@@ -774,20 +769,19 @@ func (e *Engine) chooseEntry(qid ids.ID) ids.ID {
 // entry vertex, so that re-submissions (including after a restart) land on
 // the same vertex and replace the previous version.
 func (e *Engine) sendSubmission(st *queryState, cause uint64) {
-	node := e.host.PastryNode()
-	msg := newSubmit(submitMsg{QID: st.qid, Vertex: st.entry, Child: node.ID(), C: st.own,
+	msg := newSubmit(submitMsg{QID: st.qid, Vertex: st.entry, Child: e.node.ID(), C: st.own,
 		Injector: st.injector, Query: st.query, Cause: cause})
-	if node.IsRootOf(st.entry) {
+	if e.node.IsRootOf(st.entry) {
 		// This endsystem hosts the vertex itself (it is the root of the
 		// whole chain up to the queryId): nothing can be lost, and the
 		// contribution is acknowledged in place.
-		e.applyAndRecycle(node.Endpoint(), msg)
-		st.acked, st.ackedBy = true, int32(node.Endpoint())
+		e.applyAndRecycle(e.node.Endpoint(), msg)
+		st.acked, st.ackedBy = true, int32(e.node.Endpoint())
 		return
 	}
 	msg.WantAck = true
-	msg.SentAt = node.Sched().Now()
-	node.Route(st.entry, msg, submitMsgSize(), simnet.ClassQuery)
+	msg.SentAt = e.node.Sched().Now()
+	e.node.Route(st.entry, msg, submitMsgSize(), simnet.ClassQuery)
 }
 
 // nearestEntryVertex walks the V-chain from the id-only entry vertex up
@@ -800,15 +794,14 @@ func (e *Engine) sendSubmission(st *queryState, cause uint64) {
 // byte-deterministic per seed — primaries come from the ring's
 // ground-truth index.
 func (e *Engine) nearestEntryVertex(sp *coords.Space, qid, entry ids.ID) ids.ID {
-	node := e.host.PastryNode()
-	self := node.Endpoint()
+	self := e.node.Endpoint()
 	best := entry
 	var bestRTT time.Duration
 	have := false
 	v := entry
 	digits := ids.DigitsPerID(pastry.B)
 	for i := 0; i <= digits; i++ {
-		if root, ok := node.Ring().Root(v); ok {
+		if root, ok := e.node.Ring().Root(v); ok {
 			rtt := sp.PredictRTT(self, root.EP)
 			if !have || rtt < bestRTT {
 				best, bestRTT, have = v, rtt, true
@@ -834,7 +827,7 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 		e.applyRepl(m)
 	case *resultMsg:
 		span := e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindPartial, Query: e.o.QueryTag(m.QID),
-			EP: int(e.host.PastryNode().Endpoint()),
+			EP: int(e.node.Endpoint()),
 			N:  m.Contributors, V: float64(m.Part.Count)})
 		e.host.ResultDelivered(m.QID, m.Part, m.Contributors, span)
 	case *cancelMsg:
@@ -872,51 +865,37 @@ func (e *Engine) vertex(st *queryState, id ids.ID) *vertexState {
 func (e *Engine) applySubmit(origin simnet.Endpoint, m *submitMsg) {
 	st := e.register(m.QID, m.Query, m.Injector, m.Cause)
 	if e.expired(st) {
-		if node := e.host.PastryNode(); st == nil && origin != node.Endpoint() {
-			node.Ring().Network().Send(node.Endpoint(), origin,
+		if st == nil && origin != e.node.Endpoint() {
+			e.node.Ring().Network().Send(e.node.Endpoint(), origin,
 				cancelMsgSize(), simnet.ClassQuery, &cancelMsg{QID: m.QID})
 		}
 		return
 	}
-	if m.SentAt > 0 {
-		// Routed arrival: record the child→vertex fan-in latency (the
-		// number the latency-aware entry bias is judged on).
-		if d := e.host.PastryNode().Sched().Now() - m.SentAt; d > 0 {
-			e.hFanin.ObserveDuration(d)
-		}
+	// A routed arrival records the child→vertex fan-in latency (the number
+	// the latency-aware entry bias is judged on).
+	if d := e.node.Sched().Now() - m.SentAt; m.SentAt > 0 && d > 0 {
+		e.hFanin.ObserveDuration(d)
 	}
 	v := e.vertex(st, m.Vertex)
 	e.setPrimary(v)
-	cur, exists := v.children.get(m.Child)
 	if m.WantAck {
-		// Whichever branch below is taken, the child table holds the
-		// contribution at this version or a newer one when it returns.
+		// Whatever install finds, the child table holds the contribution at
+		// this version or a newer one when it returns.
 		e.cAcks.Inc()
-		node := e.host.PastryNode()
-		node.Ring().Network().Send(node.Endpoint(), origin, ackMsgSize(), simnet.ClassQuery,
+		e.node.Ring().Network().Send(e.node.Endpoint(), origin, ackMsgSize(), simnet.ClassQuery,
 			&ackMsg{QID: m.QID, Child: m.Child, Version: m.C.Version})
 	}
-	if exists && cur.Version >= m.C.Version {
+	got := v.install(m.Child, m.C, m.Cause)
+	if got == stale {
 		// Stale or duplicate: counted at most once.
 		e.cDups.Inc()
 		return
 	}
-	v.children.put(m.Child, m.C)
 	e.cMerged.Inc()
-	// A version advance with identical content is a refresh re-assertion:
-	// record it but do not cascade it any further up the tree.
-	if exists && cur.Part == m.C.Part && cur.Contributors == m.C.Contributors {
-		return
+	if got == changed {
+		e.replicateDelta(v, m.Child)
+		e.forwardUp(v)
 	}
-	v.dirty = true
-	// Fresh content restarts the upward re-assertion ladder: the coming
-	// forward is a new transmission deserving its own retry protection.
-	v.reassert.Rewind(&reassertSchedule)
-	if m.Cause != 0 {
-		v.cause = m.Cause
-	}
-	e.replicateDelta(v, m.Child)
-	e.forwardUp(v)
 }
 
 // applyAck records that the primary at from holds this endsystem's own
@@ -924,7 +903,7 @@ func (e *Engine) applySubmit(origin simnet.Endpoint, m *submitMsg) {
 // than own says nothing about own, whose timer stays armed.
 func (e *Engine) applyAck(from simnet.Endpoint, m *ackMsg) {
 	st := e.queries[m.QID]
-	if st == nil || m.Version != st.own.Version || m.Child != e.host.PastryNode().ID() {
+	if st == nil || m.Version != st.own.Version || m.Child != e.node.ID() {
 		return
 	}
 	st.acked, st.ackedBy = true, int32(from)
@@ -942,75 +921,88 @@ func (e *Engine) applyRepl(m *replMsg) {
 		return
 	}
 	v := e.vertex(st, m.Vertex)
-	changed := false
+	grew := false
 	if m.Children == nil {
-		changed = v.install(m.Child, m.C)
-	} else {
-		for _, child := range m.Children {
-			if v.install(child.id, child.c) {
-				changed = true
-			}
-		}
+		grew = v.install(m.Child, m.C, m.Cause) == changed
 	}
-	if changed && m.Cause != 0 {
-		v.cause = m.Cause
+	for _, child := range m.Children {
+		grew = v.install(child.id, child.c, m.Cause) == changed || grew
 	}
 	if m.UpVersion > v.upVersion {
 		v.upVersion = m.UpVersion
 	}
 	// If routing says this node is now the vertex's root (the replication
 	// arrived precisely because the role moved here), act as primary
-	// immediately rather than waiting for a refresh tick — but only when
-	// the replication actually advanced local state. Propagating on
+	// immediately rather than waiting for a refresh tick — but forward only
+	// when the replication actually advanced local state. Propagating on
 	// no-op replications would ping-pong forever between two nodes that
 	// transiently both believe they are the vertex's root.
-	if e.host.PastryNode().IsRootOf(m.Vertex) {
-		if !v.primary {
-			e.cTakeovers.Inc()
-			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: e.o.QueryTag(m.QID),
-				EP: int(e.host.PastryNode().Endpoint())})
-			// A takeover starts the ladder from its first rung: whatever
-			// this node armed in an earlier primary stint protected a
-			// forward of that stint.
-			v.reassert.Cancel()
-		}
-		e.setPrimary(v)
-		if changed {
-			// Taking over with fresh state: push the new aggregate up. The
-			// backups already hold the state we just received.
-			e.forwardUp(v)
-		}
-	} else {
-		// Not this node's vertex (anymore): only primaries re-assert and
-		// replicate.
-		v.reassert.Cancel()
-		v.flush.Cancel()
-		v.primary = false
+	if !e.node.IsRootOf(m.Vertex) {
+		e.stepDown(v)
+		return
+	}
+	if !v.primary {
+		e.takeOver(v)
+	}
+	if grew {
+		// Fresh state: push the new aggregate up. The backups already hold
+		// the state we just received.
+		e.forwardUp(v)
 	}
 }
 
-// install records a replicated child entry unless the local one is at
-// least as new, and reports whether the vertex's aggregate changed (a
-// version advance with identical content is a refresh, not a change).
-func (v *vertexState) install(child ids.ID, c contribution) bool {
+// installed is what an install found: a stale entry (the table holds one at
+// least as new), a refresh (a newer version of the same content: recorded,
+// but cascaded no further up the tree), or a change of the aggregate.
+type installed uint8
+
+const (
+	stale installed = iota
+	refreshed
+	changed
+)
+
+// install is the one writer of a vertex's child table: it records a child's
+// contribution unless the table holds one at least as new, and reports
+// which of the three it was. A change dirties the vertex, restarts the
+// upward re-assertion ladder (the coming forward is a new transmission
+// deserving its own retry protection) and makes cause, when traced, the
+// causal parent of that forward.
+func (v *vertexState) install(child ids.ID, c contribution, cause uint64) installed {
 	cur, exists := v.children.get(child)
 	if exists && c.Version <= cur.Version {
-		return false
+		return stale
 	}
 	v.children.put(child, c)
 	if exists && cur.Part == c.Part && cur.Contributors == c.Contributors {
-		return false
+		return refreshed
 	}
 	v.dirty = true
 	v.reassert.Rewind(&reassertSchedule)
-	return true
+	if cause != 0 {
+		v.cause = cause
+	}
+	return changed
 }
 
-// propagate replicates the vertex's full state to its backups and forwards
-// the aggregate to the parent (takeovers and membership changes).
-func (e *Engine) propagate(v *vertexState) {
-	e.replicateState(v)
-	e.forwardUp(v)
+// takeOver is the one place a vertex changes hands to this endsystem from
+// another primary: it is counted, traced, and starts the ladder from its
+// first rung, since whatever this node armed in an earlier primary stint
+// protected a forward of that stint.
+func (e *Engine) takeOver(v *vertexState) {
+	e.cTakeovers.Inc()
+	e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: e.o.QueryTag(v.q.qid),
+		EP: int(e.node.Endpoint())})
+	v.reassert.Cancel()
+	e.setPrimary(v)
+}
+
+// stepDown makes this endsystem a backup of a vertex rooted elsewhere: only
+// primaries re-assert and replicate.
+func (e *Engine) stepDown(v *vertexState) {
+	v.reassert.Cancel()
+	v.flush.Cancel()
+	v.primary = false
 }
 
 // replicateDelta is the gate on the common update path, where one child
@@ -1029,14 +1021,13 @@ func (e *Engine) replicateDelta(v *vertexState, child ids.ID) {
 	if _, armed := v.flush.When(); armed {
 		return
 	}
-	node := e.host.PastryNode()
-	now := node.Sched().Now()
+	now := e.node.Sched().Now()
 	t := v.timers
 	if now < t.replQuiet {
 		if t.flush == nil {
 			t.flush = func() { e.flushFired(v) }
 		}
-		v.flush = node.Sched().After(t.replQuiet-now, t.flush)
+		v.flush = e.node.Sched().After(t.replQuiet-now, t.flush)
 		return
 	}
 	t.replQuiet = now + replWindow
@@ -1049,7 +1040,7 @@ func (e *Engine) replicateDelta(v *vertexState, child ids.ID) {
 // flushFired sends the table a change armed the flush for, unless the
 // vertex has lost the primary role or its query has ended since.
 func (e *Engine) flushFired(v *vertexState) {
-	if e.host.PastryNode().Alive() && v.primary && !e.expired(v.q) {
+	if e.node.Alive() && v.primary && !e.expired(v.q) {
 		e.replicateToBackups(v)
 	}
 }
@@ -1057,27 +1048,25 @@ func (e *Engine) flushFired(v *vertexState) {
 // sendToBackups sends one replication message to each of the m leafset
 // members closest to the vertexId.
 func (e *Engine) sendToBackups(v *vertexState, msg *replMsg) {
-	node := e.host.PastryNode()
 	size := replMsgSize(msg.entries())
 	backups := e.backupSet(v.id)
 	e.cRepls.Add(uint64(len(backups)))
 	e.cReplRows.Add(uint64(len(backups) * msg.entries()))
 	for _, b := range backups {
-		node.Ring().Network().Send(node.Endpoint(), b.EP, size, simnet.ClassQuery, msg)
+		e.node.Ring().Network().Send(e.node.Endpoint(), b.EP, size, simnet.ClassQuery, msg)
 	}
 }
 
 // forwardUp sends the vertex's current aggregate to its parent vertex (or
 // the injector, at the root).
 func (e *Engine) forwardUp(v *vertexState) {
-	node := e.host.PastryNode()
 	qid := v.q.qid
 	part, contributors := v.aggregate()
 	v.dirty = false
 	v.upVersion++
 	if v.id == qid {
 		// Root: deliver the incremental result to the injector.
-		node.Ring().Network().Send(node.Endpoint(), v.q.injector,
+		e.node.Ring().Network().Send(e.node.Endpoint(), v.q.injector,
 			resultMsgSize(), simnet.ClassQuery,
 			&resultMsg{QID: qid, Part: part, Contributors: contributors, Cause: v.cause})
 		return
@@ -1086,13 +1075,13 @@ func (e *Engine) forwardUp(v *vertexState) {
 	msg := newSubmit(submitMsg{QID: qid, Vertex: parent, Child: v.id,
 		C:        contribution{Version: v.upVersion, Part: part, Contributors: contributors},
 		Injector: v.q.injector, Query: v.q.query, Cause: v.cause})
-	if node.IsRootOf(parent) {
+	if e.node.IsRootOf(parent) {
 		// Local delivery cannot be lost; the ladder applies to the wire.
-		e.applyAndRecycle(node.Endpoint(), msg)
+		e.applyAndRecycle(e.node.Endpoint(), msg)
 		return
 	}
-	msg.SentAt = node.Sched().Now()
-	node.Route(parent, msg, submitMsgSize(), simnet.ClassQuery)
+	msg.SentAt = e.node.Sched().Now()
+	e.node.Route(parent, msg, submitMsgSize(), simnet.ClassQuery)
 	e.armReassert(v)
 }
 
@@ -1100,7 +1089,7 @@ func (e *Engine) forwardUp(v *vertexState) {
 // result lives in the engine's scratch buffer: callers walk it at once
 // and keep nothing.
 func (e *Engine) backupSet(vertex ids.ID) []pastry.NodeRef {
-	e.backups = e.host.PastryNode().AppendClosest(e.backups[:0], vertex, e.cfg.Backups, false)
+	e.backups = e.node.AppendClosest(e.backups[:0], vertex, e.cfg.Backups, false)
 	return e.backups
 }
 
@@ -1121,7 +1110,7 @@ func (e *Engine) armRefresh(v *vertexState) {
 	if e.cfg.RefreshPeriod <= 0 {
 		return
 	}
-	sched := e.host.PastryNode().Sched()
+	sched := e.node.Sched()
 	t := v.timers
 	t.born = sched.Now()
 	if t.refresh == nil {
@@ -1136,7 +1125,7 @@ func (e *Engine) armRefresh(v *vertexState) {
 // refreshFired runs the tick the chain's event stands for, the n-th of
 // its phase, and re-arms the chain for the tick it sleeps until.
 func (e *Engine) refreshFired(v *vertexState) {
-	sched := e.host.PastryNode().Sched()
+	sched := e.node.Sched()
 	born := v.timers.born
 	n := int64((sched.Now() - born) / e.cfg.RefreshPeriod)
 	if next := e.refreshTick(v, n); next > 0 {
@@ -1171,8 +1160,7 @@ func (e *Engine) refreshTick(v *vertexState, n int64) int64 {
 	if refreshTicked != nil {
 		refreshTicked(e, v)
 	}
-	node := e.host.PastryNode()
-	if !node.Alive() {
+	if !e.node.Alive() {
 		// A down endsystem's ticks do nothing, and coming back
 		// (core.Node.GoUp) resets the engine, which drops the vertex.
 		return 0
@@ -1189,8 +1177,8 @@ func (e *Engine) refreshTick(v *vertexState, n int64) int64 {
 	if e.cfg.DisableRepair {
 		return sleepUntilExpiry
 	}
-	if node.IsRootOf(v.id) && len(v.children) > 0 {
-		v.primary = true
+	if e.node.IsRootOf(v.id) && len(v.children) > 0 {
+		e.setPrimary(v)
 		if v.dirty || n%3 == 0 {
 			// Re-assert the aggregate upward; replication to backups is
 			// handled by the update and membership-change paths.
@@ -1228,7 +1216,7 @@ func (e *Engine) setPrimary(v *vertexState) {
 		return
 	}
 	period := e.cfg.RefreshPeriod
-	now := e.host.PastryNode().Sched().Now()
+	now := e.node.Sched().Now()
 	if next := at - (at-now-1)/period*period; next < at {
 		v.refresh.Reschedule(next)
 	}
@@ -1246,34 +1234,29 @@ var (
 // shifted) re-propagates from the replicated state, and any acknowledged
 // own contribution whose entry vertex now has another root is sent again.
 func (e *Engine) HandleLeafsetChanged() {
-	node := e.host.PastryNode()
-	if !node.Alive() || e.cfg.DisableRepair {
+	if !e.node.Alive() || e.cfg.DisableRepair {
 		return
 	}
 	for _, v := range e.sortedVertices() {
 		if len(v.children) == 0 {
 			continue
 		}
-		isRoot := node.IsRootOf(v.id)
+		isRoot := e.node.IsRootOf(v.id)
 		switch {
 		case !v.primary && isRoot:
 			// Take over: the previous primary died or the namespace
-			// shifted toward us. The ladder starts from its first rung.
-			v.reassert.Cancel()
-			e.setPrimary(v)
-			e.cTakeovers.Inc()
-			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: e.o.QueryTag(v.q.qid),
-				EP: int(node.Endpoint())})
-			e.propagate(v)
+			// shifted toward us. The state goes to this vertex's backups
+			// and the aggregate to its parent.
+			e.takeOver(v)
+			e.replicateToBackups(v)
+			e.forwardUp(v)
 		case !isRoot:
 			// Membership moved around this vertex while someone else is
 			// (or should become) its primary. Push our copy of the state
 			// toward the vertexId's current root: if the old primary died
 			// and the new root is not one of its backups, this is the
 			// only path by which the state reaches it.
-			v.reassert.Cancel()
-			v.flush.Cancel()
-			v.primary = false
+			e.stepDown(v)
 			e.pushStateToRoot(v)
 		default: // primary && isRoot
 			// Membership changed around us: refresh the backups.
@@ -1297,13 +1280,12 @@ func (e *Engine) HandleLeafsetChanged() {
 // span (the coordinate-biased far entries) have no root this endsystem can
 // name, and there the ack stands.
 func (e *Engine) reassertMovedEntries() {
-	node := e.host.PastryNode()
 	var moved []*queryState
 	for _, st := range e.queries {
 		if st == nil || st.own.Version == 0 || !st.acked || e.expired(st) {
 			continue
 		}
-		if root, ok := node.LeafsetRoot(st.entry); ok && root.EP != simnet.Endpoint(st.ackedBy) {
+		if root, ok := e.node.LeafsetRoot(st.entry); ok && root.EP != simnet.Endpoint(st.ackedBy) {
 			moved = append(moved, st)
 		}
 	}
@@ -1312,18 +1294,8 @@ func (e *Engine) reassertMovedEntries() {
 		st.acked = false
 		e.cResubmit.Inc()
 		span := e.o.EmitSpan(st.cause, obs.Event{Kind: obs.KindAggResubmit, Query: e.o.QueryTag(st.qid),
-			EP: int(node.Endpoint())})
-		e.sendSubmission(st, span)
-		e.startResubmit(st, span)
-	}
-}
-
-// replicateState pushes the vertex's full state to the backups and, if
-// this node is not the vertex's root, toward the current root.
-func (e *Engine) replicateState(v *vertexState) {
-	e.replicateToBackups(v)
-	if !e.host.PastryNode().IsRootOf(v.id) {
-		e.pushStateToRoot(v)
+			EP: int(e.node.Endpoint())})
+		e.sendOwn(st, span)
 	}
 }
 
@@ -1332,7 +1304,7 @@ func (e *Engine) replicateState(v *vertexState) {
 // replication window.
 func (e *Engine) replicateToBackups(v *vertexState) {
 	v.flush.Cancel()
-	v.timers.replQuiet = e.host.PastryNode().Sched().Now() + replWindow
+	v.timers.replQuiet = e.node.Sched().Now() + replWindow
 	e.sendToBackups(v, e.tableMsg(v))
 }
 
@@ -1342,7 +1314,7 @@ func (e *Engine) pushStateToRoot(v *vertexState) {
 	msg := e.tableMsg(v)
 	e.cRepls.Inc()
 	e.cReplRows.Add(uint64(msg.entries()))
-	e.host.PastryNode().Route(v.id, msg, replMsgSize(msg.entries()), simnet.ClassQuery)
+	e.node.Route(v.id, msg, replMsgSize(msg.entries()), simnet.ClassQuery)
 }
 
 // tableMsg is the replication message that carries the vertex's whole
@@ -1355,7 +1327,7 @@ func (e *Engine) tableMsg(v *vertexState) *replMsg {
 
 // sortedVertices returns the vertex states in (queryId, vertexId) order,
 // keeping the simulation deterministic where map iteration would otherwise
-// change message order between runs. It is a snapshot: propagate can
+// change message order between runs. It is a snapshot: a takeover can
 // create vertices synchronously.
 func (e *Engine) sortedVertices() []*vertexState {
 	var hosting []*queryState
@@ -1373,15 +1345,7 @@ func (e *Engine) sortedVertices() []*vertexState {
 }
 
 // NumVertices reports how many vertex states this endsystem holds.
-func (e *Engine) NumVertices() int {
-	n := 0
-	for _, st := range e.queries {
-		if st != nil {
-			n += len(st.vertices)
-		}
-	}
-	return n
-}
+func (e *Engine) NumVertices() int { return e.hosted }
 
 // OrphanVertices reports how many vertex states this endsystem holds for
 // queries that are expired or canceled — state the refresh path should

@@ -68,6 +68,9 @@ type testHost struct {
 	// drop, when set, sees every payload routed to this host and loses the
 	// ones it reports true for (a drop on the last hop).
 	drop func(payload any) bool
+	// seen, when set, sees every payload handed to this host, with the
+	// endpoint that sent it.
+	seen func(from simnet.Endpoint, payload any)
 }
 
 type resultEvent struct {
@@ -82,6 +85,9 @@ func (h *testHost) ResultDelivered(qid ids.ID, part agg.Partial, contributors in
 }
 
 func (h *testHost) Deliver(key ids.ID, from simnet.Endpoint, payload any) {
+	if h.seen != nil {
+		h.seen(from, payload)
+	}
 	if h.drop != nil && h.drop(payload) {
 		return
 	}

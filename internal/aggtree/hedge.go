@@ -32,61 +32,17 @@ func (e *Engine) armReassert(v *vertexState) {
 	if !e.cfg.Reassert || reassertSchedule.Spent(v.reassert.N()) || v.reassert.Arm() {
 		return
 	}
-	v.reassert.Start(e.host.PastryNode().Sched(), &reassertSchedule, func() { e.reassertFire(v) })
+	v.reassert.Start(e.node.Sched(), &reassertSchedule, func() { e.reassertFire(v) })
 }
 
 // reassertFire retransmits the vertex's last forward up the tree, one rung
 // up. forwardUp re-arms the ladder if the forward is remote; a vertex that
 // is no longer a live primary keeps its rung and arms nothing.
 func (e *Engine) reassertFire(v *vertexState) {
-	if !e.host.PastryNode().Alive() || !v.primary || e.expired(v.q) {
+	if !e.node.Alive() || !v.primary || e.expired(v.q) {
 		return
 	}
 	v.reassert.Advance(&reassertSchedule, nil)
 	e.cReasserts.Inc()
 	e.forwardUp(v)
-}
-
-// HedgeTimers reports how many re-assertion timers are currently armed
-// across every vertex this engine hosts (test instrumentation for the
-// no-leak invariants).
-func (e *Engine) HedgeTimers() int {
-	return e.countVertices(func(v *vertexState) bool { _, armed := v.reassert.When(); return armed })
-}
-
-// FlushTimers reports how many coalesced-replication flushes are pending
-// across every vertex this engine hosts (test instrumentation, as above).
-func (e *Engine) FlushTimers() int {
-	return e.countVertices(func(v *vertexState) bool { _, armed := v.flush.When(); return armed })
-}
-
-func (e *Engine) countVertices(pred func(*vertexState) bool) int {
-	n := 0
-	for _, st := range e.queries {
-		if st == nil {
-			continue
-		}
-		for _, v := range st.vertices {
-			if pred(v) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// ResubmitTimers reports how many leaf re-assertion timers are live (test
-// instrumentation: a record must not leak its timer across cancels,
-// restarts, or takeovers).
-func (e *Engine) ResubmitTimers() int {
-	n := 0
-	for _, st := range e.queries {
-		if st == nil {
-			continue
-		}
-		if _, armed := st.resubmit.When(); armed {
-			n++
-		}
-	}
-	return n
 }

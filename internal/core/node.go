@@ -202,9 +202,8 @@ func (n *Node) executeAndSubmit(qid ids.ID, q *relq.Query, injector simnet.Endpo
 		return
 	}
 	if q.Continuous {
-		sched := n.pn.Sched()
 		var timer simnet.Timer
-		timer = sched.Every(continuousPeriod, func() {
+		timer = n.pn.Sched().Every(continuousPeriod, func() {
 			if !n.tree.IsActive(qid) {
 				timer.Cancel()
 				delete(n.contTimers, qid)
@@ -255,10 +254,8 @@ func (n *Node) ResultDelivered(qid ids.ID, part agg.Partial, contributors int64,
 func (n *Node) CancelQuery(qid ids.ID) {
 	n.tree.CancelPropagate(qid)
 	delete(n.resultSinks, qid)
-	if t, ok := n.contTimers[qid]; ok {
-		t.Cancel()
-		delete(n.contTimers, qid)
-	}
+	n.contTimers[qid].Cancel()
+	delete(n.contTimers, qid)
 }
 
 // InjectQuery submits a query at this endsystem. NOW() is bound to the
@@ -320,10 +317,23 @@ func (n *Node) pullFromNewNeighbors(added []pastry.NodeRef) {
 	if !n.leafsetSeen {
 		added, n.leafsetSeen = n.pn.LeafsetView(), true
 	}
-	for i := 0; i < 3 && i < len(added); i++ {
-		n.pn.Ring().Network().Send(n.pn.Endpoint(), added[i].EP, ids.Bytes+8,
+	n.pullQueryLists(added)
+}
+
+// pullQueryLists asks the first three of members for the active query list.
+func (n *Node) pullQueryLists(members []pastry.NodeRef) {
+	for i := 0; i < 3 && i < len(members); i++ {
+		n.pn.Ring().Network().Send(n.pn.Endpoint(), members[i].EP, ids.Bytes+8,
 			simnet.ClassQuery, &queryListPull{From: n.pn.Endpoint()})
 	}
+}
+
+// stopStanding cancels the standing queries' re-execution timers.
+func (n *Node) stopStanding() {
+	for _, t := range n.contTimers {
+		t.Cancel()
+	}
+	clear(n.contTimers)
 }
 
 // GoUp brings the endsystem online (a trace up-transition): the
@@ -342,10 +352,7 @@ func (n *Node) GoUp() {
 	}
 	n.dis.Reset()
 	n.tree.Reset()
-	for _, t := range n.contTimers {
-		t.Cancel()
-	}
-	n.contTimers = make(map[ids.ID]simnet.Timer)
+	n.stopStanding()
 	// resultSinks survive the restart: the querying user re-attaches when
 	// their endsystem returns, and the root vertex keeps sending
 	// incremental results to the injector endpoint.
@@ -399,11 +406,7 @@ func (n *Node) onReady() {
 	// Seaweed receives a list of currently active queries"). Asking three
 	// keeps the handoff reliable under heavy churn, when a single
 	// neighbor may itself have just joined.
-	leaf := n.pn.LeafsetView()
-	for i := 0; i < 3 && i < len(leaf); i++ {
-		n.pn.Ring().Network().Send(n.pn.Endpoint(), leaf[i].EP, ids.Bytes+8,
-			simnet.ClassQuery, &queryListPull{From: n.pn.Endpoint()})
-	}
+	n.pullQueryLists(n.pn.LeafsetView())
 }
 
 // GoDown takes the endsystem offline (a trace down-transition). The data
@@ -420,10 +423,7 @@ func (n *Node) GoDown() {
 		n.feedTick()
 		n.feedTimer.Cancel()
 	}
-	for _, t := range n.contTimers {
-		t.Cancel()
-	}
-	n.contTimers = make(map[ids.ID]simnet.Timer)
+	n.stopStanding()
 	n.meta.Deactivate()
 	n.pn.Stop()
 }

@@ -121,6 +121,7 @@ type Host interface {
 type Engine struct {
 	cfg  Config
 	host Host
+	node *pastry.Node // the host's overlay node, fixed at construction
 	// rng is the reissue stream, seeded from cfg.Seed by the first reissue
 	// (random): most engines never reissue, and a seeded source is 4.9 KB.
 	rng *rand.Rand
@@ -184,10 +185,12 @@ func NewEngine(host Host, cfg Config) *Engine {
 	if cfg.Arity < 2 {
 		cfg.Arity = 2
 	}
-	o := host.PastryNode().Ring().Obs()
+	node := host.PastryNode()
+	o := node.Ring().Obs()
 	return &Engine{
 		cfg:     cfg,
 		host:    host,
+		node:    node,
 		waiting: make(map[ids.ID]*pendingInject),
 
 		o:          o,
@@ -213,7 +216,7 @@ func NewEngine(host Host, cfg Config) *Engine {
 // RTT-scoped queries prune subranges whose coordinate bounding balls fall
 // entirely outside the query radius. Without one the id-only baseline
 // holds.
-func (e *Engine) space() *coords.Space { return e.host.PastryNode().Ring().Coords() }
+func (e *Engine) space() *coords.Space { return e.node.Ring().Coords() }
 
 // scope returns the space that enforces q's RTT scope, or nil when q
 // carries none or the ring has no coordinates.
@@ -262,8 +265,7 @@ func QueryID(q *relq.Query, at time.Duration) ids.ID {
 // started event; 0 when the query arrives without one). It returns the
 // queryId identifying the query systemwide.
 func (e *Engine) Inject(q *relq.Query, cause uint64, onPredictor func(*predictor.Predictor)) ids.ID {
-	node := e.host.PastryNode()
-	now := node.Sched().Now()
+	now := e.node.Sched().Now()
 	qid := QueryID(q, now)
 	p := &pendingInject{cb: onPredictor, at: now, query: q}
 	e.waiting[qid] = p
@@ -272,13 +274,13 @@ func (e *Engine) Inject(q *relq.Query, cause uint64, onPredictor func(*predictor
 		// Freeze the RTT scope before the first route: Route can deliver
 		// locally and synchronously, and every later membership or pruning
 		// decision must see the same snapshot.
-		sp.BeginScope(qid, node.Endpoint(), q.RTTScope)
+		sp.BeginScope(qid, e.node.Endpoint(), q.RTTScope)
 	}
-	p.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindInject, Query: e.o.QueryTag(qid), EP: int(node.Endpoint())})
-	msg := &startMsg{QueryID: qid, Query: q, Injector: node.Endpoint(), Cause: p.span}
-	node.Route(qid, msg, startMsgSize(q), simnet.ClassQuery)
+	p.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindInject, Query: e.o.QueryTag(qid), EP: int(e.node.Endpoint())})
+	msg := &startMsg{QueryID: qid, Query: q, Injector: e.node.Endpoint(), Cause: p.span}
+	e.node.Route(qid, msg, startMsgSize(q), simnet.ClassQuery)
 	_, b := Schedules(e.cfg.DisableBackoff)
-	p.retry.Start(node.Sched(), &b, func() { e.injectTimeout(qid, p) })
+	p.retry.Start(e.node.Sched(), &b, func() { e.injectTimeout(qid, p) })
 	return qid
 }
 
@@ -288,8 +290,7 @@ func (e *Engine) Inject(q *relq.Query, cause uint64, onPredictor func(*predictor
 // last of 2×maxRetries retransmissions goes unanswered, the query is given
 // up as a whole-namespace loss (TestInjectorGiveUp).
 func (e *Engine) injectTimeout(qid ids.ID, p *pendingInject) {
-	node := e.host.PastryNode()
-	if !node.Alive() {
+	if !e.node.Alive() {
 		p.retry.Cancel()
 		return
 	}
@@ -299,14 +300,14 @@ func (e *Engine) injectTimeout(qid ids.ID, p *pendingInject) {
 		p.retry.Cancel()
 		e.cGiveups.Inc()
 		e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemGiveup, Query: e.o.QueryTag(qid),
-			EP: int(node.Endpoint()), N: int64(n), V: 1.0})
+			EP: int(e.node.Endpoint()), N: int64(n), V: 1.0})
 		return
 	}
 	e.cReissues.Inc()
 	p.span = e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemRetry, Query: e.o.QueryTag(qid),
-		EP: int(node.Endpoint()), N: int64(n + 1)})
-	msg := &startMsg{QueryID: qid, Query: p.query, Injector: node.Endpoint(), Cause: p.span}
-	node.Route(qid, msg, startMsgSize(p.query), simnet.ClassQuery)
+		EP: int(e.node.Endpoint()), N: int64(n + 1)})
+	msg := &startMsg{QueryID: qid, Query: p.query, Injector: e.node.Endpoint(), Cause: p.span}
+	e.node.Route(qid, msg, startMsgSize(p.query), simnet.ClassQuery)
 	p.retry.Again(&b, e.random)
 }
 
@@ -654,7 +655,7 @@ func (t *task) addParent(ep simnet.Endpoint) {
 // whatever the message is.
 func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 	if e.retired != nil {
-		e.sweep(e.host.PastryNode().Sched().Now())
+		e.sweep(e.node.Sched().Now())
 	}
 	switch m := payload.(type) {
 	case *startMsg:
@@ -671,10 +672,9 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 		if p, ok := e.waiting[m.key.qid]; ok {
 			delete(e.waiting, m.key.qid)
 			p.retry.Cancel()
-			node := e.host.PastryNode()
-			e.hPredLat.ObserveDuration(node.Sched().Now() - p.at)
+			e.hPredLat.ObserveDuration(e.node.Sched().Now() - p.at)
 			e.o.EmitSpan(m.respCause, obs.Event{Kind: obs.KindPredict, Query: e.o.QueryTag(m.key.qid),
-				EP: int(node.Endpoint()), V: m.acc.ExpectedTotal()})
+				EP: int(e.node.Endpoint()), V: m.acc.ExpectedTotal()})
 			if p.cb != nil {
 				p.cb(&m.acc)
 			}
@@ -696,11 +696,10 @@ func (e *Engine) handleStart(m *startMsg) {
 // h's query. cause is the span of the message (or local recursion) that
 // requested the range.
 func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, cause uint64) {
-	node := e.host.PastryNode()
 	// Expired tasks leave the table before it is consulted, so a hit below
 	// is always inside its retention window (local recursion reaches here
 	// without a message).
-	e.sweep(node.Sched().Now())
+	e.sweep(e.node.Sched().Now())
 	qid := h.QueryID
 	q := e.queries[qid]
 	if t := find(q.list(), lo, hi); t != nil {
@@ -713,7 +712,7 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 		return
 	}
 	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindDisseminate, Query: e.o.QueryTag(qid),
-		EP: int(node.Endpoint())})
+		EP: int(e.node.Endpoint())})
 	t := &task{key: taskKey{qid: qid, lo: lo, hi: hi}, parent: parent, respCause: span}
 	e.file(q, t)
 	e.host.QueryObserved(qid, h.Query, h.Injector, span)
@@ -736,7 +735,7 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 		e.finish(t)
 		return
 	}
-	self := node.ID()
+	self := e.node.ID()
 	var selfSub *subrange
 	for i := range f.subs {
 		s := &f.subs[i]
@@ -759,7 +758,7 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 		// parent is this node itself; its response arrives synchronously
 		// through handleResp.
 		slo, shi := selfSub.bounds()
-		e.beginTask(h, slo, shi, node.Endpoint(), span)
+		e.beginTask(h, slo, shi, e.node.Endpoint(), span)
 	}
 }
 
@@ -771,7 +770,7 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 func (e *Engine) aloneInRange(lo, hi ids.ID) bool {
 	// The view is sorted by id: the range holds a member exactly when the
 	// first member at or above lo is at or below hi.
-	leaf := e.host.PastryNode().LeafsetView()
+	leaf := e.node.LeafsetView()
 	i, _ := slices.BinarySearchFunc(leaf, lo, func(m pastry.NodeRef, key ids.ID) int { return m.ID.Cmp(key) })
 	return i == len(leaf) || hi.Less(leaf[i].ID)
 }
@@ -780,11 +779,10 @@ func (e *Engine) aloneInRange(lo, hi ids.ID) bool {
 // and the metadata-derived predictors of unavailable endsystems in the
 // range. span is the range task's disseminate event.
 func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Query, span uint64, lo, hi ids.ID) {
-	node := e.host.PastryNode()
-	now := node.Sched().Now()
+	now := e.node.Sched().Now()
 	sp := e.scope(q)
-	if node.ID().InRange(lo, hi) &&
-		(sp == nil || sp.InScope(qid, node.Endpoint())) {
+	if e.node.ID().InRange(lo, hi) &&
+		(sp == nil || sp.InScope(qid, e.node.Endpoint())) {
 		acc.AddImmediate(e.host.EstimateOwnRows(q))
 	}
 	nowSecs := int64(now / time.Second)
@@ -802,7 +800,7 @@ func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Q
 		e.cOnBehalf.Inc()
 		if e.o.Detail() {
 			e.o.EmitSpanDetail(span, obs.Event{Kind: obs.KindOnBehalf, Query: e.o.QueryTag(qid),
-				EP: int(node.Endpoint()), V: rows})
+				EP: int(e.node.Endpoint()), V: rows})
 		}
 		acc.AddModel(rec.Model, now, rec.DownSince, rows)
 	}
@@ -822,8 +820,7 @@ func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Q
 func (e *Engine) sendSubrange(s *subrange) {
 	h := s.task.fan.hdr
 	lo, hi := s.bounds()
-	node := e.host.PastryNode()
-	msg := h.rangeMsg(lo, hi, node.Endpoint(), s.cause)
+	msg := h.rangeMsg(lo, hi, e.node.Endpoint(), s.cause)
 	e.cRangeMsgs.Inc()
 	// Arm the timer BEFORE routing: Route can deliver locally and answer
 	// synchronously (a self-routed midpoint resolving to a leaf), and the
@@ -832,7 +829,7 @@ func (e *Engine) sendSubrange(s *subrange) {
 		if s.timeout == nil {
 			s.timeout = func() { e.subrangeTimeout(s) }
 		}
-		s.retry.Start(node.Sched(), &b, s.timeout)
+		s.retry.Start(e.node.Sched(), &b, s.timeout)
 	}
 	// Initial delegate: the id midpoint by default; with coordinates
 	// attached, the lowest-predicted-RTT node this node already knows
@@ -848,7 +845,7 @@ func (e *Engine) sendSubrange(s *subrange) {
 			target = ref.ID
 		}
 	}
-	node.Route(target, msg, rangeMsgSize(h.Query), simnet.ClassQuery)
+	e.node.Route(target, msg, rangeMsgSize(h.Query), simnet.ClassQuery)
 }
 
 // nearestDelegate picks, among the nodes this endsystem's own routing
@@ -856,9 +853,8 @@ func (e *Engine) sendSubrange(s *subrange) {
 // Candidates arrive sorted by id and the comparison is strict, so the
 // choice is deterministic (ties go to the smaller id). ok is false when nothing in range is known locally.
 func (e *Engine) nearestDelegate(sp *coords.Space, lo, hi ids.ID) (pastry.NodeRef, bool) {
-	node := e.host.PastryNode()
-	e.cands = node.AppendKnownInRange(e.cands[:0], lo, hi)
-	self := node.Endpoint()
+	e.cands = e.node.AppendKnownInRange(e.cands[:0], lo, hi)
+	self := e.node.Endpoint()
 	var best pastry.NodeRef
 	var bestRTT time.Duration
 	found := false
@@ -899,8 +895,7 @@ func rangeFraction(lo, hi ids.ID) float64 {
 // nothing can answer it any more.
 func (e *Engine) subrangeTimeout(s *subrange) {
 	t := s.task
-	node := e.host.PastryNode()
-	if s.done || t.finished || !node.Alive() || !slices.Contains(e.queries[t.key.qid].list(), t) {
+	if s.done || t.finished || !e.node.Alive() || !slices.Contains(e.queries[t.key.qid].list(), t) {
 		s.retry.Cancel()
 		return
 	}
@@ -912,10 +907,10 @@ func (e *Engine) subrangeTimeout(s *subrange) {
 		t.fan.open--
 		e.cAbandoned.Inc()
 		s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemAbandon, Query: tag,
-			EP: int(node.Endpoint()), N: int64(n)})
+			EP: int(e.node.Endpoint()), N: int64(n)})
 		e.cGiveups.Inc()
 		e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemGiveup, Query: tag,
-			EP: int(node.Endpoint()), N: int64(n),
+			EP: int(e.node.Endpoint()), N: int64(n),
 			V: rangeFraction(s.bounds())})
 		if t.fan.open == 0 {
 			e.finish(t)
@@ -924,7 +919,7 @@ func (e *Engine) subrangeTimeout(s *subrange) {
 	}
 	e.cReissues.Inc()
 	s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemRetry, Query: tag,
-		EP: int(node.Endpoint()), N: int64(n + 1)})
+		EP: int(e.node.Endpoint()), N: int64(n + 1)})
 	e.sendSubrange(s)
 }
 
@@ -974,7 +969,7 @@ func (e *Engine) finish(t *task) {
 		f.subs, f.hdr, f.next = f.subs[:0], nil, e.spare
 		e.spare = f
 	}
-	t.expires = e.host.PastryNode().Sched().Now() + retention
+	t.expires = e.node.Sched().Now() + retention
 	if e.retiredTail == nil {
 		e.retired = t
 	} else {
@@ -1016,8 +1011,7 @@ func (e *Engine) respond(t *task) {
 }
 
 func (e *Engine) respondTo(t *task, parent simnet.Endpoint) {
-	node := e.host.PastryNode()
-	if !t.key.whole() && parent == node.Endpoint() {
+	if !t.key.whole() && parent == e.node.Endpoint() {
 		// Self-recursion: deliver locally without a network hop.
 		e.handleResp(t.key, &t.acc, t.respCause)
 		return
@@ -1035,7 +1029,7 @@ func (e *Engine) respondTo(t *task, parent simnet.Endpoint) {
 	if t.key.whole() {
 		size = ids.Bytes + predLen
 	}
-	node.Ring().Network().Send(node.Endpoint(), parent, size, simnet.ClassQuery, t)
+	e.node.Ring().Network().Send(e.node.Endpoint(), parent, size, simnet.ClassQuery, t)
 }
 
 // mulUint multiplies a 128-bit value by an unsigned integer, modulo 2^128.

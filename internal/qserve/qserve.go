@@ -128,13 +128,6 @@ type tracked struct {
 	queued  time.Duration
 	started time.Duration // -1 until dispatched
 	handle  *core.QueryHandle
-
-	updates []updateRec
-}
-
-type updateRec struct {
-	at    time.Duration
-	count int64
 }
 
 // Service multiplexes an open-loop workload onto one cluster. It runs
@@ -383,9 +376,6 @@ func (s *Service) start(t *tracked) {
 	t.handle.WhenDone(func() { s.gActive.Add(-1) })
 	s.inflight += t.cost
 	s.classInflight[t.class] += t.cost
-	t.handle.OnUpdate(func(u core.ResultUpdate) {
-		t.updates = append(t.updates, updateRec{at: u.At, count: u.Partial.Count})
-	})
 	cost, class := t.cost, t.class
 	s.sched.After(t.hold, func() {
 		s.inflight -= cost
@@ -415,17 +405,30 @@ func (s *Service) retire(t *tracked) {
 }
 
 // t90 returns the virtual instant the query's result first reached 90%
-// of its final row count, post hoc over the update log.
+// of its final row count, post hoc over the handle's result log.
 func (t *tracked) t90() (time.Duration, bool) {
-	if len(t.updates) == 0 {
+	if t.handle == nil || len(t.handle.Results) == 0 {
 		return 0, false
 	}
-	final := t.updates[len(t.updates)-1].count
-	need := int64(math.Ceil(0.9 * float64(final)))
-	for _, u := range t.updates {
-		if u.count >= need {
-			return u.at, true
+	res := t.handle.Results
+	need := int64(math.Ceil(0.9 * float64(res[len(res)-1].Partial.Count)))
+	for _, u := range res {
+		if u.Partial.Count >= need {
+			return u.At, true
 		}
+	}
+	return 0, false
+}
+
+// completeness is the query's final row count as a percentage of its
+// predictor's expected total, for a query with results and a predictor.
+func (t *tracked) completeness() (float64, bool) {
+	if t.handle == nil || t.handle.Predictor == nil || len(t.handle.Results) == 0 {
+		return 0, false
+	}
+	res := t.handle.Results
+	if total := t.handle.Predictor.ExpectedTotal(); total > 0 {
+		return 100 * float64(res[len(res)-1].Partial.Count) / total, true
 	}
 	return 0, false
 }
@@ -454,11 +457,8 @@ func (s *Service) recordMetrics(t *tracked, now time.Duration) {
 		s.o.DurationHistogram("qserve_wait_" + class + "_ns").
 			ObserveDuration(t.started - t.arr.At)
 	}
-	if t.handle != nil && t.handle.Predictor != nil && len(t.updates) > 0 {
-		if total := t.handle.Predictor.ExpectedTotal(); total > 0 {
-			pct := 100 * float64(t.updates[len(t.updates)-1].count) / total
-			s.o.Histogram("qserve_completeness_pct_" + class).Observe(int64(pct))
-		}
+	if pct, ok := t.completeness(); ok {
+		s.o.Histogram("qserve_completeness_pct_" + class).Observe(int64(pct))
 	}
 }
 
@@ -574,11 +574,9 @@ func (s *Service) report() *Report {
 			if lat, ok := t.latency(end); ok {
 				lats = append(lats, lat)
 			}
-			if t.handle != nil && t.handle.Predictor != nil && len(t.updates) > 0 {
-				if total := t.handle.Predictor.ExpectedTotal(); total > 0 {
-					complSum += 100 * float64(t.updates[len(t.updates)-1].count) / total
-					complN++
-				}
+			if pct, ok := t.completeness(); ok {
+				complSum += pct
+				complN++
 			}
 		}
 		st.ThroughputPerHour = float64(done90s) / (float64(end-s.cfg.Workload.Start) / float64(time.Hour))
