@@ -73,11 +73,8 @@ type Dataset struct {
 	Flow *relq.Table
 }
 
-// Tables returns the dataset's tables.
-func (d *Dataset) Tables() []*relq.Table { return []*relq.Table{d.Flow} }
-
 // Summary builds the endsystem's replicable data summary.
-func (d *Dataset) Summary() *relq.Summary { return relq.NewSummary(d.Tables()...) }
+func (d *Dataset) Summary() *relq.Summary { return d.Flow.BuildSummary() }
 
 // app describes one application class in the traffic mix.
 type app struct {
@@ -267,8 +264,8 @@ func meanAccept(accept *[hoursPerWeek]float64) float64 {
 func (st *Streamer) SkipTo(t time.Duration) { st.cursor = max(st.cursor, t) }
 
 // AppendTo generates the rows with timestamps in [cursor, upTo) into the
-// dataset and advances the cursor. It returns the number of rows added.
-func (st *Streamer) AppendTo(d *Dataset, upTo time.Duration) int {
+// Flow table and advances the cursor. It returns the number of rows added.
+func (st *Streamer) AppendTo(flow *relq.Table, upTo time.Duration) int {
 	added := 0
 	basePerHour := float64(st.cfg.MeanFlowsPerDay) / 24 / meanAccept(st.prof.accept)
 	// Walk hour by hour so the diurnal modulation applies within long
@@ -281,7 +278,7 @@ func (st *Streamer) AppendTo(d *Dataset, upTo time.Duration) int {
 		for range n {
 			span := max(int64(hourEnd-st.cursor)/int64(time.Second), 1)
 			row := drawFlow(st.rng, &st.prof, int64(st.cursor/time.Second)+st.rng.Int63n(span))
-			d.Flow.InsertInts(row[:]...)
+			flow.InsertInts(row[:]...)
 		}
 		added += n
 		st.cursor = hourEnd

@@ -10,19 +10,19 @@ import (
 
 func TestStreamerDeterministic(t *testing.T) {
 	cfg := DefaultConfig(avail.Week, 5)
-	mk := func() *Dataset {
+	mk := func() *relq.Table {
 		st := NewStreamer(cfg, 3)
-		d := &Dataset{Flow: relq.NewTable(FlowSchema())}
-		st.AppendTo(d, 2*avail.Day)
-		st.AppendTo(d, 4*avail.Day)
-		return d
+		flow := relq.NewTable(FlowSchema())
+		st.AppendTo(flow, 2*avail.Day)
+		st.AppendTo(flow, 4*avail.Day)
+		return flow
 	}
 	a, b := mk(), mk()
-	if a.Flow.NumRows() != b.Flow.NumRows() {
+	if a.NumRows() != b.NumRows() {
 		t.Fatal("streamer not deterministic")
 	}
-	at := a.Flow.ColumnValues("Bytes")
-	bt := b.Flow.ColumnValues("Bytes")
+	at := a.ColumnValues("Bytes")
+	bt := b.ColumnValues("Bytes")
 	for i := range at {
 		if at[i] != bt[i] {
 			t.Fatal("row values differ between identical streams")
@@ -37,9 +37,9 @@ func TestStreamerVolumeMatchesGenerate(t *testing.T) {
 	const sample = 12
 	for i := 0; i < sample; i++ {
 		st := NewStreamer(cfg, i)
-		d := &Dataset{Flow: relq.NewTable(FlowSchema())}
-		st.AppendTo(d, avail.Week)
-		streamRows += d.Flow.NumRows()
+		flow := relq.NewTable(FlowSchema())
+		st.AppendTo(flow, avail.Week)
+		streamRows += flow.NumRows()
 		genRows += Generate(cfg, i).Flow.NumRows()
 	}
 	ratio := float64(streamRows) / float64(genRows)
@@ -51,9 +51,9 @@ func TestStreamerVolumeMatchesGenerate(t *testing.T) {
 func TestStreamerTimestampsOrderedAndBounded(t *testing.T) {
 	cfg := DefaultConfig(avail.Week, 7)
 	st := NewStreamer(cfg, 1)
-	d := &Dataset{Flow: relq.NewTable(FlowSchema())}
-	st.AppendTo(d, 3*avail.Day)
-	ts := d.Flow.ColumnValues("ts")
+	flow := relq.NewTable(FlowSchema())
+	st.AppendTo(flow, 3*avail.Day)
+	ts := flow.ColumnValues("ts")
 	if len(ts) == 0 {
 		t.Fatal("no rows streamed")
 	}
@@ -64,9 +64,9 @@ func TestStreamerTimestampsOrderedAndBounded(t *testing.T) {
 		}
 	}
 	// Appending a second window must only add rows in that window.
-	before := d.Flow.NumRows()
-	st.AppendTo(d, 4*avail.Day)
-	for _, v := range d.Flow.ColumnValues("ts")[before:] {
+	before := flow.NumRows()
+	st.AppendTo(flow, 4*avail.Day)
+	for _, v := range flow.ColumnValues("ts")[before:] {
 		if v < int64((3*avail.Day)/time.Second) || v >= int64((4*avail.Day)/time.Second) {
 			t.Fatalf("second window produced ts %d outside its bounds", v)
 		}
@@ -76,22 +76,22 @@ func TestStreamerTimestampsOrderedAndBounded(t *testing.T) {
 func TestStreamerSkipTo(t *testing.T) {
 	cfg := DefaultConfig(avail.Week, 8)
 	st := NewStreamer(cfg, 2)
-	d := &Dataset{Flow: relq.NewTable(FlowSchema())}
-	st.AppendTo(d, avail.Day)
+	flow := relq.NewTable(FlowSchema())
+	st.AppendTo(flow, avail.Day)
 	st.SkipTo(3 * avail.Day) // offline for two days
-	st.AppendTo(d, 4*avail.Day)
+	st.AppendTo(flow, 4*avail.Day)
 	gapLo := int64(avail.Day / time.Second)
 	gapHi := int64((3 * avail.Day) / time.Second)
-	for _, v := range d.Flow.ColumnValues("ts") {
+	for _, v := range flow.ColumnValues("ts") {
 		if v >= gapLo && v < gapHi {
 			t.Fatalf("row with ts %d inside the skipped (offline) gap", v)
 		}
 	}
 	// SkipTo backward is a no-op.
 	st.SkipTo(0)
-	before := d.Flow.NumRows()
-	st.AppendTo(d, 4*avail.Day) // cursor already at 4d
-	if d.Flow.NumRows() != before {
+	before := flow.NumRows()
+	st.AppendTo(flow, 4*avail.Day) // cursor already at 4d
+	if flow.NumRows() != before {
 		t.Fatal("backward SkipTo rewound the cursor")
 	}
 }
@@ -100,13 +100,13 @@ func TestStreamerDiurnalShape(t *testing.T) {
 	cfg := DefaultConfig(avail.Week, 9)
 	cfg.MeanFlowsPerDay = 2000
 	st := NewStreamer(cfg, 4)
-	d := &Dataset{Flow: relq.NewTable(FlowSchema())}
-	st.AppendTo(d, avail.Week)
+	flow := relq.NewTable(FlowSchema())
+	st.AppendTo(flow, avail.Week)
 	// Working hours (Tue 9-18) should far outweigh night (Tue 0-5).
 	day := int64(avail.Day / time.Second)
 	count := func(lo, hi int64) int {
 		n := 0
-		for _, v := range d.Flow.ColumnValues("ts") {
+		for _, v := range flow.ColumnValues("ts") {
 			if v >= lo && v < hi {
 				n++
 			}

@@ -15,13 +15,13 @@ import (
 	"repro/internal/relq"
 )
 
-// refTableSummary builds a Flow summary the way relq's BuildSummary did
+// refSummary builds a Flow summary the way relq's BuildSummary did
 // before its radix sort and shared buffer: a fresh copy of each indexed
 // column, an exact frequency histogram below 64 distinct values (relq's
 // maxFrequencyDistinct), otherwise a step histogram over the column sorted
 // with slices.Sort; the columns in name order.
-func refTableSummary(t *relq.Table) *relq.TableSummary {
-	ts := &relq.TableSummary{
+func refSummary(t *relq.Table) *relq.Summary {
+	ts := &relq.Summary{
 		Table:     t.Schema().Name,
 		TotalRows: int64(t.NumRows()),
 	}
@@ -50,8 +50,8 @@ func TestSummaryMatchesSortBuilder(t *testing.T) {
 	cfg := Config{Seed: 1, Horizon: 3 * avail.Day, MeanFlowsPerDay: 10_000}
 	for i := 0; i < 6; i++ {
 		flow := Generate(cfg, i).Flow
-		got := flow.BuildSummary().Encode(nil)
-		if want := refTableSummary(flow).Encode(nil); !bytes.Equal(got, want) {
+		got := flow.BuildSummary().Encode()
+		if want := refSummary(flow).Encode(); !bytes.Equal(got, want) {
 			t.Fatalf("endsystem %d: %d-byte summary differs from the %d-byte reference", i, len(got), len(want))
 		}
 	}

@@ -146,36 +146,32 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if feedPeriod <= 0 {
 		feedPeriod = 15 * time.Minute
 	}
-	// An endsystem's dataset and summary are a pure function of
+	// An endsystem's table and summary are a pure function of
 	// (cfg.Workload, i) and share nothing with another endsystem's, so they
 	// are built on every core; the nodes are then wired one by one in
 	// endpoint order, as if the build had been sequential.
-	type endsystemData struct {
-		ds      *anemone.Dataset
-		summary *relq.Summary
-	}
-	data := runner.Run(runner.Config{}, n, func(i int) endsystemData {
-		var ds *anemone.Dataset
+	tables := runner.Run(runner.Config{}, n, func(i int) *relq.Table {
+		var tbl *relq.Table
 		if cfg.Feed.Enabled {
-			// Live updates: start with an empty dataset; rows accrue
-			// while the endsystem is up.
-			ds = &anemone.Dataset{Flow: relq.NewTable(anemone.FlowSchema())}
+			// Live updates: start with an empty table; rows accrue while
+			// the endsystem is up.
+			tbl = relq.NewTable(anemone.FlowSchema())
 		} else {
-			ds = anemone.Generate(cfg.Workload, i)
+			tbl = anemone.Generate(cfg.Workload, i).Flow
 		}
-		return endsystemData{ds, ds.Summary()}
+		tbl.BuildSummary()
+		return tbl
 	})
 	var bootstrap []simnet.Endpoint
-	for i, d := range data {
+	for i, tbl := range tables {
 		nodeCfg := cfg.Node
 		// SplitSeed, not an xor mix: sweeps run clusters at sequential
 		// seeds, and cfg.Seed ^ i<<1 made (seed 0, node 1) and (seed 2,
 		// node 0) share RNG state across runs.
 		nodeCfg.Seed = runner.SplitSeed(cfg.Seed, int64(i))
-		c.Nodes[i] = NewNode(ring, simnet.Endpoint(i), idList[i], d.ds.Tables(),
-			d.summary, &avail.Model{}, nodeCfg)
+		c.Nodes[i] = NewNode(ring, simnet.Endpoint(i), idList[i], tbl, &avail.Model{}, nodeCfg)
 		if cfg.Feed.Enabled {
-			c.Nodes[i].EnableFeed(anemone.NewStreamer(cfg.Workload, i), d.ds, feedPeriod)
+			c.Nodes[i].EnableFeed(anemone.NewStreamer(cfg.Workload, i), feedPeriod)
 		}
 		if cfg.Trace.Profiles[i].AvailableAt(0) {
 			bootstrap = append(bootstrap, simnet.Endpoint(i))
@@ -376,12 +372,7 @@ func (c *Cluster) trueRows(q *relq.Query, keep func(i int) bool) int64 {
 		if keep != nil && !keep(i) {
 			continue
 		}
-		tbl, ok := n.tables[q.Table]
-		if !ok {
-			continue
-		}
-		cnt, err := tbl.CountMatching(q, now)
-		if err == nil {
+		if cnt, err := n.table.CountMatching(q, now); err == nil {
 			total += cnt
 		}
 	}

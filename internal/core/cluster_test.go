@@ -71,7 +71,7 @@ func TestClusterEndToEndQuery(t *testing.T) {
 		if !n.Alive() {
 			continue
 		}
-		cnt, err := n.tables["Flow"].CountMatching(q, 0)
+		cnt, err := n.table.CountMatching(q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestTruthCountsKeepPlanCache(t *testing.T) {
 		var want int64
 		now := int64(c.Sched.Now() / time.Second)
 		for _, node := range c.Nodes {
-			tbl := node.tables["Flow"]
+			tbl := node.table
 			plan, err := tbl.Bind(recent.BindNow(now))
 			if err != nil {
 				t.Fatal(err)

@@ -39,7 +39,7 @@ func TestConsistencyHEqualsHU(t *testing.T) {
 	var lowerSet, upperSet int64
 	for i, node := range c.Nodes {
 		p := trace.Profiles[i]
-		rows, err := node.tables["Flow"].CountMatching(q, 0)
+		rows, err := node.table.CountMatching(q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestConsistencyExactlyOnceAcrossManyCycles(t *testing.T) {
 		for i := range c.Nodes {
 			if !trace.Profiles[i].AvailableThroughout(injectAt, injectAt) &&
 				trace.Profiles[i].UpTimeIn(injectAt, horizon) < 10*time.Minute {
-				rows, _ := c.Nodes[i].tables["Flow"].CountMatching(q, 0)
+				rows, _ := c.Nodes[i].table.CountMatching(q, 0)
 				neverUp += rows
 			}
 		}
@@ -196,7 +196,7 @@ func TestPredictorStrongerGuarantee(t *testing.T) {
 	var everUpRows int64
 	for i, node := range c.Nodes {
 		if trace.Profiles[i].UpTimeIn(0, 24*time.Hour) > 0 {
-			rows, _ := node.tables["Flow"].CountMatching(q, 0)
+			rows, _ := node.table.CountMatching(q, 0)
 			everUpRows += rows
 		}
 	}

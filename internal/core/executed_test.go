@@ -94,3 +94,48 @@ func TestQueryExecutesOncePerUptime(t *testing.T) {
 		t.Error("no dissemination reissues: loss not exercised")
 	}
 }
+
+// TestWrongTableRunsNowhere: an endsystem holds one table, and a query
+// naming another fails to bind there, so it is observed everywhere but
+// executed and submitted nowhere: no row is scanned, no plan bound, no
+// partial submitted or delivered, and its own-row estimate and true row
+// count are 0. A Flow query on the same cluster afterwards does submit,
+// so the counters read are live.
+func TestWrongTableRunsNowhere(t *testing.T) {
+	const n = 24
+	cfg := DefaultClusterConfig(alwaysUpTrace(n, 4*time.Hour), 31)
+	cfg.Workload.MeanFlowsPerDay = 30
+	o := obs.New()
+	cfg.Obs = o
+	c := NewCluster(cfg)
+	c.RunUntil(time.Hour)
+
+	q := relq.MustParse("SELECT COUNT(*) FROM Packet")
+	h := c.InjectQuery(findLiveInjector(t, c), q)
+	c.RunUntil(c.Sched.Now() + 10*time.Minute)
+	if h.Predictor == nil {
+		t.Fatal("the query was not disseminated: no predictor arrived")
+	}
+	for _, name := range []string{"aggtree_submissions", "rows_scanned", "plan_cache_hits", "plan_cache_misses"} {
+		if got := o.Counter(name).Value(); got != 0 {
+			t.Errorf("%s = %d after a query on a table no endsystem holds", name, got)
+		}
+	}
+	if len(h.Results) != 0 {
+		t.Errorf("%d result updates delivered", len(h.Results))
+	}
+	for i, node := range c.Nodes {
+		if est := node.EstimateOwnRows(q); est != 0 {
+			t.Errorf("endsystem %d estimates %v own rows", i, est)
+		}
+	}
+	if rows := c.TrueRelevantRows(q); rows != 0 {
+		t.Errorf("TrueRelevantRows = %d", rows)
+	}
+
+	c.InjectQuery(findLiveInjector(t, c), relq.MustParse("SELECT COUNT(*) FROM Flow"))
+	c.RunUntil(c.Sched.Now() + 10*time.Minute)
+	if o.Counter("aggtree_submissions").Value() == 0 {
+		t.Error("a Flow query submitted nothing either")
+	}
+}

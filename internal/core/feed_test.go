@@ -23,14 +23,14 @@ func TestFeedAccruesData(t *testing.T) {
 	c := feedCluster(t, 40, 2*24*time.Hour, 21)
 	// At t=0 everyone is empty.
 	for _, n := range c.Nodes {
-		if n.tables["Flow"].NumRows() != 0 {
+		if n.table.NumRows() != 0 {
 			t.Fatal("feed cluster must start empty")
 		}
 	}
 	c.RunUntil(24 * time.Hour)
 	var rows int
 	for _, n := range c.Nodes {
-		rows += n.tables["Flow"].NumRows()
+		rows += n.table.NumRows()
 	}
 	// 40 endsystems × 60 rows/day × 1 day × availability ≈ 1900.
 	if rows < 500 || rows > 5000 {
@@ -39,7 +39,7 @@ func TestFeedAccruesData(t *testing.T) {
 	// Timestamps must respect virtual time (nothing from the future).
 	nowSecs := int64((24 * time.Hour) / time.Second)
 	for i, n := range c.Nodes {
-		cnt, err := n.tables["Flow"].CountMatching(
+		cnt, err := n.table.CountMatching(
 			relq.MustParse("SELECT COUNT(*) FROM Flow WHERE ts > "+itoa(nowSecs)), 0)
 		if err != nil {
 			t.Fatal(err)
@@ -72,7 +72,7 @@ func TestFeedNoDataWhileDown(t *testing.T) {
 	slack := int64((30 * time.Minute) / time.Second)
 	for i, n := range c.Nodes {
 		prof := c.cfg.Trace.Profiles[i]
-		for _, ts := range n.tables["Flow"].ColumnValues("ts") {
+		for _, ts := range n.table.ColumnValues("ts") {
 			at := time.Duration(ts) * time.Second
 			if !prof.AvailableAt(at) &&
 				!prof.AvailableAt(at+time.Duration(slack)*time.Second) &&
@@ -91,7 +91,7 @@ func TestFeedRefreshesMetadata(t *testing.T) {
 	// Find a node that is up and has accrued rows, then take it down.
 	var victim *Node
 	for _, n := range c.Nodes {
-		if n.Alive() && n.tables["Flow"].NumRows() > 10 {
+		if n.Alive() && n.table.NumRows() > 10 {
 			victim = n
 			break
 		}
@@ -99,7 +99,7 @@ func TestFeedRefreshesMetadata(t *testing.T) {
 	if victim == nil {
 		t.Fatal("no candidate victim")
 	}
-	rows := victim.tables["Flow"].NumRows()
+	rows := victim.table.NumRows()
 	victim.GoDown()
 	c.RunUntil(c.Sched.Now() + 10*time.Minute)
 

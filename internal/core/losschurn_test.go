@@ -68,7 +68,7 @@ func TestAggTreeExactlyOnceUnderLossAndChurn(t *testing.T) {
 	grace := 10 * time.Minute
 	var upperRows, lowerRows int64
 	for i, node := range c.Nodes {
-		rows, err := node.tables["Flow"].CountMatching(q, 0)
+		rows, err := node.table.CountMatching(q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

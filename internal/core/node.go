@@ -32,13 +32,12 @@ import (
 
 // Node is one Seaweed endsystem.
 type Node struct {
-	pn      *pastry.Node
-	tables  map[string]*relq.Table
-	summary *relq.Summary
-	model   *avail.Model
-	meta    *metadata.Service
-	dis     *dissem.Engine
-	tree    *aggtree.Engine
+	pn    *pastry.Node
+	table *relq.Table
+	model *avail.Model
+	meta  *metadata.Service
+	dis   *dissem.Engine
+	tree  *aggtree.Engine
 
 	downAt   time.Duration // when the endsystem last went down
 	everDown bool
@@ -54,7 +53,6 @@ type Node struct {
 	// Live data feed (optional): new rows appended while the endsystem is
 	// up, with the summary rebuilt and re-replicated when data changed.
 	feed       *anemone.Streamer
-	feedDS     *anemone.Dataset
 	feedPeriod time.Duration
 	feedTimer  simnet.Timer
 
@@ -85,14 +83,13 @@ func DefaultNodeConfig(seed int64) NodeConfig {
 }
 
 // NewNode creates a Seaweed endsystem on the ring at the given endpoint.
-// tables is the endsystem's local horizontal partition and summary its
-// data summary (relq.NewSummary over tables); model is its (possibly
-// empty) availability model, updated online as the node cycles.
+// table is the endsystem's local horizontal partition, whose data summary
+// (table.BuildSummary) has been built; model is its (possibly empty)
+// availability model, updated online as the node cycles.
 func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
-	tables []*relq.Table, summary *relq.Summary, model *avail.Model, cfg NodeConfig) *Node {
+	table *relq.Table, model *avail.Model, cfg NodeConfig) *Node {
 	n := &Node{
-		tables:      make(map[string]*relq.Table, len(tables)),
-		summary:     summary,
+		table:       table,
 		model:       model,
 		resultSinks: make(map[ids.ID]func(agg.Partial, int64, uint64)),
 		contTimers:  make(map[ids.ID]simnet.Timer),
@@ -101,16 +98,12 @@ func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
 	// (rows_scanned / rows_matched / blocks_pruned plus plan-cache hit
 	// rates); counter updates are atomic and order-independent, so the
 	// totals do not depend on execution order.
-	execStats := relq.StandardExecStats(ring.Obs())
-	for _, t := range tables {
-		t.SetExecStats(execStats)
-		n.tables[t.Schema().Name] = t
-	}
+	table.SetExecStats(relq.StandardExecStats(ring.Obs()))
 	n.pn = ring.AddNode(ep, id, n)
 	// A second split keeps the metadata stream independent of the node's
 	// other RNG consumers (cfg.Seed is already SplitSeed-derived per node).
 	n.meta = metadata.NewService(n.pn, cfg.Meta, runner.SplitSeed(cfg.Seed, int64(ep)))
-	n.meta.SetLocalMetadata(n.summary, n.model)
+	n.meta.SetLocalMetadata(table.Summary(), n.model)
 	disCfg := cfg.Dissem
 	if disCfg.Seed == 0 {
 		// A negative stream cannot collide with the per-endpoint streams
@@ -127,7 +120,7 @@ func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
 func (n *Node) PastryNode() *pastry.Node { return n.pn }
 
 // Summary returns the node's data summary.
-func (n *Node) Summary() *relq.Summary { return n.summary }
+func (n *Node) Summary() *relq.Summary { return n.table.Summary() }
 
 // Model returns the node's availability model.
 func (n *Node) Model() *avail.Model { return n.model }
@@ -155,7 +148,7 @@ func (n *Node) nowSeconds() int64 { return int64(n.now() / time.Second) }
 // EstimateOwnRows implements dissem.Host: the local DBMS's histogram-based
 // row-count estimate.
 func (n *Node) EstimateOwnRows(q *relq.Query) float64 {
-	return n.summary.EstimateRows(q, n.nowSeconds())
+	return n.table.Summary().EstimateRows(q, n.nowSeconds())
 }
 
 // UnavailableInRange implements dissem.Host.
@@ -171,7 +164,7 @@ func (n *Node) QueryObserved(qid ids.ID, q *relq.Query, injector simnet.Endpoint
 }
 
 // executeAndSubmit registers a query with the aggregation tree, runs it
-// against the local tables and submits the partial result — once per
+// against the local table and submits the partial result — once per
 // uptime session, and never once the query is canceled here (the tree's
 // ClaimExecution is the guard, whether the query arrives by dissemination,
 // however many range requests carry it, or in a neighbor's active-query
@@ -220,16 +213,13 @@ func (n *Node) executeAndSubmit(qid ids.ID, q *relq.Query, injector simnet.Endpo
 // runLocal executes the query against local data and submits the result
 // (the tree sends it on only if it differs from the last one submitted in
 // this uptime session, so continuous re-execution resubmits on change). It
-// reports whether the table existed and execution succeeded. Table.Execute
-// runs the plan the query carries: the query object is one per qid,
-// shared by every endsystem, so only the first execution anywhere binds,
-// and continuous re-executions and rejoin replays skip bind entirely.
+// reports whether execution succeeded: a query on another table fails to
+// bind, and neither runs nor submits. Table.Execute runs the plan the
+// query carries: the query object is one per qid, shared by every
+// endsystem, so only the first execution anywhere binds, and continuous
+// re-executions and rejoin replays skip bind entirely.
 func (n *Node) runLocal(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) bool {
-	tbl, ok := n.tables[q.Table]
-	if !ok {
-		return false
-	}
-	part, err := tbl.Execute(q, n.nowSeconds())
+	part, err := n.table.Execute(q, n.nowSeconds())
 	if err != nil {
 		return false
 	}
@@ -348,7 +338,7 @@ func (n *Node) GoUp() {
 	if n.everDown {
 		n.model.ObserveUpEvent(now, now-n.downAt)
 		// The model changed: the next metadata push carries it.
-		n.meta.SetLocalMetadata(n.summary, n.model)
+		n.meta.SetLocalMetadata(n.table.Summary(), n.model)
 	}
 	n.dis.Reset()
 	n.tree.Reset()
@@ -364,9 +354,8 @@ func (n *Node) GoUp() {
 // and re-replicated when data changed — lifting the data-updates
 // restriction the paper's own simulator had, and exercising §3.2.2's
 // "push ... if there is any change" semantics for real.
-func (n *Node) EnableFeed(st *anemone.Streamer, ds *anemone.Dataset, period time.Duration) {
+func (n *Node) EnableFeed(st *anemone.Streamer, period time.Duration) {
 	n.feed = st
-	n.feedDS = ds
 	n.feedPeriod = period
 }
 
@@ -376,12 +365,10 @@ func (n *Node) feedTick() {
 	if !n.pn.Alive() || n.feed == nil {
 		return
 	}
-	added := n.feed.AppendTo(n.feedDS, n.now())
-	if added == 0 {
+	if n.feed.AppendTo(n.table, n.now()) == 0 {
 		return
 	}
-	n.summary = relq.NewSummary(n.feedDS.Tables()...)
-	n.meta.SetLocalMetadata(n.summary, n.model)
+	n.meta.SetLocalMetadata(n.table.BuildSummary(), n.model)
 }
 
 // startFeed arms the feed timer for this uptime session. The streamer's

@@ -127,7 +127,7 @@ func rowSummary(t *testing.T, rows int) *relq.Summary {
 	for r := 0; r < rows; r++ {
 		tbl.Insert(int64(r))
 	}
-	return relq.NewSummary(tbl)
+	return tbl.BuildSummary()
 }
 
 func periodicModel() *avail.Model {

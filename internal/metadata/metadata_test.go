@@ -88,7 +88,7 @@ func testSummary(t *testing.T, i int) *relq.Summary {
 	for r := 0; r < 10+i; r++ {
 		tbl.Insert(int64(r * 100))
 	}
-	return relq.NewSummary(tbl)
+	return tbl.BuildSummary()
 }
 
 func testModel(i int) *avail.Model {

@@ -46,15 +46,15 @@ const (
 	// the fraction of the identifier namespace the lost subrange covered.
 	KindDissemGiveup Kind = "dissem_giveup"
 	// KindOnBehalf marks a predictor contribution generated on behalf of an
-	// unavailable endsystem from replicated metadata. N is the count of
-	// subjects covered by one leaf task.
+	// unavailable endsystem from replicated metadata, one event per subject
+	// (verbose traces only). V is the subject's estimated relevant rows.
 	KindOnBehalf Kind = "onbehalf"
 	// KindPredict marks the aggregated completeness predictor reaching the
 	// injector. V is the predictor's expected total row count.
 	KindPredict Kind = "predict"
 	// KindExec marks an endsystem executing the query against its local
-	// tables after observing it through dissemination. N is the local row
-	// count scanned.
+	// table after observing it through dissemination, once per uptime
+	// session. It carries no count.
 	KindExec Kind = "exec"
 	// KindAvailExec marks an endsystem executing a query it learned about
 	// from a neighbor's query-list push after rejoining the overlay — the
@@ -92,18 +92,18 @@ const (
 	KindRouteDrop Kind = "route_drop"
 	// KindLeafsetRepair marks a leafset repair after a member death.
 	KindLeafsetRepair Kind = "leafset_repair"
-	// KindJoin marks an overlay join completing. N is the number of join
-	// attempts it took.
+	// KindJoin marks an overlay join completing: the join reply accepted.
+	// It carries no count.
 	KindJoin Kind = "join"
 	// KindTakeover marks an aggregation-tree vertex primary takeover after
 	// churn.
 	KindTakeover Kind = "takeover"
-	// KindMetaPush marks a metadata replication push (verbose traces
-	// only). N is the replica-set fan-out.
+	// KindMetaPush marks a push round of an endsystem's own metadata
+	// record to its replica set (verbose traces only); it carries no count.
 	KindMetaPush Kind = "meta_push"
-	// KindMetaRereplicate marks churn-induced re-replication of stored
-	// records to a new replica-set member (verbose traces only). N is the
-	// number of records forwarded.
+	// KindMetaRereplicate marks churn-induced re-replication of a stored
+	// record to a new replica-set member, one event per record forwarded
+	// (verbose traces only).
 	KindMetaRereplicate Kind = "meta_rerepl"
 
 	// Fault-injection kinds (internal/fault). Every scheduled injection

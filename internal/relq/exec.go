@@ -147,19 +147,19 @@ func (p *Plan) resolveRHS(nowSeconds int64, buf *execBuf) []int64 {
 // query order — the sort is stable — so execution stays deterministic.
 // Conjunct order never changes which rows match, only how fast the
 // non-matches are discarded.
-func (p *Plan) predOrder(ts *TableSummary, rhs []int64, buf *execBuf) []int {
+func (p *Plan) predOrder(s *Summary, rhs []int64, buf *execBuf) []int {
 	order := buf.order[:0]
 	for i := range p.preds {
 		order = append(order, i)
 	}
 	buf.order = order
-	if ts == nil || len(order) < 2 {
+	if s == nil || len(order) < 2 {
 		return order
 	}
 	sels := buf.sels[:0]
 	for i := range p.preds {
 		pr := &p.preds[i]
-		h := ts.Column(p.cols[pr.col].Name)
+		h := s.Column(p.cols[pr.col].Name)
 		if h == nil {
 			sels = append(sels, 1)
 			continue
@@ -183,7 +183,7 @@ func (p *Plan) predOrder(ts *TableSummary, rhs []int64, buf *execBuf) []int {
 func (p *Plan) resolve(t *Table, nowSeconds int64, buf *execBuf) []step {
 	rhs := p.resolveRHS(nowSeconds, buf)
 	steps := buf.steps[:0]
-	for _, k := range p.predOrder(t.lastSummary, rhs, buf) {
+	for _, k := range p.predOrder(t.summary, rhs, buf) {
 		pr := &p.preds[k]
 		if i := narrowable(steps, pr); i >= 0 {
 			steps[i].narrow(interval(pr.op, rhs[k]))

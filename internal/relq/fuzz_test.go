@@ -14,8 +14,8 @@ import (
 // FuzzDecode: DecodeSummary never panics, sizes nothing by a count the
 // input cannot hold, and whatever it accepts round-trips — it re-encodes
 // to a summary that decodes to the same value. The committed corpus
-// (testdata/fuzz/FuzzDecode) holds the Flow table's summary, an empty
-// summary, one of two tables and one input per rejection.
+// (testdata/fuzz/FuzzDecode) holds the Flow table's summary and one input
+// per rejection, among them a table count of 0 and one of 2.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeSummary(b)
@@ -36,8 +36,7 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// A table count the input cannot hold is refused before the table map is
-// sized by it.
+// A table count other than 1 is refused before anything is sized by it.
 func TestDecodeSummaryChecksCountBeforeAllocating(t *testing.T) {
 	b := binary.AppendUvarint(nil, 4096)
 	var before, after runtime.MemStats

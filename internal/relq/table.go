@@ -319,11 +319,9 @@ type Table struct {
 	// no-ops; see SetExecStats).
 	stats ExecStats
 
-	// lastSummary is the most recent BuildSummary result, kept so the
-	// executor can order conjuncts by estimated selectivity without a
-	// side channel (the node already rebuilds the summary whenever its
-	// data changes).
-	lastSummary *TableSummary
+	// summary is the most recent BuildSummary result: the one the
+	// endsystem replicates, and what the executor orders conjuncts by.
+	summary *Summary
 }
 
 // NewTable creates an empty table with the given schema.
@@ -618,16 +616,16 @@ const maxFrequencyDistinct = 64
 // BuildSummary builds the table's data summary: one histogram per indexed
 // column, in ascending name order. Low-cardinality columns get exact
 // frequency histograms; numeric columns get equi-depth histograms. The
-// summary is also retained on the table so the executor can order
-// conjuncts by estimated selectivity.
-func (t *Table) BuildSummary() *TableSummary {
+// summary is also retained on the table (see Summary), and the executor
+// orders conjuncts by its estimated selectivities.
+func (t *Table) BuildSummary() *Summary {
 	n := 0
 	for _, col := range t.schema.Columns {
 		if col.Indexed {
 			n++
 		}
 	}
-	ts := &TableSummary{
+	s := &Summary{
 		Table:     t.schema.Name,
 		TotalRows: int64(t.rows),
 		Columns:   make([]ColumnSummary, 0, n),
@@ -647,9 +645,13 @@ func (t *Table) BuildSummary() *TableSummary {
 		}
 		vals = t.appendColumn(vals[:0], i)
 		h := histogram.Build(vals, &scratch, maxFrequencyDistinct, HistogramBuckets)
-		ts.Columns = append(ts.Columns, ColumnSummary{Name: col.Name, Histogram: h})
+		s.Columns = append(s.Columns, ColumnSummary{Name: col.Name, Histogram: h})
 	}
-	slices.SortFunc(ts.Columns, func(a, b ColumnSummary) int { return strings.Compare(a.Name, b.Name) })
-	t.lastSummary = ts
-	return ts
+	slices.SortFunc(s.Columns, func(a, b ColumnSummary) int { return strings.Compare(a.Name, b.Name) })
+	t.summary = s
+	return s
 }
+
+// Summary returns the summary BuildSummary last built, or nil if it never
+// ran. Rows inserted since are not in it.
+func (t *Table) Summary() *Summary { return t.summary }

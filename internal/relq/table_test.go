@@ -151,7 +151,7 @@ func TestSummaryEstimates(t *testing.T) {
 		tbl.Insert(int64(i), srcPort, int64(rng.Intn(10000)), app,
 			int64(rng.Intn(50000)), int64(rng.Intn(100)))
 	}
-	sum := NewSummary(tbl)
+	sum := tbl.BuildSummary()
 
 	for _, sql := range []string{
 		"SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80",
@@ -178,7 +178,7 @@ func TestSummaryEstimates(t *testing.T) {
 
 func TestSummaryEncodeDecode(t *testing.T) {
 	tbl := sampleFlowTable(t)
-	s := NewSummary(tbl)
+	s := tbl.BuildSummary()
 	enc := s.Encode()
 	if len(enc) == 0 {
 		t.Fatal("empty encoding")
@@ -198,7 +198,7 @@ func TestSummaryEncodeDecode(t *testing.T) {
 
 func TestSummaryUnknownTableAndColumn(t *testing.T) {
 	tbl := sampleFlowTable(t)
-	s := NewSummary(tbl)
+	s := tbl.BuildSummary()
 	if got := s.EstimateRows(MustParse("SELECT COUNT(*) FROM Packet"), 0); got != 0 {
 		t.Errorf("unknown table estimate = %v, want 0", got)
 	}
@@ -218,7 +218,7 @@ func TestDecodeSummaryErrors(t *testing.T) {
 		t.Error("empty buffer must fail")
 	}
 	tbl := sampleFlowTable(t)
-	enc := NewSummary(tbl).Encode()
+	enc := tbl.BuildSummary().Encode()
 	if _, err := DecodeSummary(enc[:len(enc)-3]); err == nil {
 		t.Error("truncated buffer must fail")
 	}

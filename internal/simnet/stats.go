@@ -83,9 +83,6 @@ func (s *Stats) accountRx(ep Endpoint, class Class, size int, t time.Duration) {
 // Bucket returns the accounting bucket width.
 func (s *Stats) Bucket() time.Duration { return statsBucket }
 
-// NumBuckets returns the number of accounting buckets.
-func (s *Stats) NumBuckets() int { return s.numBuckets }
-
 // TotalTx returns cumulative transmitted bytes for a class, systemwide.
 func (s *Stats) TotalTx(class Class) float64 { return float64(s.totalTx[class]) }
 
