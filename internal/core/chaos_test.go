@@ -117,14 +117,14 @@ func TestChaosReportsPinned(t *testing.T) {
 		ablate             func(*ChaosConfig)
 		sha256             string
 	}{
-		{"partition", "", nil, "0276c1dbdfdc323acbd6929ed15a5ddaf73dd42311e2a1c05dcbab0d30b70d45"},
+		{"partition", "", nil, "49a24425b028440128cc4a15e29c5eb5aa6aaf21199091f1b0b8d2116519e487"},
 		{"burstloss", "", nil, "0cb7ce4e838ebcf69d5a82427d9ee67ae3ef1e0cbf51dbaff4b134c26524f0ba"},
-		{"flap", "", nil, "139c023d90f02bddc31e64b1bd398a03891ff5c31f5338e8d5169e79c71b7f15"},
-		{"mixed", "", nil, "01080d03008c37e961d9045221c3a672e6e7434d33cf579acf43026e5d36dad6"},
+		{"flap", "", nil, "1c28e59245f4917c51a45ddc929f64237353d78a67dec5dbc1a20c43cbbeb220"},
+		{"mixed", "", nil, "37e363c85046e53cfb7e5b790e4e968ce778c7d0ff985ae0024c4a1b18732371"},
 		{"straggler", "", nil, "12a9e6eca2a64533b2ff3aa33b0566a9060333e62757def0eb37896d56bf1983"},
-		{"mixed", "backoff", noBackoff, "892243913726de2bd37e0f4568a85a50d005f5b8fff89a9ae4d91bb1b396f081"},
-		{"mixed", "repair", noRepair, "04eaaa2a688c0ed6033a14aca2f7b8410311115a20c94d268cb1a2ae9e4573ef"},
-		{"mixed", "reassert", noLadder, "18b0c631a77aa04745a85eeeb836edd7cb07d0029fa92a75603ccd6b7f9f25f1"},
+		{"mixed", "backoff", noBackoff, "3ee31fe9ec5bc395e3a301a5879367dbd958bc8a0ab87f454530c1087a51299d"},
+		{"mixed", "repair", noRepair, "3de155be7ddeeb2ea4ac874ebe089ab9d133bbb6069f657146a6fe8c8abf8e9e"},
+		{"mixed", "reassert", noLadder, "6ed4af0f5c257fc6526536c3712fcba65d6ca28580d636995c72f09407c457eb"},
 		{"straggler", "reassert", noLadder, "f7c0cf3ba75b892c54b1f86b1c84071164f54f87f7c353b766681bfbf0f844e8"},
 	} {
 		s, _ := fault.Builtin(tc.scenario, true)

@@ -348,7 +348,7 @@ func TestCancelStreamPinned(t *testing.T) {
 	}
 	got := fmt.Sprintf("%x", d.Sum(nil))
 	t.Logf("%d queries, %d completed; digest %s", len(handles), completed, got)
-	const pinned = "d8486d2caad0dbb9e3f236968dcd528f3a5441b26d30681535e8ef4f7e12059b"
+	const pinned = "360d6ae2649ae02abed300de4aec8b5badeb8590637713b8d5fc01efc8ed872d"
 	if got != pinned {
 		t.Errorf("cancel stream digest %s, pinned %s", got, pinned)
 	}

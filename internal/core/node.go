@@ -45,10 +45,6 @@ type Node struct {
 	// resultSinks receives incremental results for queries injected here;
 	// the third argument is the delivering partial event's span.
 	resultSinks map[ids.ID]func(agg.Partial, int64, uint64)
-	// leafsetSeen is set by the first LeafsetChanged upcall. Until then
-	// pullFromNewNeighbors takes every leafset member for new: the
-	// bootstrap leafset is never handed to it.
-	leafsetSeen bool
 
 	// Live data feed (optional): new rows appended while the endsystem is
 	// up, with the summary rebuilt and re-replicated when data changed.
@@ -301,13 +297,9 @@ func (n *Node) LeafsetChanged() {
 // new neighbors for the active query list, letting endsystems that
 // missed a dissemination while cut off contribute their rows after all.
 func (n *Node) pullFromNewNeighbors(added []pastry.NodeRef) {
-	if !n.pn.Alive() {
-		return
+	if n.pn.Alive() {
+		n.pullQueryLists(added)
 	}
-	if !n.leafsetSeen {
-		added, n.leafsetSeen = n.pn.LeafsetView(), true
-	}
-	n.pullQueryLists(added)
 }
 
 // pullQueryLists asks the first three of members for the active query list.

@@ -12,10 +12,9 @@ import (
 
 // The reference below is the leafset code as it stood before one function
 // owned the leafset's history: the five paths that changed the leafset,
-// each deciding for itself whether to raise LeafsetChanged, and the two
-// shadow maps the layers above kept to learn what had changed (metadata's
-// prevLeaf, rebuilt at Activate and at every upcall; core's, rebuilt at
-// every upcall only).
+// each deciding for itself whether to raise LeafsetChanged, and the shadow
+// map metadata kept to learn what had changed (prevLeaf, rebuilt at
+// Activate and at every upcall). Core reads the same delta as metadata.
 
 // refLiveLeafNeighbors is liveLeafNeighbors with its seen map.
 func refLiveLeafNeighbors(r *Ring, from simnet.Endpoint, id ids.ID, lh int) []NodeRef {
@@ -73,16 +72,15 @@ func refSetLeafset(self ids.ID, cands []NodeRef) []NodeRef {
 	return leaf
 }
 
-// refNode is one node's leafset as the five paths kept it, with the two
-// shadow maps.
+// refNode is one node's leafset as the five paths kept it, with
+// metadata's shadow map.
 type refNode struct {
 	leaf []NodeRef
 	meta map[ids.ID]NodeRef
-	core map[simnet.Endpoint]bool
 }
 
 // installState is the bootstrap install; metadata's Activate then rebuilt
-// its map from the leafset, and core's stayed empty.
+// its map from the leafset.
 func (o *refNode) installState(r *Ring, n *Node) {
 	o.leaf = refSetLeafset(n.id, refLiveLeafNeighbors(r, n.ep, n.id, leafsetHalf))
 	o.activate()
@@ -155,10 +153,9 @@ func (o *refNode) reconcileLeafset(r *Ring, n *Node) bool {
 	return !slices.Equal(before, o.leaf)
 }
 
-// upcall is what the layers computed from their maps on LeafsetChanged:
-// metadata's added (sorted) and removed members, and core's new members
-// in leafset order.
-func (o *refNode) upcall() (added, removed, coreAdded []NodeRef) {
+// upcall is what metadata computed from its map on LeafsetChanged: the
+// added and removed members, sorted.
+func (o *refNode) upcall() (added, removed []NodeRef) {
 	cur := make(map[ids.ID]NodeRef)
 	for _, m := range o.leaf {
 		cur[m.ID] = m
@@ -177,24 +174,14 @@ func (o *refNode) upcall() (added, removed, coreAdded []NodeRef) {
 	slices.SortFunc(added, byID)
 	slices.SortFunc(removed, byID)
 	o.meta = cur
-	next := make(map[simnet.Endpoint]bool, len(o.leaf))
-	for _, m := range o.leaf {
-		if !o.core[m.EP] {
-			coreAdded = append(coreAdded, m)
-		}
-		next[m.EP] = true
-	}
-	o.core = next
-	return added, removed, coreAdded
+	return added, removed
 }
 
-// deltaApp records what each upcall's LeafsetDelta says, and what core's
-// one-bool rule makes of it.
+// deltaApp records what each upcall's LeafsetDelta says.
 type deltaApp struct {
-	n                         *Node
-	upcalls                   int
-	seen                      bool
-	added, removed, coreAdded []NodeRef
+	n              *Node
+	upcalls        int
+	added, removed []NodeRef
 }
 
 func (a *deltaApp) Deliver(ids.ID, simnet.Endpoint, any) {}
@@ -202,10 +189,7 @@ func (a *deltaApp) Deliver(ids.ID, simnet.Endpoint, any) {}
 func (a *deltaApp) LeafsetChanged() {
 	a.upcalls++
 	added, removed := a.n.LeafsetDelta()
-	a.added, a.removed, a.coreAdded = slices.Clone(added), slices.Clone(removed), slices.Clone(added)
-	if !a.seen {
-		a.coreAdded, a.seen = slices.Clone(a.n.LeafsetView()), true
-	}
+	a.added, a.removed = slices.Clone(added), slices.Clone(removed)
 }
 
 // pastrySends records the pastry-class sends, as (from, to) pairs.
@@ -225,15 +209,14 @@ func sameRefs(a, b []NodeRef) bool { return len(a) == 0 && len(b) == 0 || slices
 // removals, reconciles, crashes, restarts and join replies on small rings,
 // with partitions forming and healing, against the reference: the same
 // leafset after every step, an upcall at exactly the steps the reference
-// raised one, and a LeafsetDelta equal to metadata's map diff (core's
-// one-bool rule equal to its own). Crashed nodes stay in their neighbors'
+// raised one, and a LeafsetDelta equal to metadata's map diff. Crashed
+// nodes stay in their neighbors'
 // leafsets until a removal step, so a restarted node's join reply often
 // restores its old leafset, a member announces itself again, and a removal
 // refills the member it removed: the upcalls that report no change. The
 // reported leafset is metadata's map between steps, which is what
 // UnavailableInRange reads. When the last node is down, the next to
-// restart founds the overlay afresh; there core's rule departs from its
-// map on purpose (see the "found" step).
+// restart founds the overlay afresh (the "found" step).
 func TestLeafsetDeltaOracle(t *testing.T) {
 	steps, upcalls, quiet, founds := 0, 0, 0, 0
 	for trial := 0; trial < 150; trial++ {
@@ -256,7 +239,7 @@ func TestLeafsetDeltaOracle(t *testing.T) {
 			apps[i] = &deltaApp{}
 			nodes[i] = ring.AddNode(simnet.Endpoint(i), idList[i], apps[i])
 			apps[i].n = nodes[i]
-			refs[i] = &refNode{core: map[simnet.Endpoint]bool{}}
+			refs[i] = &refNode{}
 			eps[i] = simnet.Endpoint(i)
 		}
 		ring.BootstrapAll(eps)
@@ -284,10 +267,7 @@ func TestLeafsetDeltaOracle(t *testing.T) {
 				if ring.NumLive() == 0 {
 					// The node founds the overlay afresh: metadata's
 					// Activate restarted its map from the empty leafset.
-					// Core's kept its last upcall's, and core is where the
-					// founder differs on purpose: its next upcall takes
-					// every member for new, as at bootstrap.
-					op, o.core = "found", map[simnet.Endpoint]bool{}
+					op = "found"
 					founds++
 				}
 				n.Start()
@@ -338,17 +318,13 @@ func TestLeafsetDeltaOracle(t *testing.T) {
 			}
 			if fired {
 				upcalls++
-				added, removed, coreAdded := o.upcall()
+				added, removed := o.upcall()
 				if len(added)+len(removed) == 0 {
 					quiet++
 				}
 				if !sameRefs(app.added, added) || !sameRefs(app.removed, removed) {
 					t.Fatalf("trial %d step %d %s at %d: delta +%v -%v, metadata's map diff +%v -%v",
 						trial, step, op, i, app.added, app.removed, added, removed)
-				}
-				if !sameRefs(app.coreAdded, coreAdded) {
-					t.Fatalf("trial %d step %d %s at %d: core takes %v as new, its map %v",
-						trial, step, op, i, app.coreAdded, coreAdded)
 				}
 			}
 			if op == "join reply" {
