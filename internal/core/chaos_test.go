@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -104,10 +105,13 @@ func TestChaosAblations(t *testing.T) {
 	})
 }
 
-// TestChaosReportsPinned pins the SHA-256 of the JSON report of every
-// built-in smoke scenario at seed 1, and of mixed under each ablation and
-// straggler with the ladder off: a change that moves one byte of a chaos
-// verdict, a counter or a timing fails here.
+// TestChaosReportsPinned pins two SHA-256 digests of every built-in smoke
+// scenario's report at seed 1, and of mixed under each ablation and
+// straggler with the ladder off: the report with its flight recorder
+// cleared (the verdicts, counters and timings) and the flight recorder's
+// JSON (the trace events a failing run froze; null on a clean one). A
+// change that moves one byte of either fails here, and a change to the
+// trace alone is told apart from one to a verdict.
 func TestChaosReportsPinned(t *testing.T) {
 	noBackoff := func(c *ChaosConfig) { c.Cluster.Node.Dissem.DisableBackoff = true }
 	noRepair := func(c *ChaosConfig) { c.Cluster.Node.Agg.DisableRepair = true }
@@ -115,29 +119,56 @@ func TestChaosReportsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		scenario, ablation string
 		ablate             func(*ChaosConfig)
-		sha256             string
+		verdict, flight    string
 	}{
-		{"partition", "", nil, "49a24425b028440128cc4a15e29c5eb5aa6aaf21199091f1b0b8d2116519e487"},
-		{"burstloss", "", nil, "0cb7ce4e838ebcf69d5a82427d9ee67ae3ef1e0cbf51dbaff4b134c26524f0ba"},
-		{"flap", "", nil, "1c28e59245f4917c51a45ddc929f64237353d78a67dec5dbc1a20c43cbbeb220"},
-		{"mixed", "", nil, "37e363c85046e53cfb7e5b790e4e968ce778c7d0ff985ae0024c4a1b18732371"},
-		{"straggler", "", nil, "12a9e6eca2a64533b2ff3aa33b0566a9060333e62757def0eb37896d56bf1983"},
-		{"mixed", "backoff", noBackoff, "3ee31fe9ec5bc395e3a301a5879367dbd958bc8a0ab87f454530c1087a51299d"},
-		{"mixed", "repair", noRepair, "3de155be7ddeeb2ea4ac874ebe089ab9d133bbb6069f657146a6fe8c8abf8e9e"},
-		{"mixed", "reassert", noLadder, "6ed4af0f5c257fc6526536c3712fcba65d6ca28580d636995c72f09407c457eb"},
-		{"straggler", "reassert", noLadder, "f7c0cf3ba75b892c54b1f86b1c84071164f54f87f7c353b766681bfbf0f844e8"},
+		{"partition", "", nil,
+			"49a24425b028440128cc4a15e29c5eb5aa6aaf21199091f1b0b8d2116519e487",
+			"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"},
+		{"burstloss", "", nil,
+			"0cb7ce4e838ebcf69d5a82427d9ee67ae3ef1e0cbf51dbaff4b134c26524f0ba",
+			"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"},
+		{"flap", "", nil,
+			"1c28e59245f4917c51a45ddc929f64237353d78a67dec5dbc1a20c43cbbeb220",
+			"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"},
+		{"mixed", "", nil,
+			"37e363c85046e53cfb7e5b790e4e968ce778c7d0ff985ae0024c4a1b18732371",
+			"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"},
+		{"straggler", "", nil,
+			"12a9e6eca2a64533b2ff3aa33b0566a9060333e62757def0eb37896d56bf1983",
+			"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"},
+		{"mixed", "backoff", noBackoff,
+			"2c1a05a8939ace0c3b844b8cdc7e97bf2e7f54a69d30ed1881ce6ee57ba3726f",
+			"269415342fd264a783c7a50ba877342bbb94a39aabf9aec6ab91716d6ac13648"},
+		{"mixed", "repair", noRepair,
+			"5758c310d87e8f9f1352abf4bee85993b2838847fb9a7e38650aa0b8955f1e4f",
+			"255a3b8a92eb9d4a4213c2c8adc08ce8b800bd55ee83450f0f43c338520da229"},
+		{"mixed", "reassert", noLadder,
+			"6ed4af0f5c257fc6526536c3712fcba65d6ca28580d636995c72f09407c457eb",
+			"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"},
+		{"straggler", "reassert", noLadder,
+			"f7c0cf3ba75b892c54b1f86b1c84071164f54f87f7c353b766681bfbf0f844e8",
+			"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"},
 	} {
 		s, _ := fault.Builtin(tc.scenario, true)
 		cfg := DefaultChaosConfig(s, 1, true)
 		if tc.ablate != nil {
 			tc.ablate(&cfg)
 		}
-		j, err := RunChaos(cfg).JSON()
+		r := RunChaos(cfg)
+		flight, err := json.Marshal(r.FlightRecorder)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(j)); got != tc.sha256 {
-			t.Errorf("%s-smoke ablate=%q: report sha256 %s, pinned %s", tc.scenario, tc.ablation, got, tc.sha256)
+		r.FlightRecorder = nil
+		verdict, err := r.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(verdict)); got != tc.verdict {
+			t.Errorf("%s-smoke ablate=%q: report sha256 %s, pinned %s", tc.scenario, tc.ablation, got, tc.verdict)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(flight)); got != tc.flight {
+			t.Errorf("%s-smoke ablate=%q: flight recorder sha256 %s, pinned %s", tc.scenario, tc.ablation, got, tc.flight)
 		}
 	}
 }
