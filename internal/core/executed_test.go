@@ -98,17 +98,29 @@ func TestQueryExecutesOncePerUptime(t *testing.T) {
 // TestWrongTableRunsNowhere: an endsystem holds one table, and a query
 // naming another fails to bind there, so it is observed everywhere but
 // executed and submitted nowhere: no row is scanned, no plan bound, no
-// partial submitted or delivered, and its own-row estimate and true row
-// count are 0. A Flow query on the same cluster afterwards does submit,
-// so the counters read are live.
+// exec event traced, no partial submitted or delivered, and its own-row
+// estimate and true row count are 0. A Flow query on the same cluster
+// afterwards does submit and trace its executions, so the counters and
+// the trace read are live.
 func TestWrongTableRunsNowhere(t *testing.T) {
 	const n = 24
 	cfg := DefaultClusterConfig(alwaysUpTrace(n, 4*time.Hour), 31)
 	cfg.Workload.MeanFlowsPerDay = 30
 	o := obs.New()
+	sink := &captureSink{}
+	o.SetTracer(obs.NewTracer(sink))
 	cfg.Obs = o
 	c := NewCluster(cfg)
 	c.RunUntil(time.Hour)
+	execs := func() int {
+		k := 0
+		for _, ev := range sink.events {
+			if ev.Kind == obs.KindExec || ev.Kind == obs.KindAvailExec {
+				k++
+			}
+		}
+		return k
+	}
 
 	q := relq.MustParse("SELECT COUNT(*) FROM Packet")
 	h := c.InjectQuery(findLiveInjector(t, c), q)
@@ -124,6 +136,9 @@ func TestWrongTableRunsNowhere(t *testing.T) {
 	if len(h.Results) != 0 {
 		t.Errorf("%d result updates delivered", len(h.Results))
 	}
+	if k := execs(); k != 0 {
+		t.Errorf("%d exec events traced for a query that ran nowhere", k)
+	}
 	for i, node := range c.Nodes {
 		if est := node.EstimateOwnRows(q); est != 0 {
 			t.Errorf("endsystem %d estimates %v own rows", i, est)
@@ -137,5 +152,8 @@ func TestWrongTableRunsNowhere(t *testing.T) {
 	c.RunUntil(c.Sched.Now() + 10*time.Minute)
 	if o.Counter("aggtree_submissions").Value() == 0 {
 		t.Error("a Flow query submitted nothing either")
+	}
+	if execs() == 0 {
+		t.Error("a Flow query traced no execution either")
 	}
 }

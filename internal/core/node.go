@@ -184,12 +184,18 @@ func (n *Node) executeAndSubmit(qid ids.ID, q *relq.Query, injector simnet.Endpo
 			return
 		}
 	}
+	// The plan the query carries runs here: the query object is one per
+	// qid, shared by every endsystem, so only the first execution anywhere
+	// binds. A query on another table fails to bind, and neither runs nor
+	// submits, so it is not traced as executed either.
+	part, err := n.table.Execute(q, n.nowSeconds())
+	if err != nil {
+		return
+	}
 	o := n.pn.Ring().Obs()
 	span := o.EmitSpan(cause, obs.Event{Kind: kind, Query: o.QueryTag(qid),
 		EP: int(n.pn.Endpoint())})
-	if !n.runLocal(qid, q, injector, span) {
-		return
-	}
+	n.tree.Submit(qid, part, q, injector, span)
 	if q.Continuous {
 		var timer simnet.Timer
 		timer = n.pn.Sched().Every(continuousPeriod, func() {
@@ -206,21 +212,14 @@ func (n *Node) executeAndSubmit(qid ids.ID, q *relq.Query, injector simnet.Endpo
 	}
 }
 
-// runLocal executes the query against local data and submits the result
-// (the tree sends it on only if it differs from the last one submitted in
-// this uptime session, so continuous re-execution resubmits on change). It
-// reports whether execution succeeded: a query on another table fails to
-// bind, and neither runs nor submits. Table.Execute runs the plan the
-// query carries: the query object is one per qid, shared by every
-// endsystem, so only the first execution anywhere binds, and continuous
-// re-executions and rejoin replays skip bind entirely.
-func (n *Node) runLocal(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) bool {
-	part, err := n.table.Execute(q, n.nowSeconds())
-	if err != nil {
-		return false
+// runLocal re-executes a continuous query against local data and submits
+// the result (the tree sends it on only if it differs from the last one
+// submitted in this uptime session, so re-execution resubmits on change).
+// It runs only once executeAndSubmit's first execution bound the query.
+func (n *Node) runLocal(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) {
+	if part, err := n.table.Execute(q, n.nowSeconds()); err == nil {
+		n.tree.Submit(qid, part, q, injector, cause)
 	}
-	n.tree.Submit(qid, part, q, injector, cause)
-	return true
 }
 
 // ResultDelivered implements aggtree.Host: route incremental results for

@@ -106,14 +106,10 @@ type Host interface {
 	UnavailableInRange(lo, hi ids.ID) []*metadata.Record
 	// QueryObserved tells the host a query reached this endsystem, so it
 	// can execute it locally and submit results. The engine calls it for
-	// every range task it begins — at least once per query, and again for
-	// each further range and each request that outlives a task's retention
-	// — so the host deduplicates: it holds the once-per-uptime guard for
-	// this path and for the ones that do not pass through the engine.
-	// injector is the endpoint that submitted the query, where incremental
-	// results are delivered. cause is the span of the dissemination event
-	// that carried the query here (0 when tracing is off), so execution
-	// spans chain onto the dissemination tree.
+	// every range task it begins, so the host deduplicates (it holds the
+	// once-per-uptime guard). injector is the endpoint that submitted the
+	// query; cause is the span of the dissemination event that carried the
+	// query here (0 when tracing is off).
 	QueryObserved(queryID ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64)
 }
 
@@ -126,13 +122,11 @@ type Engine struct {
 	// (random): most engines never reissue, and a seeded source is 4.9 KB.
 	rng *rand.Rand
 
-	// Per-query state (see DESIGN.md, "Dissemination: per-query state
+	// Per-query state (DESIGN.md, "Dissemination: per-query state
 	// lifecycle"). queries files this endsystem's range tasks by queryId:
-	// the unfinished ones, and each finished one for retention after it
-	// finished, so a reissued request gets the cached answer. A response,
-	// the answering task, finds the subrange it answers through the task
-	// that split it (awaiting). Made at the first task, it stays when it
-	// drains: its size follows the queries filed at once, not the tasks.
+	// the unfinished ones, and each finished one for retention, so a
+	// reissued request gets the cached answer. Made at the first task, it
+	// stays when it drains: its size follows the queries filed at once.
 	// retired and retiredTail are the ends of a queue (linked through
 	// task.next) of the finished tasks still filed, in finish order,
 	// which — retention being one constant — is expiry order.
@@ -430,10 +424,8 @@ const retention = 2 * time.Minute
 // response every parent is sent, and receivers read only those three.
 //
 // acc is held by value, and a predictor allocates its buckets only when
-// one receives mass: a task with nothing to report (an empty range handed
-// to the nearest endsystem, an endsystem whose histogram expects no
-// matching row) or only Immediate rows — nearly every task in a run, and
-// nearly all of them leaves — is this one object of the 128-byte class,
+// one receives mass: a task with nothing to report or only Immediate rows
+// — nearly every task in a run — is this one object of the 128-byte class,
 // response included, and nothing more.
 type task struct {
 	key taskKey
@@ -716,26 +708,19 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 	t := &task{key: taskKey{qid: qid, lo: lo, hi: hi}, parent: parent, respCause: span}
 	e.file(q, t)
 	e.host.QueryObserved(qid, h.Query, h.Injector, span)
-	if lo == hi || e.aloneInRange(lo, hi) {
-		// Leaf: contribute own rows (if in range) and predict on behalf of
-		// every unavailable endsystem in the range.
+	// Split into arity equal subranges, unless the task is a leaf or the
+	// RTT scope pruned every subrange (checked before any send: once a send
+	// can answer, the task may finish and its fan-out serve another task).
+	if lo == hi || e.aloneInRange(lo, hi) || len(e.newFanout(t, h).subs) == 0 {
+		// Nothing to wait for: contribute own rows (if in range) and
+		// predict on behalf of every unavailable endsystem in the range.
 		e.contributeLocal(&t.acc, qid, h.Query, span, lo, hi)
 		e.finish(t)
 		return
 	}
-
-	// Split into arity equal subranges. The one containing self recurses
-	// locally (no message); the rest are routed toward their midpoints.
-	f := e.newFanout(t, h)
-	if len(f.subs) == 0 {
-		// Degenerate: nothing to wait for (every subrange was pruned by
-		// the RTT scope). Checked before any send: once a send can answer,
-		// the task may finish and its fan-out serve another task.
-		e.contributeLocal(&t.acc, qid, h.Query, span, lo, hi)
-		e.finish(t)
-		return
-	}
-	self := e.node.ID()
+	// The subrange containing self recurses locally (no message); the rest
+	// are answered in place or routed toward their midpoints.
+	f, self := t.fan, e.node.ID()
 	var selfSub *subrange
 	for i := range f.subs {
 		s := &f.subs[i]
@@ -745,21 +730,38 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 			selfSub = s
 		}
 	}
-	// A send can be answered synchronously (a midpoint this node is the
-	// root of, resolving to a leaf): with no local subrange, the last one
-	// can finish t and hand f on, so nothing reads f after these loops.
+	// A slot can be answered synchronously (in place, or by a send that comes
+	// straight back): the last can finish t and hand f on, so nothing reads f after.
 	for i := range f.subs {
-		if s := &f.subs[i]; !s.local {
+		if s := &f.subs[i]; !s.local && !e.answerInPlace(s) {
 			e.sendSubrange(s)
 		}
 	}
 	if selfSub != nil {
-		// Local recursion: handle the self subrange as a child task whose
-		// parent is this node itself; its response arrives synchronously
-		// through handleResp.
+		// Local recursion: a child task whose parent is this node itself,
+		// its response arriving synchronously through handleResp.
 		slo, shi := selfSub.bounds()
 		e.beginTask(h, slo, shi, e.node.Endpoint(), span)
 	}
+}
+
+// answerInPlace answers subrange s in its slot, with no request, when the
+// request would come straight back as a leaf: s is this node's own id or
+// empty by the leafset, its first target resolves here, and no task for it
+// is filed (a filed, retained task must see the request, to re-answer
+// every parent it has). It reports whether it answered.
+func (e *Engine) answerInPlace(s *subrange) bool {
+	t := s.task
+	lo, hi := s.bounds()
+	if lo != hi && !e.aloneInRange(lo, hi) || !e.node.IsRootOf(e.firstTarget(lo, hi)) ||
+		find(e.queries[t.key.qid].list(), lo, hi) != nil {
+		return false
+	}
+	// What the leaf task would have sent back, merged as its response is.
+	var p predictor.Predictor
+	e.contributeLocal(&p, t.key.qid, t.fan.hdr.Query, s.cause, lo, hi)
+	e.answer(s, &p, s.cause)
+	return true
 }
 
 // aloneInRange reports whether, per the local leafset, this node is the
@@ -806,46 +808,47 @@ func (e *Engine) contributeLocal(acc *predictor.Predictor, qid ids.ID, q *relq.Q
 	}
 }
 
-// sendSubrange routes the request for one subrange toward its midpoint and
+// sendSubrange routes the request for one subrange to its firstTarget and
 // arms its response timeout: the retry's first, or on a reissue its next.
-// Reissues retarget a
-// random point inside the subrange instead of the midpoint: the midpoint
-// always resolves to the same delegate, so when that delegate is dead or
-// partitioned, every retry would sail into the same hole. A fresh target
-// likely resolves to a different responsible node, which can then
-// disseminate the subrange itself. Duplicate delegates are harmless — the
-// parent counts the first response only, and endsystems deduplicate query
-// execution — so route diversity costs at most some extra traffic on
-// already-failing paths.
+// A reissue retargets a random point inside the subrange: the first target
+// always resolves to the same delegate, so when that one is dead or
+// partitioned every retry would sail into the same hole. Duplicate
+// delegates are harmless — the parent counts the first response only, and
+// endsystems deduplicate query execution.
 func (e *Engine) sendSubrange(s *subrange) {
 	h := s.task.fan.hdr
 	lo, hi := s.bounds()
 	msg := h.rangeMsg(lo, hi, e.node.Endpoint(), s.cause)
 	e.cRangeMsgs.Inc()
 	// Arm the timer BEFORE routing: Route can deliver locally and answer
-	// synchronously (a self-routed midpoint resolving to a leaf), and the
-	// response path stops it.
+	// synchronously (a self-routed request that a task filed here
+	// answers), and the response path stops it.
 	if b, _ := Schedules(e.cfg.DisableBackoff); !s.retry.Again(&b, e.random) {
 		if s.timeout == nil {
 			s.timeout = func() { e.subrangeTimeout(s) }
 		}
 		s.retry.Start(e.node.Sched(), &b, s.timeout)
 	}
-	// Initial delegate: the id midpoint by default; with coordinates
-	// attached, the lowest-predicted-RTT node this node already knows
-	// inside the subrange (still an id-valid delegate — routing to its id
-	// reaches it or, if it just died, the numerically closest live node,
-	// exactly as the midpoint would). Reissues keep the random retarget:
-	// route diversity around failures matters more than latency there.
-	target := ids.Midpoint(lo, hi)
+	var target ids.ID
 	if s.retry.N() > 0 {
 		target = ids.RandomInRange(e.random(), lo, hi)
-	} else if sp := e.space(); sp != nil {
-		if ref, ok := e.nearestDelegate(sp, lo, hi); ok {
-			target = ref.ID
-		}
+	} else {
+		target = e.firstTarget(lo, hi)
 	}
 	e.node.Route(target, msg, rangeMsgSize(h.Query), simnet.ClassQuery)
+}
+
+// firstTarget is where the first request for [lo, hi] goes: the midpoint,
+// or with coordinates the lowest-predicted-RTT node this node knows inside
+// it (an id-valid delegate: routing to its id reaches it or, if it just
+// died, the numerically closest live node, as the midpoint would).
+func (e *Engine) firstTarget(lo, hi ids.ID) ids.ID {
+	if sp := e.space(); sp != nil {
+		if ref, ok := e.nearestDelegate(sp, lo, hi); ok {
+			return ref.ID
+		}
+	}
+	return ids.Midpoint(lo, hi)
 }
 
 // nearestDelegate picks, among the nodes this endsystem's own routing
@@ -930,10 +933,14 @@ func (e *Engine) subrangeTimeout(s *subrange) {
 // abandoned, its task finished) and one this incarnation never asked for
 // all miss: each subrange counts exactly once.
 func (e *Engine) handleResp(key taskKey, pred *predictor.Predictor, cause uint64) {
-	s := awaiting(e.queries[key.qid].list(), key.lo, key.hi)
-	if s == nil {
-		return
+	if s := awaiting(e.queries[key.qid].list(), key.lo, key.hi); s != nil {
+		e.answer(s, pred, cause)
 	}
+}
+
+// answer settles subrange s with its predictor, pred, and the span that
+// produced it, cause, and finishes its task when s was the last open.
+func (e *Engine) answer(s *subrange, pred *predictor.Predictor, cause uint64) {
 	t := s.task
 	s.done = true // answered: no response finds it after
 	t.fan.open--
@@ -1038,16 +1045,9 @@ func mulUint(v ids.ID, by uint64) ids.ID {
 	return ids.ID{Hi: v.Hi*by + hi, Lo: lo}
 }
 
-// divByUint divides a 128-bit value by a small unsigned integer.
+// divByUint divides a 128-bit value by a non-zero unsigned integer.
 func divByUint(v ids.ID, by uint64) ids.ID {
-	hi := v.Hi / by
-	rem := v.Hi % by
-	// Combine remainder with low word: (rem * 2^64 + v.Lo) / by, done in
-	// two 64-bit steps to avoid overflow (rem < by <= 2^32 assumed).
-	lo := rem<<32 | v.Lo>>32
-	q1 := lo / by
-	r1 := lo % by
-	lo2 := r1<<32 | v.Lo&0xffffffff
-	q2 := lo2 / by
-	return ids.ID{Hi: hi, Lo: q1<<32 | q2}
+	hi, rem := bits.Div64(0, v.Hi, by)
+	lo, _ := bits.Div64(rem, v.Lo, by)
+	return ids.ID{Hi: hi, Lo: lo}
 }

@@ -33,6 +33,9 @@ type testHost struct {
 	// top of what its metadata service holds, so that a test can put
 	// bucket mass into predictors without killing anyone.
 	phantoms []*metadata.Record
+	// requested, when set, sees every range request delivered here before
+	// the engine consumes it.
+	requested func(h *testHost, from simnet.Endpoint, m *rangeMsg)
 }
 
 func (h *testHost) PastryNode() *pastry.Node              { return h.node }
@@ -52,6 +55,9 @@ func (h *testHost) QueryObserved(qid ids.ID, q *relq.Query, injector simnet.Endp
 
 // Deliver dispatches to the engine first, then the metadata service.
 func (h *testHost) Deliver(key ids.ID, from simnet.Endpoint, payload any) {
+	if m, ok := payload.(*rangeMsg); ok && h.requested != nil {
+		h.requested(h, from, m)
+	}
 	if h.engine.HandleMessage(from, payload) {
 		return
 	}
@@ -176,6 +182,84 @@ func TestEveryNodeObservesQueryAtLeastOnce(t *testing.T) {
 		if h.observed < 1 {
 			t.Fatalf("node %d never observed the query", i)
 		}
+	}
+}
+
+// TestEmptySubrangesAnsweredInPlace: a range task answers, in its fan-out
+// slot, each subrange that is empty by its leafset and whose first target
+// it roots itself, and routes every other one. On a quiet 200-endsystem
+// cluster at arity 16, no range request comes back to its sender by a
+// 0-hop route for a range the sender's leafset shows empty, every
+// non-local subrange of every interior task is either answered in place
+// (never requested) or requested exactly once, dissem_range_msgs counts
+// the requested ones, and the predictor still counts every row once.
+func TestEmptySubrangesAnsweredInPlace(t *testing.T) {
+	const n = 200
+	c := newCluster(t, n, 23, DefaultConfig())
+	c.sched.RunUntil(time.Minute)
+	type request struct {
+		from   simnet.Endpoint
+		lo, hi ids.ID
+	}
+	delivered := make(map[request]int)
+	for _, h := range c.hosts {
+		h.requested = func(h *testHost, from simnet.Endpoint, m *rangeMsg) {
+			delivered[request{from, m.Lo, m.Hi}]++
+			if from == h.node.Endpoint() && h.engine.aloneInRange(m.Lo, m.Hi) &&
+				find(h.engine.queries[m.Hdr.QueryID].list(), m.Lo, m.Hi) == nil {
+				t.Errorf("endsystem %d routed [%v, %v] to itself, empty by its leafset", from, m.Lo, m.Hi)
+			}
+		}
+	}
+	var got *predictor.Predictor
+	qid := c.hosts[7].engine.Inject(testQuery, 0, func(p *predictor.Predictor) { got = p })
+	c.sched.RunUntil(c.sched.Now() + 30*time.Second) // inside every task's retention
+	if got == nil {
+		t.Fatal("no predictor")
+	}
+	if want := float64(n * (n + 1) / 2); got.Immediate != want || got.ExpectedTotal() != want {
+		t.Fatalf("predictor %v immediate, %v expected; want %v rows, each once", got.Immediate, got.ExpectedTotal(), want)
+	}
+	o := c.ring.Obs()
+	if r := o.Counter("dissem_reissues").Value(); r != 0 {
+		t.Fatalf("%d reissues on a quiet cluster", r)
+	}
+
+	// Replay every interior task's split from the filed tasks.
+	inPlace, routed := 0, 0
+	for _, h := range c.hosts {
+		e, self := h.engine, h.node.Endpoint()
+		for _, tk := range e.queries[qid].list() {
+			if tk.key.lo == tk.key.hi || e.aloneInRange(tk.key.lo, tk.key.hi) {
+				continue // a leaf
+			}
+			for _, s := range splitRange(tk.key.lo, tk.key.hi, e.cfg.Arity) {
+				if h.node.ID().InRange(s.lo, s.hi) {
+					continue // local recursion
+				}
+				asked := delivered[request{self, s.lo, s.hi}]
+				leaf := s.lo == s.hi || e.aloneInRange(s.lo, s.hi)
+				if leaf && h.node.IsRootOf(ids.Midpoint(s.lo, s.hi)) {
+					inPlace++
+					if asked != 0 || find(e.queries[qid].list(), s.lo, s.hi) != nil {
+						t.Errorf("endsystem %d: [%v, %v] answered in place, yet requested %d times or filed", self, s.lo, s.hi, asked)
+					}
+					continue
+				}
+				routed++
+				if asked != 1 {
+					t.Errorf("endsystem %d: [%v, %v] requested %d times, want once", self, s.lo, s.hi, asked)
+				}
+			}
+		}
+	}
+	msgs := int(o.Counter("dissem_range_msgs").Value())
+	t.Logf("%d subranges answered in place, %d routed (%d range messages)", inPlace, routed, msgs)
+	if inPlace == 0 {
+		t.Fatal("no subrange was answered in place")
+	}
+	if msgs != routed || msgs != len(delivered) {
+		t.Fatalf("dissem_range_msgs = %d, %d subranges routed, %d distinct requests delivered", msgs, routed, len(delivered))
 	}
 }
 

@@ -296,6 +296,21 @@ func (r *rig) subs(g idRange) []idRange {
 
 func (r *rig) advance(d time.Duration) { r.sched.RunUntil(r.sched.Now() + d) }
 
+// near is a range that starts just above the engine, the lowest member,
+// and is twice as wide as the gap to the next member, so it is no leaf.
+// Its first subrange holds no member and its midpoint is the engine's
+// own, so the engine answers it in place; the next holds that member, and
+// every other is nearer it or a member above than the engine: each of
+// those is routed to a sink.
+func (r *rig) near() idRange {
+	lo := r.ids[0].AddUint64(1)
+	gap := r.ids[1].Sub(lo)
+	return idRange{lo, lo.Add(gap).Add(gap)}
+}
+
+// rangeMsgs is the engine's dissem_range_msgs.
+func (r *rig) rangeMsgs() uint64 { return r.e.cRangeMsgs.Value() }
+
 // rowsPred is a child's predictor of rows available now and half as many
 // again spread over the delay buckets (by the uninformed availability
 // model).
@@ -811,22 +826,20 @@ func TestAloneInRangeMatchesScan(t *testing.T) {
 }
 
 // TestSynchronousAnswersFinishOnce: when this endsystem lies in none of a
-// range's subranges and every request it sends is answered inside the
-// send itself, the last answer finishes the task — and hands its fan-out
-// to the spare list — before beginTask's loop returns. The task must be
-// answered once, its fan-out not mistaken for an empty one afterwards.
+// range's subranges and every one is answered synchronously — in place, or
+// by a request that comes straight back to a task filed for it — the last
+// answer finishes the task, and hands its fan-out to the spare list,
+// before beginTask's loop returns. The task must be answered once, its
+// fan-out not mistaken for an empty one afterwards.
 //
-// The range starts just above the engine, the lowest member; its first
-// subrange holds no member, so its midpoint is the engine's own and the
-// request for it is a local leaf, answered at once. The RTT scope admits
-// only that subrange: the injector is placed inside it in the coordinate
-// space's id list, and everybody else is out of a 1 ns radius.
+// The range is the rig's near one: its first subrange holds no member, so
+// its midpoint is the engine's own. The RTT scope admits only that
+// subrange: the injector is placed inside it in the coordinate space's id
+// list, and everybody else is out of a 1 ns radius.
 func TestSynchronousAnswersFinishOnce(t *testing.T) {
 	const n = 128
 	r := newRig(t, n, 11, rigConfig())
-	self, first := r.ids[0], r.ids[1]
-	lo := self.AddUint64(1)
-	g := idRange{lo, lo.Add(first.Sub(lo)).Add(first.Sub(lo))}
+	g := r.near()
 	if r.e.aloneInRange(g.lo, g.hi) {
 		t.Fatal("the range is a leaf")
 	}
@@ -838,24 +851,110 @@ func TestSynchronousAnswersFinishOnce(t *testing.T) {
 	r.host.node.Ring().SetCoords(sp)
 	q := testQuery.Clone()
 	q.RTTScope = time.Nanosecond
-	qid := ids.HashString("synchronous")
-	sp.BeginScope(qid, injector, q.RTTScope)
+	first, self := r.subs(g)[0], r.host.node.Endpoint()
 
-	r.e.HandleMessage(2, &rangeMsg{Hdr: &queryHdr{QueryID: qid, Query: q, Injector: injector},
-		Lo: g.lo, Hi: g.hi, Parent: 2})
-	task := filed(r.e, taskKey{qid, g.lo, g.hi})
-	if task == nil || !task.finished {
-		t.Fatal("the task did not finish inside beginTask")
+	for _, c := range []struct {
+		name  string
+		filed bool // a task for the first subrange is filed before the request
+		sent  uint64
+	}{
+		{"answered in place", false, 0},
+		{"routed back to a filed task", true, 1},
+	} {
+		qid := ids.HashString("synchronous " + c.name)
+		sp.BeginScope(qid, injector, q.RTTScope)
+		hdr := &queryHdr{QueryID: qid, Query: q, Injector: injector}
+		if c.filed {
+			// The engine asks itself, as a parent whose reissue found it
+			// would: the leaf finishes at once and its answer finds no one.
+			r.e.HandleMessage(self, hdr.rangeMsg(first.lo, first.hi, self, 0))
+		}
+		queued, sent := r.e.queued(), r.rangeMsgs()
+		r.got = nil
+		r.e.HandleMessage(2, hdr.rangeMsg(g.lo, g.hi, 2, 0))
+		task := filed(r.e, taskKey{qid, g.lo, g.hi})
+		if task == nil || !task.finished {
+			t.Fatalf("%s: the task did not finish inside beginTask", c.name)
+		}
+		if r.e.spare == nil || r.e.spare.next != nil {
+			t.Fatalf("%s: the finished task's fan-out is not the one spare", c.name)
+		}
+		if got := r.rangeMsgs() - sent; got != c.sent {
+			t.Errorf("%s: %d requests sent, want %d", c.name, got, c.sent)
+		}
+		r.advance(time.Second)
+		if len(r.got) != 1 || r.got[0].resp != task {
+			t.Fatalf("%s: the parent got %d responses, want 1", c.name, len(r.got))
+		}
+		if got := r.e.queued() - queued; got != 1 { // the task, once
+			t.Fatalf("%s: %d tasks queued for expiry, want 1", c.name, got)
+		}
+		r.advance(retention)
+		r.e.sweep(r.sched.Now())
 	}
-	if r.e.spare == nil || r.e.spare.next != nil {
-		t.Fatal("the finished task's fan-out is not the one spare")
-	}
-	r.advance(time.Second)
-	if len(r.got) != 1 || r.got[0].resp != task {
-		t.Fatalf("the parent got %d responses, want 1", len(r.got))
-	}
-	if got := r.e.queued(); got != 2 { // the task and its one leaf, each once
-		t.Fatalf("%d tasks queued for expiry, want 2", got)
+}
+
+// TestFiledSubrangeStillRouted is the retention case of answering in
+// place: a subrange the engine would answer in place is requested as
+// usual when a task for it is already filed there, so that task — frozen,
+// finished — answers it and re-answers every parent it has, as a reissue
+// from a new parent would make it. Without the filed task, the same
+// subrange is answered in place and not requested.
+func TestFiledSubrangeStillRouted(t *testing.T) {
+	r := newRig(t, 128, 11, rigConfig())
+	g := r.near()
+	subs := r.subs(g)
+	first, self := subs[0], r.host.node.Endpoint()
+	for _, filedFirst := range []bool{false, true} {
+		qid := ids.HashString(fmt.Sprint("retained ", filedFirst))
+		var leaf *task
+		if filedFirst {
+			r.request(qid, first, 3) // a parent elsewhere asked first
+			if leaf = filed(r.e, taskKey{qid, first.lo, first.hi}); leaf == nil || !leaf.finished {
+				t.Fatal("the first subrange's task did not finish")
+			}
+		}
+		r.got = nil
+		sent := r.rangeMsgs()
+		r.request(qid, g, 2)
+		want := uint64(len(subs) - 1)
+		if filedFirst {
+			want++
+		}
+		if got := r.rangeMsgs() - sent; got != want {
+			t.Fatalf("filed=%v: %d of %d subranges requested, want %d", filedFirst, got, len(subs), want)
+		}
+		if awaiting(r.e.queries[qid].list(), first.lo, first.hi) != nil {
+			t.Fatalf("filed=%v: the first subrange is still awaited", filedFirst)
+		}
+		for _, s := range subs[1:] {
+			r.answer(qid, s, rowsPred(5))
+		}
+		r.advance(time.Second)
+		task := filed(r.e, taskKey{qid, g.lo, g.hi})
+		if task == nil || !task.finished {
+			t.Fatalf("filed=%v: the task did not finish", filedFirst)
+		}
+		want5 := value(rowsPred(5 * float64(len(subs)-1)))
+		if !task.acc.Equal(&want5) {
+			t.Fatalf("filed=%v: the task's predictor is not its children's", filedFirst)
+		}
+		toParent, toElsewhere := 0, 0
+		for _, m := range r.got {
+			switch {
+			case m.resp == task && m.to == 2:
+				toParent++
+			case filedFirst && m.resp == leaf && m.to == 3:
+				toElsewhere++
+			default:
+				t.Fatalf("filed=%v: unexpected response to %d for [%v, %v]", filedFirst, m.to, m.resp.key.lo, m.resp.key.hi)
+			}
+		}
+		// The filed task answered its first parent when it finished and
+		// again when the engine's request made the engine its second.
+		if toParent != 1 || filedFirst && (toElsewhere != 2 || leaf.more == nil || leaf.more.ep != self) {
+			t.Fatalf("filed=%v: %d answers to the parent, %d to the filed task's first parent", filedFirst, toParent, toElsewhere)
+		}
 	}
 }
 
@@ -1006,8 +1105,8 @@ func bytesPerRun(runs int, f func()) uint64 {
 // its predictor allocates buckets only for mass in them, and its query's
 // entry in the table a swept query's; once warm, an interior range task is
 // its task too, its fan-out a finished task's and its requests consumed
-// ones of its query; a response allocates nothing, whether or not it
-// completes its task.
+// ones of its query, and a subrange it answers in place adds nothing; a
+// response allocates nothing, whether or not it completes its task.
 func TestRangeTaskAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -1090,6 +1189,39 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 	}
 	if tk := filed(r.e, taskKey{qid, g.lo, g.hi}); tk == nil || !tk.finished {
 		t.Fatal("the last interior task did not finish")
+	}
+
+	// An interior task whose first subrange is empty and its own to root
+	// answers that one in place: no request, child task, timer or response
+	// for it, so the task is still all it allocates.
+	near := r.near()
+	nearSubs := r.subs(near)
+	inPlace := func() {
+		qid.Lo++
+		hdr.QueryID = qid
+		r.e.HandleMessage(2, hdr.rangeMsg(near.lo, near.hi, 2, 0))
+		r.advance(time.Second)
+		for _, s := range nearSubs[1:] {
+			answer.key = taskKey{qid, s.lo, s.hi}
+			r.e.HandleMessage(1, answer)
+		}
+		r.advance(step - time.Second)
+	}
+	warm(inPlace)
+	sent := r.rangeMsgs()
+	if n := testing.AllocsPerRun(runs, inPlace); n > 1 {
+		t.Errorf("interior, empty subrange rooted here: %.1f allocations, want at most 1", n)
+	}
+	if per := (r.rangeMsgs() - sent) / (runs + 1); per != uint64(len(nearSubs)-1) {
+		t.Errorf("interior, empty subrange rooted here: %d requests a task, want %d", per, len(nearSubs)-1)
+	}
+	if n := bytesPerRun(runs, inPlace); n > 128 {
+		t.Errorf("interior, empty subrange rooted here: %d bytes, want at most 128 (the task)", n)
+	} else {
+		t.Logf("interior, empty subrange rooted here: %d bytes", n)
+	}
+	if tk := filed(r.e, taskKey{qid, near.lo, near.hi}); tk == nil || !tk.finished {
+		t.Fatal("the last interior task with a subrange answered in place did not finish")
 	}
 
 	// Interior tasks to answer: all but the last subrange of each, then
