@@ -877,7 +877,7 @@ func (e *Engine) applySubmit(origin simnet.Endpoint, m *submitMsg) {
 		e.hFanin.ObserveDuration(d)
 	}
 	v := e.vertex(st, m.Vertex)
-	e.setPrimary(v)
+	e.promote(v)
 	if m.WantAck {
 		// Whatever install finds, the child table holds the contribution at
 		// this version or a newer one when it returns.
@@ -941,9 +941,7 @@ func (e *Engine) applyRepl(m *replMsg) {
 		e.stepDown(v)
 		return
 	}
-	if !v.primary {
-		e.takeOver(v)
-	}
+	e.promote(v)
 	if grew {
 		// Fresh state: push the new aggregate up. The backups already hold
 		// the state we just received.
@@ -983,18 +981,6 @@ func (v *vertexState) install(child ids.ID, c contribution, cause uint64) instal
 		v.cause = cause
 	}
 	return changed
-}
-
-// takeOver is the one place a vertex changes hands to this endsystem from
-// another primary: it is counted, traced, and starts the ladder from its
-// first rung, since whatever this node armed in an earlier primary stint
-// protected a forward of that stint.
-func (e *Engine) takeOver(v *vertexState) {
-	e.cTakeovers.Inc()
-	e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: e.o.QueryTag(v.q.qid),
-		EP: int(e.node.Endpoint())})
-	v.reassert.Cancel()
-	e.setPrimary(v)
 }
 
 // stepDown makes this endsystem a backup of a vertex rooted elsewhere: only
@@ -1104,7 +1090,7 @@ func (e *Engine) backupSet(vertex ids.ID) []pastry.NodeRef {
 // primary acts on either, and only the first tick past the query's expiry
 // reclaims the vertex, so the chain schedules an event only at a tick that
 // can act: a backup's chain sleeps until its expiry tick, an idle
-// primary's until its next safety pass, and setPrimary pulls a backup's
+// primary's until its next safety pass, and promote pulls a backup's
 // chain in to its next tick. A new vertex starts asleep as a backup's.
 func (e *Engine) armRefresh(v *vertexState) {
 	if e.cfg.RefreshPeriod <= 0 {
@@ -1178,7 +1164,7 @@ func (e *Engine) refreshTick(v *vertexState, n int64) int64 {
 		return sleepUntilExpiry
 	}
 	if e.node.IsRootOf(v.id) && len(v.children) > 0 {
-		e.setPrimary(v)
+		e.promote(v)
 		if v.dirty || n%3 == 0 {
 			// Re-assert the aggregate upward; replication to backups is
 			// handled by the update and membership-change paths.
@@ -1200,17 +1186,28 @@ func (e *Engine) refreshTick(v *vertexState, n int64) int64 {
 	}
 }
 
-// setPrimary makes this endsystem the vertex's primary. A backup's refresh
-// chain sleeps until expiry, so it is pulled in to its next tick: the first
-// instant on its phase after now, read off the sleeping event's own
-// instant, which lies on the phase. A primary's chain is left as it is: it
-// ticks every period while the vertex is dirty, and the paths that call
-// this and dirty a primary forward at once, which cleans it.
-func (e *Engine) setPrimary(v *vertexState) {
+// promote is the one place a backup becomes the vertex's primary. A vertex
+// that already holds children changes hands from another primary (§3.4's
+// takeover, whatever path brought the role here): it is counted, traced,
+// and starts the ladder from its first rung, since whatever this node
+// armed in an earlier primary stint protected a forward of that stint. A
+// backup's refresh chain sleeps until expiry, so it is pulled in to its
+// next tick: the first instant on its phase after now, read off the
+// sleeping event's own instant, which lies on the phase. A primary's chain
+// is left as it is: it ticks every period while the vertex is dirty, and
+// the paths that call this and dirty a primary forward at once, which
+// cleans it.
+func (e *Engine) promote(v *vertexState) {
 	if v.primary {
 		return
 	}
 	v.primary = true
+	if len(v.children) > 0 {
+		e.cTakeovers.Inc()
+		e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: e.o.QueryTag(v.q.qid),
+			EP: int(e.node.Endpoint())})
+		v.reassert.Cancel()
+	}
 	at, ok := v.refresh.When()
 	if !ok {
 		return
@@ -1247,7 +1244,7 @@ func (e *Engine) HandleLeafsetChanged() {
 			// Take over: the previous primary died or the namespace
 			// shifted toward us. The state goes to this vertex's backups
 			// and the aggregate to its parent.
-			e.takeOver(v)
+			e.promote(v)
 			e.replicateToBackups(v)
 			e.forwardUp(v)
 		case !isRoot:

@@ -14,7 +14,7 @@ import (
 
 // The refresh chains schedule an event only at ticks that can act: a
 // backup's sleeps until its expiry tick, an idle primary's until its next
-// safety pass, and setPrimary pulls a backup's chain in. That rests on one
+// safety pass, and promote pulls a backup's chain in. That rests on one
 // invariant, "a root vertex with children is already primary": a backup's
 // chain would otherwise sleep through the tick at which the old
 // per-vertex chain made it primary and re-propagated. The oracle shadows

@@ -89,11 +89,11 @@ func TestVertexRoles(t *testing.T) {
 		{"submission of new content to a backup", true, false, 48 * time.Hour, func(r *roleRig, e *Engine) {
 			e.applySubmit(r.hosts[r.other].node.Endpoint(), &submitMsg{QID: r.qid, Vertex: r.vid, Child: leaf, C: other,
 				WantAck: true, Injector: r.hosts[0].node.Endpoint(), Query: testQuery})
-		}, outcome{true, 0, false, 0, false, true, "ack forward"}},
+		}, outcome{true, 1, true, 0, false, true, "ack forward"}},
 		{"refresh submission to a backup", true, false, 48 * time.Hour, func(r *roleRig, e *Engine) {
 			e.applySubmit(r.hosts[r.other].node.Endpoint(), &submitMsg{QID: r.qid, Vertex: r.vid, Child: child, C: newer,
 				WantAck: true, Injector: r.hosts[0].node.Endpoint(), Query: testQuery})
-		}, outcome{true, 0, false, 2, false, true, "ack"}},
+		}, outcome{true, 1, true, 0, false, true, "ack"}},
 		{"replication of new content reaching a root backup", true, false, 48 * time.Hour, func(r *roleRig, e *Engine) {
 			e.applyRepl(&replMsg{QID: r.qid, Vertex: r.vid, Child: leaf, C: other, Injector: r.hosts[0].node.Endpoint(), Query: testQuery})
 		}, outcome{true, 1, true, 0, false, true, "forward"}},
@@ -113,7 +113,7 @@ func TestVertexRoles(t *testing.T) {
 		{"refresh tick with QueryTTL 0", true, false, 0, func(r *roleRig, e *Engine) {
 			// A backup's chain sleeps to its next safety pass, the third tick.
 			r.sched.RunUntil(r.sched.Now() + 3*e.cfg.RefreshPeriod)
-		}, outcome{true, 0, false, 2, false, false, "forward"}},
+		}, outcome{true, 1, true, 0, false, false, "forward"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRoleRig(t, tc.ttl)

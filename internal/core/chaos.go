@@ -191,17 +191,16 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 		}
 	}
 
+	lastRows := func() int64 {
+		if k := len(h.Results); k > 0 {
+			return h.Results[k-1].Partial.Count
+		}
+		return 0
+	}
 	c.RunUntil(finalHeal)
-	var rowsAtHeal int64
-	if k := len(h.Results); k > 0 {
-		rowsAtHeal = h.Results[k-1].Partial.Count
-	}
-
+	rowsAtHeal := lastRows()
 	c.RunUntil(judgeAt)
-	var finalRows int64
-	if k := len(h.Results); k > 0 {
-		finalRows = h.Results[k-1].Partial.Count
-	}
+	finalRows := lastRows()
 
 	// Exactly-once: no incremental result ever exceeded ground truth, and
 	// contributors never exceeded the population.
@@ -225,11 +224,8 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 		verdict.CompletenessAtHeal = float64(rowsAtHeal) / float64(truth)
 		verdict.FinalCompleteness = float64(finalRows) / float64(truth)
 	}
-	for _, upd := range h.Results {
-		if upd.Partial.Count == truth {
-			verdict.TimeToComplete = upd.At - s.QueryAt
-			break
-		}
+	if at, ok := h.Reached(truth); ok {
+		verdict.TimeToComplete = at - s.QueryAt
 	}
 	report.Queries = append(report.Queries, verdict)
 

@@ -138,10 +138,10 @@ func TestChaosReportsPinned(t *testing.T) {
 			"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"},
 		{"mixed", "backoff", noBackoff,
 			"2c1a05a8939ace0c3b844b8cdc7e97bf2e7f54a69d30ed1881ce6ee57ba3726f",
-			"926d4f829970e0527a870e68a7708660c53edf5dca1b1c37417341b6def65d43"},
+			"b2cb2036c4b74b0cc209a2d0a868e0553ef4b212baeecb9c1ad864bd1a24cfd4"},
 		{"mixed", "repair", noRepair,
 			"5758c310d87e8f9f1352abf4bee85993b2838847fb9a7e38650aa0b8955f1e4f",
-			"436c6efeffc51eba0ac5ad6c9e982ee2044432e770559d79edc15635b00e88a2"},
+			"44e752523c2335dfb5491bec39a694081b8b8379318aa86ee3f5509c29a680d0"},
 		{"mixed", "reassert", noLadder,
 			"6ed4af0f5c257fc6526536c3712fcba65d6ca28580d636995c72f09407c457eb",
 			"74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b"},

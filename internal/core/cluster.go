@@ -5,10 +5,13 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/aggtree"
 	"repro/internal/anemone"
 	"repro/internal/avail"
 	"repro/internal/coords"
+	"repro/internal/dissem"
 	"repro/internal/ids"
+	"repro/internal/metadata"
 	"repro/internal/obs"
 	"repro/internal/pastry"
 	"repro/internal/predictor"
@@ -72,8 +75,9 @@ func DefaultClusterConfig(trace *avail.Trace, seed int64) ClusterConfig {
 		Workload: w,
 		Net:      net,
 		Pastry:   p,
-		Node:     DefaultNodeConfig(seed),
-		Seed:     seed,
+		Node: NodeConfig{Meta: metadata.DefaultConfig(), Dissem: dissem.DefaultConfig(),
+			Agg: aggtree.DefaultConfig()},
+		Seed: seed,
 	}
 }
 
@@ -164,12 +168,11 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	})
 	var bootstrap []simnet.Endpoint
 	for i, tbl := range tables {
-		nodeCfg := cfg.Node
 		// SplitSeed, not an xor mix: sweeps run clusters at sequential
 		// seeds, and cfg.Seed ^ i<<1 made (seed 0, node 1) and (seed 2,
 		// node 0) share RNG state across runs.
-		nodeCfg.Seed = runner.SplitSeed(cfg.Seed, int64(i))
-		c.Nodes[i] = NewNode(ring, simnet.Endpoint(i), idList[i], tbl, &avail.Model{}, nodeCfg)
+		c.Nodes[i] = NewNode(ring, simnet.Endpoint(i), idList[i], tbl, &avail.Model{}, cfg.Node,
+			runner.SplitSeed(cfg.Seed, int64(i)))
 		if cfg.Feed.Enabled {
 			c.Nodes[i].EnableFeed(anemone.NewStreamer(cfg.Workload, i), feedPeriod)
 		}
@@ -255,6 +258,17 @@ func (h *QueryHandle) WhenDone(fn func()) {
 		return
 	}
 	h.onDone = append(h.onDone, fn)
+}
+
+// Reached returns the instant of the first update in Results whose row
+// count is at least rows, and false when no update reaches it.
+func (h *QueryHandle) Reached(rows int64) (time.Duration, bool) {
+	for _, u := range h.Results {
+		if u.Partial.Count >= rows {
+			return u.At, true
+		}
+	}
+	return 0, false
 }
 
 // ResultUpdate is one incremental result observation.

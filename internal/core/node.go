@@ -64,26 +64,15 @@ type NodeConfig struct {
 	Meta   metadata.Config
 	Dissem dissem.Config
 	Agg    aggtree.Config
-	Seed   int64
-}
-
-// DefaultNodeConfig returns the paper's Seaweed configuration: k=8
-// metadata replicas, 16-ary dissemination, m=3 vertex backups.
-func DefaultNodeConfig(seed int64) NodeConfig {
-	return NodeConfig{
-		Meta:   metadata.DefaultConfig(),
-		Dissem: dissem.DefaultConfig(),
-		Agg:    aggtree.DefaultConfig(),
-		Seed:   seed,
-	}
 }
 
 // NewNode creates a Seaweed endsystem on the ring at the given endpoint.
 // table is the endsystem's local horizontal partition, whose data summary
 // (table.BuildSummary) has been built; model is its (possibly empty)
-// availability model, updated online as the node cycles.
+// availability model, updated online as the node cycles. Its random
+// streams are split from seed, the endsystem's own.
 func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
-	table *relq.Table, model *avail.Model, cfg NodeConfig) *Node {
+	table *relq.Table, model *avail.Model, cfg NodeConfig, seed int64) *Node {
 	n := &Node{
 		table:       table,
 		model:       model,
@@ -97,14 +86,14 @@ func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
 	table.SetExecStats(relq.StandardExecStats(ring.Obs()))
 	n.pn = ring.AddNode(ep, id, n)
 	// A second split keeps the metadata stream independent of the node's
-	// other RNG consumers (cfg.Seed is already SplitSeed-derived per node).
-	n.meta = metadata.NewService(n.pn, cfg.Meta, runner.SplitSeed(cfg.Seed, int64(ep)))
+	// other RNG consumers (seed is already SplitSeed-derived per node).
+	n.meta = metadata.NewService(n.pn, cfg.Meta, runner.SplitSeed(seed, int64(ep)))
 	n.meta.SetLocalMetadata(table.Summary(), n.model)
 	disCfg := cfg.Dissem
 	if disCfg.Seed == 0 {
 		// A negative stream cannot collide with the per-endpoint streams
 		// the metadata service draws from the same node seed.
-		disCfg.Seed = runner.SplitSeed(cfg.Seed, -2)
+		disCfg.Seed = runner.SplitSeed(seed, -2)
 	}
 	n.dis = dissem.NewEngine(n, disCfg)
 	n.tree = aggtree.NewEngine(n, cfg.Agg)

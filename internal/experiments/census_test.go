@@ -32,7 +32,7 @@ import (
 // The configuration surface and DESIGN.md may only shrink without an
 // edit here: each ceiling is the count at the time it was last lowered.
 const (
-	maxConfigFields   = 69
+	maxConfigFields   = 68
 	maxTestOnlyFields = 0 // rows whose only setter is a test
 	maxUnsetFields    = 0 // rows nothing sets at all
 	maxDesignLines    = 2539
@@ -40,6 +40,10 @@ const (
 	// code (see oracleReads): each is a place the protocol learns what it
 	// could not know, so the count may only fall.
 	maxOracleReads = 57
+	// maxTestOnlyExports ceils the exported functions and methods of
+	// non-test code that no other non-test file names (TestExportCensus):
+	// code only its own tests call is deleted, so the count may only fall.
+	maxTestOnlyExports = 51
 )
 
 // maxPackageLines are the per-package ceilings on non-test lines (the
@@ -48,26 +52,26 @@ const (
 // one takes an edit here and a CHANGES.md line saying why.
 var maxPackageLines = map[string]int{
 	"internal/agg":         182,
-	"internal/aggtree":     1476,
+	"internal/aggtree":     1473,
 	"internal/anemone":     332,
 	"internal/avail":       783,
 	"internal/coords":      473,
-	"internal/core":        1575,
+	"internal/core":        1574,
 	"internal/dissem":      1053,
-	"internal/experiments": 1819,
-	"internal/fault":       1007,
+	"internal/experiments": 1818,
+	"internal/fault":       981,
 	"internal/histogram":   672,
-	"internal/ids":         535,
+	"internal/ids":         499,
 	"internal/metadata":    459,
 	"internal/model":       209,
 	"internal/obs":         1135,
 	"internal/obs/causal":  352,
-	"internal/pastry":      1357,
+	"internal/pastry":      1353,
 	"internal/predictor":   419,
-	"internal/qserve":      817,
+	"internal/qserve":      811,
 	"internal/relq":        2195,
 	"internal/runner":      165,
-	"internal/simnet":      1526,
+	"internal/simnet":      1501,
 	"seaweed":              203,
 }
 
@@ -280,7 +284,15 @@ type module struct {
 	// oracleReads are the ground-truth reads of non-test code outside
 	// internal/fault, internal/experiments and bench, as file:line.
 	oracleReads []string
+	// exports are the exported functions and methods of non-test code,
+	// and mentions maps every identifier to the non-test files naming it.
+	exports  []exportDecl
+	mentions map[string][]string
 }
+
+// exportDecl is one exported function or method: its name, its file and
+// where it is declared, as file:line.
+type exportDecl struct{ name, file, at string }
 
 // testFunc matches a test function declaration.
 var testFunc = regexp.MustCompile(`(?m)^func (Test\w+)\(`)
@@ -290,7 +302,7 @@ var testFunc = regexp.MustCompile(`(?m)^func (Test\w+)\(`)
 func scanModule(t *testing.T) module {
 	t.Helper()
 	m := module{lines: map[string]int{}, imported: map[string]bool{}, tests: map[string]bool{},
-		citations: map[string][]string{}}
+		citations: map[string][]string{}, mentions: map[string][]string{}}
 	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -346,6 +358,19 @@ func scanModule(t *testing.T) module {
 				m.imported[p] = true
 			}
 		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+				m.exports = append(m.exports, exportDecl{fn.Name.Name, path, fset.Position(fn.Pos()).String()})
+			}
+		}
+		named := map[string]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !named[id.Name] {
+				named[id.Name] = true
+				m.mentions[id.Name] = append(m.mentions[id.Name], path)
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {
@@ -455,6 +480,34 @@ func TestOracleCensus(t *testing.T) {
 		t.Errorf("%d ground-truth reads, ceiling %d:\n%s", len(reads), maxOracleReads, strings.Join(reads, "\n"))
 	}
 	t.Logf("%d ground-truth reads (ceiling %d)", len(reads), maxOracleReads)
+}
+
+// TestExportCensus holds the exported functions and methods of non-test
+// code that no other non-test file names to maxTestOnlyExports. Names are
+// matched without types, as the oracle census matches them: a method
+// another type's call of the same name mentions counts as used, and one
+// reached only through fmt or an interface of another module (String,
+// Error) counts as unused. A change may delete such code, and lowers the
+// ceiling when it does, but adds none without raising it and saying why in
+// CHANGES.md.
+func TestExportCensus(t *testing.T) {
+	m := scanModule(t)
+	if len(m.exports) == 0 {
+		t.Fatal("no exported function found: the scan is broken")
+	}
+	var unused []string
+	for _, x := range m.exports {
+		if !slices.ContainsFunc(m.mentions[x.name], func(file string) bool { return file != x.file }) {
+			unused = append(unused, strings.TrimPrefix(x.at, "../../")+": "+x.name)
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > maxTestOnlyExports {
+		t.Errorf("%d exported functions no other non-test file names, ceiling %d: unexport or delete them:\n%s",
+			len(unused), maxTestOnlyExports, strings.Join(unused, "\n"))
+	}
+	t.Logf("%d of %d exported functions named by no other non-test file (ceiling %d)",
+		len(unused), len(m.exports), maxTestOnlyExports)
 }
 
 // newSourceCalls returns where f calls math/rand's NewSource, under

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/avail"
@@ -92,10 +93,8 @@ func CoordsStudy(seeds []int64, smoke bool, workers int) *PairedResult {
 func timeTo99(h *core.QueryHandle, injAt, window time.Duration) time.Duration {
 	if h.Predictor != nil {
 		if total := h.Predictor.ExpectedTotal(); total > 0 {
-			for _, u := range h.Results {
-				if float64(u.Partial.Count) >= 0.99*total {
-					return u.At - injAt
-				}
+			if at, ok := h.Reached(int64(math.Ceil(0.99 * total))); ok {
+				return at - injAt
 			}
 		}
 	}

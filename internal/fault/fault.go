@@ -152,14 +152,14 @@ type Injector struct {
 	rngJitter *rand.Rand
 	rngDup    *rand.Rand
 
-	cut     map[int]bool // partitioned regions
-	bursts  []*geState   // active GE channels, activation order
-	jitters map[int]time.Duration
-	spikes  map[int]time.Duration
-	dups    map[int]float64
-	slows   map[int]Injection // active Straggler injections by index
-	// Aggregates recomputed on activation/heal so the per-message path
-	// never iterates a map (map order would perturb rng draw order).
+	cut    map[int]bool // partitioned regions
+	bursts []*geState   // active GE channels, activation order
+	// open holds the open Jitter, Spike, Duplicate and Straggler windows
+	// by injection index. The aggregates below are recomputed from it on
+	// every activation and heal, so the per-message path never iterates a
+	// map (map order would perturb rng draw order); they are maxima and a
+	// sum, which no iteration order changes.
+	open      map[int]Injection
 	maxJitter time.Duration
 	sumSpike  time.Duration
 	maxDup    float64
@@ -201,10 +201,7 @@ func NewInjector(net *simnet.Network, scenario Scenario, seed int64) *Injector {
 		rngJitter:  rand.New(ids.NewSource(runner.SplitSeed(seed, streamJitter))),
 		rngDup:     rand.New(ids.NewSource(runner.SplitSeed(seed, streamDup))),
 		cut:        make(map[int]bool),
-		jitters:    make(map[int]time.Duration),
-		spikes:     make(map[int]time.Duration),
-		dups:       make(map[int]float64),
-		slows:      make(map[int]Injection),
+		open:       make(map[int]Injection),
 		slowRegion: make(map[int]time.Duration),
 		report:     Report{Scenario: scenario.Name, Seed: seed},
 		o:          o,
@@ -272,17 +269,6 @@ func (inj *Injector) EndpointsInRegion(region int) []simnet.Endpoint {
 	return out
 }
 
-// PartitionedRegions returns the currently cut regions (sorted).
-func (inj *Injector) PartitionedRegions() []int {
-	var out []int
-	for r := 0; r < inj.topo.NumRegions(); r++ {
-		if inj.cut[r] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // OnSend implements simnet.FaultHook: the per-message fate under the
 // currently active faults. Partition drops are checked first (a cut is
 // absolute), then the burst channels, then delay and duplication faults.
@@ -344,21 +330,17 @@ func (inj *Injector) activate(i int) {
 		inj.armFlip(g)
 		inj.o.Emit(obs.Event{Kind: obs.KindFaultBurst, EP: -1, N: int64(i), V: in.BadLoss})
 	case Jitter:
-		inj.jitters[i] = in.JitterMax
-		inj.recomputeDelays()
+		inj.openWindow(i, in)
 		inj.o.Emit(obs.Event{Kind: obs.KindFaultJitter, EP: -1, N: int64(i), V: in.JitterMax.Seconds()})
 	case Spike:
-		inj.spikes[i] = in.SpikeDelay
-		inj.recomputeDelays()
+		inj.openWindow(i, in)
 		inj.o.Emit(obs.Event{Kind: obs.KindFaultSpike, EP: -1, N: int64(i), V: in.SpikeDelay.Seconds()})
 	case Duplicate:
-		inj.dups[i] = in.DupProb
-		inj.recomputeDelays()
+		inj.openWindow(i, in)
 		inj.o.Emit(obs.Event{Kind: obs.KindFaultDup, EP: -1, N: int64(i), V: in.DupProb})
 	case Straggler:
 		rec.Region = in.Region
-		inj.slows[i] = in
-		inj.recomputeDelays()
+		inj.openWindow(i, in)
 		inj.o.Emit(obs.Event{Kind: obs.KindFaultStraggle, EP: -1, N: int64(i), V: float64(in.Region)})
 	case Crash:
 		rec.Region = in.Region
@@ -391,17 +373,8 @@ func (inj *Injector) heal(i int) {
 				break
 			}
 		}
-	case Jitter:
-		delete(inj.jitters, i)
-		inj.recomputeDelays()
-	case Spike:
-		delete(inj.spikes, i)
-		inj.recomputeDelays()
-	case Duplicate:
-		delete(inj.dups, i)
-		inj.recomputeDelays()
-	case Straggler:
-		delete(inj.slows, i)
+	case Jitter, Spike, Duplicate, Straggler:
+		delete(inj.open, i)
 		inj.recomputeDelays()
 	case Crash:
 		for _, ep := range inj.EndpointsInRegion(in.Region) {
@@ -436,27 +409,28 @@ func (inj *Injector) armFlip(g *geState) {
 	})
 }
 
-// recomputeDelays refreshes the per-message aggregates after an
-// activation or heal.
+// openWindow records injection i's open delay, duplicate or straggler
+// window.
+func (inj *Injector) openWindow(i int, in Injection) {
+	inj.open[i] = in
+	inj.recomputeDelays()
+}
+
+// recomputeDelays refreshes the per-message aggregates from the open
+// windows after an activation or heal.
 func (inj *Injector) recomputeDelays() {
 	inj.maxJitter, inj.sumSpike, inj.maxDup = 0, 0, 0
-	for _, j := range inj.jitters {
-		if j > inj.maxJitter {
-			inj.maxJitter = j
-		}
-	}
-	for _, s := range inj.spikes {
-		inj.sumSpike += s
-	}
-	for _, p := range inj.dups {
-		if p > inj.maxDup {
-			inj.maxDup = p
-		}
-	}
 	inj.slowRegion = make(map[int]time.Duration)
-	for _, in := range inj.slows {
-		if in.SlowDelay > inj.slowRegion[in.Region] {
-			inj.slowRegion[in.Region] = in.SlowDelay
+	for _, in := range inj.open {
+		switch in.Type {
+		case Jitter:
+			inj.maxJitter = max(inj.maxJitter, in.JitterMax)
+		case Spike:
+			inj.sumSpike += in.SpikeDelay
+		case Duplicate:
+			inj.maxDup = max(inj.maxDup, in.DupProb)
+		case Straggler:
+			inj.slowRegion[in.Region] = max(inj.slowRegion[in.Region], in.SlowDelay)
 		}
 	}
 }

@@ -174,9 +174,6 @@ func (id ID) Lsh(n uint) ID {
 	}
 }
 
-// Not returns the bitwise complement of id.
-func (id ID) Not() ID { return ID{Hi: ^id.Hi, Lo: ^id.Lo} }
-
 // MaxID is the largest identifier, 2^128 - 1.
 var MaxID = ID{Hi: ^uint64(0), Lo: ^uint64(0)}
 
@@ -197,16 +194,6 @@ func (id ID) AbsDistance(other ID) ID {
 	return ccw
 }
 
-// Between reports whether id lies on the clockwise arc (lo, hi], treating
-// the namespace as a ring. When lo == hi the arc covers the whole ring and
-// Between always reports true.
-func (id ID) Between(lo, hi ID) bool {
-	if lo == hi {
-		return true
-	}
-	return lo.Distance(id).Cmp(lo.Distance(hi)) <= 0 && id != lo
-}
-
 // InRange reports whether id lies in the inclusive linear range [lo, hi]
 // (no wraparound). Seaweed's dissemination protocol subdivides the full
 // linear namespace [0, 2^128-1], so its ranges never wrap.
@@ -218,27 +205,4 @@ func (id ID) InRange(lo, hi ID) bool {
 // i.e. lo + (hi-lo)/2. It requires lo <= hi.
 func Midpoint(lo, hi ID) ID {
 	return lo.Add(hi.Sub(lo).Half())
-}
-
-// Closest returns the element of candidates numerically closest to key on
-// the ring, breaking ties toward the numerically smaller candidate. It
-// returns the zero ID and false when candidates is empty.
-func Closest(key ID, candidates []ID) (ID, bool) {
-	if len(candidates) == 0 {
-		return ID{}, false
-	}
-	best := candidates[0]
-	bestDist := key.AbsDistance(best)
-	for _, c := range candidates[1:] {
-		d := key.AbsDistance(c)
-		switch d.Cmp(bestDist) {
-		case -1:
-			best, bestDist = c, d
-		case 0:
-			if c.Less(best) {
-				best = c
-			}
-		}
-	}
-	return best, true
 }

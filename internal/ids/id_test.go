@@ -162,31 +162,6 @@ func TestAbsDistanceSymmetric(t *testing.T) {
 	}
 }
 
-func TestBetween(t *testing.T) {
-	lo := ID{Lo: 100}
-	hi := ID{Lo: 200}
-	if !(ID{Lo: 150}).Between(lo, hi) {
-		t.Error("150 should be in (100,200]")
-	}
-	if !hi.Between(lo, hi) {
-		t.Error("arc is half-open: hi included")
-	}
-	if lo.Between(lo, hi) {
-		t.Error("arc is half-open: lo excluded")
-	}
-	// Wrapping arc (200, 100].
-	if !(ID{Lo: 50}).Between(hi, lo) {
-		t.Error("50 should be in wrapping arc (200,100]")
-	}
-	if (ID{Lo: 150}).Between(hi, lo) {
-		t.Error("150 should not be in wrapping arc (200,100]")
-	}
-	// Degenerate arc covers everything.
-	if !(ID{Lo: 5}).Between(lo, lo) {
-		t.Error("degenerate arc must cover ring")
-	}
-}
-
 func TestInRangeAndMidpoint(t *testing.T) {
 	lo := ID{Lo: 10}
 	hi := ID{Lo: 20}
@@ -219,47 +194,6 @@ func TestMidpointWithinRangeProperty(t *testing.T) {
 	}
 }
 
-func TestClosest(t *testing.T) {
-	if _, ok := Closest(ID{}, nil); ok {
-		t.Error("empty candidate set must return false")
-	}
-	key := ID{Lo: 100}
-	cands := []ID{{Lo: 90}, {Lo: 105}, {Lo: 300}}
-	got, ok := Closest(key, cands)
-	if !ok || got != (ID{Lo: 105}) {
-		t.Errorf("Closest = %v, want 105", got)
-	}
-	// Tie at equal distance breaks toward the smaller ID.
-	got, _ = Closest(ID{Lo: 100}, []ID{{Lo: 95}, {Lo: 105}})
-	if got != (ID{Lo: 95}) {
-		t.Errorf("tie break = %v, want 95", got)
-	}
-}
-
-func TestClosestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(20)
-		cands := RandomN(rng, n)
-		key := Random(rng)
-		got, ok := Closest(key, cands)
-		if !ok {
-			t.Fatal("nonempty candidates returned !ok")
-		}
-		// Brute force: sort by (distance, id) and take the first.
-		best := cands[0]
-		for _, c := range cands[1:] {
-			d, bd := key.AbsDistance(c), key.AbsDistance(best)
-			if d.Less(bd) || (d == bd && c.Less(best)) {
-				best = c
-			}
-		}
-		if got != best {
-			t.Fatalf("trial %d: Closest = %v, brute force = %v", trial, got, best)
-		}
-	}
-}
-
 func TestRandomNDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	got := RandomN(rng, 1000)
@@ -273,18 +207,5 @@ func TestRandomNDistinct(t *testing.T) {
 		if sorted[i] == sorted[i-1] {
 			t.Fatal("duplicate ID generated")
 		}
-	}
-}
-
-func TestNot(t *testing.T) {
-	if (ID{}).Not() != MaxID {
-		t.Error("Not(0) != max")
-	}
-	f := func(hi, lo uint64) bool {
-		id := ID{Hi: hi, Lo: lo}
-		return id.Not().Not() == id
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

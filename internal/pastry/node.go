@@ -320,26 +320,29 @@ func (n *Node) forward(env *routeEnvelope) {
 	env.Hops++
 	size := env.Size + envelopeOverhead
 	if !n.ring.isLive(next) {
-		// Stale entry: the transmission is wasted, and after a timeout the
-		// node removes the entry and reroutes — modeling MSPastry's
-		// per-hop ack timeout.
 		n.ring.cStale.Inc()
 		if n.ring.o.Detail() {
 			env.span = n.ring.o.EmitSpanDetail(env.span, obs.Event{Kind: obs.KindRouteRetry,
 				Query: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
 		}
-		n.ring.net.AccountAggregate(n.ep, env.Class, size, 0)
-		n.Sched().After(retryTimeout, func() {
-			if !n.alive {
-				return
-			}
-			n.dropRef(next)
-			n.forward(env)
-		})
+		n.reroute(next, env.Class, size, func() { n.forward(env) })
 		return
 	}
 	env.Sender, env.SentAt = n.Ref(), n.Sched().Now()
 	n.ring.net.Send(n.ep, next.EP, size, env.Class, env)
+}
+
+// reroute handles a hop whose next node is a stale entry: the transmission
+// of size bytes is wasted, and after a timeout (MSPastry's per-hop ack
+// timeout) the node, if still up, removes the entry and tries again.
+func (n *Node) reroute(stale NodeRef, class simnet.Class, size int, again func()) {
+	n.ring.net.AccountAggregate(n.ep, class, size, 0)
+	n.Sched().After(retryTimeout, func() {
+		if n.alive {
+			n.dropRef(stale)
+			again()
+		}
+	})
 }
 
 // nextHop picks the next hop for key using the classic Pastry rule, whose
@@ -679,14 +682,7 @@ func (n *Node) handleJoinRequest(req *joinRequest) {
 	next, selfIsRoot := n.nextHop(req.Joiner.ID)
 	if !selfIsRoot {
 		if !n.ring.isLive(next) {
-			size := refBytes + 16
-			n.ring.net.AccountAggregate(n.ep, simnet.ClassPastry, size, 0)
-			n.Sched().After(retryTimeout, func() {
-				if n.alive {
-					n.dropRef(next)
-					n.handleJoinRequest(req)
-				}
-			})
+			n.reroute(next, simnet.ClassPastry, refBytes+16, func() { n.handleJoinRequest(req) })
 			return
 		}
 		n.ring.net.Send(n.ep, next.EP, refBytes+16, simnet.ClassPastry, req)

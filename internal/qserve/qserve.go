@@ -411,13 +411,7 @@ func (t *tracked) t90() (time.Duration, bool) {
 		return 0, false
 	}
 	res := t.handle.Results
-	need := int64(math.Ceil(0.9 * float64(res[len(res)-1].Partial.Count)))
-	for _, u := range res {
-		if u.Partial.Count >= need {
-			return u.At, true
-		}
-	}
-	return 0, false
+	return t.handle.Reached(int64(math.Ceil(0.9 * float64(res[len(res)-1].Partial.Count))))
 }
 
 // completeness is the query's final row count as a percentage of its

@@ -49,10 +49,6 @@ const (
 	// evDeliver delivers a network message: receiver and payload are
 	// struct fields, so Network.Send allocates nothing per message.
 	evDeliver
-	// evPeriodic is a self-rescheduling timer (Wheel.Every): one
-	// callback captured at creation, the same pooled event re-armed every
-	// period with a fresh sequence number.
-	evPeriodic
 	// evRetry is a Retry's timeout: the event keeps its callback, the
 	// timeout it was armed with (period) and the retransmissions so far
 	// (n) from Start to Cancel, across its firings.
@@ -69,7 +65,7 @@ type event struct {
 	next *event // slot free-list link
 	w    *Wheel // the wheel that owns it, for Timer.Cancel and Reschedule
 
-	// evFunc / evPeriodic / evRetry
+	// evFunc / evRetry
 	fn     func()
 	period time.Duration
 
@@ -520,8 +516,8 @@ func (t Timer) Cancel() bool {
 	ev.kind = evNone // the wheel discards it when its tick is drained
 	ev.tid = 0       // every copy of the handle now finds nothing
 	// The event stays queued until its tick: it must not keep what the
-	// callback captured alive that long. A periodic timer or a retry
-	// canceled from within its own firing is past reading fn.
+	// callback captured alive that long. A retry canceled from within
+	// its own firing is past reading fn.
 	ev.fn = nil
 	return true
 }
@@ -598,10 +594,11 @@ func (s *Wheel) After(d time.Duration, fn func()) Timer {
 }
 
 // Every schedules fn to run every period, starting one period from now,
-// until the returned Timer is canceled. The timer is one pooled event
-// re-armed after each firing (with a fresh sequence number, preserving
-// FIFO fairness among same-time events), so the steady-state tick chain
-// allocates nothing. Cancel stops it at once, from within a firing too.
+// until the returned Timer is canceled. The timer is a fixed-period Retry
+// whose callback runs fn and then re-arms it, after fn's own events and
+// with no new timer identity: its one re-arming callback is allocated
+// here, and a tick allocates nothing. Cancel stops it at once, from within
+// a firing too.
 func (s *Wheel) Every(period time.Duration, fn func()) Timer {
 	if period <= 0 {
 		panic(fmt.Sprintf("simnet: Every with non-positive period %v", period))
@@ -609,13 +606,9 @@ func (s *Wheel) Every(period time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("simnet: Every called with nil fn")
 	}
-	ev := s.alloc()
-	ev.kind = evPeriodic
-	ev.at = s.now + period
-	ev.period = period
-	ev.fn = fn
-	s.schedule(ev)
-	return s.newTimer(ev)
+	var r Retry
+	r.Start(s, &Backoff{First: period}, func() { fn(); r.Arm() })
+	return r.Timer
 }
 
 // sendAt schedules a message delivery as a struct event: the per-message
@@ -689,8 +682,7 @@ done:
 	return n
 }
 
-// dispatch executes one event and recycles it (periodic events re-arm
-// instead, reusing the same pooled event, and a retry's stays with its
+// dispatch executes one event and recycles it (a retry's stays with its
 // holder).
 func (s *Wheel) dispatch(ev *event) {
 	switch ev.kind {
@@ -703,14 +695,6 @@ func (s *Wheel) dispatch(ev *event) {
 		size, class, payload := ev.size, Class(ev.class), ev.payload
 		s.recycle(ev)
 		net.deliver(from, to, size, class, payload)
-	case evPeriodic:
-		ev.fn()
-		if ev.kind == evPeriodic { // not canceled from within the tick
-			ev.at = s.now + ev.period
-			s.schedule(ev)
-		} else {
-			s.recycle(ev)
-		}
 	case evRetry:
 		ev.where = inFiring
 		ev.fn()

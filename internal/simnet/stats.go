@@ -89,15 +89,6 @@ func (s *Stats) TotalTx(class Class) float64 { return float64(s.totalTx[class]) 
 // TotalRx returns cumulative received bytes for a class, systemwide.
 func (s *Stats) TotalRx(class Class) float64 { return float64(s.totalRx[class]) }
 
-// TotalTxAll returns cumulative transmitted bytes over all classes.
-func (s *Stats) TotalTxAll() float64 {
-	var t float64
-	for c := 0; c < int(NumClasses); c++ {
-		t += s.TotalTx(Class(c))
-	}
-	return t
-}
-
 // ClassTxTimeline returns, for one traffic class, the systemwide
 // transmitted bytes per second in each bucket.
 func (s *Stats) ClassTxTimeline(class Class) []float64 {
