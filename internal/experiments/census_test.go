@@ -43,7 +43,7 @@ const (
 	// maxTestOnlyExports ceils the exported functions and methods of
 	// non-test code that no other non-test file names (TestExportCensus):
 	// code only its own tests call is deleted, so the count may only fall.
-	maxTestOnlyExports = 51
+	maxTestOnlyExports = 50
 )
 
 // maxPackageLines are the per-package ceilings on non-test lines (the
@@ -71,7 +71,7 @@ var maxPackageLines = map[string]int{
 	"internal/qserve":      811,
 	"internal/relq":        2195,
 	"internal/runner":      165,
-	"internal/simnet":      1501,
+	"internal/simnet":      1483,
 	"seaweed":              203,
 }
 

@@ -156,12 +156,3 @@ func TestCDFMonotone(t *testing.T) {
 		t.Fatal("CDF must end at 1")
 	}
 }
-
-func TestMeanExcludingZeros(t *testing.T) {
-	if got := MeanExcludingZeros([]float64{0, 0, 10, 20}); got != 15 {
-		t.Fatalf("got %v, want 15", got)
-	}
-	if got := MeanExcludingZeros([]float64{0, 0}); got != 0 {
-		t.Fatalf("all-zero mean = %v, want 0", got)
-	}
-}

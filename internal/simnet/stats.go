@@ -175,21 +175,3 @@ func CDF(samples []float64, maxPoints int) (xs, fs []float64) {
 	}
 	return xs, fs
 }
-
-// MeanExcludingZeros returns the mean of the nonzero samples, matching the
-// paper's "bytes per second per online endsystem" metric (a zero bucket
-// indicates the endsystem was offline for that hour).
-func MeanExcludingZeros(samples []float64) float64 {
-	var sum float64
-	n := 0
-	for _, v := range samples {
-		if v > 0 {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
