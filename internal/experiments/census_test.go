@@ -69,7 +69,7 @@ var maxPackageLines = map[string]int{
 	"internal/pastry":      1353,
 	"internal/predictor":   419,
 	"internal/qserve":      811,
-	"internal/relq":        2195,
+	"internal/relq":        2154,
 	"internal/runner":      165,
 	"internal/simnet":      1483,
 	"seaweed":              203,

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // appendColumns returns n rows of the width-case schema (a row number and
@@ -85,6 +86,53 @@ func checkLayout(t testing.TB, label string, tbl *Table, cols [][]int64) {
 			block := cols[c][b*BlockSize : min((b+1)*BlockSize, n)]
 			if want := (zone{slices.Min(block), slices.Max(block)}); z != want {
 				t.Fatalf("%s: column %s block %d has zone %v, its rows span %v", label, col.Name, b, z, want)
+			}
+		}
+	}
+	checkArena(t, label, tbl)
+}
+
+// checkArena holds a table that reached its row hint to the layout
+// compact left: the full blocks sealed by then lie back to back per
+// element width, column by column and in block order, each capped at its
+// own length — all of them but the last few of a width that would not
+// fill a page: 4 blocks of one byte, 2 of two, none of four or eight.
+func checkArena(t testing.TB, label string, tbl *Table) {
+	t.Helper()
+	if tbl.sealAt == 0 || tbl.rows < tbl.sealAt {
+		return
+	}
+	type block struct {
+		name string
+		p    uintptr // the first value's address
+		len  int
+		cap  int
+	}
+	var full [4][]block // per element width: 1, 2, 4 and 8 bytes
+	for c := range tbl.cols {
+		for b, g := range tbl.cols[c].sealed[:tbl.sealAt/BlockSize] {
+			name := fmt.Sprintf("column %d block %d", c, b)
+			for k, seg := range []block{
+				{name, uintptr(unsafe.Pointer(unsafe.SliceData(g.u8))), len(g.u8), cap(g.u8)},
+				{name, uintptr(unsafe.Pointer(unsafe.SliceData(g.u16))), len(g.u16), cap(g.u16)},
+				{name, uintptr(unsafe.Pointer(unsafe.SliceData(g.u32))), len(g.u32), cap(g.u32)},
+				{name, uintptr(unsafe.Pointer(unsafe.SliceData(g.i64))), len(g.i64), cap(g.i64)},
+			} {
+				if seg.len == BlockSize {
+					full[k] = append(full[k], seg)
+				}
+			}
+		}
+	}
+	for k, blocks := range full {
+		width, perPage := 1<<k, []int{4, 2, 1, 1}[k]
+		placed := blocks[:len(blocks)-len(blocks)%perPage]
+		for i, seg := range placed {
+			if seg.cap != seg.len {
+				t.Fatalf("%s: %s's %d-byte values have capacity %d for %d", label, seg.name, width, seg.cap, seg.len)
+			}
+			if i > 0 && seg.p != placed[i-1].p+uintptr(BlockSize*width) {
+				t.Fatalf("%s: %s's %d-byte values do not follow %s's", label, seg.name, width, placed[i-1].name)
 			}
 		}
 	}

@@ -101,21 +101,19 @@ type boundPred struct {
 	val Expr
 }
 
-// execBuf holds the per-execution scratch state: the selection vector, the
-// resolved right-hand sides, the selectivity-ordered conjunct permutation
-// and the steps it resolves to. Buffers are pooled so the steady-state
-// execution path allocates nothing.
+// execBuf holds the per-execution scratch state: a block's selection
+// mask, the resolved right-hand sides, the selectivity-ordered conjunct
+// permutation and the steps it resolves to. Buffers are pooled so the
+// steady-state execution path allocates nothing.
 type execBuf struct {
-	sel   selVec
+	mask  [BlockSize / laneGroup]uint32
 	rhs   []int64
 	sels  []float64
 	order []int
 	steps []step
 }
 
-var execBufPool = sync.Pool{New: func() any {
-	return &execBuf{sel: make(selVec, BlockSize)}
-}}
+var execBufPool = sync.Pool{New: func() any { return new(execBuf) }}
 
 func getExecBuf(npreds int) *execBuf {
 	b := execBufPool.Get().(*execBuf)
@@ -141,8 +139,8 @@ func (p *Plan) resolveRHS(nowSeconds int64, buf *execBuf) []int64 {
 
 // predOrder returns the conjunct evaluation order: ascending estimated
 // selectivity (most selective first), estimated from the table's retained
-// data-summary histograms, so the first kernel shrinks the selection
-// vector as much as possible and later refinements touch fewer rows. Ties
+// data-summary histograms, so the first kernel clears as many mask bits as
+// possible and a block whose mask empties stops early. Ties
 // (and predicates on unsummarized columns, pinned at selectivity 1) keep
 // query order — the sort is stable — so execution stays deterministic.
 // Conjunct order never changes which rows match, only how fast the
@@ -208,15 +206,15 @@ func narrowable(steps []step, pr *boundPred) int {
 	return -1
 }
 
-// matchBlock evaluates the steps over the rows of block b. z is
-// zoneNone when a zone map proved no row can match, zoneAll when zone maps
-// proved every row matches (no kernel ran), and zonePartial when kernels
-// ran: n is then the number of matching rows and, unless countOnly, sel
-// their block-relative indices in ascending order. With countOnly the last
-// undecided step only counts, over the column or over the vector the
-// earlier steps left, and no vector is written for it.
-func matchBlock(t *Table, b, rows int, steps []step, buf *execBuf, countOnly bool) (n int, sel selVec, z zoneResult) {
-	last := -1 // the last step no zone map decides
+// matchBlock evaluates the steps over the rows of block b. z is zoneNone
+// when a zone map proved no row can match, zoneAll when zone maps proved
+// every row matches (no kernel ran), and zonePartial when kernels ran: n
+// is then the number of matching rows and, when it is not 0, mask, which
+// holds the block's (rows+31)/32 words, sets their bits. Each step ANDs
+// its matches into the mask the earlier ones left, starting from every
+// row, so a COUNT(*) is the last step's popcount.
+func matchBlock(t *Table, b, rows int, steps []step, mask []uint32) (n int, z zoneResult) {
+	undecided := false
 	for i := range steps {
 		s := &steps[i]
 		s.skip = false
@@ -224,51 +222,53 @@ func matchBlock(t *Table, b, rows int, steps []step, buf *execBuf, countOnly boo
 			z := t.cols[s.col].zones[b]
 			switch s.zone(z.min, z.max) {
 			case zoneNone:
-				return 0, nil, zoneNone
+				return 0, zoneNone
 			case zoneAll:
 				s.skip = true
 				continue
 			}
 		}
-		last = i
+		undecided = true
 	}
-	if last < 0 {
-		return rows, nil, zoneAll
+	if !undecided {
+		return rows, zoneAll
 	}
-	for i := range steps[:last+1] {
+	fillMask(mask, rows)
+	var open segment
+	for i := range steps {
 		s := &steps[i]
 		if s.skip {
 			continue
 		}
 		if s.empty { // reachable only with zone maps off
-			return 0, nil, zonePartial
+			return 0, zonePartial
 		}
-		g := t.cols[s.col].block(b)
-		base, span, count := s.rebase(&g), s.span, i == last && countOnly
+		g := t.cols[s.col].block(b, &open)
+		base, span := s.rebase(g), s.span
 		if dict := g.dict(); dict != nil {
 			// The dictionary is sorted, so the step's values are an
 			// interval of codes, which the uint8 kernels test as they
 			// test offsets.
 			var ok bool
 			if base, span, ok = s.codes(dict); !ok {
-				return 0, nil, zonePartial
+				return 0, zonePartial
 			}
 		}
 		switch {
 		case g.u8 != nil:
-			n, sel = runStep(&lanes8, g.u8, base, span, sel, buf.sel, count)
+			n = runStep(&lanes8, g.u8, base, span, mask)
 		case g.u16 != nil:
-			n, sel = runStep(&lanes16, g.u16, base, span, sel, buf.sel, count)
+			n = runStep(&lanes16, g.u16, base, span, mask)
 		case g.u32 != nil:
-			n, sel = runStep(&lanes32, g.u32, base, span, sel, buf.sel, count)
+			n = runStep(&lanes32, g.u32, base, span, mask)
 		default:
-			n, sel = runStep(&lanes64, g.i64, base, span, sel, buf.sel, count)
+			n = runStep(&lanes64, g.i64, base, span, mask)
 		}
 		if n == 0 {
 			break
 		}
 	}
-	return n, sel, zonePartial
+	return n, zonePartial
 }
 
 // scan runs the plan over the whole table and returns the number of
@@ -276,7 +276,8 @@ func matchBlock(t *Table, b, rows int, steps []step, buf *execBuf, countOnly boo
 //
 // Execution is batch-at-a-time: blocks whose zone maps prove no match are
 // skipped whole; surviving blocks run the steps' kernels (most selective
-// first) and feed the aggregate fold.
+// first) into the block's mask, and the fold reads the aggregate column
+// under it.
 func (p *Plan) scan(t *Table, nowSeconds int64, f *fold) int64 {
 	p.check(t)
 	if len(p.preds) == 0 && f == nil {
@@ -288,9 +289,11 @@ func (p *Plan) scan(t *Table, nowSeconds int64, f *fold) int64 {
 	steps := p.resolve(t, nowSeconds, buf)
 
 	var scanned, matched, prunedBlocks uint64
+	var open segment
 	for b, nb := 0, t.NumBlocks(); b < nb; b++ {
 		rows := min(BlockSize, t.rows-b*BlockSize)
-		n, sel, z := matchBlock(t, b, rows, steps, buf, f == nil)
+		mask := buf.mask[:(rows+laneGroup-1)/laneGroup]
+		n, z := matchBlock(t, b, rows, steps, mask)
 		switch z {
 		case zoneNone:
 			prunedBlocks++
@@ -300,8 +303,11 @@ func (p *Plan) scan(t *Table, nowSeconds int64, f *fold) int64 {
 		}
 		matched += uint64(n)
 		if f != nil && n > 0 {
+			if z == zoneAll {
+				fillMask(mask, rows)
+			}
 			c := &t.cols[p.aggCol]
-			f.block(c.block(b), sel, n, c.zones[b])
+			f.block(c.block(b, &open), mask, n, c.zones[b])
 		}
 	}
 	t.stats.RowsScanned.Add(scanned)

@@ -1,0 +1,7 @@
+package relq
+
+// CheckArena is checkArena, and Compacted whether t reached the row hint
+// at which it compacts its blocks, for the tests of package relq_test.
+var CheckArena = checkArena
+
+func Compacted(t *Table) bool { return t.sealAt > 0 && t.rows >= t.sealAt }

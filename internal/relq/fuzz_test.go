@@ -89,44 +89,45 @@ func FuzzParse(f *testing.F) {
 // middle row is the block's largest or smallest value, so that v+1 or
 // v-1 lies just past the offsets a lane holds.
 func FuzzSealBlock(f *testing.F) {
-	schema := Schema{Name: "T", Columns: []Column{{Name: "v", Type: TInt}}}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		vals := blockValues(b)
-		tbl := NewTable(schema)
-		for _, v := range vals {
-			tbl.InsertInts(v)
+	f.Fuzz(func(t *testing.T, b []byte) { checkSealBlock(t, blockValues(b)) })
+}
+
+// checkSealBlock is FuzzSealBlock's check of one block of values.
+func checkSealBlock(t *testing.T, vals []int64) {
+	tbl := NewTable(Schema{Name: "T", Columns: []Column{{Name: "v", Type: TInt}}})
+	for _, v := range vals {
+		tbl.InsertInts(v)
+	}
+	if c := &tbl.cols[0]; len(c.tail) > 0 {
+		c.seal()
+	}
+	if got := tbl.ColumnValues("v"); !slices.Equal(got, vals) {
+		t.Fatalf("the block reads back as %v, inserted %v", got, vals)
+	}
+	rhs := []int64{math.MinInt64, math.MaxInt64}
+	if n := len(vals); n > 0 {
+		v := vals[n/2]
+		rhs = append(rhs, v-1, v, v+1, vals[0]/2+vals[n-1]/2)
+	}
+	// The oracle runs once per comparison: it is most of the cost of an
+	// input, and the fuzzer minimizes an input by rerunning it.
+	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+		p, err := tbl.Bind(MustParse("SELECT SUM(v) FROM T WHERE v " + op + " NOW() + 0"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c := &tbl.cols[0]; len(c.tail) > 0 {
-			c.seal()
-		}
-		if got := tbl.ColumnValues("v"); !slices.Equal(got, vals) {
-			t.Fatalf("the block reads back as %v, inserted %v", got, vals)
-		}
-		rhs := []int64{math.MinInt64, math.MaxInt64}
-		if n := len(vals); n > 0 {
-			v := vals[n/2]
-			rhs = append(rhs, v-1, v, v+1, vals[0]/2+vals[n-1]/2)
-		}
-		// The oracle runs once per comparison: it is most of the cost of an
-		// input, and the fuzzer minimizes an input by rerunning it.
-		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
-			p, err := tbl.Bind(MustParse("SELECT SUM(v) FROM T WHERE v " + op + " NOW() + 0"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, now := range rhs {
-				want := p.ExecuteOracle(tbl, now)
-				for _, zones := range []bool{true, false} {
-					tbl.SetZoneMaps(zones)
-					got, n := p.Execute(tbl, now), p.CountMatching(tbl, now)
-					if got != want || !bytes.Equal(got.Encode(nil), want.Encode(nil)) || n != want.Count {
-						t.Fatalf("%d rows, v %s %d, zones=%v: Execute %+v, CountMatching %d; oracle %+v",
-							len(vals), op, now, zones, got, n, want)
-					}
+		for _, now := range rhs {
+			want := p.ExecuteOracle(tbl, now)
+			for _, zones := range []bool{true, false} {
+				tbl.SetZoneMaps(zones)
+				got, n := p.Execute(tbl, now), p.CountMatching(tbl, now)
+				if got != want || !bytes.Equal(got.Encode(nil), want.Encode(nil)) || n != want.Count {
+					t.Fatalf("%d rows, v %s %d, zones=%v: Execute %+v, CountMatching %d; oracle %+v",
+						len(vals), op, now, zones, got, n, want)
 				}
 			}
 		}
-	})
+	}
 }
 
 // blockValues decodes a FuzzSealBlock input: a little-endian uint16 whose

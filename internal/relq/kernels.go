@@ -2,24 +2,27 @@ package relq
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/agg"
 )
 
 // This file holds the batch-at-a-time execution kernels: the interval form
-// every comparison is resolved to, its zone-map block test, the selection
-// and counting kernels, and the aggregate fold. Each kernel is one tight
-// branch-free loop over a contiguous column segment, written once and
-// instantiated per element type (the narrower the block was sealed, the
-// fewer cache lines a pass touches): no per-row function call, no per-row
-// dispatch on the operator or the width, and no conditional jump that
-// depends on the data — Anemone's columns are unordered, so such a jump
-// mispredicts on every other row at mid selectivities.
-
-// selVec indexes rows within one block. int32 suffices (BlockSize < 2^31)
-// and halves the selection vector's cache footprint versus int.
-type selVec = []int32
+// every comparison is resolved to, its zone-map block test, the mask
+// kernel and the aggregate fold. Each kernel is one tight loop over a
+// contiguous column segment, written once and instantiated per element
+// type (the narrower the block was sealed, the fewer cache lines a pass
+// touches): no per-row function call, no per-row dispatch on the operator
+// or the width, and no conditional jump on a compare result — Anemone's
+// columns are unordered, so such a jump mispredicts on every other row at
+// mid selectivities.
+//
+// A block's selection is a bitmap: bit i%32 of word i/32 is set iff block
+// row i matched every step run so far. Each step ANDs its matches into
+// it, so a conjunction costs one sequential pass per step, and the fold
+// reads the aggregate column whole under the mask: no kernel reads a
+// column one selected row at a time.
 
 // step is one selection pass over one column. A row with value v matches
 // iff uint64(v-base) <= span: subtracting base rotates the int64 circle so
@@ -143,89 +146,81 @@ func (s *step) zone(zl, zh int64) zoneResult {
 	return zonePartial
 }
 
+// fillMask sets the bits of a block's first rows rows in mask, which
+// holds (rows+31)/32 words, and only those.
+func fillMask(mask []uint32, rows int) {
+	for w := range mask {
+		mask[w] = math.MaxUint32
+	}
+	if r := rows % laneGroup; r != 0 {
+		mask[len(mask)-1] = 1<<r - 1
+	}
+}
+
 // The kernels below are kept out of line: inlined into matchBlock they
-// compete with its locals for registers and the write cursor ends up on the
-// stack, a store-to-load round trip per row. col holds a segment's offsets
+// compete with its locals for registers. col holds a segment's offsets
 // and base is the step's rebased to them.
 
-// selInit scans a full block segment and returns the indices of matching
-// rows, written into sel (len(sel) >= len(col)). The row index is stored
-// unconditionally and the write cursor advances by the 0/1 comparison
-// result, so the next matching row overwrites a non-matching one.
+// maskCol ANDs the rows of col that match into mask, which holds
+// (len(col)+31)/32 words, and returns how many bits are left set. Each
+// compare result enters its word at the top as the word shifts down, not
+// branched on.
 //
 //go:noinline
-func selInit[E elem](col []E, base, span uint64, sel selVec) selVec {
-	sel = sel[:len(col)]
+func maskCol[E elem](col []E, base, span uint64, mask []uint32) int {
 	n := 0
-	for i, v := range col {
-		sel[n] = int32(i)
-		m := 0
-		if uint64(v)-base <= span {
-			m = 1
+	for w := range mask {
+		rows := col[w*laneGroup : min(len(col), (w+1)*laneGroup)]
+		var word uint32
+		for _, v := range rows {
+			m := uint32(0)
+			if uint64(v)-base <= span {
+				m = 1 << (laneGroup - 1)
+			}
+			word = word>>1 | m
 		}
-		n += m
-	}
-	return sel[:n]
-}
-
-// selRefine filters an existing selection vector in place, keeping only
-// the rows that also match. The write cursor never passes the read cursor,
-// and ascending row order is preserved, which the float replay of the
-// aggregate fold relies on.
-//
-//go:noinline
-func selRefine[E elem](col []E, base, span uint64, sel selVec) selVec {
-	n := 0
-	for _, i := range sel {
-		sel[n] = i
-		m := 0
-		if uint64(col[i])-base <= span {
-			m = 1
-		}
-		n += m
-	}
-	return sel[:n]
-}
-
-// countCol counts the matching rows of a full block segment: selInit
-// without the selection vector, for a plan's last step when only the count
-// is wanted.
-//
-//go:noinline
-func countCol[E elem](col []E, base, span uint64) int {
-	n := 0
-	for _, v := range col {
-		m := 0
-		if uint64(v)-base <= span {
-			m = 1
-		}
-		n += m
+		mask[w] &= word >> (laneGroup - len(rows))
+		n += bits.OnesCount32(mask[w])
 	}
 	return n
 }
 
-// countSel counts the rows of a selection vector that also match.
+// aggMask folds the offsets of the rows of col whose mask bits are set
+// into their integer sum and extrema (MaxInt64 and MinInt64 when no bit
+// is), visiting the set bits in ascending row order, a full word's 32
+// rows in one straight loop.
 //
 //go:noinline
-func countSel[E elem](col []E, base, span uint64, sel selVec) int {
-	n := 0
-	for _, i := range sel {
-		m := 0
-		if uint64(col[i])-base <= span {
-			m = 1
+func aggMask[E elem](col []E, mask []uint32) (sum, mn, mx int64) {
+	mn, mx = math.MaxInt64, math.MinInt64
+	for w, word := range mask {
+		if word == math.MaxUint32 {
+			for _, v := range col[w*laneGroup : (w+1)*laneGroup] {
+				o := int64(v)
+				sum += o
+				mn, mx = min(mn, o), max(mx, o)
+			}
+			continue
 		}
-		n += m
+		for ; word != 0; word &= word - 1 {
+			o := int64(col[w*laneGroup+bits.TrailingZeros32(word)])
+			sum += o
+			mn, mx = min(mn, o), max(mx, o)
+		}
 	}
-	return n
+	return sum, mn, mx
 }
 
-// laneKernels are one width's SIMD selInit and countCol, set at package
-// init where the host has them (kernels_amd64.go): over the first
-// len(col) &^ (laneGroup-1) rows, v matches iff v - base (mod 2^w) <= span;
-// sel returns how many row indices it wrote to sel, which holds len(col).
+// laneKernels are one width's SIMD mask kernel and masked fold, set at
+// package init where the host has them (kernels_amd64.go). Both run over
+// the first len(col) &^ (laneGroup-1) rows, at most a block of them, and
+// the mask words of those rows. mask is maskCol over the lane test — v
+// matches iff v - base (mod 2^w) <= span — and fold is aggMask with its
+// results in E: sum, and lo and hi, which are ^E(0) and 0 when no bit is
+// set.
 type laneKernels[E elem] struct {
-	sel   func(col []E, base, span E, sel []int32) int
-	count func(col []E, base, span E) int
+	mask func(col []E, base, span E, mask []uint32) int
+	fold func(col []E, mask []uint32) (sum uint64, lo, hi E)
 }
 
 var (
@@ -235,7 +230,7 @@ var (
 	lanes64 laneKernels[int64] // none: 8-byte blocks run the generic kernels
 )
 
-const laneGroup = 32 // the rows a lane kernel tests in one pass
+const laneGroup = 32 // the rows of one mask word, which a lane kernel tests in one pass
 
 // laneArc returns the step (base, span) over the lane values 0..top, top
 // = 2^w - 1: the arc from base to base+span modulo 2^64, cut to [0, top],
@@ -257,42 +252,22 @@ func laneArc(base, span, top uint64) (lb, ls uint64, ok bool) {
 	return base, top - base + end + 1, true
 }
 
-// runStep runs one step over one block's column segment. It narrows sel
-// (nil: every row) to the rows that also match, writing a first vector
-// into out; with count set it only counts them and returns no vector. A
-// pass over the whole column runs at SIMD width where k, the width's lane
-// kernels, are set: the lane kernel over the whole passes of col, and the
-// generic kernel over the rows after them.
-func runStep[E elem](k *laneKernels[E], col []E, base, span uint64, sel, out selVec, count bool) (int, selVec) {
-	if sel != nil {
-		if count {
-			return countSel(col, base, span, sel), nil
+// runStep ANDs the rows of one block's column segment that match one step
+// into mask and returns how many bits are left set. Where k, the width's
+// lane kernels, are set, the whole passes of col run at SIMD width and the
+// rows after them through maskCol.
+func runStep[E elem](k *laneKernels[E], col []E, base, span uint64, mask []uint32) int {
+	n, g := 0, 0
+	if k.mask != nil {
+		lb, ls, ok := laneArc(base, span, uint64(^E(0)))
+		if !ok {
+			clear(mask)
+			return 0
 		}
-		sel = selRefine(col, base, span, sel)
-		return len(sel), sel
+		g = len(col) &^ (laneGroup - 1)
+		n = k.mask(col[:g], E(lb), E(ls), mask)
 	}
-	g := len(col) &^ (laneGroup - 1)
-	if k.sel == nil || g == 0 {
-		if count {
-			return countCol(col, base, span), nil
-		}
-		sel = selInit(col, base, span, out)
-		return len(sel), sel
-	}
-	lb, ls, ok := laneArc(base, span, uint64(^E(0)))
-	switch {
-	case !ok:
-		return 0, nil
-	case count:
-		return k.count(col[:g], E(lb), E(ls)) + countCol(col[g:], base, span), nil
-	}
-	sel = out[:len(col)]
-	n := k.sel(col[:g], E(lb), E(ls), sel)
-	tail := selInit(col[g:], base, span, sel[n:])
-	for j := range tail {
-		tail[j] += int32(g)
-	}
-	return n + len(tail), sel[:n+len(tail)]
+	return n + maskCol(col[g:], base, span, mask[g/laneGroup:])
 }
 
 // maxExactSum is 2^53: every integer of magnitude up to it is a float64.
@@ -342,9 +317,9 @@ func absU(v int64) uint64 {
 	return uint64(v)
 }
 
-// block folds n > 0 rows of one block's column segment — those sel
-// selects, or all n of them when sel is nil — whose values lie in z.
-func (f *fold) block(g segment, sel selVec, n int, z zone) {
+// block folds the n > 0 rows of one block's column segment that mask
+// selects, whose values lie in z.
+func (f *fold) block(g *segment, mask []uint32, n int, z zone) {
 	if !f.inexact {
 		if m := max(absU(z.min), absU(z.max)); m == 0 || uint64(n) <= f.room/m {
 			f.room -= uint64(n) * m
@@ -355,67 +330,58 @@ func (f *fold) block(g segment, sel selVec, n int, z zone) {
 	f.count += int64(n)
 	switch {
 	case g.dict() != nil:
-		foldDict(f, g.u8, g.i64, sel)
+		foldDict(f, g.u8, g.i64, mask)
 	case g.u8 != nil:
-		foldSeg(f, g.u8, g.base, sel, n)
+		foldSeg(f, &lanes8, g.u8, g.base, mask, n)
 	case g.u16 != nil:
-		foldSeg(f, g.u16, g.base, sel, n)
+		foldSeg(f, &lanes16, g.u16, g.base, mask, n)
 	case g.u32 != nil:
-		foldSeg(f, g.u32, g.base, sel, n)
+		foldSeg(f, &lanes32, g.u32, g.base, mask, n)
 	default:
-		foldSeg(f, g.i64, g.base, sel, n)
+		foldSeg(f, &lanes64, g.i64, g.base, mask, n)
 	}
 }
 
-// foldSeg is block for one element type.
-func foldSeg[E elem](f *fold, col []E, base int64, sel selVec, n int) {
-	var sum, mn, mx int64
-	if sel == nil {
-		sum, mn, mx = aggColAll(col)
-	} else {
-		sum, mn, mx = aggColSel(col, sel)
+// foldSeg is block for one element type: the whole passes through k's
+// fold where it is set, the rows after them through aggMask. A lane
+// fold's ^E(0) and 0 for no row are offsets every row lies between, so
+// they need no case of their own.
+func foldSeg[E elem](f *fold, k *laneKernels[E], col []E, base int64, mask []uint32, n int) {
+	sum, mn, mx, g := int64(0), int64(math.MaxInt64), int64(math.MinInt64), 0
+	if k.fold != nil {
+		g = len(col) &^ (laneGroup - 1)
+		s, lo, hi := k.fold(col[:g], mask)
+		sum, mn, mx = int64(s), int64(lo), int64(hi)
 	}
-	f.sum += sum + int64(n)*base
-	f.min, f.max = min(f.min, base+mn), max(f.max, base+mx)
+	s, lo, hi := aggMask(col[g:], mask[g/laneGroup:])
+	f.sum += sum + s + int64(n)*base
+	f.min, f.max = min(f.min, base+min(mn, lo)), max(f.max, base+max(mx, hi))
 	if !f.inexact {
 		return
 	}
-	if sel == nil {
-		for _, o := range col {
-			f.fsum += float64(base + int64(o))
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			f.fsum += float64(base + int64(col[w*laneGroup+bits.TrailingZeros32(word)]))
 		}
-		return
-	}
-	for _, i := range sel {
-		f.fsum += float64(base + int64(col[i]))
 	}
 }
 
 // foldDict is block for a dictionary block: the sum is of dict[code], and
 // the dictionary is sorted, so the extrema are the values of the extreme
-// codes.
-func foldDict(f *fold, codes []uint8, dict []int64, sel selVec) {
-	var sum int64
-	var mn, mx uint8
-	if sel == nil {
-		sum, mn, mx = aggDictAll(codes, dict)
-	} else {
-		sum, mn, mx = aggDictSel(codes, dict, sel)
-	}
-	f.sum += sum
-	f.min, f.max = min(f.min, dict[mn]), max(f.max, dict[mx])
-	if !f.inexact {
-		return
-	}
-	if sel == nil {
-		for _, c := range codes {
-			f.fsum += float64(dict[c])
+// codes. The inexact replay rides on the same ascending walk.
+func foldDict(f *fold, codes []uint8, dict []int64, mask []uint32) {
+	mn, mx := uint8(math.MaxUint8), uint8(0)
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			c := codes[w*laneGroup+bits.TrailingZeros32(word)]
+			f.sum += dict[c]
+			mn, mx = min(mn, c), max(mx, c)
+			if f.inexact {
+				f.fsum += float64(dict[c])
+			}
 		}
-		return
 	}
-	for _, i := range sel {
-		f.fsum += float64(dict[codes[i]])
-	}
+	f.min, f.max = min(f.min, dict[mn]), max(f.max, dict[mx])
 }
 
 // partial returns the folded aggregate.
@@ -428,62 +394,4 @@ func (f *fold) partial() agg.Partial {
 		out.MinV, out.MaxV, out.HasBound = float64(f.min), float64(f.max), true
 	}
 	return out
-}
-
-// aggColSel folds the selected offsets of a column segment into their
-// integer sum and extrema (min and max compile to conditional moves).
-//
-//go:noinline
-func aggColSel[E elem](col []E, sel selVec) (sum, mn, mx int64) {
-	mn, mx = math.MaxInt64, math.MinInt64
-	for _, i := range sel {
-		o := int64(col[i])
-		sum += o
-		mn = min(mn, o)
-		mx = max(mx, o)
-	}
-	return sum, mn, mx
-}
-
-// aggColAll is aggColSel over every row of the segment, for blocks where
-// zone maps proved all rows match (or predicate-free plans).
-//
-//go:noinline
-func aggColAll[E elem](col []E) (sum, mn, mx int64) {
-	mn, mx = math.MaxInt64, math.MinInt64
-	for _, v := range col {
-		o := int64(v)
-		sum += o
-		mn = min(mn, o)
-		mx = max(mx, o)
-	}
-	return sum, mn, mx
-}
-
-// aggDictSel folds the selected rows of a dictionary block into the sum of
-// their values and their extreme codes.
-//
-//go:noinline
-func aggDictSel(codes []uint8, dict []int64, sel selVec) (sum int64, mn, mx uint8) {
-	mn, mx = math.MaxUint8, 0
-	for _, i := range sel {
-		c := codes[i]
-		sum += dict[c]
-		mn = min(mn, c)
-		mx = max(mx, c)
-	}
-	return sum, mn, mx
-}
-
-// aggDictAll is aggDictSel over every row of the block.
-//
-//go:noinline
-func aggDictAll(codes []uint8, dict []int64) (sum int64, mn, mx uint8) {
-	mn, mx = math.MaxUint8, 0
-	for _, c := range codes {
-		sum += dict[c]
-		mn = min(mn, c)
-		mx = max(mx, c)
-	}
-	return sum, mn, mx
 }

@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/agg"
@@ -240,6 +245,33 @@ func checkStep(t *testing.T, label string, s step, col []int64, want func(v int6
 	}
 }
 
+// laneSet is the lane kernels of every width, as package init sets them
+// (hostLaneSet), as goLanes writes them, or none (the generic path, which
+// arm64 and hosts without AVX2 take).
+type laneSet struct {
+	k8  laneKernels[uint8]
+	k16 laneKernels[uint16]
+	k32 laneKernels[uint32]
+}
+
+func hostLaneSet() laneSet { return laneSet{lanes8, lanes16, lanes32} }
+
+func goLaneSet() laneSet { return laneSet{goLanes[uint8](), goLanes[uint16](), goLanes[uint32]()} }
+
+// withLanes runs f with ks as the package's lane kernels and puts back
+// the ones it found.
+func withLanes(ks laneSet, f func()) {
+	saved := hostLaneSet()
+	lanes8, lanes16, lanes32 = ks.k8, ks.k16, ks.k32
+	defer func() { lanes8, lanes16, lanes32 = saved.k8, saved.k16, saved.k32 }()
+	f()
+}
+
+// laneSets are the sets every kernel check runs under.
+func laneSets() map[string]laneSet {
+	return map[string]laneSet{"host": hostLaneSet(), "Go": goLaneSet(), "generic": {}}
+}
+
 // hostLanes returns the lane kernels matchBlock runs at E's width.
 func hostLanes[E elem]() *laneKernels[E] {
 	var k any
@@ -256,53 +288,53 @@ func hostLanes[E elem]() *laneKernels[E] {
 	return k.(*laneKernels[E])
 }
 
-// goLanes are the lane kernels written in Go, the lane test in E's own
-// arithmetic over the whole passes of col: the glue around them is
+// goLanes are the lane kernels written in Go, the lane test and fold in
+// E's own arithmetic over the whole passes of col: the glue around them is
 // checked on any host, and the host's own kernels against them. At 8
 // bytes there are none.
-func goLanes[E elem]() *laneKernels[E] {
+func goLanes[E elem]() laneKernels[E] {
 	if _, wide := any(E(0)).(int64); wide {
-		return &laneKernels[E]{}
+		return laneKernels[E]{}
 	}
 	whole := func(col []E) []E { return col[:len(col)&^(laneGroup-1)] }
-	return &laneKernels[E]{
-		sel: func(col []E, base, span E, sel []int32) int {
+	return laneKernels[E]{
+		mask: func(col []E, base, span E, mask []uint32) int {
 			n := 0
 			for i, v := range whole(col) {
-				if v-base <= span {
-					sel[n] = int32(i)
-					n++
+				if v-base > span {
+					mask[i/laneGroup] &^= 1 << (i % laneGroup)
 				}
+			}
+			for _, w := range mask[:len(col)/laneGroup] {
+				n += bits.OnesCount32(w)
 			}
 			return n
 		},
-		count: func(col []E, base, span E) int {
-			n := 0
-			for _, v := range whole(col) {
-				if v-base <= span {
-					n++
+		fold: func(col []E, mask []uint32) (sum uint64, lo, hi E) {
+			lo = ^E(0)
+			for i, v := range whole(col) {
+				if mask[i/laneGroup]>>(i%laneGroup)&1 == 1 {
+					sum, lo, hi = sum+uint64(v), min(lo, v), max(hi, v)
 				}
 			}
-			return n
+			return sum, lo, hi
 		},
 	}
+}
+
+// maskOf returns the mask of a block of n rows that sets the given rows.
+func maskOf(n int, rows []int32) []uint32 {
+	mask := make([]uint32, (n+laneGroup-1)/laneGroup)
+	for _, r := range rows {
+		mask[r/laneGroup] |= 1 << (r % laneGroup)
+	}
+	return mask
 }
 
 // checkKernels is checkStep at one element type: enc is segment g's
 // offsets of the values col (its codes, in a dictionary block).
 func checkKernels[E elem](t *testing.T, label string, s step, g segment, enc []E, col []int64, rows, odd, oddRows []int32) {
 	t.Helper()
-	same := func(kernel string, got, want []int32) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %s selects %d rows, want %d", label, kernel, len(got), len(want))
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("%s: %s row %d is %d, want %d", label, kernel, k, got[k], want[k])
-			}
-		}
-	}
 	base := s.rebase(&g)
 	if dict := g.dict(); dict != nil {
 		var ok bool
@@ -313,43 +345,50 @@ func checkKernels[E elem](t *testing.T, label string, s step, g segment, enc []E
 			return
 		}
 	}
-	sel := selInit(enc, base, s.span, make(selVec, BlockSize))
-	same("selInit", sel, rows)
-	if n := countCol(enc, base, s.span); n != len(rows) {
-		t.Fatalf("%s: countCol = %d, want %d", label, n, len(rows))
-	}
-	// The width-dispatched path matchBlock takes (the host's lane kernels,
-	// where it has them), and the same glue over Go lane kernels.
-	for name, k := range map[string]*laneKernels[E]{"host": hostLanes[E](), "Go": goLanes[E]()} {
-		n, got := runStep(k, enc, base, s.span, nil, make(selVec, BlockSize), false)
-		same(name+" runStep", got[:n], rows)
-		if n, _ := runStep(k, enc, base, s.span, nil, nil, true); n != len(rows) {
-			t.Fatalf("%s: %s runStep counts %d, want %d", label, name, n, len(rows))
+	// One step from every row and one from the odd rows, as a first and a
+	// later conjunct, through the generic body and through each lane set
+	// by the width-dispatched path matchBlock takes.
+	all, matching := maskOf(len(col), allRows(len(col))), maskOf(len(col), rows)
+	for _, c := range []struct {
+		name     string
+		from, to []uint32
+		n        int
+	}{{"first step", all, matching, len(rows)}, {"later step", maskOf(len(col), odd), maskOf(len(col), oddRows), len(oddRows)}} {
+		mask := slices.Clone(c.from)
+		if n := maskCol(enc, base, s.span, mask); n != c.n || !slices.Equal(mask, c.to) {
+			t.Fatalf("%s: %s: maskCol leaves %d rows, want %d (mask %x, want %x)", label, c.name, n, c.n, mask, c.to)
+		}
+		for name, ks := range laneSets() {
+			mask := slices.Clone(c.from)
+			withLanes(ks, func() {
+				if n := runStep(hostLanes[E](), enc, base, s.span, mask); n != c.n || !slices.Equal(mask, c.to) {
+					t.Fatalf("%s: %s: %s runStep leaves %d rows, want %d (mask %x, want %x)", label, c.name, name, n, c.n, mask, c.to)
+				}
+			})
 		}
 	}
-	if n := countSel(enc, base, s.span, odd); n != len(oddRows) {
-		t.Fatalf("%s: countSel = %d, want %d", label, n, len(oddRows))
-	}
-	same("selRefine", selRefine(enc, base, s.span, append(selVec(nil), odd...)), oddRows)
 
 	if len(col) == 0 {
 		return
 	}
 	zl, zh := zoneOf(col)
-	// Both folds, against the oracle's Observe sequence, to the byte.
+	// The fold over the matching rows and over every row, under each lane
+	// set, against the oracle's Observe sequence, to the byte.
 	for _, c := range []struct {
 		name string
-		sel  selVec
-		n    int
-		want agg.Partial
-	}{{"aggColSel", sel, len(sel), observe(col, rows)}, {"aggColAll", nil, len(col), observe(col, allRows(len(col)))}} {
-		if c.n == 0 {
+		rows []int32
+		mask []uint32
+	}{{"matching rows", rows, matching}, {"every row", allRows(len(col)), all}} {
+		if len(c.rows) == 0 {
 			continue // scan never folds an empty selection
 		}
-		f := newFold()
-		f.block(g, c.sel, c.n, zone{zl, zh})
-		if got := f.partial(); got != c.want || !bytes.Equal(got.Encode(nil), c.want.Encode(nil)) {
-			t.Fatalf("%s: %s fold %+v, oracle %+v", label, c.name, got, c.want)
+		want := observe(col, c.rows)
+		for name, ks := range laneSets() {
+			f := newFold()
+			withLanes(ks, func() { f.block(&g, c.mask, len(c.rows), zone{zl, zh}) })
+			if got := f.partial(); got != want || !bytes.Equal(got.Encode(nil), want.Encode(nil)) {
+				t.Fatalf("%s: %s fold of the %s %+v, oracle %+v", label, name, c.name, got, want)
+			}
 		}
 	}
 }
@@ -669,4 +708,135 @@ func TestExecuteAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLaneKernelsMatchGeneric holds each width's lane kernels, the host's
+// and goLanes, to the generic bodies they stand in for, maskCol and
+// aggMask: at every tail length after 0, 1 and 63 whole passes (a kernel
+// must leave the tail's mask word alone), under all-zero, all-one and
+// sparse mask words, over offsets that include 0 and 2^w - 1, and on a
+// block of 2^w - 1 everywhere, which at 2 bytes is the fold's per-lane
+// sum limit.
+func TestLaneKernelsMatchGeneric(t *testing.T) {
+	for name, ks := range map[string]laneSet{"host": hostLaneSet(), "Go": goLaneSet()} {
+		if ks.k8.mask == nil {
+			t.Logf("%s: no lane kernels", name)
+			continue
+		}
+		checkLanes(t, name, ks.k8)
+		checkLanes(t, name, ks.k16)
+		checkLanes(t, name, ks.k32)
+	}
+}
+
+func checkLanes[E elem](t *testing.T, name string, k laneKernels[E]) {
+	top := uint64(^E(0))
+	label := fmt.Sprintf("%s lanes at %d bytes", name, bits.Len64(top)/8)
+	rng := rand.New(rand.NewSource(58))
+	random, full := make([]E, BlockSize), make([]E, BlockSize)
+	for i := range random {
+		random[i], full[i] = E(rng.Uint64()), E(top)
+	}
+	words := map[string]func(w int) uint32{
+		"zero":   func(int) uint32 { return 0 },
+		"one":    func(int) uint32 { return math.MaxUint32 },
+		"sparse": func(w int) uint32 { return 1<<(w%32) | 1<<((7*w+3)%32) },
+		"mixed":  func(w int) uint32 { return []uint32{0, math.MaxUint32, uint32(w) * 0x9e3779b9}[w%3] },
+	}
+	// Steps over the offsets: all, none, either end, inside, wrapping
+	// through 2^64 - 1 → 0, and past the lane.
+	steps := [][2]uint64{{0, top}, {0, 0}, {top, 0}, {1, top - 2}, {top / 3, top / 3}, {math.MaxUint64 - 3, 10}, {top + 1, 5}}
+	var lengths []int
+	for _, passes := range []int{0, 1, 63} {
+		for tail := 0; tail < laneGroup; tail++ {
+			lengths = append(lengths, passes*laneGroup+tail)
+		}
+	}
+	for _, n := range append(lengths, BlockSize) {
+		for _, src := range [][]E{random, full} {
+			col := slices.Clone(src[:n])
+			if n > 1 && src[0] != E(top) {
+				col[n/2], col[n-1] = 0, E(top)
+			}
+			g := n &^ (laneGroup - 1)
+			for wname, word := range words {
+				from := make([]uint32, (n+laneGroup-1)/laneGroup)
+				for w := range from {
+					from[w] = word(w)
+				}
+				if r := n % laneGroup; r != 0 {
+					from[len(from)-1] &= 1<<r - 1
+				}
+				at := fmt.Sprintf("%s, %d rows, %s words", label, n, wname)
+				for _, st := range steps {
+					want := slices.Clone(from)
+					wn := maskCol(col, st[0], st[1], want)
+					got := slices.Clone(from)
+					if gn := runStep(&k, col, st[0], st[1], got); gn != wn || !slices.Equal(got, want) {
+						t.Fatalf("%s, step %v: %d rows %x, maskCol %d rows %x", at, st, gn, got, wn, want)
+					}
+					lb, ls, ok := laneArc(st[0], st[1], top)
+					if !ok {
+						continue
+					}
+					// The kernel alone, handed every row: the whole passes'
+					// words as maskCol leaves them, the tail's untouched.
+					got = slices.Clone(from)
+					gn := k.mask(col, E(lb), E(ls), got)
+					passes := 0
+					for _, w := range want[:g/laneGroup] {
+						passes += bits.OnesCount32(w)
+					}
+					if gn != passes || !slices.Equal(got[:g/laneGroup], want[:g/laneGroup]) || !slices.Equal(got[g/laneGroup:], from[g/laneGroup:]) {
+						t.Fatalf("%s, step %v: the mask kernel alone counts %d, leaves %x; want %d, %x", at, st, gn, got, passes, append(want[:g/laneGroup:g/laneGroup], from[g/laneGroup:]...))
+					}
+				}
+				sum, lo, hi := k.fold(col, from)
+				ws, wlo, whi := aggMask(col[:g], from[:g/laneGroup])
+				if ws == 0 && wlo == math.MaxInt64 {
+					wlo, whi = int64(top), 0 // no bit set in the whole passes
+				}
+				if int64(sum) != ws || int64(lo) != wlo || int64(hi) != whi {
+					t.Fatalf("%s: the fold kernel gives (%d, %d, %d), aggMask (%d, %d, %d)", at, sum, lo, hi, ws, wlo, whi)
+				}
+			}
+		}
+	}
+}
+
+// TestGenericKernels reruns the differential suites and FuzzSealBlock's
+// committed corpus with the lane kernels cleared: the generic path, which
+// arm64 and hosts without AVX2 take, checked on every host.
+func TestGenericKernels(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzSealBlock/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no FuzzSealBlock corpus: %v", err)
+	}
+	withLanes(laneSet{}, func() {
+		t.Run("VectorizedMatchesOracleRandomized", TestVectorizedMatchesOracleRandomized)
+		t.Run("SumExactnessGuard", TestSumExactnessGuard)
+		for _, file := range files {
+			t.Run("FuzzSealBlock/"+filepath.Base(file), func(t *testing.T) {
+				checkSealBlock(t, blockValues(corpusBytes(t, file)))
+			})
+		}
+	})
+}
+
+// corpusBytes reads a committed fuzz corpus entry of one []byte.
+func corpusBytes(t *testing.T, file string) []byte {
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	arg, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" || !ok {
+		t.Fatalf("%s is not a corpus entry of one []byte", file)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(arg, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	return []byte(s)
 }

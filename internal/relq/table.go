@@ -15,8 +15,8 @@
 // row count it was created for). Every (column, block) pair carries a zone
 // map — the min and max value in that block, maintained incrementally on
 // insert. Execution is batch-at-a-time (see exec.go and kernels.go): zone
-// maps skip whole blocks, and surviving blocks are evaluated with
-// selection-vector kernels instantiated per element width.
+// maps skip whole blocks, and surviving blocks are evaluated into
+// per-block selection bitmaps by kernels instantiated per element width.
 //
 // String values are stored hash-encoded: a string column holds the 63-bit
 // FNV hash of each value. Equality predicates hash their literal, so
@@ -28,6 +28,7 @@ package relq
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -127,12 +128,14 @@ type column struct {
 	zones []zone
 }
 
-// block returns the segment of block b: a sealed one, or the tail.
-func (c *column) block(b int) segment {
+// block returns the segment of block b: a sealed one, or the tail, which
+// it writes to *open. A pointer, since a segment is 104 bytes to copy.
+func (c *column) block(b int, open *segment) *segment {
 	if b < len(c.sealed) {
-		return c.sealed[b]
+		return &c.sealed[b]
 	}
-	return segment{i64: c.tail}
+	*open = segment{i64: c.tail}
+	return open
 }
 
 // dict returns a dictionary block's sorted values, or nil.
@@ -500,7 +503,8 @@ func (t *Table) open(n int) (k int, fresh bool) {
 }
 
 // close counts k appended rows and seals the open block if they filled it
-// or brought the table to sealAt, where the tail is released.
+// or brought the table to sealAt, where the tail is released and the
+// sealed blocks are compacted.
 func (t *Table) close(k int) {
 	if t.rows += k; t.rows%BlockSize == 0 || t.rows == t.sealAt {
 		for i := range t.cols {
@@ -508,7 +512,60 @@ func (t *Table) close(k int) {
 				t.cols[i].tail = nil
 			}
 		}
+		if t.rows == t.sealAt {
+			t.compact()
+		}
 	}
+}
+
+// compact copies the full sealed blocks back to back into one arena per
+// element width, column by column and each column's blocks in order, so
+// that a scan of a column streams through memory instead of starting at a
+// fresh allocation every block. Each block placed becomes a subslice of
+// its arena capped at its own length, so nothing appended to one reaches
+// the next. Short blocks and dictionaries stay where they are, as do the
+// last few blocks of a width that would not fill an arena's last page;
+// blocks sealed later, and the one reopen takes back, are ordinary slices.
+func (t *Table) compact() {
+	var n8, n16, n32, n64 int
+	for i := range t.cols {
+		for _, g := range t.cols[i].sealed {
+			n8, n16 = n8+len(g.u8)/BlockSize, n16+len(g.u16)/BlockSize
+			n32, n64 = n32+len(g.u32)/BlockSize, n64+len(g.i64)/BlockSize
+		}
+	}
+	a8, a16, a32, a64 := reserve[uint8](n8), reserve[uint16](n16), reserve[uint32](n32), reserve[int64](n64)
+	for i := range t.cols {
+		for b := range t.cols[i].sealed {
+			g := &t.cols[i].sealed[b]
+			g.u8, a8 = place(a8, g.u8)
+			g.u16, a16 = place(a16, g.u16)
+			g.u32, a32 = place(a32, g.u32)
+			g.i64, a64 = place(a64, g.i64)
+		}
+	}
+}
+
+// pageBytes is the unit in which the Go heap allocates an object of more
+// than 32 KB: an arena is a whole number of them, so it wastes none.
+const pageBytes = 8 << 10
+
+// reserve returns an empty arena for as many of n full blocks of E as
+// fill whole pages.
+func reserve[E elem](n int) []E {
+	perPage := max(1, pageBytes/(BlockSize*bits.Len64(uint64(^E(0)))/8))
+	return make([]E, 0, (n-n%perPage)*BlockSize)
+}
+
+// place copies s to the end of arena a if s is a full block and a has
+// room for it, and returns where s lies now and the arena.
+func place[E elem](a, s []E) ([]E, []E) {
+	if len(s) != BlockSize || len(a) == cap(a) {
+		return s, a
+	}
+	n := len(a)
+	a = append(a, s...)
+	return a[n:len(a):len(a)], a
 }
 
 // minTailCap is the tail's first capacity when no hint reserved one.
