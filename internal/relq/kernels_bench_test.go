@@ -13,8 +13,9 @@ import (
 // endsystem's data in the simulation. In the contiguous rotation each
 // table's blocks lie back to back, as a table's arena holds them once it
 // reaches its row hint; in the scattered one every block is its own
-// allocation, interleaved with the other tables', as sealing leaves them
-// before that, so each block starts a new prefetch stream. The rotation is
+// allocation, made in a shuffled order, as sealing interleaves a table's
+// blocks with its other columns' and everything else allocated meanwhile,
+// so each block starts a new prefetch stream. The rotation is
 // the same 2M rows at every width: 16 MB (past L2) at 8 bytes, 2 MB at 1,
 // so ns/row shows what the narrower storage of the same data buys, fewer
 // lines per row and a lower level of the hierarchy to fetch them from.
@@ -55,7 +56,7 @@ type benchBlocks[E elem] [][][]E
 
 // benchRotations fills the contiguous rotation with values drawn from f
 // and, if scatter is set, the scattered one with the same values.
-func benchRotations[E elem](f func() int64, scatter bool) (contiguous, scattered benchBlocks[E]) {
+func benchRotations[E elem](rng *rand.Rand, f func() int64, scatter bool) (contiguous, scattered benchBlocks[E]) {
 	contiguous, scattered = make(benchBlocks[E], benchTables), make(benchBlocks[E], benchTables)
 	for t := range contiguous {
 		col := make([]E, benchTableBlocks*BlockSize)
@@ -68,10 +69,10 @@ func benchRotations[E elem](f func() int64, scatter bool) (contiguous, scattered
 			contiguous[t][b] = col[b*BlockSize : (b+1)*BlockSize]
 		}
 	}
-	// Block by block across the tables, so that one table's blocks are
-	// benchTables allocations apart.
-	for b := 0; scatter && b < benchTableBlocks; b++ {
-		for t := range scattered {
+	// Every block of every table in a shuffled order, so that no two
+	// blocks of a table are allocated one after the other.
+	for _, i := range rng.Perm(benchTables * benchTableBlocks) {
+		if t, b := i/benchTableBlocks, i%benchTableBlocks; scatter {
 			scattered[t][b] = append([]E(nil), contiguous[t][b]...)
 		}
 	}
@@ -98,7 +99,7 @@ func benchRun[E elem](b *testing.B, name, where string, rot benchBlocks[E], kern
 func benchKernelsAt[E elem](b *testing.B, width int) {
 	// uniform holds values 0..99, so v < pct matches pct% of the rows.
 	rng := rand.New(rand.NewSource(14))
-	contiguous, scattered := benchRotations[E](func() int64 { return rng.Int63n(100) }, true)
+	contiguous, scattered := benchRotations[E](rng, func() int64 { return rng.Int63n(100) }, true)
 	rotations := []struct {
 		where string
 		rot   benchBlocks[E]
@@ -150,7 +151,7 @@ func benchKernelsAt[E elem](b *testing.B, width int) {
 
 	// half holds benchEqVal in 50% of the rows and distinct values
 	// elsewhere, for = and <>.
-	half, _ := benchRotations[E](func() int64 {
+	half, _ := benchRotations[E](rng, func() int64 {
 		if v := rng.Int63n(100); v >= 50 {
 			return 1000 + v
 		}
