@@ -35,7 +35,7 @@ const (
 	maxConfigFields   = 68
 	maxTestOnlyFields = 0 // rows whose only setter is a test
 	maxUnsetFields    = 0 // rows nothing sets at all
-	maxDesignLines    = 2539
+	maxDesignLines    = 2537
 	// maxOracleReads ceils the ground-truth reads of the simulator's own
 	// code (see oracleReads): each is a place the protocol learns what it
 	// could not know, so the count may only fall.
