@@ -349,7 +349,8 @@ func TestCanceledSubmissionIsAnswered(t *testing.T) {
 	for i := n - 8; i < n; i++ {
 		h := r.hosts[i]
 		root, ok := h.node.LeafsetRoot(h.engine.chooseEntry(r.qid))
-		if _, held := h.engine.queries[r.qid]; ok && root.EP != h.node.Endpoint() && !held {
+		_, held := h.engine.queries[r.qid]
+		if ok && root.EP != h.node.Endpoint() && !held && !h.engine.canceled(r.qid) {
 			late = i
 			break
 		}
@@ -398,8 +399,8 @@ func TestSubmitAfterCancelSendsNothing(t *testing.T) {
 	r.run(time.Minute)
 	h := r.hosts[r.remoteLeaf(t)]
 	tombstone := func() bool {
-		st, ok := h.engine.queries[r.qid]
-		return ok && st == nil
+		_, held := h.engine.queries[r.qid]
+		return !held && h.engine.canceled(r.qid)
 	}
 	if !tombstone() {
 		t.Fatal("the cancel did not leave a tombstone at the leaf")

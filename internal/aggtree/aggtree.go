@@ -38,8 +38,8 @@
 // restart — the leaf retransmission timer and the ack that stops it, and
 // the vertices it hosts for the query's tree. Everything the protocol does
 // for a query starts from that record, and vertices point back at it. A
-// cancel ends the record: its entry becomes a tombstone that owns nothing
-// and refuses the query for good.
+// cancel ends the record: the query's id becomes a tombstone that owns
+// nothing and refuses the query for good.
 package aggtree
 
 import (
@@ -266,8 +266,10 @@ type Engine struct {
 	host Host
 	node *pastry.Node // the host's overlay node, fixed at construction
 	// queries is the engine's one table: a record per query, keyed by
-	// queryId. A nil entry is a canceled query's tombstone (applyCancel).
-	queries map[ids.ID]*queryState
+	// queryId. tombstones are the canceled queries' queryIds, in order
+	// (applyCancel): a query has a record or a tombstone, never both.
+	queries    map[ids.ID]*queryState
+	tombstones []ids.ID
 
 	// hosted counts the vertices in the table's records. While it is
 	// above zero, records and vertices that leave the table wait on the
@@ -335,9 +337,6 @@ func NewEngine(host Host, cfg Config) *Engine {
 // registry half unknown. Tombstones are kept: a cancel outlives restarts.
 func (e *Engine) Reset() {
 	for qid, st := range e.queries {
-		if st == nil {
-			continue
-		}
 		for _, v := range st.vertices {
 			e.releaseVertex(v) // the last one takes the spare lists with it
 		}
@@ -410,9 +409,9 @@ func (e *Engine) ClaimExecution(qid ids.ID, q *relq.Query, injector simnet.Endpo
 // this is the first it hears of the query in this incarnation. For a
 // canceled query it returns nil and leaves the tombstone as it is.
 func (e *Engine) register(qid ids.ID, q *relq.Query, injector simnet.Endpoint, cause uint64) *queryState {
-	st, ok := e.queries[qid]
+	st := e.queries[qid]
 	if st == nil {
-		if ok {
+		if e.canceled(qid) {
 			return nil
 		}
 		if st = pop(&e.spareQueries); st == nil {
@@ -446,13 +445,26 @@ func (e *Engine) CancelPropagate(qid ids.ID) {
 	}
 }
 
+// canceled reports whether qid has a tombstone here.
+func (e *Engine) canceled(qid ids.ID) bool {
+	_, ok := slices.BinarySearchFunc(e.tombstones, qid, ids.ID.Cmp)
+	return ok
+}
+
+// bury gives qid a tombstone, if it has none.
+func (e *Engine) bury(qid ids.ID) {
+	if i, ok := slices.BinarySearchFunc(e.tombstones, qid, ids.ID.Cmp); !ok {
+		e.tombstones = slices.Insert(e.tombstones, i, qid)
+	}
+}
+
 // applyCancel processes a cancellation at this endsystem: stop the local
 // retransmission timer, drop every hosted vertex, and — for every dropped
 // vertex this endsystem was the primary of — fan the cancel to the
 // vertex's children and backups. Then the record gives way to a tombstone,
-// a nil entry, whether or not there was a record: a late submission or
-// replication finds it and is dropped rather than resurrecting state, and
-// the endsystem neither runs nor submits the query again (ClaimExecution,
+// whether or not there was a record: a late submission or replication
+// finds it and is dropped rather than resurrecting state, and the
+// endsystem neither runs nor submits the query again (ClaimExecution,
 // Submit). Fan-out keys off the vertex's primary flag, not off which
 // cancel arrived first: a node can be backup for one vertex and primary
 // for another in the same tree, and a backup-targeted cancel reaching it
@@ -462,7 +474,7 @@ func (e *Engine) CancelPropagate(qid ids.ID) {
 func (e *Engine) applyCancel(m *cancelMsg) {
 	st := e.queries[m.QID]
 	if st == nil {
-		e.queries[m.QID] = nil
+		e.bury(m.QID)
 		return
 	}
 	st.resubmit.Cancel()
@@ -489,9 +501,10 @@ func (e *Engine) applyCancel(m *cancelMsg) {
 		e.releaseVertex(v)
 	}
 	// Only the call that writes the tombstone releases the record: one
-	// that a re-entrant call has already ended finds the tombstone.
+	// that a re-entrant call has already ended finds it gone.
 	if e.queries[m.QID] == st {
-		e.queries[m.QID] = nil
+		delete(e.queries, m.QID)
+		e.bury(m.QID)
 		e.releaseQuery(st)
 	}
 }
@@ -921,6 +934,8 @@ func (e *Engine) applyRepl(m *replMsg) {
 		return
 	}
 	v := e.vertex(st, m.Vertex)
+	// Grown once, not entry by entry, and not when it holds the entries.
+	v.children = slices.Grow(v.children, max(0, len(m.Children)-len(v.children)))
 	grew := false
 	if m.Children == nil {
 		grew = v.install(m.Child, m.C, m.Cause) == changed
@@ -1279,7 +1294,7 @@ func (e *Engine) HandleLeafsetChanged() {
 func (e *Engine) reassertMovedEntries() {
 	var moved []*queryState
 	for _, st := range e.queries {
-		if st == nil || st.own.Version == 0 || !st.acked || e.expired(st) {
+		if st.own.Version == 0 || !st.acked || e.expired(st) {
 			continue
 		}
 		if root, ok := e.node.LeafsetRoot(st.entry); ok && root.EP != simnet.Endpoint(st.ackedBy) {
@@ -1329,7 +1344,7 @@ func (e *Engine) tableMsg(v *vertexState) *replMsg {
 func (e *Engine) sortedVertices() []*vertexState {
 	var hosting []*queryState
 	for _, st := range e.queries {
-		if st != nil && len(st.vertices) > 0 {
+		if len(st.vertices) > 0 {
 			hosting = append(hosting, st)
 		}
 	}
@@ -1351,7 +1366,7 @@ func (e *Engine) NumVertices() int { return e.hosted }
 func (e *Engine) OrphanVertices() int {
 	n := 0
 	for _, st := range e.queries {
-		if st != nil && e.expired(st) {
+		if e.expired(st) {
 			n += len(st.vertices)
 		}
 	}

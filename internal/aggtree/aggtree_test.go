@@ -492,8 +492,8 @@ func TestReentrantCancelReleasesOnce(t *testing.T) {
 			if reentered == 0 {
 				t.Fatal("the fan-out did not come back to the canceling endsystem")
 			}
-			if got, ok := e.queries[qid]; !ok || got != nil {
-				t.Fatalf("after the cancel the table holds %v, %v; want the tombstone", got, ok)
+			if got, ok := e.queries[qid]; ok || !e.canceled(qid) {
+				t.Fatalf("after the cancel the table holds %v, %v, tombstone %v; want the tombstone alone", got, ok, e.canceled(qid))
 			}
 			count := func(spare []*vertexState, v *vertexState) int {
 				n := 0

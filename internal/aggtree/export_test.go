@@ -138,9 +138,6 @@ func (e *Engine) FlushTimers() int {
 func (e *Engine) countVertices(pred func(*vertexState) bool) int {
 	n := 0
 	for _, st := range e.queries {
-		if st == nil {
-			continue
-		}
 		for _, v := range st.vertices {
 			if pred(v) {
 				n++
@@ -156,9 +153,6 @@ func (e *Engine) countVertices(pred func(*vertexState) bool) int {
 func (e *Engine) ResubmitTimers() int {
 	n := 0
 	for _, st := range e.queries {
-		if st == nil {
-			continue
-		}
 		if _, armed := st.resubmit.When(); armed {
 			n++
 		}

@@ -27,8 +27,10 @@ import (
 const heapPerEndsystemCeiling = 30 << 10
 
 // allocPerQueryCeiling is about 10% above what TestAllocPerQuery measures
-// (4.31-4.38 KB on go1.24 linux/amd64; runs differ by a percent). It
-// read 5.5 KB (ceiling 6,050) while every dissemination engine filed its
+// (2,706 bytes on go1.24 linux/amd64). It read 2,948 (ceiling 4,800,
+// set when it read 4.31-4.38 KB) while a backup grew a replicated child
+// table entry by entry. It read 5.5 KB (ceiling 6,050) while every
+// dissemination engine filed its
 // range tasks and awaited subranges in two maps keyed by (queryId, lo,
 // hi), each grown afresh on its first query, 5.65 KB (ceiling 6,250) while every routed aggregation submission was
 // allocated afresh and every vertex's refresh chain built its callback
@@ -50,7 +52,7 @@ const heapPerEndsystemCeiling = 30 << 10
 // predictor, empty or not, and every aggregation vertex kept its children
 // in a map (11.4 and 11.5 KB). At N=256 the tree has fewer empty ranges
 // than at the benchmark's N=1000, so those steps are 15-27% apart.
-const allocPerQueryCeiling = 4800
+const allocPerQueryCeiling = 2980
 
 // heapTestCluster keeps TestHeapPerEndsystem's cluster reachable after the
 // test returns: go test -memprofile collects before it writes, and that
@@ -96,12 +98,13 @@ func TestHeapPerEndsystem(t *testing.T) {
 }
 
 // cancelledQueryCeiling is what a canceled query may leave on an endsystem
-// once it is over: the tombstone's slot in the aggregation engine's table,
-// 24 bytes of key and nil record with the table's slack around them.
-// TestCancelledQueriesReleaseState measures 35-36 (go1.24 linux/amd64); it
-// read 242 while every endsystem kept a canceled query's 176-byte record
-// and its core.Node.executed entry.
-const cancelledQueryCeiling = 48
+// once it is over: its tombstone, a 16-byte queryId in the aggregation
+// engine's sorted list, with the list's slack. TestCancelledQueriesReleaseState
+// measures 23 (go1.24 linux/amd64); it read 35-36 (ceiling 48) while the
+// tombstone was a nil record in the engine's map, and 242 while every
+// endsystem kept a canceled query's 176-byte record and its
+// core.Node.executed entry.
+const cancelledQueryCeiling = 32
 
 // TestCancelledQueriesReleaseState: a query that is over leaves nothing on
 // an endsystem but its tombstone. A quiet cluster runs a first query and
@@ -287,15 +290,18 @@ func queryStream(t *testing.T, withQueries bool) (alloc uint64, handles []*Query
 	return after.TotalAlloc - before.TotalAlloc, handles, c
 }
 
-// warmQueryAllocCeiling is about 4% above what TestWarmQueryAllocs
-// measures (1,246-1,252 bytes on go1.24 linux/amd64), which is below the
-// 1,306-1,354 it read while every dissemination engine filed its range
+// warmQueryAllocCeiling is about 10% above what TestWarmQueryAllocs
+// measures (537-542 bytes on go1.24 linux/amd64). It read 1,051 (ceiling
+// 1,300) while every range task was allocated afresh and every tombstone
+// took a map slot and a backup grew a replicated child table entry by
+// entry; 725 with the first alone gone, 872 with the other two. It read
+// 1,306-1,354 while every dissemination engine filed its range
 // tasks and awaited subranges in two maps keyed by (queryId, lo, hi)
 // (ceiling 1,475). It read 2,032-2,076 while every aggregation engine
 // allocated each query's record, vertices, child tables, routed
 // submissions and refresh and flush callbacks afresh and let them go at
 // the cancel.
-const warmQueryAllocCeiling = 1300
+const warmQueryAllocCeiling = 600
 
 // TestWarmQueryAllocs is the allocation budget of a query on a warm
 // cluster: the bytes per endsystem that each of the stream's last ten

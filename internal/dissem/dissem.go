@@ -129,10 +129,13 @@ type Engine struct {
 	// stays when it drains: its size follows the queries filed at once.
 	// retired and retiredTail are the ends of a queue (linked through
 	// task.next) of the finished tasks still filed, in finish order,
-	// which — retention being one constant — is expiry order.
+	// which — retention being one constant — is expiry order; nextExpiry
+	// is retired's expiry, kept here so that the sweep on every message
+	// reads no task until one is due.
 	queries     map[ids.ID]*queryTasks
 	retired     *task
 	retiredTail *task
+	nextExpiry  time.Duration
 
 	// waiting holds injector-side callbacks keyed by queryId, with the
 	// injection instant for predictor-latency accounting.
@@ -157,12 +160,26 @@ type Engine struct {
 	// candidate enumeration (engines are single-threaded).
 	cands []pastry.NodeRef
 	// spare lists the fan-outs of this engine's finished interior tasks
-	// (linked through fanout.next), for newFanout to reuse, and
-	// spareQueries the entries of swept queries, with their arrays, for
-	// file. An engine makes and finishes its own fan-outs and entries, so
-	// the lists balance; sweep drops them when the table drains.
+	// (linked through fanout.next), for newFanout to reuse, spareQueries
+	// the entries of swept queries, with their arrays, for file, and
+	// spareTasks the swept tasks no response is in flight from (linked
+	// through task.next), for newTask. An engine makes and finishes its
+	// own fan-outs, entries and tasks, so the lists balance; sweep drops
+	// them when the table drains.
 	spare        *fanout
 	spareQueries *queryTasks
+	spareTasks   *task
+	// counted is the last response this engine counted as delivered
+	// (delivered).
+	counted arrival
+}
+
+// arrival is a response's delivery: who sent it, for which range, and
+// when. It holds no pointer, so it keeps no task alive.
+type arrival struct {
+	from simnet.Endpoint
+	key  taskKey
+	at   time.Duration
 }
 
 // pendingInject is one injector-side query awaiting its predictor.
@@ -231,7 +248,7 @@ func (e *Engine) Reset() {
 	for _, p := range e.waiting {
 		p.retry.Cancel()
 	}
-	e.queries, e.spareQueries = nil, nil
+	e.queries, e.spareQueries, e.spareTasks = nil, nil, nil
 	for t := e.retired; t != nil; {
 		next := t.next
 		t.next = nil // as sweep does: no task keeps the queue alive
@@ -420,8 +437,11 @@ const retention = 2 * time.Minute
 // task (alone in its range) finishes the instant it is created; an
 // interior task, the only kind with a fanout, finishes when its last
 // subrange is answered or abandoned. Every task ends in Engine.finish, and
-// from then on key, acc and respCause are frozen: the task itself is the
-// response every parent is sent, and receivers read only those three.
+// from then on key, acc and respCause are frozen until sweep lets go of
+// it: the task itself is the response every parent is sent, and receivers
+// read only those three. sweep reuses a task (Engine.spareTasks) only once
+// every response sent from it has been delivered, so no receiver can see
+// it change.
 //
 // acc is held by value, and a predictor allocates its buckets only when
 // one receives mass: a task with nothing to report or only Immediate rows
@@ -437,8 +457,10 @@ type task struct {
 	more     *requester
 	acc      predictor.Predictor
 	finished bool
+	spare    bool          // on Engine.spareTasks: any use of it is a use after free (live)
+	inFlight uint32        // responses sent over the network and not yet delivered
 	expires  time.Duration // finished tasks only: when sweep lets go
-	next     *task         // the task finished next (Engine.retired); nil once swept
+	next     *task         // the task finished next (Engine.retired) or spare next; nil once swept
 	// respCause is the span of the last contribution folded in — the child
 	// whose response completed the fan-in, i.e. the causal parent of the
 	// task's own response; the task's disseminate event until then.
@@ -539,6 +561,28 @@ func (e *Engine) newFanout(t *task, h *queryHdr) *fanout {
 // whole reports whether the key's range is the full namespace: the root
 // task, whose parent is the injector.
 func (k taskKey) whole() bool { return k.lo.IsZero() && k.hi == ids.MaxID }
+
+// newTask returns a task for key, requested by parent, reusing a spare one
+// when the engine has one.
+func (e *Engine) newTask(key taskKey, parent simnet.Endpoint, span uint64) *task {
+	t := e.spareTasks
+	if t == nil {
+		t = new(task)
+	} else {
+		e.spareTasks = t.next
+	}
+	*t = task{key: key, parent: parent, respCause: span}
+	return t
+}
+
+// live returns t, and panics if t is on the spare list: whatever reached
+// it there holds a reference that outlived the task.
+func (t *task) live() *task {
+	if t.spare {
+		panic("dissem: a range task was used after it was swept for reuse")
+	}
+	return t
+}
 
 // queryTasks is one query's entry in Engine.queries: its range tasks on
 // this endsystem, a handful, one per range, in the order they were filed.
@@ -656,8 +700,9 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 		e.beginTask(m.Hdr, m.Lo, m.Hi, m.Parent, m.Cause)
 		m.recycle()
 	case *task:
+		e.delivered(from, m)
 		if !m.key.whole() {
-			e.handleResp(m.key, &m.acc, m.respCause)
+			e.handleResp(m)
 			break
 		}
 		// The root task's response: the query's final predictor.
@@ -705,7 +750,7 @@ func (e *Engine) beginTask(h *queryHdr, lo, hi ids.ID, parent simnet.Endpoint, c
 	}
 	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindDisseminate, Query: e.o.QueryTag(qid),
 		EP: int(e.node.Endpoint())})
-	t := &task{key: taskKey{qid: qid, lo: lo, hi: hi}, parent: parent, respCause: span}
+	t := e.newTask(taskKey{qid: qid, lo: lo, hi: hi}, parent, span)
 	e.file(q, t)
 	e.host.QueryObserved(qid, h.Query, h.Injector, span)
 	// Split into arity equal subranges, unless the task is a leaf or the
@@ -926,16 +971,32 @@ func (e *Engine) subrangeTimeout(s *subrange) {
 	e.sendSubrange(s)
 }
 
-// handleResp folds a child's aggregated predictor into the parent task:
-// key, pred and cause are the finished child task's. A subrange is found
-// only while it is unanswered and its task unfinished and filed, so a
-// duplicate (a reissued request's), a late response (its subrange
-// abandoned, its task finished) and one this incarnation never asked for
-// all miss: each subrange counts exactly once.
-func (e *Engine) handleResp(key taskKey, pred *predictor.Predictor, cause uint64) {
-	if s := awaiting(e.queries[key.qid].list(), key.lo, key.hi); s != nil {
-		e.answer(s, pred, cause)
+// handleResp folds a child's response, its finished task c, into the
+// parent task: c's key finds the subrange, which takes c's acc and
+// respCause. A subrange is found only while it is unanswered and its task
+// unfinished and filed, so a duplicate (a reissued request's), a late
+// response (its subrange abandoned, its task finished) and one this
+// incarnation never asked for all miss: each subrange counts exactly once.
+func (e *Engine) handleResp(c *task) {
+	if s := awaiting(e.queries[c.live().key.qid].list(), c.key.lo, c.key.hi); s != nil {
+		e.answer(s, &c.acc, c.respCause)
 	}
+}
+
+// delivered counts the arrival of a response, the task c, from the
+// endsystem at from against c's sends. The duplication fault delivers its
+// copy of a message at the same instant as the original, as the event
+// next to it, so a second arrival of the same sender's response for the
+// same range at the same instant is taken for that copy and not counted.
+// The rule can only count too few, which keeps c from reuse (sweep), never
+// too many.
+func (e *Engine) delivered(from simnet.Endpoint, c *task) {
+	a := arrival{from: from, key: c.live().key, at: e.node.Sched().Now()}
+	if a == e.counted {
+		return
+	}
+	e.counted = a
+	c.inFlight--
 }
 
 // answer settles subrange s with its predictor, pred, and the span that
@@ -978,7 +1039,7 @@ func (e *Engine) finish(t *task) {
 	}
 	t.expires = e.node.Sched().Now() + retention
 	if e.retiredTail == nil {
-		e.retired = t
+		e.retired, e.nextExpiry = t, t.expires
 	} else {
 		e.retiredTail.next = t
 	}
@@ -990,18 +1051,32 @@ func (e *Engine) finish(t *task) {
 // calls it before every lookup, so an expired task is never found, and
 // HandleMessage on every message the endsystem receives, so one leaves the
 // table at the first message after its retention: expiry needs no timer.
+// A swept task goes on the spare list when every response sent from it
+// has been delivered, unless it is the root's, whose acc the injector's
+// callback was handed to keep; one with a response lost or in flight is
+// left to the collector.
 func (e *Engine) sweep(now time.Duration) {
+	if e.retired == nil || e.nextExpiry > now {
+		return
+	}
 	for t := e.retired; t != nil && t.expires <= now; t = e.retired {
 		// Unlink fully: a response in flight is t and keeps it alive, and
 		// must not keep the rest of the queue with it.
 		e.retired, t.next = t.next, nil
 		e.unfile(t)
-	}
-	if e.retired == nil {
-		e.retiredTail = nil
-		if len(e.queries) == 0 {
-			e.spareQueries, e.spare = nil, nil // drained: an idle engine holds no spare
+		if t.inFlight == 0 && !t.key.whole() {
+			*t = task{spare: true, next: e.spareTasks}
+			e.spareTasks = t
 		}
+	}
+	if e.retired != nil {
+		e.nextExpiry = e.retired.expires
+		return
+	}
+	e.retiredTail = nil
+	if len(e.queries) == 0 {
+		// Drained: an idle engine holds no spare.
+		e.spareQueries, e.spare, e.spareTasks = nil, nil, nil
 	}
 }
 
@@ -1011,7 +1086,7 @@ func (e *Engine) sweep(now time.Duration) {
 // every registered parent preserves exactly-once counting. Receivers only
 // read the task's frozen key, acc and respCause.
 func (e *Engine) respond(t *task) {
-	e.respondTo(t, t.parent)
+	e.respondTo(t.live(), t.parent)
 	for p := t.more; p != nil; p = p.next {
 		e.respondTo(t, p.ep)
 	}
@@ -1020,7 +1095,7 @@ func (e *Engine) respond(t *task) {
 func (e *Engine) respondTo(t *task, parent simnet.Endpoint) {
 	if !t.key.whole() && parent == e.node.Endpoint() {
 		// Self-recursion: deliver locally without a network hop.
-		e.handleResp(t.key, &t.acc, t.respCause)
+		e.handleResp(t)
 		return
 	}
 	// The wire carries the frozen acc's encoding, sized here rather than
@@ -1036,6 +1111,7 @@ func (e *Engine) respondTo(t *task, parent simnet.Endpoint) {
 	if t.key.whole() {
 		size = ids.Bytes + predLen
 	}
+	t.inFlight++
 	e.node.Ring().Network().Send(e.node.Endpoint(), parent, size, simnet.ClassQuery, t)
 }
 

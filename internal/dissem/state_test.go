@@ -134,11 +134,12 @@ func (h *rigHost) Deliver(_ ids.ID, from simnet.Endpoint, payload any) {
 }
 
 // received is one response a sink was sent — the finished task itself —
-// with its predictor's value at the instant it arrived.
+// with its key and its predictor's value at the instant it arrived.
 type received struct {
-	to   simnet.Endpoint
-	resp *task
-	was  predictor.Predictor
+	from, to simnet.Endpoint
+	resp     *task
+	key      taskKey
+	was      predictor.Predictor
 }
 
 // value is a snapshot of a predictor: a copy that shares no buckets with
@@ -153,19 +154,24 @@ func value(p *predictor.Predictor) predictor.Predictor {
 var empty predictor.Predictor
 
 // sink is a ring member that runs no engine and records the responses it
-// is sent. It swallows requests, so its subranges never answer by
-// themselves, and recycles each as an engine does once it has consumed it.
+// is sent; with the rig's echo set it also hands each to the rig's peer,
+// as a parent's engine would be handed it. It swallows requests, so its
+// subranges never answer by themselves, and recycles each as an engine
+// does once it has consumed it.
 type sink struct {
 	rig *rig
 	ep  simnet.Endpoint
 }
 
 func (s *sink) LeafsetChanged() {}
-func (s *sink) Deliver(_ ids.ID, _ simnet.Endpoint, payload any) {
+func (s *sink) Deliver(_ ids.ID, from simnet.Endpoint, payload any) {
 	switch m := payload.(type) {
 	case *task:
 		if s.rig.record {
-			s.rig.got = append(s.rig.got, received{to: s.ep, resp: m, was: value(&m.acc)})
+			s.rig.got = append(s.rig.got, received{from: from, to: s.ep, resp: m, key: m.key, was: value(&m.acc)})
+		}
+		if s.rig.echo {
+			s.rig.peer.HandleMessage(from, m)
 		}
 	case *rangeMsg:
 		m.recycle()
@@ -181,17 +187,21 @@ type idRange struct{ lo, hi ids.ID }
 // request routes back to it. The test then plays parents and children
 // itself. leaves are ranges the engine answers at once: empty ones between
 // two ring members, which contribute nothing, and own, the engine's id
-// alone, which contributes the host's ten rows.
+// alone, which contributes the host's ten rows. peer is an engine on
+// endpoint 1 with nothing filed: handing it a response is that response's
+// delivery, which is what lets its task be reused.
 type rig struct {
 	sched   *simnet.Wheel
 	host    *rigHost
 	e       *Engine
+	peer    *Engine
 	ids     []ids.ID // endpoint i sits on ids[i]; ascending
 	ranges  []idRange
 	empties []idRange
 	own     idRange
 	got     []received
 	record  bool
+	echo    bool   // the sinks hand every response to peer as it arrives
 	causes  uint64 // the span the last response the test played carried
 }
 
@@ -221,7 +231,10 @@ func newRig(t testing.TB, n int, seed int64, cfg Config) *rig {
 	r.host = &rigHost{}
 	r.host.node = ring.AddNode(0, sorted[0], r.host)
 	for i := 1; i < n; i++ {
-		ring.AddNode(simnet.Endpoint(i), sorted[i], &sink{rig: r, ep: simnet.Endpoint(i)})
+		node := ring.AddNode(simnet.Endpoint(i), sorted[i], &sink{rig: r, ep: simnet.Endpoint(i)})
+		if i == 1 {
+			r.peer = NewEngine(&rigHost{node: node}, cfg)
+		}
 		eps[i] = simnet.Endpoint(i)
 	}
 	ring.BootstrapAll(eps)
@@ -461,7 +474,10 @@ func (r *refEngine) reset(now time.Duration) {
 // ranges and leaves, with children and leaves that have something to
 // report and ones that have nothing (the empty predictor). After every
 // step the index must resolve what the scan resolves; at the end the
-// parents must have been sent the same predictors.
+// parents must have been sent the same predictors. Two in three of the
+// engine's responses are delivered, each at a random later step, so that
+// swept tasks are reused inside the run: each must arrive as it was sent,
+// up to its delivery, and the rest up to the end.
 func TestIndexAgainstLinearScan(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		cfg := rigConfig()
@@ -477,7 +493,26 @@ func TestIndexAgainstLinearScan(t *testing.T) {
 		var lastQ ids.ID
 		var lastS idRange
 		var lastP *predictor.Predictor
+		var held []int // the responses in r.got to deliver, by index
+		seen, delivered := 0, make([]bool, 0, 1024)
+		unchanged := func(m received) bool { return m.resp.key == m.key && m.resp.acc.Equal(&m.was) }
 		for step := 0; step < 3000; step++ {
+			for ; seen < len(r.got); seen++ {
+				delivered = append(delivered, false)
+				if rng.Intn(3) > 0 {
+					held = append(held, seen)
+				}
+			}
+			if len(held) > 0 && rng.Intn(3) == 0 {
+				k := rng.Intn(len(held))
+				m := r.got[held[k]]
+				if !unchanged(m) {
+					t.Fatalf("seed %d: response for %v changed before it was delivered", seed, m.key)
+				}
+				r.peer.HandleMessage(m.from, m.resp)
+				delivered[held[k]] = true
+				held = slices.Delete(held, k, k+1)
+			}
 			now := r.sched.Now()
 			qid := qids[rng.Intn(len(qids))]
 			g := r.ranges[rng.Intn(len(r.ranges))]
@@ -524,14 +559,25 @@ func TestIndexAgainstLinearScan(t *testing.T) {
 			}
 		}
 		var got []string
-		for _, m := range r.got {
-			got = append(got, sentString(m.to, m.resp.key, &m.was))
-			if !m.resp.acc.Equal(&m.was) {
-				t.Fatalf("seed %d: predictor of %v changed after it was sent", seed, m.resp.key)
+		keys := make(map[*task]taskKey)
+		reused := 0
+		for i, m := range r.got {
+			got = append(got, sentString(m.to, m.key, &m.was))
+			if (i >= len(delivered) || !delivered[i]) && !unchanged(m) {
+				t.Fatalf("seed %d: response for %v changed after it was sent, undelivered", seed, m.key)
 			}
 			if m.was.Equal(&empty) {
 				emptyResponses++
 			}
+			if k, ok := keys[m.resp]; ok && k != m.key {
+				reused++
+			}
+			keys[m.resp] = m.key
+		}
+		t.Logf("seed %d: %d responses, %d of them delivered; %d sent from a reused task",
+			seed, len(r.got), len(slices.DeleteFunc(delivered, func(d bool) bool { return !d })), reused)
+		if reused == 0 {
+			t.Fatalf("seed %d: no task was reused", seed)
 		}
 		if emptySent == 0 || emptyResponses == 0 {
 			t.Fatalf("seed %d: %d empty predictors sent in, %d sent out: the empty path was not exercised", seed, emptySent, emptyResponses)
@@ -750,6 +796,174 @@ func TestFinishedAccFrozen(t *testing.T) {
 		if answers != 4 { // the first answer, one to the reissue, one to each parent once there are two
 			t.Fatalf("%s: %d responses for the query, want 4", c.name, answers)
 		}
+	}
+}
+
+// fates is a fault hook that gives the query-class sends of the rig's
+// engine (endpoint 0) to an endpoint the fates queued for it, in order,
+// and every other message none.
+type fates map[simnet.Endpoint][]simnet.Fate
+
+func (f fates) OnSend(from, to simnet.Endpoint, _, _ int, class simnet.Class) simnet.Fate {
+	q := f[to]
+	if from != 0 || class != simnet.ClassQuery || len(q) == 0 {
+		return simnet.Fate{}
+	}
+	f[to] = q[1:]
+	return q[0]
+}
+
+// TestTaskReuseWaitsForDelivery: a swept task is reused only once every
+// response sent from it has been delivered. Each case runs a leaf task of
+// a new query that parent 2 requests once a second, as often as the case
+// gives fates for the responses, on a drained engine. Another query's
+// leaf, requested after, is still retained when the task's retention runs
+// out, so the sweep then does not drain the engine. The task must be on
+// the spare list after that sweep, and be the next task, exactly when
+// every response has been delivered; and every response must arrive as
+// the task was when it was sent. A lost response keeps its task from reuse
+// for good, one delayed past the retention until after the sweep, which
+// then lets go of it; the duplication fault's copy is not a second
+// delivery, so a duplicate cannot stand in for a response still in flight.
+// Then, on a live cluster: the root's task, whose predictor the injector
+// was handed, is never reused, while the other tasks of its query are.
+func TestTaskReuseWaitsForDelivery(t *testing.T) {
+	r := newRig(t, 128, 11, rigConfig())
+	r.echo = true
+	hook := fates{}
+	r.host.node.Ring().Network().SetFaultHook(hook)
+	type otherLayer struct{}
+	g := r.empties[0]
+	late := simnet.Fate{ExtraDelay: retention + time.Minute}
+	for i, c := range []struct {
+		name   string
+		fates  []simnet.Fate // of the responses, one a request
+		reused bool
+	}{
+		{"delivered", []simnet.Fate{{}}, true},
+		{"duplicated", []simnet.Fate{{Duplicate: true}}, true},
+		{"dropped", []simnet.Fate{{Drop: true}}, false},
+		{"dropped, then answered again", []simnet.Fate{{Drop: true}, {}}, false},
+		{"delayed past retention", []simnet.Fate{late}, false},
+		{"delayed past retention, then answered again and duplicated", []simnet.Fate{late, {Duplicate: true}}, false},
+	} {
+		r.advance(3 * retention)
+		r.e.HandleMessage(2, &otherLayer{})
+		if len(r.e.queries) != 0 {
+			t.Fatalf("%s: the engine did not drain before the case", c.name)
+		}
+		r.got = nil
+		qid := ids.HashString(fmt.Sprint("reuse ", i))
+		arrivals := 0
+		var tk *task
+		for _, f := range c.fates {
+			hook[2] = append(hook[2], f)
+			r.request(qid, g, 2)
+			if tk == nil {
+				tk = filed(r.e, taskKey{qid, g.lo, g.hi})
+			}
+			if !f.Drop {
+				arrivals++
+			}
+			if f.Duplicate {
+				arrivals++
+			}
+			r.advance(time.Second)
+		}
+		key, sent := tk.key, value(&tk.acc)
+		r.request(ids.HashString(fmt.Sprint("anchor ", i)), r.empties[1], 4)
+		r.sched.RunUntil(tk.expires)
+		r.e.HandleMessage(2, &otherLayer{})
+		if filed(r.e, key) != nil || len(r.e.queries) == 0 {
+			t.Fatalf("%s: the task was not swept, or the engine drained", c.name)
+		}
+		if tk.spare != c.reused {
+			t.Errorf("%s: on the spare list after its sweep: %v, want %v", c.name, tk.spare, c.reused)
+		}
+		next := ids.HashString(fmt.Sprint("next ", i))
+		r.request(next, g, 5)
+		if got := filed(r.e, taskKey{next, g.lo, g.hi}) == tk; got != c.reused {
+			t.Errorf("%s: the next task is the swept one: %v, want %v", c.name, got, c.reused)
+		}
+		r.advance(2 * retention) // every delayed response arrives
+		for _, m := range r.got {
+			if m.to != 2 {
+				continue
+			}
+			arrivals--
+			if m.resp != tk || m.key != key || !m.was.Equal(&sent) {
+				t.Errorf("%s: a response arrived as %v, sent as %v", c.name, m.key, key)
+			}
+		}
+		if arrivals != 0 {
+			t.Errorf("%s: %d responses more were sent than arrived", c.name, arrivals)
+		}
+	}
+
+	cl := newCluster(t, 64, 51, DefaultConfig())
+	cl.sched.RunUntil(time.Minute)
+	var final *predictor.Predictor
+	first := cl.hosts[0].engine.Inject(testQuery, 0, func(p *predictor.Predictor) { final = p })
+	cl.sched.RunUntil(cl.sched.Now() + time.Minute)
+	if final == nil {
+		t.Fatal("the first query's predictor did not arrive")
+	}
+	want := value(final)
+	var root *task
+	var tasks []*task
+	for _, h := range cl.hosts {
+		for _, tk := range allTasks(h.engine) {
+			if tk.key.qid == first {
+				tasks = append(tasks, tk)
+				if tk.key.whole() {
+					root = tk
+				}
+			}
+		}
+	}
+	// A second query keeps the engines from draining when the first one's
+	// tasks are swept, and a third takes them.
+	cl.hosts[1].engine.Inject(testQuery, 0, nil)
+	cl.sched.RunUntil(cl.sched.Now() + 90*time.Second)
+	third := cl.hosts[2].engine.Inject(testQuery, 0, nil)
+	cl.sched.RunUntil(cl.sched.Now() + 30*time.Second)
+	reused := 0
+	for _, tk := range tasks {
+		if tk.key.qid == third {
+			reused++
+		}
+	}
+	t.Logf("the third query reused %d of the first one's %d tasks", reused, len(tasks))
+	if reused == 0 {
+		t.Error("no task of the first query was reused")
+	}
+	if root == nil || root.spare || root.key.qid != first || !final.Equal(&want) {
+		t.Error("the root's task was reused, or the predictor the injector was handed changed")
+	}
+}
+
+// TestSpareTaskUsePanics: a task on the spare list is poisoned. Handing
+// it to an engine as a response, folding it in as a local child's or
+// answering a parent from it panics, whatever else it holds.
+func TestSpareTaskUsePanics(t *testing.T) {
+	r := newRig(t, 128, 11, rigConfig())
+	spare := &task{spare: true, finished: true, parent: 2}
+	for _, c := range []struct {
+		name string
+		use  func()
+	}{
+		{"delivered", func() { r.e.HandleMessage(2, spare) }},
+		{"folded in", func() { r.e.handleResp(spare) }},
+		{"answered from", func() { r.e.respond(spare) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a spare task was used without a panic", c.name)
+				}
+			}()
+			c.use()
+		}()
 	}
 }
 
@@ -1015,8 +1229,9 @@ func TestTaskTablesBounded(t *testing.T) {
 }
 
 // drainedHeapCeiling is about 10% above what
-// TestDrainedEngineGivesBackTables measures: 565-567 bytes per engine on
-// go1.24 linux/amd64. 256 of them are the empty per-query table, its
+// TestDrainedEngineGivesBackTables measured when it was set: 565-567 bytes
+// per engine on go1.24 linux/amd64 (it reads 422-503 now, and did before
+// range tasks were reused). 256 of them are the empty per-query table, its
 // header and the one 8-slot group that a few queries at a time need; the
 // rest is, by a heap profile, Pastry's pooled route envelopes and what
 // its routing state learnt from the queries' traffic. It read 6,795-6,875
@@ -1100,13 +1315,15 @@ func bytesPerRun(runs int, f func()) uint64 {
 }
 
 // TestRangeTaskAllocCeilings pins the allocations of the per-message
-// paths: a leaf range task is the task, which is also its response — one
-// object of the 128-byte class, whether it has rows to report or not, for
-// its predictor allocates buckets only for mass in them, and its query's
-// entry in the table a swept query's; once warm, an interior range task is
-// its task too, its fan-out a finished task's and its requests consumed
-// ones of its query, and a subrange it answers in place adds nothing; a
-// response allocates nothing, whether or not it completes its task.
+// paths. A range task is one object of the 128-byte class, which is also
+// its response, whether it has rows to report or not, for its predictor
+// allocates buckets only for mass in them; once its responses are
+// delivered and its retention is over, it is the next task's. So once
+// warm a leaf range task allocates nothing: its task a swept one, its
+// query's entry in the table a swept query's. Nor does an interior one:
+// its fan-out is a finished task's and its requests consumed ones of its
+// query, and a subrange it answers in place adds nothing. A response
+// allocates nothing, whether or not it completes its task.
 func TestRangeTaskAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -1115,12 +1332,12 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 		t.Errorf("task is %d bytes: past the 128-byte size class", size)
 	}
 	r := newRig(t, 128, 11, rigConfig())
-	r.record = false
+	r.record, r.echo = false, true
 	const runs = 100
 	// Each run is a new query, step after the one before, so a run's sweep
 	// lets go of the query filed four runs before: four queries are filed
-	// at a time, and the new one takes the swept one's entry. Each case
-	// measures once warm.
+	// at a time, and the new one takes the swept one's entry and tasks.
+	// Each case measures once warm.
 	const step = retention / 4
 	warm := func(run func()) {
 		for range 8 {
@@ -1128,10 +1345,10 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 		}
 	}
 
-	// Leaves. Letting the response arrive returns its event to the
-	// scheduler's pool, so the count is the engine's alone. The engine's
-	// own id as a one-point range reports its rows; a gap between two
-	// members reports nothing.
+	// Leaves. Letting the response arrive delivers it, and returns its
+	// event to the scheduler's pool, so the count is the engine's alone.
+	// The engine's own id as a one-point range reports its rows; a gap
+	// between two members reports nothing.
 	qid := ids.HashString("leaf")
 	for _, c := range []struct {
 		name string
@@ -1149,13 +1366,11 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 			r.advance(step)
 		}
 		warm(run)
-		if n := testing.AllocsPerRun(runs, run); n > 1 {
-			t.Errorf("%s: %.1f allocations, want at most 1", c.name, n)
+		if n := testing.AllocsPerRun(runs, run); n != 0 {
+			t.Errorf("%s: %.1f allocations, want 0", c.name, n)
 		}
-		if n := bytesPerRun(runs, run); n > 128 {
-			t.Errorf("%s: %d bytes, want at most 128 (the task, response included)", c.name, n)
-		} else {
-			t.Logf("%s: %d bytes", c.name, n)
+		if n := bytesPerRun(runs, run); n != 0 {
+			t.Errorf("%s: %d bytes, want 0 (the task, response included, a swept one)", c.name, n)
 		}
 	}
 
@@ -1179,13 +1394,11 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 		r.advance(step - time.Second)
 	}
 	warm(interior)
-	if n := testing.AllocsPerRun(runs, interior); n > 1 {
-		t.Errorf("interior: %.1f allocations, want at most 1", n)
+	if n := testing.AllocsPerRun(runs, interior); n != 0 {
+		t.Errorf("interior: %.1f allocations, want 0", n)
 	}
-	if n := bytesPerRun(runs, interior); n > 128 {
-		t.Errorf("interior: %d bytes, want at most 128 (the task; fan-out and requests reused)", n)
-	} else {
-		t.Logf("interior: %d bytes", n)
+	if n := bytesPerRun(runs, interior); n != 0 {
+		t.Errorf("interior: %d bytes, want 0 (task, fan-out and requests reused)", n)
 	}
 	if tk := filed(r.e, taskKey{qid, g.lo, g.hi}); tk == nil || !tk.finished {
 		t.Fatal("the last interior task did not finish")
@@ -1193,7 +1406,7 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 
 	// An interior task whose first subrange is empty and its own to root
 	// answers that one in place: no request, child task, timer or response
-	// for it, so the task is still all it allocates.
+	// for it, so it allocates nothing either.
 	near := r.near()
 	nearSubs := r.subs(near)
 	inPlace := func() {
@@ -1209,16 +1422,14 @@ func TestRangeTaskAllocCeilings(t *testing.T) {
 	}
 	warm(inPlace)
 	sent := r.rangeMsgs()
-	if n := testing.AllocsPerRun(runs, inPlace); n > 1 {
-		t.Errorf("interior, empty subrange rooted here: %.1f allocations, want at most 1", n)
+	if n := testing.AllocsPerRun(runs, inPlace); n != 0 {
+		t.Errorf("interior, empty subrange rooted here: %.1f allocations, want 0", n)
 	}
 	if per := (r.rangeMsgs() - sent) / (runs + 1); per != uint64(len(nearSubs)-1) {
 		t.Errorf("interior, empty subrange rooted here: %d requests a task, want %d", per, len(nearSubs)-1)
 	}
-	if n := bytesPerRun(runs, inPlace); n > 128 {
-		t.Errorf("interior, empty subrange rooted here: %d bytes, want at most 128 (the task)", n)
-	} else {
-		t.Logf("interior, empty subrange rooted here: %d bytes", n)
+	if n := bytesPerRun(runs, inPlace); n != 0 {
+		t.Errorf("interior, empty subrange rooted here: %d bytes, want 0", n)
 	}
 	if tk := filed(r.e, taskKey{qid, near.lo, near.hi}); tk == nil || !tk.finished {
 		t.Fatal("the last interior task with a subrange answered in place did not finish")

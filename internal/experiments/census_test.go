@@ -52,12 +52,12 @@ const (
 // one takes an edit here and a CHANGES.md line saying why.
 var maxPackageLines = map[string]int{
 	"internal/agg":         182,
-	"internal/aggtree":     1473,
+	"internal/aggtree":     1488,
 	"internal/anemone":     332,
 	"internal/avail":       783,
 	"internal/coords":      473,
 	"internal/core":        1574,
-	"internal/dissem":      1053,
+	"internal/dissem":      1129,
 	"internal/experiments": 1818,
 	"internal/fault":       981,
 	"internal/histogram":   672,
@@ -69,7 +69,7 @@ var maxPackageLines = map[string]int{
 	"internal/pastry":      1353,
 	"internal/predictor":   419,
 	"internal/qserve":      811,
-	"internal/relq":        2154,
+	"internal/relq":        2159,
 	"internal/runner":      165,
 	"internal/simnet":      1483,
 	"seaweed":              203,

@@ -96,11 +96,12 @@ func checkLayout(t testing.TB, label string, tbl *Table, cols [][]int64) {
 // compact left: the full blocks sealed by then lie back to back per
 // element width, column by column and in block order, each capped at its
 // own length — all of them but the last few of a width that would not
-// fill a page: 4 blocks of one byte, 2 of two, none of four or eight.
-func checkArena(t testing.TB, label string, tbl *Table) {
+// fill a page: 4 blocks of one byte, 2 of two, none of four or eight. It
+// returns how many blocks it found in place.
+func checkArena(t testing.TB, label string, tbl *Table) (placed int) {
 	t.Helper()
-	if tbl.sealAt == 0 || tbl.rows < tbl.sealAt {
-		return
+	if tbl.hint == 0 || tbl.rows < tbl.hint {
+		return 0
 	}
 	type block struct {
 		name string
@@ -110,7 +111,7 @@ func checkArena(t testing.TB, label string, tbl *Table) {
 	}
 	var full [4][]block // per element width: 1, 2, 4 and 8 bytes
 	for c := range tbl.cols {
-		for b, g := range tbl.cols[c].sealed[:tbl.sealAt/BlockSize] {
+		for b, g := range tbl.cols[c].sealed[:tbl.hint/BlockSize] {
 			name := fmt.Sprintf("column %d block %d", c, b)
 			for k, seg := range []block{
 				{name, uintptr(unsafe.Pointer(unsafe.SliceData(g.u8))), len(g.u8), cap(g.u8)},
@@ -126,13 +127,45 @@ func checkArena(t testing.TB, label string, tbl *Table) {
 	}
 	for k, blocks := range full {
 		width, perPage := 1<<k, []int{4, 2, 1, 1}[k]
-		placed := blocks[:len(blocks)-len(blocks)%perPage]
-		for i, seg := range placed {
+		inArena := blocks[:len(blocks)-len(blocks)%perPage]
+		for i, seg := range inArena {
 			if seg.cap != seg.len {
 				t.Fatalf("%s: %s's %d-byte values have capacity %d for %d", label, seg.name, width, seg.cap, seg.len)
 			}
-			if i > 0 && seg.p != placed[i-1].p+uintptr(BlockSize*width) {
-				t.Fatalf("%s: %s's %d-byte values do not follow %s's", label, seg.name, width, placed[i-1].name)
+			if i > 0 && seg.p != inArena[i-1].p+uintptr(BlockSize*width) {
+				t.Fatalf("%s: %s's %d-byte values do not follow %s's", label, seg.name, width, inArena[i-1].name)
+			}
+		}
+		placed += len(inArena)
+	}
+	return placed
+}
+
+// TestHintCompactsWhateverTheLastBlock: a table reaches its layout at its
+// row hint whatever the last block holds there. At 2,035 to 2,047 rows,
+// sealing that block at its own length would cost more than the tail it
+// releases, so it stays open in the tail, and the full blocks before it
+// are compacted all the same; at fewer it is sealed short. Built by
+// one-row inserts and by appends in stretches that straddle the blocks.
+func TestHintCompactsWhateverTheLastBlock(t *testing.T) {
+	for _, rest := range []int{0, 1, 2034, 2035, 2036, 2037, 2038, 2039, 2040, 2041, 2042, 2043, 2044, 2045, 2046, 2047} {
+		n := 8*BlockSize + rest
+		schema, cols := appendColumns(n)
+		for build, tbl := range map[string]*Table{
+			"one-row inserts": insertRows(t, schema, n, cols),
+			"stretches":       appendChunks(t, schema, n, cols, []int{BlockSize - 1, BlockSize + 1}),
+		} {
+			label := fmt.Sprintf("%d rows, %d in the last block, %s", n, rest, build)
+			checkLayout(t, label, tbl, cols)
+			if placed := checkArena(t, label, tbl); placed == 0 {
+				t.Fatalf("%s: no block was compacted at the hint", label)
+			}
+			open := 0
+			if rest >= 2035 {
+				open = rest
+			}
+			if got := len(tbl.cols[0].tail); got != open {
+				t.Fatalf("%s: %d rows open in the tail, want %d", label, got, open)
 			}
 		}
 	}

@@ -4,4 +4,4 @@ package relq
 // at which it compacts its blocks, for the tests of package relq_test.
 var CheckArena = checkArena
 
-func Compacted(t *Table) bool { return t.sealAt > 0 && t.rows >= t.sealAt }
+func Compacted(t *Table) bool { return t.hint > 0 && t.rows >= t.hint }

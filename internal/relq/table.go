@@ -305,10 +305,12 @@ type Table struct {
 	cols   []column
 	rows   int
 
-	// sealAt is the row count at which the last block is sealed at its own
-	// length and the tail released: the row hint, when doing so lowers
-	// StorageBytes; 0 otherwise.
-	sealAt int
+	// hint is the row hint of a table told at least a block's rows (0
+	// otherwise): the row count at which the sealed blocks are compacted
+	// and, when sealShort, the last block is sealed at its own length and
+	// the tail released — sealShort when doing so lowers StorageBytes.
+	hint      int
+	sealShort bool
 
 	// row is Insert's scratch: the encoded form of the row being inserted.
 	row []int64
@@ -341,12 +343,12 @@ func NewTable(schema Schema) *Table {
 // know their row count up front — anemone generation in particular — use
 // this to skip the tail's regrowth on the way to its first block.
 //
-// A table of at least one block that reaches rowCap rows also seals its
-// last, partial block at its own length and releases the tail, as long as
-// that block at full width and its directory entry take less than the
-// tail's capacity (a last block of 2,035 rows or more stays open); the
-// next insert reopens it. Smaller tables keep their tail: a directory
-// entry costs more than their rows.
+// A table of at least one block that reaches rowCap rows compacts its
+// full blocks (compact). It also seals its last, partial block at its own
+// length and releases the tail, as long as that block at full width and
+// its directory entry take less than the tail's capacity (a last block of
+// 2,035 rows or more stays open); the next insert reopens it. Smaller
+// tables keep their tail: a directory entry costs more than their rows.
 func NewTableWithCapacity(schema Schema, rowCap int) *Table {
 	t := &Table{schema: schema, cols: make([]column, len(schema.Columns))}
 	if rowCap <= 0 {
@@ -354,9 +356,10 @@ func NewTableWithCapacity(schema Schema, rowCap int) *Table {
 	}
 	nb := (rowCap + BlockSize - 1) / BlockSize
 	tailCap := min(rowCap, BlockSize)
-	if segmentBytes+8*(rowCap%BlockSize) < 8*tailCap {
-		t.sealAt = rowCap
-	} else {
+	if rowCap >= BlockSize {
+		t.hint = rowCap
+	}
+	if t.sealShort = segmentBytes+8*(rowCap%BlockSize) < 8*tailCap; !t.sealShort {
 		nb-- // the last block is open when the hint is reached
 	}
 	for i := range t.cols {
@@ -486,35 +489,37 @@ func (t *Table) arityError(n int) error {
 }
 
 // open readies the open block for up to n more rows, reopening the last
-// block if the table sealed it short at sealAt. It returns how many of
-// them the block takes before it seals — at BlockSize, or at sealAt if
-// the table has not reached it — and whether they start it.
+// block if the table sealed it short at its hint. It returns how many of
+// them the block takes before it seals or the table reaches its hint, and
+// whether they start it.
 func (t *Table) open(n int) (k int, fresh bool) {
 	held := t.rows % BlockSize
-	if t.rows == t.sealAt && held != 0 {
+	if t.rows == t.hint && t.sealShort && held != 0 {
 		for i := range t.cols {
 			t.cols[i].reopen(held)
 		}
 	}
-	if k = min(n, BlockSize-held); t.rows < t.sealAt {
-		k = min(k, t.sealAt-t.rows)
+	if k = min(n, BlockSize-held); t.rows < t.hint {
+		k = min(k, t.hint-t.rows)
 	}
 	return k, held == 0
 }
 
-// close counts k appended rows and seals the open block if they filled it
-// or brought the table to sealAt, where the tail is released and the
-// sealed blocks are compacted.
+// close counts k appended rows and seals the open block if they filled it.
+// At the hint the sealed blocks are compacted, after the open block is
+// sealed short and the tail released if the table does that.
 func (t *Table) close(k int) {
-	if t.rows += k; t.rows%BlockSize == 0 || t.rows == t.sealAt {
+	t.rows += k
+	atHint := t.rows == t.hint
+	if t.rows%BlockSize == 0 || atHint && t.sealShort {
 		for i := range t.cols {
-			if t.cols[i].seal(); t.rows == t.sealAt {
+			if t.cols[i].seal(); atHint {
 				t.cols[i].tail = nil
 			}
 		}
-		if t.rows == t.sealAt {
-			t.compact()
-		}
+	}
+	if atHint {
+		t.compact()
 	}
 }
 
